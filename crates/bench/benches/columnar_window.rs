@@ -17,6 +17,15 @@
 //!   segmented window consults the zone maps and touches only the
 //!   segments whose range contains the probe key's numeric image.
 //!
+//! * **scan_kernel**: a non-equi probe over a 500-row window — the
+//!   `d2_dist_seq` shape — through `MswjOperator::push`, once as the
+//!   tuple-at-a-time `matches` walk (`ProbeStrategy::NestedLoop`) and once
+//!   as the typed-column kernel (`ProbeStrategy::Auto`), with the window
+//!   filled in order (contiguous-slice scan) and with 5 % late inserts
+//!   (gather through the order deque).  Counting mode; each push also pays
+//!   the operator's fixed costs (expiry check, own-window append), the
+//!   same on both sides.
+//!
 //! `RowWindow` below is a faithful miniature of the pre-segmentation
 //! storage — `VecDeque<Tuple>` plus `HashMap<i64, VecDeque<Tuple>>` buckets
 //! holding *clones* — so the comparison isolates the storage layout.
@@ -39,8 +48,9 @@
 //! baseline.)
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use mswj_join::Window;
-use mswj_types::{Timestamp, Tuple, Value};
+use mswj_datasets::q2_query;
+use mswj_join::{MswjOperator, ProbeStrategy, Window};
+use mswj_types::{StreamIndex, Timestamp, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
 
 const WINDOW_TUPLES: u64 = 10_000;
@@ -235,5 +245,55 @@ fn scan_heavy(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, expiry_heavy, expiry_drop, scan_heavy);
+fn scan_kernel(c: &mut Criterion) {
+    const ROWS: u64 = 500;
+    const PROBES: u64 = 64;
+    let position = |stream: usize, seq: u64, ts: u64| {
+        // A slow drift across the pitch: roughly a tenth of the window lies
+        // within the 5 m threshold of any probe.
+        let along = (seq % 100) as f64;
+        let values = vec![
+            Value::Int(seq as i64),
+            Value::Float(along),
+            Value::Float(along * 0.5),
+        ];
+        Tuple::new(stream.into(), seq, Timestamp::from_millis(ts), values)
+    };
+    let mut group = c.benchmark_group("columnar_window/scan_kernel");
+    for (fill, late_every) in [("inorder", u64::MAX), ("late5", 20)] {
+        for (path, strategy) in [
+            ("walk", ProbeStrategy::NestedLoop),
+            ("kernel", ProbeStrategy::Auto),
+        ] {
+            group.bench_function(format!("{path}_{fill}"), |b| {
+                let mut op = MswjOperator::with_probe(q2_query(10 * ROWS, 5.0), strategy, false);
+                for i in 0..ROWS {
+                    let late = if i % late_every == late_every - 1 {
+                        75
+                    } else {
+                        0
+                    };
+                    op.adopt(position(1, i, 10 * i + 100 - late));
+                }
+                let mut seq = 0u64;
+                b.iter(|| {
+                    let mut hits = 0u64;
+                    for _ in 0..PROBES {
+                        seq += 1;
+                        // Every probe arrives at the window's newest instant:
+                        // nothing expires, all 500 rows are scanned.
+                        hits += op.push(position(0, seq, 10 * ROWS + 100)).n_join;
+                    }
+                    // Shed the probes' own-window inserts (amortised, and the
+                    // same on both paths) so the operator stays at its size.
+                    op.evict_where(StreamIndex(0), |_| false);
+                    black_box(hits)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, expiry_heavy, expiry_drop, scan_heavy, scan_kernel);
 criterion_main!(benches);

@@ -6,8 +6,8 @@ use mswj_core::{
     CountingSink, DelayHistogram, EngineEvent, ExecutionBackend, JoinEngine, KSlack, ModelInputs,
     Pipeline, RecallModel, Synchronizer,
 };
-use mswj_datasets::{q3_query, Zipf};
-use mswj_join::{CommonKeyEquiJoin, JoinQuery, MswjOperator, ProbeStrategy};
+use mswj_datasets::{q2_query, q3_query, Zipf};
+use mswj_join::{BandJoin, CommonKeyEquiJoin, JoinQuery, MswjOperator, ProbeStrategy};
 use mswj_types::{ArrivalEvent, FieldType, Schema, StreamSet, Timestamp, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,6 +131,77 @@ fn indexed_vs_scan(c: &mut Criterion) {
                             results += outcome.n_join;
                         }
                         t += 1;
+                    }
+                    black_box(results)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// Non-equi probes at the `d2_dist_seq` shape: a 2-way distance join and a
+/// 2-way band join over 500-row windows (one tuple per stream per 10 ms,
+/// 5 s windows), in steady state through `MswjOperator::push` — the
+/// typed-column scan kernel (`ProbeStrategy::Auto`) against the
+/// tuple-at-a-time walk it replaces (`ProbeStrategy::NestedLoop`).
+fn scan_probes(c: &mut Criterion) {
+    const WINDOW_MS: u64 = 5_000;
+    fn band2() -> JoinQuery {
+        let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Float)]);
+        let streams = StreamSet::homogeneous(2, schema, WINDOW_MS).unwrap();
+        let cond = Arc::new(BandJoin::new(&streams, "v", 2.0).unwrap());
+        JoinQuery::new("bench-band2", streams, cond).unwrap()
+    }
+    // Positions drift over a 100 m line, so ~10 % (distance, 5 m) and ~5 %
+    // (band, width 2) of each window match a probe.
+    let distance_row = |stream: usize, i: u64| {
+        let along = ((i * 7 + stream as u64 * 3) % 100) as f64;
+        vec![
+            Value::Int(i as i64),
+            Value::Float(along),
+            Value::Float(along * 0.5),
+        ]
+    };
+    let band_row = |stream: usize, i: u64| {
+        vec![
+            Value::Int(i as i64),
+            Value::Float(((i * 7 + stream as u64 * 3) % 100) as f64),
+        ]
+    };
+    type Row = dyn Fn(usize, u64) -> Vec<Value>;
+    let cases: [(&str, JoinQuery, &Row); 2] = [
+        ("distance", q2_query(WINDOW_MS, 5.0), &distance_row),
+        ("band", band2(), &band_row),
+    ];
+    let mut group = c.benchmark_group("scan_probe");
+    for (name, query, row) in cases {
+        for (path, strategy) in [
+            ("kernel", ProbeStrategy::Auto),
+            ("walk", ProbeStrategy::NestedLoop),
+        ] {
+            group.bench_function(format!("{name}_probe_w500_{path}"), |b| {
+                let mut op = MswjOperator::with_probe(query.clone(), strategy, false);
+                let mut i = 0u64;
+                let mut step = |op: &mut MswjOperator| {
+                    let mut results = 0u64;
+                    for stream in 0..2usize {
+                        let ts = Timestamp::from_millis(i * 10);
+                        results += op
+                            .push(Tuple::new(stream.into(), i, ts, row(stream, i)))
+                            .n_join;
+                    }
+                    i += 1;
+                    results
+                };
+                // Prefill both windows to their steady-state population.
+                for _ in 0..WINDOW_MS / 10 {
+                    step(&mut op);
+                }
+                b.iter(|| {
+                    let mut results = 0u64;
+                    for _ in 0..64 {
+                        results += step(&mut op);
                     }
                     black_box(results)
                 })
@@ -295,6 +366,6 @@ fn model_evaluation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = kslack_throughput, synchronizer_throughput, operator_throughput, indexed_vs_scan, sharded_scaling, pipeline_push_into_throughput, model_evaluation
+    targets = kslack_throughput, synchronizer_throughput, operator_throughput, indexed_vs_scan, scan_probes, sharded_scaling, pipeline_push_into_throughput, model_evaluation
 }
 criterion_main!(benches);

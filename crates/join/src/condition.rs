@@ -7,7 +7,10 @@
 //! equi-joins additionally expose an [`EquiStructure`] so that the operator
 //! can compute result *counts* through window count-indexes instead of
 //! enumerating every combination — which is what makes the paper-scale
-//! workloads (Q×3, Q×4) tractable.
+//! workloads (Q×3, Q×4) tractable.  Conditions that are structurally a
+//! *numeric scan* — a distance or band predicate over `f64` images —
+//! expose a [`ScanStructure`] instead, which lets the operator evaluate
+//! them over the windows' typed scan columns without walking tuples.
 
 use mswj_types::{Error, Result, StreamSet, Tuple, Value};
 use std::fmt;
@@ -34,6 +37,36 @@ pub enum EquiStructure {
         /// For every stream `j != anchor`, `other_cols[j]` is the column of
         /// stream `j` compared against the anchor (ignored at `j == anchor`).
         other_cols: Vec<usize>,
+    },
+}
+
+/// Structural description of a non-equi condition that is a pure function
+/// of the `f64` images ([`Value::as_float`]) of a few columns — the
+/// non-equi counterpart of [`EquiStructure`].  The operator plans typed
+/// *scan columns* from it and evaluates the predicate over those arrays
+/// instead of calling [`JoinCondition::matches`] per candidate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScanStructure {
+    /// 2-way Euclidean distance ([`DistanceWithin`]): with `x_i`/`y_i` the
+    /// images of stream `i`'s `x_cols[i]`/`y_cols[i]`, a pair matches iff
+    /// all four images exist and
+    /// `((x_0 - x_1)² + (y_0 - y_1)²).sqrt() < threshold`.
+    DistanceWithin {
+        /// X-coordinate column in each stream.
+        x_cols: [usize; 2],
+        /// Y-coordinate column in each stream.
+        y_cols: [usize; 2],
+        /// Distance threshold (exclusive).
+        threshold: f64,
+    },
+    /// m-way band around stream 0 ([`BandJoin`]): with `v_i` the image of
+    /// stream `i`'s `columns[i]`, a combination matches iff every image
+    /// exists and `(v_j - v_0).abs() <= band` for every `j >= 1`.
+    Band {
+        /// Band column position per stream.
+        columns: Vec<usize>,
+        /// Band width (inclusive).
+        band: f64,
     },
 }
 
@@ -88,8 +121,9 @@ impl ConditionDescriptor {
     ///
     /// The reconstruction is exact: the rebuilt condition evaluates
     /// [`JoinCondition::matches`] identically and exposes the same
-    /// [`EquiStructure`], so probe plans and shard routing derived from it
-    /// agree byte-for-byte with the originating process.
+    /// [`EquiStructure`] and [`ScanStructure`], so probe plans, scan
+    /// columns and shard routing derived from it agree byte-for-byte with
+    /// the originating process.
     pub fn instantiate(&self) -> Arc<dyn JoinCondition> {
         match self {
             ConditionDescriptor::Cross { arity } => Arc::new(CrossJoin::new(*arity)),
@@ -145,6 +179,23 @@ pub trait JoinCondition: Send + Sync {
         None
     }
 
+    /// Structural numeric-scan description, if the condition has one.
+    ///
+    /// # Contract
+    ///
+    /// The mirror of [`JoinCondition::equi_structure`] for non-equi
+    /// conditions: a returned structure must characterize
+    /// [`JoinCondition::matches`] **exactly** — same columns, same `f64`
+    /// images, same floating-point operations in the same order, and
+    /// `false` whenever an image does not exist (`Null`, missing, string or
+    /// boolean).  The operator evaluates the described predicate over the
+    /// windows' scan columns without calling `matches`, and results must
+    /// stay byte-identical to the tuple-at-a-time scan; a condition that
+    /// checks anything else must return `None` here.
+    fn scan_structure(&self) -> Option<ScanStructure> {
+        None
+    }
+
     /// Short human-readable description for reports.
     fn describe(&self) -> String {
         "join condition".to_owned()
@@ -155,10 +206,10 @@ pub trait JoinCondition: Send + Sync {
     /// # Contract
     ///
     /// When `Some`, [`ConditionDescriptor::instantiate`] on the returned
-    /// descriptor must rebuild a condition whose `matches` and
-    /// `equi_structure` behave identically to `self` — remote shards
-    /// evaluate the rebuilt condition and their results must stay
-    /// byte-identical to local execution.  Conditions that cannot be
+    /// descriptor must rebuild a condition whose `matches`,
+    /// `equi_structure` and `scan_structure` behave identically to `self`
+    /// — remote shards evaluate the rebuilt condition and their results
+    /// must stay byte-identical to local execution.  Conditions that cannot be
     /// described as data (e.g. closures) return `None` and are rejected by
     /// remote execution backends at build time.
     fn descriptor(&self) -> Option<ConditionDescriptor> {
@@ -427,6 +478,14 @@ impl JoinCondition for DistanceWithin {
         }
     }
 
+    fn scan_structure(&self) -> Option<ScanStructure> {
+        Some(ScanStructure::DistanceWithin {
+            x_cols: self.x_cols,
+            y_cols: self.y_cols,
+            threshold: self.threshold,
+        })
+    }
+
     fn describe(&self) -> String {
         format!("dist() < {}", self.threshold)
     }
@@ -488,6 +547,13 @@ impl JoinCondition for BandJoin {
                 Some(v) => (v - first).abs() <= self.band,
                 None => false,
             }
+        })
+    }
+
+    fn scan_structure(&self) -> Option<ScanStructure> {
+        Some(ScanStructure::Band {
+            columns: self.columns.clone(),
+            band: self.band,
         })
     }
 
@@ -757,6 +823,7 @@ mod tests {
             let rebuilt = descriptor.instantiate();
             assert_eq!(rebuilt.arity(), original.arity());
             assert_eq!(rebuilt.equi_structure(), original.equi_structure());
+            assert_eq!(rebuilt.scan_structure(), original.scan_structure());
             assert_eq!(rebuilt.descriptor(), Some(descriptor));
             for combo in &probes {
                 let refs: Vec<&Tuple> = combo.iter().collect();
@@ -774,6 +841,15 @@ mod tests {
         let streams = StreamSet::homogeneous(2, schema, 5_000).unwrap();
         let original = DistanceWithin::new(&streams, "xCoord", "yCoord", 5.0).unwrap();
         let rebuilt = original.descriptor().unwrap().instantiate();
+        assert_eq!(rebuilt.scan_structure(), original.scan_structure());
+        assert!(matches!(
+            rebuilt.scan_structure(),
+            Some(ScanStructure::DistanceWithin {
+                x_cols: [0, 0],
+                y_cols: [1, 1],
+                ..
+            })
+        ));
         let make = |stream: usize, x: f64, y: f64| {
             Tuple::new(
                 stream.into(),
@@ -787,6 +863,28 @@ mod tests {
         let far = make(1, 20.0, 10.0);
         assert!(rebuilt.matches(&[&a, &near]));
         assert!(!rebuilt.matches(&[&a, &far]));
+    }
+
+    #[test]
+    fn scan_structures_mirror_the_numeric_conditions_only() {
+        let streams = common_key_streams(3);
+        let band = BandJoin::new(&streams, "a1", 2.0).unwrap();
+        assert_eq!(
+            band.scan_structure(),
+            Some(ScanStructure::Band {
+                columns: vec![0, 0, 0],
+                band: 2.0
+            })
+        );
+        assert!(band.equi_structure().is_none());
+        // Everything else keeps the tuple-at-a-time scan (or its index).
+        assert!(CrossJoin::new(3).scan_structure().is_none());
+        assert!(CommonKeyEquiJoin::new(&streams, "a1")
+            .unwrap()
+            .scan_structure()
+            .is_none());
+        let udf = PredicateFn::new(3, "opaque", |_: &[&Tuple]| true);
+        assert!(udf.scan_structure().is_none());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! hash bucket in every other window, with an automatic per-probe fallback
 //! to the exhaustive nested-loop scan whenever index soundness cannot be
 //! guaranteed — so arbitrary conditions and mixed-type key columns remain
-//! exactly as correct as before, just slower.
+//! exactly as correct as before, just slower.  Distance and band joins
+//! expose a [`ScanStructure`] instead, and their nested-loop scan runs as a
+//! typed-column kernel over per-window `f64` scan columns (see [`window`]).
 //!
 //! The operator reports, for every processed tuple, both the number of
 //! actual join results `n_on(e)` and the size of the corresponding
@@ -33,7 +35,7 @@ pub mod window;
 
 pub use condition::{
     BandJoin, CommonKeyEquiJoin, ConditionDescriptor, CrossJoin, DistanceWithin, EquiStructure,
-    JoinCondition, PredicateFn, StarEquiJoin,
+    JoinCondition, PredicateFn, ScanStructure, StarEquiJoin,
 };
 pub use operator::{MswjOperator, OperatorStats, ProbeOutcome};
 pub use partition::{join_key_hash, Partitioner, Route, RoutingTable};

@@ -31,6 +31,15 @@
 //! use the exhaustive nested-loop scan.  Both paths are proven equivalent
 //! by the differential harness in `tests/differential_probe.rs`.
 //!
+//! Nested-loop plans whose condition exposes a
+//! [`ScanStructure`] (distance and band joins) run
+//! that scan as a *typed-column kernel*: the windows keep the predicate's
+//! columns as `f64` arrays and the probe evaluates it over those, never
+//! touching a tuple it does not emit.  The tuple-at-a-time scan stays as
+//! the path of conditions without a structure and of
+//! [`ProbeStrategy::NestedLoop`], which makes it the differential oracle
+//! (`tests/differential_scan.rs`).
+//!
 //! ## Sharded execution
 //!
 //! An operator can also serve as **one shard** of a key-partitioned engine
@@ -52,8 +61,8 @@ pub mod stats;
 
 pub use stats::{OperatorStats, ProbeOutcome};
 
-use crate::condition::JoinCondition;
-use crate::planner::{ProbePlan, ProbeStrategy};
+use crate::condition::{JoinCondition, ScanStructure};
+use crate::planner::{plan_scan, scan_columns, ProbePlan, ProbeStrategy};
 use crate::query::JoinQuery;
 use crate::result::JoinResult;
 use crate::window::Window;
@@ -65,6 +74,9 @@ pub struct MswjOperator {
     query: JoinQuery,
     condition: Arc<dyn JoinCondition>,
     plan: ProbePlan,
+    /// The typed-column scan a nested-loop plan runs instead of the
+    /// tuple-at-a-time walk, when the condition has a scan structure.
+    scan: Option<ScanStructure>,
     windows: Vec<Window>,
     /// The order in which indexed probes visit the other streams' windows
     /// (a permutation of `0..m`; own-stream entries are skipped per probe).
@@ -118,15 +130,25 @@ impl MswjOperator {
         let equi = condition.equi_structure();
         let plan = ProbePlan::new(strategy, equi.as_ref());
         let m = query.arity();
+        let scan = plan_scan(strategy, &plan, condition.scan_structure(), m);
         let mut windows = Vec::with_capacity(m);
         for i in 0..m {
             let size = query.window(StreamIndex(i));
-            windows.push(Window::with_indexed_columns(size, &plan.indexed_columns(i)));
+            let scanned = scan
+                .as_ref()
+                .map(|s| scan_columns(s, i))
+                .unwrap_or_default();
+            windows.push(Window::with_scan_columns(
+                size,
+                &plan.indexed_columns(i),
+                &scanned,
+            ));
         }
         MswjOperator {
             query,
             condition,
             plan,
+            scan,
             windows,
             order: (0..m).collect(),
             on_t: Timestamp::ZERO,
@@ -666,6 +688,63 @@ mod tests {
         let r = op.push(pos(1, 0, 20, 1.0, 1.0)); // near the first only
         assert_eq!(r.n_join, 1);
         assert_eq!(r.n_cross, 2);
+    }
+
+    #[test]
+    fn scan_kernel_emits_what_the_tuple_walk_emits_in_the_same_order() {
+        use crate::condition::BandJoin;
+        let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Float)]);
+        let streams = StreamSet::homogeneous(3, schema, 400).unwrap();
+        let cond = Arc::new(BandJoin::new(&streams, "v", 1.0).unwrap());
+        let query = JoinQuery::new("band3", streams, cond).unwrap();
+        let mut kernel = MswjOperator::with_probe(query.clone(), ProbeStrategy::Auto, true);
+        let mut counting = MswjOperator::new(query.clone());
+        let mut walk = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
+        assert_eq!(*kernel.probe_plan(), ProbePlan::NestedLoop);
+        let mut state = 0x9E37_79B9u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for s in 0..150u64 {
+            let stream = (next() % 3) as usize;
+            // Mostly ascending timestamps with late rows mixed in.
+            let ts = s * 10 - (next() % 4 == 0) as u64 * (next() % 40).min(s * 10);
+            let v = match next() % 9 {
+                0 => Value::Null,
+                1 => Value::Int((next() % 4) as i64),
+                2 => Value::Float(f64::NAN),
+                _ => Value::Float((next() % 8) as f64 * 0.5),
+            };
+            let t = Tuple::new(
+                stream.into(),
+                s,
+                Timestamp::from_millis(ts),
+                vec![Value::Int(s as i64), v],
+            );
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let ra = kernel.push_with(t.clone(), &mut |r| a.push(r.to_string()));
+            let rb = walk.push_with(t.clone(), &mut |r| b.push(r.to_string()));
+            assert_eq!(a, b, "same combinations, same emission order");
+            assert_eq!(ra, rb, "same probe outcome, scan probes included");
+            assert_eq!(counting.push(t), rb, "counting agrees with enumeration");
+        }
+        assert!(kernel.stats().results > 0, "workload must derive results");
+        assert!(
+            kernel.stats().out_of_order > 0,
+            "workload must include late rows"
+        );
+        assert_eq!(kernel.stats(), walk.stats());
+        assert_eq!(
+            kernel.stats().indexed_probes,
+            0,
+            "a scan is a fallback probe"
+        );
+        // The kernel's only footprint: one f64 per live row and scan column.
+        let live: usize = (0..3).map(|i| kernel.window(StreamIndex(i)).len()).sum();
+        assert_eq!(kernel.window_bytes(), walk.window_bytes() + 8 * live as u64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Probe access paths: the per-probe soundness gates, index-assisted
-//! counting, indexed enumeration and the exhaustive nested-loop reference
-//! scan.
+//! counting, indexed enumeration, the typed-column scan kernel and the
+//! exhaustive tuple-at-a-time reference scan.
 //!
 //! Everything here is *read-only* over the windows: a probe never mutates
 //! operator state (expiry and insertion live in
@@ -11,8 +11,9 @@
 //! [`planner`](crate::planner).
 
 use super::MswjOperator;
+use crate::condition::ScanStructure;
 use crate::result::JoinResult;
-use crate::window::{classify, Bucket, KeyClass};
+use crate::window::{classify, scan_image, Bucket, KeyClass, ScanPredicate};
 use mswj_types::{Tuple, Value};
 
 /// Per-probe decision of the indexed access path.
@@ -204,7 +205,10 @@ impl MswjOperator {
                     }
                 }
             }
-            ProbePlan::NestedLoop => (self.enumerate_count(i, tuple), false),
+            ProbePlan::NestedLoop => match &self.scan {
+                Some(scan) => (self.scan_count(scan, i, tuple), false),
+                None => (self.enumerate_count(i, tuple), false),
+            },
         }
     }
 
@@ -305,7 +309,10 @@ impl MswjOperator {
                 }
             }
             ProbePlan::NestedLoop => {
-                self.for_each_combination(i, tuple, f);
+                match &self.scan {
+                    Some(scan) => self.scan_enumerate(scan, i, tuple, f),
+                    None => self.for_each_combination(i, tuple, f),
+                }
                 false
             }
         }
@@ -393,6 +400,128 @@ impl MswjOperator {
         }
     }
 
+    // ------------------------------------------------------------------
+    // Typed-column scan kernel (nested-loop plans with a scan structure)
+    // ------------------------------------------------------------------
+    //
+    // Both entry points reproduce `recurse` verdict for verdict and in its
+    // emission order — streams bound in ascending order, each window walked
+    // in timestamp order — but evaluate the predicate over the windows'
+    // scan columns.  Band joins bind stream 0 first: every other stream is
+    // compared against stream 0's image only, so once it is known (it is
+    // the probe, or the stream-0 row picked at the outermost level) the
+    // remaining windows filter independently of each other.
+
+    /// The predicate a probing tuple of stream `i` imposes on the first
+    /// window its scan visits: the other window of a distance join; for a
+    /// band join, window 0 — or, when the probe *is* stream 0, every window.
+    fn probe_predicate(scan: &ScanStructure, i: usize, tuple: &Tuple) -> ScanPredicate {
+        match scan {
+            ScanStructure::DistanceWithin {
+                x_cols,
+                y_cols,
+                threshold,
+            } => ScanPredicate::Distance {
+                px: scan_image(tuple.value(x_cols[i])),
+                py: scan_image(tuple.value(y_cols[i])),
+                threshold: *threshold,
+            },
+            ScanStructure::Band { columns, band } => ScanPredicate::Band {
+                center: scan_image(tuple.value(columns[i])),
+                band: *band,
+            },
+        }
+    }
+
+    /// Number of matching combinations for a probing tuple of stream `i`,
+    /// computed without touching a window tuple or the heap.
+    fn scan_count(&self, scan: &ScanStructure, i: usize, tuple: &Tuple) -> u64 {
+        match Self::probe_predicate(scan, i, tuple) {
+            pred @ ScanPredicate::Distance { .. } => self.windows[1 - i].scan(pred, |_, _| {}),
+            ScanPredicate::Band { center, band } if i == 0 => self.band_product(i, center, band),
+            pred @ ScanPredicate::Band { band, .. } => {
+                let mut total = 0u64;
+                self.windows[0].scan(pred, |_, first| {
+                    total = total.saturating_add(self.band_product(i, first, band));
+                });
+                total
+            }
+        }
+    }
+
+    /// Product over every stream other than 0 and `probe` of its window's
+    /// count of rows within `band` of `center` (1 when there is none).
+    fn band_product(&self, probe: usize, center: f64, band: f64) -> u64 {
+        let mut product = 1u64;
+        for (j, w) in self.windows.iter().enumerate().skip(1) {
+            if j == probe {
+                continue;
+            }
+            let c = w.scan(ScanPredicate::Band { center, band }, |_, _| {});
+            if c == 0 {
+                return 0;
+            }
+            product = product.saturating_mul(c);
+        }
+        product
+    }
+
+    /// Invokes `f` for every matching combination of a probing tuple of
+    /// stream `i`, in the order `recurse` would.
+    fn scan_enumerate<'a>(
+        &'a self,
+        scan: &ScanStructure,
+        i: usize,
+        tuple: &'a Tuple,
+        f: &mut dyn FnMut(&[&'a Tuple]),
+    ) {
+        let pred = Self::probe_predicate(scan, i, tuple);
+        with_slots(self.windows.len(), tuple, |slots| match pred {
+            ScanPredicate::Distance { .. } => {
+                self.windows[1 - i].scan(pred, |row, _| {
+                    slots[1 - i] = row;
+                    f(slots);
+                });
+            }
+            ScanPredicate::Band { center, band } if i == 0 => {
+                self.band_levels(1, i, center, band, slots, f);
+            }
+            ScanPredicate::Band { band, .. } => {
+                self.windows[0].scan(pred, |row, first| {
+                    slots[0] = row;
+                    self.band_levels(1, i, first, band, slots, f);
+                });
+            }
+        });
+    }
+
+    /// Binds streams `j..m` except `probe` to every row within `band` of
+    /// `center`, invoking `f` once per complete combination.
+    fn band_levels<'a>(
+        &'a self,
+        j: usize,
+        probe: usize,
+        center: f64,
+        band: f64,
+        slots: &mut [&'a Tuple],
+        f: &mut dyn FnMut(&[&'a Tuple]),
+    ) {
+        if j == self.windows.len() {
+            f(slots);
+        } else if j == probe {
+            self.band_levels(j + 1, probe, center, band, slots, f);
+        } else {
+            self.windows[j].scan(ScanPredicate::Band { center, band }, |row, _| {
+                slots[j] = row;
+                self.band_levels(j + 1, probe, center, band, slots, f);
+            });
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Tuple-at-a-time reference scan
+    // ------------------------------------------------------------------
+
     /// Invokes `f` for every combination of one live tuple per other stream
     /// (plus the probing tuple at position `i`) that satisfies the join
     /// condition.  Combinations are presented in stream order.
@@ -402,9 +531,9 @@ impl MswjOperator {
         tuple: &'a Tuple,
         f: &mut dyn FnMut(&[&'a Tuple]),
     ) {
-        let m = self.windows.len();
-        let mut slots: Vec<&Tuple> = vec![tuple; m];
-        self.recurse(0, i, tuple, &mut slots, f);
+        with_slots(self.windows.len(), tuple, |slots| {
+            self.recurse(0, i, tuple, slots, f);
+        });
     }
 
     fn recurse<'a>(
@@ -412,7 +541,7 @@ impl MswjOperator {
         j: usize,
         probe: usize,
         tuple: &'a Tuple,
-        slots: &mut Vec<&'a Tuple>,
+        slots: &mut [&'a Tuple],
         f: &mut dyn FnMut(&[&'a Tuple]),
     ) {
         if j == self.windows.len() {
@@ -482,6 +611,18 @@ impl MswjOperator {
             emit(JoinResult::new(combo.iter().map(|&t| t.clone()).collect()));
         });
         (n_join, indexed)
+    }
+}
+
+/// Runs `body` over a combination buffer of `m` slots, each preset to
+/// `fill` — on the stack for every arity a query plausibly has, so a scan
+/// probe allocates nothing.
+fn with_slots<'a, R>(m: usize, fill: &'a Tuple, body: impl FnOnce(&mut [&'a Tuple]) -> R) -> R {
+    const INLINE: usize = 8;
+    if m <= INLINE {
+        body(&mut [fill; INLINE][..m])
+    } else {
+        body(&mut vec![fill; m])
     }
 }
 

@@ -22,13 +22,21 @@
 //!
 //! [`Value::join_eq`]: mswj_types::Value::join_eq
 //!
+//! Nested-loop plans get a second, orthogonal refinement: when the
+//! condition exposes a [`ScanStructure`] (distance and band predicates),
+//! `plan_scan` turns it into per-stream *scan columns* and the operator
+//! evaluates the predicate over the windows' typed `f64` arrays instead of
+//! walking tuples.  The probe still counts as a fallback scan — it visits
+//! every live candidate — only the per-candidate cost changes.
+//!
 //! The strategy knob exists so that the equivalence can be *tested*: the
-//! differential harness (`tests/differential_probe.rs`) runs every workload
-//! through an [`Auto`](ProbeStrategy::Auto) session and a
-//! [`NestedLoop`](ProbeStrategy::NestedLoop) session and asserts identical
-//! result multisets.
+//! differential harnesses (`tests/differential_probe.rs`,
+//! `tests/differential_scan.rs`) run every workload through an
+//! [`Auto`](ProbeStrategy::Auto) session and a
+//! [`NestedLoop`](ProbeStrategy::NestedLoop) session and assert identical
+//! results.
 
-use crate::condition::EquiStructure;
+use crate::condition::{EquiStructure, ScanStructure};
 
 /// User-selectable probe strategy, wired through
 /// `SessionBuilder::probe(..)` in `mswj-core`.
@@ -39,9 +47,10 @@ pub enum ProbeStrategy {
     /// cannot be guaranteed.  This is the default.
     #[default]
     Auto,
-    /// Always probe by exhaustively scanning every other window.  Exists as
-    /// the reference implementation for the differential test harness and
-    /// for debugging; never faster.
+    /// Always probe by exhaustively scanning every other window, one tuple
+    /// and one `matches` call at a time (no hash index, no typed-column
+    /// scan).  Exists as the reference implementation for the differential
+    /// test harnesses and for debugging; never faster.
     NestedLoop,
 }
 
@@ -158,9 +167,76 @@ impl ProbePlan {
     }
 }
 
+/// Plans the typed-column scan of a nested-loop operator: the condition's
+/// scan structure, when the strategy allows access paths at all, the plan
+/// has no hash index to prefer, and the structure is well-formed for
+/// `arity` streams (a malformed one from a user-defined condition is
+/// ignored rather than trusted).
+pub(crate) fn plan_scan(
+    strategy: ProbeStrategy,
+    plan: &ProbePlan,
+    scan: Option<ScanStructure>,
+    arity: usize,
+) -> Option<ScanStructure> {
+    if strategy != ProbeStrategy::Auto || plan.is_indexed() {
+        return None;
+    }
+    scan.filter(|s| match s {
+        ScanStructure::DistanceWithin { .. } => arity == 2,
+        ScanStructure::Band { columns, .. } => arity >= 2 && columns.len() == arity,
+    })
+}
+
+/// The scan columns stream `i`'s window must maintain for `scan`, in the
+/// positional order the scan kernel addresses them: `[x, y]` for a distance
+/// join, `[band column]` for a band join.
+pub(crate) fn scan_columns(scan: &ScanStructure, i: usize) -> Vec<usize> {
+    match scan {
+        ScanStructure::DistanceWithin { x_cols, y_cols, .. } => vec![x_cols[i], y_cols[i]],
+        ScanStructure::Band { columns, .. } => vec![columns[i]],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scan_plans_need_auto_a_nested_loop_plan_and_a_well_formed_structure() {
+        let band = |n: usize| ScanStructure::Band {
+            columns: vec![1; n],
+            band: 2.0,
+        };
+        let dist = ScanStructure::DistanceWithin {
+            x_cols: [1, 3],
+            y_cols: [2, 4],
+            threshold: 5.0,
+        };
+        let nl = ProbePlan::NestedLoop;
+        let auto = ProbeStrategy::Auto;
+        assert_eq!(plan_scan(auto, &nl, Some(band(3)), 3), Some(band(3)));
+        assert_eq!(
+            plan_scan(auto, &nl, Some(dist.clone()), 2),
+            Some(dist.clone())
+        );
+        assert_eq!(plan_scan(auto, &nl, None, 2), None);
+        // The oracle strategy never plans a scan.
+        assert_eq!(
+            plan_scan(ProbeStrategy::NestedLoop, &nl, Some(band(2)), 2),
+            None
+        );
+        // A hash-indexed plan keeps its own access path.
+        let indexed = ProbePlan::CommonKey {
+            columns: vec![0, 0],
+        };
+        assert_eq!(plan_scan(auto, &indexed, Some(band(2)), 2), None);
+        // Malformed structures are ignored.
+        assert_eq!(plan_scan(auto, &nl, Some(band(2)), 3), None);
+        assert_eq!(plan_scan(auto, &nl, Some(band(1)), 1), None);
+        assert_eq!(plan_scan(auto, &nl, Some(dist.clone()), 3), None);
+        assert_eq!(scan_columns(&dist, 1), vec![3, 4]);
+        assert_eq!(scan_columns(&band(3), 2), vec![1]);
+    }
 
     #[test]
     fn nested_loop_strategy_overrides_equi_structure() {

@@ -11,13 +11,14 @@
 //!
 //! Live state is a deque of `Segment`s covering disjoint, ascending
 //! timestamp ranges.  A segment owns a row arena (`rows`), the
-//! timestamp-ordered ids of its live rows (`order`), and — per indexed
+//! timestamp-ordered ids of its live rows (`order`), — per indexed
 //! column — a posting map (`key → live row ids`) plus a `ColZone` summary
 //! (numeric min/max of the column's values and live counts of the value
-//! classes a hash bucket cannot represent).  The back segment is the
-//! mutable *tail*: it absorbs in-order appends and slightly-late
-//! out-of-order inserts, and seals once its arena reaches the segment
-//! capacity.  Older segments only ever *lose* rows.
+//! classes a hash bucket cannot represent), and — per *scan column* — a
+//! `Vec<f64>` parallel to the arena (see *Scan columns and scan soundness*
+//! below).  The back segment is the mutable *tail*: it absorbs in-order
+//! appends and slightly-late out-of-order inserts, and seals once its arena
+//! reaches the segment capacity.  Older segments only ever *lose* rows.
 //!
 //! The layout buys three things:
 //!
@@ -57,6 +58,50 @@
 //! combination.  Bounds only ever widen (expiry leaves them stale-wide),
 //! which keeps the zone an over-approximation: pruning can only skip
 //! provably barren segments, never a joinable row.
+//!
+//! ## Scan columns and scan soundness
+//!
+//! What is columnar here is the *metadata* — row ids, postings, zones — and,
+//! for conditions that expose a
+//! [`ScanStructure`](crate::condition::ScanStructure), the few columns the
+//! predicate reads.  The tuples themselves still live in a row arena
+//! (`Vec<Tuple>`, each payload an `Arc<Vec<Value>>`): a generic `matches`
+//! walk chases one pointer and one enum tag per candidate.  A *scan column*
+//! removes that from non-equi probes: per segment, one `Vec<f64>` parallel
+//! to `rows` holding each row's [`Value::as_float`] image of that column,
+//! with **NaN as the sentinel** for values that have no image (`Null`,
+//! missing, string, boolean).  The scan entry point evaluates the
+//! distance or band predicate straight over those arrays and touches a
+//! `Tuple` only to hand out a match.
+//!
+//! *The NaN sentinel is sound* because the scan predicates are written so
+//! that NaN fails them exactly as a missing image does: `matches` returns
+//! `false` when any image is missing, and a NaN operand propagates through
+//! `-`, `*`, `+`, `sqrt` and `abs` into a final `<` / `<=` that is `false`
+//! for NaN.  A genuine `Float(NaN)` attribute takes the same route in
+//! `matches` itself, so the sentinel cannot be told apart from the one
+//! value it collides with.  Everything else is image-for-image the
+//! computation `matches` performs — same operands, same IEEE operations,
+//! no algebraic rewrite — so the kernel's verdicts are bit-identical, not
+//! merely close.  (The operand order of a difference may be mirrored:
+//! `a - b == -(b - a)` exactly, and squaring or `abs` erases the sign.)
+//!
+//! *The arena-order flag.*  A segment's live rows in timestamp order are
+//! `order` mapped through the arena.  While every insert was an append,
+//! `order` is exactly the ascending run `rows.len() - order.len() ..
+//! rows.len()` — the live rows are the arena's suffix — and the kernel scans
+//! contiguous slices the compiler can vectorise.  Expiry pops `order`'s
+//! front, which only advances the slice start.  An out-of-order insert puts
+//! the newest row id in the middle of `order` and breaks the run; the
+//! segment then counts its *out-of-place* positions (`order[p] != base +
+//! p`), so the flag — "that count is zero" — comes back the moment the last
+//! late row expires, and the kernel gathers through `order` meanwhile.
+//!
+//! The `ScanStructure` exactness contract is what makes all of this an
+//! access-path choice: the structure must describe `matches` exactly (see
+//! [`JoinCondition::scan_structure`](crate::JoinCondition::scan_structure)),
+//! and `tests/differential_scan.rs` holds the kernel to the tuple-at-a-time
+//! scan byte for byte.
 
 use mswj_types::{Duration, Timestamp, Tuple, Value};
 use std::collections::{HashMap, VecDeque};
@@ -197,6 +242,38 @@ fn estimated_bytes(t: &Tuple) -> u64 {
         + strings) as u64
 }
 
+/// The [`Value::as_float`] image a scan column stores for one attribute,
+/// NaN standing in for values without one (`Null`, missing, string,
+/// boolean) — see *Scan columns and scan soundness* in the module docs.
+pub(crate) fn scan_image(v: Option<&Value>) -> f64 {
+    v.and_then(Value::as_float).unwrap_or(f64::NAN)
+}
+
+/// A numeric predicate over one window's scan columns with the probing
+/// side's images already bound: what [`Window::scan`] evaluates per live
+/// row.  Column positions are those of
+/// [`planner::scan_columns`](crate::planner::scan_columns).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ScanPredicate {
+    /// `((px - x)² + (py - y)²).sqrt() < threshold` over scan columns 0
+    /// (`x`) and 1 (`y`).
+    Distance {
+        /// The probing side's x image.
+        px: f64,
+        /// The probing side's y image.
+        py: f64,
+        /// Exclusive distance threshold.
+        threshold: f64,
+    },
+    /// `(v - center).abs() <= band` over scan column 0.
+    Band {
+        /// The image every scanned value must lie within `band` of.
+        center: f64,
+        /// Inclusive band width.
+        band: f64,
+    },
+}
+
 /// Zone summary of one indexed column within one segment.
 #[derive(Debug, Clone)]
 struct ColZone {
@@ -252,8 +329,27 @@ struct Segment {
     postings: Vec<KeyMap<VecDeque<u32>>>,
     /// Per indexed column zone summary.
     zones: Vec<ColZone>,
-    /// Estimated heap bytes of the live rows.
+    /// Per scan column (parallel to `Window::scan_cols`): the
+    /// [`scan_image`] of every arena row, parallel to `rows`.
+    scan: Vec<Vec<f64>>,
+    /// Number of positions `p` with `order[p] != base + p`, where `base =
+    /// rows.len() - order.len()`.  Zero — the *arena-order flag* — means the
+    /// live rows are the arena suffix `rows[base..]` in timestamp order.
+    /// Maintained only while the segment has scan columns (nothing else
+    /// reads it, and a late insert pays a recount for it); zero otherwise.
+    out_of_place: u32,
+    /// Estimated heap bytes of the live rows, scan-column entries included.
     live_bytes: u64,
+}
+
+/// Number of positions `p >= from` of `order` that do not hold row id
+/// `base + p`.
+fn out_of_place_from(order: &VecDeque<u32>, base: usize, from: usize) -> u32 {
+    order
+        .range(from..)
+        .zip(base + from..)
+        .filter(|&(&rid, want)| rid as usize != want)
+        .count() as u32
 }
 
 /// Inserts `rid` into a timestamp-ordered id deque, searching from the back
@@ -271,14 +367,22 @@ fn ordered_insert(ids: &mut VecDeque<u32>, rows: &[Tuple], rid: u32, ts: Timesta
 }
 
 impl Segment {
-    fn with_cols(n: usize) -> Self {
+    fn with_cols(n: usize, n_scan: usize) -> Self {
         Segment {
             rows: Vec::new(),
             order: VecDeque::new(),
             postings: vec![KeyMap::default(); n],
             zones: vec![ColZone::default(); n],
+            scan: vec![Vec::new(); n_scan],
+            out_of_place: 0,
             live_bytes: 0,
         }
+    }
+
+    /// Estimated heap bytes one live row accounts for: the tuple plus its
+    /// entry in every scan column.
+    fn row_bytes(&self, t: &Tuple) -> u64 {
+        estimated_bytes(t) + (self.scan.len() * std::mem::size_of::<f64>()) as u64
     }
 
     fn live_len(&self) -> usize {
@@ -309,11 +413,12 @@ impl Segment {
             .map(move |&rid| &self.rows[rid as usize])
     }
 
-    /// Appends a row to the arena, maintaining order, postings, zones and
-    /// the window-level live aggregates.
+    /// Appends a row to the arena, maintaining order, postings, zones, scan
+    /// columns and the window-level live aggregates.
     fn insert(
         &mut self,
         cols: &[usize],
+        scan_cols: &[usize],
         counts: &mut [KeyMap<u64>],
         unindexable: &mut [u64],
         tuple: Tuple,
@@ -348,17 +453,76 @@ impl Segment {
                 }
             }
         }
+        for (column, &col) in self.scan.iter_mut().zip(scan_cols) {
+            column.push(scan_image(tuple.value(col)));
+        }
         let mut pos = self.order.len();
         while pos > 0 && self.rows[self.order[pos - 1] as usize].ts > tuple.ts {
             pos -= 1;
         }
-        self.live_bytes += estimated_bytes(&tuple);
+        self.live_bytes += self.row_bytes(&tuple);
         self.rows.push(tuple);
         if pos == self.order.len() {
+            // The new id is `base + pos`: in place by construction.
             self.order.push_back(rid);
-        } else {
+        } else if self.scan.is_empty() {
             self.order.insert(pos, rid);
+        } else {
+            // A late row shifts every later position by one: recount them.
+            // `base` is the same before and after the insert — arena and
+            // order both grow by one.
+            let base = self.rows.len() - 1 - self.order.len();
+            self.out_of_place -= out_of_place_from(&self.order, base, pos);
+            self.order.insert(pos, rid);
+            self.out_of_place += out_of_place_from(&self.order, base, pos);
         }
+    }
+
+    /// Pops the oldest live row id, keeping the arena-order flag exact: the
+    /// survivors keep their offsets from the (advanced) base, so only the
+    /// popped position leaves the out-of-place count.
+    fn pop_front(&mut self) -> Option<u32> {
+        let base = self.rows.len() - self.order.len();
+        let rid = self.order.pop_front()?;
+        if !self.scan.is_empty() && rid as usize != base {
+            self.out_of_place -= 1;
+        }
+        Some(rid)
+    }
+
+    /// Evaluates `test` over scan columns `a` and `b` of the live rows in
+    /// timestamp order, calling `visit` with each passing row and its
+    /// column-`a` image; returns the number of passing rows.  Scans the
+    /// arena suffix as contiguous slices while the arena-order flag holds
+    /// and gathers through `order` otherwise.
+    fn scan_with<'a>(
+        &'a self,
+        a: usize,
+        b: usize,
+        test: impl Fn(f64, f64) -> bool,
+        visit: &mut impl FnMut(&'a Tuple, f64),
+    ) -> u64 {
+        let (xs, ys) = (self.scan[a].as_slice(), self.scan[b].as_slice());
+        let mut hits = 0u64;
+        if self.out_of_place == 0 {
+            let base = self.rows.len() - self.order.len();
+            let live = self.rows[base..].iter().zip(&xs[base..]).zip(&ys[base..]);
+            for ((row, &x), &y) in live {
+                if test(x, y) {
+                    hits += 1;
+                    visit(row, x);
+                }
+            }
+        } else {
+            for &rid in &self.order {
+                let r = rid as usize;
+                if test(xs[r], ys[r]) {
+                    hits += 1;
+                    visit(&self.rows[r], xs[r]);
+                }
+            }
+        }
+        hits
     }
 
     /// Empties the segment, retaining every buffer's capacity (the spare
@@ -372,6 +536,10 @@ impl Segment {
         for z in &mut self.zones {
             *z = ColZone::default();
         }
+        for column in &mut self.scan {
+            column.clear();
+        }
+        self.out_of_place = 0;
         self.live_bytes = 0;
     }
 
@@ -446,6 +614,9 @@ pub struct Window {
     /// Indexed column positions (sorted, deduped); emptied permanently by
     /// [`Window::demote_index`].
     cols: Vec<usize>,
+    /// Scan column positions, in the order the scan kernel addresses them
+    /// (not deduplicated: position, not column, identifies a scan column).
+    scan_cols: Vec<usize>,
     /// Storage segments in ascending, disjoint timestamp ranges; the back
     /// one is the mutable tail.  Every present segment has live rows.
     segments: VecDeque<Segment>,
@@ -481,6 +652,26 @@ impl Window {
     /// 2 are clamped.  The storage layout is an access-path choice only:
     /// any two capacities yield identical window content.
     pub fn with_segment_capacity(size: Duration, columns: &[usize], capacity: usize) -> Self {
+        Self::with_columns(size, columns, &[], capacity)
+    }
+
+    /// Creates a window that additionally maintains typed scan columns on
+    /// `scan_columns` (see *Scan columns and scan soundness* in the module
+    /// docs) at the process-wide default segment capacity.
+    pub(crate) fn with_scan_columns(
+        size: Duration,
+        columns: &[usize],
+        scan_columns: &[usize],
+    ) -> Self {
+        Self::with_columns(size, columns, scan_columns, default_segment_capacity())
+    }
+
+    fn with_columns(
+        size: Duration,
+        columns: &[usize],
+        scan_columns: &[usize],
+        capacity: usize,
+    ) -> Self {
         let mut cols = columns.to_vec();
         cols.sort_unstable();
         cols.dedup();
@@ -489,6 +680,7 @@ impl Window {
             size,
             capacity: capacity.max(2),
             cols,
+            scan_cols: scan_columns.to_vec(),
             segments: VecDeque::new(),
             len: 0,
             counts: vec![KeyMap::default(); n],
@@ -542,7 +734,7 @@ impl Window {
     fn fresh_segment(&mut self) -> Segment {
         match self.spare.take() {
             Some(seg) => *seg,
-            None => Segment::with_cols(self.cols.len()),
+            None => Segment::with_cols(self.cols.len(), self.scan_cols.len()),
         }
     }
 
@@ -596,7 +788,13 @@ impl Window {
                 self.segments.len() - 1
             }
         };
-        self.segments[target].insert(&self.cols, &mut self.counts, &mut self.unindexable, tuple);
+        self.segments[target].insert(
+            &self.cols,
+            &self.scan_cols,
+            &mut self.counts,
+            &mut self.unindexable,
+            tuple,
+        );
         self.len += 1;
         self.counters.inserted += 1;
         if self.len > self.counters.peak_len {
@@ -645,9 +843,9 @@ impl Window {
             if seg.rows[rid as usize].ts >= bound {
                 break;
             }
-            seg.order.pop_front();
+            seg.pop_front();
             let t = &seg.rows[rid as usize];
-            seg.live_bytes = seg.live_bytes.saturating_sub(estimated_bytes(t));
+            seg.live_bytes = seg.live_bytes.saturating_sub(seg.row_bytes(t));
             for (ci, &col) in cols.iter().enumerate() {
                 match classify(t.value(col)) {
                     KeyClass::Key(key) => {
@@ -781,7 +979,13 @@ impl Window {
             let seg = &mut self.segments[si];
             seg.reset();
             for t in survivors.drain(..) {
-                seg.insert(&self.cols, &mut self.counts, &mut self.unindexable, t);
+                seg.insert(
+                    &self.cols,
+                    &self.scan_cols,
+                    &mut self.counts,
+                    &mut self.unindexable,
+                    t,
+                );
             }
         }
         while let Some(pos) = self.segments.iter().position(|s| s.live_len() == 0) {
@@ -895,6 +1099,83 @@ impl Window {
         key: &'a Value,
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
         self.iter_pruned(Some((col, key)))
+    }
+
+    /// Evaluates `pred` over the scan columns of every live row, in
+    /// timestamp order, without touching a tuple: returns the number of
+    /// rows satisfying it and hands each of them to `visit` together with
+    /// its scan-column-0 image (counting callers pass a no-op).
+    ///
+    /// Equivalent, verdict for verdict and in the same order, to walking
+    /// [`Window::iter`] and evaluating the condition the predicate was
+    /// derived from — see *Scan columns and scan soundness*.
+    pub(crate) fn scan<'a>(
+        &'a self,
+        pred: ScanPredicate,
+        mut visit: impl FnMut(&'a Tuple, f64),
+    ) -> u64 {
+        let mut hits = 0u64;
+        for seg in &self.segments {
+            hits += match pred {
+                ScanPredicate::Distance { px, py, threshold } => seg.scan_with(
+                    0,
+                    1,
+                    |x, y| {
+                        let dx = px - x;
+                        let dy = py - y;
+                        (dx * dx + dy * dy).sqrt() < threshold
+                    },
+                    &mut visit,
+                ),
+                ScanPredicate::Band { center, band } => {
+                    seg.scan_with(0, 0, |v, _| (v - center).abs() <= band, &mut visit)
+                }
+            };
+        }
+        hits
+    }
+
+    /// Checks the scan-column invariants the kernel relies on — every scan
+    /// column equals the NaN-sentinel image of its segment's `rows`, and
+    /// the arena-order flag holds exactly when `order` is the ascending run
+    /// over the arena suffix — and describes the first violation.
+    ///
+    /// A test hook for `tests/segment_properties.rs`, not part of the API.
+    #[doc(hidden)]
+    pub fn check_scan_invariants(&self) -> Result<(), String> {
+        for (si, seg) in self.segments.iter().enumerate() {
+            if seg.scan.len() != self.scan_cols.len() {
+                return Err(format!("segment {si}: {} scan columns", seg.scan.len()));
+            }
+            for (column, &col) in seg.scan.iter().zip(&self.scan_cols) {
+                let image = seg.rows.iter().map(|t| scan_image(t.value(col)));
+                let same = column.len() == seg.rows.len()
+                    && column
+                        .iter()
+                        .zip(image)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                if !same {
+                    return Err(format!(
+                        "segment {si}: scan column {col} is not the row image"
+                    ));
+                }
+            }
+            let base = seg.rows.len() - seg.order.len();
+            let is_run = seg
+                .order
+                .iter()
+                .map(|&r| r as usize)
+                .eq(base..seg.rows.len());
+            // Segments without scan columns do not track the flag.
+            if !seg.scan.is_empty() && is_run != (seg.out_of_place == 0) {
+                return Err(format!(
+                    "segment {si}: arena-order flag {} but order is{} the suffix run",
+                    seg.out_of_place == 0,
+                    if is_run { "" } else { " not" }
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Whether `col` has a hash index.
@@ -1345,6 +1626,188 @@ mod tests {
             .map(|t| t.seq)
             .collect();
         assert_eq!(joinable, vec![6]);
+    }
+
+    // ------------------------------------------------------------------
+    // Scan columns
+    // ------------------------------------------------------------------
+
+    fn point(seq: u64, ts: u64, x: Value, y: Value) -> Tuple {
+        Tuple::new(
+            StreamIndex(0),
+            seq,
+            Timestamp::from_millis(ts),
+            vec![Value::Int(seq as i64), x, y],
+        )
+    }
+
+    /// The distance predicate evaluated the way `DistanceWithin::matches`
+    /// does, on the tuple.
+    fn near(t: &Tuple, px: f64, py: f64, threshold: f64) -> bool {
+        let coord = |c: usize| t.value(c).and_then(Value::as_float);
+        match (coord(1), coord(2)) {
+            (Some(x), Some(y)) => {
+                let (dx, dy) = (px - x, py - y);
+                (dx * dx + dy * dy).sqrt() < threshold
+            }
+            _ => false,
+        }
+    }
+
+    fn scan_seqs(w: &Window, pred: ScanPredicate) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        let hits = w.scan(pred, |t, _| seqs.push(t.seq));
+        assert_eq!(hits, seqs.len() as u64, "count and visits must agree");
+        seqs
+    }
+
+    #[test]
+    fn scan_matches_the_tuple_walk_on_slices_and_gathers() {
+        let mut w = Window::with_columns(10_000, &[], &[1, 2], 4);
+        let rows = [
+            (100, Value::Float(1.0), Value::Float(1.0)),
+            (200, Value::Int(4), Value::Int(5)), // exactly 5 away from (1, 1)
+            (300, Value::Float(f64::NAN), Value::Float(1.0)),
+            (150, Value::Float(2.0), Value::Float(2.0)), // late: gather path
+            (400, Value::Null, Value::Float(1.0)),
+            (500, Value::Str("x".into()), Value::Bool(true)),
+            (600, Value::Float(-0.0), Value::Float(0.0)),
+            (350, Value::Float(f64::INFINITY), Value::Float(0.0)), // late, sealed segment
+            (700, Value::Float(3.0), Value::Float(1.5)),
+        ];
+        for (seq, (ts, x, y)) in rows.into_iter().enumerate() {
+            w.insert(point(seq as u64, ts, x, y));
+        }
+        // A short tuple: both scan columns missing.
+        w.insert(Tuple::new(
+            StreamIndex(0),
+            9,
+            Timestamp::from_millis(800),
+            vec![Value::Int(9)],
+        ));
+        assert!(w.stats().segments > 1);
+        assert_eq!(w.check_scan_invariants(), Ok(()));
+        let flags: Vec<bool> = w.segments.iter().map(|s| s.out_of_place == 0).collect();
+        assert!(
+            flags.contains(&true) && flags.contains(&false),
+            "the workload must exercise both scan paths, flags {flags:?}"
+        );
+        for threshold in [5.0, 5.000001, 0.5, f64::NAN] {
+            for (px, py) in [(1.0, 1.0), (f64::NAN, 1.0), (0.0, -0.0)] {
+                let pred = ScanPredicate::Distance { px, py, threshold };
+                let walk: Vec<u64> = w
+                    .iter()
+                    .filter(|t| near(t, px, py, threshold))
+                    .map(|t| t.seq)
+                    .collect();
+                assert_eq!(
+                    scan_seqs(&w, pred),
+                    walk,
+                    "threshold {threshold} at ({px}, {py})"
+                );
+            }
+        }
+        assert_eq!(
+            scan_seqs(
+                &w,
+                ScanPredicate::Distance {
+                    px: 1.0,
+                    py: 1.0,
+                    threshold: 5.0
+                }
+            ),
+            vec![0, 3, 6, 8],
+            "the pair exactly at the threshold stays out"
+        );
+        // Band over scan column 0, inclusive at the band.
+        let band = ScanPredicate::Band {
+            center: 2.0,
+            band: 1.0,
+        };
+        assert_eq!(scan_seqs(&w, band), vec![0, 3, 8]);
+        // Expiry and surgery keep the columns aligned with the rows.
+        w.expire_before(Timestamp::from_millis(160));
+        assert_eq!(w.check_scan_invariants(), Ok(()));
+        assert_eq!(scan_seqs(&w, band), vec![8]);
+        w.retain_where(|t| t.seq != 8);
+        assert_eq!(w.check_scan_invariants(), Ok(()));
+        assert_eq!(scan_seqs(&w, band), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn arena_order_flag_clears_on_a_late_row_and_returns_when_it_expires() {
+        let mut w = Window::with_columns(10_000, &[], &[1, 2], 1024);
+        let at = |w: &mut Window, seq: u64, ts: u64| {
+            w.insert(point(seq, ts, Value::Float(ts as f64), Value::Float(0.0)));
+            assert_eq!(w.check_scan_invariants(), Ok(()));
+        };
+        let flag = |w: &Window| w.segments[0].out_of_place == 0;
+        at(&mut w, 0, 100);
+        at(&mut w, 1, 300);
+        at(&mut w, 2, 500);
+        assert!(flag(&w), "appends keep arena order");
+        at(&mut w, 3, 200); // late: lands between rows 0 and 1
+        assert!(!flag(&w), "a late row breaks the run");
+        at(&mut w, 4, 600);
+        assert!(!flag(&w), "appends do not repair it");
+        // Expiring row 0 leaves [3, 1, 2, 4]: still out of order.
+        w.expire_before(Timestamp::from_millis(150));
+        assert_eq!(w.check_scan_invariants(), Ok(()));
+        assert!(!flag(&w));
+        // Expiring the late row leaves [1, 2, 4] — ascending, but row 3
+        // sits dead between them, so the live rows are not a slice.
+        w.expire_before(Timestamp::from_millis(250));
+        assert_eq!(w.check_scan_invariants(), Ok(()));
+        assert!(!flag(&w), "a dead row inside the run keeps the gather path");
+        // Once the rows before the gap are gone, [4] is the arena suffix.
+        w.expire_before(Timestamp::from_millis(550));
+        assert_eq!(w.check_scan_invariants(), Ok(()));
+        assert!(flag(&w), "the flag returns with the last displaced row");
+        at(&mut w, 5, 700);
+        assert!(flag(&w));
+    }
+
+    #[test]
+    fn live_bytes_count_scan_columns_only_where_they_are_planned() {
+        let rows: Vec<Tuple> = (0..10u64)
+            .map(|i| {
+                point(
+                    i,
+                    100 * (i + 1),
+                    Value::Float(i as f64),
+                    Value::Str("ab".into()),
+                )
+            })
+            .collect();
+        let tuple_bytes: u64 = rows.iter().map(estimated_bytes).sum();
+        assert_eq!(
+            tuple_bytes,
+            10 * (std::mem::size_of::<Tuple>()
+                + std::mem::size_of::<Vec<Value>>()
+                + 3 * std::mem::size_of::<Value>()
+                + 2) as u64,
+            "the per-tuple estimate is unchanged"
+        );
+        // Plain and hash-indexed windows allocate and account nothing new.
+        let mut plain = Window::new(10_000);
+        let mut indexed = Window::with_indexed_columns(10_000, &[0]);
+        let mut scanned = Window::with_scan_columns(10_000, &[], &[1, 2]);
+        for t in &rows {
+            plain.insert(t.clone());
+            indexed.insert(t.clone());
+            scanned.insert(t.clone());
+        }
+        assert_eq!(plain.stats().live_bytes_est, tuple_bytes);
+        assert_eq!(indexed.stats().live_bytes_est, tuple_bytes);
+        assert!(plain.segments.iter().all(|s| s.scan.is_empty()));
+        assert!(indexed.segments.iter().all(|s| s.scan.is_empty()));
+        // Two f64 columns: 16 bytes per live row, released on expiry.
+        assert_eq!(scanned.stats().live_bytes_est, tuple_bytes + 10 * 16);
+        scanned.expire_before(Timestamp::from_millis(450));
+        let left: u64 = rows[4..].iter().map(estimated_bytes).sum();
+        assert_eq!(scanned.stats().live_bytes_est, left + 6 * 16);
+        scanned.expire_before(Timestamp::from_millis(5_000));
+        assert_eq!(scanned.stats().live_bytes_est, 0);
     }
 
     #[test]

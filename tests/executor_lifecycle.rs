@@ -6,9 +6,15 @@
 //! not leak threads, and killing a shard-server process mid-epoch must
 //! surface a typed [`EngineError::ShardLost`] within the read timeout.
 //!
-//! Thread-count assertions read `/proc/self/status` and therefore only run
-//! on Linux; everywhere else the tests still assert the behavioural part
-//! (no hang, clean drop, surfaced panic).  The counting tests serialize on
+//! Thread-count assertions count the *engine's* threads — the tasks under
+//! `/proc/self/task` whose name starts with `mswj-` (pool workers are
+//! `mswj-shard-*`, in-proc shard servers `mswj-inproc-shard`, daemon
+//! connections `mswj-shardd-conn-*`) — and therefore only run on Linux;
+//! everywhere else the tests still assert the behavioural part (no hang,
+//! clean drop, surfaced panic).  The process-wide `Threads:` total is the
+//! wrong quantity: libtest spawns the *next* test's thread while this one
+//! runs, and that thread — parked on the lock below — would read as a
+//! leaked worker for the whole deadline.  The counting tests serialize on
 //! a file-local lock — integration tests share one process, and a pool
 //! spawned by a concurrently running test would skew the count.
 
@@ -18,31 +24,41 @@ use std::sync::Mutex;
 
 static THREAD_COUNT_LOCK: Mutex<()> = Mutex::new(());
 
-/// Live thread count of this process, if the platform exposes it.
+/// Live engine threads (`mswj-*`) of this process, if the platform exposes
+/// per-task names.  A task that exits between the listing and the read of
+/// its name is simply not counted.
 fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let engine = tasks.flatten().filter(|task| {
+        std::fs::read_to_string(task.path().join("comm")).is_ok_and(|c| c.starts_with("mswj-"))
+    });
+    Some(engine.count())
 }
 
-/// Polls until the process thread count drops back to `baseline` — worker
-/// exit and `pthread_join` are synchronous, but give the kernel a moment to
-/// reap under load.
-fn assert_threads_return_to(baseline: usize) {
+/// Polls the engine thread count until `settled` accepts it: a spawned
+/// thread names itself, and an exited one is reaped, asynchronously to the
+/// caller.  Fails with `what` after 10 s.
+fn await_thread_count(settled: impl Fn(usize) -> bool, what: &str) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let Some(now) = thread_count() else { return };
-        if now <= baseline {
+        if settled(now) {
             return;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "thread count stuck at {now} (baseline {baseline}) — leaked pool workers"
+            "engine thread count stuck at {now} — {what}"
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
+}
+
+/// Waits for the engine thread count to drop back to `baseline`.
+fn assert_threads_return_to(baseline: usize) {
+    await_thread_count(
+        |now| now <= baseline,
+        &format!("leaked pool workers (baseline {baseline})"),
+    );
 }
 
 fn pool_session(workers: usize) -> Pipeline {
@@ -86,6 +102,11 @@ fn workers_join_cleanly_on_drop_mid_stream() {
             pipeline.engine().has_outstanding(),
             "the batch must leave a pipelined epoch in flight at drop time"
         );
+        // The counter must see the resident workers, or the assertion
+        // below proves nothing.
+        if let Some(base) = baseline {
+            await_thread_count(|now| now == base + 4, "four pool workers must be visible");
+        }
     }
     if let Some(base) = baseline {
         assert_threads_return_to(base);

@@ -11,6 +11,7 @@
 
 use mswj::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One generated operation against the window under test.
 #[derive(Debug, Clone)]
@@ -179,6 +180,62 @@ proptest! {
         let rebuilt: Vec<Tuple> = w.iter().cloned().collect();
         for t in &rebuilt {
             prop_assert_eq!(t.payload_refs(), 2, "a tuple is stored more than once");
+        }
+    }
+
+    /// Scan columns are an exact typed mirror of the row arena: after any
+    /// interleaving of in-order and late inserts, expiry and surgery, every
+    /// scan column equals the NaN-sentinel image of its segment's `rows`,
+    /// and the arena-order flag is set exactly when `order` is the ascending
+    /// run over the arena suffix (so late rows clear it and their expiry
+    /// restores it).  A band-join operator is the public way to get windows
+    /// with a scan column: `adopt` inserts, a probing push of the other
+    /// stream expires, `evict_where` is `retain_where`.
+    #[test]
+    fn scan_columns_mirror_the_row_arena(
+        ops in ops(250),
+        capacity in 2usize..16,
+    ) {
+        // Process-wide, but every other window in this binary is built with
+        // an explicit capacity, so only this test's windows see it.
+        set_default_segment_capacity(capacity);
+        const WINDOW: u64 = 300;
+        let schema = Schema::new(vec![("v", FieldType::Float)]);
+        let streams = StreamSet::homogeneous(2, schema, WINDOW).unwrap();
+        let cond = Arc::new(BandJoin::new(&streams, "v", 1.0).unwrap());
+        let mut op = MswjOperator::new(JoinQuery::new("scan-props", streams, cond).unwrap());
+        // The generated timestamps are uniform; read them as lateness on a
+        // steadily advancing clock instead, so that most inserts append, a
+        // quarter land late, and expiry keeps catching up with the late
+        // rows — every flag transition occurs.
+        let (mut seq, mut clock) = (0u64, 1_000u64);
+        for o in ops {
+            clock += 7;
+            match o {
+                Op::Insert { ts, value } => {
+                    let lateness = if ts % 4 == 0 { ts % 150 } else { 0 };
+                    let values = value.map(|v| vec![v]).unwrap_or_default();
+                    let ts = Timestamp::from_millis(clock - lateness);
+                    op.adopt(Tuple::new(0.into(), seq, ts, values));
+                    seq += 1;
+                }
+                Op::Expire { bound } => {
+                    // A probing stream-1 arrival expires stream 0 up to
+                    // `WINDOW` behind it (when it is in order itself).
+                    let ts = Timestamp::from_millis(clock - bound % 50);
+                    op.push(Tuple::new(1.into(), seq, ts, vec![Value::Float(0.0)]));
+                    seq += 1;
+                }
+                Op::RetainMod { keep_residue } => {
+                    op.evict_where(StreamIndex(0), |t| t.seq % keep_residue != 0);
+                }
+            }
+            for i in 0..2 {
+                let w = op.window(StreamIndex(i));
+                prop_assert_eq!(w.check_scan_invariants(), Ok(()));
+                // Timestamp order is what the kernel must reproduce.
+                prop_assert!(w.iter().zip(w.iter().skip(1)).all(|(a, b)| a.ts <= b.ts));
+            }
         }
     }
 }

@@ -293,3 +293,45 @@ fn indexed_probe_path_reuses_buckets_without_allocating() {
     assert_eq!(stats.fallback_probes, 0, "integer keys never fall back");
     assert_eq!(stats.indexed_probes, stats.in_order);
 }
+
+#[test]
+fn distance_scan_kernel_does_not_allocate_per_event() {
+    // A non-equi session: every in-order arrival scans the opposite window
+    // through the typed-column kernel.  Counting touches no tuple and no
+    // heap — the tuple-at-a-time scan it replaces allocated a combination
+    // buffer per probe — and the windows' scan columns grow with the row
+    // arenas during warm-up, then recycle with their segments.
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let query = q2_query(100, 5.0);
+    let mut pipeline = mswj::session().query(query).no_k_slack().build().unwrap();
+    assert!(!pipeline.probe_plan().is_indexed());
+    let position = |t: u64| {
+        let stream = (t % 2) as usize;
+        let ts = Timestamp::from_millis(t);
+        // Both teams walk the same diagonal, a few metres apart: roughly
+        // half of each 50-row window lies within the 5 m threshold.
+        let at = (t % 20) as f64 * 0.5 + stream as f64;
+        let values = vec![Value::Int(t as i64), Value::Float(at), Value::Float(at)];
+        ArrivalEvent::new(ts, Tuple::new(stream.into(), t, ts, values))
+    };
+    let warmup: Vec<ArrivalEvent> = (1..400u64).map(position).collect();
+    let measured: Vec<ArrivalEvent> = (400..800u64).map(position).collect();
+    let n = measured.len() as u64;
+    for e in warmup {
+        pipeline.push(e);
+    }
+    let before = allocations();
+    for e in measured {
+        pipeline.push(e);
+    }
+    let during = allocations() - before;
+    assert!(
+        during <= n / 8,
+        "distance scan path allocated {during} times for {n} events"
+    );
+    let report = pipeline.finish();
+    assert!(report.total_produced > 0, "close positions must join");
+    let stats = report.operator_stats;
+    assert_eq!(stats.indexed_probes, 0, "a scan is not an indexed probe");
+    assert_eq!(stats.fallback_probes, stats.in_order);
+}
