@@ -9,11 +9,11 @@
 //! K-slack component.
 
 use crate::config::{DisorderConfig, SelectivityStrategy};
-use crate::model::{ModelInputs, RecallModel};
-use crate::profiler::ProductivityProfiler;
+use crate::model::RecallModel;
+use crate::profiler::{ProductivityProfiler, SelectivityTable};
 use crate::result_monitor::ResultSizeMonitor;
 use crate::statistics::StatisticsManager;
-use mswj_types::{Duration, StreamIndex, Timestamp};
+use mswj_types::{Duration, Timestamp};
 use std::time::Instant;
 
 /// The decision produced by one adaptation step.
@@ -36,16 +36,28 @@ pub struct AdaptationOutcome {
 }
 
 /// Model-based Buffer-Size Manager.
+///
+/// Owns everything a checkpoint needs besides the statistics themselves —
+/// the recall model (window layouts computed once per session, cumulative
+/// delay counts refreshed in place), the selectivity table and the walk's
+/// scratch — so that [`Self::adapt`] allocates nothing once warmed up.
 #[derive(Debug, Clone)]
 pub struct BufferSizeManager {
     config: DisorderConfig,
-    windows: Vec<Duration>,
+    model: RecallModel,
+    selectivity: SelectivityTable,
+    eff_scratch: Vec<f64>,
 }
 
 impl BufferSizeManager {
     /// Creates a manager for a query with the given per-stream window sizes.
     pub fn new(config: DisorderConfig, windows: Vec<Duration>) -> Self {
-        BufferSizeManager { config, windows }
+        BufferSizeManager {
+            model: RecallModel::for_query(windows, config.basic_window_b, config.granularity_g),
+            config,
+            selectivity: SelectivityTable::default(),
+            eff_scratch: Vec::new(),
+        }
     }
 
     /// The configuration in force.
@@ -80,7 +92,7 @@ impl BufferSizeManager {
 
     /// Runs one model-based adaptation step (Alg. 3).
     pub fn adapt(
-        &self,
+        &mut self,
         stats: &StatisticsManager,
         profiler: &ProductivityProfiler,
         monitor: &mut ResultSizeMonitor,
@@ -96,35 +108,28 @@ impl BufferSizeManager {
         let n_true_hist = monitor.true_within(now);
         let gamma_prime = self.instant_requirement(n_prod_hist, n_true_hist, n_true_next);
 
-        // Build the recall model from the current statistics.
-        let m = stats.arity();
-        let inputs = ModelInputs {
-            windows: self.windows.clone(),
-            histograms: (0..m)
-                .map(|i| stats.delay_histogram(StreamIndex(i)))
-                .collect(),
-            k_sync: stats.k_sync_estimates(),
-            basic_window: self.config.basic_window_b,
-            granularity: g,
-        };
-        let model = RecallModel::new(inputs);
+        // Reload the recall model from the maintained statistics: O(Σ_j B_j).
+        self.model.refresh(stats);
 
-        // Alg. 3: trial-and-error search in steps of g.
-        let selectivity = profiler.selectivity_table();
+        // Alg. 3: trial-and-error search in steps of g, with sel(K)/sel read
+        // off a forward cursor that advances one bucket per candidate.  Under
+        // EqSel the table is never filled, and an empty table yields ratio 1.
+        if self.config.selectivity == SelectivityStrategy::NonEqSel {
+            profiler.fill_selectivity_table(&mut self.selectivity);
+        }
         let mut k: Duration = 0;
         let mut steps: u32 = 0;
-        let estimated = loop {
+        let mut estimated = 0.0;
+        for (step, ratio) in self.selectivity.walk().enumerate() {
             steps += 1;
-            let ratio = match self.config.selectivity {
-                SelectivityStrategy::EqSel => 1.0,
-                SelectivityStrategy::NonEqSel => selectivity.ratio(k),
-            };
-            let estimated = model.estimate_recall(k, ratio);
+            estimated = self
+                .model
+                .estimate_recall_at_step(step, ratio, &mut self.eff_scratch);
             if estimated >= gamma_prime || k > max_delay {
-                break estimated;
+                break;
             }
             k += g;
-        };
+        }
 
         AdaptationOutcome {
             k,
@@ -140,7 +145,7 @@ impl BufferSizeManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mswj_types::Timestamp;
+    use mswj_types::StreamIndex;
 
     fn ts(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)

@@ -22,10 +22,13 @@
 //! where `effW_j(K) = Σ_l (segment length)·F_j^K((l-1)·b/g)` is the
 //! effective (expected-complete) portion of window `W_j`.
 
-use crate::statistics::DelayHistogram;
-use mswj_types::Duration;
+use crate::statistics::{DelayHistogram, StatisticsManager};
+use mswj_types::{Duration, StreamIndex};
 
-/// Immutable per-adaptation-step inputs of the recall model.
+/// Inputs of a one-shot [`RecallModel`] (tests, benches, offline analysis).
+/// The Buffer-Size Manager does not build one per checkpoint: it keeps a
+/// single model alive and refreshes it in place from the maintained
+/// statistics.
 #[derive(Debug, Clone)]
 pub struct ModelInputs {
     /// Window sizes `W_i` (ms), one per stream.
@@ -41,11 +44,6 @@ pub struct ModelInputs {
 }
 
 impl ModelInputs {
-    /// Number of streams.
-    pub fn arity(&self) -> usize {
-        self.windows.len()
-    }
-
     /// Validates that all vectors agree on the number of streams.
     pub fn is_consistent(&self) -> bool {
         let m = self.windows.len();
@@ -53,74 +51,159 @@ impl ModelInputs {
     }
 }
 
-/// Evaluator of `γ(L, K)` for a fixed set of [`ModelInputs`].
+/// The basic windows of one stream's window `W_j`, grouped by the number of
+/// delay buckets `o = ⌊(l−1)·b/g⌋` they tolerate: `(o, weight)` pairs with
+/// `weight` the total length (ms) of the basic windows at offset `o`;
+/// offsets ascend and the weights sum to `W_j`.
+fn window_layout(w: Duration, b: Duration, g: Duration) -> Vec<(usize, u64)> {
+    let mut layout: Vec<(usize, u64)> = Vec::new();
+    if w == 0 {
+        return layout;
+    }
+    let b = b.max(1).min(w);
+    let n = w.div_ceil(b);
+    for l in 1..=n {
+        let segment = if l < n { b } else { w - (n - 1) * b };
+        let offset = ((l - 1) * b / g) as usize;
+        match layout.last_mut() {
+            Some((o, weight)) if *o == offset => *weight += segment,
+            _ => layout.push((offset, segment)),
+        }
+    }
+    layout
+}
+
+/// Evaluator of `γ(L, K)`: per-query constants computed once, per-checkpoint
+/// statistics (cumulative delay counts, `K_sync_i`) refreshed in place.
+///
+/// Everything up to the final division is exact integer arithmetic over the
+/// cumulative *counts* `C_j[d] = #{delays in buckets ≤ d}`, so
+/// `effW_j(K) = (Σ_{o<live} weight[o]·C_j[s_j+o] + N_j·Σ_{o≥live} weight[o]) / N_j`
+/// is rounded once and a fully covered window evaluates to exactly `W_j`.
 #[derive(Debug, Clone)]
 pub struct RecallModel {
-    inputs: ModelInputs,
-    /// Per-stream cumulative delay distributions, precomputed once so that
-    /// Alg. 3 can probe thousands of candidate K values cheaply.
-    cumulative: Vec<Vec<f64>>,
+    windows: Vec<Duration>,
+    granularity: Duration,
+    layouts: Vec<Vec<(usize, u64)>>,
+    /// `Σ_i Π_{j≠i} W_j`, the denominator of Eq. 5.
+    denominator: f64,
+    /// Per-stream cumulative delay counts; `last()` is the sample count
+    /// `N_j`, an empty table means "no evidence, perfectly ordered".
+    cumulative: Vec<Vec<u64>>,
+    k_sync: Vec<Duration>,
+    /// `⌊K_sync_j / g⌋`: what `K_sync_j` adds to the shift of a candidate
+    /// `K` that is a multiple of `g`.
+    sync_shift: Vec<usize>,
 }
 
 impl RecallModel {
-    /// Creates a model evaluator; panics if the inputs are inconsistent.
+    /// A model for windows `W_j`, basic window `b` and granularity `g` with
+    /// no delay evidence yet (every stream perfectly ordered, `K_sync` 0).
+    pub(crate) fn for_query(
+        windows: Vec<Duration>,
+        basic_window: Duration,
+        granularity: Duration,
+    ) -> Self {
+        let g = granularity.max(1);
+        let m = windows.len();
+        let mut denominator = 0.0;
+        for i in 0..m {
+            let mut prod_w = 1.0;
+            for (j, &w) in windows.iter().enumerate() {
+                if j != i {
+                    prod_w *= w as f64;
+                }
+            }
+            denominator += prod_w;
+        }
+        RecallModel {
+            layouts: windows
+                .iter()
+                .map(|&w| window_layout(w, basic_window, g))
+                .collect(),
+            windows,
+            granularity: g,
+            denominator,
+            cumulative: vec![Vec::new(); m],
+            k_sync: vec![0; m],
+            sync_shift: vec![0; m],
+        }
+    }
+
+    /// Creates a one-shot model; panics if the inputs are inconsistent.
     pub fn new(inputs: ModelInputs) -> Self {
         assert!(inputs.is_consistent(), "inconsistent model inputs");
-        let cumulative = inputs
-            .histograms
-            .iter()
-            .map(|h| {
-                let max_bucket = h.max_bucket();
-                (0..=max_bucket).map(|d| h.cumulative(d)).collect()
-            })
-            .collect();
-        RecallModel { inputs, cumulative }
+        let mut model =
+            RecallModel::for_query(inputs.windows, inputs.basic_window, inputs.granularity);
+        for (j, h) in inputs.histograms.iter().enumerate() {
+            model.load_histogram(j, h);
+        }
+        model.k_sync = inputs.k_sync;
+        model.derive_sync_shifts();
+        model
     }
 
-    /// O(1) lookup of `Pr[D_i <= bucket]` from the precomputed table.
+    /// Reloads the per-checkpoint statistics in place, in `O(Σ_j B_j)` and
+    /// without allocating once the tables have reached their size.
+    pub(crate) fn refresh(&mut self, stats: &StatisticsManager) {
+        for j in 0..self.windows.len() {
+            self.load_histogram(j, stats.delay_histogram(StreamIndex(j)));
+        }
+        stats.fill_k_sync_estimates(&mut self.k_sync);
+        self.derive_sync_shifts();
+    }
+
+    fn derive_sync_shifts(&mut self) {
+        let g = self.granularity;
+        self.sync_shift.clear();
+        self.sync_shift
+            .extend(self.k_sync.iter().map(|&ks| (ks / g) as usize));
+    }
+
+    fn load_histogram(&mut self, stream: usize, h: &DelayHistogram) {
+        let table = &mut self.cumulative[stream];
+        table.clear();
+        let mut sum = 0u64;
+        table.extend(h.counts().iter().map(|&c| {
+            sum += c;
+            sum
+        }));
+    }
+
+    /// Number of streams.
+    pub fn arity(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// `Pr[D_i <= bucket]`; 1 beyond the table and with no evidence.
     fn raw_cumulative(&self, stream: usize, bucket: usize) -> f64 {
         let table = &self.cumulative[stream];
-        if table.is_empty() {
-            return 1.0;
+        match (table.get(bucket), table.last()) {
+            (Some(&c), Some(&n)) => c as f64 / n as f64,
+            _ => 1.0,
         }
-        if bucket >= table.len() {
-            1.0
-        } else {
-            table[bucket]
-        }
-    }
-
-    /// The model inputs.
-    pub fn inputs(&self) -> &ModelInputs {
-        &self.inputs
     }
 
     /// `f_{D_i^K}(0)`: probability that a tuple of stream `i` reaches the
     /// join operator in order under buffer size `K` (Eq. 2, case `d = 0`).
     pub fn in_order_probability(&self, stream: usize, k: Duration) -> f64 {
-        let shift = self.shift_buckets(stream, k);
-        self.raw_cumulative(stream, shift)
+        self.raw_cumulative(stream, self.shift_buckets(stream, k))
     }
 
     /// `f_{D_i^K}(d)` for any coarse bucket `d` (Eq. 2).
     pub fn shifted_probability(&self, stream: usize, k: Duration, d: usize) -> f64 {
-        let shift = self.shift_buckets(stream, k);
-        if d == 0 {
-            self.raw_cumulative(stream, shift)
+        let bucket = d + self.shift_buckets(stream, k);
+        let below = if d == 0 {
+            0.0
         } else {
-            self.inputs.histograms[stream].probability(d + shift)
-        }
-    }
-
-    /// Cumulative `Pr[D_i^K <= d]`, i.e. `F_i(d + (K + K_sync_i)/g)`.
-    fn shifted_cumulative(&self, stream: usize, k: Duration, d: usize) -> f64 {
-        let shift = self.shift_buckets(stream, k);
-        self.raw_cumulative(stream, d + shift)
+            self.raw_cumulative(stream, bucket - 1)
+        };
+        self.raw_cumulative(stream, bucket) - below
     }
 
     /// Number of histogram buckets covered by `K + K_sync_i`.
     fn shift_buckets(&self, stream: usize, k: Duration) -> usize {
-        ((k + self.inputs.k_sync[stream]) / self.inputs.granularity.max(1)) as usize
+        ((k + self.k_sync[stream]) / self.granularity) as usize
     }
 
     /// The expected effective coverage of window `W_j` under buffer size `K`
@@ -128,58 +211,78 @@ impl RecallModel {
     ///
     /// The most recent basic window only counts tuples that arrive with
     /// residual delay 0, the second one also those within `b`, and so on;
-    /// the result is always in `[0, W_j]`.
+    /// the result is always in `[0, W_j]`, and exactly `W_j` once the shift
+    /// covers every observed delay.
     pub fn effective_window(&self, stream: usize, k: Duration) -> f64 {
-        let w = self.inputs.windows[stream];
-        if w == 0 {
-            return 0.0;
-        }
-        let b = self.inputs.basic_window.max(1).min(w);
-        let g = self.inputs.granularity.max(1);
-        let n = w.div_ceil(b) as usize;
-        let mut eff = 0.0;
-        for l in 1..=n {
-            let segment = if l < n {
-                b as f64
-            } else {
-                (w - (n as u64 - 1) * b) as f64
+        self.covered_window(stream, self.shift_buckets(stream, k))
+    }
+
+    /// `effW_j` for a shift of `shift` delay buckets.
+    fn covered_window(&self, stream: usize, shift: usize) -> f64 {
+        let table = &self.cumulative[stream];
+        let (Some(&n), Some(live)) = (table.last(), table.get(shift..)) else {
+            return self.windows[stream] as f64;
+        };
+        // Basic windows whose bucket is still inside the table weigh in with
+        // their cumulative count; the rest are complete (count = N).
+        let mut covered = 0u128;
+        let mut rest = self.windows[stream];
+        for &(offset, weight) in &self.layouts[stream] {
+            let Some(&count) = live.get(offset) else {
+                break;
             };
-            let buckets = ((l as u64 - 1) * b / g) as usize;
-            eff += segment * self.shifted_cumulative(stream, k, buckets);
+            covered += weight as u128 * count as u128;
+            rest -= weight;
         }
-        eff.min(w as f64)
+        covered += rest as u128 * n as u128;
+        covered as f64 / n as f64
     }
 
     /// Evaluates the structural (selectivity-free) part of Eq. 5:
     /// `Σ_i f_{D_i^K}(0)·Π_{j≠i} effW_j / Σ_i Π_{j≠i} W_j`.
     pub fn structural_recall(&self, k: Duration) -> f64 {
-        let m = self.inputs.arity();
-        let eff: Vec<f64> = (0..m).map(|j| self.effective_window(j, k)).collect();
-        let mut numerator = 0.0;
-        let mut denominator = 0.0;
-        for i in 0..m {
-            let mut prod_eff = 1.0;
-            let mut prod_w = 1.0;
-            for (j, eff_j) in eff.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                prod_eff *= eff_j;
-                prod_w *= self.inputs.windows[j] as f64;
-            }
-            numerator += self.in_order_probability(i, k) * prod_eff;
-            denominator += prod_w;
-        }
-        if denominator <= 0.0 {
+        self.structural_recall_by(|j| self.shift_buckets(j, k), &mut Vec::new())
+    }
+
+    /// Eq. 5's structural part for per-stream bucket shifts `shift(j)`, with
+    /// caller-owned scratch for the `m` effective windows.
+    fn structural_recall_by(&self, shift: impl Fn(usize) -> usize, eff: &mut Vec<f64>) -> f64 {
+        if self.denominator <= 0.0 {
             return 0.0;
         }
-        (numerator / denominator).clamp(0.0, 1.0)
+        let m = self.arity();
+        eff.clear();
+        eff.extend((0..m).map(|j| self.covered_window(j, shift(j))));
+        let mut numerator = 0.0;
+        for i in 0..m {
+            let mut prod_eff = 1.0;
+            for (j, eff_j) in eff.iter().enumerate() {
+                if j != i {
+                    prod_eff *= eff_j;
+                }
+            }
+            numerator += self.raw_cumulative(i, shift(i)) * prod_eff;
+        }
+        (numerator / self.denominator).clamp(0.0, 1.0)
     }
 
     /// Full Eq. 5: structural recall multiplied by the selectivity ratio
     /// `sel(K)/sel` supplied by the caller (1.0 under the EqSel strategy).
     pub fn estimate_recall(&self, k: Duration, selectivity_ratio: f64) -> f64 {
         (self.structural_recall(k) * selectivity_ratio).clamp(0.0, 1.0)
+    }
+
+    /// [`Self::estimate_recall`] for Alg. 3's `step`-th candidate
+    /// `K = step·g`: no integer division (the shift is `step + ⌊K_sync_j/g⌋`)
+    /// and no allocation (`eff` is the caller's scratch).
+    pub(crate) fn estimate_recall_at_step(
+        &self,
+        step: usize,
+        ratio: f64,
+        eff: &mut Vec<f64>,
+    ) -> f64 {
+        let structural = self.structural_recall_by(|j| step + self.sync_shift[j], eff);
+        (structural * ratio).clamp(0.0, 1.0)
     }
 }
 
@@ -353,7 +456,6 @@ mod tests {
         ));
         assert!((m.structural_recall(0) - 1.0).abs() < 1e-9);
         assert!((m.effective_window(1, 0) - 2_000.0).abs() < 1e-6);
-        assert!(m.inputs().is_consistent());
-        assert_eq!(m.inputs().arity(), 3);
+        assert_eq!(m.arity(), 3);
     }
 }

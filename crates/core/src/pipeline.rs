@@ -566,7 +566,7 @@ impl Pipeline {
         let new_k = match &self.policy {
             BufferPolicy::QualityDriven(_) => {
                 self.monitor.record_true_estimate(measure_ts, n_true_last);
-                let manager = self.manager.as_ref().expect("manager exists for QD policy");
+                let manager = self.manager.as_mut().expect("manager exists for QD policy");
                 let outcome =
                     manager.adapt(&self.stats, &self.profiler, &mut self.monitor, measure_ts);
                 gamma_prime = outcome.gamma_prime;

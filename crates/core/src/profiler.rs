@@ -20,10 +20,10 @@ use std::collections::BTreeMap;
 /// Accumulated productivity statistics of one adaptation interval.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IntervalMaps {
-    /// `M_x[d]`: accumulated cross-join sizes per coarse delay bucket.
-    cross: BTreeMap<usize, u64>,
-    /// `M_on[d]`: accumulated join result counts per coarse delay bucket.
-    join: BTreeMap<usize, u64>,
+    /// `(M_x[d], M_on[d])`: accumulated cross-join sizes and join result
+    /// counts per coarse delay bucket — one map, both are always recorded
+    /// together.
+    by_bucket: BTreeMap<usize, (u64, u64)>,
     /// Maximum `n_on(e)` observed for an in-order tuple.
     max_join: u64,
     /// Maximum `n_x(e)` observed for an in-order tuple.
@@ -36,26 +36,16 @@ pub struct IntervalMaps {
 
 impl IntervalMaps {
     fn add(&mut self, bucket: usize, n_cross: u64, n_join: u64) {
-        *self.cross.entry(bucket).or_insert(0) += n_cross;
-        *self.join.entry(bucket).or_insert(0) += n_join;
-    }
-
-    /// `Σ_{d <= max_bucket} M_on[d]`.
-    fn join_sum_upto(&self, max_bucket: usize) -> u64 {
-        self.join.range(..=max_bucket).map(|(_, &v)| v).sum()
-    }
-
-    /// The largest delay bucket present in the maps (`MaxDM`).
-    fn max_bucket(&self) -> usize {
-        let a = self.cross.keys().next_back().copied().unwrap_or(0);
-        let b = self.join.keys().next_back().copied().unwrap_or(0);
-        a.max(b)
+        let (cross, join) = self.by_bucket.entry(bucket).or_insert((0, 0));
+        *cross += n_cross;
+        *join += n_join;
     }
 }
 
-/// Precomputed cumulative `M_on` / `M_x` sums used to evaluate Eq. 6 for
-/// many candidate buffer sizes cheaply.
-#[derive(Debug, Clone)]
+/// Cumulative `M_on` / `M_x` sums used to evaluate Eq. 6 for many candidate
+/// buffer sizes cheaply.  Reusable: the Buffer-Size Manager refills one in
+/// place at every checkpoint.
+#[derive(Debug, Clone, Default)]
 pub struct SelectivityTable {
     granularity: Duration,
     /// `(bucket, Σ M_on up to bucket, Σ M_x up to bucket)`, ascending.
@@ -65,19 +55,35 @@ pub struct SelectivityTable {
 impl SelectivityTable {
     /// The selectivity ratio `sel(K)/sel` of Eq. 6 for buffer size `k` (ms).
     pub fn ratio(&self, k: Duration) -> f64 {
+        let k_bucket = (k / self.granularity.max(1)) as usize;
+        self.ratio_of_prefix(self.cum.partition_point(|&(b, _, _)| b <= k_bucket))
+    }
+
+    /// A forward cursor yielding the ratio for `K = 0, g, 2g, …` in turn —
+    /// Alg. 3's walk — without a search or a division per candidate.
+    pub fn walk(&self) -> impl Iterator<Item = f64> + '_ {
+        let mut covered = 0;
+        (0usize..).map(move |k_bucket| {
+            while self
+                .cum
+                .get(covered)
+                .is_some_and(|&(b, _, _)| b <= k_bucket)
+            {
+                covered += 1;
+            }
+            self.ratio_of_prefix(covered)
+        })
+    }
+
+    /// Eq. 6 over the first `covered` entries (the buckets `<= K/g`).
+    fn ratio_of_prefix(&self, covered: usize) -> f64 {
         let Some(&(_, total_join, total_cross)) = self.cum.last() else {
             return 1.0;
         };
-        if total_join == 0 || total_cross == 0 {
+        if total_join == 0 || total_cross == 0 || covered == 0 {
             return 1.0;
         }
-        let k_bucket = (k / self.granularity.max(1)) as usize;
-        // Last entry whose bucket is <= k_bucket.
-        let idx = self.cum.partition_point(|&(b, _, _)| b <= k_bucket);
-        if idx == 0 {
-            return 1.0;
-        }
-        let (_, join_k, cross_k) = self.cum[idx - 1];
+        let (_, join_k, cross_k) = self.cum[covered - 1];
         if cross_k == 0 {
             // No probing evidence at or below this K: fall back to the
             // overall selectivity (ratio 1).
@@ -168,28 +174,31 @@ impl ProductivityProfiler {
     /// Precomputes a lookup table for `sel(K)/sel` so that Alg. 3 can probe
     /// many candidate K values without re-summing the maps each time.
     pub fn selectivity_table(&self) -> SelectivityTable {
-        let maps = &self.last;
-        let mut buckets: Vec<usize> = maps.join.keys().chain(maps.cross.keys()).copied().collect();
-        buckets.sort_unstable();
-        buckets.dedup();
-        let mut cum = Vec::with_capacity(buckets.len());
+        let mut table = SelectivityTable::default();
+        self.fill_selectivity_table(&mut table);
+        table
+    }
+
+    /// [`Self::selectivity_table`] into a caller-owned table: one in-order
+    /// pass over the last interval's map, no allocation once it has grown.
+    pub(crate) fn fill_selectivity_table(&self, table: &mut SelectivityTable) {
+        table.granularity = self.granularity;
+        table.cum.clear();
         let mut join_acc = 0u64;
         let mut cross_acc = 0u64;
-        for &b in &buckets {
-            join_acc += maps.join.get(&b).copied().unwrap_or(0);
-            cross_acc += maps.cross.get(&b).copied().unwrap_or(0);
-            cum.push((b, join_acc, cross_acc));
-        }
-        SelectivityTable {
-            granularity: self.granularity,
-            cum,
-        }
+        table
+            .cum
+            .extend(self.last.by_bucket.iter().map(|(&b, &(cross, join))| {
+                join_acc += join;
+                cross_acc += cross;
+                (b, join_acc, cross_acc)
+            }));
     }
 
     /// Estimate of the true result size of the last interval,
     /// `N_true(L) ≈ Σ_d M_on[d]` (Sec. IV-C).
     pub fn n_true_estimate(&self) -> u64 {
-        self.last.join_sum_upto(self.last.max_bucket())
+        self.last.by_bucket.values().map(|&(_, join)| join).sum()
     }
 
     /// Actually produced results recorded in the last interval (in-order

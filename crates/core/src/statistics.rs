@@ -34,11 +34,7 @@ pub struct DelayHistogram {
 impl DelayHistogram {
     /// Builds a histogram with granularity `g` from raw delays (ms).
     pub fn from_delays<I: IntoIterator<Item = Duration>>(g: Duration, delays: I) -> Self {
-        let mut h = DelayHistogram {
-            granularity: g.max(1),
-            counts: Vec::new(),
-            total: 0,
-        };
+        let mut h = DelayHistogram::empty(g);
         for d in delays {
             h.add(d);
         }
@@ -57,11 +53,30 @@ impl DelayHistogram {
     /// Adds one raw delay observation.
     pub fn add(&mut self, delay: Duration) {
         let bucket = self.bucket_of(delay);
-        if bucket >= self.counts.len() {
-            self.counts.resize(bucket + 1, 0);
+        match self.counts.get_mut(bucket) {
+            Some(count) => *count += 1,
+            None => {
+                self.counts.resize(bucket, 0);
+                self.counts.push(1);
+            }
         }
-        self.counts[bucket] += 1;
         self.total += 1;
+    }
+
+    /// Removes one previously added observation, dropping trailing empty
+    /// buckets so the table always equals `from_delays` over what is left.
+    fn remove(&mut self, delay: Duration) {
+        let bucket = self.bucket_of(delay);
+        self.counts[bucket] -= 1;
+        self.total -= 1;
+        while self.counts.last() == Some(&0) {
+            self.counts.pop();
+        }
+    }
+
+    /// Per-bucket observation counts; the last bucket, if any, is non-empty.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Maps a raw delay to its coarse bucket: 0 for in-order tuples, `d` for
@@ -121,6 +136,9 @@ struct DelaySample {
 struct StreamHistory {
     adwin: Adwin,
     samples: VecDeque<DelaySample>,
+    /// Bucket counts of exactly the delays in `samples`: `+1` on admit,
+    /// `-1` on evict, never rebuilt.
+    histogram: DelayHistogram,
     delay_sum: u128,
     k_sync_sum: u128,
     max_delay: Duration,
@@ -128,13 +146,14 @@ struct StreamHistory {
 }
 
 impl StreamHistory {
-    fn new() -> Self {
+    fn new(granularity: Duration) -> Self {
         StreamHistory {
             // Checking the ADWIN cut on every arrival is unnecessarily
             // expensive at stream rates of hundreds of tuples per second;
             // every 32 arrivals is plenty for the drift scales of interest.
             adwin: Adwin::with_params(mswj_adwin::DEFAULT_DELTA, 5, 32),
             samples: VecDeque::new(),
+            histogram: DelayHistogram::empty(granularity),
             delay_sum: 0,
             k_sync_sum: 0,
             max_delay: 0,
@@ -145,6 +164,7 @@ impl StreamHistory {
     fn record(&mut self, sample: DelaySample) {
         self.adwin.insert(sample.delay as f64);
         self.samples.push_back(sample);
+        self.histogram.add(sample.delay);
         self.delay_sum += sample.delay as u128;
         self.k_sync_sum += sample.k_sync as u128;
         if sample.delay > self.max_delay {
@@ -154,6 +174,7 @@ impl StreamHistory {
         let target = (self.adwin.len() as usize).clamp(1, MAX_HISTORY);
         while self.samples.len() > target {
             let old = self.samples.pop_front().expect("len checked");
+            self.histogram.remove(old.delay);
             self.delay_sum -= old.delay as u128;
             self.k_sync_sum -= old.k_sync as u128;
             if old.delay == self.max_delay {
@@ -188,7 +209,6 @@ impl StreamHistory {
 /// Runtime statistics provider feeding the analytical model (Sec. IV-A).
 #[derive(Debug, Clone)]
 pub struct StatisticsManager {
-    granularity: Duration,
     skew: SkewTracker,
     histories: Vec<StreamHistory>,
 }
@@ -197,9 +217,8 @@ impl StatisticsManager {
     /// Creates a manager for `m` streams with delay-bucket granularity `g`.
     pub fn new(m: usize, granularity: Duration) -> Self {
         StatisticsManager {
-            granularity: granularity.max(1),
             skew: SkewTracker::new(m),
-            histories: (0..m).map(|_| StreamHistory::new()).collect(),
+            histories: (0..m).map(|_| StreamHistory::new(granularity)).collect(),
         }
     }
 
@@ -217,13 +236,16 @@ impl StatisticsManager {
         delay
     }
 
-    /// The coarse-grained delay histogram of stream `i` built over its
-    /// current history window.
-    pub fn delay_histogram(&self, i: StreamIndex) -> DelayHistogram {
-        DelayHistogram::from_delays(
-            self.granularity,
-            self.histories[i.as_usize()].samples.iter().map(|s| s.delay),
-        )
+    /// The coarse-grained delay histogram of stream `i` over its current
+    /// history window, maintained incrementally by [`Self::observe`].
+    pub fn delay_histogram(&self, i: StreamIndex) -> &DelayHistogram {
+        &self.histories[i.as_usize()].histogram
+    }
+
+    /// The raw delays currently in the history window of stream `i`, oldest
+    /// first (what [`Self::delay_histogram`] is the histogram of).
+    pub fn history_delays(&self, i: StreamIndex) -> impl Iterator<Item = Duration> + '_ {
+        self.histories[i.as_usize()].samples.iter().map(|s| s.delay)
     }
 
     /// The average measured `K_sync_i` within the history of stream `i`.
@@ -234,16 +256,21 @@ impl StatisticsManager {
     /// The `K_sync_i` estimates used by the model:
     /// `avg(K_sync_i) - min_j avg(K_sync_j)` (Sec. IV-A).
     pub fn k_sync_estimates(&self) -> Vec<Duration> {
-        let avgs: Vec<f64> = (0..self.arity())
-            .map(|i| self.k_sync_avg(StreamIndex(i)))
-            .collect();
-        let min = avgs.iter().cloned().fold(f64::INFINITY, f64::min);
-        if !min.is_finite() {
-            return vec![0; self.arity()];
+        let mut estimates = Vec::new();
+        self.fill_k_sync_estimates(&mut estimates);
+        estimates
+    }
+
+    /// [`Self::k_sync_estimates`] into a caller-owned buffer.
+    pub(crate) fn fill_k_sync_estimates(&self, out: &mut Vec<Duration>) {
+        let avgs = || self.histories.iter().map(StreamHistory::k_sync_avg);
+        let min = avgs().fold(f64::INFINITY, f64::min);
+        out.clear();
+        if min.is_finite() {
+            out.extend(avgs().map(|a| (a - min).round() as Duration));
+        } else {
+            out.resize(self.arity(), 0);
         }
-        avgs.iter()
-            .map(|&a| (a - min).round() as Duration)
-            .collect()
     }
 
     /// Estimated data rate `r_i` of stream `i` in tuples per millisecond.

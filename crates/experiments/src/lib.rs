@@ -56,7 +56,9 @@ impl Scale {
     }
 
     /// Parses `--duration-secs N`, `--seed N` and `--quick` from the
-    /// process arguments; unknown arguments are ignored. `--help`/`-h`
+    /// process arguments; unknown arguments are ignored, but a known flag
+    /// with a missing or unparseable value prints the error plus usage and
+    /// exits 2 — never a silent run at the default scale. `--help`/`-h`
     /// prints the shared usage text and exits, so every experiment binary
     /// has a cheap smoke path that never touches a workload.
     pub fn from_args() -> Self {
@@ -65,7 +67,10 @@ impl Scale {
             println!("{}", Self::usage());
             std::process::exit(0);
         }
-        Self::from_arg_slice(&args)
+        Self::from_arg_slice(&args).unwrap_or_else(|e| {
+            eprintln!("{e}\n\n{}", Self::usage());
+            std::process::exit(2);
+        })
     }
 
     /// The usage text shared by every experiment binary.
@@ -99,29 +104,26 @@ impl Scale {
     }
 
     /// Parses the same flags from an explicit argument slice (testable).
-    pub fn from_arg_slice(args: &[String]) -> Self {
+    /// Unknown arguments are ignored (binaries parse their own extra flags);
+    /// `--duration-secs` / `--seed` without a valid number are an error.
+    pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
         let mut scale = Scale::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let mut number = || match args.next() {
+                Some(v) => v
+                    .parse::<u64>()
+                    .map_err(|_| format!("{arg} needs a non-negative integer, got `{v}`")),
+                None => Err(format!("{arg} needs a value")),
+            };
+            match arg.as_str() {
                 "--quick" => scale = Scale::quick(),
-                "--duration-secs" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        scale.duration_secs = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        scale.seed = v;
-                        i += 1;
-                    }
-                }
+                "--duration-secs" => scale.duration_secs = number()?,
+                "--seed" => scale.seed = number()?,
                 _ => {}
             }
-            i += 1;
         }
-        scale
+        Ok(scale)
     }
 }
 
@@ -504,9 +506,9 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        let d = Scale::from_arg_slice(&[]);
+        let d = Scale::from_arg_slice(&[]).unwrap();
         assert_eq!(d, Scale::default());
-        let q = Scale::from_arg_slice(&["--quick".into()]);
+        let q = Scale::from_arg_slice(&["--quick".into()]).unwrap();
         assert_eq!(q, Scale::quick());
         let custom = Scale::from_arg_slice(&[
             "prog".into(),
@@ -515,9 +517,32 @@ mod tests {
             "--seed".into(),
             "7".into(),
             "--unknown".into(),
-        ]);
+        ])
+        .unwrap();
         assert_eq!(custom.duration_secs, 33);
         assert_eq!(custom.seed, 7);
+    }
+
+    #[test]
+    fn scale_parsing_rejects_missing_values() {
+        for flag in ["--duration-secs", "--seed"] {
+            let err = Scale::from_arg_slice(&["prog".into(), flag.into()]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
+        }
+    }
+
+    #[test]
+    fn scale_parsing_rejects_unparseable_values() {
+        for (flag, value) in [
+            ("--duration-secs", "3s"),
+            ("--duration-secs", "-1"),
+            ("--seed", "forty-two"),
+            // The next flag is not a value: it must not be swallowed either.
+            ("--seed", "--quick"),
+        ] {
+            let err = Scale::from_arg_slice(&[flag.into(), value.into()]).unwrap_err();
+            assert!(err.contains(flag) && err.contains(value), "{err}");
+        }
     }
 
     #[test]

@@ -17,9 +17,20 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by *this* thread — what a strict "zero" assertion
+    /// needs, since the test harness's own threads allocate concurrently.
+    static THREAD_ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -28,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,6 +49,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(|c| c.get())
 }
 
 /// The counter is process-global, so the two measuring tests must not run
@@ -334,4 +349,53 @@ fn distance_scan_kernel_does_not_allocate_per_event() {
     let stats = report.operator_stats;
     assert_eq!(stats.indexed_probes, 0, "a scan is not an indexed probe");
     assert_eq!(stats.fallback_probes, stats.in_order);
+}
+
+#[test]
+fn adaptation_step_does_not_allocate_once_warm() {
+    // State shaped like the `d2_dist_seq` benchmark workload: 2 streams,
+    // g = b = 10 ms, 5 s windows, ~20 k history samples per stream with a
+    // delay tail of up to 1.2 s, and a profiler interval with evidence in
+    // many delay buckets (so the NonEqSel cursor really walks a table).
+    // The manager owns the model's cumulative tables, the selectivity table
+    // and the walk's scratch; one warm-up call sizes them, after which a
+    // checkpoint touches the heap zero times — strictly, not amortized.
+    use mswj::core::{
+        BufferSizeManager, ProductivityProfiler, ResultSizeMonitor, StatisticsManager,
+    };
+    // Held from the start: this test's set-up allocates, which would land in
+    // the other tests' process-wide counts.
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut stats = StatisticsManager::new(2, 10);
+    for stream in 0..2usize {
+        for i in 0..20_000u64 {
+            let delay = if i % 3 == 0 { (i * 7) % 1_200 } else { 0 };
+            let ts = Timestamp::from_millis((2_000 + i * 10).saturating_sub(delay));
+            stats.observe(stream.into(), ts);
+        }
+    }
+    let mut profiler = ProductivityProfiler::new(10);
+    for i in 0..2_000u64 {
+        let delay = if i % 3 == 0 { (i * 7) % 1_200 } else { 0 };
+        profiler.record_processed(delay, 500, 1 + i % 5);
+    }
+    profiler.roll_interval();
+    let mut monitor = ResultSizeMonitor::new(59_000);
+    let now = Timestamp::from_millis(200_000);
+    monitor.record_true_estimate(now, profiler.n_true_estimate());
+    let mut manager = BufferSizeManager::new(DisorderConfig::with_gamma(0.95), vec![5_000; 2]);
+
+    let warm = manager.adapt(&stats, &profiler, &mut monitor, now);
+    assert!(warm.steps > 10, "the walk must examine many candidates");
+
+    let before = thread_allocations();
+    for _ in 0..64 {
+        let outcome = manager.adapt(&stats, &profiler, &mut monitor, now);
+        assert_eq!((outcome.k, outcome.steps), (warm.k, warm.steps));
+    }
+    let during = thread_allocations() - before;
+    assert_eq!(
+        during, 0,
+        "64 warm adaptation steps allocated {during} times"
+    );
 }
