@@ -21,10 +21,14 @@
 //!   `d2_dist_seq` shape — through `MswjOperator::push`, once as the
 //!   tuple-at-a-time `matches` walk (`ProbeStrategy::NestedLoop`) and once
 //!   as the typed-column kernel (`ProbeStrategy::Auto`), with the window
-//!   filled in order (contiguous-slice scan) and with 5 % late inserts
-//!   (gather through the order deque).  Counting mode; each push also pays
-//!   the operator's fixed costs (expiry check, own-window append), the
-//!   same on both sides.
+//!   filled in order, with 5 % late inserts, and fully reversed (`late100`:
+//!   every insert late).  Scan columns are kept in live order, so the three
+//!   `kernel_*` rows read the same.  Counting mode, except the `_enumerate`
+//!   rows (which also build and drop every result, pricing the kernel's
+//!   visit pass); each push also pays the operator's fixed costs (expiry
+//!   check, own-window append), the same on both sides.  The two `fill_*`
+//!   rows time filling the window itself: 500 appends against 500 late
+//!   inserts at the front of the live order (the `Vec::insert` path).
 //!
 //! `RowWindow` below is a faithful miniature of the pre-segmentation
 //! storage — `VecDeque<Tuple>` plus `HashMap<i64, VecDeque<Tuple>>` buckets
@@ -46,6 +50,26 @@
 //! ratio is layout-dependent: time-correlated keys prune ~62/64 of the
 //! candidate rows; uniform keys would prune nothing and tie the
 //! baseline.)
+//!
+//! `scan_kernel`, per 64 probes of 500 rows (fills: per 500 inserts), same
+//! host:
+//!
+//! | row                      | time   |
+//! |--------------------------|--------|
+//! | walk_inorder             | 332 µs |
+//! | walk_late5               | 379 µs |
+//! | kernel_inorder           | 21 µs  |
+//! | kernel_late5             | 21 µs  |
+//! | kernel_late100           | 20 µs  |
+//! | kernel_inorder_enumerate | 181 µs |
+//! | kernel_late5_enumerate   | 177 µs |
+//! | fill_inorder             | 24 µs  |
+//! | fill_late100             | 195 µs |
+//!
+//! (How the window was filled does not show in a scan; it shows in the
+//! fill itself, where a reversed feed pays the backwards timestamp search
+//! plus one `memmove` per scan column per insert.  The `_enumerate` rows
+//! are dominated by building ≈ 45 results per probe.)
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use mswj_datasets::q2_query;
@@ -259,21 +283,46 @@ fn scan_kernel(c: &mut Criterion) {
         ];
         Tuple::new(stream.into(), seq, Timestamp::from_millis(ts), values)
     };
+    // The window's rows in feed order: ascending timestamps; one row in
+    // twenty 75 ms late; or fully reversed, so that every insert is late and
+    // shifts the whole live scan column.
+    let fill_rows = |fill: &str| -> Vec<Tuple> {
+        (0..ROWS)
+            .map(|i| {
+                let ts = match fill {
+                    "inorder" => 10 * i + 100,
+                    "late5" => 10 * i + 100 - if i % 20 == 19 { 75 } else { 0 },
+                    _ => 10 * (ROWS - 1 - i) + 100,
+                };
+                position(1, i, ts)
+            })
+            .collect()
+    };
+    let operator = |strategy, enumerate| {
+        MswjOperator::with_probe(q2_query(10 * ROWS, 5.0), strategy, enumerate)
+    };
     let mut group = c.benchmark_group("columnar_window/scan_kernel");
-    for (fill, late_every) in [("inorder", u64::MAX), ("late5", 20)] {
-        for (path, strategy) in [
-            ("walk", ProbeStrategy::NestedLoop),
-            ("kernel", ProbeStrategy::Auto),
-        ] {
-            group.bench_function(format!("{path}_{fill}"), |b| {
-                let mut op = MswjOperator::with_probe(q2_query(10 * ROWS, 5.0), strategy, false);
-                for i in 0..ROWS {
-                    let late = if i % late_every == late_every - 1 {
-                        75
-                    } else {
-                        0
-                    };
-                    op.adopt(position(1, i, 10 * i + 100 - late));
+    for (path, strategy, enumerate, fills) in [
+        (
+            "walk",
+            ProbeStrategy::NestedLoop,
+            false,
+            &["inorder", "late5"][..],
+        ),
+        (
+            "kernel",
+            ProbeStrategy::Auto,
+            false,
+            &["inorder", "late5", "late100"],
+        ),
+        ("kernel", ProbeStrategy::Auto, true, &["inorder", "late5"]),
+    ] {
+        for fill in fills {
+            let suffix = if enumerate { "_enumerate" } else { "" };
+            group.bench_function(format!("{path}_{fill}{suffix}"), |b| {
+                let mut op = operator(strategy, enumerate);
+                for row in fill_rows(fill) {
+                    op.adopt(row);
                 }
                 let mut seq = 0u64;
                 b.iter(|| {
@@ -281,7 +330,9 @@ fn scan_kernel(c: &mut Criterion) {
                     for _ in 0..PROBES {
                         seq += 1;
                         // Every probe arrives at the window's newest instant:
-                        // nothing expires, all 500 rows are scanned.
+                        // nothing expires, all 500 rows are scanned.  (An
+                        // enumerating operator also builds and drops every
+                        // result.)
                         hits += op.push(position(0, seq, 10 * ROWS + 100)).n_join;
                     }
                     // Shed the probes' own-window inserts (amortised, and the
@@ -291,6 +342,24 @@ fn scan_kernel(c: &mut Criterion) {
                 })
             });
         }
+    }
+    // What filling the window costs: 500 appends against 500 late inserts at
+    // the front of the live order (operator construction and buffer growth
+    // included, the same on both rows).
+    for fill in ["inorder", "late100"] {
+        group.bench_function(format!("fill_{fill}"), |b| {
+            b.iter_batched(
+                || fill_rows(fill),
+                |rows| {
+                    let mut op = operator(ProbeStrategy::Auto, false);
+                    for row in rows {
+                        op.adopt(row);
+                    }
+                    op
+                },
+                BatchSize::SmallInput,
+            )
+        });
     }
     group.finish();
 }

@@ -10,7 +10,7 @@ use mswj_experiments::{
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args(&[]);
     println!("Fig. 10 — effect of the K-search granularity g");
     println!("scale: {:?}\n", scale);
 

@@ -10,7 +10,7 @@ use mswj_experiments::{
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args(&[]);
     println!("Fig. 11 — average adaptation-step time (ms)");
     println!("scale: {:?}\n", scale);
 

@@ -8,12 +8,12 @@
 use mswj_core::{BufferPolicy, Telemetry};
 use mswj_experiments::{
     all_datasets, backend_from_args, dump_metrics_json, ground_truth, metrics_out_from_args,
-    probe_from_args, run_policy_instrumented, Scale,
+    probe_from_args, run_policy_instrumented, Scale, SESSION_FLAGS,
 };
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args(&SESSION_FLAGS);
     let backend = backend_from_args();
     let probe = probe_from_args();
     let metrics_out = metrics_out_from_args();

@@ -12,7 +12,7 @@ use mswj_experiments::{
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args(&[]);
     println!("Fig. 7 — effectiveness under varying recall requirements Γ");
     println!("scale: {:?}\n", scale);
 

@@ -9,7 +9,7 @@ const EXPERIMENTS: [&str; 7] = ["fig6", "table2", "fig7", "fig8", "fig9", "fig10
 fn main() {
     // Validate the shared flags once up front (`--help` and bad values exit
     // here) instead of seven times, one per child.
-    let _ = mswj_experiments::Scale::from_args();
+    let _ = mswj_experiments::Scale::from_args(&[]);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let exe_dir = std::env::current_exe()
         .ok()

@@ -9,7 +9,7 @@ use mswj_experiments::{all_datasets, run_policy, Scale};
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = Scale::from_args(&[]);
     let period_p = 60_000;
     println!("Table II — Max-K-slack baseline (P = 1 min)");
     println!("scale: {:?}\n", scale);

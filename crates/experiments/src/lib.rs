@@ -14,9 +14,11 @@
 //! | `fig11` | Fig. 11 — adaptation-step time vs g |
 //! | `run_all` | every experiment above, in sequence |
 //!
-//! All binaries accept `--duration-secs N`, `--seed N` and `--quick`; the
-//! defaults run a scaled-down but shape-preserving version of the paper's
-//! 23–30-minute workloads (see `EXPERIMENTS.md`).
+//! All binaries accept `--duration-secs N`, `--seed N` and `--quick` (and
+//! reject anything else with the usage text and exit status 2; `fig6` also
+//! takes `--backend`, `--probe` and `--metrics-out`); the defaults run a
+//! scaled-down but shape-preserving version of the paper's 23–30-minute
+//! workloads (see `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -56,18 +58,19 @@ impl Scale {
     }
 
     /// Parses `--duration-secs N`, `--seed N` and `--quick` from the
-    /// process arguments; unknown arguments are ignored, but a known flag
-    /// with a missing or unparseable value prints the error plus usage and
+    /// process arguments.  `extra_flags` names the value-taking flags the
+    /// calling binary parses itself; any other argument, and a known flag
+    /// with a missing or unparseable value, prints the error plus usage and
     /// exits 2 — never a silent run at the default scale. `--help`/`-h`
     /// prints the shared usage text and exits, so every experiment binary
     /// has a cheap smoke path that never touches a workload.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
+    pub fn from_args(extra_flags: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", Self::usage());
             std::process::exit(0);
         }
-        Self::from_arg_slice(&args).unwrap_or_else(|e| {
+        Self::from_arg_slice(&args, extra_flags).unwrap_or_else(|e| {
             eprintln!("{e}\n\n{}", Self::usage());
             std::process::exit(2);
         })
@@ -83,6 +86,9 @@ impl Scale {
              \x20   --duration-secs N  simulated seconds per dataset (default {})\n\
              \x20   --seed N           workload generator seed (default {})\n\
              \x20   --quick            fast smoke-test scale ({} s)\n\
+             \x20   -h, --help         print this help and exit\n\
+             \n\
+             fig6 only:\n\
              \x20   --backend SPEC     join-stage backend: seq (default),\n\
              \x20                      threads:N, pool:N, inproc:N,\n\
              \x20                      uds:PATH[,PATH…], tcp:ADDR[,ADDR…]\n\
@@ -95,18 +101,18 @@ impl Scale {
              \x20                      results are identical)\n\
              \x20   --metrics-out PATH write the final telemetry snapshot\n\
              \x20                      (quality gauges, latency histograms,\n\
-             \x20                      per-shard runtime) as JSON to PATH\n\
-             \x20   -h, --help         print this help and exit",
+             \x20                      per-shard runtime) as JSON to PATH",
             d.duration_secs,
             d.seed,
             Scale::quick().duration_secs
         )
     }
 
-    /// Parses the same flags from an explicit argument slice (testable).
-    /// Unknown arguments are ignored (binaries parse their own extra flags);
-    /// `--duration-secs` / `--seed` without a valid number are an error.
-    pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
+    /// Parses the same flags from an explicit argument slice (testable,
+    /// without the program name).  Each of `extra_flags` is skipped together
+    /// with its value; `--duration-secs` / `--seed` without a valid number
+    /// and any other argument are an error.
+    pub fn from_arg_slice(args: &[String], extra_flags: &[&str]) -> Result<Self, String> {
         let mut scale = Scale::default();
         let mut args = args.iter();
         while let Some(arg) = args.next() {
@@ -120,7 +126,10 @@ impl Scale {
                 "--quick" => scale = Scale::quick(),
                 "--duration-secs" => scale.duration_secs = number()?,
                 "--seed" => scale.seed = number()?,
-                _ => {}
+                flag if extra_flags.contains(&flag) => {
+                    args.next();
+                }
+                _ => return Err(format!("unknown argument `{arg}`")),
             }
         }
         Ok(scale)
@@ -180,6 +189,11 @@ pub fn parse_probe(spec: &str) -> Result<ProbeStrategy, String> {
         )),
     }
 }
+
+/// The value-taking flags read by [`backend_from_args`], [`probe_from_args`]
+/// and [`metrics_out_from_args`]: what a binary that calls them passes to
+/// [`Scale::from_args`] as its own.
+pub const SESSION_FLAGS: [&str; 3] = ["--backend", "--probe", "--metrics-out"];
 
 /// Reads `--probe SPEC` from the process arguments (default: auto); a
 /// malformed spec prints the error plus usage and exits.
@@ -504,29 +518,67 @@ mod tests {
         }
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
     #[test]
     fn scale_parsing() {
-        let d = Scale::from_arg_slice(&[]).unwrap();
+        let d = Scale::from_arg_slice(&[], &[]).unwrap();
         assert_eq!(d, Scale::default());
-        let q = Scale::from_arg_slice(&["--quick".into()]).unwrap();
+        let q = Scale::from_arg_slice(&strings(&["--quick"]), &[]).unwrap();
         assert_eq!(q, Scale::quick());
-        let custom = Scale::from_arg_slice(&[
-            "prog".into(),
-            "--duration-secs".into(),
-            "33".into(),
-            "--seed".into(),
-            "7".into(),
-            "--unknown".into(),
-        ])
-        .unwrap();
+        let custom =
+            Scale::from_arg_slice(&strings(&["--duration-secs", "33", "--seed", "7"]), &[])
+                .unwrap();
         assert_eq!(custom.duration_secs, 33);
         assert_eq!(custom.seed, 7);
     }
 
     #[test]
+    fn scale_parsing_rejects_unknown_arguments() {
+        for args in [
+            &["--unknown"][..],
+            // A misspelt flag must not silently run the 240 s default.
+            &["--duration-sec", "3"],
+            &["--seed", "7", "stray"],
+            // fig6's flags are unknown to every other binary.
+            &["--backend", "pool:2"],
+        ] {
+            let err = Scale::from_arg_slice(&strings(args), &[]).unwrap_err();
+            assert!(err.contains("unknown argument"), "{err}");
+        }
+        let err =
+            Scale::from_arg_slice(&strings(&["--probes", "auto"]), &SESSION_FLAGS).unwrap_err();
+        assert!(err.contains("`--probes`"), "{err}");
+    }
+
+    #[test]
+    fn scale_parsing_skips_the_callers_own_flags_and_their_values() {
+        let args = strings(&[
+            "--backend",
+            "pool:2",
+            "--seed",
+            "7",
+            "--probe",
+            "nested-loop",
+            "--metrics-out",
+            "--quick", // a path, however odd: not the flag
+        ]);
+        let scale = Scale::from_arg_slice(&args, &SESSION_FLAGS).unwrap();
+        assert_eq!(
+            scale,
+            Scale {
+                seed: 7,
+                ..Scale::default()
+            }
+        );
+    }
+
+    #[test]
     fn scale_parsing_rejects_missing_values() {
         for flag in ["--duration-secs", "--seed"] {
-            let err = Scale::from_arg_slice(&["prog".into(), flag.into()]).unwrap_err();
+            let err = Scale::from_arg_slice(&strings(&[flag]), &[]).unwrap_err();
             assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
         }
     }
@@ -540,7 +592,7 @@ mod tests {
             // The next flag is not a value: it must not be swallowed either.
             ("--seed", "--quick"),
         ] {
-            let err = Scale::from_arg_slice(&[flag.into(), value.into()]).unwrap_err();
+            let err = Scale::from_arg_slice(&strings(&[flag, value]), &[]).unwrap_err();
             assert!(err.contains(flag) && err.contains(value), "{err}");
         }
     }

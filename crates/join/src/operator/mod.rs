@@ -65,7 +65,7 @@ use crate::condition::{JoinCondition, ScanStructure};
 use crate::planner::{plan_scan, scan_columns, ProbePlan, ProbeStrategy};
 use crate::query::JoinQuery;
 use crate::result::JoinResult;
-use crate::window::Window;
+use crate::window::{squared_limit, Window};
 use mswj_types::{StreamIndex, Timestamp, Tuple};
 use std::sync::Arc;
 
@@ -77,6 +77,10 @@ pub struct MswjOperator {
     /// The typed-column scan a nested-loop plan runs instead of the
     /// tuple-at-a-time walk, when the condition has a scan structure.
     scan: Option<ScanStructure>,
+    /// [`squared_limit`] of a distance scan's threshold, computed once so a
+    /// probe compares squared distances and never takes a `sqrt` (NaN —
+    /// unread — without a distance scan).
+    distance_limit: f64,
     windows: Vec<Window>,
     /// The order in which indexed probes visit the other streams' windows
     /// (a permutation of `0..m`; own-stream entries are skipped per probe).
@@ -131,6 +135,10 @@ impl MswjOperator {
         let plan = ProbePlan::new(strategy, equi.as_ref());
         let m = query.arity();
         let scan = plan_scan(strategy, &plan, condition.scan_structure(), m);
+        let distance_limit = match &scan {
+            Some(ScanStructure::DistanceWithin { threshold, .. }) => squared_limit(*threshold),
+            _ => f64::NAN,
+        };
         let mut windows = Vec::with_capacity(m);
         for i in 0..m {
             let size = query.window(StreamIndex(i));
@@ -149,6 +157,7 @@ impl MswjOperator {
             condition,
             plan,
             scan,
+            distance_limit,
             windows,
             order: (0..m).collect(),
             on_t: Timestamp::ZERO,

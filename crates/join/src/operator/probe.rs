@@ -415,16 +415,12 @@ impl MswjOperator {
     /// The predicate a probing tuple of stream `i` imposes on the first
     /// window its scan visits: the other window of a distance join; for a
     /// band join, window 0 — or, when the probe *is* stream 0, every window.
-    fn probe_predicate(scan: &ScanStructure, i: usize, tuple: &Tuple) -> ScanPredicate {
+    fn probe_predicate(&self, scan: &ScanStructure, i: usize, tuple: &Tuple) -> ScanPredicate {
         match scan {
-            ScanStructure::DistanceWithin {
-                x_cols,
-                y_cols,
-                threshold,
-            } => ScanPredicate::Distance {
+            ScanStructure::DistanceWithin { x_cols, y_cols, .. } => ScanPredicate::Distance {
                 px: scan_image(tuple.value(x_cols[i])),
                 py: scan_image(tuple.value(y_cols[i])),
-                threshold: *threshold,
+                limit: self.distance_limit,
             },
             ScanStructure::Band { columns, band } => ScanPredicate::Band {
                 center: scan_image(tuple.value(columns[i])),
@@ -436,9 +432,14 @@ impl MswjOperator {
     /// Number of matching combinations for a probing tuple of stream `i`,
     /// computed without touching a window tuple or the heap.
     fn scan_count(&self, scan: &ScanStructure, i: usize, tuple: &Tuple) -> u64 {
-        match Self::probe_predicate(scan, i, tuple) {
+        match self.probe_predicate(scan, i, tuple) {
             pred @ ScanPredicate::Distance { .. } => self.windows[1 - i].scan(pred, |_, _| {}),
             ScanPredicate::Band { center, band } if i == 0 => self.band_product(i, center, band),
+            // Two streams: window 0's count has nothing to be multiplied
+            // with, so the scan stays a pure count (no visit pass).
+            pred @ ScanPredicate::Band { .. } if self.windows.len() == 2 => {
+                self.windows[0].scan(pred, |_, _| {})
+            }
             pred @ ScanPredicate::Band { band, .. } => {
                 let mut total = 0u64;
                 self.windows[0].scan(pred, |_, first| {
@@ -475,7 +476,7 @@ impl MswjOperator {
         tuple: &'a Tuple,
         f: &mut dyn FnMut(&[&'a Tuple]),
     ) {
-        let pred = Self::probe_predicate(scan, i, tuple);
+        let pred = self.probe_predicate(scan, i, tuple);
         with_slots(self.windows.len(), tuple, |slots| match pred {
             ScanPredicate::Distance { .. } => {
                 self.windows[1 - i].scan(pred, |row, _| {

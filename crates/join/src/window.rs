@@ -15,7 +15,7 @@
 //! column — a posting map (`key → live row ids`) plus a `ColZone` summary
 //! (numeric min/max of the column's values and live counts of the value
 //! classes a hash bucket cannot represent), and — per *scan column* — a
-//! `Vec<f64>` parallel to the arena (see *Scan columns and scan soundness*
+//! `Vec<f64>` in live order (see *Scan columns and scan soundness*
 //! below).  The back segment is the mutable *tail*: it absorbs in-order
 //! appends and slightly-late out-of-order inserts, and seals once its arena
 //! reaches the segment capacity.  Older segments only ever *lose* rows.
@@ -67,35 +67,45 @@
 //! predicate reads.  The tuples themselves still live in a row arena
 //! (`Vec<Tuple>`, each payload an `Arc<Vec<Value>>`): a generic `matches`
 //! walk chases one pointer and one enum tag per candidate.  A *scan column*
-//! removes that from non-equi probes: per segment, one `Vec<f64>` parallel
-//! to `rows` holding each row's [`Value::as_float`] image of that column,
-//! with **NaN as the sentinel** for values that have no image (`Null`,
-//! missing, string, boolean).  The scan entry point evaluates the
-//! distance or band predicate straight over those arrays and touches a
-//! `Tuple` only to hand out a match.
+//! removes that from non-equi probes: per segment, one `Vec<f64>` holding
+//! each live row's [`Value::as_float`] image of that column, with **NaN as
+//! the sentinel** for values that have no image (`Null`, missing, string,
+//! boolean).  The scan entry point evaluates the distance or band
+//! predicate straight over those arrays and touches a `Tuple` only to hand
+//! out a match.
+//!
+//! *Live order, always contiguous.*  A scan column is parallel to `order`
+//! positions, not to arena row ids: with `base = rows.len() - order.len()`,
+//! entry `base + p` is the image of `rows[order[p]]`, so every segment —
+//! sealed or tail, with or without late rows — scans as the one slice
+//! `column[base..]` in timestamp order.  An append pushes, expiry pops
+//! `order`'s front and thereby advances `base` for free (the entries before
+//! `base` are dead), and a late insert at live position `pos` is a
+//! `Vec::insert` at `base + pos`: one `memmove` of at most a segment's
+//! capacity of `f64`s per scan column (≤ 8 KiB at the default 1024), the
+//! complexity class of the `order.insert` beside it.
 //!
 //! *The NaN sentinel is sound* because the scan predicates are written so
 //! that NaN fails them exactly as a missing image does: `matches` returns
 //! `false` when any image is missing, and a NaN operand propagates through
-//! `-`, `*`, `+`, `sqrt` and `abs` into a final `<` / `<=` that is `false`
-//! for NaN.  A genuine `Float(NaN)` attribute takes the same route in
-//! `matches` itself, so the sentinel cannot be told apart from the one
-//! value it collides with.  Everything else is image-for-image the
-//! computation `matches` performs — same operands, same IEEE operations,
-//! no algebraic rewrite — so the kernel's verdicts are bit-identical, not
-//! merely close.  (The operand order of a difference may be mirrored:
-//! `a - b == -(b - a)` exactly, and squaring or `abs` erases the sign.)
-//!
-//! *The arena-order flag.*  A segment's live rows in timestamp order are
-//! `order` mapped through the arena.  While every insert was an append,
-//! `order` is exactly the ascending run `rows.len() - order.len() ..
-//! rows.len()` — the live rows are the arena's suffix — and the kernel scans
-//! contiguous slices the compiler can vectorise.  Expiry pops `order`'s
-//! front, which only advances the slice start.  An out-of-order insert puts
-//! the newest row id in the middle of `order` and breaks the run; the
-//! segment then counts its *out-of-place* positions (`order[p] != base +
-//! p`), so the flag — "that count is zero" — comes back the moment the last
-//! late row expires, and the kernel gathers through `order` meanwhile.
+//! `-`, `*`, `+` and `abs` into a final `<` / `<=` that is `false` for NaN.
+//! A genuine `Float(NaN)` attribute takes the same route in `matches`
+//! itself, so the sentinel cannot be told apart from the one value it
+//! collides with.  Everything else is image-for-image the computation
+//! `matches` performs — same operands, same IEEE operations — with exactly
+//! one rewrite: the distance test `s.sqrt() < t` over `s = dx² + dy²` is
+//! evaluated as `s < squared_limit(t)`.  IEEE `sqrt` is correctly rounded,
+//! hence monotone, so `{s ≥ 0 : s.sqrt() < t}` is a down-set of the
+//! non-negative floats and `squared_limit` — the smallest `f64` whose
+//! `sqrt` reaches `t` — is its exact boundary: `s < limit` implies
+//! `s.sqrt() < t` by minimality, `s ≥ limit` implies `s.sqrt() ≥
+//! limit.sqrt() ≥ t` by monotonicity.  `s` is a sum of squares, so it is
+//! never negative; a NaN `s` fails both forms, a NaN threshold has a NaN
+//! limit, `t ≤ 0` (`-∞` included) admits nothing and has limit `0`, and
+//! `t = +∞` has limit `+∞` (`s = +∞` fails both).  The kernel's verdicts are
+//! therefore bit-identical, not merely close.  (The operand order of a
+//! difference may be mirrored: `a - b == -(b - a)` exactly, and squaring or
+//! `abs` erases the sign.)
 //!
 //! The `ScanStructure` exactness contract is what makes all of this an
 //! access-path choice: the structure must describe `matches` exactly (see
@@ -149,25 +159,17 @@ type KeyMap<V> = HashMap<i64, V, BuildHasherDefault<KeyHasher>>;
 /// Rows a tail segment's arena absorbs before it seals.
 const DEFAULT_SEGMENT_CAPACITY: usize = 1024;
 
-/// Process-wide default segment capacity; 0 until first resolved.
+/// Process-wide default segment capacity; 0 until overridden.
 static SEGMENT_CAPACITY: AtomicUsize = AtomicUsize::new(0);
 
 /// Resolves the default segment capacity: an explicit
-/// [`set_default_segment_capacity`] call wins, then the
-/// `MSWJ_SEGMENT_CAPACITY` environment variable, then
+/// [`set_default_segment_capacity`] call wins over
 /// [`DEFAULT_SEGMENT_CAPACITY`].
 fn default_segment_capacity() -> usize {
-    let cap = SEGMENT_CAPACITY.load(Ordering::Relaxed);
-    if cap != 0 {
-        return cap;
+    match SEGMENT_CAPACITY.load(Ordering::Relaxed) {
+        0 => DEFAULT_SEGMENT_CAPACITY,
+        cap => cap,
     }
-    let cap = std::env::var("MSWJ_SEGMENT_CAPACITY")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&c| c >= 2)
-        .unwrap_or(DEFAULT_SEGMENT_CAPACITY);
-    SEGMENT_CAPACITY.store(cap, Ordering::Relaxed);
-    cap
 }
 
 /// Overrides the segment capacity used by every subsequently created
@@ -255,15 +257,16 @@ pub(crate) fn scan_image(v: Option<&Value>) -> f64 {
 /// [`planner::scan_columns`](crate::planner::scan_columns).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ScanPredicate {
-    /// `((px - x)² + (py - y)²).sqrt() < threshold` over scan columns 0
-    /// (`x`) and 1 (`y`).
+    /// `(px - x)² + (py - y)² < limit` over scan columns 0 (`x`) and 1
+    /// (`y`): the distance test `….sqrt() < threshold`, exactly, when
+    /// `limit` is [`squared_limit`]`(threshold)`.
     Distance {
         /// The probing side's x image.
         px: f64,
         /// The probing side's y image.
         py: f64,
-        /// Exclusive distance threshold.
-        threshold: f64,
+        /// Exclusive bound on the squared distance.
+        limit: f64,
     },
     /// `(v - center).abs() <= band` over scan column 0.
     Band {
@@ -272,6 +275,26 @@ pub(crate) enum ScanPredicate {
         /// Inclusive band width.
         band: f64,
     },
+}
+
+/// The smallest `f64` whose `sqrt` is `>= threshold`, so that for every
+/// non-negative or NaN `s`, `s.sqrt() < threshold` exactly when
+/// `s < squared_limit(threshold)` — see *Scan columns and scan soundness*
+/// in the module docs.  NaN maps to NaN, `threshold <= 0` to `0.0` and
+/// `+∞` to `+∞`; otherwise the boundary sits within a few ulps of
+/// `threshold * threshold`, where the search starts.
+pub(crate) fn squared_limit(threshold: f64) -> f64 {
+    if threshold <= 0.0 {
+        return 0.0;
+    }
+    let mut limit = threshold * threshold;
+    while limit.sqrt() < threshold {
+        limit = limit.next_up();
+    }
+    while limit.next_down().sqrt() >= threshold {
+        limit = limit.next_down();
+    }
+    limit
 }
 
 /// Zone summary of one indexed column within one segment.
@@ -329,27 +352,13 @@ struct Segment {
     postings: Vec<KeyMap<VecDeque<u32>>>,
     /// Per indexed column zone summary.
     zones: Vec<ColZone>,
-    /// Per scan column (parallel to `Window::scan_cols`): the
-    /// [`scan_image`] of every arena row, parallel to `rows`.
+    /// Per scan column (parallel to `Window::scan_cols`): `rows.len()`
+    /// entries whose suffix from `base = rows.len() - order.len()` is the
+    /// [`scan_image`] of the live rows in `order`'s order — entry `base + p`
+    /// images `rows[order[p]]`; the entries before `base` are dead.
     scan: Vec<Vec<f64>>,
-    /// Number of positions `p` with `order[p] != base + p`, where `base =
-    /// rows.len() - order.len()`.  Zero — the *arena-order flag* — means the
-    /// live rows are the arena suffix `rows[base..]` in timestamp order.
-    /// Maintained only while the segment has scan columns (nothing else
-    /// reads it, and a late insert pays a recount for it); zero otherwise.
-    out_of_place: u32,
     /// Estimated heap bytes of the live rows, scan-column entries included.
     live_bytes: u64,
-}
-
-/// Number of positions `p >= from` of `order` that do not hold row id
-/// `base + p`.
-fn out_of_place_from(order: &VecDeque<u32>, base: usize, from: usize) -> u32 {
-    order
-        .range(from..)
-        .zip(base + from..)
-        .filter(|&(&rid, want)| rid as usize != want)
-        .count() as u32
 }
 
 /// Inserts `rid` into a timestamp-ordered id deque, searching from the back
@@ -374,7 +383,6 @@ impl Segment {
             postings: vec![KeyMap::default(); n],
             zones: vec![ColZone::default(); n],
             scan: vec![Vec::new(); n_scan],
-            out_of_place: 0,
             live_bytes: 0,
         }
     }
@@ -453,48 +461,33 @@ impl Segment {
                 }
             }
         }
-        for (column, &col) in self.scan.iter_mut().zip(scan_cols) {
-            column.push(scan_image(tuple.value(col)));
-        }
         let mut pos = self.order.len();
         while pos > 0 && self.rows[self.order[pos - 1] as usize].ts > tuple.ts {
             pos -= 1;
         }
+        for (column, &col) in self.scan.iter_mut().zip(scan_cols) {
+            // Live position `pos` is entry `base + pos`: a push for an
+            // append, a shift of the later images for a late row.
+            let base = column.len() - self.order.len();
+            column.insert(base + pos, scan_image(tuple.value(col)));
+        }
         self.live_bytes += self.row_bytes(&tuple);
         self.rows.push(tuple);
         if pos == self.order.len() {
-            // The new id is `base + pos`: in place by construction.
             self.order.push_back(rid);
-        } else if self.scan.is_empty() {
-            self.order.insert(pos, rid);
         } else {
-            // A late row shifts every later position by one: recount them.
-            // `base` is the same before and after the insert — arena and
-            // order both grow by one.
-            let base = self.rows.len() - 1 - self.order.len();
-            self.out_of_place -= out_of_place_from(&self.order, base, pos);
             self.order.insert(pos, rid);
-            self.out_of_place += out_of_place_from(&self.order, base, pos);
         }
-    }
-
-    /// Pops the oldest live row id, keeping the arena-order flag exact: the
-    /// survivors keep their offsets from the (advanced) base, so only the
-    /// popped position leaves the out-of-place count.
-    fn pop_front(&mut self) -> Option<u32> {
-        let base = self.rows.len() - self.order.len();
-        let rid = self.order.pop_front()?;
-        if !self.scan.is_empty() && rid as usize != base {
-            self.out_of_place -= 1;
-        }
-        Some(rid)
     }
 
     /// Evaluates `test` over scan columns `a` and `b` of the live rows in
     /// timestamp order, calling `visit` with each passing row and its
-    /// column-`a` image; returns the number of passing rows.  Scans the
-    /// arena suffix as contiguous slices while the arena-order flag holds
-    /// and gathers through `order` otherwise.
+    /// column-`a` image; returns the number of passing rows.
+    ///
+    /// Counting is a pure reduction over the two live slices — no
+    /// per-row branch, so it vectorises — and the hits are walked (and
+    /// re-tested) for `visit` only when there are any, through accessors
+    /// that cannot panic, so a no-op `visit` leaves nothing of that walk.
     fn scan_with<'a>(
         &'a self,
         a: usize,
@@ -502,27 +495,19 @@ impl Segment {
         test: impl Fn(f64, f64) -> bool,
         visit: &mut impl FnMut(&'a Tuple, f64),
     ) -> u64 {
-        let (xs, ys) = (self.scan[a].as_slice(), self.scan[b].as_slice());
-        let mut hits = 0u64;
-        if self.out_of_place == 0 {
-            let base = self.rows.len() - self.order.len();
-            let live = self.rows[base..].iter().zip(&xs[base..]).zip(&ys[base..]);
-            for ((row, &x), &y) in live {
+        let base = self.rows.len() - self.order.len();
+        let (xs, ys) = (&self.scan[a][base..], &self.scan[b][base..]);
+        let hits = xs.iter().zip(ys).filter(|&(&x, &y)| test(x, y)).count();
+        if hits > 0 {
+            for ((&rid, &x), &y) in self.order.iter().zip(xs).zip(ys) {
                 if test(x, y) {
-                    hits += 1;
-                    visit(row, x);
-                }
-            }
-        } else {
-            for &rid in &self.order {
-                let r = rid as usize;
-                if test(xs[r], ys[r]) {
-                    hits += 1;
-                    visit(&self.rows[r], xs[r]);
+                    if let Some(row) = self.rows.get(rid as usize) {
+                        visit(row, x);
+                    }
                 }
             }
         }
-        hits
+        hits as u64
     }
 
     /// Empties the segment, retaining every buffer's capacity (the spare
@@ -539,7 +524,6 @@ impl Segment {
         for column in &mut self.scan {
             column.clear();
         }
-        self.out_of_place = 0;
         self.live_bytes = 0;
     }
 
@@ -843,7 +827,7 @@ impl Window {
             if seg.rows[rid as usize].ts >= bound {
                 break;
             }
-            seg.pop_front();
+            seg.order.pop_front();
             let t = &seg.rows[rid as usize];
             seg.live_bytes = seg.live_bytes.saturating_sub(seg.row_bytes(t));
             for (ci, &col) in cols.iter().enumerate() {
@@ -1117,13 +1101,13 @@ impl Window {
         let mut hits = 0u64;
         for seg in &self.segments {
             hits += match pred {
-                ScanPredicate::Distance { px, py, threshold } => seg.scan_with(
+                ScanPredicate::Distance { px, py, limit } => seg.scan_with(
                     0,
                     1,
                     |x, y| {
                         let dx = px - x;
                         let dy = py - y;
-                        (dx * dx + dy * dy).sqrt() < threshold
+                        dx * dx + dy * dy < limit
                     },
                     &mut visit,
                 ),
@@ -1135,10 +1119,10 @@ impl Window {
         hits
     }
 
-    /// Checks the scan-column invariants the kernel relies on — every scan
-    /// column equals the NaN-sentinel image of its segment's `rows`, and
-    /// the arena-order flag holds exactly when `order` is the ascending run
-    /// over the arena suffix — and describes the first violation.
+    /// Checks the scan-column invariant the kernel relies on — every scan
+    /// column has one entry per arena row, and its suffix from `base =
+    /// rows.len() - order.len()` is, bit for bit, the NaN-sentinel image of
+    /// the live rows in timestamp order — and describes the first violation.
     ///
     /// A test hook for `tests/segment_properties.rs`, not part of the API.
     #[doc(hidden)]
@@ -1147,32 +1131,16 @@ impl Window {
             if seg.scan.len() != self.scan_cols.len() {
                 return Err(format!("segment {si}: {} scan columns", seg.scan.len()));
             }
+            let base = seg.rows.len() - seg.order.len();
             for (column, &col) in seg.scan.iter().zip(&self.scan_cols) {
-                let image = seg.rows.iter().map(|t| scan_image(t.value(col)));
-                let same = column.len() == seg.rows.len()
-                    && column
-                        .iter()
-                        .zip(image)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if !same {
+                let image = seg.live().map(|t| scan_image(t.value(col)).to_bits());
+                if column.len() != seg.rows.len()
+                    || !column[base..].iter().map(|v| v.to_bits()).eq(image)
+                {
                     return Err(format!(
-                        "segment {si}: scan column {col} is not the row image"
+                        "segment {si}: scan column {col} is not the live-order row image"
                     ));
                 }
-            }
-            let base = seg.rows.len() - seg.order.len();
-            let is_run = seg
-                .order
-                .iter()
-                .map(|&r| r as usize)
-                .eq(base..seg.rows.len());
-            // Segments without scan columns do not track the flag.
-            if !seg.scan.is_empty() && is_run != (seg.out_of_place == 0) {
-                return Err(format!(
-                    "segment {si}: arena-order flag {} but order is{} the suffix run",
-                    seg.out_of_place == 0,
-                    if is_run { "" } else { " not" }
-                ));
             }
         }
         Ok(())
@@ -1654,6 +1622,20 @@ mod tests {
         }
     }
 
+    /// The band predicate evaluated the way `BandJoin::matches` does.
+    fn within(t: &Tuple, center: f64, band: f64) -> bool {
+        let image = t.value(1).and_then(Value::as_float);
+        image.is_some_and(|v| (v - center).abs() <= band)
+    }
+
+    fn distance(px: f64, py: f64, threshold: f64) -> ScanPredicate {
+        ScanPredicate::Distance {
+            px,
+            py,
+            limit: squared_limit(threshold),
+        }
+    }
+
     fn scan_seqs(w: &Window, pred: ScanPredicate) -> Vec<u64> {
         let mut seqs = Vec::new();
         let hits = w.scan(pred, |t, _| seqs.push(t.seq));
@@ -1661,14 +1643,107 @@ mod tests {
         seqs
     }
 
+    /// Asserts the live-order invariant, and that distance and band scans
+    /// are the `iter()` + `matches` walk, verdict for verdict and in order.
+    fn assert_scan_is_the_walk(w: &Window) {
+        assert_eq!(w.check_scan_invariants(), Ok(()));
+        for threshold in [5.0, 5.000001, 0.5, 0.0, f64::INFINITY, f64::NAN] {
+            for (px, py) in [(1.0, 1.0), (f64::NAN, 1.0), (0.0, -0.0)] {
+                let walk: Vec<u64> = w
+                    .iter()
+                    .filter(|t| near(t, px, py, threshold))
+                    .map(|t| t.seq)
+                    .collect();
+                assert_eq!(
+                    scan_seqs(w, distance(px, py, threshold)),
+                    walk,
+                    "threshold {threshold} at ({px}, {py})"
+                );
+            }
+        }
+        for (center, band) in [(2.0, 1.0), (0.0, 0.0), (f64::NAN, 1.0), (3.0, f64::NAN)] {
+            let walk: Vec<u64> = w
+                .iter()
+                .filter(|t| within(t, center, band))
+                .map(|t| t.seq)
+                .collect();
+            let pred = ScanPredicate::Band { center, band };
+            assert_eq!(scan_seqs(w, pred), walk, "band {band} around {center}");
+        }
+    }
+
     #[test]
-    fn scan_matches_the_tuple_walk_on_slices_and_gathers() {
+    fn squared_limit_is_the_exact_boundary_of_the_sqrt_test() {
+        fn step(mut v: f64, by: i32) -> f64 {
+            for _ in 0..by.abs() {
+                v = if by > 0 { v.next_up() } else { v.next_down() };
+            }
+            v
+        }
+        let mut thresholds = vec![
+            f64::NAN,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-162,
+            1.3407807929942596e154,
+            1.3407807929942597e154,
+            1e200,
+            0.1,
+            2.5,
+            3.0,
+            5.0,
+        ];
+        let mut state = 0x5EED_5EED_5EED_5EEDu64;
+        thresholds.extend((0..100_000).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            f64::from_bits(state)
+        }));
+        let mut boundaries = 0usize;
+        for t in thresholds {
+            let limit = squared_limit(t);
+            let square = t * t;
+            if t > 0.0 {
+                // Non-negative floats order like their bit patterns, +∞
+                // included, so this is the number of steps the search took.
+                let steps = limit.to_bits().abs_diff(square.to_bits());
+                assert!(steps <= 8, "threshold {t:e}: {steps} steps to {limit:e}");
+                assert!(limit.sqrt() >= t && limit.next_down().sqrt() < t);
+                boundaries += 1;
+            }
+            let fixed = [0.0, 5e-324, square, f64::MAX, f64::INFINITY, f64::NAN];
+            let near_limit = (-4..=4).map(|by| step(limit, by));
+            let near_square = (-4..=4).map(|by| step(square, by));
+            for s in fixed.into_iter().chain(near_limit).chain(near_square) {
+                // A sum of squares is never negative (nor -0.0).
+                if s.is_sign_negative() && !s.is_nan() {
+                    continue;
+                }
+                assert_eq!(
+                    s.sqrt() < t,
+                    s < limit,
+                    "threshold {t:e} (limit {limit:e}) at s = {s:e}"
+                );
+            }
+        }
+        assert!(boundaries > 40_000, "random patterns must hit positive t");
+    }
+
+    #[test]
+    fn scan_matches_the_tuple_walk_over_every_value_class() {
         let mut w = Window::with_columns(10_000, &[], &[1, 2], 4);
         let rows = [
             (100, Value::Float(1.0), Value::Float(1.0)),
             (200, Value::Int(4), Value::Int(5)), // exactly 5 away from (1, 1)
             (300, Value::Float(f64::NAN), Value::Float(1.0)),
-            (150, Value::Float(2.0), Value::Float(2.0)), // late: gather path
+            (150, Value::Float(2.0), Value::Float(2.0)), // late
             (400, Value::Null, Value::Float(1.0)),
             (500, Value::Str("x".into()), Value::Bool(true)),
             (600, Value::Float(-0.0), Value::Float(0.0)),
@@ -1686,36 +1761,9 @@ mod tests {
             vec![Value::Int(9)],
         ));
         assert!(w.stats().segments > 1);
-        assert_eq!(w.check_scan_invariants(), Ok(()));
-        let flags: Vec<bool> = w.segments.iter().map(|s| s.out_of_place == 0).collect();
-        assert!(
-            flags.contains(&true) && flags.contains(&false),
-            "the workload must exercise both scan paths, flags {flags:?}"
-        );
-        for threshold in [5.0, 5.000001, 0.5, f64::NAN] {
-            for (px, py) in [(1.0, 1.0), (f64::NAN, 1.0), (0.0, -0.0)] {
-                let pred = ScanPredicate::Distance { px, py, threshold };
-                let walk: Vec<u64> = w
-                    .iter()
-                    .filter(|t| near(t, px, py, threshold))
-                    .map(|t| t.seq)
-                    .collect();
-                assert_eq!(
-                    scan_seqs(&w, pred),
-                    walk,
-                    "threshold {threshold} at ({px}, {py})"
-                );
-            }
-        }
+        assert_scan_is_the_walk(&w);
         assert_eq!(
-            scan_seqs(
-                &w,
-                ScanPredicate::Distance {
-                    px: 1.0,
-                    py: 1.0,
-                    threshold: 5.0
-                }
-            ),
+            scan_seqs(&w, distance(1.0, 1.0, 5.0)),
             vec![0, 3, 6, 8],
             "the pair exactly at the threshold stays out"
         );
@@ -1727,44 +1775,66 @@ mod tests {
         assert_eq!(scan_seqs(&w, band), vec![0, 3, 8]);
         // Expiry and surgery keep the columns aligned with the rows.
         w.expire_before(Timestamp::from_millis(160));
-        assert_eq!(w.check_scan_invariants(), Ok(()));
+        assert_scan_is_the_walk(&w);
         assert_eq!(scan_seqs(&w, band), vec![8]);
         w.retain_where(|t| t.seq != 8);
-        assert_eq!(w.check_scan_invariants(), Ok(()));
+        assert_scan_is_the_walk(&w);
         assert_eq!(scan_seqs(&w, band), Vec::<u64>::new());
     }
 
     #[test]
-    fn arena_order_flag_clears_on_a_late_row_and_returns_when_it_expires() {
-        let mut w = Window::with_columns(10_000, &[], &[1, 2], 1024);
-        let at = |w: &mut Window, seq: u64, ts: u64| {
-            w.insert(point(seq, ts, Value::Float(ts as f64), Value::Float(0.0)));
-            assert_eq!(w.check_scan_invariants(), Ok(()));
-        };
-        let flag = |w: &Window| w.segments[0].out_of_place == 0;
-        at(&mut w, 0, 100);
-        at(&mut w, 1, 300);
-        at(&mut w, 2, 500);
-        assert!(flag(&w), "appends keep arena order");
-        at(&mut w, 3, 200); // late: lands between rows 0 and 1
-        assert!(!flag(&w), "a late row breaks the run");
-        at(&mut w, 4, 600);
-        assert!(!flag(&w), "appends do not repair it");
-        // Expiring row 0 leaves [3, 1, 2, 4]: still out of order.
-        w.expire_before(Timestamp::from_millis(150));
-        assert_eq!(w.check_scan_invariants(), Ok(()));
-        assert!(!flag(&w));
-        // Expiring the late row leaves [1, 2, 4] — ascending, but row 3
-        // sits dead between them, so the live rows are not a slice.
-        w.expire_before(Timestamp::from_millis(250));
-        assert_eq!(w.check_scan_invariants(), Ok(()));
-        assert!(!flag(&w), "a dead row inside the run keeps the gather path");
-        // Once the rows before the gap are gone, [4] is the arena suffix.
-        w.expire_before(Timestamp::from_millis(550));
-        assert_eq!(w.check_scan_invariants(), Ok(()));
-        assert!(flag(&w), "the flag returns with the last displaced row");
-        at(&mut w, 5, 700);
-        assert!(flag(&w));
+    fn scan_columns_stay_in_live_order_under_late_inserts_expiry_and_surgery() {
+        // Rows on a half-unit diagonal, so every row has its own verdicts.
+        fn feed(w: &mut Window, seq: u64, ts: u64) {
+            let at = seq as f64 * 0.5;
+            w.insert(point(seq, ts, Value::Float(at), Value::Float(at - 1.0)));
+            assert_scan_is_the_walk(w);
+        }
+        let seqs = |w: &Window| w.iter().map(|t| t.seq).collect::<Vec<_>>();
+        for capacity in [4, 1024] {
+            // A fully reversed feed: every insert after the first is late.
+            let mut w = Window::with_columns(10_000, &[], &[1, 2], capacity);
+            for seq in 0..12u64 {
+                feed(&mut w, seq, 1_200 - 100 * seq);
+            }
+            assert_eq!(seqs(&w), (0..12).rev().collect::<Vec<_>>());
+            assert_eq!(w.stats().unordered_inserts, 11);
+
+            // Late rows into a sealed front segment, with expiry in between:
+            // the dead prefix grows while the live suffix keeps shifting.
+            let mut w = Window::with_columns(10_000, &[], &[1, 2], capacity);
+            for seq in 0..12u64 {
+                feed(&mut w, seq, 100 * (seq + 1));
+            }
+            assert_eq!(w.stats().segments > 1, capacity == 4);
+            feed(&mut w, 12, 250);
+            feed(&mut w, 13, 150);
+            assert_eq!(w.expire_before(Timestamp::from_millis(200)), 2);
+            assert_scan_is_the_walk(&w);
+            feed(&mut w, 14, 350);
+            feed(&mut w, 15, 200); // older than every live row of the front
+            assert_eq!(w.expire_before(Timestamp::from_millis(260)), 3);
+            assert_scan_is_the_walk(&w);
+            feed(&mut w, 16, 1_150);
+            assert_eq!(seqs(&w), vec![2, 14, 3, 4, 5, 6, 7, 8, 9, 10, 16, 11]);
+
+            // Surgery rebuilds segments that hold late rows, in live order.
+            assert_eq!(w.retain_where(|t| t.seq % 3 != 0), 3);
+            assert_scan_is_the_walk(&w);
+            assert_eq!(seqs(&w), vec![2, 14, 4, 5, 7, 8, 10, 16, 11]);
+            feed(&mut w, 17, 450);
+
+            // Duplicate timestamps: ties keep insertion order, appended or
+            // late, and the columns follow.
+            let mut w = Window::with_columns(10_000, &[], &[1, 2], capacity);
+            for (seq, ts) in [100, 300, 300, 200, 300, 200, 100, 400, 300]
+                .into_iter()
+                .enumerate()
+            {
+                feed(&mut w, seq as u64, ts);
+            }
+            assert_eq!(seqs(&w), vec![0, 6, 3, 5, 1, 2, 4, 8, 7]);
+        }
     }
 
     #[test]

@@ -1,21 +1,35 @@
 #!/usr/bin/env python3
 """Diff two `--all` benchmark snapshots against the bounds in BENCHMARK.json.
 
-    scripts/bench_diff.py BENCH_17.parent.json BENCH_17.json
+    scripts/bench_diff.py                      # the newest committed pair
+    scripts/bench_diff.py A.json B.json        # any two snapshots
 
-Prints every workload x end-to-end metric as `B / A = ratio` (A is the base)
-and exits 1 when a metric of B is worse than A by more than its declared
-bound, when a run is not `correct`, or when a larger share of operations
-failed.  No timing happens here: CI runs it on committed snapshots.
+Without arguments, diffs the highest-numbered `BENCH_<n>.parent.json` /
+`BENCH_<n>.json` pair in the repository root.  Prints every workload x
+end-to-end metric as `B / A = ratio` (A is the base) and exits 1 when a
+metric of B is worse than A by more than its declared bound, when a run is
+not `correct`, or when a larger share of operations failed.  No timing
+happens here: CI runs it on committed snapshots.
 """
 import json
 import pathlib
+import re
 import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def newest_pair():
+    """The `BENCH_<n>` pair with the largest n whose two files both exist."""
+    numbers = (re.fullmatch(r"BENCH_(\d+)\.parent\.json", p.name) for p in ROOT.iterdir())
+    for n in sorted((int(m.group(1)) for m in numbers if m), reverse=True):
+        if (ROOT / f"BENCH_{n}.json").exists():
+            return str(ROOT / f"BENCH_{n}.parent.json"), str(ROOT / f"BENCH_{n}.json")
+    sys.exit("no BENCH_<n>.parent.json / BENCH_<n>.json pair in " + str(ROOT))
 
 
 def main(a_path, b_path):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    manifest = json.loads((root / "BENCHMARK.json").read_text())
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     a, b = (json.loads(pathlib.Path(p).read_text())["workloads"] for p in (a_path, b_path))
     print(f"base A = {a_path}, B = {b_path}")
     bad = []
@@ -43,6 +57,6 @@ def main(a_path, b_path):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    if len(sys.argv) not in (1, 3):
         sys.exit(__doc__)
-    sys.exit(main(sys.argv[1], sys.argv[2]))
+    sys.exit(main(*(sys.argv[1:] or newest_pair())))

@@ -1,7 +1,7 @@
 //! The typed-column scan differential suite with the segment capacity
 //! forced to 4: windows span many small segments, so scans constantly cross
-//! seal/drop boundaries, late rows land in sealed segments (gather path)
-//! and recycled spares carry their scan columns along.
+//! seal/drop boundaries, late rows land in sealed segments (shifting their
+//! live-order scan columns) and recycled spares carry their columns along.
 //!
 //! Its own test binary on purpose, like `segment_boundary.rs`:
 //! [`set_default_segment_capacity`] is process-wide.  Both tests set the

@@ -305,7 +305,11 @@ pub fn distance_workloads() {
         let mut rng = StdRng::seed_from_u64(0xD157 + case as u64);
         let window = rng.gen_range(300u64..1_200);
         // 5 is hit exactly by (3, 4) offsets on the grid; 2.5 by (1.5, 2).
-        let threshold = [5.0, 2.5, 3.0][case % 3];
+        // The kernel compares squared distances against a precomputed
+        // limit: 0.1 has no representable square, and the degenerate
+        // thresholds pin the limit's special cases against `matches`.
+        const THRESHOLDS: [f64; 8] = [5.0, 2.5, 3.0, 0.1, 0.0, -1.0, f64::INFINITY, f64::NAN];
+        let threshold = THRESHOLDS[case % THRESHOLDS.len()];
         let query = distance_query(window, threshold);
         let policy = policy_for(case, &mut rng);
         let events = gen_events(&mut rng, 2, 90, 300, 2, 9);
@@ -320,7 +324,10 @@ pub fn distance_workloads() {
                 );
                 if let (Some(x0), Some(y0), Some(x1), Some(y1)) = coords {
                     let (dx, dy) = (x0 - x1, y0 - y1);
-                    at_threshold += ((dx * dx + dy * dy).sqrt() == threshold) as usize;
+                    // Finite thresholds only: `∞ == ∞` would satisfy the
+                    // assertion below without probing a boundary.
+                    let dist = (dx * dx + dy * dy).sqrt();
+                    at_threshold += (threshold.is_finite() && dist == threshold) as usize;
                 }
             }
         }

@@ -183,12 +183,12 @@ proptest! {
         }
     }
 
-    /// Scan columns are an exact typed mirror of the row arena: after any
-    /// interleaving of in-order and late inserts, expiry and surgery, every
-    /// scan column equals the NaN-sentinel image of its segment's `rows`,
-    /// and the arena-order flag is set exactly when `order` is the ascending
-    /// run over the arena suffix (so late rows clear it and their expiry
-    /// restores it).  A band-join operator is the public way to get windows
+    /// Scan columns are an exact typed mirror of the live rows, in live
+    /// order: after any interleaving of in-order and late inserts, expiry
+    /// and surgery, every scan column has one entry per arena row and its
+    /// suffix past the expired rows is, bit for bit, the NaN-sentinel image
+    /// of the segment's live rows in timestamp order — whatever order they
+    /// arrived in.  A band-join operator is the public way to get windows
     /// with a scan column: `adopt` inserts, a probing push of the other
     /// stream expires, `evict_where` is `retain_where`.
     #[test]
@@ -206,8 +206,8 @@ proptest! {
         let mut op = MswjOperator::new(JoinQuery::new("scan-props", streams, cond).unwrap());
         // The generated timestamps are uniform; read them as lateness on a
         // steadily advancing clock instead, so that most inserts append, a
-        // quarter land late, and expiry keeps catching up with the late
-        // rows — every flag transition occurs.
+        // quarter land late (shifting the images behind them), and expiry
+        // keeps catching up with the late rows.
         let (mut seq, mut clock) = (0u64, 1_000u64);
         for o in ops {
             clock += 7;

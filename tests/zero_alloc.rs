@@ -309,6 +309,27 @@ fn indexed_probe_path_reuses_buckets_without_allocating() {
     assert_eq!(stats.indexed_probes, stats.in_order);
 }
 
+/// One position report per millisecond on alternating streams, `late` ms
+/// behind the clock.  Both teams walk the same diagonal, a few metres
+/// apart: roughly half of each 50-row window lies within a 5 m threshold.
+fn position(t: u64, late: u64) -> ArrivalEvent {
+    let stream = (t % 2) as usize;
+    let at = (t % 20) as f64 * 0.5 + stream as f64;
+    let values = vec![Value::Int(t as i64), Value::Float(at), Value::Float(at)];
+    let ts = Timestamp::from_millis(t - late);
+    ArrivalEvent::new(
+        Timestamp::from_millis(t),
+        Tuple::new(stream.into(), t, ts, values),
+    )
+}
+
+/// [`position`] with one arrival in eight 20 ms late: without K-slack it
+/// reaches the operator out of order and lands mid-segment, shifting the
+/// scan-column images behind it — a `Vec::insert` within warmed capacity.
+fn position_with_late(t: u64) -> ArrivalEvent {
+    position(t, if t.is_multiple_of(8) { 20 } else { 0 })
+}
+
 #[test]
 fn distance_scan_kernel_does_not_allocate_per_event() {
     // A non-equi session: every in-order arrival scans the opposite window
@@ -320,35 +341,65 @@ fn distance_scan_kernel_does_not_allocate_per_event() {
     let query = q2_query(100, 5.0);
     let mut pipeline = mswj::session().query(query).no_k_slack().build().unwrap();
     assert!(!pipeline.probe_plan().is_indexed());
-    let position = |t: u64| {
-        let stream = (t % 2) as usize;
-        let ts = Timestamp::from_millis(t);
-        // Both teams walk the same diagonal, a few metres apart: roughly
-        // half of each 50-row window lies within the 5 m threshold.
-        let at = (t % 20) as f64 * 0.5 + stream as f64;
-        let values = vec![Value::Int(t as i64), Value::Float(at), Value::Float(at)];
-        ArrivalEvent::new(ts, Tuple::new(stream.into(), t, ts, values))
-    };
-    let warmup: Vec<ArrivalEvent> = (1..400u64).map(position).collect();
-    let measured: Vec<ArrivalEvent> = (400..800u64).map(position).collect();
-    let n = measured.len() as u64;
+    let warmup: Vec<ArrivalEvent> = (1..400u64).map(|t| position(t, 0)).collect();
+    let in_order: Vec<ArrivalEvent> = (400..600u64).map(|t| position(t, 0)).collect();
+    let with_late: Vec<ArrivalEvent> = (600..800u64).map(position_with_late).collect();
     for e in warmup {
         pipeline.push(e);
     }
-    let before = allocations();
-    for e in measured {
-        pipeline.push(e);
+    for (phase, events) in [("in-order", in_order), ("late-insert", with_late)] {
+        let n = events.len() as u64;
+        let before = allocations();
+        for e in events {
+            pipeline.push(e);
+        }
+        let during = allocations() - before;
+        assert!(
+            during <= n / 8,
+            "distance scan path allocated {during} times for {n} {phase} events"
+        );
     }
-    let during = allocations() - before;
-    assert!(
-        during <= n / 8,
-        "distance scan path allocated {during} times for {n} events"
-    );
     let report = pipeline.finish();
     assert!(report.total_produced > 0, "close positions must join");
     let stats = report.operator_stats;
     assert_eq!(stats.indexed_probes, 0, "a scan is not an indexed probe");
     assert_eq!(stats.fallback_probes, stats.in_order);
+    assert!(
+        stats.out_of_order >= 200 / 20,
+        "at least 5 % of the last phase must insert late, saw {}",
+        stats.out_of_order
+    );
+}
+
+#[test]
+fn distance_scan_visit_pass_allocates_only_the_emitted_results() {
+    // The same session, materialising: the kernel's second pass walks the
+    // hits and hands each row to the emitter, which allocates one tuple
+    // vector per `JoinResult` — and nothing else may.
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut pipeline = mswj::session()
+        .query(q2_query(100, 5.0))
+        .no_k_slack()
+        .materialize_results()
+        .build()
+        .unwrap();
+    let mut sink = CountingSink::default();
+    for t in 1..400u64 {
+        pipeline.push_into(position(t, 0), &mut sink);
+    }
+    let measured: Vec<ArrivalEvent> = (400..800u64).map(position_with_late).collect();
+    let n = measured.len() as u64;
+    let (results_before, before) = (sink.results, allocations());
+    for e in measured {
+        pipeline.push_into(e, &mut sink);
+    }
+    let during = allocations() - before;
+    let emitted = sink.results - results_before;
+    assert!(emitted > n, "close positions must join, saw {emitted}");
+    assert!(
+        during <= emitted + n / 8,
+        "materialising scan allocated {during} times for {emitted} results of {n} events"
+    );
 }
 
 #[test]
