@@ -259,11 +259,11 @@ fn pipeline_push_into_throughput(c: &mut Criterion) {
 /// a float only poisons the shard its key routes to (the other shards keep
 /// answering through their indexes), and a poisoned shard's fallback scan
 /// covers only its ~1/n slice of the window.  On multi-core hardware the
-/// `Threads(n)` workers additionally run the shards in parallel.
+/// `Pool { workers: n }` workers additionally run the shards in parallel.
 ///
 /// The engine is driven directly (no K-slack/synchronizer front-end), so
 /// the numbers isolate the sharded join stage; batches of 512 tuple pairs
-/// amortize the per-batch routing and thread fan-out.
+/// amortize the per-batch routing and epoch hand-off.
 fn sharded_scaling(c: &mut Criterion) {
     fn equi2(window_ms: u64) -> JoinQuery {
         let streams =
@@ -316,11 +316,12 @@ fn sharded_scaling(c: &mut Criterion) {
                     equi2(window),
                     ProbeStrategy::Auto,
                     enumerate,
-                    ExecutionBackend::Threads(n),
+                    ExecutionBackend::Pool { workers: n },
                 );
                 // Prefill to the steady-state window population.
                 let mut t = 0u64;
                 engine.push_batch(batch_of(0, window), &mut |_| {});
+                engine.sync(&mut |_| {});
                 t += window;
                 b.iter(|| {
                     let mut results = 0u64;

@@ -96,12 +96,6 @@ fn rounds(from: u64, n: u64, seqs: &mut [u64; 3]) -> Vec<Tuple> {
 fn replan_vs_static(c: &mut Criterion) {
     let mut group = c.benchmark_group("replan_vs_static");
     let variants = [
-        ("threads4_static", ExecutionBackend::Threads(4), None),
-        (
-            "threads4_replanned",
-            ExecutionBackend::Threads(4),
-            Some(replan_config()),
-        ),
         ("pool4_static", ExecutionBackend::Pool { workers: 4 }, None),
         (
             "pool4_replanned",

@@ -1,14 +1,11 @@
-//! Resident pool vs scoped threads vs sequential, across ingestion batch
-//! sizes.
+//! Resident pool vs sequential, across ingestion batch sizes.
 //!
-//! The question this bench answers: *when does each execution backend pay
-//! off?*  `Threads(n)` spawns scoped workers per batch — amortized fine at
-//! 512-pair batches, pure overhead at single-pair ingestion.  The resident
-//! `Pool { workers: n }` spawns once, feeds bounded per-shard queues, and
-//! pipelines epoch *t + 1*'s routing against epoch *t*'s execution; below
-//! the inline threshold it degrades to the sequential path, so tiny batches
-//! are never worse than `Sequential` by more than an uncontended mutex
-//! lock.
+//! The question this bench answers: *when does the pool pay off?*  The
+//! resident `Pool { workers: n }` spawns once, feeds bounded per-shard
+//! queues, and pipelines epoch *t + 1*'s routing against epoch *t*'s
+//! execution; below the inline threshold it degrades to the sequential
+//! path, so tiny batches are never worse than `Sequential` by more than an
+//! uncontended mutex lock.
 //!
 //! Workload: 2-way equi-join, Zipf-skewed keys (skew 1.0 over 1 000
 //! values) with one non-integral float key per ~1 000 tuples (the "dirty
@@ -16,8 +13,7 @@
 //! `sharded_scaling` in `components.rs`), steady-state windows of 4 000
 //! live tuples per stream, counting mode.  The engine is driven directly so
 //! the numbers isolate the join stage; batch sizes 1 / 32 / 512 tuple
-//! *pairs* span single-event `push_into` up to the bulk-ingestion sweet
-//! spot of the scoped backend.
+//! *pairs* span single-event `push_into` up to bulk ingestion.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mswj_core::{EngineEvent, ExecutionBackend, JoinEngine, Telemetry};
@@ -38,7 +34,7 @@ fn equi2(window_ms: u64) -> JoinQuery {
     JoinQuery::new("bench-resident", streams, cond).unwrap()
 }
 
-fn resident_vs_scoped(c: &mut Criterion) {
+fn resident_pool(c: &mut Criterion) {
     let zipf = Zipf::new(1_000, 1.0);
     let mut rng = StdRng::seed_from_u64(11);
     let keys: Vec<i64> = (0..32_768).map(|_| zipf.sample(&mut rng) as i64).collect();
@@ -65,10 +61,9 @@ fn resident_vs_scoped(c: &mut Criterion) {
             .collect()
     };
 
-    let mut group = c.benchmark_group("resident_vs_scoped");
+    let mut group = c.benchmark_group("resident_pool");
     let backends = [
         ("sequential", ExecutionBackend::Sequential),
-        ("threads4", ExecutionBackend::Threads(4)),
         ("pool4", ExecutionBackend::Pool { workers: 4 }),
     ];
     for &pairs in &[1u64, 32, 512] {
@@ -98,7 +93,6 @@ fn resident_vs_scoped(c: &mut Criterion) {
                         // Per measured iteration: ingest `pairs` tuple
                         // pairs.  The pool overlaps this batch's routing
                         // with the previous batch's shard execution;
-                        // Threads pays one scope fan-out per batch;
                         // Sequential runs inline.
                         engine.push_batch(batch_of(&keys, t, pairs), &mut |ev| {
                             if let EngineEvent::Done(o) = ev {
@@ -120,6 +114,6 @@ fn resident_vs_scoped(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = resident_vs_scoped
+    targets = resident_pool
 }
 criterion_main!(benches);

@@ -98,12 +98,6 @@ fn skewed_scaling(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("skewed_scaling");
     let variants = [
-        ("threads4_pinned", ExecutionBackend::Threads(4), None),
-        (
-            "threads4_split",
-            ExecutionBackend::Threads(4),
-            Some(split_config()),
-        ),
         ("pool4_pinned", ExecutionBackend::Pool { workers: 4 }, None),
         (
             "pool4_split",
@@ -113,13 +107,15 @@ fn skewed_scaling(c: &mut Criterion) {
     ];
     for (label, backend, skew) in variants {
         group.bench_function(label, |b| {
-            let mut engine = JoinEngine::with_skew(
+            let mut engine = JoinEngine::try_with_policies(
                 equi2(WINDOW_TUPLES),
                 ProbeStrategy::Auto,
                 false,
                 backend.clone(),
                 skew,
-            );
+                None,
+            )
+            .unwrap();
             // Prefill to the steady-state window population in chunks with
             // a barrier after each, so the detector's windows close and the
             // hot class is already split before measurement starts.

@@ -328,18 +328,15 @@ impl SessionBuilder {
     ///
     /// The default, [`ExecutionBackend::Sequential`], runs one shard on the
     /// calling thread — byte-identical to the pre-engine pipeline.
-    /// [`ExecutionBackend::Threads`]`(n)` hash-partitions the join state by
-    /// equi-join key across `n` shards and executes each batch on `n`
-    /// scoped worker threads, merging outputs in deterministic shard order;
-    /// feed it through [`Pipeline::push_batch_into`] to amortize the
-    /// fan-out.  [`ExecutionBackend::Pool`] keeps `workers` **resident**
-    /// shard workers alive for the session's lifetime (spawned at
-    /// `build()`, joined on drop) and pipelines batched ingestion against
-    /// front-end routing — the better choice for continuous streams, small
-    /// batches and single-event pushes.  Both parallel backends execute
-    /// sub-threshold batches inline, so `push_into` never pays a spawn or
-    /// enqueue round-trip.  Conditions without a partitionable equi
-    /// structure fall back to one broadcast shard transparently.
+    /// [`ExecutionBackend::Pool`] hash-partitions the join state by
+    /// equi-join key across `workers` shards, each executed by a
+    /// **resident** worker alive for the session's lifetime (spawned at
+    /// `build()`, joined on drop), merging outputs in deterministic shard
+    /// order; batched ingestion ([`Pipeline::push_batch_into`]) is
+    /// pipelined against front-end routing, and sub-threshold batches run
+    /// inline, so `push_into` never pays an enqueue round-trip.
+    /// Conditions without a partitionable equi structure fall back to one
+    /// broadcast shard transparently.
     ///
     /// [`ExecutionBackend::Remote`] places one shard behind each listed
     /// [`Endpoint`](crate::Endpoint): an in-process server thread for
@@ -447,7 +444,7 @@ impl SessionBuilder {
     /// missing join condition, a condition whose arity disagrees with the
     /// stream count, both a prebuilt query and inline streams, disorder
     /// overrides on a policy without a configuration, a zero-worker
-    /// [`ExecutionBackend::Threads`] or [`ExecutionBackend::Pool`], a
+    /// [`ExecutionBackend::Pool`], a
     /// [`DisorderConfig`] violating `0 < Γ ≤ 1`, `0 < L ≤ P`, `b > 0`,
     /// `g > 0`, or a [`SkewConfig`] whose thresholds are out of range or
     /// lack a hysteresis band.  An [`ExecutionBackend::Remote`] backend
@@ -455,13 +452,6 @@ impl SessionBuilder {
     /// condition has no wire form, or connecting/handshaking with a shard
     /// server fails.
     pub fn build(self) -> Result<Pipeline> {
-        if self.backend == ExecutionBackend::Threads(0) {
-            return Err(Error::InvalidConfig(
-                "parallelism(Threads(0)) has no workers to run on; use Threads(1..) or \
-                 the Sequential backend"
-                    .into(),
-            ));
-        }
         if self.backend == (ExecutionBackend::Pool { workers: 0 }) {
             return Err(Error::InvalidConfig(
                 "parallelism(Pool { workers: 0 }) has no workers to run on; use \

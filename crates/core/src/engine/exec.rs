@@ -1,31 +1,25 @@
-//! Execution backends: how a routed batch of shard work actually runs.
+//! Executors: how a routed batch of shard work actually runs.
 //!
-//! All executors consume the same per-shard queues produced by the engine's
-//! routing phase and deliver the same event stream:
+//! Both consume the same per-shard queues produced by the engine's routing
+//! phase and deliver the same event stream:
 //!
 //! * [`run_inline`] processes the batch on the calling thread, tuple by
 //!   tuple in staging order — the [`Sequential`](super::ExecutionBackend)
-//!   backend, the degenerate single-shard case of the parallel backends,
-//!   and the sub-threshold fallback both parallel backends take for small
-//!   batches.  It is generic over [`ShardAccess`] so the same loop serves
-//!   engine-owned shards (`Sequential`/`Threads`) and the mutex-held shards
-//!   of the resident pool.
-//! * [`run_threaded`] fans the queues out to one scoped worker per shard
-//!   (`std::thread::scope`), each draining its queue via [`drain_queue`]
-//!   into `(seq, …)`-tagged buffers.
-//! * The resident [`pool`](super::pool) workers run [`drain_queue`] too —
-//!   same inner loop, persistent threads.
-//!
-//! Whatever filled the buffers, [`merge_epoch`] replays them **in staging
-//! order, shard order within a tuple**, so the emitted event stream is
-//! deterministic regardless of thread scheduling.
+//!   backend and the sub-threshold fallback `Pool` takes for small batches.
+//!   It is generic over [`ShardAccess`] so the same loop serves the
+//!   engine-owned sequential shard and the mutex-held shards of the
+//!   resident pool.
+//! * [`drain_queue`] is the worker side: a resident [`pool`](super::pool)
+//!   worker or a shard server drains its queue into `(seq, …)`-tagged
+//!   buffers, and [`merge_epoch`] replays those **in staging order, shard
+//!   order within a tuple**, so the emitted event stream is deterministic
+//!   regardless of thread scheduling.
 
 use super::replan::StreamTally;
-use super::{Decision, EngineEvent, Item, Placement, ShardRuntimeStats, SubOutcome};
+use super::{Decision, EngineEvent, Item, Placement, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator, OperatorStats, ProbeOutcome};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Uniform mutable access to the shard operators, whether the engine owns
 /// them directly or they sit behind the pool's mutexes (uncontended at
@@ -156,7 +150,7 @@ pub(super) fn run_inline<S: ShardAccess + ?Sized>(
 
 /// Drains one shard's queue in order, collecting `(seq, …)`-tagged
 /// sub-outcomes and materialized results — the inner loop shared by the
-/// scoped `Threads` workers and the resident pool workers.  Workers never
+/// resident pool workers and the shard servers.  Workers never
 /// touch the caller's sink; determinism is restored by [`merge_epoch`].
 pub(super) fn drain_queue(
     shard: &mut MswjOperator,
@@ -179,39 +173,8 @@ pub(super) fn drain_queue(
     }
 }
 
-/// Parallel execution: one scoped worker per non-empty shard queue drains
-/// its queue into that shard's buffers, recording the worker's busy time in
-/// the shard's runtime counters.
-pub(super) fn run_threaded(
-    shards: &mut [MswjOperator],
-    queues: &mut [VecDeque<Item>],
-    sub: &mut [Vec<SubOutcome>],
-    mat: &mut [Vec<(u32, JoinResult)>],
-    runtime: &mut [ShardRuntimeStats],
-) {
-    std::thread::scope(|scope| {
-        for (((shard, queue), (sub_s, mat_s)), rt) in shards
-            .iter_mut()
-            .zip(queues.iter_mut())
-            .zip(sub.iter_mut().zip(mat.iter_mut()))
-            .zip(runtime.iter_mut())
-        {
-            if queue.is_empty() {
-                continue;
-            }
-            rt.epochs_enqueued += 1;
-            scope.spawn(move || {
-                let started = Instant::now();
-                drain_queue(shard, queue, sub_s, mat_s);
-                rt.busy_nanos += started.elapsed().as_nanos() as u64;
-                rt.epochs_executed += 1;
-            });
-        }
-    });
-}
-
-/// Replays the per-shard buffers filled by [`run_threaded`] or collected
-/// from the resident pool in staging order (shard order within each tuple),
+/// Replays the per-shard buffers collected from the pool workers or shard
+/// servers in staging order (shard order within each tuple),
 /// emitting the same event stream [`run_inline`] would have produced.
 pub(super) fn merge_epoch(
     decisions: &[Decision],

@@ -32,13 +32,12 @@
 //!
 //! ## Executors
 //!
-//! Four backends share the routing front and the shard operators:
+//! Three backends share the routing front and the shard operators; the
+//! front reaches them through one seam, the `ShardSet` of the `shards`
+//! submodule, and never asks which one is live:
 //!
 //! * [`ExecutionBackend::Sequential`] — one shard on the calling thread,
 //!   byte-identical to the pre-engine pipeline.
-//! * [`ExecutionBackend::Threads`]`(n)` — `n` scoped workers spawned per
-//!   batch (`std::thread::scope`); simple, but the spawn cost and the
-//!   per-batch barrier only pay off at large batches.
 //! * [`ExecutionBackend::Pool`] — `n` **resident** workers spawned once at
 //!   construction (the `pool` submodule), fed through bounded per-shard
 //!   queues of epoch-tagged tasks.  Batches are *pipelined*: [`JoinEngine::flush`]
@@ -57,11 +56,10 @@
 //!   unchanged; failures surface as typed [`EngineError`] panics, never as
 //!   hangs.
 //!
-//! The `Threads` and `Pool` backends fall back to the inline executor for
-//! batches below [`JoinEngine::SMALL_BATCH_THRESHOLD`] routed items, so
-//! single-event ingestion never pays a spawn or an enqueue round-trip.
-//! (`Remote` has no inline path — the operators live behind the
-//! transport.)
+//! The `Pool` backend falls back to the inline executor for batches below
+//! [`JoinEngine::SMALL_BATCH_THRESHOLD`] routed items, so single-event
+//! ingestion never pays an enqueue round-trip.  (`Remote` has no inline
+//! path — the operators live behind the transport.)
 //!
 //! Picking a backend and reading the per-shard counters:
 //!
@@ -76,26 +74,27 @@
 //! let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
 //! let query = JoinQuery::new("doc", streams, cond).unwrap();
 //!
-//! // Threads(4): four shards, scoped workers per batch — best for large,
-//! // bursty batches.  Pool { workers: 4 } keeps resident workers and
-//! // pipelines batches instead; Sequential is the single-shard reference.
-//! let backend = ExecutionBackend::Threads(4);
+//! // Pool { workers: 4 }: four shards on resident workers, batches
+//! // pipelined against routing; Sequential is the single-shard reference.
+//! let backend = ExecutionBackend::Pool { workers: 4 };
 //! let mut engine = JoinEngine::new(query, ProbeStrategy::Auto, false, backend);
 //! assert_eq!(engine.shard_count(), 4);
 //!
 //! let mut matches = 0u64;
+//! let mut count = |ev: EngineEvent<'_>| {
+//!     if let EngineEvent::Done(outcome) = ev {
+//!         matches += outcome.n_join;
+//!     }
+//! };
 //! engine.push_batch(
 //!     (0..100u64).map(|i| {
 //!         let (stream, key) = ((i % 2) as usize, (i / 2 % 8) as i64);
 //!         Tuple::new(stream.into(), i, Timestamp::from_millis(i * 10), vec![Value::Int(key)])
 //!     }),
-//!     &mut |ev| {
-//!         if let EngineEvent::Done(outcome) = ev {
-//!             matches += outcome.n_join;
-//!         }
-//!     },
+//!     &mut count,
 //! );
-//! engine.sync(&mut |_| {});
+//! // The pool defers a batch this size: `sync` delivers its events.
+//! engine.sync(&mut count);
 //! assert!(matches > 0);
 //!
 //! // ShardRuntimeStats: routing volume and queue pressure per shard — the
@@ -112,8 +111,8 @@
 //!
 //! Events are emitted in staging order; a broadcast tuple's results are
 //! merged in shard order.  The [`ExecutionBackend::Sequential`] backend is
-//! byte-identical to the pre-engine pipeline; `Threads(n)`,
-//! `Pool { workers: n }` and `Remote` produce the same result multiset
+//! byte-identical to the pre-engine pipeline; `Pool { workers: n }` and
+//! `Remote` produce the same result multiset
 //! (and, because `n_x(e)` is computed globally, the same adaptation
 //! trajectory) for any `n` — pinned by `tests/differential_backends.rs`.
 //!
@@ -127,7 +126,7 @@
 //! * **Detection** is always on: when one shard takes the majority of an
 //!   evaluation window's routed items, a warning is logged (re-armed once
 //!   the imbalance clears, so late-emerging hot keys are reported too).
-//! * **Splitting** is opt-in ([`JoinEngine::with_skew`], or
+//! * **Splitting** is opt-in ([`JoinEngine::try_with_policies`], or
 //!   `SessionBuilder::skew_splitting` through the pipeline): a detected hot
 //!   key class switches to *replicated build / split probe* routing — its
 //!   inserts fan out to every shard's build state, each of its probes runs
@@ -144,28 +143,37 @@
 //! Conditions without a partitionable equi structure (cross joins, band
 //! joins, UDFs, or an explicitly forced nested-loop probe) degrade to one
 //! broadcast shard: same semantics, no parallelism.
+//!
+//! [`MswjOperator`]: mswj_join::MswjOperator
+//! [`MswjOperator::insert_late`]: mswj_join::MswjOperator::insert_late
 
 mod exec;
 mod occupancy;
 mod pool;
 pub mod replan;
+mod shards;
 pub mod skew;
 pub mod transport;
 
 use mswj_join::{
-    join_key_hash, JoinQuery, JoinResult, MswjOperator, OperatorStats, Partitioner, ProbeOutcome,
-    ProbePlan, ProbeStrategy, Route, RoutingTable,
+    JoinQuery, JoinResult, OperatorStats, Partitioner, ProbeOutcome, ProbePlan, ProbeStrategy,
+    Route, RoutingTable,
 };
 use mswj_obs::{EventKind, ShardInstruments, Telemetry, TelemetryEvent};
 use mswj_types::{Error, StreamIndex, Timestamp, Tuple};
+// One queued unit of shard work (`seq`: the staged tuple's position in its
+// batch; `probe`: in-order → `push_with`, globally late → `insert_late`) and
+// one shard's contribution to a probing tuple's outcome.  The wire
+// protocol's own types, so a remote epoch ships and returns them as they are.
+use mswj_wire::{WireItem as Item, WireSub as SubOutcome};
 use occupancy::Occupancy;
-use pool::{Epoch, ShardPool, Task};
-use replan::{reorder_candidate, reorder_is_decisive, ReplanState, StreamTally};
 pub use replan::{PlanAction, PlanTransition, ReplanConfig};
+use replan::{ReplanState, StreamTally};
+pub use shards::ShardGuard;
+use shards::ShardSet;
 use skew::SkewDetector;
 pub use skew::{SkewConfig, SkewTransition};
 use std::collections::VecDeque;
-use transport::RemoteShards;
 pub use transport::{Endpoint, EngineError};
 
 /// How the sharded join stage executes a routed batch.
@@ -175,17 +183,11 @@ pub enum ExecutionBackend {
     /// pipeline, and the default.
     #[default]
     Sequential,
-    /// `n` shards executed by `n` scoped worker threads per batch
-    /// (`std::thread::scope`), outputs merged in deterministic shard order.
-    /// `Threads(1)` exercises the sharded machinery on a single shard and
-    /// is equivalent to `Sequential`.
-    Threads(usize),
     /// `workers` shards executed by `workers` **resident** worker threads
     /// spawned once at construction and fed through bounded per-shard work
     /// queues, with batches pipelined against front-end routing.  Same
-    /// output as `Sequential` for any worker count; preferable to
-    /// [`ExecutionBackend::Threads`] whenever batches are small or arrive
-    /// continuously.
+    /// output as `Sequential` for any worker count; `Pool { workers: 1 }`
+    /// exercises the sharded machinery on a single shard.
     Pool {
         /// Number of resident shard workers (and shards).
         workers: usize,
@@ -196,8 +198,8 @@ pub enum ExecutionBackend {
     /// socket endpoint.  Reuses the pool's depth-1 epoch/barrier pipeline,
     /// so output stays byte-identical to [`ExecutionBackend::Sequential`];
     /// requires a wire-expressible join condition (no closure predicates).
-    /// Construct through [`JoinEngine::try_new`] / `SessionBuilder` to get
-    /// connection errors as `Result`s.
+    /// Construct through [`JoinEngine::try_with_policies`] /
+    /// `SessionBuilder` to get connection errors as `Result`s.
     Remote {
         /// Where each shard server lives; one shard per entry.
         endpoints: Vec<Endpoint>,
@@ -219,7 +221,6 @@ impl ExecutionBackend {
     pub fn requested_shards(&self) -> usize {
         match self {
             ExecutionBackend::Sequential => 1,
-            ExecutionBackend::Threads(n) => (*n).max(1),
             ExecutionBackend::Pool { workers } => (*workers).max(1),
             ExecutionBackend::Remote { endpoints } => endpoints.len().max(1),
         }
@@ -230,7 +231,6 @@ impl std::fmt::Display for ExecutionBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecutionBackend::Sequential => write!(f, "sequential"),
-            ExecutionBackend::Threads(n) => write!(f, "threads({n})"),
             ExecutionBackend::Pool { workers } => write!(f, "pool({workers})"),
             ExecutionBackend::Remote { endpoints } => write!(f, "remote({})", endpoints.len()),
         }
@@ -247,18 +247,6 @@ pub enum EngineEvent<'a> {
     /// A staged tuple finished processing: all of its results (if any) have
     /// been emitted, and this is its sequential-equivalent outcome.
     Done(ProbeOutcome),
-}
-
-/// One queued unit of shard work.
-struct Item {
-    /// Index of the staged tuple this item belongs to (its position in the
-    /// current batch).
-    seq: u32,
-    /// `true` → in-order: expire, probe, insert (`push_with`);
-    /// `false` → globally late: absorb without probing (`insert_late`).
-    probe: bool,
-    /// The tuple itself (a cheap clone per extra shard for broadcasts).
-    tuple: Tuple,
 }
 
 /// Where a staged tuple's work was queued.
@@ -285,14 +273,6 @@ struct Decision {
     placement: Placement,
 }
 
-/// A shard's contribution to one probing tuple's outcome.
-#[derive(Debug, Clone, Copy)]
-struct SubOutcome {
-    seq: u32,
-    n_join: u64,
-    indexed: bool,
-}
-
 /// Executor runtime counters for one shard, beyond the shard operator's own
 /// [`OperatorStats`] — the first visibility layer for key skew and queue
 /// pressure.
@@ -305,7 +285,7 @@ pub struct ShardRuntimeStats {
     /// staged for this shard before an executor drained them.
     pub max_queue_depth: usize,
     /// Epochs (routed batches) handed to this shard's worker — resident
-    /// pool tasks or scoped `Threads` batches.  Inline execution (the
+    /// pool tasks or remote task frames.  Inline execution (the
     /// `Sequential` backend and sub-threshold fallbacks) enqueues nothing.
     pub epochs_enqueued: u64,
     /// Epochs the shard's worker finished executing.
@@ -360,57 +340,10 @@ pub struct ShardStats {
     pub runtime: ShardRuntimeStats,
 }
 
-/// Read access to one shard operator, independent of where the backend
-/// keeps it: borrowed directly from the engine (`Sequential`/`Threads`) or
-/// locked out of a resident pool worker's cell (`Pool`, waiting for the
-/// shard's submitted epochs to finish first).
-pub struct ShardGuard<'a>(GuardInner<'a>);
-
-enum GuardInner<'a> {
-    Direct(&'a MswjOperator),
-    Locked(std::sync::MutexGuard<'a, MswjOperator>),
-}
-
-impl std::ops::Deref for ShardGuard<'_> {
-    type Target = MswjOperator;
-
-    fn deref(&self) -> &MswjOperator {
-        match &self.0 {
-            GuardInner::Direct(op) => op,
-            GuardInner::Locked(guard) => guard,
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// One submitted-but-uncollected epoch of the resident pool.
-struct PendingEpoch {
-    epoch: Epoch,
-    /// The epoch's routing decisions, in staging order (consumed by the
-    /// deterministic merge at collection).
-    decisions: Vec<Decision>,
-    /// Which shards received a task for this epoch.
-    mask: Vec<bool>,
-    /// The [`RoutingTable`] epoch the items were routed under.  Routing
-    /// transitions only happen at barriers, so this must still be the
-    /// table's epoch when the tasks come back — asserted at collection.
-    routing_epoch: u64,
-}
-
 /// The sharded join stage: routing front plus `n` shard operators.
 pub struct JoinEngine {
-    /// Engine-owned shard operators (`Sequential`/`Threads`); empty when
-    /// the resident pool owns them instead.
-    shards: Vec<MswjOperator>,
-    /// The resident executor (`Pool` backend only).
-    pool: Option<ShardPool>,
-    /// The transport links to remote shard servers (`Remote` backend only).
-    remote: Option<RemoteShards>,
+    /// The shard operators, behind whichever executor the backend chose.
+    shards: ShardSet,
     partitioner: Partitioner,
     backend: ExecutionBackend,
     query: JoinQuery,
@@ -457,13 +390,18 @@ pub struct JoinEngine {
     queues: Vec<VecDeque<Item>>,
     sub: Vec<Vec<SubOutcome>>,
     mat: Vec<Vec<(u32, JoinResult)>>,
-    /// The deferred epoch of the pipelined `Pool` path, if any.
-    outstanding: Option<PendingEpoch>,
+    /// The deferred epoch of the depth-1 pipeline, if any: its id and the
+    /// [`RoutingTable`] epoch its items were routed under.  Routing
+    /// transitions only happen at barriers, so that must still be the
+    /// table's epoch when the tasks come back — asserted at collection.
+    outstanding: Option<(u64, u64)>,
     next_epoch: u64,
-    /// Recycled buffers for the depth-1 epoch pipeline.
-    spare_decisions: Vec<Decision>,
-    spare_mask: Vec<bool>,
-    spare_items: Vec<VecDeque<Item>>,
+    /// The deferred epoch's routing decisions, in staging order (consumed
+    /// by the deterministic merge at collection; swapped with `decisions`
+    /// at submission, so both keep their capacity).
+    deferred: Vec<Decision>,
+    /// Which shards hold a task of the deferred epoch.
+    in_flight: Vec<bool>,
     /// The attached telemetry registry, if any.  Strictly observe-only:
     /// nothing the engine reads from it feeds back into routing, merging
     /// or plan decisions, so an attached handle cannot change a produced
@@ -494,15 +432,11 @@ impl std::fmt::Debug for JoinEngine {
 }
 
 impl JoinEngine {
-    /// Routed-item count below which the parallel backends execute a batch
-    /// inline on the calling thread: spawning (`Threads`) or enqueueing
-    /// (`Pool`) costs more than it buys on tiny batches, and the inline
-    /// path is allocation-free in steady state.
+    /// Routed-item count below which the `Pool` backend executes a batch
+    /// inline on the calling thread: enqueueing costs more than it buys on
+    /// tiny batches, and the inline path is allocation-free in steady
+    /// state.
     pub const SMALL_BATCH_THRESHOLD: usize = 32;
-
-    /// Minimum routed-item count in a detection window before skew
-    /// detection speaks up; thinner windows carry forward.
-    const SKEW_MIN_ROUTED: u64 = 1_024;
 
     /// Builds the engine for a query: plans the probe path, derives the
     /// partitioning rules and instantiates one [`MswjOperator`] per shard.
@@ -511,73 +445,47 @@ impl JoinEngine {
     ///
     /// Unpartitionable plans (nested-loop probes) always get exactly one
     /// shard, whatever the backend requests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `Remote` backend cannot be set up; use
+    /// [`JoinEngine::try_with_policies`] for a `Result`.
+    ///
+    /// [`MswjOperator`]: mswj_join::MswjOperator
     pub fn new(
         query: JoinQuery,
         strategy: ProbeStrategy,
         enumerate: bool,
         backend: ExecutionBackend,
     ) -> Self {
-        Self::with_skew(query, strategy, enumerate, backend, None)
+        Self::try_with_policies(query, strategy, enumerate, backend, None, None)
+            .expect("remote backend setup failed (use try_with_policies for a Result)")
     }
 
-    /// Fallible form of [`JoinEngine::new`] — the only way remote-backend
-    /// connection and validation failures surface as `Result`s rather than
-    /// panics.  Infallible for the local backends.
-    pub fn try_new(
-        query: JoinQuery,
-        strategy: ProbeStrategy,
-        enumerate: bool,
-        backend: ExecutionBackend,
-    ) -> Result<Self, Error> {
-        Self::try_with_skew(query, strategy, enumerate, backend, None)
-    }
-
-    /// Like [`JoinEngine::new`], with adaptive hot-key splitting armed when
-    /// `skew` is `Some`: key classes crossing
+    /// The fallible, fully-armed form of [`JoinEngine::new`].  The `Remote`
+    /// backend validates its endpoint list, requires a wire-expressible
+    /// join condition, and connects + handshakes with every shard server
+    /// here — each failure comes back as [`Error::InvalidConfig`].  The
+    /// local backends never fail.
+    ///
+    /// `skew: Some(_)` arms adaptive hot-key splitting: key classes crossing
     /// [`SkewConfig::split_share`] of a detection window switch to
     /// replicated-build / split-probe routing (and revert below
-    /// [`SkewConfig::unsplit_share`]).  Detection windows are evaluated at
-    /// [`JoinEngine::sync`] barriers only, so routing never changes while
-    /// work is in flight and every backend takes identical decisions.
+    /// [`SkewConfig::unsplit_share`]).  The knob is ignored (no detector is
+    /// armed) when the plan cannot split soundly — broadcast streams or a
+    /// single shard; see [`Partitioner::supports_splitting`].
     ///
-    /// The knob is ignored (no detector is armed) when the plan cannot
-    /// split soundly — broadcast streams or a single shard; see
-    /// [`Partitioner::supports_splitting`].
-    pub fn with_skew(
-        query: JoinQuery,
-        strategy: ProbeStrategy,
-        enumerate: bool,
-        backend: ExecutionBackend,
-        skew: Option<SkewConfig>,
-    ) -> Self {
-        Self::try_with_skew(query, strategy, enumerate, backend, skew)
-            .expect("remote backend setup failed (use try_with_skew for a Result)")
-    }
-
-    /// Fallible form of [`JoinEngine::with_skew`].  The `Remote` backend
-    /// validates its endpoint list, requires a wire-expressible join
-    /// condition, and connects + handshakes with every shard server here —
-    /// each failure comes back as [`Error::InvalidConfig`].  The local
-    /// backends never fail.
-    pub fn try_with_skew(
-        query: JoinQuery,
-        strategy: ProbeStrategy,
-        enumerate: bool,
-        backend: ExecutionBackend,
-        skew: Option<SkewConfig>,
-    ) -> Result<Self, Error> {
-        Self::try_with_policies(query, strategy, enumerate, backend, skew, None)
-    }
-
-    /// Like [`JoinEngine::try_with_skew`], additionally arming runtime
-    /// probe re-planning when `replan` is `Some`: at the same idle barriers
-    /// the skew layer uses, the engine may re-select the star partition
-    /// pair to the lowest observed-cardinality satellite (migrating window
-    /// state), reorder the m-way probe chain by observed match rates, or
-    /// demote the hash index to the nested-loop scan when the fallback
-    /// share shows maintenance stopped paying.  Every revision lands in
-    /// [`JoinEngine::plan_transitions`]; all decisions come from
-    /// engine-global statistics, so they are identical on every backend.
+    /// `replan: Some(_)` arms runtime probe re-planning: the engine may
+    /// re-select the star partition pair to the heaviest
+    /// observed-cardinality satellite (migrating window state, so only
+    /// light streams stay on the broadcast path), reorder the m-way probe
+    /// chain by observed match rates, or demote the hash index to the
+    /// nested-loop scan when the fallback share shows maintenance stopped
+    /// paying.  Every revision lands in [`JoinEngine::plan_transitions`].
+    ///
+    /// Both layers act at [`JoinEngine::sync`] barriers only, from
+    /// engine-global statistics, so routing never changes while work is in
+    /// flight and every backend takes identical decisions.
     pub fn try_with_policies(
         query: JoinQuery,
         strategy: ProbeStrategy,
@@ -590,45 +498,7 @@ impl JoinEngine {
         let plan = ProbePlan::new(strategy, equi.as_ref());
         let partitioner = Partitioner::new(&plan, backend.requested_shards());
         let n = partitioner.shard_count();
-        let (shards, pool, remote) = match &backend {
-            ExecutionBackend::Pool { .. } => {
-                let operators = (0..n)
-                    .map(|_| MswjOperator::with_probe(query.clone(), strategy, enumerate))
-                    .collect();
-                (Vec::new(), Some(ShardPool::new(operators)), None)
-            }
-            ExecutionBackend::Remote { endpoints } => {
-                if endpoints.is_empty() {
-                    return Err(Error::InvalidConfig(
-                        "the remote backend needs at least one endpoint".into(),
-                    ));
-                }
-                let descriptor = query.condition().descriptor().ok_or_else(|| {
-                    Error::InvalidConfig(format!(
-                        "join condition `{}` cannot cross a process boundary \
-                         (closure predicates have no wire form); use a declarative \
-                         condition or a local backend",
-                        query.condition().describe()
-                    ))
-                })?;
-                // Unpartitionable plans collapse to one shard; connect only
-                // to the endpoints that will actually carry work.
-                let links = RemoteShards::connect(
-                    &endpoints[..n.min(endpoints.len())],
-                    &query,
-                    &descriptor,
-                    strategy,
-                    enumerate,
-                )?;
-                (Vec::new(), None, Some(links))
-            }
-            _ => {
-                let operators = (0..n)
-                    .map(|_| MswjOperator::with_probe(query.clone(), strategy, enumerate))
-                    .collect();
-                (operators, None, None)
-            }
-        };
+        let shards = ShardSet::open(&backend, n, &query, strategy, enumerate)?;
         let detector = skew
             .filter(|_| partitioner.supports_splitting())
             .map(SkewDetector::new);
@@ -637,8 +507,6 @@ impl JoinEngine {
         let star_partner = Partitioner::default_star_partner(&plan);
         Ok(JoinEngine {
             shards,
-            pool,
-            remote,
             partitioner,
             backend,
             plan,
@@ -665,9 +533,8 @@ impl JoinEngine {
             mat: (0..n).map(|_| Vec::new()).collect(),
             outstanding: None,
             next_epoch: 1,
-            spare_decisions: Vec::new(),
-            spare_mask: Vec::new(),
-            spare_items: (0..n).map(|_| VecDeque::new()).collect(),
+            deferred: Vec::new(),
+            in_flight: vec![false; n],
             telemetry: None,
             shard_scopes: Vec::new(),
             last_publish: None,
@@ -758,13 +625,7 @@ impl JoinEngine {
     /// Number of shards actually instantiated (1 for unpartitionable
     /// plans, the backend's request otherwise).
     pub fn shard_count(&self) -> usize {
-        if self.remote.is_some() {
-            return self.runtime.len();
-        }
-        match &self.pool {
-            Some(pool) => pool.shard_count(),
-            None => self.shards.len(),
-        }
+        self.shards.count()
     }
 
     /// The shard operator at `s` — windows, hash indexes and per-shard
@@ -772,16 +633,13 @@ impl JoinEngine {
     /// waits for the shard's submitted epochs to finish executing; call
     /// [`JoinEngine::sync`] first when you also need their *events*
     /// delivered.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the `Remote` backend, whose operators live in another
+    /// process — use [`JoinEngine::shard_stats`] for their counters.
     pub fn shard(&self, s: usize) -> ShardGuard<'_> {
-        assert!(
-            self.remote.is_none(),
-            "shard operators live in another process on the remote backend; \
-             use shard_stats() for their counters"
-        );
-        match &self.pool {
-            Some(pool) => ShardGuard(GuardInner::Locked(pool.lock_shard(s))),
-            None => ShardGuard(GuardInner::Direct(&self.shards[s])),
-        }
+        self.shards.inspect(s)
     }
 
     /// Per-shard lifetime statistics: each shard operator's own
@@ -789,32 +647,14 @@ impl JoinEngine {
     /// performed) paired with the executor's [`ShardRuntimeStats`] (routing
     /// volume, queue depth, epoch counts, worker busy time).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        (0..self.shard_count())
-            .map(|s| {
-                let (operator, window_bytes, window_segments) = match &self.remote {
-                    // Remote window state lives in the server process; the
-                    // barrier reply carries its footprint back to us.
-                    Some(remote) => remote.barrier_stats(s),
-                    None => {
-                        let shard = self.shard(s);
-                        (shard.stats(), shard.window_bytes(), shard.window_segments())
-                    }
-                };
-                let mut runtime = self.runtime_stats(s);
-                runtime.window_bytes = window_bytes;
-                runtime.window_segments = window_segments;
-                ShardStats { operator, runtime }
-            })
-            .collect()
+        self.shards.stats(&self.runtime)
     }
 
     /// The executor runtime counters of shard `s`, including the transport
     /// counters on the `Remote` backend.
     pub fn runtime_stats(&self, s: usize) -> ShardRuntimeStats {
         let mut rt = self.runtime[s];
-        if let Some(remote) = &self.remote {
-            remote.fold_runtime(s, &mut rt);
-        }
+        self.shards.fold_runtime(s, &mut rt);
         rt
     }
 
@@ -848,49 +688,13 @@ impl JoinEngine {
         self.enumerate
     }
 
-    /// The shard holding the majority of the routed events in the current
-    /// *detection window*, if any — `Some(s)` once shard `s` has received
-    /// more than half of the (at least 1 024, or the configured
-    /// [`SkewConfig::min_routed`]) items routed since the last
-    /// [`JoinEngine::sync`] barrier that closed a window.
-    ///
-    /// Windowed, not lifetime: a hot key that emerges after a long balanced
-    /// phase still trips this, because earlier balanced traffic was retired
-    /// with its window.  A warning is logged when a window closes on a
-    /// heavy hitter and re-arms once a window comes back balanced, so a
-    /// *new* hot shard is reported even late in a run.
-    pub fn heavy_hitter(&self) -> Option<usize> {
-        if self.shard_count() <= 1 {
-            return None;
-        }
-        let windowed = |s: usize| self.runtime[s].routed - self.hh_base[s];
-        let total: u64 = (0..self.runtime.len()).map(windowed).sum();
-        if total < self.skew_min_routed() {
-            return None;
-        }
-        let (s, max) = (0..self.runtime.len())
-            .map(|s| (s, windowed(s)))
-            .max_by_key(|&(_, routed)| routed)?;
-        (max * 2 > total).then_some(s)
-    }
-
-    /// The evidence floor of the skew-detection window: the configured
-    /// [`SkewConfig::min_routed`] when splitting is armed, the built-in
-    /// default otherwise.
-    fn skew_min_routed(&self) -> u64 {
-        self.detector
-            .as_ref()
-            .map(|d| d.config().min_routed)
-            .unwrap_or(Self::SKEW_MIN_ROUTED)
-    }
-
     /// Whether adaptive hot-key splitting is armed on this engine (opted
     /// in *and* supported by the plan).
     pub fn skew_splitting_enabled(&self) -> bool {
         self.detector.is_some()
     }
 
-    /// The key classes (by [`join_key_hash`]) currently routed as
+    /// The key classes (by [`mswj_join::join_key_hash`]) currently routed as
     /// replicated-build / split-probe, sorted ascending.
     pub fn split_classes(&self) -> &[u64] {
         self.table.split_classes()
@@ -982,11 +786,25 @@ impl JoinEngine {
     fn flush_impl(&mut self, f: &mut dyn FnMut(EngineEvent<'_>), barrier: bool) {
         self.execute_pending(f, barrier);
         if barrier {
-            // Every shard is idle after a barrier flush: the only point
-            // where routing may change and state may migrate.
-            self.evaluate_skew();
-            self.evaluate_replan();
+            self.at_idle_barrier();
         }
+    }
+
+    /// Every shard is idle after a barrier flush — every queue drained, no
+    /// epoch outstanding: the only point where routing may change, state
+    /// may migrate and the plan may be revised.  That is what makes a
+    /// routing change an epoch barrier (in-flight work always executes
+    /// under the table it was routed with), and it is also what makes the
+    /// decisions backend-invariant, because barriers sit at
+    /// workload-determined points (checkpoints, buffer-size changes, end of
+    /// stream).
+    fn at_idle_barrier(&mut self) {
+        debug_assert!(
+            self.outstanding.is_none() && self.queues.iter().all(VecDeque::is_empty),
+            "skew evaluation and plan revision require an idle engine"
+        );
+        self.evaluate_skew();
+        self.evaluate_replan();
     }
 
     fn execute_pending(&mut self, f: &mut dyn FnMut(EngineEvent<'_>), barrier: bool) {
@@ -1001,177 +819,74 @@ impl JoinEngine {
         if self.decisions.is_empty() {
             return;
         }
-        if self.remote.is_some() {
-            // Remote shards have no inline fallback — the operators live
-            // behind the transport, whatever the batch size — so every batch
-            // takes the epoch pipeline.
-            self.submit_epoch();
-            if barrier {
-                self.collect_outstanding(f);
-            }
+        let inline = self.shards.run_inline(
+            &mut self.queues,
+            &self.decisions,
+            &mut self.stats,
+            &mut self.tally,
+            f,
+        );
+        if inline {
+            self.decisions.clear();
             return;
         }
-        let items: usize = self.queues.iter().map(VecDeque::len).sum();
-        let small = items < Self::SMALL_BATCH_THRESHOLD;
-        if self.pool.is_some() {
-            if small {
-                // Sub-threshold fallback: run on the calling thread against
-                // the (idle) pool shards — no enqueue round-trip, no
-                // allocation in steady state.
-                let JoinEngine {
-                    pool,
-                    queues,
-                    decisions,
-                    stats,
-                    tally,
-                    ..
-                } = self;
-                let pool = pool.as_mut().expect("checked above");
-                exec::run_inline(pool.shards_mut(), queues, decisions, stats, tally, f);
-                self.decisions.clear();
-            } else {
-                self.submit_epoch();
-                if barrier {
-                    self.collect_outstanding(f);
-                }
-            }
-            return;
+        self.submit_epoch();
+        if barrier {
+            self.collect_outstanding(f);
         }
-        let threaded =
-            matches!(self.backend, ExecutionBackend::Threads(_)) && self.shards.len() > 1 && !small;
-        if threaded {
-            exec::run_threaded(
-                &mut self.shards,
-                &mut self.queues,
-                &mut self.sub,
-                &mut self.mat,
-                &mut self.runtime,
-            );
-            exec::merge_epoch(
-                &self.decisions,
-                &mut self.sub,
-                &mut self.mat,
-                &mut self.stats,
-                &mut self.tally,
-                f,
-            );
-        } else {
-            exec::run_inline(
-                self.shards.as_mut_slice(),
-                &mut self.queues,
-                &self.decisions,
-                &mut self.stats,
-                &mut self.tally,
-                f,
-            );
-        }
-        self.decisions.clear();
     }
 
-    /// Ships the routed queues to the resident workers as one epoch and
-    /// records it as outstanding.  Buffers travel with the tasks and come
-    /// back at collection, so the steady-state round-trip allocates
-    /// nothing.
+    /// Ships the routed queues to the shard workers as one epoch and
+    /// records it as outstanding.  Buffers are recycled across epochs, so
+    /// the steady-state round-trip allocates nothing.
     fn submit_epoch(&mut self) {
-        let epoch = Epoch(self.next_epoch);
+        let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let mut mask = std::mem::take(&mut self.spare_mask);
-        mask.clear();
-        mask.resize(self.queues.len(), false);
         let routing_epoch = self.table.epoch();
         for (s, queue) in self.queues.iter_mut().enumerate() {
-            if queue.is_empty() {
-                continue;
+            self.in_flight[s] = !queue.is_empty();
+            if self.in_flight[s] {
+                self.runtime[s].epochs_enqueued += 1;
+                let (sub, mat) = (&mut self.sub[s], &mut self.mat[s]);
+                self.shards.submit(s, epoch, routing_epoch, queue, sub, mat);
             }
-            mask[s] = true;
-            self.runtime[s].epochs_enqueued += 1;
-            if let Some(remote) = &mut self.remote {
-                // The queue is drained in place (capacity retained); the
-                // items are consumed by encoding, nothing travels back.
-                remote.submit(s, epoch.0, routing_epoch, queue);
-                continue;
-            }
-            let items = std::mem::replace(queue, std::mem::take(&mut self.spare_items[s]));
-            let task = Task {
-                epoch,
-                items,
-                sub: std::mem::take(&mut self.sub[s]),
-                mat: std::mem::take(&mut self.mat[s]),
-                routing_epoch,
-            };
-            self.pool
-                .as_mut()
-                .expect("submit_epoch requires a worker-backed backend")
-                .submit(s, task);
         }
-        let decisions = std::mem::replace(
-            &mut self.decisions,
-            std::mem::take(&mut self.spare_decisions),
-        );
-        self.outstanding = Some(PendingEpoch {
-            epoch,
-            decisions,
-            mask,
-            routing_epoch: self.table.epoch(),
-        });
+        debug_assert!(self.deferred.is_empty(), "one epoch in flight at most");
+        std::mem::swap(&mut self.decisions, &mut self.deferred);
+        self.outstanding = Some((epoch, routing_epoch));
     }
 
-    /// Collects the deferred epoch's outputs in shard order, re-raises any
-    /// worker panic, merges the buffers into the deterministic event stream
-    /// and recycles every buffer for the next epoch.
+    /// Collects the deferred epoch's outputs in shard order (re-raising any
+    /// worker panic) and merges the buffers into the deterministic event
+    /// stream.
     fn collect_outstanding(&mut self, f: &mut dyn FnMut(EngineEvent<'_>)) {
-        let Some(mut pend) = self.outstanding.take() else {
+        let Some((epoch, routing_epoch)) = self.outstanding.take() else {
             return;
         };
-        for s in 0..pend.mask.len() {
-            if !pend.mask[s] {
-                continue;
-            }
+        debug_assert_eq!(
+            routing_epoch,
+            self.table.epoch(),
+            "routing transitions must wait for the outstanding epoch"
+        );
+        for s in (0..self.in_flight.len()).filter(|&s| self.in_flight[s]) {
+            let (sub, mat) = (&mut self.sub[s], &mut self.mat[s]);
+            let out = self.shards.collect(s, epoch, sub, mat);
             debug_assert_eq!(
-                pend.routing_epoch,
-                self.table.epoch(),
-                "routing transitions must wait for the outstanding epoch"
-            );
-            if let Some(remote) = &mut self.remote {
-                let info = remote.collect(s, pend.epoch.0, &mut self.sub[s], &mut self.mat[s]);
-                debug_assert_eq!(
-                    info.routing_epoch, pend.routing_epoch,
-                    "routing changed while an epoch was in flight"
-                );
-                self.runtime[s].busy_nanos += info.busy_nanos;
-                self.runtime[s].epochs_executed += 1;
-                continue;
-            }
-            let out = self
-                .pool
-                .as_mut()
-                .expect("an outstanding epoch implies a worker-backed backend")
-                .collect(s, pend.epoch);
-            debug_assert_eq!(
-                out.routing_epoch, pend.routing_epoch,
+                out.routing_epoch, routing_epoch,
                 "routing changed while an epoch was in flight"
             );
             self.runtime[s].busy_nanos += out.busy_nanos;
             self.runtime[s].epochs_executed += 1;
-            self.spare_items[s] = out.items;
-            self.sub[s] = out.sub;
-            self.mat[s] = out.mat;
-            if let Some(payload) = out.panic {
-                std::panic::resume_unwind(payload);
-            }
         }
         exec::merge_epoch(
-            &pend.decisions,
+            &self.deferred,
             &mut self.sub,
             &mut self.mat,
             &mut self.stats,
             &mut self.tally,
             f,
         );
-        pend.decisions.clear();
-        self.spare_decisions = pend.decisions;
-        pend.mask.clear();
-        self.spare_mask = pend.mask;
+        self.deferred.clear();
     }
 
     /// The sequential routing phase: classify every staged tuple against
@@ -1308,483 +1023,12 @@ impl JoinEngine {
             rt.max_queue_depth = depth;
         }
     }
-
-    /// Closes the current skew-detection window if it holds enough
-    /// evidence: logs/re-arms the heavy-hitter warning and, when splitting
-    /// is armed, applies the detector's split/unsplit transitions —
-    /// migrating or purging the affected key classes' build state.
-    ///
-    /// Must only run at a barrier: every queue drained, no epoch
-    /// outstanding.  That is what makes a routing change an epoch barrier —
-    /// in-flight work always executes under the table it was routed with —
-    /// and it is also what makes the decisions backend-invariant, because
-    /// barriers sit at workload-determined points (checkpoints, buffer-size
-    /// changes, end of stream).
-    fn evaluate_skew(&mut self) {
-        if self.shard_count() <= 1 {
-            return;
-        }
-        debug_assert!(
-            self.outstanding.is_none() && self.queues.iter().all(VecDeque::is_empty),
-            "skew evaluation requires an idle engine"
-        );
-        let windowed: u64 = (0..self.runtime.len())
-            .map(|s| self.runtime[s].routed - self.hh_base[s])
-            .sum();
-        if windowed < self.skew_min_routed() {
-            return; // Too thin to judge: carry the window forward.
-        }
-        self.note_heavy_hitter();
-        if self.detector.is_some() {
-            self.apply_split_transitions();
-        }
-        // Start a fresh window.
-        for s in 0..self.runtime.len() {
-            self.hh_base[s] = self.runtime[s].routed;
-        }
-        if let Some(det) = &mut self.detector {
-            det.reset();
-        }
-    }
-
-    /// Reports the heavy-hitter warning when the closing window put a
-    /// majority of its routed events on one shard; re-arms when a window
-    /// comes back balanced, so a late-emerging hot key is reported even
-    /// after an earlier warning.
-    ///
-    /// With telemetry attached the warning goes through the structured
-    /// event ring (and its optional callback) — embedding applications are
-    /// never written to on stderr.  Without telemetry the legacy stderr
-    /// log remains, suppressible with `MSWJ_NO_SKEW_WARNING` (the signal
-    /// stays available through [`JoinEngine::heavy_hitter`] and the
-    /// per-shard `routed` counters either way).
-    fn note_heavy_hitter(&mut self) {
-        let Some(s) = self.heavy_hitter() else {
-            self.hh_warned = None;
-            return;
-        };
-        if self.hh_warned == Some(s) {
-            return;
-        }
-        self.hh_warned = Some(s);
-        let windowed = |s: usize| self.runtime[s].routed - self.hh_base[s];
-        let total: u64 = (0..self.runtime.len()).map(windowed).sum();
-        let held = windowed(s);
-        let hint = if self.detector.is_some() {
-            "hot-key splitting is armed and will redistribute it"
-        } else {
-            "consider arming skew_splitting() on the session builder"
-        };
-        let message = format!(
-            "heavy hitter detected — shard {s} took {held} of {total} routed \
-             events (> 50%) in the current detection window; the key distribution \
-             pins this shard's bucket, {hint}"
-        );
-        if self.telemetry.is_some() {
-            self.telemetry_event(EventKind::HeavyHitter, message);
-        } else if std::env::var_os("MSWJ_NO_SKEW_WARNING").is_none() {
-            eprintln!("mswj: {message}");
-        }
-    }
-
-    /// Applies the detector's verdict on the closing window: reverts split
-    /// classes that went cold (purging their replicas), then splits new hot
-    /// classes (replicating their build state), recording every transition.
-    fn apply_split_transitions(&mut self) {
-        let det = self.detector.as_ref().expect("caller checked");
-        let (to_split, to_unsplit) = det.evaluate(&self.table);
-        for (hash, share) in to_unsplit {
-            if self.table.unsplit(hash) {
-                self.purge_replicas(hash);
-                self.transitions.push(SkewTransition {
-                    key_hash: hash,
-                    split: false,
-                    share,
-                    at: self.on_t,
-                });
-                self.telemetry_event(
-                    EventKind::SkewUnsplit,
-                    format!("key class {hash:#018x} went cold (share {share:.3}); replicas purged"),
-                );
-            }
-        }
-        for (hash, share) in to_split {
-            if self.table.split(hash) {
-                self.replicate_build_state(hash);
-                self.transitions.push(SkewTransition {
-                    key_hash: hash,
-                    split: true,
-                    share,
-                    at: self.on_t,
-                });
-                self.telemetry_event(
-                    EventKind::SkewSplit,
-                    format!(
-                        "hot key class {hash:#018x} (share {share:.3}) switched to \
-                         replicated-build / split-probe routing"
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Copies the live build state of key class `hash` from its home shard
-    /// into every other shard, so any shard can answer a split probe with
-    /// the full class.  Runs at a barrier; copies are *adopted* (no
-    /// operator statistics) and land in timestamp order, so replica windows
-    /// enumerate the class exactly as the home shard does.
-    fn replicate_build_state(&mut self, hash: u64) {
-        let n = self.shard_count();
-        let home = self.partitioner.home_shard(hash);
-        for i in 0..self.query.arity() {
-            let Some(col) = self.partitioner.column(i) else {
-                // supports_splitting() guarantees key-routed streams.
-                debug_assert!(false, "split routing requires key-routed streams");
-                continue;
-            };
-            let class: Vec<Tuple> = match &mut self.remote {
-                Some(remote) => remote.fetch_class(home, i as u64, col as u64, hash),
-                None => self
-                    .shard(home)
-                    .window(StreamIndex(i))
-                    .iter()
-                    .filter(|t| join_key_hash(t.value(col)) == hash)
-                    .cloned()
-                    .collect(),
-            };
-            if class.is_empty() {
-                continue;
-            }
-            for s in (0..n).filter(|&s| s != home) {
-                if let Some(remote) = &mut self.remote {
-                    remote.adopt(s, &class);
-                    continue;
-                }
-                self.with_shard_mut(s, |op| {
-                    for t in &class {
-                        op.adopt(t.clone());
-                    }
-                });
-            }
-        }
-    }
-
-    /// Removes the replicated build state of key class `hash` from every
-    /// non-home shard.  The home shard keeps the full class (it received
-    /// every fan-out insert), so plain hash routing resumes losslessly —
-    /// and a later re-split starts from replica-free shards, which is what
-    /// keeps re-replication from duplicating state.
-    fn purge_replicas(&mut self, hash: u64) {
-        let n = self.shard_count();
-        let home = self.partitioner.home_shard(hash);
-        for s in (0..n).filter(|&s| s != home) {
-            for i in 0..self.query.arity() {
-                let Some(col) = self.partitioner.column(i) else {
-                    continue;
-                };
-                if let Some(remote) = &mut self.remote {
-                    remote.purge_class(s, i as u64, col as u64, hash);
-                    continue;
-                }
-                self.with_shard_mut(s, |op| {
-                    op.evict_where(StreamIndex(i), |t| join_key_hash(t.value(col)) != hash)
-                });
-            }
-        }
-    }
-
-    /// Evaluates a plan revision for the closing window, when re-planning
-    /// is armed and the window holds enough probes to judge.  Like skew
-    /// evaluation, this must only run at a barrier (every queue drained, no
-    /// epoch outstanding) and takes every decision from engine-global
-    /// statistics — occupancy cardinalities, the sequential-equivalent
-    /// stats and the per-stream tallies — so all backends revise the plan
-    /// at the same points, identically.
-    fn evaluate_replan(&mut self) {
-        let Some(state) = &self.replan else {
-            return;
-        };
-        let config = state.config;
-        debug_assert!(
-            self.outstanding.is_none() && self.queues.iter().all(VecDeque::is_empty),
-            "plan revision requires an idle engine"
-        );
-        let probes: u64 = self.tally.iter().map(|t| t.probes).sum();
-        if probes - state.probes_base < config.min_probes {
-            return; // Too thin to judge: carry the window forward.
-        }
-        self.consider_pair_switch(&config);
-        self.consider_reorder(&config);
-        self.consider_demotion(&config);
-        // Start a fresh evaluation window.
-        let state = self.replan.as_mut().expect("checked above");
-        state.probes_base = probes;
-        state.indexed_base = self.stats.indexed_probes;
-        state.fallback_base = self.stats.fallback_probes;
-    }
-
-    /// Re-selects the star partition pair when a satellite outside the
-    /// pair carries [`ReplanConfig::switch_ratio`] times the live
-    /// cardinality of the current partner — a broadcast stream pays for
-    /// every tuple on every shard, so the heaviest satellite belongs in
-    /// the key-routed slot and only light streams on the broadcast path.
-    /// The affected window state migrates at this barrier and the
-    /// routing-table epoch is bumped, exactly like a skew transition.
-    fn consider_pair_switch(&mut self, config: &ReplanConfig) {
-        let ProbePlan::Star { anchor, .. } = &self.plan else {
-            return;
-        };
-        let anchor = *anchor;
-        if self.shard_count() <= 1 {
-            return;
-        }
-        // Star plans never split (broadcast satellites), so the routing
-        // table only ever carries the partitioner epoch here.
-        debug_assert!(self.table.split_classes().is_empty());
-        let Some(current) = self.star_partner else {
-            return;
-        };
-        let candidate = (0..self.query.arity())
-            .filter(|&j| j != anchor)
-            .max_by_key(|&j| (self.occupancy.len(j), std::cmp::Reverse(j)))
-            .expect("a star plan has at least one satellite");
-        if candidate == current {
-            return;
-        }
-        let cur_n = (self.occupancy.len(current) + 1) as f64;
-        let cand_n = (self.occupancy.len(candidate) + 1) as f64;
-        if cand_n < config.switch_ratio * cur_n {
-            return; // Inside the hysteresis band.
-        }
-        self.apply_pair_switch(current, candidate);
-        self.plan_transitions.push(PlanTransition {
-            action: PlanAction::PairSwitch {
-                from: current,
-                to: candidate,
-            },
-            at: self.on_t,
-        });
-        self.telemetry_event(
-            EventKind::PlanRevision,
-            format!(
-                "star pair switched: satellite {current} -> {candidate} (window state migrated)"
-            ),
-        );
-    }
-
-    /// Migrates window state from the partitioning `(anchor, from)` to
-    /// `(anchor, to)` and swaps in the re-paired partitioner.  Runs at an
-    /// idle barrier; every window that moves is snapshotted *before* any
-    /// shard is mutated, so reads never observe a half-migrated peer.
-    ///
-    /// Three streams change routing mode:
-    /// * the old partner goes key-routed → broadcast: each shard's
-    ///   disjoint slice is replicated into every other shard;
-    /// * the new partner goes broadcast → key-routed: every shard already
-    ///   holds the full window and just retains its home slice;
-    /// * the anchor is re-keyed onto the new pair column (unless both
-    ///   pairs share it): each shard retains the tuples that still belong
-    ///   to it and the misplaced remainder is adopted by its new home.
-    fn apply_pair_switch(&mut self, from: usize, to: usize) {
-        let n = self.shard_count();
-        let ProbePlan::Star { anchor, .. } = &self.plan else {
-            unreachable!("caller matched a star plan");
-        };
-        let anchor = *anchor;
-        let next =
-            Partitioner::with_star_partner(&self.plan, self.backend.requested_shards(), Some(to));
-        debug_assert_eq!(next.shard_count(), n, "a pair switch never re-shards");
-        let from_slices: Vec<Vec<Tuple>> = (0..n).map(|s| self.fetch_window_of(s, from)).collect();
-        let anchor_rekeyed = self.partitioner.column(anchor) != next.column(anchor);
-        let anchor_snaps: Vec<Vec<Tuple>> = if anchor_rekeyed {
-            (0..n).map(|s| self.fetch_window_of(s, anchor)).collect()
-        } else {
-            Vec::new()
-        };
-        // Old partner: replicate each shard's slice into every other shard.
-        for (s, slice) in from_slices.iter().enumerate() {
-            if slice.is_empty() {
-                continue;
-            }
-            for t in (0..n).filter(|&t| t != s) {
-                self.adopt_into(t, slice);
-            }
-        }
-        // New partner: every shard retains its home slice of the full
-        // (previously broadcast) window.
-        let to_col = next
-            .column(to)
-            .expect("the partner satellite is key-routed");
-        for s in 0..n {
-            self.retain_home_slice(s, to, to_col, n);
-        }
-        // Anchor: retain by new home, then deliver each misplaced tuple to
-        // the shard that now owns it.
-        if anchor_rekeyed {
-            let col = next.column(anchor).expect("the anchor is key-routed");
-            for s in 0..n {
-                self.retain_home_slice(s, anchor, col, n);
-            }
-            for (s, snap) in anchor_snaps.iter().enumerate() {
-                for target in (0..n).filter(|&t| t != s) {
-                    let moved: Vec<Tuple> = snap
-                        .iter()
-                        .filter(|t| next.home_shard(join_key_hash(t.value(col))) == target)
-                        .cloned()
-                        .collect();
-                    if !moved.is_empty() {
-                        self.adopt_into(target, &moved);
-                    }
-                }
-            }
-        }
-        self.partitioner = next;
-        self.star_partner = Some(to);
-        // Out-of-table routing change: in-flight epochs must never straddle
-        // it (they cannot — the engine is idle), and the pipeline's
-        // routing-epoch sanity checks should see it.
-        self.table.bump_epoch();
-        for s in 0..n {
-            self.runtime[s].plan_revisions += 1;
-        }
-    }
-
-    /// Reorders the m-way probe chain ascending by observed match rate —
-    /// the least productive stream's window is probed first, so empty
-    /// probes exit as early as possible.  Adopted only when every inverted
-    /// stream pair clears [`ReplanConfig::reorder_margin`]; a reorder is a
-    /// pure access-path change, the result multiset cannot move.
-    fn consider_reorder(&mut self, config: &ReplanConfig) {
-        let candidate = reorder_candidate(&self.tally);
-        let state = self.replan.as_ref().expect("caller checked");
-        if candidate == state.order
-            || !reorder_is_decisive(&state.order, &candidate, &self.tally, config.reorder_margin)
-        {
-            return;
-        }
-        self.apply_revision(&candidate, false);
-        self.replan.as_mut().expect("caller checked").order = candidate.clone();
-        self.telemetry_event(
-            EventKind::PlanRevision,
-            format!("probe chain reordered by observed match rates: {candidate:?}"),
-        );
-        self.plan_transitions.push(PlanTransition {
-            action: PlanAction::Reorder { order: candidate },
-            at: self.on_t,
-        });
-    }
-
-    /// Demotes the hash index to the nested-loop scan once the closing
-    /// window's fallback share reaches
-    /// [`ReplanConfig::demote_fallback_share`] — probes were scanning
-    /// anyway, so maintenance was pure overhead.  One-way: windows drop
-    /// their indexes permanently, which is its own hysteresis.
-    fn consider_demotion(&mut self, config: &ReplanConfig) {
-        let state = self.replan.as_ref().expect("caller checked");
-        if state.demoted || matches!(self.plan, ProbePlan::NestedLoop) {
-            return;
-        }
-        let indexed = self.stats.indexed_probes - state.indexed_base;
-        let fallback = self.stats.fallback_probes - state.fallback_base;
-        if indexed + fallback == 0
-            || (fallback as f64) < config.demote_fallback_share * (indexed + fallback) as f64
-        {
-            return;
-        }
-        self.apply_revision(&[], true);
-        self.replan.as_mut().expect("caller checked").demoted = true;
-        self.telemetry_event(
-            EventKind::PlanRevision,
-            format!(
-                "hash index demoted to nested-loop scan (fallback share {:.3})",
-                fallback as f64 / (indexed + fallback) as f64
-            ),
-        );
-        self.plan_transitions.push(PlanTransition {
-            action: PlanAction::DemoteIndex,
-            at: self.on_t,
-        });
-    }
-
-    /// Applies a probe reorder and/or index demotion to every shard
-    /// operator, local or remote (an empty `order` leaves the order
-    /// unchanged, matching the wire frame's contract).
-    fn apply_revision(&mut self, order: &[usize], demote: bool) {
-        let n = self.shard_count();
-        for s in 0..n {
-            if let Some(remote) = &mut self.remote {
-                remote.revise(s, order, demote);
-            } else {
-                self.with_shard_mut(s, |op| {
-                    if !order.is_empty() {
-                        op.set_probe_order(order.to_vec());
-                    }
-                    if demote {
-                        op.demote_index();
-                    }
-                });
-            }
-            self.runtime[s].plan_revisions += 1;
-        }
-    }
-
-    /// Snapshots the full live window of `stream` on shard `s`.
-    fn fetch_window_of(&mut self, s: usize, stream: usize) -> Vec<Tuple> {
-        if let Some(remote) = &mut self.remote {
-            return remote.fetch_window(s, stream as u64);
-        }
-        self.shard(s)
-            .window(StreamIndex(stream))
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Adopts `tuples` into shard `s`'s windows (each tuple lands in its
-    /// own stream's window), counting them as migrated.
-    fn adopt_into(&mut self, s: usize, tuples: &[Tuple]) {
-        self.runtime[s].migrated_tuples += tuples.len() as u64;
-        if let Some(remote) = &mut self.remote {
-            remote.adopt(s, tuples);
-            return;
-        }
-        self.with_shard_mut(s, |op| {
-            for t in tuples {
-                op.adopt(t.clone());
-            }
-        });
-    }
-
-    /// Drops every tuple of `stream` on shard `s` whose join key (in
-    /// `col`) no longer homes there — the local/remote-agnostic retain
-    /// pass of a pair switch.
-    fn retain_home_slice(&mut self, s: usize, stream: usize, col: usize, shards: usize) {
-        if let Some(remote) = &mut self.remote {
-            remote.retain(s, stream as u64, col as u64, shards as u64, s as u64);
-            return;
-        }
-        self.with_shard_mut(s, |op| {
-            op.evict_where(StreamIndex(stream), |t| {
-                join_key_hash(t.value(col)) % shards as u64 == s as u64
-            });
-        });
-    }
-
-    /// Mutable access to one shard operator, wherever the backend keeps it.
-    /// On the `Pool` backend this locks the worker's cell (the worker is
-    /// idle at every call site: state surgery only happens at barriers).
-    fn with_shard_mut<R>(&mut self, s: usize, f: impl FnOnce(&mut MswjOperator) -> R) -> R {
-        match &mut self.pool {
-            Some(pool) => f(&mut pool.lock_shard(s)),
-            None => f(&mut self.shards[s]),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mswj_join::{CommonKeyEquiJoin, StarEquiJoin};
+    use mswj_join::{join_key_hash, CommonKeyEquiJoin, MswjOperator, StarEquiJoin};
     use mswj_types::{FieldType, Schema, StreamSet, StreamSpec, Value};
     use std::sync::Arc;
 
@@ -1865,10 +1109,8 @@ mod tests {
             .collect();
         let (seq_res, seq_out, seq_stats) = run(ExecutionBackend::Sequential, true, &tuples);
         let backends = [
-            ExecutionBackend::Threads(1),
-            ExecutionBackend::Threads(3),
-            ExecutionBackend::Threads(4),
             ExecutionBackend::Pool { workers: 1 },
+            ExecutionBackend::Pool { workers: 3 },
             ExecutionBackend::Pool { workers: 4 },
             // Every epoch round-trips through the wire codec (in-process
             // shard servers), proving serialization on the same workload.
@@ -1912,10 +1154,11 @@ mod tests {
             equi_query(2, 500),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 4 },
         );
         assert_eq!(engine.shard_count(), 4);
         engine.push_batch(tuples, &mut |_| {});
+        engine.sync(&mut |_| {});
         let per_shard = engine.shard_stats();
         assert_eq!(per_shard.len(), 4);
         assert!(
@@ -1998,7 +1241,7 @@ mod tests {
             equi_query(2, 10_000),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 4 },
         );
         // Every tuple carries the same key: one shard takes 100% of the
         // routed events.
@@ -2014,8 +1257,8 @@ mod tests {
     #[test]
     fn unpartitionable_plans_collapse_to_one_shard() {
         for backend in [
-            ExecutionBackend::Threads(8),
             ExecutionBackend::Pool { workers: 8 },
+            ExecutionBackend::remote_inproc(8),
         ] {
             let engine = JoinEngine::new(
                 equi_query(2, 1_000),
@@ -2030,13 +1273,15 @@ mod tests {
 
     #[test]
     fn remote_backend_rejects_an_empty_endpoint_list() {
-        let err = JoinEngine::try_new(
+        let err = JoinEngine::try_with_policies(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::Remote {
                 endpoints: Vec::new(),
             },
+            None,
+            None,
         )
         .unwrap_err();
         assert!(err.to_string().contains("at least one endpoint"), "{err}");
@@ -2048,11 +1293,13 @@ mod tests {
             StreamSet::homogeneous(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000).unwrap();
         let cond = Arc::new(mswj_join::PredicateFn::new(2, "opaque", |_| true));
         let query = JoinQuery::new("closure", streams, cond).unwrap();
-        let err = JoinEngine::try_new(
+        let err = JoinEngine::try_with_policies(
             query,
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::remote_inproc(2),
+            None,
+            None,
         )
         .unwrap_err();
         assert!(
@@ -2130,6 +1377,16 @@ mod tests {
         }
     }
 
+    fn skewed(
+        query: JoinQuery,
+        strategy: ProbeStrategy,
+        enumerate: bool,
+        backend: ExecutionBackend,
+    ) -> JoinEngine {
+        JoinEngine::try_with_policies(query, strategy, enumerate, backend, Some(test_skew()), None)
+            .unwrap()
+    }
+
     /// Runs `tuples` in batches of `chunk` with a `sync` barrier after each
     /// batch (so skew windows are evaluated), returning sorted results,
     /// outcomes and stats.
@@ -2163,15 +1420,14 @@ mod tests {
             .collect();
         let (want_res, want_out, want_stats) = run(ExecutionBackend::Sequential, true, &tuples);
         for backend in [
-            ExecutionBackend::Threads(3),
+            ExecutionBackend::Pool { workers: 2 },
             ExecutionBackend::Pool { workers: 3 },
         ] {
-            let mut engine = JoinEngine::with_skew(
+            let mut engine = skewed(
                 equi_query(2, 1_000),
                 ProbeStrategy::Auto,
                 true,
                 backend.clone(),
-                Some(test_skew()),
             );
             assert!(engine.skew_splitting_enabled(), "{backend}");
             let (res, out, stats) = run_synced(&mut engine, &tuples, 100);
@@ -2223,12 +1479,11 @@ mod tests {
         let cold_phase: Vec<Tuple> = (300..900u64)
             .map(|s| tup((s % 2) as usize, s, 20_000 + s * 2, 100 + (s % 40) as i64))
             .collect();
-        let mut engine = JoinEngine::with_skew(
+        let mut engine = skewed(
             equi_query(2, 2_000),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(3),
-            Some(test_skew()),
+            ExecutionBackend::Pool { workers: 3 },
         );
         let hot = join_key_hash(Some(&Value::Int(7)));
         run_synced(&mut engine, &hot_phase, 150);
@@ -2269,7 +1524,7 @@ mod tests {
             equi_query(2, 100_000),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Threads(4),
+            ExecutionBackend::Pool { workers: 4 },
         );
         let balanced: Vec<Tuple> = (0..4_096u64)
             .map(|s| tup((s % 2) as usize, s, s * 2, (s % 64) as i64))
@@ -2291,21 +1546,19 @@ mod tests {
     #[test]
     fn splitting_is_inert_when_the_plan_cannot_split() {
         // Nested-loop plans collapse to one broadcast shard: no detector.
-        let engine = JoinEngine::with_skew(
+        let engine = skewed(
             equi_query(2, 1_000),
             ProbeStrategy::NestedLoop,
             false,
-            ExecutionBackend::Threads(4),
-            Some(test_skew()),
+            ExecutionBackend::Pool { workers: 4 },
         );
         assert!(!engine.skew_splitting_enabled());
         // Single-shard backends cannot redistribute anything either.
-        let engine = JoinEngine::with_skew(
+        let engine = skewed(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::Sequential,
-            Some(test_skew()),
         );
         assert!(!engine.skew_splitting_enabled());
     }
@@ -2415,7 +1668,11 @@ mod tests {
             .map(|s| ftup((s % 2) as usize, s, s * 5, (s % 3) as i64))
             .collect();
         let (want_res, _, want_stats) = run(ExecutionBackend::Sequential, true, &tuples);
-        let mut engine = replanned(equi_query(2, 1_000), true, ExecutionBackend::Threads(3));
+        let mut engine = replanned(
+            equi_query(2, 1_000),
+            true,
+            ExecutionBackend::Pool { workers: 3 },
+        );
         let (res, _, stats) = run_synced(&mut engine, &tuples, 100);
         assert_eq!(res, want_res, "a demotion never changes the multiset");
         assert_eq!(stats.results, want_stats.results);
@@ -2479,7 +1736,6 @@ mod tests {
         );
         let (want_res, _, want_stats) = run_synced(&mut reference, &tuples, 100);
         for backend in [
-            ExecutionBackend::Threads(4),
             ExecutionBackend::Pool { workers: 4 },
             ExecutionBackend::remote_inproc(4),
         ] {

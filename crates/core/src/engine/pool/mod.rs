@@ -1,12 +1,11 @@
 //! Resident shard workers: the executor behind
 //! [`ExecutionBackend::Pool`](super::ExecutionBackend::Pool).
 //!
-//! `Threads(n)` spawns one scoped worker per shard *per batch* — cheap at
-//! 512-event batches, wasteful at small ones, and the per-batch
-//! `thread::scope` is a hard barrier between front-end routing and shard
-//! execution.  The pool removes both costs: one worker thread per shard is
-//! spawned **once** (at `Pipeline::construct`) and stays resident, fed
-//! through a bounded per-shard SPSC [`channel`] of epoch-tagged [`Task`]s.
+//! One worker thread per shard is spawned **once** (at
+//! `Pipeline::construct`) and stays resident, fed through a bounded
+//! per-shard SPSC [`channel`] of epoch-tagged [`Task`]s — no per-batch
+//! spawn, and no hard barrier between front-end routing and shard
+//! execution.
 //!
 //! ## Protocol
 //!
@@ -30,10 +29,13 @@
 mod channel;
 mod task;
 
-pub(super) use task::{Epoch, EpochOutput, Task};
+pub(super) use task::Epoch;
+use task::{EpochOutput, Task};
 
-use super::exec;
-use mswj_join::MswjOperator;
+use super::shards::CollectedEpoch;
+use super::{exec, Item, SubOutcome};
+use mswj_join::{JoinResult, MswjOperator};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -100,6 +102,9 @@ pub(super) struct ShardPool {
     shared: Arc<PoolShared>,
     /// Last epoch submitted per shard — what quiescence waits for.
     submitted: Vec<Epoch>,
+    /// Per-shard drained item queues returned by the workers, handed back
+    /// to the engine at the next submission so queue capacity is recycled.
+    spare_items: Vec<VecDeque<Item>>,
 }
 
 impl std::fmt::Debug for ShardPool {
@@ -142,11 +147,13 @@ impl ShardPool {
             })
             .collect();
         let submitted = vec![Epoch::default(); shards.len()];
+        let spare_items = shards.iter().map(|_| VecDeque::new()).collect();
         ShardPool {
             shards,
             workers,
             shared,
             submitted,
+            spare_items,
         }
     }
 
@@ -184,12 +191,29 @@ impl ShardPool {
         }
     }
 
-    /// Submits one epoch task to shard `s`.  The caller must collect every
+    /// Submits shard `s`'s routed `queue` as its task of `epoch`, swapping
+    /// a recycled (empty) queue in and sending the `sub` / `mat` buffers
+    /// along for the worker to fill.  The caller must collect every
     /// submitted task (in shard order per epoch) before submitting the next
     /// epoch; with at most one epoch in flight this never blocks.
-    pub(super) fn submit(&mut self, s: usize, task: Task) {
-        debug_assert!(task.epoch > self.submitted[s], "epochs must increase");
-        self.submitted[s] = task.epoch;
+    pub(super) fn submit(
+        &mut self,
+        s: usize,
+        epoch: Epoch,
+        routing_epoch: u64,
+        queue: &mut VecDeque<Item>,
+        sub: &mut Vec<SubOutcome>,
+        mat: &mut Vec<(u32, JoinResult)>,
+    ) {
+        debug_assert!(epoch > self.submitted[s], "epochs must increase");
+        self.submitted[s] = epoch;
+        let task = Task {
+            epoch,
+            items: std::mem::replace(queue, std::mem::take(&mut self.spare_items[s])),
+            sub: std::mem::take(sub),
+            mat: std::mem::take(mat),
+            routing_epoch,
+        };
         let sender = self.workers[s]
             .tasks
             .as_ref()
@@ -202,15 +226,30 @@ impl ShardPool {
     }
 
     /// Receives shard `s`'s output for `expected` — blocking until the
-    /// worker delivers it.  A dead worker surfaces as a panic (with the
-    /// original payload when one was captured), never as a hang.
-    pub(super) fn collect(&mut self, s: usize, expected: Epoch) -> EpochOutput {
-        match self.workers[s].results.recv() {
-            Some(output) => {
-                debug_assert_eq!(output.epoch, expected, "epochs collect in order");
-                output
-            }
-            None => panic!("shard worker {s} terminated before delivering epoch {expected:?}"),
+    /// worker delivers it — and hands the filled `sub` / `mat` buffers
+    /// back.  A worker panic is resumed on this thread, and a dead worker
+    /// surfaces as a panic too (with the original payload when one was
+    /// captured), never as a hang.
+    pub(super) fn collect(
+        &mut self,
+        s: usize,
+        expected: Epoch,
+        sub: &mut Vec<SubOutcome>,
+        mat: &mut Vec<(u32, JoinResult)>,
+    ) -> CollectedEpoch {
+        let Some(out) = self.workers[s].results.recv() else {
+            panic!("shard worker {s} terminated before delivering epoch {expected:?}");
+        };
+        debug_assert_eq!(out.epoch, expected, "epochs collect in order");
+        self.spare_items[s] = out.items;
+        *sub = out.sub;
+        *mat = out.mat;
+        if let Some(payload) = out.panic {
+            std::panic::resume_unwind(payload);
+        }
+        CollectedEpoch {
+            busy_nanos: out.busy_nanos,
+            routing_epoch: out.routing_epoch,
         }
     }
 

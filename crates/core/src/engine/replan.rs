@@ -30,7 +30,10 @@
 //! pair, and index demotion is one-way by construction (the dropped index
 //! is never rebuilt).
 
-use mswj_types::Timestamp;
+use super::JoinEngine;
+use mswj_join::{join_key_hash, Partitioner, ProbePlan};
+use mswj_obs::EventKind;
+use mswj_types::{Timestamp, Tuple};
 
 /// Thresholds of runtime probe re-planning, set through
 /// `SessionBuilder::runtime_replanning` /
@@ -229,6 +232,229 @@ pub(super) fn reorder_is_decisive(
         }
     }
     true
+}
+
+/// The replan driver: the three revisions the engine weighs at an idle
+/// barrier and the state migration a pair switch needs.  An `impl` block on
+/// the engine, next to the re-planner's state and rules.
+impl JoinEngine {
+    /// Evaluates a plan revision for the closing window, when re-planning
+    /// is armed and the window holds enough probes to judge.  Like skew
+    /// evaluation, this runs from `JoinEngine::at_idle_barrier` only and
+    /// takes every decision from engine-global statistics — occupancy
+    /// cardinalities, the sequential-equivalent stats and the per-stream
+    /// tallies — so all backends revise the plan at the same points,
+    /// identically.
+    pub(super) fn evaluate_replan(&mut self) {
+        let Some(state) = &self.replan else {
+            return;
+        };
+        let config = state.config;
+        let probes: u64 = self.tally.iter().map(|t| t.probes).sum();
+        if probes - state.probes_base < config.min_probes {
+            return; // Too thin to judge: carry the window forward.
+        }
+        self.consider_pair_switch(&config);
+        self.consider_reorder(&config);
+        self.consider_demotion(&config);
+        // Start a fresh evaluation window.
+        let state = self.replan.as_mut().expect("checked above");
+        state.probes_base = probes;
+        state.indexed_base = self.stats.indexed_probes;
+        state.fallback_base = self.stats.fallback_probes;
+    }
+
+    /// Re-selects the star partition pair when a satellite outside the
+    /// pair carries [`ReplanConfig::switch_ratio`] times the live
+    /// cardinality of the current partner — a broadcast stream pays for
+    /// every tuple on every shard, so the heaviest satellite belongs in
+    /// the key-routed slot and only light streams on the broadcast path.
+    /// The affected window state migrates at this barrier and the
+    /// routing-table epoch is bumped, exactly like a skew transition.
+    fn consider_pair_switch(&mut self, config: &ReplanConfig) {
+        let ProbePlan::Star { anchor, .. } = &self.plan else {
+            return;
+        };
+        let anchor = *anchor;
+        if self.shard_count() <= 1 {
+            return;
+        }
+        // Star plans never split (broadcast satellites), so the routing
+        // table only ever carries the partitioner epoch here.
+        debug_assert!(self.table.split_classes().is_empty());
+        let Some(current) = self.star_partner else {
+            return;
+        };
+        let candidate = (0..self.query.arity())
+            .filter(|&j| j != anchor)
+            .max_by_key(|&j| (self.occupancy.len(j), std::cmp::Reverse(j)))
+            .expect("a star plan has at least one satellite");
+        if candidate == current {
+            return;
+        }
+        let cur_n = (self.occupancy.len(current) + 1) as f64;
+        let cand_n = (self.occupancy.len(candidate) + 1) as f64;
+        if cand_n < config.switch_ratio * cur_n {
+            return; // Inside the hysteresis band.
+        }
+        self.apply_pair_switch(anchor, current, candidate);
+        self.record_revision(
+            PlanAction::PairSwitch {
+                from: current,
+                to: candidate,
+            },
+            format!(
+                "star pair switched: satellite {current} -> {candidate} (window state migrated)"
+            ),
+        );
+    }
+
+    /// Records one applied plan revision, in decision order.
+    fn record_revision(&mut self, action: PlanAction, message: String) {
+        let at = self.on_t;
+        self.plan_transitions.push(PlanTransition { action, at });
+        self.telemetry_event(EventKind::PlanRevision, message);
+    }
+
+    /// Migrates window state from the partitioning `(anchor, from)` to
+    /// `(anchor, to)` and swaps in the re-paired partitioner.  Runs at an
+    /// idle barrier; every window that moves is snapshotted *before* any
+    /// shard is mutated, so reads never observe a half-migrated peer.
+    ///
+    /// Three streams change routing mode:
+    /// * the old partner goes key-routed → broadcast: each shard's
+    ///   disjoint slice is replicated into every other shard;
+    /// * the new partner goes broadcast → key-routed: every shard already
+    ///   holds the full window and just retains its home slice;
+    /// * the anchor is re-keyed onto the new pair column (unless both
+    ///   pairs share it): each shard retains the tuples that still belong
+    ///   to it and the misplaced remainder is adopted by its new home.
+    fn apply_pair_switch(&mut self, anchor: usize, from: usize, to: usize) {
+        let n = self.shard_count();
+        let next =
+            Partitioner::with_star_partner(&self.plan, self.backend.requested_shards(), Some(to));
+        debug_assert_eq!(next.shard_count(), n, "a pair switch never re-shards");
+        let from_slices: Vec<Vec<Tuple>> =
+            (0..n).map(|s| self.shards.fetch_window(s, from)).collect();
+        let anchor_rekeyed = self.partitioner.column(anchor) != next.column(anchor);
+        let anchor_snaps: Vec<Vec<Tuple>> = if anchor_rekeyed {
+            (0..n)
+                .map(|s| self.shards.fetch_window(s, anchor))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Old partner: replicate each shard's slice into every other shard.
+        for (s, slice) in from_slices.iter().enumerate() {
+            if slice.is_empty() {
+                continue;
+            }
+            for t in (0..n).filter(|&t| t != s) {
+                self.adopt_into(t, slice);
+            }
+        }
+        // New partner: every shard retains its home slice of the full
+        // (previously broadcast) window.
+        let to_col = next
+            .column(to)
+            .expect("the partner satellite is key-routed");
+        for s in 0..n {
+            self.shards.retain_home(s, to, to_col);
+        }
+        // Anchor: retain by new home, then deliver each misplaced tuple to
+        // the shard that now owns it.
+        if anchor_rekeyed {
+            let col = next.column(anchor).expect("the anchor is key-routed");
+            for s in 0..n {
+                self.shards.retain_home(s, anchor, col);
+            }
+            for (s, snap) in anchor_snaps.iter().enumerate() {
+                for target in (0..n).filter(|&t| t != s) {
+                    let moved: Vec<Tuple> = snap
+                        .iter()
+                        .filter(|t| next.home_shard(join_key_hash(t.value(col))) == target)
+                        .cloned()
+                        .collect();
+                    if !moved.is_empty() {
+                        self.adopt_into(target, &moved);
+                    }
+                }
+            }
+        }
+        self.partitioner = next;
+        self.star_partner = Some(to);
+        // Out-of-table routing change: in-flight epochs must never straddle
+        // it (they cannot — the engine is idle), and the pipeline's
+        // routing-epoch sanity checks should see it.
+        self.table.bump_epoch();
+        for s in 0..n {
+            self.runtime[s].plan_revisions += 1;
+        }
+    }
+
+    /// Reorders the m-way probe chain ascending by observed match rate —
+    /// the least productive stream's window is probed first, so empty
+    /// probes exit as early as possible.  Adopted only when every inverted
+    /// stream pair clears [`ReplanConfig::reorder_margin`]; a reorder is a
+    /// pure access-path change, the result multiset cannot move.
+    fn consider_reorder(&mut self, config: &ReplanConfig) {
+        let candidate = reorder_candidate(&self.tally);
+        let state = self.replan.as_ref().expect("caller checked");
+        if candidate == state.order
+            || !reorder_is_decisive(&state.order, &candidate, &self.tally, config.reorder_margin)
+        {
+            return;
+        }
+        self.apply_revision(&candidate, false);
+        self.replan.as_mut().expect("caller checked").order = candidate.clone();
+        let message = format!("probe chain reordered by observed match rates: {candidate:?}");
+        self.record_revision(PlanAction::Reorder { order: candidate }, message);
+    }
+
+    /// Demotes the hash index to the nested-loop scan once the closing
+    /// window's fallback share reaches
+    /// [`ReplanConfig::demote_fallback_share`] — probes were scanning
+    /// anyway, so maintenance was pure overhead.  One-way: windows drop
+    /// their indexes permanently, which is its own hysteresis.
+    fn consider_demotion(&mut self, config: &ReplanConfig) {
+        let state = self.replan.as_ref().expect("caller checked");
+        if state.demoted || matches!(self.plan, ProbePlan::NestedLoop) {
+            return;
+        }
+        let indexed = self.stats.indexed_probes - state.indexed_base;
+        let fallback = self.stats.fallback_probes - state.fallback_base;
+        if indexed + fallback == 0
+            || (fallback as f64) < config.demote_fallback_share * (indexed + fallback) as f64
+        {
+            return;
+        }
+        self.apply_revision(&[], true);
+        self.replan.as_mut().expect("caller checked").demoted = true;
+        self.record_revision(
+            PlanAction::DemoteIndex,
+            format!(
+                "hash index demoted to nested-loop scan (fallback share {:.3})",
+                fallback as f64 / (indexed + fallback) as f64
+            ),
+        );
+    }
+
+    /// Applies a probe reorder and/or index demotion to every shard
+    /// operator (an empty `order` leaves the order unchanged, matching the
+    /// wire frame's contract).
+    fn apply_revision(&mut self, order: &[usize], demote: bool) {
+        for s in 0..self.shard_count() {
+            self.shards.revise(s, order, demote);
+            self.runtime[s].plan_revisions += 1;
+        }
+    }
+
+    /// Adopts `tuples` into shard `s`'s windows (each tuple lands in its
+    /// own stream's window), counting them as migrated.
+    fn adopt_into(&mut self, s: usize, tuples: &[Tuple]) {
+        self.runtime[s].migrated_tuples += tuples.len() as u64;
+        self.shards.adopt(s, tuples);
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,9 @@
 //! [`SkewConfig::split_share`] and only reverts below the strictly smaller
 //! [`SkewConfig::unsplit_share`].
 
+use super::JoinEngine;
 use mswj_join::RoutingTable;
+use mswj_obs::EventKind;
 use mswj_types::Timestamp;
 use std::collections::HashMap;
 
@@ -206,6 +208,203 @@ impl SkewDetector {
         self.entries.clear();
         self.index.clear();
         self.window = 0;
+    }
+}
+
+/// The skew driver: what the engine does with the detector's verdicts at an
+/// idle barrier.  Lives here, next to the detector, as an `impl` block on
+/// the engine (a child module sees its parent's private fields).
+impl JoinEngine {
+    /// Minimum routed-item count in a detection window before skew
+    /// detection speaks up; thinner windows carry forward.
+    const SKEW_MIN_ROUTED: u64 = 1_024;
+
+    /// The shard holding the majority of the routed events in the current
+    /// *detection window*, if any — `Some(s)` once shard `s` has received
+    /// more than half of the (at least 1 024, or the configured
+    /// [`SkewConfig::min_routed`]) items routed since the last
+    /// [`JoinEngine::sync`] barrier that closed a window.
+    ///
+    /// Windowed, not lifetime: a hot key that emerges after a long balanced
+    /// phase still trips this, because earlier balanced traffic was retired
+    /// with its window.  A warning is logged when a window closes on a
+    /// heavy hitter and re-arms once a window comes back balanced, so a
+    /// *new* hot shard is reported even late in a run.
+    pub fn heavy_hitter(&self) -> Option<usize> {
+        if self.shard_count() <= 1 {
+            return None;
+        }
+        let total = self.windowed_total();
+        if total < self.skew_min_routed() {
+            return None;
+        }
+        let s = (0..self.runtime.len()).max_by_key(|&s| self.windowed(s))?;
+        (self.windowed(s) * 2 > total).then_some(s)
+    }
+
+    /// Items routed to shard `s` in the open detection window.
+    fn windowed(&self, s: usize) -> u64 {
+        self.runtime[s].routed - self.hh_base[s]
+    }
+
+    /// Items routed to all shards in the open detection window.
+    fn windowed_total(&self) -> u64 {
+        (0..self.runtime.len()).map(|s| self.windowed(s)).sum()
+    }
+
+    /// The evidence floor of the skew-detection window: the configured
+    /// [`SkewConfig::min_routed`] when splitting is armed, the built-in
+    /// default otherwise.
+    fn skew_min_routed(&self) -> u64 {
+        self.detector
+            .as_ref()
+            .map(|d| d.config().min_routed)
+            .unwrap_or(Self::SKEW_MIN_ROUTED)
+    }
+
+    /// Closes the current skew-detection window if it holds enough
+    /// evidence: logs/re-arms the heavy-hitter warning and, when splitting
+    /// is armed, applies the detector's split/unsplit transitions —
+    /// migrating or purging the affected key classes' build state.  Runs
+    /// from `JoinEngine::at_idle_barrier` only.
+    pub(super) fn evaluate_skew(&mut self) {
+        if self.shard_count() <= 1 {
+            return;
+        }
+        if self.windowed_total() < self.skew_min_routed() {
+            return; // Too thin to judge: carry the window forward.
+        }
+        self.note_heavy_hitter();
+        if self.detector.is_some() {
+            self.apply_split_transitions();
+        }
+        // Start a fresh window.
+        for s in 0..self.runtime.len() {
+            self.hh_base[s] = self.runtime[s].routed;
+        }
+        if let Some(det) = &mut self.detector {
+            det.reset();
+        }
+    }
+
+    /// Reports the heavy-hitter warning when the closing window put a
+    /// majority of its routed events on one shard; re-arms when a window
+    /// comes back balanced, so a late-emerging hot key is reported even
+    /// after an earlier warning.
+    ///
+    /// With telemetry attached the warning goes through the structured
+    /// event ring (and its optional callback) — embedding applications are
+    /// never written to on stderr.  Without telemetry the legacy stderr
+    /// log remains, suppressible with `MSWJ_NO_SKEW_WARNING` (the signal
+    /// stays available through [`JoinEngine::heavy_hitter`] and the
+    /// per-shard `routed` counters either way).
+    fn note_heavy_hitter(&mut self) {
+        let Some(s) = self.heavy_hitter() else {
+            self.hh_warned = None;
+            return;
+        };
+        if self.hh_warned == Some(s) {
+            return;
+        }
+        self.hh_warned = Some(s);
+        let (held, total) = (self.windowed(s), self.windowed_total());
+        let hint = if self.detector.is_some() {
+            "hot-key splitting is armed and will redistribute it"
+        } else {
+            "consider arming skew_splitting() on the session builder"
+        };
+        let message = format!(
+            "heavy hitter detected — shard {s} took {held} of {total} routed \
+             events (> 50%) in the current detection window; the key distribution \
+             pins this shard's bucket, {hint}"
+        );
+        if self.telemetry.is_some() {
+            self.telemetry_event(EventKind::HeavyHitter, message);
+        } else if std::env::var_os("MSWJ_NO_SKEW_WARNING").is_none() {
+            eprintln!("mswj: {message}");
+        }
+    }
+
+    /// Applies the detector's verdict on the closing window: reverts split
+    /// classes that went cold (purging their replicas), then splits new hot
+    /// classes (replicating their build state), recording every transition.
+    fn apply_split_transitions(&mut self) {
+        let det = self.detector.as_ref().expect("caller checked");
+        let (to_split, to_unsplit) = det.evaluate(&self.table);
+        for (hash, share) in to_unsplit {
+            if self.table.unsplit(hash) {
+                self.purge_replicas(hash);
+                self.record_skew_transition(hash, false, share);
+            }
+        }
+        for (hash, share) in to_split {
+            if self.table.split(hash) {
+                self.replicate_build_state(hash);
+                self.record_skew_transition(hash, true, share);
+            }
+        }
+    }
+
+    fn record_skew_transition(&mut self, key_hash: u64, split: bool, share: f64) {
+        let at = self.on_t;
+        self.transitions.push(SkewTransition {
+            key_hash,
+            split,
+            share,
+            at,
+        });
+        let (kind, what) = if split {
+            let what = "switched to replicated-build / split-probe routing";
+            (EventKind::SkewSplit, what)
+        } else {
+            (EventKind::SkewUnsplit, "went cold; replicas purged")
+        };
+        self.telemetry_event(
+            kind,
+            format!("key class {key_hash:#018x} (share {share:.3}) {what}"),
+        );
+    }
+
+    /// Copies the live build state of key class `hash` from its home shard
+    /// into every other shard, so any shard can answer a split probe with
+    /// the full class.  Runs at a barrier; copies are *adopted* (no
+    /// operator statistics) and land in timestamp order, so replica windows
+    /// enumerate the class exactly as the home shard does.
+    fn replicate_build_state(&mut self, hash: u64) {
+        let n = self.shard_count();
+        let home = self.partitioner.home_shard(hash);
+        for i in 0..self.query.arity() {
+            let Some(col) = self.partitioner.column(i) else {
+                // supports_splitting() guarantees key-routed streams.
+                debug_assert!(false, "split routing requires key-routed streams");
+                continue;
+            };
+            let class = self.shards.fetch_class(home, i, col, hash);
+            if class.is_empty() {
+                continue;
+            }
+            for s in (0..n).filter(|&s| s != home) {
+                self.shards.adopt(s, &class);
+            }
+        }
+    }
+
+    /// Removes the replicated build state of key class `hash` from every
+    /// non-home shard.  The home shard keeps the full class (it received
+    /// every fan-out insert), so plain hash routing resumes losslessly —
+    /// and a later re-split starts from replica-free shards, which is what
+    /// keeps re-replication from duplicating state.
+    fn purge_replicas(&mut self, hash: u64) {
+        let n = self.shard_count();
+        let home = self.partitioner.home_shard(hash);
+        for s in (0..n).filter(|&s| s != home) {
+            for i in 0..self.query.arity() {
+                let Some(col) = self.partitioner.column(i) else {
+                    continue;
+                };
+                self.shards.purge_class(s, i, col, hash);
+            }
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //!     [`CONNECT_TIMEOUT`]) and a [`DEFAULT_READ_TIMEOUT`] so a silent
 //!     peer surfaces as an error, never as a hang.
 //! * [`server`] — the passive side: one [`MswjOperator`] per connection,
-//!   driven by Setup/Task/Barrier/class frames (the `mswj-shardd` binary
+//!   driven by Setup/Task/Barrier/surgery frames (the `mswj-shardd` binary
 //!   is a thin accept-loop around [`server::serve_stream`]).
 //! * `remote` (engine-internal) — the active side: one link per shard,
 //!   reusing the engine's epoch/barrier pipeline so checkpoints, K-changes
@@ -246,7 +246,9 @@ pub fn connect(endpoint: &Endpoint) -> Result<Box<dyn Transport>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mswj_wire::{WireTask, PROTOCOL_VERSION};
+    use mswj_join::{ConditionDescriptor, ProbeStrategy};
+    use mswj_types::{FieldType, Timestamp, Tuple, Value};
+    use mswj_wire::{WireQuery, WireStream, WireTask, PROTOCOL_VERSION};
 
     #[test]
     fn inproc_transport_answers_hello_and_counts_traffic() {
@@ -312,6 +314,121 @@ mod tests {
             handle.join().unwrap().is_ok(),
             "client errors close cleanly"
         );
+    }
+
+    fn two_stream_query() -> WireQuery {
+        let stream = |name: &str| WireStream {
+            name: name.into(),
+            fields: vec![("a1".into(), FieldType::Int)],
+            window: 1_000,
+        };
+        WireQuery {
+            name: "malformed".into(),
+            streams: vec![stream("S1"), stream("S2")],
+            condition: ConditionDescriptor::CommonKey {
+                columns: vec![0, 0],
+            },
+            strategy: ProbeStrategy::Auto,
+            enumerate: false,
+        }
+    }
+
+    #[test]
+    fn server_answers_out_of_range_surgery_frames_with_an_error_frame() {
+        let tuple = |stream: usize| {
+            Tuple::new(
+                stream.into(),
+                0,
+                Timestamp::from_millis(5),
+                vec![Value::Int(1)],
+            )
+        };
+        // (malformed frame, what the error must name)
+        let cases = [
+            (Frame::FetchWindow { stream: 9 }, "stream index 9"),
+            (
+                Frame::FetchClass {
+                    stream: 9,
+                    column: 0,
+                    key_hash: 1,
+                },
+                "stream index 9",
+            ),
+            (
+                Frame::PurgeClass {
+                    stream: 2,
+                    column: 0,
+                    key_hash: 1,
+                },
+                "stream index 2",
+            ),
+            (
+                Frame::Retain {
+                    stream: 9,
+                    column: 0,
+                    shards: 2,
+                    keep: 0,
+                },
+                "stream index 9",
+            ),
+            (
+                Frame::Retain {
+                    stream: 0,
+                    column: 0,
+                    shards: 0,
+                    keep: 0,
+                },
+                "keep 0 of 0 shards",
+            ),
+            (
+                Frame::Retain {
+                    stream: 0,
+                    column: 0,
+                    shards: 2,
+                    keep: 2,
+                },
+                "keep 2 of 2 shards",
+            ),
+            (
+                Frame::Adopt {
+                    tuples: vec![tuple(1), tuple(7)],
+                },
+                "adopted tuple",
+            ),
+            (
+                Frame::Revise {
+                    order: vec![0, 0],
+                    demote: false,
+                },
+                "probe order",
+            ),
+            (
+                Frame::Revise {
+                    order: vec![0, 1, 2],
+                    demote: true,
+                },
+                "probe order",
+            ),
+        ];
+        for (frame, names) in cases {
+            let label = format!("{frame:?}");
+            let (client, server_end) = inproc::duplex();
+            let handle = std::thread::spawn(move || serve_stream(server_end));
+            let mut framed = Framed::new(client);
+            framed.send(&Frame::Setup(two_stream_query())).unwrap();
+            assert!(matches!(framed.recv().unwrap(), Frame::SetupAck));
+            framed.send(&frame).unwrap();
+            match framed.recv() {
+                Ok(Frame::Error { message }) => {
+                    assert!(message.contains(names), "[{label}] {message}")
+                }
+                other => panic!("[{label}] expected an error frame, got {other:?}"),
+            }
+            let served = handle
+                .join()
+                .unwrap_or_else(|_| panic!("[{label}] the connection thread panicked"));
+            assert!(served.is_ok(), "[{label}] client errors close cleanly");
+        }
     }
 
     #[test]

@@ -10,23 +10,15 @@
 //! `resume_unwind` surface.
 
 use super::{Endpoint, EngineError, Transport, SHUTDOWN_TIMEOUT};
+use crate::engine::shards::CollectedEpoch;
 use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
 use mswj_types::{Error, Tuple};
-use mswj_wire::{Frame, WireError, WireItem, WireQuery, WireStream, WireTask};
+use mswj_wire::{Frame, WireError, WireQuery, WireStream, WireTask};
 use std::collections::VecDeque;
 use std::panic::panic_any;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// What `collect` hands back to the engine alongside the filled `sub` /
-/// `mat` buffers.
-pub(in crate::engine) struct CollectedEpoch {
-    /// Nanoseconds the remote operator spent draining the task.
-    pub(in crate::engine) busy_nanos: u64,
-    /// Routing-table epoch the peer echoed back (pipeline sanity check).
-    pub(in crate::engine) routing_epoch: u64,
-}
 
 struct Link {
     transport: Box<dyn Transport>,
@@ -133,6 +125,11 @@ impl RemoteShards {
         Ok(RemoteShards { links })
     }
 
+    /// Number of connected shard servers.
+    pub(in crate::engine) fn count(&self) -> usize {
+        self.links.len()
+    }
+
     fn link(&self, shard: usize) -> std::sync::MutexGuard<'_, Link> {
         self.links[shard].lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -152,14 +149,7 @@ impl RemoteShards {
         routing_epoch: u64,
         queue: &mut VecDeque<Item>,
     ) {
-        let items: Vec<WireItem> = queue
-            .drain(..)
-            .map(|item| WireItem {
-                seq: item.seq,
-                probe: item.probe,
-                tuple: item.tuple,
-            })
-            .collect();
+        let items = queue.drain(..).collect();
         let link = self.link_mut(shard);
         link.submitted_at = Some(Instant::now());
         link.send(
@@ -190,11 +180,7 @@ impl RemoteShards {
             link.rtt_nanos += at.elapsed().as_nanos() as u64;
         }
         debug_assert_eq!(out.epoch, expected_epoch, "epochs collect in submit order");
-        sub.extend(out.sub.into_iter().map(|w| SubOutcome {
-            seq: w.seq,
-            n_join: w.n_join,
-            indexed: w.indexed,
-        }));
+        sub.extend(out.sub);
         mat.extend(out.mat);
         CollectedEpoch {
             busy_nanos: out.busy_nanos,
@@ -230,122 +216,29 @@ impl RemoteShards {
         }
     }
 
-    /// Fetches one key class from a stream window of `shard` (the remote
-    /// equivalent of scanning the home shard's window during a hot-key
-    /// split).
-    pub(in crate::engine) fn fetch_class(
-        &mut self,
-        shard: usize,
-        stream: u64,
-        column: u64,
-        key_hash: u64,
-    ) -> Vec<Tuple> {
+    /// Sends a surgery `request` to `shard` and returns its reply frame.
+    /// Only valid between epochs (nothing outstanding).
+    fn request(&mut self, shard: usize, request: Frame) -> (&Link, Frame) {
         let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::FetchClass {
-                stream,
-                column,
-                key_hash,
-            },
-        );
-        match link.reply(shard) {
-            Frame::ClassData { tuples } => tuples,
-            other => link.unexpected(shard, "class-data", &other),
+        link.send(shard, &request);
+        let reply = link.reply(shard);
+        (link, reply)
+    }
+
+    /// A surgery request answered by a plain ack (`Adopt`, `PurgeClass`,
+    /// `Retain`, `Revise`).
+    pub(in crate::engine) fn request_ack(&mut self, shard: usize, request: Frame) {
+        match self.request(shard, request) {
+            (_, Frame::Ack) => {}
+            (link, other) => link.unexpected(shard, "ack", &other),
         }
     }
 
-    /// Replicates build-side tuples into `shard`'s windows.
-    pub(in crate::engine) fn adopt(&mut self, shard: usize, tuples: &[Tuple]) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::Adopt {
-                tuples: tuples.to_vec(),
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
-        }
-    }
-
-    /// Evicts a previously replicated key class from `shard`'s window.
-    pub(in crate::engine) fn purge_class(
-        &mut self,
-        shard: usize,
-        stream: u64,
-        column: u64,
-        key_hash: u64,
-    ) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::PurgeClass {
-                stream,
-                column,
-                key_hash,
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
-        }
-    }
-
-    /// Fetches the entire live window of one stream from `shard` — the
-    /// bulk counterpart of `fetch_class`, used when a plan revision moves
-    /// a whole stream between routing modes.
-    pub(in crate::engine) fn fetch_window(&mut self, shard: usize, stream: u64) -> Vec<Tuple> {
-        let link = self.link_mut(shard);
-        link.send(shard, &Frame::FetchWindow { stream });
-        match link.reply(shard) {
-            Frame::ClassData { tuples } => tuples,
-            other => link.unexpected(shard, "class-data", &other),
-        }
-    }
-
-    /// Keeps only the tuples of `stream` whose join-key hash (over
-    /// `column`) lands on shard `keep` of `shards` — the remote form of
-    /// the retain pass a pair switch runs on every local shard.
-    pub(in crate::engine) fn retain(
-        &mut self,
-        shard: usize,
-        stream: u64,
-        column: u64,
-        shards: u64,
-        keep: u64,
-    ) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::Retain {
-                stream,
-                column,
-                shards,
-                keep,
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
-        }
-    }
-
-    /// Applies a probe-plan revision (probe reorder and/or index demotion)
-    /// to `shard`'s operator.
-    pub(in crate::engine) fn revise(&mut self, shard: usize, order: &[usize], demote: bool) {
-        let link = self.link_mut(shard);
-        link.send(
-            shard,
-            &Frame::Revise {
-                order: order.to_vec(),
-                demote,
-            },
-        );
-        match link.reply(shard) {
-            Frame::Ack => {}
-            other => link.unexpected(shard, "ack", &other),
+    /// A surgery request answered by tuples (`FetchClass`, `FetchWindow`).
+    pub(in crate::engine) fn request_tuples(&mut self, shard: usize, request: Frame) -> Vec<Tuple> {
+        match self.request(shard, request) {
+            (_, Frame::ClassData { tuples }) => tuples,
+            (link, other) => link.unexpected(shard, "class-data", &other),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The shard-server side of the wire protocol: one shard operator per
 //! connection, driven entirely by frames.
 //!
-//! A connection's lifecycle is `Hello → Setup → (Task | Barrier | class
+//! A connection's lifecycle is `Hello → Setup → (Task | Barrier | surgery
 //! frames)* → Shutdown`.  The server is passive — it never initiates — and
 //! every request gets exactly one reply, so the client can keep at most
 //! one epoch in flight per connection and collect deterministically.  An
@@ -9,17 +9,26 @@
 //! error frame (the connection then closes: after a panic the shard state
 //! is unreliable, exactly like a retired pool worker).
 //!
+//! Surgery frames (`FetchClass`, `FetchWindow`, `Adopt`, `PurgeClass`,
+//! `Retain`, `Revise`) take one path, `apply_surgery`: **validate, then
+//! apply**.  Every index a frame carries is checked against the operator
+//! built at `Setup` before anything is touched, and the body that runs is
+//! the same `MswjOperator` method the engine's local backends call.  A
+//! frame that fails validation — like any request before `Setup` — is
+//! answered with an error frame naming the offending field, followed by an
+//! orderly close; it never panics the connection thread.
+//!
 //! [`serve_stream`] serves one connection over any byte stream — the
 //! in-process transport drives it over memory pipes, the `mswj-shardd`
 //! binary and benches drive it over sockets via [`serve_uds`] /
 //! [`serve_tcp`], one thread per accepted connection.
 
 use super::Framed;
-use crate::engine::{exec, Item};
-use mswj_join::{join_key_hash, JoinQuery, MswjOperator};
+use crate::engine::{exec, Item, SubOutcome};
+use mswj_join::{JoinQuery, JoinResult, MswjOperator};
 use mswj_obs::{ShardInstruments, Telemetry};
-use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec, Tuple};
-use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireSub};
+use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec};
+use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireTask};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::panic::AssertUnwindSafe;
@@ -106,19 +115,90 @@ fn build_operator(q: &WireQuery) -> Result<MswjOperator, String> {
     Ok(MswjOperator::with_probe(query, q.strategy, q.enumerate))
 }
 
-fn stream_and_column(stream: u64, column: u64) -> Result<(StreamIndex, usize), String> {
-    let s = usize::try_from(stream).map_err(|_| format!("stream index {stream} overflows"))?;
-    let c = usize::try_from(column).map_err(|_| format!("column index {column} overflows"))?;
-    Ok((StreamIndex(s), c))
+/// A wire stream index, checked against the operator's arity.
+fn stream_of(op: &MswjOperator, stream: u64) -> Result<StreamIndex, String> {
+    let m = op.query().arity();
+    match usize::try_from(stream) {
+        Ok(s) if s < m => Ok(StreamIndex(s)),
+        _ => Err(format!(
+            "stream index {stream} out of range for a {m}-stream query"
+        )),
+    }
 }
 
-/// Collects one key class out of a window, in window (timestamp) order.
-fn class_of(op: &MswjOperator, stream: StreamIndex, column: usize, key_hash: u64) -> Vec<Tuple> {
-    op.window(stream)
-        .iter()
-        .filter(|t| join_key_hash(t.value(column)) == key_hash)
-        .cloned()
-        .collect()
+/// A wire column index.  Any `usize` is safe — a column a tuple does not
+/// have reads as a missing value — so only the conversion can fail.
+fn column_of(column: u64) -> Result<usize, String> {
+    usize::try_from(column).map_err(|_| format!("column index {column} overflows"))
+}
+
+/// Validates one surgery frame against `op`, applies it through the
+/// operator's own surgery method, and returns the reply.  `Err` carries the
+/// message of the error frame that ends the connection — for an index out
+/// of range, or a frame no client may send — and nothing has been applied
+/// when it is returned.
+fn apply_surgery(op: &mut MswjOperator, frame: Frame) -> Result<Frame, String> {
+    Ok(match frame {
+        Frame::FetchClass {
+            stream,
+            column,
+            key_hash,
+        } => Frame::ClassData {
+            tuples: op.fetch_class(stream_of(op, stream)?, column_of(column)?, key_hash),
+        },
+        Frame::FetchWindow { stream } => Frame::ClassData {
+            tuples: op.fetch_window(stream_of(op, stream)?),
+        },
+        Frame::Adopt { tuples } => {
+            for t in &tuples {
+                stream_of(op, t.stream.as_usize() as u64)
+                    .map_err(|why| format!("adopted tuple {t}: {why}"))?;
+            }
+            op.adopt_all(tuples);
+            Frame::Ack
+        }
+        Frame::PurgeClass {
+            stream,
+            column,
+            key_hash,
+        } => {
+            op.purge_class(stream_of(op, stream)?, column_of(column)?, key_hash);
+            Frame::Ack
+        }
+        Frame::Retain {
+            stream,
+            column,
+            shards,
+            keep,
+        } => {
+            let (stream, column) = (stream_of(op, stream)?, column_of(column)?);
+            match (usize::try_from(shards), usize::try_from(keep)) {
+                (Ok(shards), Ok(keep)) if keep < shards => {
+                    op.retain_home(stream, column, shards, keep);
+                }
+                _ => {
+                    return Err(format!(
+                        "retain needs keep < shards, got keep {keep} of {shards} shards"
+                    ))
+                }
+            }
+            Frame::Ack
+        }
+        Frame::Revise { order, demote } => {
+            if !order.is_empty() {
+                op.check_probe_order(&order)
+                    .map_err(|why| format!("revise: {why}"))?;
+            }
+            op.revise(&order, demote);
+            Frame::Ack
+        }
+        other => {
+            return Err(format!(
+                "unexpected frame type {:#04x} on the server side",
+                other.frame_type()
+            ))
+        }
+    })
 }
 
 /// Serves one client connection until a shutdown handshake, EOF, or a
@@ -141,10 +221,7 @@ pub fn serve_stream_with<S: Read + Write>(
     let mut conn_scope = scope.map(ConnScope::new);
     let mut framed = Framed::new(stream);
     let mut op: Option<MswjOperator> = None;
-    // Recycled epoch buffers, mirroring the pool worker's steady state.
-    let mut items: VecDeque<Item> = VecDeque::new();
-    let mut sub = Vec::new();
-    let mut mat = Vec::new();
+    let mut buffers = EpochBuffers::default();
     loop {
         let frame = match framed.recv() {
             Ok(frame) => frame,
@@ -175,59 +252,8 @@ pub fn serve_stream_with<S: Read + Write>(
                     op = Some(built);
                     framed.send(&Frame::SetupAck)?;
                 }
-                Err(message) => {
-                    framed.send(&Frame::Error { message })?;
-                    return Ok(());
-                }
+                Err(message) => return refuse(&mut framed, message),
             },
-            Frame::Task(task) => {
-                let Some(op) = op.as_mut() else {
-                    framed.send(&Frame::Error {
-                        message: "task before setup".into(),
-                    })?;
-                    return Ok(());
-                };
-                items.clear();
-                items.extend(task.items.into_iter().map(|w| Item {
-                    seq: w.seq,
-                    probe: w.probe,
-                    tuple: w.tuple,
-                }));
-                sub.clear();
-                mat.clear();
-                let queued = items.len() as u64;
-                let started = Instant::now();
-                let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    exec::drain_queue(op, &mut items, &mut sub, &mut mat);
-                }))
-                .err();
-                let busy_nanos = started.elapsed().as_nanos() as u64;
-                if let Some(scope) = &mut conn_scope {
-                    scope.record_epoch(queued, busy_nanos);
-                }
-                match panicked {
-                    Some(payload) => {
-                        framed.send(&Frame::Error {
-                            message: panic_text(payload.as_ref()),
-                        })?;
-                        return Ok(());
-                    }
-                    None => framed.send(&Frame::Output(WireOutput {
-                        epoch: task.epoch,
-                        routing_epoch: task.routing_epoch,
-                        busy_nanos,
-                        sub: sub
-                            .iter()
-                            .map(|o| WireSub {
-                                seq: o.seq,
-                                n_join: o.n_join,
-                                indexed: o.indexed,
-                            })
-                            .collect(),
-                        mat: std::mem::take(&mut mat),
-                    }))?,
-                }
-            }
             Frame::Barrier { token } => {
                 let stats = op.as_ref().map(MswjOperator::stats).unwrap_or_default();
                 let window_bytes = op.as_ref().map(MswjOperator::window_bytes).unwrap_or(0);
@@ -242,132 +268,81 @@ pub fn serve_stream_with<S: Read + Write>(
                     window_segments,
                 })?;
             }
-            Frame::FetchClass {
-                stream,
-                column,
-                key_hash,
-            } => {
-                let reply = match (op.as_ref(), stream_and_column(stream, column)) {
-                    (Some(op), Ok((s, c))) => Frame::ClassData {
-                        tuples: class_of(op, s, c, key_hash),
-                    },
-                    (None, _) => Frame::Error {
-                        message: "fetch-class before setup".into(),
-                    },
-                    (_, Err(message)) => Frame::Error { message },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
-                    return Ok(());
-                }
-            }
-            Frame::Adopt { tuples } => {
-                let Some(op) = op.as_mut() else {
-                    framed.send(&Frame::Error {
-                        message: "adopt before setup".into(),
-                    })?;
-                    return Ok(());
-                };
-                for t in tuples {
-                    op.adopt(t);
-                }
-                framed.send(&Frame::Ack)?;
-            }
-            Frame::PurgeClass {
-                stream,
-                column,
-                key_hash,
-            } => {
-                let reply = match (op.as_mut(), stream_and_column(stream, column)) {
-                    (Some(op), Ok((s, c))) => {
-                        op.evict_where(s, |t| join_key_hash(t.value(c)) != key_hash);
-                        Frame::Ack
-                    }
-                    (None, _) => Frame::Error {
-                        message: "purge-class before setup".into(),
-                    },
-                    (_, Err(message)) => Frame::Error { message },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
-                    return Ok(());
-                }
-            }
-            Frame::FetchWindow { stream } => {
-                let reply = match (op.as_ref(), usize::try_from(stream)) {
-                    (Some(op), Ok(s)) => Frame::ClassData {
-                        tuples: op.window(StreamIndex(s)).iter().cloned().collect(),
-                    },
-                    (None, _) => Frame::Error {
-                        message: "fetch-window before setup".into(),
-                    },
-                    (_, Err(_)) => Frame::Error {
-                        message: format!("stream index {stream} overflows"),
-                    },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
-                    return Ok(());
-                }
-            }
-            Frame::Retain {
-                stream,
-                column,
-                shards,
-                keep,
-            } => {
-                let reply = match (op.as_mut(), stream_and_column(stream, column)) {
-                    (Some(_), _) if shards == 0 => Frame::Error {
-                        message: "retain with zero shards".into(),
-                    },
-                    (Some(op), Ok((s, c))) => {
-                        op.evict_where(s, |t| join_key_hash(t.value(c)) % shards == keep);
-                        Frame::Ack
-                    }
-                    (None, _) => Frame::Error {
-                        message: "retain before setup".into(),
-                    },
-                    (_, Err(message)) => Frame::Error { message },
-                };
-                let terminal = matches!(reply, Frame::Error { .. });
-                framed.send(&reply)?;
-                if terminal {
-                    return Ok(());
-                }
-            }
-            Frame::Revise { order, demote } => {
-                let Some(op) = op.as_mut() else {
-                    framed.send(&Frame::Error {
-                        message: "revise before setup".into(),
-                    })?;
-                    return Ok(());
-                };
-                if !order.is_empty() {
-                    op.set_probe_order(order);
-                }
-                if demote {
-                    op.demote_index();
-                }
-                framed.send(&Frame::Ack)?;
-            }
             Frame::Shutdown => {
                 framed.send(&Frame::ShutdownAck)?;
                 return Ok(());
             }
-            other => {
-                framed.send(&Frame::Error {
-                    message: format!(
-                        "unexpected frame type {:#04x} on the server side",
-                        other.frame_type()
-                    ),
-                })?;
-                return Ok(());
+            // Everything else must be a request against the operator: one
+            // decode → validate → apply → reply path, one way to fail.
+            request => {
+                let reply = match op.as_mut() {
+                    None => Err(format!(
+                        "frame type {:#04x} before setup",
+                        request.frame_type()
+                    )),
+                    Some(op) => match request {
+                        Frame::Task(task) => run_task(op, task, &mut buffers, conn_scope.as_mut()),
+                        surgery => apply_surgery(op, surgery),
+                    },
+                };
+                match reply {
+                    Ok(reply) => framed.send(&reply)?,
+                    Err(message) => return refuse(&mut framed, message),
+                }
             }
         }
     }
+}
+
+/// Answers a request the server cannot serve — a client error or an
+/// operator panic — with an error frame, then closes in an orderly way.
+fn refuse<S: Read + Write>(framed: &mut Framed<S>, message: String) -> Result<(), WireError> {
+    framed.send(&Frame::Error { message })?;
+    Ok(())
+}
+
+/// Recycled epoch buffers, mirroring the pool worker's steady state.
+#[derive(Default)]
+struct EpochBuffers {
+    items: VecDeque<Item>,
+    sub: Vec<SubOutcome>,
+    mat: Vec<(u32, JoinResult)>,
+}
+
+/// Drains one task frame against the operator and builds its output frame;
+/// an operator panic is caught and comes back as the `Err` text (the shard
+/// state is unreliable after it, so the caller closes the connection).
+fn run_task(
+    op: &mut MswjOperator,
+    task: WireTask,
+    buffers: &mut EpochBuffers,
+    scope: Option<&mut ConnScope>,
+) -> Result<Frame, String> {
+    let EpochBuffers { items, sub, mat } = buffers;
+    items.clear();
+    items.extend(task.items);
+    sub.clear();
+    mat.clear();
+    let queued = items.len() as u64;
+    let started = Instant::now();
+    let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        exec::drain_queue(op, items, sub, mat);
+    }))
+    .err();
+    let busy_nanos = started.elapsed().as_nanos() as u64;
+    if let Some(scope) = scope {
+        scope.record_epoch(queued, busy_nanos);
+    }
+    if let Some(payload) = panicked {
+        return Err(panic_text(payload.as_ref()));
+    }
+    Ok(Frame::Output(WireOutput {
+        epoch: task.epoch,
+        routing_epoch: task.routing_epoch,
+        busy_nanos,
+        sub: sub.clone(),
+        mat: std::mem::take(mat),
+    }))
 }
 
 fn spawn_connection<S>(index: usize, stream: S, scope: Option<Arc<ShardInstruments>>)

@@ -28,8 +28,7 @@
 //! [`OutputEvent`], so the counting hot path performs no per-event heap
 //! allocation.  [`Pipeline::push_batch_into`] ingests a whole batch and
 //! flushes the join stage **once**, amortizing the front-end → shard
-//! hand-off (and, under the `Threads` backend, one thread fan-out) over the
-//! batch; single-event `push_into` simply delegates to it.  Under the
+//! hand-off over the batch; single-event `push_into` simply delegates to it.  Under the
 //! resident [`ExecutionBackend::Pool`] the flush is *pipelined*: the batch
 //! is handed to the resident shard workers and the call returns while they
 //! execute it, so the front-end processes batch *t + 1* concurrently with
@@ -292,8 +291,7 @@ impl Pipeline {
     /// Processes a whole batch of arrivals, flushing the sharded join stage
     /// once per batch instead of once per event.
     ///
-    /// Batching amortizes the front-end → shard hand-off — and, under
-    /// [`ExecutionBackend::Threads`], one thread fan-out — over the batch,
+    /// Batching amortizes the front-end → shard hand-off over the batch,
     /// which is where the parallel backends earn their keep.  Semantics are
     /// identical to pushing the events one by one: the same results,
     /// reports and adaptation trajectory (checkpoints force an intermediate
@@ -984,7 +982,7 @@ mod tests {
         let mut p = Pipeline::builder()
             .query(query(2, 500))
             .policy(BufferPolicy::NoKSlack)
-            .parallelism(ExecutionBackend::Threads(4))
+            .parallelism(ExecutionBackend::Pool { workers: 4 })
             .build()
             .unwrap();
         assert_eq!(p.engine().shard_count(), 4);

@@ -90,7 +90,7 @@ impl Scale {
              \n\
              fig6 only:\n\
              \x20   --backend SPEC     join-stage backend: seq (default),\n\
-             \x20                      threads:N, pool:N, inproc:N,\n\
+             \x20                      pool:N, inproc:N,\n\
              \x20                      uds:PATH[,PATH…], tcp:ADDR[,ADDR…]\n\
              \x20                      (uds/tcp need running mswj-shardd\n\
              \x20                      servers; results are byte-identical\n\
@@ -136,7 +136,7 @@ impl Scale {
     }
 }
 
-/// Parses a `--backend` specification: `seq`, `threads:N`, `pool:N`,
+/// Parses a `--backend` specification: `seq`, `pool:N`,
 /// `inproc:N` (remote shards on in-process server threads), or
 /// `uds:`/`tcp:` followed by a comma-separated endpoint list (one shard
 /// per endpoint, served by `mswj-shardd`).
@@ -147,9 +147,6 @@ pub fn parse_backend(spec: &str) -> Result<ExecutionBackend, String> {
     };
     if spec == "seq" {
         return Ok(ExecutionBackend::Sequential);
-    }
-    if let Some(rest) = spec.strip_prefix("threads:") {
-        return Ok(ExecutionBackend::Threads(workers(rest)?));
     }
     if let Some(rest) = spec.strip_prefix("pool:") {
         return Ok(ExecutionBackend::Pool {
@@ -173,7 +170,7 @@ pub fn parse_backend(spec: &str) -> Result<ExecutionBackend, String> {
         });
     }
     Err(format!(
-        "unknown backend `{spec}` (expected seq, threads:N, pool:N, inproc:N, uds:…, tcp:…)"
+        "unknown backend `{spec}` (expected seq, pool:N, inproc:N, uds:…, tcp:…)"
     ))
 }
 
@@ -460,10 +457,7 @@ mod tests {
     #[test]
     fn backend_specs_parse() {
         assert_eq!(parse_backend("seq").unwrap(), ExecutionBackend::Sequential);
-        assert_eq!(
-            parse_backend("threads:4").unwrap(),
-            ExecutionBackend::Threads(4)
-        );
+        assert!(parse_backend("threads:4").is_err());
         assert_eq!(
             parse_backend("pool:2").unwrap(),
             ExecutionBackend::Pool { workers: 2 }

@@ -60,33 +60,4 @@ impl MswjOperator {
         debug_assert!(i < self.windows.len(), "tuple references unknown stream");
         self.windows[i].insert(tuple);
     }
-
-    /// Adopts a tuple into its window without probing, scope checks or
-    /// operator statistics — state *migration*, not stream ingestion.
-    ///
-    /// The sharded engine uses this when a key class switches to
-    /// replicated-build / split-probe routing: the class's live build state
-    /// is copied from its home shard into every other shard, and those
-    /// copies must not perturb the per-shard in-order/out-of-order tallies
-    /// that describe the *stream* each shard saw.  Counted under
-    /// [`OperatorStats::adopted`](super::OperatorStats).
-    pub fn adopt(&mut self, tuple: Tuple) {
-        let i = tuple.stream.as_usize();
-        debug_assert!(i < self.windows.len(), "tuple references unknown stream");
-        self.stats.adopted += 1;
-        self.windows[i].insert(tuple);
-    }
-
-    /// Surgically removes every live tuple of stream `i` for which `keep`
-    /// returns `false`, maintaining the window's hash indexes; returns the
-    /// number of removed tuples.  The inverse of [`MswjOperator::adopt`]:
-    /// the sharded engine purges replicated build state from non-home
-    /// shards when a split key class reverts to plain hash routing, and
-    /// sheds re-homed window state on a partition-pair switch.  Counted
-    /// under [`OperatorStats::evicted`](super::OperatorStats).
-    pub fn evict_where(&mut self, i: StreamIndex, keep: impl FnMut(&Tuple) -> bool) -> usize {
-        let removed = self.windows[i.as_usize()].retain_where(keep);
-        self.stats.evicted += removed as u64;
-        removed
-    }
 }

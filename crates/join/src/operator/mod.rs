@@ -14,12 +14,14 @@
 //!    within the window's current scope so that it can contribute to future
 //!    results.
 //!
-//! The responsibilities are split across three submodules so that
+//! The responsibilities are split across four submodules so that
 //! shard-local and global concerns stay visible in the module tree:
 //! [`insert`] owns window maintenance (expiry, in-order and out-of-order
 //! insertion, including the engine-driven [`MswjOperator::insert_late`]),
-//! [`probe`] owns the read-only probe access paths, and [`stats`] owns the
-//! [`ProbeOutcome`]/[`OperatorStats`] records.
+//! [`probe`] owns the read-only probe access paths, [`surgery`] owns the
+//! barrier-time state migration and plan revision a sharded engine applies
+//! to a shard, and [`stats`] owns the [`ProbeOutcome`]/[`OperatorStats`]
+//! records.
 //!
 //! ## Probe access paths
 //!
@@ -58,6 +60,7 @@
 pub mod insert;
 pub mod probe;
 pub mod stats;
+pub mod surgery;
 
 pub use stats::{OperatorStats, ProbeOutcome};
 
@@ -192,14 +195,8 @@ impl MswjOperator {
     ///
     /// Panics if `order` is not a permutation of `0..m`.
     pub fn set_probe_order(&mut self, order: Vec<usize>) {
-        let m = self.windows.len();
-        let mut seen = vec![false; m];
-        assert_eq!(order.len(), m, "probe order must cover every stream");
-        for &j in &order {
-            assert!(
-                j < m && !std::mem::replace(&mut seen[j], true),
-                "probe order must be a permutation of 0..{m}"
-            );
+        if let Err(why) = self.check_probe_order(&order) {
+            panic!("{why}");
         }
         self.order = order;
     }

@@ -195,7 +195,7 @@ impl Partitioner {
     pub fn new(plan: &ProbePlan, requested: usize) -> Self {
         // Star plans default to the pair shared with the lowest-numbered
         // satellite — the *blind* choice runtime re-planning may later
-        // revise towards the lowest observed-cardinality satellite.
+        // revise towards the heaviest observed-cardinality satellite.
         Self::with_star_partner(plan, requested, Self::default_star_partner(plan))
     }
 
@@ -216,7 +216,7 @@ impl Partitioner {
     /// Derives routing rules like [`Partitioner::new`], but partitions a
     /// star plan on the pair shared with the given satellite `partner`
     /// instead of the lowest-numbered one.  Runtime re-planning uses this
-    /// to move the partition pair to the lowest observed-cardinality
+    /// to move the partition pair to the heaviest observed-cardinality
     /// satellite; `partner` is ignored for non-star plans.
     ///
     /// # Panics
@@ -311,7 +311,21 @@ impl Partitioner {
     /// that keeps the authoritative copy of its build state while the class
     /// is split.
     pub fn home_shard(&self, hash: u64) -> usize {
-        (hash % self.shards as u64) as usize
+        Self::home_of(hash, self.shards)
+    }
+
+    /// The home rule itself: key class `hash` lives on shard
+    /// `hash % shards`.  Spelled out here and nowhere else, so a shard
+    /// server retaining its home slice ([`MswjOperator::retain_home`]) and
+    /// the routing front cannot disagree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    ///
+    /// [`MswjOperator::retain_home`]: crate::MswjOperator::retain_home
+    pub fn home_of(hash: u64, shards: usize) -> usize {
+        (hash % shards as u64) as usize
     }
 
     /// Whether hot-key splitting is sound under these rules: every stream

@@ -1,24 +1,20 @@
 //! Parallel quickstart: the same disorder-handled equi-join on the
-//! `Sequential` backend, a per-batch `Threads(4)` backend and the resident
-//! `Pool { workers: 4 }` backend.
+//! `Sequential` backend and the resident `Pool { workers: 4 }` backend.
 //!
 //! The front-end (K-slack, Synchronizer, statistics, adaptation) stays
 //! sequential and global exactly as the paper requires; only the join
 //! stage — window maintenance and probing — is sharded by the equi-join
-//! key.  All backends produce identical results and identical adaptation
+//! key.  Both backends produce identical results and identical adaptation
 //! trajectories.
 //!
 //! Picking a backend:
 //!
 //! * `Sequential` — the default; best for single-core runs and the
 //!   reference for every differential test.
-//! * `Threads(n)` — spawns n scoped workers *per batch*; worthwhile when
-//!   you feed large batches (hundreds of events) through
-//!   `push_batch_into`.
 //! * `Pool { workers: n }` — spawns n resident workers once and pipelines
 //!   ingestion: while the shards execute batch *t*, the front-end already
-//!   routes batch *t + 1*.  Prefer it for continuous streams, small
-//!   batches or single-event `push_into` (sub-threshold batches run inline
+//!   routes batch *t + 1*.  Feed it batches through `push_batch_into`;
+//!   single-event `push_into` works too (sub-threshold batches run inline
 //!   and skip the queue entirely).  Caveat: a batch's results may be
 //!   delivered at the *next* flush boundary; checkpoints, K-changes and
 //!   `finish_into` place a barrier, so reports and adaptation are
@@ -79,14 +75,9 @@ fn run(backend: ExecutionBackend) -> RunReport {
 
 fn main() {
     let sequential = run(ExecutionBackend::Sequential);
-    let threaded = run(ExecutionBackend::Threads(4));
     let pooled = run(ExecutionBackend::Pool { workers: 4 });
 
-    for (name, report) in [
-        ("sequential", &sequential),
-        ("threads(4)", &threaded),
-        ("pool(4)", &pooled),
-    ] {
+    for (name, report) in [("sequential", &sequential), ("pool(4)", &pooled)] {
         println!(
             "{name:<12}: {:>7} results, avg K = {:.0} ms, {} checkpoints",
             report.total_produced,
@@ -107,21 +98,16 @@ fn main() {
         );
     }
 
-    for (name, report) in [("threads(4)", &threaded), ("pool(4)", &pooled)] {
-        assert_eq!(
-            sequential.total_produced, report.total_produced,
-            "{name} must agree with sequential on the result count"
-        );
-        assert_eq!(
-            sequential
-                .checkpoints
-                .iter()
-                .map(|c| c.k)
-                .collect::<Vec<_>>(),
-            report.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>(),
-            "{name} must agree with sequential on the adaptation trajectory"
-        );
-    }
+    assert_eq!(
+        sequential.total_produced, pooled.total_produced,
+        "the pool must agree with sequential on the result count"
+    );
+    let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
+    assert_eq!(
+        ks(&sequential),
+        ks(&pooled),
+        "the pool must agree with sequential on the adaptation trajectory"
+    );
     let pool_epochs: u64 = pooled
         .shard_stats
         .iter()

@@ -3,10 +3,9 @@
 //! Every randomized m-way workload is run through sessions that differ
 //! **only** in the execution backend of the join stage:
 //! [`ExecutionBackend::Sequential`] (one shard, byte-identical to the
-//! pre-engine pipeline), `Threads(1)` (the sharded machinery on one shard),
-//! `Threads(4)` (key-partitioned across four shards, executed by four
-//! scoped workers per batch, merged in deterministic shard order) and
-//! `Pool { workers: 4 }` (the same four shards on **resident** workers with
+//! pre-engine pipeline), `Pool { workers: 1 }` (the sharded machinery on
+//! one shard) and `Pool { workers: 4 }` (key-partitioned across four shards
+//! on **resident** workers, merged in deterministic shard order, with
 //! pipelined, epoch-deferred ingestion — both batched, where epochs
 //! actually defer, and single-event, where the sub-threshold inline
 //! fallback runs).  The sessions must emit byte-identical multisets of
@@ -173,8 +172,7 @@ fn assert_backends_agree(
 ) -> RunReport {
     let (seq_results, seq_report) = run(query, policy, ExecutionBackend::Sequential, 1, events);
     for (backend, batch) in [
-        (ExecutionBackend::Threads(1), 1),
-        (ExecutionBackend::Threads(4), 64),
+        (ExecutionBackend::Pool { workers: 1 }, 1),
         (ExecutionBackend::Pool { workers: 4 }, 64),
         (ExecutionBackend::Pool { workers: 4 }, 1),
         // In-process shard servers: every epoch and barrier crosses the
@@ -411,7 +409,6 @@ fn unpartitionable_conditions_fall_back_to_one_shard() {
         let _ = assert_backends_agree(&query, &policy, &events, &label);
         // The engine must have collapsed to one shard on both backends.
         for backend in [
-            ExecutionBackend::Threads(4),
             ExecutionBackend::Pool { workers: 4 },
             ExecutionBackend::remote_inproc(4),
         ] {
@@ -469,7 +466,6 @@ fn skewed_workloads_with_splitting_match_the_unsplit_reference() {
         let label = format!("skewed #{case}");
         let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
         for (backend, batch) in [
-            (ExecutionBackend::Threads(4), 64),
             (ExecutionBackend::Pool { workers: 4 }, 64),
             (ExecutionBackend::Pool { workers: 4 }, 1),
             // Split/unsplit transitions migrate build state through
@@ -648,7 +644,6 @@ fn replanned_workloads_match_the_static_reference() {
             // Single-shard: pair switches are impossible, reorders and
             // demotions still fire — and must change nothing.
             (ExecutionBackend::Sequential, 1),
-            (ExecutionBackend::Threads(4), 64),
             (ExecutionBackend::Pool { workers: 4 }, 64),
             (ExecutionBackend::Pool { workers: 4 }, 1),
             // Revisions and pair-switch migrations cross the wire codec.
@@ -706,7 +701,6 @@ fn replanned_workloads_match_the_static_reference() {
 #[test]
 fn zero_worker_backends_are_rejected_at_build() {
     for backend in [
-        ExecutionBackend::Threads(0),
         ExecutionBackend::Pool { workers: 0 },
         ExecutionBackend::Remote {
             endpoints: Vec::new(),

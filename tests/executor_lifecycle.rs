@@ -260,7 +260,10 @@ fn killed_shard_server_surfaces_shard_lost_not_a_hang() {
 fn sync_after_drop_boundary_is_idempotent() {
     // `finish_into` after heavy pipelined traffic: every deferred epoch is
     // collected exactly once, the report's counters reconcile, and a fresh
-    // session can be built immediately after.
+    // session can be built immediately after.  Counts no threads itself,
+    // but spawns pool workers, so it must not overlap a counting test's
+    // baseline.
+    let _guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for _ in 0..3 {
         let mut pipeline = pool_session(3);
         let mut sink = CountingSink::default();
@@ -283,4 +286,65 @@ fn sync_after_drop_boundary_is_idempotent() {
         assert_eq!(enqueued, executed, "every submitted epoch was collected");
         assert!(executed > 0, "150-event batches run through the pool");
     }
+}
+
+#[test]
+fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
+    // A client that sends an out-of-range surgery frame gets an error
+    // frame and an orderly close — its connection thread returns instead
+    // of panicking — and the daemon's other connections, open or new,
+    // are unaffected.
+    use mswj::core::engine::transport::{connect, Endpoint};
+    use mswj_wire::{Frame, WireQuery, WireStream};
+
+    let path = std::env::temp_dir().join(format!("mswj-{}-malformed.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_mswj-shardd"))
+        .arg("--uds")
+        .arg(&path)
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawning mswj-shardd");
+    let endpoint = Endpoint::Uds(path.clone());
+    let hello = |t: &mut Box<dyn mswj::core::engine::transport::Transport>| {
+        t.send(&Frame::Hello).unwrap();
+        assert!(matches!(t.recv().unwrap(), Frame::HelloAck));
+    };
+
+    let mut bystander = connect(&endpoint).expect("the daemon accepts connections");
+    hello(&mut bystander);
+    let mut offender = connect(&endpoint).unwrap();
+    let stream = |name: &str| WireStream {
+        name: name.into(),
+        fields: vec![("a1".into(), FieldType::Int)],
+        window: 1_000,
+    };
+    offender
+        .send(&Frame::Setup(WireQuery {
+            name: "malformed".into(),
+            streams: vec![stream("S1"), stream("S2")],
+            condition: mswj_join::ConditionDescriptor::CommonKey {
+                columns: vec![0, 0],
+            },
+            strategy: ProbeStrategy::Auto,
+            enumerate: false,
+        }))
+        .unwrap();
+    assert!(matches!(offender.recv().unwrap(), Frame::SetupAck));
+    offender.send(&Frame::FetchWindow { stream: 9 }).unwrap();
+    match offender.recv().unwrap() {
+        Frame::Error { message } => assert!(message.contains("stream index 9"), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let closed = offender
+        .recv()
+        .expect_err("the server closes after the error frame");
+    assert!(closed.is_disconnect(), "orderly close, got {closed}");
+
+    hello(&mut bystander);
+    hello(&mut connect(&endpoint).expect("the daemon still accepts connections"));
+
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let _ = std::fs::remove_file(&path);
 }

@@ -7,7 +7,7 @@
 //!   it is stable across streams, timestamps, sequence numbers, buffer-size
 //!   (K) changes and window expiry — the partitioner is pure.
 //! * After a randomized run with an adaptive policy (K shrinks *and*
-//!   expands) on `Threads(3)`, every live tuple sits in the shard the
+//!   expands) on `Pool { workers: 3 }`, every live tuple sits in the shard the
 //!   partitioner routes it to, and the in-scope window content per stream
 //!   equals the sequential reference exactly.
 //! * The resident pool's pipelined epochs merge deterministically: for
@@ -125,7 +125,7 @@ proptest! {
     fn shard_state_is_routing_stable_under_k_changes_and_expiry(
         events in arrival_strategy(240),
     ) {
-        let mut sharded = build(ExecutionBackend::Threads(3));
+        let mut sharded = build(ExecutionBackend::Pool { workers: 3 });
         let mut sequential = build(ExecutionBackend::Sequential);
         for chunk in events.chunks(50) {
             sharded.push_batch_into(chunk.iter().cloned(), &mut NullSink);
@@ -274,13 +274,15 @@ proptest! {
             JoinQuery::new("split-props", streams, cond).unwrap()
         };
         let skew = SkewConfig { split_share: 0.3, unsplit_share: 0.1, min_routed: 64 };
-        let mut engine = JoinEngine::with_skew(
+        let mut engine = JoinEngine::try_with_policies(
             query(),
             ProbeStrategy::Auto,
             true,
-            ExecutionBackend::Threads(3),
+            ExecutionBackend::Pool { workers: 3 },
             Some(skew),
-        );
+            None,
+        )
+        .unwrap();
         let mut reference = JoinEngine::new(
             query(),
             ProbeStrategy::Auto,

@@ -71,8 +71,7 @@ fn assert_backends_agree(
     let (seq_results, seq_report) =
         run(query, policy, ExecutionBackend::Sequential, 1, events, None);
     for (backend, batch) in [
-        (ExecutionBackend::Threads(1), 1),
-        (ExecutionBackend::Threads(4), 64),
+        (ExecutionBackend::Pool { workers: 1 }, 1),
         (ExecutionBackend::Pool { workers: 4 }, 64),
         (ExecutionBackend::Pool { workers: 4 }, 1),
         (ExecutionBackend::remote_inproc(4), 64),
@@ -326,7 +325,6 @@ fn skewed_splitting_agrees_at_segment_boundaries() {
             None,
         );
         for (backend, batch) in [
-            (ExecutionBackend::Threads(4), 64),
             (ExecutionBackend::Pool { workers: 4 }, 64),
             (ExecutionBackend::remote_inproc(4), 64),
         ] {
@@ -349,7 +347,10 @@ fn window_bytes_are_reported_per_shard() {
     let mut rng = StdRng::seed_from_u64(0x5E61_0B17);
     let query = common_key_query(2, 800);
     let events = gen_events(&mut rng, 2, 80, 100, |_, _, key| vec![Value::Int(key)], 6);
-    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threads(4)] {
+    for backend in [
+        ExecutionBackend::Sequential,
+        ExecutionBackend::Pool { workers: 4 },
+    ] {
         let mut pipeline = Pipeline::builder()
             .query(query.clone())
             .policy(BufferPolicy::FixedK(100))

@@ -216,15 +216,15 @@ fn joining_counting_session_still_stays_allocation_free_per_event() {
 
 #[test]
 fn parallel_backends_small_batch_fallback_stays_allocation_free() {
-    // Single-event `push_into` on the parallel backends takes the
-    // sub-threshold inline fallback: no scoped spawn (`Threads`), no epoch
-    // enqueue (`Pool`) — and, like the sequential path, no per-event heap
-    // allocation once the scratch buffers have their capacity.  The pool's
-    // resident workers are idle the whole time (every batch is far below
-    // the threshold), so the fallback locks uncontended shard mutexes.
+    // Single-event `push_into` on the `Pool` backend takes the
+    // sub-threshold inline fallback: no epoch enqueue — and, like the
+    // sequential path, no per-event heap allocation once the scratch
+    // buffers have their capacity.  The pool's resident workers are idle
+    // the whole time (every batch is far below the threshold), so the
+    // fallback locks uncontended shard mutexes.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for backend in [
-        ExecutionBackend::Threads(4),
+        ExecutionBackend::Pool { workers: 1 },
         ExecutionBackend::Pool { workers: 4 },
     ] {
         let mut pipeline = mswj::session()
