@@ -171,18 +171,18 @@ impl Adwin {
         }
     }
 
-    /// Merges overflowing buckets into the next exponential row.
+    /// Merges overflowing buckets into the next exponential row.  A row
+    /// only grows by the merge its predecessor hands it, so the first row
+    /// that did not overflow ends the cascade.
     fn compress(&mut self) {
         let mut row = 0;
-        while row < self.rows.len() {
-            if self.rows[row].len() > self.max_buckets {
-                let b1 = self.rows[row].pop_back().expect("len checked");
-                let b2 = self.rows[row].pop_back().expect("len checked");
-                if row + 1 == self.rows.len() {
-                    self.rows.push(VecDeque::new());
-                }
-                self.rows[row + 1].push_front(b2.merge(b1));
+        while row < self.rows.len() && self.rows[row].len() > self.max_buckets {
+            let b1 = self.rows[row].pop_back().expect("len checked");
+            let b2 = self.rows[row].pop_back().expect("len checked");
+            if row + 1 == self.rows.len() {
+                self.rows.push(VecDeque::new());
             }
+            self.rows[row + 1].push_front(b2.merge(b1));
             row += 1;
         }
     }
@@ -198,6 +198,11 @@ impl Adwin {
         let mut reduced = true;
         while reduced {
             reduced = false;
+            // Every candidate of one scan splits the same window, so the
+            // two terms of the bound that depend only on the whole window
+            // are computed once per scan (again after each dropped bucket).
+            let ln_term = (2.0 / (self.delta / (self.total.count as f64).max(1.0))).ln();
+            let variance = self.variance();
             // Accumulate the "old" side starting from the oldest bucket.
             let mut old = Bucket {
                 sum: 0.0,
@@ -215,7 +220,15 @@ impl Adwin {
                     let recent_sum = self.total.sum - old.sum;
                     let mean_old = old.sum / old.count as f64;
                     let mean_recent = recent_sum / recent_count as f64;
-                    if self.cut_detected(old.count, recent_count, mean_old, mean_recent) {
+                    let cut = Self::cut_detected(
+                        old.count,
+                        recent_count,
+                        mean_old,
+                        mean_recent,
+                        variance,
+                        ln_term,
+                    );
+                    if cut {
                         self.drop_oldest_bucket();
                         self.changes += 1;
                         shrunk = true;
@@ -229,16 +242,12 @@ impl Adwin {
     }
 
     /// The ADWIN cut condition: `|μ_old - μ_recent| >= ε_cut`, with the
-    /// variance-aware bound of Bifet & Gavaldà (Theorem 3.2).
-    fn cut_detected(&self, n0: u64, n1: u64, mean0: f64, mean1: f64) -> bool {
-        let n0 = n0 as f64;
-        let n1 = n1 as f64;
-        let n = n0 + n1;
+    /// variance-aware bound of Bifet & Gavaldà (Theorem 3.2).  `variance`
+    /// is the whole window's and `ln_term` is `ln(2/δ′)` with
+    /// `δ′ = δ / (n0 + n1)`.
+    fn cut_detected(n0: u64, n1: u64, mean0: f64, mean1: f64, variance: f64, ln_term: f64) -> bool {
         // Harmonic mean of the two sub-window sizes.
-        let m = 1.0 / (1.0 / n0 + 1.0 / n1);
-        let delta_prime = self.delta / n.max(1.0);
-        let ln_term = (2.0 / delta_prime).ln();
-        let variance = self.variance();
+        let m = 1.0 / (1.0 / n0 as f64 + 1.0 / n1 as f64);
         let eps = (2.0 / m * variance * ln_term).sqrt() + 2.0 / (3.0 * m) * ln_term;
         (mean0 - mean1).abs() >= eps
     }
@@ -269,6 +278,140 @@ impl Default for Adwin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The detector as it was before the per-scan hoisting and the early
+    /// `compress` exit: every row walked on every insert, `ln(2/δ′)` and
+    /// the window variance recomputed per candidate cut.  Kept as the
+    /// oracle of `hoisted_scan_is_bit_identical_to_the_per_candidate_oracle`.
+    impl Adwin {
+        fn insert_oracle(&mut self, value: f64) -> bool {
+            self.observed += 1;
+            self.rows[0].push_front(Bucket::single(value));
+            self.total = self.total.merge(Bucket::single(value));
+            self.compress_oracle();
+            if self.observed.is_multiple_of(self.check_period) {
+                self.detect_and_shrink_oracle()
+            } else {
+                false
+            }
+        }
+
+        fn compress_oracle(&mut self) {
+            let mut row = 0;
+            while row < self.rows.len() {
+                if self.rows[row].len() > self.max_buckets {
+                    let b1 = self.rows[row].pop_back().expect("len checked");
+                    let b2 = self.rows[row].pop_back().expect("len checked");
+                    if row + 1 == self.rows.len() {
+                        self.rows.push(VecDeque::new());
+                    }
+                    self.rows[row + 1].push_front(b2.merge(b1));
+                }
+                row += 1;
+            }
+        }
+
+        fn detect_and_shrink_oracle(&mut self) -> bool {
+            if self.total.count < 2 {
+                return false;
+            }
+            let mut shrunk = false;
+            let mut reduced = true;
+            while reduced {
+                reduced = false;
+                let mut old = Bucket {
+                    sum: 0.0,
+                    sum_sq: 0.0,
+                    count: 0,
+                };
+                'outer: for row in (0..self.rows.len()).rev() {
+                    for idx in (0..self.rows[row].len()).rev() {
+                        let bucket = self.rows[row][idx];
+                        old = old.merge(bucket);
+                        let recent_count = self.total.count - old.count;
+                        if recent_count == 0 {
+                            break 'outer;
+                        }
+                        let recent_sum = self.total.sum - old.sum;
+                        let mean_old = old.sum / old.count as f64;
+                        let mean_recent = recent_sum / recent_count as f64;
+                        if self.cut_detected_oracle(old.count, recent_count, mean_old, mean_recent)
+                        {
+                            self.drop_oldest_bucket();
+                            self.changes += 1;
+                            shrunk = true;
+                            reduced = self.total.count > 2;
+                            break 'outer;
+                        }
+                    }
+                }
+            }
+            shrunk
+        }
+
+        fn cut_detected_oracle(&self, n0: u64, n1: u64, mean0: f64, mean1: f64) -> bool {
+            let n0 = n0 as f64;
+            let n1 = n1 as f64;
+            let n = n0 + n1;
+            let m = 1.0 / (1.0 / n0 + 1.0 / n1);
+            let delta_prime = self.delta / n.max(1.0);
+            let ln_term = (2.0 / delta_prime).ln();
+            let variance = self.variance();
+            let eps = (2.0 / m * variance * ln_term).sqrt() + 2.0 / (3.0 * m) * ln_term;
+            (mean0 - mean1).abs() >= eps
+        }
+    }
+
+    #[test]
+    fn hoisted_scan_is_bit_identical_to_the_per_candidate_oracle() {
+        // Delay-like streams (non-negative, heavy at zero): stationary, a
+        // step change, and a ramp — each at the pipeline's cadence (32) and
+        // at a cut check per insert.
+        fn stationary(_: usize, noise: f64) -> f64 {
+            (noise * 40.0).floor()
+        }
+        fn step(i: usize, noise: f64) -> f64 {
+            if i < 3_000 {
+                (noise * 10.0).floor()
+            } else {
+                200.0 + (noise * 50.0).floor()
+            }
+        }
+        fn ramp(i: usize, noise: f64) -> f64 {
+            (i as f64 * 0.05).floor() + (noise * 8.0).floor()
+        }
+        type Stream = fn(usize, f64) -> f64;
+        let streams: [(&str, Stream); 3] =
+            [("stationary", stationary), ("step", step), ("ramp", ramp)];
+        for (name, stream) in streams {
+            for check_period in [1u64, 32] {
+                for seed in 0..3u64 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut shipped = Adwin::with_params(DEFAULT_DELTA, 5, check_period);
+                    let mut oracle = shipped.clone();
+                    for i in 0..6_000 {
+                        let v = stream(i, rng.gen::<f64>());
+                        assert_eq!(
+                            shipped.insert(v),
+                            oracle.insert_oracle(v),
+                            "{name} period {check_period} seed {seed} insert {i}"
+                        );
+                        assert_eq!(
+                            (shipped.len(), shipped.changes(), shipped.mean().to_bits()),
+                            (oracle.len(), oracle.changes(), oracle.mean().to_bits()),
+                            "{name} period {check_period} seed {seed} insert {i}"
+                        );
+                    }
+                    assert_eq!(shipped.rows, oracle.rows, "{name}: bucket rows diverged");
+                    if name != "stationary" {
+                        assert!(shipped.changes() > 0, "{name}: no cut was ever exercised");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     #[should_panic(expected = "delta must be in (0, 1)")]

@@ -13,36 +13,98 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn kslack_throughput(c: &mut Criterion) {
-    c.bench_function("kslack_push_1k", |b| {
-        b.iter(|| {
-            let mut ks = KSlack::new(500);
-            for i in 0..1_000u64 {
-                let ts = if i % 5 == 0 {
-                    i * 10
-                } else {
-                    (i * 10).saturating_sub(300)
-                };
-                ks.push(Tuple::marker(0.into(), i, Timestamp::from_millis(ts)));
-            }
-            black_box(ks.flush().len())
+/// Timestamps of 1 000 tuples generated 10 ms apart, in arrival order, with
+/// delays drawn like Dx3syn's: `Zipf(201, 2.0)` ranks in 10 ms steps, so
+/// ≈ 61 % arrive on time and the rest up to 2 s late.
+fn zipf2_arrival_order(seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let delays = Zipf::new(201, 2.0);
+    let mut arrivals: Vec<(u64, u64)> = (0..1_000u64)
+        .map(|i| {
+            let ts = i * 10;
+            (ts + (delays.sample(&mut rng) as u64 - 1) * 10, ts)
         })
-    });
+        .collect();
+    arrivals.sort_by_key(|&(arrival, _)| arrival);
+    arrivals.into_iter().map(|(_, ts)| ts).collect()
 }
 
-fn synchronizer_throughput(c: &mut Criterion) {
-    c.bench_function("synchronizer_push_1k", |b| {
-        b.iter(|| {
-            let mut sync = Synchronizer::new(3);
-            let mut emitted = 0usize;
-            for i in 0..1_000u64 {
-                let stream = (i % 3) as usize;
-                let ts = Timestamp::from_millis(i * 7 + stream as u64 * 100);
-                emitted += sync.push(Tuple::marker(stream.into(), i, ts)).len();
+/// Both sides of the K-slack buffer's per-tuple choice between its sorted
+/// run and its late heap: `kslack_push_1k` is 80 % late by construction,
+/// `_inorder` never leaves the run, `_zipf2` is the Dx3syn mix.
+fn kslack_throughput(c: &mut Criterion) {
+    let mostly_late: Vec<u64> = (0..1_000u64)
+        .map(|i| {
+            if i % 5 == 0 {
+                i * 10
+            } else {
+                (i * 10).saturating_sub(300)
             }
-            black_box(emitted + sync.flush().len())
         })
-    });
+        .collect();
+    let in_order = (0..1_000u64).map(|i| i * 10).collect();
+    for (name, timestamps) in [
+        ("kslack_push_1k", mostly_late),
+        ("kslack_push_1k_inorder", in_order),
+        ("kslack_push_1k_zipf2", zipf2_arrival_order(42)),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut ks = KSlack::new(500);
+                for (i, &ts) in timestamps.iter().enumerate() {
+                    ks.push(Tuple::marker(
+                        0.into(),
+                        i as u64,
+                        Timestamp::from_millis(ts),
+                    ));
+                }
+                black_box(ks.flush().len())
+            })
+        });
+    }
+}
+
+/// The Synchronizer's input in three shapes: `synchronizer_push_1k` has
+/// three in-order streams offset by 100 ms each (two pushes in three land
+/// below the buffer's newest timestamp), `_inorder` is globally sorted, and
+/// `_zipf2` is what three K-slack components (K = 100 ms) release for
+/// Zipf(2)-delayed streams.
+fn synchronizer_throughput(c: &mut Criterion) {
+    let offset: Vec<(usize, u64)> = (0..1_000u64)
+        .map(|i| ((i % 3) as usize, i * 7 + (i % 3) * 100))
+        .collect();
+    let in_order = (0..1_000u64).map(|i| ((i % 3) as usize, i * 7)).collect();
+    let mut kslacks: Vec<KSlack> = (0..3).map(|_| KSlack::new(100)).collect();
+    let mut released = Vec::new();
+    for (i, ts) in zipf2_arrival_order(7).into_iter().enumerate() {
+        let stream = i % 3;
+        let tuple = Tuple::marker(stream.into(), i as u64, Timestamp::from_millis(ts));
+        kslacks[stream].push_into(tuple, &mut released);
+    }
+    for ks in &mut kslacks {
+        ks.flush_into(&mut released);
+    }
+    let zipf2 = released
+        .iter()
+        .map(|t| (t.stream.as_usize(), t.ts.as_millis()))
+        .collect();
+    for (name, input) in [
+        ("synchronizer_push_1k", offset),
+        ("synchronizer_push_1k_inorder", in_order),
+        ("synchronizer_push_1k_zipf2", zipf2),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sync = Synchronizer::new(3);
+                let mut emitted = 0usize;
+                for (i, &(stream, ts)) in input.iter().enumerate() {
+                    let tuple = Tuple::marker(stream.into(), i as u64, Timestamp::from_millis(ts));
+                    emitted += sync.push(tuple).len();
+                }
+                black_box(emitted + sync.flush().len())
+            })
+        });
+    }
 }
 
 fn operator_throughput(c: &mut Criterion) {

@@ -10,7 +10,7 @@
 //! Unlike classic K-slack, the buffer size here is *externally adjustable*:
 //! the Buffer-Size Manager assigns a new `K` at every adaptation step.
 
-use crate::minheap::MinTsHeap;
+use crate::ordered_buffer::TupleBuffer;
 use mswj_types::{Duration, LocalClock, Timestamp, Tuple};
 
 /// Lifetime statistics of one K-slack component.
@@ -27,6 +27,11 @@ pub struct KSlackStats {
     /// tuples bypass the buffer entirely (pass-through fast path), so this
     /// stays 0 for a component that never held a positive `K`.
     pub peak_buffered: usize,
+    /// Buffered tuples whose timestamp was below the newest on-time one in
+    /// the buffer — the pushes that paid for the buffer's late heap instead
+    /// of an O(1) append.  `late_inserts / received` is the out-of-order
+    /// share as the buffer sees it.
+    pub late_inserts: u64,
 }
 
 /// A K-slack sorting buffer for one input stream.
@@ -55,7 +60,7 @@ pub struct KSlack {
     clock: LocalClock,
     /// Buffered tuples ordered by (timestamp, arrival counter) so that
     /// emission yields timestamp order with stable tie-breaking.
-    buffer: MinTsHeap,
+    buffer: TupleBuffer,
     max_emitted_ts: Timestamp,
     stats: KSlackStats,
 }
@@ -66,7 +71,7 @@ impl KSlack {
         KSlack {
             k,
             clock: LocalClock::new(),
-            buffer: MinTsHeap::new(),
+            buffer: TupleBuffer::default(),
             max_emitted_ts: Timestamp::ZERO,
             stats: KSlackStats::default(),
         }
@@ -125,12 +130,12 @@ impl KSlack {
         if self.k == 0 && self.buffer.is_empty() {
             // Fast path: with K = 0 and an empty buffer the tuple is
             // immediately emittable (`iT >= e.ts` after the clock update),
-            // so skip the heap round-trip entirely.
+            // so skip the buffer round-trip entirely.
             self.account_emission(&tuple);
             out.push(tuple);
             return;
         }
-        self.buffer.push(tuple);
+        self.stats.late_inserts += u64::from(self.buffer.push(tuple));
         if self.buffer.len() > self.stats.peak_buffered {
             self.stats.peak_buffered = self.buffer.len();
         }
@@ -151,12 +156,11 @@ impl KSlack {
         if !self.clock.started() {
             return;
         }
-        let now = self.clock.now();
-        while let Some(ts) = self.buffer.peek_ts() {
-            if ts.saturating_add_duration(self.k) > now {
-                break;
-            }
-            let tuple = self.buffer.pop().expect("peeked just above");
+        let (now, k) = (self.clock.now(), self.k);
+        while let Some(tuple) = self
+            .buffer
+            .pop_if_ts(|ts| ts.saturating_add_duration(k) <= now)
+        {
             self.account_emission(&tuple);
             out.push(tuple);
         }
@@ -294,6 +298,136 @@ mod tests {
         let mut ks = KSlack::new(0);
         let out = push_all(&mut ks, &[5, 5, 5, 6]);
         assert_eq!(out, vec![5, 5, 5, 6]);
+    }
+
+    /// Sec. III-A over the heap-only oracle buffer, step for step the
+    /// component above: what `KSlack` was before its buffer became a sorted
+    /// run plus a late heap.
+    struct HeapKSlack {
+        k: Duration,
+        clock: LocalClock,
+        buffer: crate::ordered_buffer::oracle::MinTsHeap,
+        max_emitted_ts: Timestamp,
+        stats: KSlackStats,
+    }
+
+    impl HeapKSlack {
+        fn new(k: Duration) -> Self {
+            HeapKSlack {
+                k,
+                clock: LocalClock::new(),
+                buffer: Default::default(),
+                max_emitted_ts: Timestamp::ZERO,
+                stats: KSlackStats::default(),
+            }
+        }
+
+        fn push_into(&mut self, mut tuple: Tuple, out: &mut Vec<Tuple>) {
+            let delay = self.clock.observe(tuple.ts);
+            tuple.set_delay(delay);
+            self.stats.received += 1;
+            if self.k == 0 && self.buffer.is_empty() {
+                self.account_emission(&tuple);
+                out.push(tuple);
+                return;
+            }
+            self.buffer.push(tuple);
+            self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffer.len());
+            self.emit_ready_into(out);
+        }
+
+        fn emit_ready_into(&mut self, out: &mut Vec<Tuple>) {
+            if !self.clock.started() {
+                return;
+            }
+            let now = self.clock.now();
+            while let Some(ts) = self.buffer.peek_ts() {
+                if ts.saturating_add_duration(self.k) > now {
+                    break;
+                }
+                let tuple = self.buffer.pop().expect("peeked just above");
+                self.account_emission(&tuple);
+                out.push(tuple);
+            }
+        }
+
+        fn flush_into(&mut self, out: &mut Vec<Tuple>) {
+            while let Some(tuple) = self.buffer.pop() {
+                self.account_emission(&tuple);
+                out.push(tuple);
+            }
+        }
+
+        fn account_emission(&mut self, tuple: &Tuple) {
+            self.stats.emitted += 1;
+            if self.stats.emitted > 1 && tuple.ts < self.max_emitted_ts {
+                self.stats.residual_out_of_order += 1;
+            }
+            self.max_emitted_ts = self.max_emitted_ts.max(tuple.ts);
+        }
+    }
+
+    /// Differential (2): random arrivals with heavy timestamp ties under
+    /// random `set_k` + `emit_ready_into` mid-stream — shrink to 0 (the
+    /// PR 2 shrink-drain: a backlog must still leave in timestamp order
+    /// while K = 0 arrivals queue behind it) and K far beyond the stream's
+    /// span included.  Emitted tuples (delay annotation included), stats
+    /// and the final flush are identical after every step.
+    #[test]
+    fn random_k_changes_mid_stream_match_heap_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let initial_k = [0, 5, 40][seed as usize % 3];
+            let mut shipped = KSlack::new(initial_k);
+            let mut oracle = HeapKSlack::new(initial_k);
+            let (mut out, mut expected) = (Vec::new(), Vec::new());
+            let mut now = 0u64;
+            for seq in 0..3_000u64 {
+                if rng.gen_range(0..40u64) == 0 {
+                    let k = match rng.gen_range(0..4u64) {
+                        0 => 0,
+                        1 => rng.gen_range(1..10u64),
+                        2 => rng.gen_range(10..80u64),
+                        _ => 1_000_000,
+                    };
+                    shipped.set_k(k);
+                    oracle.k = k;
+                    shipped.emit_ready_into(&mut out);
+                    oracle.emit_ready_into(&mut expected);
+                }
+                now += rng.gen_range(0..3u64);
+                let lateness = if rng.gen_range(0..3u64) == 0 {
+                    rng.gen_range(0..60u64)
+                } else {
+                    0
+                };
+                let tuple = t(seq, now.saturating_sub(lateness));
+                shipped.push_into(tuple.clone(), &mut out);
+                oracle.push_into(tuple, &mut expected);
+                assert_eq!(out, expected, "seed {seed} step {seq}");
+                assert_eq!(shipped.buffered(), oracle.buffer.len());
+                assert_eq!(
+                    KSlackStats {
+                        late_inserts: 0,
+                        ..shipped.stats()
+                    },
+                    oracle.stats,
+                    "seed {seed} step {seq}"
+                );
+            }
+            let stats = shipped.stats();
+            assert!(stats.late_inserts > 0 && stats.late_inserts < stats.received);
+            assert!(
+                stats.residual_out_of_order > 0,
+                "seed {seed}: K always covered"
+            );
+            shipped.flush_into(&mut out);
+            oracle.flush_into(&mut expected);
+            assert_eq!(out, expected, "seed {seed} flush");
+            assert_eq!(out.len(), 3_000);
+        }
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub mod builder;
 pub mod config;
 pub mod engine;
 pub mod kslack;
-mod minheap;
 pub mod model;
+mod ordered_buffer;
 pub mod output;
 pub mod pipeline;
 pub mod policy;

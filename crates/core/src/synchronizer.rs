@@ -16,7 +16,7 @@
 //! the intra-stream disorder of leading streams — the `K_sync_i` of
 //! Theorem 1 (Same-K policy).
 
-use crate::minheap::MinTsHeap;
+use crate::ordered_buffer::TupleBuffer;
 use mswj_types::{StreamIndex, Timestamp, Tuple};
 
 /// Lifetime statistics of the Synchronizer.
@@ -30,6 +30,9 @@ pub struct SynchronizerStats {
     pub emitted_immediately: u64,
     /// Largest number of tuples simultaneously buffered.
     pub peak_buffered: usize,
+    /// Buffered tuples whose timestamp was below the newest in-order one
+    /// in the buffer (they took its late heap instead of an O(1) append).
+    pub late_inserts: u64,
 }
 
 /// Synchronizes the (partially sorted) output streams of the per-stream
@@ -38,7 +41,7 @@ pub struct SynchronizerStats {
 pub struct Synchronizer {
     t_sync: Timestamp,
     /// Buffered tuples ordered by (timestamp, arrival counter).
-    buffer: MinTsHeap,
+    buffer: TupleBuffer,
     /// Number of buffered tuples per stream.
     per_stream: Vec<usize>,
     stats: SynchronizerStats,
@@ -49,7 +52,7 @@ impl Synchronizer {
     pub fn new(arity: usize) -> Self {
         Synchronizer {
             t_sync: Timestamp::ZERO,
-            buffer: MinTsHeap::new(),
+            buffer: TupleBuffer::default(),
             per_stream: vec![0; arity],
             stats: SynchronizerStats::default(),
         }
@@ -98,7 +101,7 @@ impl Synchronizer {
         if tuple.ts > self.t_sync {
             // Lines 4–8: buffer, then drain while every stream is present.
             self.per_stream[tuple.stream.as_usize()] += 1;
-            self.buffer.push(tuple);
+            self.stats.late_inserts += u64::from(self.buffer.push(tuple));
             if self.buffer.len() > self.stats.peak_buffered {
                 self.stats.peak_buffered = self.buffer.len();
             }
@@ -139,8 +142,7 @@ impl Synchronizer {
                 .expect("per-stream counts imply a non-empty buffer");
             self.t_sync = min_ts;
             // Emit every tuple whose timestamp equals T_sync.
-            while self.buffer.peek_ts() == Some(min_ts) {
-                let tuple = self.buffer.pop().expect("checked above");
+            while let Some(tuple) = self.buffer.pop_if_ts(|ts| ts == min_ts) {
                 self.per_stream[tuple.stream.as_usize()] -= 1;
                 self.stats.emitted_synchronized += 1;
                 out.push(tuple);

@@ -4,7 +4,7 @@
 //!
 //! A counting global allocator tallies every allocation made by the test
 //! binary.  After a warm-up phase (internal scratch buffers, windows,
-//! histograms and heaps acquire their capacity), a measured phase pushes
+//! histograms and buffers acquire their capacity), a measured phase pushes
 //! hundreds of pre-materialized events and checks that the allocation count
 //! stays far below one per event — the old `push(..) -> Vec<JoinResult>`
 //! surface allocated several times per event on the same workload.
@@ -260,6 +260,83 @@ fn parallel_backends_small_batch_fallback_stays_allocation_free() {
             "{backend} sub-threshold batches must never enqueue an epoch"
         );
     }
+}
+
+#[test]
+fn fixed_k_buffers_stay_allocation_free_on_mixed_disorder() {
+    // K-slack (K = 10 ms) really buffers here, and its input mixes on-time
+    // and late tuples in the warm phase and in the measured phase alike:
+    // every fourth arrival is 7 ms late, behind three newer tuples of its
+    // own stream that are still buffered — so the buffer's sorted run and
+    // its late heap are both exercised, both acquire their capacity during
+    // warm-up, and neither allocates afterwards.  Stream 1 runs a constant
+    // 3 ms behind stream 0, so its K-slack releases land below stream 0's
+    // in the Synchronizer's buffer, which sees the same mix.
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    const K: u64 = 10;
+    let mixed = |from_ms: u64, to_ms: u64| -> Vec<ArrivalEvent> {
+        (from_ms..to_ms)
+            .map(|t| {
+                let stream = (t % 2) as usize;
+                let key = (stream as i64) * 10 + 1 + (t as i64 / 2 % 2);
+                let late = if t % 4 < 2 && t / 4 % 2 == 0 { 7 } else { 0 };
+                let ts = Timestamp::from_millis(t - 3 * stream as u64 - late);
+                let tuple = Tuple::new(stream.into(), t, ts, vec![Value::Int(key)]);
+                ArrivalEvent::new(Timestamp::from_millis(t), tuple)
+            })
+            .collect()
+    };
+    let mut pipeline = mswj::session()
+        .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
+        .on_common_key("a1")
+        .fixed_k(K)
+        .build()
+        .unwrap();
+    let warmup = mixed(12, 400);
+    let measured = mixed(400, 800);
+    let n = measured.len() as u64;
+
+    // The same arrivals through bare components: the late heap is taken in
+    // both phases, by K-slack and by the Synchronizer, and so is the run.
+    let mut kslacks = [KSlack::new(K), KSlack::new(K)];
+    let mut synchronizer = Synchronizer::new(2);
+    let (mut released, mut synced) = (Vec::new(), Vec::new());
+    let mut late_inserts_after = |events: &[ArrivalEvent]| {
+        for e in events {
+            kslacks[e.stream().as_usize()].push_into(e.tuple.clone(), &mut released);
+            for t in released.drain(..) {
+                synchronizer.push_into(t, &mut synced);
+            }
+        }
+        let ks = kslacks[0].stats();
+        assert_eq!(ks.residual_out_of_order, 0, "K covers every delay");
+        (ks.late_inserts, synchronizer.stats().late_inserts)
+    };
+    let (ks_warm, sync_warm) = late_inserts_after(&warmup);
+    let (ks_all, sync_all) = late_inserts_after(&measured);
+    assert!(ks_warm > 0 && ks_all > ks_warm && ks_all < kslacks[0].stats().received / 2);
+    assert!(sync_warm > 0 && sync_all > sync_warm && sync_all < synchronizer.stats().received);
+
+    let mut sink = CountingSink::default();
+    for e in warmup {
+        pipeline.push_into(e, &mut sink);
+    }
+    let before = allocations();
+    for e in measured {
+        pipeline.push_into(e, &mut sink);
+    }
+    let during = allocations() - before;
+    assert!(
+        during <= n / 8,
+        "buffering hot path allocated {during} times for {n} events (> 1 per {} events)",
+        n / during.max(1)
+    );
+
+    let report = pipeline.finish();
+    // 7 ms behind its arrival is 5 ms behind its stream's previous tuple.
+    assert_eq!(report.max_observed_delay, 5);
+    assert_eq!(report.kslack_residual_out_of_order, 0);
+    assert_eq!(report.operator_stats.in_order, 788);
 }
 
 #[test]
