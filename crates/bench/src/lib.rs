@@ -46,7 +46,7 @@ pub fn bench_config(gamma: f64) -> DisorderConfig {
 /// K in seconds — a cheap scalar to keep Criterion from optimising the run
 /// away.
 pub fn run_for_avg_k(dataset: &Dataset, policy: BufferPolicy, truth: &CountSeries) -> f64 {
-    let eval = mswj_experiments::run_policy_with_truth(dataset, policy, 10_000, truth);
+    let eval = mswj_experiments::Session::default().run(dataset, policy, 10_000, truth);
     eval.avg_k_secs()
 }
 

@@ -317,13 +317,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Forces the exhaustive nested-loop probe — shorthand for
-    /// `.probe(ProbeStrategy::NestedLoop)`, used by the differential test
-    /// harness as the reference implementation.
-    pub fn nested_loop_probe(self) -> Self {
-        self.probe(ProbeStrategy::NestedLoop)
-    }
-
     /// Chooses the execution backend of the sharded join stage.
     ///
     /// The default, [`ExecutionBackend::Sequential`], runs one shard on the
@@ -522,10 +515,6 @@ impl SessionBuilder {
             Some(BufferPolicy::QualityDriven(c)) => {
                 Ok(BufferPolicy::QualityDriven(overrides.apply(c)))
             }
-            Some(BufferPolicy::PdController { config, gains }) => Ok(BufferPolicy::PdController {
-                config: overrides.apply(config),
-                gains,
-            }),
             Some(other) => {
                 if overrides.any() {
                     return Err(Error::InvalidConfig(format!(
@@ -773,7 +762,7 @@ mod tests {
             indexed.probe_plan().is_indexed(),
             "equi-joins default to the hash-indexed probe"
         );
-        let scan = base().nested_loop_probe().build().unwrap();
+        let scan = base().probe(ProbeStrategy::NestedLoop).build().unwrap();
         assert!(!scan.probe_plan().is_indexed());
         let explicit = base().probe(ProbeStrategy::Auto).build().unwrap();
         assert!(explicit.probe_plan().is_indexed());

@@ -88,7 +88,7 @@ pub use mswj_obs::{
 };
 pub use output::{Checkpoint, OutputEvent, RunReport};
 pub use pipeline::Pipeline;
-pub use policy::{BufferPolicy, PdGains, PdState};
+pub use policy::BufferPolicy;
 pub use profiler::{ProductivityProfiler, SelectivityTable};
 pub use result_monitor::ResultSizeMonitor;
 pub use sink::{sink_fn, CollectSink, CountingSink, FnSink, NullSink, Sink};

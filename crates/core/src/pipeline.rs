@@ -39,7 +39,7 @@
 //! the fluent [`SessionBuilder`] (see [`Pipeline::builder`]).
 //!
 //! Every `L` milliseconds of the arrival axis a *checkpoint* is taken:
-//! adaptive policies run their adaptation step (Alg. 3 or the PD controller)
+//! adaptive policies run their adaptation step (Alg. 3)
 //! and every policy records the buffer size in force, so that downstream
 //! metrics can measure `γ(P)` "right before each adaptation of K" exactly as
 //! the paper does.  The join stage is always flushed before a checkpoint is
@@ -56,7 +56,7 @@ use crate::engine::ShardStats;
 use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine, ReplanConfig, SkewConfig};
 use crate::kslack::KSlack;
 use crate::output::{Checkpoint, OutputEvent, RunReport};
-use crate::policy::{BufferPolicy, PdState};
+use crate::policy::BufferPolicy;
 use crate::profiler::ProductivityProfiler;
 use crate::result_monitor::ResultSizeMonitor;
 use crate::sink::{NullSink, Sink};
@@ -78,7 +78,6 @@ pub struct Pipeline {
     profiler: ProductivityProfiler,
     monitor: ResultSizeMonitor,
     manager: Option<BufferSizeManager>,
-    pd_state: PdState,
     interval_l: Duration,
     next_checkpoint: Option<Timestamp>,
     first_arrival: Option<Timestamp>,
@@ -87,7 +86,6 @@ pub struct Pipeline {
     k_weighted_sum: f64,
     k_since: Timestamp,
     lifetime_max_delay: Duration,
-    produced_since_checkpoint: u64,
     produced: Vec<(Timestamp, u64)>,
     checkpoints: Vec<Checkpoint>,
     /// Watermark of the last [`OutputEvent::Progress`] emission.
@@ -193,7 +191,6 @@ impl Pipeline {
                 config.period_p.saturating_sub(config.interval_l).max(1),
             ),
             manager,
-            pd_state: PdState::default(),
             interval_l: config.interval_l,
             next_checkpoint: None,
             first_arrival: None,
@@ -202,7 +199,6 @@ impl Pipeline {
             k_weighted_sum: 0.0,
             k_since: Timestamp::ZERO,
             lifetime_max_delay: 0,
-            produced_since_checkpoint: 0,
             produced: Vec::new(),
             checkpoints: Vec::new(),
             last_progress: None,
@@ -480,7 +476,6 @@ impl Pipeline {
             profiler,
             monitor,
             produced,
-            produced_since_checkpoint,
             last_progress,
             pending_meta,
             telemetry,
@@ -501,7 +496,6 @@ impl Pipeline {
                     if outcome.n_join > 0 {
                         monitor.record_produced(ts, outcome.n_join);
                         produced.push((ts, outcome.n_join));
-                        *produced_since_checkpoint += outcome.n_join;
                     }
                     // An in-order tuple advances onT to its own timestamp;
                     // deduplicate repeats so the watermark only moves
@@ -573,20 +567,10 @@ impl Pipeline {
                 steps = outcome.steps;
                 outcome.k
             }
-            BufferPolicy::PdController { config, gains } => {
-                self.monitor.record_true_estimate(measure_ts, n_true_last);
-                let measured = if n_true_last == 0 {
-                    1.0
-                } else {
-                    (self.produced_since_checkpoint as f64 / n_true_last as f64).min(1.0)
-                };
-                self.pd_state.update(*gains, config.gamma, measured)
-            }
             BufferPolicy::NoKSlack => 0,
             BufferPolicy::MaxKSlack => self.lifetime_max_delay,
             BufferPolicy::FixedK(k) => *k,
         };
-        self.produced_since_checkpoint = 0;
         self.apply_k(new_k, at, sink);
         // Results released by a shrink are delivered before the checkpoint
         // event, exactly as when pushing event by event.
@@ -852,21 +836,6 @@ mod tests {
         let report = p.finish();
         assert!((report.avg_k_ms - 250.0).abs() < 1e-9);
         assert!(report.checkpoints.iter().all(|c| c.k == 250));
-    }
-
-    #[test]
-    fn pd_controller_reacts_to_recall_deficit() {
-        let config = DisorderConfig::with_gamma(0.95).period(4_000).interval(500);
-        let policy = BufferPolicy::PdController {
-            config,
-            gains: Default::default(),
-        };
-        let mut p = Pipeline::new(query(2, 500), policy).unwrap();
-        for e in workload(2_000, 400) {
-            p.push(e);
-        }
-        let report = p.finish();
-        assert!(report.checkpoints.iter().any(|c| c.k > 0));
     }
 
     #[test]

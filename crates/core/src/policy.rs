@@ -1,5 +1,5 @@
 //! Buffer-size policies: the quality-driven manager plus the baselines the
-//! paper evaluates against, and a PD-controller extension.
+//! paper evaluates against.
 //!
 //! * [`BufferPolicy::QualityDriven`] — the paper's contribution (Sec. IV).
 //! * [`BufferPolicy::NoKSlack`] — `K_i = 0` for every stream; only the
@@ -9,34 +9,9 @@
 //!   (baseline 2 of Sec. VI).
 //! * [`BufferPolicy::FixedK`] — a constant, user-chosen buffer size
 //!   (the latency-side configurability of e.g. Aurora \[14\]).
-//! * [`BufferPolicy::PdController`] — the proportional-derivative controller
-//!   of the authors' earlier aggregate-query work [16, 17], included as an
-//!   ablation: it reacts to the *measured* recall error instead of modelling
-//!   the buffer-size/recall relationship.
 
 use crate::config::DisorderConfig;
 use mswj_types::Duration;
-use serde::{Deserialize, Serialize};
-
-/// Gains of the PD-controller extension policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PdGains {
-    /// Proportional gain applied to the recall error (in ms per unit error).
-    pub kp: f64,
-    /// Derivative gain applied to the change of the recall error.
-    pub kd: f64,
-}
-
-impl Default for PdGains {
-    fn default() -> Self {
-        // Gains chosen so that a 10% recall deficit grows the buffer by
-        // roughly one second per adaptation step.
-        PdGains {
-            kp: 10_000.0,
-            kd: 2_500.0,
-        }
-    }
-}
 
 /// How the K-slack buffer sizes are managed during a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,13 +24,6 @@ pub enum BufferPolicy {
     MaxKSlack,
     /// A constant buffer size in milliseconds.
     FixedK(Duration),
-    /// PD controller on the measured recall deficit (extension baseline).
-    PdController {
-        /// Recall target and timing parameters (Γ, P, L, g, …).
-        config: DisorderConfig,
-        /// Controller gains.
-        gains: PdGains,
-    },
 }
 
 impl BufferPolicy {
@@ -66,47 +34,20 @@ impl BufferPolicy {
             BufferPolicy::NoKSlack => "no-k-slack",
             BufferPolicy::MaxKSlack => "max-k-slack",
             BufferPolicy::FixedK(_) => "fixed-k",
-            BufferPolicy::PdController { .. } => "pd-controller",
         }
     }
 
     /// The disorder-handling configuration, when the policy has one.
     pub fn config(&self) -> Option<&DisorderConfig> {
         match self {
-            BufferPolicy::QualityDriven(c) | BufferPolicy::PdController { config: c, .. } => {
-                Some(c)
-            }
+            BufferPolicy::QualityDriven(c) => Some(c),
             _ => None,
         }
     }
 
     /// Whether the policy performs periodic adaptation steps.
     pub fn is_adaptive(&self) -> bool {
-        matches!(
-            self,
-            BufferPolicy::QualityDriven(_) | BufferPolicy::PdController { .. }
-        )
-    }
-}
-
-/// Mutable state of the PD controller between adaptation steps.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PdState {
-    /// Previous recall error (Γ − measured recall).
-    pub prev_error: f64,
-    /// Current buffer size decided by the controller (ms).
-    pub k: f64,
-}
-
-impl PdState {
-    /// Applies one PD update given the measured recall of the last interval
-    /// and returns the new buffer size (ms, never negative).
-    pub fn update(&mut self, gains: PdGains, gamma: f64, measured_recall: f64) -> Duration {
-        let error = gamma - measured_recall;
-        let delta = gains.kp * error + gains.kd * (error - self.prev_error);
-        self.prev_error = error;
-        self.k = (self.k + delta).max(0.0);
-        self.k.round() as Duration
+        matches!(self, BufferPolicy::QualityDriven(_))
     }
 }
 
@@ -127,41 +68,5 @@ mod tests {
 
         assert_eq!(BufferPolicy::MaxKSlack.name(), "max-k-slack");
         assert_eq!(BufferPolicy::FixedK(500).name(), "fixed-k");
-
-        let pd = BufferPolicy::PdController {
-            config: DisorderConfig::with_gamma(0.9),
-            gains: PdGains::default(),
-        };
-        assert_eq!(pd.name(), "pd-controller");
-        assert!(pd.is_adaptive());
-        assert_eq!(pd.config().unwrap().gamma, 0.9);
-    }
-
-    #[test]
-    fn pd_controller_grows_on_deficit_and_shrinks_on_surplus() {
-        let gains = PdGains::default();
-        let mut state = PdState::default();
-        // Recall well below the target: buffer must grow.
-        let k1 = state.update(gains, 0.95, 0.5);
-        assert!(k1 > 0);
-        // Still below target: keeps growing.
-        let k2 = state.update(gains, 0.95, 0.7);
-        assert!(k2 >= k1 || k2 > 0);
-        // Recall above target for a while: buffer shrinks towards zero.
-        let mut k = k2;
-        for _ in 0..50 {
-            k = state.update(gains, 0.95, 1.0);
-        }
-        assert_eq!(k, 0);
-    }
-
-    #[test]
-    fn pd_buffer_never_goes_negative() {
-        let gains = PdGains::default();
-        let mut state = PdState::default();
-        for _ in 0..10 {
-            let k = state.update(gains, 0.9, 1.0);
-            assert_eq!(k, 0);
-        }
     }
 }

@@ -4,13 +4,12 @@
 
 use mswj_core::BufferPolicy;
 use mswj_experiments::{
-    dataset_d2, dataset_d3, ground_truth, paper_default_config, run_policy_with_truth, Scale,
-    GRANULARITY_SWEEP_MS,
+    dataset_d2, dataset_d3, ground_truth, paper_default_config, Scale, GRANULARITY_SWEEP_MS,
 };
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args(&[]);
+    let (scale, session) = Scale::from_args();
     println!("Fig. 10 — effect of the K-search granularity g");
     println!("scale: {:?}\n", scale);
 
@@ -20,7 +19,7 @@ fn main() {
         for &g_ms in &GRANULARITY_SWEEP_MS {
             for gamma in [0.95, 0.99] {
                 let config = paper_default_config(gamma).granularity(g_ms);
-                let eval = run_policy_with_truth(
+                let eval = session.run(
                     &dataset,
                     BufferPolicy::QualityDriven(config),
                     config.period_p,
@@ -42,4 +41,5 @@ fn main() {
             )
         );
     }
+    session.finish("fig10");
 }

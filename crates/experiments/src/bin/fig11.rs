@@ -4,13 +4,12 @@
 
 use mswj_core::BufferPolicy;
 use mswj_experiments::{
-    all_datasets, ground_truth, paper_default_config, run_policy_with_truth, Scale, GAMMA_SWEEP,
-    GRANULARITY_SWEEP_MS,
+    all_datasets, ground_truth, paper_default_config, Scale, GAMMA_SWEEP, GRANULARITY_SWEEP_MS,
 };
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args(&[]);
+    let (scale, session) = Scale::from_args();
     println!("Fig. 11 — average adaptation-step time (ms)");
     println!("scale: {:?}\n", scale);
 
@@ -21,7 +20,7 @@ fn main() {
             let mut row = TableRow::new(format!("Γ={gamma}"));
             for &g_ms in &GRANULARITY_SWEEP_MS {
                 let config = paper_default_config(gamma).granularity(g_ms);
-                let eval = run_policy_with_truth(
+                let eval = session.run(
                     &dataset,
                     BufferPolicy::QualityDriven(config),
                     config.period_p,
@@ -42,4 +41,5 @@ fn main() {
             )
         );
     }
+    session.finish("fig11");
 }

@@ -5,38 +5,23 @@
 //! prints the same series (one sample per adaptation interval, thinned for
 //! readability) plus its summary statistics.
 
-use mswj_core::{BufferPolicy, Telemetry};
-use mswj_experiments::{
-    all_datasets, backend_from_args, dump_metrics_json, ground_truth, metrics_out_from_args,
-    probe_from_args, run_policy_instrumented, Scale, SESSION_FLAGS,
-};
+use mswj_core::BufferPolicy;
+use mswj_experiments::{all_datasets, ground_truth, Scale};
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args(&SESSION_FLAGS);
-    let backend = backend_from_args();
-    let probe = probe_from_args();
-    let metrics_out = metrics_out_from_args();
-    let telemetry = metrics_out.is_some().then(Telemetry::new);
+    let (scale, session) = Scale::from_args();
     let period_p = 60_000;
     println!("Fig. 6 — recall over time of the No-K-slack baseline (P = 1 min)");
     println!(
         "scale: {:?}, backend: {}, probe: {:?}\n",
-        scale, backend, probe
+        scale, session.backend, session.probe
     );
 
     let mut summary = Vec::new();
     for dataset in all_datasets(scale) {
         let truth = ground_truth(&dataset);
-        let eval = run_policy_instrumented(
-            &dataset,
-            BufferPolicy::NoKSlack,
-            period_p,
-            &truth,
-            backend.clone(),
-            probe,
-            telemetry.clone(),
-        );
+        let eval = session.run(&dataset, BufferPolicy::NoKSlack, period_p, &truth);
         println!("── {} / {} ──", dataset.name, dataset.query.name());
         let stride = (eval.recall.samples.len() / 20).max(1);
         for sample in eval.recall.samples.iter().step_by(stride) {
@@ -55,13 +40,5 @@ fn main() {
         println!();
     }
     println!("{}", format_table("Fig. 6 summary (No-K-slack)", &summary));
-    if let (Some(path), Some(t)) = (metrics_out, telemetry) {
-        match dump_metrics_json(&t, &path) {
-            Ok(()) => eprintln!("fig6: telemetry snapshot written to {}", path.display()),
-            Err(e) => {
-                eprintln!("fig6: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+    session.finish("fig6");
 }

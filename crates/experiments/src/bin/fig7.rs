@@ -6,20 +6,18 @@
 //! the Max-K-slack average K as a reference line.
 
 use mswj_core::{BufferPolicy, SelectivityStrategy};
-use mswj_experiments::{
-    all_datasets, ground_truth, paper_default_config, run_policy_with_truth, Scale, GAMMA_SWEEP,
-};
+use mswj_experiments::{all_datasets, ground_truth, paper_default_config, Scale, GAMMA_SWEEP};
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args(&[]);
+    let (scale, session) = Scale::from_args();
     println!("Fig. 7 — effectiveness under varying recall requirements Γ");
     println!("scale: {:?}\n", scale);
 
     for dataset in all_datasets(scale) {
         let truth = ground_truth(&dataset);
         let config_ref = paper_default_config(0.99);
-        let max_k = run_policy_with_truth(
+        let max_k = session.run(
             &dataset,
             BufferPolicy::MaxKSlack,
             config_ref.period_p,
@@ -29,7 +27,7 @@ fn main() {
         for &gamma in &GAMMA_SWEEP {
             for strategy in [SelectivityStrategy::EqSel, SelectivityStrategy::NonEqSel] {
                 let config = paper_default_config(gamma).selectivity_strategy(strategy);
-                let eval = run_policy_with_truth(
+                let eval = session.run(
                     &dataset,
                     BufferPolicy::QualityDriven(config),
                     config.period_p,
@@ -59,4 +57,5 @@ fn main() {
             )
         );
     }
+    session.finish("fig7");
 }

@@ -4,13 +4,12 @@
 
 use mswj_core::BufferPolicy;
 use mswj_experiments::{
-    dataset_d2, dataset_d3, ground_truth, paper_default_config, run_policy_with_truth, Scale,
-    PERIOD_SWEEP_SECS,
+    dataset_d2, dataset_d3, ground_truth, paper_default_config, Scale, PERIOD_SWEEP_SECS,
 };
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args(&[]);
+    let (scale, session) = Scale::from_args();
     println!("Fig. 8 — effect of the measurement period P");
     println!("scale: {:?}\n", scale);
 
@@ -25,7 +24,7 @@ fn main() {
                 .max(2_000);
             for gamma in [0.95, 0.99] {
                 let config = paper_default_config(gamma).period(p_ms);
-                let eval = run_policy_with_truth(
+                let eval = session.run(
                     &dataset,
                     BufferPolicy::QualityDriven(config),
                     config.period_p,
@@ -47,4 +46,5 @@ fn main() {
             )
         );
     }
+    session.finish("fig8");
 }

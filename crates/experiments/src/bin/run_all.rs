@@ -1,6 +1,8 @@
-//! Runs every experiment of the paper's evaluation section in sequence by
-//! spawning the per-figure binaries' logic inline.  Prefer the individual
-//! binaries (`fig6`, `table2`, `fig7`, …) when you only need one artifact.
+//! Runs every experiment of the paper's evaluation section in sequence,
+//! one child process per figure, forwarding its own arguments (scale and
+//! session flags alike) to each; exits 1 when any child did not succeed.
+//! Prefer the individual binaries (`fig6`, `table2`, `fig7`, …) when you
+//! only need one artifact.
 
 use std::process::Command;
 
@@ -9,11 +11,12 @@ const EXPERIMENTS: [&str; 7] = ["fig6", "table2", "fig7", "fig8", "fig9", "fig10
 fn main() {
     // Validate the shared flags once up front (`--help` and bad values exit
     // here) instead of seven times, one per child.
-    let _ = mswj_experiments::Scale::from_args(&[]);
+    let _ = mswj_experiments::Scale::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let exe_dir = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(|d| d.to_path_buf()));
+    let mut failed = Vec::new();
     for name in EXPERIMENTS {
         println!("\n================ {name} ================\n");
         let binary = exe_dir
@@ -36,9 +39,14 @@ fn main() {
                 .status(),
         };
         match status {
-            Ok(s) if s.success() => {}
+            Ok(s) if s.success() => continue,
             Ok(s) => eprintln!("experiment {name} exited with {s}"),
             Err(e) => eprintln!("failed to run {name}: {e}"),
         }
+        failed.push(name);
+    }
+    if !failed.is_empty() {
+        eprintln!("run_all: failed experiments: {}", failed.join(", "));
+        std::process::exit(1);
     }
 }

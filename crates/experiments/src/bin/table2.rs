@@ -5,18 +5,19 @@
 //! maximum delay observed so far.
 
 use mswj_core::BufferPolicy;
-use mswj_experiments::{all_datasets, run_policy, Scale};
+use mswj_experiments::{all_datasets, ground_truth, Scale};
 use mswj_metrics::{format_table, TableRow};
 
 fn main() {
-    let scale = Scale::from_args(&[]);
+    let (scale, session) = Scale::from_args();
     let period_p = 60_000;
     println!("Table II — Max-K-slack baseline (P = 1 min)");
     println!("scale: {:?}\n", scale);
 
     let mut rows = Vec::new();
     for dataset in all_datasets(scale) {
-        let eval = run_policy(&dataset, BufferPolicy::MaxKSlack, period_p);
+        let truth = ground_truth(&dataset);
+        let eval = session.run(&dataset, BufferPolicy::MaxKSlack, period_p, &truth);
         rows.push(
             TableRow::new(format!("{} / {}", dataset.name, dataset.query.name()))
                 .cell("avg K (s)", eval.avg_k_secs())
@@ -25,4 +26,5 @@ fn main() {
         );
     }
     println!("{}", format_table("Table II", &rows));
+    session.finish("table2");
 }

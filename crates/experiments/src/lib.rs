@@ -14,11 +14,13 @@
 //! | `fig11` | Fig. 11 — adaptation-step time vs g |
 //! | `run_all` | every experiment above, in sequence |
 //!
-//! All binaries accept `--duration-secs N`, `--seed N` and `--quick` (and
-//! reject anything else with the usage text and exit status 2; `fig6` also
-//! takes `--backend`, `--probe` and `--metrics-out`); the defaults run a
-//! scaled-down but shape-preserving version of the paper's 23–30-minute
-//! workloads (see `EXPERIMENTS.md`).
+//! All binaries accept `--duration-secs N`, `--seed N`, `--quick` and the
+//! session flags `--backend`, `--probe` and `--metrics-out` (and reject
+//! anything else with the usage text and exit status 2), parsed once by
+//! [`Scale::from_args`] into a [`Scale`] and the [`Session`] every run of
+//! the figure goes through; the defaults run a scaled-down but
+//! shape-preserving version of the paper's 23–30-minute workloads (see
+//! `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,6 +31,7 @@ use mswj_core::{
 use mswj_datasets::{Dataset, SoccerConfig, SoccerDataset, SyntheticConfig, SyntheticDataset};
 use mswj_metrics::{evaluate_recall, ground_truth_counts, CountSeries, RecallEvaluation};
 use mswj_types::Duration;
+use std::path::PathBuf;
 
 /// Scale knobs shared by every experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,20 +60,21 @@ impl Scale {
         }
     }
 
-    /// Parses `--duration-secs N`, `--seed N` and `--quick` from the
-    /// process arguments.  `extra_flags` names the value-taking flags the
-    /// calling binary parses itself; any other argument, and a known flag
-    /// with a missing or unparseable value, prints the error plus usage and
-    /// exits 2 — never a silent run at the default scale. `--help`/`-h`
-    /// prints the shared usage text and exits, so every experiment binary
-    /// has a cheap smoke path that never touches a workload.
-    pub fn from_args(extra_flags: &[&str]) -> Self {
+    /// Parses the process arguments: `--duration-secs N`, `--seed N` and
+    /// `--quick` into the scale, `--backend SPEC`, `--probe SPEC` and
+    /// `--metrics-out PATH` into the [`Session`] every run of the figure
+    /// goes through.  Any other argument, and a flag with a missing or
+    /// malformed value, prints the error plus usage and exits 2 — never a
+    /// silent run at the defaults.  `--help`/`-h` prints the shared usage
+    /// text and exits, so every experiment binary has a cheap smoke path
+    /// that never touches a workload.
+    pub fn from_args() -> (Self, Session) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", Self::usage());
             std::process::exit(0);
         }
-        Self::from_arg_slice(&args, extra_flags).unwrap_or_else(|e| {
+        Self::from_arg_slice(&args).unwrap_or_else(|e| {
             eprintln!("{e}\n\n{}", Self::usage());
             std::process::exit(2);
         })
@@ -86,9 +90,6 @@ impl Scale {
              \x20   --duration-secs N  simulated seconds per dataset (default {})\n\
              \x20   --seed N           workload generator seed (default {})\n\
              \x20   --quick            fast smoke-test scale ({} s)\n\
-             \x20   -h, --help         print this help and exit\n\
-             \n\
-             fig6 only:\n\
              \x20   --backend SPEC     join-stage backend: seq (default),\n\
              \x20                      pool:N, inproc:N,\n\
              \x20                      uds:PATH[,PATH…], tcp:ADDR[,ADDR…]\n\
@@ -101,7 +102,8 @@ impl Scale {
              \x20                      results are identical)\n\
              \x20   --metrics-out PATH write the final telemetry snapshot\n\
              \x20                      (quality gauges, latency histograms,\n\
-             \x20                      per-shard runtime) as JSON to PATH",
+             \x20                      per-shard runtime) as JSON to PATH\n\
+             \x20   -h, --help         print this help and exit",
             d.duration_secs,
             d.seed,
             Scale::quick().duration_secs
@@ -109,30 +111,91 @@ impl Scale {
     }
 
     /// Parses the same flags from an explicit argument slice (testable,
-    /// without the program name).  Each of `extra_flags` is skipped together
-    /// with its value; `--duration-secs` / `--seed` without a valid number
-    /// and any other argument are an error.
-    pub fn from_arg_slice(args: &[String], extra_flags: &[&str]) -> Result<Self, String> {
+    /// without the program name).
+    pub fn from_arg_slice(args: &[String]) -> Result<(Self, Session), String> {
         let mut scale = Scale::default();
+        let mut session = Session::default();
         let mut args = args.iter();
         while let Some(arg) = args.next() {
-            let mut number = || match args.next() {
-                Some(v) => v
-                    .parse::<u64>()
-                    .map_err(|_| format!("{arg} needs a non-negative integer, got `{v}`")),
-                None => Err(format!("{arg} needs a value")),
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+            let number = |v: &String| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("{arg} needs a non-negative integer, got `{v}`"))
             };
             match arg.as_str() {
                 "--quick" => scale = Scale::quick(),
-                "--duration-secs" => scale.duration_secs = number()?,
-                "--seed" => scale.seed = number()?,
-                flag if extra_flags.contains(&flag) => {
-                    args.next();
+                "--duration-secs" => scale.duration_secs = number(value()?)?,
+                "--seed" => scale.seed = number(value()?)?,
+                "--backend" => session.backend = parse_backend(value()?)?,
+                "--probe" => session.probe = parse_probe(value()?)?,
+                "--metrics-out" => {
+                    session.metrics = Some((PathBuf::from(value()?), Telemetry::new()))
                 }
                 _ => return Err(format!("unknown argument `{arg}`")),
             }
         }
-        Ok(scale)
+        Ok((scale, session))
+    }
+}
+
+/// How every session of an experiment runs — the `--backend`, `--probe`
+/// and `--metrics-out` flags.  The default is the paper's configuration:
+/// the sequential backend, the planner-chosen probe, no telemetry.  The
+/// measurements are the same under every setting.
+#[derive(Debug, Clone, Default)]
+pub struct Session {
+    /// Execution backend of the join stage.
+    pub backend: ExecutionBackend,
+    /// Probe strategy; `nested-loop` pins the exhaustive reference path.
+    pub probe: ProbeStrategy,
+    /// Where [`Session::finish`] writes the final telemetry snapshot, and
+    /// the observe-only handle attached to every session run until then.
+    metrics: Option<(PathBuf, Telemetry)>,
+}
+
+impl Session {
+    /// Runs `policy` over `dataset`, measuring `γ(P)` with period
+    /// `period_p` against a pre-computed ground truth.
+    pub fn run(
+        &self,
+        dataset: &Dataset,
+        policy: BufferPolicy,
+        period_p: Duration,
+        truth: &CountSeries,
+    ) -> PolicyEval {
+        let mut builder = mswj_core::Pipeline::builder()
+            .query(dataset.query.clone())
+            .policy(policy)
+            .parallelism(self.backend.clone())
+            .probe(self.probe);
+        if let Some((_, telemetry)) = &self.metrics {
+            builder = builder.telemetry(telemetry.clone());
+        }
+        let mut pipeline = builder
+            .build()
+            .expect("experiment configurations are valid");
+        for event in dataset.log.iter() {
+            pipeline.push(event.clone());
+        }
+        let report = pipeline.finish();
+        let recall = evaluate_recall(&report, truth, period_p);
+        PolicyEval { report, recall }
+    }
+
+    /// Ends the experiment `binary`: writes the `--metrics-out` snapshot
+    /// (the handle's JSON rendering over every session that was run), when
+    /// one was asked for, and exits 1 if it cannot be written.
+    pub fn finish(&self, binary: &str) {
+        let Some((path, telemetry)) = &self.metrics else {
+            return;
+        };
+        match std::fs::write(path, telemetry.render_json()) {
+            Ok(()) => eprintln!("{binary}: telemetry snapshot written to {}", path.display()),
+            Err(e) => {
+                eprintln!("{binary}: cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
     }
 }
 
@@ -187,62 +250,6 @@ pub fn parse_probe(spec: &str) -> Result<ProbeStrategy, String> {
     }
 }
 
-/// The value-taking flags read by [`backend_from_args`], [`probe_from_args`]
-/// and [`metrics_out_from_args`]: what a binary that calls them passes to
-/// [`Scale::from_args`] as its own.
-pub const SESSION_FLAGS: [&str; 3] = ["--backend", "--probe", "--metrics-out"];
-
-/// Reads `--probe SPEC` from the process arguments (default: auto); a
-/// malformed spec prints the error plus usage and exits.
-pub fn probe_from_args() -> ProbeStrategy {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == "--probe") else {
-        return ProbeStrategy::Auto;
-    };
-    let spec = args.get(i + 1).map(String::as_str).unwrap_or("");
-    parse_probe(spec).unwrap_or_else(|e| {
-        eprintln!("{e}\n\n{}", Scale::usage());
-        std::process::exit(2);
-    })
-}
-
-/// Reads `--backend SPEC` from the process arguments (default:
-/// sequential, the paper's configuration); a malformed spec prints the
-/// error plus usage and exits.
-pub fn backend_from_args() -> ExecutionBackend {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == "--backend") else {
-        return ExecutionBackend::Sequential;
-    };
-    let spec = args.get(i + 1).map(String::as_str).unwrap_or("");
-    parse_backend(spec).unwrap_or_else(|e| {
-        eprintln!("{e}\n\n{}", Scale::usage());
-        std::process::exit(2);
-    })
-}
-
-/// Reads `--metrics-out PATH` from the process arguments: when present,
-/// the experiment attaches a [`Telemetry`] handle to every session it runs
-/// and dumps the final JSON snapshot
-/// ([`dump_metrics_json`]) to `PATH` on completion.
-pub fn metrics_out_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--metrics-out")?;
-    match args.get(i + 1) {
-        Some(path) => Some(std::path::PathBuf::from(path)),
-        None => {
-            eprintln!("--metrics-out needs a path\n\n{}", Scale::usage());
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Writes the telemetry handle's JSON snapshot to `path` (the
-/// `--metrics-out` payload).
-pub fn dump_metrics_json(telemetry: &Telemetry, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, telemetry.render_json())
-}
-
 /// Builds the (simulated) soccer dataset D×2real at the given scale.
 pub fn dataset_d2(scale: Scale) -> Dataset {
     let cfg = SoccerConfig::default().duration_secs(scale.duration_secs);
@@ -293,96 +300,6 @@ impl PolicyEval {
 /// Computes the ground-truth result counts of a dataset.
 pub fn ground_truth(dataset: &Dataset) -> CountSeries {
     ground_truth_counts(&dataset.query, &dataset.log)
-}
-
-/// Runs `policy` over `dataset`, measuring `γ(P)` with period `period_p`
-/// against a pre-computed ground truth.
-pub fn run_policy_with_truth(
-    dataset: &Dataset,
-    policy: BufferPolicy,
-    period_p: Duration,
-    truth: &CountSeries,
-) -> PolicyEval {
-    run_policy_on_backend(
-        dataset,
-        policy,
-        period_p,
-        truth,
-        ExecutionBackend::Sequential,
-    )
-}
-
-/// Like [`run_policy_with_truth`], on an explicit execution backend
-/// (`--backend` / [`backend_from_args`]).  Every backend produces the
-/// same measurements; remote ones stream the join stage through
-/// `mswj-shardd` shard servers.
-pub fn run_policy_on_backend(
-    dataset: &Dataset,
-    policy: BufferPolicy,
-    period_p: Duration,
-    truth: &CountSeries,
-    backend: ExecutionBackend,
-) -> PolicyEval {
-    run_policy_full(
-        dataset,
-        policy,
-        period_p,
-        truth,
-        backend,
-        ProbeStrategy::Auto,
-    )
-}
-
-/// Like [`run_policy_on_backend`], additionally forcing a probe strategy
-/// (`--probe` / [`probe_from_args`]).  `nested-loop` pins the exhaustive
-/// reference path; the measurements do not change.
-pub fn run_policy_full(
-    dataset: &Dataset,
-    policy: BufferPolicy,
-    period_p: Duration,
-    truth: &CountSeries,
-    backend: ExecutionBackend,
-    probe: ProbeStrategy,
-) -> PolicyEval {
-    run_policy_instrumented(dataset, policy, period_p, truth, backend, probe, None)
-}
-
-/// Like [`run_policy_full`], optionally attaching a live [`Telemetry`]
-/// handle to the session (`--metrics-out` / [`metrics_out_from_args`]).
-/// Telemetry is observe-only, so the measurements are identical with and
-/// without it.
-pub fn run_policy_instrumented(
-    dataset: &Dataset,
-    policy: BufferPolicy,
-    period_p: Duration,
-    truth: &CountSeries,
-    backend: ExecutionBackend,
-    probe: ProbeStrategy,
-    telemetry: Option<Telemetry>,
-) -> PolicyEval {
-    let mut builder = mswj_core::Pipeline::builder()
-        .query(dataset.query.clone())
-        .policy(policy)
-        .parallelism(backend)
-        .probe(probe);
-    if let Some(t) = telemetry {
-        builder = builder.telemetry(t);
-    }
-    let mut pipeline = builder
-        .build()
-        .expect("experiment configurations are valid");
-    for event in dataset.log.iter() {
-        pipeline.push(event.clone());
-    }
-    let report = pipeline.finish();
-    let recall = evaluate_recall(&report, truth, period_p);
-    PolicyEval { report, recall }
-}
-
-/// Convenience wrapper computing the ground truth on the fly.
-pub fn run_policy(dataset: &Dataset, policy: BufferPolicy, period_p: Duration) -> PolicyEval {
-    let truth = ground_truth(dataset);
-    run_policy_with_truth(dataset, policy, period_p, &truth)
 }
 
 /// The recall requirements swept by Fig. 7 and Fig. 11.
@@ -437,15 +354,12 @@ mod tests {
         let d2 = dataset_d2(scale);
         let truth = ground_truth(&d2);
         let period = 10_000;
-        let auto = run_policy_with_truth(&d2, BufferPolicy::FixedK(200), period, &truth);
-        let nested = run_policy_full(
-            &d2,
-            BufferPolicy::FixedK(200),
-            period,
-            &truth,
-            ExecutionBackend::Sequential,
-            ProbeStrategy::NestedLoop,
-        );
+        let auto = Session::default().run(&d2, BufferPolicy::FixedK(200), period, &truth);
+        let nested = Session {
+            probe: ProbeStrategy::NestedLoop,
+            ..Session::default()
+        }
+        .run(&d2, BufferPolicy::FixedK(200), period, &truth);
         assert_eq!(auto.report.total_produced, nested.report.total_produced);
         assert_eq!(auto.recall.overall_recall, nested.recall.overall_recall);
         assert_eq!(
@@ -498,12 +412,16 @@ mod tests {
         let truth = ground_truth(&d2);
         let period = 10_000;
         let policy = || BufferPolicy::FixedK(200);
-        let seq = run_policy_with_truth(&d2, policy(), period, &truth);
+        let seq = Session::default().run(&d2, policy(), period, &truth);
         for backend in [
             ExecutionBackend::Pool { workers: 2 },
             ExecutionBackend::remote_inproc(2),
         ] {
-            let eval = run_policy_on_backend(&d2, policy(), period, &truth, backend.clone());
+            let session = Session {
+                backend: backend.clone(),
+                ..Session::default()
+            };
+            let eval = session.run(&d2, policy(), period, &truth);
             assert_eq!(
                 eval.report.total_produced, seq.report.total_produced,
                 "{backend} diverged from sequential"
@@ -516,40 +434,40 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    fn parse(args: &[&str]) -> Result<(Scale, Session), String> {
+        Scale::from_arg_slice(&strings(args))
+    }
+
     #[test]
     fn scale_parsing() {
-        let d = Scale::from_arg_slice(&[], &[]).unwrap();
+        let (d, session) = parse(&[]).unwrap();
         assert_eq!(d, Scale::default());
-        let q = Scale::from_arg_slice(&strings(&["--quick"]), &[]).unwrap();
-        assert_eq!(q, Scale::quick());
-        let custom =
-            Scale::from_arg_slice(&strings(&["--duration-secs", "33", "--seed", "7"]), &[])
-                .unwrap();
+        assert_eq!(session.backend, ExecutionBackend::Sequential);
+        assert_eq!(session.probe, ProbeStrategy::Auto);
+        assert!(session.metrics.is_none());
+        assert_eq!(parse(&["--quick"]).unwrap().0, Scale::quick());
+        let (custom, _) = parse(&["--duration-secs", "33", "--seed", "7"]).unwrap();
         assert_eq!(custom.duration_secs, 33);
         assert_eq!(custom.seed, 7);
     }
 
     #[test]
-    fn scale_parsing_rejects_unknown_arguments() {
+    fn parsing_rejects_unknown_arguments() {
         for args in [
             &["--unknown"][..],
             // A misspelt flag must not silently run the 240 s default.
             &["--duration-sec", "3"],
             &["--seed", "7", "stray"],
-            // fig6's flags are unknown to every other binary.
-            &["--backend", "pool:2"],
+            &["--probes", "auto"],
         ] {
-            let err = Scale::from_arg_slice(&strings(args), &[]).unwrap_err();
+            let err = parse(args).unwrap_err();
             assert!(err.contains("unknown argument"), "{err}");
         }
-        let err =
-            Scale::from_arg_slice(&strings(&["--probes", "auto"]), &SESSION_FLAGS).unwrap_err();
-        assert!(err.contains("`--probes`"), "{err}");
     }
 
     #[test]
-    fn scale_parsing_skips_the_callers_own_flags_and_their_values() {
-        let args = strings(&[
+    fn session_flags_parse_in_the_same_pass_as_the_scale() {
+        let (scale, session) = parse(&[
             "--backend",
             "pool:2",
             "--seed",
@@ -558,8 +476,8 @@ mod tests {
             "nested-loop",
             "--metrics-out",
             "--quick", // a path, however odd: not the flag
-        ]);
-        let scale = Scale::from_arg_slice(&args, &SESSION_FLAGS).unwrap();
+        ])
+        .unwrap();
         assert_eq!(
             scale,
             Scale {
@@ -567,27 +485,39 @@ mod tests {
                 ..Scale::default()
             }
         );
+        assert_eq!(session.backend, ExecutionBackend::Pool { workers: 2 });
+        assert_eq!(session.probe, ProbeStrategy::NestedLoop);
+        let (path, _) = session.metrics.expect("--metrics-out was given");
+        assert_eq!(path, PathBuf::from("--quick"));
     }
 
     #[test]
-    fn scale_parsing_rejects_missing_values() {
-        for flag in ["--duration-secs", "--seed"] {
-            let err = Scale::from_arg_slice(&strings(&[flag]), &[]).unwrap_err();
+    fn parsing_rejects_missing_values() {
+        for flag in [
+            "--duration-secs",
+            "--seed",
+            "--backend",
+            "--probe",
+            "--metrics-out",
+        ] {
+            let err = parse(&[flag]).unwrap_err();
             assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
         }
     }
 
     #[test]
-    fn scale_parsing_rejects_unparseable_values() {
+    fn parsing_rejects_malformed_values() {
         for (flag, value) in [
             ("--duration-secs", "3s"),
             ("--duration-secs", "-1"),
             ("--seed", "forty-two"),
             // The next flag is not a value: it must not be swallowed either.
             ("--seed", "--quick"),
+            ("--backend", "threads:4"),
+            ("--probe", "hash"),
         ] {
-            let err = Scale::from_arg_slice(&strings(&[flag, value]), &[]).unwrap_err();
-            assert!(err.contains(flag) && err.contains(value), "{err}");
+            let err = parse(&[flag, value]).unwrap_err();
+            assert!(err.contains(value), "{err}");
         }
     }
 
@@ -617,7 +547,7 @@ mod tests {
         let config = paper_default_config(0.95).period(10_000).interval(1_000);
         let truth = ground_truth(&d3);
         assert!(truth.total() > 0, "Qx3 must produce results");
-        let eval = run_policy_with_truth(
+        let eval = Session::default().run(
             &d3,
             BufferPolicy::QualityDriven(config),
             config.period_p,
@@ -637,8 +567,9 @@ mod tests {
         let d3 = dataset_d3(scale);
         let truth = ground_truth(&d3);
         let period = 10_000;
-        let none = run_policy_with_truth(&d3, BufferPolicy::NoKSlack, period, &truth);
-        let max = run_policy_with_truth(&d3, BufferPolicy::MaxKSlack, period, &truth);
+        let session = Session::default();
+        let none = session.run(&d3, BufferPolicy::NoKSlack, period, &truth);
+        let max = session.run(&d3, BufferPolicy::MaxKSlack, period, &truth);
         assert!(max.recall.overall_recall >= none.recall.overall_recall);
         assert!(max.avg_k_secs() > none.avg_k_secs());
     }

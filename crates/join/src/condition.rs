@@ -402,7 +402,7 @@ impl JoinCondition for StarEquiJoin {
     }
 
     fn describe(&self) -> String {
-        format!("star equi-join anchored at stream {}", self.anchor + 1)
+        format!("star equi-join anchored at stream {}", self.anchor)
     }
 
     fn descriptor(&self) -> Option<ConditionDescriptor> {

@@ -18,7 +18,7 @@
 //! shard-local and global concerns stay visible in the module tree:
 //! [`insert`] owns window maintenance (expiry, in-order and out-of-order
 //! insertion, including the engine-driven [`MswjOperator::insert_late`]),
-//! [`probe`] owns the read-only probe access paths, [`surgery`] owns the
+//! [`probe`] owns the one read-only probe walk, [`surgery`] owns the
 //! barrier-time state migration and plan revision a sharded engine applies
 //! to a shard, and [`stats`] owns the [`ProbeOutcome`]/[`OperatorStats`]
 //! records.
@@ -31,7 +31,10 @@
 //! bucket of tuples that can still satisfy the join — while generic
 //! conditions (and any probe whose index soundness cannot be guaranteed)
 //! use the exhaustive nested-loop scan.  Both paths are proven equivalent
-//! by the differential harness in `tests/differential_probe.rs`.
+//! by the differential harness in `tests/differential_probe.rs`.  Every
+//! shape is the same walk — a per-probe gate, an optional root, and a fan
+//! of per-stream sources whose sizes multiply — written once for counting
+//! and enumerating operators (see [`probe`]).
 //!
 //! Nested-loop plans whose condition exposes a
 //! [`ScanStructure`] (distance and band joins) run
@@ -283,15 +286,7 @@ impl MswjOperator {
             outcome.expired = self.expire_others(i, &tuple);
             // Step 2: probe remaining tuples in all other windows.
             outcome.n_cross = self.cross_size(i);
-            if self.enumerate {
-                let (n_join, indexed) = self.probe_materialize(i, &tuple, emit);
-                outcome.n_join = n_join;
-                outcome.indexed = indexed;
-            } else {
-                let (n_join, indexed) = self.probe_count(i, &tuple);
-                outcome.n_join = n_join;
-                outcome.indexed = indexed;
-            }
+            (outcome.n_join, outcome.indexed) = self.probe(i, &tuple, emit);
             // Step 3: insert into own window.
             self.windows[i].insert(tuple);
             outcome.inserted = true;
@@ -362,6 +357,16 @@ mod tests {
         JoinQuery::new("star", streams, cond).unwrap()
     }
 
+    /// xorshift64: the deterministic draw the generated workloads share.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
     #[test]
     fn fig1_missed_result_without_disorder_handling() {
         // Reproduces the motivating example of Fig. 1: a 2-way join with
@@ -395,41 +400,6 @@ mod tests {
         assert_eq!(r_c4.n_join, 0);
         assert!(r_c4.inserted, "C4 is still within S1's window scope");
         assert_eq!(op.stats().out_of_order, 1);
-    }
-
-    #[test]
-    fn in_order_equi_join_counts_and_results_agree() {
-        let query = equi_query(2, 10_000);
-        let mut counting = MswjOperator::new(query.clone());
-        let mut enumerating = MswjOperator::enumerating(query);
-        let tuples = vec![
-            tup(0, 0, 0, 1),
-            tup(1, 0, 10, 1),
-            tup(0, 1, 20, 2),
-            tup(1, 1, 30, 2),
-            tup(0, 2, 40, 1),
-            tup(1, 2, 50, 1),
-        ];
-        let mut total_counting = 0;
-        let mut total_enumerated = 0;
-        for t in tuples {
-            let a = counting.push(t.clone());
-            let mut materialized = Vec::new();
-            let b = enumerating.push_with(t, &mut |r| materialized.push(r));
-            assert_eq!(a.n_join, b.n_join);
-            assert_eq!(a.n_cross, b.n_cross);
-            assert_eq!(b.n_join as usize, materialized.len());
-            assert!(a.indexed && b.indexed, "clean int keys must stay indexed");
-            total_counting += a.n_join;
-            total_enumerated += materialized.len() as u64;
-        }
-        // (0,1)x(1,1): S2#0 joins S1#0; S1#2 joins S2#0; S2#2 joins S1#0 and S1#2, etc.
-        assert_eq!(total_counting, total_enumerated);
-        assert!(total_counting >= 4);
-        assert!(!counting.is_enumerating());
-        assert!(enumerating.is_enumerating());
-        assert_eq!(counting.stats().fallback_probes, 0);
-        assert_eq!(counting.stats().indexed_probes, counting.stats().in_order);
     }
 
     #[test]
@@ -589,43 +559,312 @@ mod tests {
     }
 
     #[test]
-    fn star_join_counts_match_enumeration() {
-        // Q×4-shaped query at a small scale.
-        let query = star_query();
-        let mut counting = MswjOperator::new(query.clone());
-        let mut enumerating = MswjOperator::enumerating(query);
+    fn count_equals_emitted_push_for_push() {
+        use crate::condition::{BandJoin, PredicateFn};
 
-        let anchor = |seq: u64, ts: u64, a1: i64, a2: i64, a3: i64| {
-            Tuple::new(
-                0.into(),
-                seq,
-                Timestamp::from_millis(ts),
-                vec![Value::Int(a1), Value::Int(a2), Value::Int(a3)],
-            )
-        };
-        let sat = |stream: usize, seq: u64, ts: u64, v: i64| tup(stream, seq, ts, v);
-
-        let script = vec![
-            sat(1, 0, 0, 1),
-            sat(2, 0, 1, 2),
-            sat(3, 0, 2, 3),
-            anchor(0, 3, 1, 2, 3), // matches all satellites -> 1 result
-            sat(1, 1, 4, 1),       // satellite probing anchor -> 1 result
-            anchor(1, 5, 1, 2, 9), // a3 mismatch -> 0
-            sat(3, 1, 6, 9),       // matches second anchor only -> 2 (two S2 with a1=1)
-            sat(2, 1, 7, 2),       // probes both anchors
-        ];
-        for t in script {
-            let a = counting.push(t.clone());
-            let mut emitted = 0u64;
-            let b = enumerating.push_with(t, &mut |_| emitted += 1);
-            assert_eq!(a.n_join, b.n_join, "count vs enumeration disagreement");
-            assert_eq!(emitted, b.n_join);
-            assert!(a.indexed && b.indexed, "clean star workload stays indexed");
+        /// How many probes the stream-order operator answers through the
+        /// index: every one, none, or some but not all (gate fallbacks).
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Indexed {
+            All,
+            None,
+            Some,
         }
-        assert_eq!(counting.stats().results, enumerating.stats().results);
-        assert!(counting.stats().results > 0);
-        assert_eq!(counting.stats().fallback_probes, 0);
+        struct Row {
+            name: &'static str,
+            query: JoinQuery,
+            tuples: Vec<Tuple>,
+            indexed: Indexed,
+            /// Whether some probing keys are `Null`: barren probes, which
+            /// count as indexed even after a demotion.
+            nulls: bool,
+        }
+
+        let row = |stream: usize, seq: u64, ts: u64, values: Vec<Value>| {
+            Tuple::new(stream.into(), seq, Timestamp::from_millis(ts), values)
+        };
+        // Mostly ascending timestamps with late rows mixed in.
+        let ts_of =
+            |s: u64, draw: u64| s * 10 - draw.is_multiple_of(4) as u64 * (draw % 40).min(s * 10);
+        let band = |m: usize| {
+            let schema = Schema::new(vec![("id", FieldType::Int), ("v", FieldType::Float)]);
+            let streams = StreamSet::homogeneous(m, schema, 400).unwrap();
+            let cond = Arc::new(BandJoin::new(&streams, "v", 1.0).unwrap());
+            JoinQuery::new("band", streams, cond).unwrap()
+        };
+        // One `[id, v]` row per draw over every value class a scan column
+        // images: floats, integers, NaN and Null.
+        let scanned = |m: usize, n: u64, seed: u64| -> Vec<Tuple> {
+            let mut next = xorshift(seed);
+            (0..n)
+                .map(|s| {
+                    let stream = (next() % m as u64) as usize;
+                    let v = match next() % 9 {
+                        0 => Value::Null,
+                        1 => Value::Int((next() % 4) as i64),
+                        2 => Value::Float(f64::NAN),
+                        _ => Value::Float((next() % 8) as f64 * 0.5),
+                    };
+                    row(stream, s, ts_of(s, next()), vec![Value::Int(s as i64), v])
+                })
+                .collect()
+        };
+        // Common-key rows whose key is drawn by `key(draw, k)`.
+        let common = |m: usize, n: u64, key: &dyn Fn(u64, i64) -> Value| -> Vec<Tuple> {
+            let mut next = xorshift(0x2545_F491);
+            (0..n)
+                .map(|s| {
+                    let stream = (next() % m as u64) as usize;
+                    let k = (next() % 4) as i64;
+                    row(stream, s, ts_of(s, next()), vec![key(next(), k)])
+                })
+                .collect()
+        };
+        // Star rows: anchors carry three pair keys, satellites one.
+        let star = |n: u64, key: &dyn Fn(u64, i64) -> Value| -> Vec<Tuple> {
+            let mut next = xorshift(0x1234_5678);
+            (0..n)
+                .map(|s| {
+                    let stream = (next() % 4) as usize;
+                    let width = if stream == 0 { 3 } else { 1 };
+                    let values = (0..width)
+                        .map(|_| key(next(), (next() % 3) as i64))
+                        .collect();
+                    row(stream, s, s * 5, values)
+                })
+                .collect()
+        };
+        let int = |_: u64, k: i64| Value::Int(k);
+        let anchor = |seq: u64, ts: u64, a: [i64; 3]| {
+            row(0, seq, ts, a.iter().map(|&v| Value::Int(v)).collect())
+        };
+        let distance = {
+            let schema = Schema::new(vec![
+                ("sID", FieldType::Int),
+                ("xCoord", FieldType::Float),
+                ("yCoord", FieldType::Float),
+            ]);
+            let streams = StreamSet::homogeneous(2, schema, 400).unwrap();
+            let cond = Arc::new(DistanceWithin::new(&streams, "xCoord", "yCoord", 1.5).unwrap());
+            JoinQuery::new("dist", streams, cond).unwrap()
+        };
+        let udf = {
+            let streams =
+                StreamSet::homogeneous(3, Schema::new(vec![("a1", FieldType::Int)]), 150).unwrap();
+            let even_sum = |ts: &[&Tuple]| {
+                let keys = ts.iter().filter_map(|t| t.value(0).and_then(Value::as_int));
+                keys.sum::<i64>() % 2 == 0
+            };
+            let cond = Arc::new(PredicateFn::new(3, "even-sum", even_sum));
+            JoinQuery::new("udf", streams, cond).unwrap()
+        };
+
+        let rows = vec![
+            Row {
+                // Formerly `in_order_equi_join_counts_and_results_agree`.
+                name: "common key m=2, in order",
+                query: equi_query(2, 10_000),
+                tuples: vec![
+                    tup(0, 0, 0, 1),
+                    tup(1, 0, 10, 1),
+                    tup(0, 1, 20, 2),
+                    tup(1, 1, 30, 2),
+                    tup(0, 2, 40, 1),
+                    tup(1, 2, 50, 1),
+                ],
+                indexed: Indexed::All,
+                nulls: false,
+            },
+            Row {
+                name: "common key m=3",
+                query: equi_query(3, 200),
+                tuples: common(3, 90, &int),
+                indexed: Indexed::All,
+                nulls: false,
+            },
+            Row {
+                // Formerly `star_join_counts_match_enumeration`.
+                name: "star m=4, anchor and satellite probes",
+                query: star_query(),
+                tuples: vec![
+                    tup(1, 0, 0, 1),
+                    tup(2, 0, 1, 2),
+                    tup(3, 0, 2, 3),
+                    anchor(0, 3, [1, 2, 3]), // matches all satellites -> 1 result
+                    tup(1, 1, 4, 1),         // satellite probing anchor -> 1 result
+                    anchor(1, 5, [1, 2, 9]), // a3 mismatch -> 0
+                    tup(3, 1, 6, 9),         // second anchor only -> 2 (two S2 with a1=1)
+                    tup(2, 1, 7, 2),         // probes both anchors
+                ],
+                indexed: Indexed::All,
+                nulls: false,
+            },
+            Row {
+                name: "star m=4, generated",
+                query: star_query(),
+                tuples: star(80, &int),
+                indexed: Indexed::All,
+                nulls: false,
+            },
+            Row {
+                // Null and Float pair keys on both sides: barren probes,
+                // gate fallbacks and inert root rows.
+                name: "star m=4, mixed pair keys",
+                query: star_query(),
+                tuples: star(100, &|draw, k| match draw % 12 {
+                    0 => Value::Null,
+                    1 => Value::Float(k as f64),
+                    _ => Value::Int(k),
+                }),
+                indexed: Indexed::Some,
+                nulls: true,
+            },
+            Row {
+                name: "band m=2",
+                query: band(2),
+                tuples: scanned(2, 100, 0x9E37_79B9),
+                indexed: Indexed::None,
+                nulls: false,
+            },
+            Row {
+                name: "band m=3, probes from stream 0 and from the others",
+                query: band(3),
+                tuples: scanned(3, 150, 0x9E37_79B9),
+                indexed: Indexed::None,
+                nulls: false,
+            },
+            Row {
+                name: "distance",
+                query: distance,
+                tuples: {
+                    let mut next = xorshift(0xD157_A2CE);
+                    let mut coord = move || match next() % 10 {
+                        0 => Value::Null,
+                        d => Value::Float((d % 6) as f64 * 0.5),
+                    };
+                    let mut draw = xorshift(7);
+                    (0..100u64)
+                        .map(|s| {
+                            let values = vec![Value::Int(s as i64), coord(), coord()];
+                            row((draw() % 2) as usize, s, ts_of(s, draw()), values)
+                        })
+                        .collect()
+                },
+                indexed: Indexed::None,
+                nulls: false,
+            },
+            Row {
+                name: "user-defined predicate (no plan)",
+                query: udf,
+                tuples: common(3, 60, &int),
+                indexed: Indexed::None,
+                nulls: false,
+            },
+            Row {
+                name: "common key m=3, mixed Int/Float keys",
+                query: equi_query(3, 200),
+                tuples: common(3, 120, &|draw, k| match draw % 8 {
+                    0 => Value::Float(k as f64),
+                    _ => Value::Int(k),
+                }),
+                indexed: Indexed::Some,
+                nulls: false,
+            },
+            Row {
+                name: "common key m=3, Null keys",
+                query: equi_query(3, 200),
+                tuples: common(3, 90, &|draw, k| match draw % 4 {
+                    0 => Value::Null,
+                    _ => Value::Int(k),
+                }),
+                indexed: Indexed::All,
+                nulls: true,
+            },
+        ];
+
+        for Row {
+            name,
+            query,
+            tuples,
+            indexed,
+            nulls,
+        } in rows
+        {
+            let m = query.arity();
+            let stream_order: Vec<usize> = (0..m).collect();
+            let rotated: Vec<usize> = (1..m).chain(0..1).collect();
+            let reversed: Vec<usize> = (0..m).rev().collect();
+            // `None`: stream order after `demote_index`.
+            let variants = [
+                Some(stream_order.clone()),
+                Some(rotated),
+                Some(reversed),
+                None,
+            ];
+            for order in variants {
+                let case = format!("{name}, order {order:?}");
+                let mut counting = MswjOperator::new(query.clone());
+                let mut enumerating = MswjOperator::enumerating(query.clone());
+                let mut reference =
+                    MswjOperator::with_probe(query.clone(), ProbeStrategy::NestedLoop, true);
+                let demoted = order.is_none();
+                // Hash plans walk in probe order; everything else binds
+                // streams in ascending order, as the reference does.
+                let same_order = demoted
+                    || !enumerating.probe_plan().is_indexed()
+                    || order.as_ref() == Some(&stream_order);
+                for op in [&mut counting, &mut enumerating] {
+                    match &order {
+                        Some(order) => op.set_probe_order(order.clone()),
+                        None => op.demote_index(),
+                    }
+                }
+                for t in &tuples {
+                    let counted = counting.push(t.clone());
+                    let (mut emitted, mut expected) = (Vec::new(), Vec::new());
+                    let walked =
+                        enumerating.push_with(t.clone(), &mut |r| emitted.push(r.to_string()));
+                    let scanned =
+                        reference.push_with(t.clone(), &mut |r| expected.push(r.to_string()));
+                    assert_eq!(counted, walked, "{case}: count vs walk at {t:?}");
+                    assert_eq!(
+                        ProbeOutcome {
+                            indexed: false,
+                            ..walked
+                        },
+                        scanned,
+                        "{case}: walk vs reference at {t:?}"
+                    );
+                    assert_eq!(walked.n_join, emitted.len() as u64, "{case}: {t:?}");
+                    if !same_order {
+                        emitted.sort();
+                        expected.sort();
+                    }
+                    assert_eq!(emitted, expected, "{case}: combinations at {t:?}");
+                    if demoted {
+                        assert!(!walked.indexed || walked.n_join == 0, "{case}: {t:?}");
+                    }
+                }
+                let stats = enumerating.stats();
+                assert_eq!(stats, counting.stats(), "{case}");
+                assert!(
+                    stats.results > 0,
+                    "{case}: the workload must derive results"
+                );
+                assert_eq!(stats.indexed_probes + stats.fallback_probes, stats.in_order);
+                let expect = match (demoted, nulls) {
+                    (false, _) => indexed,
+                    (true, false) => Indexed::None,
+                    (true, true) => continue, // only the barren probes stay indexed
+                };
+                let observed = match (stats.indexed_probes, stats.fallback_probes) {
+                    (_, 0) => Indexed::All,
+                    (0, _) => Indexed::None,
+                    _ => Indexed::Some,
+                };
+                assert_eq!(observed, expect, "{case}: {stats:?}");
+            }
+        }
     }
 
     #[test]
@@ -633,13 +872,7 @@ mod tests {
         let query = star_query();
         let mut indexed = MswjOperator::with_probe(query.clone(), ProbeStrategy::Auto, true);
         let mut scan = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
-        let mut state = 0x1234_5678u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x1234_5678);
         for s in 0..120u64 {
             let stream = (next() % 4) as usize;
             let ts = s * 5;
@@ -707,17 +940,11 @@ mod tests {
         let mut counting = MswjOperator::new(query.clone());
         let mut walk = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
         assert_eq!(*kernel.probe_plan(), ProbePlan::NestedLoop);
-        let mut state = 0x9E37_79B9u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x9E37_79B9);
         for s in 0..150u64 {
             let stream = (next() % 3) as usize;
             // Mostly ascending timestamps with late rows mixed in.
-            let ts = s * 10 - (next() % 4 == 0) as u64 * (next() % 40).min(s * 10);
+            let ts = s * 10 - next().is_multiple_of(4) as u64 * (next() % 40).min(s * 10);
             let v = match next() % 9 {
                 0 => Value::Null,
                 1 => Value::Int((next() % 4) as i64),

@@ -1,27 +1,62 @@
-//! Probe access paths: the per-probe soundness gates, index-assisted
-//! counting, indexed enumeration, the typed-column scan kernel and the
-//! exhaustive tuple-at-a-time reference scan.
+//! The probe walk: per probing tuple, **gate → root + fan of sources →
+//! count or walk**.
 //!
-//! Everything here is *read-only* over the windows: a probe never mutates
-//! operator state (expiry and insertion live in
-//! [`insert`](super::insert)).  The two entry points —
-//! `probe_count` and `probe_enumerate` — choose between the hash-indexed
-//! bucket walks and the nested-loop scan per probing tuple, according to
-//! the plan and the dynamic soundness gates documented in
-//! [`planner`](crate::planner).
+//! Alg. 2 has one "probe the other windows" step, and so does this module:
+//! `probe`, called once per in-order arrival.  Everything here is
+//! *read-only* over the windows (expiry and insertion live in
+//! [`insert`](super::insert)).
+//!
+//! 1. **Gate.**  `resolve` matches plan × role of the probing stream once
+//!    and asks that shape's soundness gate (documented in
+//!    [`planner`](crate::planner)) whether the access path is provably
+//!    equivalent to the exhaustive scan for *this* tuple: `Engage` it,
+//!    answer zero without touching a window (`Barren`: a `Null` key), or
+//!    run the tuple-at-a-time reference scan (`Fallback`, also the whole
+//!    of a nested-loop plan without a scan structure).
+//! 2. **Root + fan.**  An engaged probe visits every other stream exactly
+//!    once, as one `Level` each — "the hash bucket of `(window, col)` under
+//!    the key the binding row carries in column `from`" or "the rows
+//!    passing the predicate the binding row imposes".  The binding row is
+//!    the probing tuple, except under a *root*: the first level is then
+//!    bound to the probe and walked, and each of its rows binds the rest.
+//!    Levels bound to the same row are mutually independent, so a probe
+//!    derives `Σ_root ∏_level |source|` results:
+//!
+//!    | plan × role | root | level source (visiting order) | key origin |
+//!    |---|---|---|---|
+//!    | common key, any stream | — | bucket `(W_j, columns[j])` (`order`) | probe's `columns[i]` |
+//!    | star, anchor | — | bucket `(W_j, other_cols[j])` (`order`) | probe's `anchor_cols[j]` |
+//!    | star, satellite `i` | bucket `(W_anchor, anchor_cols[i])` under the probe's `other_cols[i]` | bucket `(W_k, other_cols[k])` (`order`) | root row's `anchor_cols[k]` |
+//!    | band, stream 0 (or `m = 2`) | — | scan of `W_j` (ascending) | probe's band image |
+//!    | band, stream `i ≠ 0` | scan of `W_0` under the probe's image | scan of `W_j` (ascending) | root row's band image |
+//!    | distance | — | scan of `W_{1-i}` | probe's `(x, y)` image |
+//!
+//!    A root with nothing to fan out to is just a level (`m = 2`), so it
+//!    is counted, not walked.
+//! 3. **Count or walk.**  A counting operator multiplies the levels'
+//!    `Source::count`s (saturating, stopping at the first zero) — O(levels)
+//!    work, no allocation, no tuple touched.  An enumerating operator pins
+//!    each level's bucket to its per-segment postings once per binding row
+//!    and nests the walks into one combination buffer, in visiting order.
+//!
+//! Band joins bind stream 0 first because every other stream is compared
+//! against stream 0's image only: once it is known the remaining windows
+//! filter independently.  Streams are then bound in ascending order and
+//! each window walked in timestamp order, which is `recurse`'s emission
+//! order — the differential suites compare the two verbatim.
 
 use super::MswjOperator;
 use crate::condition::ScanStructure;
+use crate::planner::ProbePlan;
 use crate::result::JoinResult;
-use crate::window::{classify, scan_image, Bucket, KeyClass, ScanPredicate};
+use crate::window::{classify, scan_image, Bucket, KeyClass, ScanPredicate, Window};
 use mswj_types::{Tuple, Value};
 
-/// Per-probe decision of the indexed access path.
+/// Per-probe decision of the access path.
 enum Gate {
-    /// Hash lookups are provably equivalent to the scan for this probe.
-    /// Carries the probe's own bucket key (0 for anchor probes, which read
-    /// one key per satellite from the probing tuple instead).
-    Engage(i64),
+    /// The plan's access path is provably equivalent to the exhaustive
+    /// scan for this probe.
+    Engage,
     /// The probing tuple's key is `Null` or missing: no combination can
     /// satisfy the equi-join, so the probe derives zero results without
     /// touching any window.
@@ -37,7 +72,75 @@ struct StarCols<'a> {
     other_cols: &'a [usize],
 }
 
-use crate::planner::ProbePlan;
+/// What one other stream contributes to a probe, before it is bound to a
+/// row (the probing tuple, or a root row).
+#[derive(Clone, Copy)]
+enum Level<'p> {
+    /// The hash bucket of the stream's column `col` under the integer the
+    /// binding row carries in its column `from`.
+    Key { col: usize, from: usize },
+    /// The stream's rows passing the predicate the binding row imposes.
+    Scan(&'p ScanStructure),
+}
+
+/// A [`Level`] bound to a row: the rows of one window that complete a
+/// combination, independently of every other level bound to the same row.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// The live rows of `window` whose column `col` is `Int(key)`.
+    Bucket {
+        window: &'a Window,
+        col: usize,
+        key: i64,
+    },
+    /// The live rows of `window` satisfying `pred` over its scan columns.
+    Scan {
+        window: &'a Window,
+        pred: ScanPredicate,
+    },
+}
+
+impl<'a> Source<'a> {
+    /// Number of rows, without touching one: an O(1) index lookup, or a
+    /// pure count pass over the scan columns.
+    // Inlined with `source` into `product`, a counting fan never builds a
+    // `Source` in memory: per binding row it is a key read and an index
+    // lookup per level (measured: the star-satellite root loop of Dx4syn).
+    #[inline(always)]
+    fn count(&self) -> u64 {
+        match *self {
+            Source::Bucket { window, col, key } => window.count_key(col, key),
+            Source::Scan { window, pred } => window.scan(pred, |_| {}),
+        }
+    }
+
+    /// Readies the source, as stream `j`'s level, for the repeated walks of
+    /// a nested fan: a bucket is resolved once, here, not once per outer
+    /// combination; a scan walks as it is.  `None` for an empty bucket.
+    fn pin(self, j: usize) -> Option<Pinned<'a>> {
+        let bucket = match self {
+            Source::Bucket { window, col, key } => Some(window.bucket(col, key)?),
+            Source::Scan { .. } => None,
+        };
+        Some((j, self, bucket))
+    }
+
+    /// Hands `visit` every row in timestamp order, in one pass that
+    /// allocates nothing.
+    fn walk(&self, mut visit: impl FnMut(&'a Tuple)) {
+        match *self {
+            Source::Bucket { window, col, key } => window.bucket_iter(col, key).for_each(visit),
+            Source::Scan { window, pred } => {
+                window.scan(pred, &mut visit);
+            }
+        }
+    }
+}
+
+/// One level of a walked fan: its stream, its source and — for a bucket,
+/// which the nesting re-walks once per outer combination — the bucket
+/// resolved to its per-segment postings.
+type Pinned<'a> = (usize, Source<'a>, Option<Bucket<'a>>);
 
 impl MswjOperator {
     /// Product of the other windows' cardinalities: the cross-join size at
@@ -62,7 +165,7 @@ impl MswjOperator {
         match classify(v) {
             // Null/missing keys fail every join_eq comparison.
             KeyClass::Inert => Gate::Barren,
-            KeyClass::Key(k) => Gate::Engage(k),
+            KeyClass::Key(_) => Gate::Engage,
             // Floats can equal integers under join_eq's numeric coercion,
             // and strings/bools can equal their own kind in other windows —
             // neither is answerable from the i64 buckets.
@@ -71,16 +174,16 @@ impl MswjOperator {
     }
 
     fn common_key_gate(&self, i: usize, tuple: &Tuple, columns: &[usize]) -> Gate {
-        let key = match Self::classify_probe(tuple.value(columns[i])) {
-            Gate::Engage(k) => k,
+        match Self::classify_probe(tuple.value(columns[i])) {
+            Gate::Engage => {}
             other => return other,
-        };
+        }
         for (j, w) in self.windows.iter().enumerate() {
             if j != i && !w.index_usable(columns[j]) {
                 return Gate::Fallback;
             }
         }
-        Gate::Engage(key)
+        Gate::Engage
     }
 
     fn star_anchor_gate(&self, anchor: usize, tuple: &Tuple, cols: &StarCols<'_>) -> Gate {
@@ -94,7 +197,7 @@ impl MswjOperator {
                 // regardless of any soundness concern elsewhere.
                 Gate::Barren => return Gate::Barren,
                 Gate::Fallback => fallback = true,
-                Gate::Engage(_) => {}
+                Gate::Engage => {}
             }
             if !self.windows[j].index_usable(cols.other_cols[j]) {
                 fallback = true;
@@ -103,7 +206,7 @@ impl MswjOperator {
         if fallback {
             Gate::Fallback
         } else {
-            Gate::Engage(0)
+            Gate::Engage
         }
     }
 
@@ -114,10 +217,10 @@ impl MswjOperator {
         tuple: &Tuple,
         cols: &StarCols<'_>,
     ) -> Gate {
-        let key = match Self::classify_probe(tuple.value(cols.other_cols[i])) {
-            Gate::Engage(k) => k,
+        match Self::classify_probe(tuple.value(cols.other_cols[i])) {
+            Gate::Engage => {}
             other => return other,
-        };
+        }
         // The anchor window must be sound on *every* anchor-side column:
         // on anchor_cols[i] for the bucket lookup itself, and on the other
         // pair columns so that skipping non-integer anchor values (which
@@ -133,151 +236,114 @@ impl MswjOperator {
                 return Gate::Fallback;
             }
         }
-        Gate::Engage(key)
+        Gate::Engage
     }
 
     // ------------------------------------------------------------------
-    // Counting probes
+    // The probe walk
     // ------------------------------------------------------------------
 
-    /// Index-assisted (or enumerated) count of the join results derived by
-    /// a probing tuple of stream `i`; the flag reports whether the probe
-    /// avoided a window scan.
-    pub(super) fn probe_count(&self, i: usize, tuple: &Tuple) -> (u64, bool) {
-        match &self.plan {
-            ProbePlan::CommonKey { columns } => match self.common_key_gate(i, tuple, columns) {
-                Gate::Engage(key) => {
-                    let mut product = 1u64;
-                    for &j in &self.order {
-                        if j == i {
-                            continue;
-                        }
-                        let c = self.windows[j].count_key(columns[j], key);
-                        if c == 0 {
-                            return (0, true);
-                        }
-                        product = product.saturating_mul(c);
-                    }
-                    (product, true)
-                }
-                Gate::Barren => (0, true),
-                Gate::Fallback => (self.enumerate_count(i, tuple), false),
-            },
-            ProbePlan::Star {
-                anchor,
-                anchor_cols,
-                other_cols,
-            } => {
-                let cols = StarCols {
-                    anchor_cols,
-                    other_cols,
-                };
-                if i == *anchor {
-                    match self.star_anchor_gate(*anchor, tuple, &cols) {
-                        Gate::Engage(_) => {
-                            let mut product = 1u64;
-                            for &j in &self.order {
-                                if j == *anchor {
-                                    continue;
-                                }
-                                let key = tuple
-                                    .value(anchor_cols[j])
-                                    .and_then(Value::as_int)
-                                    .expect("gate guarantees integer pair keys");
-                                let c = self.windows[j].count_key(other_cols[j], key);
-                                if c == 0 {
-                                    return (0, true);
-                                }
-                                product = product.saturating_mul(c);
-                            }
-                            (product, true)
-                        }
-                        Gate::Barren => (0, true),
-                        Gate::Fallback => (self.enumerate_count(i, tuple), false),
-                    }
-                } else {
-                    match self.star_satellite_gate(i, *anchor, tuple, &cols) {
-                        Gate::Engage(own_key) => {
-                            (self.count_star_satellite(i, *anchor, own_key, &cols), true)
-                        }
-                        Gate::Barren => (0, true),
-                        Gate::Fallback => (self.enumerate_count(i, tuple), false),
-                    }
-                }
+    /// Derives the join results of a probing tuple of stream `i`: their
+    /// number, and whether the probe avoided scanning a window.  An
+    /// enumerating operator also hands every combination to `emit` as an
+    /// owned [`JoinResult`]; a counting one never calls it.
+    pub(super) fn probe(
+        &self,
+        i: usize,
+        tuple: &Tuple,
+        emit: &mut dyn FnMut(JoinResult),
+    ) -> (u64, bool) {
+        let mut out =
+            |combo: &[&Tuple]| emit(JoinResult::new(combo.iter().map(|&t| t.clone()).collect()));
+        let unbound = (0, Level::Key { col: 0, from: 0 });
+        let (mut inline, mut spill) = ([unbound; INLINE], Vec::new());
+        let levels = buffer(&mut inline, &mut spill, self.windows.len() - 1, || unbound);
+        let (gate, rooted) = self.resolve(i, tuple, levels);
+        match gate {
+            Gate::Engage => {
+                let n = self.walk(i, tuple, levels, rooted, &mut out);
+                (n, self.plan.is_indexed())
             }
-            ProbePlan::NestedLoop => match &self.scan {
-                Some(scan) => (self.scan_count(scan, i, tuple), false),
-                None => (self.enumerate_count(i, tuple), false),
-            },
+            Gate::Barren => (0, true),
+            Gate::Fallback => {
+                let mut n = 0u64;
+                self.for_each_combination(i, tuple, &mut |combo| {
+                    n += 1;
+                    if self.enumerate {
+                        out(combo);
+                    }
+                });
+                (n, false)
+            }
         }
     }
 
-    /// Satellite-probe counting: walk only the anchor tuples in the
-    /// matching bucket and multiply the other satellites' bucket sizes.
-    fn count_star_satellite(
-        &self,
+    /// `Σ_root ∏_level |source|` for a probing tuple of stream `i`: the fan
+    /// of `levels` bound to the probe itself, or — `rooted` — the first
+    /// level bound to the probe and walked, each of its rows binding the
+    /// fan of the rest.
+    fn walk<'a>(
+        &'a self,
         i: usize,
-        anchor: usize,
-        own_key: i64,
-        cols: &StarCols<'_>,
+        tuple: &'a Tuple,
+        levels: &[(usize, Level<'_>)],
+        rooted: bool,
+        out: &mut dyn FnMut(&[&'a Tuple]),
     ) -> u64 {
-        let mut total = 0u64;
-        'anchor: for a in self.windows[anchor].bucket_iter(cols.anchor_cols[i], own_key) {
-            let mut product = 1u64;
-            for &k in &self.order {
-                if k == anchor || k == i {
-                    continue;
-                }
-                // The gate proved the anchor window sound on this column,
-                // so a non-integer value here is inert and never joins.
-                let key = match a.value(cols.anchor_cols[k]).and_then(Value::as_int) {
-                    Some(v) => v,
-                    None => continue 'anchor,
-                };
-                let c = self.windows[k].count_key(cols.other_cols[k], key);
-                if c == 0 {
-                    continue 'anchor;
-                }
-                product = product.saturating_mul(c);
+        // One fan: a counting operator multiplies, an enumerating one nests.
+        let mut fan = |by, row: &'a Tuple, levels: &[(usize, Level<'_>)]| {
+            if self.enumerate {
+                self.nested(tuple, by, row, levels, out)
+            } else {
+                self.product(by, row, levels)
             }
-            total = total.saturating_add(product);
+        };
+        let Some((&(r, root), rest)) = levels.split_first().filter(|_| rooted) else {
+            return fan(i, tuple, levels);
+        };
+        let mut total = 0u64;
+        if let Some(source) = self.source(r, root, i, tuple) {
+            source.walk(|row| total = total.saturating_add(fan(r, row, rest)));
         }
         total
     }
 
-    /// Nested-loop count of matching combinations for arbitrary conditions.
-    fn enumerate_count(&self, i: usize, tuple: &Tuple) -> u64 {
-        let mut count = 0u64;
-        self.for_each_combination(i, tuple, &mut |_| count += 1);
-        count
-    }
-
-    // ------------------------------------------------------------------
-    // Enumerating probes
-    // ------------------------------------------------------------------
-
-    /// Invokes `f` for every matching combination (one live tuple per other
-    /// stream plus the probing tuple at position `i`), choosing the indexed
-    /// bucket walk when the gate allows it and the exhaustive scan
-    /// otherwise.  Returns whether a window scan was avoided.
-    pub(super) fn probe_enumerate<'a>(
-        &'a self,
+    /// The one place plan × role is matched: writes the level of every
+    /// stream other than `i` into `levels` (one slot each) in visiting
+    /// order — [`MswjOperator::probe_order`] for hash plans, ascending for
+    /// scans — and returns the shape's gate verdict and whether the first
+    /// level is a root: bound to the probe and walked, each of its rows
+    /// binding the rest.  A root with nothing to fan out to is just a
+    /// level, so it is counted rather than walked.
+    fn resolve<'p>(
+        &'p self,
         i: usize,
-        tuple: &'a Tuple,
-        f: &mut dyn FnMut(&[&'a Tuple]),
-    ) -> bool {
+        tuple: &Tuple,
+        levels: &mut [(usize, Level<'p>)],
+    ) -> (Gate, bool) {
+        // Out of line, each probe paid a call and its iterator and closure
+        // state spilled to the stack (measured: d3_qd_seq, d4_qd_shard2_inline).
+        #[inline(always)]
+        fn fill<'p>(
+            levels: &mut [(usize, Level<'p>)],
+            streams: impl Iterator<Item = usize>,
+            level: impl Fn(usize) -> Level<'p>,
+        ) {
+            for (slot, j) in levels.iter_mut().zip(streams) {
+                *slot = (j, level(j));
+            }
+        }
+        let m = self.windows.len();
+        let order = self.order.iter().copied().filter(|&j| j != i);
         match &self.plan {
-            ProbePlan::CommonKey { columns } => match self.common_key_gate(i, tuple, columns) {
-                Gate::Engage(key) => {
-                    self.enumerate_common_key(i, tuple, columns, key, f);
-                    true
-                }
-                Gate::Barren => true,
-                Gate::Fallback => {
-                    self.for_each_combination(i, tuple, f);
-                    false
-                }
-            },
+            ProbePlan::CommonKey { columns } => {
+                let from = columns[i];
+                fill(levels, order, |j| Level::Key {
+                    col: columns[j],
+                    from,
+                });
+                (self.common_key_gate(i, tuple, columns), false)
+            }
             ProbePlan::Star {
                 anchor,
                 anchor_cols,
@@ -287,134 +353,110 @@ impl MswjOperator {
                     anchor_cols,
                     other_cols,
                 };
-                let gate = if i == *anchor {
-                    self.star_anchor_gate(*anchor, tuple, &cols)
+                // A satellite's bucket hangs off the anchor row's pair key.
+                let pair = |j: usize| Level::Key {
+                    col: other_cols[j],
+                    from: anchor_cols[j],
+                };
+                if i == *anchor {
+                    fill(levels, order, pair);
+                    (self.star_anchor_gate(i, tuple, &cols), false)
                 } else {
-                    self.star_satellite_gate(i, *anchor, tuple, &cols)
-                };
-                match gate {
-                    Gate::Engage(own_key) => {
-                        if i == *anchor {
-                            self.enumerate_star_anchor(i, tuple, &cols, f);
-                        } else {
-                            self.enumerate_star_satellite(i, *anchor, tuple, own_key, &cols, f);
-                        }
-                        true
-                    }
-                    Gate::Barren => true,
-                    Gate::Fallback => {
-                        self.for_each_combination(i, tuple, f);
-                        false
-                    }
+                    // The anchor rows pairing with the probe are the root:
+                    // each binds the buckets of the other satellites.
+                    let root = Level::Key {
+                        col: anchor_cols[i],
+                        from: other_cols[i],
+                    };
+                    let streams = std::iter::once(*anchor).chain(order.filter(|j| j != anchor));
+                    let level = |j| if j == *anchor { root } else { pair(j) };
+                    fill(levels, streams, level);
+                    (self.star_satellite_gate(i, *anchor, tuple, &cols), m > 2)
                 }
             }
-            ProbePlan::NestedLoop => {
-                match &self.scan {
-                    Some(scan) => self.scan_enumerate(scan, i, tuple, f),
-                    None => self.for_each_combination(i, tuple, f),
+            ProbePlan::NestedLoop => match &self.scan {
+                // A band compares every stream against stream 0 only: from
+                // any other stream, window 0's matches are the root.
+                Some(scan) => {
+                    fill(levels, (0..m).filter(|&j| j != i), |_| Level::Scan(scan));
+                    (Gate::Engage, i != 0 && m > 2)
                 }
-                false
-            }
+                None => (Gate::Fallback, false),
+            },
         }
     }
 
-    fn enumerate_common_key<'a>(
+    /// Binds stream `j`'s `level` to `row`, a tuple of stream `by`.  `None`
+    /// when the row carries no integer key: the gates rule that out for
+    /// the probing tuple, and prove a root row's window sound on the
+    /// column, so such a value is inert and the row joins nothing.
+    #[inline(always)]
+    fn source<'a>(
         &'a self,
-        i: usize,
-        tuple: &'a Tuple,
-        columns: &[usize],
-        key: i64,
-        f: &mut dyn FnMut(&[&'a Tuple]),
-    ) {
-        let m = self.windows.len();
-        let mut levels: Vec<(usize, Bucket<'a>)> = Vec::with_capacity(m - 1);
-        for &j in &self.order {
-            if j == i {
-                continue;
-            }
-            match self.windows[j].bucket(columns[j], key) {
-                Some(bucket) => levels.push((j, bucket)),
-                None => return, // one empty bucket kills every combination
-            }
-        }
-        let mut slots: Vec<&Tuple> = vec![tuple; m];
-        emit_product(&levels, &mut slots, f);
+        j: usize,
+        level: Level<'_>,
+        by: usize,
+        row: &Tuple,
+    ) -> Option<Source<'a>> {
+        let window = &self.windows[j];
+        Some(match level {
+            Level::Key { col, from } => Source::Bucket {
+                window,
+                col,
+                key: row.value(from).and_then(Value::as_int)?,
+            },
+            Level::Scan(scan) => Source::Scan {
+                window,
+                pred: self.probe_predicate(scan, by, row),
+            },
+        })
     }
 
-    fn enumerate_star_anchor<'a>(
+    /// How many combinations `row` (of stream `by`) completes across
+    /// `levels`, whose sources are mutually independent: the product of
+    /// their counts.
+    #[inline] // into the root loop of `walk`, once per root row
+    fn product(&self, by: usize, row: &Tuple, levels: &[(usize, Level<'_>)]) -> u64 {
+        let mut product = 1u64;
+        for &(j, level) in levels {
+            let count = self.source(j, level, by, row).map_or(0, |s| s.count());
+            if count == 0 {
+                return 0; // one empty source kills every combination
+            }
+            product = product.saturating_mul(count);
+        }
+        product
+    }
+
+    /// Hands `out` every combination the probing `tuple` and `row` (of
+    /// stream `by`: the probe itself, or a root row) complete across
+    /// `levels` — their sources pinned, their walks nested into one
+    /// combination buffer — and returns how many there were.
+    fn nested<'a>(
         &'a self,
-        anchor: usize,
         tuple: &'a Tuple,
-        cols: &StarCols<'_>,
-        f: &mut dyn FnMut(&[&'a Tuple]),
-    ) {
-        let m = self.windows.len();
-        let mut levels: Vec<(usize, Bucket<'a>)> = Vec::with_capacity(m - 1);
-        for &j in &self.order {
-            if j == anchor {
-                continue;
-            }
-            let key = tuple
-                .value(cols.anchor_cols[j])
-                .and_then(Value::as_int)
-                .expect("gate guarantees integer pair keys");
-            match self.windows[j].bucket(cols.other_cols[j], key) {
-                Some(bucket) => levels.push((j, bucket)),
-                None => return,
+        by: usize,
+        row: &'a Tuple,
+        levels: &[(usize, Level<'_>)],
+        out: &mut dyn FnMut(&[&'a Tuple]),
+    ) -> u64 {
+        let (mut inline, mut spill) = ([const { None }; INLINE], Vec::new());
+        let pinned = buffer(&mut inline, &mut spill, levels.len(), || None);
+        for (slot, &(j, level)) in pinned.iter_mut().zip(levels) {
+            *slot = self.source(j, level, by, row).and_then(|s| s.pin(j));
+            if slot.is_none() {
+                return 0; // an empty bucket: nothing to walk the others for
             }
         }
-        let mut slots: Vec<&Tuple> = vec![tuple; m];
-        emit_product(&levels, &mut slots, f);
+        let (mut inline, mut spill) = ([tuple; INLINE], Vec::new());
+        let slots = buffer(&mut inline, &mut spill, self.windows.len(), || tuple);
+        slots[by] = row;
+        nest(pinned, slots, out)
     }
 
-    fn enumerate_star_satellite<'a>(
-        &'a self,
-        i: usize,
-        anchor: usize,
-        tuple: &'a Tuple,
-        own_key: i64,
-        cols: &StarCols<'_>,
-        f: &mut dyn FnMut(&[&'a Tuple]),
-    ) {
-        let m = self.windows.len();
-        let mut slots: Vec<&Tuple> = vec![tuple; m];
-        let mut levels: Vec<(usize, Bucket<'a>)> = Vec::with_capacity(m.saturating_sub(2));
-        'anchor: for a in self.windows[anchor].bucket_iter(cols.anchor_cols[i], own_key) {
-            levels.clear();
-            for &k in &self.order {
-                if k == anchor || k == i {
-                    continue;
-                }
-                // Sound anchor column: non-integer values are inert here.
-                let key = match a.value(cols.anchor_cols[k]).and_then(Value::as_int) {
-                    Some(v) => v,
-                    None => continue 'anchor,
-                };
-                match self.windows[k].bucket(cols.other_cols[k], key) {
-                    Some(bucket) => levels.push((k, bucket)),
-                    None => continue 'anchor,
-                }
-            }
-            slots[anchor] = a;
-            emit_product(&levels, &mut slots, f);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Typed-column scan kernel (nested-loop plans with a scan structure)
-    // ------------------------------------------------------------------
-    //
-    // Both entry points reproduce `recurse` verdict for verdict and in its
-    // emission order — streams bound in ascending order, each window walked
-    // in timestamp order — but evaluate the predicate over the windows'
-    // scan columns.  Band joins bind stream 0 first: every other stream is
-    // compared against stream 0's image only, so once it is known (it is
-    // the probe, or the stream-0 row picked at the outermost level) the
-    // remaining windows filter independently of each other.
-
-    /// The predicate a probing tuple of stream `i` imposes on the first
-    /// window its scan visits: the other window of a distance join; for a
-    /// band join, window 0 — or, when the probe *is* stream 0, every window.
+    /// The predicate a tuple of stream `i` imposes on the windows bound to
+    /// it: the other window of a distance join; for a band join, window 0
+    /// — or, when the tuple *is* of stream 0, every window.
     fn probe_predicate(&self, scan: &ScanStructure, i: usize, tuple: &Tuple) -> ScanPredicate {
         match scan {
             ScanStructure::DistanceWithin { x_cols, y_cols, .. } => ScanPredicate::Distance {
@@ -426,96 +468,6 @@ impl MswjOperator {
                 center: scan_image(tuple.value(columns[i])),
                 band: *band,
             },
-        }
-    }
-
-    /// Number of matching combinations for a probing tuple of stream `i`,
-    /// computed without touching a window tuple or the heap.
-    fn scan_count(&self, scan: &ScanStructure, i: usize, tuple: &Tuple) -> u64 {
-        match self.probe_predicate(scan, i, tuple) {
-            pred @ ScanPredicate::Distance { .. } => self.windows[1 - i].scan(pred, |_, _| {}),
-            ScanPredicate::Band { center, band } if i == 0 => self.band_product(i, center, band),
-            // Two streams: window 0's count has nothing to be multiplied
-            // with, so the scan stays a pure count (no visit pass).
-            pred @ ScanPredicate::Band { .. } if self.windows.len() == 2 => {
-                self.windows[0].scan(pred, |_, _| {})
-            }
-            pred @ ScanPredicate::Band { band, .. } => {
-                let mut total = 0u64;
-                self.windows[0].scan(pred, |_, first| {
-                    total = total.saturating_add(self.band_product(i, first, band));
-                });
-                total
-            }
-        }
-    }
-
-    /// Product over every stream other than 0 and `probe` of its window's
-    /// count of rows within `band` of `center` (1 when there is none).
-    fn band_product(&self, probe: usize, center: f64, band: f64) -> u64 {
-        let mut product = 1u64;
-        for (j, w) in self.windows.iter().enumerate().skip(1) {
-            if j == probe {
-                continue;
-            }
-            let c = w.scan(ScanPredicate::Band { center, band }, |_, _| {});
-            if c == 0 {
-                return 0;
-            }
-            product = product.saturating_mul(c);
-        }
-        product
-    }
-
-    /// Invokes `f` for every matching combination of a probing tuple of
-    /// stream `i`, in the order `recurse` would.
-    fn scan_enumerate<'a>(
-        &'a self,
-        scan: &ScanStructure,
-        i: usize,
-        tuple: &'a Tuple,
-        f: &mut dyn FnMut(&[&'a Tuple]),
-    ) {
-        let pred = self.probe_predicate(scan, i, tuple);
-        with_slots(self.windows.len(), tuple, |slots| match pred {
-            ScanPredicate::Distance { .. } => {
-                self.windows[1 - i].scan(pred, |row, _| {
-                    slots[1 - i] = row;
-                    f(slots);
-                });
-            }
-            ScanPredicate::Band { center, band } if i == 0 => {
-                self.band_levels(1, i, center, band, slots, f);
-            }
-            ScanPredicate::Band { band, .. } => {
-                self.windows[0].scan(pred, |row, first| {
-                    slots[0] = row;
-                    self.band_levels(1, i, first, band, slots, f);
-                });
-            }
-        });
-    }
-
-    /// Binds streams `j..m` except `probe` to every row within `band` of
-    /// `center`, invoking `f` once per complete combination.
-    fn band_levels<'a>(
-        &'a self,
-        j: usize,
-        probe: usize,
-        center: f64,
-        band: f64,
-        slots: &mut [&'a Tuple],
-        f: &mut dyn FnMut(&[&'a Tuple]),
-    ) {
-        if j == self.windows.len() {
-            f(slots);
-        } else if j == probe {
-            self.band_levels(j + 1, probe, center, band, slots, f);
-        } else {
-            self.windows[j].scan(ScanPredicate::Band { center, band }, |row, _| {
-                slots[j] = row;
-                self.band_levels(j + 1, probe, center, band, slots, f);
-            });
         }
     }
 
@@ -532,9 +484,9 @@ impl MswjOperator {
         tuple: &'a Tuple,
         f: &mut dyn FnMut(&[&'a Tuple]),
     ) {
-        with_slots(self.windows.len(), tuple, |slots| {
-            self.recurse(0, i, tuple, slots, f);
-        });
+        let (mut inline, mut spill) = ([tuple; INLINE], Vec::new());
+        let slots = buffer(&mut inline, &mut spill, self.windows.len(), || tuple);
+        self.recurse(0, i, tuple, slots, f);
     }
 
     fn recurse<'a>(
@@ -596,53 +548,54 @@ impl MswjOperator {
             ProbePlan::NestedLoop => None,
         }
     }
-
-    /// Materializes the probe of an enumerating operator, forwarding each
-    /// combination to `emit` as an owned [`JoinResult`]; returns the result
-    /// count and whether the probe stayed indexed.
-    pub(super) fn probe_materialize(
-        &self,
-        i: usize,
-        tuple: &Tuple,
-        emit: &mut dyn FnMut(JoinResult),
-    ) -> (u64, bool) {
-        let mut n_join = 0u64;
-        let indexed = self.probe_enumerate(i, tuple, &mut |combo| {
-            n_join += 1;
-            emit(JoinResult::new(combo.iter().map(|&t| t.clone()).collect()));
-        });
-        (n_join, indexed)
-    }
 }
 
-/// Runs `body` over a combination buffer of `m` slots, each preset to
-/// `fill` — on the stack for every arity a query plausibly has, so a scan
-/// probe allocates nothing.
-fn with_slots<'a, R>(m: usize, fill: &'a Tuple, body: impl FnOnce(&mut [&'a Tuple]) -> R) -> R {
-    const INLINE: usize = 8;
-    if m <= INLINE {
-        body(&mut [fill; INLINE][..m])
-    } else {
-        body(&mut vec![fill; m])
-    }
-}
+/// Entries a probe's level list and combination hold on the stack: every
+/// arity a query plausibly has, so neither allocates.
+const INLINE: usize = 8;
 
-/// Emits the cross product of the given buckets into `slots` (one level per
-/// stream position), invoking `f` once per complete combination.  The plan
-/// gates guarantee every combination reached here satisfies the equi-join,
-/// so the condition is not re-evaluated.
-fn emit_product<'a>(
-    levels: &[(usize, Bucket<'a>)],
-    slots: &mut Vec<&'a Tuple>,
-    f: &mut dyn FnMut(&[&'a Tuple]),
-) {
-    match levels.split_first() {
-        None => f(slots),
-        Some(((j, bucket), rest)) => {
-            for t in bucket.iter() {
-                slots[*j] = t;
-                emit_product(rest, slots, f);
-            }
+/// A buffer of `n` preset entries: the first `n` of `inline` when they fit,
+/// else `spill`, grown to `n` entries by `fill`.  The caller presets
+/// `inline` in place (an array literal): returning it by value from here
+/// would copy it once per probe.
+#[inline]
+fn buffer<'b, T>(
+    inline: &'b mut [T; INLINE],
+    spill: &'b mut Vec<T>,
+    n: usize,
+    fill: impl Fn() -> T,
+) -> &'b mut [T] {
+    match inline.get_mut(..n) {
+        Some(entries) => entries,
+        None => {
+            spill.resize_with(n, fill);
+            spill
         }
     }
+}
+
+/// Nests the walks of the pinned `levels` (one per stream position) into
+/// `slots`, handing `out` every complete combination, and returns how many
+/// there were.  The gates guarantee every combination reached here
+/// satisfies the condition, so it is not re-evaluated.
+fn nest<'a>(
+    levels: &[Option<Pinned<'a>>],
+    slots: &mut [&'a Tuple],
+    out: &mut dyn FnMut(&[&'a Tuple]),
+) -> u64 {
+    let Some((level, rest)) = levels.split_first() else {
+        out(slots);
+        return 1;
+    };
+    let (j, source, bucket) = level.as_ref().expect("`fan` pins every level it nests");
+    let mut n = 0u64;
+    let step = |row: &'a Tuple| {
+        slots[*j] = row;
+        n += nest(rest, slots, out);
+    };
+    match bucket {
+        Some(bucket) => bucket.iter().for_each(step),
+        None => source.walk(step),
+    }
+    n
 }

@@ -280,17 +280,19 @@ mod tests {
     #[test]
     fn describe_numbers_streams_zero_indexed() {
         // Stream numbering is 0-indexed everywhere a human can read it
-        // (shard stats, skew transitions, error messages); `describe` must
-        // follow the same convention.
-        let equi = EquiStructure::Star {
-            anchor: 0,
-            anchor_cols: vec![0, 1],
-            other_cols: vec![0, 0],
-        };
-        let plan = ProbePlan::new(ProbeStrategy::Auto, Some(&equi));
+        // (shard stats, skew transitions, error messages); the condition's
+        // and the plan's `describe` must follow the same convention.  The
+        // anchor is stream 1, so an off-by-one shows on either side.
+        use crate::condition::{JoinCondition, StarEquiJoin};
+        use mswj_types::{FieldType, Schema, StreamSet};
+        let schema = Schema::new(vec![("a", FieldType::Int), ("b", FieldType::Int)]);
+        let streams = StreamSet::homogeneous(3, schema, 1_000).unwrap();
+        let cond = StarEquiJoin::new(&streams, 1, &[(0, "a", "a"), (2, "b", "b")]).unwrap();
+        let plan = ProbePlan::new(ProbeStrategy::Auto, cond.equi_structure().as_ref());
+        assert_eq!(cond.describe(), "star equi-join anchored at stream 1");
         assert_eq!(
             plan.describe(),
-            "hash-indexed star probe anchored at stream 0"
+            "hash-indexed star probe anchored at stream 1"
         );
     }
 

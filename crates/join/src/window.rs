@@ -481,8 +481,8 @@ impl Segment {
     }
 
     /// Evaluates `test` over scan columns `a` and `b` of the live rows in
-    /// timestamp order, calling `visit` with each passing row and its
-    /// column-`a` image; returns the number of passing rows.
+    /// timestamp order, calling `visit` with each passing row; returns the
+    /// number of passing rows.
     ///
     /// Counting is a pure reduction over the two live slices — no
     /// per-row branch, so it vectorises — and the hits are walked (and
@@ -493,7 +493,7 @@ impl Segment {
         a: usize,
         b: usize,
         test: impl Fn(f64, f64) -> bool,
-        visit: &mut impl FnMut(&'a Tuple, f64),
+        visit: &mut impl FnMut(&'a Tuple),
     ) -> u64 {
         let base = self.rows.len() - self.order.len();
         let (xs, ys) = (&self.scan[a][base..], &self.scan[b][base..]);
@@ -502,7 +502,7 @@ impl Segment {
             for ((&rid, &x), &y) in self.order.iter().zip(xs).zip(ys) {
                 if test(x, y) {
                     if let Some(row) = self.rows.get(rid as usize) {
-                        visit(row, x);
+                        visit(row);
                     }
                 }
             }
@@ -1087,17 +1087,13 @@ impl Window {
 
     /// Evaluates `pred` over the scan columns of every live row, in
     /// timestamp order, without touching a tuple: returns the number of
-    /// rows satisfying it and hands each of them to `visit` together with
-    /// its scan-column-0 image (counting callers pass a no-op).
+    /// rows satisfying it and hands each of them to `visit` (counting
+    /// callers pass a no-op).
     ///
     /// Equivalent, verdict for verdict and in the same order, to walking
     /// [`Window::iter`] and evaluating the condition the predicate was
     /// derived from — see *Scan columns and scan soundness*.
-    pub(crate) fn scan<'a>(
-        &'a self,
-        pred: ScanPredicate,
-        mut visit: impl FnMut(&'a Tuple, f64),
-    ) -> u64 {
+    pub(crate) fn scan<'a>(&'a self, pred: ScanPredicate, mut visit: impl FnMut(&'a Tuple)) -> u64 {
         let mut hits = 0u64;
         for seg in &self.segments {
             hits += match pred {
@@ -1638,7 +1634,7 @@ mod tests {
 
     fn scan_seqs(w: &Window, pred: ScanPredicate) -> Vec<u64> {
         let mut seqs = Vec::new();
-        let hits = w.scan(pred, |t, _| seqs.push(t.seq));
+        let hits = w.scan(pred, |t| seqs.push(t.seq));
         assert_eq!(hits, seqs.len() as u64, "count and visits must agree");
         seqs
     }

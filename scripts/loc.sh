@@ -5,7 +5,7 @@
 # doc comments included — dropped.  ROADMAP aim 2 ("the least code") as a
 # command instead of a hand count.
 #
-#   scripts/loc.sh            # the three figures PRs quote
+#   scripts/loc.sh            # the four figures PRs quote
 #   scripts/loc.sh PATH...    # product code lines under the given files/dirs
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -26,3 +26,4 @@ fi
 printf '%6d  workspace (crates/*/src + src)\n' "$(count crates/*/src src)"
 printf '%6d  crates/core/src/engine/\n' "$(count crates/core/src/engine)"
 printf '%6d  crates/core/src/engine/mod.rs\n' "$(count crates/core/src/engine/mod.rs)"
+printf '%6d  crates/join/src/operator/\n' "$(count crates/join/src/operator)"
