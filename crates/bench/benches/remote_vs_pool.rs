@@ -2,15 +2,16 @@
 //!
 //! The remote backend reuses the pool's depth-1 epoch pipeline but moves
 //! every routed item, sub-outcome and barrier through the versioned frame
-//! codec — and, for socket endpoints, through the kernel.  This bench
-//! isolates that cost on identical workloads:
+//! codec and a socket.  This bench isolates that cost on identical
+//! workloads:
 //!
 //! * `pool4` — the resident in-process pool, the baseline.
-//! * `remote_inproc4` — shard servers on local threads behind in-memory
-//!   duplex pipes: pure serialization overhead, no syscalls.
+//! * `remote_inproc4` — shard servers on local threads, each behind one
+//!   end of a Unix socket pair: serialization plus socket I/O and
+//!   scheduler handoffs, with no listener, accept or connect.
 //! * `remote_uds4` — shard servers behind a Unix-domain socket served by
 //!   an in-process accept loop (the same code path `mswj-shardd` runs):
-//!   serialization plus socket I/O and scheduler handoffs.
+//!   the same per-epoch cost as `remote_inproc4` once connected.
 //!
 //! Workload: 2-way equi-join, Zipf-skewed keys over 1 000 values,
 //! steady-state windows of 4 000 live tuples per stream, counting mode,
@@ -47,7 +48,7 @@ fn spawn_uds_server() -> std::path::PathBuf {
     std::thread::Builder::new()
         .name("mswj-bench-uds".into())
         .spawn(move || {
-            let _ = serve_uds(&serve_path);
+            let _ = serve_uds(&serve_path, None);
         })
         .expect("spawning the uds server thread");
     path

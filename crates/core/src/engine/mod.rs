@@ -207,9 +207,10 @@ pub enum ExecutionBackend {
 }
 
 impl ExecutionBackend {
-    /// One in-process remote shard server per shard: every epoch
-    /// round-trips through the full wire codec without opening a socket.
-    /// The cheapest way to exercise [`ExecutionBackend::Remote`].
+    /// One in-process remote shard server per shard, each behind a Unix
+    /// socket pair: every epoch round-trips through the full wire codec
+    /// without a listener or a second process.  The cheapest way to
+    /// exercise [`ExecutionBackend::Remote`].
     pub fn remote_inproc(shards: usize) -> Self {
         ExecutionBackend::Remote {
             endpoints: vec![Endpoint::InProc; shards.max(1)],

@@ -3,7 +3,7 @@
 //!
 //! One worker thread per shard is spawned **once** (at
 //! `Pipeline::construct`) and stays resident, fed through a bounded
-//! per-shard SPSC [`channel`] of epoch-tagged [`Task`]s — no per-batch
+//! per-shard [`sync_channel`] of epoch-tagged [`Task`]s — no per-batch
 //! spawn, and no hard barrier between front-end routing and shard
 //! execution.
 //!
@@ -22,11 +22,13 @@
 //!   enqueue round-trip.
 //! * Shutdown is `Drop`: closing the task channels makes every worker drain
 //!   and exit, and the pool joins them — no detached threads survive the
-//!   engine.  A worker that panics mid-epoch ships the payload back through
-//!   its result channel; the engine re-raises it on the caller thread at
-//!   collection, so a poisoned run surfaces as a panic, never as a hang.
+//!   engine.  Either side closing wakes the other (a worker blocked on a
+//!   full result channel sees the engine's receiver go away), which is the
+//!   `sync_channel` contract.  A worker that panics mid-epoch ships the
+//!   payload back through its result channel; the engine re-raises it on
+//!   the caller thread at collection, so a poisoned run surfaces as a
+//!   panic, never as a hang.
 
-mod channel;
 mod task;
 
 pub(super) use task::Epoch;
@@ -37,6 +39,7 @@ use super::{exec, Item, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -89,8 +92,8 @@ impl Drop for PoisonOnExit<'_> {
 
 struct Worker {
     /// `Some` while the pool accepts work; taken (closed) at shutdown.
-    tasks: Option<channel::Sender<Task>>,
-    results: channel::Receiver<EpochOutput>,
+    tasks: Option<SyncSender<Task>>,
+    results: Receiver<EpochOutput>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -131,8 +134,8 @@ impl ShardPool {
             .iter()
             .enumerate()
             .map(|(index, shard)| {
-                let (task_tx, task_rx) = channel::bounded::<Task>(TASK_CAPACITY);
-                let (result_tx, result_rx) = channel::bounded::<EpochOutput>(RESULT_CAPACITY);
+                let (task_tx, task_rx) = sync_channel::<Task>(TASK_CAPACITY);
+                let (result_tx, result_rx) = sync_channel::<EpochOutput>(RESULT_CAPACITY);
                 let shard = Arc::clone(shard);
                 let shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
@@ -237,7 +240,7 @@ impl ShardPool {
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
     ) -> CollectedEpoch {
-        let Some(out) = self.workers[s].results.recv() else {
+        let Ok(out) = self.workers[s].results.recv() else {
             panic!("shard worker {s} terminated before delivering epoch {expected:?}");
         };
         debug_assert_eq!(out.epoch, expected, "epochs collect in order");
@@ -255,7 +258,7 @@ impl ShardPool {
 
     /// Re-raises the failure that killed worker `s`.
     fn raise_worker_failure(&mut self, s: usize) -> ! {
-        if let Some(output) = self.workers[s].results.recv() {
+        if let Ok(output) = self.workers[s].results.recv() {
             if let Some(payload) = output.panic {
                 std::panic::resume_unwind(payload);
             }
@@ -286,8 +289,8 @@ impl Drop for ShardPool {
 fn worker_loop(
     index: usize,
     shard: Arc<Mutex<MswjOperator>>,
-    tasks: channel::Receiver<Task>,
-    results: channel::Sender<EpochOutput>,
+    tasks: Receiver<Task>,
+    results: SyncSender<EpochOutput>,
     shared: Arc<PoolShared>,
 ) {
     let mut exit_guard = PoisonOnExit {
@@ -295,7 +298,7 @@ fn worker_loop(
         index,
         armed: true,
     };
-    while let Some(mut task) = tasks.recv() {
+    while let Ok(mut task) = tasks.recv() {
         let started = Instant::now();
         let panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut op = shard.lock().unwrap_or_else(|e| e.into_inner());

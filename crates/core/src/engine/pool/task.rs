@@ -9,9 +9,10 @@
 //!
 //! All buffers travel both ways: the task carries the routed items plus the
 //! (empty, capacity-retaining) sub-outcome and materialization buffers, and
-//! the output returns all three so the engine can recycle them — a
-//! steady-state epoch round-trip allocates nothing beyond what the join
-//! itself materializes.
+//! the output returns all three so the engine can recycle them.  The
+//! channels they travel through are `sync_channel`s, whose slots are
+//! allocated once at construction, so a steady-state epoch round-trip
+//! allocates nothing beyond what the join itself materializes.
 
 use super::super::{Item, SubOutcome};
 use mswj_join::JoinResult;

@@ -215,10 +215,6 @@ impl SkewDetector {
 /// idle barrier.  Lives here, next to the detector, as an `impl` block on
 /// the engine (a child module sees its parent's private fields).
 impl JoinEngine {
-    /// Minimum routed-item count in a detection window before skew
-    /// detection speaks up; thinner windows carry forward.
-    const SKEW_MIN_ROUTED: u64 = 1_024;
-
     /// The shard holding the majority of the routed events in the current
     /// *detection window*, if any — `Some(s)` once shard `s` has received
     /// more than half of the (at least 1 024, or the configured
@@ -253,13 +249,12 @@ impl JoinEngine {
     }
 
     /// The evidence floor of the skew-detection window: the configured
-    /// [`SkewConfig::min_routed`] when splitting is armed, the built-in
-    /// default otherwise.
+    /// [`SkewConfig::min_routed`] when splitting is armed, its default
+    /// otherwise.
     fn skew_min_routed(&self) -> u64 {
         self.detector
             .as_ref()
-            .map(|d| d.config().min_routed)
-            .unwrap_or(Self::SKEW_MIN_ROUTED)
+            .map_or(SkewConfig::default().min_routed, |d| d.config().min_routed)
     }
 
     /// Closes the current skew-detection window if it holds enough

@@ -2,26 +2,23 @@
 //! migrations cross a shard boundary.
 //!
 //! The resident pool (`ExecutionBackend::Pool`) moves epoch-tagged tasks
-//! through in-memory SPSC channels; this module generalizes that exchange to a
-//! peer that lives behind a byte stream, using the versioned frame codec
-//! of the `mswj-wire` crate.  Three layers:
+//! through std channels; this module generalizes that exchange to a peer
+//! that lives behind a socket, using the versioned frame codec of the
+//! `mswj-wire` crate.  Three layers:
 //!
-//! * [`Transport`] — a blocking, bidirectional frame channel to one shard
+//! * [`Connection`] — a blocking, bidirectional frame channel to one shard
 //!   server, with [`TransportCounters`] (frames/bytes both ways, reconnect
-//!   count) maintained by every implementation.  [`Framed`] adapts any
-//!   `Read + Write` byte stream into the frame layer and is the shared
-//!   substance of both implementations:
-//!   - [`inproc::InProc`] hosts the shard server on a **local thread**
-//!     connected through in-memory duplex pipes — every message still
-//!     round-trips through the full encode/decode path, which is what lets
-//!     the differential test matrix prove serialization without sockets.
-//!   - [`socket::Socket`] connects over a Unix-domain socket or TCP to an
-//!     `mswj-shardd` shard-server process, with connect retry (bounded by
-//!     [`CONNECT_TIMEOUT`]) and a [`DEFAULT_READ_TIMEOUT`] so a silent
-//!     peer surfaces as an error, never as a hang.
+//!   count).  Every [`Endpoint`] is a socket: [`Endpoint::InProc`] is one
+//!   end of a `UnixStream::pair()` whose other end a local
+//!   `mswj-inproc-shard` thread serves, the others a Unix-domain or TCP
+//!   socket to an `mswj-shardd` process, dialled with retry (bounded by
+//!   [`CONNECT_TIMEOUT`]).  Reads carry a [`DEFAULT_READ_TIMEOUT`], so a
+//!   silent peer surfaces as an error, never as a hang.  [`Framed`]
+//!   adapts any `Read + Write` byte stream into the frame layer; it is
+//!   generic so a stream wrapper (a fault injector, say) can slot under it.
 //! * [`server`] — the passive side: one [`MswjOperator`] per connection,
-//!   driven by Setup/Task/Barrier/surgery frames (the `mswj-shardd` binary
-//!   is a thin accept-loop around [`server::serve_stream`]).
+//!   driven by Setup/Task/Barrier/surgery frames.  [`serve_stream`] serves
+//!   the in-process thread and every connection `mswj-shardd` accepts.
 //! * `remote` (engine-internal) — the active side: one link per shard,
 //!   reusing the engine's epoch/barrier pipeline so checkpoints, K-changes
 //!   and skew transitions stay byte-identical to local execution.
@@ -31,27 +28,27 @@
 //! A remote panic travels back as an error frame and is re-raised on the
 //! caller thread as [`EngineError::RemotePanic`] — the same surface the
 //! pool gives via `resume_unwind`.  A dead or silent peer becomes
-//! [`EngineError::ShardLost`] within the read timeout; a peer speaking a
-//! different protocol revision is rejected on its first frame with
+//! [`EngineError::ShardLost`] within the read timeout, on every endpoint
+//! alike: EOF, `EPIPE` or a timed-out read.  A peer speaking a different
+//! protocol revision is rejected on its first frame with
 //! [`EngineError::VersionMismatch`].  See `docs/ARCHITECTURE.md` for the
 //! full contract.
 //!
 //! [`MswjOperator`]: mswj_join::MswjOperator
 
-pub mod inproc;
 pub mod server;
-pub mod socket;
 
 mod remote;
 
 pub(in crate::engine) use remote::RemoteShards;
-pub use server::{
-    serve_stream, serve_stream_with, serve_tcp, serve_tcp_with, serve_uds, serve_uds_with,
-};
+pub use server::{serve_stream, serve_tcp, serve_uds};
 
 use mswj_wire::{read_frame, write_frame, Frame, WireError};
-use std::io::{Read, Write};
-use std::time::Duration;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// How long a transport waits for the peer's next frame before declaring
 /// the shard lost.  Epoch execution is bounded by batch size, so a silent
@@ -70,9 +67,9 @@ pub(in crate::engine) const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(1);
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// A shard server hosted on a thread of this process, connected
-    /// through in-memory duplex buffers.  Frames still travel through the
-    /// full wire codec, so this proves serialization on any workload
-    /// without touching the network stack.
+    /// through a Unix socket pair.  Frames travel through the full wire
+    /// codec and the kernel, so this proves serialization on any workload
+    /// without a listener, a socket file or a second process.
     InProc,
     /// A Unix-domain socket path served by `mswj-shardd --uds <path>`.
     Uds(std::path::PathBuf),
@@ -154,7 +151,7 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Frame and byte counters every [`Transport`] maintains, surfaced through
+/// Frame and byte counters every [`Connection`] maintains, surfaced through
 /// the engine's per-shard `ShardRuntimeStats`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportCounters {
@@ -170,23 +167,9 @@ pub struct TransportCounters {
     pub reconnects: u64,
 }
 
-/// A blocking, bidirectional frame channel to one shard server.
-pub trait Transport: Send {
-    /// Writes one frame and flushes it.
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError>;
-    /// Reads the next frame, honouring the configured read timeout.
-    fn recv(&mut self) -> Result<Frame, WireError>;
-    /// (Re)configures the read timeout; `None` blocks indefinitely.
-    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError>;
-    /// Snapshot of the frame/byte counters.
-    fn counters(&self) -> TransportCounters;
-    /// Human-readable endpoint description for diagnostics.
-    fn describe(&self) -> String;
-}
-
 /// Frame-layer adapter over any blocking byte stream: encodes into (and
 /// decodes out of) one reused scratch buffer and counts traffic.  Both
-/// transport implementations and the shard server are built on it.
+/// [`Connection`] and the shard server are built on it.
 pub struct Framed<S> {
     stream: S,
     scratch: Vec<u8>,
@@ -230,17 +213,154 @@ impl<S: Read + Write> Framed<S> {
     }
 }
 
-/// Opens a transport to `endpoint`: an [`inproc::InProc`] server thread for
-/// [`Endpoint::InProc`], a retrying [`socket::Socket`] otherwise.  The
-/// protocol handshake (hello + setup) is the caller's job.
-pub fn connect(endpoint: &Endpoint) -> Result<Box<dyn Transport>, WireError> {
-    match endpoint {
-        Endpoint::InProc => Ok(Box::new(inproc::InProc::spawn())),
-        Endpoint::Uds(_) | Endpoint::Tcp(_) => Ok(Box::new(socket::Socket::connect(
-            endpoint,
-            CONNECT_TIMEOUT,
-        )?)),
+/// The socket under a [`Connection`].
+enum Stream {
+    Uds(UnixStream),
+    Tcp(TcpStream),
+}
+
+impl Stream {
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Uds(s) => s.set_read_timeout(timeout),
+            Stream::Tcp(s) => s.set_read_timeout(timeout),
+        }
     }
+
+    fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Stream::Uds(s) => s.shutdown(Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+        }
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Uds(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
+        }
+    }
+}
+
+/// A blocking, bidirectional frame channel to one shard server — the
+/// client half of every [`Endpoint`], opened by [`connect`].
+pub struct Connection {
+    framed: Framed<Stream>,
+    endpoint: Endpoint,
+    /// The `mswj-inproc-shard` thread serving the other end of an
+    /// [`Endpoint::InProc`] socket pair; shut down and joined on drop.
+    server: Option<JoinHandle<()>>,
+    /// Connection attempts beyond the first.
+    reconnects: u64,
+}
+
+impl Connection {
+    /// Writes one frame and flushes it.
+    pub fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
+        self.framed.send(frame)
+    }
+
+    /// Reads the next frame, honouring the configured read timeout.
+    pub fn recv(&mut self) -> Result<Frame, WireError> {
+        self.framed.recv()
+    }
+
+    /// (Re)configures the read timeout; `None` blocks indefinitely.
+    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
+        Ok(self.framed.stream_mut().set_read_timeout(timeout)?)
+    }
+
+    /// Snapshot of the frame/byte counters.
+    pub fn counters(&self) -> TransportCounters {
+        TransportCounters {
+            reconnects: self.reconnects,
+            ..self.framed.counters()
+        }
+    }
+
+    /// The endpoint this connection reaches, for diagnostics.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        // Shutting the socket down hands the in-process server EOF on its
+        // next read and `EPIPE` on a blocked write, so the join cannot
+        // hang; a panicking server thread is swallowed — the engine
+        // already surfaced its failure as an error frame, if any.
+        if let Some(server) = self.server.take() {
+            let _ = self.framed.stream_mut().shutdown();
+            let _ = server.join();
+        }
+    }
+}
+
+/// Opens a connection to `endpoint` — spawning the in-process server for
+/// [`Endpoint::InProc`], dialling otherwise — retrying until
+/// [`CONNECT_TIMEOUT`] and starting with the [`DEFAULT_READ_TIMEOUT`].
+/// Every failure, a failed server spawn included, is an `Err`.  The
+/// protocol handshake (hello + setup) is the caller's job.
+pub fn connect(endpoint: &Endpoint) -> Result<Connection, WireError> {
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
+    let mut reconnects = 0;
+    let (stream, server) = loop {
+        let opened = match endpoint {
+            Endpoint::InProc => {
+                spawn_in_process().map(|(s, server)| (Stream::Uds(s), Some(server)))
+            }
+            Endpoint::Uds(path) => UnixStream::connect(path).map(|s| (Stream::Uds(s), None)),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(|s| (Stream::Tcp(s), None)),
+        };
+        match opened {
+            Ok(opened) => break opened,
+            Err(_) if Instant::now() < deadline => {
+                reconnects += 1;
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => return Err(WireError::Io(e)),
+        }
+    };
+    let mut connection = Connection {
+        framed: Framed::new(stream),
+        endpoint: endpoint.clone(),
+        server,
+        reconnects,
+    };
+    connection.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
+    Ok(connection)
+}
+
+/// One end of a fresh socket pair, and the `mswj-inproc-shard` thread
+/// serving the other end with [`serve_stream`] — the body every
+/// `mswj-shardd` connection runs.
+fn spawn_in_process() -> io::Result<(UnixStream, JoinHandle<()>)> {
+    let (client, served) = UnixStream::pair()?;
+    let server = std::thread::Builder::new()
+        .name("mswj-inproc-shard".into())
+        .spawn(move || {
+            let _ = serve_stream(served, None);
+        })?;
+    Ok((client, server))
 }
 
 #[cfg(test)]
@@ -248,7 +368,16 @@ mod tests {
     use super::*;
     use mswj_join::{ConditionDescriptor, ProbeStrategy};
     use mswj_types::{FieldType, Timestamp, Tuple, Value};
-    use mswj_wire::{WireQuery, WireStream, WireTask, PROTOCOL_VERSION};
+    use mswj_wire::{WireItem, WireQuery, WireStream, WireTask, PROTOCOL_VERSION};
+
+    /// A socket pair with [`serve_stream`] on a thread behind one end.
+    fn served_pair() -> (UnixStream, std::thread::JoinHandle<Result<(), WireError>>) {
+        let (client, server_end) = UnixStream::pair().unwrap();
+        (
+            client,
+            std::thread::spawn(move || serve_stream(server_end, None)),
+        )
+    }
 
     #[test]
     fn inproc_transport_answers_hello_and_counts_traffic() {
@@ -258,13 +387,13 @@ mod tests {
         let c = t.counters();
         assert_eq!((c.frames_sent, c.frames_received), (1, 1));
         assert!(c.bytes_sent >= 12 && c.bytes_received >= 12, "{c:?}");
-        assert_eq!(t.describe(), "inproc");
+        assert_eq!(c.reconnects, 0);
+        assert_eq!(t.endpoint().to_string(), "inproc");
     }
 
     #[test]
     fn server_rejects_a_foreign_protocol_version() {
-        let (mut client, server_end) = inproc::duplex();
-        let handle = std::thread::spawn(move || serve_stream(server_end));
+        let (mut client, handle) = served_pair();
         // A hand-built hello header claiming a protocol version one past ours.
         let foreign = PROTOCOL_VERSION + 1;
         let mut raw = Vec::new();
@@ -296,8 +425,7 @@ mod tests {
 
     #[test]
     fn server_errors_on_a_task_before_setup() {
-        let (client, server_end) = inproc::duplex();
-        let handle = std::thread::spawn(move || serve_stream(server_end));
+        let (client, handle) = served_pair();
         let mut framed = Framed::new(client);
         framed
             .send(&Frame::Task(WireTask {
@@ -409,11 +537,27 @@ mod tests {
                 },
                 "probe order",
             ),
+            // A task is validated whole before its first item is applied.
+            (
+                Frame::Task(WireTask {
+                    epoch: 1,
+                    routing_epoch: 0,
+                    items: [tuple(0), tuple(5)]
+                        .into_iter()
+                        .zip(7..)
+                        .map(|(tuple, seq)| WireItem {
+                            seq,
+                            probe: true,
+                            tuple,
+                        })
+                        .collect(),
+                }),
+                "task item 1 (seq 8): stream index 5",
+            ),
         ];
         for (frame, names) in cases {
             let label = format!("{frame:?}");
-            let (client, server_end) = inproc::duplex();
-            let handle = std::thread::spawn(move || serve_stream(server_end));
+            let (client, handle) = served_pair();
             let mut framed = Framed::new(client);
             framed.send(&Frame::Setup(two_stream_query())).unwrap();
             assert!(matches!(framed.recv().unwrap(), Frame::SetupAck));
@@ -436,5 +580,15 @@ mod tests {
         let mut t = connect(&Endpoint::InProc).unwrap();
         t.send(&Frame::Shutdown).unwrap();
         assert!(matches!(t.recv().unwrap(), Frame::ShutdownAck));
+        // The server has hung up: EOF on a read, `EPIPE` on a write.
+        assert!(t.recv().unwrap_err().is_disconnect());
+        assert!(t.send(&Frame::Hello).unwrap_err().is_disconnect());
+    }
+
+    #[test]
+    fn a_silent_inproc_peer_times_out() {
+        let mut t = connect(&Endpoint::InProc).unwrap();
+        t.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        assert!(t.recv().unwrap_err().is_timeout(), "nothing was asked");
     }
 }

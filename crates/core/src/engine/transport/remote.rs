@@ -9,7 +9,7 @@
 //! [`EngineError`](super::EngineError), mirroring the pool's
 //! `resume_unwind` surface.
 
-use super::{Endpoint, EngineError, Transport, SHUTDOWN_TIMEOUT};
+use super::{Connection, Endpoint, EngineError, SHUTDOWN_TIMEOUT};
 use crate::engine::shards::CollectedEpoch;
 use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
@@ -21,8 +21,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 struct Link {
-    transport: Box<dyn Transport>,
-    endpoint: String,
+    connection: Connection,
     /// Cumulative submit→collect wall time, the epoch round-trip counter.
     rtt_nanos: u64,
     submitted_at: Option<Instant>,
@@ -38,17 +37,17 @@ impl Link {
             }
             e if e.is_disconnect() || e.is_timeout() => panic_any(EngineError::ShardLost {
                 shard,
-                detail: format!("{}: {e}", self.endpoint),
+                detail: format!("{}: {e}", self.connection.endpoint()),
             }),
             e => panic_any(EngineError::Protocol {
                 shard,
-                detail: format!("{}: {e}", self.endpoint),
+                detail: format!("{}: {e}", self.connection.endpoint()),
             }),
         }
     }
 
     fn send(&mut self, shard: usize, frame: &Frame) {
-        if let Err(e) = self.transport.send(frame) {
+        if let Err(e) = self.connection.send(frame) {
             self.raise(shard, e);
         }
     }
@@ -56,7 +55,7 @@ impl Link {
     /// Receives a reply; an error frame (remote panic or protocol
     /// complaint) is re-raised on this thread like a pool-worker panic.
     fn reply(&mut self, shard: usize) -> Frame {
-        match self.transport.recv() {
+        match self.connection.recv() {
             Ok(Frame::Error { message }) => panic_any(EngineError::RemotePanic { shard, message }),
             Ok(frame) => frame,
             Err(e) => self.raise(shard, e),
@@ -69,7 +68,7 @@ impl Link {
             shard,
             detail: format!(
                 "{}: expected {want}, got frame type {:#04x}",
-                self.endpoint,
+                self.connection.endpoint(),
                 got.frame_type()
             ),
         })
@@ -245,7 +244,7 @@ impl RemoteShards {
     /// Folds the link's transport counters into a shard's runtime stats.
     pub(in crate::engine) fn fold_runtime(&self, shard: usize, rt: &mut ShardRuntimeStats) {
         let link = self.link(shard);
-        let c = link.transport.counters();
+        let c = link.connection.counters();
         rt.frames_sent = c.frames_sent;
         rt.frames_received = c.frames_received;
         rt.bytes_sent = c.bytes_sent;
@@ -259,10 +258,10 @@ impl RemoteShards {
 /// a human-readable message (connection time is the one phase where remote
 /// failures are `Result`s, not panics).
 fn handshake(endpoint: &Endpoint, query: &WireQuery) -> Result<Link, String> {
-    let mut transport = super::connect(endpoint).map_err(|e| e.to_string())?;
+    let mut connection = super::connect(endpoint).map_err(|e| e.to_string())?;
     let mut exchange = |send: Frame, want: &str, want_type: u8| -> Result<(), String> {
-        transport.send(&send).map_err(|e| e.to_string())?;
-        match transport.recv().map_err(|e| e.to_string())? {
+        connection.send(&send).map_err(|e| e.to_string())?;
+        match connection.recv().map_err(|e| e.to_string())? {
             Frame::Error { message } => Err(message),
             frame if frame.frame_type() == want_type => Ok(()),
             other => Err(format!(
@@ -278,8 +277,7 @@ fn handshake(endpoint: &Endpoint, query: &WireQuery) -> Result<Link, String> {
         Frame::SetupAck.frame_type(),
     )?;
     Ok(Link {
-        transport,
-        endpoint: endpoint.to_string(),
+        connection,
         rtt_nanos: 0,
         submitted_at: None,
         barrier_token: 0,
@@ -292,12 +290,12 @@ impl Drop for RemoteShards {
         // peer may already be gone, and panicking in drop would abort.
         for cell in &mut self.links {
             let link = cell.get_mut().unwrap_or_else(|e| e.into_inner());
-            let _ = link.transport.set_read_timeout(Some(SHUTDOWN_TIMEOUT));
-            if link.transport.send(&Frame::Shutdown).is_err() {
+            let _ = link.connection.set_read_timeout(Some(SHUTDOWN_TIMEOUT));
+            if link.connection.send(&Frame::Shutdown).is_err() {
                 continue;
             }
             for _ in 0..4 {
-                match link.transport.recv() {
+                match link.connection.recv() {
                     Ok(Frame::ShutdownAck) | Err(_) => break,
                     Ok(_) => continue,
                 }

@@ -18,10 +18,13 @@
 //! answered with an error frame naming the offending field, followed by an
 //! orderly close; it never panics the connection thread.
 //!
+//! A `Task` frame follows the same rule: every item's stream index is
+//! checked before the first item is drained.
+//!
 //! [`serve_stream`] serves one connection over any byte stream — the
-//! in-process transport drives it over memory pipes, the `mswj-shardd`
-//! binary and benches drive it over sockets via [`serve_uds`] /
-//! [`serve_tcp`], one thread per accepted connection.
+//! in-process endpoint runs it over one end of a socket pair, the
+//! `mswj-shardd` binary and benches over every connection [`serve_uds`] /
+//! [`serve_tcp`] accept, one thread per connection.
 
 use super::Framed;
 use crate::engine::{exec, Item, SubOutcome};
@@ -30,7 +33,7 @@ use mswj_obs::{ShardInstruments, Telemetry};
 use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec};
 use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireTask};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::Arc;
@@ -205,16 +208,12 @@ fn apply_surgery(op: &mut MswjOperator, frame: Frame) -> Result<Frame, String> {
 /// terminal protocol error.  Returns `Ok(())` on every orderly close
 /// (including after reporting a client error or an operator panic as an
 /// error frame); `Err` only for transport-level failures mid-reply.
-pub fn serve_stream<S: Read + Write>(stream: S) -> Result<(), WireError> {
-    serve_stream_with(stream, None)
-}
-
-/// [`serve_stream`] with an optional telemetry scope: when present, the
-/// connection publishes its operator's window footprint and its runtime
-/// counters (epochs, routed items, queue high-water, busy share) into the
-/// scope's gauges at every barrier frame.  Pure observation — the framing
-/// and replies are identical with and without it.
-pub fn serve_stream_with<S: Read + Write>(
+///
+/// With a telemetry `scope`, the connection publishes its operator's
+/// window footprint and its runtime counters (epochs, routed items, queue
+/// high-water, busy share) into the scope's gauges at every barrier frame.
+/// Pure observation — the framing and replies are identical without it.
+pub fn serve_stream<S: Read + Write>(
     stream: S,
     scope: Option<Arc<ShardInstruments>>,
 ) -> Result<(), WireError> {
@@ -309,15 +308,21 @@ struct EpochBuffers {
     mat: Vec<(u32, JoinResult)>,
 }
 
-/// Drains one task frame against the operator and builds its output frame;
-/// an operator panic is caught and comes back as the `Err` text (the shard
-/// state is unreliable after it, so the caller closes the connection).
+/// Validates every item of one task frame, then drains it against the
+/// operator and builds its output frame.  An item naming a stream the
+/// operator does not have comes back as the `Err` text with nothing
+/// applied; a caught operator panic comes back the same way, the shard
+/// state unreliable after it.  Either way the caller closes the connection.
 fn run_task(
     op: &mut MswjOperator,
     task: WireTask,
     buffers: &mut EpochBuffers,
     scope: Option<&mut ConnScope>,
 ) -> Result<Frame, String> {
+    for (i, item) in task.items.iter().enumerate() {
+        stream_of(op, item.tuple.stream.as_usize() as u64)
+            .map_err(|why| format!("task item {i} (seq {}): {why}", item.seq))?;
+    }
     let EpochBuffers { items, sub, mat } = buffers;
     items.clear();
     items.extend(task.items);
@@ -345,57 +350,49 @@ fn run_task(
     }))
 }
 
-fn spawn_connection<S>(index: usize, stream: S, scope: Option<Arc<ShardInstruments>>)
+/// The accept loop both listeners share: serves every incoming connection
+/// on its own thread until an accept error.  With daemon telemetry,
+/// connection `i` publishes into `telemetry.shard(i)`, so an exporter
+/// scraping the handle sees one gauge set per accepted connection.
+fn serve_each<S>(
+    incoming: impl Iterator<Item = io::Result<S>>,
+    telemetry: Option<Telemetry>,
+) -> Result<(), WireError>
 where
     S: Read + Write + Send + 'static,
 {
-    let _ = std::thread::Builder::new()
-        .name(format!("mswj-shardd-conn-{index}"))
-        .spawn(move || {
-            if let Err(e) = serve_stream_with(stream, scope) {
-                eprintln!("mswj-shardd: connection {index} failed: {e}");
-            }
-        });
-}
-
-/// Binds a Unix-domain socket (replacing any stale socket file) and serves
-/// every incoming connection on its own thread.  Never returns except on a
-/// bind/accept error — this is the `mswj-shardd --uds` main loop.
-pub fn serve_uds(path: &Path) -> Result<(), WireError> {
-    serve_uds_with(path, None)
-}
-
-/// [`serve_uds`] with optional daemon telemetry: connection `i` publishes
-/// into `telemetry.shard(i)`, so an exporter scraping the handle sees one
-/// gauge set per accepted connection.
-pub fn serve_uds_with(path: &Path, telemetry: Option<Telemetry>) -> Result<(), WireError> {
-    let _ = std::fs::remove_file(path);
-    let listener = std::os::unix::net::UnixListener::bind(path)?;
-    eprintln!("mswj-shardd: listening on uds {}", path.display());
-    for (index, conn) in listener.incoming().enumerate() {
+    for (index, conn) in incoming.enumerate() {
+        let stream = conn?;
         let scope = telemetry.as_ref().map(|t| t.shard(index));
-        spawn_connection(index, conn?, scope);
+        let _ = std::thread::Builder::new()
+            .name(format!("mswj-shardd-conn-{index}"))
+            .spawn(move || {
+                if let Err(e) = serve_stream(stream, scope) {
+                    eprintln!("mswj-shardd: connection {index} failed: {e}");
+                }
+            });
     }
     Ok(())
 }
 
-/// Binds a TCP listener and serves every incoming connection on its own
-/// thread.  Never returns except on a bind/accept error — this is the
-/// `mswj-shardd --tcp` main loop.
-pub fn serve_tcp(addr: &str) -> Result<(), WireError> {
-    serve_tcp_with(addr, None)
+/// Binds a Unix-domain socket (replacing any stale socket file) and serves
+/// every incoming connection on its own thread, publishing into the
+/// optional `telemetry` (see [`serve_stream`]).  Never returns except on a
+/// bind/accept error — this is the `mswj-shardd --uds` main loop.
+pub fn serve_uds(path: &Path, telemetry: Option<Telemetry>) -> Result<(), WireError> {
+    let _ = std::fs::remove_file(path);
+    let listener = std::os::unix::net::UnixListener::bind(path)?;
+    eprintln!("mswj-shardd: listening on uds {}", path.display());
+    serve_each(listener.incoming(), telemetry)
 }
 
-/// [`serve_tcp`] with optional daemon telemetry — see [`serve_uds_with`].
-pub fn serve_tcp_with(addr: &str, telemetry: Option<Telemetry>) -> Result<(), WireError> {
+/// Binds a TCP listener and serves it like [`serve_uds`] — this is the
+/// `mswj-shardd --tcp` main loop.
+pub fn serve_tcp(addr: &str, telemetry: Option<Telemetry>) -> Result<(), WireError> {
     let listener = std::net::TcpListener::bind(addr)?;
     eprintln!(
         "mswj-shardd: listening on tcp {}",
         listener.local_addr().map_err(WireError::Io)?
     );
-    for (index, conn) in listener.incoming().enumerate() {
-        let scope = telemetry.as_ref().map(|t| t.shard(index));
-        spawn_connection(index, conn?, scope);
-    }
-    Ok(())
+    serve_each(listener.incoming(), telemetry)
 }

@@ -14,6 +14,7 @@
 //! last adaptation interval.  At the end of the interval the maps feed
 //! Eq. 6 (selectivity ratio) and the `N_true(L)` estimate of Eq. 7.
 
+use crate::statistics::delay_bucket;
 use mswj_types::Duration;
 use std::collections::BTreeMap;
 
@@ -118,18 +119,10 @@ impl ProductivityProfiler {
         }
     }
 
-    fn bucket_of(&self, delay: Duration) -> usize {
-        if delay == 0 {
-            0
-        } else {
-            delay.div_ceil(self.granularity) as usize
-        }
-    }
-
     /// Records an in-order tuple that was probed by the join operator with
     /// the given raw delay and observed productivities.
     pub fn record_processed(&mut self, delay: Duration, n_cross: u64, n_join: u64) {
-        let bucket = self.bucket_of(delay);
+        let bucket = delay_bucket(delay, self.granularity);
         self.current.add(bucket, n_cross, n_join);
         self.current.processed += 1;
         if n_join > self.current.max_join {
@@ -144,7 +137,7 @@ impl ProductivityProfiler {
     /// estimated as the maximum productivity seen for in-order tuples in the
     /// last adaptation interval (falling back to the current one).
     pub fn record_unprocessed(&mut self, delay: Duration) {
-        let bucket = self.bucket_of(delay);
+        let bucket = delay_bucket(delay, self.granularity);
         let est_join = self.last.max_join.max(self.current.max_join);
         let est_cross = self
             .last

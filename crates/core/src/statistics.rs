@@ -23,6 +23,19 @@ use std::collections::VecDeque;
 /// delay distribution is perfectly stationary.
 const MAX_HISTORY: usize = 50_000;
 
+/// Maps a raw delay to its coarse bucket at granularity `g` (≥ 1): 0 for
+/// in-order tuples, `d` for delays in `((d-1)·g, d·g]`.  The one rule the
+/// delay histograms and the productivity profiler share — Alg. 3 reads
+/// both at the same `g`, so they must agree.
+#[inline]
+pub(crate) fn delay_bucket(delay: Duration, g: Duration) -> usize {
+    if delay == 0 {
+        0
+    } else {
+        delay.div_ceil(g) as usize
+    }
+}
+
 /// A coarse-grained tuple-delay histogram (the empirical `f_{D_i}`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DelayHistogram {
@@ -82,11 +95,7 @@ impl DelayHistogram {
     /// Maps a raw delay to its coarse bucket: 0 for in-order tuples, `d` for
     /// delays in `((d-1)·g, d·g]`.
     pub fn bucket_of(&self, delay: Duration) -> usize {
-        if delay == 0 {
-            0
-        } else {
-            delay.div_ceil(self.granularity) as usize
-        }
+        delay_bucket(delay, self.granularity)
     }
 
     /// The histogram granularity `g`.

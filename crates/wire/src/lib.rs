@@ -23,8 +23,8 @@
 //!
 //! The crate deliberately knows nothing about sockets or threads; framed
 //! I/O over any `Read + Write` pair is provided by [`read_frame`] /
-//! [`write_frame`], and the execution engine layers its `Transport`
-//! abstraction on top.
+//! [`write_frame`], and the execution engine layers its socket
+//! `Connection` on top.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -18,7 +18,7 @@
 //! `/metrics.json`): one `mswj_shard_*` gauge set per accepted
 //! connection, refreshed at every client barrier.
 
-use mswj_core::engine::transport::{serve_tcp_with, serve_uds_with};
+use mswj_core::engine::transport::{serve_tcp, serve_uds};
 use mswj_obs::{MetricsExporter, Telemetry};
 use std::path::PathBuf;
 use std::process::exit;
@@ -76,8 +76,8 @@ fn main() {
     };
 
     let result = match listen {
-        Listen::Uds(path) => serve_uds_with(&path, telemetry),
-        Listen::Tcp(addr) => serve_tcp_with(&addr, telemetry),
+        Listen::Uds(path) => serve_uds(&path, telemetry),
+        Listen::Tcp(addr) => serve_tcp(&addr, telemetry),
     };
     if let Err(e) = result {
         eprintln!("mswj-shardd: {e}");

@@ -38,8 +38,8 @@ struct Shardd {
 }
 
 impl Shardd {
-    /// Spawns the daemon on a fresh socket path; `Socket::connect`'s retry
-    /// loop absorbs the bind race.
+    /// Spawns the daemon on a fresh socket path; `transport::connect`'s
+    /// retry loop absorbs the bind race.
     fn spawn(tag: &str) -> Self {
         let path = std::env::temp_dir().join(format!("mswj-{}-{tag}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -696,6 +696,65 @@ fn replanned_workloads_match_the_static_reference() {
     assert!(any_switch, "the star workload must re-select its pair");
     assert!(any_reorder, "the inverted rates must reorder the chain");
     assert!(any_demote, "the float keys must demote the index");
+}
+
+#[test]
+fn remote_inproc_frames_larger_than_a_socket_buffer_agree_with_sequential() {
+    // A socket pair blocks a writer once a frame outgrows its buffer (a few
+    // hundred KiB); the in-memory pipe it replaced never did.  One 800 ms
+    // batch of padded tuples — below the 1 s checkpoint interval, so it
+    // ships as one epoch — makes each shard's Task and Output frames
+    // larger than 1 MiB.
+    const MIB: u64 = 1 << 20;
+    let streams = StreamSet::homogeneous(
+        2,
+        Schema::new(vec![("a1", FieldType::Int), ("pad", FieldType::Str)]),
+        500,
+    )
+    .unwrap();
+    let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
+    let query = JoinQuery::new("diff-large-frames", streams, cond).unwrap();
+    let pad = "p".repeat(256);
+    let mut rng = StdRng::seed_from_u64(0x1A26_E5F5);
+    let events: Vec<ArrivalEvent> = (0..12_000u64)
+        .map(|i| {
+            let key = Value::Int(rng.gen_range(0i64..4_000));
+            event(
+                (i % 2) as usize,
+                i / 2,
+                1 + i / 15,
+                0,
+                vec![key, Value::Str(pad.clone())],
+            )
+        })
+        .collect();
+    let policy = BufferPolicy::NoKSlack;
+    let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
+    let started = std::time::Instant::now();
+    let backend = ExecutionBackend::remote_inproc(2);
+    let (got, report) = run(&query, &policy, backend, events.len(), &events);
+    let elapsed = started.elapsed();
+    assert!(!want.is_empty(), "the workload must join");
+    assert_eq!(want, got, "result multiset diverged");
+    assert_eq!(want_report.produced, report.produced);
+    assert_eq!(report.shard_stats.len(), 2);
+    for (shard, stats) in report.shard_stats.iter().enumerate() {
+        let rt = &stats.runtime;
+        // Every frame but an epoch's Task or Output — handshake, barrier,
+        // their acks — is under 1 KiB, so this lower-bounds the largest
+        // Task (sent) or Output (received) frame.
+        let largest = |bytes: u64, frames: u64| {
+            bytes.saturating_sub(1024 * (frames - rt.epochs_enqueued)) / rt.epochs_enqueued
+        };
+        let task = largest(rt.bytes_sent, rt.frames_sent);
+        let output = largest(rt.bytes_received, rt.frames_received);
+        assert!(task > MIB, "shard {shard}: largest Task ≥ {task} B");
+        assert!(output > MIB, "shard {shard}: largest Output ≥ {output} B");
+    }
+    assert!(
+        elapsed < mswj::core::engine::transport::DEFAULT_READ_TIMEOUT / 4,
+        "blocked writers must not stall the run: {elapsed:?}"
+    );
 }
 
 #[test]

@@ -62,11 +62,15 @@ fn assert_threads_return_to(baseline: usize) {
 }
 
 fn pool_session(workers: usize) -> Pipeline {
+    session(ExecutionBackend::Pool { workers })
+}
+
+fn session(backend: ExecutionBackend) -> Pipeline {
     mswj::session()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 500)
         .on_common_key("a1")
         .no_k_slack()
-        .parallelism(ExecutionBackend::Pool { workers })
+        .parallelism(backend)
         .build()
         .unwrap()
 }
@@ -91,25 +95,36 @@ fn events(n: u64) -> Vec<ArrivalEvent> {
 #[test]
 fn workers_join_cleanly_on_drop_mid_stream() {
     let _guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let baseline = thread_count();
-    {
-        let mut pipeline = pool_session(4);
-        // One large batch, short enough (800 ms of arrival axis, below the
-        // default 1 s checkpoint interval) that no checkpoint barrier runs:
-        // the epoch MUST still be outstanding when the session drops.
-        pipeline.push_batch_into(events(400), &mut NullSink);
-        assert!(
-            pipeline.engine().has_outstanding(),
-            "the batch must leave a pipelined epoch in flight at drop time"
-        );
-        // The counter must see the resident workers, or the assertion
-        // below proves nothing.
-        if let Some(base) = baseline {
-            await_thread_count(|now| now == base + 4, "four pool workers must be visible");
+    // Resident pool workers (`mswj-shard-*`) and in-process shard servers
+    // (`mswj-inproc-shard`, one per socket pair) alike.
+    for backend in [
+        ExecutionBackend::Pool { workers: 4 },
+        ExecutionBackend::remote_inproc(4),
+    ] {
+        let baseline = thread_count();
+        {
+            let mut pipeline = session(backend.clone());
+            // One large batch, short enough (800 ms of arrival axis, below
+            // the default 1 s checkpoint interval) that no checkpoint
+            // barrier runs: the epoch MUST still be outstanding when the
+            // session drops.
+            pipeline.push_batch_into(events(400), &mut NullSink);
+            assert!(
+                pipeline.engine().has_outstanding(),
+                "[{backend}] the batch must leave a pipelined epoch in flight at drop time"
+            );
+            // The counter must see the four shard threads, or the
+            // assertion below proves nothing.
+            if let Some(base) = baseline {
+                await_thread_count(
+                    |now| now == base + 4,
+                    &format!("[{backend}] four shard threads must be visible"),
+                );
+            }
         }
-    }
-    if let Some(base) = baseline {
-        assert_threads_return_to(base);
+        if let Some(base) = baseline {
+            assert_threads_return_to(base);
+        }
     }
 }
 
@@ -294,7 +309,7 @@ fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
     // frame and an orderly close — its connection thread returns instead
     // of panicking — and the daemon's other connections, open or new,
     // are unaffected.
-    use mswj::core::engine::transport::{connect, Endpoint};
+    use mswj::core::engine::transport::{connect, Connection, Endpoint};
     use mswj_wire::{Frame, WireQuery, WireStream};
 
     let path = std::env::temp_dir().join(format!("mswj-{}-malformed.sock", std::process::id()));
@@ -306,7 +321,7 @@ fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
         .spawn()
         .expect("spawning mswj-shardd");
     let endpoint = Endpoint::Uds(path.clone());
-    let hello = |t: &mut Box<dyn mswj::core::engine::transport::Transport>| {
+    let hello = |t: &mut Connection| {
         t.send(&Frame::Hello).unwrap();
         assert!(matches!(t.recv().unwrap(), Frame::HelloAck));
     };

@@ -175,7 +175,7 @@ fn remote_uds_backend_reports_window_footprint() {
     let path = std::env::temp_dir().join(format!("mswj-obs-test-{}.sock", std::process::id()));
     let serve_path = path.clone();
     std::thread::spawn(move || {
-        let _ = serve_uds(&serve_path);
+        let _ = serve_uds(&serve_path, None);
     });
     // Wait for the listener to bind.
     for _ in 0..200 {
