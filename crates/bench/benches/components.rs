@@ -51,14 +51,13 @@ fn kslack_throughput(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let mut ks = KSlack::new(500);
+                let mut out = Vec::new();
                 for (i, &ts) in timestamps.iter().enumerate() {
-                    ks.push(Tuple::marker(
-                        0.into(),
-                        i as u64,
-                        Timestamp::from_millis(ts),
-                    ));
+                    let tuple = Tuple::marker(0.into(), i as u64, Timestamp::from_millis(ts));
+                    ks.push_into(tuple, &mut out);
                 }
-                black_box(ks.flush().len())
+                ks.flush_into(&mut out);
+                black_box(out.len())
             })
         });
     }
@@ -96,12 +95,13 @@ fn synchronizer_throughput(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let mut sync = Synchronizer::new(3);
-                let mut emitted = 0usize;
+                let mut out = Vec::new();
                 for (i, &(stream, ts)) in input.iter().enumerate() {
                     let tuple = Tuple::marker(stream.into(), i as u64, Timestamp::from_millis(ts));
-                    emitted += sync.push(tuple).len();
+                    sync.push_into(tuple, &mut out);
                 }
-                black_box(emitted + sync.flush().len())
+                sync.flush_into(&mut out);
+                black_box(out.len())
             })
         });
     }

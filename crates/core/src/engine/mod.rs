@@ -34,10 +34,15 @@
 //!
 //! Three backends share the routing front and the shard operators; the
 //! front reaches them through one seam, the `ShardSet` of the `shards`
-//! submodule, and never asks which one is live:
+//! submodule, and never asks which one is live.  [`JoinEngine::stage`]
+//! routes each tuple the moment it is staged, and a flush runs the routed
+//! batch through one of two executors (the `exec` submodule): the
+//! sequential shard streams it, every sharded batch drains each shard's
+//! queue and is replayed by one deterministic merge.
 //!
 //! * [`ExecutionBackend::Sequential`] — one shard on the calling thread,
-//!   byte-identical to the pre-engine pipeline.
+//!   streaming each tuple's results before its `Done`, byte-identical to
+//!   the bare operator.
 //! * [`ExecutionBackend::Pool`] — `n` **resident** workers spawned once at
 //!   construction (the `pool` submodule), fed through bounded per-shard
 //!   queues of epoch-tagged tasks.  Batches are *pipelined*: [`JoinEngine::flush`]
@@ -56,10 +61,11 @@
 //!   unchanged; failures surface as typed [`EngineError`] panics, never as
 //!   hangs.
 //!
-//! The `Pool` backend falls back to the inline executor for batches below
-//! [`JoinEngine::SMALL_BATCH_THRESHOLD`] routed items, so single-event
-//! ingestion never pays an enqueue round-trip.  (`Remote` has no inline
-//! path — the operators live behind the transport.)
+//! The `Pool` backend drains batches below
+//! [`JoinEngine::SMALL_BATCH_THRESHOLD`] routed items on the calling thread
+//! and merges them at once, so single-event ingestion never pays an enqueue
+//! round-trip.  (`Remote` has no such path — the operators live behind the
+//! transport.)
 //!
 //! Picking a backend and reading the per-shard counters:
 //!
@@ -160,7 +166,7 @@ use mswj_join::{
     Route, RoutingTable,
 };
 use mswj_obs::{EventKind, ShardInstruments, Telemetry, TelemetryEvent};
-use mswj_types::{Error, StreamIndex, Timestamp, Tuple};
+use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
 // One queued unit of shard work (`seq`: the staged tuple's position in its
 // batch; `probe`: in-order → `push_with`, globally late → `insert_late`) and
 // one shard's contribution to a probing tuple's outcome.  The wire
@@ -250,28 +256,19 @@ pub enum EngineEvent<'a> {
     Done(ProbeOutcome),
 }
 
-/// Where a staged tuple's work was queued.
-#[derive(Debug, Clone, Copy)]
-enum Placement {
-    /// Dropped by the global scope check: no shard work at all.
-    None,
-    /// Owned by one shard.
-    One(u32),
-    /// Broadcast to every shard.
-    All,
-}
-
-/// The globally decided part of one staged tuple's outcome.
+/// The globally decided part of one staged tuple's outcome.  A shard holds
+/// an item for the tuple exactly when it is `inserted`.
 #[derive(Debug, Clone, Copy)]
 struct Decision {
     /// The tuple's stream — keyed per-stream probe/match tallies at the
     /// sequential-equivalent merge point.
     stream: usize,
+    ts: Timestamp,
+    delay: Duration,
     in_order: bool,
     inserted: bool,
     n_cross: u64,
     expired: usize,
-    placement: Placement,
 }
 
 /// Executor runtime counters for one shard, beyond the shard operator's own
@@ -382,15 +379,17 @@ pub struct JoinEngine {
     /// The shard last warned about as a heavy hitter; cleared (re-armed)
     /// when an evaluation window comes back balanced.
     hh_warned: Option<usize>,
-    /// Staged tuples awaiting the next [`JoinEngine::flush`].
-    pending: Vec<Tuple>,
     /// Reusable routing / execution buffers (capacity persists across
-    /// batches, so a steady-state flush allocates nothing on the
-    /// sequential and sub-threshold inline paths).
+    /// batches, so a steady-state flush allocates nothing on any executor
+    /// path): one decision per staged tuple awaiting the next
+    /// [`JoinEngine::flush`], the per-shard queues of routed items, the
+    /// drained shards' sub-outcomes and materialized results, and the
+    /// merge's `(sub, mat)` read cursors.
     decisions: Vec<Decision>,
     queues: Vec<VecDeque<Item>>,
     sub: Vec<Vec<SubOutcome>>,
     mat: Vec<Vec<(u32, JoinResult)>>,
+    cursors: Vec<(usize, usize)>,
     /// The deferred epoch of the depth-1 pipeline, if any: its id and the
     /// [`RoutingTable`] epoch its items were routed under.  Routing
     /// transitions only happen at barriers, so that must still be the
@@ -433,10 +432,10 @@ impl std::fmt::Debug for JoinEngine {
 }
 
 impl JoinEngine {
-    /// Routed-item count below which the `Pool` backend executes a batch
-    /// inline on the calling thread: enqueueing costs more than it buys on
-    /// tiny batches, and the inline path is allocation-free in steady
-    /// state.
+    /// Routed-item count below which the `Pool` backend drains a batch on
+    /// the calling thread and merges it at once: enqueueing costs more than
+    /// it buys on tiny batches, and the caller-thread path is
+    /// allocation-free in steady state.
     pub const SMALL_BATCH_THRESHOLD: usize = 32;
 
     /// Builds the engine for a query: plans the probe path, derives the
@@ -527,11 +526,11 @@ impl JoinEngine {
             split_rr: 0,
             hh_base: vec![0; n],
             hh_warned: None,
-            pending: Vec::new(),
             decisions: Vec::new(),
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             sub: (0..n).map(|_| Vec::new()).collect(),
             mat: (0..n).map(|_| Vec::new()).collect(),
+            cursors: vec![(0, 0); n],
             outstanding: None,
             next_epoch: 1,
             deferred: Vec::new(),
@@ -731,14 +730,54 @@ impl JoinEngine {
         self.table.epoch()
     }
 
-    /// Stages one synchronized tuple for the next [`JoinEngine::flush`].
+    /// Stages one synchronized tuple for the next [`JoinEngine::flush`],
+    /// routing it at once: classify it against the global `onT`, replay the
+    /// global expiry/occupancy accounting, and queue its shard work.
+    /// Routing state (table, detector, split cursor) only changes at idle
+    /// barriers, so staging early routes under the same state a flush
+    /// would.
     pub fn stage(&mut self, tuple: Tuple) {
-        self.pending.push(tuple);
+        let seq = self.decisions.len() as u32;
+        let i = tuple.stream.as_usize();
+        let (ts, delay) = (tuple.ts, tuple.delay_or_zero());
+        let in_order = !self.started || ts >= self.on_t;
+        let (mut expired, mut n_cross) = (0usize, 0u64);
+        let inserted = if in_order {
+            self.on_t = ts;
+            self.started = true;
+            n_cross = 1;
+            for j in (0..self.query.arity()).filter(|&j| j != i) {
+                let bound = ts.saturating_sub_duration(self.query.window(StreamIndex(j)));
+                expired += self.occupancy.expire(j, bound);
+                n_cross = n_cross.saturating_mul(self.occupancy.len(j) as u64);
+            }
+            true
+        } else {
+            // Global scope check (e.ts >= onT - W_i, Sec. III-A): a shard's
+            // lagging view must not resurrect a tuple the unsharded
+            // operator would drop.
+            ts >= self
+                .on_t
+                .saturating_sub_duration(self.query.window(StreamIndex(i)))
+        };
+        if inserted {
+            self.occupancy.insert(i, ts);
+            self.enqueue(seq, in_order, tuple);
+        }
+        self.decisions.push(Decision {
+            stream: i,
+            ts,
+            delay,
+            in_order,
+            inserted,
+            n_cross,
+            expired,
+        });
     }
 
     /// Whether any staged tuples await execution.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
+        !self.decisions.is_empty()
     }
 
     /// Whether a pipelined epoch has been submitted to the resident pool
@@ -761,10 +800,10 @@ impl JoinEngine {
         self.flush(f);
     }
 
-    /// Routes and executes every staged tuple, delivering the event stream
-    /// to `f`: zero or more [`EngineEvent::Result`]s per tuple (enumerating
-    /// engines), then exactly one [`EngineEvent::Done`] per staged tuple,
-    /// in staging order.
+    /// Executes every staged (already routed) tuple, delivering the event
+    /// stream to `f`: zero or more [`EngineEvent::Result`]s per tuple
+    /// (enumerating engines), then exactly one [`EngineEvent::Done`] per
+    /// staged tuple, in staging order.
     ///
     /// On the `Pool` backend, batches of at least
     /// [`Self::SMALL_BATCH_THRESHOLD`] routed items are *pipelined*: the
@@ -801,7 +840,9 @@ impl JoinEngine {
     /// stream).
     fn at_idle_barrier(&mut self) {
         debug_assert!(
-            self.outstanding.is_none() && self.queues.iter().all(VecDeque::is_empty),
+            self.outstanding.is_none()
+                && self.decisions.is_empty()
+                && self.queues.iter().all(VecDeque::is_empty),
             "skew evaluation and plan revision require an idle engine"
         );
         self.evaluate_skew();
@@ -809,32 +850,40 @@ impl JoinEngine {
     }
 
     fn execute_pending(&mut self, f: &mut dyn FnMut(EngineEvent<'_>), barrier: bool) {
-        if !self.pending.is_empty() {
-            self.route_pending();
-        }
         // The deferred epoch's events precede this batch's in staging
         // order, so it is always collected first.
-        if self.outstanding.is_some() {
-            self.collect_outstanding(f);
-        }
+        self.collect_outstanding(f);
         if self.decisions.is_empty() {
             return;
         }
-        let inline = self.shards.run_inline(
-            &mut self.queues,
-            &self.decisions,
-            &mut self.stats,
-            &mut self.tally,
-            f,
-        );
-        if inline {
-            self.decisions.clear();
-            return;
+        let (queues, decisions) = (&mut self.queues, &self.decisions);
+        if !self
+            .shards
+            .run_local(queues, decisions, &mut self.stats, &mut self.tally, f)
+        {
+            if !self
+                .shards
+                .drain_inline(&mut self.queues, &mut self.sub, &mut self.mat)
+            {
+                self.submit_epoch();
+                if barrier {
+                    self.collect_outstanding(f);
+                }
+                return;
+            }
+            // Drained on this thread: merge at once, not via `deferred`,
+            // whose capacity stays sized by epochs alone.
+            exec::merge_epoch(
+                &self.decisions,
+                &mut self.sub,
+                &mut self.mat,
+                &mut self.cursors,
+                &mut self.stats,
+                &mut self.tally,
+                f,
+            );
         }
-        self.submit_epoch();
-        if barrier {
-            self.collect_outstanding(f);
-        }
+        self.decisions.clear();
     }
 
     /// Ships the routed queues to the shard workers as one epoch and
@@ -883,68 +932,12 @@ impl JoinEngine {
             &self.deferred,
             &mut self.sub,
             &mut self.mat,
+            &mut self.cursors,
             &mut self.stats,
             &mut self.tally,
             f,
         );
         self.deferred.clear();
-    }
-
-    /// The sequential routing phase: classify every staged tuple against
-    /// the global `onT`, replay the global expiry/occupancy accounting, and
-    /// queue the shard work.
-    fn route_pending(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        for (idx, tuple) in pending.drain(..).enumerate() {
-            let seq = idx as u32;
-            let i = tuple.stream.as_usize();
-            let in_order = !self.started || tuple.ts >= self.on_t;
-            if in_order {
-                self.on_t = tuple.ts;
-                self.started = true;
-                let mut expired = 0usize;
-                let mut n_cross = 1u64;
-                for j in 0..self.query.arity() {
-                    if j != i {
-                        let w_j = self.query.window(StreamIndex(j));
-                        let bound = tuple.ts.saturating_sub_duration(w_j);
-                        expired += self.occupancy.expire(j, bound);
-                        n_cross = n_cross.saturating_mul(self.occupancy.len(j) as u64);
-                    }
-                }
-                self.occupancy.insert(i, tuple.ts);
-                let placement = self.enqueue(seq, true, tuple);
-                self.decisions.push(Decision {
-                    stream: i,
-                    in_order: true,
-                    inserted: true,
-                    n_cross,
-                    expired,
-                    placement,
-                });
-            } else {
-                // Global scope check (e.ts >= onT - W_i, Sec. III-A): a
-                // shard's lagging view must not resurrect a tuple the
-                // unsharded operator would drop.
-                let w_i = self.query.window(StreamIndex(i));
-                let keep = tuple.ts >= self.on_t.saturating_sub_duration(w_i);
-                let placement = if keep {
-                    self.occupancy.insert(i, tuple.ts);
-                    self.enqueue(seq, false, tuple)
-                } else {
-                    Placement::None
-                };
-                self.decisions.push(Decision {
-                    stream: i,
-                    in_order: false,
-                    inserted: keep,
-                    n_cross: 0,
-                    expired: 0,
-                    placement,
-                });
-            }
-        }
-        self.pending = pending;
     }
 
     /// Queues one tuple's shard work according to its route, maintaining
@@ -955,7 +948,7 @@ impl JoinEngine {
     /// work spreads evenly — while the remaining shards only maintain their
     /// replica windows (insert, expire).  Every replica sees the same tuple
     /// sequence, so any shard answers a split probe with the full class.
-    fn enqueue(&mut self, seq: u32, probe: bool, tuple: Tuple) -> Placement {
+    fn enqueue(&mut self, seq: u32, probe: bool, tuple: Tuple) {
         let route = match self.partitioner.key_hash(&tuple) {
             Some(hash) => {
                 if let Some(det) = &mut self.detector {
@@ -973,12 +966,8 @@ impl JoinEngine {
             Route::One(s) => {
                 self.queues[s].push_back(Item { seq, probe, tuple });
                 self.note_routed(s);
-                Placement::One(s as u32)
             }
-            Route::All => {
-                self.fan_out(seq, probe, self.queues.len(), tuple);
-                Placement::All
-            }
+            Route::All => self.fan_out(seq, probe, self.queues.len(), tuple),
             Route::Split => {
                 let n = self.queues.len();
                 let p = (self.split_rr % n as u64) as usize;
@@ -989,7 +978,6 @@ impl JoinEngine {
                     self.split_rr = self.split_rr.wrapping_add(1);
                 }
                 self.fan_out(seq, probe, p, tuple);
-                Placement::All
             }
         }
     }

@@ -17,9 +17,10 @@
 //!   routes batch *t + 1* while the shards execute batch *t*.
 //! * Shard operators live in `Arc<Mutex<_>>` cells.  A worker locks its
 //!   shard only while executing an epoch; between epochs the engine may
-//!   lock any shard for inspection ([`ShardPool::lock_shard`]) or run
-//!   sub-threshold batches inline on the caller thread without paying the
-//!   enqueue round-trip.
+//!   lock any shard to inspect it ([`ShardPool::lock_shard`]), or to drain
+//!   a sub-threshold batch's queue on the caller thread
+//!   ([`ShardPool::drain`]: the worker's own `exec::drain_queue`, merged the
+//!   same way) without paying the enqueue round-trip.
 //! * Shutdown is `Drop`: closing the task channels makes every worker drain
 //!   and exit, and the pool joins them — no detached threads survive the
 //!   engine.  Either side closing wakes the other (a worker blocked on a
@@ -165,11 +166,17 @@ impl ShardPool {
         self.shards.len()
     }
 
-    /// Mutable access to the shard cells, for the engine's sub-threshold
-    /// inline fallback.  Only sound when no epoch is in flight (the engine
-    /// collects before it falls back), so every lock is uncontended.
-    pub(super) fn shards_mut(&mut self) -> &mut [Arc<Mutex<MswjOperator>>] {
-        &mut self.shards
+    /// Drains `queue` against shard `s` on the caller thread, as its worker
+    /// would.  Only called with no epoch in flight: the lock is uncontended.
+    pub(super) fn drain(
+        &self,
+        s: usize,
+        queue: &mut VecDeque<Item>,
+        sub: &mut Vec<SubOutcome>,
+        mat: &mut Vec<(u32, JoinResult)>,
+    ) {
+        let mut op = self.shards[s].lock().unwrap_or_else(|e| e.into_inner());
+        exec::drain_queue(&mut op, queue, sub, mat);
     }
 
     /// Locks shard `s` for caller-thread use, waiting first until its worker

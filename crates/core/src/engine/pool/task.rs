@@ -5,14 +5,17 @@
 //! with exactly one [`EpochOutput`].  Epoch ids are strictly increasing and
 //! each worker processes its tasks in submission order, so the engine can
 //! collect an epoch's outputs **in shard order** and merge them into the
-//! same deterministic event stream the inline executor would have produced.
+//! same deterministic event stream the sequential executor would have
+//! produced.
 //!
 //! All buffers travel both ways: the task carries the routed items plus the
 //! (empty, capacity-retaining) sub-outcome and materialization buffers, and
 //! the output returns all three so the engine can recycle them.  The
 //! channels they travel through are `sync_channel`s, whose slots are
-//! allocated once at construction, so a steady-state epoch round-trip
-//! allocates nothing beyond what the join itself materializes.
+//! allocated once at construction, and the merge reads the returned buffers
+//! through engine-owned cursors, so a steady-state epoch round-trip
+//! allocates nothing on the caller thread beyond what the join itself
+//! materializes (pinned by `tests/zero_alloc.rs`).
 
 use super::super::{Item, SubOutcome};
 use mswj_join::JoinResult;

@@ -4,9 +4,10 @@
 //! [`ShardSet`] is a closed enum over the three placements — the single
 //! caller-thread operator of `Sequential`, the resident [`ShardPool`], the
 //! [`RemoteShards`] links — and its methods are everything the routing
-//! front may ask of a shard: run a batch inline, submit and collect one
-//! epoch, read statistics, inspect an operator, and the six barrier-time
-//! surgery operations.  The engine front never asks *which* placement is
+//! front may ask of a shard: run the sequential shard's batch, drain a small
+//! `Pool` batch on the calling thread, submit and collect one epoch, read
+//! statistics, inspect an operator, and the six barrier-time surgery
+//! operations.  The engine front never asks *which* placement is
 //! live; each method decides once per call.
 //!
 //! The surgery operations have one body each, on
@@ -134,14 +135,10 @@ impl ShardSet {
         }
     }
 
-    /// Runs the routed batch on the calling thread if this placement has an
-    /// inline path for it, returning whether it did: always on `Local`, for
-    /// batches below [`JoinEngine::SMALL_BATCH_THRESHOLD`] routed items on
-    /// `Pool` (against the idle workers' shards — no enqueue round-trip, no
-    /// allocation in steady state), never on `Remote` (the operators live
-    /// behind the transport).  One match per flush; the loop underneath is
-    /// monomorphic.
-    pub(super) fn run_inline(
+    /// Runs the routed batch through [`exec::run_local`] if this is the
+    /// sequential shard, returning whether it did.  Every sharded batch is
+    /// drained and merged instead.
+    pub(super) fn run_local(
         &mut self,
         queues: &mut [VecDeque<Item>],
         decisions: &[Decision],
@@ -149,19 +146,34 @@ impl ShardSet {
         tally: &mut [StreamTally],
         f: &mut dyn FnMut(EngineEvent<'_>),
     ) -> bool {
-        match self {
-            ShardSet::Local(op) => {
-                let shard = std::slice::from_mut(&mut **op);
-                exec::run_inline(shard, queues, decisions, stats, tally, f);
+        let ShardSet::Local(op) = self else {
+            return false;
+        };
+        exec::run_local(op, &mut queues[0], decisions, stats, tally, f);
+        true
+    }
+
+    /// Drains a `Pool` batch below [`JoinEngine::SMALL_BATCH_THRESHOLD`]
+    /// routed items into `sub` / `mat` on the calling thread, against the
+    /// idle workers' shards (no enqueue round-trip, no allocation in steady
+    /// state), returning whether it did.  Larger `Pool` batches and every
+    /// `Remote` batch are submitted as an epoch instead.
+    pub(super) fn drain_inline(
+        &mut self,
+        queues: &mut [VecDeque<Item>],
+        sub: &mut [Vec<SubOutcome>],
+        mat: &mut [Vec<(u32, JoinResult)>],
+    ) -> bool {
+        let ShardSet::Pool(pool) = self else {
+            return false;
+        };
+        if queues.iter().map(VecDeque::len).sum::<usize>() >= JoinEngine::SMALL_BATCH_THRESHOLD {
+            return false;
+        }
+        for (s, queue) in queues.iter_mut().enumerate() {
+            if !queue.is_empty() {
+                pool.drain(s, queue, &mut sub[s], &mut mat[s]);
             }
-            ShardSet::Pool(pool) => {
-                let items: usize = queues.iter().map(VecDeque::len).sum();
-                if items >= JoinEngine::SMALL_BATCH_THRESHOLD {
-                    return false;
-                }
-                exec::run_inline(pool.shards_mut(), queues, decisions, stats, tally, f);
-            }
-            ShardSet::Remote(_) => return false,
         }
         true
     }
@@ -181,7 +193,7 @@ impl ShardSet {
         mat: &mut Vec<(u32, JoinResult)>,
     ) {
         match self {
-            ShardSet::Local(_) => unreachable!("the sequential shard always runs inline"),
+            ShardSet::Local(_) => unreachable!("the sequential shard always runs locally"),
             ShardSet::Pool(pool) => pool.submit(s, Epoch(epoch), routing_epoch, queue, sub, mat),
             ShardSet::Remote(remote) => remote.submit(s, epoch, routing_epoch, queue),
         }
@@ -198,7 +210,7 @@ impl ShardSet {
         mat: &mut Vec<(u32, JoinResult)>,
     ) -> CollectedEpoch {
         match self {
-            ShardSet::Local(_) => unreachable!("the sequential shard always runs inline"),
+            ShardSet::Local(_) => unreachable!("the sequential shard always runs locally"),
             ShardSet::Pool(pool) => pool.collect(s, Epoch(epoch), sub, mat),
             ShardSet::Remote(remote) => remote.collect(s, epoch, sub, mat),
         }
@@ -387,7 +399,6 @@ impl ShardSet {
 
 #[cfg(test)]
 mod tests {
-    use super::super::Placement;
     use super::*;
     use mswj_join::{join_key_hash, CommonKeyEquiJoin, Partitioner};
     use mswj_types::{FieldType, Schema, StreamSet, Timestamp, Value};
@@ -417,7 +428,8 @@ mod tests {
 
     /// Routes `tuples` to their home shards and runs them as epoch `epoch`
     /// — through submit/collect where the placement pipelines a batch this
-    /// size, inline where it does not — returning the merged result count.
+    /// size, on the calling thread where it does not — returning the merged
+    /// result count.
     fn run_epoch(set: &mut ShardSet, epoch: u64, tuples: &[Tuple]) -> u64 {
         let n = set.count();
         let mut queues: Vec<VecDeque<Item>> = (0..n).map(|_| VecDeque::new()).collect();
@@ -431,11 +443,12 @@ mod tests {
             });
             decisions.push(Decision {
                 stream: t.stream.as_usize(),
+                ts: t.ts,
+                delay: 0,
                 in_order: true,
                 inserted: true,
                 n_cross: 0,
                 expired: 0,
-                placement: Placement::One(home as u32),
             });
         }
         let mut stats = OperatorStats::default();
@@ -443,10 +456,14 @@ mod tests {
         let mut done = 0usize;
         let mut count =
             |ev: EngineEvent<'_>| done += usize::from(matches!(ev, EngineEvent::Done(_)));
-        if !set.run_inline(&mut queues, &decisions, &mut stats, &mut tally, &mut count) {
+        if !set.run_local(&mut queues, &decisions, &mut stats, &mut tally, &mut count) {
             let mut sub: Vec<Vec<SubOutcome>> = (0..n).map(|_| Vec::new()).collect();
             let mut mat: Vec<Vec<(u32, JoinResult)>> = (0..n).map(|_| Vec::new()).collect();
             let busy: Vec<usize> = (0..n).filter(|&s| !queues[s].is_empty()).collect();
+            assert!(
+                !set.drain_inline(&mut queues, &mut sub, &mut mat),
+                "64 items pipeline"
+            );
             for &s in &busy {
                 set.submit(s, epoch, 7, &mut queues[s], &mut sub[s], &mut mat[s]);
                 assert!(queues[s].is_empty(), "submit drains the queue");
@@ -455,8 +472,15 @@ mod tests {
                 let out = set.collect(s, epoch, &mut sub[s], &mut mat[s]);
                 assert_eq!(out.routing_epoch, 7, "the routing epoch is echoed");
             }
+            let mut cursors = vec![(0, 0); n];
             exec::merge_epoch(
-                &decisions, &mut sub, &mut mat, &mut stats, &mut tally, &mut count,
+                &decisions,
+                &mut sub,
+                &mut mat,
+                &mut cursors,
+                &mut stats,
+                &mut tally,
+                &mut count,
             );
         }
         assert_eq!(done, tuples.len());

@@ -49,10 +49,11 @@ pub struct KSlackStats {
 /// let mut out = Vec::new();
 /// for (seq, ts) in [1u64, 4, 3, 7, 5, 8, 6, 9].iter().enumerate() {
 ///     let t = Tuple::marker(0.into(), seq as u64, Timestamp::from_millis(*ts));
-///     out.extend(ks.push(t).into_iter().map(|t| t.ts.as_millis()));
+///     ks.push_into(t, &mut out);
 /// }
-/// out.extend(ks.flush().into_iter().map(|t| t.ts.as_millis()));
-/// assert_eq!(out, vec![1, 3, 4, 5, 7, 6, 8, 9]);
+/// ks.flush_into(&mut out);
+/// let released: Vec<u64> = out.iter().map(|t| t.ts.as_millis()).collect();
+/// assert_eq!(released, vec![1, 3, 4, 5, 7, 6, 8, 9]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct KSlack {
@@ -108,21 +109,10 @@ impl KSlack {
     }
 
     /// Processes the arrival of one tuple: annotates it with its delay,
-    /// buffers it and returns every tuple that became emittable
-    /// (`e.ts + K <= iT`), in timestamp order.
-    ///
-    /// Allocation-sensitive callers should prefer [`KSlack::push_into`],
-    /// which appends to a reusable output buffer instead.
-    pub fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        self.push_into(tuple, &mut out);
-        out
-    }
-
-    /// Like [`KSlack::push`], but appends the emittable tuples to `out`
-    /// instead of returning a fresh `Vec` — the pipeline's hot path reuses
-    /// one scratch buffer across events, so a steady-state push performs no
-    /// heap allocation.
+    /// buffers it and appends every tuple that became emittable
+    /// (`e.ts + K <= iT`) to `out`, in timestamp order.  The pipeline's hot
+    /// path reuses one scratch buffer across events, so a steady-state push
+    /// performs no heap allocation.
     pub fn push_into(&mut self, mut tuple: Tuple, out: &mut Vec<Tuple>) {
         let delay = self.clock.observe(tuple.ts);
         tuple.set_delay(delay);
@@ -142,16 +132,9 @@ impl KSlack {
         self.emit_ready_into(out);
     }
 
-    /// Emits every buffered tuple with `ts + K <= iT`, in timestamp order.
-    /// Called automatically by [`KSlack::push`]; also useful after lowering
-    /// `K` via [`KSlack::set_k`].
-    pub fn emit_ready(&mut self) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        self.emit_ready_into(&mut out);
-        out
-    }
-
-    /// Like [`KSlack::emit_ready`], but appends to `out`.
+    /// Appends every buffered tuple with `ts + K <= iT` to `out`, in
+    /// timestamp order.  Called automatically by [`KSlack::push_into`]; also
+    /// useful after lowering `K` via [`KSlack::set_k`].
     pub fn emit_ready_into(&mut self, out: &mut Vec<Tuple>) {
         if !self.clock.started() {
             return;
@@ -166,14 +149,8 @@ impl KSlack {
         }
     }
 
-    /// Emits everything still buffered (end of stream), in timestamp order.
-    pub fn flush(&mut self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.buffer.len());
-        self.flush_into(&mut out);
-        out
-    }
-
-    /// Like [`KSlack::flush`], but appends to `out`.
+    /// Appends everything still buffered (end of stream) to `out`, in
+    /// timestamp order.
     pub fn flush_into(&mut self, out: &mut Vec<Tuple>) {
         while let Some(tuple) = self.buffer.pop() {
             self.account_emission(&tuple);
@@ -201,14 +178,15 @@ mod tests {
         Tuple::marker(StreamIndex(0), seq, Timestamp::from_millis(ts))
     }
 
-    fn push_all(ks: &mut KSlack, timestamps: &[u64]) -> Vec<u64> {
+    fn millis(tuples: &[Tuple]) -> Vec<u64> {
+        tuples.iter().map(|t| t.ts.as_millis()).collect()
+    }
+
+    /// Pushes one tuple per timestamp, returning the released tuples.
+    fn push_all(ks: &mut KSlack, timestamps: &[u64]) -> Vec<Tuple> {
         let mut out = Vec::new();
         for (seq, &ts) in timestamps.iter().enumerate() {
-            out.extend(
-                ks.push(t(seq as u64, ts))
-                    .into_iter()
-                    .map(|t| t.ts.as_millis()),
-            );
+            ks.push_into(t(seq as u64, ts), &mut out);
         }
         out
     }
@@ -217,7 +195,7 @@ mod tests {
     fn zero_k_emits_everything_at_or_before_local_time() {
         let mut ks = KSlack::new(0);
         let out = push_all(&mut ks, &[1, 2, 3]);
-        assert_eq!(out, vec![1, 2, 3]);
+        assert_eq!(millis(&out), vec![1, 2, 3]);
         assert_eq!(ks.buffered(), 0);
     }
 
@@ -227,9 +205,9 @@ mod tests {
         // Expected output (Fig. 3): 1 3 4 5 7 6 8 (9 still buffered).
         let mut ks = KSlack::new(1);
         let mut out = push_all(&mut ks, &[1, 4, 3, 7, 5, 8, 6, 9]);
-        assert_eq!(out, vec![1, 3, 4, 5, 7, 6, 8]);
-        out.extend(ks.flush().into_iter().map(|t| t.ts.as_millis()));
-        assert_eq!(out, vec![1, 3, 4, 5, 7, 6, 8, 9]);
+        assert_eq!(millis(&out), vec![1, 3, 4, 5, 7, 6, 8]);
+        ks.flush_into(&mut out);
+        assert_eq!(millis(&out), vec![1, 3, 4, 5, 7, 6, 8, 9]);
         // The tuple with ts 6 had delay 2 > K = 1: residual disorder.
         assert_eq!(ks.stats().residual_out_of_order, 1);
     }
@@ -238,7 +216,8 @@ mod tests {
     fn buffer_large_enough_fully_sorts() {
         let mut ks = KSlack::new(10);
         let mut out = push_all(&mut ks, &[5, 1, 9, 3, 12, 7, 20, 15, 30]);
-        out.extend(ks.flush().into_iter().map(|t| t.ts.as_millis()));
+        ks.flush_into(&mut out);
+        let out = millis(&out);
         let mut sorted = out.clone();
         sorted.sort_unstable();
         assert_eq!(out, sorted);
@@ -250,15 +229,13 @@ mod tests {
     #[test]
     fn delay_annotation_reflects_raw_delay() {
         let mut ks = KSlack::new(100);
-        ks.push(t(0, 1_000));
-        ks.push(t(1, 2_000));
-        let emitted = ks.flush();
+        let mut emitted = push_all(&mut ks, &[1_000, 2_000]);
+        ks.flush_into(&mut emitted);
         // Second arrival is in order: delay 0; out-of-order example:
         assert!(emitted.iter().all(|e| e.delay() == Some(0)));
         let mut ks = KSlack::new(100);
-        let mut out = ks.push(t(0, 1_000));
-        out.extend(ks.push(t(1, 400)));
-        out.extend(ks.flush());
+        let mut out = push_all(&mut ks, &[1_000, 400]);
+        ks.flush_into(&mut out);
         let by_ts: Vec<(u64, u64)> = out
             .iter()
             .map(|e| (e.ts.as_millis(), e.delay_or_zero()))
@@ -269,12 +246,11 @@ mod tests {
     #[test]
     fn larger_k_holds_tuples_back() {
         let mut ks = KSlack::new(1_000);
-        assert!(ks.push(t(0, 0)).is_empty());
-        assert!(ks.push(t(1, 500)).is_empty());
+        assert!(push_all(&mut ks, &[0, 500]).is_empty());
         // iT = 1_000: tuple at 0 satisfies 0 + 1000 <= 1000 and is emitted.
-        let out = ks.push(t(2, 1_000));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].ts.as_millis(), 0);
+        let mut out = Vec::new();
+        ks.push_into(t(2, 1_000), &mut out);
+        assert_eq!(millis(&out), vec![0]);
         assert_eq!(ks.buffered(), 2);
         assert_eq!(ks.stats().peak_buffered, 3);
     }
@@ -282,13 +258,12 @@ mod tests {
     #[test]
     fn lowering_k_releases_buffered_tuples() {
         let mut ks = KSlack::new(10_000);
-        ks.push(t(0, 0));
-        ks.push(t(1, 100));
-        ks.push(t(2, 200));
+        assert!(push_all(&mut ks, &[0, 100, 200]).is_empty());
         assert_eq!(ks.buffered(), 3);
         ks.set_k(0);
         assert_eq!(ks.k(), 0);
-        let out = ks.emit_ready();
+        let mut out = Vec::new();
+        ks.emit_ready_into(&mut out);
         assert_eq!(out.len(), 3);
         assert_eq!(ks.buffered(), 0);
     }
@@ -297,7 +272,7 @@ mod tests {
     fn emission_is_in_timestamp_order_even_with_ties() {
         let mut ks = KSlack::new(0);
         let out = push_all(&mut ks, &[5, 5, 5, 6]);
-        assert_eq!(out, vec![5, 5, 5, 6]);
+        assert_eq!(millis(&out), vec![5, 5, 5, 6]);
     }
 
     /// Sec. III-A over the heap-only oracle buffer, step for step the
@@ -433,8 +408,7 @@ mod tests {
     #[test]
     fn local_time_tracks_stream_progress() {
         let mut ks = KSlack::new(50);
-        ks.push(t(0, 100));
-        ks.push(t(1, 70));
+        push_all(&mut ks, &[100, 70]);
         assert_eq!(ks.local_time(), Timestamp::from_millis(100));
         assert_eq!(ks.clock().out_of_order(), 1);
     }

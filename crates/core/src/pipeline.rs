@@ -65,7 +65,6 @@ use crate::synchronizer::Synchronizer;
 use mswj_join::{JoinQuery, OperatorStats, ProbePlan, ProbeStrategy};
 use mswj_obs::{EventKind, Telemetry, TelemetryEvent};
 use mswj_types::{ArrivalEvent, Duration, Result, StreamIndex, Timestamp, Tuple};
-use std::collections::VecDeque;
 
 /// The quality-driven disorder-handling pipeline for one MSWJ query.
 pub struct Pipeline {
@@ -95,11 +94,6 @@ pub struct Pipeline {
     /// allocates nothing.
     scratch_released: Vec<Tuple>,
     scratch_synced: Vec<Tuple>,
-    /// `(delay, ts)` of every tuple staged into the engine, in staging
-    /// order — consumed front-to-back by the per-tuple bookkeeping as the
-    /// engine delivers `Done` events (a deque because the pipelined `Pool`
-    /// backend delivers a batch's events one flush later).
-    pending_meta: VecDeque<(Duration, Timestamp)>,
     /// Observe-only metrics sink.  `None` means instrumentation is
     /// compiled out of the hot path entirely (a branch on an `Option`,
     /// never an allocation); attached via
@@ -204,7 +198,6 @@ impl Pipeline {
             last_progress: None,
             scratch_released: Vec::new(),
             scratch_synced: Vec::new(),
-            pending_meta: VecDeque::new(),
             telemetry,
             query,
             policy,
@@ -381,13 +374,9 @@ impl Pipeline {
         let mut synced = std::mem::take(&mut self.scratch_synced);
         self.synchronizer.flush_into(&mut synced);
         for t in synced.drain(..) {
-            self.stage_one(t);
+            self.engine.stage(t);
         }
         self.sync_engine(sink);
-        debug_assert!(
-            self.pending_meta.is_empty(),
-            "every staged tuple produced its Done event"
-        );
 
         // Close the average-K accounting.
         let end = self.last_arrival;
@@ -445,16 +434,9 @@ impl Pipeline {
             self.synchronizer.push_into(t, &mut synced);
         }
         for t in synced.drain(..) {
-            self.stage_one(t);
+            self.engine.stage(t);
         }
         self.scratch_synced = synced;
-    }
-
-    /// Stages one synchronized tuple into the engine, remembering the
-    /// metadata the per-tuple bookkeeping needs at flush time.
-    fn stage_one(&mut self, t: Tuple) {
-        self.pending_meta.push_back((t.delay_or_zero(), t.ts));
-        self.engine.stage(t);
     }
 
     /// Executes every staged tuple through the configured backend, feeding
@@ -477,7 +459,6 @@ impl Pipeline {
             monitor,
             produced,
             last_progress,
-            pending_meta,
             telemetry,
             ..
         } = self;
@@ -485,9 +466,7 @@ impl Pipeline {
         let mut handler = |ev: EngineEvent<'_>| match ev {
             EngineEvent::Result(r) => sink.event(OutputEvent::Result(r)),
             EngineEvent::Done(outcome) => {
-                let (delay, ts) = pending_meta
-                    .pop_front()
-                    .expect("one Done event per staged tuple");
+                let (delay, ts) = (outcome.delay, outcome.ts);
                 if outcome.in_order {
                     profiler.record_processed(delay, outcome.n_cross, outcome.n_join);
                     if let Some(s) = session {

@@ -83,19 +83,8 @@ impl Synchronizer {
         self.stats
     }
 
-    /// Processes one tuple according to Alg. 1 and returns the tuples
-    /// released downstream (possibly none, possibly several).
-    ///
-    /// Allocation-sensitive callers should prefer
-    /// [`Synchronizer::push_into`], which appends to a reusable buffer.
-    pub fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        self.push_into(tuple, &mut out);
-        out
-    }
-
-    /// Like [`Synchronizer::push`], but appends the released tuples to
-    /// `out` instead of returning a fresh `Vec`.
+    /// Processes one tuple according to Alg. 1, appending the tuples it
+    /// releases downstream (possibly none, possibly several) to `out`.
     pub fn push_into(&mut self, tuple: Tuple, out: &mut Vec<Tuple>) {
         self.stats.received += 1;
         if tuple.ts > self.t_sync {
@@ -113,14 +102,8 @@ impl Synchronizer {
         }
     }
 
-    /// Emits everything still buffered (end of stream), in timestamp order.
-    pub fn flush(&mut self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.buffer.len());
-        self.flush_into(&mut out);
-        out
-    }
-
-    /// Like [`Synchronizer::flush`], but appends to `out`.
+    /// Appends everything still buffered (end of stream) to `out`, in
+    /// timestamp order.
     pub fn flush_into(&mut self, out: &mut Vec<Tuple>) {
         while let Some(tuple) = self.buffer.pop() {
             self.per_stream[tuple.stream.as_usize()] -= 1;
@@ -159,19 +142,26 @@ mod tests {
         Tuple::marker(StreamIndex(stream), seq, Timestamp::from_millis(ts))
     }
 
+    /// Pushes `(stream, seq, ts)` tuples in order, returning the released
+    /// timestamps.
+    fn push(sync: &mut Synchronizer, tuples: &[(usize, u64, u64)]) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &(stream, seq, ts) in tuples {
+            sync.push_into(t(stream, seq, ts), &mut out);
+        }
+        out.iter().map(|e| e.ts.as_millis()).collect()
+    }
+
     #[test]
     fn holds_leading_stream_until_lagging_catches_up() {
         let mut sync = Synchronizer::new(2);
-        assert!(sync.push(t(0, 0, 100)).is_empty());
-        assert!(sync.push(t(0, 1, 200)).is_empty());
+        assert!(push(&mut sync, &[(0, 0, 100), (0, 1, 200)]).is_empty());
         assert_eq!(sync.buffered(), 2);
         assert_eq!(sync.buffered_for(StreamIndex(0)), 2);
         // The first S2 tuple lets the buffer drain: 100 comes out, then 150
         // itself (it is the smallest buffered timestamp while both streams
         // are still represented); 200 stays because S2 is then exhausted.
-        let out = sync.push(t(1, 0, 150));
-        let ts: Vec<u64> = out.iter().map(|e| e.ts.as_millis()).collect();
-        assert_eq!(ts, vec![100, 150]);
+        assert_eq!(push(&mut sync, &[(1, 0, 150)]), vec![100, 150]);
         assert_eq!(sync.t_sync(), Timestamp::from_millis(150));
         assert_eq!(sync.buffered(), 1);
     }
@@ -179,38 +169,31 @@ mod tests {
     #[test]
     fn drains_repeatedly_while_all_streams_present() {
         let mut sync = Synchronizer::new(2);
-        sync.push(t(0, 0, 10));
-        sync.push(t(0, 1, 20));
+        push(&mut sync, &[(0, 0, 10), (0, 1, 20)]);
         // S2 tuple at 30: drain emits 10 and 20 (each drain step re-checks
         // presence of both streams; after emitting 10, S1 still has 20 and
         // S2 has 30, so 20 is emitted too; then S1 is exhausted).
-        let out = sync.push(t(1, 0, 30));
-        let ts: Vec<u64> = out.iter().map(|e| e.ts.as_millis()).collect();
-        assert_eq!(ts, vec![10, 20]);
+        assert_eq!(push(&mut sync, &[(1, 0, 30)]), vec![10, 20]);
         assert_eq!(sync.t_sync(), Timestamp::from_millis(20));
         // A further S2 tuple alone cannot drain anything (S1 is exhausted).
-        assert!(sync.push(t(1, 1, 40)).is_empty());
+        assert!(push(&mut sync, &[(1, 1, 40)]).is_empty());
     }
 
     #[test]
     fn late_tuple_is_emitted_immediately() {
         let mut sync = Synchronizer::new(2);
-        sync.push(t(0, 0, 100));
-        sync.push(t(1, 0, 200)); // drains the 100 tuple, T_sync = 100
-        let out = sync.push(t(0, 1, 50)); // 50 <= T_sync: immediate
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].ts.as_millis(), 50);
+        // The S2 tuple drains the 100 tuple, T_sync = 100.
+        push(&mut sync, &[(0, 0, 100), (1, 0, 200)]);
+        // 50 <= T_sync: immediate.
+        assert_eq!(push(&mut sync, &[(0, 1, 50)]), vec![50]);
         assert_eq!(sync.stats().emitted_immediately, 1);
     }
 
     #[test]
     fn equal_timestamps_across_streams_emitted_together() {
         let mut sync = Synchronizer::new(3);
-        assert!(sync.push(t(0, 0, 10)).is_empty());
-        assert!(sync.push(t(1, 0, 10)).is_empty());
-        let out = sync.push(t(2, 0, 10));
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|e| e.ts.as_millis() == 10));
+        assert!(push(&mut sync, &[(0, 0, 10), (1, 0, 10)]).is_empty());
+        assert_eq!(push(&mut sync, &[(2, 0, 10)]), vec![10, 10, 10]);
         assert_eq!(sync.buffered(), 0);
     }
 
@@ -223,10 +206,10 @@ mod tests {
         let s1 = [10u64, 30, 50, 70];
         let s2 = [20u64, 40, 60, 80];
         for i in 0..4 {
-            out.extend(sync.push(t(0, i as u64, s1[i])));
-            out.extend(sync.push(t(1, i as u64, s2[i])));
+            sync.push_into(t(0, i as u64, s1[i]), &mut out);
+            sync.push_into(t(1, i as u64, s2[i]), &mut out);
         }
-        out.extend(sync.flush());
+        sync.flush_into(&mut out);
         let ts: Vec<u64> = out.iter().map(|e| e.ts.as_millis()).collect();
         let mut sorted = ts.clone();
         sorted.sort_unstable();
@@ -237,9 +220,9 @@ mod tests {
     #[test]
     fn flush_emits_in_timestamp_order_and_advances_t_sync() {
         let mut sync = Synchronizer::new(2);
-        sync.push(t(0, 0, 100));
-        sync.push(t(0, 1, 300));
-        let out = sync.flush();
+        push(&mut sync, &[(0, 0, 100), (0, 1, 300)]);
+        let mut out = Vec::new();
+        sync.flush_into(&mut out);
         let ts: Vec<u64> = out.iter().map(|e| e.ts.as_millis()).collect();
         assert_eq!(ts, vec![100, 300]);
         assert_eq!(sync.t_sync(), Timestamp::from_millis(300));
@@ -250,9 +233,8 @@ mod tests {
     #[test]
     fn stats_account_every_path() {
         let mut sync = Synchronizer::new(2);
-        sync.push(t(0, 0, 100));
-        sync.push(t(1, 0, 200));
-        sync.push(t(0, 1, 10)); // immediate
+        // The last tuple is immediate.
+        push(&mut sync, &[(0, 0, 100), (1, 0, 200), (0, 1, 10)]);
         let stats = sync.stats();
         assert_eq!(stats.received, 3);
         assert_eq!(stats.emitted_synchronized, 1);
@@ -266,15 +248,17 @@ mod tests {
         // far behind, S1's tuples sit in the synchronization buffer and come
         // out sorted — the K_sync effect used in the proof of Theorem 1.
         let mut sync = Synchronizer::new(2);
-        let mut out = Vec::new();
-        for (seq, ts) in [100u64, 300, 200, 500, 400].iter().enumerate() {
-            out.extend(sync.push(t(0, seq as u64, *ts)));
-        }
-        assert!(out.is_empty());
-        out.extend(sync.push(t(1, 0, 450)));
-        let ts: Vec<u64> = out.iter().map(|e| e.ts.as_millis()).collect();
+        let leading: Vec<(usize, u64, u64)> = [100u64, 300, 200, 500, 400]
+            .iter()
+            .enumerate()
+            .map(|(seq, &ts)| (0, seq as u64, ts))
+            .collect();
+        assert!(push(&mut sync, &leading).is_empty());
         // S1's buffered tuples come out sorted; the S2 tuple itself is
         // released as well once it becomes the smallest buffered timestamp.
-        assert_eq!(ts, vec![100, 200, 300, 400, 450]);
+        assert_eq!(
+            push(&mut sync, &[(1, 0, 450)]),
+            vec![100, 200, 300, 400, 450]
+        );
     }
 }

@@ -276,6 +276,8 @@ impl MswjOperator {
         debug_assert!(i < self.windows.len(), "tuple references unknown stream");
         let in_order = !self.started || tuple.ts >= self.on_t;
         let mut outcome = ProbeOutcome {
+            ts: tuple.ts,
+            delay: tuple.delay_or_zero(),
             in_order,
             ..ProbeOutcome::default()
         };

@@ -7,14 +7,23 @@
 //! aggregate view merges them with [`OperatorStats::absorb`] next to the
 //! globally-decided counters (ordering, drops, expiry).
 
+use mswj_types::{Duration, Timestamp};
+
 /// What happened when one tuple was pushed into the operator.
 ///
-/// Materialized results are not carried here: in enumerating mode they are
-/// handed to the caller's emit callback one by one (see
-/// [`MswjOperator::push_with`](super::MswjOperator::push_with)), so the
+/// The outcome names its own tuple (`ts`, `delay`), so a consumer that
+/// receives it later — a sharded engine's `Done` event — needs no side
+/// record of what it staged.  Materialized results are not carried here: in
+/// enumerating mode they are handed to the caller's emit callback one by one
+/// (see [`MswjOperator::push_with`](super::MswjOperator::push_with)), so the
 /// outcome itself stays allocation-free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeOutcome {
+    /// The pushed tuple's timestamp.
+    pub ts: Timestamp,
+    /// The pushed tuple's observed delay (zero when it carries none; see
+    /// [`Tuple::delay_or_zero`](mswj_types::Tuple::delay_or_zero)).
+    pub delay: Duration,
     /// Whether the tuple arrived in timestamp order w.r.t. `onT`.
     pub in_order: bool,
     /// Whether the tuple was inserted into its window (out-of-order tuples

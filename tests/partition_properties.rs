@@ -15,7 +15,7 @@
 //!   below the inline threshold, some deferring an epoch across flush
 //!   boundaries), the `Pool` engine emits the **exact ordered event
 //!   stream** — results *and* per-tuple outcomes — of the sequential
-//!   engine.
+//!   engine, which in turn emits exactly the stream of one bare operator.
 
 use mswj::prelude::*;
 use mswj_join::{join_key_hash, Partitioner, Route};
@@ -187,7 +187,8 @@ proptest! {
 }
 
 /// Raw tuple stream (no pipeline front-end): interleaved streams, mild
-/// disorder, small key domain so shards share work.
+/// disorder (annotated as each tuple's delay, which its outcome must carry
+/// back), small key domain so shards share work.
 fn raw_tuple_strategy(len: usize) -> impl Strategy<Value = Vec<Tuple>> {
     proptest::collection::vec((0u64..2, 0u64..80, 0i64..6), len).prop_map(|items| {
         items
@@ -201,21 +202,40 @@ fn raw_tuple_strategy(len: usize) -> impl Strategy<Value = Vec<Tuple>> {
                     Timestamp::from_millis(ts),
                     vec![Value::Int(key)],
                 )
+                .with_delay(back)
             })
             .collect()
     })
 }
 
-/// Drives `tuples` through a [`JoinEngine`] in batches sized by `cuts`
-/// (cycled), recording the *ordered* event stream.
-fn engine_event_stream(backend: ExecutionBackend, tuples: &[Tuple], cuts: &[usize]) -> Vec<String> {
+/// The two-stream equi-join the raw-stream merge property runs.
+fn raw_stream_query() -> mswj_join::JoinQuery {
     use mswj_join::{CommonKeyEquiJoin, JoinQuery};
     use std::sync::Arc;
     let streams =
         StreamSet::homogeneous(2, Schema::new(vec![("a1", FieldType::Int)]), 300).unwrap();
     let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
-    let query = JoinQuery::new("pool-epochs", streams, cond).unwrap();
-    let mut engine = JoinEngine::new(query, ProbeStrategy::Auto, true, backend);
+    JoinQuery::new("pool-epochs", streams, cond).unwrap()
+}
+
+/// The event stream of one bare, enumerating [`MswjOperator`] driven with
+/// `push_with`: each tuple's results, then its outcome.
+///
+/// [`MswjOperator`]: mswj_join::MswjOperator
+fn operator_event_stream(tuples: &[Tuple]) -> Vec<String> {
+    let mut op = mswj_join::MswjOperator::with_probe(raw_stream_query(), ProbeStrategy::Auto, true);
+    let mut events = Vec::new();
+    for t in tuples {
+        let outcome = op.push_with(t.clone(), &mut |r| events.push(format!("R {r}")));
+        events.push(format!("D {outcome:?}"));
+    }
+    events
+}
+
+/// Drives `tuples` through a [`JoinEngine`] in batches sized by `cuts`
+/// (cycled), recording the *ordered* event stream.
+fn engine_event_stream(backend: ExecutionBackend, tuples: &[Tuple], cuts: &[usize]) -> Vec<String> {
+    let mut engine = JoinEngine::new(raw_stream_query(), ProbeStrategy::Auto, true, backend);
     let mut events = Vec::new();
     let mut handler = |ev: mswj_core::EngineEvent<'_>| match ev {
         mswj_core::EngineEvent::Result(r) => events.push(format!("R {r}")),
@@ -386,6 +406,10 @@ proptest! {
         // The sequential reference is batch-size-invariant, so cut it
         // differently on purpose: only the *merged stream* may matter.
         let reference = engine_event_stream(ExecutionBackend::Sequential, &tuples, &seq_cuts);
+        // The sequential engine's streaming loop is the bare operator, event
+        // for event: results in probe order, then an outcome that names its
+        // own tuple (`ts`, `delay`).
+        prop_assert_eq!(&reference, &operator_event_stream(&tuples));
         let pooled = engine_event_stream(
             ExecutionBackend::Pool { workers: 3 },
             &tuples,

@@ -51,9 +51,9 @@ proptest! {
         for (i, d) in delays.iter().enumerate() {
             let arrival = (i as u64 + 1) * 5;
             let ts = arrival.saturating_sub(*d);
-            out.extend(ks.push(Tuple::marker(0.into(), i as u64, Timestamp::from_millis(ts))));
+            ks.push_into(Tuple::marker(0.into(), i as u64, Timestamp::from_millis(ts)), &mut out);
         }
-        out.extend(ks.flush());
+        ks.flush_into(&mut out);
         let ts: Vec<u64> = out.iter().map(|t| t.ts.as_millis()).collect();
         let mut sorted = ts.clone();
         sorted.sort_unstable();
@@ -77,10 +77,10 @@ proptest! {
         while ia < a.len() || ib < b.len() {
             let take_a = ib >= b.len() || (ia < a.len() && a[ia] <= b[ib]);
             let (stream, ts) = if take_a { let v=(0usize, a[ia]); ia+=1; v } else { let v=(1usize, b[ib]); ib+=1; v };
-            out.extend(sync.push(Tuple::marker(stream.into(), seq, Timestamp::from_millis(ts))));
+            sync.push_into(Tuple::marker(stream.into(), seq, Timestamp::from_millis(ts)), &mut out);
             seq += 1;
         }
-        out.extend(sync.flush());
+        sync.flush_into(&mut out);
         prop_assert_eq!(out.len(), a.len() + b.len());
         let ts: Vec<u64> = out.iter().map(|t| t.ts.as_millis()).collect();
         let mut sorted = ts.clone();

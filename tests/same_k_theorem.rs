@@ -58,25 +58,28 @@ fn run_with_buffers(k0: u64, k1: u64, events: &[ArrivalEvent]) -> u64 {
     let mut ks = vec![mswj::core::KSlack::new(k0), mswj::core::KSlack::new(k1)];
     let mut sync = mswj::core::Synchronizer::new(2);
     let mut op = MswjOperator::new(query());
-    let feed = |tuples: Vec<Tuple>, sync: &mut mswj::core::Synchronizer, op: &mut MswjOperator| {
-        for t in tuples {
-            for s in sync.push(t) {
+    let mut synced = Vec::new();
+    let mut feed = |tuples: &mut Vec<Tuple>, sync: &mut mswj::core::Synchronizer| {
+        for t in tuples.drain(..) {
+            sync.push_into(t, &mut synced);
+            for s in synced.drain(..) {
                 op.push(s);
             }
         }
     };
+    let mut released = Vec::new();
     for event in events {
-        let released = ks[event.stream().as_usize()].push(event.tuple.clone());
-        feed(released, &mut sync, &mut op);
+        ks[event.stream().as_usize()].push_into(event.tuple.clone(), &mut released);
+        feed(&mut released, &mut sync);
     }
     // Flush everything at end of stream, preserving timestamp order.
-    let mut tail: Vec<Tuple> = Vec::new();
     for k in &mut ks {
-        tail.extend(k.flush());
+        k.flush_into(&mut released);
     }
-    tail.sort_by_key(|t| t.ts);
-    feed(tail, &mut sync, &mut op);
-    for t in sync.flush() {
+    released.sort_by_key(|t| t.ts);
+    feed(&mut released, &mut sync);
+    sync.flush_into(&mut released);
+    for t in released {
         op.push(t);
     }
     op.stats().results
@@ -141,9 +144,10 @@ fn skew_between_kslack_outputs_equals_raw_skew() {
     for k in [0u64, 150, 500] {
         let mut ks = [mswj::core::KSlack::new(k), mswj::core::KSlack::new(k)];
         let mut raw = mswj_types::SkewTracker::new(2);
+        let mut released = Vec::new();
         for event in &events {
             raw.observe(event.stream(), event.ts());
-            ks[event.stream().as_usize()].push(event.tuple.clone());
+            ks[event.stream().as_usize()].push_into(event.tuple.clone(), &mut released);
         }
         let out_skew = ks[0].local_time().abs_diff(ks[1].local_time());
         let raw_skew = raw.skew(StreamIndex(0), StreamIndex(1));

@@ -73,9 +73,12 @@ fn core_pipeline_is_reachable() {
 
     // The standalone building blocks are exported too.
     let mut ks = KSlack::new(100);
-    assert!(ks
-        .push(Tuple::marker(0.into(), 0, Timestamp::from_millis(5)))
-        .is_empty());
+    let mut released = Vec::new();
+    ks.push_into(
+        Tuple::marker(0.into(), 0, Timestamp::from_millis(5)),
+        &mut released,
+    );
+    assert!(released.is_empty());
     let _sync = Synchronizer::new(2);
 }
 

@@ -263,6 +263,56 @@ fn parallel_backends_small_batch_fallback_stays_allocation_free() {
 }
 
 #[test]
+fn pipelined_pool_epochs_allocate_nothing_on_the_caller_thread() {
+    // 64-event batches stage 64 tuples each — above the inline threshold —
+    // so every flush collects the previous epoch from the resident workers,
+    // merges it and submits the next one.  Routing, submission, collection
+    // and the merge all run on this thread and recycle their buffers; the
+    // workers' own allocations are not counted here.  Warm-up and
+    // measurement stay below the first checkpoint (L = 1 s by default).
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut pipeline = mswj::session()
+        .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
+        .on_common_key("a1")
+        .no_k_slack()
+        .parallelism(ExecutionBackend::Pool { workers: 2 })
+        .build()
+        .unwrap();
+    let batches = |events: Vec<ArrivalEvent>| -> Vec<Vec<ArrivalEvent>> {
+        events.chunks(64).map(<[ArrivalEvent]>::to_vec).collect()
+    };
+    let warmup = batches(events(1, 385));
+    let measured = batches(events(385, 961));
+    let n = measured.len() as u64;
+    let mut sink = CountingSink::default();
+    for batch in warmup {
+        pipeline.push_batch_into(batch, &mut sink);
+    }
+
+    let before = thread_allocations();
+    for batch in measured {
+        pipeline.push_batch_into(batch, &mut sink);
+    }
+    let during = thread_allocations() - before;
+
+    // Amortized statistics-history growth is all that may remain: fewer
+    // allocations than epochs.
+    assert!(
+        during < n,
+        "{n} pipelined epochs allocated {during} times on the caller thread"
+    );
+    // Proof the epochs really ran through the workers.  Summed over shards:
+    // the four keys may all home on one.
+    let epochs: u64 = pipeline
+        .shard_stats()
+        .iter()
+        .map(|s| s.runtime.epochs_enqueued)
+        .sum();
+    assert!(epochs >= n, "{epochs} epochs enqueued for {n} batches");
+    assert_eq!(sink.results, 0);
+}
+
+#[test]
 fn fixed_k_buffers_stay_allocation_free_on_mixed_disorder() {
     // K-slack (K = 10 ms) really buffers here, and its input mixes on-time
     // and late tuples in the warm phase and in the measured phase alike:
