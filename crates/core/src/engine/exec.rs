@@ -1,13 +1,14 @@
-//! Executors: how a routed batch of shard work actually runs.
+//! Executors: how a staged batch actually runs.
 //!
-//! Both consume the per-shard queues the engine fills as it stages tuples
-//! and deliver the same event stream:
+//! Both deliver the same event stream:
 //!
 //! * [`run_local`] runs the [`Sequential`](super::ExecutionBackend)
-//!   backend's one shard on the calling thread, tuple by tuple in staging
-//!   order, streaming each tuple's results into the caller's sink before its
-//!   `Done` — no intermediate buffering.
-//! * [`drain_queue`] serves every sharded batch: a resident
+//!   backend's one shard on the calling thread.  The front stages that
+//!   shard's tuples unrouted, and the operator's own [`ProbeOutcome`] —
+//!   expiry and `n_x(e)` included — becomes each tuple's `Done`, streamed
+//!   after its results with no intermediate buffering.
+//! * [`drain_queue`] serves every sharded batch, whose tuples the front
+//!   routed into per-shard queues next to one `Decision` each: a resident
 //!   [`pool`](super::pool) worker, a shard server, or — for `Pool` batches
 //!   below the inline threshold — the calling thread drains one shard's
 //!   queue into `(seq, …)`-tagged buffers, and [`merge_epoch`] replays those
@@ -17,78 +18,64 @@
 use super::replan::StreamTally;
 use super::{Decision, EngineEvent, Item, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator, OperatorStats, ProbeOutcome};
+use mswj_types::Tuple;
 use std::collections::VecDeque;
 
-/// Folds one finished tuple into the aggregate stats and emits its
-/// [`EngineEvent::Done`].  This is the single place where the engine's
-/// sequential-equivalent accounting happens, shared by both executors.
+/// Folds one finished tuple of `stream` into the aggregate stats and the
+/// per-stream tallies and emits its [`EngineEvent::Done`].  This is the
+/// single place where the engine's sequential-equivalent accounting
+/// happens, shared by both executors.
 fn finish_tuple(
-    d: Decision,
-    n_join: u64,
-    indexed: bool,
+    stream: usize,
+    outcome: ProbeOutcome,
     stats: &mut OperatorStats,
     tally: &mut [StreamTally],
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
-    let outcome = ProbeOutcome {
-        ts: d.ts,
-        delay: d.delay,
-        in_order: d.in_order,
-        inserted: d.inserted,
-        indexed: d.in_order && indexed,
-        n_join,
-        n_cross: d.n_cross,
-        expired: d.expired,
-    };
-    if d.in_order {
-        let t = &mut tally[d.stream];
+    if outcome.in_order {
+        let t = &mut tally[stream];
         t.probes += 1;
-        t.matches += n_join;
+        t.matches += outcome.n_join;
         stats.in_order += 1;
         if outcome.indexed {
             stats.indexed_probes += 1;
         } else {
             stats.fallback_probes += 1;
         }
-        stats.results += n_join;
-        stats.cross_results += d.n_cross;
-        stats.expired += d.expired as u64;
+        stats.results += outcome.n_join;
+        stats.cross_results += outcome.n_cross;
+        stats.expired += outcome.expired as u64;
     } else {
         stats.out_of_order += 1;
-        if !d.inserted {
+        if !outcome.inserted {
             stats.dropped += 1;
         }
     }
     f(EngineEvent::Done(outcome));
 }
 
-/// The sequential shard's executor: every staged tuple runs against the one
-/// operator in staging order, its results streamed straight into `f`, then
-/// its `Done`.  With one shard there is no broadcast, so exactly the
-/// inserted tuples hold an item and the queue pops in lockstep with
-/// `decisions`.
+/// The sequential shard's executor: every staged tuple is pushed through
+/// the one operator in staging order, its results streamed straight into
+/// `f`, then its `Done` carrying the operator's own outcome.  The operator
+/// sees every tuple, so it classifies, scope-checks, expires and sizes
+/// `n_x(e)` exactly as the unsharded operator — because it is one.
+/// `inserted` is the front's count of tuples it admitted to the shard.
 pub(super) fn run_local(
     op: &mut MswjOperator,
-    queue: &mut VecDeque<Item>,
-    decisions: &[Decision],
+    staged: &mut Vec<Tuple>,
+    inserted: usize,
     stats: &mut OperatorStats,
     tally: &mut [StreamTally],
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
-    for &d in decisions {
-        let (mut n_join, mut indexed) = (0, true);
-        if d.inserted {
-            let item = queue.pop_front().expect("an inserted tuple holds an item");
-            if item.probe {
-                let o = op.push_with(item.tuple, &mut |r| f(EngineEvent::Result(&r)));
-                (n_join, indexed) = (o.n_join, o.indexed);
-            } else {
-                op.insert_late(item.tuple);
-            }
-        }
-        finish_tuple(d, n_join, indexed, stats, tally, f);
+    let mut admitted = 0;
+    for tuple in staged.drain(..) {
+        let stream = tuple.stream.as_usize();
+        let outcome = op.push_with(tuple, &mut |r| f(EngineEvent::Result(&r)));
+        admitted += usize::from(outcome.inserted);
+        finish_tuple(stream, outcome, stats, tally, f);
     }
-    debug_assert!(queue.is_empty(), "an item without a decision");
+    debug_assert_eq!(admitted, inserted, "scope check mismatch");
 }
 
 /// Drains one shard's queue in order, collecting `(seq, …)`-tagged
@@ -132,9 +119,18 @@ pub(super) fn merge_epoch(
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
     cursors.fill((0, 0));
-    for (seq, &d) in decisions.iter().enumerate() {
+    for (seq, d) in decisions.iter().enumerate() {
         let seq = seq as u32;
-        let (mut n_join, mut indexed) = (0, true);
+        let mut outcome = ProbeOutcome {
+            ts: d.ts,
+            delay: d.delay,
+            in_order: d.in_order,
+            inserted: d.inserted,
+            indexed: d.in_order,
+            n_join: 0,
+            n_cross: d.n_cross,
+            expired: d.expired,
+        };
         for ((sub, mat), (sc, mc)) in sub.iter().zip(mat.iter()).zip(cursors.iter_mut()) {
             while let Some((_, r)) = mat.get(*mc).filter(|(s, _)| *s == seq) {
                 f(EngineEvent::Result(r));
@@ -142,11 +138,11 @@ pub(super) fn merge_epoch(
             }
             if let Some(o) = sub.get(*sc).filter(|o| o.seq == seq) {
                 *sc += 1;
-                n_join += o.n_join;
-                indexed &= o.indexed;
+                outcome.n_join += o.n_join;
+                outcome.indexed &= o.indexed;
             }
         }
-        finish_tuple(d, n_join, indexed, stats, tally, f);
+        finish_tuple(d.stream, outcome, stats, tally, f);
     }
     for ((sub, mat), &(sc, mc)) in sub.iter_mut().zip(mat.iter_mut()).zip(cursors.iter()) {
         debug_assert_eq!(sc, sub.len(), "unconsumed shard outcomes");

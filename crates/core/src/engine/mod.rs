@@ -23,22 +23,26 @@
 //! The engine front (this module) makes every decision that requires the
 //! global picture, exactly as the unsharded operator would: the in-order /
 //! out-of-order classification against the **global** high-water mark
-//! `onT`, the out-of-order scope check, and the per-probe expiry counts and
-//! cross-join sizes `n_x(e)` (via a global occupancy tracker, so adaptive
-//! policies see identical statistics on every backend).  Shards only maintain
-//! their windows and answer probes; a shard's own `onT` may lag the global
-//! one, which is why late tuples reach it through
-//! [`MswjOperator::insert_late`] instead of `push_with`.
+//! `onT` and the out-of-order scope check.  On a sharded set it also
+//! computes the per-probe expiry counts and cross-join sizes `n_x(e)` (via
+//! a global occupancy tracker, so adaptive policies see identical
+//! statistics on every backend).  Shards only maintain their windows and
+//! answer probes; a shard's own `onT` may lag the global one, which is why
+//! late tuples reach it through [`MswjOperator::insert_late`] instead of
+//! `push_with`.  The sequential shard is the unsharded operator: it sees
+//! every tuple, so its own outcome — expiry and `n_x(e)` included — is the
+//! global one, and the front neither tracks occupancy nor routes for it.
 //!
 //! ## Executors
 //!
-//! Three backends share the routing front and the shard operators; the
-//! front reaches them through one seam, the `ShardSet` of the `shards`
-//! submodule, and never asks which one is live.  [`JoinEngine::stage`]
-//! routes each tuple the moment it is staged, and a flush runs the routed
-//! batch through one of two executors (the `exec` submodule): the
-//! sequential shard streams it, every sharded batch drains each shard's
-//! queue and is replayed by one deterministic merge.
+//! Three backends share the front and the shard operators; the front
+//! reaches them through one seam, the `ShardSet` of the `shards` submodule.
+//! [`JoinEngine::stage`] appends a tuple for the sequential shard to one
+//! local queue and routes every other tuple the moment it is staged; a
+//! flush runs the batch through one of two executors (the `exec`
+//! submodule): the sequential shard pushes its queue through the operator,
+//! every sharded batch drains each shard's queue and is replayed by one
+//! deterministic merge.
 //!
 //! * [`ExecutionBackend::Sequential`] — one shard on the calling thread,
 //!   streaming each tuple's results before its `Done`, byte-identical to
@@ -256,8 +260,8 @@ pub enum EngineEvent<'a> {
     Done(ProbeOutcome),
 }
 
-/// The globally decided part of one staged tuple's outcome.  A shard holds
-/// an item for the tuple exactly when it is `inserted`.
+/// The globally decided part of one staged tuple's outcome on a sharded
+/// set.  A shard holds an item for the tuple exactly when it is `inserted`.
 #[derive(Debug, Clone, Copy)]
 struct Decision {
     /// The tuple's stream — keyed per-stream probe/match tallies at the
@@ -349,6 +353,8 @@ pub struct JoinEngine {
     enumerate: bool,
     on_t: Timestamp,
     started: bool,
+    /// The sharded sets' global view of window cardinalities; empty on the
+    /// sequential shard, whose operator reports expiry and `n_x(e)` itself.
     occupancy: Occupancy,
     stats: OperatorStats,
     runtime: Vec<ShardRuntimeStats>,
@@ -379,12 +385,15 @@ pub struct JoinEngine {
     /// The shard last warned about as a heavy hitter; cleared (re-armed)
     /// when an evaluation window comes back balanced.
     hh_warned: Option<usize>,
-    /// Reusable routing / execution buffers (capacity persists across
+    /// Reusable staging / execution buffers (capacity persists across
     /// batches, so a steady-state flush allocates nothing on any executor
-    /// path): one decision per staged tuple awaiting the next
-    /// [`JoinEngine::flush`], the per-shard queues of routed items, the
-    /// drained shards' sub-outcomes and materialized results, and the
-    /// merge's `(sub, mat)` read cursors.
+    /// path).  The sequential shard's tuples awaiting the next
+    /// [`JoinEngine::flush`] and how many of them its scope check admitted;
+    /// on a sharded set, one decision per staged tuple, the per-shard
+    /// queues of routed items, the drained shards' sub-outcomes and
+    /// materialized results, and the merge's `(sub, mat)` read cursors.
+    staged: Vec<Tuple>,
+    staged_inserted: usize,
     decisions: Vec<Decision>,
     queues: Vec<VecDeque<Item>>,
     sub: Vec<Vec<SubOutcome>>,
@@ -499,10 +508,10 @@ impl JoinEngine {
         let partitioner = Partitioner::new(&plan, backend.requested_shards());
         let n = partitioner.shard_count();
         let shards = ShardSet::open(&backend, n, &query, strategy, enumerate)?;
+        let (m, local) = (query.arity(), matches!(shards, ShardSet::Local(_)));
         let detector = skew
             .filter(|_| partitioner.supports_splitting())
             .map(SkewDetector::new);
-        let m = query.arity();
         let replan = replan.map(|config| ReplanState::new(config, m));
         let star_partner = Partitioner::default_star_partner(&plan);
         Ok(JoinEngine {
@@ -513,7 +522,7 @@ impl JoinEngine {
             enumerate,
             on_t: Timestamp::ZERO,
             started: false,
-            occupancy: Occupancy::new(m),
+            occupancy: Occupancy::new(if local { 0 } else { m }),
             stats: OperatorStats::default(),
             runtime: vec![ShardRuntimeStats::default(); n],
             table: RoutingTable::new(),
@@ -526,6 +535,8 @@ impl JoinEngine {
             split_rr: 0,
             hh_base: vec![0; n],
             hh_warned: None,
+            staged: Vec::new(),
+            staged_inserted: 0,
             decisions: Vec::new(),
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             sub: (0..n).map(|_| Vec::new()).collect(),
@@ -659,7 +670,8 @@ impl JoinEngine {
     }
 
     /// Aggregate counters, kept **sequential-equivalent**: ordering, drop
-    /// and expiry counts come from the engine's global decisions, result
+    /// and expiry counts come from the engine's global decisions (on the
+    /// sequential shard, from its operator, which sees every tuple), result
     /// counts from the shards.  (Per-shard `indexed`/`fallback` tallies can
     /// legitimately differ from an unsharded run — an unindexable value
     /// only poisons the shard it lives in.)
@@ -730,39 +742,45 @@ impl JoinEngine {
         self.table.epoch()
     }
 
-    /// Stages one synchronized tuple for the next [`JoinEngine::flush`],
-    /// routing it at once: classify it against the global `onT`, replay the
-    /// global expiry/occupancy accounting, and queue its shard work.
-    /// Routing state (table, detector, split cursor) only changes at idle
-    /// barriers, so staging early routes under the same state a flush
-    /// would.
+    /// Stages one synchronized tuple for the next [`JoinEngine::flush`]:
+    /// classify it against the global `onT` and scope-check it.  The
+    /// sequential shard takes the tuple as it is; a sharded set also
+    /// replays the global expiry/occupancy accounting and routes the tuple
+    /// at once.  Routing state (table, detector, split cursor) only changes
+    /// at idle barriers, so staging early routes under the same state a
+    /// flush would.
     pub fn stage(&mut self, tuple: Tuple) {
-        let seq = self.decisions.len() as u32;
-        let i = tuple.stream.as_usize();
-        let (ts, delay) = (tuple.ts, tuple.delay_or_zero());
+        let (i, ts, delay) = (tuple.stream.as_usize(), tuple.ts, tuple.delay_or_zero());
         let in_order = !self.started || ts >= self.on_t;
-        let (mut expired, mut n_cross) = (0usize, 0u64);
-        let inserted = if in_order {
+        // Global scope check (e.ts >= onT - W_i, Sec. III-A): a shard's
+        // lagging view must not resurrect a tuple the unsharded operator
+        // would drop.
+        let w = self.query.window(StreamIndex(i));
+        let inserted = in_order || ts >= self.on_t.saturating_sub_duration(w);
+        if in_order {
             self.on_t = ts;
             self.started = true;
+        }
+        if matches!(self.shards, ShardSet::Local(_)) {
+            self.staged.push(tuple);
+            if inserted {
+                self.staged_inserted += 1;
+                self.note_routed(0, self.staged_inserted);
+            }
+            return;
+        }
+        let (mut expired, mut n_cross) = (0usize, 0u64);
+        if in_order {
             n_cross = 1;
             for j in (0..self.query.arity()).filter(|&j| j != i) {
                 let bound = ts.saturating_sub_duration(self.query.window(StreamIndex(j)));
                 expired += self.occupancy.expire(j, bound);
                 n_cross = n_cross.saturating_mul(self.occupancy.len(j) as u64);
             }
-            true
-        } else {
-            // Global scope check (e.ts >= onT - W_i, Sec. III-A): a shard's
-            // lagging view must not resurrect a tuple the unsharded
-            // operator would drop.
-            ts >= self
-                .on_t
-                .saturating_sub_duration(self.query.window(StreamIndex(i)))
-        };
+        }
         if inserted {
             self.occupancy.insert(i, ts);
-            self.enqueue(seq, in_order, tuple);
+            self.enqueue(self.decisions.len() as u32, in_order, tuple);
         }
         self.decisions.push(Decision {
             stream: i,
@@ -777,7 +795,7 @@ impl JoinEngine {
 
     /// Whether any staged tuples await execution.
     pub fn has_pending(&self) -> bool {
-        !self.decisions.is_empty()
+        !self.staged.is_empty() || !self.decisions.is_empty()
     }
 
     /// Whether a pipelined epoch has been submitted to the resident pool
@@ -800,7 +818,7 @@ impl JoinEngine {
         self.flush(f);
     }
 
-    /// Executes every staged (already routed) tuple, delivering the event
+    /// Executes every staged tuple, delivering the event
     /// stream to `f`: zero or more [`EngineEvent::Result`]s per tuple
     /// (enumerating engines), then exactly one [`EngineEvent::Done`] per
     /// staged tuple, in staging order.
@@ -841,7 +859,7 @@ impl JoinEngine {
     fn at_idle_barrier(&mut self) {
         debug_assert!(
             self.outstanding.is_none()
-                && self.decisions.is_empty()
+                && !self.has_pending()
                 && self.queues.iter().all(VecDeque::is_empty),
             "skew evaluation and plan revision require an idle engine"
         );
@@ -850,39 +868,44 @@ impl JoinEngine {
     }
 
     fn execute_pending(&mut self, f: &mut dyn FnMut(EngineEvent<'_>), barrier: bool) {
+        if let Some(op) = self.shards.local() {
+            exec::run_local(
+                op,
+                &mut self.staged,
+                std::mem::take(&mut self.staged_inserted),
+                &mut self.stats,
+                &mut self.tally,
+                f,
+            );
+            return;
+        }
         // The deferred epoch's events precede this batch's in staging
         // order, so it is always collected first.
         self.collect_outstanding(f);
         if self.decisions.is_empty() {
             return;
         }
-        let (queues, decisions) = (&mut self.queues, &self.decisions);
         if !self
             .shards
-            .run_local(queues, decisions, &mut self.stats, &mut self.tally, f)
+            .drain_inline(&mut self.queues, &mut self.sub, &mut self.mat)
         {
-            if !self
-                .shards
-                .drain_inline(&mut self.queues, &mut self.sub, &mut self.mat)
-            {
-                self.submit_epoch();
-                if barrier {
-                    self.collect_outstanding(f);
-                }
-                return;
+            self.submit_epoch();
+            if barrier {
+                self.collect_outstanding(f);
             }
-            // Drained on this thread: merge at once, not via `deferred`,
-            // whose capacity stays sized by epochs alone.
-            exec::merge_epoch(
-                &self.decisions,
-                &mut self.sub,
-                &mut self.mat,
-                &mut self.cursors,
-                &mut self.stats,
-                &mut self.tally,
-                f,
-            );
+            return;
         }
+        // Drained on this thread: merge at once, not via `deferred`, whose
+        // capacity stays sized by epochs alone.
+        exec::merge_epoch(
+            &self.decisions,
+            &mut self.sub,
+            &mut self.mat,
+            &mut self.cursors,
+            &mut self.stats,
+            &mut self.tally,
+            f,
+        );
         self.decisions.clear();
     }
 
@@ -965,7 +988,7 @@ impl JoinEngine {
         match route {
             Route::One(s) => {
                 self.queues[s].push_back(Item { seq, probe, tuple });
-                self.note_routed(s);
+                self.note_routed(s, self.queues[s].len());
             }
             Route::All => self.fan_out(seq, probe, self.queues.len(), tuple),
             Route::Split => {
@@ -993,24 +1016,22 @@ impl JoinEngine {
                 probe: probe && (s == p || p > last),
                 tuple: tuple.clone(),
             });
-            self.note_routed(s);
+            self.note_routed(s, self.queues[s].len());
         }
         self.queues[last].push_back(Item {
             seq,
             probe: probe && p >= last,
             tuple,
         });
-        self.note_routed(last);
+        self.note_routed(last, self.queues[last].len());
     }
 
-    /// Folds one routed item into shard `s`'s runtime counters.
-    fn note_routed(&mut self, s: usize) {
-        let depth = self.queues[s].len();
+    /// Folds one routed item, leaving `depth` staged for shard `s`, into
+    /// the shard's runtime counters.
+    fn note_routed(&mut self, s: usize, depth: usize) {
         let rt = &mut self.runtime[s];
         rt.routed += 1;
-        if depth > rt.max_queue_depth {
-            rt.max_queue_depth = depth;
-        }
+        rt.max_queue_depth = rt.max_queue_depth.max(depth);
     }
 }
 
@@ -1073,18 +1094,131 @@ mod tests {
         run_chunked(backend, enumerate, tuples, usize::MAX)
     }
 
+    /// Three streams with unequal windows (300 / 1 000 / 2 500 ms).
+    fn unequal_query() -> JoinQuery {
+        let schema = || Schema::new(vec![("a1", FieldType::Int)]);
+        let streams = StreamSet::new(vec![
+            StreamSpec::new("S1", schema(), 300),
+            StreamSpec::new("S2", schema(), 1_000),
+            StreamSpec::new("S3", schema(), 2_500),
+        ])
+        .unwrap();
+        let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
+        JoinQuery::new("engine-unequal", streams, cond).unwrap()
+    }
+
+    /// 600 tuples over `unequal_query`'s streams, 10 ms apart: every tenth
+    /// arrives 40–3 000 ms late, so some of those fall out of scope.
+    fn disordered() -> Vec<Tuple> {
+        (0..600u64)
+            .map(|s| {
+                let lateness = if s % 10 == 9 { 40 + s * 37 % 2_960 } else { 0 };
+                tup(
+                    (s % 3) as usize,
+                    s,
+                    (s * 10).saturating_sub(lateness),
+                    (s % 4) as i64,
+                )
+            })
+            .collect()
+    }
+
+    /// The `Done` outcomes of `tuples` pushed through `engine` in batches
+    /// of `chunk`, then a final `sync`.
+    fn outcomes(engine: &mut JoinEngine, tuples: &[Tuple], chunk: usize) -> Vec<ProbeOutcome> {
+        let mut out = Vec::new();
+        let mut handler = |ev: EngineEvent<'_>| {
+            if let EngineEvent::Done(o) = ev {
+                out.push(o);
+            }
+        };
+        for batch in tuples.chunks(chunk) {
+            engine.push_batch(batch.iter().cloned(), &mut handler);
+        }
+        engine.sync(&mut handler);
+        out
+    }
+
     #[test]
     fn sequential_engine_matches_the_unsharded_operator() {
-        let tuples: Vec<Tuple> = (0..40u64)
-            .map(|s| tup((s % 2) as usize, s, s * 10, (s % 3) as i64))
-            .collect();
-        let (_, outcomes, stats) = run(ExecutionBackend::Sequential, false, &tuples);
-        let mut op = MswjOperator::new(equi_query(2, 1_000));
-        for (t, engine_outcome) in tuples.iter().zip(&outcomes) {
-            let direct = op.push(t.clone());
-            assert_eq!(&direct, engine_outcome, "outcome mismatch at {t}");
+        let tuples = disordered();
+        let mut op = MswjOperator::new(unequal_query());
+        let want: Vec<ProbeOutcome> = tuples.iter().map(|t| op.push(t.clone())).collect();
+        assert!(
+            want.iter().any(|o| !o.in_order && o.inserted),
+            "late tuples"
+        );
+        assert!(want.iter().any(|o| !o.inserted), "out-of-scope tuples");
+        for chunk in [1usize, 7, 48, 600] {
+            let mut engine = JoinEngine::new(
+                unequal_query(),
+                ProbeStrategy::Auto,
+                false,
+                ExecutionBackend::Sequential,
+            );
+            assert_eq!(outcomes(&mut engine, &tuples, chunk), want, "chunk {chunk}");
+            assert_eq!(engine.stats(), op.stats(), "chunk {chunk}");
+            assert!(
+                engine.occupancy.is_unallocated(),
+                "the sequential shard tracks no occupancy"
+            );
+            // The runtime counters count inserted tuples: all of them, and
+            // the most staged between two flushes.
+            let inserted = |os: &[ProbeOutcome]| os.iter().filter(|o| o.inserted).count();
+            let rt = engine.runtime_stats(0);
+            assert_eq!(rt.routed, inserted(&want) as u64, "chunk {chunk}");
+            let depth = want.chunks(chunk).map(inserted).max().unwrap();
+            assert_eq!(rt.max_queue_depth, depth, "chunk {chunk}");
         }
-        assert_eq!(stats, op.stats());
+        // Enumerating: the event stream is `push_with`'s, event for event.
+        let log = |events: &mut Vec<String>, ev: EngineEvent<'_>| match ev {
+            EngineEvent::Result(r) => events.push(format!("result {r}")),
+            EngineEvent::Done(o) => events.push(format!("{o:?}")),
+        };
+        let mut op = MswjOperator::with_probe(unequal_query(), ProbeStrategy::Auto, true);
+        let mut want = Vec::new();
+        for t in &tuples {
+            let o = op.push_with(t.clone(), &mut |r| log(&mut want, EngineEvent::Result(&r)));
+            log(&mut want, EngineEvent::Done(o));
+        }
+        assert!(want.iter().any(|e| e.starts_with("result")));
+        for chunk in [7usize, 48] {
+            let mut engine = JoinEngine::new(
+                unequal_query(),
+                ProbeStrategy::Auto,
+                true,
+                ExecutionBackend::Sequential,
+            );
+            let mut got = Vec::new();
+            for batch in tuples.chunks(chunk) {
+                engine.push_batch(batch.iter().cloned(), &mut |ev| log(&mut got, ev));
+            }
+            engine.sync(&mut |ev| log(&mut got, ev));
+            assert_eq!(got, want, "chunk {chunk}");
+        }
+    }
+
+    /// The oracle of the sharded sets' occupancy replay: with the
+    /// sequential shard reporting its operator's own outcome, only here do
+    /// the front's expiry counts and `n_x(e)` meet the unsharded operator.
+    #[test]
+    fn sharded_occupancy_matches_the_unsharded_operator() {
+        let tuples = disordered();
+        let mut op = MswjOperator::new(unequal_query());
+        let want: Vec<ProbeOutcome> = tuples.iter().map(|t| op.push(t.clone())).collect();
+        for backend in [
+            ExecutionBackend::Pool { workers: 1 },
+            ExecutionBackend::Pool { workers: 3 },
+            ExecutionBackend::remote_inproc(2),
+        ] {
+            // Above and below the inline threshold.
+            for chunk in [48usize, 7] {
+                let mut engine =
+                    JoinEngine::new(unequal_query(), ProbeStrategy::Auto, false, backend.clone());
+                let got = outcomes(&mut engine, &tuples, chunk);
+                assert_eq!(got, want, "[{backend} chunk {chunk}]");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Global window occupancy: the engine's authoritative view of how many
-//! tuples are live per stream.
+//! Global window occupancy: a sharded engine's authoritative view of how
+//! many tuples are live per stream.
 //!
 //! A sharded engine cannot read "the window size of stream `j`" off any
 //! single shard — each shard holds only its partition (or a broadcast
@@ -7,6 +7,9 @@
 //! feeds the Tuple-Productivity Profiler and hence the buffer-size
 //! adaptation, must nevertheless equal the unsharded operator's value
 //! exactly — otherwise adaptive policies would diverge between backends.
+//! The sequential shard needs no such view: its one operator sees every
+//! tuple and reports expiry and `n_x(e)` itself, so a `Sequential` engine
+//! tracks no streams here.
 //!
 //! This module tracks, per stream, the multiset of live tuple timestamps
 //! in an [`OrderedBuffer`] (in-order inserts — all but a few percent —
@@ -54,6 +57,12 @@ impl Occupancy {
     /// applied expiry bound).
     pub(super) fn len(&self, j: usize) -> usize {
         self.live[j].len()
+    }
+
+    /// Whether the tracker holds no per-stream buffers at all.
+    #[cfg(test)]
+    pub(super) fn is_unallocated(&self) -> bool {
+        self.live.capacity() == 0
     }
 }
 

@@ -4,11 +4,12 @@
 //! [`ShardSet`] is a closed enum over the three placements — the single
 //! caller-thread operator of `Sequential`, the resident [`ShardPool`], the
 //! [`RemoteShards`] links — and its methods are everything the routing
-//! front may ask of a shard: run the sequential shard's batch, drain a small
-//! `Pool` batch on the calling thread, submit and collect one epoch, read
-//! statistics, inspect an operator, and the six barrier-time surgery
-//! operations.  The engine front never asks *which* placement is
-//! live; each method decides once per call.
+//! front may ask of a shard: hand out the sequential shard's operator,
+//! drain a small `Pool` batch on the calling thread, submit and collect one
+//! epoch, read statistics, inspect an operator, and the six barrier-time
+//! surgery operations.  Only staging and flushing ask whether the
+//! placement is the sequential one (it takes its tuples unrouted); every
+//! other method decides once per call.
 //!
 //! The surgery operations have one body each, on
 //! [`MswjOperator`] (`mswj_join::operator::surgery`).  The local arms call
@@ -25,9 +26,8 @@
 //! | `revise`          | `revise`                 | `Revise`      |
 
 use super::pool::{Epoch, ShardPool};
-use super::replan::StreamTally;
 use super::transport::RemoteShards;
-use super::{exec, Decision, EngineEvent, ExecutionBackend, Item, JoinEngine, SubOutcome};
+use super::{ExecutionBackend, Item, JoinEngine, SubOutcome};
 use super::{ShardRuntimeStats, ShardStats};
 use mswj_join::{JoinQuery, JoinResult, MswjOperator, OperatorStats, ProbeStrategy};
 use mswj_types::{Error, StreamIndex, Tuple};
@@ -135,22 +135,13 @@ impl ShardSet {
         }
     }
 
-    /// Runs the routed batch through [`exec::run_local`] if this is the
-    /// sequential shard, returning whether it did.  Every sharded batch is
-    /// drained and merged instead.
-    pub(super) fn run_local(
-        &mut self,
-        queues: &mut [VecDeque<Item>],
-        decisions: &[Decision],
-        stats: &mut OperatorStats,
-        tally: &mut [StreamTally],
-        f: &mut dyn FnMut(EngineEvent<'_>),
-    ) -> bool {
-        let ShardSet::Local(op) = self else {
-            return false;
-        };
-        exec::run_local(op, &mut queues[0], decisions, stats, tally, f);
-        true
+    /// The sequential shard's operator, for `exec::run_local`; `None` on
+    /// every sharded set, whose batches are drained and merged instead.
+    pub(super) fn local(&mut self) -> Option<&mut MswjOperator> {
+        match self {
+            ShardSet::Local(op) => Some(op),
+            _ => None,
+        }
     }
 
     /// Drains a `Pool` batch below [`JoinEngine::SMALL_BATCH_THRESHOLD`]
@@ -400,6 +391,8 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::replan::StreamTally;
+    use crate::engine::{exec, Decision, EngineEvent};
     use mswj_join::{join_key_hash, CommonKeyEquiJoin, Partitioner};
     use mswj_types::{FieldType, Schema, StreamSet, Timestamp, Value};
     use std::sync::Arc;
@@ -432,31 +425,41 @@ mod tests {
     /// result count.
     fn run_epoch(set: &mut ShardSet, epoch: u64, tuples: &[Tuple]) -> u64 {
         let n = set.count();
-        let mut queues: Vec<VecDeque<Item>> = (0..n).map(|_| VecDeque::new()).collect();
-        let mut decisions = Vec::new();
-        for (seq, t) in tuples.iter().enumerate() {
-            let home = Partitioner::home_of(join_key_hash(t.value(0)), n);
-            queues[home].push_back(Item {
-                seq: seq as u32,
-                probe: true,
-                tuple: t.clone(),
-            });
-            decisions.push(Decision {
-                stream: t.stream.as_usize(),
-                ts: t.ts,
-                delay: 0,
-                in_order: true,
-                inserted: true,
-                n_cross: 0,
-                expired: 0,
-            });
-        }
         let mut stats = OperatorStats::default();
         let mut tally = vec![StreamTally::default(); 2];
         let mut done = 0usize;
         let mut count =
             |ev: EngineEvent<'_>| done += usize::from(matches!(ev, EngineEvent::Done(_)));
-        if !set.run_local(&mut queues, &decisions, &mut stats, &mut tally, &mut count) {
+        if let Some(op) = set.local() {
+            let mut staged = tuples.to_vec();
+            exec::run_local(
+                op,
+                &mut staged,
+                tuples.len(),
+                &mut stats,
+                &mut tally,
+                &mut count,
+            );
+        } else {
+            let mut queues: Vec<VecDeque<Item>> = (0..n).map(|_| VecDeque::new()).collect();
+            let mut decisions = Vec::new();
+            for (seq, t) in tuples.iter().enumerate() {
+                let home = Partitioner::home_of(join_key_hash(t.value(0)), n);
+                queues[home].push_back(Item {
+                    seq: seq as u32,
+                    probe: true,
+                    tuple: t.clone(),
+                });
+                decisions.push(Decision {
+                    stream: t.stream.as_usize(),
+                    ts: t.ts,
+                    delay: 0,
+                    in_order: true,
+                    inserted: true,
+                    n_cross: 0,
+                    expired: 0,
+                });
+            }
             let mut sub: Vec<Vec<SubOutcome>> = (0..n).map(|_| Vec::new()).collect();
             let mut mat: Vec<Vec<(u32, JoinResult)>> = (0..n).map(|_| Vec::new()).collect();
             let busy: Vec<usize> = (0..n).filter(|&s| !queues[s].is_empty()).collect();
