@@ -179,7 +179,6 @@ use mswj_wire::{WireItem as Item, WireSub as SubOutcome};
 use occupancy::Occupancy;
 pub use replan::{PlanAction, PlanTransition, ReplanConfig};
 use replan::{ReplanState, StreamTally};
-pub use shards::ShardGuard;
 use shards::ShardSet;
 use skew::SkewDetector;
 pub use skew::{SkewConfig, SkewTransition};
@@ -640,23 +639,27 @@ impl JoinEngine {
     }
 
     /// The shard operator at `s` — windows, hash indexes and per-shard
-    /// counters are all inspectable through it.  On the `Pool` backend this
-    /// waits for the shard's submitted epochs to finish executing; call
-    /// [`JoinEngine::sync`] first when you also need their *events*
-    /// delivered.
+    /// counters are all inspectable through it.  Reading a busy `Pool`
+    /// shard waits for its in-flight epoch to finish executing and
+    /// reflects it; that epoch's *events* still arrive at the next
+    /// [`JoinEngine::flush`] or [`JoinEngine::sync`].
     ///
     /// # Panics
     ///
     /// Panics on the `Remote` backend, whose operators live in another
     /// process — use [`JoinEngine::shard_stats`] for their counters.
-    pub fn shard(&self, s: usize) -> ShardGuard<'_> {
+    pub fn shard(&self, s: usize) -> std::cell::Ref<'_, mswj_join::MswjOperator> {
         self.shards.inspect(s)
     }
 
     /// Per-shard lifetime statistics: each shard operator's own
     /// [`OperatorStats`] (the probes, inserts and expirations that shard
     /// performed) paired with the executor's [`ShardRuntimeStats`] (routing
-    /// volume, queue depth, epoch counts, worker busy time).
+    /// volume, queue depth, epoch counts, worker busy time).  On every
+    /// backend, a busy shard's figures reflect its in-flight epoch, which
+    /// this waits for; that epoch's events still arrive at the next
+    /// [`JoinEngine::flush`] or [`JoinEngine::sync`], and its runtime
+    /// counters (`epochs_executed`, `busy_nanos`) count it from then on.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards.stats(&self.runtime)
     }

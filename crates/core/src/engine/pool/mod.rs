@@ -15,33 +15,34 @@
 //!   them deterministically (see `exec::merge_epoch`).  At most one epoch
 //!   is in flight, which is exactly the two-stage pipeline: the front-end
 //!   routes batch *t + 1* while the shards execute batch *t*.
-//! * Shard operators live in `Arc<Mutex<_>>` cells.  A worker locks its
-//!   shard only while executing an epoch; between epochs the engine may
-//!   lock any shard to inspect it ([`ShardPool::lock_shard`]), or to drain
-//!   a sub-threshold batch's queue on the caller thread
-//!   ([`ShardPool::drain`]: the worker's own `exec::drain_queue`, merged the
-//!   same way) without paying the enqueue round-trip.
+//! * Ownership is the only synchronisation.  A shard's operator rides its
+//!   epoch's task to the worker and comes back in the output, so it is
+//!   either **home** — reached with plain `&mut` for a sub-threshold batch
+//!   drained on the caller thread (the worker's own `exec::drain_queue`,
+//!   merged the same way) and for barrier surgery — or **away** on exactly
+//!   one task.  Reading an away shard ([`ShardPool::operator`]) receives
+//!   its output early and parks it in the shard's slot; the next
+//!   [`ShardPool::collect`] takes it from there, so the epoch's events
+//!   still arrive at the next `flush` or `sync`.
 //! * Shutdown is `Drop`: closing the task channels makes every worker drain
 //!   and exit, and the pool joins them — no detached threads survive the
-//!   engine.  Either side closing wakes the other (a worker blocked on a
-//!   full result channel sees the engine's receiver go away), which is the
-//!   `sync_channel` contract.  A worker that panics mid-epoch ships the
-//!   payload back through its result channel; the engine re-raises it on
-//!   the caller thread at collection, so a poisoned run surfaces as a
-//!   panic, never as a hang.
+//!   engine.  A worker that panics mid-epoch ships the payload back with
+//!   the operator; the engine re-raises it on the caller thread at
+//!   collection, so a poisoned run surfaces as a panic, never as a hang.  A
+//!   worker that died without answering is a closed result channel, which
+//!   `recv` reports.
 
 mod task;
 
-pub(super) use task::Epoch;
 use task::{EpochOutput, Task};
 
 use super::shards::CollectedEpoch;
 use super::{exec, Item, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator};
+use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -52,225 +53,171 @@ const TASK_CAPACITY: usize = 2;
 /// shutdown can always park the output and exit.
 const RESULT_CAPACITY: usize = TASK_CAPACITY + 2;
 
-/// Progress a worker publishes outside its channels, so the engine can wait
-/// for quiescence (`&self` inspection) without consuming result buffers.
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerState {
-    /// Last epoch this worker finished (executed or abandoned by panic).
-    completed: Epoch,
-    /// The worker is gone or will produce no further outputs.
-    poisoned: bool,
-}
-
-struct PoolShared {
-    state: Mutex<Vec<WorkerState>>,
-    idle: Condvar,
-}
-
-impl PoolShared {
-    fn lock(&self) -> MutexGuard<'_, Vec<WorkerState>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Marks the worker poisoned even if it dies outside the `catch_unwind`
-/// window (e.g. a send on a closed channel during teardown), so that
-/// `wait_idle` can never block on a thread that will not report back.
-struct PoisonOnExit<'a> {
-    shared: &'a PoolShared,
-    index: usize,
-    armed: bool,
-}
-
-impl Drop for PoisonOnExit<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.shared.lock()[self.index].poisoned = true;
-            self.shared.idle.notify_all();
-        }
-    }
+/// Where one shard's operator is.
+enum Slot {
+    /// Home: idle, reached with plain `&mut`.
+    Home(Box<MswjOperator>),
+    /// Riding a task of the in-flight epoch.
+    Away,
+    /// Back early, received by a read of the busy shard, inside the output
+    /// the next collection takes.
+    Parked(EpochOutput),
 }
 
 struct Worker {
+    slot: RefCell<Slot>,
     /// `Some` while the pool accepts work; taken (closed) at shutdown.
     tasks: Option<SyncSender<Task>>,
     results: Receiver<EpochOutput>,
     handle: Option<JoinHandle<()>>,
+    /// The item queue the last collected task drained, handed back at the
+    /// next submission so queue capacity is recycled.
+    spare_items: VecDeque<Item>,
 }
 
-/// The resident executor: one worker thread per shard, each owning exclusive
-/// runtime access to its shard operator.
-pub(super) struct ShardPool {
-    shards: Vec<Arc<Mutex<MswjOperator>>>,
-    workers: Vec<Worker>,
-    shared: Arc<PoolShared>,
-    /// Last epoch submitted per shard — what quiescence waits for.
-    submitted: Vec<Epoch>,
-    /// Per-shard drained item queues returned by the workers, handed back
-    /// to the engine at the next submission so queue capacity is recycled.
-    spare_items: Vec<VecDeque<Item>>,
-}
-
-impl std::fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("workers", &self.workers.len())
-            .field("submitted", &self.submitted)
-            .finish()
+impl Worker {
+    /// Blocks for this worker's output of the in-flight epoch.
+    fn receive(&self, s: usize) -> EpochOutput {
+        self.results
+            .recv()
+            .unwrap_or_else(|_| panic!("shard worker {s} terminated before delivering its epoch"))
     }
+}
+
+/// The resident executor: one worker thread per shard, and each shard's
+/// operator in exactly one place — home, or away on its worker's task.
+pub(super) struct ShardPool {
+    workers: Vec<Worker>,
 }
 
 impl ShardPool {
     /// Spawns one resident worker per shard operator.
     pub(super) fn new(operators: Vec<MswjOperator>) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(vec![WorkerState::default(); operators.len()]),
-            idle: Condvar::new(),
-        });
-        let shards: Vec<Arc<Mutex<MswjOperator>>> = operators
+        let workers = operators
             .into_iter()
-            .map(|op| Arc::new(Mutex::new(op)))
-            .collect();
-        let workers = shards
-            .iter()
             .enumerate()
-            .map(|(index, shard)| {
+            .map(|(index, op)| {
                 let (task_tx, task_rx) = sync_channel::<Task>(TASK_CAPACITY);
                 let (result_tx, result_rx) = sync_channel::<EpochOutput>(RESULT_CAPACITY);
-                let shard = Arc::clone(shard);
-                let shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name(format!("mswj-shard-{index}"))
-                    .spawn(move || worker_loop(index, shard, task_rx, result_tx, shared))
+                    .spawn(move || worker_loop(task_rx, result_tx))
                     .expect("spawning a shard worker");
                 Worker {
+                    slot: RefCell::new(Slot::Home(Box::new(op))),
                     tasks: Some(task_tx),
                     results: result_rx,
                     handle: Some(handle),
+                    spare_items: VecDeque::new(),
                 }
             })
             .collect();
-        let submitted = vec![Epoch::default(); shards.len()];
-        let spare_items = shards.iter().map(|_| VecDeque::new()).collect();
-        ShardPool {
-            shards,
-            workers,
-            shared,
-            submitted,
-            spare_items,
-        }
+        ShardPool { workers }
     }
 
     /// Number of shards (== resident workers).
     pub(super) fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
     }
 
-    /// Drains `queue` against shard `s` on the caller thread, as its worker
-    /// would.  Only called with no epoch in flight: the lock is uncontended.
-    pub(super) fn drain(
-        &self,
-        s: usize,
-        queue: &mut VecDeque<Item>,
-        sub: &mut Vec<SubOutcome>,
-        mat: &mut Vec<(u32, JoinResult)>,
-    ) {
-        let mut op = self.shards[s].lock().unwrap_or_else(|e| e.into_inner());
-        exec::drain_queue(&mut op, queue, sub, mat);
+    /// Shard `s`'s operator, for reading.  If it is away, its in-flight
+    /// output is received first — blocking until the worker delivers it —
+    /// and parked for the next [`ShardPool::collect`].
+    pub(super) fn operator(&self, s: usize) -> Ref<'_, MswjOperator> {
+        let worker = &self.workers[s];
+        if matches!(*worker.slot.borrow(), Slot::Away) {
+            let out = worker.receive(s);
+            *worker.slot.borrow_mut() = Slot::Parked(out);
+        }
+        Ref::map(worker.slot.borrow(), |slot| match slot {
+            Slot::Home(op)
+            | Slot::Parked(EpochOutput {
+                task: Task { op, .. },
+                ..
+            }) => &**op,
+            Slot::Away => unreachable!("an away shard was just parked"),
+        })
     }
 
-    /// Locks shard `s` for caller-thread use, waiting first until its worker
-    /// has finished every submitted epoch (workers lock only while
-    /// executing, so this never waits on an idle pool).
-    pub(super) fn lock_shard(&self, s: usize) -> MutexGuard<'_, MswjOperator> {
-        self.wait_shard_idle(s);
-        self.shards[s].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Blocks until shard `s` has executed (or abandoned, on panic) every
-    /// epoch submitted to it.
-    fn wait_shard_idle(&self, s: usize) {
-        let target = self.submitted[s];
-        let mut state = self.shared.lock();
-        while state[s].completed < target && !state[s].poisoned {
-            state = self
-                .shared
-                .idle
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+    /// Shard `s`'s operator, for an inline drain or barrier surgery; only
+    /// called with no epoch in flight, so it is home.
+    pub(super) fn operator_mut(&mut self, s: usize) -> &mut MswjOperator {
+        match self.workers[s].slot.get_mut() {
+            Slot::Home(op) => op,
+            _ => unreachable!("shard {s} is changed only with no epoch in flight"),
         }
     }
 
-    /// Submits shard `s`'s routed `queue` as its task of `epoch`, swapping
-    /// a recycled (empty) queue in and sending the `sub` / `mat` buffers
-    /// along for the worker to fill.  The caller must collect every
-    /// submitted task (in shard order per epoch) before submitting the next
-    /// epoch; with at most one epoch in flight this never blocks.
+    /// Submits shard `s`'s routed `queue` as its task of `epoch`: the
+    /// operator rides along, a recycled (empty) queue is swapped in, and
+    /// the `sub` / `mat` buffers travel for the worker to fill.  The caller
+    /// must collect every submitted task (in shard order per epoch) before
+    /// submitting the next epoch; with at most one epoch in flight this
+    /// never blocks.
     pub(super) fn submit(
         &mut self,
         s: usize,
-        epoch: Epoch,
+        epoch: u64,
         routing_epoch: u64,
         queue: &mut VecDeque<Item>,
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
     ) {
-        debug_assert!(epoch > self.submitted[s], "epochs must increase");
-        self.submitted[s] = epoch;
+        let worker = &mut self.workers[s];
+        let Slot::Home(op) = std::mem::replace(worker.slot.get_mut(), Slot::Away) else {
+            unreachable!("one epoch in flight at most");
+        };
         let task = Task {
+            op,
             epoch,
-            items: std::mem::replace(queue, std::mem::take(&mut self.spare_items[s])),
+            items: std::mem::replace(queue, std::mem::take(&mut worker.spare_items)),
             sub: std::mem::take(sub),
             mat: std::mem::take(mat),
             routing_epoch,
         };
-        let sender = self.workers[s]
-            .tasks
-            .as_ref()
-            .expect("submit after shutdown");
+        let sender = worker.tasks.as_ref().expect("submit after shutdown");
         if sender.send(task).is_err() {
-            // The worker is gone; its parting output (with the panic
-            // payload) is parked in the result channel — re-raise it.
-            self.raise_worker_failure(s);
+            // Only a panicked worker exits early, and its epoch — re-raising
+            // the panic — was collected before this one was submitted.
+            panic!("shard worker {s} terminated after a panic");
         }
     }
 
-    /// Receives shard `s`'s output for `expected` — blocking until the
-    /// worker delivers it — and hands the filled `sub` / `mat` buffers
-    /// back.  A worker panic is resumed on this thread, and a dead worker
-    /// surfaces as a panic too (with the original payload when one was
-    /// captured), never as a hang.
+    /// Takes shard `s`'s output for `expected` — parked, or blocking until
+    /// the worker delivers it — brings the operator home and hands the
+    /// filled `sub` / `mat` buffers back.  A worker panic is resumed on
+    /// this thread, and a dead worker surfaces as a panic too, never as a
+    /// hang.
     pub(super) fn collect(
         &mut self,
         s: usize,
-        expected: Epoch,
+        expected: u64,
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
     ) -> CollectedEpoch {
-        let Ok(out) = self.workers[s].results.recv() else {
-            panic!("shard worker {s} terminated before delivering epoch {expected:?}");
+        let worker = &mut self.workers[s];
+        let out = match std::mem::replace(worker.slot.get_mut(), Slot::Away) {
+            Slot::Parked(out) => out,
+            Slot::Away => worker.receive(s),
+            Slot::Home(_) => unreachable!("collect without a submitted epoch"),
         };
-        debug_assert_eq!(out.epoch, expected, "epochs collect in order");
-        self.spare_items[s] = out.items;
-        *sub = out.sub;
-        *mat = out.mat;
-        if let Some(payload) = out.panic {
+        let EpochOutput {
+            task,
+            busy_nanos,
+            panic,
+        } = out;
+        debug_assert_eq!(task.epoch, expected, "epochs collect in order");
+        *worker.slot.get_mut() = Slot::Home(task.op);
+        worker.spare_items = task.items;
+        *sub = task.sub;
+        *mat = task.mat;
+        if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
         CollectedEpoch {
-            busy_nanos: out.busy_nanos,
-            routing_epoch: out.routing_epoch,
+            busy_nanos,
+            routing_epoch: task.routing_epoch,
         }
-    }
-
-    /// Re-raises the failure that killed worker `s`.
-    fn raise_worker_failure(&mut self, s: usize) -> ! {
-        if let Ok(output) = self.workers[s].results.recv() {
-            if let Some(payload) = output.panic {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        panic!("shard worker {s} terminated unexpectedly");
     }
 }
 
@@ -291,53 +238,26 @@ impl Drop for ShardPool {
     }
 }
 
-/// The resident worker: drains epoch tasks in submission order against its
-/// shard operator until the task channel closes.
-fn worker_loop(
-    index: usize,
-    shard: Arc<Mutex<MswjOperator>>,
-    tasks: Receiver<Task>,
-    results: SyncSender<EpochOutput>,
-    shared: Arc<PoolShared>,
-) {
-    let mut exit_guard = PoisonOnExit {
-        shared: &shared,
-        index,
-        armed: true,
-    };
+/// The resident worker: drains epoch tasks in submission order against the
+/// operator each one carries, until the task channel closes.
+fn worker_loop(tasks: Receiver<Task>, results: SyncSender<EpochOutput>) {
     while let Ok(mut task) = tasks.recv() {
         let started = Instant::now();
         let panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut op = shard.lock().unwrap_or_else(|e| e.into_inner());
-            exec::drain_queue(&mut op, &mut task.items, &mut task.sub, &mut task.mat);
+            exec::drain_queue(&mut task.op, &mut task.items, &mut task.sub, &mut task.mat);
         }))
         .err();
-        let poisoned = panic.is_some();
-        let busy_nanos = started.elapsed().as_nanos() as u64;
-        {
-            let mut state = shared.lock();
-            state[index].completed = task.epoch;
-            state[index].poisoned |= poisoned;
-            shared.idle.notify_all();
-        }
+        let retire = panic.is_some();
         let output = EpochOutput {
-            epoch: task.epoch,
-            items: task.items,
-            sub: task.sub,
-            mat: task.mat,
-            busy_nanos,
-            routing_epoch: task.routing_epoch,
+            task,
+            busy_nanos: started.elapsed().as_nanos() as u64,
             panic,
         };
         // A failed send means the engine is gone (mid-stream drop): just
         // exit.  After a panic the shard state is unreliable, so the worker
         // retires either way — the engine re-raises at collection.
-        if results.send(output).is_err() || poisoned {
+        if results.send(output).is_err() || retire {
             break;
         }
     }
-    // Normal exit path: quiescence bookkeeping is complete, disarm the
-    // poison marker (the sender drop below closes the result channel).
-    exit_guard.armed = false;
-    drop(exit_guard);
 }

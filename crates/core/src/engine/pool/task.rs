@@ -8,9 +8,10 @@
 //! same deterministic event stream the sequential executor would have
 //! produced.
 //!
-//! All buffers travel both ways: the task carries the routed items plus the
-//! (empty, capacity-retaining) sub-outcome and materialization buffers, and
-//! the output returns all three so the engine can recycle them.  The
+//! Everything travels both ways: the task carries the shard operator, the
+//! routed items and the (empty, capacity-retaining) sub-outcome and
+//! materialization buffers, and the output returns the task whole so the
+//! engine gets its operator back and can recycle the buffers.  The
 //! channels they travel through are `sync_channel`s, whose slots are
 //! allocated once at construction, and the merge reads the returned buffers
 //! through engine-owned cursors, so a steady-state epoch round-trip
@@ -18,47 +19,38 @@
 //! materializes (pinned by `tests/zero_alloc.rs`).
 
 use super::super::{Item, SubOutcome};
-use mswj_join::JoinResult;
+use mswj_join::{JoinResult, MswjOperator};
 use std::any::Any;
 use std::collections::VecDeque;
 
-/// Identifier of one routed batch; strictly increasing, starting at 1
-/// (0 means "nothing submitted yet").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub(in crate::engine) struct Epoch(pub(in crate::engine) u64);
-
 /// One shard's work for one epoch.
-pub(in crate::engine) struct Task {
-    /// The batch this work belongs to.
-    pub(in crate::engine) epoch: Epoch,
+pub(super) struct Task {
+    /// The shard operator, away from home until the output brings it back.
+    pub(super) op: Box<MswjOperator>,
+    /// The batch this work belongs to; strictly increasing from 1.
+    pub(super) epoch: u64,
     /// Routed items, in staging order.
-    pub(in crate::engine) items: VecDeque<Item>,
+    pub(super) items: VecDeque<Item>,
     /// Empty sub-outcome buffer for the worker to fill (recycled).
-    pub(in crate::engine) sub: Vec<SubOutcome>,
+    pub(super) sub: Vec<SubOutcome>,
     /// Empty materialization buffer for the worker to fill (recycled).
-    pub(in crate::engine) mat: Vec<(u32, JoinResult)>,
+    pub(super) mat: Vec<(u32, JoinResult)>,
     /// The [`RoutingTable`](mswj_join::RoutingTable) epoch the items were
     /// routed under; echoed back so collection can assert that routing
     /// never changed while the epoch was in flight.
-    pub(in crate::engine) routing_epoch: u64,
+    pub(super) routing_epoch: u64,
 }
 
 /// One shard's answer for one epoch.
-pub(in crate::engine) struct EpochOutput {
-    /// Echo of the task's epoch (collection asserts it matches).
-    pub(in crate::engine) epoch: Epoch,
-    /// The drained item queue, returned so its capacity can be reused.
-    pub(in crate::engine) items: VecDeque<Item>,
-    /// Per-probing-tuple sub-outcomes, in staging order.
-    pub(in crate::engine) sub: Vec<SubOutcome>,
-    /// Materialized results tagged with their staging sequence.
-    pub(in crate::engine) mat: Vec<(u32, JoinResult)>,
+pub(super) struct EpochOutput {
+    /// The task, back with its items drained and `sub` / `mat` filled:
+    /// per-probing-tuple sub-outcomes and materialized results, both in
+    /// staging order and tagged with their staging sequence.
+    pub(super) task: Task,
     /// Wall-clock nanoseconds the worker spent executing this epoch.
-    pub(in crate::engine) busy_nanos: u64,
-    /// Echo of the task's routing-table epoch (collection asserts it).
-    pub(in crate::engine) routing_epoch: u64,
+    pub(super) busy_nanos: u64,
     /// The panic payload if the shard operator panicked mid-epoch; the
     /// engine resumes the unwind on the caller thread, exactly as
     /// `std::thread::scope` would have.
-    pub(in crate::engine) panic: Option<Box<dyn Any + Send>>,
+    pub(super) panic: Option<Box<dyn Any + Send>>,
 }

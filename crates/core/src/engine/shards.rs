@@ -11,6 +11,14 @@
 //! placement is the sequential one (it takes its tuples unrouted); every
 //! other method decides once per call.
 //!
+//! Each operator has one owner at a time.  It is **home** — reached with
+//! plain `&mut` to execute the sequential shard, drain an inline batch or
+//! apply surgery — or **away** on the in-flight epoch: riding a pool
+//! worker's task, or a shard server's behind its link.  Reading a busy
+//! shard follows one rule on every placement: receive its in-flight output
+//! early and park it for the next `collect`, so the read sees the executed
+//! epoch while the epoch's events still arrive at the next flush or sync.
+//!
 //! The surgery operations have one body each, on
 //! [`MswjOperator`] (`mswj_join::operator::surgery`).  The local arms call
 //! it directly, the remote arm sends the wire frame whose server-side
@@ -25,13 +33,14 @@
 //! | `retain_home`     | `retain_home`            | `Retain`      |
 //! | `revise`          | `revise`                 | `Revise`      |
 
-use super::pool::{Epoch, ShardPool};
+use super::pool::ShardPool;
 use super::transport::RemoteShards;
-use super::{ExecutionBackend, Item, JoinEngine, SubOutcome};
+use super::{exec, ExecutionBackend, Item, JoinEngine, SubOutcome};
 use super::{ShardRuntimeStats, ShardStats};
 use mswj_join::{JoinQuery, JoinResult, MswjOperator, OperatorStats, ProbeStrategy};
 use mswj_types::{Error, StreamIndex, Tuple};
 use mswj_wire::Frame;
+use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
 
 /// What collecting one shard's epoch reports beside the filled `sub` /
@@ -43,39 +52,13 @@ pub(super) struct CollectedEpoch {
     pub(super) routing_epoch: u64,
 }
 
-/// Read access to one shard operator, independent of where the backend
-/// keeps it: borrowed directly from the engine (`Sequential`) or locked out
-/// of a resident pool worker's cell (`Pool`, waiting for the shard's
-/// submitted epochs to finish first).
-pub struct ShardGuard<'a>(GuardInner<'a>);
-
-enum GuardInner<'a> {
-    Direct(&'a MswjOperator),
-    Locked(std::sync::MutexGuard<'a, MswjOperator>),
-}
-
-impl std::ops::Deref for ShardGuard<'_> {
-    type Target = MswjOperator;
-
-    fn deref(&self) -> &MswjOperator {
-        match &self.0 {
-            GuardInner::Direct(op) => op,
-            GuardInner::Locked(guard) => guard,
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
 /// The shard operators of one engine, behind whichever executor the
 /// backend selected.
 pub(super) enum ShardSet {
-    /// `Sequential`: the single shard, run on the calling thread.
-    Local(Box<MswjOperator>),
+    /// `Sequential`: the single shard, run on the calling thread (the cell
+    /// only lends [`ShardSet::inspect`] its `Ref`; execution uses
+    /// `get_mut`).
+    Local(Box<RefCell<MswjOperator>>),
     /// `Pool`: one resident worker per shard.
     Pool(ShardPool),
     /// `Remote`: one transport link per shard server.
@@ -95,7 +78,7 @@ impl ShardSet {
     ) -> Result<Self, Error> {
         let operator = || MswjOperator::with_probe(query.clone(), strategy, enumerate);
         Ok(match backend {
-            ExecutionBackend::Sequential => ShardSet::Local(Box::new(operator())),
+            ExecutionBackend::Sequential => ShardSet::Local(Box::new(RefCell::new(operator()))),
             ExecutionBackend::Pool { .. } => {
                 ShardSet::Pool(ShardPool::new((0..n).map(|_| operator()).collect()))
             }
@@ -139,7 +122,7 @@ impl ShardSet {
     /// every sharded set, whose batches are drained and merged instead.
     pub(super) fn local(&mut self) -> Option<&mut MswjOperator> {
         match self {
-            ShardSet::Local(op) => Some(op),
+            ShardSet::Local(op) => Some(op.get_mut()),
             _ => None,
         }
     }
@@ -148,7 +131,8 @@ impl ShardSet {
     /// routed items into `sub` / `mat` on the calling thread, against the
     /// idle workers' shards (no enqueue round-trip, no allocation in steady
     /// state), returning whether it did.  Larger `Pool` batches and every
-    /// `Remote` batch are submitted as an epoch instead.
+    /// `Remote` batch are submitted as an epoch instead.  Only called with
+    /// no epoch in flight, so every operator is home.
     pub(super) fn drain_inline(
         &mut self,
         queues: &mut [VecDeque<Item>],
@@ -163,7 +147,7 @@ impl ShardSet {
         }
         for (s, queue) in queues.iter_mut().enumerate() {
             if !queue.is_empty() {
-                pool.drain(s, queue, &mut sub[s], &mut mat[s]);
+                exec::drain_queue(pool.operator_mut(s), queue, &mut sub[s], &mut mat[s]);
             }
         }
         true
@@ -185,7 +169,7 @@ impl ShardSet {
     ) {
         match self {
             ShardSet::Local(_) => unreachable!("the sequential shard always runs locally"),
-            ShardSet::Pool(pool) => pool.submit(s, Epoch(epoch), routing_epoch, queue, sub, mat),
+            ShardSet::Pool(pool) => pool.submit(s, epoch, routing_epoch, queue, sub, mat),
             ShardSet::Remote(remote) => remote.submit(s, epoch, routing_epoch, queue),
         }
     }
@@ -202,35 +186,37 @@ impl ShardSet {
     ) -> CollectedEpoch {
         match self {
             ShardSet::Local(_) => unreachable!("the sequential shard always runs locally"),
-            ShardSet::Pool(pool) => pool.collect(s, Epoch(epoch), sub, mat),
+            ShardSet::Pool(pool) => pool.collect(s, epoch, sub, mat),
             ShardSet::Remote(remote) => remote.collect(s, epoch, sub, mat),
         }
     }
 
-    /// The shard operator at `s`, for reading.  On `Pool` this waits for
-    /// the shard's submitted epochs to finish executing.
+    /// The shard operator at `s`, for reading.  A `Pool` shard away on an
+    /// epoch is read from its output, received early and parked for the
+    /// next [`ShardSet::collect`].
     ///
     /// # Panics
     ///
     /// Panics on `Remote`: the operators live in another process.
-    pub(super) fn inspect(&self, s: usize) -> ShardGuard<'_> {
-        ShardGuard(match self {
+    pub(super) fn inspect(&self, s: usize) -> Ref<'_, MswjOperator> {
+        match self {
             ShardSet::Local(op) => {
                 assert_eq!(s, 0, "the sequential backend has one shard");
-                GuardInner::Direct(op)
+                op.borrow()
             }
-            ShardSet::Pool(pool) => GuardInner::Locked(pool.lock_shard(s)),
+            ShardSet::Pool(pool) => pool.operator(s),
             ShardSet::Remote(_) => panic!(
                 "shard operators live in another process on the remote backend; \
                  use shard_stats() for their counters"
             ),
-        })
+        }
     }
 
     /// Shard `s`'s operator counters plus its live window footprint
     /// (estimated bytes, columnar segments).  Remote window state lives in
     /// the server process; a barrier round-trip carries its figures back.
-    /// Only valid between epochs.
+    /// A busy shard reports its executed epoch: its in-flight output is
+    /// received first and parked for the next [`ShardSet::collect`].
     pub(super) fn barrier_stats(&self, s: usize) -> (OperatorStats, u64, u64) {
         match self {
             ShardSet::Remote(remote) => remote.barrier_stats(s),
@@ -291,8 +277,8 @@ impl ShardSet {
         frame: impl FnOnce() -> Frame,
     ) {
         match self {
-            ShardSet::Local(op) => body(op),
-            ShardSet::Pool(pool) => body(&mut pool.lock_shard(s)),
+            ShardSet::Local(op) => body(op.get_mut()),
+            ShardSet::Pool(pool) => body(pool.operator_mut(s)),
             ShardSet::Remote(remote) => remote.request_ack(s, frame()),
         }
     }

@@ -5,6 +5,10 @@
 //! resident pool — `submit` ships a routed queue as a task frame, `collect`
 //! blocks for the matching output frame — so the engine's staging-order
 //! merge replays results identically whether shards are local or remote.
+//! A read of a busy shard (a barrier for its stats, a surgery request)
+//! first receives the in-flight output and parks it on the link for the
+//! next `collect`, exactly as the pool parks a busy worker's output, so the
+//! request's reply is its own.
 //! Mid-stream failures are raised as panics carrying
 //! [`EngineError`](super::EngineError), mirroring the pool's
 //! `resume_unwind` surface.
@@ -14,17 +18,21 @@ use crate::engine::shards::CollectedEpoch;
 use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
 use mswj_types::{Error, Tuple};
-use mswj_wire::{Frame, WireError, WireQuery, WireStream, WireTask};
+use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireStream, WireTask};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::panic_any;
-use std::sync::Mutex;
 use std::time::Instant;
 
 struct Link {
     connection: Connection,
-    /// Cumulative submit→collect wall time, the epoch round-trip counter.
+    /// Cumulative submit→receipt wall time, the epoch round-trip counter.
     rtt_nanos: u64,
+    /// When the in-flight task was sent; `Some` until its output is received.
     submitted_at: Option<Instant>,
+    /// The in-flight epoch's output, received early by a read of the busy
+    /// shard and kept for the next `collect`.
+    parked: Option<WireOutput>,
     barrier_token: u64,
 }
 
@@ -62,6 +70,28 @@ impl Link {
         }
     }
 
+    /// Receives the in-flight epoch's output, adding its round-trip time.
+    fn receive_output(&mut self, shard: usize) -> WireOutput {
+        let out = match self.reply(shard) {
+            Frame::Output(out) => out,
+            other => self.unexpected(shard, "output", &other),
+        };
+        if let Some(at) = self.submitted_at.take() {
+            self.rtt_nanos += at.elapsed().as_nanos() as u64;
+        }
+        out
+    }
+
+    /// Sends `request` and returns its reply, first parking the output of
+    /// an epoch still in flight so that the reply is the request's own.
+    fn exchange(&mut self, shard: usize, request: &Frame) -> Frame {
+        if self.submitted_at.is_some() {
+            self.parked = Some(self.receive_output(shard));
+        }
+        self.send(shard, request);
+        self.reply(shard)
+    }
+
     /// Raises a protocol violation for a reply of the wrong type.
     fn unexpected(&self, shard: usize, want: &str, got: &Frame) -> ! {
         panic_any(EngineError::Protocol {
@@ -78,11 +108,11 @@ impl Link {
 /// The set of transport links backing `ExecutionBackend::Remote` — the
 /// engine's counterpart to the resident `ShardPool`.
 ///
-/// Links live behind per-shard mutexes so read-only engine surfaces
-/// (barrier stats, runtime folding) can reach them through `&self` the way
-/// `ShardPool::lock_shard` does.
+/// Links sit in `RefCell`s so the read-only engine surfaces (barrier stats,
+/// runtime folding) reach them through `&self`, as the pool's reads reach
+/// its shard slots.
 pub(in crate::engine) struct RemoteShards {
-    links: Vec<Mutex<Link>>,
+    links: Vec<RefCell<Link>>,
 }
 
 impl RemoteShards {
@@ -119,7 +149,7 @@ impl RemoteShards {
             let link = handshake(endpoint, &wire_query).map_err(|msg| {
                 Error::InvalidConfig(format!("remote shard {shard} ({endpoint}): {msg}"))
             })?;
-            links.push(Mutex::new(link));
+            links.push(RefCell::new(link));
         }
         Ok(RemoteShards { links })
     }
@@ -127,16 +157,6 @@ impl RemoteShards {
     /// Number of connected shard servers.
     pub(in crate::engine) fn count(&self) -> usize {
         self.links.len()
-    }
-
-    fn link(&self, shard: usize) -> std::sync::MutexGuard<'_, Link> {
-        self.links[shard].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn link_mut(&mut self, shard: usize) -> &mut Link {
-        self.links[shard]
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
     }
 
     /// Ships a routed item queue to `shard` as one task frame, draining the
@@ -149,7 +169,7 @@ impl RemoteShards {
         queue: &mut VecDeque<Item>,
     ) {
         let items = queue.drain(..).collect();
-        let link = self.link_mut(shard);
+        let link = self.links[shard].get_mut();
         link.submitted_at = Some(Instant::now());
         link.send(
             shard,
@@ -161,8 +181,9 @@ impl RemoteShards {
         );
     }
 
-    /// Blocks for the output of the epoch previously submitted to `shard`,
-    /// appending its sub-outcomes and materialized results to `sub` / `mat`.
+    /// Takes the output of the epoch previously submitted to `shard` —
+    /// parked, or blocking for it — appending its sub-outcomes and
+    /// materialized results to `sub` / `mat`.
     pub(in crate::engine) fn collect(
         &mut self,
         shard: usize,
@@ -170,14 +191,11 @@ impl RemoteShards {
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
     ) -> CollectedEpoch {
-        let link = self.link_mut(shard);
-        let out = match link.reply(shard) {
-            Frame::Output(out) => out,
-            other => link.unexpected(shard, "output", &other),
+        let link = self.links[shard].get_mut();
+        let out = match link.parked.take() {
+            Some(out) => out,
+            None => link.receive_output(shard),
         };
-        if let Some(at) = link.submitted_at.take() {
-            link.rtt_nanos += at.elapsed().as_nanos() as u64;
-        }
         debug_assert_eq!(out.epoch, expected_epoch, "epochs collect in submit order");
         sub.extend(out.sub);
         mat.extend(out.mat);
@@ -189,14 +207,13 @@ impl RemoteShards {
 
     /// Runs a barrier round-trip against `shard` and returns its operator
     /// counters plus the live window footprint (estimated bytes and
-    /// columnar segment count) held in the server process.  Only valid
-    /// between epochs (nothing outstanding).
+    /// columnar segment count) held in the server process — after its
+    /// in-flight epoch, if any.
     pub(in crate::engine) fn barrier_stats(&self, shard: usize) -> (OperatorStats, u64, u64) {
-        let mut link = self.link(shard);
+        let mut link = self.links[shard].borrow_mut();
         link.barrier_token += 1;
         let token = link.barrier_token;
-        link.send(shard, &Frame::Barrier { token });
-        match link.reply(shard) {
+        match link.exchange(shard, &Frame::Barrier { token }) {
             Frame::BarrierAck {
                 token: acked,
                 stats,
@@ -216,11 +233,9 @@ impl RemoteShards {
     }
 
     /// Sends a surgery `request` to `shard` and returns its reply frame.
-    /// Only valid between epochs (nothing outstanding).
     fn request(&mut self, shard: usize, request: Frame) -> (&Link, Frame) {
-        let link = self.link_mut(shard);
-        link.send(shard, &request);
-        let reply = link.reply(shard);
+        let link = self.links[shard].get_mut();
+        let reply = link.exchange(shard, &request);
         (link, reply)
     }
 
@@ -243,7 +258,7 @@ impl RemoteShards {
 
     /// Folds the link's transport counters into a shard's runtime stats.
     pub(in crate::engine) fn fold_runtime(&self, shard: usize, rt: &mut ShardRuntimeStats) {
-        let link = self.link(shard);
+        let link = self.links[shard].borrow();
         let c = link.connection.counters();
         rt.frames_sent = c.frames_sent;
         rt.frames_received = c.frames_received;
@@ -280,6 +295,7 @@ fn handshake(endpoint: &Endpoint, query: &WireQuery) -> Result<Link, String> {
         connection,
         rtt_nanos: 0,
         submitted_at: None,
+        parked: None,
         barrier_token: 0,
     })
 }
@@ -289,7 +305,7 @@ impl Drop for RemoteShards {
         // Best-effort shutdown handshake; every failure is swallowed — the
         // peer may already be gone, and panicking in drop would abort.
         for cell in &mut self.links {
-            let link = cell.get_mut().unwrap_or_else(|e| e.into_inner());
+            let link = cell.get_mut();
             let _ = link.connection.set_read_timeout(Some(SHUTDOWN_TIMEOUT));
             if link.connection.send(&Frame::Shutdown).is_err() {
                 continue;

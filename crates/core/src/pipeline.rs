@@ -248,7 +248,10 @@ impl Pipeline {
     /// Per-shard lifetime statistics of the join stage (one entry per
     /// shard; a single entry on the `Sequential` backend): the shard
     /// operator's counters plus executor runtime counters — routed volume,
-    /// queue high-water mark, epoch counts and worker busy time.
+    /// queue high-water mark, epoch counts and worker busy time.  A shard
+    /// still executing a pipelined epoch is read after that epoch, which
+    /// this waits for; the epoch's events still arrive at the next flush or
+    /// sync (the next push, or `finish_into`).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.engine.shard_stats()
     }

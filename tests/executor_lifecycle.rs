@@ -3,8 +3,10 @@
 //! cleanly when a session is dropped mid-stream (even with a pipelined
 //! epoch still in flight), a panicking worker must surface as a panic on
 //! the caller thread instead of a hang, repeated build/finish cycles must
-//! not leak threads, and killing a shard-server process mid-epoch must
-//! surface a typed [`EngineError::ShardLost`] within the read timeout.
+//! not leak threads, killing a shard-server process mid-epoch must
+//! surface a typed [`EngineError::ShardLost`] within the read timeout, and
+//! reading a busy shard's statistics must see its executed epoch while the
+//! epoch's events still wait for the next flush or sync.
 //!
 //! Thread-count assertions count the *engine's* threads — the tasks under
 //! `/proc/self/task` whose name starts with `mswj-` (pool workers are
@@ -18,9 +20,10 @@
 //! a file-local lock — integration tests share one process, and a pool
 //! spawned by a concurrently running test would skew the count.
 
+use mswj::core::EngineEvent;
 use mswj::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static THREAD_COUNT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -121,10 +124,75 @@ fn workers_join_cleanly_on_drop_mid_stream() {
                     &format!("[{backend}] four shard threads must be visible"),
                 );
             }
+            // A mid-epoch read parks the epoch's output; the drop below
+            // must still release every thread.
+            assert_eq!(pipeline.shard_stats().len(), 4);
+            assert!(pipeline.engine().has_outstanding(), "[{backend}]");
         }
         if let Some(base) = baseline {
             assert_threads_return_to(base);
         }
+    }
+}
+
+/// Records an engine event stream as comparable strings.
+fn log_into(log: &mut Vec<String>) -> impl FnMut(EngineEvent<'_>) + '_ {
+    move |ev| {
+        log.push(match ev {
+            EngineEvent::Result(r) => format!("R {r}"),
+            EngineEvent::Done(o) => format!("D {o:?}"),
+        })
+    }
+}
+
+#[test]
+fn busy_shard_reads_see_the_executed_epoch_and_defer_its_events() {
+    // Spawns pool workers and in-process shard servers, so it must not
+    // overlap a counting test's baseline.
+    let _guard = THREAD_COUNT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let streams =
+        StreamSet::homogeneous(2, Schema::new(vec![("a1", FieldType::Int)]), 500).unwrap();
+    let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
+    let query = JoinQuery::new("busy-shard", streams, cond).unwrap();
+    let tuples: Vec<Tuple> = events(200).into_iter().map(|e| e.tuple).collect();
+    assert!(tuples.len() >= JoinEngine::SMALL_BATCH_THRESHOLD);
+
+    let mut want = Vec::new();
+    let backend = ExecutionBackend::Sequential;
+    let mut reference = JoinEngine::new(query.clone(), ProbeStrategy::Auto, true, backend);
+    reference.push_batch(tuples.iter().cloned(), &mut log_into(&mut want));
+    reference.sync(&mut log_into(&mut want));
+
+    let operator =
+        |stats: Vec<ShardStats>| stats.into_iter().map(|s| s.operator).collect::<Vec<_>>();
+    for backend in [
+        ExecutionBackend::Pool { workers: 2 },
+        ExecutionBackend::remote_inproc(2),
+    ] {
+        let mut engine = JoinEngine::new(query.clone(), ProbeStrategy::Auto, true, backend.clone());
+        let mut got = Vec::new();
+        engine.push_batch(tuples.iter().cloned(), &mut log_into(&mut got));
+        assert!(
+            engine.has_outstanding(),
+            "[{backend}] the batch must leave an epoch in flight"
+        );
+        let first = operator(engine.shard_stats());
+        let second = operator(engine.shard_stats());
+        assert_eq!(first, second, "[{backend}] a repeated read");
+        assert!(
+            got.is_empty(),
+            "[{backend}] a parked epoch's events wait for the next flush or sync"
+        );
+        engine.sync(&mut log_into(&mut got));
+        assert_eq!(
+            first,
+            operator(engine.shard_stats()),
+            "[{backend}] the mid-epoch read must see the executed epoch"
+        );
+        let results: u64 = first.iter().map(|o| o.results).sum();
+        assert!(results > 0);
+        assert_eq!(results, engine.stats().results, "[{backend}]");
+        assert_eq!(got, want, "[{backend}] event stream vs Sequential");
     }
 }
 
@@ -179,8 +247,12 @@ fn panicking_worker_surfaces_as_error_not_hang() {
         let result = catch_unwind(AssertUnwindSafe(|| {
             let mut pipeline = pipeline;
             pipeline.push_batch_into(poisoned, &mut NullSink);
-            // The epoch may be deferred; the end-of-stream barrier must
-            // re-raise the worker's panic on this thread.
+            // The poisoned epoch is still away: reading the shard receives
+            // its output (payload included) without hanging...
+            assert!(pipeline.engine().has_outstanding());
+            assert_eq!(pipeline.shard_stats().len(), 1);
+            // ...and the end-of-stream barrier must re-raise the worker's
+            // panic on this thread.
             let _ = pipeline.finish_into(&mut NullSink);
         }));
         let payload = result.expect_err("the worker panic must surface to the caller");

@@ -190,9 +190,15 @@ fn remote_uds_backend_reports_window_footprint() {
         endpoints: vec![Endpoint::Uds(path.clone())],
     };
     let mut pipeline = session(backend, Some(telemetry.clone()));
-    for e in workload(400) {
+    let mut events = workload(432);
+    let batch = events.split_off(800);
+    for e in events {
         pipeline.push(e);
     }
+    // A batch leaves an epoch in flight, so the read below takes the
+    // busy-shard path over the socket on every run.
+    pipeline.push_batch_into(batch, &mut NullSink);
+    assert!(pipeline.engine().has_outstanding());
     // Mid-run, with windows populated: the barrier-time shard stats must
     // carry the remote operator's live footprint.
     let stats = pipeline.shard_stats();
