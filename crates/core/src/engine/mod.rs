@@ -183,6 +183,8 @@ use shards::ShardSet;
 use skew::SkewDetector;
 pub use skew::{SkewConfig, SkewTransition};
 use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::Instant;
 pub use transport::{Endpoint, EngineError};
 
 /// How the sharded join stage executes a routed batch.
@@ -329,6 +331,51 @@ pub struct ShardRuntimeStats {
     pub window_segments: u64,
 }
 
+/// Publishes one shard's [`ShardRuntimeStats`] into its telemetry scope —
+/// the one place shard gauges are set, for the engine's shards and for a
+/// shard server's connections alike.  Strictly observe-only.
+pub(crate) struct ShardPublisher {
+    scope: Arc<ShardInstruments>,
+    /// The previous publication (or attach/connect) and the shard's
+    /// `busy_nanos` then: the busy-share baseline.
+    since: Instant,
+    busy_nanos: u64,
+}
+
+impl ShardPublisher {
+    pub(crate) fn new(scope: Arc<ShardInstruments>) -> Self {
+        ShardPublisher {
+            scope,
+            since: Instant::now(),
+            busy_nanos: 0,
+        }
+    }
+
+    /// Sets every gauge of the scope from `rt`.  The busy share is the
+    /// busy-time delta over the wall time since the previous publication;
+    /// the round-trip time is the mean per executed epoch (0 before the
+    /// first).
+    pub(crate) fn publish(&mut self, rt: &ShardRuntimeStats) {
+        let now = Instant::now();
+        let wall = now.duration_since(self.since).as_nanos().max(1) as f64;
+        let busy = rt.busy_nanos.saturating_sub(self.busy_nanos) as f64;
+        let rtt_mean = rt.epoch_rtt_nanos.checked_div(rt.epochs_executed);
+        let s = &self.scope;
+        s.queue_depth.set(rt.max_queue_depth as f64);
+        s.busy_share.set((busy / wall).min(1.0));
+        s.window_bytes.set(rt.window_bytes as f64);
+        s.window_segments.set(rt.window_segments as f64);
+        s.routed.set(rt.routed as f64);
+        s.epochs_executed.set(rt.epochs_executed as f64);
+        s.frames_sent.set(rt.frames_sent as f64);
+        s.frames_received.set(rt.frames_received as f64);
+        s.bytes_sent.set(rt.bytes_sent as f64);
+        s.bytes_received.set(rt.bytes_received as f64);
+        s.rtt_nanos.set(rtt_mean.unwrap_or(0) as f64);
+        (self.since, self.busy_nanos) = (now, rt.busy_nanos);
+    }
+}
+
 /// One shard's complete statistics: the shard operator's lifetime counters
 /// plus the executor's runtime counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -416,14 +463,9 @@ pub struct JoinEngine {
     /// byte.  Instruments are only touched at idle barriers (events,
     /// gauge publication) — never inside the per-tuple execution path.
     telemetry: Option<Telemetry>,
-    /// Pre-registered per-shard instrument scopes (one per shard, resolved
-    /// once at attach time so publication does no registry locking).
-    shard_scopes: Vec<std::sync::Arc<ShardInstruments>>,
-    /// Wall-clock instant of the previous gauge publication, the baseline
-    /// for the per-shard busy-share gauges.
-    last_publish: Option<std::time::Instant>,
-    /// Per-shard `busy_nanos` at the previous publication.
-    last_busy: Vec<u64>,
+    /// One gauge publisher per shard, resolved at attach time so
+    /// publication does no registry locking; empty without telemetry.
+    publishers: Vec<ShardPublisher>,
 }
 
 impl std::fmt::Debug for JoinEngine {
@@ -546,9 +588,7 @@ impl JoinEngine {
             deferred: Vec::new(),
             in_flight: vec![false; n],
             telemetry: None,
-            shard_scopes: Vec::new(),
-            last_publish: None,
-            last_busy: vec![0; n],
+            publishers: Vec::new(),
             query,
         })
     }
@@ -559,8 +599,8 @@ impl JoinEngine {
     /// skew and plan transitions) through its bounded ring instead of
     /// stderr.  Attaching telemetry never changes a produced byte.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.shard_scopes = (0..self.shard_count())
-            .map(|s| telemetry.shard(s))
+        self.publishers = (0..self.shard_count())
+            .map(|s| ShardPublisher::new(telemetry.shard(s)))
             .collect();
         self.telemetry = Some(telemetry);
     }
@@ -589,42 +629,13 @@ impl JoinEngine {
     /// barrier); on the `Remote` backend this runs one extra barrier
     /// round-trip per shard to sample the server-side window footprint.
     pub fn publish_telemetry(&mut self) {
-        if self.telemetry.is_none() {
+        if self.publishers.is_empty() {
             return;
         }
         let stats = self.shard_stats();
-        let now = std::time::Instant::now();
-        let wall = self
-            .last_publish
-            .map(|at| now.duration_since(at).as_nanos() as u64);
-        for (s, stat) in stats.iter().enumerate() {
-            let Some(scope) = self.shard_scopes.get(s) else {
-                continue;
-            };
-            let rt = &stat.runtime;
-            scope.queue_depth.set(rt.max_queue_depth as f64);
-            scope.window_bytes.set(rt.window_bytes as f64);
-            scope.window_segments.set(rt.window_segments as f64);
-            scope.routed.set(rt.routed as f64);
-            scope.epochs_executed.set(rt.epochs_executed as f64);
-            scope.frames_sent.set(rt.frames_sent as f64);
-            scope.frames_received.set(rt.frames_received as f64);
-            scope.bytes_sent.set(rt.bytes_sent as f64);
-            scope.bytes_received.set(rt.bytes_received as f64);
-            scope.rtt_nanos.set(rt.epoch_rtt_nanos as f64);
-            let prev_busy = self.last_busy.get(s).copied().unwrap_or(0);
-            let share = match wall {
-                Some(wall) if wall > 0 => {
-                    ((rt.busy_nanos.saturating_sub(prev_busy)) as f64 / wall as f64).min(1.0)
-                }
-                _ => 0.0,
-            };
-            scope.busy_share.set(share);
-            if let Some(slot) = self.last_busy.get_mut(s) {
-                *slot = rt.busy_nanos;
-            }
+        for (publisher, stat) in self.publishers.iter_mut().zip(&stats) {
+            publisher.publish(&stat.runtime);
         }
-        self.last_publish = Some(now);
     }
 
     /// The backend this engine executes with.
@@ -1473,6 +1484,36 @@ mod tests {
         let stats = engine.shard_stats();
         let results: u64 = stats.iter().map(|s| s.operator.results).sum();
         assert_eq!(results, engine.stats().results);
+    }
+
+    #[test]
+    fn published_rtt_is_the_per_epoch_mean() {
+        let telemetry = Telemetry::new();
+        let mut engine = JoinEngine::new(
+            equi_query(2, 1_000),
+            ProbeStrategy::Auto,
+            false,
+            ExecutionBackend::remote_inproc(2),
+        );
+        engine.attach_telemetry(telemetry.clone());
+        for batch in 0..2u64 {
+            let tuples: Vec<Tuple> = (0..100u64)
+                .map(|i| {
+                    let s = batch * 100 + i;
+                    tup((s % 2) as usize, s, s * 10, (s % 8) as i64)
+                })
+                .collect();
+            engine.push_batch(tuples, &mut |_| {});
+        }
+        engine.sync(&mut |_| {});
+        engine.publish_telemetry();
+        for s in 0..engine.shard_count() {
+            let rt = engine.runtime_stats(s);
+            assert!(rt.epochs_executed >= 2, "{rt:?}");
+            let mean = rt.epoch_rtt_nanos / rt.epochs_executed;
+            assert!(mean < rt.epoch_rtt_nanos, "{rt:?}");
+            assert_eq!(telemetry.shard(s).rtt_nanos.get(), mean as f64, "{rt:?}");
+        }
     }
 
     #[test]

@@ -289,10 +289,10 @@ impl JoinEngine {
     ///
     /// With telemetry attached the warning goes through the structured
     /// event ring (and its optional callback) — embedding applications are
-    /// never written to on stderr.  Without telemetry the legacy stderr
-    /// log remains, suppressible with `MSWJ_NO_SKEW_WARNING` (the signal
-    /// stays available through [`JoinEngine::heavy_hitter`] and the
-    /// per-shard `routed` counters either way).
+    /// never written to on stderr.  Without telemetry the warning goes to
+    /// stderr (the signal stays available through
+    /// [`JoinEngine::heavy_hitter`] and the per-shard `routed` counters
+    /// either way).
     fn note_heavy_hitter(&mut self) {
         let Some(s) = self.heavy_hitter() else {
             self.hh_warned = None;
@@ -315,7 +315,7 @@ impl JoinEngine {
         );
         if self.telemetry.is_some() {
             self.telemetry_event(EventKind::HeavyHitter, message);
-        } else if std::env::var_os("MSWJ_NO_SKEW_WARNING").is_none() {
+        } else {
             eprintln!("mswj: {message}");
         }
     }

@@ -576,6 +576,54 @@ mod tests {
     }
 
     #[test]
+    fn server_gauges_keep_the_lifetime_queue_high_water() {
+        let telemetry = mswj_obs::Telemetry::new();
+        let scope = telemetry.shard(0);
+        let (client, server_end) = UnixStream::pair().unwrap();
+        let handle = std::thread::spawn(move || serve_stream(server_end, Some(scope)));
+        let mut framed = Framed::new(client);
+        framed.send(&Frame::Setup(two_stream_query())).unwrap();
+        assert!(matches!(framed.recv().unwrap(), Frame::SetupAck));
+        let mut ts = 0;
+        for (token, len) in [(1, 40), (2, 3)] {
+            let items = (0..len)
+                .map(|seq: u32| {
+                    ts += 1;
+                    let tuple = Tuple::new(
+                        (seq as usize % 2).into(),
+                        ts,
+                        Timestamp::from_millis(ts),
+                        vec![Value::Int(1)],
+                    );
+                    WireItem {
+                        seq,
+                        probe: true,
+                        tuple,
+                    }
+                })
+                .collect();
+            framed
+                .send(&Frame::Task(WireTask {
+                    epoch: token,
+                    routing_epoch: 0,
+                    items,
+                }))
+                .unwrap();
+            assert!(matches!(framed.recv().unwrap(), Frame::Output(_)));
+            framed.send(&Frame::Barrier { token }).unwrap();
+            assert!(matches!(framed.recv().unwrap(), Frame::BarrierAck { .. }));
+        }
+        let shard = telemetry.shard(0);
+        assert_eq!(shard.queue_depth.get(), 40.0, "lifetime, not per-barrier");
+        assert_eq!(shard.routed.get(), 43.0);
+        assert_eq!(shard.epochs_executed.get(), 2.0);
+        assert!(shard.window_bytes.get() > 0.0);
+        framed.send(&Frame::Shutdown).unwrap();
+        assert!(matches!(framed.recv().unwrap(), Frame::ShutdownAck));
+        assert!(handle.join().unwrap().is_ok());
+    }
+
+    #[test]
     fn shutdown_handshake_ends_the_session() {
         let mut t = connect(&Endpoint::InProc).unwrap();
         t.send(&Frame::Shutdown).unwrap();

@@ -27,7 +27,7 @@
 //! [`serve_tcp`] accept, one thread per connection.
 
 use super::Framed;
-use crate::engine::{exec, Item, SubOutcome};
+use crate::engine::{exec, Item, ShardPublisher, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, MswjOperator};
 use mswj_obs::{ShardInstruments, Telemetry};
 use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec};
@@ -38,61 +38,6 @@ use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Per-connection telemetry accumulated between barriers and published at
-/// every [`Frame::Barrier`] — the server-side mirror of the engine's
-/// barrier-time gauge publication.  Strictly observe-only.
-struct ConnScope {
-    scope: Arc<ShardInstruments>,
-    /// Epochs drained since the connection opened.
-    epochs: u64,
-    /// Items routed into this connection since it opened.
-    routed: u64,
-    /// Largest single-epoch queue observed since the last barrier.
-    queue_high: u64,
-    /// Busy nanoseconds accumulated since the last barrier.
-    busy_nanos: u64,
-    /// Wall-clock anchor of the last barrier (busy-share denominator).
-    since: Instant,
-}
-
-impl ConnScope {
-    fn new(scope: Arc<ShardInstruments>) -> Self {
-        ConnScope {
-            scope,
-            epochs: 0,
-            routed: 0,
-            queue_high: 0,
-            busy_nanos: 0,
-            since: Instant::now(),
-        }
-    }
-
-    fn record_epoch(&mut self, queued: u64, busy_nanos: u64) {
-        self.epochs += 1;
-        self.routed += queued;
-        self.queue_high = self.queue_high.max(queued);
-        self.busy_nanos += busy_nanos;
-    }
-
-    fn publish(&mut self, window_bytes: u64, window_segments: u64) {
-        let wall = self.since.elapsed().as_nanos() as u64;
-        let busy_share = if wall == 0 {
-            0.0
-        } else {
-            (self.busy_nanos as f64 / wall as f64).min(1.0)
-        };
-        self.scope.window_bytes.set(window_bytes as f64);
-        self.scope.window_segments.set(window_segments as f64);
-        self.scope.epochs_executed.set(self.epochs as f64);
-        self.scope.routed.set(self.routed as f64);
-        self.scope.queue_depth.set(self.queue_high as f64);
-        self.scope.busy_share.set(busy_share);
-        self.queue_high = 0;
-        self.busy_nanos = 0;
-        self.since = Instant::now();
-    }
-}
 
 /// Renders a caught panic payload the way `std::thread` would print it.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -209,15 +154,17 @@ fn apply_surgery(op: &mut MswjOperator, frame: Frame) -> Result<Frame, String> {
 /// (including after reporting a client error or an operator panic as an
 /// error frame); `Err` only for transport-level failures mid-reply.
 ///
-/// With a telemetry `scope`, the connection publishes its operator's
-/// window footprint and its runtime counters (epochs, routed items, queue
-/// high-water, busy share) into the scope's gauges at every barrier frame.
-/// Pure observation — the framing and replies are identical without it.
+/// The connection keeps its own [`ShardRuntimeStats`] (epochs, routed
+/// items, lifetime queue high-water, busy time, window footprint); with a
+/// telemetry `scope`, it publishes them into the scope's gauges at every
+/// barrier frame, the way the engine publishes its shards.  Pure
+/// observation — the framing and replies are identical without it.
 pub fn serve_stream<S: Read + Write>(
     stream: S,
     scope: Option<Arc<ShardInstruments>>,
 ) -> Result<(), WireError> {
-    let mut conn_scope = scope.map(ConnScope::new);
+    let mut publisher = scope.map(ShardPublisher::new);
+    let mut runtime = ShardRuntimeStats::default();
     let mut framed = Framed::new(stream);
     let mut op: Option<MswjOperator> = None;
     let mut buffers = EpochBuffers::default();
@@ -255,16 +202,16 @@ pub fn serve_stream<S: Read + Write>(
             },
             Frame::Barrier { token } => {
                 let stats = op.as_ref().map(MswjOperator::stats).unwrap_or_default();
-                let window_bytes = op.as_ref().map(MswjOperator::window_bytes).unwrap_or(0);
-                let window_segments = op.as_ref().map(MswjOperator::window_segments).unwrap_or(0);
-                if let Some(scope) = &mut conn_scope {
-                    scope.publish(window_bytes, window_segments);
+                runtime.window_bytes = op.as_ref().map_or(0, MswjOperator::window_bytes);
+                runtime.window_segments = op.as_ref().map_or(0, MswjOperator::window_segments);
+                if let Some(publisher) = &mut publisher {
+                    publisher.publish(&runtime);
                 }
                 framed.send(&Frame::BarrierAck {
                     token,
                     stats,
-                    window_bytes,
-                    window_segments,
+                    window_bytes: runtime.window_bytes,
+                    window_segments: runtime.window_segments,
                 })?;
             }
             Frame::Shutdown => {
@@ -280,7 +227,7 @@ pub fn serve_stream<S: Read + Write>(
                         request.frame_type()
                     )),
                     Some(op) => match request {
-                        Frame::Task(task) => run_task(op, task, &mut buffers, conn_scope.as_mut()),
+                        Frame::Task(task) => run_task(op, task, &mut buffers, &mut runtime),
                         surgery => apply_surgery(op, surgery),
                     },
                 };
@@ -317,7 +264,7 @@ fn run_task(
     op: &mut MswjOperator,
     task: WireTask,
     buffers: &mut EpochBuffers,
-    scope: Option<&mut ConnScope>,
+    runtime: &mut ShardRuntimeStats,
 ) -> Result<Frame, String> {
     for (i, item) in task.items.iter().enumerate() {
         stream_of(op, item.tuple.stream.as_usize() as u64)
@@ -328,16 +275,17 @@ fn run_task(
     items.extend(task.items);
     sub.clear();
     mat.clear();
-    let queued = items.len() as u64;
+    let queued = items.len();
     let started = Instant::now();
     let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
         exec::drain_queue(op, items, sub, mat);
     }))
     .err();
     let busy_nanos = started.elapsed().as_nanos() as u64;
-    if let Some(scope) = scope {
-        scope.record_epoch(queued, busy_nanos);
-    }
+    runtime.routed += queued as u64;
+    runtime.max_queue_depth = runtime.max_queue_depth.max(queued);
+    runtime.epochs_executed += 1;
+    runtime.busy_nanos += busy_nanos;
     if let Some(payload) = panicked {
         return Err(panic_text(payload.as_ref()));
     }

@@ -5,7 +5,8 @@
 //! name syntax, `# HELP`/`# TYPE` comment shape, label syntax, sample
 //! value parseability, and that samples of a `TYPE`d metric match the
 //! declared type's naming (histogram series use the `_bucket`/`_sum`/
-//! `_count` suffixes) — not semantic monotonicity.
+//! `_count` suffixes, and only counters end in `_total`) — not semantic
+//! monotonicity.
 
 use std::collections::HashMap;
 
@@ -43,6 +44,9 @@ pub fn check_prometheus_text(input: &str) -> Result<usize, String> {
                 }
                 if parts.next().is_some() {
                     return Err(at("TYPE line has trailing tokens"));
+                }
+                if name.ends_with("_total") && ty != "counter" {
+                    return Err(at("only a counter family may end in _total"));
                 }
                 types.insert(name.to_string(), ty.to_string());
             }
@@ -208,6 +212,15 @@ mod tests {
             "histogram family must use _bucket/_sum/_count"
         );
         assert!(check_prometheus_text("# TYPE h histogram\nh_bucket{notle=\"1\"} 1\n").is_err());
+    }
+
+    #[test]
+    fn rejects_the_counter_suffix_on_a_non_counter_family() {
+        let bad = "# TYPE routed_total gauge\nrouted_total{shard=\"0\"} 43\n";
+        let err = check_prometheus_text(bad).unwrap_err();
+        assert!(err.contains("_total"), "{err}");
+        let good = "# TYPE routed_total counter\nrouted_total{shard=\"0\"} 43\n";
+        assert_eq!(check_prometheus_text(good), Ok(1));
     }
 
     #[test]

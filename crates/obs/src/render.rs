@@ -4,79 +4,50 @@
 //! a near-instantaneous, not strictly atomic, picture of the instruments,
 //! which is all a monitoring system expects.  Rendering allocates freely;
 //! it runs on the exporter thread (or at process exit for
-//! `--metrics-out`), never on the ingestion path.
+//! `--metrics-out`), never on the ingestion path.  Both are loops over the
+//! family tables in `registry.rs`, which name every metric.
 
-use crate::instruments::{Histogram, HISTOGRAM_BUCKETS};
-use crate::registry::{ShardInstruments, Telemetry};
+use crate::instruments::Histogram;
+use crate::registry::{
+    Family, Telemetry, EVENTS_BUFFERED, SESSION_COUNTERS, SESSION_GAUGES, SESSION_HISTOGRAMS,
+    SHARD_GAUGES,
+};
 use std::fmt::Write as _;
 
 /// Formats one sample value the way the Prometheus text format expects:
 /// integral values without a fractional part, specials as `NaN`/`+Inf`/
 /// `-Inf`.
 fn prom_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else if v == v.trunc() && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+    match v {
+        f64::INFINITY => "+Inf".to_string(),
+        f64::NEG_INFINITY => "-Inf".to_string(),
+        _ if v.is_nan() => "NaN".to_string(),
+        _ if v == v.trunc() && v.abs() < 9e15 => (v as i64).to_string(),
+        _ => v.to_string(),
     }
 }
 
-fn prom_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {}", prom_value(value));
+fn prom_header<S, I>(out: &mut String, f: &Family<S, I>) {
+    let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
+    let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
 }
 
-fn prom_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn prom_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let buckets = h.bucket_counts();
+fn prom_histogram(out: &mut String, name: &str, h: &Histogram) {
     let mut cumulative = 0u64;
-    for (idx, count) in buckets.iter().enumerate() {
+    for (idx, count) in h.bucket_counts().iter().enumerate() {
         cumulative += count;
-        match Histogram::bucket_upper_bound(idx) {
-            Some(le) => {
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            None => {
-                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-            }
-        }
+        let le = Histogram::bucket_upper_bound(idx).map_or("+Inf".to_string(), |le| le.to_string());
+        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
     }
     let _ = writeln!(out, "{name}_sum {}", h.sum());
     let _ = writeln!(out, "{name}_count {}", h.count());
 }
 
-/// One labelled per-shard gauge family.
-fn prom_shard_gauge(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    shards: &[std::sync::Arc<ShardInstruments>],
-    get: impl Fn(&ShardInstruments) -> f64,
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (i, s) in shards.iter().enumerate() {
-        let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", prom_value(get(s)));
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-fn json_escape(s: &str) -> String {
+/// A JSON string literal: quoted, with quotes, backslash and control
+/// characters escaped.
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -90,38 +61,42 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
 /// JSON has no `NaN`/`Inf`: map non-finite gauges to `null`.
 fn json_number(v: f64) -> String {
     if v.is_finite() {
-        if v == v.trunc() && v.abs() < 9e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
-        }
+        prom_value(v)
     } else {
         "null".to_string()
     }
 }
 
+fn json_object(fields: impl IntoIterator<Item = (&'static str, String)>) -> String {
+    let fields = fields
+        .into_iter()
+        .map(|(key, value)| format!("\"{key}\":{value}"));
+    json_list('{', fields, '}')
+}
+
+/// Comma-joined items between `open` and `close`.
+fn json_list(open: char, items: impl Iterator<Item = String>, close: char) -> String {
+    format!("{open}{}{close}", items.collect::<Vec<_>>().join(","))
+}
+
 fn json_histogram(h: &Histogram) -> String {
-    let buckets = h.bucket_counts();
-    let mut parts = Vec::with_capacity(HISTOGRAM_BUCKETS);
-    for (idx, count) in buckets.iter().enumerate() {
-        let le = match Histogram::bucket_upper_bound(idx) {
-            Some(le) => le.to_string(),
-            None => "null".to_string(),
-        };
-        parts.push(format!("{{\"le\":{le},\"count\":{count}}}"));
-    }
-    format!(
-        "{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-        h.count(),
-        h.sum(),
-        parts.join(",")
-    )
+    let counts = h.bucket_counts().into_iter().enumerate();
+    let buckets = counts.map(|(idx, count)| {
+        let le = Histogram::bucket_upper_bound(idx).map_or("null".to_string(), |le| le.to_string());
+        json_object([("le", le), ("count", count.to_string())])
+    });
+    json_object([
+        ("count", h.count().to_string()),
+        ("sum", h.sum().to_string()),
+        ("buckets", json_list('[', buckets, ']')),
+    ])
 }
 
 impl Telemetry {
@@ -129,159 +104,32 @@ impl Telemetry {
     /// format (version 0.0.4), the payload of `GET /metrics`.
     pub fn render_prometheus(&self) -> String {
         let s = self.session();
-        let shards = self.shards_snapshot();
         let mut out = String::with_capacity(4096);
-        prom_gauge(
-            &mut out,
-            "mswj_k_ms",
-            "Buffer size K currently in force, in milliseconds.",
-            s.k_ms.get(),
-        );
-        prom_gauge(
-            &mut out,
-            "mswj_gamma_prime",
-            "Instant recall requirement Gamma' of the last adaptation (NaN for non-adaptive policies).",
-            s.gamma_prime.get(),
-        );
-        prom_gauge(
-            &mut out,
-            "mswj_recall_estimated",
-            "Model-estimated recall at the chosen K (NaN for non-model policies).",
-            s.recall_estimated.get(),
-        );
-        prom_gauge(
-            &mut out,
-            "mswj_recall_observed",
-            "Observed recall over the sliding monitor window P - L (NaN before the first checkpoint).",
-            s.recall_observed.get(),
-        );
-        prom_gauge(
-            &mut out,
-            "mswj_drop_rate",
-            "Fraction of join-stage arrivals dropped as too late.",
-            s.drop_rate.get(),
-        );
-        prom_counter(
-            &mut out,
-            "mswj_checkpoints_total",
-            "Adaptation checkpoints taken.",
-            s.checkpoints.get(),
-        );
-        prom_counter(
-            &mut out,
-            "mswj_events_ingested_total",
-            "Arrival events ingested by the pipeline.",
-            s.events_ingested.get(),
-        );
-        prom_counter(
-            &mut out,
-            "mswj_results_total",
-            "Join results produced.",
-            s.results_emitted.get(),
-        );
-        prom_counter(
-            &mut out,
-            "mswj_dropped_total",
-            "Tuples dropped by the join stage as hopelessly late.",
-            s.tuples_dropped.get(),
-        );
-        prom_histogram(
-            &mut out,
-            "mswj_kslack_delay_ms",
-            "Raw K-slack tuple delays, in milliseconds.",
-            &s.kslack_delay_ms,
-        );
-        prom_histogram(
-            &mut out,
-            "mswj_ingest_emit_latency_nanos",
-            "Wall-clock ingest-to-emit latency per driven batch, in nanoseconds.",
-            &s.ingest_emit_latency_nanos,
-        );
-        if !shards.is_empty() {
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_queue_depth",
-                "High-water pending-epoch queue depth of the shard.",
-                &shards,
-                |s| s.queue_depth.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_busy_share",
-                "Fraction of wall time the shard executor was busy since the previous publish.",
-                &shards,
-                |s| s.busy_share.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_window_bytes",
-                "Estimated live window bytes held by the shard.",
-                &shards,
-                |s| s.window_bytes.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_window_segments",
-                "Columnar storage segments held by the shard.",
-                &shards,
-                |s| s.window_segments.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_routed_total",
-                "Tuples routed to the shard so far.",
-                &shards,
-                |s| s.routed.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_epochs_total",
-                "Epochs the shard has executed.",
-                &shards,
-                |s| s.epochs_executed.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_frames_sent",
-                "Wire frames sent to the remote shard.",
-                &shards,
-                |s| s.frames_sent.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_frames_received",
-                "Wire frames received from the remote shard.",
-                &shards,
-                |s| s.frames_received.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_bytes_sent",
-                "Wire bytes sent to the remote shard.",
-                &shards,
-                |s| s.bytes_sent.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_bytes_received",
-                "Wire bytes received from the remote shard.",
-                &shards,
-                |s| s.bytes_received.get(),
-            );
-            prom_shard_gauge(
-                &mut out,
-                "mswj_shard_rtt_nanos",
-                "Smoothed request-reply round-trip time of the shard link, in nanoseconds.",
-                &shards,
-                |s| s.rtt_nanos.get(),
-            );
+        for f in &SESSION_GAUGES {
+            prom_header(&mut out, f);
+            let _ = writeln!(out, "{} {}", f.name, prom_value((f.field)(s).get()));
         }
-        prom_gauge(
-            &mut out,
-            "mswj_events_buffered",
-            "Structured events currently retained in the bounded ring.",
-            self.buffered_events() as f64,
-        );
+        for f in &SESSION_COUNTERS {
+            prom_header(&mut out, f);
+            let _ = writeln!(out, "{} {}", f.name, (f.field)(s).get());
+        }
+        for f in &SESSION_HISTOGRAMS {
+            prom_header(&mut out, f);
+            prom_histogram(&mut out, f.name, (f.field)(s));
+        }
+        let shards = self.shards_snapshot();
+        if !shards.is_empty() {
+            for f in &SHARD_GAUGES {
+                prom_header(&mut out, f);
+                for (i, sh) in shards.iter().enumerate() {
+                    let value = prom_value((f.field)(sh).get());
+                    let _ = writeln!(out, "{}{{shard=\"{i}\"}} {value}", f.name);
+                }
+            }
+        }
+        let f = &EVENTS_BUFFERED;
+        prom_header(&mut out, f);
+        let _ = writeln!(out, "{} {}", f.name, (f.field)(self).len());
         out
     }
 
@@ -290,68 +138,28 @@ impl Telemetry {
     /// `--metrics-out`.
     pub fn render_json(&self) -> String {
         let s = self.session();
-        let shards = self.shards_snapshot();
-        let mut out = String::with_capacity(4096);
-        out.push('{');
-        let _ = write!(
-            out,
-            "\"gauges\":{{\"mswj_k_ms\":{},\"mswj_gamma_prime\":{},\"mswj_recall_estimated\":{},\"mswj_recall_observed\":{},\"mswj_drop_rate\":{}}}",
-            json_number(s.k_ms.get()),
-            json_number(s.gamma_prime.get()),
-            json_number(s.recall_estimated.get()),
-            json_number(s.recall_observed.get()),
-            json_number(s.drop_rate.get()),
-        );
-        let _ = write!(
-            out,
-            ",\"counters\":{{\"mswj_checkpoints_total\":{},\"mswj_events_ingested_total\":{},\"mswj_results_total\":{},\"mswj_dropped_total\":{}}}",
-            s.checkpoints.get(),
-            s.events_ingested.get(),
-            s.results_emitted.get(),
-            s.tuples_dropped.get(),
-        );
-        let _ = write!(
-            out,
-            ",\"histograms\":{{\"mswj_kslack_delay_ms\":{},\"mswj_ingest_emit_latency_nanos\":{}}}",
-            json_histogram(&s.kslack_delay_ms),
-            json_histogram(&s.ingest_emit_latency_nanos),
-        );
-        out.push_str(",\"shards\":[");
-        for (i, sh) in shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"shard\":{i},\"queue_depth\":{},\"busy_share\":{},\"window_bytes\":{},\"window_segments\":{},\"routed\":{},\"epochs_executed\":{},\"frames_sent\":{},\"frames_received\":{},\"bytes_sent\":{},\"bytes_received\":{},\"rtt_nanos\":{}}}",
-                json_number(sh.queue_depth.get()),
-                json_number(sh.busy_share.get()),
-                json_number(sh.window_bytes.get()),
-                json_number(sh.window_segments.get()),
-                json_number(sh.routed.get()),
-                json_number(sh.epochs_executed.get()),
-                json_number(sh.frames_sent.get()),
-                json_number(sh.frames_received.get()),
-                json_number(sh.bytes_sent.get()),
-                json_number(sh.bytes_received.get()),
-                json_number(sh.rtt_nanos.get()),
-            );
-        }
-        out.push_str("],\"events\":[");
-        for (i, ev) in self.recent_events().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"at_ms\":{},\"kind\":\"{}\",\"message\":\"{}\"}}",
-                ev.at_ms,
-                ev.kind.as_str(),
-                json_escape(&ev.message),
-            );
-        }
-        out.push_str("]}");
-        out
+        let gauges = SESSION_GAUGES.map(|f| (f.key, json_number((f.field)(s).get())));
+        let counters = SESSION_COUNTERS.map(|f| (f.key, (f.field)(s).get().to_string()));
+        let histograms = SESSION_HISTOGRAMS.map(|f| (f.key, json_histogram((f.field)(s))));
+        let shards = self.shards_snapshot().into_iter().enumerate();
+        let shards = shards.map(|(i, sh)| {
+            let gauges = SHARD_GAUGES.map(|f| (f.key, json_number((f.field)(&sh).get())));
+            json_object(std::iter::once(("shard", i.to_string())).chain(gauges))
+        });
+        let events = self.recent_events().into_iter().map(|ev| {
+            json_object([
+                ("at_ms", ev.at_ms.to_string()),
+                ("kind", json_string(ev.kind.as_str())),
+                ("message", json_string(&ev.message)),
+            ])
+        });
+        json_object([
+            ("gauges", json_object(gauges)),
+            ("counters", json_object(counters)),
+            ("histograms", json_object(histograms)),
+            ("shards", json_list('[', shards, ']')),
+            ("events", json_list('[', events, ']')),
+        ])
     }
 }
 

@@ -15,8 +15,12 @@
 //! Point `ExecutionBackend::Remote` at the same endpoint to use it.  With
 //! `--metrics <addr>` the daemon additionally serves live Prometheus text
 //! at `GET http://<addr>/metrics` (and a JSON snapshot at
-//! `/metrics.json`): one `mswj_shard_*` gauge set per accepted
-//! connection, refreshed at every client barrier.
+//! `/metrics.json`): one `mswj_shard_*` set per accepted connection,
+//! refreshed at every client barrier by the publisher the client engine
+//! uses, so each name means what it means client-side — the queue depth is
+//! the connection's lifetime high-water, `mswj_shard_routed_total` and
+//! `mswj_shard_epochs_total` are lifetime counters, and the session's
+//! quality gauges read `NaN` (the daemon takes no checkpoints).
 
 use mswj_core::engine::transport::{serve_tcp, serve_uds};
 use mswj_obs::{MetricsExporter, Telemetry};
