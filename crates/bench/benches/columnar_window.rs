@@ -1,6 +1,6 @@
 //! Columnar segmented window vs the row-oriented baseline it replaced.
 //!
-//! Three scenarios, matching the costs the segmentation targets:
+//! Three scenarios, matching the costs the columnar layout targets:
 //!
 //! * **expiry** (stream): a steady stream slides a 10 000-tuple window
 //!   forward one tuple at a time — the worst case for segmentation, since
@@ -11,12 +11,6 @@
 //!   baseline pays per-tuple bucket maintenance for all 10 000 tuples; the
 //!   segmented window forgets each sealed segment in O(distinct keys),
 //!   regardless of row count — the amortized-constant segment-drop path.
-//! * **scan**: fallback probes (a float key defeats the hash index) over
-//!   time-correlated keys, so each sealed segment covers a narrow key
-//!   range.  The row baseline walks all 10 000 tuples per probe; the
-//!   segmented window consults the zone maps and touches only the
-//!   segments whose range contains the probe key's numeric image.
-//!
 //! * **scan_kernel**: a non-equi probe over a 500-row window — the
 //!   `d2_dist_seq` shape — through `MswjOperator::push`, once as the
 //!   tuple-at-a-time `matches` walk (`ProbeStrategy::NestedLoop`) and once
@@ -40,16 +34,12 @@
 //! |-------------|--------------|----------|-------|
 //! | expiry      | 121 µs       | 126 µs   | ~1×   |
 //! | expiry_drop | 584 µs       | 171 µs   | 3.4×  |
-//! | scan        | 439 µs       | 49 µs    | 8.9×  |
 //!
 //! (expiry = 1 000 push+expire cycles; expiry_drop = one expiry of all
-//! 10 000 tuples, input rebuilt outside the timing; scan = 16 fallback
-//! probes.  The stream numbers bounce ±15% run to run on this host —
-//! read them as parity: per-tuple maintenance costs the same as the row
-//! layout, while drops and scans are several times cheaper.  The scan
-//! ratio is layout-dependent: time-correlated keys prune ~62/64 of the
-//! candidate rows; uniform keys would prune nothing and tie the
-//! baseline.)
+//! 10 000 tuples, input rebuilt outside the timing.  The stream numbers
+//! bounce ±15% run to run on this host — read them as parity: per-tuple
+//! maintenance costs the same as the row layout, while drops are several
+//! times cheaper.)
 //!
 //! `scan_kernel`, per 64 probes of 500 rows (fills: per 500 inserts), same
 //! host:
@@ -123,19 +113,11 @@ impl RowWindow {
         }
         n
     }
-
-    fn scan_matching(&self, key: &Value) -> usize {
-        self.tuples
-            .iter()
-            .filter(|t| t.value(0).map(|v| v.join_eq(key)).unwrap_or(false))
-            .count()
-    }
 }
 
 fn tuple_at(t: u64) -> Tuple {
-    // Time-correlated keys: consecutive tuples carry nearby keys, so each
-    // sealed segment covers a narrow key range — the zone maps' best case,
-    // and the realistic shape for monotone-ish attributes (ids, counters).
+    // Time-correlated keys: consecutive tuples carry nearby keys, the
+    // realistic shape for monotone-ish attributes (ids, counters).
     Tuple::new(
         0.into(),
         t,
@@ -226,45 +208,6 @@ fn expiry_drop(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         )
-    });
-    group.finish();
-}
-
-fn scan_heavy(c: &mut Criterion) {
-    const PROBES: u64 = 16;
-    let mut group = c.benchmark_group("columnar_window/scan");
-
-    let mut row = RowWindow::new();
-    let mut columnar = Window::with_indexed_columns(WINDOW_MS, &[0]);
-    slide_row(&mut row, 0, WINDOW_TUPLES);
-    slide_columnar(&mut columnar, 0, WINDOW_TUPLES);
-
-    // Float probe keys: joinable numerically but not answerable from the
-    // i64 buckets — exactly the fallback-scan case.
-    let probe_keys: Vec<Value> = (0..PROBES)
-        .map(|i| Value::Float(((i * 149) % (WINDOW_TUPLES / 4)) as f64))
-        .collect();
-
-    group.bench_function("row", |b| {
-        b.iter(|| {
-            let mut matches = 0usize;
-            for key in &probe_keys {
-                matches += row.scan_matching(key);
-            }
-            black_box(matches)
-        })
-    });
-    group.bench_function("columnar", |b| {
-        b.iter(|| {
-            let mut matches = 0usize;
-            for key in &probe_keys {
-                matches += columnar
-                    .scan_candidates(0, key)
-                    .filter(|t| t.value(0).map(|v| v.join_eq(key)).unwrap_or(false))
-                    .count();
-            }
-            black_box(matches)
-        })
     });
     group.finish();
 }
@@ -364,5 +307,5 @@ fn scan_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, expiry_heavy, expiry_drop, scan_heavy, scan_kernel);
+criterion_group!(benches, expiry_heavy, expiry_drop, scan_kernel);
 criterion_main!(benches);

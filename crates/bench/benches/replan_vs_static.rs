@@ -55,8 +55,6 @@ fn replan_config() -> ReplanConfig {
     ReplanConfig {
         min_probes: 256,
         switch_ratio: 1.5,
-        demote_fallback_share: 0.5,
-        reorder_margin: 1.5,
     }
 }
 

@@ -370,19 +370,17 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms runtime probe re-planning on the sharded join stage with the
-    /// default [`ReplanConfig`] thresholds.
+    /// Arms runtime re-planning on the sharded join stage with the default
+    /// [`ReplanConfig`] thresholds.
     ///
-    /// The probe plan is chosen from the query shape alone, before any
-    /// data has been seen.  With re-planning armed, the engine revisits
-    /// three of its decisions at the same idle barriers the skew layer
-    /// uses, from observed window statistics: the star partition pair is
-    /// re-selected so the heaviest satellite is key-routed and only light
-    /// streams stay on the broadcast path (migrating the affected window
-    /// state between shards), the m-way probe chain is
-    /// reordered by observed match rates, and the hash index is demoted to
-    /// the nested-loop scan when the fallback share shows maintenance
-    /// stopped paying.  Every revision is recorded in
+    /// A star plan's partition pair is chosen from the query shape alone,
+    /// before any data has been seen.  With re-planning armed, the engine
+    /// revisits it at the same idle barriers the skew layer uses, from
+    /// observed window cardinalities: the pair is re-selected so the
+    /// heaviest satellite is key-routed and only light streams stay on the
+    /// broadcast path, migrating the affected window state between shards.
+    /// It acts only on a star plan over two or more shards.  Every revision
+    /// is recorded in
     /// [`RunReport::plan_transitions`](crate::RunReport::plan_transitions);
     /// decisions come from engine-global statistics, so the result
     /// multiset stays identical across execution backends — and identical
@@ -391,7 +389,7 @@ impl SessionBuilder {
         self.runtime_replanning_with(ReplanConfig::default())
     }
 
-    /// Arms runtime probe re-planning with explicit thresholds — see
+    /// Arms runtime re-planning with explicit thresholds — see
     /// [`SessionBuilder::runtime_replanning`].  The config is validated at
     /// [`SessionBuilder::build`].
     pub fn runtime_replanning_with(mut self, config: ReplanConfig) -> Self {
@@ -439,8 +437,9 @@ impl SessionBuilder {
     /// overrides on a policy without a configuration, a zero-worker
     /// [`ExecutionBackend::Pool`], a
     /// [`DisorderConfig`] violating `0 < Γ ≤ 1`, `0 < L ≤ P`, `b > 0`,
-    /// `g > 0`, or a [`SkewConfig`] whose thresholds are out of range or
-    /// lack a hysteresis band.  An [`ExecutionBackend::Remote`] backend
+    /// `g > 0`, a [`SkewConfig`] whose thresholds are out of range or
+    /// lack a hysteresis band, or a [`ReplanConfig`] with `min_probes` 0 or
+    /// a `switch_ratio` not above 1.  An [`ExecutionBackend::Remote`] backend
     /// additionally fails here when its endpoint list is empty, the join
     /// condition has no wire form, or connecting/handshaking with a shard
     /// server fails.
@@ -451,12 +450,6 @@ impl SessionBuilder {
                  Pool { workers: 1.. } or the Sequential backend"
                     .into(),
             ));
-        }
-        if let Some(skew) = &self.skew {
-            skew.validate().map_err(Error::InvalidConfig)?;
-        }
-        if let Some(replan) = &self.replan {
-            replan.validate().map_err(Error::InvalidConfig)?;
         }
         let policy = Self::resolve_policy(self.policy, self.overrides)?;
         let query = match self.query {

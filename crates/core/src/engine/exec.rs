@@ -15,27 +15,21 @@
 //!   **in staging order, shard order within a tuple**, so the emitted event
 //!   stream is deterministic regardless of thread scheduling.
 
-use super::replan::StreamTally;
 use super::{Decision, EngineEvent, Item, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator, OperatorStats, ProbeOutcome};
 use mswj_types::Tuple;
 use std::collections::VecDeque;
 
-/// Folds one finished tuple of `stream` into the aggregate stats and the
-/// per-stream tallies and emits its [`EngineEvent::Done`].  This is the
+/// Folds one finished tuple into the aggregate stats and emits its
+/// [`EngineEvent::Done`].  This is the
 /// single place where the engine's sequential-equivalent accounting
 /// happens, shared by both executors.
 fn finish_tuple(
-    stream: usize,
     outcome: ProbeOutcome,
     stats: &mut OperatorStats,
-    tally: &mut [StreamTally],
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
     if outcome.in_order {
-        let t = &mut tally[stream];
-        t.probes += 1;
-        t.matches += outcome.n_join;
         stats.in_order += 1;
         if outcome.indexed {
             stats.indexed_probes += 1;
@@ -65,15 +59,13 @@ pub(super) fn run_local(
     staged: &mut Vec<Tuple>,
     inserted: usize,
     stats: &mut OperatorStats,
-    tally: &mut [StreamTally],
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
     let mut admitted = 0;
     for tuple in staged.drain(..) {
-        let stream = tuple.stream.as_usize();
         let outcome = op.push_with(tuple, &mut |r| f(EngineEvent::Result(&r)));
         admitted += usize::from(outcome.inserted);
-        finish_tuple(stream, outcome, stats, tally, f);
+        finish_tuple(outcome, stats, f);
     }
     debug_assert_eq!(admitted, inserted, "scope check mismatch");
 }
@@ -115,7 +107,6 @@ pub(super) fn merge_epoch(
     mat: &mut [Vec<(u32, JoinResult)>],
     cursors: &mut [(usize, usize)],
     stats: &mut OperatorStats,
-    tally: &mut [StreamTally],
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
     cursors.fill((0, 0));
@@ -142,7 +133,7 @@ pub(super) fn merge_epoch(
                 outcome.indexed &= o.indexed;
             }
         }
-        finish_tuple(d.stream, outcome, stats, tally, f);
+        finish_tuple(outcome, stats, f);
     }
     for ((sub, mat), &(sc, mc)) in sub.iter_mut().zip(mat.iter_mut()).zip(cursors.iter()) {
         debug_assert_eq!(sc, sub.len(), "unconsumed shard outcomes");

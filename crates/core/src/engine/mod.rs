@@ -177,8 +177,8 @@ use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
 // protocol's own types, so a remote epoch ships and returns them as they are.
 use mswj_wire::{WireItem as Item, WireSub as SubOutcome};
 use occupancy::Occupancy;
+use replan::ReplanState;
 pub use replan::{PlanAction, PlanTransition, ReplanConfig};
-use replan::{ReplanState, StreamTally};
 use shards::ShardSet;
 use skew::SkewDetector;
 pub use skew::{SkewConfig, SkewTransition};
@@ -265,9 +265,6 @@ pub enum EngineEvent<'a> {
 /// set.  A shard holds an item for the tuple exactly when it is `inserted`.
 #[derive(Debug, Clone, Copy)]
 struct Decision {
-    /// The tuple's stream — keyed per-stream probe/match tallies at the
-    /// sequential-equivalent merge point.
-    stream: usize,
     ts: Timestamp,
     delay: Duration,
     in_order: bool,
@@ -313,8 +310,8 @@ pub struct ShardRuntimeStats {
     /// Connection attempts beyond the first while establishing the link
     /// (`Remote` backend).
     pub reconnects: u64,
-    /// Plan revisions (pair switches, probe reorders, index demotions) the
-    /// runtime re-planner applied to this shard's operator.
+    /// Star pair switches the runtime re-planner applied to this shard
+    /// (each re-homes window state at a barrier).
     pub plan_revisions: u64,
     /// Tuples adopted into this shard's windows by pair-switch state
     /// migration.
@@ -413,11 +410,6 @@ pub struct JoinEngine {
     transitions: Vec<SkewTransition>,
     /// The runtime re-planner; `None` unless re-planning was opted into.
     replan: Option<ReplanState>,
-    /// Engine-global per-stream probe/match tallies — the observed match
-    /// rates behind probe reordering.  Maintained unconditionally (a few
-    /// adds per finished tuple) so arming re-planning never changes what
-    /// the engine observes.
-    tally: Vec<StreamTally>,
     /// The satellite stream currently key-routed with the star anchor
     /// (`None` for non-star plans).
     star_partner: Option<usize>,
@@ -515,8 +507,9 @@ impl JoinEngine {
     /// The fallible, fully-armed form of [`JoinEngine::new`].  The `Remote`
     /// backend validates its endpoint list, requires a wire-expressible
     /// join condition, and connects + handshakes with every shard server
-    /// here — each failure comes back as [`Error::InvalidConfig`].  The
-    /// local backends never fail.
+    /// here — each failure comes back as [`Error::InvalidConfig`], as does
+    /// a `skew` or `replan` config that fails its `validate`.  The local
+    /// backends fail on nothing else.
     ///
     /// `skew: Some(_)` arms adaptive hot-key splitting: key classes crossing
     /// [`SkewConfig::split_share`] of a detection window switch to
@@ -525,13 +518,11 @@ impl JoinEngine {
     /// armed) when the plan cannot split soundly — broadcast streams or a
     /// single shard; see [`Partitioner::supports_splitting`].
     ///
-    /// `replan: Some(_)` arms runtime probe re-planning: the engine may
-    /// re-select the star partition pair to the heaviest
-    /// observed-cardinality satellite (migrating window state, so only
-    /// light streams stay on the broadcast path), reorder the m-way probe
-    /// chain by observed match rates, or demote the hash index to the
-    /// nested-loop scan when the fallback share shows maintenance stopped
-    /// paying.  Every revision lands in [`JoinEngine::plan_transitions`].
+    /// `replan: Some(_)` arms runtime re-planning: the engine may re-select
+    /// the star partition pair to the heaviest observed-cardinality
+    /// satellite (migrating window state, so only light streams stay on
+    /// the broadcast path).  Every revision lands in
+    /// [`JoinEngine::plan_transitions`].
     ///
     /// Both layers act at [`JoinEngine::sync`] barriers only, from
     /// engine-global statistics, so routing never changes while work is in
@@ -544,6 +535,12 @@ impl JoinEngine {
         skew: Option<SkewConfig>,
         replan: Option<ReplanConfig>,
     ) -> Result<Self, Error> {
+        if let Some(skew) = &skew {
+            skew.validate().map_err(Error::InvalidConfig)?;
+        }
+        if let Some(replan) = &replan {
+            replan.validate().map_err(Error::InvalidConfig)?;
+        }
         let equi = query.condition().equi_structure();
         let plan = ProbePlan::new(strategy, equi.as_ref());
         let partitioner = Partitioner::new(&plan, backend.requested_shards());
@@ -553,7 +550,7 @@ impl JoinEngine {
         let detector = skew
             .filter(|_| partitioner.supports_splitting())
             .map(SkewDetector::new);
-        let replan = replan.map(|config| ReplanState::new(config, m));
+        let replan = replan.map(ReplanState::new);
         let star_partner = Partitioner::default_star_partner(&plan);
         Ok(JoinEngine {
             shards,
@@ -570,7 +567,6 @@ impl JoinEngine {
             detector,
             transitions: Vec::new(),
             replan,
-            tally: vec![StreamTally::default(); m],
             star_partner,
             plan_transitions: Vec::new(),
             split_rr: 0,
@@ -732,7 +728,7 @@ impl JoinEngine {
         &self.transitions
     }
 
-    /// Whether runtime probe re-planning is armed on this engine.
+    /// Whether runtime re-planning is armed on this engine.
     pub fn replanning_enabled(&self) -> bool {
         self.replan.is_some()
     }
@@ -797,7 +793,6 @@ impl JoinEngine {
             self.enqueue(self.decisions.len() as u32, in_order, tuple);
         }
         self.decisions.push(Decision {
-            stream: i,
             ts,
             delay,
             in_order,
@@ -888,7 +883,6 @@ impl JoinEngine {
                 &mut self.staged,
                 std::mem::take(&mut self.staged_inserted),
                 &mut self.stats,
-                &mut self.tally,
                 f,
             );
             return;
@@ -917,7 +911,6 @@ impl JoinEngine {
             &mut self.mat,
             &mut self.cursors,
             &mut self.stats,
-            &mut self.tally,
             f,
         );
         self.decisions.clear();
@@ -971,7 +964,6 @@ impl JoinEngine {
             &mut self.mat,
             &mut self.cursors,
             &mut self.stats,
-            &mut self.tally,
             f,
         );
         self.deferred.clear();
@@ -1425,6 +1417,40 @@ mod tests {
     }
 
     #[test]
+    fn invalid_policy_configs_are_rejected_where_the_engine_is_built() {
+        let bad_skew = SkewConfig {
+            split_share: 0.0,
+            ..SkewConfig::default()
+        };
+        let err = JoinEngine::try_with_policies(
+            equi_query(2, 1_000),
+            ProbeStrategy::Auto,
+            false,
+            ExecutionBackend::Pool { workers: 2 },
+            Some(bad_skew),
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("split_share"), "{err}");
+        let bad_replan = ReplanConfig {
+            switch_ratio: 1.0,
+            ..ReplanConfig::default()
+        };
+        let err = JoinEngine::try_with_policies(
+            equi_query(2, 1_000),
+            ProbeStrategy::Auto,
+            false,
+            ExecutionBackend::Sequential,
+            None,
+            Some(bad_replan),
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("switch_ratio"), "{err}");
+    }
+
+    #[test]
     fn remote_backend_rejects_closure_conditions() {
         let streams =
             StreamSet::homogeneous(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000).unwrap();
@@ -1735,8 +1761,6 @@ mod tests {
         ReplanConfig {
             min_probes: 64,
             switch_ratio: 1.5,
-            demote_fallback_share: 0.5,
-            reorder_margin: 1.2,
         }
     }
 
@@ -1768,100 +1792,6 @@ mod tests {
             Some(test_replan()),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn probe_reorder_fires_and_preserves_results() {
-        // Asymmetric 3-way arrival rates: stream 1 floods (large window, so
-        // probes *into* it are productive and probes *from* it are not),
-        // stream 0 trickles.  Per-stream match rates then order ascending
-        // as (1, 2, 0) — an inversion of the static (0, 1, 2) chain.
-        let mut tuples = Vec::new();
-        let mut seq = 0u64;
-        for round in 0..120u64 {
-            let ts = round * 4;
-            let mut push = |stream: usize, key: i64| {
-                tuples.push(tup(stream, seq, ts, key));
-                seq += 1;
-            };
-            push(1, (round % 2) as i64);
-            push(1, ((round + 1) % 2) as i64);
-            push(1, (round % 2) as i64);
-            push(2, (round % 2) as i64);
-            if round % 4 == 0 {
-                push(0, (round % 2) as i64);
-            }
-        }
-        let mut reference = JoinEngine::new(
-            equi_query(3, 400),
-            ProbeStrategy::Auto,
-            true,
-            ExecutionBackend::Sequential,
-        );
-        let (want_res, _, want_stats) = run_synced(&mut reference, &tuples, 100);
-        let mut engine = replanned(equi_query(3, 400), true, ExecutionBackend::Sequential);
-        assert!(engine.replanning_enabled());
-        let (res, _, stats) = run_synced(&mut engine, &tuples, 100);
-        assert_eq!(res, want_res, "a reorder is a pure access-path change");
-        assert_eq!(stats.results, want_stats.results);
-        assert_eq!(stats.in_order, want_stats.in_order);
-        let order = engine
-            .plan_transitions()
-            .iter()
-            .find_map(|t| match &t.action {
-                PlanAction::Reorder { order } => Some(order.clone()),
-                _ => None,
-            })
-            .expect("the inverted match rates must trigger a reorder");
-        assert_eq!(order[0], 1, "the flooded stream probes first: {order:?}");
-        assert_eq!(engine.shard(0).probe_order(), &order[..]);
-        assert!(engine.runtime_stats(0).plan_revisions >= 1);
-    }
-
-    #[test]
-    fn index_demotion_fires_on_fallback_heavy_workloads() {
-        // Float keys join numerically but defeat the hash index: every
-        // probe takes the nested-loop fallback, so maintaining the index
-        // is pure overhead and the re-planner drops it.
-        let ftup = |stream: usize, seq: u64, ts: u64, key: i64| {
-            Tuple::new(
-                stream.into(),
-                seq,
-                Timestamp::from_millis(ts),
-                vec![Value::Float(key as f64 + 0.5)],
-            )
-        };
-        let tuples: Vec<Tuple> = (0..300u64)
-            .map(|s| ftup((s % 2) as usize, s, s * 5, (s % 3) as i64))
-            .collect();
-        let (want_res, _, want_stats) = run(ExecutionBackend::Sequential, true, &tuples);
-        let mut engine = replanned(
-            equi_query(2, 1_000),
-            true,
-            ExecutionBackend::Pool { workers: 3 },
-        );
-        let (res, _, stats) = run_synced(&mut engine, &tuples, 100);
-        assert_eq!(res, want_res, "a demotion never changes the multiset");
-        assert_eq!(stats.results, want_stats.results);
-        assert_eq!(stats.fallback_probes, want_stats.fallback_probes);
-        assert!(
-            engine
-                .plan_transitions()
-                .iter()
-                .any(|t| t.action == PlanAction::DemoteIndex),
-            "an all-fallback window must demote: {:?}",
-            engine.plan_transitions()
-        );
-        for s in 0..engine.shard_count() {
-            assert!(engine.runtime_stats(s).plan_revisions >= 1, "shard {s}");
-        }
-        // One-way: a single demotion, never a second.
-        let demotions = engine
-            .plan_transitions()
-            .iter()
-            .filter(|t| t.action == PlanAction::DemoteIndex)
-            .count();
-        assert_eq!(demotions, 1);
     }
 
     #[test]

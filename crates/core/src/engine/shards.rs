@@ -6,7 +6,7 @@
 //! [`RemoteShards`] links — and its methods are everything the routing
 //! front may ask of a shard: hand out the sequential shard's operator,
 //! drain a small `Pool` batch on the calling thread, submit and collect one
-//! epoch, read statistics, inspect an operator, and the six barrier-time
+//! epoch, read statistics, inspect an operator, and the five barrier-time
 //! surgery operations.  Only staging and flushing ask whether the
 //! placement is the sequential one (it takes its tuples unrouted); every
 //! other method decides once per call.
@@ -31,7 +31,6 @@
 //! | `adopt`           | `adopt_all`              | `Adopt`       |
 //! | `purge_class`     | `purge_class`            | `PurgeClass`  |
 //! | `retain_home`     | `retain_home`            | `Retain`      |
-//! | `revise`          | `revise`                 | `Revise`      |
 
 use super::pool::ShardPool;
 use super::transport::RemoteShards;
@@ -359,25 +358,11 @@ impl ShardSet {
             },
         );
     }
-
-    /// Applies a probe reorder (non-empty `order`) and/or index demotion to
-    /// shard `s`'s operator.
-    pub(super) fn revise(&mut self, s: usize, order: &[usize], demote: bool) {
-        self.apply(
-            s,
-            |op| op.revise(order, demote),
-            || Frame::Revise {
-                order: order.to_vec(),
-                demote,
-            },
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::replan::StreamTally;
     use crate::engine::{exec, Decision, EngineEvent};
     use mswj_join::{join_key_hash, CommonKeyEquiJoin, Partitioner};
     use mswj_types::{FieldType, Schema, StreamSet, Timestamp, Value};
@@ -412,20 +397,12 @@ mod tests {
     fn run_epoch(set: &mut ShardSet, epoch: u64, tuples: &[Tuple]) -> u64 {
         let n = set.count();
         let mut stats = OperatorStats::default();
-        let mut tally = vec![StreamTally::default(); 2];
         let mut done = 0usize;
         let mut count =
             |ev: EngineEvent<'_>| done += usize::from(matches!(ev, EngineEvent::Done(_)));
         if let Some(op) = set.local() {
             let mut staged = tuples.to_vec();
-            exec::run_local(
-                op,
-                &mut staged,
-                tuples.len(),
-                &mut stats,
-                &mut tally,
-                &mut count,
-            );
+            exec::run_local(op, &mut staged, tuples.len(), &mut stats, &mut count);
         } else {
             let mut queues: Vec<VecDeque<Item>> = (0..n).map(|_| VecDeque::new()).collect();
             let mut decisions = Vec::new();
@@ -437,7 +414,6 @@ mod tests {
                     tuple: t.clone(),
                 });
                 decisions.push(Decision {
-                    stream: t.stream.as_usize(),
                     ts: t.ts,
                     delay: 0,
                     in_order: true,
@@ -468,7 +444,6 @@ mod tests {
                 &mut mat,
                 &mut cursors,
                 &mut stats,
-                &mut tally,
                 &mut count,
             );
         }
@@ -518,11 +493,6 @@ mod tests {
         for s in 0..n {
             set.retain_home(s, 1, 0);
         }
-        // A plan revision; the demotion shows in the second epoch's
-        // fallback-probe counters on every placement.
-        for s in 0..n {
-            set.revise(s, &[1, 0], true);
-        }
         let second = run_epoch(&mut set, 2, &batch(64));
         let snapshots = (0..n)
             .map(|s| {
@@ -546,11 +516,6 @@ mod tests {
     fn every_placement_applies_the_same_surgery_script_identically() {
         let (want_results, one_shard) = script(ExecutionBackend::Sequential);
         assert!(want_results.0 > 0 && want_results.1 > 0);
-        assert_eq!(
-            one_shard[0].stats.fallback_probes, 64,
-            "the second epoch probes a demoted index: {:?}",
-            one_shard[0].stats
-        );
         let (_, three_shards) = script(ExecutionBackend::Pool { workers: 3 });
         let moved: u64 = three_shards.iter().map(|s| s.stats.adopted).sum();
         assert!(moved > 0, "the script must migrate state between shards");

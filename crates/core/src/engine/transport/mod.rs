@@ -523,20 +523,6 @@ mod tests {
                 },
                 "adopted tuple",
             ),
-            (
-                Frame::Revise {
-                    order: vec![0, 0],
-                    demote: false,
-                },
-                "probe order",
-            ),
-            (
-                Frame::Revise {
-                    order: vec![0, 1, 2],
-                    demote: true,
-                },
-                "probe order",
-            ),
             // A task is validated whole before its first item is applied.
             (
                 Frame::Task(WireTask {

@@ -240,7 +240,7 @@ impl RemoteShards {
     }
 
     /// A surgery request answered by a plain ack (`Adopt`, `PurgeClass`,
-    /// `Retain`, `Revise`).
+    /// `Retain`).
     pub(in crate::engine) fn request_ack(&mut self, shard: usize, request: Frame) {
         match self.request(shard, request) {
             (_, Frame::Ack) => {}

@@ -10,7 +10,7 @@
 //! is unreliable, exactly like a retired pool worker).
 //!
 //! Surgery frames (`FetchClass`, `FetchWindow`, `Adopt`, `PurgeClass`,
-//! `Retain`, `Revise`) take one path, `apply_surgery`: **validate, then
+//! `Retain`) take one path, `apply_surgery`: **validate, then
 //! apply**.  Every index a frame carries is checked against the operator
 //! built at `Setup` before anything is touched, and the body that runs is
 //! the same `MswjOperator` method the engine's local backends call.  A
@@ -130,14 +130,6 @@ fn apply_surgery(op: &mut MswjOperator, frame: Frame) -> Result<Frame, String> {
                     ))
                 }
             }
-            Frame::Ack
-        }
-        Frame::Revise { order, demote } => {
-            if !order.is_empty() {
-                op.check_probe_order(&order)
-                    .map_err(|why| format!("revise: {why}"))?;
-            }
-            op.revise(&order, demote);
             Frame::Ack
         }
         other => {

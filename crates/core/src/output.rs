@@ -122,8 +122,8 @@ pub struct RunReport {
     /// detector took, in decision order; empty unless the session opted
     /// into `skew_splitting` (and the plan supports it).
     pub skew_transitions: Vec<SkewTransition>,
-    /// Every plan revision the join stage's runtime re-planner took (pair
-    /// switches, probe reorders, index demotions), in decision order;
+    /// Every plan revision the join stage's runtime re-planner took (star
+    /// pair switches), in decision order;
     /// empty unless the session opted into `runtime_replanning`.
     pub plan_transitions: Vec<PlanTransition>,
 }

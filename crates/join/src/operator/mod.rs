@@ -19,9 +19,8 @@
 //! [`insert`] owns window maintenance (expiry, in-order and out-of-order
 //! insertion, including the engine-driven [`MswjOperator::insert_late`]),
 //! [`probe`] owns the one read-only probe walk, [`surgery`] owns the
-//! barrier-time state migration and plan revision a sharded engine applies
-//! to a shard, and [`stats`] owns the [`ProbeOutcome`]/[`OperatorStats`]
-//! records.
+//! barrier-time state migration a sharded engine applies to a shard, and
+//! [`stats`] owns the [`ProbeOutcome`]/[`OperatorStats`] records.
 //!
 //! ## Probe access paths
 //!
@@ -88,12 +87,6 @@ pub struct MswjOperator {
     /// unread — without a distance scan).
     distance_limit: f64,
     windows: Vec<Window>,
-    /// The order in which indexed probes visit the other streams' windows
-    /// (a permutation of `0..m`; own-stream entries are skipped per probe).
-    /// Stream order by default; runtime re-planning rotates low-match-rate
-    /// windows to the front so empty buckets short-circuit early.  Purely
-    /// an access-path choice: the produced result multiset is unaffected.
-    order: Vec<usize>,
     on_t: Timestamp,
     started: bool,
     enumerate: bool,
@@ -166,7 +159,6 @@ impl MswjOperator {
             scan,
             distance_limit,
             windows,
-            order: (0..m).collect(),
             on_t: Timestamp::ZERO,
             started: false,
             enumerate,
@@ -178,9 +170,8 @@ impl MswjOperator {
     /// lifetime: postings where a probe walks the window — every window of
     /// an enumerating operator, and the star anchor when `m > 2`, whose
     /// buckets a satellite probe walks as its root — and key counts where
-    /// the plan only counts it.  Re-planning only reorders probes or
-    /// demotes the index (which drops either kind), so the choice never
-    /// needs revisiting.
+    /// the plan only counts it.  Which windows a probe walks depends on the
+    /// plan alone, so the choice never needs revisiting.
     fn index_kind(plan: &ProbePlan, enumerate: bool, m: usize, i: usize) -> IndexKind {
         let star_root = matches!(plan, ProbePlan::Star { anchor, .. } if *anchor == i && m > 2);
         if enumerate || star_root {
@@ -198,37 +189,6 @@ impl MswjOperator {
     /// The probe access path planned from the condition's equi structure.
     pub fn probe_plan(&self) -> &ProbePlan {
         &self.plan
-    }
-
-    /// The order in which indexed probes visit the other streams' windows.
-    pub fn probe_order(&self) -> &[usize] {
-        &self.order
-    }
-
-    /// Re-orders the indexed probe chain: windows are visited in `order`
-    /// (a permutation of `0..m`), so placing low-match-rate streams first
-    /// lets empty buckets short-circuit a probe before the expensive
-    /// levels are touched.  The result multiset is unaffected — only the
-    /// access path (and the emission order within one probe) changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of `0..m`.
-    pub fn set_probe_order(&mut self, order: Vec<usize>) {
-        if let Err(why) = self.check_probe_order(&order) {
-            panic!("{why}");
-        }
-        self.order = order;
-    }
-
-    /// Demotes every window's hash index to the nested-loop scan, for the
-    /// operator's lifetime (see [`Window::demote_index`]).  Runtime
-    /// re-planning applies this when the observed indexed-vs-fallback
-    /// ratio shows index maintenance stopped paying.
-    pub fn demote_index(&mut self) {
-        for w in &mut self.windows {
-            w.demote_index();
-        }
     }
 
     /// The maximum timestamp among tuples received so far (`onT`).
@@ -581,8 +541,8 @@ mod tests {
     fn count_equals_emitted_push_for_push() {
         use crate::condition::{BandJoin, PredicateFn};
 
-        /// How many probes the stream-order operator answers through the
-        /// index: every one, none, or some but not all (gate fallbacks).
+        /// How many probes the operator answers through the index: every
+        /// one, none, or some but not all (gate fallbacks).
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Indexed {
             All,
@@ -594,9 +554,6 @@ mod tests {
             query: JoinQuery,
             tuples: Vec<Tuple>,
             indexed: Indexed,
-            /// Whether some probing keys are `Null`: barren probes, which
-            /// count as indexed even after a demotion.
-            nulls: bool,
         }
 
         let row = |stream: usize, seq: u64, ts: u64, values: Vec<Value>| {
@@ -692,14 +649,12 @@ mod tests {
                     tup(1, 2, 50, 1),
                 ],
                 indexed: Indexed::All,
-                nulls: false,
             },
             Row {
                 name: "common key m=3",
                 query: equi_query(3, 200),
                 tuples: common(3, 90, &int),
                 indexed: Indexed::All,
-                nulls: false,
             },
             Row {
                 // Formerly `star_join_counts_match_enumeration`.
@@ -716,14 +671,12 @@ mod tests {
                     tup(2, 1, 7, 2),         // probes both anchors
                 ],
                 indexed: Indexed::All,
-                nulls: false,
             },
             Row {
                 name: "star m=4, generated",
                 query: star_query(),
                 tuples: star(80, &int),
                 indexed: Indexed::All,
-                nulls: false,
             },
             Row {
                 // Null and Float pair keys on both sides: barren probes,
@@ -736,21 +689,18 @@ mod tests {
                     _ => Value::Int(k),
                 }),
                 indexed: Indexed::Some,
-                nulls: true,
             },
             Row {
                 name: "band m=2",
                 query: band(2),
                 tuples: scanned(2, 100, 0x9E37_79B9),
                 indexed: Indexed::None,
-                nulls: false,
             },
             Row {
                 name: "band m=3, probes from stream 0 and from the others",
                 query: band(3),
                 tuples: scanned(3, 150, 0x9E37_79B9),
                 indexed: Indexed::None,
-                nulls: false,
             },
             Row {
                 name: "distance",
@@ -770,14 +720,12 @@ mod tests {
                         .collect()
                 },
                 indexed: Indexed::None,
-                nulls: false,
             },
             Row {
                 name: "user-defined predicate (no plan)",
                 query: udf,
                 tuples: common(3, 60, &int),
                 indexed: Indexed::None,
-                nulls: false,
             },
             Row {
                 name: "common key m=3, mixed Int/Float keys",
@@ -787,7 +735,6 @@ mod tests {
                     _ => Value::Int(k),
                 }),
                 indexed: Indexed::Some,
-                nulls: false,
             },
             Row {
                 name: "common key m=3, Null keys",
@@ -797,7 +744,6 @@ mod tests {
                     _ => Value::Int(k),
                 }),
                 indexed: Indexed::All,
-                nulls: true,
             },
         ];
 
@@ -806,83 +752,41 @@ mod tests {
             query,
             tuples,
             indexed,
-            nulls,
         } in rows
         {
-            let m = query.arity();
-            let stream_order: Vec<usize> = (0..m).collect();
-            let rotated: Vec<usize> = (1..m).chain(0..1).collect();
-            let reversed: Vec<usize> = (0..m).rev().collect();
-            // `None`: stream order after `demote_index`.
-            let variants = [
-                Some(stream_order.clone()),
-                Some(rotated),
-                Some(reversed),
-                None,
-            ];
-            for order in variants {
-                let case = format!("{name}, order {order:?}");
-                let mut counting = MswjOperator::new(query.clone());
-                let mut enumerating = MswjOperator::enumerating(query.clone());
-                let mut reference =
-                    MswjOperator::with_probe(query.clone(), ProbeStrategy::NestedLoop, true);
-                let demoted = order.is_none();
-                // Hash plans walk in probe order; everything else binds
-                // streams in ascending order, as the reference does.
-                let same_order = demoted
-                    || !enumerating.probe_plan().is_indexed()
-                    || order.as_ref() == Some(&stream_order);
-                for op in [&mut counting, &mut enumerating] {
-                    match &order {
-                        Some(order) => op.set_probe_order(order.clone()),
-                        None => op.demote_index(),
-                    }
-                }
-                for t in &tuples {
-                    let counted = counting.push(t.clone());
-                    let (mut emitted, mut expected) = (Vec::new(), Vec::new());
-                    let walked =
-                        enumerating.push_with(t.clone(), &mut |r| emitted.push(r.to_string()));
-                    let scanned =
-                        reference.push_with(t.clone(), &mut |r| expected.push(r.to_string()));
-                    assert_eq!(counted, walked, "{case}: count vs walk at {t:?}");
-                    assert_eq!(
-                        ProbeOutcome {
-                            indexed: false,
-                            ..walked
-                        },
-                        scanned,
-                        "{case}: walk vs reference at {t:?}"
-                    );
-                    assert_eq!(walked.n_join, emitted.len() as u64, "{case}: {t:?}");
-                    if !same_order {
-                        emitted.sort();
-                        expected.sort();
-                    }
-                    assert_eq!(emitted, expected, "{case}: combinations at {t:?}");
-                    if demoted {
-                        assert!(!walked.indexed || walked.n_join == 0, "{case}: {t:?}");
-                    }
-                }
-                let stats = enumerating.stats();
-                assert_eq!(stats, counting.stats(), "{case}");
-                assert!(
-                    stats.results > 0,
-                    "{case}: the workload must derive results"
+            let mut counting = MswjOperator::new(query.clone());
+            let mut enumerating = MswjOperator::enumerating(query.clone());
+            let mut reference = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
+            for t in &tuples {
+                let counted = counting.push(t.clone());
+                let (mut emitted, mut expected) = (Vec::new(), Vec::new());
+                let walked = enumerating.push_with(t.clone(), &mut |r| emitted.push(r.to_string()));
+                let scanned = reference.push_with(t.clone(), &mut |r| expected.push(r.to_string()));
+                assert_eq!(counted, walked, "{name}: count vs walk at {t:?}");
+                assert_eq!(
+                    ProbeOutcome {
+                        indexed: false,
+                        ..walked
+                    },
+                    scanned,
+                    "{name}: walk vs reference at {t:?}"
                 );
-                assert_eq!(stats.indexed_probes + stats.fallback_probes, stats.in_order);
-                let expect = match (demoted, nulls) {
-                    (false, _) => indexed,
-                    (true, false) => Indexed::None,
-                    (true, true) => continue, // only the barren probes stay indexed
-                };
-                let observed = match (stats.indexed_probes, stats.fallback_probes) {
-                    (_, 0) => Indexed::All,
-                    (0, _) => Indexed::None,
-                    _ => Indexed::Some,
-                };
-                assert_eq!(observed, expect, "{case}: {stats:?}");
+                assert_eq!(walked.n_join, emitted.len() as u64, "{name}: {t:?}");
+                assert_eq!(emitted, expected, "{name}: combinations at {t:?}");
             }
+            let stats = enumerating.stats();
+            assert_eq!(stats, counting.stats(), "{name}");
+            assert!(
+                stats.results > 0,
+                "{name}: the workload must derive results"
+            );
+            assert_eq!(stats.indexed_probes + stats.fallback_probes, stats.in_order);
+            let observed = match (stats.indexed_probes, stats.fallback_probes) {
+                (_, 0) => Indexed::All,
+                (0, _) => Indexed::None,
+                _ => Indexed::Some,
+            };
+            assert_eq!(observed, indexed, "{name}: {stats:?}");
         }
     }
 
@@ -1044,96 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_order_changes_access_path_not_results() {
-        let query = equi_query(3, 10_000);
-        let mut default_order = MswjOperator::enumerating(query.clone());
-        let mut reordered = MswjOperator::enumerating(query);
-        reordered.set_probe_order(vec![2, 0, 1]);
-        assert_eq!(reordered.probe_order(), &[2, 0, 1]);
-        for s in 0..60u64 {
-            let t = tup((s % 3) as usize, s, s * 7, (s % 4) as i64);
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            let ra = default_order.push_with(t.clone(), &mut |r| a.push(r.to_string()));
-            let rb = reordered.push_with(t, &mut |r| b.push(r.to_string()));
-            assert_eq!(ra.n_join, rb.n_join);
-            assert_eq!(ra.indexed, rb.indexed);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "probe order must not change the result multiset");
-        }
-        assert!(default_order.stats().results > 0);
-        assert_eq!(default_order.stats(), reordered.stats());
-    }
-
-    #[test]
-    fn star_probe_order_changes_access_path_not_results() {
-        let query = star_query();
-        let mut default_order = MswjOperator::enumerating(query.clone());
-        let mut reordered = MswjOperator::enumerating(query);
-        reordered.set_probe_order(vec![3, 1, 0, 2]);
-        for s in 0..80u64 {
-            let stream = (s % 4) as usize;
-            let t = if stream == 0 {
-                Tuple::new(
-                    0.into(),
-                    s,
-                    Timestamp::from_millis(s * 5),
-                    vec![
-                        Value::Int((s % 3) as i64),
-                        Value::Int((s % 2) as i64),
-                        Value::Int((s % 3) as i64),
-                    ],
-                )
-            } else {
-                tup(stream, s, s * 5, ((s * 7) % 3) as i64)
-            };
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            default_order.push_with(t.clone(), &mut |r| a.push(r.to_string()));
-            reordered.push_with(t, &mut |r| b.push(r.to_string()));
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
-        }
-        assert!(default_order.stats().results > 0);
-        assert_eq!(default_order.stats(), reordered.stats());
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn probe_order_rejects_non_permutations() {
-        let mut op = MswjOperator::new(equi_query(3, 1_000));
-        op.set_probe_order(vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn demote_index_falls_back_with_identical_results() {
-        let query = equi_query(2, 10_000);
-        let mut indexed = MswjOperator::enumerating(query.clone());
-        let mut demoted = MswjOperator::enumerating(query);
-        demoted.demote_index();
-        for s in 0..40u64 {
-            let t = tup((s % 2) as usize, s, s * 9, (s % 3) as i64);
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            let ra = indexed.push_with(t.clone(), &mut |r| a.push(r.to_string()));
-            let rb = demoted.push_with(t, &mut |r| b.push(r.to_string()));
-            assert_eq!(ra.n_join, rb.n_join);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "demotion must not change the result multiset");
-        }
-        assert!(indexed.stats().results > 0);
-        assert_eq!(indexed.stats().fallback_probes, 0);
-        assert_eq!(
-            demoted.stats().indexed_probes,
-            0,
-            "every probe scans after demotion"
-        );
-    }
-
-    #[test]
     fn each_window_keeps_the_one_index_kind_its_probes_read() {
         use IndexKind::{Counts, Postings};
         let star2 = {
@@ -1190,12 +1004,11 @@ mod tests {
                     true => vec![None; m],
                     false => kinds.into_iter().map(Some).collect(),
                 };
-                let mut op = MswjOperator::with_probe(query.clone(), strategy, enumerate);
-                let kind = |op: &MswjOperator, i: usize| op.window(StreamIndex(i)).index_kind();
-                let got: Vec<_> = (0..m).map(|i| kind(&op, i)).collect();
+                let op = MswjOperator::with_probe(query.clone(), strategy, enumerate);
+                let got: Vec<_> = (0..m)
+                    .map(|i| op.window(StreamIndex(i)).index_kind())
+                    .collect();
                 assert_eq!(got, expect, "{name}, enumerating: {enumerate}");
-                op.demote_index();
-                assert!((0..m).all(|i| kind(&op, i).is_none()), "{name}: demoted");
             }
         }
     }

@@ -24,9 +24,9 @@
 //!
 //!    | plan × role | root | level source (visiting order) | key origin |
 //!    |---|---|---|---|
-//!    | common key, any stream | — | bucket `(W_j, columns[j])` (`order`) | probe's `columns[i]` |
-//!    | star, anchor | — | bucket `(W_j, other_cols[j])` (`order`) | probe's `anchor_cols[j]` |
-//!    | star, satellite `i` | bucket `(W_anchor, anchor_cols[i])` under the probe's `other_cols[i]` | bucket `(W_k, other_cols[k])` (`order`) | root row's `anchor_cols[k]` |
+//!    | common key, any stream | — | bucket `(W_j, columns[j])` (ascending) | probe's `columns[i]` |
+//!    | star, anchor | — | bucket `(W_j, other_cols[j])` (ascending) | probe's `anchor_cols[j]` |
+//!    | star, satellite `i` | bucket `(W_anchor, anchor_cols[i])` under the probe's `other_cols[i]` | bucket `(W_k, other_cols[k])` (ascending) | root row's `anchor_cols[k]` |
 //!    | band, stream 0 (or `m = 2`) | — | scan of `W_j` (ascending) | probe's band image |
 //!    | band, stream `i ≠ 0` | scan of `W_0` under the probe's image | scan of `W_j` (ascending) | root row's band image |
 //!    | distance | — | scan of `W_{1-i}` | probe's `(x, y)` image |
@@ -39,11 +39,12 @@
 //!    each level's bucket to its per-segment postings once per binding row
 //!    and nests the walks into one combination buffer, in visiting order.
 //!
-//! Band joins bind stream 0 first because every other stream is compared
-//! against stream 0's image only: once it is known the remaining windows
-//! filter independently.  Streams are then bound in ascending order and
-//! each window walked in timestamp order, which is `recurse`'s emission
-//! order — the differential suites compare the two verbatim.
+//! Every probe binds the other streams in ascending order, behind its root
+//! if it has one, and walks each window in timestamp order: `recurse`'s
+//! emission order wherever the root is stream 0, which the differential
+//! suites compare verbatim.  Band joins root at stream 0 because every
+//! other stream is compared against stream 0's image only: once it is
+//! known the remaining windows filter independently.
 
 use super::MswjOperator;
 use crate::condition::ScanStructure;
@@ -310,11 +311,11 @@ impl MswjOperator {
 
     /// The one place plan × role is matched: writes the level of every
     /// stream other than `i` into `levels` (one slot each) in visiting
-    /// order — [`MswjOperator::probe_order`] for hash plans, ascending for
-    /// scans — and returns the shape's gate verdict and whether the first
-    /// level is a root: bound to the probe and walked, each of its rows
-    /// binding the rest.  A root with nothing to fan out to is just a
-    /// level, so it is counted rather than walked.
+    /// order — ascending, behind the root if there is one — and returns
+    /// the shape's gate verdict and whether the first level is a root:
+    /// bound to the probe and walked, each of its rows binding the rest.
+    /// A root with nothing to fan out to is just a level, so it is counted
+    /// rather than walked.
     fn resolve<'p>(
         &'p self,
         i: usize,
@@ -334,7 +335,7 @@ impl MswjOperator {
             }
         }
         let m = self.windows.len();
-        let order = self.order.iter().copied().filter(|&j| j != i);
+        let order = (0..m).filter(|&j| j != i);
         match &self.plan {
             ProbePlan::CommonKey { columns } => {
                 let from = columns[i];
@@ -378,7 +379,7 @@ impl MswjOperator {
                 // A band compares every stream against stream 0 only: from
                 // any other stream, window 0's matches are the root.
                 Some(scan) => {
-                    fill(levels, (0..m).filter(|&j| j != i), |_| Level::Scan(scan));
+                    fill(levels, order, |_| Level::Scan(scan));
                     (Gate::Engage, i != 0 && m > 2)
                 }
                 None => (Gate::Fallback, false),
@@ -507,45 +508,10 @@ impl MswjOperator {
             slots[j] = tuple;
             self.recurse(j + 1, probe, tuple, slots, f);
         } else {
-            // Zone-map pruning: skip whole segments the plan's equi-join
-            // proves barren for this probing tuple.  Pruned tuples would
-            // fail `condition.matches` at the leaves anyway, so the emitted
-            // combinations (and their order) are unchanged.
-            let prune = self.prune_spec(probe, tuple, j);
-            for candidate in self.windows[j].iter_pruned(prune) {
+            for candidate in self.windows[j].iter() {
                 slots[j] = candidate;
                 self.recurse(j + 1, probe, tuple, slots, f);
             }
-        }
-    }
-
-    /// The `(column, probe key)` pair the plan's equi-join imposes on
-    /// window `j` when stream `probe` contributes `tuple` — the zone-map
-    /// prune spec for the fallback scan.  `None` when the plan ties the two
-    /// streams by no direct equality (nested-loop plans, star pairs not
-    /// involving the anchor): those scans stay exhaustive.
-    fn prune_spec<'a>(
-        &self,
-        probe: usize,
-        tuple: &'a Tuple,
-        j: usize,
-    ) -> Option<(usize, &'a Value)> {
-        match &self.plan {
-            ProbePlan::CommonKey { columns } => Some((columns[j], tuple.value(columns[probe])?)),
-            ProbePlan::Star {
-                anchor,
-                anchor_cols,
-                other_cols,
-            } => {
-                if probe == *anchor {
-                    Some((other_cols[j], tuple.value(anchor_cols[j])?))
-                } else if j == *anchor {
-                    Some((anchor_cols[probe], tuple.value(other_cols[probe])?))
-                } else {
-                    None
-                }
-            }
-            ProbePlan::NestedLoop => None,
         }
     }
 }

@@ -1,20 +1,18 @@
 //! State surgery: the operations a sharded engine runs on a shard operator
-//! at an idle barrier to move window state between shards or revise the
-//! probe plan — never part of stream ingestion.
+//! at an idle barrier to move window state between shards — never part of
+//! stream ingestion.
 //!
 //! Each operation's body lives here once: [`MswjOperator::fetch_class`] and
 //! [`MswjOperator::adopt_all`] replicate a hot key class,
 //! [`MswjOperator::purge_class`] reverts that, [`MswjOperator::fetch_window`]
 //! and [`MswjOperator::retain_home`] re-home a stream on a partition-pair
-//! switch, [`MswjOperator::revise`] reorders the probe chain or drops the
-//! hash index.  The engine's local backends call these methods directly and
+//! switch.  The engine's local backends call these methods directly and
 //! a shard server calls them from its frame handlers, so a local and a
 //! remote shard cannot drift apart.
 //!
 //! Stream arguments are trusted (`StreamIndex` out of range panics, like
 //! [`MswjOperator::window`]); a caller fed from outside the process checks
-//! them against [`JoinQuery::arity`](crate::JoinQuery::arity) first, and
-//! probe orders with [`MswjOperator::check_probe_order`].
+//! them against [`JoinQuery::arity`](crate::JoinQuery::arity) first.
 
 use super::MswjOperator;
 use crate::partition::{join_key_hash, Partitioner};
@@ -94,43 +92,6 @@ impl MswjOperator {
             Partitioner::home_of(join_key_hash(t.value(column)), shards) == keep
         })
     }
-
-    /// Applies a plan revision: a non-empty `order` becomes the probe order
-    /// ([`MswjOperator::set_probe_order`]), and `demote` drops the hash
-    /// indexes ([`MswjOperator::demote_index`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-empty `order` is not a permutation of `0..m`.
-    pub fn revise(&mut self, order: &[usize], demote: bool) {
-        if !order.is_empty() {
-            self.set_probe_order(order.to_vec());
-        }
-        if demote {
-            self.demote_index();
-        }
-    }
-
-    /// Whether `order` is a valid probe order — a permutation of `0..m`;
-    /// the error names what is wrong with it.
-    pub fn check_probe_order(&self, order: &[usize]) -> Result<(), String> {
-        let m = self.windows.len();
-        let mut seen = vec![false; m];
-        if order.len() != m {
-            return Err(format!(
-                "probe order must cover every stream: {} entries for {m} streams",
-                order.len()
-            ));
-        }
-        for &j in order {
-            if j >= m || std::mem::replace(&mut seen[j], true) {
-                return Err(format!(
-                    "probe order must be a permutation of 0..{m}, got {order:?}"
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -186,19 +147,5 @@ mod tests {
         }
         assert_eq!(kept, left.len());
         assert_eq!(op.stats().evicted, 4);
-    }
-
-    #[test]
-    fn revise_reorders_and_demotes_and_checks_permutations() {
-        let mut op = operator();
-        op.revise(&[], false);
-        assert_eq!(op.probe_order(), &[0, 1]);
-        op.revise(&[1, 0], true);
-        assert_eq!(op.probe_order(), &[1, 0]);
-        assert!(op.check_probe_order(&[0, 1]).is_ok());
-        for bad in [&[0usize, 0][..], &[0], &[0, 2], &[0, 1, 1]] {
-            let err = op.check_probe_order(bad).unwrap_err();
-            assert!(err.contains("probe order"), "{err}");
-        }
     }
 }

@@ -30,8 +30,7 @@
 //! Live state is a deque of `Segment`s covering disjoint, ascending
 //! timestamp ranges.  A segment owns a row arena (`rows`), the
 //! timestamp-ordered ids of its live rows (`order`), — per indexed
-//! column — a `ColZone` summary (numeric min/max of the column's values
-//! and live counts of the value classes a hash bucket cannot represent)
+//! column — a live count of the values a hash bucket cannot represent
 //! plus, on a postings window, a posting map (`key → live row ids`), and —
 //! per *scan column* — a `Vec<f64>` in live order (see *Scan columns and
 //! scan soundness* below).  The back segment is the mutable *tail*: it
@@ -39,7 +38,7 @@
 //! seals once its arena reaches the segment capacity.  Older segments only
 //! ever *lose* rows.
 //!
-//! The layout buys three things:
+//! The layout buys two things:
 //!
 //! * **Segment-drop expiry.**  `expire_before` drops whole leading segments
 //!   whose maximum live timestamp is out of scope — a postings window's
@@ -48,9 +47,6 @@
 //!   boundary segment, where the posting fronts align with the expiry
 //!   order and pop in O(1).  Dropped segments park their buffers in a
 //!   one-slot spare so steady-state seal/drop cycles do not allocate.
-//! * **Zone-map pruning.**  Fallback scans ([`Window::scan_candidates`])
-//!   skip whole segments whose zone map proves no live row can satisfy
-//!   `join_eq` against the probe key — see *Pruning soundness* below.
 //! * **Single-copy state.**  Postings hold row ids, not tuple clones, so
 //!   indexed window state exists exactly once ([`Tuple::payload_refs`]
 //!   observes this).
@@ -67,21 +63,9 @@
 //! values never satisfy `join_eq` at all; they are simply left out of the
 //! postings without compromising soundness.
 //!
-//! ## Pruning soundness
-//!
-//! `join_eq` compares numbers by their `f64` image: `Int`/`Int` equality
-//! implies equal images, and mixed or float comparisons *are* image
-//! equality.  Every chain of `join_eq` equalities therefore preserves the
-//! image, so a segment whose zone bounds exclude the probe key's image —
-//! and which holds no live strings or booleans (the only classes that join
-//! outside the numeric image) — cannot contribute a row to any matching
-//! combination.  Bounds only ever widen (expiry leaves them stale-wide),
-//! which keeps the zone an over-approximation: pruning can only skip
-//! provably barren segments, never a joinable row.
-//!
 //! ## Scan columns and scan soundness
 //!
-//! What is columnar here is the *metadata* — row ids, postings, zones — and,
+//! What is columnar here is the *metadata* — row ids and postings — and,
 //! for conditions that expose a
 //! [`ScanStructure`](crate::condition::ScanStructure), the few columns the
 //! predicate reads.  The tuples themselves still live in a row arena
@@ -356,44 +340,6 @@ pub(crate) fn squared_limit(threshold: f64) -> f64 {
     limit
 }
 
-/// Zone summary of one indexed column within one segment.
-#[derive(Debug, Clone)]
-struct ColZone {
-    /// Smallest `f64` image of any non-NaN numeric value ever inserted
-    /// (never shrinks on expiry — a sound over-approximation).
-    num_lo: f64,
-    /// Largest such image.
-    num_hi: f64,
-    /// Live strings and booleans: values that join outside the numeric
-    /// image, so any non-zero count disables numeric pruning.
-    str_bool: u64,
-    /// Live floats, strings and booleans: the segment's contribution to
-    /// [`Window::unindexable_count`].
-    unindexable: u64,
-}
-
-impl Default for ColZone {
-    fn default() -> Self {
-        ColZone {
-            num_lo: f64::INFINITY,
-            num_hi: f64::NEG_INFINITY,
-            str_bool: 0,
-            unindexable: 0,
-        }
-    }
-}
-
-impl ColZone {
-    fn widen(&mut self, v: f64) {
-        if v < self.num_lo {
-            self.num_lo = v;
-        }
-        if v > self.num_hi {
-            self.num_hi = v;
-        }
-    }
-}
-
 /// One timestamp-contiguous storage segment.
 ///
 /// `rows` is an append-only arena; expiry removes ids from `order` (and the
@@ -410,8 +356,9 @@ struct Segment {
     /// window, empty on a `Counts` one: key → live row ids, in the same
     /// timestamp order as `order`.
     postings: Vec<KeyMap<VecDeque<u32>>>,
-    /// Per indexed column zone summary.
-    zones: Vec<ColZone>,
+    /// Per indexed column: live floats, strings and booleans — the
+    /// segment's contribution to [`Window::unindexable_count`].
+    unindexable: Vec<u64>,
     /// Per scan column (parallel to `Window::scan_cols`): `rows.len()`
     /// entries whose suffix from `base = rows.len() - order.len()` is the
     /// [`scan_image`] of the live rows in `order`'s order — entry `base + p`
@@ -442,7 +389,7 @@ impl Segment {
             rows: Vec::new(),
             order: VecDeque::new(),
             postings: vec![KeyMap::default(); n_postings],
-            zones: vec![ColZone::default(); n],
+            unindexable: vec![0; n],
             scan: vec![Vec::new(); n_scan],
             live_bytes: 0,
         }
@@ -483,38 +430,25 @@ impl Segment {
     }
 
     /// Appends a row to the arena, maintaining order, the index (postings
-    /// or the window's key counts), zones, scan columns and the
-    /// window-level unindexable tallies.
+    /// or the window's key counts), the unindexable tallies and the scan
+    /// columns.
     fn insert(&mut self, cols: &[usize], scan_cols: &[usize], index: &mut KeyIndex, tuple: Tuple) {
         let rid = u32::try_from(self.rows.len()).expect("segment row id overflow");
         for (ci, &col) in cols.iter().enumerate() {
             match classify(tuple.value(col)) {
-                KeyClass::Key(key) => {
-                    match index.kind {
-                        IndexKind::Counts => *index.counts[ci].entry(key).or_insert(0) += 1,
-                        IndexKind::Postings => ordered_insert(
-                            self.postings[ci].entry(key).or_default(),
-                            &self.rows,
-                            rid,
-                            tuple.ts,
-                        ),
-                    }
-                    self.zones[ci].widen(key as f64);
-                }
+                KeyClass::Key(key) => match index.kind {
+                    IndexKind::Counts => *index.counts[ci].entry(key).or_insert(0) += 1,
+                    IndexKind::Postings => ordered_insert(
+                        self.postings[ci].entry(key).or_default(),
+                        &self.rows,
+                        rid,
+                        tuple.ts,
+                    ),
+                },
                 KeyClass::Inert => {}
                 KeyClass::Unindexable => {
-                    let z = &mut self.zones[ci];
-                    z.unindexable += 1;
+                    self.unindexable[ci] += 1;
                     index.unindexable[ci] += 1;
-                    match tuple.value(col) {
-                        Some(Value::Float(f)) => {
-                            if !f.is_nan() {
-                                z.widen(*f);
-                            }
-                        }
-                        Some(Value::Str(_) | Value::Bool(_)) => z.str_bool += 1,
-                        _ => debug_assert!(false, "unindexable is float, string or bool"),
-                    }
                 }
             }
         }
@@ -575,35 +509,11 @@ impl Segment {
         for m in &mut self.postings {
             m.clear();
         }
-        for z in &mut self.zones {
-            *z = ColZone::default();
-        }
+        self.unindexable.fill(0);
         for column in &mut self.scan {
             column.clear();
         }
         self.live_bytes = 0;
-    }
-
-    /// Whether the zone map proves no live row's value in indexed column
-    /// `ci` can reach `key` through any chain of `join_eq` equalities (see
-    /// *Pruning soundness* in the module docs).
-    fn zone_prunes(&self, ci: usize, key: &Value) -> bool {
-        let z = &self.zones[ci];
-        match key {
-            Value::Int(i) => {
-                let k = *i as f64;
-                z.str_bool == 0 && (k < z.num_lo || k > z.num_hi)
-            }
-            Value::Float(f) => {
-                // NaN joins nothing under join_eq (NaN != NaN).
-                f.is_nan() || (z.str_bool == 0 && (*f < z.num_lo || *f > z.num_hi))
-            }
-            // Strings and booleans only ever join their own kind.
-            Value::Str(_) | Value::Bool(_) => z.str_bool == 0,
-            // A Null probe key never reaches a scan (the gates short-circuit
-            // it), but stay conservative if it does.
-            Value::Null => false,
-        }
     }
 }
 
@@ -652,8 +562,7 @@ pub struct Window {
     size: Duration,
     /// Arena rows a tail segment absorbs before sealing.
     capacity: usize,
-    /// Indexed column positions (sorted, deduped); emptied permanently by
-    /// [`Window::demote_index`].
+    /// Indexed column positions (sorted, deduped).
     cols: Vec<usize>,
     /// Scan column positions, in the order the scan kernel addresses them
     /// (not deduplicated: position, not column, identifies a scan column).
@@ -870,7 +779,7 @@ impl Window {
                 }
             }
             let unindexable = &mut index.unindexable[ci];
-            *unindexable = unindexable.saturating_sub(seg.zones[ci].unindexable);
+            *unindexable = unindexable.saturating_sub(seg.unindexable[ci]);
         }
     }
 
@@ -913,13 +822,10 @@ impl Window {
                         },
                     },
                     KeyClass::Unindexable => {
-                        let z = &mut seg.zones[ci];
-                        debug_assert!(z.unindexable > 0, "unindexable count underflow");
-                        z.unindexable = z.unindexable.saturating_sub(1);
+                        let live = &mut seg.unindexable[ci];
+                        debug_assert!(*live > 0, "unindexable count underflow");
+                        *live = live.saturating_sub(1);
                         index.unindexable[ci] = index.unindexable[ci].saturating_sub(1);
-                        if matches!(t.value(col), Some(Value::Str(_) | Value::Bool(_))) {
-                            z.str_bool = z.str_bool.saturating_sub(1);
-                        }
                     }
                     KeyClass::Inert => {}
                 }
@@ -963,7 +869,7 @@ impl Window {
     }
 
     /// Removes every live tuple for which `keep` returns `false`,
-    /// maintaining the indexes, zones and unindexable counters; returns the
+    /// maintaining the indexes and unindexable counters; returns the
     /// number of removed tuples.
     ///
     /// This is *state surgery*, not expiry: the removed tuples do not count
@@ -1027,8 +933,7 @@ impl Window {
             .filter(|_| self.index.kind == IndexKind::Postings)
     }
 
-    /// The window's index kind; `None` when no column is indexed (never,
-    /// or since [`Window::demote_index`]).
+    /// The window's index kind; `None` when no column is indexed.
     #[cfg(test)]
     pub(crate) fn index_kind(&self) -> Option<IndexKind> {
         (!self.cols.is_empty()).then_some(self.index.kind)
@@ -1124,36 +1029,14 @@ impl Window {
         );
     }
 
-    /// Live tuples in timestamp order, skipping segments whose zone map
-    /// proves them barren for the prune spec `(column, probe key)` — the
-    /// fallback-scan access path.  `None` (or an unindexed column) scans
-    /// everything.
-    pub(crate) fn iter_pruned<'a>(
-        &'a self,
-        prune: Option<(usize, &'a Value)>,
-    ) -> impl Iterator<Item = &'a Tuple> + 'a {
-        let spec = prune.and_then(|(col, key)| self.col_pos(col).map(|ci| (ci, key)));
-        self.segments
-            .iter()
-            .filter(move |seg| spec.is_none_or(|(ci, key)| !seg.zone_prunes(ci, key)))
-            .flat_map(Segment::live)
-    }
-
-    /// Live tuples that could satisfy `join_eq` between their value in
-    /// indexed column `col` and `key` — directly or through a chain of
-    /// `join_eq` equalities — in timestamp order.
-    ///
-    /// An over-approximation driven by the per-segment zone maps: segments
-    /// whose summaries prove them barren are skipped wholesale, every other
-    /// segment is yielded in full, so the caller must still evaluate the
-    /// join condition per tuple.  No joinable tuple is ever skipped.  For
-    /// unindexed (or demoted) columns this degrades to a full scan.
+    /// The live tuples a fallback probe of `key` in column `col` must
+    /// test against the join condition: every one, in timestamp order.
     pub fn scan_candidates<'a>(
         &'a self,
-        col: usize,
-        key: &'a Value,
+        _col: usize,
+        _key: &'a Value,
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
-        self.iter_pruned(Some((col, key)))
+        self.iter()
     }
 
     /// Evaluates `pred` over the scan columns of every live row, in
@@ -1235,27 +1118,6 @@ impl Window {
         self.col_pos(col)
             .map(|ci| self.index.unindexable[ci] == 0)
             .unwrap_or(false)
-    }
-
-    /// Drops every hash index (and zone map) of this window permanently:
-    /// subsequent probes scan, and inserts/expiry skip index maintenance
-    /// entirely.
-    ///
-    /// Used by runtime re-planning when the observed indexed-vs-fallback
-    /// ratio shows the index stopped paying (e.g. a persistently
-    /// float-polluted key column forces the nested-loop fallback anyway,
-    /// leaving the maintenance cost with no return).  The demotion is
-    /// one-way for the window's lifetime — re-promotion would require a
-    /// full index rebuild from live state.
-    pub fn demote_index(&mut self) {
-        self.cols = Vec::new();
-        self.index.counts = Vec::new();
-        self.index.unindexable = Vec::new();
-        self.spare = None;
-        for seg in &mut self.segments {
-            seg.postings = Vec::new();
-            seg.zones = Vec::new();
-        }
     }
 
     /// Removes every tuple (used when resetting an operator between runs).
@@ -1490,23 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn demote_index_turns_the_window_into_a_scan() {
-        let mut w = Window::with_indexed_columns(1_000, &[0]);
-        w.insert(tup(0, 100, 7));
-        w.insert(tup(1, 200, 7));
-        assert!(w.is_indexed(0) && w.index_usable(0));
-        w.demote_index();
-        assert!(!w.is_indexed(0), "demotion drops the index");
-        assert!(!w.index_usable(0), "probes must fall back to the scan");
-        assert_eq!(w.count_key(0, 7), 2, "counting now scans, same answer");
-        // Maintenance paths are inert after demotion.
-        w.insert(tup(2, 300, 7));
-        assert_eq!(w.expire_before(Timestamp::from_millis(250)), 2);
-        assert_eq!(w.count_key(0, 7), 1);
-        assert_eq!(w.retain_where(|_| false), 1);
-    }
-
-    #[test]
     fn unindexed_column_is_never_usable() {
         let w = Window::new(1_000);
         assert!(!w.index_usable(0));
@@ -1607,60 +1452,6 @@ mod tests {
         for t in &mine {
             assert_eq!(t.payload_refs(), 1, "expiry must release the payload");
         }
-    }
-
-    #[test]
-    fn scan_candidates_skips_barren_segments_but_never_matches() {
-        let mut w = Window::with_segment_capacity(100_000, &[0], 4);
-        // Time-correlated keys: each sealed segment covers a narrow range.
-        for i in 0..40u64 {
-            w.insert(tup(i, 10 * (i + 1), i as i64));
-        }
-        // A float probe key inside one segment's range.
-        let key = Value::Float(17.0);
-        let got: Vec<i64> = w
-            .scan_candidates(0, &key)
-            .filter(|t| t.value(0).map(|v| v.join_eq(&key)).unwrap_or(false))
-            .map(|t| t.seq as i64)
-            .collect();
-        assert_eq!(got, vec![17], "pruning must never lose a joinable tuple");
-        let candidates = w.scan_candidates(0, &key).count();
-        assert!(
-            candidates <= 4,
-            "zone maps must confine the scan to one segment, saw {candidates}"
-        );
-        // String and boolean probe keys prune pure-integer segments
-        // entirely; NaN prunes everything.
-        assert_eq!(w.scan_candidates(0, &Value::Str("x".into())).count(), 0);
-        assert_eq!(w.scan_candidates(0, &Value::Float(f64::NAN)).count(), 0);
-        // A live string re-opens its segment for string probes.
-        w.insert(Tuple::new(
-            StreamIndex(0),
-            99,
-            Timestamp::from_millis(500),
-            vec![Value::Str("x".into())],
-        ));
-        assert!(w.scan_candidates(0, &Value::Str("x".into())).count() > 0);
-        // Unindexed columns degrade to a full scan.
-        assert_eq!(w.scan_candidates(5, &Value::Int(3)).count(), w.len());
-    }
-
-    #[test]
-    fn zone_bounds_stay_sound_after_expiry_widening() {
-        // Bounds never shrink on expiry: stale-wide zones may admit extra
-        // candidates but must never prune a joinable one.
-        let mut w = Window::with_segment_capacity(100_000, &[0], 8);
-        for i in 0..8u64 {
-            w.insert(tup(i, 10 * (i + 1), i as i64));
-        }
-        w.expire_before(Timestamp::from_millis(45)); // keys 0..4 expire
-        let key = Value::Float(6.0);
-        let joinable: Vec<u64> = w
-            .scan_candidates(0, &key)
-            .filter(|t| t.value(0).map(|v| v.join_eq(&key)).unwrap_or(false))
-            .map(|t| t.seq)
-            .collect();
-        assert_eq!(joinable, vec![6]);
     }
 
     // ------------------------------------------------------------------
@@ -1975,8 +1766,6 @@ mod tests {
             );
         }
         assert_eq!(counts.stats().segments, postings.stats().segments);
-        counts.demote_index();
-        assert_eq!(counts.index_kind(), None);
     }
 
     #[test]

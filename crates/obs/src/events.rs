@@ -25,8 +25,7 @@ pub enum EventKind {
     /// The one-time heavy-hitter warning (a single shard holds > 50% of
     /// the routed volume and no splitting is possible or enabled).
     HeavyHitter,
-    /// The runtime re-planner revised the probe plan (pair switch,
-    /// reorder, or index demotion).
+    /// The runtime re-planner switched a star plan's partition pair.
     PlanRevision,
 }
 

@@ -35,7 +35,10 @@ use std::io::{Read, Write};
 /// v3: `BarrierAck` grew the shard's live window footprint
 /// (`window_bytes`/`window_segments`), so remote shard stats report the
 /// same window gauges as local ones.
-pub const PROTOCOL_VERSION: u16 = 3;
+///
+/// v4: `Revise` (type `0x13`, probe reorder and index demotion) left the
+/// protocol; a window's access path is fixed when its operator is built.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -64,7 +67,6 @@ const FT_SHUTDOWN: u8 = 0x0F;
 const FT_SHUTDOWN_ACK: u8 = 0x10;
 const FT_FETCH_WINDOW: u8 = 0x11;
 const FT_RETAIN: u8 = 0x12;
-const FT_REVISE: u8 = 0x13;
 
 /// One routed tuple inside a [`WireTask`]: the front-end's staging sequence
 /// number, whether this shard should probe (vs. silently index), and the
@@ -231,16 +233,7 @@ pub enum Frame {
         /// The home shard whose tuples survive.
         keep: u64,
     },
-    /// Applies a probe-plan revision to the remote operator: a probe-chain
-    /// reorder (empty = unchanged) and/or a hash-index demotion.
-    Revise {
-        /// New probe order (a permutation of `0..m`), or empty to keep the
-        /// current order.
-        order: Vec<usize>,
-        /// Whether to demote the hash index to the nested-loop scan.
-        demote: bool,
-    },
-    /// Generic acknowledgement for `Adopt`/`PurgeClass`/`Retain`/`Revise`.
+    /// Generic acknowledgement for `Adopt`/`PurgeClass`/`Retain`.
     Ack,
     /// A remote failure — typically a panic caught in the shard worker.
     Error {
@@ -487,7 +480,6 @@ impl Frame {
             Frame::PurgeClass { .. } => FT_PURGE_CLASS,
             Frame::FetchWindow { .. } => FT_FETCH_WINDOW,
             Frame::Retain { .. } => FT_RETAIN,
-            Frame::Revise { .. } => FT_REVISE,
             Frame::Ack => FT_ACK,
             Frame::Error { .. } => FT_ERROR,
             Frame::Shutdown => FT_SHUTDOWN,
@@ -583,10 +575,6 @@ impl Frame {
                 put_u64(buf, *column);
                 put_u64(buf, *shards);
                 put_u64(buf, *keep);
-            }
-            Frame::Revise { order, demote } => {
-                put_cols(buf, order);
-                put_bool(buf, *demote);
             }
             Frame::Error { message } => put_str(buf, message),
         }
@@ -710,10 +698,6 @@ impl Frame {
                 column: c.u64()?,
                 shards: c.u64()?,
                 keep: c.u64()?,
-            },
-            FT_REVISE => Frame::Revise {
-                order: get_cols(&mut c)?,
-                demote: c.bool()?,
             },
             FT_ERROR => Frame::Error { message: c.str()? },
             tag => return Err(WireError::Corrupt(format!("unknown frame type {tag:#04x}"))),

@@ -168,7 +168,7 @@ fn arb_output(rng: &mut StdRng) -> WireOutput {
 }
 
 fn arb_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0usize..19) {
+    match rng.gen_range(0usize..18) {
         0 => Frame::Hello,
         1 => Frame::HelloAck,
         2 => Frame::Setup(arb_query(rng)),
@@ -216,17 +216,6 @@ fn arb_frame(rng: &mut StdRng) -> Frame {
             shards: rng.gen_range(1u64..16),
             keep: rng.gen_range(0u64..16),
         },
-        17 => {
-            let m = rng.gen_range(0usize..6);
-            let mut order: Vec<usize> = (0..m).collect();
-            for i in (1..m).rev() {
-                order.swap(i, rng.gen_range(0usize..i + 1));
-            }
-            Frame::Revise {
-                order,
-                demote: rng.gen(),
-            }
-        }
         _ => Frame::ShutdownAck,
     }
 }
@@ -315,6 +304,27 @@ fn foreign_version_is_rejected_cleanly() {
         Err(WireError::VersionMismatch { ours, theirs }) => {
             assert_eq!(ours, PROTOCOL_VERSION);
             assert_eq!(theirs, PROTOCOL_VERSION + 1);
+        }
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn the_retired_revise_frame_is_rejected_cleanly() {
+    // Type 0x13 was `Revise` (probe reorder / index demotion) up to
+    // protocol version 3: a current-version header carrying it is corrupt.
+    let mut buf = Vec::new();
+    Frame::Ack.encode(&mut buf);
+    buf[6] = 0x13;
+    match Frame::decode(&buf) {
+        Err(WireError::Corrupt(why)) => assert!(why.contains("0x13"), "{why}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    // A version-3 peer is told which versions disagree, whatever it sends.
+    buf[4..6].copy_from_slice(&3u16.to_le_bytes());
+    match Frame::decode(&buf) {
+        Err(WireError::VersionMismatch { ours, theirs }) => {
+            assert_eq!((ours, theirs), (4, 3));
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }

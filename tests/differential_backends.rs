@@ -100,7 +100,7 @@ fn run_with_skew(
     run_session(query, policy, backend, batch, events, skew, None)
 }
 
-/// Like [`run`], optionally arming runtime probe re-planning.
+/// Like [`run`], arming runtime re-planning.
 fn run_with_replan(
     query: &JoinQuery,
     policy: &BufferPolicy,
@@ -502,8 +502,8 @@ fn skewed_workloads_with_splitting_match_the_unsplit_reference() {
     );
 }
 
-/// One arrival with a bounded random delay — the hand-rolled workloads
-/// below need per-stream rate asymmetry `gen_events` cannot express.
+/// One arrival with a bounded random delay — the hand-rolled workload
+/// below needs per-stream rate asymmetry `gen_events` cannot express.
 fn event(stream: usize, seq: u64, arrival: u64, delay: u64, values: Vec<Value>) -> ArrivalEvent {
     ArrivalEvent::new(
         Timestamp::from_millis(arrival),
@@ -518,17 +518,14 @@ fn event(stream: usize, seq: u64, arrival: u64, delay: u64, values: Vec<Value>) 
 
 #[test]
 fn replanned_workloads_match_the_static_reference() {
-    // Runtime re-planning forced on with aggressive thresholds: every
-    // revision the engine can take — re-selecting the star partition pair
-    // (with cross-shard state migration), reordering the m-way probe chain
-    // and demoting the hash index — must leave the result multiset, the
-    // per-probe trajectory and the adaptation sequence byte-identical to
-    // the *static* sequential reference, on every backend.
+    // Runtime re-planning forced on with aggressive thresholds: the one
+    // revision the engine can take — re-selecting the star partition pair,
+    // with cross-shard state migration — must leave the result multiset,
+    // the per-probe trajectory and the adaptation sequence byte-identical
+    // to the *static* sequential reference, on every backend.
     let replan = ReplanConfig {
         min_probes: 64,
         switch_ratio: 1.5,
-        demote_fallback_share: 0.5,
-        reorder_margin: 1.2,
     };
     let policy = BufferPolicy::QualityDriven(
         DisorderConfig::with_gamma(0.9)
@@ -580,122 +577,69 @@ fn replanned_workloads_match_the_static_reference() {
     }
     let switch_events = ArrivalLog::from_events(switch_events).events().to_vec();
 
-    // Scenario "reorder": 3-way common key with inverted per-stream match
-    // rates (stream 1 floods, stream 0 trickles) — the probe chain must
-    // re-order ascending by observed productivity.
-    let mut reorder_events = Vec::new();
-    let mut seqs = [0u64; 3];
-    for round in 0..120u64 {
-        let arrival = (round + 1) * 10;
-        let key = (round % 2) as i64;
-        for _ in 0..3u64 {
-            reorder_events.push(event(
-                1,
-                seqs[1],
-                arrival,
-                rng.gen_range(0u64..40),
-                vec![Value::Int(key)],
-            ));
-            seqs[1] += 1;
-        }
-        reorder_events.push(event(
-            2,
-            seqs[2],
-            arrival,
-            rng.gen_range(0u64..40),
-            vec![Value::Int(key)],
-        ));
-        seqs[2] += 1;
-        if round % 4 == 0 {
-            reorder_events.push(event(
-                0,
-                seqs[0],
-                arrival,
-                rng.gen_range(0u64..40),
-                vec![Value::Int(key)],
-            ));
-            seqs[0] += 1;
-        }
-    }
-    let reorder_events = ArrivalLog::from_events(reorder_events).events().to_vec();
-
-    // Scenario "demote": float keys join numerically but defeat the hash
-    // index on every probe — maintenance stopped paying, the index goes.
-    let demote_events = gen_events(
-        &mut rng,
-        2,
-        80,
-        200,
-        |_, _, key| vec![Value::Float(key as f64 + 0.5)],
-        4,
+    let query = star_query(240);
+    let (want, want_report) = run(
+        &query,
+        &policy,
+        ExecutionBackend::Sequential,
+        1,
+        &switch_events,
     );
-
-    let scenarios: [(&str, JoinQuery, &[ArrivalEvent]); 3] = [
-        ("switch", star_query(240), &switch_events),
-        ("reorder", common_key_query(3, 400), &reorder_events),
-        ("demote", common_key_query(2, 600), &demote_events),
-    ];
     let mut any_switch = false;
-    let mut any_reorder = false;
-    let mut any_demote = false;
-    for (name, query, events) in &scenarios {
-        let (want, want_report) = run(query, &policy, ExecutionBackend::Sequential, 1, events);
-        for (backend, batch) in [
-            // Single-shard: pair switches are impossible, reorders and
-            // demotions still fire — and must change nothing.
-            (ExecutionBackend::Sequential, 1),
-            (ExecutionBackend::Pool { workers: 4 }, 64),
-            (ExecutionBackend::Pool { workers: 4 }, 1),
-            // Revisions and pair-switch migrations cross the wire codec.
-            (ExecutionBackend::remote_inproc(4), 64),
-        ] {
-            let label = format!("replan {name}");
-            let (results, report) =
-                run_with_replan(query, &policy, backend.clone(), batch, events, replan);
-            assert_eq!(
-                want, results,
-                "[{label}] {backend} re-planned run must match the static reference"
-            );
-            assert_eq!(want_report.produced, report.produced, "[{label}] {backend}");
-            let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
-            assert_eq!(ks(&want_report), ks(&report), "[{label}] {backend}");
-            let s = (want_report.operator_stats, report.operator_stats);
-            assert_eq!(s.0.in_order, s.1.in_order, "[{label}] {backend}");
-            assert_eq!(s.0.out_of_order, s.1.out_of_order, "[{label}] {backend}");
-            assert_eq!(s.0.dropped, s.1.dropped, "[{label}] {backend}");
-            assert_eq!(s.0.expired, s.1.expired, "[{label}] {backend}");
-            assert_eq!(s.0.cross_results, s.1.cross_results, "[{label}] {backend}");
-            for t in &report.plan_transitions {
-                match t.action {
-                    PlanAction::PairSwitch { from, to } => {
-                        assert_eq!((from, to), (1, 2), "[{label}] {backend}");
-                        any_switch = true;
-                        let migrated: u64 = report
-                            .shard_stats
-                            .iter()
-                            .map(|s| s.runtime.migrated_tuples)
-                            .sum();
-                        assert!(migrated > 0, "[{label}] {backend} must move state");
-                    }
-                    PlanAction::Reorder { .. } => any_reorder = true,
-                    PlanAction::DemoteIndex => any_demote = true,
-                }
-            }
-            let revisions: u64 = report
+    for (backend, batch) in [
+        // Single-shard: a pair switch is impossible — and arming it must
+        // change nothing.
+        (ExecutionBackend::Sequential, 1),
+        (ExecutionBackend::Pool { workers: 4 }, 64),
+        (ExecutionBackend::Pool { workers: 4 }, 1),
+        // Pair-switch migrations cross the wire codec.
+        (ExecutionBackend::remote_inproc(4), 64),
+    ] {
+        let label = "replan switch";
+        let (results, report) = run_with_replan(
+            &query,
+            &policy,
+            backend.clone(),
+            batch,
+            &switch_events,
+            replan,
+        );
+        assert_eq!(
+            want, results,
+            "[{label}] {backend} re-planned run must match the static reference"
+        );
+        assert_eq!(want_report.produced, report.produced, "[{label}] {backend}");
+        let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
+        assert_eq!(ks(&want_report), ks(&report), "[{label}] {backend}");
+        let s = (want_report.operator_stats, report.operator_stats);
+        assert_eq!(s.0.in_order, s.1.in_order, "[{label}] {backend}");
+        assert_eq!(s.0.out_of_order, s.1.out_of_order, "[{label}] {backend}");
+        assert_eq!(s.0.dropped, s.1.dropped, "[{label}] {backend}");
+        assert_eq!(s.0.expired, s.1.expired, "[{label}] {backend}");
+        assert_eq!(s.0.cross_results, s.1.cross_results, "[{label}] {backend}");
+        for t in &report.plan_transitions {
+            let PlanAction::PairSwitch { from, to } = t.action;
+            assert_eq!((from, to), (1, 2), "[{label}] {backend}");
+            any_switch = true;
+            let migrated: u64 = report
                 .shard_stats
                 .iter()
-                .map(|s| s.runtime.plan_revisions)
+                .map(|s| s.runtime.migrated_tuples)
                 .sum();
-            assert_eq!(
-                revisions > 0,
-                !report.plan_transitions.is_empty(),
-                "[{label}] {backend} revision counters must track transitions"
-            );
+            assert!(migrated > 0, "[{label}] {backend} must move state");
         }
+        let revisions: u64 = report
+            .shard_stats
+            .iter()
+            .map(|s| s.runtime.plan_revisions)
+            .sum();
+        assert_eq!(
+            revisions > 0,
+            !report.plan_transitions.is_empty(),
+            "[{label}] {backend} revision counters must track transitions"
+        );
     }
     assert!(any_switch, "the star workload must re-select its pair");
-    assert!(any_reorder, "the inverted rates must reorder the chain");
-    assert!(any_demote, "the float keys must demote the index");
 }
 
 #[test]

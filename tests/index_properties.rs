@@ -1,7 +1,7 @@
 //! Property tests for the window hash index and the indexed probe path.
 //!
 //! * After **any** interleaving of in-order/out-of-order inserts,
-//!   expirations, surgery and demotion — including non-integer key values —
+//!   expirations and surgery — including non-integer key values —
 //!   a window's hash index is exactly the index a from-scratch rebuild of
 //!   its live tuples would produce, and it always agrees with a plain scan.
 //!   Both index kinds, key counts and postings, are checked side by side.
@@ -67,7 +67,7 @@ proptest! {
     /// The incrementally maintained hash index exactly mirrors a
     /// from-scratch rebuild of the window's live tuples, whatever the
     /// interleaving of in-order and late inserts, expirations (whole-segment
-    /// drops included), surgery, demotion and non-integer key values — for
+    /// drops included), surgery and non-integer key values — for
     /// both index kinds, fed side by side: a counts window (what an
     /// operator keeps where its plan only counts) and a postings window
     /// (where a probe walks buckets).  The two agree after every operation.
@@ -75,16 +75,11 @@ proptest! {
     fn window_index_mirrors_from_scratch_rebuild(
         ops in proptest::collection::vec((0u64..2_000, 0i64..6, 0usize..14), 1..250),
         capacity in 2usize..=16,
-        demote_at in 0usize..500,
     ) {
         let mut counts = Window::with_key_counts(10_000, &[0], capacity);
         let mut postings = Window::with_segment_capacity(10_000, &[0], capacity);
         let (mut seq, mut clock) = (0u64, 0u64);
-        for (step, (draw, key, kind)) in ops.into_iter().enumerate() {
-            if step == demote_at {
-                counts.demote_index();
-                postings.demote_index();
-            }
+        for (draw, key, kind) in ops {
             // A steadily advancing clock: most inserts append (sealing
             // segments at `capacity`), a quarter land up to 200 ms late.
             clock += 8;
@@ -128,9 +123,6 @@ proptest! {
             (&postings, Window::with_indexed_columns(10_000, &[0])),
         ];
         for (w, mut rebuilt) in rebuilds {
-            if !w.is_indexed(0) {
-                rebuilt.demote_index();
-            }
             for t in w.iter() {
                 rebuilt.insert(t.clone());
             }

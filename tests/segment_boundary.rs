@@ -2,7 +2,7 @@
 //!
 //! The segmented window seals its tail every few rows here, so ordinary
 //! workloads constantly cross seal/drop boundaries: multi-segment buckets,
-//! whole-segment expiry, boundary-segment prefix expiry, zone-map pruning
+//! whole-segment expiry, boundary-segment prefix expiry, fallback scans
 //! over many small segments and segment rebuilds under skew surgery.  Every
 //! backend must still be byte-identical to the sequential reference — the
 //! storage layout is an access-path choice, never an output choice.
@@ -250,9 +250,9 @@ fn star_workloads_agree_at_segment_boundaries() {
 
 #[test]
 fn mixed_type_keys_agree_at_segment_boundaries() {
-    // Floats, strings and Nulls land in tiny segments: the zone maps must
-    // track string/bool residency per segment and the fallback scans must
-    // prune without losing a single numeric coercion match.
+    // Floats, strings and Nulls land in tiny segments: the per-segment
+    // unindexable tallies must gate the index exactly, and the fallback
+    // scans must find every numeric coercion match across them.
     set_default_segment_capacity(TINY_CAPACITY);
     let mut any_results = 0u64;
     for case in 0..4usize {
