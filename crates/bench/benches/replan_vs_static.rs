@@ -108,7 +108,6 @@ fn replan_vs_static(c: &mut Criterion) {
                 ProbeStrategy::Auto,
                 false,
                 backend.clone(),
-                None,
                 replan,
             )
             .unwrap();

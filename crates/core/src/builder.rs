@@ -29,7 +29,7 @@
 //! ```
 
 use crate::config::{DisorderConfig, SelectivityStrategy};
-use crate::engine::{ExecutionBackend, ReplanConfig, SkewConfig};
+use crate::engine::{ExecutionBackend, ReplanConfig};
 use crate::pipeline::Pipeline;
 use crate::policy::BufferPolicy;
 use mswj_join::{
@@ -104,7 +104,6 @@ pub struct SessionBuilder {
     materialize: bool,
     probe: ProbeStrategy,
     backend: ExecutionBackend,
-    skew: Option<SkewConfig>,
     replan: Option<ReplanConfig>,
     telemetry: Option<Telemetry>,
     on_event: Option<EventCallback>,
@@ -144,7 +143,6 @@ impl SessionBuilder {
             materialize: false,
             probe: ProbeStrategy::default(),
             backend: ExecutionBackend::default(),
-            skew: None,
             replan: None,
             telemetry: None,
             on_event: None,
@@ -343,39 +341,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms adaptive hot-key splitting on the sharded join stage with the
-    /// default [`SkewConfig`] thresholds.
-    ///
-    /// Plain hash routing pins each key class — its build state *and* its
-    /// probe work — to one shard, so a Zipf-hot key degrades an `n`-shard
-    /// stage to one shard.  With splitting armed, the engine watches the
-    /// routed traffic in windows between barriers; a key class exceeding
-    /// [`SkewConfig::split_share`] of a window switches to
-    /// *replicated-build / split-probe* routing (its state is replicated to
-    /// every shard and its probes spread round-robin), and reverts once its
-    /// share falls below [`SkewConfig::unsplit_share`].  Results stay
-    /// byte-identical to a run without splitting, on every backend.
-    ///
-    /// The knob is inert when the plan cannot split soundly: a single
-    /// shard, or a condition that leaves some stream broadcast-routed.
-    pub fn skew_splitting(self) -> Self {
-        self.skew_splitting_with(SkewConfig::default())
-    }
-
-    /// Arms adaptive hot-key splitting with explicit thresholds — see
-    /// [`SessionBuilder::skew_splitting`].  The config is validated at
-    /// [`SessionBuilder::build`].
-    pub fn skew_splitting_with(mut self, config: SkewConfig) -> Self {
-        self.skew = Some(config);
-        self
-    }
-
     /// Arms runtime re-planning on the sharded join stage with the default
     /// [`ReplanConfig`] thresholds.
     ///
     /// A star plan's partition pair is chosen from the query shape alone,
     /// before any data has been seen.  With re-planning armed, the engine
-    /// revisits it at the same idle barriers the skew layer uses, from
+    /// revisits it at its idle barriers (checkpoints, K changes), from
     /// observed window cardinalities: the pair is re-selected so the
     /// heaviest satellite is key-routed and only light streams stay on the
     /// broadcast path, migrating the affected window state between shards.
@@ -402,7 +373,7 @@ impl SessionBuilder {
     /// The handle is shared: the pipeline front-end records quality gauges
     /// and latency histograms into it, the join stage publishes per-shard
     /// runtime gauges at its idle barriers, and operational notices
-    /// (checkpoints, skew splits, plan revisions, heavy-hitter warnings)
+    /// (checkpoints, plan revisions, heavy-hitter warnings)
     /// land in its bounded event ring instead of on stderr.  Hand a clone
     /// of the same handle to a
     /// [`MetricsExporter`](mswj_obs::MetricsExporter) to scrape it over
@@ -437,9 +408,8 @@ impl SessionBuilder {
     /// overrides on a policy without a configuration, a zero-worker
     /// [`ExecutionBackend::Pool`], a
     /// [`DisorderConfig`] violating `0 < Γ ≤ 1`, `0 < L ≤ P`, `b > 0`,
-    /// `g > 0`, a [`SkewConfig`] whose thresholds are out of range or
-    /// lack a hysteresis band, or a [`ReplanConfig`] with `min_probes` 0 or
-    /// a `switch_ratio` not above 1.  An [`ExecutionBackend::Remote`] backend
+    /// `g > 0`, or a [`ReplanConfig`] with `min_probes` 0 or a
+    /// `switch_ratio` not above 1.  An [`ExecutionBackend::Remote`] backend
     /// additionally fails here when its endpoint list is empty, the join
     /// condition has no wire form, or connecting/handshaking with a shard
     /// server fails.
@@ -492,7 +462,6 @@ impl SessionBuilder {
             self.materialize,
             self.probe,
             self.backend,
-            self.skew,
             self.replan,
             telemetry,
         )

@@ -108,7 +108,7 @@
 //! assert!(matches > 0);
 //!
 //! // ShardRuntimeStats: routing volume and queue pressure per shard — the
-//! // raw signal behind skew detection.
+//! // raw signal behind heavy-hitter detection.
 //! for s in 0..engine.shard_count() {
 //!     let rt = engine.runtime_stats(s);
 //!     assert!(rt.routed > 0, "8 keys spread over 4 shards");
@@ -126,25 +126,14 @@
 //! (and, because `n_x(e)` is computed globally, the same adaptation
 //! trajectory) for any `n` — pinned by `tests/differential_backends.rs`.
 //!
-//! ## Skew: detection and hot-key splitting
+//! ## Skew: detection only
 //!
-//! Hash routing pins each key class to one shard, so a hot key turns "n
-//! shards" into one.  Two mechanisms respond, both driven by the windowed
-//! per-shard routing counters (see [`JoinEngine::heavy_hitter`] and the
-//! [`skew`] module):
-//!
-//! * **Detection** is always on: when one shard takes the majority of an
-//!   evaluation window's routed items, a warning is logged (re-armed once
-//!   the imbalance clears, so late-emerging hot keys are reported too).
-//! * **Splitting** is opt-in ([`JoinEngine::try_with_policies`], or
-//!   `SessionBuilder::skew_splitting` through the pipeline): a detected hot
-//!   key class switches to *replicated build / split probe* routing — its
-//!   inserts fan out to every shard's build state, each of its probes runs
-//!   on one shard round-robin, and the deterministic shard-order merge
-//!   keeps output byte-identical to the single-shard path.  Transitions
-//!   only happen at epoch barriers (no work in flight), the live build
-//!   state of the class is migrated/purged at the same barrier, and every
-//!   transition is recorded in [`JoinEngine::skew_transitions`].
+//! Hash routing pins each key class to its home shard for the whole
+//! session, so a hot key concentrates the work of "n shards" on one.  The
+//! engine reports it and moves nothing: when one shard takes the majority
+//! of a detection window's routed items, a warning is logged (re-armed
+//! once the imbalance clears, so late-emerging hot keys are reported too);
+//! see [`JoinEngine::heavy_hitter`].
 //!
 //! See `docs/ARCHITECTURE.md` for the full contract.
 //!
@@ -162,12 +151,12 @@ mod occupancy;
 mod pool;
 pub mod replan;
 mod shards;
-pub mod skew;
+mod skew;
 pub mod transport;
 
 use mswj_join::{
     JoinQuery, JoinResult, OperatorStats, Partitioner, ProbeOutcome, ProbePlan, ProbeStrategy,
-    Route, RoutingTable,
+    Route,
 };
 use mswj_obs::{EventKind, ShardInstruments, Telemetry, TelemetryEvent};
 use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
@@ -180,8 +169,6 @@ use occupancy::Occupancy;
 use replan::ReplanState;
 pub use replan::{PlanAction, PlanTransition, ReplanConfig};
 use shards::ShardSet;
-use skew::SkewDetector;
-pub use skew::{SkewConfig, SkewTransition};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -401,13 +388,9 @@ pub struct JoinEngine {
     occupancy: Occupancy,
     stats: OperatorStats,
     runtime: Vec<ShardRuntimeStats>,
-    /// Which key classes are currently replicated-build / split-probe.
-    table: RoutingTable,
-    /// The windowed hot-key detector; `None` unless splitting was opted
-    /// into *and* the plan supports it (every stream key-routed).
-    detector: Option<SkewDetector>,
-    /// Every split/unsplit transition taken, in decision order.
-    transitions: Vec<SkewTransition>,
+    /// The routing version: bumped by every star pair switch, the one
+    /// routing change there is.
+    routing_epoch: u64,
     /// The runtime re-planner; `None` unless re-planning was opted into.
     replan: Option<ReplanState>,
     /// The satellite stream currently key-routed with the star anchor
@@ -415,10 +398,8 @@ pub struct JoinEngine {
     star_partner: Option<usize>,
     /// Every plan revision taken, in decision order.
     plan_transitions: Vec<PlanTransition>,
-    /// Round-robin cursor choosing the probe shard of split-routed tuples.
-    split_rr: u64,
-    /// Per-shard `routed` snapshot at the last skew-evaluation window
-    /// reset: `routed - hh_base` is the windowed routing volume.
+    /// Per-shard `routed` snapshot at the last heavy-hitter detection
+    /// window reset: `routed - hh_base` is the windowed routing volume.
     hh_base: Vec<u64>,
     /// The shard last warned about as a heavy hitter; cleared (re-armed)
     /// when an evaluation window comes back balanced.
@@ -438,9 +419,9 @@ pub struct JoinEngine {
     mat: Vec<Vec<(u32, JoinResult)>>,
     cursors: Vec<(usize, usize)>,
     /// The deferred epoch of the depth-1 pipeline, if any: its id and the
-    /// [`RoutingTable`] epoch its items were routed under.  Routing
-    /// transitions only happen at barriers, so that must still be the
-    /// table's epoch when the tasks come back — asserted at collection.
+    /// routing epoch its items were routed under.  Routing changes only
+    /// happen at barriers, so that must still be the engine's routing
+    /// epoch when the tasks come back — asserted at collection.
     outstanding: Option<(u64, u64)>,
     next_epoch: u64,
     /// The deferred epoch's routing decisions, in staging order (consumed
@@ -500,7 +481,7 @@ impl JoinEngine {
         enumerate: bool,
         backend: ExecutionBackend,
     ) -> Self {
-        Self::try_with_policies(query, strategy, enumerate, backend, None, None)
+        Self::try_with_policies(query, strategy, enumerate, backend, None)
             .expect("remote backend setup failed (use try_with_policies for a Result)")
     }
 
@@ -508,36 +489,24 @@ impl JoinEngine {
     /// backend validates its endpoint list, requires a wire-expressible
     /// join condition, and connects + handshakes with every shard server
     /// here — each failure comes back as [`Error::InvalidConfig`], as does
-    /// a `skew` or `replan` config that fails its `validate`.  The local
-    /// backends fail on nothing else.
-    ///
-    /// `skew: Some(_)` arms adaptive hot-key splitting: key classes crossing
-    /// [`SkewConfig::split_share`] of a detection window switch to
-    /// replicated-build / split-probe routing (and revert below
-    /// [`SkewConfig::unsplit_share`]).  The knob is ignored (no detector is
-    /// armed) when the plan cannot split soundly — broadcast streams or a
-    /// single shard; see [`Partitioner::supports_splitting`].
+    /// a `replan` config that fails its `validate`.  The local backends
+    /// fail on nothing else.
     ///
     /// `replan: Some(_)` arms runtime re-planning: the engine may re-select
     /// the star partition pair to the heaviest observed-cardinality
     /// satellite (migrating window state, so only light streams stay on
     /// the broadcast path).  Every revision lands in
-    /// [`JoinEngine::plan_transitions`].
-    ///
-    /// Both layers act at [`JoinEngine::sync`] barriers only, from
-    /// engine-global statistics, so routing never changes while work is in
-    /// flight and every backend takes identical decisions.
+    /// [`JoinEngine::plan_transitions`].  It acts at [`JoinEngine::sync`]
+    /// barriers only, from engine-global statistics, so routing never
+    /// changes while work is in flight and every backend takes identical
+    /// decisions.
     pub fn try_with_policies(
         query: JoinQuery,
         strategy: ProbeStrategy,
         enumerate: bool,
         backend: ExecutionBackend,
-        skew: Option<SkewConfig>,
         replan: Option<ReplanConfig>,
     ) -> Result<Self, Error> {
-        if let Some(skew) = &skew {
-            skew.validate().map_err(Error::InvalidConfig)?;
-        }
         if let Some(replan) = &replan {
             replan.validate().map_err(Error::InvalidConfig)?;
         }
@@ -547,9 +516,6 @@ impl JoinEngine {
         let n = partitioner.shard_count();
         let shards = ShardSet::open(&backend, n, &query, strategy, enumerate)?;
         let (m, local) = (query.arity(), matches!(shards, ShardSet::Local(_)));
-        let detector = skew
-            .filter(|_| partitioner.supports_splitting())
-            .map(SkewDetector::new);
         let replan = replan.map(ReplanState::new);
         let star_partner = Partitioner::default_star_partner(&plan);
         Ok(JoinEngine {
@@ -563,13 +529,10 @@ impl JoinEngine {
             occupancy: Occupancy::new(if local { 0 } else { m }),
             stats: OperatorStats::default(),
             runtime: vec![ShardRuntimeStats::default(); n],
-            table: RoutingTable::new(),
-            detector,
-            transitions: Vec::new(),
+            routing_epoch: 0,
             replan,
             star_partner,
             plan_transitions: Vec::new(),
-            split_rr: 0,
             hh_base: vec![0; n],
             hh_warned: None,
             staged: Vec::new(),
@@ -592,8 +555,7 @@ impl JoinEngine {
     /// Attaches a telemetry registry, pre-registering one instrument scope
     /// per shard.  Observe-only: the engine publishes runtime gauges into
     /// it at barriers and routes structured events (heavy-hitter warnings,
-    /// skew and plan transitions) through its bounded ring instead of
-    /// stderr.  Attaching telemetry never changes a produced byte.
+    /// plan transitions) through its bounded ring instead of stderr.  Attaching telemetry never changes a produced byte.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.publishers = (0..self.shard_count())
             .map(|s| ShardPublisher::new(telemetry.shard(s)))
@@ -710,24 +672,6 @@ impl JoinEngine {
         self.enumerate
     }
 
-    /// Whether adaptive hot-key splitting is armed on this engine (opted
-    /// in *and* supported by the plan).
-    pub fn skew_splitting_enabled(&self) -> bool {
-        self.detector.is_some()
-    }
-
-    /// The key classes (by [`mswj_join::join_key_hash`]) currently routed as
-    /// replicated-build / split-probe, sorted ascending.
-    pub fn split_classes(&self) -> &[u64] {
-        self.table.split_classes()
-    }
-
-    /// Every split/unsplit transition the skew detector has taken, in
-    /// decision order.
-    pub fn skew_transitions(&self) -> &[SkewTransition] {
-        &self.transitions
-    }
-
     /// Whether runtime re-planning is armed on this engine.
     pub fn replanning_enabled(&self) -> bool {
         self.replan.is_some()
@@ -746,19 +690,17 @@ impl JoinEngine {
         &self.plan_transitions
     }
 
-    /// The routing-table version: bumped by every hot-key split/unsplit
-    /// and by every partition-pair switch.
+    /// The routing version: bumped by every partition-pair switch.
     pub fn routing_epoch(&self) -> u64 {
-        self.table.epoch()
+        self.routing_epoch
     }
 
     /// Stages one synchronized tuple for the next [`JoinEngine::flush`]:
     /// classify it against the global `onT` and scope-check it.  The
     /// sequential shard takes the tuple as it is; a sharded set also
     /// replays the global expiry/occupancy accounting and routes the tuple
-    /// at once.  Routing state (table, detector, split cursor) only changes
-    /// at idle barriers, so staging early routes under the same state a
-    /// flush would.
+    /// at once.  Routing only changes at idle barriers, so staging early
+    /// routes under the same partitioner a flush would.
     pub fn stage(&mut self, tuple: Tuple) {
         let (i, ts, delay) = (tuple.stream.as_usize(), tuple.ts, tuple.delay_or_zero());
         let in_order = !self.started || ts >= self.on_t;
@@ -858,21 +800,21 @@ impl JoinEngine {
     }
 
     /// Every shard is idle after a barrier flush — every queue drained, no
-    /// epoch outstanding: the only point where routing may change, state
-    /// may migrate and the plan may be revised.  That is what makes a
+    /// epoch outstanding: the only point where a detection window closes,
+    /// routing may change and state may migrate.  That is what makes a
     /// routing change an epoch barrier (in-flight work always executes
-    /// under the table it was routed with), and it is also what makes the
-    /// decisions backend-invariant, because barriers sit at
-    /// workload-determined points (checkpoints, buffer-size changes, end of
-    /// stream).
+    /// under the partitioner it was routed with), and it is also what
+    /// makes the decisions backend-invariant, because barriers sit at
+    /// workload-determined points (checkpoints, buffer-size changes, end
+    /// of stream).
     fn at_idle_barrier(&mut self) {
         debug_assert!(
             self.outstanding.is_none()
                 && !self.has_pending()
                 && self.queues.iter().all(VecDeque::is_empty),
-            "skew evaluation and plan revision require an idle engine"
+            "heavy-hitter detection and plan revision require an idle engine"
         );
-        self.evaluate_skew();
+        self.note_heavy_hitter();
         self.evaluate_replan();
     }
 
@@ -922,7 +864,7 @@ impl JoinEngine {
     fn submit_epoch(&mut self) {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let routing_epoch = self.table.epoch();
+        let routing_epoch = self.routing_epoch;
         for (s, queue) in self.queues.iter_mut().enumerate() {
             self.in_flight[s] = !queue.is_empty();
             if self.in_flight[s] {
@@ -944,9 +886,8 @@ impl JoinEngine {
             return;
         };
         debug_assert_eq!(
-            routing_epoch,
-            self.table.epoch(),
-            "routing transitions must wait for the outstanding epoch"
+            routing_epoch, self.routing_epoch,
+            "routing changes must wait for the outstanding epoch"
         );
         for s in (0..self.in_flight.len()).filter(|&s| self.in_flight[s]) {
             let (sub, mat) = (&mut self.sub[s], &mut self.mat[s]);
@@ -970,65 +911,33 @@ impl JoinEngine {
     }
 
     /// Queues one tuple's shard work according to its route, maintaining
-    /// the per-shard routing-volume and queue-depth counters.  Key-routed
-    /// tuples feed the skew detector and consult the [`RoutingTable`]: a
-    /// split class fans its tuple out to every shard, but flags it as a
-    /// *probe* on exactly one — chosen round-robin so the hot class's probe
-    /// work spreads evenly — while the remaining shards only maintain their
-    /// replica windows (insert, expire).  Every replica sees the same tuple
-    /// sequence, so any shard answers a split probe with the full class.
+    /// the per-shard routing-volume and queue-depth counters: a key-routed
+    /// tuple goes to its key class's home shard, a broadcast tuple to every
+    /// shard.
     fn enqueue(&mut self, seq: u32, probe: bool, tuple: Tuple) {
-        let route = match self.partitioner.key_hash(&tuple) {
-            Some(hash) => {
-                if let Some(det) = &mut self.detector {
-                    det.observe(hash);
-                }
-                if self.table.is_split(hash) {
-                    Route::Split
-                } else {
-                    Route::One(self.partitioner.home_shard(hash))
-                }
-            }
-            None => self.partitioner.route(&tuple),
-        };
-        match route {
+        match self.partitioner.route(&tuple) {
             Route::One(s) => {
                 self.queues[s].push_back(Item { seq, probe, tuple });
                 self.note_routed(s, self.queues[s].len());
             }
-            Route::All => self.fan_out(seq, probe, self.queues.len(), tuple),
-            Route::Split => {
-                let n = self.queues.len();
-                let p = (self.split_rr % n as u64) as usize;
-                if probe {
-                    // Late (probe-less) split tuples only maintain the
-                    // replicas; they must not advance the probe cursor, or
-                    // disorder would perturb the probe placement sequence.
-                    self.split_rr = self.split_rr.wrapping_add(1);
-                }
-                self.fan_out(seq, probe, p, tuple);
-            }
+            Route::All => self.fan_out(seq, probe, tuple),
+            Route::Split => unreachable!("a key class stays on its home shard"),
         }
     }
 
-    /// Pushes `tuple` to every shard queue, flagged as a probe only on
-    /// shard `p` (`p >= shard count` means "probe everywhere", the
-    /// broadcast case).
-    fn fan_out(&mut self, seq: u32, probe: bool, p: usize, tuple: Tuple) {
+    /// Pushes `tuple` to every shard queue, probing everywhere: the
+    /// broadcast case.
+    fn fan_out(&mut self, seq: u32, probe: bool, tuple: Tuple) {
         let last = self.queues.len() - 1;
         for s in 0..last {
             self.queues[s].push_back(Item {
                 seq,
-                probe: probe && (s == p || p > last),
+                probe,
                 tuple: tuple.clone(),
             });
             self.note_routed(s, self.queues[s].len());
         }
-        self.queues[last].push_back(Item {
-            seq,
-            probe: probe && p >= last,
-            tuple,
-        });
+        self.queues[last].push_back(Item { seq, probe, tuple });
         self.note_routed(last, self.queues[last].len());
     }
 
@@ -1044,7 +953,7 @@ impl JoinEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mswj_join::{join_key_hash, CommonKeyEquiJoin, MswjOperator, StarEquiJoin};
+    use mswj_join::{CommonKeyEquiJoin, MswjOperator, StarEquiJoin};
     use mswj_types::{FieldType, Schema, StreamSet, StreamSpec, Value};
     use std::sync::Arc;
 
@@ -1410,7 +1319,6 @@ mod tests {
                 endpoints: Vec::new(),
             },
             None,
-            None,
         )
         .unwrap_err();
         assert!(err.to_string().contains("at least one endpoint"), "{err}");
@@ -1418,21 +1326,6 @@ mod tests {
 
     #[test]
     fn invalid_policy_configs_are_rejected_where_the_engine_is_built() {
-        let bad_skew = SkewConfig {
-            split_share: 0.0,
-            ..SkewConfig::default()
-        };
-        let err = JoinEngine::try_with_policies(
-            equi_query(2, 1_000),
-            ProbeStrategy::Auto,
-            false,
-            ExecutionBackend::Pool { workers: 2 },
-            Some(bad_skew),
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
-        assert!(err.to_string().contains("split_share"), "{err}");
         let bad_replan = ReplanConfig {
             switch_ratio: 1.0,
             ..ReplanConfig::default()
@@ -1442,7 +1335,6 @@ mod tests {
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::Sequential,
-            None,
             Some(bad_replan),
         )
         .unwrap_err();
@@ -1461,7 +1353,6 @@ mod tests {
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::remote_inproc(2),
-            None,
             None,
         )
         .unwrap_err();
@@ -1561,28 +1452,9 @@ mod tests {
         assert_eq!(engine.on_t(), Timestamp::ZERO);
     }
 
-    /// Aggressive thresholds so small test workloads trigger transitions.
-    fn test_skew() -> SkewConfig {
-        SkewConfig {
-            split_share: 0.4,
-            unsplit_share: 0.2,
-            min_routed: 64,
-        }
-    }
-
-    fn skewed(
-        query: JoinQuery,
-        strategy: ProbeStrategy,
-        enumerate: bool,
-        backend: ExecutionBackend,
-    ) -> JoinEngine {
-        JoinEngine::try_with_policies(query, strategy, enumerate, backend, Some(test_skew()), None)
-            .unwrap()
-    }
-
     /// Runs `tuples` in batches of `chunk` with a `sync` barrier after each
-    /// batch (so skew windows are evaluated), returning sorted results,
-    /// outcomes and stats.
+    /// batch (so re-planning windows are evaluated), returning sorted
+    /// results, outcomes and stats.
     fn run_synced(
         engine: &mut JoinEngine,
         tuples: &[Tuple],
@@ -1600,111 +1472,6 @@ mod tests {
         }
         results.sort();
         (results, outcomes, engine.stats())
-    }
-
-    #[test]
-    fn hot_key_splitting_replicates_state_and_preserves_results() {
-        // 60% of the traffic on key 7, the rest spread over cold keys.
-        let tuples: Vec<Tuple> = (0..600u64)
-            .map(|s| {
-                let key = if s % 10 < 6 { 7 } else { 100 + (s % 40) as i64 };
-                tup((s % 2) as usize, s, s * 2, key)
-            })
-            .collect();
-        let (want_res, want_out, want_stats) = run(ExecutionBackend::Sequential, true, &tuples);
-        for backend in [
-            ExecutionBackend::Pool { workers: 2 },
-            ExecutionBackend::Pool { workers: 3 },
-        ] {
-            let mut engine = skewed(
-                equi_query(2, 1_000),
-                ProbeStrategy::Auto,
-                true,
-                backend.clone(),
-            );
-            assert!(engine.skew_splitting_enabled(), "{backend}");
-            let (res, out, stats) = run_synced(&mut engine, &tuples, 100);
-            let hot = join_key_hash(Some(&Value::Int(7)));
-            assert_eq!(
-                engine.split_classes(),
-                &[hot],
-                "the hot class must have split [{backend}]"
-            );
-            let first = engine.skew_transitions().first().expect("one transition");
-            assert!(first.split && first.key_hash == hot && first.share > 0.4);
-            // Replicated build: every shard holds the hot class's tuples.
-            for s in 0..engine.shard_count() {
-                for i in 0..2 {
-                    assert!(
-                        engine
-                            .shard(s)
-                            .window(StreamIndex(i))
-                            .iter()
-                            .any(|t| t.value(0) == Some(&Value::Int(7))),
-                        "shard {s} stream {i} must hold hot-class replicas [{backend}]"
-                    );
-                }
-            }
-            // ... and the probe work spreads: no shard took a majority of
-            // the post-split routed volume.
-            assert_eq!(res, want_res, "result multiset diverged [{backend}]");
-            assert_eq!(want_out.len(), out.len(), "{backend}");
-            for (a, b) in want_out.iter().zip(&out) {
-                assert_eq!(a.n_join, b.n_join, "{backend}");
-                assert_eq!(a.n_cross, b.n_cross, "{backend}");
-            }
-            assert_eq!(want_stats.results, stats.results, "{backend}");
-            assert_eq!(want_stats.in_order, stats.in_order, "{backend}");
-            assert_eq!(want_stats.expired, stats.expired, "{backend}");
-        }
-    }
-
-    #[test]
-    fn cooled_hot_key_unsplits_and_purges_replicas() {
-        let hot_phase: Vec<Tuple> = (0..300u64)
-            .map(|s| {
-                let key = if s % 10 < 6 { 7 } else { 100 + (s % 40) as i64 };
-                tup((s % 2) as usize, s, s * 2, key)
-            })
-            .collect();
-        // The cold phase spreads traffic evenly; timestamps advance past
-        // the window so the hot tuples also expire.
-        let cold_phase: Vec<Tuple> = (300..900u64)
-            .map(|s| tup((s % 2) as usize, s, 20_000 + s * 2, 100 + (s % 40) as i64))
-            .collect();
-        let mut engine = skewed(
-            equi_query(2, 2_000),
-            ProbeStrategy::Auto,
-            false,
-            ExecutionBackend::Pool { workers: 3 },
-        );
-        let hot = join_key_hash(Some(&Value::Int(7)));
-        run_synced(&mut engine, &hot_phase, 150);
-        assert_eq!(engine.split_classes(), &[hot], "hot phase must split");
-        run_synced(&mut engine, &cold_phase, 150);
-        assert!(
-            engine.split_classes().is_empty(),
-            "cold traffic must revert the split"
-        );
-        let trans = engine.skew_transitions();
-        assert!(trans.len() >= 2);
-        assert!(trans.first().unwrap().split);
-        assert!(!trans.last().unwrap().split);
-        // Replicas purged: only the home shard may still hold hot-class
-        // tuples (and here even those expired with the window).
-        let home = engine.partitioner().home_shard(hot);
-        for s in (0..engine.shard_count()).filter(|&s| s != home) {
-            for i in 0..2 {
-                assert!(
-                    !engine
-                        .shard(s)
-                        .window(StreamIndex(i))
-                        .iter()
-                        .any(|t| t.value(0) == Some(&Value::Int(7))),
-                    "shard {s} stream {i} must have purged its replicas"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1734,26 +1501,6 @@ mod tests {
             .expect("a late hot key must trip windowed detection");
         let windowed = engine.runtime_stats(s).routed;
         assert!(windowed >= 1_200, "the hot window counts from its own base");
-    }
-
-    #[test]
-    fn splitting_is_inert_when_the_plan_cannot_split() {
-        // Nested-loop plans collapse to one broadcast shard: no detector.
-        let engine = skewed(
-            equi_query(2, 1_000),
-            ProbeStrategy::NestedLoop,
-            false,
-            ExecutionBackend::Pool { workers: 4 },
-        );
-        assert!(!engine.skew_splitting_enabled());
-        // Single-shard backends cannot redistribute anything either.
-        let engine = skewed(
-            equi_query(2, 1_000),
-            ProbeStrategy::Auto,
-            false,
-            ExecutionBackend::Sequential,
-        );
-        assert!(!engine.skew_splitting_enabled());
     }
 
     /// Aggressive re-planning thresholds so small test workloads revise.
@@ -1788,7 +1535,6 @@ mod tests {
             ProbeStrategy::Auto,
             enumerate,
             backend,
-            None,
             Some(test_replan()),
         )
         .unwrap()

@@ -35,9 +35,9 @@ pub(super) struct Task {
     pub(super) sub: Vec<SubOutcome>,
     /// Empty materialization buffer for the worker to fill (recycled).
     pub(super) mat: Vec<(u32, JoinResult)>,
-    /// The [`RoutingTable`](mswj_join::RoutingTable) epoch the items were
-    /// routed under; echoed back so collection can assert that routing
-    /// never changed while the epoch was in flight.
+    /// The engine's routing epoch (bumped by every star pair switch) the
+    /// items were routed under; echoed back so collection can assert that
+    /// routing never changed while the epoch was in flight.
     pub(super) routing_epoch: u64,
 }
 

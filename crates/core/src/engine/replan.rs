@@ -11,10 +11,11 @@
 //! key-routed slot is the *heaviest* one, leaving only light streams on
 //! the broadcast path.
 //!
-//! The engine weighs a **pair switch** at the same idle barriers the skew
-//! layer uses — no work in flight, decisions taken from engine-global
-//! (backend-invariant) statistics, every transition recorded.  Like skew
-//! detection, evaluation is **windowed** with an evidence floor
+//! The engine weighs a **pair switch** at the same idle barriers that
+//! close heavy-hitter detection windows — no work in flight, decisions
+//! taken from engine-global (backend-invariant) statistics, every
+//! transition recorded.  Like heavy-hitter detection, evaluation is
+//! **windowed** with an evidence floor
 //! ([`ReplanConfig::min_probes`]), and a switch needs a
 //! [`ReplanConfig::switch_ratio`] cardinality gap, so near-equal
 //! satellites cannot flap the pair.  The probe path itself — each
@@ -121,8 +122,8 @@ impl ReplanState {
 /// the engine, next to the re-planner's state and rules.
 impl JoinEngine {
     /// Evaluates a pair switch for the closing window, when re-planning is
-    /// armed and the window holds enough probes to judge.  Like skew
-    /// evaluation, this runs from `JoinEngine::at_idle_barrier` only and
+    /// armed and the window holds enough probes to judge.  Like heavy-hitter
+    /// detection, this runs from `JoinEngine::at_idle_barrier` only and
     /// takes every decision from engine-global statistics — occupancy
     /// cardinalities and the sequential-equivalent stats — so all backends
     /// revise the plan at the same points, identically.
@@ -145,8 +146,8 @@ impl JoinEngine {
     /// cardinality of the current partner — a broadcast stream pays for
     /// every tuple on every shard, so the heaviest satellite belongs in
     /// the key-routed slot and only light streams on the broadcast path.
-    /// The affected window state migrates at this barrier and the
-    /// routing-table epoch is bumped, exactly like a skew transition.
+    /// The affected window state migrates at this barrier and the routing
+    /// epoch is bumped.
     fn consider_pair_switch(&mut self, config: &ReplanConfig) {
         let ProbePlan::Star { anchor, .. } = &self.plan else {
             return;
@@ -155,9 +156,6 @@ impl JoinEngine {
         if self.shard_count() <= 1 {
             return;
         }
-        // Star plans never split (broadcast satellites), so the routing
-        // table only ever carries the partitioner epoch here.
-        debug_assert!(self.table.split_classes().is_empty());
         let Some(current) = self.star_partner else {
             return;
         };
@@ -259,10 +257,10 @@ impl JoinEngine {
         }
         self.partitioner = next;
         self.star_partner = Some(to);
-        // Out-of-table routing change: in-flight epochs must never straddle
-        // it (they cannot — the engine is idle), and the pipeline's
-        // routing-epoch sanity checks should see it.
-        self.table.bump_epoch();
+        // In-flight epochs must never straddle a routing change (they
+        // cannot — the engine is idle), and the pipeline's routing-epoch
+        // sanity checks should see it.
+        self.routing_epoch += 1;
         for s in 0..n {
             self.runtime[s].plan_revisions += 1;
         }

@@ -6,10 +6,10 @@
 //! [`RemoteShards`] links — and its methods are everything the routing
 //! front may ask of a shard: hand out the sequential shard's operator,
 //! drain a small `Pool` batch on the calling thread, submit and collect one
-//! epoch, read statistics, inspect an operator, and the five barrier-time
-//! surgery operations.  Only staging and flushing ask whether the
-//! placement is the sequential one (it takes its tuples unrouted); every
-//! other method decides once per call.
+//! epoch, read statistics, inspect an operator, and the three barrier-time
+//! surgery operations a star partition-pair switch runs.  Only staging and
+//! flushing ask whether the placement is the sequential one (it takes its
+//! tuples unrouted); every other method decides once per call.
 //!
 //! Each operator has one owner at a time.  It is **home** — reached with
 //! plain `&mut` to execute the sequential shard, drain an inline batch or
@@ -26,10 +26,8 @@
 //!
 //! | `ShardSet` method | body (`MswjOperator::…`) | wire frame    |
 //! |-------------------|--------------------------|---------------|
-//! | `fetch_class`     | `fetch_class`            | `FetchClass`  |
 //! | `fetch_window`    | `fetch_window`           | `FetchWindow` |
 //! | `adopt`           | `adopt_all`              | `Adopt`       |
-//! | `purge_class`     | `purge_class`            | `PurgeClass`  |
 //! | `retain_home`     | `retain_home`            | `Retain`      |
 
 use super::pool::ShardPool;
@@ -47,7 +45,7 @@ use std::collections::VecDeque;
 pub(super) struct CollectedEpoch {
     /// Nanoseconds the shard's worker (or server) spent draining the task.
     pub(super) busy_nanos: u64,
-    /// The routing-table epoch echoed back (pipeline sanity check).
+    /// The routing epoch echoed back (pipeline sanity check).
     pub(super) routing_epoch: u64,
 }
 
@@ -251,21 +249,6 @@ impl ShardSet {
             .collect()
     }
 
-    /// A surgery operation that reads tuples out of shard `s`: `body` on an
-    /// in-process operator, `frame()` to a shard server — whose handler
-    /// runs the same body.
-    fn fetch(
-        &mut self,
-        s: usize,
-        body: impl FnOnce(&MswjOperator) -> Vec<Tuple>,
-        frame: impl FnOnce() -> Frame,
-    ) -> Vec<Tuple> {
-        match self {
-            ShardSet::Remote(remote) => remote.request_tuples(s, frame()),
-            local => body(&local.inspect(s)),
-        }
-    }
-
     /// A surgery operation that changes shard `s` (idle at every call site:
     /// state surgery only happens at barriers): `body` on an in-process
     /// operator, `frame()` to a shard server.
@@ -282,35 +265,19 @@ impl ShardSet {
         }
     }
 
-    /// The tuples of key class `key_hash` (over `column`) live in shard
-    /// `s`'s window of `stream`, in window order.
-    pub(super) fn fetch_class(
-        &mut self,
-        s: usize,
-        stream: usize,
-        column: usize,
-        key_hash: u64,
-    ) -> Vec<Tuple> {
-        self.fetch(
-            s,
-            |op| op.fetch_class(StreamIndex(stream), column, key_hash),
-            || Frame::FetchClass {
-                stream: stream as u64,
-                column: column as u64,
-                key_hash,
-            },
-        )
-    }
-
-    /// A snapshot of shard `s`'s whole live window of `stream`.
+    /// A snapshot of shard `s`'s whole live window of `stream`: read from
+    /// an in-process operator, or requested from a shard server — whose
+    /// handler runs the same body.
     pub(super) fn fetch_window(&mut self, s: usize, stream: usize) -> Vec<Tuple> {
-        self.fetch(
-            s,
-            |op| op.fetch_window(StreamIndex(stream)),
-            || Frame::FetchWindow {
-                stream: stream as u64,
-            },
-        )
+        match self {
+            ShardSet::Remote(remote) => remote.request_tuples(
+                s,
+                Frame::FetchWindow {
+                    stream: stream as u64,
+                },
+            ),
+            local => local.inspect(s).fetch_window(StreamIndex(stream)),
+        }
     }
 
     /// Adopts `tuples` into shard `s`'s windows (each into its own
@@ -321,22 +288,6 @@ impl ShardSet {
             |op| op.adopt_all(tuples.iter().cloned()),
             || Frame::Adopt {
                 tuples: tuples.to_vec(),
-            },
-        );
-    }
-
-    /// Evicts key class `key_hash` (over `column`) from shard `s`'s window
-    /// of `stream`.
-    pub(super) fn purge_class(&mut self, s: usize, stream: usize, column: usize, key_hash: u64) {
-        self.apply(
-            s,
-            |op| {
-                op.purge_class(StreamIndex(stream), column, key_hash);
-            },
-            || Frame::PurgeClass {
-                stream: stream as u64,
-                column: column as u64,
-                key_hash,
             },
         );
     }
@@ -467,21 +418,6 @@ mod tests {
         let mut set = ShardSet::open(&backend, n, &query(), ProbeStrategy::Auto, false).unwrap();
         assert_eq!(set.count(), n, "{backend}");
         let first = run_epoch(&mut set, 1, &batch(0));
-        // A hot-key split and its revert: replicate the class from its home
-        // shard, then purge the replicas again.
-        let hot = join_key_hash(Some(&Value::Int(3)));
-        let home = Partitioner::home_of(hot, n);
-        let others: Vec<usize> = (0..n).filter(|&s| s != home).collect();
-        for stream in 0..2 {
-            let class = set.fetch_class(home, stream, 0, hot);
-            assert!(!class.is_empty(), "{backend}");
-            for &s in &others {
-                set.adopt(s, &class);
-                assert_eq!(set.fetch_class(s, stream, 0, hot), class, "{backend}");
-                set.purge_class(s, stream, 0, hot);
-                assert!(set.fetch_class(s, stream, 0, hot).is_empty(), "{backend}");
-            }
-        }
         // A pair switch's two halves: broadcast stream 1 into every shard,
         // then make every shard retain its home slice.
         let slices: Vec<Vec<Tuple>> = (0..n).map(|s| set.fetch_window(s, 1)).collect();

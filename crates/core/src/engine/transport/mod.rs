@@ -1,5 +1,5 @@
-//! The shard transport subsystem: how epochs, barriers and hot-key state
-//! migrations cross a shard boundary.
+//! The shard transport subsystem: how epochs, barriers and pair-switch
+//! state migrations cross a shard boundary.
 //!
 //! The resident pool (`ExecutionBackend::Pool`) moves epoch-tagged tasks
 //! through std channels; this module generalizes that exchange to a peer
@@ -21,7 +21,7 @@
 //!   the in-process thread and every connection `mswj-shardd` accepts.
 //! * `remote` (engine-internal) — the active side: one link per shard,
 //!   reusing the engine's epoch/barrier pipeline so checkpoints, K-changes
-//!   and skew transitions stay byte-identical to local execution.
+//!   and plan revisions stay byte-identical to local execution.
 //!
 //! ## Failure model
 //!
@@ -474,22 +474,6 @@ mod tests {
         // (malformed frame, what the error must name)
         let cases = [
             (Frame::FetchWindow { stream: 9 }, "stream index 9"),
-            (
-                Frame::FetchClass {
-                    stream: 9,
-                    column: 0,
-                    key_hash: 1,
-                },
-                "stream index 9",
-            ),
-            (
-                Frame::PurgeClass {
-                    stream: 2,
-                    column: 0,
-                    key_hash: 1,
-                },
-                "stream index 2",
-            ),
             (
                 Frame::Retain {
                     stream: 9,

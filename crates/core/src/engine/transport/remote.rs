@@ -239,8 +239,7 @@ impl RemoteShards {
         (link, reply)
     }
 
-    /// A surgery request answered by a plain ack (`Adopt`, `PurgeClass`,
-    /// `Retain`).
+    /// A surgery request answered by a plain ack (`Adopt`, `Retain`).
     pub(in crate::engine) fn request_ack(&mut self, shard: usize, request: Frame) {
         match self.request(shard, request) {
             (_, Frame::Ack) => {}
@@ -248,7 +247,7 @@ impl RemoteShards {
         }
     }
 
-    /// A surgery request answered by tuples (`FetchClass`, `FetchWindow`).
+    /// A surgery request answered by tuples (`FetchWindow`).
     pub(in crate::engine) fn request_tuples(&mut self, shard: usize, request: Frame) -> Vec<Tuple> {
         match self.request(shard, request) {
             (_, Frame::ClassData { tuples }) => tuples,

@@ -9,9 +9,8 @@
 //! error frame (the connection then closes: after a panic the shard state
 //! is unreliable, exactly like a retired pool worker).
 //!
-//! Surgery frames (`FetchClass`, `FetchWindow`, `Adopt`, `PurgeClass`,
-//! `Retain`) take one path, `apply_surgery`: **validate, then
-//! apply**.  Every index a frame carries is checked against the operator
+//! Surgery frames (`FetchWindow`, `Adopt`, `Retain`) take one path,
+//! `apply_surgery`: **validate, then apply**.  Every index a frame carries is checked against the operator
 //! built at `Setup` before anything is touched, and the body that runs is
 //! the same `MswjOperator` method the engine's local backends call.  A
 //! frame that fails validation — like any request before `Setup` — is
@@ -87,13 +86,6 @@ fn column_of(column: u64) -> Result<usize, String> {
 /// when it is returned.
 fn apply_surgery(op: &mut MswjOperator, frame: Frame) -> Result<Frame, String> {
     Ok(match frame {
-        Frame::FetchClass {
-            stream,
-            column,
-            key_hash,
-        } => Frame::ClassData {
-            tuples: op.fetch_class(stream_of(op, stream)?, column_of(column)?, key_hash),
-        },
         Frame::FetchWindow { stream } => Frame::ClassData {
             tuples: op.fetch_window(stream_of(op, stream)?),
         },
@@ -103,14 +95,6 @@ fn apply_surgery(op: &mut MswjOperator, frame: Frame) -> Result<Frame, String> {
                     .map_err(|why| format!("adopted tuple {t}: {why}"))?;
             }
             op.adopt_all(tuples);
-            Frame::Ack
-        }
-        Frame::PurgeClass {
-            stream,
-            column,
-            key_hash,
-        } => {
-            op.purge_class(stream_of(op, stream)?, column_of(column)?, key_hash);
             Frame::Ack
         }
         Frame::Retain {

@@ -79,7 +79,7 @@ pub use builder::SessionBuilder;
 pub use config::{DisorderConfig, ProbePlan, ProbeStrategy, SelectivityStrategy};
 pub use engine::{
     Endpoint, EngineError, EngineEvent, ExecutionBackend, JoinEngine, PlanAction, PlanTransition,
-    ReplanConfig, ShardRuntimeStats, ShardStats, SkewConfig, SkewTransition,
+    ReplanConfig, ShardRuntimeStats, ShardStats,
 };
 pub use kslack::{KSlack, KSlackStats};
 pub use model::{ModelInputs, RecallModel};

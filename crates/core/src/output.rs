@@ -27,7 +27,7 @@
 //! assert_eq!(advanced_to, Some(Timestamp::from_millis(1_500)));
 //! ```
 
-use crate::engine::{PlanTransition, ShardStats, SkewTransition};
+use crate::engine::{PlanTransition, ShardStats};
 use mswj_join::{JoinResult, OperatorStats};
 use mswj_types::{Duration, StreamIndex, Timestamp};
 
@@ -118,10 +118,6 @@ pub struct RunReport {
     pub duration_ms: Duration,
     /// Mean wall-clock nanoseconds per adaptation step (adaptive policies).
     pub avg_adaptation_nanos: f64,
-    /// Every hot-key split/unsplit transition the join stage's skew
-    /// detector took, in decision order; empty unless the session opted
-    /// into `skew_splitting` (and the plan supports it).
-    pub skew_transitions: Vec<SkewTransition>,
     /// Every plan revision the join stage's runtime re-planner took (star
     /// pair switches), in decision order;
     /// empty unless the session opted into `runtime_replanning`.

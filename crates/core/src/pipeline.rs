@@ -53,7 +53,7 @@ use crate::adaptation::BufferSizeManager;
 use crate::builder::SessionBuilder;
 use crate::config::DisorderConfig;
 use crate::engine::ShardStats;
-use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine, ReplanConfig, SkewConfig};
+use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine, ReplanConfig};
 use crate::kslack::KSlack;
 use crate::output::{Checkpoint, OutputEvent, RunReport};
 use crate::policy::BufferPolicy;
@@ -136,20 +136,16 @@ impl Pipeline {
             ExecutionBackend::Sequential,
             None,
             None,
-            None,
         )
     }
 
-    // Crate-internal constructor fed exclusively by the builder; the knob
-    // count is the builder's problem, not a public API surface.
-    #[allow(clippy::too_many_arguments)]
+    // Crate-internal constructor behind `new` and the builder.
     pub(crate) fn construct(
         query: JoinQuery,
         policy: BufferPolicy,
         materialize: bool,
         probe: ProbeStrategy,
         backend: ExecutionBackend,
-        skew: Option<SkewConfig>,
         replan: Option<ReplanConfig>,
         telemetry: Option<Telemetry>,
     ) -> Result<Self> {
@@ -164,14 +160,8 @@ impl Pipeline {
             BufferPolicy::QualityDriven(c) => Some(BufferSizeManager::new(*c, query.windows())),
             _ => None,
         };
-        let mut engine = JoinEngine::try_with_policies(
-            query.clone(),
-            probe,
-            materialize,
-            backend,
-            skew,
-            replan,
-        )?;
+        let mut engine =
+            JoinEngine::try_with_policies(query.clone(), probe, materialize, backend, replan)?;
         if let Some(t) = &telemetry {
             engine.attach_telemetry(t.clone());
         }
@@ -422,7 +412,6 @@ impl Pipeline {
             max_observed_delay: self.lifetime_max_delay,
             duration_ms: duration,
             avg_adaptation_nanos: avg_adapt,
-            skew_transitions: self.engine.skew_transitions().to_vec(),
             plan_transitions: self.engine.plan_transitions().to_vec(),
         }
     }
@@ -449,8 +438,8 @@ impl Pipeline {
     /// boundary); `barrier` forces every deferred epoch to complete first.
     fn drive_engine<S: Sink>(&mut self, sink: &mut S, barrier: bool) {
         // A barrier always reaches the engine, even when nothing is staged
-        // or outstanding: barriers are where the engine evaluates its
-        // skew-detection window, and those evaluation points must depend
+        // or outstanding: barriers are where the engine closes its
+        // heavy-hitter detection window, and those evaluation points must depend
         // only on the workload (checkpoints, K changes, end of stream) —
         // never on whether a backend happens to have an epoch in flight.
         if !barrier && !self.engine.has_pending() && !self.engine.has_outstanding() {

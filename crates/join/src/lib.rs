@@ -38,7 +38,7 @@ pub use condition::{
     JoinCondition, PredicateFn, ScanStructure, StarEquiJoin,
 };
 pub use operator::{MswjOperator, OperatorStats, ProbeOutcome};
-pub use partition::{join_key_hash, Partitioner, Route, RoutingTable};
+pub use partition::{join_key_hash, Partitioner, Route};
 pub use planner::{ProbePlan, ProbeStrategy};
 pub use query::JoinQuery;
 pub use result::JoinResult;

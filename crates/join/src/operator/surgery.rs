@@ -2,13 +2,12 @@
 //! at an idle barrier to move window state between shards — never part of
 //! stream ingestion.
 //!
-//! Each operation's body lives here once: [`MswjOperator::fetch_class`] and
-//! [`MswjOperator::adopt_all`] replicate a hot key class,
-//! [`MswjOperator::purge_class`] reverts that, [`MswjOperator::fetch_window`]
-//! and [`MswjOperator::retain_home`] re-home a stream on a partition-pair
-//! switch.  The engine's local backends call these methods directly and
-//! a shard server calls them from its frame handlers, so a local and a
-//! remote shard cannot drift apart.
+//! Each operation's body lives here once: a star partition-pair switch
+//! reads whole windows with [`MswjOperator::fetch_window`], replicates or
+//! delivers them with [`MswjOperator::adopt_all`] and sheds what no longer
+//! homes on a shard with [`MswjOperator::retain_home`].  The engine's local
+//! backends call these methods directly and a shard server calls them from
+//! its frame handlers, so a local and a remote shard cannot drift apart.
 //!
 //! Stream arguments are trusted (`StreamIndex` out of range panics, like
 //! [`MswjOperator::window`]); a caller fed from outside the process checks
@@ -22,11 +21,10 @@ impl MswjOperator {
     /// Adopts a tuple into its window without probing, scope checks or
     /// operator statistics — state *migration*, not stream ingestion.
     ///
-    /// The sharded engine uses this when a key class switches to
-    /// replicated-build / split-probe routing: the class's live build state
-    /// is copied from its home shard into every other shard, and those
-    /// copies must not perturb the per-shard in-order/out-of-order tallies
-    /// that describe the *stream* each shard saw.  Counted under
+    /// The sharded engine uses this when a star pair switch moves window
+    /// state between shards: the moved tuples must not perturb the
+    /// per-shard in-order/out-of-order tallies that describe the *stream*
+    /// each shard saw.  Counted under
     /// [`OperatorStats::adopted`](super::OperatorStats).
     pub fn adopt(&mut self, tuple: Tuple) {
         let i = tuple.stream.as_usize();
@@ -46,36 +44,19 @@ impl MswjOperator {
     /// Surgically removes every live tuple of stream `i` for which `keep`
     /// returns `false`, maintaining the window's hash indexes; returns the
     /// number of removed tuples.  The inverse of [`MswjOperator::adopt`]:
-    /// the sharded engine purges replicated build state from non-home
-    /// shards when a split key class reverts to plain hash routing, and
-    /// sheds re-homed window state on a partition-pair switch.  Counted
-    /// under [`OperatorStats::evicted`](super::OperatorStats).
+    /// the sharded engine sheds re-homed window state on a partition-pair
+    /// switch.  Counted under [`OperatorStats::evicted`](super::OperatorStats).
     pub fn evict_where(&mut self, i: StreamIndex, keep: impl FnMut(&Tuple) -> bool) -> usize {
         let removed = self.windows[i.as_usize()].retain_where(keep);
         self.stats.evicted += removed as u64;
         removed
     }
 
-    /// The live tuples of `stream` whose join key in `column` falls in the
-    /// [`join_key_hash`] class `key_hash`, in window (timestamp) order — so
-    /// a shard adopting them enumerates the class exactly as this one does.
-    pub fn fetch_class(&self, stream: StreamIndex, column: usize, key_hash: u64) -> Vec<Tuple> {
-        self.window(stream)
-            .iter()
-            .filter(|t| join_key_hash(t.value(column)) == key_hash)
-            .cloned()
-            .collect()
-    }
-
-    /// A snapshot of the whole live window of `stream`, in window order.
+    /// A snapshot of the whole live window of `stream`, in window
+    /// (timestamp) order — so a shard adopting it enumerates the tuples
+    /// exactly as this one does.
     pub fn fetch_window(&self, stream: StreamIndex) -> Vec<Tuple> {
         self.window(stream).iter().cloned().collect()
-    }
-
-    /// Evicts the key class `key_hash` (over `column`) from the window of
-    /// `stream`; returns the number of evicted tuples.
-    pub fn purge_class(&mut self, stream: StreamIndex, column: usize, key_hash: u64) -> usize {
-        self.evict_where(stream, |t| join_key_hash(t.value(column)) != key_hash)
     }
 
     /// Keeps only the tuples of `stream` whose join key (over `column`)
@@ -126,12 +107,13 @@ mod tests {
         let s0 = StreamIndex(0);
         assert_eq!(op.fetch_window(s0).len(), 20);
         let hot = join_key_hash(Some(&Value::Int(3)));
-        let class = op.fetch_class(s0, 0, hot);
+        let in_class = |t: &Tuple| join_key_hash(t.value(0)) == hot;
+        let class: Vec<Tuple> = op.fetch_window(s0).into_iter().filter(in_class).collect();
         assert_eq!(class.len(), 4);
         assert!(class.iter().all(|t| t.value(0) == Some(&Value::Int(3))));
         assert!(class.windows(2).all(|w| w[0].ts <= w[1].ts), "window order");
-        assert_eq!(op.purge_class(s0, 0, hot), 4);
-        assert!(op.fetch_class(s0, 0, hot).is_empty());
+        assert_eq!(op.evict_where(s0, |t| !in_class(t)), 4);
+        assert!(!op.fetch_window(s0).iter().any(in_class));
         // Retaining each of 3 home slices partitions what is left.
         let left = op.fetch_window(s0);
         let mut kept = 0;

@@ -30,42 +30,29 @@
 //! in `tests/partition_properties.rs` pins `join_eq(a, b) ⇒ hash(a) ==
 //! hash(b)` under randomized values.
 //!
-//! ## Hot-key splitting
+//! ## One home per key class
 //!
-//! Hash routing degrades under skew: a Zipf hot key pins its entire key
-//! class — build state *and* probe work — to one shard, so "n shards"
-//! behaves like one.  The cure is *replicated build / split probe*: a hot
-//! key's inserts fan out to **every** shard's build state while each of its
-//! probes runs on exactly **one** shard, so probe work spreads while any
-//! single probe still sees the full key class.  Which key classes are
-//! currently split lives in a [`RoutingTable`] — the one piece of *mutable*
-//! routing state, versioned by an epoch counter so an engine can assert
-//! that routing never changes while work is in flight.  [`Partitioner`]
-//! itself stays pure: [`Partitioner::route_with`] maps a tuple plus a table
-//! snapshot to a [`Route`], returning [`Route::Split`] for split classes.
-//!
-//! Splitting is only sound when every stream is key-routed
-//! ([`Partitioner::supports_splitting`]): a broadcast stream (star
-//! satellites outside the partition pair) probes *every* shard, and
-//! replicated build tuples would then match once per shard and duplicate
-//! results.
+//! A key class lives on its home shard ([`Partitioner::home_of`]) for the
+//! whole session: build state and probe work alike.  Under key skew the
+//! hot class's home shard carries its whole share; the engine warns about
+//! that (its heavy-hitter check) but never moves a class.  Only a star
+//! partition-pair switch changes routing, and it rebuilds the
+//! `Partitioner` at an idle barrier.
 //!
 //! ```
-//! use mswj_join::{join_key_hash, Partitioner, ProbePlan, Route, RoutingTable};
+//! use mswj_join::{Partitioner, ProbePlan, Route};
 //! use mswj_types::{Timestamp, Tuple, Value};
 //!
 //! let plan = ProbePlan::CommonKey { columns: vec![0, 0] };
 //! let partitioner = Partitioner::new(&plan, 4);
-//! assert!(partitioner.supports_splitting());
 //!
-//! let hot = Tuple::new(0.into(), 0, Timestamp::ZERO, vec![Value::Int(7)]);
-//! let mut table = RoutingTable::new();
-//! assert_eq!(partitioner.route_with(&hot, &table), partitioner.route(&hot));
-//!
-//! let class = partitioner.key_hash(&hot).unwrap();
-//! assert!(table.split(class));
-//! assert_eq!(table.epoch(), 1);
-//! assert_eq!(partitioner.route_with(&hot, &table), Route::Split);
+//! let left = Tuple::new(0.into(), 0, Timestamp::ZERO, vec![Value::Int(7)]);
+//! let right = Tuple::new(1.into(), 1, Timestamp::ZERO, vec![Value::Float(7.0)]);
+//! let class = partitioner.key_hash(&left).unwrap();
+//! assert_eq!(partitioner.key_hash(&right), Some(class), "7 joins 7.0");
+//! let home = partitioner.home_shard(class);
+//! assert_eq!(partitioner.route(&left), Route::One(home));
+//! assert_eq!(partitioner.route(&right), Route::One(home));
 //! ```
 //!
 //! [`Value::join_eq`]: mswj_types::Value::join_eq
@@ -81,94 +68,10 @@ pub enum Route {
     /// The tuple belongs to a broadcast stream: insert into and probe every
     /// shard (star satellites outside the partition pair).
     All,
-    /// The tuple's key class is split (see [`RoutingTable`]): insert into
-    /// every shard's build state, probe on exactly one shard of the
-    /// caller's choosing (round-robin or least-loaded — any single shard
-    /// sees the full replicated key class).
+    /// Never returned: a key class stays on its home shard.  The variant
+    /// remains because `benchmark/src/trace.rs` matches on it; it goes
+    /// with that trace mirror.
     Split,
-}
-
-/// The mutable half of split routing: which key classes (by
-/// [`join_key_hash`]) are currently *replicated-build / split-probe*,
-/// versioned by an epoch counter.
-///
-/// Every mutation bumps [`epoch`](RoutingTable::epoch), which lets an
-/// engine tag in-flight work with the epoch it was routed under and assert
-/// that routing only ever changes at a barrier (no work outstanding).  The
-/// set itself is kept sorted so membership is a binary search and the
-/// split-class listing is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RoutingTable {
-    split: Vec<u64>,
-    epoch: u64,
-}
-
-impl RoutingTable {
-    /// An empty table: nothing split, epoch 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The version of the table: bumped by one on every effective
-    /// [`split`](RoutingTable::split) / [`unsplit`](RoutingTable::unsplit).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether the key class `hash` is currently split.
-    pub fn is_split(&self, hash: u64) -> bool {
-        self.split.binary_search(&hash).is_ok()
-    }
-
-    /// Marks the key class `hash` as split.  Returns `true` (and bumps the
-    /// epoch) if the class was not already split.
-    pub fn split(&mut self, hash: u64) -> bool {
-        match self.split.binary_search(&hash) {
-            Ok(_) => false,
-            Err(at) => {
-                self.split.insert(at, hash);
-                self.epoch += 1;
-                true
-            }
-        }
-    }
-
-    /// Reverts the key class `hash` to plain hash routing.  Returns `true`
-    /// (and bumps the epoch) if the class was split.
-    pub fn unsplit(&mut self, hash: u64) -> bool {
-        match self.split.binary_search(&hash) {
-            Ok(at) => {
-                self.split.remove(at);
-                self.epoch += 1;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Bumps the epoch without touching the split set — the marker for a
-    /// routing change that lives *outside* the table, such as a star
-    /// partition-pair switch rebuilding the [`Partitioner`] itself.  Any
-    /// in-flight work tagged with the old epoch is thereby invalidated, so
-    /// callers must only do this at a barrier.
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// The currently split key classes, sorted ascending.
-    pub fn split_classes(&self) -> &[u64] {
-        &self.split
-    }
-
-    /// Number of split key classes.
-    pub fn len(&self) -> usize {
-        self.split.len()
-    }
-
-    /// Whether no key class is split (plain hash routing everywhere).
-    pub fn is_empty(&self) -> bool {
-        self.split.is_empty()
-    }
 }
 
 /// Per-stream routing rules derived from a [`ProbePlan`].
@@ -277,22 +180,10 @@ impl Partitioner {
         self.columns.as_ref().and_then(|cols| cols[i])
     }
 
-    /// Routes one tuple under plain hash routing (no split classes).
+    /// Routes one tuple: key-routed tuples to their key class's home
+    /// shard, broadcast streams everywhere.
     pub fn route(&self, tuple: &Tuple) -> Route {
         match self.key_hash(tuple) {
-            Some(hash) => Route::One(self.home_shard(hash)),
-            None if self.columns.is_some() => Route::All,
-            None => Route::One(0),
-        }
-    }
-
-    /// Routes one tuple under the split classes of `table`: key-routed
-    /// tuples whose key class is split get [`Route::Split`], everything
-    /// else routes exactly as [`route`](Partitioner::route).  With an empty
-    /// table the two are identical.
-    pub fn route_with(&self, tuple: &Tuple, table: &RoutingTable) -> Route {
-        match self.key_hash(tuple) {
-            Some(hash) if table.is_split(hash) => Route::Split,
             Some(hash) => Route::One(self.home_shard(hash)),
             None if self.columns.is_some() => Route::All,
             None => Route::One(0),
@@ -307,9 +198,8 @@ impl Partitioner {
         Some(join_key_hash(tuple.value(col)))
     }
 
-    /// The shard that owns key class `hash` under plain hash routing — and
-    /// that keeps the authoritative copy of its build state while the class
-    /// is split.
+    /// The shard that owns key class `hash`: its build state and its probe
+    /// work.
     pub fn home_shard(&self, hash: u64) -> usize {
         Self::home_of(hash, self.shards)
     }
@@ -326,19 +216,6 @@ impl Partitioner {
     /// [`MswjOperator::retain_home`]: crate::MswjOperator::retain_home
     pub fn home_of(hash: u64, shards: usize) -> usize {
         (hash % shards as u64) as usize
-    }
-
-    /// Whether hot-key splitting is sound under these rules: every stream
-    /// must be key-routed.  A broadcast stream probes every shard, so a
-    /// replicated build tuple would match once per shard and duplicate
-    /// results; star plans with broadcast satellites and unpartitionable
-    /// plans therefore must not split.
-    pub fn supports_splitting(&self) -> bool {
-        self.shards > 1
-            && self
-                .columns
-                .as_ref()
-                .is_some_and(|cols| cols.iter().all(Option::is_some))
     }
 }
 
@@ -534,6 +411,11 @@ mod tests {
         );
         assert_eq!(p.route(&anchor), p.route(&tup(1, Value::Int(9))));
         assert_eq!(p.route(&tup(2, Value::Int(9))), Route::All);
+        assert_eq!(
+            p.key_hash(&tup(2, Value::Int(9))),
+            None,
+            "broadcast streams expose no key class"
+        );
     }
 
     #[test]
@@ -565,16 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn bump_epoch_versions_external_routing_changes() {
-        let mut table = RoutingTable::new();
-        table.split(42);
-        assert_eq!(table.epoch(), 1);
-        table.bump_epoch();
-        assert_eq!(table.epoch(), 2, "a pair switch must version the table");
-        assert_eq!(table.split_classes(), &[42], "the split set is untouched");
-    }
-
-    #[test]
     fn nested_loop_plans_fall_back_to_one_shard() {
         let p = Partitioner::new(&ProbePlan::NestedLoop, 8);
         assert_eq!(p.shard_count(), 1);
@@ -601,75 +473,5 @@ mod tests {
             columns: vec![0, 0],
         };
         assert_eq!(Partitioner::new(&plan, 0).shard_count(), 1);
-    }
-
-    #[test]
-    fn routing_table_versions_every_effective_change() {
-        let mut table = RoutingTable::new();
-        assert_eq!(table.epoch(), 0);
-        assert!(table.is_empty());
-        assert!(table.split(42));
-        assert!(!table.split(42), "re-splitting must be a no-op");
-        assert_eq!(table.epoch(), 1, "a no-op must not bump the epoch");
-        assert!(table.split(7));
-        assert_eq!(table.epoch(), 2);
-        assert_eq!(table.split_classes(), &[7, 42], "classes stay sorted");
-        assert!(table.is_split(7) && table.is_split(42) && !table.is_split(8));
-        assert!(table.unsplit(7));
-        assert!(!table.unsplit(7), "re-unsplitting must be a no-op");
-        assert_eq!(table.epoch(), 3);
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn split_classes_reroute_without_touching_the_rest() {
-        let plan = ProbePlan::CommonKey {
-            columns: vec![0, 0],
-        };
-        let p = Partitioner::new(&plan, 4);
-        let hot = tup(0, Value::Int(7));
-        let cold = tup(1, Value::Int(8));
-        let mut table = RoutingTable::new();
-        assert_eq!(p.route_with(&hot, &table), p.route(&hot));
-        table.split(p.key_hash(&hot).unwrap());
-        assert_eq!(p.route_with(&hot, &table), Route::Split);
-        // The coerced float shares the key class, so it splits too.
-        assert_eq!(
-            p.route_with(&tup(1, Value::Float(7.0)), &table),
-            Route::Split
-        );
-        assert_eq!(p.route_with(&cold, &table), p.route(&cold));
-        // The home shard is where plain hashing would have sent the key.
-        let home = p.home_shard(p.key_hash(&hot).unwrap());
-        assert_eq!(p.route(&hot), Route::One(home));
-        table.unsplit(p.key_hash(&hot).unwrap());
-        assert_eq!(p.route_with(&hot, &table), p.route(&hot));
-    }
-
-    #[test]
-    fn splitting_is_gated_to_fully_key_routed_plans() {
-        let common = ProbePlan::CommonKey {
-            columns: vec![0, 0],
-        };
-        assert!(Partitioner::new(&common, 4).supports_splitting());
-        assert!(
-            !Partitioner::new(&common, 1).supports_splitting(),
-            "one shard has nothing to split across"
-        );
-        // Star plans broadcast satellites outside the partition pair: a
-        // replicated build tuple would match once per probing shard.
-        let star = ProbePlan::Star {
-            anchor: 0,
-            anchor_cols: vec![0, 0, 1],
-            other_cols: vec![0, 0, 0],
-        };
-        let p = Partitioner::new(&star, 4);
-        assert!(!p.supports_splitting());
-        assert_eq!(
-            p.key_hash(&tup(2, Value::Int(9))),
-            None,
-            "broadcast streams expose no key class"
-        );
-        assert!(!Partitioner::new(&ProbePlan::NestedLoop, 4).supports_splitting());
     }
 }

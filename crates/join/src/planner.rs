@@ -158,7 +158,7 @@ impl ProbePlan {
                 format!("hash-indexed common-key probe on columns {columns:?}")
             }
             ProbePlan::Star { anchor, .. } => {
-                // 0-indexed, matching `shard_stats`, skew transitions and
+                // 0-indexed, matching `shard_stats`, plan transitions and
                 // every error message.
                 format!("hash-indexed star probe anchored at stream {anchor}")
             }
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn describe_numbers_streams_zero_indexed() {
         // Stream numbering is 0-indexed everywhere a human can read it
-        // (shard stats, skew transitions, error messages); the condition's
+        // (shard stats, plan transitions, error messages); the condition's
         // and the plan's `describe` must follow the same convention.  The
         // anchor is stream 1, so an off-by-one shows on either side.
         use crate::condition::{JoinCondition, StarEquiJoin};

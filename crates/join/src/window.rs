@@ -874,9 +874,9 @@ impl Window {
     ///
     /// This is *state surgery*, not expiry: the removed tuples do not count
     /// towards [`WindowStats::expired`].  The sharded engine uses it at
-    /// barriers to purge replicated hot-key build state from non-home
-    /// shards when a split key reverts to plain hash routing — rare enough
-    /// that affected segments are simply rebuilt in place.
+    /// barriers to shed window state that no longer homes on a shard after
+    /// a star partition-pair switch — rare enough that affected segments
+    /// are simply rebuilt in place.
     pub fn retain_where(&mut self, mut keep: impl FnMut(&Tuple) -> bool) -> usize {
         let mut removed = 0usize;
         let mut survivors: Vec<Tuple> = Vec::new();

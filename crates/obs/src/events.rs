@@ -1,7 +1,6 @@
 //! Bounded ring of recent structured runtime events.
 //!
-//! Checkpoints, skew split/unsplit transitions, plan revisions and
-//! heavy-hitter warnings are *rare* (they only happen at adaptation
+//! Checkpoints, plan revisions and heavy-hitter warnings are *rare* (they only happen at adaptation
 //! checkpoints and idle barriers), so the ring may lock a mutex and
 //! allocate its message strings — none of that touches the per-event
 //! ingestion hot path.  The ring keeps the most recent
@@ -18,12 +17,9 @@ pub const EVENT_RING_CAPACITY: usize = 128;
 pub enum EventKind {
     /// A periodic adaptation checkpoint was taken.
     Checkpoint,
-    /// The skew detector split a hot key out of its pinned shard.
-    SkewSplit,
-    /// The skew detector folded a previously split key back.
-    SkewUnsplit,
-    /// The one-time heavy-hitter warning (a single shard holds > 50% of
-    /// the routed volume and no splitting is possible or enabled).
+    /// The heavy-hitter warning: a single shard took > 50% of a detection
+    /// window's routed volume (re-armed once a window comes back
+    /// balanced).  Observability only — key classes never move.
     HeavyHitter,
     /// The runtime re-planner switched a star plan's partition pair.
     PlanRevision,
@@ -34,8 +30,6 @@ impl EventKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             EventKind::Checkpoint => "checkpoint",
-            EventKind::SkewSplit => "skew_split",
-            EventKind::SkewUnsplit => "skew_unsplit",
             EventKind::HeavyHitter => "heavy_hitter",
             EventKind::PlanRevision => "plan_revision",
         }

@@ -38,7 +38,11 @@ use std::io::{Read, Write};
 ///
 /// v4: `Revise` (type `0x13`, probe reorder and index demotion) left the
 /// protocol; a window's access path is fixed when its operator is built.
-pub const PROTOCOL_VERSION: u16 = 4;
+///
+/// v5: the hot-key splitting frames (types `0x09` and `0x0C`, a key
+/// class's replica copy and teardown) left the protocol; a key class stays
+/// on its home shard for the whole session.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -57,10 +61,8 @@ const FT_TASK: u8 = 0x05;
 const FT_OUTPUT: u8 = 0x06;
 const FT_BARRIER: u8 = 0x07;
 const FT_BARRIER_ACK: u8 = 0x08;
-const FT_FETCH_CLASS: u8 = 0x09;
 const FT_CLASS_DATA: u8 = 0x0A;
 const FT_ADOPT: u8 = 0x0B;
-const FT_PURGE_CLASS: u8 = 0x0C;
 const FT_ACK: u8 = 0x0D;
 const FT_ERROR: u8 = 0x0E;
 const FT_SHUTDOWN: u8 = 0x0F;
@@ -86,7 +88,7 @@ pub struct WireItem {
 pub struct WireTask {
     /// Monotonic epoch number assigned by the front-end.
     pub epoch: u64,
-    /// Routing-table epoch the batch was routed under.
+    /// Routing epoch the batch was routed under.
     pub routing_epoch: u64,
     /// Routed items in staging order.
     pub items: Vec<WireItem>,
@@ -150,9 +152,9 @@ pub struct WireQuery {
 /// `Hello`/`HelloAck` open a connection (the header's version field does
 /// the compatibility check), `Setup`/`SetupAck` instantiate the remote
 /// operator, `Task`/`Output` carry the epoch pipeline, `Barrier`/
-/// `BarrierAck` fence it and return operator statistics, the class frames
-/// move replicated build state for hot-key splitting, and `Error` carries
-/// remote panics. `Shutdown`/`ShutdownAck` are the clean close handshake.
+/// `BarrierAck` fence it and return operator statistics, the surgery frames
+/// (`FetchWindow`, `Adopt`, `Retain`) move window state for a star
+/// partition-pair switch, and `Error` carries remote panics. `Shutdown`/`ShutdownAck` are the clean close handshake.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client greeting; the header carries the protocol version.
@@ -184,37 +186,18 @@ pub enum Frame {
         /// Columnar storage segments held across the shard's windows.
         window_segments: u64,
     },
-    /// Requests every window tuple of one key class (split preparation).
-    FetchClass {
-        /// Stream whose window is read.
-        stream: u64,
-        /// Equi-join column of that stream.
-        column: u64,
-        /// `join_key_hash` of the class.
-        key_hash: u64,
-    },
-    /// Reply to [`Frame::FetchClass`].
+    /// Reply to [`Frame::FetchWindow`].
     ClassData {
         /// The matching tuples in window order.
         tuples: Vec<Tuple>,
     },
-    /// Installs replicated build state into a shard's windows.
+    /// Installs migrated window state into a shard's windows.
     Adopt {
         /// Tuples to insert (index-only, no probing, no stats).
         tuples: Vec<Tuple>,
     },
-    /// Evicts a key class from one stream's window (split teardown).
-    PurgeClass {
-        /// Stream whose window is purged.
-        stream: u64,
-        /// Equi-join column of that stream.
-        column: u64,
-        /// `join_key_hash` of the class to evict.
-        key_hash: u64,
-    },
     /// Requests every live tuple of one stream's window (partition-pair
-    /// migration reads whole windows, not single key classes).  Replied to
-    /// with [`Frame::ClassData`].
+    /// migration).  Replied to with [`Frame::ClassData`].
     FetchWindow {
         /// Stream whose window is read.
         stream: u64,
@@ -233,7 +216,7 @@ pub enum Frame {
         /// The home shard whose tuples survive.
         keep: u64,
     },
-    /// Generic acknowledgement for `Adopt`/`PurgeClass`/`Retain`.
+    /// Generic acknowledgement for `Adopt`/`Retain`.
     Ack,
     /// A remote failure — typically a panic caught in the shard worker.
     Error {
@@ -474,10 +457,8 @@ impl Frame {
             Frame::Output(_) => FT_OUTPUT,
             Frame::Barrier { .. } => FT_BARRIER,
             Frame::BarrierAck { .. } => FT_BARRIER_ACK,
-            Frame::FetchClass { .. } => FT_FETCH_CLASS,
             Frame::ClassData { .. } => FT_CLASS_DATA,
             Frame::Adopt { .. } => FT_ADOPT,
-            Frame::PurgeClass { .. } => FT_PURGE_CLASS,
             Frame::FetchWindow { .. } => FT_FETCH_WINDOW,
             Frame::Retain { .. } => FT_RETAIN,
             Frame::Ack => FT_ACK,
@@ -548,20 +529,6 @@ impl Frame {
                 put_stats(buf, stats);
                 put_u64(buf, *window_bytes);
                 put_u64(buf, *window_segments);
-            }
-            Frame::FetchClass {
-                stream,
-                column,
-                key_hash,
-            }
-            | Frame::PurgeClass {
-                stream,
-                column,
-                key_hash,
-            } => {
-                put_u64(buf, *stream);
-                put_u64(buf, *column);
-                put_u64(buf, *key_hash);
             }
             Frame::ClassData { tuples } | Frame::Adopt { tuples } => put_tuples(buf, tuples),
             Frame::FetchWindow { stream } => put_u64(buf, *stream),
@@ -675,16 +642,6 @@ impl Frame {
                 stats: get_stats(&mut c)?,
                 window_bytes: c.u64()?,
                 window_segments: c.u64()?,
-            },
-            FT_FETCH_CLASS => Frame::FetchClass {
-                stream: c.u64()?,
-                column: c.u64()?,
-                key_hash: c.u64()?,
-            },
-            FT_PURGE_CLASS => Frame::PurgeClass {
-                stream: c.u64()?,
-                column: c.u64()?,
-                key_hash: c.u64()?,
             },
             FT_CLASS_DATA => Frame::ClassData {
                 tuples: get_tuples(&mut c)?,

@@ -168,7 +168,7 @@ fn arb_output(rng: &mut StdRng) -> WireOutput {
 }
 
 fn arb_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0usize..18) {
+    match rng.gen_range(0usize..16) {
         0 => Frame::Hello,
         1 => Frame::HelloAck,
         2 => Frame::Setup(arb_query(rng)),
@@ -182,35 +182,25 @@ fn arb_frame(rng: &mut StdRng) -> Frame {
             window_bytes: rng.gen(),
             window_segments: rng.gen(),
         },
-        8 => Frame::FetchClass {
-            stream: rng.gen_range(0u64..8),
-            column: rng.gen_range(0u64..8),
-            key_hash: rng.gen(),
-        },
-        9 => Frame::ClassData {
+        8 => Frame::ClassData {
             tuples: (0..rng.gen_range(0usize..4))
                 .map(|_| arb_tuple(rng))
                 .collect(),
         },
-        10 => Frame::Adopt {
+        9 => Frame::Adopt {
             tuples: (0..rng.gen_range(0usize..4))
                 .map(|_| arb_tuple(rng))
                 .collect(),
         },
-        11 => Frame::PurgeClass {
-            stream: rng.gen_range(0u64..8),
-            column: rng.gen_range(0u64..8),
-            key_hash: rng.gen(),
-        },
-        12 => Frame::Ack,
-        13 => Frame::Error {
+        10 => Frame::Ack,
+        11 => Frame::Error {
             message: format!("panic #{}", rng.gen_range(0u64..1000)),
         },
-        14 => Frame::Shutdown,
-        15 => Frame::FetchWindow {
+        12 => Frame::Shutdown,
+        13 => Frame::FetchWindow {
             stream: rng.gen_range(0u64..8),
         },
-        16 => Frame::Retain {
+        14 => Frame::Retain {
             stream: rng.gen_range(0u64..8),
             column: rng.gen_range(0u64..8),
             shards: rng.gen_range(1u64..16),
@@ -310,23 +300,30 @@ fn foreign_version_is_rejected_cleanly() {
 }
 
 #[test]
-fn the_retired_revise_frame_is_rejected_cleanly() {
-    // Type 0x13 was `Revise` (probe reorder / index demotion) up to
-    // protocol version 3: a current-version header carrying it is corrupt.
-    let mut buf = Vec::new();
-    Frame::Ack.encode(&mut buf);
-    buf[6] = 0x13;
-    match Frame::decode(&buf) {
-        Err(WireError::Corrupt(why)) => assert!(why.contains("0x13"), "{why}"),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
-    // A version-3 peer is told which versions disagree, whatever it sends.
-    buf[4..6].copy_from_slice(&3u16.to_le_bytes());
-    match Frame::decode(&buf) {
-        Err(WireError::VersionMismatch { ours, theirs }) => {
-            assert_eq!((ours, theirs), (4, 3));
+fn retired_frames_are_rejected_cleanly() {
+    // Types 0x09 and 0x0C carried hot-key splitting's class copy and purge
+    // up to protocol version 4; 0x13 was `Revise` (probe reorder / index
+    // demotion) up to version 3.  A current-version header carrying any of
+    // them is corrupt.
+    for retired in [0x09u8, 0x0C, 0x13] {
+        let mut buf = Vec::new();
+        Frame::Ack.encode(&mut buf);
+        buf[6] = retired;
+        match Frame::decode(&buf) {
+            Err(WireError::Corrupt(why)) => {
+                assert!(why.contains(&format!("{retired:#04x}")), "{why}")
+            }
+            other => panic!("expected Corrupt for {retired:#04x}, got {other:?}"),
         }
-        other => panic!("expected VersionMismatch, got {other:?}"),
+        // A version-4 peer is told which versions disagree, whatever it
+        // sends.
+        buf[4..6].copy_from_slice(&4u16.to_le_bytes());
+        match Frame::decode(&buf) {
+            Err(WireError::VersionMismatch { ours, theirs }) => {
+                assert_eq!((ours, theirs), (5, 4));
+            }
+            other => panic!("expected VersionMismatch, got {other:?}"),
+        }
     }
 }
 

@@ -73,7 +73,7 @@ pub mod prelude {
         sink_fn, BufferPolicy, Checkpoint, CollectSink, CountingSink, DisorderConfig, Endpoint,
         EngineError, ExecutionBackend, FnSink, JoinEngine, KSlack, NullSink, OutputEvent, Pipeline,
         PlanAction, PlanTransition, ReplanConfig, RunReport, SelectivityStrategy, SessionBuilder,
-        ShardRuntimeStats, ShardStats, Sink, SkewConfig, SkewTransition, Synchronizer,
+        ShardRuntimeStats, ShardStats, Sink, Synchronizer,
     };
     pub use mswj_datasets::{
         q2_query, q3_query, q4_query, Dataset, SoccerConfig, SoccerDataset, SyntheticConfig,

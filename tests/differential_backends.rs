@@ -21,11 +21,14 @@
 //! (30 common-key + 15 star + 15 mixed-type + 6 unpartitionable), each
 //! compared across the backend/batching matrix above — which also includes
 //! `Remote` with in-process shard servers, so every workload additionally
-//! round-trips all of its epochs, barriers and skew migrations through the
-//! versioned wire codec.  A separate test drives the `Remote` backend
-//! against real `mswj-shardd` processes over Unix-domain sockets.
+//! round-trips all of its epochs, barriers and pair-switch migrations
+//! through the versioned wire codec.  Separate tests drive the `Remote`
+//! backend against real `mswj-shardd` processes over Unix-domain sockets.
+
+mod pair_switch;
 
 use mswj::prelude::*;
+use pair_switch::event;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -85,19 +88,7 @@ fn run(
     batch: usize,
     events: &[ArrivalEvent],
 ) -> (Vec<String>, RunReport) {
-    run_with_skew(query, policy, backend, batch, events, None)
-}
-
-/// Like [`run`], optionally arming adaptive hot-key splitting.
-fn run_with_skew(
-    query: &JoinQuery,
-    policy: &BufferPolicy,
-    backend: ExecutionBackend,
-    batch: usize,
-    events: &[ArrivalEvent],
-    skew: Option<SkewConfig>,
-) -> (Vec<String>, RunReport) {
-    run_session(query, policy, backend, batch, events, skew, None)
+    run_session(query, policy, backend, batch, events, None)
 }
 
 /// Like [`run`], arming runtime re-planning.
@@ -109,17 +100,15 @@ fn run_with_replan(
     events: &[ArrivalEvent],
     replan: ReplanConfig,
 ) -> (Vec<String>, RunReport) {
-    run_session(query, policy, backend, batch, events, None, Some(replan))
+    run_session(query, policy, backend, batch, events, Some(replan))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_session(
     query: &JoinQuery,
     policy: &BufferPolicy,
     backend: ExecutionBackend,
     batch: usize,
     events: &[ArrivalEvent],
-    skew: Option<SkewConfig>,
     replan: Option<ReplanConfig>,
 ) -> (Vec<String>, RunReport) {
     let mut builder = Pipeline::builder()
@@ -127,9 +116,6 @@ fn run_session(
         .policy(policy.clone())
         .parallelism(backend)
         .materialize_results();
-    if let Some(config) = skew {
-        builder = builder.skew_splitting_with(config);
-    }
     if let Some(config) = replan {
         builder = builder.runtime_replanning_with(config);
     }
@@ -424,158 +410,17 @@ fn unpartitionable_conditions_fall_back_to_one_shard() {
 }
 
 #[test]
-fn skewed_workloads_with_splitting_match_the_unsplit_reference() {
-    // Zipf-hot workloads with adaptive hot-key splitting forced on
-    // (aggressive thresholds so the small workloads actually transition):
-    // every split backend must still be byte-identical to the *unsplit*
-    // sequential reference — same result multiset, per-probe trajectory,
-    // adaptation (checkpoint-K) sequence and ordering statistics — through
-    // K shrinks/expands, checkpoints and expiry.
-    let skew = SkewConfig {
-        split_share: 0.3,
-        unsplit_share: 0.1,
-        min_routed: 48,
-    };
-    let mut any_split = false;
-    let mut any_unsplit = false;
-    let mut k_shrunk = false;
-    let mut k_expanded = false;
-    for case in 0..10usize {
-        let mut rng = StdRng::seed_from_u64(0x5917_BA1A + case as u64);
-        let window = rng.gen_range(300u64..900);
-        let query = common_key_query(2, window);
-        let policy = policy_for(case, &mut rng);
-        // 60% of each stream's traffic on one hot key; the rest uniform.
-        // Odd cases move the hot key to another class halfway through each
-        // stream, so the first split also reverts mid-run.
-        let shift = case % 2 == 1;
-        let mut sent = [0usize; 2];
-        let events = gen_events(
-            &mut rng,
-            2,
-            120,
-            300,
-            |rng, stream, key| {
-                let j = sent[stream];
-                sent[stream] += 1;
-                let hot = if shift && j >= 60 { 13 } else { 7 };
-                vec![Value::Int(if rng.gen_bool(0.6) { hot } else { 100 + key })]
-            },
-            8,
-        );
-        let label = format!("skewed #{case}");
-        let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
-        for (backend, batch) in [
-            (ExecutionBackend::Pool { workers: 4 }, 64),
-            (ExecutionBackend::Pool { workers: 4 }, 1),
-            // Split/unsplit transitions migrate build state through
-            // fetch-class/adopt/purge frames on this one.
-            (ExecutionBackend::remote_inproc(4), 64),
-        ] {
-            let (results, report) =
-                run_with_skew(&query, &policy, backend.clone(), batch, &events, Some(skew));
-            assert_eq!(
-                want, results,
-                "[{label}] {backend} with splitting must match the unsplit reference"
-            );
-            assert_eq!(want_report.produced, report.produced, "[{label}] {backend}");
-            let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
-            assert_eq!(ks(&want_report), ks(&report), "[{label}] {backend}");
-            let s = (want_report.operator_stats, report.operator_stats);
-            assert_eq!(s.0.in_order, s.1.in_order, "[{label}] {backend}");
-            assert_eq!(s.0.out_of_order, s.1.out_of_order, "[{label}] {backend}");
-            assert_eq!(s.0.dropped, s.1.dropped, "[{label}] {backend}");
-            assert_eq!(s.0.expired, s.1.expired, "[{label}] {backend}");
-            any_split |= report.skew_transitions.iter().any(|t| t.split);
-            any_unsplit |= report.skew_transitions.iter().any(|t| !t.split);
-        }
-        for w in want_report.checkpoints.windows(2) {
-            k_shrunk |= w[1].k < w[0].k;
-            k_expanded |= w[1].k > w[0].k;
-        }
-    }
-    assert!(any_split, "at least one workload must actually split");
-    assert!(any_unsplit, "at least one split must revert mid-run");
-    assert!(
-        k_shrunk && k_expanded,
-        "the skewed suite must cover K shrinks and expansions"
-    );
-}
-
-/// One arrival with a bounded random delay — the hand-rolled workload
-/// below needs per-stream rate asymmetry `gen_events` cannot express.
-fn event(stream: usize, seq: u64, arrival: u64, delay: u64, values: Vec<Value>) -> ArrivalEvent {
-    ArrivalEvent::new(
-        Timestamp::from_millis(arrival),
-        Tuple::new(
-            stream.into(),
-            seq,
-            Timestamp::from_millis(arrival.saturating_sub(delay)),
-            values,
-        ),
-    )
-}
-
-#[test]
 fn replanned_workloads_match_the_static_reference() {
     // Runtime re-planning forced on with aggressive thresholds: the one
     // revision the engine can take — re-selecting the star partition pair,
     // with cross-shard state migration — must leave the result multiset,
     // the per-probe trajectory and the adaptation sequence byte-identical
     // to the *static* sequential reference, on every backend.
-    let replan = ReplanConfig {
-        min_probes: 64,
-        switch_ratio: 1.5,
-    };
-    let policy = BufferPolicy::QualityDriven(
-        DisorderConfig::with_gamma(0.9)
-            .period(1_000)
-            .interval(250)
-            .granularity(20)
-            .basic_window(20),
-    );
+    let (replan, policy) = (pair_switch::replan(), pair_switch::policy());
 
-    // Scenario "switch": the star default partitions (S1, S2), but S3
-    // floods while S2 trickles — broadcasting the flood replicates it to
-    // every shard, so the pair must move to S3, re-keying the anchor and
-    // migrating all three windows between shards.
-    let mut rng = StdRng::seed_from_u64(0x9E9A_A417);
-    let mut switch_events = Vec::new();
-    let mut seqs = [0u64; 3];
-    for round in 0..120u64 {
-        let arrival = (round + 1) * 10;
-        let a1 = (round % 8) as i64;
-        let a2 = (round % 6) as i64;
-        switch_events.push(event(
-            0,
-            seqs[0],
-            arrival,
-            rng.gen_range(0u64..40),
-            vec![Value::Int(a1), Value::Int(a2)],
-        ));
-        seqs[0] += 1;
-        if round % 4 == 0 {
-            switch_events.push(event(
-                1,
-                seqs[1],
-                arrival,
-                rng.gen_range(0u64..40),
-                vec![Value::Int(a1)],
-            ));
-            seqs[1] += 1;
-        }
-        for burst in 0..4u64 {
-            switch_events.push(event(
-                2,
-                seqs[2],
-                arrival,
-                rng.gen_range(0u64..40),
-                vec![Value::Int(((round + burst) % 6) as i64)],
-            ));
-            seqs[2] += 1;
-        }
-    }
-    let switch_events = ArrivalLog::from_events(switch_events).events().to_vec();
+    // Scenario "switch" (see `pair_switch`): the pair must move from S2 to
+    // the flooding S3, migrating all three windows between shards.
+    let switch_events = pair_switch::switch_events();
 
     let query = star_query(240);
     let (want, want_report) = run(
@@ -621,11 +466,7 @@ fn replanned_workloads_match_the_static_reference() {
             let PlanAction::PairSwitch { from, to } = t.action;
             assert_eq!((from, to), (1, 2), "[{label}] {backend}");
             any_switch = true;
-            let migrated: u64 = report
-                .shard_stats
-                .iter()
-                .map(|s| s.runtime.migrated_tuples)
-                .sum();
+            let migrated = pair_switch::migrated_tuples(&report);
             assert!(migrated > 0, "[{label}] {backend} must move state");
         }
         let revisions: u64 = report
@@ -723,7 +564,7 @@ fn zero_worker_backends_are_rejected_at_build() {
 fn remote_uds_backend_agrees_with_sequential() {
     // Real process separation: four connections to one `mswj-shardd`
     // daemon over a Unix-domain socket, each backing one shard.  A subset
-    // of the randomized common-key workloads (plus a skewed one below)
+    // of the randomized common-key workloads (plus a pair switch below)
     // keeps the socket suite fast while still covering checkpoints,
     // K-changes and out-of-order arrivals end to end.
     let daemon = Shardd::spawn("diff");
@@ -762,45 +603,31 @@ fn remote_uds_backend_agrees_with_sequential() {
 }
 
 #[test]
-fn remote_uds_backend_handles_skew_splitting() {
-    // Hot-key splitting against real shard-server processes: the build
-    // state of the hot class migrates over the socket (fetch-class, adopt,
-    // purge frames at barriers) and results stay byte-identical to the
-    // unsplit sequential reference.
-    let daemon = Shardd::spawn("skew");
-    let skew = SkewConfig {
-        split_share: 0.3,
-        unsplit_share: 0.1,
-        min_routed: 48,
-    };
-    let mut any_split = false;
-    for case in 0..2usize {
-        let mut rng = StdRng::seed_from_u64(0x5917_BA1A + case as u64);
-        let window = rng.gen_range(300u64..900);
-        let query = common_key_query(2, window);
-        let policy = policy_for(case, &mut rng);
-        let shift = case % 2 == 1;
-        let mut sent = [0usize; 2];
-        let events = gen_events(
-            &mut rng,
-            2,
-            120,
-            300,
-            |rng, stream, key| {
-                let j = sent[stream];
-                sent[stream] += 1;
-                let hot = if shift && j >= 60 { 13 } else { 7 };
-                vec![Value::Int(if rng.gen_bool(0.6) { hot } else { 100 + key })]
-            },
-            8,
-        );
-        let label = format!("uds skewed #{case}");
-        let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
-        let (got, report) =
-            run_with_skew(&query, &policy, daemon.backend(4), 64, &events, Some(skew));
-        assert_eq!(want, got, "[{label}] result multiset diverged");
-        assert_eq!(want_report.produced, report.produced, "[{label}]");
-        any_split |= report.skew_transitions.iter().any(|t| t.split);
-    }
-    assert!(any_split, "the hot key must split over the socket backend");
+fn remote_uds_backend_handles_pair_switch() {
+    // A star pair switch against real shard-server processes: window state
+    // migrates over the socket (fetch-window, adopt and retain frames at a
+    // barrier) and results stay byte-identical to the static sequential
+    // reference.
+    let daemon = Shardd::spawn("switch");
+    let query = star_query(240);
+    let (replan, policy) = (pair_switch::replan(), pair_switch::policy());
+    let events = pair_switch::switch_events();
+    let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
+    let (got, report) = run_with_replan(&query, &policy, daemon.backend(4), 64, &events, replan);
+    assert_eq!(want, got, "[uds switch] result multiset diverged");
+    assert_eq!(want_report.produced, report.produced, "[uds switch]");
+    let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
+    assert_eq!(ks(&want_report), ks(&report), "[uds switch]");
+    assert!(
+        report
+            .plan_transitions
+            .iter()
+            .any(|t| matches!(t.action, PlanAction::PairSwitch { from: 1, to: 2 })),
+        "the pair must switch over the socket backend: {:?}",
+        report.plan_transitions
+    );
+    assert!(
+        pair_switch::migrated_tuples(&report) > 0,
+        "window state must cross the socket"
+    );
 }

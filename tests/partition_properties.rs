@@ -254,147 +254,6 @@ fn engine_event_stream(backend: ExecutionBackend, tuples: &[Tuple], cuts: &[usiz
     events
 }
 
-/// Raw tuples with a Zipf-style hot key: ~60% of the traffic on key 7,
-/// the remainder spread over a small cold domain.
-fn skewed_tuple_strategy(len: usize) -> impl Strategy<Value = Vec<Tuple>> {
-    proptest::collection::vec((0u64..2, 0u64..80, 0u64..10, 0i64..6), len).prop_map(|items| {
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(i, (stream, back, roll, key))| {
-                let ts = ((i as u64 + 1) * 8).saturating_sub(back);
-                let key = if roll < 6 { 7 } else { 100 + key };
-                Tuple::new(
-                    (stream as usize).into(),
-                    i as u64,
-                    Timestamp::from_millis(ts),
-                    vec![Value::Int(key)],
-                )
-            })
-            .collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-    #[test]
-    fn split_routing_partitions_the_reference_with_replicas_counted_once(
-        tuples in skewed_tuple_strategy(240),
-        cuts in proptest::collection::vec(30usize..90, 1..6),
-    ) {
-        use mswj_join::{CommonKeyEquiJoin, JoinQuery};
-        use std::collections::BTreeSet;
-        use std::collections::HashMap;
-        use std::sync::Arc;
-        let query = || {
-            let streams =
-                StreamSet::homogeneous(2, Schema::new(vec![("a1", FieldType::Int)]), 300)
-                    .unwrap();
-            let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
-            JoinQuery::new("split-props", streams, cond).unwrap()
-        };
-        let skew = SkewConfig { split_share: 0.3, unsplit_share: 0.1, min_routed: 64 };
-        let mut engine = JoinEngine::try_with_policies(
-            query(),
-            ProbeStrategy::Auto,
-            true,
-            ExecutionBackend::Pool { workers: 3 },
-            Some(skew),
-            None,
-        )
-        .unwrap();
-        let mut reference = JoinEngine::new(
-            query(),
-            ProbeStrategy::Auto,
-            true,
-            ExecutionBackend::Sequential,
-        );
-        let run = |engine: &mut JoinEngine| {
-            let mut results = Vec::new();
-            let mut rest = tuples.as_slice();
-            let mut c = 0usize;
-            while !rest.is_empty() {
-                let take = cuts[c % cuts.len()].min(rest.len());
-                c += 1;
-                let (batch, tail) = rest.split_at(take);
-                engine.push_batch(batch.iter().cloned(), &mut |ev| {
-                    if let mswj_core::EngineEvent::Result(r) = ev {
-                        results.push(r.to_string());
-                    }
-                });
-                // Barriers are where skew windows close and routing moves.
-                engine.sync(&mut |ev| {
-                    if let mswj_core::EngineEvent::Result(r) = ev {
-                        results.push(r.to_string());
-                    }
-                });
-                rest = tail;
-            }
-            results.sort();
-            results
-        };
-        let split_results = run(&mut engine);
-        let reference_results = run(&mut reference);
-        prop_assert_eq!(split_results, reference_results);
-        prop_assert!(
-            !engine.skew_transitions().is_empty(),
-            "a 60% hot key must trip the 0.3 split threshold"
-        );
-
-        // Shard-state partition property, replicas counted once: every
-        // in-scope tuple of a currently split class is replicated in ALL
-        // shards; every other in-scope tuple sits exactly in its home
-        // shard.  Deduplicated, the union equals the sequential reference.
-        let n = engine.shard_count();
-        let split: BTreeSet<u64> = engine.split_classes().iter().copied().collect();
-        let partitioner = Partitioner::new(engine.probe_plan(), n);
-        let bound = engine.on_t().saturating_sub_duration(300);
-        for stream in 0..2usize {
-            let mut placement: HashMap<String, (u64, BTreeSet<usize>)> = HashMap::new();
-            for s in 0..n {
-                let shard = engine.shard(s);
-                for t in shard.window(StreamIndex(stream)).iter() {
-                    if t.ts < bound {
-                        continue; // Lazily expired copies are out of scope.
-                    }
-                    let hash = partitioner.key_hash(t).expect("key-routed plan");
-                    let entry = placement.entry(t.to_string()).or_insert((hash, BTreeSet::new()));
-                    prop_assert_eq!(entry.0, hash);
-                    entry.1.insert(s);
-                }
-            }
-            for (tuple, (hash, shards)) in &placement {
-                if split.contains(hash) {
-                    prop_assert_eq!(
-                        shards.len(), n,
-                        "split-class tuple {} must be replicated everywhere, found {:?}",
-                        tuple, shards
-                    );
-                } else {
-                    let home = partitioner.home_shard(*hash);
-                    prop_assert!(
-                        shards.len() == 1 && shards.contains(&home),
-                        "unsplit tuple {} must live exactly at home shard {}, found {:?}",
-                        tuple, home, shards
-                    );
-                }
-            }
-            let mut deduped: Vec<&String> = placement.keys().collect();
-            deduped.sort();
-            let mut reference_live: Vec<String> = reference
-                .shard(0)
-                .window(StreamIndex(stream))
-                .iter()
-                .filter(|t| t.ts >= bound)
-                .map(|t| t.to_string())
-                .collect();
-            reference_live.sort();
-            let reference_refs: Vec<&String> = reference_live.iter().collect();
-            prop_assert_eq!(deduped, reference_refs);
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]

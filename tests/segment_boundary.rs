@@ -3,14 +3,17 @@
 //! The segmented window seals its tail every few rows here, so ordinary
 //! workloads constantly cross seal/drop boundaries: multi-segment buckets,
 //! whole-segment expiry, boundary-segment prefix expiry, fallback scans
-//! over many small segments and segment rebuilds under skew surgery.  Every
-//! backend must still be byte-identical to the sequential reference — the
-//! storage layout is an access-path choice, never an output choice.
+//! over many small segments and segment rebuilds under pair-switch
+//! surgery.  Every backend must still be byte-identical to the sequential
+//! reference — the storage layout is an access-path choice, never an
+//! output choice.
 //!
 //! This file is its own test binary on purpose:
 //! [`set_default_segment_capacity`] is process-wide, so the tiny capacity
 //! must not leak into the other suites.  Every test sets it first (they all
 //! agree on the value, so concurrent test threads are fine).
+
+mod pair_switch;
 
 use mswj::prelude::*;
 use rand::rngs::StdRng;
@@ -27,22 +30,22 @@ fn canon(results: &[JoinResult]) -> Vec<String> {
 }
 
 /// Runs one materializing session over `events` on the given backend,
-/// optionally arming hot-key splitting.
+/// optionally arming runtime re-planning.
 fn run(
     query: &JoinQuery,
     policy: &BufferPolicy,
     backend: ExecutionBackend,
     batch: usize,
     events: &[ArrivalEvent],
-    skew: Option<SkewConfig>,
+    replan: Option<ReplanConfig>,
 ) -> (Vec<String>, RunReport) {
     let mut builder = Pipeline::builder()
         .query(query.clone())
         .policy(policy.clone())
         .parallelism(backend)
         .materialize_results();
-    if let Some(config) = skew {
-        builder = builder.skew_splitting_with(config);
+    if let Some(config) = replan {
+        builder = builder.runtime_replanning_with(config);
     }
     let mut pipeline = builder.build().unwrap();
     let mut sink = CollectSink::default();
@@ -285,60 +288,57 @@ fn mixed_type_keys_agree_at_segment_boundaries() {
 }
 
 #[test]
-fn skewed_splitting_agrees_at_segment_boundaries() {
-    // Hot-key splitting exercises `retain_where` surgery (segment rebuilds)
-    // and `adopt` migration into tiny tails, against the unsplit reference.
+fn pair_switch_agrees_at_segment_boundaries() {
+    // A star pair switch exercises `retain_where` surgery (segment
+    // rebuilds) and `adopt` migration into tiny tails, against the static
+    // sequential reference.
     set_default_segment_capacity(TINY_CAPACITY);
-    let skew = SkewConfig {
-        split_share: 0.3,
-        unsplit_share: 0.1,
-        min_routed: 48,
-    };
-    let mut any_split = false;
-    for case in 0..2usize {
-        let mut rng = StdRng::seed_from_u64(0x5E61_5917 + case as u64);
-        let window = rng.gen_range(300u64..900);
-        let query = common_key_query(2, window);
-        let policy = policy_for(case, &mut rng);
-        let shift = case % 2 == 1;
-        let mut sent = [0usize; 2];
-        let events = gen_events(
-            &mut rng,
-            2,
-            120,
-            300,
-            |rng, stream, key| {
-                let j = sent[stream];
-                sent[stream] += 1;
-                let hot = if shift && j >= 60 { 13 } else { 7 };
-                vec![Value::Int(if rng.gen_bool(0.6) { hot } else { 100 + key })]
-            },
-            8,
-        );
-        let label = format!("seg skewed #{case}");
-        let (want, want_report) = run(
+    let query = star_query(240);
+    let (replan, policy) = (pair_switch::replan(), pair_switch::policy());
+    let events = pair_switch::switch_events();
+    let (want, want_report) = run(
+        &query,
+        &policy,
+        ExecutionBackend::Sequential,
+        1,
+        &events,
+        None,
+    );
+    for (backend, batch) in [
+        (ExecutionBackend::Pool { workers: 4 }, 64),
+        (ExecutionBackend::remote_inproc(4), 64),
+    ] {
+        let (results, report) = run(
             &query,
             &policy,
-            ExecutionBackend::Sequential,
-            1,
+            backend.clone(),
+            batch,
             &events,
-            None,
+            Some(replan),
         );
-        for (backend, batch) in [
-            (ExecutionBackend::Pool { workers: 4 }, 64),
-            (ExecutionBackend::remote_inproc(4), 64),
-        ] {
-            let (results, report) =
-                run(&query, &policy, backend.clone(), batch, &events, Some(skew));
-            assert_eq!(
-                want, results,
-                "[{label}] {backend} with splitting must match the unsplit reference"
-            );
-            assert_eq!(want_report.produced, report.produced, "[{label}] {backend}");
-            any_split |= report.skew_transitions.iter().any(|t| t.split);
-        }
+        assert_eq!(
+            want, results,
+            "[seg switch] {backend} re-planned run must match the static reference"
+        );
+        assert_eq!(
+            want_report.produced, report.produced,
+            "[seg switch] {backend}"
+        );
+        let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
+        assert_eq!(ks(&want_report), ks(&report), "[seg switch] {backend}");
+        assert!(
+            report
+                .plan_transitions
+                .iter()
+                .any(|t| matches!(t.action, PlanAction::PairSwitch { from: 1, to: 2 })),
+            "[seg switch] {backend} must switch its pair: {:?}",
+            report.plan_transitions
+        );
+        assert!(
+            pair_switch::migrated_tuples(&report) > 0,
+            "[seg switch] {backend} must move state"
+        );
     }
-    assert!(any_split, "at least one workload must actually split");
 }
 
 #[test]
