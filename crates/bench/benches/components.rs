@@ -3,8 +3,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mswj_core::{
-    CountingSink, DelayHistogram, EngineEvent, ExecutionBackend, JoinEngine, KSlack, ModelInputs,
-    Pipeline, RecallModel, Synchronizer,
+    BufferPolicy, CountingSink, DelayHistogram, DisorderConfig, EngineEvent, ExecutionBackend,
+    JoinEngine, KSlack, ModelInputs, Pipeline, RecallModel, Synchronizer,
 };
 use mswj_datasets::{q2_query, q3_query, Zipf};
 use mswj_join::{BandJoin, CommonKeyEquiJoin, JoinQuery, MswjOperator, ProbeStrategy};
@@ -295,9 +295,11 @@ fn pipeline_push_into_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut pipeline = Pipeline::builder()
                 .query(q3_query(5_000))
-                .quality_driven(0.95)
-                .period(5_000)
-                .interval(1_000)
+                .policy(BufferPolicy::QualityDriven(
+                    DisorderConfig::with_gamma(0.95)
+                        .period(5_000)
+                        .interval(1_000),
+                ))
                 .build()
                 .unwrap();
             let mut sink = CountingSink::default();

@@ -19,7 +19,7 @@
 //! plans on identical input.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mswj_core::{EngineEvent, ExecutionBackend, JoinEngine, ReplanConfig};
+use mswj_core::{EngineEvent, ExecutionBackend, JoinEngine};
 use mswj_join::{JoinQuery, ProbeStrategy, StarEquiJoin};
 use mswj_types::{FieldType, Schema, StreamSet, StreamSpec, Timestamp, Tuple, Value};
 use std::sync::Arc;
@@ -49,13 +49,6 @@ fn star3(window_ms: u64) -> JoinQuery {
     let cond =
         Arc::new(StarEquiJoin::new(&streams, 0, &[(1, "a1", "a1"), (2, "a2", "a2")]).unwrap());
     JoinQuery::new("bench-replan-star", streams, cond).unwrap()
-}
-
-fn replan_config() -> ReplanConfig {
-    ReplanConfig {
-        min_probes: 256,
-        switch_ratio: 1.5,
-    }
 }
 
 /// One round per millisecond: the anchor S1 arrives every round, the
@@ -94,11 +87,11 @@ fn rounds(from: u64, n: u64, seqs: &mut [u64; 3]) -> Vec<Tuple> {
 fn replan_vs_static(c: &mut Criterion) {
     let mut group = c.benchmark_group("replan_vs_static");
     let variants = [
-        ("pool4_static", ExecutionBackend::Pool { workers: 4 }, None),
+        ("pool4_static", ExecutionBackend::Pool { workers: 4 }, false),
         (
             "pool4_replanned",
             ExecutionBackend::Pool { workers: 4 },
-            Some(replan_config()),
+            true,
         ),
     ];
     for (label, backend, replan) in variants {
@@ -121,7 +114,7 @@ fn replan_vs_static(c: &mut Criterion) {
                 engine.sync(&mut |_| {});
                 t += PREFILL_CHUNK;
             }
-            let expected = if replan.is_some() { Some(2) } else { Some(1) };
+            let expected = if replan { Some(2) } else { Some(1) };
             assert_eq!(
                 engine.star_partner(),
                 expected,

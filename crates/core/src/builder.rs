@@ -1,16 +1,17 @@
 //! Fluent construction of disorder-handling sessions.
 //!
 //! A [`SessionBuilder`] declares everything a session needs — streams with
-//! schemas and windows, the join condition, the buffer-size policy and any
-//! [`DisorderConfig`] overrides — in one chain, and validates the whole
-//! declaration at [`SessionBuilder::build`].  It replaces the former
+//! schemas and windows, the join condition and the buffer-size policy (whose
+//! [`DisorderConfig`] carries Γ, P, L, b, g and the selectivity strategy) —
+//! in one chain, and validates the whole declaration at
+//! [`SessionBuilder::build`].  It replaces the former
 //! `StreamSet::homogeneous` + `Arc::new(CommonKeyEquiJoin::…)` +
 //! `JoinQuery::new` + constructor-variant ceremony.
 //!
 //! # Examples
 //!
 //! ```
-//! use mswj_core::Pipeline;
+//! use mswj_core::{BufferPolicy, DisorderConfig, Pipeline};
 //! use mswj_types::{FieldType, Schema};
 //!
 //! // Two streams joined on equality of "a1" within 1-second windows,
@@ -19,23 +20,23 @@
 //!     .name("quickstart")
 //!     .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000)
 //!     .on_common_key("a1")
-//!     .quality_driven(0.95)
-//!     .period(5_000)
-//!     .interval(1_000)
+//!     .policy(BufferPolicy::QualityDriven(
+//!         DisorderConfig::with_gamma(0.95).period(5_000).interval(1_000),
+//!     ))
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(pipeline.query().arity(), 2);
 //! assert_eq!(pipeline.policy().name(), "quality-driven");
 //! ```
 
-use crate::config::{DisorderConfig, SelectivityStrategy};
-use crate::engine::{ExecutionBackend, ReplanConfig};
+use crate::config::DisorderConfig;
+use crate::engine::ExecutionBackend;
 use crate::pipeline::Pipeline;
 use crate::policy::BufferPolicy;
 use mswj_join::{
     CommonKeyEquiJoin, CrossJoin, JoinCondition, JoinQuery, PredicateFn, ProbeStrategy,
 };
-use mswj_obs::{EventCallback, Telemetry};
+use mswj_obs::Telemetry;
 use mswj_types::{Duration, Error, Result, Schema, StreamSet, StreamSpec, Tuple};
 use std::sync::Arc;
 
@@ -43,70 +44,23 @@ use std::sync::Arc;
 /// stream set is known (at [`SessionBuilder::build`]).
 type ConditionFactory = Box<dyn FnOnce(&StreamSet) -> Result<Arc<dyn JoinCondition>>>;
 
-/// `DisorderConfig` overrides accumulated by the chain; applied to the
-/// policy's configuration at build time.
-#[derive(Default, Clone, Copy)]
-struct ConfigOverrides {
-    gamma: Option<f64>,
-    period: Option<Duration>,
-    interval: Option<Duration>,
-    basic_window: Option<Duration>,
-    granularity: Option<Duration>,
-    selectivity: Option<SelectivityStrategy>,
-}
-
-impl ConfigOverrides {
-    fn any(&self) -> bool {
-        self.gamma.is_some()
-            || self.period.is_some()
-            || self.interval.is_some()
-            || self.basic_window.is_some()
-            || self.granularity.is_some()
-            || self.selectivity.is_some()
-    }
-
-    fn apply(&self, mut config: DisorderConfig) -> DisorderConfig {
-        if let Some(g) = self.gamma {
-            config.gamma = g;
-        }
-        if let Some(p) = self.period {
-            config.period_p = p;
-        }
-        if let Some(l) = self.interval {
-            config.interval_l = l;
-        }
-        if let Some(b) = self.basic_window {
-            config.basic_window_b = b;
-        }
-        if let Some(g) = self.granularity {
-            config.granularity_g = g;
-        }
-        if let Some(s) = self.selectivity {
-            config.selectivity = s;
-        }
-        config
-    }
-}
-
 /// Fluent builder for a disorder-handling session (a configured
 /// [`Pipeline`]).
 ///
-/// Entry points: [`Pipeline::builder`] or `mswj::session()` from the facade
-/// crate.  See the [module docs](self) for a complete example.
+/// Entry point: [`Pipeline::builder`].  See the [module docs](self) for a
+/// complete example.
 #[must_use = "a SessionBuilder does nothing until .build() is called"]
 pub struct SessionBuilder {
     name: String,
     specs: Vec<StreamSpec>,
     query: Option<JoinQuery>,
     condition: Option<ConditionFactory>,
-    policy: Option<BufferPolicy>,
-    overrides: ConfigOverrides,
+    policy: BufferPolicy,
     materialize: bool,
     probe: ProbeStrategy,
     backend: ExecutionBackend,
-    replan: Option<ReplanConfig>,
+    replan: bool,
     telemetry: Option<Telemetry>,
-    on_event: Option<EventCallback>,
 }
 
 impl Default for SessionBuilder {
@@ -122,7 +76,7 @@ impl std::fmt::Debug for SessionBuilder {
             .field("streams", &self.specs.len())
             .field("has_query", &self.query.is_some())
             .field("has_condition", &self.condition.is_some())
-            .field("policy", &self.policy.as_ref().map(|p| p.name()))
+            .field("policy", &self.policy.name())
             .field("materialize", &self.materialize)
             .field("probe", &self.probe)
             .field("backend", &self.backend)
@@ -131,21 +85,21 @@ impl std::fmt::Debug for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Starts an empty declaration.
+    /// Starts an empty declaration.  Its policy is quality-driven
+    /// disorder handling with [`DisorderConfig::default`] — the crate's
+    /// reason to exist — until [`SessionBuilder::policy`] says otherwise.
     pub fn new() -> Self {
         SessionBuilder {
             name: "session".to_owned(),
             specs: Vec::new(),
             query: None,
             condition: None,
-            policy: None,
-            overrides: ConfigOverrides::default(),
+            policy: BufferPolicy::QualityDriven(DisorderConfig::default()),
             materialize: false,
             probe: ProbeStrategy::default(),
             backend: ExecutionBackend::default(),
-            replan: None,
+            replan: false,
             telemetry: None,
-            on_event: None,
         }
     }
 
@@ -223,72 +177,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the buffer-size policy explicitly.
+    /// Sets the buffer-size policy.  Quality-driven disorder handling
+    /// carries its Γ, P, L, b, g and selectivity strategy in the
+    /// [`DisorderConfig`] of [`BufferPolicy::QualityDriven`]; the baselines
+    /// are [`BufferPolicy::NoKSlack`], [`BufferPolicy::MaxKSlack`] and
+    /// [`BufferPolicy::FixedK`].
     pub fn policy(mut self, policy: BufferPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Quality-driven disorder handling (the paper's approach) with recall
-    /// requirement `Γ = gamma`; refine with [`SessionBuilder::period`],
-    /// [`SessionBuilder::interval`] and friends.
-    pub fn quality_driven(mut self, gamma: f64) -> Self {
-        self.policy = Some(BufferPolicy::QualityDriven(DisorderConfig::default()));
-        self.overrides.gamma = Some(gamma);
-        self
-    }
-
-    /// Baseline: no intra-stream disorder handling (`K = 0`).
-    pub fn no_k_slack(mut self) -> Self {
-        self.policy = Some(BufferPolicy::NoKSlack);
-        self
-    }
-
-    /// Baseline: `K` tracks the largest delay observed so far.
-    pub fn max_k_slack(mut self) -> Self {
-        self.policy = Some(BufferPolicy::MaxKSlack);
-        self
-    }
-
-    /// A constant, user-chosen buffer size in milliseconds.
-    pub fn fixed_k(mut self, k: Duration) -> Self {
-        self.policy = Some(BufferPolicy::FixedK(k));
-        self
-    }
-
-    /// Overrides the recall requirement `Γ` of the policy's configuration.
-    pub fn gamma(mut self, gamma: f64) -> Self {
-        self.overrides.gamma = Some(gamma);
-        self
-    }
-
-    /// Overrides the result-quality measurement period `P` (ms).
-    pub fn period(mut self, p: Duration) -> Self {
-        self.overrides.period = Some(p);
-        self
-    }
-
-    /// Overrides the adaptation interval `L` (ms).
-    pub fn interval(mut self, l: Duration) -> Self {
-        self.overrides.interval = Some(l);
-        self
-    }
-
-    /// Overrides the basic-window size `b` (ms) of the completeness model.
-    pub fn basic_window(mut self, b: Duration) -> Self {
-        self.overrides.basic_window = Some(b);
-        self
-    }
-
-    /// Overrides the K-search granularity `g` (ms).
-    pub fn granularity(mut self, g: Duration) -> Self {
-        self.overrides.granularity = Some(g);
-        self
-    }
-
-    /// Overrides the selectivity modelling strategy (EqSel vs NonEqSel).
-    pub fn selectivity(mut self, s: SelectivityStrategy) -> Self {
-        self.overrides.selectivity = Some(s);
+        self.policy = policy;
         self
     }
 
@@ -341,8 +236,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms runtime re-planning on the sharded join stage with the default
-    /// [`ReplanConfig`] thresholds.
+    /// Arms runtime re-planning on the sharded join stage.
     ///
     /// A star plan's partition pair is chosen from the query shape alone,
     /// before any data has been seen.  With re-planning armed, the engine
@@ -355,16 +249,12 @@ impl SessionBuilder {
     /// [`RunReport::plan_transitions`](crate::RunReport::plan_transitions);
     /// decisions come from engine-global statistics, so the result
     /// multiset stays identical across execution backends — and identical
-    /// to a run without re-planning.
-    pub fn runtime_replanning(self) -> Self {
-        self.runtime_replanning_with(ReplanConfig::default())
-    }
-
-    /// Arms runtime re-planning with explicit thresholds — see
-    /// [`SessionBuilder::runtime_replanning`].  The config is validated at
-    /// [`SessionBuilder::build`].
-    pub fn runtime_replanning_with(mut self, config: ReplanConfig) -> Self {
-        self.replan = Some(config);
+    /// to a run without re-planning.  A revision is judged once an
+    /// evaluation window holds 64 in-order probes, and a switch needs the
+    /// heaviest satellite to carry 1.5 times the current partner's live
+    /// cardinality.
+    pub fn runtime_replanning(mut self) -> Self {
+        self.replan = true;
         self
     }
 
@@ -374,26 +264,14 @@ impl SessionBuilder {
     /// and latency histograms into it, the join stage publishes per-shard
     /// runtime gauges at its idle barriers, and operational notices
     /// (checkpoints, plan revisions, heavy-hitter warnings)
-    /// land in its bounded event ring instead of on stderr.  Hand a clone
+    /// land in its bounded event ring instead of on stderr (and reach the
+    /// callback set by [`Telemetry::set_event_callback`]).  Hand a clone
     /// of the same handle to a
     /// [`MetricsExporter`](mswj_obs::MetricsExporter) to scrape it over
     /// HTTP.  Telemetry is strictly observe-only — results are
     /// byte-identical with and without it, on every backend.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Registers a callback invoked synchronously for every
-    /// [`TelemetryEvent`](mswj_obs::TelemetryEvent) the session emits
-    /// (implies [`SessionBuilder::telemetry`] with a fresh handle when none
-    /// was attached).  The callback runs on the pipeline thread — keep it
-    /// cheap.
-    pub fn on_event(
-        mut self,
-        callback: impl Fn(&mswj_obs::TelemetryEvent) + Send + Sync + 'static,
-    ) -> Self {
-        self.on_event = Some(Arc::new(callback));
         self
     }
 
@@ -404,24 +282,13 @@ impl SessionBuilder {
     /// Returns [`Error::InvalidConfig`] when the declaration is incomplete
     /// or inconsistent: fewer than two streams, duplicate stream names, a
     /// missing join condition, a condition whose arity disagrees with the
-    /// stream count, both a prebuilt query and inline streams, disorder
-    /// overrides on a policy without a configuration, a zero-worker
-    /// [`ExecutionBackend::Pool`], a
-    /// [`DisorderConfig`] violating `0 < Γ ≤ 1`, `0 < L ≤ P`, `b > 0`,
-    /// `g > 0`, or a [`ReplanConfig`] with `min_probes` 0 or a
-    /// `switch_ratio` not above 1.  An [`ExecutionBackend::Remote`] backend
-    /// additionally fails here when its endpoint list is empty, the join
-    /// condition has no wire form, or connecting/handshaking with a shard
-    /// server fails.
+    /// stream count, both a prebuilt query and inline streams, a
+    /// zero-worker [`ExecutionBackend::Pool`], or a [`DisorderConfig`]
+    /// violating `0 < Γ ≤ 1`, `0 < L ≤ P`, `b > 0`, `g > 0`.  An
+    /// [`ExecutionBackend::Remote`] backend additionally fails here when
+    /// its endpoint list is empty, the join condition has no wire form, or
+    /// connecting/handshaking with a shard server fails.
     pub fn build(self) -> Result<Pipeline> {
-        if self.backend == (ExecutionBackend::Pool { workers: 0 }) {
-            return Err(Error::InvalidConfig(
-                "parallelism(Pool { workers: 0 }) has no workers to run on; use \
-                 Pool { workers: 1.. } or the Sequential backend"
-                    .into(),
-            ));
-        }
-        let policy = Self::resolve_policy(self.policy, self.overrides)?;
         let query = match self.query {
             Some(query) => {
                 if !self.specs.is_empty() || self.condition.is_some() {
@@ -448,57 +315,22 @@ impl SessionBuilder {
                 JoinQuery::new(self.name, streams, condition)?
             }
         };
-        let telemetry = match (self.telemetry, self.on_event) {
-            (telemetry, None) => telemetry,
-            (telemetry, Some(callback)) => {
-                let telemetry = telemetry.unwrap_or_default();
-                telemetry.set_event_callback(callback);
-                Some(telemetry)
-            }
-        };
         Pipeline::construct(
             query,
-            policy,
+            self.policy,
             self.materialize,
             self.probe,
             self.backend,
             self.replan,
-            telemetry,
+            self.telemetry,
         )
-    }
-
-    /// Resolves the effective policy from the explicit choice plus the
-    /// accumulated configuration overrides.
-    fn resolve_policy(
-        policy: Option<BufferPolicy>,
-        overrides: ConfigOverrides,
-    ) -> Result<BufferPolicy> {
-        match policy {
-            Some(BufferPolicy::QualityDriven(c)) => {
-                Ok(BufferPolicy::QualityDriven(overrides.apply(c)))
-            }
-            Some(other) => {
-                if overrides.any() {
-                    return Err(Error::InvalidConfig(format!(
-                        "policy `{}` has no disorder configuration to override; drop the \
-                         gamma/period/interval/… calls or choose quality_driven(..)",
-                        other.name()
-                    )));
-                }
-                Ok(other)
-            }
-            // No explicit policy: quality-driven disorder handling is the
-            // crate's reason to exist, so it is the default.
-            None => Ok(BufferPolicy::QualityDriven(
-                overrides.apply(DisorderConfig::default()),
-            )),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SelectivityStrategy;
     use mswj_types::{ArrivalEvent, FieldType, Timestamp, Value};
 
     fn schema() -> Schema {
@@ -521,12 +353,14 @@ mod tests {
             .name("builder-test")
             .streams(2, schema(), 1_000)
             .on_common_key("a1")
-            .quality_driven(0.9)
-            .period(2_000)
-            .interval(500)
-            .granularity(20)
-            .basic_window(20)
-            .selectivity(SelectivityStrategy::EqSel)
+            .policy(BufferPolicy::QualityDriven(
+                DisorderConfig::with_gamma(0.9)
+                    .period(2_000)
+                    .interval(500)
+                    .granularity(20)
+                    .basic_window(20)
+                    .selectivity_strategy(SelectivityStrategy::EqSel),
+            ))
             .build()
             .unwrap();
         assert_eq!(p.query().name(), "builder-test");
@@ -558,7 +392,7 @@ mod tests {
             .stream("left", schema(), 2_000)
             .stream("right", schema(), 500)
             .on_predicate("always", |_| true)
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build()
             .unwrap();
         assert_eq!(p.query().windows(), vec![2_000, 500]);
@@ -570,7 +404,7 @@ mod tests {
         let p = SessionBuilder::new()
             .streams(3, schema(), 1_000)
             .cross_join()
-            .fixed_k(250)
+            .policy(BufferPolicy::FixedK(250))
             .build()
             .unwrap();
         assert_eq!(p.current_k(), 250);
@@ -584,25 +418,21 @@ mod tests {
         let p = SessionBuilder::new()
             .streams(2, schema(), 1_000)
             .on(cond)
-            .max_k_slack()
+            .policy(BufferPolicy::MaxKSlack)
             .build()
             .unwrap();
         assert_eq!(p.policy().name(), "max-k-slack");
     }
 
     #[test]
-    fn default_policy_is_quality_driven_with_overrides() {
+    fn default_policy_is_quality_driven_with_the_default_config() {
         let p = SessionBuilder::new()
             .streams(2, schema(), 1_000)
             .on_common_key("a1")
-            .gamma(0.8)
-            .period(10_000)
             .build()
             .unwrap();
-        let config = p.policy().config().unwrap();
         assert_eq!(p.policy().name(), "quality-driven");
-        assert_eq!(config.gamma, 0.8);
-        assert_eq!(config.period_p, 10_000);
+        assert_eq!(p.policy().config(), Some(&DisorderConfig::default()));
     }
 
     #[test]
@@ -611,7 +441,9 @@ mod tests {
             let r = SessionBuilder::new()
                 .streams(2, schema(), 1_000)
                 .on_common_key("a1")
-                .quality_driven(gamma)
+                .policy(BufferPolicy::QualityDriven(DisorderConfig::with_gamma(
+                    gamma,
+                )))
                 .build();
             assert_invalid(r, "Γ");
         }
@@ -622,24 +454,26 @@ mod tests {
         let r = SessionBuilder::new()
             .streams(2, schema(), 1_000)
             .on_common_key("a1")
-            .quality_driven(0.9)
-            .period(500)
-            .interval(1_000)
+            .policy(BufferPolicy::QualityDriven(
+                DisorderConfig::with_gamma(0.9).period(500).interval(1_000),
+            ))
             .build();
         assert_invalid(r, "must not exceed");
     }
 
     #[test]
     fn rejects_zero_system_parameters() {
-        let base = || {
+        let build = |config: DisorderConfig| {
             SessionBuilder::new()
                 .streams(2, schema(), 1_000)
                 .on_common_key("a1")
-                .quality_driven(0.9)
+                .policy(BufferPolicy::QualityDriven(config))
+                .build()
         };
-        assert_invalid(base().interval(0).build(), "adaptation interval L");
-        assert_invalid(base().basic_window(0).build(), "basic window size b");
-        assert_invalid(base().granularity(0).build(), "granularity g");
+        let base = DisorderConfig::with_gamma(0.9);
+        assert_invalid(build(base.interval(0)), "adaptation interval L");
+        assert_invalid(build(base.basic_window(0)), "basic window size b");
+        assert_invalid(build(base.granularity(0)), "granularity g");
     }
 
     #[test]
@@ -648,7 +482,7 @@ mod tests {
             .stream("S1", schema(), 1_000)
             .stream("S1", schema(), 1_000)
             .on_common_key("a1")
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build();
         assert_invalid(r, "duplicate stream name `S1`");
     }
@@ -658,12 +492,12 @@ mod tests {
         let r = SessionBuilder::new()
             .stream("only", schema(), 1_000)
             .on_common_key("a1")
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build();
         assert_invalid(r, "at least 2 input streams");
         let r = SessionBuilder::new()
             .on_common_key("a1")
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build();
         assert_invalid(r, "at least 2 input streams");
     }
@@ -672,7 +506,7 @@ mod tests {
     fn rejects_missing_condition() {
         let r = SessionBuilder::new()
             .streams(2, schema(), 1_000)
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build();
         assert_invalid(r, "no join condition");
     }
@@ -682,20 +516,9 @@ mod tests {
         let r = SessionBuilder::new()
             .streams(2, schema(), 1_000)
             .on_common_key("missing")
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build();
         assert!(r.is_err(), "unknown attribute must fail at build()");
-    }
-
-    #[test]
-    fn rejects_overrides_without_config_carrying_policy() {
-        let r = SessionBuilder::new()
-            .streams(2, schema(), 1_000)
-            .on_common_key("a1")
-            .max_k_slack()
-            .gamma(0.9)
-            .build();
-        assert_invalid(r, "no disorder configuration");
     }
 
     #[test]
@@ -706,7 +529,7 @@ mod tests {
         let r = SessionBuilder::new()
             .query(query)
             .stream("extra", schema(), 1_000)
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build();
         assert_invalid(r, "mutually exclusive");
     }
@@ -717,7 +540,7 @@ mod tests {
             SessionBuilder::new()
                 .streams(2, schema(), 1_000)
                 .on_common_key("a1")
-                .no_k_slack()
+                .policy(BufferPolicy::NoKSlack)
         };
         let indexed = base().build().unwrap();
         assert!(
@@ -732,7 +555,7 @@ mod tests {
         let udf = SessionBuilder::new()
             .streams(2, schema(), 1_000)
             .on_predicate("always", |_| true)
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build()
             .unwrap();
         assert!(!udf.probe_plan().is_indexed());
@@ -743,7 +566,7 @@ mod tests {
         let r = SessionBuilder::new()
             .streams(3, schema(), 1_000)
             .on(CrossJoin::new(2))
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .build();
         assert_invalid(r, "arity");
     }

@@ -166,8 +166,7 @@ use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
 // protocol's own types, so a remote epoch ships and returns them as they are.
 use mswj_wire::{WireItem as Item, WireSub as SubOutcome};
 use occupancy::Occupancy;
-use replan::ReplanState;
-pub use replan::{PlanAction, PlanTransition, ReplanConfig};
+pub use replan::{PlanAction, PlanTransition};
 use shards::ShardSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -391,8 +390,10 @@ pub struct JoinEngine {
     /// The routing version: bumped by every star pair switch, the one
     /// routing change there is.
     routing_epoch: u64,
-    /// The runtime re-planner; `None` unless re-planning was opted into.
-    replan: Option<ReplanState>,
+    /// The runtime re-planner's state — `stats.in_order` (the in-order
+    /// probes) at the last evaluation-window reset; `None` unless
+    /// re-planning was opted into.
+    replan: Option<u64>,
     /// The satellite stream currently key-routed with the star anchor
     /// (`None` for non-star plans).
     star_partner: Option<usize>,
@@ -471,8 +472,8 @@ impl JoinEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the `Remote` backend cannot be set up; use
-    /// [`JoinEngine::try_with_policies`] for a `Result`.
+    /// Panics on a zero-worker `Pool` or a `Remote` backend that cannot be
+    /// set up; use [`JoinEngine::try_with_policies`] for a `Result`.
     ///
     /// [`MswjOperator`]: mswj_join::MswjOperator
     pub fn new(
@@ -481,18 +482,18 @@ impl JoinEngine {
         enumerate: bool,
         backend: ExecutionBackend,
     ) -> Self {
-        Self::try_with_policies(query, strategy, enumerate, backend, None)
-            .expect("remote backend setup failed (use try_with_policies for a Result)")
+        Self::try_with_policies(query, strategy, enumerate, backend, false)
+            .expect("engine setup failed (use try_with_policies for a Result)")
     }
 
     /// The fallible, fully-armed form of [`JoinEngine::new`].  The `Remote`
     /// backend validates its endpoint list, requires a wire-expressible
     /// join condition, and connects + handshakes with every shard server
     /// here — each failure comes back as [`Error::InvalidConfig`], as does
-    /// a `replan` config that fails its `validate`.  The local backends
-    /// fail on nothing else.
+    /// a zero-worker [`ExecutionBackend::Pool`].  The local backends fail
+    /// on nothing else.
     ///
-    /// `replan: Some(_)` arms runtime re-planning: the engine may re-select
+    /// `replan: true` arms runtime re-planning: the engine may re-select
     /// the star partition pair to the heaviest observed-cardinality
     /// satellite (migrating window state, so only light streams stay on
     /// the broadcast path).  Every revision lands in
@@ -505,10 +506,14 @@ impl JoinEngine {
         strategy: ProbeStrategy,
         enumerate: bool,
         backend: ExecutionBackend,
-        replan: Option<ReplanConfig>,
+        replan: bool,
     ) -> Result<Self, Error> {
-        if let Some(replan) = &replan {
-            replan.validate().map_err(Error::InvalidConfig)?;
+        if backend == (ExecutionBackend::Pool { workers: 0 }) {
+            return Err(Error::InvalidConfig(
+                "ExecutionBackend::Pool { workers: 0 } has no workers to run on; use \
+                 Pool { workers: 1.. } or the Sequential backend"
+                    .into(),
+            ));
         }
         let equi = query.condition().equi_structure();
         let plan = ProbePlan::new(strategy, equi.as_ref());
@@ -516,7 +521,6 @@ impl JoinEngine {
         let n = partitioner.shard_count();
         let shards = ShardSet::open(&backend, n, &query, strategy, enumerate)?;
         let (m, local) = (query.arity(), matches!(shards, ShardSet::Local(_)));
-        let replan = replan.map(ReplanState::new);
         let star_partner = Partitioner::default_star_partner(&plan);
         Ok(JoinEngine {
             shards,
@@ -530,7 +534,7 @@ impl JoinEngine {
             stats: OperatorStats::default(),
             runtime: vec![ShardRuntimeStats::default(); n],
             routing_epoch: 0,
-            replan,
+            replan: replan.then_some(0),
             star_partner,
             plan_transitions: Vec::new(),
             hh_base: vec![0; n],
@@ -670,11 +674,6 @@ impl JoinEngine {
     /// Whether the engine materializes results.
     pub fn is_enumerating(&self) -> bool {
         self.enumerate
-    }
-
-    /// Whether runtime re-planning is armed on this engine.
-    pub fn replanning_enabled(&self) -> bool {
-        self.replan.is_some()
     }
 
     /// The satellite stream currently key-routed with the star anchor —
@@ -1318,7 +1317,7 @@ mod tests {
             ExecutionBackend::Remote {
                 endpoints: Vec::new(),
             },
-            None,
+            false,
         )
         .unwrap_err();
         assert!(err.to_string().contains("at least one endpoint"), "{err}");
@@ -1326,20 +1325,16 @@ mod tests {
 
     #[test]
     fn invalid_policy_configs_are_rejected_where_the_engine_is_built() {
-        let bad_replan = ReplanConfig {
-            switch_ratio: 1.0,
-            ..ReplanConfig::default()
-        };
         let err = JoinEngine::try_with_policies(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
-            ExecutionBackend::Sequential,
-            Some(bad_replan),
+            ExecutionBackend::Pool { workers: 0 },
+            false,
         )
         .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
-        assert!(err.to_string().contains("switch_ratio"), "{err}");
+        assert!(err.to_string().contains("no workers"), "{err}");
     }
 
     #[test]
@@ -1353,7 +1348,7 @@ mod tests {
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::remote_inproc(2),
-            None,
+            false,
         )
         .unwrap_err();
         assert!(
@@ -1503,14 +1498,6 @@ mod tests {
         assert!(windowed >= 1_200, "the hot window counts from its own base");
     }
 
-    /// Aggressive re-planning thresholds so small test workloads revise.
-    fn test_replan() -> ReplanConfig {
-        ReplanConfig {
-            min_probes: 64,
-            switch_ratio: 1.5,
-        }
-    }
-
     /// 3-way star: anchor S1(a1, a2) joined with S2(a1) and S3(a2) — the
     /// blind default partitions the (S1, S2) pair, broadcasting S3.
     fn star_query(window: u64) -> JoinQuery {
@@ -1530,14 +1517,7 @@ mod tests {
     }
 
     fn replanned(query: JoinQuery, enumerate: bool, backend: ExecutionBackend) -> JoinEngine {
-        JoinEngine::try_with_policies(
-            query,
-            ProbeStrategy::Auto,
-            enumerate,
-            backend,
-            Some(test_replan()),
-        )
-        .unwrap()
+        JoinEngine::try_with_policies(query, ProbeStrategy::Auto, enumerate, backend, true).unwrap()
     }
 
     #[test]

@@ -15,63 +15,25 @@
 //! close heavy-hitter detection windows — no work in flight, decisions
 //! taken from engine-global (backend-invariant) statistics, every
 //! transition recorded.  Like heavy-hitter detection, evaluation is
-//! **windowed** with an evidence floor
-//! ([`ReplanConfig::min_probes`]), and a switch needs a
-//! [`ReplanConfig::switch_ratio`] cardinality gap, so near-equal
-//! satellites cannot flap the pair.  The probe path itself — each
-//! window's index kind and the order a probe visits the windows in — is
-//! fixed when the shard operators are built.
+//! **windowed** with an evidence floor (64 in-order probes), and a switch
+//! needs a 1.5× cardinality gap, so near-equal satellites cannot flap the
+//! pair.  The probe path itself — each window's index kind and the order
+//! a probe visits the windows in — is fixed when the shard operators are
+//! built.
 
 use super::JoinEngine;
 use mswj_join::{join_key_hash, Partitioner, ProbePlan};
 use mswj_obs::EventKind;
 use mswj_types::{Timestamp, Tuple};
 
-/// Thresholds of runtime probe re-planning, set through
-/// `SessionBuilder::runtime_replanning` /
-/// `SessionBuilder::runtime_replanning_with`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplanConfig {
-    /// Minimum in-order probes in an evaluation window before any revision
-    /// is judged; thinner windows carry forward to the next barrier.
-    /// Default 1024.
-    pub min_probes: u64,
-    /// A pair switch needs the heaviest satellite's live cardinality to
-    /// exceed `switch_ratio` times the current partner's — the hysteresis
-    /// band that keeps near-equal satellites from trading places.  Must be
-    /// above 1.  Default 2.0.
-    pub switch_ratio: f64,
-}
+/// Minimum in-order probes in an evaluation window before a revision is
+/// judged; thinner windows carry forward to the next barrier.
+const MIN_PROBES: u64 = 64;
 
-impl Default for ReplanConfig {
-    fn default() -> Self {
-        ReplanConfig {
-            min_probes: 1_024,
-            switch_ratio: 2.0,
-        }
-    }
-}
-
-impl ReplanConfig {
-    /// Validates the thresholds: `min_probes` positive and `switch_ratio`
-    /// strictly above 1 (it is a hysteresis band).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.min_probes == 0 {
-            return Err("replan min_probes must be at least 1".into());
-        }
-        // `x > 1.0` written positively so NaN (incomparable) also fails.
-        if !matches!(
-            self.switch_ratio.partial_cmp(&1.0),
-            Some(std::cmp::Ordering::Greater)
-        ) {
-            return Err(format!(
-                "replan switch_ratio must be above 1, got {}",
-                self.switch_ratio
-            ));
-        }
-        Ok(())
-    }
-}
+/// A pair switch needs the heaviest satellite's live cardinality to exceed
+/// `SWITCH_RATIO` times the current partner's — the hysteresis band that
+/// keeps near-equal satellites from trading places.
+const SWITCH_RATIO: f64 = 1.5;
 
 /// What one plan revision did.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,25 +60,6 @@ pub struct PlanTransition {
     pub at: Timestamp,
 }
 
-/// The re-planner's mutable state: the config plus the base of the
-/// current evaluation window.
-#[derive(Debug)]
-pub(super) struct ReplanState {
-    pub(super) config: ReplanConfig,
-    /// `stats.in_order` (the in-order probes) at the last window reset.
-    pub(super) probes_base: u64,
-}
-
-impl ReplanState {
-    pub(super) fn new(config: ReplanConfig) -> Self {
-        debug_assert!(config.validate().is_ok(), "unvalidated replan config");
-        ReplanState {
-            config,
-            probes_base: 0,
-        }
-    }
-}
-
 /// The replan driver: the pair switch the engine weighs at an idle barrier
 /// and the state migration it needs.  An `impl` block on
 /// the engine, next to the re-planner's state and rules.
@@ -128,27 +71,26 @@ impl JoinEngine {
     /// cardinalities and the sequential-equivalent stats — so all backends
     /// revise the plan at the same points, identically.
     pub(super) fn evaluate_replan(&mut self) {
-        let Some(state) = &self.replan else {
+        let Some(base) = self.replan else {
             return;
         };
-        let config = state.config;
         let probes = self.stats.in_order;
-        if probes - state.probes_base < config.min_probes {
+        if probes - base < MIN_PROBES {
             return; // Too thin to judge: carry the window forward.
         }
-        self.consider_pair_switch(&config);
+        self.consider_pair_switch();
         // Start a fresh evaluation window.
-        self.replan.as_mut().expect("checked above").probes_base = probes;
+        self.replan = Some(probes);
     }
 
     /// Re-selects the star partition pair when a satellite outside the
-    /// pair carries [`ReplanConfig::switch_ratio`] times the live
+    /// pair carries `SWITCH_RATIO` times the live
     /// cardinality of the current partner — a broadcast stream pays for
     /// every tuple on every shard, so the heaviest satellite belongs in
     /// the key-routed slot and only light streams on the broadcast path.
     /// The affected window state migrates at this barrier and the routing
     /// epoch is bumped.
-    fn consider_pair_switch(&mut self, config: &ReplanConfig) {
+    fn consider_pair_switch(&mut self) {
         let ProbePlan::Star { anchor, .. } = &self.plan else {
             return;
         };
@@ -168,7 +110,7 @@ impl JoinEngine {
         }
         let cur_n = (self.occupancy.len(current) + 1) as f64;
         let cand_n = (self.occupancy.len(candidate) + 1) as f64;
-        if cand_n < config.switch_ratio * cur_n {
+        if cand_n < SWITCH_RATIO * cur_n {
             return; // Inside the hysteresis band.
         }
         self.apply_pair_switch(anchor, current, candidate);
@@ -271,25 +213,5 @@ impl JoinEngine {
     fn adopt_into(&mut self, s: usize, tuples: &[Tuple]) {
         self.runtime[s].migrated_tuples += tuples.len() as u64;
         self.shards.adopt(s, tuples);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_config_validates_and_bad_ones_do_not() {
-        assert!(ReplanConfig::default().validate().is_ok());
-        let c = ReplanConfig {
-            min_probes: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ReplanConfig {
-            switch_ratio: 1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err(), "switch_ratio 1 has no hysteresis");
     }
 }

@@ -28,7 +28,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use mswj_core::{CountingSink, Pipeline};
+//! use mswj_core::{BufferPolicy, CountingSink, DisorderConfig, Pipeline};
 //! use mswj_types::{ArrivalEvent, FieldType, Schema, Timestamp, Tuple, Value};
 //!
 //! // A 2-way equi-join with 1-second windows and quality-driven disorder
@@ -37,9 +37,9 @@
 //!     .name("example")
 //!     .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000)
 //!     .on_common_key("a1")
-//!     .quality_driven(0.95)
-//!     .period(5_000)
-//!     .interval(1_000)
+//!     .policy(BufferPolicy::QualityDriven(
+//!         DisorderConfig::with_gamma(0.95).period(5_000).interval(1_000),
+//!     ))
 //!     .build()
 //!     .unwrap();
 //!
@@ -79,13 +79,11 @@ pub use builder::SessionBuilder;
 pub use config::{DisorderConfig, ProbePlan, ProbeStrategy, SelectivityStrategy};
 pub use engine::{
     Endpoint, EngineError, EngineEvent, ExecutionBackend, JoinEngine, PlanAction, PlanTransition,
-    ReplanConfig, ShardRuntimeStats, ShardStats,
+    ShardRuntimeStats, ShardStats,
 };
 pub use kslack::{KSlack, KSlackStats};
 pub use model::{ModelInputs, RecallModel};
-pub use mswj_obs::{
-    check_prometheus_text, EventCallback, EventKind, MetricsExporter, Telemetry, TelemetryEvent,
-};
+pub use mswj_obs::{check_prometheus_text, EventKind, MetricsExporter, Telemetry, TelemetryEvent};
 pub use output::{Checkpoint, OutputEvent, RunReport};
 pub use pipeline::Pipeline;
 pub use policy::BufferPolicy;

@@ -53,7 +53,7 @@ use crate::adaptation::BufferSizeManager;
 use crate::builder::SessionBuilder;
 use crate::config::DisorderConfig;
 use crate::engine::ShardStats;
-use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine, ReplanConfig};
+use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine};
 use crate::kslack::KSlack;
 use crate::output::{Checkpoint, OutputEvent, RunReport};
 use crate::policy::BufferPolicy;
@@ -114,39 +114,20 @@ impl std::fmt::Debug for Pipeline {
 }
 
 impl Pipeline {
-    /// Starts a fluent [`SessionBuilder`] — the ergonomic way to declare
-    /// streams, join condition, policy, parallelism and disorder
-    /// configuration in one chain (also reachable as `mswj::session()` from
-    /// the facade crate).
+    /// Starts a fluent [`SessionBuilder`] — the one way to declare streams,
+    /// join condition, policy and parallelism in one chain.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
     }
 
-    /// Creates a counting pipeline for a prebuilt query: results are
-    /// counted (never materialized), which is the mode every experiment
-    /// uses, on the default [`ExecutionBackend::Sequential`].  Sessions
-    /// that want [`OutputEvent::Result`] events or a parallel join stage
-    /// are built via [`SessionBuilder`].
-    pub fn new(query: JoinQuery, policy: BufferPolicy) -> Result<Self> {
-        Self::construct(
-            query,
-            policy,
-            false,
-            ProbeStrategy::Auto,
-            ExecutionBackend::Sequential,
-            None,
-            None,
-        )
-    }
-
-    // Crate-internal constructor behind `new` and the builder.
+    // Crate-internal constructor behind the builder.
     pub(crate) fn construct(
         query: JoinQuery,
         policy: BufferPolicy,
         materialize: bool,
         probe: ProbeStrategy,
         backend: ExecutionBackend,
-        replan: Option<ReplanConfig>,
+        replan: bool,
         telemetry: Option<Telemetry>,
     ) -> Result<Self> {
         let config: DisorderConfig = policy.config().copied().unwrap_or_default();
@@ -703,7 +684,11 @@ mod tests {
                 DisorderConfig::with_gamma(0.9).period(2_000).interval(500),
             ),
         ] {
-            let mut p = Pipeline::new(query(2, 500), policy).unwrap();
+            let mut p = Pipeline::builder()
+                .query(query(2, 500))
+                .policy(policy)
+                .build()
+                .unwrap();
             for e in workload(500, 0) {
                 p.push(e);
             }
@@ -718,14 +703,26 @@ mod tests {
     #[test]
     fn max_k_slack_recovers_all_results_under_disorder() {
         // Ground truth: same workload without disorder.
-        let mut truth = Pipeline::new(query(2, 500), BufferPolicy::NoKSlack).unwrap();
+        let mut truth = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::NoKSlack)
+            .build()
+            .unwrap();
         for e in workload(800, 0) {
             truth.push(e);
         }
         let truth = truth.finish();
 
-        let mut max_k = Pipeline::new(query(2, 500), BufferPolicy::MaxKSlack).unwrap();
-        let mut no_k = Pipeline::new(query(2, 500), BufferPolicy::NoKSlack).unwrap();
+        let mut max_k = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::MaxKSlack)
+            .build()
+            .unwrap();
+        let mut no_k = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::NoKSlack)
+            .build()
+            .unwrap();
         for e in workload(800, 200) {
             max_k.push(e.clone());
             no_k.push(e);
@@ -753,8 +750,16 @@ mod tests {
             .period(4_000)
             .interval(1_000)
             .granularity(50);
-        let mut qd = Pipeline::new(query(2, 500), BufferPolicy::QualityDriven(config)).unwrap();
-        let mut max_k = Pipeline::new(query(2, 500), BufferPolicy::MaxKSlack).unwrap();
+        let mut qd = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::QualityDriven(config))
+            .build()
+            .unwrap();
+        let mut max_k = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::MaxKSlack)
+            .build()
+            .unwrap();
         for e in workload(3_000, 300) {
             qd.push(e.clone());
             max_k.push(e);
@@ -771,9 +776,44 @@ mod tests {
     }
 
     #[test]
+    fn sessions_are_translation_invariant() {
+        // Epoch-millisecond timestamps must adapt exactly like the same
+        // workload starting near zero: nothing in the K search may read an
+        // absolute time — in particular a stream with no tuple yet has no
+        // local time to measure `K_sync` against.
+        const SHIFT: u64 = 1_700_000_000_000;
+        let run = |shift: u64| {
+            let config = DisorderConfig::with_gamma(0.9)
+                .period(4_000)
+                .interval(1_000)
+                .granularity(50);
+            let mut p = Pipeline::builder()
+                .query(query(2, 500))
+                .policy(BufferPolicy::QualityDriven(config))
+                .build()
+                .unwrap();
+            for mut e in workload(6_000, 300) {
+                e.arrival += shift;
+                e.tuple.ts += shift;
+                p.push(e);
+            }
+            let report = p.finish();
+            let ks: Vec<Duration> = report.checkpoints.iter().map(|c| c.k).collect();
+            (ks, report.total_produced)
+        };
+        let (ks, produced) = run(0);
+        assert!(ks.iter().any(|&k| k > 0), "the workload must adapt: {ks:?}");
+        assert_eq!(run(SHIFT), (ks, produced));
+    }
+
+    #[test]
     fn checkpoints_are_periodic_and_emitted_as_events() {
         let config = DisorderConfig::with_gamma(0.9).period(2_000).interval(500);
-        let mut p = Pipeline::new(query(2, 500), BufferPolicy::QualityDriven(config)).unwrap();
+        let mut p = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::QualityDriven(config))
+            .build()
+            .unwrap();
         let mut counts = CountingSink::default();
         for e in workload(1_000, 100) {
             p.push_into(e, &mut counts);
@@ -799,7 +839,11 @@ mod tests {
 
     #[test]
     fn fixed_k_policy_keeps_constant_buffer() {
-        let mut p = Pipeline::new(query(2, 500), BufferPolicy::FixedK(250)).unwrap();
+        let mut p = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::FixedK(250))
+            .build()
+            .unwrap();
         for e in workload(500, 100) {
             p.push(e);
         }
@@ -831,7 +875,11 @@ mod tests {
 
     #[test]
     fn k_changes_are_emitted_per_stream() {
-        let mut p = Pipeline::new(query(2, 500), BufferPolicy::MaxKSlack).unwrap();
+        let mut p = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::MaxKSlack)
+            .build()
+            .unwrap();
         let mut counts = CountingSink::default();
         for e in workload(200, 150) {
             p.push_into(e, &mut counts);
@@ -847,7 +895,11 @@ mod tests {
 
     #[test]
     fn report_unit_conversions() {
-        let mut p = Pipeline::new(query(2, 200), BufferPolicy::FixedK(2_000)).unwrap();
+        let mut p = Pipeline::builder()
+            .query(query(2, 200))
+            .policy(BufferPolicy::FixedK(2_000))
+            .build()
+            .unwrap();
         for e in workload(100, 0) {
             p.push(e);
         }
@@ -861,7 +913,11 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected_at_construction() {
         let bad = DisorderConfig::with_gamma(2.0);
-        assert!(Pipeline::new(query(2, 200), BufferPolicy::QualityDriven(bad)).is_err());
+        assert!(Pipeline::builder()
+            .query(query(2, 200))
+            .policy(BufferPolicy::QualityDriven(bad))
+            .build()
+            .is_err());
     }
 
     #[test]
@@ -926,7 +982,11 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(p.engine().shard_count(), 4);
-        let mut reference = Pipeline::new(query(2, 500), BufferPolicy::NoKSlack).unwrap();
+        let mut reference = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::NoKSlack)
+            .build()
+            .unwrap();
         let events: Vec<ArrivalEvent> = (1..=600u64)
             .map(|i| ev((i % 2) as usize, i, i * 5, i * 5, (i % 8) as i64))
             .collect();
@@ -957,7 +1017,11 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(p.engine().shard_count(), 4);
-        let mut reference = Pipeline::new(query(2, 500), BufferPolicy::MaxKSlack).unwrap();
+        let mut reference = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::MaxKSlack)
+            .build()
+            .unwrap();
         let events = workload(600, 180);
         // Mixed batch sizes: some below the inline threshold, some above
         // (pipelined epochs with deferred collection).

@@ -131,10 +131,14 @@ impl SkewTracker {
 
     /// Local time of the slowest stream, `min_i iT` — the value the
     /// synchronizer's `T_sync` converges to when all K-slack buffers are
-    /// empty (proof of Theorem 1).
+    /// empty (proof of Theorem 1).  Ranges over the streams that have
+    /// produced a tuple: a stream with none has no local time yet, and
+    /// reading it as [`Timestamp::ZERO`] would make every `K_sync_i` the
+    /// raw timestamp `iT`.  [`Timestamp::ZERO`] before any arrival.
     pub fn slowest(&self) -> Timestamp {
         self.clocks
             .iter()
+            .filter(|c| c.started())
             .map(LocalClock::now)
             .min()
             .unwrap_or(Timestamp::ZERO)
@@ -150,7 +154,8 @@ impl SkewTracker {
     }
 
     /// The implicit synchronizer buffer contribution for stream `i`,
-    /// `K_sync_i = iT - min_j jT` (Sec. III-B).
+    /// `K_sync_i = iT - min_j jT` (Sec. III-B), the minimum over the
+    /// started streams (zero for a stream that has not started).
     pub fn k_sync(&self, i: StreamIndex) -> Duration {
         self.local_time(i) - self.slowest()
     }
@@ -246,6 +251,22 @@ mod tests {
         sk.observe(StreamIndex(1), ts(5)); // delay 5
         assert_eq!(sk.max_delay(), 30);
         assert_eq!(sk.clock(StreamIndex(1)).max_delay(), 5);
+    }
+
+    #[test]
+    fn k_sync_ignores_streams_that_have_not_started() {
+        // Epoch-millisecond timestamps: before stream 1's first tuple,
+        // stream 0 is the slowest started stream, not `Timestamp::ZERO`.
+        let base = 1_700_000_000_000;
+        let mut sk = SkewTracker::new(3);
+        sk.observe(StreamIndex(0), ts(base + 10));
+        assert_eq!(sk.slowest(), ts(base + 10));
+        assert_eq!(sk.k_sync(StreamIndex(0)), 0);
+        assert_eq!(sk.k_sync_all(), vec![0, 0, 0]);
+        sk.observe(StreamIndex(1), ts(base + 4));
+        assert_eq!(sk.slowest(), ts(base + 4));
+        assert_eq!(sk.k_sync(StreamIndex(0)), 6);
+        assert_eq!(sk.k_sync_all(), vec![6, 0, 0]);
     }
 
     #[test]

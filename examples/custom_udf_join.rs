@@ -13,7 +13,7 @@ fn main() {
     // A join condition no input-synopsis-based estimator could handle: the
     // profiler of the quality-driven framework learns its selectivity from
     // the join output instead (Sec. IV-B of the paper).
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .name("udf-join")
         .streams(2, Schema::new(vec![("reading", FieldType::Int)]), 2_000)
         .on_predicate("diff>3 && even-sum", |tuples| {
@@ -21,8 +21,9 @@ fn main() {
             let b = tuples[1].value(0).and_then(Value::as_int).unwrap_or(0);
             (a - b).abs() > 3 && (a + b) % 2 == 0
         })
-        .quality_driven(0.95)
-        .period(5_000)
+        .policy(BufferPolicy::QualityDriven(
+            DisorderConfig::with_gamma(0.95).period(5_000),
+        ))
         .materialize_results()
         .build()
         .expect("declaration is valid");

@@ -56,13 +56,15 @@ fn workload() -> Vec<ArrivalEvent> {
 }
 
 fn run(backend: ExecutionBackend) -> RunReport {
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .name("parallel-quickstart")
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 2_000)
         .on_common_key("a1")
-        .quality_driven(0.95)
-        .period(5_000)
-        .interval(1_000)
+        .policy(BufferPolicy::QualityDriven(
+            DisorderConfig::with_gamma(0.95)
+                .period(5_000)
+                .interval(1_000),
+        ))
         .parallelism(backend)
         .build()
         .expect("declaration is valid");

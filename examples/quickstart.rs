@@ -39,7 +39,7 @@ fn workload() -> Vec<ArrivalEvent> {
 /// One chain declares the whole session: streams, join condition and
 /// buffer-size policy — no `StreamSet`/`Arc<…>`/`JoinQuery` assembly.
 fn session(policy: BufferPolicy) -> Pipeline {
-    mswj::session()
+    Pipeline::builder()
         .name("quickstart")
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000)
         .on_common_key("a1")

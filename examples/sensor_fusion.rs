@@ -20,10 +20,11 @@ fn main() {
     const PERIOD_MS: u64 = 30_000;
     println!("\n  Γ        avg K (s)   Φ(Γ) %    overall recall");
     for gamma in [0.9, 0.95, 0.99, 0.999] {
-        let mut pipeline = mswj::session()
+        let mut pipeline = Pipeline::builder()
             .query(dataset.query.clone())
-            .quality_driven(gamma)
-            .period(PERIOD_MS)
+            .policy(BufferPolicy::QualityDriven(
+                DisorderConfig::with_gamma(gamma).period(PERIOD_MS),
+            ))
             .build()
             .unwrap();
         for event in dataset.log.iter() {
@@ -42,7 +43,7 @@ fn main() {
     // Baselines for reference.
     for policy in [BufferPolicy::NoKSlack, BufferPolicy::MaxKSlack] {
         let name = policy.name();
-        let mut pipeline = mswj::session()
+        let mut pipeline = Pipeline::builder()
             .query(dataset.query.clone())
             .policy(policy)
             .build()

@@ -21,11 +21,13 @@ fn main() {
 
     const PERIOD_MS: u64 = 30_000;
     for gamma in [0.9, 0.99] {
-        let mut pipeline = mswj::session()
+        let mut pipeline = Pipeline::builder()
             .query(dataset.query.clone())
-            .quality_driven(gamma)
-            .period(PERIOD_MS)
-            .interval(1_000)
+            .policy(BufferPolicy::QualityDriven(
+                DisorderConfig::with_gamma(gamma)
+                    .period(PERIOD_MS)
+                    .interval(1_000),
+            ))
             .build()
             .unwrap();
         for event in dataset.log.iter() {
@@ -41,9 +43,9 @@ fn main() {
         );
     }
 
-    let mut max_k = mswj::session()
+    let mut max_k = Pipeline::builder()
         .query(dataset.query.clone())
-        .max_k_slack()
+        .policy(BufferPolicy::MaxKSlack)
         .build()
         .unwrap();
     for event in dataset.log.iter() {

@@ -14,7 +14,8 @@
 //!
 //! ## Quickstart
 //!
-//! A session is declared with the fluent builder ([`session`]) and driven
+//! A session is declared with the fluent builder
+//! ([`Pipeline::builder`](prelude::Pipeline::builder)) and driven
 //! event by event; output streams into a [`Sink`](prelude::Sink) with zero
 //! per-event allocation in counting mode:
 //!
@@ -23,13 +24,13 @@
 //!
 //! // Two streams joined on equality of attribute "a1", 1-second windows,
 //! // quality-driven disorder handling: ≥95% recall measured over 5 s.
-//! let mut pipeline = mswj::session()
+//! let mut pipeline = Pipeline::builder()
 //!     .name("quickstart")
 //!     .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000)
 //!     .on_common_key("a1")
-//!     .quality_driven(0.95)
-//!     .period(5_000)
-//!     .interval(1_000)
+//!     .policy(BufferPolicy::QualityDriven(
+//!         DisorderConfig::with_gamma(0.95).period(5_000).interval(1_000),
+//!     ))
 //!     .build()
 //!     .unwrap();
 //!
@@ -57,22 +58,13 @@ pub use mswj_types as types;
 
 pub use mswj_core::SessionBuilder;
 
-/// Starts a fluent [`SessionBuilder`] declaring a new disorder-handling
-/// session: streams, join condition, buffer-size policy and disorder
-/// configuration in one chain, validated at `build()`.
-///
-/// Equivalent to [`mswj_core::Pipeline::builder`].
-pub fn session() -> SessionBuilder {
-    SessionBuilder::new()
-}
-
 /// Convenient glob-import of the most frequently used items.
 pub mod prelude {
     pub use mswj_adwin::Adwin;
     pub use mswj_core::{
         sink_fn, BufferPolicy, Checkpoint, CollectSink, CountingSink, DisorderConfig, Endpoint,
         EngineError, ExecutionBackend, FnSink, JoinEngine, KSlack, NullSink, OutputEvent, Pipeline,
-        PlanAction, PlanTransition, ReplanConfig, RunReport, SelectivityStrategy, SessionBuilder,
+        PlanAction, PlanTransition, RunReport, SelectivityStrategy, SessionBuilder,
         ShardRuntimeStats, ShardStats, Sink, Synchronizer,
     };
     pub use mswj_datasets::{

@@ -88,7 +88,7 @@ fn run(
     batch: usize,
     events: &[ArrivalEvent],
 ) -> (Vec<String>, RunReport) {
-    run_session(query, policy, backend, batch, events, None)
+    run_session(query, policy, backend, batch, events, false)
 }
 
 /// Like [`run`], arming runtime re-planning.
@@ -98,9 +98,8 @@ fn run_with_replan(
     backend: ExecutionBackend,
     batch: usize,
     events: &[ArrivalEvent],
-    replan: ReplanConfig,
 ) -> (Vec<String>, RunReport) {
-    run_session(query, policy, backend, batch, events, Some(replan))
+    run_session(query, policy, backend, batch, events, true)
 }
 
 fn run_session(
@@ -109,15 +108,15 @@ fn run_session(
     backend: ExecutionBackend,
     batch: usize,
     events: &[ArrivalEvent],
-    replan: Option<ReplanConfig>,
+    replan: bool,
 ) -> (Vec<String>, RunReport) {
     let mut builder = Pipeline::builder()
         .query(query.clone())
         .policy(policy.clone())
         .parallelism(backend)
         .materialize_results();
-    if let Some(config) = replan {
-        builder = builder.runtime_replanning_with(config);
+    if replan {
+        builder = builder.runtime_replanning();
     }
     let mut pipeline = builder.build().unwrap();
     let mut sink = CollectSink::default();
@@ -411,12 +410,12 @@ fn unpartitionable_conditions_fall_back_to_one_shard() {
 
 #[test]
 fn replanned_workloads_match_the_static_reference() {
-    // Runtime re-planning forced on with aggressive thresholds: the one
+    // Runtime re-planning armed at its built-in thresholds: the one
     // revision the engine can take — re-selecting the star partition pair,
     // with cross-shard state migration — must leave the result multiset,
     // the per-probe trajectory and the adaptation sequence byte-identical
     // to the *static* sequential reference, on every backend.
-    let (replan, policy) = (pair_switch::replan(), pair_switch::policy());
+    let policy = pair_switch::policy();
 
     // Scenario "switch" (see `pair_switch`): the pair must move from S2 to
     // the flooding S3, migrating all three windows between shards.
@@ -441,14 +440,8 @@ fn replanned_workloads_match_the_static_reference() {
         (ExecutionBackend::remote_inproc(4), 64),
     ] {
         let label = "replan switch";
-        let (results, report) = run_with_replan(
-            &query,
-            &policy,
-            backend.clone(),
-            batch,
-            &switch_events,
-            replan,
-        );
+        let (results, report) =
+            run_with_replan(&query, &policy, backend.clone(), batch, &switch_events);
         assert_eq!(
             want, results,
             "[{label}] {backend} re-planned run must match the static reference"
@@ -553,7 +546,7 @@ fn zero_worker_backends_are_rejected_at_build() {
         let r = Pipeline::builder()
             .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 500)
             .on_common_key("a1")
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .parallelism(backend.clone())
             .build();
         assert!(r.is_err(), "{backend} must be rejected");
@@ -610,10 +603,10 @@ fn remote_uds_backend_handles_pair_switch() {
     // reference.
     let daemon = Shardd::spawn("switch");
     let query = star_query(240);
-    let (replan, policy) = (pair_switch::replan(), pair_switch::policy());
+    let policy = pair_switch::policy();
     let events = pair_switch::switch_events();
     let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
-    let (got, report) = run_with_replan(&query, &policy, daemon.backend(4), 64, &events, replan);
+    let (got, report) = run_with_replan(&query, &policy, daemon.backend(4), 64, &events);
     assert_eq!(want, got, "[uds switch] result multiset diverged");
     assert_eq!(want_report.produced, report.produced, "[uds switch]");
     let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();

@@ -4,7 +4,11 @@
 use mswj::prelude::*;
 
 fn run(dataset: &Dataset, policy: BufferPolicy) -> RunReport {
-    let mut pipeline = Pipeline::new(dataset.query.clone(), policy).unwrap();
+    let mut pipeline = Pipeline::builder()
+        .query(dataset.query.clone())
+        .policy(policy)
+        .build()
+        .unwrap();
     for event in dataset.log.iter() {
         pipeline.push(event.clone());
     }
@@ -129,9 +133,9 @@ fn materializing_and_counting_pipelines_agree_exactly() {
     let dataset = SyntheticDataset::generate(&cfg, 23).into_dataset();
     let counting = run(&dataset, BufferPolicy::MaxKSlack);
 
-    let mut materializing = mswj::session()
+    let mut materializing = Pipeline::builder()
         .query(dataset.query.clone())
-        .max_k_slack()
+        .policy(BufferPolicy::MaxKSlack)
         .materialize_results()
         .build()
         .unwrap();
@@ -156,14 +160,16 @@ fn materializing_and_counting_pipelines_agree_exactly() {
 #[test]
 fn k_shrink_at_last_adaptation_still_reports_every_result() {
     let build = || {
-        mswj::session()
+        Pipeline::builder()
             .name("shrink-regression")
             .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 500)
             .on_common_key("a1")
-            .quality_driven(0.9)
-            .period(4_000)
-            .interval(500)
-            .granularity(50)
+            .policy(BufferPolicy::QualityDriven(
+                DisorderConfig::with_gamma(0.9)
+                    .period(4_000)
+                    .interval(500)
+                    .granularity(50),
+            ))
             .materialize_results()
             .build()
             .unwrap()

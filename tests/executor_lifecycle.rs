@@ -69,10 +69,10 @@ fn pool_session(workers: usize) -> Pipeline {
 }
 
 fn session(backend: ExecutionBackend) -> Pipeline {
-    mswj::session()
+    Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 500)
         .on_common_key("a1")
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .parallelism(backend)
         .build()
         .unwrap()
@@ -222,7 +222,7 @@ fn panicking_worker_surfaces_as_error_not_hang() {
         // A predicate condition is unpartitionable (one broadcast shard),
         // so the poisoned tuple reliably reaches the pool's single resident
         // worker once the batch crosses the inline threshold.
-        let pipeline = mswj::session()
+        let pipeline = Pipeline::builder()
             .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 500)
             .on_predicate("explodes-on-13", |tuples| {
                 if tuples.iter().any(|t| t.value(0) == Some(&Value::Int(13))) {
@@ -230,7 +230,7 @@ fn panicking_worker_surfaces_as_error_not_hang() {
                 }
                 true
             })
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .parallelism(ExecutionBackend::Pool { workers: 2 })
             .build()
             .unwrap();
@@ -289,10 +289,10 @@ fn killed_shard_server_surfaces_shard_lost_not_a_hang() {
             .stderr(std::process::Stdio::null())
             .spawn()
             .expect("spawning mswj-shardd");
-        let mut pipeline = mswj::session()
+        let mut pipeline = Pipeline::builder()
             .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 500)
             .on_common_key("a1")
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .parallelism(ExecutionBackend::Remote {
                 endpoints: vec![Endpoint::Uds(sock.clone()); 2],
             })

@@ -46,7 +46,7 @@ fn run_session(events: &[ArrivalEvent], strategy: ProbeStrategy) -> (Vec<String>
     let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 400)
         .on_common_key("a1")
-        .fixed_k(100)
+        .policy(BufferPolicy::FixedK(100))
         .materialize_results()
         .probe(strategy)
         .build()

@@ -33,8 +33,11 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// Runs one quality-driven session and returns (checkpoints, hash).
 fn trajectory(dataset: &Dataset, config: DisorderConfig) -> (usize, u64) {
-    let mut pipeline =
-        Pipeline::new(dataset.query.clone(), BufferPolicy::QualityDriven(config)).unwrap();
+    let mut pipeline = Pipeline::builder()
+        .query(dataset.query.clone())
+        .policy(BufferPolicy::QualityDriven(config))
+        .build()
+        .unwrap();
     for event in dataset.log.iter() {
         pipeline.push(event.clone());
     }

@@ -49,12 +49,12 @@ fn workload(n: u64) -> Vec<ArrivalEvent> {
 }
 
 fn session(backend: ExecutionBackend, telemetry: Option<Telemetry>) -> Pipeline {
-    let mut builder = mswj::session()
+    let mut builder = Pipeline::builder()
         .streams(2, schema(), 500)
         .on_common_key("a1")
-        .quality_driven(0.9)
-        .period(2_000)
-        .interval(500)
+        .policy(BufferPolicy::QualityDriven(
+            DisorderConfig::with_gamma(0.9).period(2_000).interval(500),
+        ))
         .materialize_results()
         .parallelism(backend);
     if let Some(t) = telemetry {
@@ -145,16 +145,18 @@ fn event_callback_fires_synchronously() {
     use std::sync::Arc;
     let seen = Arc::new(AtomicU64::new(0));
     let counter = seen.clone();
-    let mut pipeline = mswj::session()
+    let telemetry = Telemetry::new();
+    telemetry.set_event_callback(Arc::new(move |event: &TelemetryEvent| {
+        assert!(!event.message.is_empty());
+        counter.fetch_add(1, Ordering::Relaxed);
+    }));
+    let mut pipeline = Pipeline::builder()
         .streams(2, schema(), 500)
         .on_common_key("a1")
-        .quality_driven(0.9)
-        .period(2_000)
-        .interval(500)
-        .on_event(move |event| {
-            assert!(!event.message.is_empty());
-            counter.fetch_add(1, Ordering::Relaxed);
-        })
+        .policy(BufferPolicy::QualityDriven(
+            DisorderConfig::with_gamma(0.9).period(2_000).interval(500),
+        ))
+        .telemetry(telemetry)
         .build()
         .unwrap();
     for e in workload(400) {

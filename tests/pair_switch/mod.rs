@@ -2,9 +2,9 @@
 //! (`tests/differential_backends.rs`, `tests/segment_boundary.rs`).
 //!
 //! The star default partitions (S1, S2), but S3 floods while S2 trickles —
-//! broadcasting the flood replicates it to every shard, so under the
-//! aggressive [`replan`] thresholds the pair must move to S3, re-keying the
-//! anchor and migrating all three windows between shards.
+//! broadcasting the flood replicates it to every shard, so with runtime
+//! re-planning armed (at its built-in thresholds) the pair must move to S3,
+//! re-keying the anchor and migrating all three windows between shards.
 
 use mswj::prelude::*;
 use rand::rngs::StdRng;
@@ -28,15 +28,6 @@ pub fn event(
             values,
         ),
     )
-}
-
-/// Re-planning thresholds aggressive enough for the small workload to
-/// switch its pair.
-pub fn replan() -> ReplanConfig {
-    ReplanConfig {
-        min_probes: 64,
-        switch_ratio: 1.5,
-    }
 }
 
 /// The quality-driven policy the scenario runs under.

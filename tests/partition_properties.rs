@@ -109,11 +109,13 @@ fn build(backend: ExecutionBackend) -> Pipeline {
     Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 400)
         .on_common_key("a1")
-        .quality_driven(0.9)
-        .period(1_000)
-        .interval(250)
-        .granularity(20)
-        .basic_window(20)
+        .policy(BufferPolicy::QualityDriven(
+            DisorderConfig::with_gamma(0.9)
+                .period(1_000)
+                .interval(250)
+                .granularity(20)
+                .basic_window(20),
+        ))
         .parallelism(backend)
         .build()
         .unwrap()

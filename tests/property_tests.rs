@@ -178,7 +178,7 @@ proptest! {
 
         for policy in [BufferPolicy::NoKSlack, BufferPolicy::FixedK(200), BufferPolicy::FixedK(2_000)] {
             let is_complete = matches!(policy, BufferPolicy::FixedK(2_000));
-            let mut p = Pipeline::new(q.clone(), policy).unwrap();
+            let mut p = Pipeline::builder().query(q.clone()).policy(policy).build().unwrap();
             for e in &log_events {
                 p.push(e.clone());
             }

@@ -37,15 +37,15 @@ fn run(
     backend: ExecutionBackend,
     batch: usize,
     events: &[ArrivalEvent],
-    replan: Option<ReplanConfig>,
+    replan: bool,
 ) -> (Vec<String>, RunReport) {
     let mut builder = Pipeline::builder()
         .query(query.clone())
         .policy(policy.clone())
         .parallelism(backend)
         .materialize_results();
-    if let Some(config) = replan {
-        builder = builder.runtime_replanning_with(config);
+    if replan {
+        builder = builder.runtime_replanning();
     }
     let mut pipeline = builder.build().unwrap();
     let mut sink = CollectSink::default();
@@ -71,15 +71,21 @@ fn assert_backends_agree(
     events: &[ArrivalEvent],
     label: &str,
 ) -> RunReport {
-    let (seq_results, seq_report) =
-        run(query, policy, ExecutionBackend::Sequential, 1, events, None);
+    let (seq_results, seq_report) = run(
+        query,
+        policy,
+        ExecutionBackend::Sequential,
+        1,
+        events,
+        false,
+    );
     for (backend, batch) in [
         (ExecutionBackend::Pool { workers: 1 }, 1),
         (ExecutionBackend::Pool { workers: 4 }, 64),
         (ExecutionBackend::Pool { workers: 4 }, 1),
         (ExecutionBackend::remote_inproc(4), 64),
     ] {
-        let (results, report) = run(query, policy, backend.clone(), batch, events, None);
+        let (results, report) = run(query, policy, backend.clone(), batch, events, false);
         assert_eq!(
             seq_results, results,
             "[{label}] {backend} must produce a byte-identical result multiset \
@@ -294,7 +300,7 @@ fn pair_switch_agrees_at_segment_boundaries() {
     // sequential reference.
     set_default_segment_capacity(TINY_CAPACITY);
     let query = star_query(240);
-    let (replan, policy) = (pair_switch::replan(), pair_switch::policy());
+    let policy = pair_switch::policy();
     let events = pair_switch::switch_events();
     let (want, want_report) = run(
         &query,
@@ -302,20 +308,13 @@ fn pair_switch_agrees_at_segment_boundaries() {
         ExecutionBackend::Sequential,
         1,
         &events,
-        None,
+        false,
     );
     for (backend, batch) in [
         (ExecutionBackend::Pool { workers: 4 }, 64),
         (ExecutionBackend::remote_inproc(4), 64),
     ] {
-        let (results, report) = run(
-            &query,
-            &policy,
-            backend.clone(),
-            batch,
-            &events,
-            Some(replan),
-        );
+        let (results, report) = run(&query, &policy, backend.clone(), batch, &events, true);
         assert_eq!(
             want, results,
             "[seg switch] {backend} re-planned run must match the static reference"

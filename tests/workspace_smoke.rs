@@ -56,7 +56,11 @@ fn adwin_detector_is_reachable() {
 #[test]
 fn core_pipeline_is_reachable() {
     let config = DisorderConfig::with_gamma(0.95).period(2_000).interval(500);
-    let mut pipeline = Pipeline::new(tiny_query(), BufferPolicy::QualityDriven(config)).unwrap();
+    let mut pipeline = Pipeline::builder()
+        .query(tiny_query())
+        .policy(BufferPolicy::QualityDriven(config))
+        .build()
+        .unwrap();
     for i in 1..=200u64 {
         let ts = Timestamp::from_millis(i * 10);
         pipeline.push(ArrivalEvent::new(
@@ -84,12 +88,12 @@ fn core_pipeline_is_reachable() {
 
 #[test]
 fn session_builder_and_sinks_are_reachable() {
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000)
         .on_common_key("a1")
-        .quality_driven(0.95)
-        .period(2_000)
-        .interval(500)
+        .policy(BufferPolicy::QualityDriven(
+            DisorderConfig::with_gamma(0.95).period(2_000).interval(500),
+        ))
         .materialize_results()
         .build()
         .unwrap();
@@ -135,7 +139,11 @@ fn metrics_are_reachable() {
     let truth: CountSeries = ground_truth_counts(&dataset.query, &dataset.log);
     assert!(truth.total() > 0);
 
-    let mut pipeline = Pipeline::new(dataset.query.clone(), BufferPolicy::MaxKSlack).unwrap();
+    let mut pipeline = Pipeline::builder()
+        .query(dataset.query.clone())
+        .policy(BufferPolicy::MaxKSlack)
+        .build()
+        .unwrap();
     for event in dataset.log.iter() {
         pipeline.push(event.clone());
     }

@@ -93,10 +93,10 @@ fn events(from_ms: u64, to_ms: u64) -> Vec<ArrivalEvent> {
 #[test]
 fn counting_push_into_does_not_allocate_per_event() {
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
         .on_common_key("a1")
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .build()
         .unwrap();
 
@@ -148,10 +148,10 @@ fn telemetry_enabled_push_into_does_not_allocate_per_event() {
     // allocation.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let telemetry = Telemetry::new();
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
         .on_common_key("a1")
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .telemetry(telemetry.clone())
         .build()
         .unwrap();
@@ -192,10 +192,10 @@ fn joining_counting_session_still_stays_allocation_free_per_event() {
     // runs (results are tallied, never materialized) and `produced`
     // bookkeeping appends amortized — still no per-event allocation.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 50)
         .on_common_key("a1")
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .build()
         .unwrap();
     let shared_key = |t: u64, stream: usize| {
@@ -243,10 +243,10 @@ fn parallel_backends_small_batch_fallback_stays_allocation_free() {
         ExecutionBackend::Pool { workers: 1 },
         ExecutionBackend::Pool { workers: 4 },
     ] {
-        let mut pipeline = mswj::session()
+        let mut pipeline = Pipeline::builder()
             .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
             .on_common_key("a1")
-            .no_k_slack()
+            .policy(BufferPolicy::NoKSlack)
             .parallelism(backend.clone())
             .build()
             .unwrap();
@@ -287,10 +287,10 @@ fn pipelined_pool_epochs_allocate_nothing_on_the_caller_thread() {
     // workers' own allocations are not counted here.  Warm-up and
     // measurement stay below the first checkpoint (L = 1 s by default).
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
         .on_common_key("a1")
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .parallelism(ExecutionBackend::Pool { workers: 2 })
         .build()
         .unwrap();
@@ -352,10 +352,10 @@ fn fixed_k_buffers_stay_allocation_free_on_mixed_disorder() {
             })
             .collect()
     };
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
         .on_common_key("a1")
-        .fixed_k(K)
+        .policy(BufferPolicy::FixedK(K))
         .build()
         .unwrap();
     let warmup = mixed(12, 400);
@@ -413,10 +413,10 @@ fn counting_common_key_session_allocates_no_posting_map() {
     // instead: one tally per live key, added and removed within the map's
     // warmed capacity, and no per-insert allocation at all.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
         .on_common_key("a1")
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .build()
         .unwrap();
     let unique = |t: u64| {
@@ -489,10 +489,10 @@ fn indexed_probe_path_reuses_buckets_without_allocating() {
     // warm-up; afterwards bucket reuse keeps the hot path allocation-free —
     // no per-probe and no per-maintenance allocation.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
         .on_common_key("a1")
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .build()
         .unwrap();
     assert!(pipeline.probe_plan().is_indexed());
@@ -558,7 +558,11 @@ fn distance_scan_kernel_does_not_allocate_per_event() {
     // arenas during warm-up, then recycle with their segments.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let query = q2_query(100, 5.0);
-    let mut pipeline = mswj::session().query(query).no_k_slack().build().unwrap();
+    let mut pipeline = Pipeline::builder()
+        .query(query)
+        .policy(BufferPolicy::NoKSlack)
+        .build()
+        .unwrap();
     assert!(!pipeline.probe_plan().is_indexed());
     let warmup: Vec<ArrivalEvent> = (1..400u64).map(|t| position(t, 0)).collect();
     let in_order: Vec<ArrivalEvent> = (400..600u64).map(|t| position(t, 0)).collect();
@@ -596,9 +600,9 @@ fn distance_scan_visit_pass_allocates_only_the_emitted_results() {
     // hits and hands each row to the emitter, which allocates one tuple
     // vector per `JoinResult` — and nothing else may.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut pipeline = mswj::session()
+    let mut pipeline = Pipeline::builder()
         .query(q2_query(100, 5.0))
-        .no_k_slack()
+        .policy(BufferPolicy::NoKSlack)
         .materialize_results()
         .build()
         .unwrap();
