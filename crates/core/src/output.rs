@@ -92,7 +92,13 @@ pub struct RunReport {
     /// Name of the buffer-size policy that produced this run.
     pub policy: String,
     /// Per-probe result production: `(result timestamp, number of results)`.
-    /// Only probes that produced at least one result are recorded.
+    /// Only probes that produced at least one result are recorded, in the
+    /// order their tuples were processed, which is non-decreasing in the
+    /// result timestamp (each is an in-order tuple's own `ts`).  The session
+    /// keeps the series compactly while it runs; this vector is built once,
+    /// at its exact length, by
+    /// [`Pipeline::finish_into`](crate::Pipeline::finish_into) after the
+    /// session's other state has been dropped.
     pub produced: Vec<(Timestamp, u64)>,
     /// Periodic checkpoints (one per adaptation interval).
     pub checkpoints: Vec<Checkpoint>,
@@ -136,6 +142,85 @@ impl RunReport {
     }
 }
 
+/// Bytes per [`ProducedLog`] chunk.
+const LOG_CHUNK: usize = 64 * 1024;
+
+/// Most bytes one [`ProducedLog`] entry takes: two 10-byte varints.
+const MAX_ENTRY: usize = 20;
+
+/// The session's result series while it runs: one entry per
+/// result-producing tuple, `(ts, count)`, kept as two LEB128 varints — the
+/// timestamp's delta from the previous entry (`wrapping_sub`, so any order
+/// and any `u64` round-trip) and the count — in fixed-size byte chunks that
+/// an entry never straddles.  In-order outcomes arrive in non-decreasing
+/// `ts`, so an entry is a few bytes where a `(Timestamp, u64)` is 16;
+/// [`ProducedLog::into_vec`] materialises [`RunReport::produced`] once, at
+/// exactly its length.
+#[derive(Debug, Default)]
+pub(crate) struct ProducedLog {
+    chunks: Vec<Vec<u8>>,
+    entries: usize,
+    last_ts: u64,
+}
+
+impl ProducedLog {
+    /// Appends one entry.
+    pub(crate) fn push(&mut self, ts: Timestamp, count: u64) {
+        if self
+            .chunks
+            .last()
+            .is_none_or(|chunk| LOG_CHUNK - chunk.len() < MAX_ENTRY)
+        {
+            self.chunks.push(Vec::with_capacity(LOG_CHUNK));
+        }
+        let chunk = self.chunks.last_mut().expect("pushed just above");
+        let ts = ts.as_millis();
+        put_varint(ts.wrapping_sub(self.last_ts), chunk);
+        put_varint(count, chunk);
+        self.last_ts = ts;
+        self.entries += 1;
+    }
+
+    /// Decodes the log into a vector of exactly its length.
+    pub(crate) fn into_vec(self) -> Vec<(Timestamp, u64)> {
+        let mut out = Vec::with_capacity(self.entries);
+        let mut ts = 0u64;
+        for chunk in &self.chunks {
+            let mut rest = chunk.as_slice();
+            while !rest.is_empty() {
+                ts = ts.wrapping_add(take_varint(&mut rest));
+                out.push((Timestamp::from_millis(ts), take_varint(&mut rest)));
+            }
+        }
+        debug_assert_eq!(out.len(), self.entries);
+        out
+    }
+}
+
+/// Appends `v` to `out` as a LEB128 varint, low bits first.
+fn put_varint(mut v: u64, out: &mut Vec<u8>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads one LEB128 varint off the front of `bytes`.
+fn take_varint(bytes: &mut &[u8]) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let (&byte, rest) = bytes.split_first().expect("a complete varint");
+        *bytes = rest;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,5 +250,47 @@ mod tests {
             new: 250,
         };
         assert!(format!("{k_change:?}").contains("250"));
+    }
+
+    /// Pushes `entries` through a log, checks they decode unchanged and
+    /// returns how many chunks the log used.
+    fn round_trip(entries: &[(u64, u64)]) -> usize {
+        let mut log = ProducedLog::default();
+        for &(ts, count) in entries {
+            log.push(Timestamp::from_millis(ts), count);
+        }
+        let want: Vec<(Timestamp, u64)> = entries
+            .iter()
+            .map(|&(ts, count)| (Timestamp::from_millis(ts), count))
+            .collect();
+        let chunks = log.chunks.len();
+        assert_eq!(log.into_vec(), want);
+        chunks
+    }
+
+    #[test]
+    fn produced_log_round_trips_extreme_and_unordered_entries() {
+        assert_eq!(round_trip(&[]), 0, "an empty log allocates no chunk");
+        round_trip(&[
+            (0, 1),
+            (u64::MAX, u64::MAX),
+            (u64::MAX, 3),
+            (0, u64::MAX),
+            (7, 0),
+            (7, 128),
+            (5, 127),
+            (1 << 63, 1 << 35),
+        ]);
+    }
+
+    #[test]
+    fn produced_log_round_trips_across_chunks() {
+        // Three bytes an entry (a two-byte delta, a one-byte count): once
+        // fewer than `MAX_ENTRY` bytes are left in the first chunk, the
+        // next entry opens the second.
+        let entries: Vec<(u64, u64)> = (1..=(LOG_CHUNK / 3 + 10) as u64)
+            .map(|i| (i * 200, i % 100 + 1))
+            .collect();
+        assert_eq!(round_trip(&entries), 2);
     }
 }

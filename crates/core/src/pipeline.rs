@@ -55,7 +55,7 @@ use crate::config::DisorderConfig;
 use crate::engine::ShardStats;
 use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine};
 use crate::kslack::KSlack;
-use crate::output::{Checkpoint, OutputEvent, RunReport};
+use crate::output::{Checkpoint, OutputEvent, ProducedLog, RunReport};
 use crate::policy::BufferPolicy;
 use crate::profiler::ProductivityProfiler;
 use crate::result_monitor::ResultSizeMonitor;
@@ -85,7 +85,8 @@ pub struct Pipeline {
     k_weighted_sum: f64,
     k_since: Timestamp,
     lifetime_max_delay: Duration,
-    produced: Vec<(Timestamp, u64)>,
+    /// The result series `RunReport::produced` is decoded from at finish.
+    produced: ProducedLog,
     checkpoints: Vec<Checkpoint>,
     /// Watermark of the last [`OutputEvent::Progress`] emission.
     last_progress: Option<Timestamp>,
@@ -164,7 +165,7 @@ impl Pipeline {
             k_weighted_sum: 0.0,
             k_since: Timestamp::ZERO,
             lifetime_max_delay: 0,
-            produced: Vec::new(),
+            produced: ProducedLog::default(),
             checkpoints: Vec::new(),
             last_progress: None,
             scratch_released: Vec::new(),
@@ -380,20 +381,30 @@ impl Pipeline {
             .iter()
             .map(|ks| ks.stats().residual_out_of_order)
             .sum();
+        let operator_stats = self.engine.stats();
+        let shard_stats = self.engine.shard_stats();
+        let plan_transitions = self.engine.plan_transitions().to_vec();
+        let policy = self.policy.name().to_owned();
+        let max_observed_delay = self.lifetime_max_delay;
+        let checkpoints = std::mem::take(&mut self.checkpoints);
+        let produced = std::mem::take(&mut self.produced);
+        // The session's state goes before the series is decoded, so the
+        // report vector never coexists with the windows and histories.
+        drop(self);
 
         RunReport {
-            policy: self.policy.name().to_owned(),
-            total_produced: self.engine.stats().results,
-            operator_stats: self.engine.stats(),
-            shard_stats: self.engine.shard_stats(),
-            produced: self.produced,
-            checkpoints: self.checkpoints,
+            policy,
+            total_produced: operator_stats.results,
+            operator_stats,
+            shard_stats,
+            produced: produced.into_vec(),
+            checkpoints,
             avg_k_ms: avg_k,
             kslack_residual_out_of_order: residual,
-            max_observed_delay: self.lifetime_max_delay,
+            max_observed_delay,
             duration_ms: duration,
             avg_adaptation_nanos: avg_adapt,
-            plan_transitions: self.engine.plan_transitions().to_vec(),
+            plan_transitions,
         }
     }
 
@@ -447,7 +458,7 @@ impl Pipeline {
                     }
                     if outcome.n_join > 0 {
                         monitor.record_produced(ts, outcome.n_join);
-                        produced.push((ts, outcome.n_join));
+                        produced.push(ts, outcome.n_join);
                     }
                     // An in-order tuple advances onT to its own timestamp;
                     // deduplicate repeats so the watermark only moves
@@ -507,6 +518,11 @@ impl Pipeline {
         self.profiler.roll_interval();
         let n_true_last = self.profiler.n_true_estimate();
 
+        // Prune the produced-results window under every policy, not only
+        // where adaptation or telemetry query it, so it stays bounded.  The
+        // cutoff is theirs, and pruning before `apply_k` keeps the results
+        // a shrink releases (ts > `measure_ts`) in the count they read.
+        self.monitor.produced_within(measure_ts);
         let new_k = match &self.policy {
             BufferPolicy::QualityDriven(_) => {
                 self.monitor.record_true_estimate(measure_ts, n_true_last);
@@ -971,6 +987,97 @@ mod tests {
             v
         };
         assert_eq!(canon(&single_sink), canon(&batched_sink));
+    }
+
+    #[test]
+    fn observed_recall_gauge_counts_results_a_shrink_releases() {
+        // Per checkpoint: its `measure_ts`, and the timestamps of every
+        // result delivered before its event — those a shrink released
+        // included, as the result-size monitor records them.
+        #[derive(Default)]
+        struct Log {
+            results: Vec<Timestamp>,
+            checkpoints: Vec<(Timestamp, Vec<Timestamp>)>,
+        }
+        impl Sink for Log {
+            fn event(&mut self, ev: OutputEvent<'_>) {
+                match ev {
+                    OutputEvent::Result(r) => self.results.push(r.ts),
+                    OutputEvent::Checkpoint(c) => {
+                        self.checkpoints.push((c.measure_ts, self.results.clone()))
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        let mut p = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(BufferPolicy::QualityDriven(
+                DisorderConfig::with_gamma(0.9).period(2_000).interval(500),
+            ))
+            .materialize_results()
+            .telemetry(Telemetry::new())
+            .build()
+            .unwrap();
+        // Heavy disorder first, then none, so K grows and then shrinks.
+        let mut events = workload(1_500, 300);
+        events.extend(workload(3_000, 0).into_iter().skip(3_000));
+        let mut sink = Log::default();
+        let (mut checked, mut released) = (0, 0);
+        for e in events {
+            let seen = sink.checkpoints.len();
+            p.push_into(e, &mut sink);
+            if sink.checkpoints.len() == seen {
+                continue;
+            }
+            assert_eq!(sink.checkpoints.len(), seen + 1);
+            // The gauge and the true-size window stay as this checkpoint
+            // left them until the next one.
+            let (measure_ts, results) = sink.checkpoints.last().unwrap();
+            let cutoff = measure_ts.saturating_sub_duration(p.monitor.window());
+            let produced = results.iter().filter(|&&ts| ts > cutoff).count() as f64;
+            let truth = p.monitor.true_within(*measure_ts) as f64;
+            let gauge = p.telemetry().unwrap().session().recall_observed.get();
+            if truth == 0.0 {
+                assert!(gauge.is_nan());
+            } else {
+                assert_eq!(gauge, (produced / truth).min(1.0), "at {measure_ts:?}");
+                checked += 1;
+            }
+            released += results.iter().any(|ts| ts > measure_ts) as usize;
+        }
+        let report = p.finish();
+        assert!(checked > 10, "{checked} gauges checked");
+        assert!(released > 0, "no checkpoint followed a shrink's release");
+        assert!(report.checkpoints.windows(2).any(|w| w[1].k < w[0].k));
+    }
+
+    #[test]
+    fn produced_series_is_non_decreasing_in_ts_on_every_backend() {
+        let run = |backend: ExecutionBackend| {
+            let mut p = Pipeline::builder()
+                .query(query(2, 500))
+                .policy(BufferPolicy::FixedK(100))
+                .parallelism(backend)
+                .build()
+                .unwrap();
+            for chunk in workload(600, 180).chunks(64) {
+                p.push_batch_into(chunk.iter().cloned(), &mut NullSink);
+            }
+            p.finish().produced
+        };
+        let sequential = run(ExecutionBackend::Sequential);
+        assert!(sequential.len() > 100);
+        assert!(sequential.is_sorted_by_key(|&(ts, _)| ts));
+        for backend in [
+            ExecutionBackend::Pool { workers: 2 },
+            ExecutionBackend::remote_inproc(2),
+        ] {
+            let produced = run(backend.clone());
+            assert!(produced.is_sorted_by_key(|&(ts, _)| ts), "{backend:?}");
+            assert_eq!(produced, sequential, "{backend:?}");
+        }
     }
 
     #[test]

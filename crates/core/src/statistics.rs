@@ -151,7 +151,9 @@ struct StreamHistory {
     delay_sum: u128,
     k_sync_sum: u128,
     max_delay: Duration,
-    max_delay_dirty: bool,
+    /// How many samples in `samples` have delay `max_delay`: the history
+    /// is rescanned only when the last of them leaves.
+    max_delay_count: usize,
 }
 
 impl StreamHistory {
@@ -166,33 +168,50 @@ impl StreamHistory {
             delay_sum: 0,
             k_sync_sum: 0,
             max_delay: 0,
-            max_delay_dirty: false,
+            max_delay_count: 0,
         }
     }
 
     fn record(&mut self, sample: DelaySample) {
         self.adwin.insert(sample.delay as f64);
-        self.samples.push_back(sample);
-        self.histogram.add(sample.delay);
-        self.delay_sum += sample.delay as u128;
-        self.k_sync_sum += sample.k_sync as u128;
         if sample.delay > self.max_delay {
             self.max_delay = sample.delay;
+            self.max_delay_count = 0;
         }
-        // Trim the history to the ADWIN window length (and the hard cap).
+        if sample.delay == self.max_delay {
+            self.max_delay_count += 1;
+        }
+        // Trim the history to the ADWIN window length (and the hard cap)
+        // *before* admitting the sample, so it never holds more than
+        // `MAX_HISTORY` samples.
         let target = (self.adwin.len() as usize).clamp(1, MAX_HISTORY);
-        while self.samples.len() > target {
+        while self.samples.len() >= target {
             let old = self.samples.pop_front().expect("len checked");
             self.histogram.remove(old.delay);
             self.delay_sum -= old.delay as u128;
             self.k_sync_sum -= old.k_sync as u128;
             if old.delay == self.max_delay {
-                self.max_delay_dirty = true;
+                self.max_delay_count -= 1;
             }
         }
-        if self.max_delay_dirty {
+        // Grow by doubling, but never past the cap: a plain `push_back`
+        // would double a 32 768-slot buffer to 65 536 for 50 000 samples.
+        let capacity = self.samples.capacity();
+        if self.samples.len() == capacity {
+            let grown = (capacity * 2).clamp(4, MAX_HISTORY);
+            self.samples.reserve_exact(grown - capacity);
+        }
+        self.samples.push_back(sample);
+        self.histogram.add(sample.delay);
+        self.delay_sum += sample.delay as u128;
+        self.k_sync_sum += sample.k_sync as u128;
+        if self.max_delay_count == 0 {
             self.max_delay = self.samples.iter().map(|s| s.delay).max().unwrap_or(0);
-            self.max_delay_dirty = false;
+            self.max_delay_count = self
+                .samples
+                .iter()
+                .filter(|s| s.delay == self.max_delay)
+                .count();
         }
     }
 
@@ -443,6 +462,8 @@ mod tests {
             t += 10;
             sm.observe(StreamIndex(0), ts(t));
         }
-        assert!(sm.history_len(StreamIndex(0)) <= MAX_HISTORY);
+        assert_eq!(sm.history_len(StreamIndex(0)), MAX_HISTORY);
+        // Nor does its buffer: doubling stops at the cap.
+        assert_eq!(sm.histories[0].samples.capacity(), MAX_HISTORY);
     }
 }

@@ -80,11 +80,7 @@ pub fn evaluate_recall(
     period_p: Duration,
 ) -> RecallEvaluation {
     let produced = CountSeries::new(report.produced.clone());
-    let start = truth
-        .max_ts()
-        .map(|_| Timestamp::ZERO)
-        .unwrap_or(Timestamp::ZERO);
-    let warmup_end = start.saturating_add_duration(period_p);
+    let warmup_end = Timestamp::ZERO.saturating_add_duration(period_p);
     let samples: Vec<RecallSample> = report
         .checkpoints
         .iter()
