@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in `DESIGN.md` §8:
+//! Ablation benchmarks for the design choices of the reproduction:
 //! EqSel vs NonEqSel selectivity modelling, the basic-window size `b`, the
 //! Same-K policy vs fixed configurations, and index-assisted vs nested-loop
 //! probing in the join operator.

@@ -33,9 +33,7 @@ use crate::config::DisorderConfig;
 use crate::engine::ExecutionBackend;
 use crate::pipeline::Pipeline;
 use crate::policy::BufferPolicy;
-use mswj_join::{
-    CommonKeyEquiJoin, CrossJoin, JoinCondition, JoinQuery, PredicateFn, ProbeStrategy,
-};
+use mswj_join::{CommonKeyEquiJoin, JoinCondition, JoinQuery, PredicateFn, ProbeStrategy};
 use mswj_obs::Telemetry;
 use mswj_types::{Duration, Error, Result, Schema, StreamSet, StreamSpec, Tuple};
 use std::sync::Arc;
@@ -59,7 +57,6 @@ pub struct SessionBuilder {
     materialize: bool,
     probe: ProbeStrategy,
     backend: ExecutionBackend,
-    replan: bool,
     telemetry: Option<Telemetry>,
 }
 
@@ -98,7 +95,6 @@ impl SessionBuilder {
             materialize: false,
             probe: ProbeStrategy::default(),
             backend: ExecutionBackend::default(),
-            replan: false,
             telemetry: None,
         }
     }
@@ -161,22 +157,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Joins every combination of one tuple per stream (no predicate).
-    pub fn cross_join(mut self) -> Self {
-        self.condition = Some(Box::new(|streams| {
-            Ok(Arc::new(CrossJoin::new(streams.arity())) as Arc<dyn JoinCondition>)
-        }));
-        self
-    }
-
-    /// Uses an already-constructed join condition (band joins, star joins,
-    /// distance predicates, custom [`JoinCondition`] implementations …).
-    pub fn on(mut self, condition: impl JoinCondition + 'static) -> Self {
-        let condition: Arc<dyn JoinCondition> = Arc::new(condition);
-        self.condition = Some(Box::new(move |_| Ok(condition)));
-        self
-    }
-
     /// Sets the buffer-size policy.  Quality-driven disorder handling
     /// carries its Γ, P, L, b, g and selectivity strategy in the
     /// [`DisorderConfig`] of [`BufferPolicy::QualityDriven`]; the baselines
@@ -236,28 +216,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Arms runtime re-planning on the sharded join stage.
-    ///
-    /// A star plan's partition pair is chosen from the query shape alone,
-    /// before any data has been seen.  With re-planning armed, the engine
-    /// revisits it at its idle barriers (checkpoints, K changes), from
-    /// observed window cardinalities: the pair is re-selected so the
-    /// heaviest satellite is key-routed and only light streams stay on the
-    /// broadcast path, migrating the affected window state between shards.
-    /// It acts only on a star plan over two or more shards.  Every revision
-    /// is recorded in
-    /// [`RunReport::plan_transitions`](crate::RunReport::plan_transitions);
-    /// decisions come from engine-global statistics, so the result
-    /// multiset stays identical across execution backends — and identical
-    /// to a run without re-planning.  A revision is judged once an
-    /// evaluation window holds 64 in-order probes, and a switch needs the
-    /// heaviest satellite to carry 1.5 times the current partner's live
-    /// cardinality.
-    pub fn runtime_replanning(mut self) -> Self {
-        self.replan = true;
-        self
-    }
-
     /// Attaches a live [`Telemetry`] handle to the session.
     ///
     /// The handle is shared: the pipeline front-end records quality gauges
@@ -281,8 +239,7 @@ impl SessionBuilder {
     ///
     /// Returns [`Error::InvalidConfig`] when the declaration is incomplete
     /// or inconsistent: fewer than two streams, duplicate stream names, a
-    /// missing join condition, a condition whose arity disagrees with the
-    /// stream count, both a prebuilt query and inline streams, a
+    /// missing join condition, both a prebuilt query and inline streams, a
     /// zero-worker [`ExecutionBackend::Pool`], or a [`DisorderConfig`]
     /// violating `0 < Γ ≤ 1`, `0 < L ≤ P`, `b > 0`, `g > 0`.  An
     /// [`ExecutionBackend::Remote`] backend additionally fails here when
@@ -306,8 +263,8 @@ impl SessionBuilder {
                 let streams = StreamSet::new(self.specs)?;
                 let condition = self.condition.ok_or_else(|| {
                     Error::InvalidConfig(
-                        "no join condition declared; use on_common_key(..), on_predicate(..), \
-                         cross_join() or on(..)"
+                        "no join condition declared; use on_common_key(..) or on_predicate(..), \
+                         or query(JoinQuery::new(..)) for any other condition"
                             .into(),
                     )
                 })?;
@@ -321,7 +278,6 @@ impl SessionBuilder {
             self.materialize,
             self.probe,
             self.backend,
-            self.replan,
             self.telemetry,
         )
     }
@@ -331,6 +287,7 @@ impl SessionBuilder {
 mod tests {
     use super::*;
     use crate::config::SelectivityStrategy;
+    use mswj_join::CrossJoin;
     use mswj_types::{ArrivalEvent, FieldType, Timestamp, Value};
 
     fn schema() -> Schema {
@@ -401,9 +358,10 @@ mod tests {
 
     #[test]
     fn cross_join_and_fixed_k() {
+        let streams = StreamSet::homogeneous(3, schema(), 1_000).unwrap();
+        let query = JoinQuery::new("cross", streams, Arc::new(CrossJoin::new(3))).unwrap();
         let p = SessionBuilder::new()
-            .streams(3, schema(), 1_000)
-            .cross_join()
+            .query(query)
             .policy(BufferPolicy::FixedK(250))
             .build()
             .unwrap();
@@ -412,12 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_condition_via_on() {
+    fn prebuilt_condition_via_query() {
         let streams = StreamSet::homogeneous(2, schema(), 1_000).unwrap();
-        let cond = CommonKeyEquiJoin::new(&streams, "a1").unwrap();
+        let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
         let p = SessionBuilder::new()
-            .streams(2, schema(), 1_000)
-            .on(cond)
+            .query(JoinQuery::new("prebuilt", streams, cond).unwrap())
             .policy(BufferPolicy::MaxKSlack)
             .build()
             .unwrap();
@@ -559,15 +516,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(!udf.probe_plan().is_indexed());
-    }
-
-    #[test]
-    fn rejects_condition_arity_mismatch() {
-        let r = SessionBuilder::new()
-            .streams(3, schema(), 1_000)
-            .on(CrossJoin::new(2))
-            .policy(BufferPolicy::NoKSlack)
-            .build();
-        assert_invalid(r, "arity");
     }
 }

@@ -166,7 +166,7 @@ use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
 // protocol's own types, so a remote epoch ships and returns them as they are.
 use mswj_wire::{WireItem as Item, WireSub as SubOutcome};
 use occupancy::Occupancy;
-pub use replan::{PlanAction, PlanTransition};
+pub use replan::PlanTransition;
 use shards::ShardSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -195,7 +195,7 @@ pub enum ExecutionBackend {
     /// socket endpoint.  Reuses the pool's depth-1 epoch/barrier pipeline,
     /// so output stays byte-identical to [`ExecutionBackend::Sequential`];
     /// requires a wire-expressible join condition (no closure predicates).
-    /// Construct through [`JoinEngine::try_with_policies`] /
+    /// Construct through [`JoinEngine::try_new`] /
     /// `SessionBuilder` to get connection errors as `Result`s.
     Remote {
         /// Where each shard server lives; one shard per entry.
@@ -391,9 +391,8 @@ pub struct JoinEngine {
     /// routing change there is.
     routing_epoch: u64,
     /// The runtime re-planner's state — `stats.in_order` (the in-order
-    /// probes) at the last evaluation-window reset; `None` unless
-    /// re-planning was opted into.
-    replan: Option<u64>,
+    /// probes) at the last evaluation-window reset.
+    replan_base: u64,
     /// The satellite stream currently key-routed with the star anchor
     /// (`None` for non-star plans).
     star_partner: Option<usize>,
@@ -473,7 +472,7 @@ impl JoinEngine {
     /// # Panics
     ///
     /// Panics on a zero-worker `Pool` or a `Remote` backend that cannot be
-    /// set up; use [`JoinEngine::try_with_policies`] for a `Result`.
+    /// set up; use [`JoinEngine::try_new`] for a `Result`.
     ///
     /// [`MswjOperator`]: mswj_join::MswjOperator
     pub fn new(
@@ -482,31 +481,30 @@ impl JoinEngine {
         enumerate: bool,
         backend: ExecutionBackend,
     ) -> Self {
-        Self::try_with_policies(query, strategy, enumerate, backend, false)
-            .expect("engine setup failed (use try_with_policies for a Result)")
+        Self::try_new(query, strategy, enumerate, backend)
+            .expect("engine setup failed (use try_new for a Result)")
     }
 
-    /// The fallible, fully-armed form of [`JoinEngine::new`].  The `Remote`
-    /// backend validates its endpoint list, requires a wire-expressible
-    /// join condition, and connects + handshakes with every shard server
-    /// here — each failure comes back as [`Error::InvalidConfig`], as does
-    /// a zero-worker [`ExecutionBackend::Pool`].  The local backends fail
-    /// on nothing else.
+    /// The fallible form of [`JoinEngine::new`], with the same parameters.
+    /// The `Remote` backend validates its endpoint list, requires a
+    /// wire-expressible join condition, and connects + handshakes with
+    /// every shard server here — each failure comes back as
+    /// [`Error::InvalidConfig`], as does a zero-worker
+    /// [`ExecutionBackend::Pool`].  The local backends fail on nothing else.
     ///
-    /// `replan: true` arms runtime re-planning: the engine may re-select
-    /// the star partition pair to the heaviest observed-cardinality
+    /// On a star plan over two or more shards the engine may re-select the
+    /// star partition pair at runtime, to the heaviest observed-cardinality
     /// satellite (migrating window state, so only light streams stay on
     /// the broadcast path).  Every revision lands in
     /// [`JoinEngine::plan_transitions`].  It acts at [`JoinEngine::sync`]
     /// barriers only, from engine-global statistics, so routing never
     /// changes while work is in flight and every backend takes identical
     /// decisions.
-    pub fn try_with_policies(
+    pub fn try_new(
         query: JoinQuery,
         strategy: ProbeStrategy,
         enumerate: bool,
         backend: ExecutionBackend,
-        replan: bool,
     ) -> Result<Self, Error> {
         if backend == (ExecutionBackend::Pool { workers: 0 }) {
             return Err(Error::InvalidConfig(
@@ -534,7 +532,7 @@ impl JoinEngine {
             stats: OperatorStats::default(),
             runtime: vec![ShardRuntimeStats::default(); n],
             routing_epoch: 0,
-            replan: replan.then_some(0),
+            replan_base: 0,
             star_partner,
             plan_transitions: Vec::new(),
             hh_base: vec![0; n],
@@ -1310,14 +1308,13 @@ mod tests {
 
     #[test]
     fn remote_backend_rejects_an_empty_endpoint_list() {
-        let err = JoinEngine::try_with_policies(
+        let err = JoinEngine::try_new(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::Remote {
                 endpoints: Vec::new(),
             },
-            false,
         )
         .unwrap_err();
         assert!(err.to_string().contains("at least one endpoint"), "{err}");
@@ -1325,12 +1322,11 @@ mod tests {
 
     #[test]
     fn invalid_policy_configs_are_rejected_where_the_engine_is_built() {
-        let err = JoinEngine::try_with_policies(
+        let err = JoinEngine::try_new(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::Pool { workers: 0 },
-            false,
         )
         .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
@@ -1343,12 +1339,11 @@ mod tests {
             StreamSet::homogeneous(2, Schema::new(vec![("a1", FieldType::Int)]), 1_000).unwrap();
         let cond = Arc::new(mswj_join::PredicateFn::new(2, "opaque", |_| true));
         let query = JoinQuery::new("closure", streams, cond).unwrap();
-        let err = JoinEngine::try_with_policies(
+        let err = JoinEngine::try_new(
             query,
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::remote_inproc(2),
-            false,
         )
         .unwrap_err();
         assert!(
@@ -1516,10 +1511,6 @@ mod tests {
         JoinQuery::new("engine-star", streams, cond).unwrap()
     }
 
-    fn replanned(query: JoinQuery, enumerate: bool, backend: ExecutionBackend) -> JoinEngine {
-        JoinEngine::try_with_policies(query, ProbeStrategy::Auto, enumerate, backend, true).unwrap()
-    }
-
     #[test]
     fn pair_switch_migrates_state_and_preserves_results() {
         // The blind default partitions (S1, S2), broadcasting S3 — but
@@ -1562,7 +1553,8 @@ mod tests {
             ExecutionBackend::Pool { workers: 4 },
             ExecutionBackend::remote_inproc(4),
         ] {
-            let mut engine = replanned(star_query(240), true, backend.clone());
+            let mut engine =
+                JoinEngine::new(star_query(240), ProbeStrategy::Auto, true, backend.clone());
             assert_eq!(engine.star_partner(), Some(1), "blind default [{backend}]");
             let epoch_before = engine.routing_epoch();
             let (res, _, stats) = run_synced(&mut engine, &tuples, 100);
@@ -1576,13 +1568,13 @@ mod tests {
             assert_eq!(
                 engine.star_partner(),
                 Some(2),
-                "the pair must re-select the trickle satellite [{backend}]"
+                "the pair must re-select the flooding satellite [{backend}]"
             );
             assert!(
                 engine
                     .plan_transitions()
                     .iter()
-                    .any(|t| matches!(t.action, PlanAction::PairSwitch { from: 1, to: 2 })),
+                    .any(|t| (t.from, t.to) == (1, 2)),
                 "{backend}: {:?}",
                 engine.plan_transitions()
             );

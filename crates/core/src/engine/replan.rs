@@ -35,27 +35,18 @@ const MIN_PROBES: u64 = 64;
 /// keeps near-equal satellites from trading places.
 const SWITCH_RATIO: f64 = 1.5;
 
-/// What one plan revision did.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanAction {
-    /// The star partition pair was re-selected: the satellite key-routed
-    /// with the anchor changed from stream `from` to stream `to`, and the
-    /// affected window state migrated between shards at the barrier.
-    PairSwitch {
-        /// The satellite previously paired with the anchor.
-        from: usize,
-        /// The satellite now paired with the anchor (the highest observed
-        /// live cardinality — key-routing it takes its volume off the
-        /// broadcast path).
-        to: usize,
-    },
-}
-
-/// One plan revision taken by the runtime re-planner, in decision order.
+/// One star pair switch taken by the runtime re-planner, in decision
+/// order: the satellite key-routed with the anchor changed from stream
+/// `from` to stream `to`, and the affected window state migrated between
+/// shards at the barrier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTransition {
-    /// What changed.
-    pub action: PlanAction,
+    /// The satellite previously paired with the anchor.
+    pub from: usize,
+    /// The satellite now paired with the anchor (the highest observed live
+    /// cardinality — key-routing it takes its volume off the broadcast
+    /// path).
+    pub to: usize,
     /// The engine's global high-water mark `onT` at the decision barrier.
     pub at: Timestamp,
 }
@@ -64,23 +55,20 @@ pub struct PlanTransition {
 /// and the state migration it needs.  An `impl` block on
 /// the engine, next to the re-planner's state and rules.
 impl JoinEngine {
-    /// Evaluates a pair switch for the closing window, when re-planning is
-    /// armed and the window holds enough probes to judge.  Like heavy-hitter
-    /// detection, this runs from `JoinEngine::at_idle_barrier` only and
-    /// takes every decision from engine-global statistics — occupancy
-    /// cardinalities and the sequential-equivalent stats — so all backends
-    /// revise the plan at the same points, identically.
+    /// Evaluates a pair switch for the closing window, when the window
+    /// holds enough probes to judge.  Like heavy-hitter detection, this
+    /// runs from `JoinEngine::at_idle_barrier` only and takes every
+    /// decision from engine-global statistics — occupancy cardinalities
+    /// and the sequential-equivalent stats — so all backends revise the
+    /// plan at the same points, identically.
     pub(super) fn evaluate_replan(&mut self) {
-        let Some(base) = self.replan else {
-            return;
-        };
         let probes = self.stats.in_order;
-        if probes - base < MIN_PROBES {
+        if probes - self.replan_base < MIN_PROBES {
             return; // Too thin to judge: carry the window forward.
         }
         self.consider_pair_switch();
         // Start a fresh evaluation window.
-        self.replan = Some(probes);
+        self.replan_base = probes;
     }
 
     /// Re-selects the star partition pair when a satellite outside the
@@ -114,22 +102,17 @@ impl JoinEngine {
             return; // Inside the hysteresis band.
         }
         self.apply_pair_switch(anchor, current, candidate);
-        self.record_revision(
-            PlanAction::PairSwitch {
-                from: current,
-                to: candidate,
-            },
+        self.plan_transitions.push(PlanTransition {
+            from: current,
+            to: candidate,
+            at: self.on_t,
+        });
+        self.telemetry_event(
+            EventKind::PlanRevision,
             format!(
                 "star pair switched: satellite {current} -> {candidate} (window state migrated)"
             ),
         );
-    }
-
-    /// Records one applied plan revision, in decision order.
-    fn record_revision(&mut self, action: PlanAction, message: String) {
-        let at = self.on_t;
-        self.plan_transitions.push(PlanTransition { action, at });
-        self.telemetry_event(EventKind::PlanRevision, message);
     }
 
     /// Migrates window state from the partitioning `(anchor, from)` to

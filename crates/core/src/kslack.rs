@@ -93,11 +93,6 @@ impl KSlack {
         self.clock.now()
     }
 
-    /// The per-stream clock (delay and disorder statistics).
-    pub fn clock(&self) -> &LocalClock {
-        &self.clock
-    }
-
     /// Number of currently buffered tuples.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
@@ -410,6 +405,5 @@ mod tests {
         let mut ks = KSlack::new(50);
         push_all(&mut ks, &[100, 70]);
         assert_eq!(ks.local_time(), Timestamp::from_millis(100));
-        assert_eq!(ks.clock().out_of_order(), 1);
     }
 }

@@ -78,7 +78,7 @@ pub use adaptation::{AdaptationOutcome, BufferSizeManager};
 pub use builder::SessionBuilder;
 pub use config::{DisorderConfig, ProbePlan, ProbeStrategy, SelectivityStrategy};
 pub use engine::{
-    Endpoint, EngineError, EngineEvent, ExecutionBackend, JoinEngine, PlanAction, PlanTransition,
+    Endpoint, EngineError, EngineEvent, ExecutionBackend, JoinEngine, PlanTransition,
     ShardRuntimeStats, ShardStats,
 };
 pub use kslack::{KSlack, KSlackStats};

@@ -124,9 +124,9 @@ pub struct RunReport {
     pub duration_ms: Duration,
     /// Mean wall-clock nanoseconds per adaptation step (adaptive policies).
     pub avg_adaptation_nanos: f64,
-    /// Every plan revision the join stage's runtime re-planner took (star
-    /// pair switches), in decision order;
-    /// empty unless the session opted into `runtime_replanning`.
+    /// Every star pair switch the join stage's runtime re-planner took, in
+    /// decision order; empty unless the plan is a star over two or more
+    /// shards.
     pub plan_transitions: Vec<PlanTransition>,
 }
 

@@ -128,7 +128,6 @@ impl Pipeline {
         materialize: bool,
         probe: ProbeStrategy,
         backend: ExecutionBackend,
-        replan: bool,
         telemetry: Option<Telemetry>,
     ) -> Result<Self> {
         let config: DisorderConfig = policy.config().copied().unwrap_or_default();
@@ -142,8 +141,7 @@ impl Pipeline {
             BufferPolicy::QualityDriven(c) => Some(BufferSizeManager::new(*c, query.windows())),
             _ => None,
         };
-        let mut engine =
-            JoinEngine::try_with_policies(query.clone(), probe, materialize, backend, replan)?;
+        let mut engine = JoinEngine::try_new(query.clone(), probe, materialize, backend)?;
         if let Some(t) = &telemetry {
             engine.attach_telemetry(t.clone());
         }

@@ -29,10 +29,6 @@ pub struct IntervalMaps {
     max_join: u64,
     /// Maximum `n_x(e)` observed for an in-order tuple.
     max_cross: u64,
-    /// Number of in-order (probing) tuples recorded.
-    processed: u64,
-    /// Number of out-of-order tuples whose productivity was estimated.
-    estimated: u64,
 }
 
 impl IntervalMaps {
@@ -124,7 +120,6 @@ impl ProductivityProfiler {
     pub fn record_processed(&mut self, delay: Duration, n_cross: u64, n_join: u64) {
         let bucket = delay_bucket(delay, self.granularity);
         self.current.add(bucket, n_cross, n_join);
-        self.current.processed += 1;
         if n_join > self.current.max_join {
             self.current.max_join = n_join;
         }
@@ -145,7 +140,6 @@ impl ProductivityProfiler {
             .max(self.current.max_cross)
             .max(est_join);
         self.current.add(bucket, est_cross, est_join);
-        self.current.estimated += 1;
     }
 
     /// Closes the current adaptation interval: the accumulated maps become
@@ -192,18 +186,6 @@ impl ProductivityProfiler {
     /// `N_true(L) ≈ Σ_d M_on[d]` (Sec. IV-C).
     pub fn n_true_estimate(&self) -> u64 {
         self.last.by_bucket.values().map(|&(_, join)| join).sum()
-    }
-
-    /// Actually produced results recorded in the last interval (in-order
-    /// contributions only, i.e. excluding estimated productivities).
-    pub fn processed_tuples(&self) -> u64 {
-        self.last.processed
-    }
-
-    /// Out-of-order tuples whose productivity had to be estimated in the
-    /// last interval.
-    pub fn estimated_tuples(&self) -> u64 {
-        self.last.estimated
     }
 
     /// The coarse granularity `g` of the delay buckets.
@@ -263,8 +245,6 @@ mod tests {
         p.roll_interval();
         // N_true estimate includes the estimated productivity 7.
         assert_eq!(p.n_true_estimate(), 3 + 7 + 7);
-        assert_eq!(p.processed_tuples(), 2);
-        assert_eq!(p.estimated_tuples(), 1);
     }
 
     #[test]

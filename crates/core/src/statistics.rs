@@ -148,7 +148,6 @@ struct StreamHistory {
     /// Bucket counts of exactly the delays in `samples`: `+1` on admit,
     /// `-1` on evict, never rebuilt.
     histogram: DelayHistogram,
-    delay_sum: u128,
     k_sync_sum: u128,
     max_delay: Duration,
     /// How many samples in `samples` have delay `max_delay`: the history
@@ -165,7 +164,6 @@ impl StreamHistory {
             adwin: Adwin::with_params(mswj_adwin::DEFAULT_DELTA, 5, 32),
             samples: VecDeque::new(),
             histogram: DelayHistogram::empty(granularity),
-            delay_sum: 0,
             k_sync_sum: 0,
             max_delay: 0,
             max_delay_count: 0,
@@ -188,7 +186,6 @@ impl StreamHistory {
         while self.samples.len() >= target {
             let old = self.samples.pop_front().expect("len checked");
             self.histogram.remove(old.delay);
-            self.delay_sum -= old.delay as u128;
             self.k_sync_sum -= old.k_sync as u128;
             if old.delay == self.max_delay {
                 self.max_delay_count -= 1;
@@ -203,7 +200,6 @@ impl StreamHistory {
         }
         self.samples.push_back(sample);
         self.histogram.add(sample.delay);
-        self.delay_sum += sample.delay as u128;
         self.k_sync_sum += sample.k_sync as u128;
         if self.max_delay_count == 0 {
             self.max_delay = self.samples.iter().map(|s| s.delay).max().unwrap_or(0);
@@ -321,16 +317,6 @@ impl StatisticsManager {
         self.histories[i.as_usize()].samples.len()
     }
 
-    /// Mean raw delay over the history of stream `i` (ms).
-    pub fn mean_delay(&self, i: StreamIndex) -> f64 {
-        let h = &self.histories[i.as_usize()];
-        if h.samples.is_empty() {
-            0.0
-        } else {
-            h.delay_sum as f64 / h.samples.len() as f64
-        }
-    }
-
     /// The underlying skew tracker (local current times of raw streams).
     pub fn skew(&self) -> &SkewTracker {
         &self.skew
@@ -389,8 +375,6 @@ mod tests {
         assert!(h0.probability(2) > 0.0); // delay 20 -> bucket 2
         assert_eq!(sm.max_delay(), 20);
         assert_eq!(sm.history_len(StreamIndex(0)), 2);
-        assert!(sm.mean_delay(StreamIndex(0)) > 0.0);
-        assert_eq!(sm.mean_delay(StreamIndex(1)), 0.0);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   predicate within 5-second windows.  The original sensor data is not
 //!   redistributable, so this crate ships a *simulator* that reproduces its
 //!   relevant characteristics (rates, delay bounds, low and time-varying
-//!   predicate selectivity); see `DESIGN.md` for the substitution rationale.
+//!   predicate selectivity); the [`soccer`] module gives the substitution
+//!   rationale.
 //! * **D×3syn / Q×3** — three synthetic streams `(ts, a1)` with Zipf delays
 //!   and Zipf attribute values whose skew changes over time, joined on
 //!   `a1` equality within 5-second windows.

@@ -15,8 +15,7 @@
 //!   heavy-tailed (Zipf) network delay bounded by the per-team maxima above.
 //!
 //! The disorder-handling code paths only depend on timestamps, delays and
-//! the predicate selectivity, all of which this simulation reproduces; see
-//! `DESIGN.md` §5 for the substitution argument.
+//! the predicate selectivity, all of which this simulation reproduces.
 
 use crate::zipf::Zipf;
 use crate::Dataset;

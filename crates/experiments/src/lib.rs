@@ -1,7 +1,7 @@
 //! # mswj-experiments — the paper's evaluation, experiment by experiment
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of Sec. VI of
-//! the paper (see `DESIGN.md` for the full index):
+//! the paper:
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -19,8 +19,7 @@
 //! anything else with the usage text and exit status 2), parsed once by
 //! [`Scale::from_args`] into a [`Scale`] and the [`Session`] every run of
 //! the figure goes through; the defaults run a scaled-down but
-//! shape-preserving version of the paper's 23–30-minute workloads (see
-//! `EXPERIMENTS.md`).
+//! shape-preserving version of the paper's 23–30-minute workloads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

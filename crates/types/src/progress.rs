@@ -28,9 +28,6 @@ use serde::{Deserialize, Serialize};
 pub struct LocalClock {
     now: Timestamp,
     started: bool,
-    observed: u64,
-    out_of_order: u64,
-    max_delay: Duration,
 }
 
 impl LocalClock {
@@ -43,18 +40,12 @@ impl LocalClock {
     /// local current time if needed and returns the tuple's delay
     /// `delay(e) = iT - e.ts` (zero for in-order tuples).
     pub fn observe(&mut self, ts: Timestamp) -> Duration {
-        self.observed += 1;
         if !self.started || ts >= self.now {
             self.now = ts;
             self.started = true;
             0
         } else {
-            let delay = self.now - ts;
-            self.out_of_order += 1;
-            if delay > self.max_delay {
-                self.max_delay = delay;
-            }
-            delay
+            self.now - ts
         }
     }
 
@@ -66,21 +57,6 @@ impl LocalClock {
     /// Whether at least one tuple has been observed.
     pub fn started(&self) -> bool {
         self.started
-    }
-
-    /// Total number of observed tuples.
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Number of observed tuples that were out of order.
-    pub fn out_of_order(&self) -> u64 {
-        self.out_of_order
-    }
-
-    /// Largest delay observed so far (zero if every tuple was in order).
-    pub fn max_delay(&self) -> Duration {
-        self.max_delay
     }
 }
 
@@ -104,11 +80,6 @@ impl SkewTracker {
         }
     }
 
-    /// Number of tracked streams.
-    pub fn arity(&self) -> usize {
-        self.clocks.len()
-    }
-
     /// Observes a tuple arrival on stream `i`, returning its delay.
     pub fn observe(&mut self, i: StreamIndex, ts: Timestamp) -> Duration {
         self.clocks[i.as_usize()].observe(ts)
@@ -117,11 +88,6 @@ impl SkewTracker {
     /// The local current time of stream `i`.
     pub fn local_time(&self, i: StreamIndex) -> Timestamp {
         self.clocks[i.as_usize()].now()
-    }
-
-    /// Access to the per-stream clock.
-    pub fn clock(&self, i: StreamIndex) -> &LocalClock {
-        &self.clocks[i.as_usize()]
     }
 
     /// Pairwise skew `|iT - jT|` between two streams.
@@ -144,40 +110,11 @@ impl SkewTracker {
             .unwrap_or(Timestamp::ZERO)
     }
 
-    /// Local time of the fastest (leading) stream, `max_i iT`.
-    pub fn fastest(&self) -> Timestamp {
-        self.clocks
-            .iter()
-            .map(LocalClock::now)
-            .max()
-            .unwrap_or(Timestamp::ZERO)
-    }
-
     /// The implicit synchronizer buffer contribution for stream `i`,
     /// `K_sync_i = iT - min_j jT` (Sec. III-B), the minimum over the
     /// started streams (zero for a stream that has not started).
     pub fn k_sync(&self, i: StreamIndex) -> Duration {
         self.local_time(i) - self.slowest()
-    }
-
-    /// All `K_sync_i` values in stream order.
-    pub fn k_sync_all(&self) -> Vec<Duration> {
-        let slowest = self.slowest();
-        self.clocks.iter().map(|c| c.now() - slowest).collect()
-    }
-
-    /// Largest tuple delay observed on any stream.
-    pub fn max_delay(&self) -> Duration {
-        self.clocks
-            .iter()
-            .map(LocalClock::max_delay)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Whether every stream has produced at least one tuple.
-    pub fn all_started(&self) -> bool {
-        self.clocks.iter().all(LocalClock::started)
     }
 }
 
@@ -199,7 +136,6 @@ mod tests {
         c.observe(ts(20));
         assert_eq!(c.now(), ts(20));
         assert!(c.started());
-        assert_eq!(c.observed(), 3);
     }
 
     #[test]
@@ -211,8 +147,6 @@ mod tests {
         assert_eq!(c.observe(ts(3)), 1);
         assert_eq!(c.observe(ts(7)), 0);
         assert_eq!(c.observe(ts(5)), 2);
-        assert_eq!(c.out_of_order(), 2);
-        assert_eq!(c.max_delay(), 2);
     }
 
     #[test]
@@ -220,13 +154,11 @@ mod tests {
         let mut c = LocalClock::new();
         c.observe(ts(10));
         assert_eq!(c.observe(ts(10)), 0);
-        assert_eq!(c.out_of_order(), 0);
     }
 
     #[test]
     fn skew_tracker_basic_quantities() {
         let mut sk = SkewTracker::new(3);
-        assert_eq!(sk.arity(), 3);
         sk.observe(StreamIndex(0), ts(100));
         sk.observe(StreamIndex(1), ts(40));
         sk.observe(StreamIndex(2), ts(70));
@@ -234,23 +166,9 @@ mod tests {
         assert_eq!(sk.skew(StreamIndex(0), StreamIndex(1)), 60);
         assert_eq!(sk.skew(StreamIndex(1), StreamIndex(0)), 60);
         assert_eq!(sk.slowest(), ts(40));
-        assert_eq!(sk.fastest(), ts(100));
         assert_eq!(sk.k_sync(StreamIndex(0)), 60);
         assert_eq!(sk.k_sync(StreamIndex(1)), 0);
         assert_eq!(sk.k_sync(StreamIndex(2)), 30);
-        assert_eq!(sk.k_sync_all(), vec![60, 0, 30]);
-        assert!(sk.all_started());
-    }
-
-    #[test]
-    fn skew_tracker_max_delay_across_streams() {
-        let mut sk = SkewTracker::new(2);
-        sk.observe(StreamIndex(0), ts(50));
-        sk.observe(StreamIndex(0), ts(20)); // delay 30
-        sk.observe(StreamIndex(1), ts(10));
-        sk.observe(StreamIndex(1), ts(5)); // delay 5
-        assert_eq!(sk.max_delay(), 30);
-        assert_eq!(sk.clock(StreamIndex(1)).max_delay(), 5);
     }
 
     #[test]
@@ -262,19 +180,14 @@ mod tests {
         sk.observe(StreamIndex(0), ts(base + 10));
         assert_eq!(sk.slowest(), ts(base + 10));
         assert_eq!(sk.k_sync(StreamIndex(0)), 0);
-        assert_eq!(sk.k_sync_all(), vec![0, 0, 0]);
         sk.observe(StreamIndex(1), ts(base + 4));
         assert_eq!(sk.slowest(), ts(base + 4));
         assert_eq!(sk.k_sync(StreamIndex(0)), 6);
-        assert_eq!(sk.k_sync_all(), vec![6, 0, 0]);
     }
 
     #[test]
     fn empty_tracker_defaults() {
         let sk = SkewTracker::new(2);
         assert_eq!(sk.slowest(), Timestamp::ZERO);
-        assert_eq!(sk.fastest(), Timestamp::ZERO);
-        assert!(!sk.all_started());
-        assert_eq!(sk.max_delay(), 0);
     }
 }

@@ -9,8 +9,9 @@
 //! This is a from-scratch Rust reproduction of
 //! *"Quality-Driven Disorder Handling for M-way Sliding Window Stream
 //! Joins"* (Ji, Sun, Nica, Jerzak, Hackenbroich, Fetzer — ICDE 2016).
-//! See `README.md` for a walkthrough, `DESIGN.md` for the architecture and
-//! `EXPERIMENTS.md` for the reproduced tables and figures.
+//! See `README.md` for a walkthrough, `docs/ARCHITECTURE.md` for the
+//! architecture and the `mswj-experiments` crate for the reproduced tables
+//! and figures.
 //!
 //! ## Quickstart
 //!
@@ -64,8 +65,8 @@ pub mod prelude {
     pub use mswj_core::{
         sink_fn, BufferPolicy, Checkpoint, CollectSink, CountingSink, DisorderConfig, Endpoint,
         EngineError, ExecutionBackend, FnSink, JoinEngine, KSlack, NullSink, OutputEvent, Pipeline,
-        PlanAction, PlanTransition, RunReport, SelectivityStrategy, SessionBuilder,
-        ShardRuntimeStats, ShardStats, Sink, Synchronizer,
+        PlanTransition, RunReport, SelectivityStrategy, SessionBuilder, ShardRuntimeStats,
+        ShardStats, Sink, Synchronizer,
     };
     pub use mswj_datasets::{
         q2_query, q3_query, q4_query, Dataset, SoccerConfig, SoccerDataset, SyntheticConfig,

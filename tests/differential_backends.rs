@@ -88,37 +88,13 @@ fn run(
     batch: usize,
     events: &[ArrivalEvent],
 ) -> (Vec<String>, RunReport) {
-    run_session(query, policy, backend, batch, events, false)
-}
-
-/// Like [`run`], arming runtime re-planning.
-fn run_with_replan(
-    query: &JoinQuery,
-    policy: &BufferPolicy,
-    backend: ExecutionBackend,
-    batch: usize,
-    events: &[ArrivalEvent],
-) -> (Vec<String>, RunReport) {
-    run_session(query, policy, backend, batch, events, true)
-}
-
-fn run_session(
-    query: &JoinQuery,
-    policy: &BufferPolicy,
-    backend: ExecutionBackend,
-    batch: usize,
-    events: &[ArrivalEvent],
-    replan: bool,
-) -> (Vec<String>, RunReport) {
-    let mut builder = Pipeline::builder()
+    let mut pipeline = Pipeline::builder()
         .query(query.clone())
         .policy(policy.clone())
         .parallelism(backend)
-        .materialize_results();
-    if replan {
-        builder = builder.runtime_replanning();
-    }
-    let mut pipeline = builder.build().unwrap();
+        .materialize_results()
+        .build()
+        .unwrap();
     let mut sink = CollectSink::default();
     if batch <= 1 {
         for e in events {
@@ -410,11 +386,11 @@ fn unpartitionable_conditions_fall_back_to_one_shard() {
 
 #[test]
 fn replanned_workloads_match_the_static_reference() {
-    // Runtime re-planning armed at its built-in thresholds: the one
-    // revision the engine can take — re-selecting the star partition pair,
-    // with cross-shard state migration — must leave the result multiset,
-    // the per-probe trajectory and the adaptation sequence byte-identical
-    // to the *static* sequential reference, on every backend.
+    // Runtime re-planning at its built-in thresholds: the one revision the
+    // engine can take — re-selecting the star partition pair, with
+    // cross-shard state migration — must leave the result multiset, the
+    // per-probe trajectory and the adaptation sequence byte-identical to
+    // the single-shard sequential reference, whose plan never changes.
     let policy = pair_switch::policy();
 
     // Scenario "switch" (see `pair_switch`): the pair must move from S2 to
@@ -431,20 +407,16 @@ fn replanned_workloads_match_the_static_reference() {
     );
     let mut any_switch = false;
     for (backend, batch) in [
-        // Single-shard: a pair switch is impossible — and arming it must
-        // change nothing.
-        (ExecutionBackend::Sequential, 1),
         (ExecutionBackend::Pool { workers: 4 }, 64),
         (ExecutionBackend::Pool { workers: 4 }, 1),
         // Pair-switch migrations cross the wire codec.
         (ExecutionBackend::remote_inproc(4), 64),
     ] {
         let label = "replan switch";
-        let (results, report) =
-            run_with_replan(&query, &policy, backend.clone(), batch, &switch_events);
+        let (results, report) = run(&query, &policy, backend.clone(), batch, &switch_events);
         assert_eq!(
             want, results,
-            "[{label}] {backend} re-planned run must match the static reference"
+            "[{label}] {backend} re-planned run must match the sequential reference"
         );
         assert_eq!(want_report.produced, report.produced, "[{label}] {backend}");
         let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
@@ -456,8 +428,7 @@ fn replanned_workloads_match_the_static_reference() {
         assert_eq!(s.0.expired, s.1.expired, "[{label}] {backend}");
         assert_eq!(s.0.cross_results, s.1.cross_results, "[{label}] {backend}");
         for t in &report.plan_transitions {
-            let PlanAction::PairSwitch { from, to } = t.action;
-            assert_eq!((from, to), (1, 2), "[{label}] {backend}");
+            assert_eq!((t.from, t.to), (1, 2), "[{label}] {backend}");
             any_switch = true;
             let migrated = pair_switch::migrated_tuples(&report);
             assert!(migrated > 0, "[{label}] {backend} must move state");
@@ -474,6 +445,62 @@ fn replanned_workloads_match_the_static_reference() {
         );
     }
     assert!(any_switch, "the star workload must re-select its pair");
+}
+
+#[test]
+fn replanned_equal_rate_star_stays_inside_the_hysteresis_band() {
+    // The pair switch is always on.  With both satellites arriving at the
+    // same rate, their live cardinalities differ only by delay noise,
+    // which the 1.5× band absorbs: over dozens of barriers the blind pair
+    // (S1, S2) must stand, with no routing change and nothing migrated.
+    let mut rng = StdRng::seed_from_u64(0xE9A1_5A7E);
+    let mut events = Vec::new();
+    for round in 0..600u64 {
+        let arrival = (round + 1) * 10;
+        let (a1, a2) = ((round % 8) as i64, (round % 6) as i64);
+        let values = [
+            vec![Value::Int(a1), Value::Int(a2)],
+            vec![Value::Int(a1)],
+            vec![Value::Int(a2)],
+        ];
+        for (stream, values) in values.into_iter().enumerate() {
+            events.push(event(
+                stream,
+                round,
+                arrival,
+                rng.gen_range(0u64..40),
+                values,
+            ));
+        }
+    }
+    let events = ArrivalLog::from_events(events).events().to_vec();
+    for backend in [
+        ExecutionBackend::Pool { workers: 2 },
+        ExecutionBackend::remote_inproc(2),
+    ] {
+        let mut pipeline = Pipeline::builder()
+            .query(star_query(240))
+            .policy(pair_switch::policy())
+            .parallelism(backend.clone())
+            .build()
+            .unwrap();
+        for chunk in events.chunks(64) {
+            pipeline.push_batch_into(chunk.iter().cloned(), &mut CountingSink::default());
+        }
+        let engine = pipeline.engine();
+        assert_eq!(engine.routing_epoch(), 0, "{backend}");
+        assert_eq!(engine.star_partner(), Some(1), "{backend}");
+        let report = pipeline.finish();
+        assert!(report.checkpoints.len() > 20, "{backend}: too few barriers");
+        assert!(
+            report.plan_transitions.is_empty(),
+            "{backend}: {:?}",
+            report.plan_transitions
+        );
+        for (s, shard) in report.shard_stats.iter().enumerate() {
+            assert_eq!(shard.runtime.migrated_tuples, 0, "{backend} shard {s}");
+        }
+    }
 }
 
 #[test]
@@ -599,14 +626,14 @@ fn remote_uds_backend_agrees_with_sequential() {
 fn remote_uds_backend_handles_pair_switch() {
     // A star pair switch against real shard-server processes: window state
     // migrates over the socket (fetch-window, adopt and retain frames at a
-    // barrier) and results stay byte-identical to the static sequential
+    // barrier) and results stay byte-identical to the single-shard sequential
     // reference.
     let daemon = Shardd::spawn("switch");
     let query = star_query(240);
     let policy = pair_switch::policy();
     let events = pair_switch::switch_events();
     let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
-    let (got, report) = run_with_replan(&query, &policy, daemon.backend(4), 64, &events);
+    let (got, report) = run(&query, &policy, daemon.backend(4), 64, &events);
     assert_eq!(want, got, "[uds switch] result multiset diverged");
     assert_eq!(want_report.produced, report.produced, "[uds switch]");
     let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
@@ -615,7 +642,7 @@ fn remote_uds_backend_handles_pair_switch() {
         report
             .plan_transitions
             .iter()
-            .any(|t| matches!(t.action, PlanAction::PairSwitch { from: 1, to: 2 })),
+            .any(|t| (t.from, t.to) == (1, 2)),
         "the pair must switch over the socket backend: {:?}",
         report.plan_transitions
     );

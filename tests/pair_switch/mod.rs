@@ -2,8 +2,8 @@
 //! (`tests/differential_backends.rs`, `tests/segment_boundary.rs`).
 //!
 //! The star default partitions (S1, S2), but S3 floods while S2 trickles —
-//! broadcasting the flood replicates it to every shard, so with runtime
-//! re-planning armed (at its built-in thresholds) the pair must move to S3,
+//! broadcasting the flood replicates it to every shard, so the runtime
+//! re-planner (at its built-in thresholds) must move the pair to S3,
 //! re-keying the anchor and migrating all three windows between shards.
 
 use mswj::prelude::*;
