@@ -13,7 +13,7 @@
 //! |---|---|
 //! | [`kslack`] | K-slack intra-stream sorting buffers (Sec. III-A) |
 //! | [`synchronizer`] | Inter-stream Synchronizer, Alg. 1 |
-//! | [`statistics`] | Statistics Manager: delay histograms, `K_sync`, rates (Sec. IV-A) |
+//! | [`statistics`] | Statistics Manager: delay histograms, `K_sync`, `MaxDH` (Sec. IV-A) |
 //! | [`profiler`] | Tuple-Productivity Profiler: DPcorr, Eq. 6 (Sec. IV-B) |
 //! | [`result_monitor`] | Result-Size Monitor feeding Eq. 7 (Sec. IV-C) |
 //! | [`model`] | Analytical recall model `γ(L, K)`, Eqs. 1–5 |

@@ -16,15 +16,15 @@
 
 use crate::statistics::delay_bucket;
 use mswj_types::Duration;
-use std::collections::BTreeMap;
 
 /// Accumulated productivity statistics of one adaptation interval.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IntervalMaps {
     /// `(M_x[d], M_on[d])`: accumulated cross-join sizes and join result
-    /// counts per coarse delay bucket — one map, both are always recorded
-    /// together.
-    by_bucket: BTreeMap<usize, (u64, u64)>,
+    /// counts, indexed by coarse delay bucket `d` — one table, both are
+    /// always recorded together.  Dense like `DelayHistogram`'s counts at
+    /// the same `g`: an untouched bucket reads `(0, 0)`.
+    by_bucket: Vec<(u64, u64)>,
     /// Maximum `n_on(e)` observed for an in-order tuple.
     max_join: u64,
     /// Maximum `n_x(e)` observed for an in-order tuple.
@@ -33,7 +33,10 @@ pub struct IntervalMaps {
 
 impl IntervalMaps {
     fn add(&mut self, bucket: usize, n_cross: u64, n_join: u64) {
-        let (cross, join) = self.by_bucket.entry(bucket).or_insert((0, 0));
+        if bucket >= self.by_bucket.len() {
+            self.by_bucket.resize(bucket + 1, (0, 0));
+        }
+        let (cross, join) = &mut self.by_bucket[bucket];
         *cross += n_cross;
         *join += n_join;
     }
@@ -167,25 +170,29 @@ impl ProductivityProfiler {
     }
 
     /// [`Self::selectivity_table`] into a caller-owned table: one in-order
-    /// pass over the last interval's map, no allocation once it has grown.
+    /// pass over the last interval's table, no allocation once it has grown.
     pub(crate) fn fill_selectivity_table(&self, table: &mut SelectivityTable) {
         table.granularity = self.granularity;
         table.cum.clear();
         let mut join_acc = 0u64;
         let mut cross_acc = 0u64;
-        table
-            .cum
-            .extend(self.last.by_bucket.iter().map(|(&b, &(cross, join))| {
-                join_acc += join;
-                cross_acc += cross;
-                (b, join_acc, cross_acc)
-            }));
+        table.cum.extend(
+            self.last
+                .by_bucket
+                .iter()
+                .enumerate()
+                .map(|(b, &(cross, join))| {
+                    join_acc += join;
+                    cross_acc += cross;
+                    (b, join_acc, cross_acc)
+                }),
+        );
     }
 
     /// Estimate of the true result size of the last interval,
     /// `N_true(L) ≈ Σ_d M_on[d]` (Sec. IV-C).
     pub fn n_true_estimate(&self) -> u64 {
-        self.last.by_bucket.values().map(|&(_, join)| join).sum()
+        self.last.by_bucket.iter().map(|&(_, join)| join).sum()
     }
 
     /// The coarse granularity `g` of the delay buckets.

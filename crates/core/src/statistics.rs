@@ -8,7 +8,6 @@
 //!   `((d-1)·g, d·g]`, matching the K-search granularity `g`);
 //! * the average implicit synchronizer buffer size `K_sync_i` (Proposition 1
 //!   lets us measure it directly on the raw input streams);
-//! * the stream's data rate `r_i`;
 //! * the maximum observed delay `MaxDH` bounding the K search of Alg. 3.
 //!
 //! The length of the history window `R_stat_i` is adjusted per stream with
@@ -132,12 +131,46 @@ impl DelayHistogram {
     }
 }
 
-/// One recorded arrival in the per-stream history window.
+/// Lane value of a sample field that did not fit: the exact field is in the
+/// history's side FIFO.  Any value `>= WIDE` takes the escape, `WIDE`
+/// itself included, so a lane reading `WIDE` is never ambiguous.
+const WIDE: u16 = u16::MAX;
+
+/// One recorded arrival in the per-stream history window: its delay and
+/// its `K_sync`, each narrowed to a `u16` lane (4 B a sample).  A sample
+/// with a lane at [`WIDE`] keeps its exact `(delay, k_sync)` in
+/// `StreamHistory::wide` as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DelaySample {
-    ts: Timestamp,
-    delay: Duration,
-    k_sync: Duration,
+    delay: u16,
+    k_sync: u16,
+}
+
+impl DelaySample {
+    fn narrow(delay: Duration, k_sync: Duration) -> Self {
+        let lane = |v: Duration| u16::try_from(v).unwrap_or(WIDE);
+        DelaySample {
+            delay: lane(delay),
+            k_sync: lane(k_sync),
+        }
+    }
+
+    fn is_wide(self) -> bool {
+        self.delay == WIDE || self.k_sync == WIDE
+    }
+
+    /// The exact `(delay, k_sync)`, taking the next side-FIFO entry from
+    /// `next_wide` when a lane escaped.
+    fn widen(
+        self,
+        next_wide: impl FnOnce() -> Option<(Duration, Duration)>,
+    ) -> (Duration, Duration) {
+        if self.is_wide() {
+            next_wide().expect("every wide sample has a side entry")
+        } else {
+            (self.delay.into(), self.k_sync.into())
+        }
+    }
 }
 
 /// History of one input stream, sized adaptively with ADWIN.
@@ -145,6 +178,9 @@ struct DelaySample {
 struct StreamHistory {
     adwin: Adwin,
     samples: VecDeque<DelaySample>,
+    /// The exact `(delay, k_sync)` of every wide sample in `samples`, in
+    /// the same order: pushed on admit, popped when eviction pops one.
+    wide: VecDeque<(Duration, Duration)>,
     /// Bucket counts of exactly the delays in `samples`: `+1` on admit,
     /// `-1` on evict, never rebuilt.
     histogram: DelayHistogram,
@@ -163,6 +199,7 @@ impl StreamHistory {
             // every 32 arrivals is plenty for the drift scales of interest.
             adwin: Adwin::with_params(mswj_adwin::DEFAULT_DELTA, 5, 32),
             samples: VecDeque::new(),
+            wide: VecDeque::new(),
             histogram: DelayHistogram::empty(granularity),
             k_sync_sum: 0,
             max_delay: 0,
@@ -170,13 +207,13 @@ impl StreamHistory {
         }
     }
 
-    fn record(&mut self, sample: DelaySample) {
-        self.adwin.insert(sample.delay as f64);
-        if sample.delay > self.max_delay {
-            self.max_delay = sample.delay;
+    fn record(&mut self, delay: Duration, k_sync: Duration) {
+        self.adwin.insert(delay as f64);
+        if delay > self.max_delay {
+            self.max_delay = delay;
             self.max_delay_count = 0;
         }
-        if sample.delay == self.max_delay {
+        if delay == self.max_delay {
             self.max_delay_count += 1;
         }
         // Trim the history to the ADWIN window length (and the hard cap)
@@ -185,9 +222,10 @@ impl StreamHistory {
         let target = (self.adwin.len() as usize).clamp(1, MAX_HISTORY);
         while self.samples.len() >= target {
             let old = self.samples.pop_front().expect("len checked");
-            self.histogram.remove(old.delay);
-            self.k_sync_sum -= old.k_sync as u128;
-            if old.delay == self.max_delay {
+            let (old_delay, old_k_sync) = old.widen(|| self.wide.pop_front());
+            self.histogram.remove(old_delay);
+            self.k_sync_sum -= old_k_sync as u128;
+            if old_delay == self.max_delay {
                 self.max_delay_count -= 1;
             }
         }
@@ -198,17 +236,23 @@ impl StreamHistory {
             let grown = (capacity * 2).clamp(4, MAX_HISTORY);
             self.samples.reserve_exact(grown - capacity);
         }
+        let sample = DelaySample::narrow(delay, k_sync);
         self.samples.push_back(sample);
-        self.histogram.add(sample.delay);
-        self.k_sync_sum += sample.k_sync as u128;
-        if self.max_delay_count == 0 {
-            self.max_delay = self.samples.iter().map(|s| s.delay).max().unwrap_or(0);
-            self.max_delay_count = self
-                .samples
-                .iter()
-                .filter(|s| s.delay == self.max_delay)
-                .count();
+        if sample.is_wide() {
+            self.wide.push_back((delay, k_sync));
         }
+        self.histogram.add(delay);
+        self.k_sync_sum += k_sync as u128;
+        if self.max_delay_count == 0 {
+            self.max_delay = self.delays().max().unwrap_or(0);
+            self.max_delay_count = self.delays().filter(|&d| d == self.max_delay).count();
+        }
+    }
+
+    /// The exact delays of the history, oldest first.
+    fn delays(&self) -> impl Iterator<Item = Duration> + '_ {
+        let mut wide = self.wide.iter().copied();
+        self.samples.iter().map(move |s| s.widen(|| wide.next()).0)
     }
 
     fn k_sync_avg(&self) -> f64 {
@@ -217,16 +261,6 @@ impl StreamHistory {
         } else {
             self.k_sync_sum as f64 / self.samples.len() as f64
         }
-    }
-
-    fn rate_per_ms(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let first = self.samples.front().expect("non-empty").ts;
-        let last = self.samples.back().expect("non-empty").ts;
-        let span = last.saturating_duration_since(first).max(1);
-        self.samples.len() as f64 / span as f64
     }
 }
 
@@ -256,7 +290,7 @@ impl StatisticsManager {
     pub fn observe(&mut self, i: StreamIndex, ts: Timestamp) -> Duration {
         let delay = self.skew.observe(i, ts);
         let k_sync = self.skew.k_sync(i);
-        self.histories[i.as_usize()].record(DelaySample { ts, delay, k_sync });
+        self.histories[i.as_usize()].record(delay, k_sync);
         delay
     }
 
@@ -269,12 +303,7 @@ impl StatisticsManager {
     /// The raw delays currently in the history window of stream `i`, oldest
     /// first (what [`Self::delay_histogram`] is the histogram of).
     pub fn history_delays(&self, i: StreamIndex) -> impl Iterator<Item = Duration> + '_ {
-        self.histories[i.as_usize()].samples.iter().map(|s| s.delay)
-    }
-
-    /// The average measured `K_sync_i` within the history of stream `i`.
-    pub fn k_sync_avg(&self, i: StreamIndex) -> f64 {
-        self.histories[i.as_usize()].k_sync_avg()
+        self.histories[i.as_usize()].delays()
     }
 
     /// The `K_sync_i` estimates used by the model:
@@ -297,11 +326,6 @@ impl StatisticsManager {
         }
     }
 
-    /// Estimated data rate `r_i` of stream `i` in tuples per millisecond.
-    pub fn rate_per_ms(&self, i: StreamIndex) -> f64 {
-        self.histories[i.as_usize()].rate_per_ms()
-    }
-
     /// Current maximum tuple delay (`MaxDH`) within the monitored histories
     /// of all streams.
     pub fn max_delay(&self) -> Duration {
@@ -315,11 +339,6 @@ impl StatisticsManager {
     /// Length of the history window currently kept for stream `i`.
     pub fn history_len(&self, i: StreamIndex) -> usize {
         self.histories[i.as_usize()].samples.len()
-    }
-
-    /// The underlying skew tracker (local current times of raw streams).
-    pub fn skew(&self) -> &SkewTracker {
-        &self.skew
     }
 }
 
@@ -393,17 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_estimation_uses_event_time_span() {
-        let mut sm = StatisticsManager::new(2, 10);
-        for i in 0..101u64 {
-            sm.observe(StreamIndex(0), ts(i * 10)); // 100 tuples over 1000 ms
-        }
-        let rate = sm.rate_per_ms(StreamIndex(0));
-        assert!((rate - 0.101).abs() < 0.02, "rate {rate}");
-        assert_eq!(sm.rate_per_ms(StreamIndex(1)), 0.0);
-    }
-
-    #[test]
     fn history_adapts_when_delay_pattern_changes() {
         let mut sm = StatisticsManager::new(1, 10);
         // Long phase with zero delays, then a phase with large delays.
@@ -449,5 +457,37 @@ mod tests {
         assert_eq!(sm.history_len(StreamIndex(0)), MAX_HISTORY);
         // Nor does its buffer: doubling stops at the cap.
         assert_eq!(sm.histories[0].samples.capacity(), MAX_HISTORY);
+    }
+
+    #[test]
+    fn wide_fields_escape_exactly_and_leave_with_their_sample() {
+        assert_eq!(std::mem::size_of::<DelaySample>(), 4);
+        let mut sm = StatisticsManager::new(2, 1_000);
+        let base = 1_000_000u64;
+        sm.observe(StreamIndex(1), ts(base));
+        // K_sync 65 535: the sentinel value itself takes the escape.
+        sm.observe(StreamIndex(0), ts(base + 65_535));
+        sm.observe(StreamIndex(1), ts(base + 1));
+        // Delay 70 000 with K_sync 65 534, then delay 5 (both lanes narrow).
+        sm.observe(StreamIndex(0), ts(base + 65_535 - 70_000));
+        sm.observe(StreamIndex(0), ts(base + 65_535 - 5));
+        assert_eq!(sm.histories[0].wide.len(), 2);
+        assert_eq!(
+            sm.history_delays(StreamIndex(0)).collect::<Vec<_>>(),
+            [0, 70_000, 5]
+        );
+        assert_eq!(sm.max_delay(), 70_000);
+        // (65 535 + 65 534 + 65 534) / 3 against stream 1's 0.
+        assert_eq!(sm.k_sync_estimates(), [65_534, 0]);
+        // Stream 1 catches up, and a long in-order run in lockstep evicts
+        // the wide samples with their side entries.
+        for n in 1..=(MAX_HISTORY as u64) {
+            sm.observe(StreamIndex(1), ts(base + 65_535 + n));
+            sm.observe(StreamIndex(0), ts(base + 65_535 + n));
+        }
+        assert!(sm.histories[0].wide.is_empty());
+        assert_eq!(sm.max_delay(), 0);
+        // Stream 1 observes each timestamp 1 ms before stream 0 does.
+        assert_eq!(sm.k_sync_estimates(), [0, 1]);
     }
 }

@@ -10,15 +10,21 @@
 //! (c) *one map ≡ two maps*: the single-map productivity profiler returns
 //!     bit-identical `selectivity_ratio(k)` and `n_true_estimate` to a
 //!     two-map reference kept in this file.
+//! (d) *4-B samples ≡ 24-B samples*: the Statistics Manager's narrowed
+//!     history (two `u16` lanes with an exact escape for wider values)
+//!     reports what a history of full `(delay, k_sync)` pairs reports, for
+//!     values below, at and above `u16::MAX`.
 
+use mswj::adwin::{Adwin, DEFAULT_DELTA};
 use mswj::core::{
     BufferSizeManager, DelayHistogram, DisorderConfig, ModelInputs, ProductivityProfiler,
     RecallModel, ResultSizeMonitor, SelectivityStrategy, StatisticsManager,
 };
-use mswj::types::{StreamIndex, Timestamp};
+use mswj::types::{SkewTracker, StreamIndex, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // (a) incremental histogram ≡ from-scratch histogram
@@ -639,4 +645,227 @@ fn adapt_walk_matches_oracle_walk() {
         "{ties} rounding ties in {walks} walks"
     );
     assert!(multi_step >= 40, "only {multi_step} walks went past K = 0");
+}
+
+// ---------------------------------------------------------------------------
+// (d) narrowed history ≡ full-width history
+// ---------------------------------------------------------------------------
+
+/// One stream's history as it was kept before samples were narrowed: full
+/// `(delay, k_sync)` pairs, trimmed before each admit to the length of an
+/// ADWIN with the Statistics Manager's parameters and to the hard cap.
+struct WideHistory {
+    adwin: Adwin,
+    samples: VecDeque<(u64, u64)>,
+    k_sync_sum: u128,
+    /// The live delays as a multiset, for `max_delay` without a scan.
+    delays: BTreeMap<u64, usize>,
+}
+
+/// The Statistics Manager over [`WideHistory`]s, with counters of how many
+/// values at, below and above `u16::MAX` went in and how many wide samples
+/// were evicted.
+struct WideReference {
+    skew: SkewTracker,
+    histories: Vec<WideHistory>,
+    /// `[delay, k_sync]` × `[below, at, above]` `u16::MAX` on admit.
+    admitted: [[u32; 3]; 2],
+    /// Evicted samples with a field `>= u16::MAX`.
+    evicted_wide: u32,
+}
+
+impl WideReference {
+    fn new(m: usize) -> Self {
+        WideReference {
+            skew: SkewTracker::new(m),
+            histories: (0..m)
+                .map(|_| WideHistory {
+                    adwin: Adwin::with_params(DEFAULT_DELTA, 5, 32),
+                    samples: VecDeque::new(),
+                    k_sync_sum: 0,
+                    delays: BTreeMap::new(),
+                })
+                .collect(),
+            admitted: [[0; 3]; 2],
+            evicted_wide: 0,
+        }
+    }
+
+    fn observe(&mut self, i: usize, ts: u64) -> u64 {
+        let delay = self
+            .skew
+            .observe(StreamIndex(i), Timestamp::from_millis(ts));
+        let k_sync = self.skew.k_sync(StreamIndex(i));
+        for (field, value) in [delay, k_sync].into_iter().enumerate() {
+            let class = match value.cmp(&u64::from(u16::MAX)) {
+                Ordering::Less => 0,
+                Ordering::Equal => 1,
+                Ordering::Greater => 2,
+            };
+            self.admitted[field][class] += 1;
+        }
+        let h = &mut self.histories[i];
+        h.adwin.insert(delay as f64);
+        let target = (h.adwin.len() as usize).clamp(1, HISTORY_CAP);
+        while h.samples.len() >= target {
+            let (d, k) = h.samples.pop_front().unwrap();
+            h.k_sync_sum -= u128::from(k);
+            let count = h.delays.get_mut(&d).unwrap();
+            *count -= 1;
+            if *count == 0 {
+                h.delays.remove(&d);
+            }
+            self.evicted_wide += (d.max(k) >= u64::from(u16::MAX)) as u32;
+        }
+        h.samples.push_back((delay, k_sync));
+        h.k_sync_sum += u128::from(k_sync);
+        *h.delays.entry(delay).or_insert(0) += 1;
+        delay
+    }
+
+    fn max_delay(&self) -> u64 {
+        let last = |h: &WideHistory| h.delays.keys().next_back().copied();
+        self.histories.iter().filter_map(last).max().unwrap_or(0)
+    }
+
+    fn k_sync_estimates(&self) -> Vec<u64> {
+        let avgs: Vec<f64> = self
+            .histories
+            .iter()
+            .map(|h| match h.samples.len() {
+                0 => 0.0,
+                n => h.k_sync_sum as f64 / n as f64,
+            })
+            .collect();
+        let min = avgs.iter().copied().fold(f64::INFINITY, f64::min);
+        avgs.iter().map(|a| (a - min).round() as u64).collect()
+    }
+}
+
+/// The per-observe checks that cost O(1) per stream: length, the oldest
+/// delay (a side FIFO out of step with its lanes shows there first),
+/// `MaxDH`, histogram size and the `K_sync` estimates.
+fn assert_summary_matches(stats: &StatisticsManager, reference: &WideReference) {
+    for (i, h) in reference.histories.iter().enumerate() {
+        let i = StreamIndex(i);
+        assert_eq!(stats.history_len(i), h.samples.len(), "{i:?}");
+        assert_eq!(
+            stats.history_delays(i).next(),
+            h.samples.front().map(|&(d, _)| d),
+            "{i:?}"
+        );
+        assert_eq!(stats.delay_histogram(i).total() as usize, h.samples.len());
+    }
+    assert_eq!(stats.max_delay(), reference.max_delay());
+    assert_eq!(stats.k_sync_estimates(), reference.k_sync_estimates());
+}
+
+/// [`assert_summary_matches`] plus every live delay, in order, and the
+/// maintained histogram against one rebuilt from the reference's delays.
+fn assert_history_matches(stats: &StatisticsManager, reference: &WideReference, g: u64) {
+    assert_summary_matches(stats, reference);
+    for (i, h) in reference.histories.iter().enumerate() {
+        let i = StreamIndex(i);
+        let delays: Vec<u64> = h.samples.iter().map(|&(d, _)| d).collect();
+        assert!(stats.history_delays(i).eq(delays.iter().copied()), "{i:?}");
+        assert_eq!(
+            *stats.delay_histogram(i),
+            DelayHistogram::from_delays(g, delays),
+            "{i:?}"
+        );
+    }
+}
+
+#[test]
+fn narrowed_history_matches_full_width_reference_at_and_past_u16_max() {
+    // Delays reach ~300 s: a coarse `g` keeps the dense histogram small.
+    const G: u64 = 1_000;
+    const EDGE: [u64; 3] = [65_534, 65_535, 65_536];
+    let mut rng = StdRng::seed_from_u64(65_535);
+    let mut stats = StatisticsManager::new(2, G);
+    let mut reference = WideReference::new(2);
+    let observe = |stats: &mut StatisticsManager, reference: &mut WideReference, i, ts| {
+        let delay = stats.observe(StreamIndex(i), Timestamp::from_millis(ts));
+        assert_eq!(delay, reference.observe(i, ts));
+    };
+    let local =
+        |reference: &WideReference, i: usize| reference.skew.local_time(StreamIndex(i)).as_millis();
+
+    // Scripted: K_sync 65 535 with delays 65 535, 65 534 and 65 536, then
+    // K_sync 65 534 and 65 536 in order.
+    let base = 10_000_000u64;
+    for (i, ts) in [
+        (1, base),
+        (0, base + 65_535),
+        (0, base),
+        (0, base + 1),
+        (0, base - 1),
+        (1, base + 1),
+        (1, base + 65_537),
+        (0, base + 65_537 + 65_534),
+        (0, base + 65_537 + 65_536),
+    ] {
+        observe(&mut stats, &mut reference, i, ts);
+        assert_history_matches(&stats, &reference, G);
+    }
+
+    // Random: in-order steps with rare jumps of about `u16::MAX` (K_sync
+    // crosses it both ways), late tuples with delays below, at and above
+    // it; the lagging stream moves more often.  Three phases of different
+    // lateness make ADWIN cut, so wide samples leave by the ADWIN trim.
+    for late_share in [0.05, 0.6, 0.05] {
+        for _ in 0..1_500 {
+            let lagging = (local(&reference, 1) < local(&reference, 0)) as usize;
+            let i = if rng.gen_bool(0.65) {
+                lagging
+            } else {
+                1 - lagging
+            };
+            let now = local(&reference, i);
+            let ts = if rng.gen_bool(late_share) {
+                now - match rng.gen_range(0u64..10) {
+                    0..=5 => rng.gen_range(1u64..1_000),
+                    6..=8 => EDGE[rng.gen_range(0usize..3)],
+                    _ => rng.gen_range(65_537u64..300_000),
+                }
+            } else if rng.gen_bool(0.01) {
+                now + [EDGE[0], EDGE[1], EDGE[2], 200_000][rng.gen_range(0usize..4)]
+            } else {
+                now + rng.gen_range(0u64..=20)
+            };
+            observe(&mut stats, &mut reference, i, ts);
+            assert_history_matches(&stats, &reference, G);
+        }
+    }
+    let wide_by_adwin = reference.evicted_wide;
+    assert!(wide_by_adwin > 0, "no wide sample left by the ADWIN trim");
+
+    // Cap: stream 0 alone, from level with stream 1, in order but for a
+    // periodic 15 ms delay, so ADWIN keeps growing and the history fills to
+    // the cap.  Stream 0 runs ever further ahead of stream 1, so from the
+    // 6 554th arrival on its K_sync is wide, and those samples are evicted
+    // by the cap.  The O(n) checks run
+    // every 997 arrivals here.
+    let start = local(&reference, 0).max(local(&reference, 1));
+    for n in 1..=(HISTORY_CAP as u64 + 12_000) {
+        let ts = start + 10 * n - if n % 4 == 0 { 25 } else { 0 };
+        observe(&mut stats, &mut reference, 0, ts);
+        if n % 997 == 0 {
+            assert_history_matches(&stats, &reference, G);
+        } else {
+            assert_summary_matches(&stats, &reference);
+        }
+    }
+    assert_history_matches(&stats, &reference, G);
+    assert_eq!(stats.history_len(StreamIndex(0)), HISTORY_CAP);
+    assert!(
+        reference.evicted_wide > wide_by_adwin,
+        "no wide sample left by the cap"
+    );
+    for (field, [below, at, above]) in ["delay", "k_sync"].into_iter().zip(reference.admitted) {
+        assert!(
+            below > 0 && at > 0 && above > 0,
+            "{field}: {below} below, {at} at, {above} above u16::MAX"
+        );
+    }
 }

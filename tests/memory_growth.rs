@@ -2,11 +2,14 @@
 //! buffers and statistics histories have reached their steady-state size,
 //! the only state left that grows with the stream is the result series
 //! behind `RunReport::produced` — a few bytes per result-producing tuple.
+//! A second case pins that steady-state size for the statistics histories:
+//! a few bytes per retained delay sample.
 //!
 //! A counting global allocator keeps a per-thread live-byte balance (bytes
 //! allocated minus bytes freed, by requested size, as `tests/zero_alloc.rs`
 //! does), so the harness's own threads do not disturb the measurement.
 
+use mswj::core::StatisticsManager;
 use mswj::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -99,5 +102,38 @@ fn stationary_session_grows_by_its_result_series_only() {
         per_tuple <= BUDGET_BYTES_PER_RESULT_TUPLE,
         "session grew {per_tuple:.2} B per result-producing tuple \
          (budget {BUDGET_BYTES_PER_RESULT_TUPLE} B)"
+    );
+}
+
+/// Bytes a saturated statistics history may hold per retained sample.  A
+/// sample is two `u16` lanes, 4 B; the ADWIN buckets, the delay histogram
+/// and the skew tracker add little at the cap.  Samples of 8 or 24 B fail
+/// it.
+const BUDGET_BYTES_PER_HISTORY_SAMPLE: f64 = 4.2;
+
+#[test]
+fn saturated_statistics_history_holds_four_bytes_a_sample() {
+    /// `MAX_HISTORY` in `crates/core/src/statistics.rs`.
+    const HISTORY_CAP: usize = 50_000;
+    let before = thread_live_bytes();
+    let mut stats = StatisticsManager::new(2, 10);
+    // Both streams in step, every fifth tuple 20 ms late: a stationary
+    // pattern ADWIN does not cut, with narrow delays and K_sync.
+    for n in 1..=(HISTORY_CAP as u64 + 10_000) {
+        for stream in 0..2 {
+            let late = if n % 5 == 0 { 30 } else { 0 };
+            let ts = Timestamp::from_millis(1_000_000 + 10 * n - late);
+            stats.observe(StreamIndex(stream), ts);
+        }
+    }
+    let held = thread_live_bytes() - before;
+    let retained: usize = (0..2).map(|i| stats.history_len(StreamIndex(i))).sum();
+    assert_eq!(retained, 2 * HISTORY_CAP, "both histories saturated");
+    let per_sample = held as f64 / retained as f64;
+    eprintln!("statistics manager holds {held} B for {retained} samples: {per_sample:.2} B each");
+    assert!(
+        per_sample <= BUDGET_BYTES_PER_HISTORY_SAMPLE,
+        "statistics history holds {per_sample:.2} B per retained sample \
+         (budget {BUDGET_BYTES_PER_HISTORY_SAMPLE} B)"
     );
 }
