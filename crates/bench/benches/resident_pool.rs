@@ -3,9 +3,11 @@
 //! The question this bench answers: *when does the pool pay off?*  The
 //! resident `Pool { workers: n }` spawns once, feeds bounded per-shard
 //! queues, and pipelines epoch *t + 1*'s routing against epoch *t*'s
-//! execution; below the inline threshold it degrades to the sequential
-//! path, so tiny batches are never worse than `Sequential` by more than an
-//! uncontended mutex lock.
+//! execution; below the inline threshold the calling thread drains the
+//! routed queues itself, reaching each shard's operator through a plain
+//! `&mut` (no lock, no atomic), so tiny batches are never worse than
+//! `Sequential` by more than routing each tuple to its shard and replaying
+//! the per-shard outputs in staging order.
 //!
 //! Workload: 2-way equi-join, Zipf-skewed keys (skew 1.0 over 1 000
 //! values) with one non-integral float key per ~1 000 tuples (the "dirty

@@ -38,8 +38,8 @@ pub struct AdaptationOutcome {
 /// Model-based Buffer-Size Manager.
 ///
 /// Owns everything a checkpoint needs besides the statistics themselves —
-/// the recall model (window layouts computed once per session, cumulative
-/// delay counts refreshed in place), the selectivity table and the walk's
+/// the recall model (window runs computed once per session, delay-count
+/// prefix sums refreshed in place), the selectivity table and the walk's
 /// scratch — so that [`Self::adapt`] allocates nothing once warmed up.
 #[derive(Debug, Clone)]
 pub struct BufferSizeManager {

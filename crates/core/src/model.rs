@@ -73,23 +73,93 @@ fn window_layout(w: Duration, b: Duration, g: Duration) -> Vec<(usize, u64)> {
     layout
 }
 
+/// Layout offsets `lo, lo + stride, …, last` (`len` of them) that all
+/// carry the same `weight`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    lo: usize,
+    last: usize,
+    len: usize,
+    weight: u64,
+}
+
+/// One stream's [`window_layout`] compressed into maximal runs of one
+/// stride, in ascending `lo`.
+///
+/// With `b/g = stride/q` in lowest terms, basic window `l + q` sits
+/// exactly `stride` offsets after basic window `l`, so every offset but the
+/// last weighs the same as the offset `stride` before it: the runs number
+/// at most `stride + 1`, whatever `W_j`.  One run when `b = g` divides
+/// `W_j`, at most two whenever `b` divides `g` (stride 1) or `g` divides
+/// `b` (stride `b/g`).
+#[derive(Debug, Clone)]
+struct WindowRuns {
+    stride: usize,
+    runs: Vec<Run>,
+}
+
+/// Compiles the layout of window `w` into [`WindowRuns`].
+fn window_runs(w: Duration, b: Duration, g: Duration) -> WindowRuns {
+    let b = b.max(1).min(w.max(1));
+    let (mut x, mut y) = (b, g);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    let stride = (b / x) as usize;
+    let mut runs: Vec<Run> = Vec::new();
+    for (offset, weight) in window_layout(w, b, g) {
+        match runs
+            .iter_mut()
+            .find(|run| run.last + stride == offset && run.weight == weight)
+        {
+            Some(run) => {
+                run.last = offset;
+                run.len += 1;
+            }
+            None => runs.push(Run {
+                lo: offset,
+                last: offset,
+                len: 1,
+                weight,
+            }),
+        }
+    }
+    WindowRuns { stride, runs }
+}
+
+/// `Σ_{i≥1} C_j[d − i·stride]` from the strided prefix sums `p` of `C_j`.
+fn below(p: &[u64], d: usize, stride: usize) -> u64 {
+    d.checked_sub(stride).map_or(0, |e| p[e])
+}
+
 /// Evaluator of `γ(L, K)`: per-query constants computed once, per-checkpoint
-/// statistics (cumulative delay counts, `K_sync_i`) refreshed in place.
+/// statistics (delay-count prefix sums, `K_sync_i`) refreshed in place.
 ///
 /// Everything up to the final division is exact integer arithmetic over the
-/// cumulative *counts* `C_j[d] = #{delays in buckets ≤ d}`, so
-/// `effW_j(K) = (Σ_{o<live} weight[o]·C_j[s_j+o] + N_j·Σ_{o≥live} weight[o]) / N_j`
-/// is rounded once and a fully covered window evaluates to exactly `W_j`.
+/// cumulative *counts* `C_j[d] = #{delays in buckets ≤ d}`, kept as their
+/// prefix sums of the layout's stride `σ`, `P_j[d] = C_j[d] + P_j[d−σ]`
+/// (`P_j` is 0 below index 0), so a run of `len` offsets `lo, lo+σ, …` of
+/// one weight costs one multiply-add:
+/// `effW_j(K) = (Σ_runs weight·(P_j[s_j+lo+(len−1)σ] − P_j[s_j+lo−σ]) + N_j·rest) / N_j`
+/// (each run clipped to the table, `rest` the weight beyond it) is rounded
+/// once and a fully covered window evaluates to exactly `W_j`.
 #[derive(Debug, Clone)]
 pub struct RecallModel {
     windows: Vec<Duration>,
     granularity: Duration,
-    layouts: Vec<Vec<(usize, u64)>>,
+    /// Per-stream [`window_runs`], computed once.
+    runs: Vec<WindowRuns>,
     /// `Σ_i Π_{j≠i} W_j`, the denominator of Eq. 5.
     denominator: f64,
-    /// Per-stream cumulative delay counts; `last()` is the sample count
-    /// `N_j`, an empty table means "no evidence, perfectly ordered".
-    cumulative: Vec<Vec<u64>>,
+    /// Per-stream strided prefix sums `P_j` of the cumulative delay counts,
+    /// one entry per bucket as `C_j` had (so the table allocates what `C_j`
+    /// did): `C_j[d] = P_j[d] − P_j[d−σ]` and `N_j = C_j[B_j − 1]`; an empty
+    /// table means "no evidence, perfectly ordered".  `u64` cannot
+    /// overflow: `P_j ≤ B_j · N_j`, and the maintained statistics keep
+    /// `N_j ≤ MAX_HISTORY` (50 000 samples per history), so reaching 2^64
+    /// would take `B_j > 3.6·10^14` buckets, a counts table of petabytes
+    /// that could not have been allocated.
+    prefix: Vec<Vec<u64>>,
     k_sync: Vec<Duration>,
     /// `⌊K_sync_j / g⌋`: what `K_sync_j` adds to the shift of a candidate
     /// `K` that is a multiple of `g`.
@@ -117,14 +187,14 @@ impl RecallModel {
             denominator += prod_w;
         }
         RecallModel {
-            layouts: windows
+            runs: windows
                 .iter()
-                .map(|&w| window_layout(w, basic_window, g))
+                .map(|&w| window_runs(w, basic_window, g))
                 .collect(),
             windows,
             granularity: g,
             denominator,
-            cumulative: vec![Vec::new(); m],
+            prefix: vec![Vec::new(); m],
             k_sync: vec![0; m],
             sync_shift: vec![0; m],
         }
@@ -161,13 +231,21 @@ impl RecallModel {
     }
 
     fn load_histogram(&mut self, stream: usize, h: &DelayHistogram) {
-        let table = &mut self.cumulative[stream];
+        let stride = self.runs[stream].stride;
+        let table = &mut self.prefix[stream];
         table.clear();
-        let mut sum = 0u64;
-        table.extend(h.counts().iter().map(|&c| {
-            sum += c;
-            sum
-        }));
+        table.reserve(h.counts().len());
+        let mut cumulative = 0u64;
+        for &c in h.counts() {
+            cumulative += c;
+            table.push(cumulative + below(table, table.len(), stride));
+        }
+    }
+
+    /// `C_j[d]`, read off the prefix sums.
+    fn count_at(&self, stream: usize, d: usize) -> u64 {
+        let p = &self.prefix[stream];
+        p[d] - below(p, d, self.runs[stream].stride)
     }
 
     /// Number of streams.
@@ -177,9 +255,10 @@ impl RecallModel {
 
     /// `Pr[D_i <= bucket]`; 1 beyond the table and with no evidence.
     fn raw_cumulative(&self, stream: usize, bucket: usize) -> f64 {
-        let table = &self.cumulative[stream];
-        match (table.get(bucket), table.last()) {
-            (Some(&c), Some(&n)) => c as f64 / n as f64,
+        match self.prefix[stream].len().checked_sub(1) {
+            Some(last) if bucket <= last => {
+                self.count_at(stream, bucket) as f64 / self.count_at(stream, last) as f64
+            }
             _ => 1.0,
         }
     }
@@ -219,20 +298,31 @@ impl RecallModel {
 
     /// `effW_j` for a shift of `shift` delay buckets.
     fn covered_window(&self, stream: usize, shift: usize) -> f64 {
-        let table = &self.cumulative[stream];
-        let (Some(&n), Some(live)) = (table.last(), table.get(shift..)) else {
+        let p = &self.prefix[stream];
+        let (Some(last), Some(live)) = (p.len().checked_sub(1), p.len().checked_sub(shift)) else {
             return self.windows[stream] as f64;
         };
-        // Basic windows whose bucket is still inside the table weigh in with
-        // their cumulative count; the rest are complete (count = N).
+        let n = self.count_at(stream, last);
+        let WindowRuns { stride, runs } = &self.runs[stream];
+        // Basic windows whose bucket is still inside the table (offset <
+        // live) weigh in with their cumulative count; the rest are complete
+        // (count = N).
         let mut covered = 0u128;
         let mut rest = self.windows[stream];
-        for &(offset, weight) in &self.layouts[stream] {
-            let Some(&count) = live.get(offset) else {
+        for run in runs {
+            if run.lo >= live {
                 break;
+            }
+            // The run's offsets below `live`: all, or a clipped prefix.
+            let len = if run.last < live {
+                run.len
+            } else {
+                (live - 1 - run.lo) / stride + 1
             };
-            covered += weight as u128 * count as u128;
-            rest -= weight;
+            let first = shift + run.lo;
+            let counts = p[first + (len - 1) * stride] - below(p, first, *stride);
+            covered += run.weight as u128 * counts as u128;
+            rest -= run.weight * len as u64;
         }
         covered += rest as u128 * n as u128;
         covered as f64 / n as f64
@@ -430,6 +520,102 @@ mod tests {
         assert!((m.shifted_probability(0, 10, 1) - 0.25).abs() < 1e-12);
         assert!((m.shifted_probability(0, 10, 2) - 0.0).abs() < 1e-12);
         assert!((m.in_order_probability(0, 20) - 1.0).abs() < 1e-12);
+    }
+
+    /// The per-entry `covered_window` the runs replaced: every layout
+    /// offset inside the table weighs in with its cumulative count.
+    fn covered_window_per_entry(
+        w: Duration,
+        b: Duration,
+        g: Duration,
+        h: &DelayHistogram,
+        shift: usize,
+    ) -> f64 {
+        let table: Vec<u64> = h
+            .counts()
+            .iter()
+            .scan(0, |sum, &c| {
+                *sum += c;
+                Some(*sum)
+            })
+            .collect();
+        let (Some(&n), Some(live)) = (table.last(), table.get(shift..)) else {
+            return w as f64;
+        };
+        let mut covered = 0u128;
+        let mut rest = w;
+        for (offset, weight) in window_layout(w, b, g.max(1)) {
+            let Some(&count) = live.get(offset) else {
+                break;
+            };
+            covered += weight as u128 * count as u128;
+            rest -= weight;
+        }
+        covered += rest as u128 * n as u128;
+        covered as f64 / n as f64
+    }
+
+    #[test]
+    fn runs_over_prefix_sums_are_bit_identical_to_the_per_entry_sum() {
+        assert_eq!(window_runs(5_000, 10, 10).runs.len(), 1);
+        assert_eq!(window_runs(5_000, 10, 1).runs.len(), 1);
+        let mut state = 0x5EED_0F20_2600_0001u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut strided, mut ragged) = (0, 0);
+        for case in 0..600 {
+            let w = next(2_500);
+            let g = 1 + next(60);
+            // Half the cases with b > g, most of them not a multiple of g.
+            let b = if case % 2 == 0 {
+                1 + next(g)
+            } else {
+                g + 1 + next(150)
+            };
+            let WindowRuns { stride, runs } = window_runs(w, b, g);
+            assert!(runs.len() <= stride + 1, "W={w} b={b} g={g}: {runs:?}");
+            if g % b == 0 || b % g == 0 {
+                assert!(runs.len() <= 2, "W={w} b={b} g={g}: {runs:?}");
+            }
+            strided += usize::from(stride > 1 && runs.len() > 2);
+            ragged += usize::from(w % b != 0);
+            // Every third stream has no evidence at all.
+            let delays: Vec<Duration> = if case % 3 == 0 {
+                Vec::new()
+            } else {
+                let spread = 1 + g * next(40);
+                (0..1 + next(300)).map(|_| next(spread)).collect()
+            };
+            let h = DelayHistogram::from_delays(g, delays);
+            let m = RecallModel::new(ModelInputs {
+                windows: vec![w, 1_000],
+                histograms: vec![h.clone(), DelayHistogram::empty(g)],
+                k_sync: vec![0, 0],
+                basic_window: b,
+                granularity: g,
+            });
+            let buckets = h.counts().len();
+            for shift in 0..=buckets + 1 {
+                let oracle = covered_window_per_entry(w, b, g, &h, shift);
+                let got = m.covered_window(0, shift);
+                assert_eq!(
+                    got.to_bits(),
+                    oracle.to_bits(),
+                    "W={w} b={b} g={g} shift={shift}: {got} vs {oracle}"
+                );
+                let shifted = (shift as u64 * g) as Duration;
+                assert_eq!(
+                    m.in_order_probability(0, shifted).to_bits(),
+                    h.cumulative(shift).to_bits(),
+                    "W={w} b={b} g={g} shift={shift}"
+                );
+            }
+        }
+        assert!(strided > 100 && ragged > 300, "{strided} / {ragged}");
     }
 
     #[test]

@@ -111,6 +111,17 @@
 //! difference may be mirrored: `a - b == -(b - a)` exactly, and squaring or
 //! `abs` erases the sign.)
 //!
+//! *One count body, two vector widths.*  The count pass is one generic
+//! `#[inline(always)]` body, `count_portable`, called directly as the
+//! portable path and from `count_avx2`, a `#[target_feature(enable =
+//! "avx2")]` wrapper around it; `count_hits` picks one with a runtime
+//! `is_x86_feature_detected!("avx2")` check on x86-64, and the call under
+//! that check is the crate's one `unsafe` block.  Only `avx2` is enabled,
+//! never `fma`, and Rust never contracts `a * b + c` on its own, so every
+//! lane performs the scalar code's IEEE subtract, multiply, add and
+//! compare: the verdicts, and the integer count, are the same bits at
+//! either width.
+//!
 //! The `ScanStructure` exactness contract is what makes all of this an
 //! access-path choice: the structure must describe `matches` exactly (see
 //! [`JoinCondition::scan_structure`](crate::JoinCondition::scan_structure)),
@@ -340,6 +351,57 @@ pub(crate) fn squared_limit(threshold: f64) -> f64 {
     limit
 }
 
+/// The distance test of [`ScanPredicate::Distance`] on one row's images.
+#[inline(always)]
+fn distance_test(px: f64, py: f64, limit: f64) -> impl Fn(f64, f64) -> bool {
+    move |x, y| {
+        let dx = px - x;
+        let dy = py - y;
+        dx * dx + dy * dy < limit
+    }
+}
+
+/// The band test of [`ScanPredicate::Band`] on one row's image (the second
+/// argument is ignored).
+#[inline(always)]
+fn band_test(center: f64, band: f64) -> impl Fn(f64, f64) -> bool {
+    move |v, _| (v - center).abs() <= band
+}
+
+/// The number of pairs of `xs.zip(ys)` that pass `test`: the count pass of
+/// a scan, with no per-row branch, so it vectorises.  This body is the
+/// portable kernel and, compiled once more under `avx2`, the wide one —
+/// see *Scan columns and scan soundness*.
+#[inline(always)]
+fn count_portable(xs: &[f64], ys: &[f64], test: impl Fn(f64, f64) -> bool) -> usize {
+    xs.iter().zip(ys).filter(|&(&x, &y)| test(x, y)).count()
+}
+
+/// [`count_portable`] compiled with AVX2 enabled: four `f64` lanes per
+/// instruction.  `fma` stays off, so no `a * b + c` is fused.
+///
+/// # Safety
+///
+/// Outside an `avx2` context a call is `unsafe`: the caller must have
+/// checked that the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn count_avx2(xs: &[f64], ys: &[f64], test: impl Fn(f64, f64) -> bool) -> usize {
+    count_portable(xs, ys, test)
+}
+
+/// [`count_portable`] at the widest vector width this CPU runs.
+#[inline]
+fn count_hits(xs: &[f64], ys: &[f64], test: impl Fn(f64, f64) -> bool) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `count_avx2`'s only precondition is that the CPU
+        // supports AVX2, which the runtime check above just established.
+        return unsafe { count_avx2(xs, ys, test) };
+    }
+    count_portable(xs, ys, test)
+}
+
 /// One timestamp-contiguous storage segment.
 ///
 /// `rows` is an append-only arena; expiry removes ids from `order` (and the
@@ -475,10 +537,10 @@ impl Segment {
     /// timestamp order, calling `visit` with each passing row; returns the
     /// number of passing rows.
     ///
-    /// Counting is a pure reduction over the two live slices — no
-    /// per-row branch, so it vectorises — and the hits are walked (and
-    /// re-tested) for `visit` only when there are any, through accessors
-    /// that cannot panic, so a no-op `visit` leaves nothing of that walk.
+    /// Counting is [`count_hits`], a pure reduction over the two live
+    /// slices, and the hits are walked (and re-tested) for `visit` only
+    /// when there are any, through accessors that cannot panic, so a no-op
+    /// `visit` leaves nothing of that walk.
     fn scan_with<'a>(
         &'a self,
         a: usize,
@@ -488,7 +550,7 @@ impl Segment {
     ) -> u64 {
         let base = self.rows.len() - self.order.len();
         let (xs, ys) = (&self.scan[a][base..], &self.scan[b][base..]);
-        let hits = xs.iter().zip(ys).filter(|&(&x, &y)| test(x, y)).count();
+        let hits = count_hits(xs, ys, &test);
         if hits > 0 {
             for ((&rid, &x), &y) in self.order.iter().zip(xs).zip(ys) {
                 if test(x, y) {
@@ -1051,18 +1113,11 @@ impl Window {
         let mut hits = 0u64;
         for seg in &self.segments {
             hits += match pred {
-                ScanPredicate::Distance { px, py, limit } => seg.scan_with(
-                    0,
-                    1,
-                    |x, y| {
-                        let dx = px - x;
-                        let dy = py - y;
-                        dx * dx + dy * dy < limit
-                    },
-                    &mut visit,
-                ),
+                ScanPredicate::Distance { px, py, limit } => {
+                    seg.scan_with(0, 1, distance_test(px, py, limit), &mut visit)
+                }
                 ScanPredicate::Band { center, band } => {
-                    seg.scan_with(0, 0, |v, _| (v - center).abs() <= band, &mut visit)
+                    seg.scan_with(0, 0, band_test(center, band), &mut visit)
                 }
             };
         }
@@ -1592,6 +1647,66 @@ mod tests {
             }
         }
         assert!(boundaries > 40_000, "random patterns must hit positive t");
+    }
+
+    #[test]
+    fn dispatched_count_kernel_is_the_portable_one() {
+        // Images of every IEEE class, plus the coordinates whose squared
+        // distance from the origin lands on, or one ulp off, a boundary.
+        let mut images = vec![
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            1.0,
+            -3.0,
+        ];
+        let thresholds = [5.0f64, 0.5, 1e-160, 3.0];
+        for t in thresholds {
+            images.extend([t, t.next_up(), t.next_down(), -t]);
+        }
+        let mut distances = Vec::new();
+        for t in thresholds.into_iter().chain([0.0, f64::INFINITY, f64::NAN]) {
+            let limit = squared_limit(t);
+            for l in [limit, limit.next_up(), limit.next_down()] {
+                for (px, py) in [(0.0, 0.0), (-0.0, 1.0), (f64::NAN, 0.0), (2.0, -1.0)] {
+                    distances.push(distance_test(px, py, l));
+                }
+            }
+        }
+        let mut bands = Vec::new();
+        for center in [0.0, -0.0, 1.0, f64::NAN, f64::INFINITY, 5e-324] {
+            for band in [0.0, 1.0, 5e-324, f64::INFINITY, f64::NAN, 4.0] {
+                bands.push(band_test(center, band));
+            }
+        }
+        let mut state = 0x0DD5_EED5_0DD5_EED5u64;
+        let mut pick = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            images[(state % images.len() as u64) as usize]
+        };
+        // Three bases per length shift the slices against the vector lanes.
+        let xs: Vec<f64> = (0..70).map(|_| pick()).collect();
+        let ys: Vec<f64> = (0..70).map(|_| pick()).collect();
+        for len in 0..=67 {
+            for base in 0..3 {
+                let (xs, ys) = (&xs[base..base + len], &ys[base..base + len]);
+                for test in &distances {
+                    assert_eq!(count_hits(xs, ys, test), count_portable(xs, ys, test));
+                }
+                for test in &bands {
+                    assert_eq!(count_hits(xs, ys, test), count_portable(xs, ys, test));
+                }
+            }
+        }
     }
 
     #[test]
