@@ -154,11 +154,14 @@ pub struct RecallModel {
     /// Per-stream strided prefix sums `P_j` of the cumulative delay counts,
     /// one entry per bucket as `C_j` had (so the table allocates what `C_j`
     /// did): `C_j[d] = P_j[d] − P_j[d−σ]` and `N_j = C_j[B_j − 1]`; an empty
-    /// table means "no evidence, perfectly ordered".  `u64` cannot
-    /// overflow: `P_j ≤ B_j · N_j`, and the maintained statistics keep
-    /// `N_j ≤ MAX_HISTORY` (50 000 samples per history), so reaching 2^64
-    /// would take `B_j > 3.6·10^14` buckets, a counts table of petabytes
-    /// that could not have been allocated.
+    /// table means "no evidence, perfectly ordered".  The entries are kept
+    /// modulo 2^64 (wrapping add and subtract), because `P_j ≤ B_j · N_j`
+    /// has no bound of its own when a caller of [`RecallModel::new`] builds
+    /// the histogram.  Only differences of entries are ever read, and each
+    /// is a sum of at most `W_j` counts of at most `N_j` (a layout has at
+    /// most `W_j` offsets, each weighing ≥ 1 ms), so it comes out exact
+    /// whenever `W_j · N_j < 2^64` — on every path, and far beyond the
+    /// `2^53` below which the numerator's conversion to `f64` is exact.
     prefix: Vec<Vec<u64>>,
     k_sync: Vec<Duration>,
     /// `⌊K_sync_j / g⌋`: what `K_sync_j` adds to the shift of a candidate
@@ -238,14 +241,14 @@ impl RecallModel {
         let mut cumulative = 0u64;
         for &c in h.counts() {
             cumulative += c;
-            table.push(cumulative + below(table, table.len(), stride));
+            table.push(cumulative.wrapping_add(below(table, table.len(), stride)));
         }
     }
 
     /// `C_j[d]`, read off the prefix sums.
     fn count_at(&self, stream: usize, d: usize) -> u64 {
         let p = &self.prefix[stream];
-        p[d] - below(p, d, self.runs[stream].stride)
+        p[d].wrapping_sub(below(p, d, self.runs[stream].stride))
     }
 
     /// Number of streams.
@@ -320,7 +323,7 @@ impl RecallModel {
                 (live - 1 - run.lo) / stride + 1
             };
             let first = shift + run.lo;
-            let counts = p[first + (len - 1) * stride] - below(p, first, *stride);
+            let counts = p[first + (len - 1) * stride].wrapping_sub(below(p, first, *stride));
             covered += run.weight as u128 * counts as u128;
             rest -= run.weight * len as u64;
         }
@@ -363,8 +366,11 @@ impl RecallModel {
     }
 
     /// [`Self::estimate_recall`] for Alg. 3's `step`-th candidate
-    /// `K = step·g`: no integer division (the shift is `step + ⌊K_sync_j/g⌋`)
-    /// and no allocation (`eff` is the caller's scratch).
+    /// `K = step·g`: the shift needs no division (it is `step +
+    /// ⌊K_sync_j/g⌋`, the second term computed once per checkpoint), the
+    /// only integer divisions are one per run that crosses the table's end
+    /// (at most one per stream when `σ_j = 1`, where runs are disjoint
+    /// ranges), and there is no allocation (`eff` is the caller's scratch).
     pub(crate) fn estimate_recall_at_step(
         &self,
         step: usize,
