@@ -30,7 +30,7 @@ pub struct AdaptationOutcome {
     pub steps: u32,
     /// Wall-clock time the adaptation step took (Fig. 11's metric), in
     /// nanoseconds.
-    pub elapsed_nanos: u64,
+    pub(crate) elapsed_nanos: u64,
     /// The `MaxDH` bound used for the search (ms).
     pub max_delay: Duration,
 }
@@ -60,11 +60,6 @@ impl BufferSizeManager {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &DisorderConfig {
-        &self.config
-    }
-
     /// Derives the instant recall requirement `Γ'` from Eq. 7:
     ///
     /// ```text
@@ -76,7 +71,7 @@ impl BufferSizeManager {
     /// solved for `Γ'` and clamped into `[0, 1]` (the paper's `max{Γ', 1}`
     /// is read as the obvious cap at 1 — a recall requirement above 1 is
     /// unsatisfiable).
-    pub fn instant_requirement(
+    pub(crate) fn instant_requirement(
         &self,
         n_prod_history: u64,
         n_true_history: u64,

@@ -85,7 +85,7 @@ impl SessionBuilder {
     /// Starts an empty declaration.  Its policy is quality-driven
     /// disorder handling with [`DisorderConfig::default`] — the crate's
     /// reason to exist — until [`SessionBuilder::policy`] says otherwise.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SessionBuilder {
             name: "session".to_owned(),
             specs: Vec::new(),
@@ -105,12 +105,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Declares one input stream with its schema and window size `W_i` (ms).
-    pub fn stream(mut self, name: impl Into<String>, schema: Schema, window: Duration) -> Self {
-        self.specs.push(StreamSpec::new(name, schema, window));
-        self
-    }
-
     /// Declares `m` homogeneous streams (`S1 … Sm`) sharing one schema and
     /// window size — the shape of the paper's synthetic workloads.
     pub fn streams(mut self, m: usize, schema: Schema, window: Duration) -> Self {
@@ -126,8 +120,7 @@ impl SessionBuilder {
 
     /// Uses a prebuilt [`JoinQuery`] (e.g. from a dataset generator) instead
     /// of declaring streams and a condition.  Mutually exclusive with
-    /// [`SessionBuilder::stream`]/[`SessionBuilder::streams`] and the
-    /// condition methods.
+    /// [`SessionBuilder::streams`] and the condition methods.
     pub fn query(mut self, query: JoinQuery) -> Self {
         self.query = Some(query);
         self
@@ -290,6 +283,16 @@ mod tests {
     use mswj_join::CrossJoin;
     use mswj_types::{ArrivalEvent, FieldType, Timestamp, Value};
 
+    impl SessionBuilder {
+        /// Declares one input stream with its own name, schema and window
+        /// `W_i` (ms) — the fixture for the heterogeneous and invalid
+        /// stream sets below.
+        fn stream(mut self, name: &str, schema: Schema, window: Duration) -> Self {
+            self.specs.push(StreamSpec::new(name, schema, window));
+            self
+        }
+    }
+
     fn schema() -> Schema {
         Schema::new(vec![("a1", FieldType::Int)])
     }
@@ -365,8 +368,9 @@ mod tests {
             .policy(BufferPolicy::FixedK(250))
             .build()
             .unwrap();
-        assert_eq!(p.current_k(), 250);
         assert_eq!(p.query().arity(), 3);
+        // An empty session's average K is the K it applies.
+        assert_eq!(p.finish().avg_k_ms, 250.0);
     }
 
     #[test]

@@ -46,18 +46,18 @@ impl std::fmt::Display for SelectivityStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DisorderConfig {
     /// User-specified minimum recall requirement `Γ` in `(0, 1]`.
-    pub gamma: f64,
+    pub(crate) gamma: f64,
     /// User-specified result-quality measurement period `P` (ms).
     pub period_p: Duration,
     /// Adaptation interval `L` (ms); must satisfy `L ≤ P`.
     pub interval_l: Duration,
     /// Basic-window size `b` (ms) used by the completeness model (Eq. 3).
-    pub basic_window_b: Duration,
+    pub(crate) basic_window_b: Duration,
     /// K-search granularity `g` (ms) used by Alg. 3 and by the coarse delay
     /// histograms.
     pub granularity_g: Duration,
     /// Selectivity modelling strategy (EqSel vs NonEqSel).
-    pub selectivity: SelectivityStrategy,
+    pub(crate) selectivity: SelectivityStrategy,
 }
 
 impl Default for DisorderConfig {

@@ -195,8 +195,8 @@ pub enum ExecutionBackend {
     /// socket endpoint.  Reuses the pool's depth-1 epoch/barrier pipeline,
     /// so output stays byte-identical to [`ExecutionBackend::Sequential`];
     /// requires a wire-expressible join condition (no closure predicates).
-    /// Construct through [`JoinEngine::try_new`] /
-    /// `SessionBuilder` to get connection errors as `Result`s.
+    /// Construct through `SessionBuilder`, whose `build` returns connection
+    /// errors as `Result`s.
     Remote {
         /// Where each shard server lives; one shard per entry.
         endpoints: Vec<Endpoint>,
@@ -207,10 +207,11 @@ impl ExecutionBackend {
     /// One in-process remote shard server per shard, each behind a Unix
     /// socket pair: every epoch round-trips through the full wire codec
     /// without a listener or a second process.  The cheapest way to
-    /// exercise [`ExecutionBackend::Remote`].
+    /// exercise [`ExecutionBackend::Remote`].  Zero shards is an empty
+    /// endpoint list, which the engine rejects like any other.
     pub fn remote_inproc(shards: usize) -> Self {
         ExecutionBackend::Remote {
-            endpoints: vec![Endpoint::InProc; shards.max(1)],
+            endpoints: vec![Endpoint::InProc; shards],
         }
     }
 
@@ -295,7 +296,7 @@ pub struct ShardRuntimeStats {
     pub epoch_rtt_nanos: u64,
     /// Connection attempts beyond the first while establishing the link
     /// (`Remote` backend).
-    pub reconnects: u64,
+    pub(crate) reconnects: u64,
     /// Star pair switches the runtime re-planner applied to this shard
     /// (each re-homes window state at a barrier).
     pub plan_revisions: u64,
@@ -379,7 +380,6 @@ pub struct JoinEngine {
     backend: ExecutionBackend,
     query: JoinQuery,
     plan: ProbePlan,
-    enumerate: bool,
     on_t: Timestamp,
     started: bool,
     /// The sharded sets' global view of window cardinalities; empty on the
@@ -472,7 +472,8 @@ impl JoinEngine {
     /// # Panics
     ///
     /// Panics on a zero-worker `Pool` or a `Remote` backend that cannot be
-    /// set up; use [`JoinEngine::try_new`] for a `Result`.
+    /// set up; `SessionBuilder::build` reports the same errors as a
+    /// `Result`.
     ///
     /// [`MswjOperator`]: mswj_join::MswjOperator
     pub fn new(
@@ -500,7 +501,7 @@ impl JoinEngine {
     /// barriers only, from engine-global statistics, so routing never
     /// changes while work is in flight and every backend takes identical
     /// decisions.
-    pub fn try_new(
+    pub(crate) fn try_new(
         query: JoinQuery,
         strategy: ProbeStrategy,
         enumerate: bool,
@@ -525,7 +526,6 @@ impl JoinEngine {
             partitioner,
             backend,
             plan,
-            enumerate,
             on_t: Timestamp::ZERO,
             started: false,
             occupancy: Occupancy::new(if local { 0 } else { m }),
@@ -565,11 +565,6 @@ impl JoinEngine {
         self.telemetry = Some(telemetry);
     }
 
-    /// The attached telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Emits a structured event into the attached telemetry ring (no-op
     /// without one).  Runs at barriers only — it may lock and allocate.
     fn telemetry_event(&self, kind: EventKind, message: String) {
@@ -588,7 +583,7 @@ impl JoinEngine {
     /// engine idle (the pipeline does so right after its checkpoint
     /// barrier); on the `Remote` backend this runs one extra barrier
     /// round-trip per shard to sample the server-side window footprint.
-    pub fn publish_telemetry(&mut self) {
+    pub(crate) fn publish_telemetry(&mut self) {
         if self.publishers.is_empty() {
             return;
         }
@@ -599,7 +594,7 @@ impl JoinEngine {
     }
 
     /// The backend this engine executes with.
-    pub fn backend(&self) -> &ExecutionBackend {
+    pub(crate) fn backend(&self) -> &ExecutionBackend {
         &self.backend
     }
 
@@ -653,13 +648,8 @@ impl JoinEngine {
         self.stats
     }
 
-    /// The routing rules in force.
-    pub fn partitioner(&self) -> &Partitioner {
-        &self.partitioner
-    }
-
     /// The probe access path shared by every shard.
-    pub fn probe_plan(&self) -> &ProbePlan {
+    pub(crate) fn probe_plan(&self) -> &ProbePlan {
         &self.plan
     }
 
@@ -667,11 +657,6 @@ impl JoinEngine {
     /// result stream.
     pub fn on_t(&self) -> Timestamp {
         self.on_t
-    }
-
-    /// Whether the engine materializes results.
-    pub fn is_enumerating(&self) -> bool {
-        self.enumerate
     }
 
     /// The satellite stream currently key-routed with the star anchor —
@@ -1302,22 +1287,20 @@ mod tests {
                 backend.clone(),
             );
             assert_eq!(engine.shard_count(), 1, "{backend}");
-            assert!(!engine.partitioner().is_partitioned(), "{backend}");
+            assert!(!engine.partitioner.is_partitioned(), "{backend}");
         }
     }
 
     #[test]
     fn remote_backend_rejects_an_empty_endpoint_list() {
-        let err = JoinEngine::try_new(
-            equi_query(2, 1_000),
-            ProbeStrategy::Auto,
-            false,
-            ExecutionBackend::Remote {
-                endpoints: Vec::new(),
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("at least one endpoint"), "{err}");
+        let empty = ExecutionBackend::Remote {
+            endpoints: Vec::new(),
+        };
+        for backend in [empty, ExecutionBackend::remote_inproc(0)] {
+            let query = equi_query(2, 1_000);
+            let err = JoinEngine::try_new(query, ProbeStrategy::Auto, false, backend).unwrap_err();
+            assert!(err.to_string().contains("at least one endpoint"), "{err}");
+        }
     }
 
     #[test]
@@ -1438,7 +1421,6 @@ mod tests {
         assert!(!engine.has_pending());
         assert!(!engine.has_outstanding());
         assert_eq!(engine.backend(), &ExecutionBackend::Sequential);
-        assert!(!engine.is_enumerating());
         assert_eq!(engine.on_t(), Timestamp::ZERO);
     }
 

@@ -48,7 +48,7 @@ pub struct PlanTransition {
     /// path).
     pub to: usize,
     /// The engine's global high-water mark `onT` at the decision barrier.
-    pub at: Timestamp,
+    pub(crate) at: Timestamp,
 }
 
 /// The replan driver: the pair switch the engine weighs at an idle barrier

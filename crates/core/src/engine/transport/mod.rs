@@ -7,15 +7,16 @@
 //! `mswj-wire` crate.  Three layers:
 //!
 //! * [`Connection`] — a blocking, bidirectional frame channel to one shard
-//!   server, with [`TransportCounters`] (frames/bytes both ways, reconnect
+//!   server, with transport counters (frames/bytes both ways, reconnect
 //!   count).  Every [`Endpoint`] is a socket: [`Endpoint::InProc`] is one
 //!   end of a `UnixStream::pair()` whose other end a local
 //!   `mswj-inproc-shard` thread serves, the others a Unix-domain or TCP
 //!   socket to an `mswj-shardd` process, dialled with retry (bounded by
-//!   [`CONNECT_TIMEOUT`]).  Reads carry a [`DEFAULT_READ_TIMEOUT`], so a
-//!   silent peer surfaces as an error, never as a hang.  [`Framed`]
-//!   adapts any `Read + Write` byte stream into the frame layer; it is
-//!   generic so a stream wrapper (a fault injector, say) can slot under it.
+//!   a connect timeout).  Reads carry a [`DEFAULT_READ_TIMEOUT`], so a
+//!   silent peer surfaces as an error, never as a hang.  The private
+//!   `Framed` adapter turns any `Read + Write` byte stream into frames; it
+//!   is generic so a stream wrapper (a fault injector, say) can slot under
+//!   it.
 //! * [`server`] — the passive side: one [`MswjOperator`] per connection,
 //!   driven by Setup/Task/Barrier/surgery frames.  [`serve_stream`] serves
 //!   the in-process thread and every connection `mswj-shardd` accepts.
@@ -57,7 +58,7 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Deadline for establishing a socket connection, including retries —
 /// generous enough to cover a shard server that is still binding.
-pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Read timeout applied to the best-effort shutdown handshake; a peer that
 /// never acks is abandoned rather than waited on.
@@ -154,23 +155,23 @@ impl std::error::Error for EngineError {}
 /// Frame and byte counters every [`Connection`] maintains, surfaced through
 /// the engine's per-shard `ShardRuntimeStats`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TransportCounters {
+pub(crate) struct TransportCounters {
     /// Frames written to the peer.
-    pub frames_sent: u64,
+    pub(crate) frames_sent: u64,
     /// Frames read from the peer.
-    pub frames_received: u64,
+    pub(crate) frames_received: u64,
     /// Encoded bytes written, headers included.
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Encoded bytes read, headers included.
-    pub bytes_received: u64,
+    pub(crate) bytes_received: u64,
     /// Connection attempts beyond the first while establishing the link.
-    pub reconnects: u64,
+    pub(crate) reconnects: u64,
 }
 
 /// Frame-layer adapter over any blocking byte stream: encodes into (and
 /// decodes out of) one reused scratch buffer and counts traffic.  Both
 /// [`Connection`] and the shard server are built on it.
-pub struct Framed<S> {
+pub(crate) struct Framed<S> {
     stream: S,
     scratch: Vec<u8>,
     counters: TransportCounters,
@@ -178,7 +179,7 @@ pub struct Framed<S> {
 
 impl<S: Read + Write> Framed<S> {
     /// Wraps a connected byte stream.
-    pub fn new(stream: S) -> Self {
+    pub(crate) fn new(stream: S) -> Self {
         Framed {
             stream,
             scratch: Vec::new(),
@@ -187,7 +188,7 @@ impl<S: Read + Write> Framed<S> {
     }
 
     /// Writes one frame and flushes the stream.
-    pub fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
         let n = write_frame(&mut self.stream, frame, &mut self.scratch)?;
         self.counters.frames_sent += 1;
         self.counters.bytes_sent += n as u64;
@@ -195,7 +196,7 @@ impl<S: Read + Write> Framed<S> {
     }
 
     /// Reads exactly one frame.
-    pub fn recv(&mut self) -> Result<Frame, WireError> {
+    pub(crate) fn recv(&mut self) -> Result<Frame, WireError> {
         let (frame, n) = read_frame(&mut self.stream, &mut self.scratch)?;
         self.counters.frames_received += 1;
         self.counters.bytes_received += n as u64;
@@ -203,12 +204,12 @@ impl<S: Read + Write> Framed<S> {
     }
 
     /// Snapshot of the traffic counters.
-    pub fn counters(&self) -> TransportCounters {
+    pub(crate) fn counters(&self) -> TransportCounters {
         self.counters
     }
 
     /// Mutable access to the underlying stream (timeout configuration).
-    pub fn stream_mut(&mut self) -> &mut S {
+    pub(crate) fn stream_mut(&mut self) -> &mut S {
         &mut self.stream
     }
 }
@@ -284,12 +285,12 @@ impl Connection {
     }
 
     /// (Re)configures the read timeout; `None` blocks indefinitely.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
+    pub(crate) fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), WireError> {
         Ok(self.framed.stream_mut().set_read_timeout(timeout)?)
     }
 
     /// Snapshot of the frame/byte counters.
-    pub fn counters(&self) -> TransportCounters {
+    pub(crate) fn counters(&self) -> TransportCounters {
         TransportCounters {
             reconnects: self.reconnects,
             ..self.framed.counters()
@@ -297,7 +298,7 @@ impl Connection {
     }
 
     /// The endpoint this connection reaches, for diagnostics.
-    pub fn endpoint(&self) -> &Endpoint {
+    pub(crate) fn endpoint(&self) -> &Endpoint {
         &self.endpoint
     }
 }
@@ -316,8 +317,8 @@ impl Drop for Connection {
 }
 
 /// Opens a connection to `endpoint` — spawning the in-process server for
-/// [`Endpoint::InProc`], dialling otherwise — retrying until
-/// [`CONNECT_TIMEOUT`] and starting with the [`DEFAULT_READ_TIMEOUT`].
+/// [`Endpoint::InProc`], dialling otherwise — retrying until the connect
+/// timeout and starting with the [`DEFAULT_READ_TIMEOUT`].
 /// Every failure, a failed server spawn included, is an `Err`.  The
 /// protocol handshake (hello + setup) is the caller's job.
 pub fn connect(endpoint: &Endpoint) -> Result<Connection, WireError> {

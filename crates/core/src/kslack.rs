@@ -26,7 +26,7 @@ pub struct KSlackStats {
     /// Largest number of tuples simultaneously buffered.  With `K = 0`
     /// tuples bypass the buffer entirely (pass-through fast path), so this
     /// stays 0 for a component that never held a positive `K`.
-    pub peak_buffered: usize,
+    pub(crate) peak_buffered: usize,
     /// Buffered tuples whose timestamp was below the newest on-time one in
     /// the buffer — the pushes that paid for the buffer's late heap instead
     /// of an O(1) append.  `late_inserts / received` is the out-of-order
@@ -76,11 +76,6 @@ impl KSlack {
             max_emitted_ts: Timestamp::ZERO,
             stats: KSlackStats::default(),
         }
-    }
-
-    /// The current buffer size `K` in milliseconds.
-    pub fn k(&self) -> Duration {
-        self.k
     }
 
     /// Sets a new buffer size; takes effect from the next emission check.
@@ -256,7 +251,7 @@ mod tests {
         assert!(push_all(&mut ks, &[0, 100, 200]).is_empty());
         assert_eq!(ks.buffered(), 3);
         ks.set_k(0);
-        assert_eq!(ks.k(), 0);
+        assert_eq!(ks.k, 0);
         let mut out = Vec::new();
         ks.emit_ready_into(&mut out);
         assert_eq!(out.len(), 3);

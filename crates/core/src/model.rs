@@ -45,7 +45,7 @@ pub struct ModelInputs {
 
 impl ModelInputs {
     /// Validates that all vectors agree on the number of streams.
-    pub fn is_consistent(&self) -> bool {
+    pub(crate) fn is_consistent(&self) -> bool {
         let m = self.windows.len();
         m >= 2 && self.histograms.len() == m && self.k_sync.len() == m
     }
@@ -252,7 +252,7 @@ impl RecallModel {
     }
 
     /// Number of streams.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.windows.len()
     }
 
@@ -270,17 +270,6 @@ impl RecallModel {
     /// join operator in order under buffer size `K` (Eq. 2, case `d = 0`).
     pub fn in_order_probability(&self, stream: usize, k: Duration) -> f64 {
         self.raw_cumulative(stream, self.shift_buckets(stream, k))
-    }
-
-    /// `f_{D_i^K}(d)` for any coarse bucket `d` (Eq. 2).
-    pub fn shifted_probability(&self, stream: usize, k: Duration, d: usize) -> f64 {
-        let bucket = d + self.shift_buckets(stream, k);
-        let below = if d == 0 {
-            0.0
-        } else {
-            self.raw_cumulative(stream, bucket - 1)
-        };
-        self.raw_cumulative(stream, bucket) - below
     }
 
     /// Number of histogram buckets covered by `K + K_sync_i`.
@@ -333,7 +322,7 @@ impl RecallModel {
 
     /// Evaluates the structural (selectivity-free) part of Eq. 5:
     /// `Σ_i f_{D_i^K}(0)·Π_{j≠i} effW_j / Σ_i Π_{j≠i} W_j`.
-    pub fn structural_recall(&self, k: Duration) -> f64 {
+    pub(crate) fn structural_recall(&self, k: Duration) -> f64 {
         self.structural_recall_by(|j| self.shift_buckets(j, k), &mut Vec::new())
     }
 
@@ -521,10 +510,8 @@ mod tests {
             10,
             10,
         ));
-        // K = 10 shifts by one bucket: f^K(0) = F(1) = 0.75, f^K(1) = f(2) = 0.25.
-        assert!((m.shifted_probability(0, 10, 0) - 0.75).abs() < 1e-12);
-        assert!((m.shifted_probability(0, 10, 1) - 0.25).abs() < 1e-12);
-        assert!((m.shifted_probability(0, 10, 2) - 0.0).abs() < 1e-12);
+        // K = 10 shifts by one bucket: f^K(0) = F(1) = 0.75.
+        assert!((m.in_order_probability(0, 10) - 0.75).abs() < 1e-12);
         assert!((m.in_order_probability(0, 20) - 1.0).abs() < 1e-12);
     }
 

@@ -62,7 +62,7 @@ use crate::result_monitor::ResultSizeMonitor;
 use crate::sink::{NullSink, Sink};
 use crate::statistics::StatisticsManager;
 use crate::synchronizer::Synchronizer;
-use mswj_join::{JoinQuery, OperatorStats, ProbePlan, ProbeStrategy};
+use mswj_join::{JoinQuery, ProbePlan, ProbeStrategy};
 use mswj_obs::{EventKind, Telemetry, TelemetryEvent};
 use mswj_types::{ArrivalEvent, Duration, Result, StreamIndex, Timestamp, Tuple};
 
@@ -174,11 +174,6 @@ impl Pipeline {
         })
     }
 
-    /// The buffer size currently applied to every K-slack component.
-    pub fn current_k(&self) -> Duration {
-        self.current_k
-    }
-
     /// The policy driving this pipeline.
     pub fn policy(&self) -> &BufferPolicy {
         &self.policy
@@ -187,12 +182,6 @@ impl Pipeline {
     /// The query being executed.
     pub fn query(&self) -> &JoinQuery {
         &self.query
-    }
-
-    /// Whether this session materializes join results (and hence emits
-    /// [`OutputEvent::Result`] events).
-    pub fn is_materializing(&self) -> bool {
-        self.engine.is_enumerating()
     }
 
     /// The probe access path the join operator planned from the condition's
@@ -208,13 +197,6 @@ impl Pipeline {
         &self.engine
     }
 
-    /// The join stage's aggregate lifetime counters so far — including how
-    /// many probes used the hash-indexed path versus the nested-loop
-    /// fallback.  Kept sequential-equivalent across backends.
-    pub fn operator_stats(&self) -> OperatorStats {
-        self.engine.stats()
-    }
-
     /// Per-shard lifetime statistics of the join stage (one entry per
     /// shard; a single entry on the `Sequential` backend): the shard
     /// operator's counters plus executor runtime counters — routed volume,
@@ -224,11 +206,6 @@ impl Pipeline {
     /// sync (the next push, or `finish_into`).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.engine.shard_stats()
-    }
-
-    /// Access to the runtime statistics manager (mainly for tests).
-    pub fn statistics(&self) -> &StatisticsManager {
-        &self.stats
     }
 
     /// Processes one arrival, discarding output events — the counting-mode
@@ -604,13 +581,6 @@ impl Pipeline {
         self.engine.publish_telemetry();
     }
 
-    /// The telemetry handle attached to this session, if any — shared with
-    /// the join engine and suitable for handing to a
-    /// [`MetricsExporter`](mswj_obs::MetricsExporter).
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// Applies a new buffer size to every K-slack component (Same-K policy),
     /// updates the time-weighted average-K accounting and emits one
     /// [`OutputEvent::KChanged`] per stream.  Tuples released by a shrink
@@ -861,7 +831,7 @@ mod tests {
         for e in workload(500, 100) {
             p.push(e);
         }
-        assert_eq!(p.current_k(), 250);
+        assert_eq!(p.current_k, 250);
         let report = p.finish();
         assert!((report.avg_k_ms - 250.0).abs() < 1e-9);
         assert!(report.checkpoints.iter().all(|c| c.k == 250));
@@ -875,7 +845,6 @@ mod tests {
             .materialize_results()
             .build()
             .unwrap();
-        assert!(p.is_materializing());
         let mut collected = CollectSink::default();
         for e in workload(200, 0) {
             p.push_into(e, &mut collected);
@@ -1009,13 +978,15 @@ mod tests {
             }
         }
 
+        let config = DisorderConfig::with_gamma(0.9).period(2_000).interval(500);
+        // The Result-Size Monitor's window `P − L`.
+        let monitored = config.period_p - config.interval_l;
+        let telemetry = Telemetry::new();
         let mut p = Pipeline::builder()
             .query(query(2, 500))
-            .policy(BufferPolicy::QualityDriven(
-                DisorderConfig::with_gamma(0.9).period(2_000).interval(500),
-            ))
+            .policy(BufferPolicy::QualityDriven(config))
             .materialize_results()
-            .telemetry(Telemetry::new())
+            .telemetry(telemetry.clone())
             .build()
             .unwrap();
         // Heavy disorder first, then none, so K grows and then shrinks.
@@ -1033,10 +1004,10 @@ mod tests {
             // The gauge and the true-size window stay as this checkpoint
             // left them until the next one.
             let (measure_ts, results) = sink.checkpoints.last().unwrap();
-            let cutoff = measure_ts.saturating_sub_duration(p.monitor.window());
+            let cutoff = measure_ts.saturating_sub_duration(monitored);
             let produced = results.iter().filter(|&&ts| ts > cutoff).count() as f64;
             let truth = p.monitor.true_within(*measure_ts) as f64;
-            let gauge = p.telemetry().unwrap().session().recall_observed.get();
+            let gauge = telemetry.session().recall_observed.get();
             if truth == 0.0 {
                 assert!(gauge.is_nan());
             } else {

@@ -38,16 +38,11 @@ impl BufferPolicy {
     }
 
     /// The disorder-handling configuration, when the policy has one.
-    pub fn config(&self) -> Option<&DisorderConfig> {
+    pub(crate) fn config(&self) -> Option<&DisorderConfig> {
         match self {
             BufferPolicy::QualityDriven(c) => Some(c),
             _ => None,
         }
-    }
-
-    /// Whether the policy performs periodic adaptation steps.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, BufferPolicy::QualityDriven(_))
     }
 }
 
@@ -60,11 +55,9 @@ mod tests {
         let qd = BufferPolicy::QualityDriven(DisorderConfig::default());
         assert_eq!(qd.name(), "quality-driven");
         assert!(qd.config().is_some());
-        assert!(qd.is_adaptive());
 
         assert_eq!(BufferPolicy::NoKSlack.name(), "no-k-slack");
         assert!(BufferPolicy::NoKSlack.config().is_none());
-        assert!(!BufferPolicy::NoKSlack.is_adaptive());
 
         assert_eq!(BufferPolicy::MaxKSlack.name(), "max-k-slack");
         assert_eq!(BufferPolicy::FixedK(500).name(), "fixed-k");

@@ -19,7 +19,7 @@ use mswj_types::Duration;
 
 /// Accumulated productivity statistics of one adaptation interval.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct IntervalMaps {
+pub(crate) struct IntervalMaps {
     /// `(M_x[d], M_on[d])`: accumulated cross-join sizes and join result
     /// counts, indexed by coarse delay bucket `d` — one table, both are
     /// always recorded together.  Dense like `DelayHistogram`'s counts at
@@ -54,7 +54,7 @@ pub struct SelectivityTable {
 
 impl SelectivityTable {
     /// The selectivity ratio `sel(K)/sel` of Eq. 6 for buffer size `k` (ms).
-    pub fn ratio(&self, k: Duration) -> f64 {
+    pub(crate) fn ratio(&self, k: Duration) -> f64 {
         let k_bucket = (k / self.granularity.max(1)) as usize;
         self.ratio_of_prefix(self.cum.partition_point(|&(b, _, _)| b <= k_bucket))
     }
@@ -194,11 +194,6 @@ impl ProductivityProfiler {
     pub fn n_true_estimate(&self) -> u64 {
         self.last.by_bucket.iter().map(|&(_, join)| join).sum()
     }
-
-    /// The coarse granularity `g` of the delay buckets.
-    pub fn granularity(&self) -> Duration {
-        self.granularity
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +206,7 @@ mod tests {
         assert_eq!(p.selectivity_ratio(0), 1.0);
         assert_eq!(p.selectivity_ratio(1_000), 1.0);
         assert_eq!(p.n_true_estimate(), 0);
-        assert_eq!(p.granularity(), 10);
+        assert_eq!(p.granularity, 10);
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub struct ResultSizeMonitor {
     produced_sum: u64,
     true_estimates: VecDeque<(Timestamp, u64)>,
     true_sum: u64,
-    produced_lifetime: u64,
 }
 
 impl ResultSizeMonitor {
@@ -31,13 +30,7 @@ impl ResultSizeMonitor {
             produced_sum: 0,
             true_estimates: VecDeque::new(),
             true_sum: 0,
-            produced_lifetime: 0,
         }
-    }
-
-    /// The monitored window length `P − L`.
-    pub fn window(&self) -> Duration {
-        self.window
     }
 
     /// Records `count` produced join results with result timestamp `ts`.
@@ -47,7 +40,6 @@ impl ResultSizeMonitor {
         }
         self.produced.push_back((ts, count));
         self.produced_sum += count;
-        self.produced_lifetime += count;
     }
 
     /// Records the estimated true result size of one completed adaptation
@@ -86,11 +78,6 @@ impl ResultSizeMonitor {
         }
         self.true_sum
     }
-
-    /// Total results produced since the monitor was created.
-    pub fn produced_lifetime(&self) -> u64 {
-        self.produced_lifetime
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +91,7 @@ mod tests {
     #[test]
     fn produced_counts_slide_with_the_window() {
         let mut m = ResultSizeMonitor::new(1_000);
-        assert_eq!(m.window(), 1_000);
+        assert_eq!(m.window, 1_000);
         m.record_produced(ts(100), 5);
         m.record_produced(ts(600), 3);
         m.record_produced(ts(1_200), 2);
@@ -114,7 +101,6 @@ mod tests {
         assert_eq!(m.produced_within(ts(1_600)), 2);
         // At t = 3 000 everything is gone.
         assert_eq!(m.produced_within(ts(3_000)), 0);
-        assert_eq!(m.produced_lifetime(), 10);
     }
 
     #[test]
@@ -122,7 +108,6 @@ mod tests {
         let mut m = ResultSizeMonitor::new(1_000);
         m.record_produced(ts(10), 0);
         assert_eq!(m.produced_within(ts(10)), 0);
-        assert_eq!(m.produced_lifetime(), 0);
     }
 
     #[test]

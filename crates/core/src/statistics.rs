@@ -54,7 +54,7 @@ impl DelayHistogram {
     }
 
     /// An empty histogram.
-    pub fn empty(g: Duration) -> Self {
+    pub(crate) fn empty(g: Duration) -> Self {
         DelayHistogram {
             granularity: g.max(1),
             counts: Vec::new(),
@@ -63,7 +63,7 @@ impl DelayHistogram {
     }
 
     /// Adds one raw delay observation.
-    pub fn add(&mut self, delay: Duration) {
+    pub(crate) fn add(&mut self, delay: Duration) {
         let bucket = self.bucket_of(delay);
         match self.counts.get_mut(bucket) {
             Some(count) => *count += 1,
@@ -93,13 +93,8 @@ impl DelayHistogram {
 
     /// Maps a raw delay to its coarse bucket: 0 for in-order tuples, `d` for
     /// delays in `((d-1)·g, d·g]`.
-    pub fn bucket_of(&self, delay: Duration) -> usize {
+    pub(crate) fn bucket_of(&self, delay: Duration) -> usize {
         delay_bucket(delay, self.granularity)
-    }
-
-    /// The histogram granularity `g`.
-    pub fn granularity(&self) -> Duration {
-        self.granularity
     }
 
     /// Number of observations.
@@ -110,15 +105,6 @@ impl DelayHistogram {
     /// Largest non-empty bucket index.
     pub fn max_bucket(&self) -> usize {
         self.counts.iter().rposition(|&c| c > 0).unwrap_or(0)
-    }
-
-    /// Probability `Pr[D_i = d]` of coarse bucket `d` (the empirical pdf).
-    pub fn probability(&self, d: usize) -> f64 {
-        if self.total == 0 {
-            // With no evidence assume perfectly ordered input.
-            return if d == 0 { 1.0 } else { 0.0 };
-        }
-        self.counts.get(d).copied().unwrap_or(0) as f64 / self.total as f64
     }
 
     /// Cumulative probability `Pr[D_i <= d]`.
@@ -346,6 +332,17 @@ impl StatisticsManager {
 mod tests {
     use super::*;
 
+    impl DelayHistogram {
+        /// Probability `Pr[D_i = d]` of coarse bucket `d` (the empirical pdf).
+        fn probability(&self, d: usize) -> f64 {
+            if self.total == 0 {
+                // With no evidence assume perfectly ordered input.
+                return if d == 0 { 1.0 } else { 0.0 };
+            }
+            self.counts.get(d).copied().unwrap_or(0) as f64 / self.total as f64
+        }
+    }
+
     fn ts(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
     }
@@ -373,13 +370,13 @@ mod tests {
         assert_eq!(h.probability(3), 0.0);
         assert_eq!(h.cumulative(0), 1.0);
         assert_eq!(h.total(), 0);
-        assert_eq!(h.granularity(), 10);
+        assert_eq!(h.granularity, 10);
     }
 
     #[test]
     fn granularity_zero_is_clamped() {
         let h = DelayHistogram::empty(0);
-        assert_eq!(h.granularity(), 1);
+        assert_eq!(h.granularity, 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! Theorem 1 (Same-K policy).
 
 use crate::ordered_buffer::TupleBuffer;
-use mswj_types::{StreamIndex, Timestamp, Tuple};
+use mswj_types::{Timestamp, Tuple};
 
 /// Lifetime statistics of the Synchronizer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -25,9 +25,9 @@ pub struct SynchronizerStats {
     /// Tuples that entered the component.
     pub received: u64,
     /// Tuples emitted through the synchronized path (buffer drains).
-    pub emitted_synchronized: u64,
+    pub(crate) emitted_synchronized: u64,
     /// Tuples emitted immediately because they were not ahead of `T_sync`.
-    pub emitted_immediately: u64,
+    pub(crate) emitted_immediately: u64,
     /// Largest number of tuples simultaneously buffered.
     pub peak_buffered: usize,
     /// Buffered tuples whose timestamp was below the newest in-order one
@@ -56,26 +56,6 @@ impl Synchronizer {
             per_stream: vec![0; arity],
             stats: SynchronizerStats::default(),
         }
-    }
-
-    /// The maximum timestamp among tuples already released (`T_sync`).
-    pub fn t_sync(&self) -> Timestamp {
-        self.t_sync
-    }
-
-    /// Number of input streams this synchronizer merges.
-    pub fn arity(&self) -> usize {
-        self.per_stream.len()
-    }
-
-    /// Number of buffered tuples.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Number of buffered tuples belonging to stream `i`.
-    pub fn buffered_for(&self, i: StreamIndex) -> usize {
-        self.per_stream[i.as_usize()]
     }
 
     /// Lifetime statistics.
@@ -137,6 +117,7 @@ impl Synchronizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mswj_types::StreamIndex;
 
     fn t(stream: usize, seq: u64, ts: u64) -> Tuple {
         Tuple::marker(StreamIndex(stream), seq, Timestamp::from_millis(ts))
@@ -156,14 +137,14 @@ mod tests {
     fn holds_leading_stream_until_lagging_catches_up() {
         let mut sync = Synchronizer::new(2);
         assert!(push(&mut sync, &[(0, 0, 100), (0, 1, 200)]).is_empty());
-        assert_eq!(sync.buffered(), 2);
-        assert_eq!(sync.buffered_for(StreamIndex(0)), 2);
+        assert_eq!(sync.buffer.len(), 2);
+        assert_eq!(sync.per_stream[0], 2);
         // The first S2 tuple lets the buffer drain: 100 comes out, then 150
         // itself (it is the smallest buffered timestamp while both streams
         // are still represented); 200 stays because S2 is then exhausted.
         assert_eq!(push(&mut sync, &[(1, 0, 150)]), vec![100, 150]);
-        assert_eq!(sync.t_sync(), Timestamp::from_millis(150));
-        assert_eq!(sync.buffered(), 1);
+        assert_eq!(sync.t_sync, Timestamp::from_millis(150));
+        assert_eq!(sync.buffer.len(), 1);
     }
 
     #[test]
@@ -174,7 +155,7 @@ mod tests {
         // presence of both streams; after emitting 10, S1 still has 20 and
         // S2 has 30, so 20 is emitted too; then S1 is exhausted).
         assert_eq!(push(&mut sync, &[(1, 0, 30)]), vec![10, 20]);
-        assert_eq!(sync.t_sync(), Timestamp::from_millis(20));
+        assert_eq!(sync.t_sync, Timestamp::from_millis(20));
         // A further S2 tuple alone cannot drain anything (S1 is exhausted).
         assert!(push(&mut sync, &[(1, 1, 40)]).is_empty());
     }
@@ -194,7 +175,7 @@ mod tests {
         let mut sync = Synchronizer::new(3);
         assert!(push(&mut sync, &[(0, 0, 10), (1, 0, 10)]).is_empty());
         assert_eq!(push(&mut sync, &[(2, 0, 10)]), vec![10, 10, 10]);
-        assert_eq!(sync.buffered(), 0);
+        assert_eq!(sync.buffer.len(), 0);
     }
 
     #[test]
@@ -225,9 +206,9 @@ mod tests {
         sync.flush_into(&mut out);
         let ts: Vec<u64> = out.iter().map(|e| e.ts.as_millis()).collect();
         assert_eq!(ts, vec![100, 300]);
-        assert_eq!(sync.t_sync(), Timestamp::from_millis(300));
-        assert_eq!(sync.buffered(), 0);
-        assert_eq!(sync.buffered_for(StreamIndex(0)), 0);
+        assert_eq!(sync.t_sync, Timestamp::from_millis(300));
+        assert_eq!(sync.buffer.len(), 0);
+        assert_eq!(sync.per_stream[0], 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct Dataset {
 
 impl Dataset {
     /// Creates a dataset wrapper.
-    pub fn new(name: impl Into<String>, query: JoinQuery, log: ArrivalLog) -> Self {
+    pub(crate) fn new(name: impl Into<String>, query: JoinQuery, log: ArrivalLog) -> Self {
         Dataset {
             name: name.into(),
             query,

@@ -33,24 +33,24 @@ const PITCH_Y: f64 = 68.0;
 pub struct SoccerConfig {
     /// Players per team (the DEBS game has 8 field players per side plus
     /// goalkeepers; the default follows that).
-    pub players_per_team: usize,
+    pub(crate) players_per_team: usize,
     /// Sensor sampling interval per player (ms).  With 9 players and 30 ms,
     /// each team stream carries ~300 tuples/s, in the ballpark of the
     /// original data (450 k tuples over 23 minutes ≈ 325 tuples/s).
-    pub sample_interval_ms: Duration,
+    pub(crate) sample_interval_ms: Duration,
     /// Total simulated duration (ms); the original game lasts 23 minutes.
-    pub duration_ms: Duration,
+    pub(crate) duration_ms: Duration,
     /// Maximum network delay per team stream (ms); the paper reports 22 s
     /// and 26 s.
-    pub max_delay_ms: [Duration; 2],
+    pub(crate) max_delay_ms: [Duration; 2],
     /// Zipf skew of the delay distribution (most tuples arrive in order).
     pub delay_skew: f64,
     /// Delay-domain granularity (ms).
-    pub delay_step_ms: Duration,
+    pub(crate) delay_step_ms: Duration,
     /// Sliding window of query Q×2 (ms); the paper uses 5 s.
-    pub window_ms: Duration,
+    pub(crate) window_ms: Duration,
     /// Distance threshold of query Q×2 (metres); the paper uses 5 m.
-    pub distance_m: f64,
+    pub(crate) distance_m: f64,
 }
 
 impl Default for SoccerConfig {
@@ -97,8 +97,6 @@ pub struct SoccerDataset {
     pub query: JoinQuery,
     /// The interleaved arrival log of both team streams.
     pub log: ArrivalLog,
-    /// The configuration that produced it.
-    pub config: SoccerConfig,
 }
 
 impl SoccerDataset {
@@ -172,7 +170,6 @@ impl SoccerDataset {
         SoccerDataset {
             query,
             log: interleaver.merge(),
-            config: config.clone(),
         }
     }
 
@@ -187,12 +184,15 @@ mod tests {
     use super::*;
     use mswj_types::StreamIndex;
 
-    fn small() -> SoccerDataset {
-        let cfg = SoccerConfig::default()
+    fn small_config() -> SoccerConfig {
+        SoccerConfig::default()
             .duration_secs(20)
             .sample_interval(50)
-            .max_delays(2_000, 3_000);
-        SoccerDataset::generate(&cfg, 11)
+            .max_delays(2_000, 3_000)
+    }
+
+    fn small() -> SoccerDataset {
+        SoccerDataset::generate(&small_config(), 11)
     }
 
     #[test]
@@ -235,9 +235,10 @@ mod tests {
     #[test]
     fn delays_respect_per_team_bounds() {
         let d = small();
+        let max_delay_ms = small_config().max_delay_ms;
         for e in d.log.iter() {
             let delay = e.arrival - e.ts();
-            let bound = d.config.max_delay_ms[e.stream().as_usize()];
+            let bound = max_delay_ms[e.stream().as_usize()];
             assert!(delay <= bound, "delay {delay} > bound {bound}");
         }
     }

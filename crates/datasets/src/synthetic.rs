@@ -21,13 +21,13 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of input streams (3 for D×3syn, 4 for D×4syn).
-    pub streams: usize,
+    pub(crate) streams: usize,
     /// Total generated duration per stream (ms).
-    pub duration_ms: Duration,
+    pub(crate) duration_ms: Duration,
     /// Generation clock tick (ms); the paper uses 10 ms (100 tuples/s).
-    pub tick_ms: Duration,
+    pub(crate) tick_ms: Duration,
     /// Maximum tuple delay (ms); the paper uses 20 s.
-    pub max_delay_ms: Duration,
+    pub(crate) max_delay_ms: Duration,
     /// Delay-granularity for the Zipf delay domain (ms): delays are drawn
     /// from `{0, step, 2·step, …, max_delay}`.
     pub delay_step_ms: Duration,
@@ -36,9 +36,9 @@ pub struct SyntheticConfig {
     /// for D×4syn).
     pub delay_skews: Vec<f64>,
     /// Domain of the join attribute values (paper: `[1, 100]`).
-    pub value_domain: usize,
+    pub(crate) value_domain: usize,
     /// Sliding window size applied by the query on every stream (ms).
-    pub window_ms: Duration,
+    pub(crate) window_ms: Duration,
     /// Mean interval between changes of the value skew (ms).  The paper
     /// redraws the skew every 1–10 minutes; short runs scale this down.
     pub value_skew_change_ms: Duration,
@@ -93,12 +93,6 @@ impl SyntheticConfig {
         self.max_delay_ms = ms;
         self
     }
-
-    /// Overrides the window size (ms).
-    pub fn window(mut self, ms: Duration) -> Self {
-        self.window_ms = ms;
-        self
-    }
 }
 
 /// A generated synthetic workload (query + arrival log).
@@ -109,7 +103,7 @@ pub struct SyntheticDataset {
     /// The interleaved arrival log.
     pub log: ArrivalLog,
     /// The configuration that produced it.
-    pub config: SyntheticConfig,
+    pub(crate) config: SyntheticConfig,
 }
 
 impl SyntheticDataset {

@@ -13,7 +13,6 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: usize,
-    skew: f64,
     cdf: Vec<f64>,
 }
 
@@ -38,17 +37,7 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { n, skew, cdf }
-    }
-
-    /// Domain size `n`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The skew parameter `s`.
-    pub fn skew(&self) -> f64 {
-        self.skew
+        Zipf { n, cdf }
     }
 
     /// Samples a rank in `1..=n`.
@@ -63,15 +52,6 @@ impl Zipf {
             Err(i) => (i + 1).min(self.n),
         }
     }
-
-    /// Probability of rank `r` (1-based); 0 outside the domain.
-    pub fn probability(&self, r: usize) -> f64 {
-        if r == 0 || r > self.n {
-            return 0.0;
-        }
-        let prev = if r >= 2 { self.cdf[r - 2] } else { 0.0 };
-        self.cdf[r - 1] - prev
-    }
 }
 
 #[cfg(test)]
@@ -79,6 +59,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Zipf {
+        /// Probability of rank `r` (1-based); 0 outside the domain.
+        fn probability(&self, r: usize) -> f64 {
+            if r == 0 || r > self.n {
+                return 0.0;
+            }
+            let prev = if r >= 2 { self.cdf[r - 2] } else { 0.0 };
+            self.cdf[r - 1] - prev
+        }
+    }
 
     #[test]
     #[should_panic(expected = "domain must be non-empty")]
@@ -102,8 +93,7 @@ mod tests {
         }
         assert_eq!(z.probability(0), 0.0);
         assert_eq!(z.probability(101), 0.0);
-        assert_eq!(z.n(), 100);
-        assert!((z.skew() - 1.5).abs() < f64::EPSILON);
+        assert_eq!(z.n, 100);
     }
 
     #[test]

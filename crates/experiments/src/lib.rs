@@ -52,7 +52,7 @@ impl Default for Scale {
 
 impl Scale {
     /// A fast configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         Scale {
             duration_secs: 60,
             seed: 42,
@@ -80,7 +80,7 @@ impl Scale {
     }
 
     /// The usage text shared by every experiment binary.
-    pub fn usage() -> String {
+    pub(crate) fn usage() -> String {
         let d = Scale::default();
         format!(
             "Regenerates one table/figure of the ICDE'16 evaluation.\n\
@@ -111,7 +111,7 @@ impl Scale {
 
     /// Parses the same flags from an explicit argument slice (testable,
     /// without the program name).
-    pub fn from_arg_slice(args: &[String]) -> Result<(Self, Session), String> {
+    pub(crate) fn from_arg_slice(args: &[String]) -> Result<(Self, Session), String> {
         let mut scale = Scale::default();
         let mut session = Session::default();
         let mut args = args.iter();
@@ -201,11 +201,24 @@ impl Session {
 /// Parses a `--backend` specification: `seq`, `pool:N`,
 /// `inproc:N` (remote shards on in-process server threads), or
 /// `uds:`/`tcp:` followed by a comma-separated endpoint list (one shard
-/// per endpoint, served by `mswj-shardd`).
-pub fn parse_backend(spec: &str) -> Result<ExecutionBackend, String> {
+/// per endpoint, served by `mswj-shardd`).  A zero count and an empty
+/// endpoint entry are errors, so the binary prints its usage instead of
+/// failing at engine setup.
+pub(crate) fn parse_backend(spec: &str) -> Result<ExecutionBackend, String> {
     let workers = |rest: &str| -> Result<usize, String> {
-        rest.parse()
-            .map_err(|_| format!("`{rest}` is not a worker count"))
+        match rest.parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("`{spec}` needs a positive worker count")),
+        }
+    };
+    let endpoints = |rest: &str, endpoint: fn(&str) -> Endpoint| {
+        rest.split(',')
+            .map(|e| match e {
+                "" => Err(format!("`{spec}` has an empty endpoint")),
+                e => Ok(endpoint(e)),
+            })
+            .collect::<Result<Vec<_>, String>>()
+            .map(|endpoints| ExecutionBackend::Remote { endpoints })
     };
     if spec == "seq" {
         return Ok(ExecutionBackend::Sequential);
@@ -219,17 +232,10 @@ pub fn parse_backend(spec: &str) -> Result<ExecutionBackend, String> {
         return Ok(ExecutionBackend::remote_inproc(workers(rest)?));
     }
     if let Some(rest) = spec.strip_prefix("uds:") {
-        return Ok(ExecutionBackend::Remote {
-            endpoints: rest.split(',').map(|p| Endpoint::Uds(p.into())).collect(),
-        });
+        return endpoints(rest, |p| Endpoint::Uds(p.into()));
     }
     if let Some(rest) = spec.strip_prefix("tcp:") {
-        return Ok(ExecutionBackend::Remote {
-            endpoints: rest
-                .split(',')
-                .map(|a| Endpoint::Tcp(a.to_string()))
-                .collect(),
-        });
+        return endpoints(rest, |a| Endpoint::Tcp(a.to_string()));
     }
     Err(format!(
         "unknown backend `{spec}` (expected seq, pool:N, inproc:N, uds:…, tcp:…)"
@@ -239,7 +245,7 @@ pub fn parse_backend(spec: &str) -> Result<ExecutionBackend, String> {
 /// Parses a `--probe` specification: `auto` (the planner picks the
 /// indexed probe plan) or `nested-loop` (the exhaustive reference path —
 /// identical results, no index maintenance).
-pub fn parse_probe(spec: &str) -> Result<ProbeStrategy, String> {
+pub(crate) fn parse_probe(spec: &str) -> Result<ProbeStrategy, String> {
     match spec {
         "auto" => Ok(ProbeStrategy::Auto),
         "nested-loop" => Ok(ProbeStrategy::NestedLoop),
@@ -284,7 +290,7 @@ pub fn paper_default_config(gamma: f64) -> DisorderConfig {
 #[derive(Debug, Clone)]
 pub struct PolicyEval {
     /// The raw pipeline report.
-    pub report: RunReport,
+    pub(crate) report: RunReport,
     /// Recall measurements against the ground truth.
     pub recall: RecallEvaluation,
 }
@@ -513,6 +519,13 @@ mod tests {
             // The next flag is not a value: it must not be swallowed either.
             ("--seed", "--quick"),
             ("--backend", "threads:4"),
+            // A zero count or an empty endpoint is a usage error, not an
+            // engine that fails (or silently shrinks) at setup.
+            ("--backend", "pool:0"),
+            ("--backend", "inproc:0"),
+            ("--backend", "uds:"),
+            ("--backend", "uds:/tmp/a.sock,"),
+            ("--backend", "tcp:a,,b"),
             ("--probe", "hash"),
         ] {
             let err = parse(&[flag, value]).unwrap_err();

@@ -267,13 +267,8 @@ impl CommonKeyEquiJoin {
     }
 
     /// Builds the condition from already-resolved column positions.
-    pub fn from_columns(columns: Vec<usize>) -> Self {
+    pub(crate) fn from_columns(columns: Vec<usize>) -> Self {
         CommonKeyEquiJoin { columns }
-    }
-
-    /// The key column position for stream `i`.
-    pub fn column(&self, i: usize) -> usize {
-        self.columns[i]
     }
 }
 
@@ -362,17 +357,16 @@ impl StarEquiJoin {
     }
 
     /// Builds the condition from already-resolved column positions.
-    pub fn from_columns(anchor: usize, anchor_cols: Vec<usize>, other_cols: Vec<usize>) -> Self {
+    pub(crate) fn from_columns(
+        anchor: usize,
+        anchor_cols: Vec<usize>,
+        other_cols: Vec<usize>,
+    ) -> Self {
         StarEquiJoin {
             anchor,
             anchor_cols,
             other_cols,
         }
-    }
-
-    /// The anchor stream index.
-    pub fn anchor(&self) -> usize {
-        self.anchor
     }
 }
 
@@ -442,17 +436,12 @@ impl DistanceWithin {
     }
 
     /// Builds the predicate from resolved column positions.
-    pub fn from_columns(x_cols: [usize; 2], y_cols: [usize; 2], threshold: f64) -> Self {
+    pub(crate) fn from_columns(x_cols: [usize; 2], y_cols: [usize; 2], threshold: f64) -> Self {
         DistanceWithin {
             x_cols,
             y_cols,
             threshold,
         }
-    }
-
-    /// The distance threshold in the coordinate unit (metres for Q×2).
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 }
 
@@ -517,13 +506,8 @@ impl BandJoin {
     }
 
     /// Builds the condition from already-resolved column positions.
-    pub fn from_columns(columns: Vec<usize>, band: f64) -> Self {
+    pub(crate) fn from_columns(columns: Vec<usize>, band: f64) -> Self {
         BandJoin { columns, band }
-    }
-
-    /// The band width.
-    pub fn band(&self) -> f64 {
-        self.band
     }
 }
 
@@ -570,7 +554,7 @@ impl JoinCondition for BandJoin {
 }
 
 /// The boxed m-ary predicate closure wrapped by [`PredicateFn`].
-pub type PredicateClosure = Arc<dyn Fn(&[&Tuple]) -> bool + Send + Sync>;
+pub(crate) type PredicateClosure = Arc<dyn Fn(&[&Tuple]) -> bool + Send + Sync>;
 
 /// A user-defined m-ary predicate backed by a closure.
 ///
@@ -654,7 +638,7 @@ mod tests {
         let streams = common_key_streams(3);
         let c = CommonKeyEquiJoin::new(&streams, "a1").unwrap();
         assert_eq!(c.arity(), 3);
-        assert_eq!(c.column(2), 0);
+        assert_eq!(c.columns[2], 0);
         let a = int_tuple(0, vec![7]);
         let b = int_tuple(1, vec![7]);
         let d = int_tuple(2, vec![7]);
@@ -698,7 +682,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.arity(), 4);
-        assert_eq!(c.anchor(), 0);
+        assert_eq!(c.anchor, 0);
         let s1 = int_tuple(0, vec![1, 2, 3]);
         let s2 = int_tuple(1, vec![1]);
         let s3 = int_tuple(2, vec![2]);
@@ -733,7 +717,7 @@ mod tests {
         let streams = StreamSet::homogeneous(2, schema, 5_000).unwrap();
         let c = DistanceWithin::new(&streams, "xCoord", "yCoord", 5.0).unwrap();
         assert_eq!(c.arity(), 2);
-        assert!((c.threshold() - 5.0).abs() < f64::EPSILON);
+        assert!((c.threshold - 5.0).abs() < f64::EPSILON);
         let make = |stream: usize, x: f64, y: f64| {
             Tuple::new(
                 stream.into(),

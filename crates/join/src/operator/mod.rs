@@ -114,12 +114,6 @@ impl MswjOperator {
         Self::build(query, false, ProbeStrategy::Auto)
     }
 
-    /// Creates an operator that additionally **materializes** every result
-    /// tuple.  Intended for small-scale runs, examples and tests.
-    pub fn enumerating(query: JoinQuery) -> Self {
-        Self::build(query, true, ProbeStrategy::Auto)
-    }
-
     /// Creates an operator with an explicit [`ProbeStrategy`] —
     /// [`ProbeStrategy::NestedLoop`] forces the exhaustive scan even for
     /// equi-joins, which is what the differential test harness compares
@@ -186,11 +180,6 @@ impl MswjOperator {
         &self.query
     }
 
-    /// The probe access path planned from the condition's equi structure.
-    pub fn probe_plan(&self) -> &ProbePlan {
-        &self.plan
-    }
-
     /// The maximum timestamp among tuples received so far (`onT`).
     pub fn on_t(&self) -> Timestamp {
         self.on_t
@@ -216,21 +205,6 @@ impl MswjOperator {
     /// operator's windows (see [`crate::WindowStats::segments`]).
     pub fn window_segments(&self) -> u64 {
         self.windows.iter().map(|w| w.stats().segments as u64).sum()
-    }
-
-    /// Whether the operator materializes result tuples.
-    pub fn is_enumerating(&self) -> bool {
-        self.enumerate
-    }
-
-    /// Clears every window and resets `onT`, keeping the query and plan.
-    pub fn reset(&mut self) {
-        for w in &mut self.windows {
-            w.clear();
-        }
-        self.on_t = Timestamp::ZERO;
-        self.started = false;
-        self.stats = OperatorStats::default();
     }
 
     /// Processes one tuple according to Alg. 2 and reports what happened.
@@ -359,7 +333,7 @@ mod tests {
         .unwrap();
         let cond = Arc::new(CommonKeyEquiJoin::new(&streams, "v").unwrap());
         let query = JoinQuery::new("fig1", streams, cond).unwrap();
-        let mut op = MswjOperator::enumerating(query);
+        let mut op = MswjOperator::with_probe(query, ProbeStrategy::Auto, true);
 
         // Arrival order from Fig. 1 (values renamed to integers):
         // A1, b2, B3, c3, a4, E5, B6, C4(out of order), e5, D8, d6, e7, B7
@@ -386,8 +360,8 @@ mod tests {
         let query = equi_query(3, 5_000);
         let mut indexed = MswjOperator::with_probe(query.clone(), ProbeStrategy::Auto, true);
         let mut scan = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
-        assert!(indexed.probe_plan().is_indexed());
-        assert_eq!(*scan.probe_plan(), ProbePlan::NestedLoop);
+        assert!(indexed.plan.is_indexed());
+        assert_eq!(scan.plan, ProbePlan::NestedLoop);
         for s in 0..60u64 {
             let t = tup((s % 3) as usize, s, s * 7, (s % 4) as i64);
             let mut a = Vec::new();
@@ -410,7 +384,7 @@ mod tests {
         // join_eq equates Int(4) with Float(4.0); the hash index cannot see
         // that, so such probes must fall back to the scan — on both sides.
         let query = equi_query(2, 10_000);
-        let mut op = MswjOperator::enumerating(query);
+        let mut op = MswjOperator::with_probe(query, ProbeStrategy::Auto, true);
         let float_tuple = Tuple::new(
             1.into(),
             0,
@@ -435,7 +409,7 @@ mod tests {
     #[test]
     fn null_probe_keys_short_circuit() {
         let query = equi_query(2, 10_000);
-        let mut indexed = MswjOperator::enumerating(query.clone());
+        let mut indexed = MswjOperator::with_probe(query.clone(), ProbeStrategy::Auto, true);
         let mut scan = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
         for op in [&mut indexed, &mut scan] {
             op.push(tup(1, 0, 0, 1));
@@ -525,7 +499,7 @@ mod tests {
         let cond = Arc::new(CrossJoin::new(3));
         let query = JoinQuery::new("cross", streams, cond).unwrap();
         let mut op = MswjOperator::new(query);
-        assert_eq!(*op.probe_plan(), ProbePlan::NestedLoop);
+        assert_eq!(op.plan, ProbePlan::NestedLoop);
         op.push(tup(0, 0, 0, 1));
         op.push(tup(0, 1, 1, 2));
         op.push(tup(1, 0, 2, 3));
@@ -755,7 +729,8 @@ mod tests {
         } in rows
         {
             let mut counting = MswjOperator::new(query.clone());
-            let mut enumerating = MswjOperator::enumerating(query.clone());
+            let mut enumerating =
+                MswjOperator::with_probe(query.clone(), ProbeStrategy::Auto, true);
             let mut reference = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
             for t in &tuples {
                 let counted = counting.push(t.clone());
@@ -836,7 +811,7 @@ mod tests {
         let cond = Arc::new(DistanceWithin::new(&streams, "xCoord", "yCoord", 5.0).unwrap());
         let query = JoinQuery::new("dist", streams, cond).unwrap();
         let mut op = MswjOperator::new(query);
-        assert_eq!(*op.probe_plan(), ProbePlan::NestedLoop);
+        assert_eq!(op.plan, ProbePlan::NestedLoop);
         let pos = |stream: usize, seq: u64, ts: u64, x: f64, y: f64| {
             Tuple::new(
                 stream.into(),
@@ -862,7 +837,7 @@ mod tests {
         let mut kernel = MswjOperator::with_probe(query.clone(), ProbeStrategy::Auto, true);
         let mut counting = MswjOperator::new(query.clone());
         let mut walk = MswjOperator::with_probe(query, ProbeStrategy::NestedLoop, true);
-        assert_eq!(*kernel.probe_plan(), ProbePlan::NestedLoop);
+        assert_eq!(kernel.plan, ProbePlan::NestedLoop);
         let mut next = xorshift(0x9E37_79B9);
         for s in 0..150u64 {
             let stream = (next() % 3) as usize;
@@ -901,23 +876,6 @@ mod tests {
         // The kernel's only footprint: one f64 per live row and scan column.
         let live: usize = (0..3).map(|i| kernel.window(StreamIndex(i)).len()).sum();
         assert_eq!(kernel.window_bytes(), walk.window_bytes() + 8 * live as u64);
-    }
-
-    #[test]
-    fn reset_clears_state_but_keeps_query() {
-        let query = equi_query(2, 1_000);
-        let mut op = MswjOperator::new(query);
-        op.push(tup(0, 0, 100, 1));
-        op.push(tup(1, 0, 200, 1));
-        assert!(op.stats().results > 0);
-        op.reset();
-        assert_eq!(op.on_t(), Timestamp::ZERO);
-        assert_eq!(op.stats(), OperatorStats::default());
-        assert_eq!(op.window(StreamIndex(0)).len(), 0);
-        // Operator is usable again after reset, index included.
-        let r = op.push(tup(0, 0, 50, 1));
-        assert!(r.in_order);
-        assert!(op.probe_plan().is_indexed());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Both records are small `Copy` structs: [`ProbeOutcome`] describes what a
 //! single pushed tuple did, [`OperatorStats`] accumulates the same
 //! quantities over an operator's lifetime.  In a sharded engine every shard
-//! owns an operator and hence its own `OperatorStats` — the engine's
-//! aggregate view merges them with [`OperatorStats::absorb`] next to the
-//! globally-decided counters (ordering, drops, expiry).
+//! owns an operator and hence its own `OperatorStats`; the engine's
+//! aggregate view is a separate `OperatorStats` that it folds from every
+//! tuple's merged [`ProbeOutcome`].
 
 use mswj_types::{Duration, Timestamp};
 
@@ -78,59 +78,4 @@ pub struct OperatorStats {
     /// window expiry — see
     /// [`MswjOperator::evict_where`](super::MswjOperator::evict_where).
     pub evicted: u64,
-}
-
-impl OperatorStats {
-    /// Adds every counter of `other` into `self` — how a sharded engine
-    /// folds per-shard counters into one aggregate view.
-    pub fn absorb(&mut self, other: &OperatorStats) {
-        self.in_order += other.in_order;
-        self.out_of_order += other.out_of_order;
-        self.dropped += other.dropped;
-        self.indexed_probes += other.indexed_probes;
-        self.fallback_probes += other.fallback_probes;
-        self.results += other.results;
-        self.cross_results += other.cross_results;
-        self.expired += other.expired;
-        self.adopted += other.adopted;
-        self.evicted += other.evicted;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn absorb_sums_every_counter() {
-        let mut a = OperatorStats {
-            in_order: 1,
-            out_of_order: 2,
-            dropped: 3,
-            indexed_probes: 4,
-            fallback_probes: 5,
-            results: 6,
-            cross_results: 7,
-            expired: 8,
-            adopted: 9,
-            evicted: 10,
-        };
-        let b = a;
-        a.absorb(&b);
-        assert_eq!(
-            a,
-            OperatorStats {
-                in_order: 2,
-                out_of_order: 4,
-                dropped: 6,
-                indexed_probes: 8,
-                fallback_probes: 10,
-                results: 12,
-                cross_results: 14,
-                expired: 16,
-                adopted: 18,
-                evicted: 20,
-            }
-        );
-    }
 }

@@ -31,11 +31,6 @@ impl JoinResult {
     pub fn arity(&self) -> usize {
         self.components.len()
     }
-
-    /// The deriving tuple of stream `i`.
-    pub fn component(&self, i: usize) -> Option<&Tuple> {
-        self.components.get(i)
-    }
 }
 
 impl fmt::Display for JoinResult {
@@ -70,8 +65,8 @@ mod tests {
         let r = JoinResult::new(vec![t(0, 10, 1), t(1, 40, 1), t(2, 25, 1)]);
         assert_eq!(r.ts, Timestamp::from_millis(40));
         assert_eq!(r.arity(), 3);
-        assert_eq!(r.component(1).unwrap().ts.as_millis(), 40);
-        assert!(r.component(5).is_none());
+        assert_eq!(r.components.get(1).unwrap().ts.as_millis(), 40);
+        assert!(r.components.get(5).is_none());
     }
 
     #[test]

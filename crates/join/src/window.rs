@@ -208,7 +208,7 @@ pub struct WindowStats {
     pub expired: u64,
     /// Number of inserts that were not appended at the tail (i.e. the tuple
     /// was out of timestamp order with respect to the window content).
-    pub unordered_inserts: u64,
+    pub(crate) unordered_inserts: u64,
     /// Largest number of tuples simultaneously held.
     pub peak_len: usize,
     /// Estimated heap bytes of the currently live tuples: each tuple's slot
@@ -668,7 +668,8 @@ impl Window {
     /// postings — the kind an operator gives the windows it only counts
     /// (see *One index kind per window* in the module docs).
     ///
-    /// A test hook for the property suites, not part of the API.
+    /// A test hook for the property suites `tests/index_properties.rs` and
+    /// `tests/segment_properties.rs`, not part of the API.
     #[doc(hidden)]
     pub fn with_key_counts(size: Duration, columns: &[usize], capacity: usize) -> Self {
         Self::with_columns(size, columns, &[], capacity, IndexKind::Counts)
@@ -1151,11 +1152,6 @@ impl Window {
         Ok(())
     }
 
-    /// Whether `col` has a hash index.
-    pub fn is_indexed(&self, col: usize) -> bool {
-        self.col_pos(col).is_some()
-    }
-
     /// Number of live tuples whose value in indexed column `col` is
     /// joinable but not hashable (float, string or bool); 0 for unindexed
     /// columns.
@@ -1173,21 +1169,6 @@ impl Window {
         self.col_pos(col)
             .map(|ci| self.index.unindexable[ci] == 0)
             .unwrap_or(false)
-    }
-
-    /// Removes every tuple (used when resetting an operator between runs).
-    pub fn clear(&mut self) {
-        if let Some(seg) = self.segments.pop_front() {
-            self.recycle(seg);
-        }
-        self.segments.clear();
-        self.len = 0;
-        for m in &mut self.index.counts {
-            m.clear();
-        }
-        for u in &mut self.index.unindexable {
-            *u = 0;
-        }
     }
 }
 
@@ -1246,8 +1227,8 @@ mod tests {
     #[test]
     fn key_index_tracks_inserts_and_expirations() {
         let mut w = Window::with_indexed_columns(1_000, &[0]);
-        assert!(w.is_indexed(0));
-        assert!(!w.is_indexed(1));
+        assert!(w.col_pos(0).is_some());
+        assert!(w.col_pos(1).is_none());
         w.insert(tup(0, 100, 7));
         w.insert(tup(1, 200, 7));
         w.insert(tup(2, 300, 9));
@@ -1333,11 +1314,11 @@ mod tests {
             w.insert(tup(i, 100 * (i + 1), 1));
         }
         assert_eq!(w.stats().peak_len, 5);
-        w.clear();
+        w.expire_before(Timestamp::from_millis(1_000));
         assert!(w.is_empty());
         assert_eq!(w.count_key(0, 1), 0);
         assert!(w.index_usable(0));
-        // Peak is a lifetime statistic and survives clear().
+        // Peak is a lifetime statistic and survives emptying the window.
         assert_eq!(w.stats().peak_len, 5);
         assert_eq!(w.stats().live_bytes_est, 0);
     }

@@ -20,7 +20,7 @@ pub struct CountSeries {
 
 impl CountSeries {
     /// Builds a series from unordered `(timestamp, count)` pairs.
-    pub fn new(mut entries: Vec<(Timestamp, u64)>) -> Self {
+    pub(crate) fn new(mut entries: Vec<(Timestamp, u64)>) -> Self {
         entries.retain(|&(_, c)| c > 0);
         entries.sort_by_key(|&(ts, _)| ts);
         let mut prefix = Vec::with_capacity(entries.len());
@@ -37,19 +37,9 @@ impl CountSeries {
         self.prefix.last().copied().unwrap_or(0)
     }
 
-    /// Number of distinct timestamps with a nonzero count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Count of results with timestamps in the half-open interval
     /// `(from, to]` — the shape of the paper's "last `P` time units".
-    pub fn count_in(&self, from_exclusive: Timestamp, to_inclusive: Timestamp) -> u64 {
+    pub(crate) fn count_in(&self, from_exclusive: Timestamp, to_inclusive: Timestamp) -> u64 {
         if to_inclusive <= from_exclusive {
             return 0;
         }
@@ -65,11 +55,6 @@ impl CountSeries {
         } else {
             self.prefix[idx - 1]
         }
-    }
-
-    /// Largest timestamp present in the series.
-    pub fn max_ts(&self) -> Option<Timestamp> {
-        self.entries.last().map(|&(ts, _)| ts)
     }
 }
 
@@ -107,15 +92,15 @@ mod tests {
     fn count_series_range_queries() {
         let s = CountSeries::new(vec![(ts(10), 2), (ts(30), 0), (ts(20), 3), (ts(40), 1)]);
         assert_eq!(s.total(), 6);
-        assert_eq!(s.len(), 3, "zero counts are dropped");
-        assert!(!s.is_empty());
+        assert_eq!(s.entries.len(), 3, "zero counts are dropped");
+        assert!(!s.entries.is_empty());
         assert_eq!(s.count_in(ts(0), ts(40)), 6);
         assert_eq!(s.count_in(ts(10), ts(40)), 4, "(10, 40] excludes ts=10");
         assert_eq!(s.count_in(ts(15), ts(20)), 3);
         assert_eq!(s.count_in(ts(40), ts(10)), 0, "inverted range is empty");
         assert_eq!(s.count_in(ts(41), ts(100)), 0);
-        assert_eq!(s.max_ts(), Some(ts(40)));
-        assert!(CountSeries::default().is_empty());
+        assert_eq!(s.entries.last().map(|&(t, _)| t), Some(ts(40)));
+        assert!(CountSeries::default().entries.is_empty());
     }
 
     #[test]

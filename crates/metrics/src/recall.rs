@@ -34,8 +34,6 @@ pub struct RecallEvaluation {
     pub avg_recall: f64,
     /// Overall recall (total produced / total true over the whole run).
     pub overall_recall: f64,
-    /// Time-weighted average buffer size of the run (ms).
-    pub avg_k_ms: f64,
     /// Mean adaptation-step time (ms); 0 for non-adaptive policies.
     pub avg_adaptation_ms: f64,
 }
@@ -101,7 +99,6 @@ pub fn evaluate_recall(
         samples,
         avg_recall,
         overall_recall,
-        avg_k_ms: report.avg_k_ms,
         avg_adaptation_ms: report.avg_adaptation_millis(),
     }
 }
@@ -185,7 +182,6 @@ mod tests {
         assert!((eval.overall_recall - 0.75).abs() < 1e-12);
         assert_eq!(eval.samples[1].produced, 5);
         assert_eq!(eval.samples[1].true_results, 10);
-        assert!((eval.avg_k_ms - 123.0).abs() < 1e-12);
         assert!((eval.avg_adaptation_ms - 2.0).abs() < 1e-12);
         assert!((eval.min_recall() - 0.5).abs() < 1e-12);
     }

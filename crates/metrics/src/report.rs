@@ -10,9 +10,9 @@ use serde::Serialize;
 #[derive(Debug, Clone, Serialize)]
 pub struct TableRow {
     /// Row label (e.g. a dataset or a parameter value).
-    pub label: String,
+    pub(crate) label: String,
     /// `(column name, value)` pairs in display order.
-    pub cells: Vec<(String, f64)>,
+    pub(crate) cells: Vec<(String, f64)>,
 }
 
 impl TableRow {

@@ -27,7 +27,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable lower-snake identifier used by both exporters.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             EventKind::Checkpoint => "checkpoint",
             EventKind::HeavyHitter => "heavy_hitter",

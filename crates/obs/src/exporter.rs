@@ -68,7 +68,7 @@ impl MetricsExporter {
     }
 
     /// Stops the exporter thread and waits for it to exit.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         if let Some(handle) = self.handle.take() {
             self.stop.store(true, Ordering::SeqCst);
             // Wake the blocking accept with a throwaway connection.

@@ -105,18 +105,18 @@ impl Histogram {
     }
 
     /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Per-bucket (non-cumulative) counts, in bucket order.
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
     /// Inclusive upper bound of bucket `idx`, or `None` for the unbounded
     /// overflow bucket.
-    pub fn bucket_upper_bound(idx: usize) -> Option<u64> {
+    pub(crate) fn bucket_upper_bound(idx: usize) -> Option<u64> {
         if idx + 1 >= HISTOGRAM_BUCKETS {
             None
         } else {

@@ -372,11 +372,6 @@ impl Telemetry {
         Arc::clone(&shards[index])
     }
 
-    /// Number of registered shard scopes.
-    pub fn shard_count(&self) -> usize {
-        lock(&self.inner.shards).len()
-    }
-
     pub(crate) fn shards_snapshot(&self) -> Vec<Arc<ShardInstruments>> {
         lock(&self.inner.shards).clone()
     }
@@ -401,11 +396,6 @@ impl Telemetry {
     pub fn recent_events(&self) -> Vec<TelemetryEvent> {
         self.inner.events.snapshot()
     }
-
-    /// Number of events currently buffered in the ring.
-    pub fn buffered_events(&self) -> usize {
-        self.inner.events.len()
-    }
 }
 
 #[cfg(test)]
@@ -417,9 +407,9 @@ mod tests {
     #[test]
     fn shard_scopes_register_on_demand_and_are_shared() {
         let t = Telemetry::new();
-        assert_eq!(t.shard_count(), 0);
+        assert_eq!(t.shards_snapshot().len(), 0);
         let s2 = t.shard(2);
-        assert_eq!(t.shard_count(), 3);
+        assert_eq!(t.shards_snapshot().len(), 3);
         s2.queue_depth.set(7.0);
         // The same scope is returned on re-request, across clones.
         assert_eq!(t.clone().shard(2).queue_depth.get(), 7.0);
@@ -440,7 +430,7 @@ mod tests {
             message: "shard 1 holds 80% of routed volume".into(),
         });
         assert_eq!(seen.load(Ordering::SeqCst), 1);
-        assert_eq!(t.buffered_events(), 1);
+        assert_eq!(t.recent_events().len(), 1);
         assert_eq!(t.recent_events()[0].at_ms, 42);
     }
 }

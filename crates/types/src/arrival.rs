@@ -57,11 +57,6 @@ pub struct ArrivalLog {
 }
 
 impl ArrivalLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        ArrivalLog::default()
-    }
-
     /// Builds a log from events in any order, sorting by arrival instant
     /// with ties broken by `(stream index, sequence number)`.
     ///
@@ -72,19 +67,6 @@ impl ArrivalLog {
     pub fn from_events(mut events: Vec<ArrivalEvent>) -> Self {
         events.sort_by_key(|e| (e.arrival, e.stream(), e.tuple.seq));
         ArrivalLog { events }
-    }
-
-    /// Appends an event; callers must append in non-decreasing arrival order
-    /// (checked in debug builds).
-    pub fn push(&mut self, event: ArrivalEvent) {
-        debug_assert!(
-            self.events
-                .last()
-                .map(|last| last.arrival <= event.arrival)
-                .unwrap_or(true),
-            "ArrivalLog::push called with out-of-order arrival instant"
-        );
-        self.events.push(event);
     }
 
     /// Number of arrivals in the log.
@@ -110,24 +92,6 @@ impl ArrivalLog {
     /// Number of arrivals belonging to stream `i`.
     pub fn count_for(&self, i: StreamIndex) -> usize {
         self.events.iter().filter(|e| e.stream() == i).count()
-    }
-
-    /// The largest tuple timestamp in the log (the dataset's event-time
-    /// horizon), or [`Timestamp::ZERO`] for an empty log.
-    pub fn max_ts(&self) -> Timestamp {
-        self.events
-            .iter()
-            .map(|e| e.ts())
-            .max()
-            .unwrap_or(Timestamp::ZERO)
-    }
-
-    /// The largest arrival instant in the log.
-    pub fn max_arrival(&self) -> Timestamp {
-        self.events
-            .last()
-            .map(|e| e.arrival)
-            .unwrap_or(Timestamp::ZERO)
     }
 
     /// Returns a new log containing the tuples of all streams sorted
@@ -293,23 +257,16 @@ mod tests {
 
     #[test]
     fn log_push_and_counts() {
-        let mut log = ArrivalLog::new();
-        log.push(ev(0, 0, 1, 1));
-        log.push(ev(1, 0, 2, 2));
-        log.push(ev(0, 1, 3, 3));
+        let log = ArrivalLog::from_events(vec![ev(0, 0, 1, 1), ev(1, 0, 2, 2), ev(0, 1, 3, 3)]);
         assert_eq!(log.count_for(StreamIndex(0)), 2);
         assert_eq!(log.count_for(StreamIndex(1)), 1);
         assert_eq!(log.count_for(StreamIndex(2)), 0);
-        assert_eq!(log.max_ts(), Timestamp::from_millis(3));
-        assert_eq!(log.max_arrival(), Timestamp::from_millis(3));
     }
 
     #[test]
     fn empty_log_defaults() {
-        let log = ArrivalLog::new();
+        let log = ArrivalLog::default();
         assert!(log.is_empty());
-        assert_eq!(log.max_ts(), Timestamp::ZERO);
-        assert_eq!(log.max_arrival(), Timestamp::ZERO);
     }
 
     #[test]

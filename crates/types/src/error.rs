@@ -1,6 +1,5 @@
 //! Error type shared across the workspace's substrate layer.
 
-use crate::value::FieldType;
 use std::fmt;
 
 /// Convenience alias for results produced by the substrate layer.
@@ -11,24 +10,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A field name was not present in the schema.
     UnknownField(String),
-    /// A tuple carried the wrong number of values for its schema.
-    ArityMismatch {
-        /// Number of fields declared by the schema.
-        expected: usize,
-        /// Number of values supplied.
-        got: usize,
-    },
-    /// A value's type did not match the schema field's declared type.
-    TypeMismatch {
-        /// Name of the offending field.
-        field: String,
-        /// Position of the offending field.
-        index: usize,
-        /// Declared type.
-        expected: FieldType,
-        /// Supplied type.
-        got: FieldType,
-    },
     /// A stream index referenced a stream that does not exist in the query.
     UnknownStream {
         /// The out-of-range index.
@@ -44,20 +25,11 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::UnknownField(name) => write!(f, "unknown field `{name}`"),
-            Error::ArityMismatch { expected, got } => {
-                write!(f, "tuple arity mismatch: schema has {expected} fields, got {got}")
-            }
-            Error::TypeMismatch {
-                field,
-                index,
-                expected,
-                got,
-            } => write!(
-                f,
-                "type mismatch for field `{field}` (index {index}): expected {expected:?}, got {got:?}"
-            ),
             Error::UnknownStream { index, streams } => {
-                write!(f, "stream index {index} out of range (query has {streams} streams)")
+                write!(
+                    f,
+                    "stream index {index} out of range (query has {streams} streams)"
+                )
             }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
@@ -74,18 +46,6 @@ mod tests {
     fn display_messages_are_informative() {
         let e = Error::UnknownField("a1".into());
         assert!(e.to_string().contains("a1"));
-        let e = Error::ArityMismatch {
-            expected: 3,
-            got: 1,
-        };
-        assert!(e.to_string().contains('3') && e.to_string().contains('1'));
-        let e = Error::TypeMismatch {
-            field: "x".into(),
-            index: 2,
-            expected: FieldType::Float,
-            got: FieldType::Str,
-        };
-        assert!(e.to_string().contains("x"));
         let e = Error::UnknownStream {
             index: 5,
             streams: 3,

@@ -101,7 +101,7 @@ impl SkewTracker {
     /// produced a tuple: a stream with none has no local time yet, and
     /// reading it as [`Timestamp::ZERO`] would make every `K_sync_i` the
     /// raw timestamp `iT`.  [`Timestamp::ZERO`] before any arrival.
-    pub fn slowest(&self) -> Timestamp {
+    pub(crate) fn slowest(&self) -> Timestamp {
         self.clocks
             .iter()
             .filter(|c| c.started())

@@ -142,11 +142,6 @@ impl StreamSet {
             .enumerate()
             .map(|(i, s)| (StreamIndex(i), s))
     }
-
-    /// Iterates over all stream indices.
-    pub fn indices(&self) -> impl Iterator<Item = StreamIndex> {
-        (0..self.specs.len()).map(StreamIndex)
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +189,6 @@ mod tests {
         for (i, spec) in set.iter() {
             assert_eq!(spec.name, format!("S{}", i.as_usize() + 1));
         }
-        assert_eq!(set.indices().count(), 4);
     }
 
     #[test]

@@ -42,19 +42,10 @@ impl Timestamp {
     /// The origin of application time.
     pub const ZERO: Timestamp = Timestamp(0);
 
-    /// The largest representable timestamp.
-    pub const MAX: Timestamp = Timestamp(u64::MAX);
-
     /// Creates a timestamp from a number of milliseconds since stream start.
     #[inline]
     pub const fn from_millis(millis: u64) -> Self {
         Timestamp(millis)
-    }
-
-    /// Creates a timestamp from a number of whole seconds since stream start.
-    #[inline]
-    pub const fn from_secs(secs: u64) -> Self {
-        Timestamp(secs * 1_000)
     }
 
     /// Returns the timestamp as milliseconds since stream start.
@@ -69,7 +60,7 @@ impl Timestamp {
         self.0 as f64 / 1_000.0
     }
 
-    /// Adds a duration, saturating at [`Timestamp::MAX`].
+    /// Adds a duration, saturating at `u64::MAX` milliseconds.
     #[inline]
     pub fn saturating_add_duration(self, d: Duration) -> Self {
         Timestamp(self.0.saturating_add(d))
@@ -92,38 +83,6 @@ impl Timestamp {
     #[inline]
     pub fn abs_diff(self, other: Timestamp) -> Duration {
         self.0.abs_diff(other.0)
-    }
-
-    /// Rounds the timestamp down to a multiple of `granularity` milliseconds.
-    ///
-    /// Returns `self` unchanged when `granularity` is zero.
-    #[inline]
-    pub fn align_down(self, granularity: Duration) -> Self {
-        if granularity == 0 {
-            self
-        } else {
-            Timestamp(self.0 - self.0 % granularity)
-        }
-    }
-
-    /// Returns the later of two timestamps.
-    #[inline]
-    pub fn max(self, other: Timestamp) -> Timestamp {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the earlier of two timestamps.
-    #[inline]
-    pub fn min(self, other: Timestamp) -> Timestamp {
-        if self <= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -183,31 +142,13 @@ impl Sub<Timestamp> for Timestamp {
     }
 }
 
-/// Converts whole seconds to a [`Duration`] in milliseconds.
-#[inline]
-pub const fn secs(s: u64) -> Duration {
-    s * 1_000
-}
-
-/// Converts milliseconds to a [`Duration`] (identity; provided for symmetry).
-#[inline]
-pub const fn millis(ms: u64) -> Duration {
-    ms
-}
-
-/// Converts minutes to a [`Duration`] in milliseconds.
-#[inline]
-pub const fn minutes(m: u64) -> Duration {
-    m * 60_000
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn construction_and_accessors() {
-        let t = Timestamp::from_secs(3);
+        let t = Timestamp::from_millis(3_000);
         assert_eq!(t.as_millis(), 3_000);
         assert_eq!(Timestamp::from_millis(1_500).as_secs_f64(), 1.5);
         assert_eq!(Timestamp::ZERO.as_millis(), 0);
@@ -234,7 +175,8 @@ mod tests {
         assert_eq!(t - 150, Timestamp::ZERO);
         assert_eq!(t - Timestamp::from_millis(150), 0);
         assert_eq!(t.saturating_sub_duration(1_000), Timestamp::ZERO);
-        assert_eq!(Timestamp::MAX.saturating_add_duration(10), Timestamp::MAX);
+        let max = Timestamp::from_millis(u64::MAX);
+        assert_eq!(max.saturating_add_duration(10), max);
         assert_eq!(t.saturating_duration_since(Timestamp::from_millis(30)), 70);
         assert_eq!(t.saturating_duration_since(Timestamp::from_millis(300)), 0);
     }
@@ -249,28 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn align_down_rounds_to_granularity() {
-        let t = Timestamp::from_millis(1_234);
-        assert_eq!(t.align_down(100), Timestamp::from_millis(1_200));
-        assert_eq!(t.align_down(1), t);
-        assert_eq!(t.align_down(0), t);
-        assert_eq!(Timestamp::from_millis(99).align_down(100), Timestamp::ZERO);
-    }
-
-    #[test]
     fn assign_ops() {
         let mut t = Timestamp::from_millis(10);
         t += 5;
         assert_eq!(t.as_millis(), 15);
         t -= 20;
         assert_eq!(t, Timestamp::ZERO);
-    }
-
-    #[test]
-    fn unit_helpers() {
-        assert_eq!(secs(2), 2_000);
-        assert_eq!(millis(7), 7);
-        assert_eq!(minutes(1), 60_000);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 
 use crate::stream::StreamIndex;
 use crate::timestamp::{Duration, Timestamp};
-use crate::value::{Schema, Value};
-use crate::Result;
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -60,15 +59,6 @@ impl Tuple {
         &self.values
     }
 
-    /// Whether `self` and `other` share the same attribute-value allocation,
-    /// i.e. one is a clone of the other.  This is a pointer identity test:
-    /// it distinguishes clones from independently built, value-equal tuples
-    /// and — unlike comparing `values()` — is reliable even when attributes
-    /// contain `Float(NaN)` (where `NaN != NaN` breaks deep equality).
-    pub fn shares_values(&self, other: &Tuple) -> bool {
-        Arc::ptr_eq(&self.values, &other.values)
-    }
-
     /// Number of live references to this tuple's attribute-value allocation
     /// (its own included).  A memory-accounting diagnostic: a tuple held by
     /// exactly one window and one caller reports 2; anything higher means
@@ -80,12 +70,6 @@ impl Tuple {
     /// The attribute at position `idx`, if present.
     pub fn value(&self, idx: usize) -> Option<&Value> {
         self.values.get(idx)
-    }
-
-    /// The attribute named `name` according to `schema`.
-    pub fn value_by_name(&self, schema: &Schema, name: &str) -> Result<&Value> {
-        let idx = schema.require(name)?;
-        Ok(self.values.get(idx).unwrap_or(&Value::Null))
     }
 
     /// The delay annotation, if the tuple has passed a K-slack component.
@@ -148,7 +132,6 @@ pub struct TupleBuilder {
     seq: u64,
     ts: Timestamp,
     values: Vec<Value>,
-    delay: Option<Duration>,
 }
 
 impl TupleBuilder {
@@ -159,7 +142,6 @@ impl TupleBuilder {
             seq: 0,
             ts,
             values: Vec::new(),
-            delay: None,
         }
     }
 
@@ -175,32 +157,16 @@ impl TupleBuilder {
         self
     }
 
-    /// Appends several attribute values.
-    pub fn values(mut self, vs: impl IntoIterator<Item = Value>) -> Self {
-        self.values.extend(vs);
-        self
-    }
-
-    /// Pre-sets the delay annotation.
-    pub fn delay(mut self, d: Duration) -> Self {
-        self.delay = Some(d);
-        self
-    }
-
     /// Finishes the tuple.
     pub fn build(self) -> Tuple {
-        let mut t = Tuple::new(self.stream, self.seq, self.ts, self.values);
-        if let Some(d) = self.delay {
-            t.set_delay(d);
-        }
-        t
+        Tuple::new(self.stream, self.seq, self.ts, self.values)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::FieldType;
+    use crate::value::{FieldType, Schema};
 
     #[test]
     fn construction_and_accessors() {
@@ -239,8 +205,9 @@ mod tests {
             Timestamp::ZERO,
             vec![Value::Int(5), Value::Float(9.0)],
         );
-        assert_eq!(t.value_by_name(&schema, "x").unwrap(), &Value::Float(9.0));
-        assert!(t.value_by_name(&schema, "missing").is_err());
+        let x = schema.require("x").unwrap();
+        assert_eq!(t.value(x), Some(&Value::Float(9.0)));
+        assert!(schema.require("missing").is_err());
     }
 
     #[test]
@@ -261,18 +228,11 @@ mod tests {
             .seq(4)
             .value(1i64)
             .value(2.0f64)
-            .delay(13)
             .build();
         assert_eq!(built.stream, StreamIndex(2));
         assert_eq!(built.seq, 4);
         assert_eq!(built.ts.as_millis(), 77);
         assert_eq!(built.values(), &[Value::Int(1), Value::Float(2.0)]);
-        assert_eq!(built.delay(), Some(13));
-
-        let multi = TupleBuilder::new(StreamIndex(0), Timestamp::ZERO)
-            .values(vec![Value::Int(1), Value::Int(2)])
-            .build();
-        assert_eq!(multi.arity(), 2);
     }
 
     #[test]

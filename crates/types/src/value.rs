@@ -47,36 +47,9 @@ impl Value {
         }
     }
 
-    /// Returns the string content, if this value is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Returns the boolean content, if this value is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// `true` when the value is [`Value::Null`].
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-
-    /// The [`FieldType`] this value conforms to.
-    pub fn field_type(&self) -> FieldType {
-        match self {
-            Value::Int(_) => FieldType::Int,
-            Value::Float(_) => FieldType::Float,
-            Value::Str(_) => FieldType::Str,
-            Value::Bool(_) => FieldType::Bool,
-            Value::Null => FieldType::Null,
-        }
     }
 
     /// Equality for join predicates: integers and floats compare numerically,
@@ -155,18 +128,6 @@ pub enum FieldType {
     Null,
 }
 
-impl FieldType {
-    /// Whether a value of type `other` may be stored in a field of this type.
-    ///
-    /// `Null` is accepted by every field, and integers may be widened into
-    /// float fields; everything else must match exactly.
-    pub fn accepts(self, other: FieldType) -> bool {
-        self == other
-            || other == FieldType::Null
-            || (self == FieldType::Float && other == FieldType::Int)
-    }
-}
-
 /// An ordered list of named, typed fields describing the non-timestamp
 /// attributes carried by the tuples of one stream.
 ///
@@ -198,13 +159,6 @@ impl Schema {
         }
     }
 
-    /// An empty schema (tuples carrying only a timestamp).
-    pub fn empty() -> Self {
-        Schema {
-            fields: Arc::new(Vec::new()),
-        }
-    }
-
     /// Number of fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -226,35 +180,9 @@ impl Schema {
             .ok_or_else(|| Error::UnknownField(name.to_owned()))
     }
 
-    /// Name and type of the field at `index`.
-    pub fn field(&self, index: usize) -> Option<(&str, FieldType)> {
-        self.fields.get(index).map(|(n, t)| (n.as_str(), *t))
-    }
-
     /// Iterates over `(name, type)` pairs in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, FieldType)> + '_ {
         self.fields.iter().map(|(n, t)| (n.as_str(), *t))
-    }
-
-    /// Checks that `values` conforms to this schema (arity and types).
-    pub fn validate(&self, values: &[Value]) -> Result<()> {
-        if values.len() != self.fields.len() {
-            return Err(Error::ArityMismatch {
-                expected: self.fields.len(),
-                got: values.len(),
-            });
-        }
-        for (i, ((name, ty), v)) in self.fields.iter().zip(values).enumerate() {
-            if !ty.accepts(v.field_type()) {
-                return Err(Error::TypeMismatch {
-                    field: name.clone(),
-                    index: i,
-                    expected: *ty,
-                    got: v.field_type(),
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -267,8 +195,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Int(3).as_float(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::from("x").as_str(), Some("x"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Str("a".into()).as_int(), None);
     }
@@ -297,14 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn field_type_accepts() {
-        assert!(FieldType::Int.accepts(FieldType::Int));
-        assert!(FieldType::Float.accepts(FieldType::Int));
-        assert!(!FieldType::Int.accepts(FieldType::Float));
-        assert!(FieldType::Str.accepts(FieldType::Null));
-    }
-
-    #[test]
     fn schema_lookup() {
         let schema = Schema::new(vec![("a1", FieldType::Int), ("x", FieldType::Float)]);
         assert_eq!(schema.len(), 2);
@@ -316,30 +234,7 @@ mod tests {
             schema.require("nope"),
             Err(Error::UnknownField(_))
         ));
-        assert_eq!(schema.field(0), Some(("a1", FieldType::Int)));
-        assert_eq!(schema.field(5), None);
-        assert!(Schema::empty().is_empty());
-    }
-
-    #[test]
-    fn schema_validation() {
-        let schema = Schema::new(vec![("a1", FieldType::Int), ("x", FieldType::Float)]);
-        assert!(schema.validate(&[Value::Int(1), Value::Float(0.5)]).is_ok());
-        // Int is accepted where Float is declared.
-        assert!(schema.validate(&[Value::Int(1), Value::Int(2)]).is_ok());
-        // Null accepted anywhere.
-        assert!(schema.validate(&[Value::Null, Value::Null]).is_ok());
-        assert!(matches!(
-            schema.validate(&[Value::Int(1)]),
-            Err(Error::ArityMismatch {
-                expected: 2,
-                got: 1
-            })
-        ));
-        assert!(matches!(
-            schema.validate(&[Value::Float(1.0), Value::Float(2.0)]),
-            Err(Error::TypeMismatch { index: 0, .. })
-        ));
+        assert!(Schema::new(Vec::<(&str, FieldType)>::new()).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Primitive byte-level encoders and the bounds-checked [`Cursor`] reader.
+//! Primitive byte-level encoders and the bounds-checked `Cursor` reader.
 //!
 //! Everything is little-endian and hand-rolled on purpose: the shard
 //! boundary must not depend on `serde` layouts or platform byte order, and
@@ -13,47 +13,47 @@ use crate::error::WireError;
 use mswj_types::{FieldType, Value};
 
 /// Appends a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
 /// Appends a `u16` little-endian.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a `u32` little-endian.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a `u64` little-endian.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends an `i64` little-endian (two's complement).
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends an `f64` as its raw bit pattern (bit-exact, NaN-preserving).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
 /// Appends a `bool` as one byte (`0`/`1`).
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
+pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
     buf.push(u8::from(v));
 }
 
 /// Appends a `usize` widened to `u64` (no truncation on any platform).
-pub fn put_len(buf: &mut Vec<u8>, v: usize) {
+pub(crate) fn put_len(buf: &mut Vec<u8>, v: usize) {
     put_u64(buf, v as u64);
 }
 
 /// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, v: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, v: &str) {
     put_len(buf, v.len());
     buf.extend_from_slice(v.as_bytes());
 }
@@ -64,19 +64,19 @@ pub fn put_str(buf: &mut Vec<u8>, v: &str) {
 /// cursor can never advance past the end of the slice, and collection
 /// lengths are validated against the remaining bytes *before* any
 /// allocation so a hostile length prefix cannot trigger an out-of-memory.
-pub struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
     /// Starts reading at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -93,24 +93,24 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a `u16` little-endian.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
         let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a `u32` little-endian.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `u64` little-endian.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?;
         let mut raw = [0u8; 8];
         raw.copy_from_slice(b);
@@ -118,17 +118,17 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads an `i64` little-endian.
-    pub fn i64(&mut self) -> Result<i64, WireError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, WireError> {
         Ok(self.u64()? as i64)
     }
 
     /// Reads an `f64` from its raw bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a `bool`; any byte other than `0`/`1` is corrupt.
-    pub fn bool(&mut self) -> Result<bool, WireError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -141,7 +141,7 @@ impl<'a> Cursor<'a> {
     /// Reads a collection length, validating it against the bytes that are
     /// actually left (`min_elem_bytes` per element) before the caller
     /// allocates.
-    pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
+    pub(crate) fn len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let raw = self.u64()?;
         let len = usize::try_from(raw)
             .map_err(|_| WireError::Corrupt(format!("length {raw} overflows usize")))?;
@@ -156,7 +156,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, WireError> {
+    pub(crate) fn str(&mut self) -> Result<String, WireError> {
         let len = self.len(1)?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
@@ -165,7 +165,7 @@ impl<'a> Cursor<'a> {
 
     /// Asserts the whole payload was consumed — trailing bytes mean the
     /// peer's encoder and our decoder disagree, which is corruption.
-    pub fn finish(self) -> Result<(), WireError> {
+    pub(crate) fn finish(self) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::Corrupt(format!(
                 "{} trailing bytes after payload",
@@ -183,7 +183,7 @@ const VALUE_BOOL: u8 = 3;
 const VALUE_NULL: u8 = 4;
 
 /// Encodes one tuple attribute value (tagged union).
-pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
+pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(i) => {
             put_u8(buf, VALUE_INT);
@@ -206,7 +206,7 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
 }
 
 /// Decodes one tuple attribute value.
-pub fn get_value(c: &mut Cursor<'_>) -> Result<Value, WireError> {
+pub(crate) fn get_value(c: &mut Cursor<'_>) -> Result<Value, WireError> {
     match c.u8()? {
         VALUE_INT => Ok(Value::Int(c.i64()?)),
         VALUE_FLOAT => Ok(Value::Float(c.f64()?)),
@@ -218,7 +218,7 @@ pub fn get_value(c: &mut Cursor<'_>) -> Result<Value, WireError> {
 }
 
 /// Encodes a schema field type as one byte.
-pub fn put_field_type(buf: &mut Vec<u8>, t: FieldType) {
+pub(crate) fn put_field_type(buf: &mut Vec<u8>, t: FieldType) {
     let tag = match t {
         FieldType::Int => VALUE_INT,
         FieldType::Float => VALUE_FLOAT,
@@ -230,7 +230,7 @@ pub fn put_field_type(buf: &mut Vec<u8>, t: FieldType) {
 }
 
 /// Decodes a schema field type.
-pub fn get_field_type(c: &mut Cursor<'_>) -> Result<FieldType, WireError> {
+pub(crate) fn get_field_type(c: &mut Cursor<'_>) -> Result<FieldType, WireError> {
     match c.u8()? {
         VALUE_INT => Ok(FieldType::Int),
         VALUE_FLOAT => Ok(FieldType::Float),
