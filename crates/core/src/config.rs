@@ -86,7 +86,7 @@ impl DisorderConfig {
 
     /// Validates all invariants the paper states:
     /// `0 < Γ ≤ 1`, `0 < L ≤ P`, `b > 0`, `g > 0`.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(self.gamma > 0.0 && self.gamma <= 1.0) {
             return Err(Error::InvalidConfig(format!(
                 "recall requirement Γ must be in (0, 1], got {}",

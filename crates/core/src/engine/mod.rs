@@ -558,7 +558,7 @@ impl JoinEngine {
     /// per shard.  Observe-only: the engine publishes runtime gauges into
     /// it at barriers and routes structured events (heavy-hitter warnings,
     /// plan transitions) through its bounded ring instead of stderr.  Attaching telemetry never changes a produced byte.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.publishers = (0..self.shard_count())
             .map(|s| ShardPublisher::new(telemetry.shard(s)))
             .collect();
@@ -668,7 +668,7 @@ impl JoinEngine {
 
     /// Every plan revision the runtime re-planner has taken, in decision
     /// order.
-    pub fn plan_transitions(&self) -> &[PlanTransition] {
+    pub(crate) fn plan_transitions(&self) -> &[PlanTransition] {
         &self.plan_transitions
     }
 

@@ -38,7 +38,7 @@ pub struct Scale {
     /// Simulated duration of every dataset (seconds).
     pub duration_secs: u64,
     /// RNG seed for the workload generators.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for Scale {
@@ -51,13 +51,9 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// A fast configuration for smoke tests and benches.
-    pub(crate) fn quick() -> Self {
-        Scale {
-            duration_secs: 60,
-            seed: 42,
-        }
-    }
+    /// The simulated duration `--quick` selects for smoke tests; the seed
+    /// is left as given.
+    const QUICK_DURATION_SECS: u64 = 60;
 
     /// Parses the process arguments: `--duration-secs N`, `--seed N` and
     /// `--quick` into the scale, `--backend SPEC`, `--probe SPEC` and
@@ -105,7 +101,7 @@ impl Scale {
              \x20   -h, --help         print this help and exit",
             d.duration_secs,
             d.seed,
-            Scale::quick().duration_secs
+            Scale::QUICK_DURATION_SECS
         )
     }
 
@@ -122,7 +118,7 @@ impl Scale {
                     .map_err(|_| format!("{arg} needs a non-negative integer, got `{v}`"))
             };
             match arg.as_str() {
-                "--quick" => scale = Scale::quick(),
+                "--quick" => scale.duration_secs = Scale::QUICK_DURATION_SECS,
                 "--duration-secs" => scale.duration_secs = number(value()?)?,
                 "--seed" => scale.seed = number(value()?)?,
                 "--backend" => session.backend = parse_backend(value()?)?,
@@ -268,7 +264,7 @@ pub fn dataset_d3(scale: Scale) -> Dataset {
 }
 
 /// Builds the synthetic 4-way dataset D×4syn at the given scale.
-pub fn dataset_d4(scale: Scale) -> Dataset {
+pub(crate) fn dataset_d4(scale: Scale) -> Dataset {
     let cfg = SyntheticConfig::four_way().duration_secs(scale.duration_secs);
     SyntheticDataset::generate(&cfg, scale.seed).into_dataset()
 }
@@ -450,7 +446,15 @@ mod tests {
         assert_eq!(session.backend, ExecutionBackend::Sequential);
         assert_eq!(session.probe, ProbeStrategy::Auto);
         assert!(session.metrics.is_none());
-        assert_eq!(parse(&["--quick"]).unwrap().0, Scale::quick());
+        let quick = Scale {
+            duration_secs: Scale::QUICK_DURATION_SECS,
+            ..Scale::default()
+        };
+        assert_eq!(parse(&["--quick"]).unwrap().0, quick);
+        // `--quick` sets the duration only: a seed given first survives it.
+        let (quick_seeded, _) = parse(&["--seed", "7", "--quick"]).unwrap();
+        assert_eq!(quick_seeded.seed, 7);
+        assert_eq!(quick_seeded.duration_secs, Scale::QUICK_DURATION_SECS);
         let (custom, _) = parse(&["--duration-secs", "33", "--seed", "7"]).unwrap();
         assert_eq!(custom.duration_secs, 33);
         assert_eq!(custom.seed, 7);

@@ -28,7 +28,7 @@
 mod pair_switch;
 
 use mswj::prelude::*;
-use pair_switch::event;
+use pair_switch::{event, star_query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -226,24 +226,6 @@ fn common_key_query(m: usize, window: u64) -> JoinQuery {
     JoinQuery::new("diff-backend-common", streams, cond).unwrap()
 }
 
-/// 3-way star: anchor S1(a1, a2) joined with S2(a1) and S3(a2) — S3 is
-/// outside the partition pair and exercises the broadcast path.
-fn star_query(window: u64) -> JoinQuery {
-    let streams = StreamSet::new(vec![
-        StreamSpec::new(
-            "S1",
-            Schema::new(vec![("a1", FieldType::Int), ("a2", FieldType::Int)]),
-            window,
-        ),
-        StreamSpec::new("S2", Schema::new(vec![("a1", FieldType::Int)]), window),
-        StreamSpec::new("S3", Schema::new(vec![("a2", FieldType::Int)]), window),
-    ])
-    .unwrap();
-    let cond =
-        Arc::new(StarEquiJoin::new(&streams, 0, &[(1, "a1", "a1"), (2, "a2", "a2")]).unwrap());
-    JoinQuery::new("diff-backend-star", streams, cond).unwrap()
-}
-
 #[test]
 fn common_key_workloads_agree_across_backends() {
     let mut k_shrunk = false;
@@ -395,7 +377,7 @@ fn replanned_workloads_match_the_static_reference() {
 
     // Scenario "switch" (see `pair_switch`): the pair must move from S2 to
     // the flooding S3, migrating all three windows between shards.
-    let switch_events = pair_switch::switch_events();
+    let switch_events = pair_switch::star_events(2);
 
     let query = star_query(240);
     let (want, want_report) = run(
@@ -631,7 +613,7 @@ fn remote_uds_backend_handles_pair_switch() {
     let daemon = Shardd::spawn("switch");
     let query = star_query(240);
     let policy = pair_switch::policy();
-    let events = pair_switch::switch_events();
+    let events = pair_switch::star_events(2);
     let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
     let (got, report) = run(&query, &policy, daemon.backend(4), 64, &events);
     assert_eq!(want, got, "[uds switch] result multiset diverged");

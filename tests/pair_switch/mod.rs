@@ -1,5 +1,6 @@
 //! The star pair-switch scenario shared by the differential suites
-//! (`tests/differential_backends.rs`, `tests/segment_boundary.rs`).
+//! (`tests/differential_backends.rs`, `tests/segment_boundary.rs`) and the
+//! per-shard work counts (`tests/shard_work.rs`).
 //!
 //! The star default partitions (S1, S2), but S3 floods while S2 trickles —
 //! broadcasting the flood replicates it to every shard, so the runtime
@@ -9,6 +10,25 @@
 use mswj::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// The 3-way star S1(a1, a2) ⋈ S2(a1) ⋈ S3(a2) on the anchor S1; the
+/// planner's blind default key-routes the (S1, S2) pair.
+pub fn star_query(window: u64) -> JoinQuery {
+    let streams = StreamSet::new(vec![
+        StreamSpec::new(
+            "S1",
+            Schema::new(vec![("a1", FieldType::Int), ("a2", FieldType::Int)]),
+            window,
+        ),
+        StreamSpec::new("S2", Schema::new(vec![("a1", FieldType::Int)]), window),
+        StreamSpec::new("S3", Schema::new(vec![("a2", FieldType::Int)]), window),
+    ])
+    .unwrap();
+    let cond =
+        Arc::new(StarEquiJoin::new(&streams, 0, &[(1, "a1", "a1"), (2, "a2", "a2")]).unwrap());
+    JoinQuery::new("pair-switch-star", streams, cond).unwrap()
+}
 
 /// One arrival with a bounded random delay — the hand-rolled workloads
 /// need per-stream rate asymmetry a uniform generator cannot express.
@@ -41,47 +61,53 @@ pub fn policy() -> BufferPolicy {
     )
 }
 
-/// The arrivals over a 3-way star S1(a1, a2) ⋈ S2(a1) ⋈ S3(a2), in arrival
-/// order: 120 rounds of one S1 tuple, an S2 tuple every fourth round and
-/// four S3 tuples.
-pub fn switch_events() -> Vec<ArrivalEvent> {
+/// The arrivals over [`star_query`], in arrival order: 120 rounds of one
+/// S1 tuple, a tuple of the other satellite every fourth round and four
+/// tuples of the `flood` satellite (1 or 2).  `star_events(2)` is the
+/// scenario that makes the pair switch.
+pub fn star_events(flood: usize) -> Vec<ArrivalEvent> {
+    let trickle = 3 - flood;
+    // A satellite's key lives in the anchor column it joins: a1 on S2
+    // (8 values), a2 on S3 (6 values).
+    let key = |stream: usize, round: u64| match stream {
+        1 => (round % 8) as i64,
+        _ => (round % 6) as i64,
+    };
     let mut rng = StdRng::seed_from_u64(0x9E9A_A417);
-    let mut switch_events = Vec::new();
+    let mut events = Vec::new();
     let mut seqs = [0u64; 3];
     for round in 0..120u64 {
         let arrival = (round + 1) * 10;
-        let a1 = (round % 8) as i64;
-        let a2 = (round % 6) as i64;
-        switch_events.push(event(
+        events.push(event(
             0,
             seqs[0],
             arrival,
             rng.gen_range(0u64..40),
-            vec![Value::Int(a1), Value::Int(a2)],
+            vec![Value::Int(key(1, round)), Value::Int(key(2, round))],
         ));
         seqs[0] += 1;
         if round % 4 == 0 {
-            switch_events.push(event(
-                1,
-                seqs[1],
+            events.push(event(
+                trickle,
+                seqs[trickle],
                 arrival,
                 rng.gen_range(0u64..40),
-                vec![Value::Int(a1)],
+                vec![Value::Int(key(trickle, round))],
             ));
-            seqs[1] += 1;
+            seqs[trickle] += 1;
         }
         for burst in 0..4u64 {
-            switch_events.push(event(
-                2,
-                seqs[2],
+            events.push(event(
+                flood,
+                seqs[flood],
                 arrival,
                 rng.gen_range(0u64..40),
-                vec![Value::Int(((round + burst) % 6) as i64)],
+                vec![Value::Int(key(flood, round + burst))],
             ));
-            seqs[2] += 1;
+            seqs[flood] += 1;
         }
     }
-    ArrivalLog::from_events(switch_events).events().to_vec()
+    ArrivalLog::from_events(events).events().to_vec()
 }
 
 /// Tuples adopted into shard windows by pair-switch migration, summed over

@@ -16,6 +16,7 @@
 mod pair_switch;
 
 use mswj::prelude::*;
+use pair_switch::star_query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -152,22 +153,6 @@ fn common_key_query(m: usize, window: u64) -> JoinQuery {
     JoinQuery::new("segment-boundary-common", streams, cond).unwrap()
 }
 
-fn star_query(window: u64) -> JoinQuery {
-    let streams = StreamSet::new(vec![
-        StreamSpec::new(
-            "S1",
-            Schema::new(vec![("a1", FieldType::Int), ("a2", FieldType::Int)]),
-            window,
-        ),
-        StreamSpec::new("S2", Schema::new(vec![("a1", FieldType::Int)]), window),
-        StreamSpec::new("S3", Schema::new(vec![("a2", FieldType::Int)]), window),
-    ])
-    .unwrap();
-    let cond =
-        Arc::new(StarEquiJoin::new(&streams, 0, &[(1, "a1", "a1"), (2, "a2", "a2")]).unwrap());
-    JoinQuery::new("segment-boundary-star", streams, cond).unwrap()
-}
-
 #[test]
 fn tiny_capacity_takes_effect_in_this_process() {
     set_default_segment_capacity(TINY_CAPACITY);
@@ -290,7 +275,7 @@ fn pair_switch_agrees_at_segment_boundaries() {
     set_default_segment_capacity(TINY_CAPACITY);
     let query = star_query(240);
     let policy = pair_switch::policy();
-    let events = pair_switch::switch_events();
+    let events = pair_switch::star_events(2);
     let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
     for (backend, batch) in [
         (ExecutionBackend::Pool { workers: 4 }, 64),

@@ -71,8 +71,11 @@ fn thread_live_bytes() -> i64 {
     THREAD_LIVE_BYTES.with(|c| c.get())
 }
 
-/// The counter is process-global, so the two measuring tests must not run
-/// concurrently: each holds this lock across its measured phase.
+/// A session that runs only on the calling thread (`Sequential`) is
+/// measured with [`thread_allocations`], which no other test thread can
+/// move.  The `Pool` fallback test reads the process-global counter, whose
+/// workers allocate off the calling thread, so every measuring test holds
+/// this lock across its measured phase.
 static MEASURE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// In-order events on two streams, 1 ms apart, with keys chosen so the two
@@ -112,11 +115,11 @@ fn counting_push_into_does_not_allocate_per_event() {
         pipeline.push_into(e, &mut sink);
     }
 
-    let before = allocations();
+    let before = thread_allocations();
     for e in measured {
         pipeline.push_into(e, &mut sink);
     }
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
 
     // The watermark advanced through the measured phase without a single
     // Result event (counting mode, non-joining keys).  The synchronizer
@@ -164,11 +167,11 @@ fn telemetry_enabled_push_into_does_not_allocate_per_event() {
         pipeline.push_into(e, &mut sink);
     }
 
-    let before = allocations();
+    let before = thread_allocations();
     for e in measured {
         pipeline.push_into(e, &mut sink);
     }
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     assert!(
         during <= n / 8,
         "instrumented hot path allocated {during} times for {n} events (> 1 per {} events)",
@@ -212,11 +215,11 @@ fn joining_counting_session_still_stays_allocation_free_per_event() {
     for e in warmup {
         pipeline.push(e);
     }
-    let before = allocations();
+    let before = thread_allocations();
     for e in measured {
         pipeline.push(e);
     }
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     assert!(
         during <= n / 8,
         "joining hot path allocated {during} times for {n} events"
@@ -387,11 +390,11 @@ fn fixed_k_buffers_stay_allocation_free_on_mixed_disorder() {
     for e in warmup {
         pipeline.push_into(e, &mut sink);
     }
-    let before = allocations();
+    let before = thread_allocations();
     for e in measured {
         pipeline.push_into(e, &mut sink);
     }
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     assert!(
         during <= n / 8,
         "buffering hot path allocated {during} times for {n} events (> 1 per {} events)",
@@ -430,11 +433,11 @@ fn counting_common_key_session_allocates_no_posting_map() {
     for e in warmup {
         pipeline.push(e);
     }
-    let before = allocations();
+    let before = thread_allocations();
     for e in measured {
         pipeline.push(e);
     }
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     assert!(
         during <= n / 8,
         "distinct-key counting session allocated {during} times for {n} events"
@@ -512,11 +515,11 @@ fn indexed_probe_path_reuses_buckets_without_allocating() {
     for e in warmup {
         pipeline.push(e);
     }
-    let before = allocations();
+    let before = thread_allocations();
     for e in measured {
         pipeline.push(e);
     }
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     assert!(
         during <= n / 8,
         "indexed probe path allocated {during} times for {n} events"
@@ -572,11 +575,11 @@ fn distance_scan_kernel_does_not_allocate_per_event() {
     }
     for (phase, events) in [("in-order", in_order), ("late-insert", with_late)] {
         let n = events.len() as u64;
-        let before = allocations();
+        let before = thread_allocations();
         for e in events {
             pipeline.push(e);
         }
-        let during = allocations() - before;
+        let during = thread_allocations() - before;
         assert!(
             during <= n / 8,
             "distance scan path allocated {during} times for {n} {phase} events"
@@ -612,11 +615,11 @@ fn distance_scan_visit_pass_allocates_only_the_emitted_results() {
     }
     let measured: Vec<ArrivalEvent> = (400..800u64).map(position_with_late).collect();
     let n = measured.len() as u64;
-    let (results_before, before) = (sink.results, allocations());
+    let (results_before, before) = (sink.results, thread_allocations());
     for e in measured {
         pipeline.push_into(e, &mut sink);
     }
-    let during = allocations() - before;
+    let during = thread_allocations() - before;
     let emitted = sink.results - results_before;
     assert!(emitted > n, "close positions must join, saw {emitted}");
     assert!(
