@@ -77,10 +77,12 @@ pub struct Adwin {
     /// `rows[r]` holds buckets of capacity `2^r`, newest first.
     rows: Vec<VecDeque<Bucket>>,
     total: Bucket,
-    /// Observations seen over the whole stream (not just the window).
-    observed: u64,
     /// Check for cuts only every `check_period` insertions (1 = every time).
     check_period: u64,
+    /// Insertions left until the next cut check, counting down from
+    /// `check_period`: the `check_period`-th, `2·check_period`-th, …
+    /// insertion checks.
+    until_check: u64,
 }
 
 impl Adwin {
@@ -110,8 +112,8 @@ impl Adwin {
                 sum_sq: 0.0,
                 count: 0,
             },
-            observed: 0,
             check_period,
+            until_check: check_period,
         }
     }
 
@@ -147,11 +149,12 @@ impl Adwin {
     /// Inserts an observation; returns `true` if a change was detected and
     /// the window was shrunk as a consequence.
     pub fn insert(&mut self, value: f64) -> bool {
-        self.observed += 1;
         self.rows[0].push_front(Bucket::single(value));
         self.total = self.total.merge(Bucket::single(value));
         self.compress();
-        if self.observed.is_multiple_of(self.check_period) {
+        self.until_check -= 1;
+        if self.until_check == 0 {
+            self.until_check = self.check_period;
             self.detect_and_shrink()
         } else {
             false
@@ -269,15 +272,16 @@ mod tests {
 
     /// The detector as it was before the per-scan hoisting and the early
     /// `compress` exit: every row walked on every insert, `ln(2/δ′)` and
-    /// the window variance recomputed per candidate cut.  Kept as the
-    /// oracle of `hoisted_scan_is_bit_identical_to_the_per_candidate_oracle`.
+    /// the window variance recomputed per candidate cut, and a cut check
+    /// wherever the 1-based insert count `observed` is a multiple of the
+    /// check period.  Kept as the oracle of
+    /// `hoisted_scan_is_bit_identical_to_the_per_candidate_oracle`.
     impl Adwin {
-        fn insert_oracle(&mut self, value: f64) -> bool {
-            self.observed += 1;
+        fn insert_oracle(&mut self, value: f64, observed: u64) -> bool {
             self.rows[0].push_front(Bucket::single(value));
             self.total = self.total.merge(Bucket::single(value));
             self.compress_oracle();
-            if self.observed.is_multiple_of(self.check_period) {
+            if observed.is_multiple_of(self.check_period) {
                 self.detect_and_shrink_oracle()
             } else {
                 false
@@ -382,7 +386,7 @@ mod tests {
                         let shrunk = shipped.insert(v);
                         assert_eq!(
                             shrunk,
-                            oracle.insert_oracle(v),
+                            oracle.insert_oracle(v, i as u64 + 1),
                             "{name} period {check_period} seed {seed} insert {i}"
                         );
                         cuts += u64::from(shrunk);
@@ -420,7 +424,7 @@ mod tests {
         assert_eq!(a.len(), 0);
         assert_eq!(a.mean(), 0.0);
         assert_eq!(a.variance(), 0.0);
-        assert_eq!(a.observed, 0);
+        assert_eq!(a.until_check, a.check_period);
     }
 
     #[test]
@@ -486,12 +490,14 @@ mod tests {
 
     #[test]
     fn observed_counts_everything_inserted() {
-        let mut a = Adwin::new(0.002);
+        let mut a = Adwin::with_params(0.002, 5, 7);
         for _ in 0..100 {
             a.insert(3.0);
         }
-        assert_eq!(a.observed, 100);
-        assert!(a.len() <= 100);
+        // A constant stream is never cut: the window holds every insert.
+        assert_eq!(a.len(), 100);
+        // 100 = 14 · 7 + 2: two inserts into the fifteenth check period.
+        assert_eq!(a.until_check, 5);
     }
 
     #[test]

@@ -100,10 +100,14 @@ impl KSlack {
 
     /// Processes the arrival of one tuple: annotates it with its delay,
     /// buffers it and appends every tuple that became emittable
-    /// (`e.ts + K <= iT`) to `out`, in timestamp order.  The pipeline's hot
-    /// path reuses one scratch buffer across events, so a steady-state push
-    /// performs no heap allocation.
-    pub fn push_into(&mut self, mut tuple: Tuple, out: &mut Vec<Tuple>) {
+    /// (`e.ts + K <= iT`) to `out`, in timestamp order.
+    pub fn push_into(&mut self, tuple: Tuple, out: &mut Vec<Tuple>) {
+        self.push_with(tuple, |t| out.push(t));
+    }
+
+    /// [`KSlack::push_into`] handing each released tuple to `emit` instead
+    /// of a buffer: the pipeline chains it straight into the Synchronizer.
+    pub(crate) fn push_with(&mut self, mut tuple: Tuple, mut emit: impl FnMut(Tuple)) {
         let delay = self.clock.observe(tuple.ts);
         tuple.set_delay(delay);
         self.stats.received += 1;
@@ -112,40 +116,55 @@ impl KSlack {
             // immediately emittable (`iT >= e.ts` after the clock update),
             // so skip the buffer round-trip entirely.
             self.account_emission(&tuple);
-            out.push(tuple);
+            emit(tuple);
             return;
         }
         self.stats.late_inserts += u64::from(self.buffer.push(tuple));
         if self.buffer.len() > self.stats.peak_buffered {
             self.stats.peak_buffered = self.buffer.len();
         }
-        self.emit_ready_into(out);
+        self.release(false, emit);
     }
 
     /// Appends every buffered tuple with `ts + K <= iT` to `out`, in
     /// timestamp order.  Called automatically by [`KSlack::push_into`]; also
     /// useful after lowering `K` via [`KSlack::set_k`].
     pub fn emit_ready_into(&mut self, out: &mut Vec<Tuple>) {
-        if !self.clock.started() {
-            return;
-        }
-        let (now, k) = (self.clock.now(), self.k);
-        while let Some(tuple) = self
-            .buffer
-            .pop_if_ts(|ts| ts.saturating_add_duration(k) <= now)
-        {
-            self.account_emission(&tuple);
-            out.push(tuple);
-        }
+        self.release(false, |t| out.push(t));
     }
 
     /// Appends everything still buffered (end of stream) to `out`, in
     /// timestamp order.
     pub fn flush_into(&mut self, out: &mut Vec<Tuple>) {
-        while let Some(tuple) = self.buffer.pop() {
-            self.account_emission(&tuple);
-            out.push(tuple);
+        self.release(true, |t| out.push(t));
+    }
+
+    /// Hands `emit` every tuple [`KSlack::head_ts`] admits, in timestamp
+    /// order.
+    fn release(&mut self, flush: bool, mut emit: impl FnMut(Tuple)) {
+        while self.head_ts(flush).is_some() {
+            emit(self.pop_head());
         }
+    }
+
+    /// The timestamp of the tuple this component releases next: the
+    /// buffer's head when it is emittable (`ts + K <= iT`), or whenever
+    /// anything is buffered with `flush` (end of stream).
+    pub(crate) fn head_ts(&self, flush: bool) -> Option<Timestamp> {
+        let ts = self.buffer.peek_ts()?;
+        let ready = flush || ts.saturating_add_duration(self.k) <= self.clock.now();
+        ready.then_some(ts)
+    }
+
+    /// Releases the buffer's head, the tuple [`KSlack::head_ts`] just
+    /// reported.
+    pub(crate) fn pop_head(&mut self) -> Tuple {
+        let tuple = self
+            .buffer
+            .pop()
+            .expect("head_ts reported a buffered tuple");
+        self.account_emission(&tuple);
+        tuple
     }
 
     fn account_emission(&mut self, tuple: &Tuple) {

@@ -21,6 +21,15 @@
 //! operators, and executed per batch by the configured
 //! [`ExecutionBackend`] ([`SessionBuilder::parallelism`]).
 //!
+//! Each arrival takes one path through the front-end: its K-slack
+//! component hands every tuple it releases straight to the Synchronizer,
+//! which hands every tuple it releases straight to the join stage's
+//! batch — closures, not intermediate vectors.  A buffer-size shrink and
+//! end of stream release from every K-slack component at once; those
+//! releases are merged by timestamp (ties to the lower stream index) into
+//! the Synchronizer one tuple at a time, so no step holds a copy of the
+//! backlog.
+//!
 //! The pipeline is driven by [`ArrivalEvent`]s (tuples in arrival order,
 //! interleaved across streams) and delivers its output *event by event*:
 //! [`Pipeline::push_into`] hands every join result, checkpoint, buffer-size
@@ -90,11 +99,6 @@ pub struct Pipeline {
     checkpoints: Vec<Checkpoint>,
     /// Watermark of the last [`OutputEvent::Progress`] emission.
     last_progress: Option<Timestamp>,
-    /// Reusable scratch buffers for the K-slack → Synchronizer → engine
-    /// routing; capacity persists across events, so a steady-state push
-    /// allocates nothing.
-    scratch_released: Vec<Tuple>,
-    scratch_synced: Vec<Tuple>,
     /// Observe-only metrics sink.  `None` means instrumentation is
     /// compiled out of the hot path entirely (a branch on an `Option`,
     /// never an allocation); attached via
@@ -166,8 +170,6 @@ impl Pipeline {
             produced: ProducedLog::default(),
             checkpoints: Vec::new(),
             last_progress: None,
-            scratch_released: Vec::new(),
-            scratch_synced: Vec::new(),
             telemetry,
             query,
             policy,
@@ -219,10 +221,11 @@ impl Pipeline {
     /// (materializing sessions only), checkpoints, buffer-size changes and
     /// watermark advances — to `sink` before returning.
     ///
-    /// This is the hot path: events borrow from the pipeline and the
-    /// internal routing reuses scratch buffers, so a counting session in
-    /// steady state performs **no per-event heap allocation**.  Delegates
-    /// to [`Pipeline::push_batch_into`] with a one-event batch.
+    /// This is the hot path: events borrow from the pipeline, and a
+    /// released tuple moves from K-slack through the Synchronizer into the
+    /// join stage's batch with no staging copy in between, so a counting
+    /// session in steady state performs **no per-event heap allocation**.
+    /// Delegates to [`Pipeline::push_batch_into`] with a one-event batch.
     pub fn push_into<S: Sink>(&mut self, event: ArrivalEvent, sink: &mut S) {
         self.push_batch_into(std::iter::once(event), sink);
     }
@@ -291,11 +294,9 @@ impl Pipeline {
             }
         }
 
-        let mut released = std::mem::take(&mut self.scratch_released);
-        debug_assert!(released.is_empty());
-        self.kslacks[stream.as_usize()].push_into(tuple, &mut released);
-        self.route_downstream(&mut released);
-        self.scratch_released = released;
+        self.kslacks[stream.as_usize()].push_with(tuple, |t| {
+            self.synchronizer.push_with(t, |t| self.engine.stage(t));
+        });
     }
 
     /// Flushes all buffers (end of stream), discarding output events, and
@@ -314,18 +315,10 @@ impl Pipeline {
     /// adaptation.
     #[must_use = "finish_into() returns the RunReport with the run's figures"]
     pub fn finish_into<S: Sink>(mut self, sink: &mut S) -> RunReport {
-        // Flush K-slack components and the synchronizer.
-        let mut tail = std::mem::take(&mut self.scratch_released);
-        for ks in &mut self.kslacks {
-            ks.flush_into(&mut tail);
-        }
-        tail.sort_by_key(|t| t.ts);
-        self.route_downstream(&mut tail);
-        let mut synced = std::mem::take(&mut self.scratch_synced);
-        self.synchronizer.flush_into(&mut synced);
-        for t in synced.drain(..) {
-            self.engine.stage(t);
-        }
+        // Flush the K-slack components through the synchronizer, then the
+        // synchronizer's own backlog.
+        self.release_heads(true);
+        self.synchronizer.flush_with(|t| self.engine.stage(t));
         self.sync_engine(sink);
 
         // Close the average-K accounting.
@@ -383,19 +376,14 @@ impl Pipeline {
         }
     }
 
-    /// Sends K-slack output through the synchronizer, draining `released`
-    /// and staging the synchronized tuples into the join stage (they
-    /// execute at the next flush).
-    fn route_downstream(&mut self, released: &mut Vec<Tuple>) {
-        let mut synced = std::mem::take(&mut self.scratch_synced);
-        debug_assert!(synced.is_empty());
-        for t in released.drain(..) {
-            self.synchronizer.push_into(t, &mut synced);
-        }
-        for t in synced.drain(..) {
-            self.engine.stage(t);
-        }
-        self.scratch_synced = synced;
+    /// Sends every tuple the K-slack components release — the emittable
+    /// ones, or all of them with `flush` — through the synchronizer and
+    /// stages what it emits into the join stage (they execute at the next
+    /// flush).
+    fn release_heads(&mut self, flush: bool) {
+        merge_heads(&mut self.kslacks, flush, |t| {
+            self.synchronizer.push_with(t, |t| self.engine.stage(t));
+        });
     }
 
     /// Executes every staged tuple through the configured backend, feeding
@@ -594,8 +582,6 @@ impl Pipeline {
         self.k_weighted_sum += self.current_k as f64 * (at - self.k_since) as f64;
         self.k_since = at;
         self.current_k = k;
-        let mut released = std::mem::take(&mut self.scratch_released);
-        debug_assert!(released.is_empty());
         for (i, ks) in self.kslacks.iter_mut().enumerate() {
             ks.set_k(k);
             sink.event(OutputEvent::KChanged {
@@ -603,14 +589,29 @@ impl Pipeline {
                 old,
                 new: k,
             });
-            // A smaller K may make buffered tuples immediately emittable.
-            ks.emit_ready_into(&mut released);
         }
-        if !released.is_empty() {
-            released.sort_by_key(|t| t.ts);
-            self.route_downstream(&mut released);
+        // A smaller K may make buffered tuples immediately emittable.
+        self.release_heads(false);
+    }
+}
+
+/// Releases the heads of `kslacks` to `emit` while any is ready (see
+/// [`KSlack::head_ts`]), smallest timestamp first and ties to the lower
+/// stream index: each component releases in timestamp order, so this is
+/// the order a stable sort by timestamp gives over the components'
+/// releases concatenated in stream order — without holding them.
+fn merge_heads(kslacks: &mut [KSlack], flush: bool, mut emit: impl FnMut(Tuple)) {
+    loop {
+        let mut next: Option<(Timestamp, usize)> = None;
+        for (i, ks) in kslacks.iter().enumerate() {
+            match (ks.head_ts(flush), next) {
+                (Some(ts), Some((best, _))) if ts >= best => {}
+                (Some(ts), _) => next = Some((ts, i)),
+                (None, _) => {}
+            }
         }
-        self.scratch_released = released;
+        let Some((_, i)) = next else { return };
+        emit(kslacks[i].pop_head());
     }
 }
 
@@ -656,6 +657,71 @@ mod tests {
             events.push(ev(1, i, t, t, 1));
         }
         events
+    }
+
+    /// The head merge of a K shrink and of end of stream against what it
+    /// replaced: every component's release collected in stream order, then
+    /// stable-sorted by timestamp.  Coarse timestamps make ties within and
+    /// across streams common; each scenario starts from the same random
+    /// backlog.
+    #[test]
+    fn merged_release_matches_stable_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut cross_stream_ties = 0;
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = rng.gen_range(2..=4usize);
+            let k = rng.gen_range(20..400u64);
+            let mut backlog: Vec<KSlack> = (0..m).map(|_| KSlack::new(k)).collect();
+            for seq in 0..rng.gen_range(1..500u64) {
+                let stream = rng.gen_range(0..m);
+                let ts = Timestamp::from_millis(rng.gen_range(0..80u64) * 5);
+                let tuple = Tuple::marker(StreamIndex(stream), seq, ts);
+                backlog[stream].push_into(tuple, &mut Vec::new());
+            }
+            // (new K, end of stream) steps: a partial shrink then the
+            // flush, a shrink to K = 0, the flush alone.
+            let scenarios: [&[(Duration, bool)]; 3] = [
+                &[(k / 2, false), (k / 2, true)],
+                &[(0, false)],
+                &[(k, true)],
+            ];
+            for steps in scenarios {
+                let (mut merged, mut oracle) = (backlog.clone(), backlog.clone());
+                for &(new_k, flush) in steps {
+                    let mut expected = Vec::new();
+                    for ks in &mut oracle {
+                        ks.set_k(new_k);
+                        if flush {
+                            ks.flush_into(&mut expected);
+                        } else {
+                            ks.emit_ready_into(&mut expected);
+                        }
+                    }
+                    expected.sort_by_key(|t| t.ts);
+                    let mut released = Vec::new();
+                    for ks in &mut merged {
+                        ks.set_k(new_k);
+                    }
+                    merge_heads(&mut merged, flush, |t| released.push(t));
+                    assert_eq!(released, expected, "seed {seed} steps {steps:?}");
+                    cross_stream_ties += released
+                        .windows(2)
+                        .filter(|w| w[0].ts == w[1].ts && w[0].stream != w[1].stream)
+                        .count();
+                    for (a, b) in merged.iter().zip(&oracle) {
+                        assert_eq!(a.stats(), b.stats(), "seed {seed} steps {steps:?}");
+                        assert_eq!(a.buffered(), b.buffered());
+                    }
+                }
+                assert!(merged.iter().all(|ks| ks.buffered() == 0), "seed {seed}");
+            }
+        }
+        assert!(
+            cross_stream_ties > 100,
+            "{cross_stream_ties} cross-stream ties"
+        );
     }
 
     #[test]

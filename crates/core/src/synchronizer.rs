@@ -66,50 +66,57 @@ impl Synchronizer {
     /// Processes one tuple according to Alg. 1, appending the tuples it
     /// releases downstream (possibly none, possibly several) to `out`.
     pub fn push_into(&mut self, tuple: Tuple, out: &mut Vec<Tuple>) {
+        self.push_with(tuple, |t| out.push(t));
+    }
+
+    /// [`Synchronizer::push_into`] handing each released tuple to `emit`
+    /// instead of a buffer: the pipeline chains it straight into the join
+    /// stage.
+    pub(crate) fn push_with(&mut self, tuple: Tuple, mut emit: impl FnMut(Tuple)) {
         self.stats.received += 1;
-        if tuple.ts > self.t_sync {
-            // Lines 4–8: buffer, then drain while every stream is present.
-            self.per_stream[tuple.stream.as_usize()] += 1;
-            self.stats.late_inserts += u64::from(self.buffer.push(tuple));
-            if self.buffer.len() > self.stats.peak_buffered {
-                self.stats.peak_buffered = self.buffer.len();
-            }
-            self.drain_into(out);
-        } else {
+        if tuple.ts <= self.t_sync {
             // Lines 9–10: emit immediately.
             self.stats.emitted_immediately += 1;
-            out.push(tuple);
+            emit(tuple);
+            return;
         }
-    }
-
-    /// Appends everything still buffered (end of stream) to `out`, in
-    /// timestamp order.
-    pub fn flush_into(&mut self, out: &mut Vec<Tuple>) {
-        while let Some(tuple) = self.buffer.pop() {
-            self.per_stream[tuple.stream.as_usize()] -= 1;
-            if tuple.ts > self.t_sync {
-                self.t_sync = tuple.ts;
-            }
-            self.stats.emitted_synchronized += 1;
-            out.push(tuple);
+        // Lines 4–8: buffer, then drain while the buffer holds at least one
+        // tuple of every stream, each round emitting every tuple that
+        // carries the smallest buffered timestamp, the new `T_sync`.
+        self.per_stream[tuple.stream.as_usize()] += 1;
+        self.stats.late_inserts += u64::from(self.buffer.push(tuple));
+        if self.buffer.len() > self.stats.peak_buffered {
+            self.stats.peak_buffered = self.buffer.len();
         }
-    }
-
-    /// Drains the buffer while it contains at least one tuple of each stream
-    /// (Alg. 1, lines 6–8).
-    fn drain_into(&mut self, out: &mut Vec<Tuple>) {
         while self.per_stream.iter().all(|&c| c > 0) {
             let min_ts = self
                 .buffer
                 .peek_ts()
                 .expect("per-stream counts imply a non-empty buffer");
             self.t_sync = min_ts;
-            // Emit every tuple whose timestamp equals T_sync.
             while let Some(tuple) = self.buffer.pop_if_ts(|ts| ts == min_ts) {
                 self.per_stream[tuple.stream.as_usize()] -= 1;
                 self.stats.emitted_synchronized += 1;
-                out.push(tuple);
+                emit(tuple);
             }
+        }
+    }
+
+    /// Appends everything still buffered (end of stream) to `out`, in
+    /// timestamp order.
+    pub fn flush_into(&mut self, out: &mut Vec<Tuple>) {
+        self.flush_with(|t| out.push(t));
+    }
+
+    /// [`Synchronizer::flush_into`] handing each tuple to `emit`.
+    pub(crate) fn flush_with(&mut self, mut emit: impl FnMut(Tuple)) {
+        while let Some(tuple) = self.buffer.pop() {
+            self.per_stream[tuple.stream.as_usize()] -= 1;
+            if tuple.ts > self.t_sync {
+                self.t_sync = tuple.ts;
+            }
+            self.stats.emitted_synchronized += 1;
+            emit(tuple);
         }
     }
 }

@@ -215,7 +215,8 @@ pub struct WindowStats {
     /// in its segment's arena plus its payload allocation (`Arc` header and
     /// values) and string buffers, and the live rows' scan-column entries.
     /// Payloads shared with other holders via `Arc` are counted in full —
-    /// an upper-bound estimate.
+    /// an upper-bound estimate.  Summed over the live rows when
+    /// [`Window::stats`] is read, so inserts and expiry never pay for it.
     pub live_bytes_est: u64,
     /// Number of storage segments currently held.
     pub segments: usize,
@@ -426,8 +427,6 @@ struct Segment {
     /// [`scan_image`] of the live rows in `order`'s order — entry `base + p`
     /// images `rows[order[p]]`; the entries before `base` are dead.
     scan: Vec<Vec<f64>>,
-    /// Estimated heap bytes of the live rows, scan-column entries included.
-    live_bytes: u64,
 }
 
 /// Inserts `rid` into a timestamp-ordered id deque, searching from the back
@@ -453,7 +452,6 @@ impl Segment {
             postings: vec![KeyMap::default(); n_postings],
             unindexable: vec![0; n],
             scan: vec![Vec::new(); n_scan],
-            live_bytes: 0,
         }
     }
 
@@ -524,7 +522,6 @@ impl Segment {
             let base = column.len() - self.order.len();
             column.insert(base + pos, scan_image(tuple.value(col)));
         }
-        self.live_bytes += self.row_bytes(&tuple);
         self.rows.push(tuple);
         if pos == self.order.len() {
             self.order.push_back(rid);
@@ -575,7 +572,6 @@ impl Segment {
         for column in &mut self.scan {
             column.clear();
         }
-        self.live_bytes = 0;
     }
 }
 
@@ -740,7 +736,11 @@ impl Window {
     /// Lifetime statistics plus the current storage shape.
     pub fn stats(&self) -> WindowStats {
         WindowStats {
-            live_bytes_est: self.segments.iter().map(|s| s.live_bytes).sum(),
+            live_bytes_est: self
+                .segments
+                .iter()
+                .flat_map(|s| s.live().map(|t| s.row_bytes(t)))
+                .sum(),
             segments: self.segments.len(),
             sealed_segments: self.segments.len().saturating_sub(1),
             ..self.counters
@@ -862,7 +862,6 @@ impl Window {
             }
             seg.order.pop_front();
             let t = &seg.rows[rid as usize];
-            seg.live_bytes = seg.live_bytes.saturating_sub(seg.row_bytes(t));
             for (ci, &col) in cols.iter().enumerate() {
                 match classify(t.value(col)) {
                     KeyClass::Key(key) => match index.kind {

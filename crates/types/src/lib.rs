@@ -34,5 +34,5 @@ pub use error::{Error, Result};
 pub use progress::{LocalClock, SkewTracker};
 pub use stream::{StreamIndex, StreamSet, StreamSpec};
 pub use timestamp::{Duration, Timestamp};
-pub use tuple::{Tuple, TupleBuilder};
+pub use tuple::Tuple;
 pub use value::{FieldType, Schema, Value};

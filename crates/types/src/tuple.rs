@@ -112,57 +112,6 @@ impl fmt::Display for Tuple {
     }
 }
 
-/// Fluent builder for tuples, mostly used by workload generators and tests.
-///
-/// # Examples
-///
-/// ```
-/// use mswj_types::{TupleBuilder, Timestamp, Value};
-/// let t = TupleBuilder::new(0.into(), Timestamp::from_millis(40))
-///     .seq(7)
-///     .value(Value::Int(99))
-///     .value(Value::Float(1.5))
-///     .build();
-/// assert_eq!(t.arity(), 2);
-/// assert_eq!(t.seq, 7);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TupleBuilder {
-    stream: StreamIndex,
-    seq: u64,
-    ts: Timestamp,
-    values: Vec<Value>,
-}
-
-impl TupleBuilder {
-    /// Starts a builder for a tuple of `stream` with timestamp `ts`.
-    pub fn new(stream: StreamIndex, ts: Timestamp) -> Self {
-        TupleBuilder {
-            stream,
-            seq: 0,
-            ts,
-            values: Vec::new(),
-        }
-    }
-
-    /// Sets the arrival sequence number.
-    pub fn seq(mut self, seq: u64) -> Self {
-        self.seq = seq;
-        self
-    }
-
-    /// Appends one attribute value.
-    pub fn value(mut self, v: impl Into<Value>) -> Self {
-        self.values.push(v.into());
-        self
-    }
-
-    /// Finishes the tuple.
-    pub fn build(self) -> Tuple {
-        Tuple::new(self.stream, self.seq, self.ts, self.values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,23 +172,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_produces_equivalent_tuple() {
-        let built = TupleBuilder::new(StreamIndex(2), Timestamp::from_millis(77))
-            .seq(4)
-            .value(1i64)
-            .value(2.0f64)
-            .build();
-        assert_eq!(built.stream, StreamIndex(2));
-        assert_eq!(built.seq, 4);
-        assert_eq!(built.ts.as_millis(), 77);
-        assert_eq!(built.values(), &[Value::Int(1), Value::Float(2.0)]);
-    }
-
-    #[test]
     fn display_contains_stream_and_values() {
-        let t = TupleBuilder::new(StreamIndex(0), Timestamp::from_millis(9))
-            .value(3i64)
-            .build();
+        let t = Tuple::new(
+            StreamIndex(0),
+            0,
+            Timestamp::from_millis(9),
+            vec![Value::Int(3)],
+        );
         let s = t.to_string();
         assert!(s.contains("S1"));
         assert!(s.contains("9ms"));

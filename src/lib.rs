@@ -81,7 +81,7 @@ pub mod prelude {
     pub use mswj_obs::{EventKind, MetricsExporter, Telemetry, TelemetryEvent};
     pub use mswj_types::{
         ArrivalEvent, ArrivalLog, Duration, FieldType, Interleaver, Schema, StreamIndex, StreamSet,
-        StreamSpec, Timestamp, Tuple, TupleBuilder, Value,
+        StreamSpec, Timestamp, Tuple, Value,
     };
 }
 

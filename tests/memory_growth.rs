@@ -3,11 +3,14 @@
 //! the only state left that grows with the stream is the result series
 //! behind `RunReport::produced` — a few bytes per result-producing tuple.
 //! A second case pins that steady-state size for the statistics histories:
-//! a few bytes per retained delay sample.
+//! a few bytes per retained delay sample.  A third pins what end of stream
+//! costs on top: the buffered tuples are staged for the join stage once,
+//! not copied through intermediate vectors.
 //!
 //! A counting global allocator keeps a per-thread live-byte balance (bytes
 //! allocated minus bytes freed, by requested size, as `tests/zero_alloc.rs`
-//! does), so the harness's own threads do not disturb the measurement.
+//! does) and its high-water mark, so the harness's own threads do not
+//! disturb the measurement.
 
 use mswj::core::StatisticsManager;
 use mswj::prelude::*;
@@ -18,10 +21,16 @@ struct CountingAllocator;
 thread_local! {
     /// Bytes this thread allocated minus bytes it freed, by requested size.
     static THREAD_LIVE_BYTES: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+    /// The largest `THREAD_LIVE_BYTES` since the last `reset_thread_peak`.
+    static THREAD_PEAK_BYTES: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
 }
 
 fn count_bytes(delta: i64) {
-    let _ = THREAD_LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
+    let _ = THREAD_LIVE_BYTES.try_with(|c| {
+        let live = c.get() + delta;
+        c.set(live);
+        let _ = THREAD_PEAK_BYTES.try_with(|p| p.set(p.get().max(live)));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -46,6 +55,17 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn thread_live_bytes() -> i64 {
     THREAD_LIVE_BYTES.with(|c| c.get())
+}
+
+/// Restarts the high-water mark at the current balance, which it returns.
+fn reset_thread_peak() -> i64 {
+    let live = thread_live_bytes();
+    THREAD_PEAK_BYTES.with(|p| p.set(live));
+    live
+}
+
+fn thread_peak_bytes() -> i64 {
+    THREAD_PEAK_BYTES.with(|p| p.get())
 }
 
 /// The `t`-th arrival: streams alternate, one tuple per millisecond, all on
@@ -135,5 +155,43 @@ fn saturated_statistics_history_holds_four_bytes_a_sample() {
         per_sample <= BUDGET_BYTES_PER_HISTORY_SAMPLE,
         "statistics history holds {per_sample:.2} B per retained sample \
          (budget {BUDGET_BYTES_PER_HISTORY_SAMPLE} B)"
+    );
+}
+
+/// What `finish_into` may add to the peak beyond the one `staged` batch,
+/// however many tuples were buffered: mostly the windows' segment arenas,
+/// up to three 1 024-row segments of 56-B slots per stream (~344 KiB here;
+/// 347 KB measured at N = 8 192 and at N = 16 384).
+const END_OF_STREAM_SLACK_BYTES: i64 = 384 * 1024;
+
+#[test]
+fn end_of_stream_stages_each_buffered_tuple_once() {
+    // A power of two, so the engine's `staged` batch grows by doubling to
+    // exactly N slots.
+    const N: u64 = 8_192;
+    let mut pipeline = Pipeline::builder()
+        .streams(2, Schema::new(vec![("a1", FieldType::Int)]), 100)
+        .on_common_key("a1")
+        .policy(BufferPolicy::FixedK(3_600_000))
+        .build()
+        .unwrap();
+    // K exceeds the stream's span: every tuple is still buffered in its
+    // K-slack component when the stream ends.
+    for t in 1..=N {
+        pipeline.push(arrival(t));
+    }
+    let before = reset_thread_peak();
+    let report = pipeline.finish();
+    let rise = thread_peak_bytes() - before;
+    assert_eq!(
+        report.operator_stats.in_order, N,
+        "the flush ran every tuple"
+    );
+    let batch = N as i64 * std::mem::size_of::<Tuple>() as i64;
+    eprintln!("finish raised the peak by {rise} B; one staged batch is {batch} B");
+    assert!(
+        rise <= batch + END_OF_STREAM_SLACK_BYTES,
+        "finish raised the peak by {rise} B for {N} buffered tuples \
+         (budget {batch} + {END_OF_STREAM_SLACK_BYTES} B)"
     );
 }
