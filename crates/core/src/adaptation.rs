@@ -33,6 +33,13 @@ pub struct AdaptationOutcome {
     pub(crate) elapsed_nanos: u64,
     /// The `MaxDH` bound used for the search (ms).
     pub max_delay: Duration,
+    /// Eq. 7's inputs, `N_prod(P−L)`, `N_true(P−L)` and `N_true(L)`, and
+    /// the selectivity ratio `sel(K)/sel` at `k*`: recorded on the
+    /// [`Checkpoint`](crate::Checkpoint).
+    pub(crate) n_prod_history: u64,
+    pub(crate) n_true_history: u64,
+    pub(crate) n_true_next: u64,
+    pub(crate) selectivity_ratio: f64,
 }
 
 /// Model-based Buffer-Size Manager.
@@ -68,9 +75,18 @@ impl BufferSizeManager {
     ///   N_true(P−L) + N_true(L)
     /// ```
     ///
-    /// solved for `Γ'` and clamped into `[0, 1]` (the paper's `max{Γ', 1}`
-    /// is read as the obvious cap at 1 — a recall requirement above 1 is
-    /// unsatisfiable).
+    /// solved for `Γ'` and clamped into `[Γ, 1]`.
+    ///
+    /// The cap at 1 is read from §IV-C's `max{Γ', 1}`: a requirement above
+    /// 1 is unsatisfiable, and a literal `max` with 1 would pin `Γ'` at 1.
+    /// The paper's text is not in the repository, so this reading is
+    /// unchecked.  The floor at `Γ` departs from Eq. 7, whose solution
+    /// would be floored at 0 only: a surplus in the history then lets the
+    /// next interval aim below `Γ`, the walk stops at a smaller K, and that
+    /// interval's own recall dips below `Γ`.  With the floor a surplus is
+    /// never spent, so every interval is planned to meet `Γ` on its own.
+    /// README and `docs/ARCHITECTURE.md` §9 record what the faithful rule
+    /// measured.
     pub(crate) fn instant_requirement(
         &self,
         n_prod_history: u64,
@@ -82,7 +98,7 @@ impl BufferSizeManager {
         }
         let gamma = self.config.gamma;
         let needed = gamma * (n_true_history as f64 + n_true_next as f64) - n_prod_history as f64;
-        (needed / n_true_next as f64).clamp(0.0, 1.0)
+        (needed / n_true_next as f64).max(gamma).min(1.0)
     }
 
     /// Runs one model-based adaptation step (Alg. 3).
@@ -115,8 +131,10 @@ impl BufferSizeManager {
         let mut k: Duration = 0;
         let mut steps: u32 = 0;
         let mut estimated = 0.0;
+        let mut selectivity_ratio = 1.0;
         for (step, ratio) in self.selectivity.walk().enumerate() {
             steps += 1;
+            selectivity_ratio = ratio;
             estimated = self
                 .model
                 .estimate_recall_at_step(step, ratio, &mut self.eff_scratch);
@@ -133,6 +151,10 @@ impl BufferSizeManager {
             steps,
             elapsed_nanos: start.elapsed().as_nanos() as u64,
             max_delay,
+            n_prod_history: n_prod_hist,
+            n_true_history: n_true_hist,
+            n_true_next,
+            selectivity_ratio,
         }
     }
 }
@@ -171,15 +193,18 @@ mod tests {
         let m = manager(0.9);
         // Past recall exactly Γ -> Γ' = Γ.
         assert!((m.instant_requirement(900, 1_000, 500) - 0.9).abs() < 1e-9);
-        // Past recall above Γ -> Γ' below Γ.
-        assert!(m.instant_requirement(1_000, 1_000, 500) < 0.9);
-        // Past recall below Γ -> Γ' above Γ (clamped at 1).
-        assert!(m.instant_requirement(500, 1_000, 500) > 0.9);
+        // Past recall above Γ -> Eq. 7 solves to 0.7, floored at Γ exactly.
+        assert_eq!(m.instant_requirement(1_000, 1_000, 500), 0.9);
+        // Past recall below Γ -> Γ' above Γ: (0.9·1 500 − 880) / 500.
+        assert!((m.instant_requirement(880, 1_000, 500) - 0.94).abs() < 1e-9);
+        // … and capped at 1.
+        assert_eq!(m.instant_requirement(500, 1_000, 500), 1.0);
         assert_eq!(m.instant_requirement(0, 1_000, 100), 1.0);
         // No estimate of the next interval's size -> fall back to Γ.
         assert_eq!(m.instant_requirement(10, 10, 0), 0.9);
-        // Massive past over-achievement clamps at 0.
-        assert_eq!(m.instant_requirement(10_000, 1_000, 100), 0.0);
+        // Massive past over-achievement (Eq. 7 solves to −90.1) is floored
+        // at Γ, not 0: a surplus is never spent.
+        assert_eq!(m.instant_requirement(10_000, 1_000, 100), 0.9);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! assert_eq!(advanced_to, Some(Timestamp::from_millis(1_500)));
 //! ```
 
+use crate::adaptation::AdaptationOutcome;
 use crate::engine::{PlanTransition, ShardStats};
 use mswj_join::{JoinResult, OperatorStats};
 use mswj_types::{Duration, StreamIndex, Timestamp};
@@ -73,8 +74,10 @@ pub struct Checkpoint {
     pub measure_ts: Timestamp,
     /// Buffer size K applied from this checkpoint on (ms).
     pub k: Duration,
-    /// Instant recall requirement Γ' used by the adaptation (1.0-capped);
-    /// `NaN` for non-adaptive policies.
+    /// Instant recall requirement Γ' used by the adaptation: Eq. 7 solved
+    /// from [`Self::n_prod_history`], [`Self::n_true_history`] and
+    /// [`Self::n_true_next`], clamped into [Γ, 1]; `NaN` for non-adaptive
+    /// policies.
     pub gamma_prime: f64,
     /// Model-estimated recall at the chosen K; `NaN` for non-model policies.
     pub estimated_recall: f64,
@@ -82,6 +85,64 @@ pub struct Checkpoint {
     pub adaptation_nanos: u64,
     /// Number of K candidates examined by Alg. 3 (0 for baselines).
     pub steps: u32,
+    /// Results produced with timestamps in the history `P − L` before
+    /// `measure_ts`, `N_prod(P−L)` (0 for baselines).
+    pub n_prod_history: u64,
+    /// Estimated true results over the same history, `N_true(P−L)` (0 for
+    /// baselines).
+    pub n_true_history: u64,
+    /// Estimated true results of the next interval, `N_true(L)` (0 for
+    /// baselines).
+    pub n_true_next: u64,
+    /// `MaxDH`, the largest delay in the statistics, which bounds the K
+    /// search (ms; 0 for baselines).
+    pub max_delay: Duration,
+    /// The selectivity ratio `sel(K)/sel` at the chosen K (1.0 under
+    /// EqSel, `NaN` for baselines).  The model's structural recall is
+    /// `estimated_recall / selectivity_ratio` wherever the product was not
+    /// capped at 1.
+    pub selectivity_ratio: f64,
+}
+
+impl Checkpoint {
+    /// The record of a checkpoint whose policy decided `k`, with the
+    /// adaptation step's inputs and outcome when there was one.
+    pub(crate) fn new(
+        at: Timestamp,
+        measure_ts: Timestamp,
+        k: Duration,
+        outcome: Option<&AdaptationOutcome>,
+    ) -> Checkpoint {
+        let baseline = Checkpoint {
+            at,
+            measure_ts,
+            k,
+            gamma_prime: f64::NAN,
+            estimated_recall: f64::NAN,
+            adaptation_nanos: 0,
+            steps: 0,
+            n_prod_history: 0,
+            n_true_history: 0,
+            n_true_next: 0,
+            max_delay: 0,
+            selectivity_ratio: f64::NAN,
+        };
+        let Some(o) = outcome else {
+            return baseline;
+        };
+        Checkpoint {
+            gamma_prime: o.gamma_prime,
+            estimated_recall: o.estimated_recall,
+            adaptation_nanos: o.elapsed_nanos,
+            steps: o.steps,
+            n_prod_history: o.n_prod_history,
+            n_true_history: o.n_true_history,
+            n_true_next: o.n_true_next,
+            max_delay: o.max_delay,
+            selectivity_ratio: o.selectivity_ratio,
+            ..baseline
+        }
+    }
 }
 
 /// Summary of one pipeline run — the output of the built-in reporting sink
@@ -227,15 +288,12 @@ mod tests {
 
     #[test]
     fn output_event_is_copy_and_matchable() {
-        let cp = Checkpoint {
-            at: Timestamp::from_millis(500),
-            measure_ts: Timestamp::from_millis(480),
-            k: 100,
-            gamma_prime: f64::NAN,
-            estimated_recall: f64::NAN,
-            adaptation_nanos: 0,
-            steps: 0,
-        };
+        let cp = Checkpoint::new(
+            Timestamp::from_millis(500),
+            Timestamp::from_millis(480),
+            100,
+            None,
+        );
         let ev = OutputEvent::Checkpoint(&cp);
         let copy = ev; // Copy: both remain usable.
         match (ev, copy) {

@@ -472,10 +472,7 @@ impl Pipeline {
     /// staged so far.
     fn take_checkpoint<S: Sink>(&mut self, at: Timestamp, sink: &mut S) {
         let measure_ts = self.engine.on_t();
-        let mut gamma_prime = f64::NAN;
-        let mut estimated = f64::NAN;
-        let mut nanos = 0u64;
-        let mut steps = 0u32;
+        let mut outcome = None;
 
         // The just-finished interval becomes the profiler's "last interval".
         self.profiler.roll_interval();
@@ -490,13 +487,9 @@ impl Pipeline {
             BufferPolicy::QualityDriven(_) => {
                 self.monitor.record_true_estimate(measure_ts, n_true_last);
                 let manager = self.manager.as_mut().expect("manager exists for QD policy");
-                let outcome =
-                    manager.adapt(&self.stats, &self.profiler, &mut self.monitor, measure_ts);
-                gamma_prime = outcome.gamma_prime;
-                estimated = outcome.estimated_recall;
-                nanos = outcome.elapsed_nanos;
-                steps = outcome.steps;
-                outcome.k
+                let o = manager.adapt(&self.stats, &self.profiler, &mut self.monitor, measure_ts);
+                outcome = Some(o);
+                o.k
             }
             BufferPolicy::NoKSlack => 0,
             BufferPolicy::MaxKSlack => self.lifetime_max_delay,
@@ -507,19 +500,13 @@ impl Pipeline {
         // event, exactly as when pushing event by event.
         self.sync_engine(sink);
 
-        self.checkpoints.push(Checkpoint {
-            at,
-            measure_ts,
-            k: new_k,
-            gamma_prime,
-            estimated_recall: estimated,
-            adaptation_nanos: nanos,
-            steps,
-        });
+        self.checkpoints
+            .push(Checkpoint::new(at, measure_ts, new_k, outcome.as_ref()));
         let latest = self.checkpoints.last().expect("pushed just above");
         sink.event(OutputEvent::Checkpoint(latest));
 
         if self.telemetry.is_some() {
+            let (gamma_prime, estimated) = (latest.gamma_prime, latest.estimated_recall);
             self.publish_checkpoint_telemetry(at, measure_ts, new_k, gamma_prime, estimated);
         }
     }
@@ -794,35 +781,100 @@ mod tests {
         );
     }
 
+    /// Runs `workload(n, 300)` through a two-stream session under `policy`.
+    fn run_workload(policy: BufferPolicy, n: u64) -> RunReport {
+        let mut p = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(policy)
+            .build()
+            .unwrap();
+        for e in workload(n, 300) {
+            p.push(e);
+        }
+        p.finish()
+    }
+
+    fn quality_driven(gamma: f64) -> BufferPolicy {
+        BufferPolicy::QualityDriven(
+            DisorderConfig::with_gamma(gamma)
+                .period(4_000)
+                .interval(1_000)
+                .granularity(50),
+        )
+    }
+
     #[test]
     fn quality_driven_sits_between_baselines() {
-        let config = DisorderConfig::with_gamma(0.9)
-            .period(4_000)
-            .interval(1_000)
-            .granularity(50);
-        let mut qd = Pipeline::builder()
-            .query(query(2, 500))
-            .policy(BufferPolicy::QualityDriven(config))
-            .build()
-            .unwrap();
-        let mut max_k = Pipeline::builder()
-            .query(query(2, 500))
-            .policy(BufferPolicy::MaxKSlack)
-            .build()
-            .unwrap();
-        for e in workload(3_000, 300) {
-            qd.push(e.clone());
-            max_k.push(e);
+        let max_k = run_workload(BufferPolicy::MaxKSlack, 3_000);
+
+        // Every fourth tuple of stream 0 is 300 ms late, so the in-order
+        // tuples alone give a recall of ~0.8.  A Γ they meet needs a smaller
+        // buffer than Max-K-slack's, and QD still meets it.
+        let lenient = run_workload(quality_driven(0.75), 3_000);
+        assert!(!lenient.checkpoints.is_empty());
+        assert!(lenient.avg_k_ms < max_k.avg_k_ms);
+        assert!(lenient.total_produced as f64 >= 0.75 * max_k.total_produced as f64);
+
+        // No K below the 300 ms delay meets Γ = 0.9, and Γ' never falls
+        // below Γ, so the walk runs to its bound at every checkpoint: the
+        // first multiple of g above MaxDH (Max-K-slack holds MaxDH itself).
+        let strict = run_workload(quality_driven(0.9), 3_000);
+        assert!(!strict.checkpoints.is_empty());
+        for c in &strict.checkpoints {
+            assert!(c.gamma_prime >= 0.9, "{c:?}");
+            assert!(c.k > c.max_delay && c.k <= c.max_delay + 50, "{c:?}");
         }
-        let qd = qd.finish();
-        let max_k = max_k.finish();
-        assert!(!qd.checkpoints.is_empty());
-        // Quality-driven may use a smaller buffer than Max-K-slack…
-        assert!(qd.avg_k_ms <= max_k.avg_k_ms + 1e-9);
-        // …and it must actually adapt (some checkpoint with K > 0 given the
-        // recurring 300 ms delays and a 0.9 recall target).
-        assert!(qd.checkpoints.iter().any(|c| c.k > 0));
-        assert!(qd.avg_adaptation_nanos > 0.0);
+        assert!(strict.avg_adaptation_nanos > 0.0);
+    }
+
+    #[test]
+    fn checkpoint_records_the_inputs_of_its_decision() {
+        let gamma = 0.9;
+        // Which of Eq. 7's three regimes each checkpoint fell in: the
+        // solution floored at Γ, strictly inside (Γ, 1), or capped at 1.
+        let mut regimes = [0usize; 3];
+        for c in &run_workload(quality_driven(gamma), 3_000).checkpoints {
+            assert!(c.n_true_next > 0, "{c:?}");
+            let total = c.n_true_history as f64 + c.n_true_next as f64;
+            let solved = (gamma * total - c.n_prod_history as f64) / c.n_true_next as f64;
+            let expected = solved.max(gamma).min(1.0);
+            assert_eq!(c.gamma_prime.to_bits(), expected.to_bits(), "{c:?}");
+            regimes[if solved < gamma {
+                0
+            } else if solved < 1.0 {
+                1
+            } else {
+                2
+            }] += 1;
+            // The walk stops at the first K whose estimate meets Γ', or
+            // one step of g past MaxDH.
+            assert!(
+                c.estimated_recall >= c.gamma_prime || c.k > c.max_delay,
+                "{c:?}"
+            );
+            assert!(c.k <= c.max_delay + 50, "{c:?}");
+            // The estimate is min(structural × ratio, 1), so dividing the
+            // ratio back out never reads above the structural recall.
+            let structural = c.estimated_recall / c.selectivity_ratio;
+            assert!(
+                c.selectivity_ratio > 0.0 && (0.0..=1.0).contains(&structural),
+                "{c:?}"
+            );
+        }
+        assert!(regimes.iter().all(|&n| n > 0), "{regimes:?}");
+
+        let c = run_workload(BufferPolicy::FixedK(100), 300).checkpoints[0];
+        assert!(c.gamma_prime.is_nan() && c.selectivity_ratio.is_nan());
+        assert_eq!(
+            (
+                c.n_prod_history,
+                c.n_true_history,
+                c.n_true_next,
+                c.max_delay,
+                c.steps
+            ),
+            (0, 0, 0, 0, 0)
+        );
     }
 
     #[test]

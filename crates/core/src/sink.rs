@@ -129,15 +129,12 @@ mod tests {
     use mswj_types::{StreamIndex, Timestamp, Tuple};
 
     fn checkpoint(k: u64) -> Checkpoint {
-        Checkpoint {
-            at: Timestamp::from_millis(1_000),
-            measure_ts: Timestamp::from_millis(990),
+        Checkpoint::new(
+            Timestamp::from_millis(1_000),
+            Timestamp::from_millis(990),
             k,
-            gamma_prime: f64::NAN,
-            estimated_recall: f64::NAN,
-            adaptation_nanos: 0,
-            steps: 0,
-        }
+            None,
+        )
     }
 
     fn result() -> JoinResult {

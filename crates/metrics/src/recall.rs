@@ -145,6 +145,11 @@ mod tests {
             estimated_recall: f64::NAN,
             adaptation_nanos: 0,
             steps: 0,
+            n_prod_history: 0,
+            n_true_history: 0,
+            n_true_next: 0,
+            max_delay: 0,
+            selectivity_ratio: f64::NAN,
         }
     }
 
