@@ -45,7 +45,7 @@ type ConditionFactory = Box<dyn FnOnce(&StreamSet) -> Result<Arc<dyn JoinConditi
 /// Fluent builder for a disorder-handling session (a configured
 /// [`Pipeline`]).
 ///
-/// Entry point: [`Pipeline::builder`].  See the [module docs](self) for a
+/// Entry point: [`Pipeline::builder`].  See the [crate docs](crate) for a
 /// complete example.
 #[must_use = "a SessionBuilder does nothing until .build() is called"]
 pub struct SessionBuilder {

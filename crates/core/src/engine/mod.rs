@@ -149,7 +149,7 @@
 mod exec;
 mod occupancy;
 mod pool;
-pub mod replan;
+mod replan;
 mod shards;
 mod skew;
 pub mod transport;

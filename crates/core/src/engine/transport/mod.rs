@@ -17,7 +17,7 @@
 //!   `Framed` adapter turns any `Read + Write` byte stream into frames; it
 //!   is generic so a stream wrapper (a fault injector, say) can slot under
 //!   it.
-//! * [`server`] — the passive side: one [`MswjOperator`] per connection,
+//! * `server` — the passive side: one [`MswjOperator`] per connection,
 //!   driven by Setup/Task/Barrier/surgery frames.  [`serve_stream`] serves
 //!   the in-process thread and every connection `mswj-shardd` accepts.
 //! * `remote` (engine-internal) — the active side: one link per shard,
@@ -37,7 +37,7 @@
 //!
 //! [`MswjOperator`]: mswj_join::MswjOperator
 
-pub mod server;
+mod server;
 
 mod remote;
 
@@ -459,6 +459,7 @@ mod tests {
             },
             strategy: ProbeStrategy::Auto,
             enumerate: false,
+            segment_capacity: 1_024,
         }
     }
 
@@ -543,6 +544,40 @@ mod tests {
                 .join()
                 .unwrap_or_else(|_| panic!("[{label}] the connection thread panicked"));
             assert!(served.is_ok(), "[{label}] client errors close cleanly");
+        }
+    }
+
+    #[test]
+    fn server_answers_an_out_of_range_segment_capacity_with_an_error_frame() {
+        // The capacity is a Setup field like any other: a value the query
+        // setter would clamp is refused with an error frame, the bounds
+        // themselves are accepted.
+        for (capacity, accepted) in [(0, false), (1, false), (2, true), (1 << 31, true)]
+            .into_iter()
+            .chain([((1 << 31) + 1, false), (u32::MAX, false)])
+        {
+            let (client, handle) = served_pair();
+            let mut framed = Framed::new(client);
+            let setup = WireQuery {
+                segment_capacity: capacity,
+                ..two_stream_query()
+            };
+            framed.send(&Frame::Setup(setup)).unwrap();
+            match framed.recv() {
+                Ok(Frame::SetupAck) if accepted => {
+                    framed.send(&Frame::Shutdown).unwrap();
+                    assert!(matches!(framed.recv().unwrap(), Frame::ShutdownAck));
+                }
+                Ok(Frame::Error { message }) if !accepted => assert!(
+                    message.contains(&format!("segment capacity {capacity} out of range")),
+                    "[{capacity}] {message}"
+                ),
+                other => panic!("[{capacity}] accepted {accepted}, got {other:?}"),
+            }
+            let served = handle
+                .join()
+                .unwrap_or_else(|_| panic!("[{capacity}] the connection thread panicked"));
+            assert!(served.is_ok(), "[{capacity}] the connection closes cleanly");
         }
     }
 

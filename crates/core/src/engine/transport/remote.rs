@@ -143,6 +143,8 @@ impl RemoteShards {
             condition: descriptor.clone(),
             strategy,
             enumerate,
+            // `JoinQuery` clamps its capacity to at most 2³¹.
+            segment_capacity: query.segment_capacity() as u32,
         };
         let mut links = Vec::with_capacity(endpoints.len());
         for (shard, endpoint) in endpoints.iter().enumerate() {

@@ -49,7 +49,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Instantiates the shard operator a [`Frame::Setup`] describes.
+/// Instantiates the shard operator a [`Frame::Setup`] describes.  A
+/// segment capacity that `JoinQuery::with_segment_capacity` would clamp
+/// (below 2, or too large for the arena's `u32` row ids) is refused, not
+/// adjusted.
 fn build_operator(q: &WireQuery) -> Result<MswjOperator, String> {
     let specs: Vec<StreamSpec> = q
         .streams
@@ -58,7 +61,13 @@ fn build_operator(q: &WireQuery) -> Result<MswjOperator, String> {
         .collect();
     let streams = StreamSet::new(specs).map_err(|e| e.to_string())?;
     let condition = q.condition.instantiate();
-    let query = JoinQuery::new(q.name.clone(), streams, condition).map_err(|e| e.to_string())?;
+    let capacity = q.segment_capacity as usize;
+    let query = JoinQuery::new(q.name.clone(), streams, condition)
+        .map_err(|e| e.to_string())?
+        .with_segment_capacity(capacity);
+    if query.segment_capacity() != capacity {
+        return Err(format!("segment capacity {capacity} out of range"));
+    }
     Ok(MswjOperator::with_probe(query, q.strategy, q.enumerate))
 }
 

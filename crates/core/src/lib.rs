@@ -9,21 +9,24 @@
 //!
 //! ## Components (Fig. 2 of the paper)
 //!
-//! | Module | Paper concept |
-//! |---|---|
-//! | [`kslack`] | K-slack intra-stream sorting buffers (Sec. III-A) |
-//! | [`synchronizer`] | Inter-stream Synchronizer, Alg. 1 |
-//! | [`statistics`] | Statistics Manager: delay histograms, `K_sync`, `MaxDH` (Sec. IV-A) |
-//! | [`profiler`] | Tuple-Productivity Profiler: DPcorr, Eq. 6 (Sec. IV-B) |
-//! | [`result_monitor`] | Result-Size Monitor feeding Eq. 7 (Sec. IV-C) |
-//! | [`model`] | Analytical recall model `γ(L, K)`, Eqs. 1–5 |
-//! | [`adaptation`] | Buffer-Size Manager, model-based K search, Alg. 3 |
-//! | [`policy`] | Quality-driven policy plus the paper's baselines |
-//! | [`engine`] | Key-partitioned sharded join stage behind the sequential front-end |
-//! | [`pipeline`] | End-to-end wiring driven by arrival events |
-//! | [`builder`] | Fluent [`SessionBuilder`] assembling a whole session |
-//! | [`output`] | Typed [`OutputEvent`]s, [`Checkpoint`], [`RunReport`] |
-//! | [`sink`] | [`Sink`] trait and the built-in event sinks |
+//! | Module | Entry point | Paper concept |
+//! |---|---|---|
+//! | `kslack` | [`KSlack`] | K-slack intra-stream sorting buffers (Sec. III-A) |
+//! | `synchronizer` | [`Synchronizer`] | Inter-stream Synchronizer, Alg. 1 |
+//! | `statistics` | [`StatisticsManager`] | Statistics Manager: delay histograms, `K_sync`, `MaxDH` (Sec. IV-A) |
+//! | `profiler` | [`ProductivityProfiler`] | Tuple-Productivity Profiler: DPcorr, Eq. 6 (Sec. IV-B) |
+//! | `result_monitor` | [`ResultSizeMonitor`] | Result-Size Monitor feeding Eq. 7 (Sec. IV-C) |
+//! | `model` | [`RecallModel`] | Analytical recall model `γ(L, K)`, Eqs. 1–5 |
+//! | `adaptation` | [`BufferSizeManager`] | Buffer-Size Manager, model-based K search, Alg. 3 |
+//! | `policy` | [`BufferPolicy`] | Quality-driven policy plus the paper's baselines |
+//! | [`engine`] | [`JoinEngine`] | Key-partitioned sharded join stage behind the sequential front-end |
+//! | `pipeline` | [`Pipeline`] | End-to-end wiring driven by arrival events |
+//! | `builder` | [`SessionBuilder`] | Fluent builder assembling a whole session |
+//! | `output` | [`OutputEvent`], [`Checkpoint`], [`RunReport`] | Typed session output |
+//! | `sink` | [`Sink`] | Sink trait and the built-in event sinks |
+//!
+//! The modules are private: every item is reached through the crate root,
+//! and each module's own notes document its source.
 //!
 //! ## Quick example
 //!
@@ -58,21 +61,21 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptation;
-pub mod builder;
-pub mod config;
+mod adaptation;
+mod builder;
+mod config;
 pub mod engine;
-pub mod kslack;
-pub mod model;
+mod kslack;
+mod model;
 mod ordered_buffer;
-pub mod output;
-pub mod pipeline;
-pub mod policy;
-pub mod profiler;
-pub mod result_monitor;
-pub mod sink;
-pub mod statistics;
-pub mod synchronizer;
+mod output;
+mod pipeline;
+mod policy;
+mod profiler;
+mod result_monitor;
+mod sink;
+mod statistics;
+mod synchronizer;
 
 pub use adaptation::{AdaptationOutcome, BufferSizeManager};
 pub use builder::SessionBuilder;

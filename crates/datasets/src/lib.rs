@@ -8,8 +8,8 @@
 //!   predicate within 5-second windows.  The original sensor data is not
 //!   redistributable, so this crate ships a *simulator* that reproduces its
 //!   relevant characteristics (rates, delay bounds, low and time-varying
-//!   predicate selectivity); the [`soccer`] module gives the substitution
-//!   rationale.
+//!   predicate selectivity); the notes of its source,
+//!   `crates/datasets/src/soccer.rs`, give the substitution rationale.
 //! * **D×3syn / Q×3** — three synthetic streams `(ts, a1)` with Zipf delays
 //!   and Zipf attribute values whose skew changes over time, joined on
 //!   `a1` equality within 5-second windows.
@@ -22,10 +22,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod queries;
-pub mod soccer;
-pub mod synthetic;
-pub mod zipf;
+mod queries;
+mod soccer;
+mod synthetic;
+mod zipf;
 
 pub use queries::{q2_query, q3_query, q4_query};
 pub use soccer::{SoccerConfig, SoccerDataset};

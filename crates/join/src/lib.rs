@@ -9,13 +9,13 @@
 //! are inserted without probing and therefore lose their results).
 //!
 //! Probing is planned from the condition's [`EquiStructure`] (see
-//! [`planner`]): common-key and star equi-joins look up only the matching
+//! [`ProbePlan`]): common-key and star equi-joins look up only the matching
 //! hash bucket in every other window, with an automatic per-probe fallback
 //! to the exhaustive nested-loop scan whenever index soundness cannot be
 //! guaranteed — so arbitrary conditions and mixed-type key columns remain
 //! exactly as correct as before, just slower.  Distance and band joins
 //! expose a [`ScanStructure`] instead, and their nested-loop scan runs as a
-//! typed-column kernel over per-window `f64` scan columns (see [`window`]).
+//! typed-column kernel over per-window `f64` scan columns (see [`Window`]).
 //!
 //! The operator reports, for every processed tuple, both the number of
 //! actual join results `n_on(e)` and the size of the corresponding
@@ -25,13 +25,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod condition;
-pub mod operator;
-pub mod partition;
-pub mod planner;
-pub mod query;
-pub mod result;
-pub mod window;
+mod condition;
+mod operator;
+mod partition;
+mod planner;
+mod query;
+mod result;
+mod window;
 
 pub use condition::{
     BandJoin, CommonKeyEquiJoin, ConditionDescriptor, CrossJoin, DistanceWithin, EquiStructure,
@@ -42,4 +42,4 @@ pub use partition::{join_key_hash, Partitioner, Route};
 pub use planner::{ProbePlan, ProbeStrategy};
 pub use query::JoinQuery;
 pub use result::JoinResult;
-pub use window::{set_default_segment_capacity, Window, WindowStats};
+pub use window::{Window, WindowStats};

@@ -59,10 +59,10 @@
 //! the Tuple-Productivity Profiler consumes these to learn the
 //! delay-productivity correlation (Sec. IV-B).
 
-pub mod insert;
-pub mod probe;
-pub mod stats;
-pub mod surgery;
+mod insert;
+mod probe;
+mod stats;
+mod surgery;
 
 pub use stats::{OperatorStats, ProbeOutcome};
 
@@ -139,10 +139,11 @@ impl MswjOperator {
                 .as_ref()
                 .map(|s| scan_columns(s, i))
                 .unwrap_or_default();
-            windows.push(Window::with_scan_columns(
+            windows.push(Window::with_columns(
                 size,
                 &plan.indexed_columns(i),
                 &scanned,
+                query.segment_capacity(),
                 Self::index_kind(&plan, enumerate, m, i),
             ));
         }

@@ -1,6 +1,7 @@
 //! Join query description: streams, windows and the join condition.
 
 use crate::condition::JoinCondition;
+use crate::window::{DEFAULT_SEGMENT_ROWS, MAX_SEGMENT_ROWS};
 use mswj_types::{Duration, Result, StreamIndex, StreamSet};
 use std::sync::Arc;
 
@@ -14,6 +15,8 @@ pub struct JoinQuery {
     streams: StreamSet,
     condition: Arc<dyn JoinCondition>,
     name: String,
+    /// Arena rows a window's tail segment absorbs before it seals.
+    segment_capacity: usize,
 }
 
 impl std::fmt::Debug for JoinQuery {
@@ -45,7 +48,25 @@ impl JoinQuery {
             streams,
             condition,
             name: name.into(),
+            segment_capacity: DEFAULT_SEGMENT_ROWS,
         })
+    }
+
+    /// Sets how many rows each window segment absorbs before it seals
+    /// (default 1 024; values below 2 are clamped to 2, values above
+    /// 2³¹ to 2³¹).  Every operator built from this query, on every shard
+    /// of every backend, stores its windows at this capacity.  It changes
+    /// the storage layout only, never a result: tests set a tiny capacity
+    /// so that ordinary workloads cross segment boundaries.
+    pub fn with_segment_capacity(mut self, capacity: usize) -> Self {
+        self.segment_capacity = capacity.clamp(2, MAX_SEGMENT_ROWS);
+        self
+    }
+
+    /// Rows a window segment absorbs before it seals (see
+    /// [`JoinQuery::with_segment_capacity`]).
+    pub fn segment_capacity(&self) -> usize {
+        self.segment_capacity
     }
 
     /// The query name (used in experiment reports, e.g. `"Qx3"`).

@@ -36,7 +36,11 @@
 //! scan soundness* below).  The back segment is the mutable *tail*: it
 //! absorbs in-order appends and slightly-late out-of-order inserts, and
 //! seals once its arena reaches the segment capacity.  Older segments only
-//! ever *lose* rows.
+//! ever *lose* rows.  The capacity is fixed when the window is built: 1 024
+//! rows, unless the query sets another
+//! ([`JoinQuery::with_segment_capacity`](crate::JoinQuery::with_segment_capacity)),
+//! which reaches every shard's operator with the query.  It shapes the
+//! layout only; any two capacities hold the same content.
 //!
 //! The layout buys two things:
 //!
@@ -132,7 +136,7 @@ use mswj_types::{Duration, Timestamp, Tuple, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 
 /// Fibonacci-multiply hasher for the `i64`-keyed index maps.
 ///
@@ -172,31 +176,15 @@ impl Hasher for KeyHasher {
 /// An `i64`-keyed map using [`KeyHasher`].
 type KeyMap<V> = HashMap<i64, V, BuildHasherDefault<KeyHasher>>;
 
-/// Rows a tail segment's arena absorbs before it seals.
-const DEFAULT_SEGMENT_CAPACITY: usize = 1024;
+/// Rows a tail segment's arena absorbs before it seals, unless the query
+/// sets another capacity ([`JoinQuery::with_segment_capacity`](crate::JoinQuery::with_segment_capacity)).
+pub(crate) const DEFAULT_SEGMENT_ROWS: usize = 1024;
 
-/// Process-wide default segment capacity; 0 until overridden.
-static SEGMENT_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-
-/// Resolves the default segment capacity: an explicit
-/// [`set_default_segment_capacity`] call wins over
-/// [`DEFAULT_SEGMENT_CAPACITY`].
-fn default_segment_capacity() -> usize {
-    match SEGMENT_CAPACITY.load(Ordering::Relaxed) {
-        0 => DEFAULT_SEGMENT_CAPACITY,
-        cap => cap,
-    }
-}
-
-/// Overrides the segment capacity used by every subsequently created
-/// [`Window`] (process-wide).  The differential harness forces tiny
-/// capacities to exercise seal/drop boundaries on ordinary workloads;
-/// values below 2 are rejected because a tail must be able to hold a tuple
-/// and still accept a late sibling.
-pub fn set_default_segment_capacity(capacity: usize) {
-    assert!(capacity >= 2, "segment capacity must be at least 2");
-    SEGMENT_CAPACITY.store(capacity, Ordering::Relaxed);
-}
+/// The largest segment capacity: a full tail's row ids then use at most
+/// half the `u32` id space, leaving the rest to late rows inserted into the
+/// segment after it seals.  The smallest is 2: a tail must be able to hold
+/// a tuple and still accept a late sibling.
+pub(crate) const MAX_SEGMENT_ROWS: usize = 1 << 31;
 
 /// Aggregate statistics about a window's lifetime behaviour, plus a
 /// snapshot of its current storage shape.
@@ -643,19 +631,19 @@ pub struct Window {
 impl Window {
     /// Creates a window of `size` milliseconds with no indexed columns.
     pub fn new(size: Duration) -> Self {
-        Self::with_segment_capacity(size, &[], default_segment_capacity())
+        Self::with_segment_capacity(size, &[], DEFAULT_SEGMENT_ROWS)
     }
 
     /// Creates a window that maintains value→row hash indexes on the given
     /// integer column positions.
     pub fn with_indexed_columns(size: Duration, columns: &[usize]) -> Self {
-        Self::with_segment_capacity(size, columns, default_segment_capacity())
+        Self::with_segment_capacity(size, columns, DEFAULT_SEGMENT_ROWS)
     }
 
-    /// Creates a window with an explicit segment capacity (the number of
-    /// arena rows a tail segment absorbs before sealing).  Capacities below
-    /// 2 are clamped.  The storage layout is an access-path choice only:
-    /// any two capacities yield identical window content.
+    /// Creates a window with an explicit segment capacity: the number of
+    /// arena rows a tail segment absorbs before it seals.  Capacities
+    /// outside [2, 2³¹] are clamped.  The capacity changes the storage
+    /// layout only, never the window's content or a probe's answer.
     pub fn with_segment_capacity(size: Duration, columns: &[usize], capacity: usize) -> Self {
         Self::with_columns(size, columns, &[], capacity, IndexKind::Postings)
     }
@@ -673,23 +661,8 @@ impl Window {
 
     /// Creates a window keeping a `kind` index on `columns` and typed scan
     /// columns on `scan_columns` (see *Scan columns and scan soundness* in
-    /// the module docs) at the process-wide default segment capacity.
-    pub(crate) fn with_scan_columns(
-        size: Duration,
-        columns: &[usize],
-        scan_columns: &[usize],
-        kind: IndexKind,
-    ) -> Self {
-        Self::with_columns(
-            size,
-            columns,
-            scan_columns,
-            default_segment_capacity(),
-            kind,
-        )
-    }
-
-    fn with_columns(
+    /// the module docs), sealing its tail segments at `capacity` rows.
+    pub(crate) fn with_columns(
         size: Duration,
         columns: &[usize],
         scan_columns: &[usize],
@@ -703,7 +676,7 @@ impl Window {
         let n_counts = if kind == IndexKind::Counts { n } else { 0 };
         Window {
             size,
-            capacity: capacity.max(2),
+            capacity: capacity.clamp(2, MAX_SEGMENT_ROWS),
             cols,
             scan_cols: scan_columns.to_vec(),
             segments: VecDeque::new(),
@@ -1812,7 +1785,13 @@ mod tests {
         // Plain and hash-indexed windows allocate and account nothing new.
         let mut plain = Window::new(10_000);
         let mut indexed = Window::with_indexed_columns(10_000, &[0]);
-        let mut scanned = Window::with_scan_columns(10_000, &[], &[1, 2], IndexKind::Postings);
+        let mut scanned = Window::with_columns(
+            10_000,
+            &[],
+            &[1, 2],
+            DEFAULT_SEGMENT_ROWS,
+            IndexKind::Postings,
+        );
         for t in &rows {
             plain.insert(t.clone());
             indexed.insert(t.clone());

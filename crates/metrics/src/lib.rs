@@ -19,9 +19,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ground_truth;
-pub mod recall;
-pub mod report;
+mod ground_truth;
+mod recall;
+mod report;
 
 pub use ground_truth::{ground_truth_counts, CountSeries};
 pub use recall::{evaluate_recall, RecallEvaluation, RecallSample};

@@ -21,13 +21,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arrival;
-pub mod error;
-pub mod progress;
-pub mod stream;
-pub mod timestamp;
-pub mod tuple;
-pub mod value;
+mod arrival;
+mod error;
+mod progress;
+mod stream;
+mod timestamp;
+mod tuple;
+mod value;
 
 pub use arrival::{ArrivalEvent, ArrivalLog, Interleaver};
 pub use error::{Error, Result};

@@ -42,7 +42,11 @@ use std::io::{Read, Write};
 /// v5: the hot-key splitting frames (types `0x09` and `0x0C`, a key
 /// class's replica copy and teardown) left the protocol; a key class stays
 /// on its home shard for the whole session.
-pub const PROTOCOL_VERSION: u16 = 5;
+///
+/// v6: `Setup` carries the query's window segment capacity
+/// (`WireQuery::segment_capacity`), so a shard server stores its windows
+/// at the capacity the client's query sets.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -145,6 +149,10 @@ pub struct WireQuery {
     pub strategy: ProbeStrategy,
     /// Whether results are materialized (enumerating mode) or counted.
     pub enumerate: bool,
+    /// Rows a window segment absorbs before it seals
+    /// (`JoinQuery::segment_capacity`); the server rejects a value outside
+    /// the range `JoinQuery::with_segment_capacity` accepts.
+    pub segment_capacity: u32,
 }
 
 /// Every message that crosses a shard boundary.
@@ -491,6 +499,7 @@ impl Frame {
                 put_condition(buf, &q.condition);
                 put_strategy(buf, q.strategy);
                 put_bool(buf, q.enumerate);
+                put_u32(buf, q.segment_capacity);
             }
             Frame::Task(t) => {
                 put_u64(buf, t.epoch);
@@ -579,12 +588,14 @@ impl Frame {
                 let condition = get_condition(&mut c)?;
                 let strategy = get_strategy(&mut c)?;
                 let enumerate = c.bool()?;
+                let segment_capacity = c.u32()?;
                 Frame::Setup(WireQuery {
                     name,
                     streams,
                     condition,
                     strategy,
                     enumerate,
+                    segment_capacity,
                 })
             }
             FT_TASK => {

@@ -29,9 +29,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod codec;
-pub mod error;
-pub mod frame;
+mod codec;
+mod error;
+mod frame;
 
 pub use error::WireError;
 pub use frame::{

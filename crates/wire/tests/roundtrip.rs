@@ -132,6 +132,7 @@ fn arb_query(rng: &mut StdRng) -> WireQuery {
             ProbeStrategy::NestedLoop
         },
         enumerate: rng.gen(),
+        segment_capacity: rng.gen_range(0u64..1 << 32) as u32,
     }
 }
 
@@ -320,7 +321,7 @@ fn retired_frames_are_rejected_cleanly() {
         buf[4..6].copy_from_slice(&4u16.to_le_bytes());
         match Frame::decode(&buf) {
             Err(WireError::VersionMismatch { ours, theirs }) => {
-                assert_eq!((ours, theirs), (5, 4));
+                assert_eq!((ours, theirs), (PROTOCOL_VERSION, 4));
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }

@@ -3,12 +3,14 @@
 # its first column-0 `#[cfg(test)]` (the test module; an indented one marks
 # a single test-only item), with blank lines and `//` comment lines —
 # doc comments included — dropped.  ROADMAP aim 2 ("the least code") as a
-# command instead of a hand count.  Two more figures, over the same files
+# command instead of a hand count.  Three more figures, over the same files
 # and the same cut, size the public surface: `pub` items (`fn`, `struct`,
-# `enum`, `trait`, `type`, `const`, `static`) and `pub` named fields;
-# `pub(crate)` and narrower visibilities do not count.
+# `enum`, `trait`, `type`, `const`, `static`), `pub` named fields and
+# `pub mod` declarations (a public module gives every item in it a second
+# public path beside its crate-root re-export); `pub(crate)` and narrower
+# visibilities do not count.
 #
-#   scripts/loc.sh            # the six figures PRs quote
+#   scripts/loc.sh            # the seven figures PRs quote
 #   scripts/loc.sh PATH...    # product code lines under the given files/dirs
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -42,3 +44,5 @@ printf '%6d  pub items (crates/*/src + src)\n' \
     "$(count_matching '^[[:space:]]*pub (fn|struct|enum|trait|type|const|static) ' crates/*/src src)"
 printf '%6d  pub fields (crates/*/src + src)\n' \
     "$(count_matching '^[[:space:]]*pub [a-z_][a-z0-9_]*:' crates/*/src src)"
+printf '%6d  pub mod (crates/*/src + src)\n' \
+    "$(count_matching '^[[:space:]]*pub mod ' crates/*/src src)"

@@ -73,9 +73,8 @@ pub mod prelude {
         SyntheticDataset,
     };
     pub use mswj_join::{
-        set_default_segment_capacity, BandJoin, CommonKeyEquiJoin, CrossJoin, DistanceWithin,
-        JoinCondition, JoinQuery, JoinResult, MswjOperator, PredicateFn, ProbePlan, ProbeStrategy,
-        StarEquiJoin, Window,
+        BandJoin, CommonKeyEquiJoin, CrossJoin, DistanceWithin, JoinCondition, JoinQuery,
+        JoinResult, MswjOperator, PredicateFn, ProbePlan, ProbeStrategy, StarEquiJoin, Window,
     };
     pub use mswj_metrics::{evaluate_recall, ground_truth_counts, CountSeries, RecallEvaluation};
     pub use mswj_obs::{EventKind, MetricsExporter, Telemetry, TelemetryEvent};

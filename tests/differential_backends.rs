@@ -24,6 +24,16 @@
 //! round-trips all of its epochs, barriers and pair-switch migrations
 //! through the versioned wire codec.  Separate tests drive the `Remote`
 //! backend against real `mswj-shardd` processes over Unix-domain sockets.
+//!
+//! The `*_at_segment_boundaries` tests rerun the common-key, star,
+//! mixed-type and pair-switch matrices with every backend's windows at
+//! segment capacity 4 ([`JoinQuery::with_segment_capacity`]), against the
+//! sequential reference at the default capacity.  Tails then seal every
+//! four rows, so ordinary workloads constantly cross seal/drop boundaries
+//! — multi-segment buckets, whole-segment expiry, boundary-segment prefix
+//! expiry, fallback scans over many small segments and segment rebuilds
+//! under pair-switch surgery — and each backend is checked against a
+//! different layout and a different executor at once.
 
 mod pair_switch;
 
@@ -72,6 +82,12 @@ impl Drop for Shardd {
     }
 }
 
+/// `JoinQuery`'s default segment capacity.
+const DEFAULT_CAPACITY: usize = 1_024;
+
+/// A capacity at which ordinary workloads seal a tail every four rows.
+const TINY_CAPACITY: usize = 4;
+
 /// Canonical multiset encoding of materialized results.
 fn canon(results: &[JoinResult]) -> Vec<String> {
     let mut v: Vec<String> = results.iter().map(|r| r.to_string()).collect();
@@ -119,19 +135,21 @@ fn run(
     (canon(&sink.results), report)
 }
 
-/// Asserts that the scoped-thread and resident-pool backends agree with the
-/// `Sequential` reference on results, per-probe trajectory, ordering
-/// statistics and the adaptation (checkpoint-K) sequence — batched (where
-/// `Pool` epochs defer across flush boundaries) as well as single-event
-/// (where the sub-threshold inline fallback runs); returns the sequential
-/// report.
+/// Asserts that every backend, its windows at segment `capacity`, agrees
+/// with the `Sequential` reference at the default capacity on results,
+/// per-probe trajectory, ordering statistics and the adaptation
+/// (checkpoint-K) sequence — batched (where `Pool` epochs defer across
+/// flush boundaries) as well as single-event (where the sub-threshold
+/// inline fallback runs); returns the sequential report.
 fn assert_backends_agree(
     query: &JoinQuery,
     policy: &BufferPolicy,
     events: &[ArrivalEvent],
     label: &str,
+    capacity: usize,
 ) -> RunReport {
     let (seq_results, seq_report) = run(query, policy, ExecutionBackend::Sequential, 1, events);
+    let layout = query.clone().with_segment_capacity(capacity);
     for (backend, batch) in [
         (ExecutionBackend::Pool { workers: 1 }, 1),
         (ExecutionBackend::Pool { workers: 4 }, 64),
@@ -140,7 +158,8 @@ fn assert_backends_agree(
         // wire codec; the workload must survive serialization unchanged.
         (ExecutionBackend::remote_inproc(4), 64),
     ] {
-        let (results, report) = run(query, policy, backend.clone(), batch, events);
+        let (results, report) = run(&layout, policy, backend.clone(), batch, events);
+        let label = format!("{label}, capacity {capacity}");
         assert_eq!(
             seq_results, results,
             "[{label}] {backend} must produce a byte-identical result multiset"
@@ -226,38 +245,123 @@ fn common_key_query(m: usize, window: u64) -> JoinQuery {
     JoinQuery::new("diff-backend-common", streams, cond).unwrap()
 }
 
+/// One randomized workload: the query, the policy and the arrival order.
+type Workload = (JoinQuery, BufferPolicy, Vec<ArrivalEvent>);
+
+/// Common-key workload `case` of the series seeded at `seed`: two- and
+/// three-way in turn.
+fn common_key_workload(seed: u64, case: usize) -> Workload {
+    let mut rng = StdRng::seed_from_u64(seed + case as u64);
+    let m = 2 + case % 2;
+    let window = if m == 2 {
+        rng.gen_range(300u64..1_200)
+    } else {
+        rng.gen_range(200u64..500)
+    };
+    let domain = if m == 2 { 6 } else { 8 };
+    let query = common_key_query(m, window);
+    let policy = policy_for(case, &mut rng);
+    let events = gen_events(
+        &mut rng,
+        m,
+        if m == 2 { 90 } else { 70 },
+        300,
+        |_, _, key| vec![Value::Int(key)],
+        domain,
+    );
+    (query, policy, events)
+}
+
+/// Three-way star workload `case` of the series seeded at `seed`.
+fn star_workload(seed: u64, case: usize) -> Workload {
+    let mut rng = StdRng::seed_from_u64(seed + case as u64);
+    let window = rng.gen_range(200u64..500);
+    let query = star_query(window);
+    let policy = policy_for(case, &mut rng);
+    let events = gen_events(
+        &mut rng,
+        3,
+        70,
+        250,
+        |rng, stream, key| {
+            if stream == 0 {
+                vec![Value::Int(key), Value::Int(rng.gen_range(0i64..5))]
+            } else {
+                vec![Value::Int(key)]
+            }
+        },
+        5,
+    );
+    (query, policy, events)
+}
+
+/// Mixed-type workload `case` of the series seeded at `seed`.  Adversarial
+/// key columns: floats that join integers numerically (join_eq coercion —
+/// the partitioner must route them with the integer's hash), floats that
+/// join nothing, Nulls and strings.
+fn mixed_type_workload(seed: u64, case: usize) -> Workload {
+    let mut rng = StdRng::seed_from_u64(seed + case as u64);
+    let m = 2 + case % 2;
+    let window = if m == 2 { 600 } else { 350 };
+    let query = common_key_query(m, window);
+    let policy = policy_for(case + 3, &mut rng);
+    let events = gen_events(
+        &mut rng,
+        m,
+        60,
+        200,
+        |rng, _, key| {
+            let roll = rng.gen_range(0u64..20);
+            vec![match roll {
+                0 => Value::Float(key as f64),       // numerically joins Int(key)
+                1 => Value::Float(key as f64 + 0.5), // joins nothing
+                2 => Value::Null,
+                3 => Value::Str(format!("s{key}")),
+                _ => Value::Int(key),
+            }]
+        },
+        4,
+    );
+    (query, policy, events)
+}
+
+/// Runs [`assert_backends_agree`] at segment `capacity` over `cases`
+/// workloads of one series, asserts they derive results, and returns the
+/// sequential reports.
+fn assert_series_agrees(
+    label: &str,
+    cases: usize,
+    workload: impl Fn(usize) -> Workload,
+    capacity: usize,
+) -> Vec<RunReport> {
+    let reports: Vec<RunReport> = (0..cases)
+        .map(|case| {
+            let (query, policy, events) = workload(case);
+            let label = format!("{label} #{case}");
+            assert_backends_agree(&query, &policy, &events, &label, capacity)
+        })
+        .collect();
+    let produced: u64 = reports.iter().map(|r| r.total_produced).sum();
+    assert!(produced > 0, "{label} workloads must derive join results");
+    reports
+}
+
 #[test]
 fn common_key_workloads_agree_across_backends() {
+    let reports = assert_series_agrees(
+        "common",
+        30,
+        |case| common_key_workload(0x0BAC_CE4D, case),
+        DEFAULT_CAPACITY,
+    );
     let mut k_shrunk = false;
     let mut k_expanded = false;
-    let mut any_results = 0u64;
-    for case in 0..30usize {
-        let mut rng = StdRng::seed_from_u64(0x0BAC_CE4D + case as u64);
-        let m = 2 + case % 2;
-        let window = if m == 2 {
-            rng.gen_range(300u64..1_200)
-        } else {
-            rng.gen_range(200u64..500)
-        };
-        let domain = if m == 2 { 6 } else { 8 };
-        let query = common_key_query(m, window);
-        let policy = policy_for(case, &mut rng);
-        let events = gen_events(
-            &mut rng,
-            m,
-            if m == 2 { 90 } else { 70 },
-            300,
-            |_, _, key| vec![Value::Int(key)],
-            domain,
-        );
-        let report = assert_backends_agree(&query, &policy, &events, &format!("common #{case}"));
-        any_results += report.total_produced;
+    for report in &reports {
         for w in report.checkpoints.windows(2) {
             k_shrunk |= w[1].k < w[0].k;
             k_expanded |= w[1].k > w[0].k;
         }
     }
-    assert!(any_results > 0, "workloads must derive join results");
     assert!(
         k_shrunk && k_expanded,
         "adaptive sessions must both shrink and expand K across the workloads \
@@ -266,66 +370,36 @@ fn common_key_workloads_agree_across_backends() {
 }
 
 #[test]
+fn common_key_workloads_agree_at_segment_boundaries() {
+    let workload = |case| common_key_workload(0x5E61_0BAC, case);
+    assert_series_agrees("seg common", 6, workload, TINY_CAPACITY);
+}
+
+#[test]
 fn star_workloads_agree_across_backends() {
-    let mut any_results = 0u64;
-    for case in 0..15usize {
-        let mut rng = StdRng::seed_from_u64(0x57A2_BACC + case as u64);
-        let window = rng.gen_range(200u64..500);
-        let query = star_query(window);
-        let policy = policy_for(case, &mut rng);
-        let events = gen_events(
-            &mut rng,
-            3,
-            70,
-            250,
-            |rng, stream, key| {
-                if stream == 0 {
-                    vec![Value::Int(key), Value::Int(rng.gen_range(0i64..5))]
-                } else {
-                    vec![Value::Int(key)]
-                }
-            },
-            5,
-        );
-        let report = assert_backends_agree(&query, &policy, &events, &format!("star #{case}"));
-        any_results += report.total_produced;
-    }
-    assert!(any_results > 0, "star workloads must derive join results");
+    let workload = |case| star_workload(0x57A2_BACC, case);
+    assert_series_agrees("star", 15, workload, DEFAULT_CAPACITY);
+}
+
+#[test]
+fn star_workloads_agree_at_segment_boundaries() {
+    let workload = |case| star_workload(0x5E61_57A2, case);
+    assert_series_agrees("seg star", 4, workload, TINY_CAPACITY);
 }
 
 #[test]
 fn mixed_type_keys_agree_across_backends() {
-    // Adversarial key columns: floats that join integers numerically
-    // (join_eq coercion — the partitioner must route them with the
-    // integer's hash), floats that join nothing, Nulls and strings.
-    let mut any_results = 0u64;
-    for case in 0..15usize {
-        let mut rng = StdRng::seed_from_u64(0xF10A_7BAC + case as u64);
-        let m = 2 + case % 2;
-        let window = if m == 2 { 600 } else { 350 };
-        let query = common_key_query(m, window);
-        let policy = policy_for(case + 3, &mut rng);
-        let events = gen_events(
-            &mut rng,
-            m,
-            60,
-            200,
-            |rng, _, key| {
-                let roll = rng.gen_range(0u64..20);
-                vec![match roll {
-                    0 => Value::Float(key as f64),       // numerically joins Int(key)
-                    1 => Value::Float(key as f64 + 0.5), // joins nothing
-                    2 => Value::Null,
-                    3 => Value::Str(format!("s{key}")),
-                    _ => Value::Int(key),
-                }]
-            },
-            4,
-        );
-        let report = assert_backends_agree(&query, &policy, &events, &format!("mixed #{case}"));
-        any_results += report.total_produced;
-    }
-    assert!(any_results > 0, "mixed workloads must derive join results");
+    let workload = |case| mixed_type_workload(0xF10A_7BAC, case);
+    assert_series_agrees("mixed", 15, workload, DEFAULT_CAPACITY);
+}
+
+#[test]
+fn mixed_type_keys_agree_at_segment_boundaries() {
+    // Floats, strings and Nulls land in tiny segments: the per-segment
+    // unindexable tallies must gate the index exactly, and the fallback
+    // scans must find every numeric coercion match across them.
+    let workload = |case| mixed_type_workload(0x5E61_F10A, case);
+    assert_series_agrees("seg mixed", 4, workload, TINY_CAPACITY);
 }
 
 #[test]
@@ -349,7 +423,7 @@ fn unpartitionable_conditions_fall_back_to_one_shard() {
             .unwrap(),
         };
         let label = format!("unpartitionable #{case}");
-        let _ = assert_backends_agree(&query, &policy, &events, &label);
+        let _ = assert_backends_agree(&query, &policy, &events, &label, DEFAULT_CAPACITY);
         // The engine must have collapsed to one shard on both backends.
         for backend in [
             ExecutionBackend::Pool { workers: 4 },
@@ -366,36 +440,22 @@ fn unpartitionable_conditions_fall_back_to_one_shard() {
     }
 }
 
-#[test]
-fn replanned_workloads_match_the_static_reference() {
-    // Runtime re-planning at its built-in thresholds: the one revision the
-    // engine can take — re-selecting the star partition pair, with
-    // cross-shard state migration — must leave the result multiset, the
-    // per-probe trajectory and the adaptation sequence byte-identical to
-    // the single-shard sequential reference, whose plan never changes.
+/// Runs the star pair-switch scenario (see `pair_switch`) on each of
+/// `backends`, its windows at segment `capacity`, and asserts that it
+/// switches its pair, moves state, and stays byte-identical to the
+/// single-shard sequential reference at the default capacity, whose plan
+/// never changes.
+fn assert_pair_switch_agrees(label: &str, backends: &[(ExecutionBackend, usize)], capacity: usize) {
     let policy = pair_switch::policy();
-
-    // Scenario "switch" (see `pair_switch`): the pair must move from S2 to
-    // the flooding S3, migrating all three windows between shards.
-    let switch_events = pair_switch::star_events(2);
-
+    // Scenario "switch": the pair must move from S2 to the flooding S3,
+    // migrating all three windows between shards.
+    let events = pair_switch::star_events(2);
     let query = star_query(240);
-    let (want, want_report) = run(
-        &query,
-        &policy,
-        ExecutionBackend::Sequential,
-        1,
-        &switch_events,
-    );
-    let mut any_switch = false;
-    for (backend, batch) in [
-        (ExecutionBackend::Pool { workers: 4 }, 64),
-        (ExecutionBackend::Pool { workers: 4 }, 1),
-        // Pair-switch migrations cross the wire codec.
-        (ExecutionBackend::remote_inproc(4), 64),
-    ] {
-        let label = "replan switch";
-        let (results, report) = run(&query, &policy, backend.clone(), batch, &switch_events);
+    let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
+    let layout = query.with_segment_capacity(capacity);
+    for (backend, batch) in backends {
+        let label = format!("{label}, capacity {capacity}");
+        let (results, report) = run(&layout, &policy, backend.clone(), *batch, &events);
         assert_eq!(
             want, results,
             "[{label}] {backend} re-planned run must match the sequential reference"
@@ -409,24 +469,107 @@ fn replanned_workloads_match_the_static_reference() {
         assert_eq!(s.0.dropped, s.1.dropped, "[{label}] {backend}");
         assert_eq!(s.0.expired, s.1.expired, "[{label}] {backend}");
         assert_eq!(s.0.cross_results, s.1.cross_results, "[{label}] {backend}");
-        for t in &report.plan_transitions {
-            assert_eq!((t.from, t.to), (1, 2), "[{label}] {backend}");
-            any_switch = true;
-            let migrated = pair_switch::migrated_tuples(&report);
-            assert!(migrated > 0, "[{label}] {backend} must move state");
-        }
+        let transitions: Vec<_> = report
+            .plan_transitions
+            .iter()
+            .map(|t| (t.from, t.to))
+            .collect();
+        assert!(
+            !transitions.is_empty() && transitions.iter().all(|&t| t == (1, 2)),
+            "[{label}] {backend} must switch its pair from S2 to S3: {transitions:?}"
+        );
+        assert!(
+            pair_switch::migrated_tuples(&report) > 0,
+            "[{label}] {backend} must move state"
+        );
         let revisions: u64 = report
             .shard_stats
             .iter()
             .map(|s| s.runtime.plan_revisions)
             .sum();
-        assert_eq!(
+        assert!(
             revisions > 0,
-            !report.plan_transitions.is_empty(),
             "[{label}] {backend} revision counters must track transitions"
         );
     }
-    assert!(any_switch, "the star workload must re-select its pair");
+}
+
+#[test]
+fn replanned_workloads_match_the_static_reference() {
+    // Runtime re-planning at its built-in thresholds: the one revision the
+    // engine can take — re-selecting the star partition pair, with
+    // cross-shard state migration — must leave the result multiset, the
+    // per-probe trajectory and the adaptation sequence byte-identical to
+    // the single-shard sequential reference.
+    let backends = [
+        (ExecutionBackend::Pool { workers: 4 }, 64),
+        (ExecutionBackend::Pool { workers: 4 }, 1),
+        // Pair-switch migrations cross the wire codec.
+        (ExecutionBackend::remote_inproc(4), 64),
+    ];
+    assert_pair_switch_agrees("replan switch", &backends, DEFAULT_CAPACITY);
+}
+
+#[test]
+fn pair_switch_agrees_at_segment_boundaries() {
+    // A star pair switch exercises `retain_where` surgery (segment
+    // rebuilds) and `adopt` migration into tiny tails.
+    let backends = [
+        (ExecutionBackend::Pool { workers: 4 }, 64),
+        (ExecutionBackend::remote_inproc(4), 64),
+    ];
+    assert_pair_switch_agrees("seg switch", &backends, TINY_CAPACITY);
+}
+
+/// Live columnar segments summed over every shard of a common-key session
+/// on `backend` with its windows at segment `capacity`, read mid-run at a
+/// barrier (`shard_stats` round-trips one on `Remote`); the session's
+/// window bytes must be non-zero at that point.
+fn mid_run_window_segments(backend: &ExecutionBackend, capacity: usize) -> u64 {
+    let mut rng = StdRng::seed_from_u64(0x5E61_0B17);
+    let query = common_key_query(2, 800).with_segment_capacity(capacity);
+    let events = gen_events(&mut rng, 2, 80, 100, |_, _, key| vec![Value::Int(key)], 6);
+    let mut pipeline = Pipeline::builder()
+        .query(query)
+        .policy(BufferPolicy::FixedK(100))
+        .parallelism(backend.clone())
+        .build()
+        .unwrap();
+    let mut sink = CountingSink::default();
+    // Batches large enough that epochs run on the pool workers and the
+    // shard servers, not inline.
+    for chunk in events.chunks(64) {
+        pipeline.push_batch_into(chunk.iter().cloned(), &mut sink);
+    }
+    let stats = pipeline.engine().shard_stats();
+    let bytes: u64 = stats.iter().map(|s| s.runtime.window_bytes).sum();
+    assert!(bytes > 0, "{backend}: live windows must report bytes");
+    let shards = pipeline.engine().shard_count();
+    let report = pipeline.finish_into(&mut sink);
+    assert_eq!(report.shard_stats.len(), shards, "{backend}");
+    stats.iter().map(|s| s.runtime.window_segments).sum()
+}
+
+#[test]
+fn segment_capacity_reaches_every_shard() {
+    // The `*_at_segment_boundaries` cases cover boundaries only if every
+    // shard really stores its windows at the query's capacity: a shard
+    // left at the default would agree with the reference and cross no
+    // boundary.  Each backend's shards must hold more segments at 4, and
+    // report their live window bytes at either capacity.
+    for backend in [
+        ExecutionBackend::Sequential,
+        ExecutionBackend::Pool { workers: 4 },
+        ExecutionBackend::remote_inproc(4),
+    ] {
+        let tiny = mid_run_window_segments(&backend, TINY_CAPACITY);
+        let default = mid_run_window_segments(&backend, DEFAULT_CAPACITY);
+        assert!(
+            tiny > default,
+            "{backend}: {tiny} segments at capacity {TINY_CAPACITY}, \
+             {default} at {DEFAULT_CAPACITY}"
+        );
+    }
 }
 
 #[test]
@@ -571,23 +714,7 @@ fn remote_uds_backend_agrees_with_sequential() {
     // K-changes and out-of-order arrivals end to end.
     let daemon = Shardd::spawn("diff");
     for case in 0..4usize {
-        let mut rng = StdRng::seed_from_u64(0x0BAC_CE4D + case as u64);
-        let m = 2 + case % 2;
-        let window = if m == 2 {
-            rng.gen_range(300u64..1_200)
-        } else {
-            rng.gen_range(200u64..500)
-        };
-        let query = common_key_query(m, window);
-        let policy = policy_for(case, &mut rng);
-        let events = gen_events(
-            &mut rng,
-            m,
-            if m == 2 { 90 } else { 70 },
-            300,
-            |_, _, key| vec![Value::Int(key)],
-            if m == 2 { 6 } else { 8 },
-        );
+        let (query, policy, events) = common_key_workload(0x0BAC_CE4D, case);
         let label = format!("uds common #{case}");
         let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
         let (got, report) = run(&query, &policy, daemon.backend(4), 64, &events);

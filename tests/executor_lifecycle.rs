@@ -415,6 +415,7 @@ fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
             },
             strategy: ProbeStrategy::Auto,
             enumerate: false,
+            segment_capacity: 1_024,
         }))
         .unwrap();
     assert!(matches!(offender.recv().unwrap(), Frame::SetupAck));

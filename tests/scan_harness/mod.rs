@@ -1,12 +1,13 @@
-//! Shared body of the typed-column scan differential suites
-//! (`tests/differential_scan.rs` at the default segment capacity,
-//! `tests/differential_scan_cap4.rs` at capacity 4).
+//! Body of the typed-column scan differential suite
+//! (`tests/differential_scan.rs`), run at a given segment capacity.
 //!
 //! Every randomized workload runs through a `ProbeStrategy::NestedLoop`
-//! session on the `Sequential` backend — the tuple-at-a-time oracle, one
-//! `matches` call per candidate — and through `ProbeStrategy::Auto`
-//! sessions (the scan kernel) on `Sequential`, `Pool{2}` and
-//! `remote_inproc(2)`.  Nested-loop plans collapse to one broadcast shard
+//! session on the `Sequential` backend at the default segment capacity —
+//! the tuple-at-a-time oracle, one `matches` call per candidate — and
+//! through `ProbeStrategy::Auto` sessions (the scan kernel) on
+//! `Sequential`, `Pool{2}` and `remote_inproc(2)` at the capacity under
+//! test, so a kernel session differs from the oracle in access path,
+//! storage layout and executor at once.  Nested-loop plans collapse to one broadcast shard
 //! on the sharded backends; the point of running them is that the
 //! shard-side operator — on `Remote`, rebuilt from the wire
 //! `ConditionDescriptor` — must plan the same scan columns.  Each kernel
@@ -125,13 +126,16 @@ fn run(
 
 /// Runs the oracle and the kernel sessions of one workload, counting and
 /// materialising, and asserts they agree; returns the oracle's result count
-/// and checkpoints.
+/// and checkpoints.  The kernel sessions store their windows at segment
+/// `capacity`.
 fn assert_kernel_equals_oracle(
     query: &JoinQuery,
     policy: &BufferPolicy,
     events: &[ArrivalEvent],
     label: &str,
+    capacity: usize,
 ) -> (u64, Vec<Checkpoint>) {
+    let layout = query.clone().with_segment_capacity(capacity);
     let mut produced = 0;
     let mut checkpoints = Vec::new();
     for materialize in [false, true] {
@@ -150,7 +154,7 @@ fn assert_kernel_equals_oracle(
             ExecutionBackend::remote_inproc(2),
         ] {
             let kernel = run(
-                query,
+                &layout,
                 policy,
                 ProbeStrategy::Auto,
                 backend.clone(),
@@ -159,8 +163,8 @@ fn assert_kernel_equals_oracle(
             );
             assert!(
                 kernel.outcome == oracle.outcome,
-                "[{label}, materialize={materialize}, {backend:?}] kernel diverged from the \
-                 tuple-at-a-time oracle:\n kernel {:?}\n oracle {:?}",
+                "[{label}, materialize={materialize}, {backend:?}, capacity {capacity}] kernel \
+                 diverged from the tuple-at-a-time oracle:\n kernel {:?}\n oracle {:?}",
                 kernel.outcome,
                 oracle.outcome
             );
@@ -296,8 +300,8 @@ fn assert_k_churn(all: &[Vec<Checkpoint>]) {
     );
 }
 
-/// 24 two-way distance workloads.
-pub fn distance_workloads() {
+/// 24 two-way distance workloads, the kernel at segment `capacity`.
+pub fn distance_workloads(capacity: usize) {
     let mut produced = 0u64;
     let mut at_threshold = 0usize;
     let mut checkpoints = Vec::new();
@@ -331,8 +335,8 @@ pub fn distance_workloads() {
                 }
             }
         }
-        let (n, cps) =
-            assert_kernel_equals_oracle(&query, &policy, &events, &format!("distance #{case}"));
+        let label = format!("distance #{case}");
+        let (n, cps) = assert_kernel_equals_oracle(&query, &policy, &events, &label, capacity);
         produced += n;
         checkpoints.push(cps);
     }
@@ -344,8 +348,9 @@ pub fn distance_workloads() {
     assert_k_churn(&checkpoints);
 }
 
-/// 20 two-way and 20 three-way band workloads.
-pub fn band_workloads() {
+/// 20 two-way and 20 three-way band workloads, the kernel at segment
+/// `capacity`.
+pub fn band_workloads(capacity: usize) {
     let mut produced = [0u64; 2];
     let mut at_band = 0usize;
     let mut checkpoints = Vec::new();
@@ -369,8 +374,8 @@ pub fn band_workloads() {
                 at_band += ((b - a).abs() == band) as usize;
             }
         }
-        let (n, cps) =
-            assert_kernel_equals_oracle(&query, &policy, &events, &format!("band{m} #{case}"));
+        let label = format!("band{m} #{case}");
+        let (n, cps) = assert_kernel_equals_oracle(&query, &policy, &events, &label, capacity);
         produced[m - 2] += n;
         checkpoints.push(cps);
     }

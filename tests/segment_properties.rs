@@ -196,14 +196,12 @@ proptest! {
         ops in ops(250),
         capacity in 2usize..16,
     ) {
-        // Process-wide, but every other window in this binary is built with
-        // an explicit capacity, so only this test's windows see it.
-        set_default_segment_capacity(capacity);
         const WINDOW: u64 = 300;
         let schema = Schema::new(vec![("v", FieldType::Float)]);
         let streams = StreamSet::homogeneous(2, schema, WINDOW).unwrap();
         let cond = Arc::new(BandJoin::new(&streams, "v", 1.0).unwrap());
-        let mut op = MswjOperator::new(JoinQuery::new("scan-props", streams, cond).unwrap());
+        let query = JoinQuery::new("scan-props", streams, cond).unwrap();
+        let mut op = MswjOperator::new(query.with_segment_capacity(capacity));
         // The generated timestamps are uniform; read them as lateness on a
         // steadily advancing clock instead, so that most inserts append, a
         // quarter land late (shifting the images behind them), and expiry
