@@ -1,6 +1,6 @@
-//! The star pair-switch scenario shared by the differential suites
-//! (`tests/differential_backends.rs`, `tests/segment_boundary.rs`) and the
-//! per-shard work counts (`tests/shard_work.rs`).
+//! The star pair-switch scenario shared by the differential suite
+//! (`tests/differential_backends.rs`) and the per-shard work counts
+//! (`tests/shard_work.rs`).
 //!
 //! The star default partitions (S1, S2), but S3 floods while S2 trickles —
 //! broadcasting the flood replicates it to every shard, so the runtime
