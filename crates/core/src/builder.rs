@@ -214,7 +214,7 @@ impl SessionBuilder {
     /// The handle is shared: the pipeline front-end records quality gauges
     /// and latency histograms into it, the join stage publishes per-shard
     /// runtime gauges at its idle barriers, and operational notices
-    /// (checkpoints, plan revisions, heavy-hitter warnings)
+    /// (checkpoints, heavy-hitter warnings)
     /// land in its bounded event ring instead of on stderr (and reach the
     /// callback set by [`Telemetry::set_event_callback`]).  Hand a clone
     /// of the same handle to a

@@ -137,6 +137,14 @@
 //!
 //! See `docs/ARCHITECTURE.md` for the full contract.
 //!
+//! ## Star routing
+//!
+//! A star plan key-routes its anchor with the lowest-numbered satellite
+//! and broadcasts every other satellite, for the whole session: routing
+//! never changes after construction, so no window state ever moves
+//! between shards.  A broadcast stream is stored and probed on every
+//! shard, so declare the heaviest satellite first.
+//!
 //! ## Fallback
 //!
 //! Conditions without a partitionable equi structure (cross joins, band
@@ -149,7 +157,6 @@
 mod exec;
 mod occupancy;
 mod pool;
-mod replan;
 mod shards;
 mod skew;
 pub mod transport;
@@ -166,7 +173,6 @@ use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
 // protocol's own types, so a remote epoch ships and returns them as they are.
 use mswj_wire::{WireItem as Item, WireSub as SubOutcome};
 use occupancy::Occupancy;
-pub use replan::PlanTransition;
 use shards::ShardSet;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -297,12 +303,6 @@ pub struct ShardRuntimeStats {
     /// Connection attempts beyond the first while establishing the link
     /// (`Remote` backend).
     pub(crate) reconnects: u64,
-    /// Star pair switches the runtime re-planner applied to this shard
-    /// (each re-homes window state at a barrier).
-    pub plan_revisions: u64,
-    /// Tuples adopted into this shard's windows by pair-switch state
-    /// migration.
-    pub migrated_tuples: u64,
     /// Estimated live heap bytes of this shard's window state (segment
     /// arenas, payload vectors and string bytes), sampled when the stats
     /// were taken.  On the `Remote` backend the figure is reported by the
@@ -387,17 +387,6 @@ pub struct JoinEngine {
     occupancy: Occupancy,
     stats: OperatorStats,
     runtime: Vec<ShardRuntimeStats>,
-    /// The routing version: bumped by every star pair switch, the one
-    /// routing change there is.
-    routing_epoch: u64,
-    /// The runtime re-planner's state — `stats.in_order` (the in-order
-    /// probes) at the last evaluation-window reset.
-    replan_base: u64,
-    /// The satellite stream currently key-routed with the star anchor
-    /// (`None` for non-star plans).
-    star_partner: Option<usize>,
-    /// Every plan revision taken, in decision order.
-    plan_transitions: Vec<PlanTransition>,
     /// Per-shard `routed` snapshot at the last heavy-hitter detection
     /// window reset: `routed - hh_base` is the windowed routing volume.
     hh_base: Vec<u64>,
@@ -418,11 +407,8 @@ pub struct JoinEngine {
     sub: Vec<Vec<SubOutcome>>,
     mat: Vec<Vec<(u32, JoinResult)>>,
     cursors: Vec<(usize, usize)>,
-    /// The deferred epoch of the depth-1 pipeline, if any: its id and the
-    /// routing epoch its items were routed under.  Routing changes only
-    /// happen at barriers, so that must still be the engine's routing
-    /// epoch when the tasks come back — asserted at collection.
-    outstanding: Option<(u64, u64)>,
+    /// The id of the deferred epoch of the depth-1 pipeline, if any.
+    outstanding: Option<u64>,
     next_epoch: u64,
     /// The deferred epoch's routing decisions, in staging order (consumed
     /// by the deterministic merge at collection; swapped with `decisions`
@@ -431,8 +417,8 @@ pub struct JoinEngine {
     /// Which shards hold a task of the deferred epoch.
     in_flight: Vec<bool>,
     /// The attached telemetry registry, if any.  Strictly observe-only:
-    /// nothing the engine reads from it feeds back into routing, merging
-    /// or plan decisions, so an attached handle cannot change a produced
+    /// nothing the engine reads from it feeds back into routing or
+    /// merging, so an attached handle cannot change a produced
     /// byte.  Instruments are only touched at idle barriers (events,
     /// gauge publication) — never inside the per-tuple execution path.
     telemetry: Option<Telemetry>,
@@ -492,15 +478,6 @@ impl JoinEngine {
     /// every shard server here — each failure comes back as
     /// [`Error::InvalidConfig`], as does a zero-worker
     /// [`ExecutionBackend::Pool`].  The local backends fail on nothing else.
-    ///
-    /// On a star plan over two or more shards the engine may re-select the
-    /// star partition pair at runtime, to the heaviest observed-cardinality
-    /// satellite (migrating window state, so only light streams stay on
-    /// the broadcast path).  Every revision lands in
-    /// [`JoinEngine::plan_transitions`].  It acts at [`JoinEngine::sync`]
-    /// barriers only, from engine-global statistics, so routing never
-    /// changes while work is in flight and every backend takes identical
-    /// decisions.
     pub(crate) fn try_new(
         query: JoinQuery,
         strategy: ProbeStrategy,
@@ -520,7 +497,6 @@ impl JoinEngine {
         let n = partitioner.shard_count();
         let shards = ShardSet::open(&backend, n, &query, strategy, enumerate)?;
         let (m, local) = (query.arity(), matches!(shards, ShardSet::Local(_)));
-        let star_partner = Partitioner::default_star_partner(&plan);
         Ok(JoinEngine {
             shards,
             partitioner,
@@ -531,10 +507,6 @@ impl JoinEngine {
             occupancy: Occupancy::new(if local { 0 } else { m }),
             stats: OperatorStats::default(),
             runtime: vec![ShardRuntimeStats::default(); n],
-            routing_epoch: 0,
-            replan_base: 0,
-            star_partner,
-            plan_transitions: Vec::new(),
             hh_base: vec![0; n],
             hh_warned: None,
             staged: Vec::new(),
@@ -556,8 +528,9 @@ impl JoinEngine {
 
     /// Attaches a telemetry registry, pre-registering one instrument scope
     /// per shard.  Observe-only: the engine publishes runtime gauges into
-    /// it at barriers and routes structured events (heavy-hitter warnings,
-    /// plan transitions) through its bounded ring instead of stderr.  Attaching telemetry never changes a produced byte.
+    /// it at barriers and routes structured events (heavy-hitter warnings)
+    /// through its bounded ring instead of stderr.  Attaching telemetry
+    /// never changes a produced byte.
     pub(crate) fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.publishers = (0..self.shard_count())
             .map(|s| ShardPublisher::new(telemetry.shard(s)))
@@ -659,30 +632,12 @@ impl JoinEngine {
         self.on_t
     }
 
-    /// The satellite stream currently key-routed with the star anchor —
-    /// the planner's blind default until a pair switch re-selects it.
-    /// `None` for non-star plans.
-    pub fn star_partner(&self) -> Option<usize> {
-        self.star_partner
-    }
-
-    /// Every plan revision the runtime re-planner has taken, in decision
-    /// order.
-    pub(crate) fn plan_transitions(&self) -> &[PlanTransition] {
-        &self.plan_transitions
-    }
-
-    /// The routing version: bumped by every partition-pair switch.
-    pub fn routing_epoch(&self) -> u64 {
-        self.routing_epoch
-    }
-
     /// Stages one synchronized tuple for the next [`JoinEngine::flush`]:
     /// classify it against the global `onT` and scope-check it.  The
     /// sequential shard takes the tuple as it is; a sharded set also
     /// replays the global expiry/occupancy accounting and routes the tuple
-    /// at once.  Routing only changes at idle barriers, so staging early
-    /// routes under the same partitioner a flush would.
+    /// at once; routing is fixed at construction, so staging early routes
+    /// exactly as a flush would.
     pub fn stage(&mut self, tuple: Tuple) {
         let (i, ts, delay) = (tuple.stream.as_usize(), tuple.ts, tuple.delay_or_zero());
         let in_order = !self.started || ts >= self.on_t;
@@ -782,22 +737,18 @@ impl JoinEngine {
     }
 
     /// Every shard is idle after a barrier flush — every queue drained, no
-    /// epoch outstanding: the only point where a detection window closes,
-    /// routing may change and state may migrate.  That is what makes a
-    /// routing change an epoch barrier (in-flight work always executes
-    /// under the partitioner it was routed with), and it is also what
-    /// makes the decisions backend-invariant, because barriers sit at
-    /// workload-determined points (checkpoints, buffer-size changes, end
-    /// of stream).
+    /// epoch outstanding: the only point where a heavy-hitter detection
+    /// window closes.  Barriers sit at workload-determined points
+    /// (checkpoints, buffer-size changes, end of stream), which makes the
+    /// detection backend-invariant.
     fn at_idle_barrier(&mut self) {
         debug_assert!(
             self.outstanding.is_none()
                 && !self.has_pending()
                 && self.queues.iter().all(VecDeque::is_empty),
-            "heavy-hitter detection and plan revision require an idle engine"
+            "heavy-hitter detection requires an idle engine"
         );
         self.note_heavy_hitter();
-        self.evaluate_replan();
     }
 
     fn execute_pending(&mut self, f: &mut dyn FnMut(EngineEvent<'_>), barrier: bool) {
@@ -846,39 +797,30 @@ impl JoinEngine {
     fn submit_epoch(&mut self) {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let routing_epoch = self.routing_epoch;
         for (s, queue) in self.queues.iter_mut().enumerate() {
             self.in_flight[s] = !queue.is_empty();
             if self.in_flight[s] {
                 self.runtime[s].epochs_enqueued += 1;
                 let (sub, mat) = (&mut self.sub[s], &mut self.mat[s]);
-                self.shards.submit(s, epoch, routing_epoch, queue, sub, mat);
+                self.shards.submit(s, epoch, queue, sub, mat);
             }
         }
         debug_assert!(self.deferred.is_empty(), "one epoch in flight at most");
         std::mem::swap(&mut self.decisions, &mut self.deferred);
-        self.outstanding = Some((epoch, routing_epoch));
+        self.outstanding = Some(epoch);
     }
 
     /// Collects the deferred epoch's outputs in shard order (re-raising any
     /// worker panic) and merges the buffers into the deterministic event
     /// stream.
     fn collect_outstanding(&mut self, f: &mut dyn FnMut(EngineEvent<'_>)) {
-        let Some((epoch, routing_epoch)) = self.outstanding.take() else {
+        let Some(epoch) = self.outstanding.take() else {
             return;
         };
-        debug_assert_eq!(
-            routing_epoch, self.routing_epoch,
-            "routing changes must wait for the outstanding epoch"
-        );
         for s in (0..self.in_flight.len()).filter(|&s| self.in_flight[s]) {
             let (sub, mat) = (&mut self.sub[s], &mut self.mat[s]);
-            let out = self.shards.collect(s, epoch, sub, mat);
-            debug_assert_eq!(
-                out.routing_epoch, routing_epoch,
-                "routing changed while an epoch was in flight"
-            );
-            self.runtime[s].busy_nanos += out.busy_nanos;
+            let busy_nanos = self.shards.collect(s, epoch, sub, mat);
+            self.runtime[s].busy_nanos += busy_nanos;
             self.runtime[s].epochs_executed += 1;
         }
         exec::merge_epoch(
@@ -935,7 +877,7 @@ impl JoinEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mswj_join::{CommonKeyEquiJoin, MswjOperator, StarEquiJoin};
+    use mswj_join::{CommonKeyEquiJoin, MswjOperator};
     use mswj_types::{FieldType, Schema, StreamSet, StreamSpec, Value};
     use std::sync::Arc;
 
@@ -1424,28 +1366,6 @@ mod tests {
         assert_eq!(engine.on_t(), Timestamp::ZERO);
     }
 
-    /// Runs `tuples` in batches of `chunk` with a `sync` barrier after each
-    /// batch (so re-planning windows are evaluated), returning sorted
-    /// results, outcomes and stats.
-    fn run_synced(
-        engine: &mut JoinEngine,
-        tuples: &[Tuple],
-        chunk: usize,
-    ) -> (Vec<String>, Vec<ProbeOutcome>, OperatorStats) {
-        let mut results = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut handler = |ev: EngineEvent<'_>| match ev {
-            EngineEvent::Result(r) => results.push(r.to_string()),
-            EngineEvent::Done(o) => outcomes.push(o),
-        };
-        for batch in tuples.chunks(chunk) {
-            engine.push_batch(batch.iter().cloned(), &mut handler);
-            engine.sync(&mut handler);
-        }
-        results.sort();
-        (results, outcomes, engine.stats())
-    }
-
     #[test]
     fn late_emerging_hot_key_still_trips_detection() {
         // Regression: the detector judges *windows*, not lifetime counters.
@@ -1473,101 +1393,5 @@ mod tests {
             .expect("a late hot key must trip windowed detection");
         let windowed = engine.runtime_stats(s).routed;
         assert!(windowed >= 1_200, "the hot window counts from its own base");
-    }
-
-    /// 3-way star: anchor S1(a1, a2) joined with S2(a1) and S3(a2) — the
-    /// blind default partitions the (S1, S2) pair, broadcasting S3.
-    fn star_query(window: u64) -> JoinQuery {
-        let streams = StreamSet::new(vec![
-            StreamSpec::new(
-                "S1",
-                Schema::new(vec![("a1", FieldType::Int), ("a2", FieldType::Int)]),
-                window,
-            ),
-            StreamSpec::new("S2", Schema::new(vec![("a1", FieldType::Int)]), window),
-            StreamSpec::new("S3", Schema::new(vec![("a2", FieldType::Int)]), window),
-        ])
-        .unwrap();
-        let cond =
-            Arc::new(StarEquiJoin::new(&streams, 0, &[(1, "a1", "a1"), (2, "a2", "a2")]).unwrap());
-        JoinQuery::new("engine-star", streams, cond).unwrap()
-    }
-
-    #[test]
-    fn pair_switch_migrates_state_and_preserves_results() {
-        // The blind default partitions (S1, S2), broadcasting S3 — but
-        // stream 2 floods while stream 1 trickles, so every flood tuple is
-        // replicated to all shards.  Key-routing the flood and
-        // broadcasting the trickle is the right pairing; the switch
-        // re-keys the anchor from a1 to a2, exercising the full
-        // three-stream migration.
-        let mut tuples = Vec::new();
-        let mut seq = 0u64;
-        for round in 0..100u64 {
-            let ts = round * 4;
-            tuples.push(tup_star(0, seq, ts, (round % 8) as i64, (round % 6) as i64));
-            seq += 1;
-            if round % 4 == 0 {
-                tuples.push(tup(1, seq, ts, (round % 8) as i64));
-                seq += 1;
-            }
-            for burst in 0..4u64 {
-                tuples.push(tup(2, seq, ts, ((round + burst) % 6) as i64));
-                seq += 1;
-            }
-        }
-        fn tup_star(stream: usize, seq: u64, ts: u64, a1: i64, a2: i64) -> Tuple {
-            Tuple::new(
-                stream.into(),
-                seq,
-                Timestamp::from_millis(ts),
-                vec![Value::Int(a1), Value::Int(a2)],
-            )
-        }
-        let mut reference = JoinEngine::new(
-            star_query(240),
-            ProbeStrategy::Auto,
-            true,
-            ExecutionBackend::Sequential,
-        );
-        let (want_res, _, want_stats) = run_synced(&mut reference, &tuples, 100);
-        for backend in [
-            ExecutionBackend::Pool { workers: 4 },
-            ExecutionBackend::remote_inproc(4),
-        ] {
-            let mut engine =
-                JoinEngine::new(star_query(240), ProbeStrategy::Auto, true, backend.clone());
-            assert_eq!(engine.star_partner(), Some(1), "blind default [{backend}]");
-            let epoch_before = engine.routing_epoch();
-            let (res, _, stats) = run_synced(&mut engine, &tuples, 100);
-            assert_eq!(
-                res, want_res,
-                "migrated state must keep the multiset [{backend}]"
-            );
-            assert_eq!(stats.results, want_stats.results, "{backend}");
-            assert_eq!(stats.in_order, want_stats.in_order, "{backend}");
-            assert_eq!(stats.expired, want_stats.expired, "{backend}");
-            assert_eq!(
-                engine.star_partner(),
-                Some(2),
-                "the pair must re-select the flooding satellite [{backend}]"
-            );
-            assert!(
-                engine
-                    .plan_transitions()
-                    .iter()
-                    .any(|t| (t.from, t.to) == (1, 2)),
-                "{backend}: {:?}",
-                engine.plan_transitions()
-            );
-            assert!(
-                engine.routing_epoch() > epoch_before,
-                "a pair switch must bump the routing epoch [{backend}]"
-            );
-            let migrated: u64 = (0..engine.shard_count())
-                .map(|s| engine.runtime_stats(s).migrated_tuples)
-                .sum();
-            assert!(migrated > 0, "window state must move [{backend}]");
-        }
     }
 }

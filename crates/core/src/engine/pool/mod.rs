@@ -19,8 +19,7 @@
 //!   epoch's task to the worker and comes back in the output, so it is
 //!   either **home** — reached with plain `&mut` for a sub-threshold batch
 //!   drained on the caller thread (the worker's own `exec::drain_queue`,
-//!   merged the same way) and for barrier surgery — or **away** on exactly
-//!   one task.  Reading an away shard ([`ShardPool::operator`]) receives
+//!   merged the same way) — or **away** on exactly one task.  Reading an away shard ([`ShardPool::operator`]) receives
 //!   its output early and parks it in the shard's slot; the next
 //!   [`ShardPool::collect`] takes it from there, so the epoch's events
 //!   still arrive at the next `flush` or `sync`.
@@ -36,7 +35,6 @@ mod task;
 
 use task::{EpochOutput, Task};
 
-use super::shards::CollectedEpoch;
 use super::{exec, Item, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator};
 use std::cell::{Ref, RefCell};
@@ -139,8 +137,8 @@ impl ShardPool {
         })
     }
 
-    /// Shard `s`'s operator, for an inline drain or barrier surgery; only
-    /// called with no epoch in flight, so it is home.
+    /// Shard `s`'s operator, for an inline drain; only called with no
+    /// epoch in flight, so it is home.
     pub(super) fn operator_mut(&mut self, s: usize) -> &mut MswjOperator {
         match self.workers[s].slot.get_mut() {
             Slot::Home(op) => op,
@@ -158,7 +156,6 @@ impl ShardPool {
         &mut self,
         s: usize,
         epoch: u64,
-        routing_epoch: u64,
         queue: &mut VecDeque<Item>,
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
@@ -173,7 +170,6 @@ impl ShardPool {
             items: std::mem::replace(queue, std::mem::take(&mut worker.spare_items)),
             sub: std::mem::take(sub),
             mat: std::mem::take(mat),
-            routing_epoch,
         };
         let sender = worker.tasks.as_ref().expect("submit after shutdown");
         if sender.send(task).is_err() {
@@ -185,16 +181,16 @@ impl ShardPool {
 
     /// Takes shard `s`'s output for `expected` — parked, or blocking until
     /// the worker delivers it — brings the operator home and hands the
-    /// filled `sub` / `mat` buffers back.  A worker panic is resumed on
-    /// this thread, and a dead worker surfaces as a panic too, never as a
-    /// hang.
+    /// filled `sub` / `mat` buffers back, returning the worker's busy
+    /// nanoseconds.  A worker panic is resumed on this thread, and a dead
+    /// worker surfaces as a panic too, never as a hang.
     pub(super) fn collect(
         &mut self,
         s: usize,
         expected: u64,
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
-    ) -> CollectedEpoch {
+    ) -> u64 {
         let worker = &mut self.workers[s];
         let out = match std::mem::replace(worker.slot.get_mut(), Slot::Away) {
             Slot::Parked(out) => out,
@@ -214,10 +210,7 @@ impl ShardPool {
         if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
-        CollectedEpoch {
-            busy_nanos,
-            routing_epoch: task.routing_epoch,
-        }
+        busy_nanos
     }
 }
 

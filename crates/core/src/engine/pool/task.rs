@@ -35,10 +35,6 @@ pub(super) struct Task {
     pub(super) sub: Vec<SubOutcome>,
     /// Empty materialization buffer for the worker to fill (recycled).
     pub(super) mat: Vec<(u32, JoinResult)>,
-    /// The engine's routing epoch (bumped by every star pair switch) the
-    /// items were routed under; echoed back so collection can assert that
-    /// routing never changed while the epoch was in flight.
-    pub(super) routing_epoch: u64,
 }
 
 /// One shard's answer for one epoch.

@@ -6,48 +6,27 @@
 //! [`RemoteShards`] links — and its methods are everything the routing
 //! front may ask of a shard: hand out the sequential shard's operator,
 //! drain a small `Pool` batch on the calling thread, submit and collect one
-//! epoch, read statistics, inspect an operator, and the three barrier-time
-//! surgery operations a star partition-pair switch runs.  Only staging and
+//! epoch, read statistics and inspect an operator.  Only staging and
 //! flushing ask whether the placement is the sequential one (it takes its
-//! tuples unrouted); every other method decides once per call.
+//! tuples unrouted); every other method decides once per call.  Routing is
+//! fixed at construction, so no method moves window state between shards.
 //!
 //! Each operator has one owner at a time.  It is **home** — reached with
-//! plain `&mut` to execute the sequential shard, drain an inline batch or
-//! apply surgery — or **away** on the in-flight epoch: riding a pool
-//! worker's task, or a shard server's behind its link.  Reading a busy
-//! shard follows one rule on every placement: receive its in-flight output
-//! early and park it for the next `collect`, so the read sees the executed
-//! epoch while the epoch's events still arrive at the next flush or sync.
-//!
-//! The surgery operations have one body each, on
-//! [`MswjOperator`] (`mswj_join::operator::surgery`).  The local arms call
-//! it directly, the remote arm sends the wire frame whose server-side
-//! handler calls the same method:
-//!
-//! | `ShardSet` method | body (`MswjOperator::…`) | wire frame    |
-//! |-------------------|--------------------------|---------------|
-//! | `fetch_window`    | `fetch_window`           | `FetchWindow` |
-//! | `adopt`           | `adopt_all`              | `Adopt`       |
-//! | `retain_home`     | `retain_home`            | `Retain`      |
+//! plain `&mut` to execute the sequential shard or drain an inline batch —
+//! or **away** on the in-flight epoch: riding a pool worker's task, or a
+//! shard server's behind its link.  Reading a busy shard follows one rule
+//! on every placement: receive its in-flight output early and park it for
+//! the next `collect`, so the read sees the executed epoch while the
+//! epoch's events still arrive at the next flush or sync.
 
 use super::pool::ShardPool;
 use super::transport::RemoteShards;
 use super::{exec, ExecutionBackend, Item, JoinEngine, SubOutcome};
 use super::{ShardRuntimeStats, ShardStats};
 use mswj_join::{JoinQuery, JoinResult, MswjOperator, OperatorStats, ProbeStrategy};
-use mswj_types::{Error, StreamIndex, Tuple};
-use mswj_wire::Frame;
+use mswj_types::Error;
 use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
-
-/// What collecting one shard's epoch reports beside the filled `sub` /
-/// `mat` buffers.
-pub(super) struct CollectedEpoch {
-    /// Nanoseconds the shard's worker (or server) spent draining the task.
-    pub(super) busy_nanos: u64,
-    /// The routing epoch echoed back (pipeline sanity check).
-    pub(super) routing_epoch: u64,
-}
 
 /// The shard operators of one engine, behind whichever executor the
 /// backend selected.
@@ -159,28 +138,28 @@ impl ShardSet {
         &mut self,
         s: usize,
         epoch: u64,
-        routing_epoch: u64,
         queue: &mut VecDeque<Item>,
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
     ) {
         match self {
             ShardSet::Local(_) => unreachable!("the sequential shard always runs locally"),
-            ShardSet::Pool(pool) => pool.submit(s, epoch, routing_epoch, queue, sub, mat),
-            ShardSet::Remote(remote) => remote.submit(s, epoch, routing_epoch, queue),
+            ShardSet::Pool(pool) => pool.submit(s, epoch, queue, sub, mat),
+            ShardSet::Remote(remote) => remote.submit(s, epoch, queue),
         }
     }
 
     /// Blocks for shard `s`'s output of `epoch`, leaving its sub-outcomes
-    /// and materialized results in `sub` / `mat`.  A worker panic is
-    /// re-raised here, on the caller thread.
+    /// and materialized results in `sub` / `mat`, and returns the
+    /// nanoseconds its worker (or server) spent draining the task.  A
+    /// worker panic is re-raised here, on the caller thread.
     pub(super) fn collect(
         &mut self,
         s: usize,
         epoch: u64,
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
-    ) -> CollectedEpoch {
+    ) -> u64 {
         match self {
             ShardSet::Local(_) => unreachable!("the sequential shard always runs locally"),
             ShardSet::Pool(pool) => pool.collect(s, epoch, sub, mat),
@@ -248,75 +227,14 @@ impl ShardSet {
             })
             .collect()
     }
-
-    /// A surgery operation that changes shard `s` (idle at every call site:
-    /// state surgery only happens at barriers): `body` on an in-process
-    /// operator, `frame()` to a shard server.
-    fn apply(
-        &mut self,
-        s: usize,
-        body: impl FnOnce(&mut MswjOperator),
-        frame: impl FnOnce() -> Frame,
-    ) {
-        match self {
-            ShardSet::Local(op) => body(op.get_mut()),
-            ShardSet::Pool(pool) => body(pool.operator_mut(s)),
-            ShardSet::Remote(remote) => remote.request_ack(s, frame()),
-        }
-    }
-
-    /// A snapshot of shard `s`'s whole live window of `stream`: read from
-    /// an in-process operator, or requested from a shard server — whose
-    /// handler runs the same body.
-    pub(super) fn fetch_window(&mut self, s: usize, stream: usize) -> Vec<Tuple> {
-        match self {
-            ShardSet::Remote(remote) => remote.request_tuples(
-                s,
-                Frame::FetchWindow {
-                    stream: stream as u64,
-                },
-            ),
-            local => local.inspect(s).fetch_window(StreamIndex(stream)),
-        }
-    }
-
-    /// Adopts `tuples` into shard `s`'s windows (each into its own
-    /// stream's), without operator statistics.
-    pub(super) fn adopt(&mut self, s: usize, tuples: &[Tuple]) {
-        self.apply(
-            s,
-            |op| op.adopt_all(tuples.iter().cloned()),
-            || Frame::Adopt {
-                tuples: tuples.to_vec(),
-            },
-        );
-    }
-
-    /// Drops every tuple of `stream` on shard `s` whose join key (in
-    /// `column`) does not home there.
-    pub(super) fn retain_home(&mut self, s: usize, stream: usize, column: usize) {
-        let shards = self.count();
-        self.apply(
-            s,
-            |op| {
-                op.retain_home(StreamIndex(stream), column, shards, s);
-            },
-            || Frame::Retain {
-                stream: stream as u64,
-                column: column as u64,
-                shards: shards as u64,
-                keep: s as u64,
-            },
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{exec, Decision, EngineEvent};
-    use mswj_join::{join_key_hash, CommonKeyEquiJoin, Partitioner};
-    use mswj_types::{FieldType, Schema, StreamSet, Timestamp, Value};
+    use mswj_join::{CommonKeyEquiJoin, Partitioner, ProbePlan, Route};
+    use mswj_types::{FieldType, Schema, StreamSet, Timestamp, Tuple, Value};
     use std::sync::Arc;
 
     fn query() -> JoinQuery {
@@ -355,10 +273,16 @@ mod tests {
             let mut staged = tuples.to_vec();
             exec::run_local(op, &mut staged, tuples.len(), &mut stats, &mut count);
         } else {
+            let plan = ProbePlan::CommonKey {
+                columns: vec![0, 0],
+            };
+            let partitioner = Partitioner::new(&plan, n);
             let mut queues: Vec<VecDeque<Item>> = (0..n).map(|_| VecDeque::new()).collect();
             let mut decisions = Vec::new();
             for (seq, t) in tuples.iter().enumerate() {
-                let home = Partitioner::home_of(join_key_hash(t.value(0)), n);
+                let Route::One(home) = partitioner.route(t) else {
+                    unreachable!("common-key tuples are key-routed");
+                };
                 queues[home].push_back(Item {
                     seq: seq as u32,
                     probe: true,
@@ -381,12 +305,11 @@ mod tests {
                 "64 items pipeline"
             );
             for &s in &busy {
-                set.submit(s, epoch, 7, &mut queues[s], &mut sub[s], &mut mat[s]);
+                set.submit(s, epoch, &mut queues[s], &mut sub[s], &mut mat[s]);
                 assert!(queues[s].is_empty(), "submit drains the queue");
             }
             for &s in &busy {
-                let out = set.collect(s, epoch, &mut sub[s], &mut mat[s]);
-                assert_eq!(out.routing_epoch, 7, "the routing epoch is echoed");
+                set.collect(s, epoch, &mut sub[s], &mut mat[s]);
             }
             let mut cursors = vec![(0, 0); n];
             exec::merge_epoch(
@@ -405,40 +328,24 @@ mod tests {
     /// What the script can observe of one shard through the seam.
     #[derive(Debug, PartialEq)]
     struct Snapshot {
-        windows: [Vec<String>; 2],
         stats: OperatorStats,
         window_bytes: u64,
         window_segments: u64,
     }
 
-    /// One scripted pass over every seam operation; returns the merged
-    /// result counts of the two epochs and the final per-shard snapshots.
+    /// Two epochs through `backend`'s placement, each operator handed to
+    /// its worker (or server) and back; returns the merged result counts
+    /// of the two epochs and the final per-shard snapshots.
     fn script(backend: ExecutionBackend) -> ((u64, u64), Vec<Snapshot>) {
         let n = backend.requested_shards();
         let mut set = ShardSet::open(&backend, n, &query(), ProbeStrategy::Auto, false).unwrap();
         assert_eq!(set.count(), n, "{backend}");
         let first = run_epoch(&mut set, 1, &batch(0));
-        // A pair switch's two halves: broadcast stream 1 into every shard,
-        // then make every shard retain its home slice.
-        let slices: Vec<Vec<Tuple>> = (0..n).map(|s| set.fetch_window(s, 1)).collect();
-        for (s, slice) in slices.iter().enumerate() {
-            for t in (0..n).filter(|&t| t != s) {
-                set.adopt(t, slice);
-            }
-        }
-        for s in 0..n {
-            set.retain_home(s, 1, 0);
-        }
         let second = run_epoch(&mut set, 2, &batch(64));
         let snapshots = (0..n)
             .map(|s| {
                 let (stats, window_bytes, window_segments) = set.barrier_stats(s);
-                let window = |set: &mut ShardSet, i| {
-                    let tuples = set.fetch_window(s, i);
-                    tuples.iter().map(Tuple::to_string).collect()
-                };
                 Snapshot {
-                    windows: [window(&mut set, 0), window(&mut set, 1)],
                     stats,
                     window_bytes,
                     window_segments,
@@ -449,12 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn every_placement_applies_the_same_surgery_script_identically() {
+    fn every_placement_runs_the_same_epochs_identically() {
         let (want_results, one_shard) = script(ExecutionBackend::Sequential);
         assert!(want_results.0 > 0 && want_results.1 > 0);
         let (_, three_shards) = script(ExecutionBackend::Pool { workers: 3 });
-        let moved: u64 = three_shards.iter().map(|s| s.stats.adopted).sum();
-        assert!(moved > 0, "the script must migrate state between shards");
+        let spread = three_shards.iter().filter(|s| s.stats.results > 0).count();
+        assert!(spread > 1, "six key classes must join on several shards");
         for (backend, want) in [
             (ExecutionBackend::Pool { workers: 1 }, &one_shard),
             (ExecutionBackend::remote_inproc(1), &one_shard),
@@ -468,13 +375,8 @@ mod tests {
                 "per-shard snapshots and OperatorStats [{backend}]"
             );
             // However many shards hold it, the state is the same state.
-            for i in 0..2 {
-                let mut union: Vec<&String> = got.iter().flat_map(|s| &s.windows[i]).collect();
-                union.sort();
-                let mut reference: Vec<&String> = one_shard[0].windows[i].iter().collect();
-                reference.sort();
-                assert_eq!(union, reference, "stream {i} [{backend}]");
-            }
+            let results: u64 = got.iter().map(|s| s.stats.results).sum();
+            assert_eq!(results, one_shard[0].stats.results, "{backend}");
         }
     }
 }

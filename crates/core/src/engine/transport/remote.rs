@@ -5,19 +5,18 @@
 //! resident pool — `submit` ships a routed queue as a task frame, `collect`
 //! blocks for the matching output frame — so the engine's staging-order
 //! merge replays results identically whether shards are local or remote.
-//! A read of a busy shard (a barrier for its stats, a surgery request)
-//! first receives the in-flight output and parks it on the link for the
-//! next `collect`, exactly as the pool parks a busy worker's output, so the
-//! request's reply is its own.
+//! A read of a busy shard (a barrier for its stats) first receives the
+//! in-flight output and parks it on the link for the next `collect`,
+//! exactly as the pool parks a busy worker's output, so the barrier's
+//! reply is its own.
 //! Mid-stream failures are raised as panics carrying
 //! [`EngineError`](super::EngineError), mirroring the pool's
 //! `resume_unwind` surface.
 
 use super::{Connection, Endpoint, EngineError, SHUTDOWN_TIMEOUT};
-use crate::engine::shards::CollectedEpoch;
 use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
-use mswj_types::{Error, Tuple};
+use mswj_types::Error;
 use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireStream, WireTask};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -162,12 +161,12 @@ impl RemoteShards {
     }
 
     /// Ships a routed item queue to `shard` as one task frame, draining the
-    /// queue (its capacity is preserved for recycling).
+    /// queue (its capacity is preserved for recycling).  Routing never
+    /// changes after construction, so the frame's routing epoch is 0.
     pub(in crate::engine) fn submit(
         &mut self,
         shard: usize,
         epoch: u64,
-        routing_epoch: u64,
         queue: &mut VecDeque<Item>,
     ) {
         let items = queue.drain(..).collect();
@@ -177,7 +176,7 @@ impl RemoteShards {
             shard,
             &Frame::Task(WireTask {
                 epoch,
-                routing_epoch,
+                routing_epoch: 0,
                 items,
             }),
         );
@@ -185,14 +184,15 @@ impl RemoteShards {
 
     /// Takes the output of the epoch previously submitted to `shard` —
     /// parked, or blocking for it — appending its sub-outcomes and
-    /// materialized results to `sub` / `mat`.
+    /// materialized results to `sub` / `mat`, and returns the server's busy
+    /// nanoseconds.
     pub(in crate::engine) fn collect(
         &mut self,
         shard: usize,
         expected_epoch: u64,
         sub: &mut Vec<SubOutcome>,
         mat: &mut Vec<(u32, JoinResult)>,
-    ) -> CollectedEpoch {
+    ) -> u64 {
         let link = self.links[shard].get_mut();
         let out = match link.parked.take() {
             Some(out) => out,
@@ -201,10 +201,7 @@ impl RemoteShards {
         debug_assert_eq!(out.epoch, expected_epoch, "epochs collect in submit order");
         sub.extend(out.sub);
         mat.extend(out.mat);
-        CollectedEpoch {
-            busy_nanos: out.busy_nanos,
-            routing_epoch: out.routing_epoch,
-        }
+        out.busy_nanos
     }
 
     /// Runs a barrier round-trip against `shard` and returns its operator
@@ -231,29 +228,6 @@ impl RemoteShards {
                 (stats, window_bytes, window_segments)
             }
             other => link.unexpected(shard, "barrier-ack", &other),
-        }
-    }
-
-    /// Sends a surgery `request` to `shard` and returns its reply frame.
-    fn request(&mut self, shard: usize, request: Frame) -> (&Link, Frame) {
-        let link = self.links[shard].get_mut();
-        let reply = link.exchange(shard, &request);
-        (link, reply)
-    }
-
-    /// A surgery request answered by a plain ack (`Adopt`, `Retain`).
-    pub(in crate::engine) fn request_ack(&mut self, shard: usize, request: Frame) {
-        match self.request(shard, request) {
-            (_, Frame::Ack) => {}
-            (link, other) => link.unexpected(shard, "ack", &other),
-        }
-    }
-
-    /// A surgery request answered by tuples (`FetchWindow`).
-    pub(in crate::engine) fn request_tuples(&mut self, shard: usize, request: Frame) -> Vec<Tuple> {
-        match self.request(shard, request) {
-            (_, Frame::ClassData { tuples }) => tuples,
-            (link, other) => link.unexpected(shard, "class-data", &other),
         }
     }
 

@@ -1,24 +1,21 @@
 //! The shard-server side of the wire protocol: one shard operator per
 //! connection, driven entirely by frames.
 //!
-//! A connection's lifecycle is `Hello → Setup → (Task | Barrier | surgery
-//! frames)* → Shutdown`.  The server is passive — it never initiates — and
+//! A connection's lifecycle is `Hello → Setup → (Task | Barrier)* →
+//! Shutdown`.  The server is passive — it never initiates — and
 //! every request gets exactly one reply, so the client can keep at most
 //! one epoch in flight per connection and collect deterministically.  An
 //! operator panic while draining a task is caught and shipped back as an
 //! error frame (the connection then closes: after a panic the shard state
 //! is unreliable, exactly like a retired pool worker).
 //!
-//! Surgery frames (`FetchWindow`, `Adopt`, `Retain`) take one path,
-//! `apply_surgery`: **validate, then apply**.  Every index a frame carries is checked against the operator
-//! built at `Setup` before anything is touched, and the body that runs is
-//! the same `MswjOperator` method the engine's local backends call.  A
-//! frame that fails validation — like any request before `Setup` — is
-//! answered with an error frame naming the offending field, followed by an
-//! orderly close; it never panics the connection thread.
-//!
-//! A `Task` frame follows the same rule: every item's stream index is
-//! checked before the first item is drained.
+//! A `Task` frame is **validated, then applied**: every item's stream
+//! index is checked against the operator built at `Setup` before the first
+//! item is drained.  A frame that fails validation — like a task before
+//! `Setup`, a frame only a server sends, or an undecodable frame (a retired
+//! type byte among them) — is answered with an error frame naming the
+//! offending field, followed by an orderly close; it never panics the
+//! connection thread.
 //!
 //! [`serve_stream`] serves one connection over any byte stream — the
 //! in-process endpoint runs it over one end of a socket pair, the
@@ -80,58 +77,6 @@ fn stream_of(op: &MswjOperator, stream: u64) -> Result<StreamIndex, String> {
             "stream index {stream} out of range for a {m}-stream query"
         )),
     }
-}
-
-/// A wire column index.  Any `usize` is safe — a column a tuple does not
-/// have reads as a missing value — so only the conversion can fail.
-fn column_of(column: u64) -> Result<usize, String> {
-    usize::try_from(column).map_err(|_| format!("column index {column} overflows"))
-}
-
-/// Validates one surgery frame against `op`, applies it through the
-/// operator's own surgery method, and returns the reply.  `Err` carries the
-/// message of the error frame that ends the connection — for an index out
-/// of range, or a frame no client may send — and nothing has been applied
-/// when it is returned.
-fn apply_surgery(op: &mut MswjOperator, frame: Frame) -> Result<Frame, String> {
-    Ok(match frame {
-        Frame::FetchWindow { stream } => Frame::ClassData {
-            tuples: op.fetch_window(stream_of(op, stream)?),
-        },
-        Frame::Adopt { tuples } => {
-            for t in &tuples {
-                stream_of(op, t.stream.as_usize() as u64)
-                    .map_err(|why| format!("adopted tuple {t}: {why}"))?;
-            }
-            op.adopt_all(tuples);
-            Frame::Ack
-        }
-        Frame::Retain {
-            stream,
-            column,
-            shards,
-            keep,
-        } => {
-            let (stream, column) = (stream_of(op, stream)?, column_of(column)?);
-            match (usize::try_from(shards), usize::try_from(keep)) {
-                (Ok(shards), Ok(keep)) if keep < shards => {
-                    op.retain_home(stream, column, shards, keep);
-                }
-                _ => {
-                    return Err(format!(
-                        "retain needs keep < shards, got keep {keep} of {shards} shards"
-                    ))
-                }
-            }
-            Frame::Ack
-        }
-        other => {
-            return Err(format!(
-                "unexpected frame type {:#04x} on the server side",
-                other.frame_type()
-            ))
-        }
-    })
 }
 
 /// Serves one client connection until a shutdown handshake, EOF, or a
@@ -203,18 +148,19 @@ pub fn serve_stream<S: Read + Write>(
                 framed.send(&Frame::ShutdownAck)?;
                 return Ok(());
             }
-            // Everything else must be a request against the operator: one
+            // Everything else must be a task against the operator: one
             // decode → validate → apply → reply path, one way to fail.
             request => {
-                let reply = match op.as_mut() {
-                    None => Err(format!(
+                let reply = match (op.as_mut(), request) {
+                    (None, request) => Err(format!(
                         "frame type {:#04x} before setup",
                         request.frame_type()
                     )),
-                    Some(op) => match request {
-                        Frame::Task(task) => run_task(op, task, &mut buffers, &mut runtime),
-                        surgery => apply_surgery(op, surgery),
-                    },
+                    (Some(op), Frame::Task(task)) => run_task(op, task, &mut buffers, &mut runtime),
+                    (Some(_), other) => Err(format!(
+                        "unexpected frame type {:#04x} on the server side",
+                        other.frame_type()
+                    )),
                 };
                 match reply {
                     Ok(reply) => framed.send(&reply)?,

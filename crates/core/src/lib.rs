@@ -81,8 +81,7 @@ pub use adaptation::{AdaptationOutcome, BufferSizeManager};
 pub use builder::SessionBuilder;
 pub use config::{DisorderConfig, ProbePlan, ProbeStrategy, SelectivityStrategy};
 pub use engine::{
-    Endpoint, EngineError, EngineEvent, ExecutionBackend, JoinEngine, PlanTransition,
-    ShardRuntimeStats, ShardStats,
+    Endpoint, EngineError, EngineEvent, ExecutionBackend, JoinEngine, ShardRuntimeStats, ShardStats,
 };
 pub use kslack::{KSlack, KSlackStats};
 pub use model::{ModelInputs, RecallModel};

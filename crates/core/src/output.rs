@@ -28,7 +28,7 @@
 //! ```
 
 use crate::adaptation::AdaptationOutcome;
-use crate::engine::{PlanTransition, ShardStats};
+use crate::engine::ShardStats;
 use mswj_join::{JoinResult, OperatorStats};
 use mswj_types::{Duration, StreamIndex, Timestamp};
 
@@ -185,10 +185,6 @@ pub struct RunReport {
     pub duration_ms: Duration,
     /// Mean wall-clock nanoseconds per adaptation step (adaptive policies).
     pub avg_adaptation_nanos: f64,
-    /// Every star pair switch the join stage's runtime re-planner took, in
-    /// decision order; empty unless the plan is a star over two or more
-    /// shards.
-    pub plan_transitions: Vec<PlanTransition>,
 }
 
 impl RunReport {

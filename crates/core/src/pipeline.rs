@@ -351,7 +351,6 @@ impl Pipeline {
             .sum();
         let operator_stats = self.engine.stats();
         let shard_stats = self.engine.shard_stats();
-        let plan_transitions = self.engine.plan_transitions().to_vec();
         let policy = self.policy.name().to_owned();
         let max_observed_delay = self.lifetime_max_delay;
         let checkpoints = std::mem::take(&mut self.checkpoints);
@@ -372,7 +371,6 @@ impl Pipeline {
             max_observed_delay,
             duration_ms: duration,
             avg_adaptation_nanos: avg_adapt,
-            plan_transitions,
         }
     }
 

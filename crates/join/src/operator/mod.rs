@@ -14,13 +14,12 @@
 //!    within the window's current scope so that it can contribute to future
 //!    results.
 //!
-//! The responsibilities are split across four submodules so that
+//! The responsibilities are split across three submodules so that
 //! shard-local and global concerns stay visible in the module tree:
 //! [`insert`] owns window maintenance (expiry, in-order and out-of-order
 //! insertion, including the engine-driven [`MswjOperator::insert_late`]),
-//! [`probe`] owns the one read-only probe walk, [`surgery`] owns the
-//! barrier-time state migration a sharded engine applies to a shard, and
-//! [`stats`] owns the [`ProbeOutcome`]/[`OperatorStats`] records.
+//! [`probe`] owns the one read-only probe walk, and [`stats`] owns the
+//! [`ProbeOutcome`]/[`OperatorStats`] records.
 //!
 //! ## Probe access paths
 //!
@@ -62,7 +61,6 @@
 mod insert;
 mod probe;
 mod stats;
-mod surgery;
 
 pub use stats::{OperatorStats, ProbeOutcome};
 
@@ -889,9 +887,9 @@ mod tests {
         let mut op = MswjOperator::new(query);
         for stream in 1..8usize {
             for s in 0..1_000u64 {
-                // `adopt` fills windows without probing, so building the
-                // state is O(n) instead of O(n^7).
-                op.adopt(tup(stream, s, s % 100, 0));
+                // Filling the windows directly skips the probes, so
+                // building the state is O(n) instead of O(n^7).
+                op.windows[stream].insert(tup(stream, s, s % 100, 0));
             }
         }
         let r = op.push(tup(0, 0, 500, -1)); // absent key: no results
@@ -903,7 +901,6 @@ mod tests {
             "an overflowing cross size must saturate"
         );
         assert_eq!(op.stats().cross_results, u64::MAX);
-        assert_eq!(op.stats().adopted, 7_000);
     }
 
     #[test]

@@ -69,13 +69,4 @@ pub struct OperatorStats {
     pub cross_results: u64,
     /// Total expired tuples across all windows.
     pub expired: u64,
-    /// Tuples adopted into this operator's windows by state migration
-    /// (partition-pair switches), as opposed to stream
-    /// ingestion — see [`MswjOperator::adopt`](super::MswjOperator::adopt).
-    pub adopted: u64,
-    /// Tuples surgically evicted from this operator's windows by state
-    /// migration (partition-pair switches), as opposed to
-    /// window expiry — see
-    /// [`MswjOperator::evict_where`](super::MswjOperator::evict_where).
-    pub evicted: u64,
 }

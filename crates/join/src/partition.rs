@@ -32,12 +32,12 @@
 //!
 //! ## One home per key class
 //!
-//! A key class lives on its home shard ([`Partitioner::home_of`]) for the
-//! whole session: build state and probe work alike.  Under key skew the
-//! hot class's home shard carries its whole share; the engine warns about
-//! that (its heavy-hitter check) but never moves a class.  Only a star
-//! partition-pair switch changes routing, and it rebuilds the
-//! `Partitioner` at an idle barrier.
+//! A key class lives on its home shard ([`Partitioner::home_shard`]) for
+//! the whole session: build state and probe work alike.  Under key skew
+//! the hot class's home shard carries its whole share; the engine warns
+//! about that (its heavy-hitter check) but never moves a class.  Nothing
+//! changes routing after construction — a star plan's partition pair
+//! included.
 //!
 //! ```
 //! use mswj_join::{Partitioner, ProbePlan, Route};
@@ -91,42 +91,14 @@ pub struct Partitioner {
 
 impl Partitioner {
     /// Derives the routing rules for `requested` shards from a probe plan.
+    /// A star plan key-routes its anchor with the lowest-numbered
+    /// satellite for the whole session, so declaring the heaviest
+    /// satellite first keeps the most volume off the broadcast path.
     ///
     /// Unpartitionable plans ([`ProbePlan::NestedLoop`]) fall back to one
     /// broadcast shard regardless of `requested`; `requested` is clamped to
     /// at least 1.
     pub fn new(plan: &ProbePlan, requested: usize) -> Self {
-        // Star plans default to the pair shared with the lowest-numbered
-        // satellite — the *blind* choice runtime re-planning may later
-        // revise towards the heaviest observed-cardinality satellite.
-        Self::with_star_partner(plan, requested, Self::default_star_partner(plan))
-    }
-
-    /// The partition partner [`Partitioner::new`] picks for a star plan:
-    /// the lowest-numbered satellite.  `None` for non-star plans (and the
-    /// degenerate satellite-free star).
-    pub fn default_star_partner(plan: &ProbePlan) -> Option<usize> {
-        match plan {
-            ProbePlan::Star {
-                anchor,
-                anchor_cols,
-                ..
-            } => (0..anchor_cols.len()).find(|&j| j != *anchor),
-            _ => None,
-        }
-    }
-
-    /// Derives routing rules like [`Partitioner::new`], but partitions a
-    /// star plan on the pair shared with the given satellite `partner`
-    /// instead of the lowest-numbered one.  Runtime re-planning uses this
-    /// to move the partition pair to the heaviest observed-cardinality
-    /// satellite; `partner` is ignored for non-star plans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partner` names the anchor or an out-of-range stream of a
-    /// star plan.
-    pub fn with_star_partner(plan: &ProbePlan, requested: usize, partner: Option<usize>) -> Self {
         let requested = requested.max(1);
         let columns = match plan {
             ProbePlan::CommonKey { columns } => {
@@ -137,13 +109,9 @@ impl Partitioner {
                 anchor_cols,
                 other_cols,
             } => {
-                // Partition on the pair shared with `partner`; every other
-                // satellite broadcasts.
-                partner.map(|j0| {
-                    assert!(
-                        j0 != *anchor && j0 < anchor_cols.len(),
-                        "star partition partner must be a satellite stream"
-                    );
+                // Partition on the pair shared with the lowest-numbered
+                // satellite; every other satellite broadcasts.
+                (0..anchor_cols.len()).find(|&j| j != *anchor).map(|j0| {
                     (0..anchor_cols.len())
                         .map(|j| {
                             if j == *anchor {
@@ -198,24 +166,10 @@ impl Partitioner {
         Some(join_key_hash(tuple.value(col)))
     }
 
-    /// The shard that owns key class `hash`: its build state and its probe
-    /// work.
+    /// The shard that owns key class `hash` — its build state and its
+    /// probe work: shard `hash % shards`.
     pub fn home_shard(&self, hash: u64) -> usize {
-        Self::home_of(hash, self.shards)
-    }
-
-    /// The home rule itself: key class `hash` lives on shard
-    /// `hash % shards`.  Spelled out here and nowhere else, so a shard
-    /// server retaining its home slice ([`MswjOperator::retain_home`]) and
-    /// the routing front cannot disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    ///
-    /// [`MswjOperator::retain_home`]: crate::MswjOperator::retain_home
-    pub fn home_of(hash: u64, shards: usize) -> usize {
-        (hash % shards as u64) as usize
+        (hash % self.shards as u64) as usize
     }
 }
 
@@ -415,34 +369,6 @@ mod tests {
             p.key_hash(&tup(2, Value::Int(9))),
             None,
             "broadcast streams expose no key class"
-        );
-    }
-
-    #[test]
-    fn star_partner_can_be_re_selected() {
-        let plan = ProbePlan::Star {
-            anchor: 0,
-            anchor_cols: vec![0, 0, 1],
-            other_cols: vec![0, 0, 0],
-        };
-        assert_eq!(Partitioner::default_star_partner(&plan), Some(1));
-        let p = Partitioner::with_star_partner(&plan, 4, Some(2));
-        assert_eq!(p.column(0), Some(1), "anchor routes by the pair-2 column");
-        assert_eq!(p.column(1), None, "satellite 1 now broadcasts");
-        assert_eq!(p.column(2), Some(0), "satellite 2 routes by its column");
-        // The anchor and the new partner agree on equal keys.
-        let anchor = Tuple::new(
-            StreamIndex(0),
-            0,
-            Timestamp::ZERO,
-            vec![Value::Int(9), Value::Int(5)],
-        );
-        assert_eq!(p.route(&anchor), p.route(&tup(2, Value::Int(5))));
-        assert_eq!(p.route(&tup(1, Value::Int(5))), Route::All);
-        // The default partner reproduces `Partitioner::new` exactly.
-        assert_eq!(
-            Partitioner::with_star_partner(&plan, 4, Some(1)),
-            Partitioner::new(&plan, 4)
         );
     }
 

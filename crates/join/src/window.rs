@@ -395,8 +395,7 @@ fn count_hits(xs: &[f64], ys: &[f64], test: impl Fn(f64, f64) -> bool) -> usize 
 ///
 /// `rows` is an append-only arena; expiry removes ids from `order` (and the
 /// postings) but leaves the arena untouched until the whole segment is
-/// dropped (or rebuilt by [`Window::retain_where`]), so the hot paths never
-/// shift rows.
+/// dropped, so the hot paths never shift rows.
 #[derive(Debug, Clone, Default)]
 struct Segment {
     /// Row arena: every tuple ever inserted here, live and expired alike.
@@ -903,59 +902,6 @@ impl Window {
         expired
     }
 
-    /// Removes every live tuple for which `keep` returns `false`,
-    /// maintaining the indexes and unindexable counters; returns the
-    /// number of removed tuples.
-    ///
-    /// This is *state surgery*, not expiry: the removed tuples do not count
-    /// towards [`WindowStats::expired`].  The sharded engine uses it at
-    /// barriers to shed window state that no longer homes on a shard after
-    /// a star partition-pair switch — rare enough that affected segments
-    /// are simply rebuilt in place.
-    pub fn retain_where(&mut self, mut keep: impl FnMut(&Tuple) -> bool) -> usize {
-        let mut removed = 0usize;
-        let mut survivors: Vec<Tuple> = Vec::new();
-        for si in 0..self.segments.len() {
-            // `keep` may be stateful: call it exactly once per live row, in
-            // global timestamp order (segments are visited front to back).
-            let seg = &self.segments[si];
-            let mut any_removed = false;
-            let decisions: Vec<bool> = seg
-                .order
-                .iter()
-                .map(|&rid| {
-                    let k = keep(&seg.rows[rid as usize]);
-                    any_removed |= !k;
-                    k
-                })
-                .collect();
-            if !any_removed {
-                continue;
-            }
-            survivors.clear();
-            survivors.extend(
-                seg.order
-                    .iter()
-                    .zip(&decisions)
-                    .filter(|(_, &k)| k)
-                    .map(|(&rid, _)| seg.rows[rid as usize].clone()),
-            );
-            removed += decisions.len() - survivors.len();
-            Self::forget_segment(&self.segments[si], &self.cols, &mut self.index);
-            let seg = &mut self.segments[si];
-            seg.reset();
-            for t in survivors.drain(..) {
-                seg.insert(&self.cols, &self.scan_cols, &mut self.index, t);
-            }
-        }
-        while let Some(pos) = self.segments.iter().position(|s| s.live_len() == 0) {
-            let seg = self.segments.remove(pos).expect("position checked above");
-            self.recycle(seg);
-        }
-        self.len -= removed;
-        removed
-    }
-
     /// Position of `col` in the indexed-column set.
     fn col_pos(&self, col: usize) -> Option<usize> {
         self.cols.iter().position(|&c| c == col)
@@ -1253,33 +1199,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_where_maintains_indexes_and_unindexable_counts() {
-        let mut w = Window::with_indexed_columns(1_000, &[0]);
-        w.insert(tup(0, 100, 7));
-        w.insert(tup(1, 200, 9));
-        w.insert(tup(2, 300, 7));
-        w.insert(Tuple::new(
-            StreamIndex(0),
-            3,
-            Timestamp::from_millis(400),
-            vec![Value::Float(7.5)],
-        ));
-        assert!(!w.index_usable(0));
-        // Surgically remove key 7 and the float: middle-of-window removal,
-        // not front expiry.
-        let removed = w.retain_where(|t| t.value(0) == Some(&Value::Int(9)));
-        assert_eq!(removed, 3);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.count_key(0, 7), 0);
-        assert_eq!(w.count_key(0, 9), 1);
-        assert_eq!(w.unindexable_count(0), 0);
-        assert!(w.index_usable(0), "removing the float re-arms the index");
-        assert_eq!(w.stats().expired, 0, "surgery is not expiry");
-        // Removing nothing is a no-op.
-        assert_eq!(w.retain_where(|_| true), 0);
-    }
-
-    #[test]
     fn peak_len_and_clear() {
         let mut w = Window::with_indexed_columns(1_000, &[0]);
         for i in 0..5 {
@@ -1399,7 +1318,7 @@ mod tests {
     #[test]
     fn capacity_is_an_access_path_choice_only() {
         // Identical content and index answers for capacities 2 and 1024,
-        // under out-of-order inserts, expiry and surgery.
+        // under out-of-order inserts and expiry.
         let mut tiny = Window::with_segment_capacity(10_000, &[0], 2);
         let mut big = Window::with_segment_capacity(10_000, &[0], 1024);
         let script: &[(u64, u64, i64)] = &[
@@ -1418,8 +1337,6 @@ mod tests {
         }
         assert_eq!(tiny.expire_before(Timestamp::from_millis(310)), 3);
         assert_eq!(big.expire_before(Timestamp::from_millis(310)), 3);
-        assert_eq!(tiny.retain_where(|t| t.seq != 4), 1);
-        assert_eq!(big.retain_where(|t| t.seq != 4), 1);
         let seq = |w: &Window| w.iter().map(|t| t.seq).collect::<Vec<_>>();
         assert_eq!(seq(&tiny), seq(&big));
         assert_eq!(tiny.len(), big.len());
@@ -1699,17 +1616,14 @@ mod tests {
             band: 1.0,
         };
         assert_eq!(scan_seqs(&w, band), vec![0, 3, 8]);
-        // Expiry and surgery keep the columns aligned with the rows.
+        // Expiry keeps the columns aligned with the rows.
         w.expire_before(Timestamp::from_millis(160));
         assert_scan_is_the_walk(&w);
         assert_eq!(scan_seqs(&w, band), vec![8]);
-        w.retain_where(|t| t.seq != 8);
-        assert_scan_is_the_walk(&w);
-        assert_eq!(scan_seqs(&w, band), Vec::<u64>::new());
     }
 
     #[test]
-    fn scan_columns_stay_in_live_order_under_late_inserts_expiry_and_surgery() {
+    fn scan_columns_stay_in_live_order_under_late_inserts_and_expiry() {
         // Rows on a half-unit diagonal, so every row has its own verdicts.
         fn feed(w: &mut Window, seq: u64, ts: u64) {
             let at = seq as f64 * 0.5;
@@ -1743,11 +1657,6 @@ mod tests {
             assert_scan_is_the_walk(&w);
             feed(&mut w, 16, 1_150);
             assert_eq!(seqs(&w), vec![2, 14, 3, 4, 5, 6, 7, 8, 9, 10, 16, 11]);
-
-            // Surgery rebuilds segments that hold late rows, in live order.
-            assert_eq!(w.retain_where(|t| t.seq % 3 != 0), 3);
-            assert_scan_is_the_walk(&w);
-            assert_eq!(seqs(&w), vec![2, 14, 4, 5, 7, 8, 10, 16, 11]);
             feed(&mut w, 17, 450);
 
             // Duplicate timestamps: ties keep insertion order, appended or

@@ -166,7 +166,6 @@ mod tests {
             max_observed_delay: 0,
             duration_ms: 10_000,
             avg_adaptation_nanos: 2_000_000.0,
-            plan_transitions: Vec::new(),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Bounded ring of recent structured runtime events.
 //!
-//! Checkpoints, plan revisions and heavy-hitter warnings are *rare* (they only happen at adaptation
-//! checkpoints and idle barriers), so the ring may lock a mutex and
+//! Checkpoints and heavy-hitter warnings are *rare* (they only happen at
+//! adaptation checkpoints and idle barriers), so the ring may lock a mutex and
 //! allocate its message strings — none of that touches the per-event
 //! ingestion hot path.  The ring keeps the most recent
 //! [`EVENT_RING_CAPACITY`] events; older ones fall off the front.
@@ -21,8 +21,6 @@ pub enum EventKind {
     /// window's routed volume (re-armed once a window comes back
     /// balanced).  Observability only — key classes never move.
     HeavyHitter,
-    /// The runtime re-planner switched a star plan's partition pair.
-    PlanRevision,
 }
 
 impl EventKind {
@@ -31,7 +29,6 @@ impl EventKind {
         match self {
             EventKind::Checkpoint => "checkpoint",
             EventKind::HeavyHitter => "heavy_hitter",
-            EventKind::PlanRevision => "plan_revision",
         }
     }
 }
@@ -99,6 +96,6 @@ mod tests {
     #[test]
     fn kinds_have_stable_identifiers() {
         assert_eq!(EventKind::HeavyHitter.as_str(), "heavy_hitter");
-        assert_eq!(EventKind::PlanRevision.as_str(), "plan_revision");
+        assert_eq!(EventKind::Checkpoint.as_str(), "checkpoint");
     }
 }

@@ -194,12 +194,12 @@ mod tests {
         t.session().gamma_prime.set(f64::NAN);
         t.emit(TelemetryEvent {
             at_ms: 7,
-            kind: EventKind::PlanRevision,
+            kind: EventKind::Checkpoint,
             message: "split \"hot\" key\n".into(),
         });
         let json = t.render_json();
         assert!(json.contains("\"mswj_gamma_prime\":null"));
-        assert!(json.contains("\"kind\":\"plan_revision\""));
+        assert!(json.contains("\"kind\":\"checkpoint\""));
         assert!(json.contains("split \\\"hot\\\" key\\n"));
         assert!(json.starts_with('{') && json.ends_with('}'));
         // Balanced braces/brackets as a cheap structural check.

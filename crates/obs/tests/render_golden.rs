@@ -46,7 +46,7 @@ fn populated() -> Telemetry {
     }
     t.emit(TelemetryEvent {
         at_ms: 7,
-        kind: EventKind::PlanRevision,
+        kind: EventKind::Checkpoint,
         message: "split \"hot\" key\n\tshard 1\u{1}".into(),
     });
     t.emit(TelemetryEvent {

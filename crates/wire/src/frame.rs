@@ -29,7 +29,7 @@ use std::io::{Read, Write};
 /// Protocol revision; bumped on any incompatible layout change.
 ///
 /// v2: `BarrierAck` stats grew the `adopted`/`evicted` migration counters,
-/// and the runtime re-planning frames (`FetchWindow`/`Retain`/`Revise`)
+/// and the runtime re-planning frames (window fetch, retain, `Revise`)
 /// joined the protocol.
 ///
 /// v3: `BarrierAck` grew the shard's live window footprint
@@ -46,7 +46,13 @@ use std::io::{Read, Write};
 /// v6: `Setup` carries the query's window segment capacity
 /// (`WireQuery::segment_capacity`), so a shard server stores its windows
 /// at the capacity the client's query sets.
-pub const PROTOCOL_VERSION: u16 = 6;
+///
+/// v7: the star pair switch's window-migration frames (types `0x0A`
+/// class data, `0x0B` adopt, `0x0D` ack, `0x11` window fetch and `0x12`
+/// retain) left the protocol, and `BarrierAck` stats lost the
+/// `adopted`/`evicted` migration counters; a star plan's routing is fixed
+/// when the engine is built.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -65,14 +71,9 @@ const FT_TASK: u8 = 0x05;
 const FT_OUTPUT: u8 = 0x06;
 const FT_BARRIER: u8 = 0x07;
 const FT_BARRIER_ACK: u8 = 0x08;
-const FT_CLASS_DATA: u8 = 0x0A;
-const FT_ADOPT: u8 = 0x0B;
-const FT_ACK: u8 = 0x0D;
 const FT_ERROR: u8 = 0x0E;
 const FT_SHUTDOWN: u8 = 0x0F;
 const FT_SHUTDOWN_ACK: u8 = 0x10;
-const FT_FETCH_WINDOW: u8 = 0x11;
-const FT_RETAIN: u8 = 0x12;
 
 /// One routed tuple inside a [`WireTask`]: the front-end's staging sequence
 /// number, whether this shard should probe (vs. silently index), and the
@@ -92,7 +93,9 @@ pub struct WireItem {
 pub struct WireTask {
     /// Monotonic epoch number assigned by the front-end.
     pub epoch: u64,
-    /// Routing epoch the batch was routed under.
+    /// Routing version the batch was routed under.  Routing is fixed
+    /// when the engine is built, so the engine always sends 0; the field
+    /// stays for layout compatibility with existing encoders.
     pub routing_epoch: u64,
     /// Routed items in staging order.
     pub items: Vec<WireItem>,
@@ -114,7 +117,8 @@ pub struct WireSub {
 pub struct WireOutput {
     /// Echo of the task's epoch.
     pub epoch: u64,
-    /// Echo of the task's routing epoch.
+    /// Echo of the task's routing epoch (always 0 from the engine; see
+    /// [`WireTask::routing_epoch`]).
     pub routing_epoch: u64,
     /// Wall-clock nanoseconds the shard spent draining the epoch.
     pub busy_nanos: u64,
@@ -160,9 +164,9 @@ pub struct WireQuery {
 /// `Hello`/`HelloAck` open a connection (the header's version field does
 /// the compatibility check), `Setup`/`SetupAck` instantiate the remote
 /// operator, `Task`/`Output` carry the epoch pipeline, `Barrier`/
-/// `BarrierAck` fence it and return operator statistics, the surgery frames
-/// (`FetchWindow`, `Adopt`, `Retain`) move window state for a star
-/// partition-pair switch, and `Error` carries remote panics. `Shutdown`/`ShutdownAck` are the clean close handshake.
+/// `BarrierAck` fence it and return operator statistics, and `Error`
+/// carries remote panics and protocol complaints.  `Shutdown`/`ShutdownAck`
+/// are the clean close handshake.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client greeting; the header carries the protocol version.
@@ -194,38 +198,6 @@ pub enum Frame {
         /// Columnar storage segments held across the shard's windows.
         window_segments: u64,
     },
-    /// Reply to [`Frame::FetchWindow`].
-    ClassData {
-        /// The matching tuples in window order.
-        tuples: Vec<Tuple>,
-    },
-    /// Installs migrated window state into a shard's windows.
-    Adopt {
-        /// Tuples to insert (index-only, no probing, no stats).
-        tuples: Vec<Tuple>,
-    },
-    /// Requests every live tuple of one stream's window (partition-pair
-    /// migration).  Replied to with [`Frame::ClassData`].
-    FetchWindow {
-        /// Stream whose window is read.
-        stream: u64,
-    },
-    /// Keeps only the tuples of one stream's window whose routing key
-    /// hashes home to `keep` under `shards`-way partitioning; evicts the
-    /// rest.  The wire form of the engine's re-homing predicate
-    /// `join_key_hash(t.value(column)) % shards == keep`.
-    Retain {
-        /// Stream whose window is filtered.
-        stream: u64,
-        /// Column whose value is the routing key.
-        column: u64,
-        /// Modulus of the home-shard computation (the shard count).
-        shards: u64,
-        /// The home shard whose tuples survive.
-        keep: u64,
-    },
-    /// Generic acknowledgement for `Adopt`/`Retain`.
-    Ack,
     /// A remote failure — typically a panic caught in the shard worker.
     Error {
         /// Human-readable failure description (panic payload text).
@@ -315,8 +287,6 @@ fn put_stats(buf: &mut Vec<u8>, s: &OperatorStats) {
     put_u64(buf, s.results);
     put_u64(buf, s.cross_results);
     put_u64(buf, s.expired);
-    put_u64(buf, s.adopted);
-    put_u64(buf, s.evicted);
 }
 
 fn get_stats(c: &mut Cursor<'_>) -> Result<OperatorStats, WireError> {
@@ -329,8 +299,6 @@ fn get_stats(c: &mut Cursor<'_>) -> Result<OperatorStats, WireError> {
         results: c.u64()?,
         cross_results: c.u64()?,
         expired: c.u64()?,
-        adopted: c.u64()?,
-        evicted: c.u64()?,
     })
 }
 
@@ -465,11 +433,6 @@ impl Frame {
             Frame::Output(_) => FT_OUTPUT,
             Frame::Barrier { .. } => FT_BARRIER,
             Frame::BarrierAck { .. } => FT_BARRIER_ACK,
-            Frame::ClassData { .. } => FT_CLASS_DATA,
-            Frame::Adopt { .. } => FT_ADOPT,
-            Frame::FetchWindow { .. } => FT_FETCH_WINDOW,
-            Frame::Retain { .. } => FT_RETAIN,
-            Frame::Ack => FT_ACK,
             Frame::Error { .. } => FT_ERROR,
             Frame::Shutdown => FT_SHUTDOWN,
             Frame::ShutdownAck => FT_SHUTDOWN_ACK,
@@ -481,7 +444,6 @@ impl Frame {
             Frame::Hello
             | Frame::HelloAck
             | Frame::SetupAck
-            | Frame::Ack
             | Frame::Shutdown
             | Frame::ShutdownAck => {}
             Frame::Setup(q) => {
@@ -539,19 +501,6 @@ impl Frame {
                 put_u64(buf, *window_bytes);
                 put_u64(buf, *window_segments);
             }
-            Frame::ClassData { tuples } | Frame::Adopt { tuples } => put_tuples(buf, tuples),
-            Frame::FetchWindow { stream } => put_u64(buf, *stream),
-            Frame::Retain {
-                stream,
-                column,
-                shards,
-                keep,
-            } => {
-                put_u64(buf, *stream);
-                put_u64(buf, *column);
-                put_u64(buf, *shards);
-                put_u64(buf, *keep);
-            }
             Frame::Error { message } => put_str(buf, message),
         }
     }
@@ -562,7 +511,6 @@ impl Frame {
             FT_HELLO => Frame::Hello,
             FT_HELLO_ACK => Frame::HelloAck,
             FT_SETUP_ACK => Frame::SetupAck,
-            FT_ACK => Frame::Ack,
             FT_SHUTDOWN => Frame::Shutdown,
             FT_SHUTDOWN_ACK => Frame::ShutdownAck,
             FT_SETUP => {
@@ -653,19 +601,6 @@ impl Frame {
                 stats: get_stats(&mut c)?,
                 window_bytes: c.u64()?,
                 window_segments: c.u64()?,
-            },
-            FT_CLASS_DATA => Frame::ClassData {
-                tuples: get_tuples(&mut c)?,
-            },
-            FT_ADOPT => Frame::Adopt {
-                tuples: get_tuples(&mut c)?,
-            },
-            FT_FETCH_WINDOW => Frame::FetchWindow { stream: c.u64()? },
-            FT_RETAIN => Frame::Retain {
-                stream: c.u64()?,
-                column: c.u64()?,
-                shards: c.u64()?,
-                keep: c.u64()?,
             },
             FT_ERROR => Frame::Error { message: c.str()? },
             tag => return Err(WireError::Corrupt(format!("unknown frame type {tag:#04x}"))),

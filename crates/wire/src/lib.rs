@@ -2,10 +2,9 @@
 //!
 //! A hand-rolled, versioned, length-prefixed binary codec for everything
 //! that crosses a shard boundary in the partitioned join engine: routed
-//! task batches ([`WireTask`]) with their routing epochs, epoch results
-//! and statistics ([`WireOutput`]), and the control plane — barriers,
-//! pair-switch window migration, error/panic propagation and the shutdown
-//! handshake ([`Frame`]).
+//! task batches ([`WireTask`]), epoch results and statistics
+//! ([`WireOutput`]), and the control plane — setup, barriers, error/panic
+//! propagation and the shutdown handshake ([`Frame`]).
 //!
 //! Design constraints (see `docs/ARCHITECTURE.md` for the full contract):
 //!

@@ -66,8 +66,6 @@ fn arb_stats(rng: &mut StdRng) -> OperatorStats {
         results: rng.gen(),
         cross_results: rng.gen(),
         expired: rng.gen(),
-        adopted: rng.gen(),
-        evicted: rng.gen(),
     }
 }
 
@@ -169,7 +167,7 @@ fn arb_output(rng: &mut StdRng) -> WireOutput {
 }
 
 fn arb_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0usize..16) {
+    match rng.gen_range(0usize..11) {
         0 => Frame::Hello,
         1 => Frame::HelloAck,
         2 => Frame::Setup(arb_query(rng)),
@@ -183,30 +181,10 @@ fn arb_frame(rng: &mut StdRng) -> Frame {
             window_bytes: rng.gen(),
             window_segments: rng.gen(),
         },
-        8 => Frame::ClassData {
-            tuples: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_tuple(rng))
-                .collect(),
-        },
-        9 => Frame::Adopt {
-            tuples: (0..rng.gen_range(0usize..4))
-                .map(|_| arb_tuple(rng))
-                .collect(),
-        },
-        10 => Frame::Ack,
-        11 => Frame::Error {
+        8 => Frame::Error {
             message: format!("panic #{}", rng.gen_range(0u64..1000)),
         },
-        12 => Frame::Shutdown,
-        13 => Frame::FetchWindow {
-            stream: rng.gen_range(0u64..8),
-        },
-        14 => Frame::Retain {
-            stream: rng.gen_range(0u64..8),
-            column: rng.gen_range(0u64..8),
-            shards: rng.gen_range(1u64..16),
-            keep: rng.gen_range(0u64..16),
-        },
+        9 => Frame::Shutdown,
         _ => Frame::ShutdownAck,
     }
 }
@@ -304,11 +282,13 @@ fn foreign_version_is_rejected_cleanly() {
 fn retired_frames_are_rejected_cleanly() {
     // Types 0x09 and 0x0C carried hot-key splitting's class copy and purge
     // up to protocol version 4; 0x13 was `Revise` (probe reorder / index
-    // demotion) up to version 3.  A current-version header carrying any of
+    // demotion) up to version 3; 0x0A, 0x0B, 0x0D, 0x11 and 0x12 were the
+    // star pair switch's class data, adopt, ack, window fetch and retain
+    // frames up to version 6.  A current-version header carrying any of
     // them is corrupt.
-    for retired in [0x09u8, 0x0C, 0x13] {
+    for retired in [0x09u8, 0x0A, 0x0B, 0x0C, 0x0D, 0x11, 0x12, 0x13] {
         let mut buf = Vec::new();
-        Frame::Ack.encode(&mut buf);
+        Frame::Shutdown.encode(&mut buf);
         buf[6] = retired;
         match Frame::decode(&buf) {
             Err(WireError::Corrupt(why)) => {
@@ -316,14 +296,16 @@ fn retired_frames_are_rejected_cleanly() {
             }
             other => panic!("expected Corrupt for {retired:#04x}, got {other:?}"),
         }
-        // A version-4 peer is told which versions disagree, whatever it
-        // sends.
-        buf[4..6].copy_from_slice(&4u16.to_le_bytes());
-        match Frame::decode(&buf) {
-            Err(WireError::VersionMismatch { ours, theirs }) => {
-                assert_eq!((ours, theirs), (PROTOCOL_VERSION, 4));
+        // A version-4 or version-6 peer is told which versions disagree,
+        // whatever it sends.
+        for old in [4u16, 6] {
+            buf[4..6].copy_from_slice(&old.to_le_bytes());
+            match Frame::decode(&buf) {
+                Err(WireError::VersionMismatch { ours, theirs }) => {
+                    assert_eq!((ours, theirs), (PROTOCOL_VERSION, old));
+                }
+                other => panic!("expected VersionMismatch, got {other:?}"),
             }
-            other => panic!("expected VersionMismatch, got {other:?}"),
         }
     }
 }
@@ -331,7 +313,7 @@ fn retired_frames_are_rejected_cleanly() {
 #[test]
 fn oversized_payload_declaration_is_rejected_before_allocation() {
     let mut buf = Vec::new();
-    Frame::Ack.encode(&mut buf);
+    Frame::Shutdown.encode(&mut buf);
     buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         Frame::decode(&buf),
@@ -342,7 +324,7 @@ fn oversized_payload_declaration_is_rejected_before_allocation() {
 #[test]
 fn bad_magic_is_corrupt() {
     let mut buf = Vec::new();
-    Frame::Ack.encode(&mut buf);
+    Frame::Shutdown.encode(&mut buf);
     buf[0] ^= 0xFF;
     assert!(matches!(Frame::decode(&buf), Err(WireError::Corrupt(_))));
 }
@@ -350,8 +332,8 @@ fn bad_magic_is_corrupt() {
 #[test]
 fn trailing_payload_bytes_are_corrupt() {
     let mut buf = Vec::new();
-    Frame::Ack.encode(&mut buf);
-    // Declare one payload byte and append it: Ack has an empty payload, so
+    Frame::Shutdown.encode(&mut buf);
+    // Declare one payload byte and append it: Shutdown has an empty payload, so
     // the decoder must flag the excess instead of ignoring it.
     buf[8..12].copy_from_slice(&1u32.to_le_bytes());
     buf.push(0xAA);
@@ -367,16 +349,25 @@ fn nan_and_negative_zero_floats_cross_bit_exactly() {
         Timestamp::from_millis(5),
         vec![Value::Float(weird), Value::Float(-0.0)],
     );
-    let frame = Frame::Adopt {
-        tuples: vec![tuple],
-    };
+    let frame = Frame::Task(WireTask {
+        epoch: 1,
+        routing_epoch: 0,
+        items: vec![WireItem {
+            seq: 0,
+            probe: true,
+            tuple,
+        }],
+    });
     let mut buf = Vec::new();
     frame.encode(&mut buf);
     let (decoded, _) = Frame::decode(&buf).unwrap();
-    let Frame::Adopt { tuples } = decoded else {
+    let Frame::Task(task) = decoded else {
         panic!("frame type changed in flight");
     };
-    match (&tuples[0].values()[0], &tuples[0].values()[1]) {
+    match (
+        &task.items[0].tuple.values()[0],
+        &task.items[0].tuple.values()[1],
+    ) {
         (Value::Float(a), Value::Float(b)) => {
             assert_eq!(a.to_bits(), weird.to_bits());
             assert_eq!(b.to_bits(), (-0.0f64).to_bits());

@@ -65,8 +65,8 @@ pub mod prelude {
     pub use mswj_core::{
         sink_fn, BufferPolicy, Checkpoint, CollectSink, CountingSink, DisorderConfig, Endpoint,
         EngineError, ExecutionBackend, FnSink, JoinEngine, KSlack, NullSink, OutputEvent, Pipeline,
-        PlanTransition, RunReport, SelectivityStrategy, SessionBuilder, ShardRuntimeStats,
-        ShardStats, Sink, Synchronizer,
+        RunReport, SelectivityStrategy, SessionBuilder, ShardRuntimeStats, ShardStats, Sink,
+        Synchronizer,
     };
     pub use mswj_datasets::{
         q2_query, q3_query, q4_query, Dataset, SoccerConfig, SoccerDataset, SyntheticConfig,

@@ -21,26 +21,26 @@
 //! (30 common-key + 15 star + 15 mixed-type + 6 unpartitionable), each
 //! compared across the backend/batching matrix above — which also includes
 //! `Remote` with in-process shard servers, so every workload additionally
-//! round-trips all of its epochs, barriers and pair-switch migrations
-//! through the versioned wire codec.  Separate tests drive the `Remote`
-//! backend against real `mswj-shardd` processes over Unix-domain sockets.
+//! round-trips all of its epochs and barriers through the versioned wire
+//! codec.  Separate tests drive the `Remote` backend against real
+//! `mswj-shardd` processes over Unix-domain sockets.
 //!
 //! The `*_at_segment_boundaries` tests rerun the common-key, star,
-//! mixed-type and pair-switch matrices with every backend's windows at
+//! mixed-type and star-flood matrices with every backend's windows at
 //! segment capacity 4 ([`JoinQuery::with_segment_capacity`]), against the
 //! sequential reference at the default capacity.  Tails then seal every
 //! four rows, so ordinary workloads constantly cross seal/drop boundaries
 //! — multi-segment buckets, whole-segment expiry, boundary-segment prefix
-//! expiry, fallback scans over many small segments and segment rebuilds
-//! under pair-switch surgery — and each backend is checked against a
-//! different layout and a different executor at once.
+//! expiry and fallback scans over many small segments — and each backend
+//! is checked against a different layout and a different executor at
+//! once.
 
-mod pair_switch;
+mod star_flood;
 
 use mswj::prelude::*;
-use pair_switch::{event, star_query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use star_flood::{event, star_query};
 use std::sync::Arc;
 
 /// A running `mswj-shardd` child serving a Unix-domain socket, killed (and
@@ -440,25 +440,23 @@ fn unpartitionable_conditions_fall_back_to_one_shard() {
     }
 }
 
-/// Runs the star pair-switch scenario (see `pair_switch`) on each of
-/// `backends`, its windows at segment `capacity`, and asserts that it
-/// switches its pair, moves state, and stays byte-identical to the
-/// single-shard sequential reference at the default capacity, whose plan
-/// never changes.
-fn assert_pair_switch_agrees(label: &str, backends: &[(ExecutionBackend, usize)], capacity: usize) {
-    let policy = pair_switch::policy();
-    // Scenario "switch": the pair must move from S2 to the flooding S3,
-    // migrating all three windows between shards.
-    let events = pair_switch::star_events(2);
+/// Runs the star flood scenario with the flood on the broadcast path
+/// (see `star_flood`) on each of `backends`, its windows at segment
+/// `capacity`, and asserts that it stays byte-identical to the
+/// single-shard sequential reference at the default capacity.
+fn assert_star_flood_agrees(label: &str, backends: &[(ExecutionBackend, usize)], capacity: usize) {
+    let policy = star_flood::policy();
+    let events = star_flood::star_events(2);
     let query = star_query(240);
     let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
+    assert!(!want.is_empty(), "[{label}] the scenario must join");
     let layout = query.with_segment_capacity(capacity);
     for (backend, batch) in backends {
         let label = format!("{label}, capacity {capacity}");
         let (results, report) = run(&layout, &policy, backend.clone(), *batch, &events);
         assert_eq!(
             want, results,
-            "[{label}] {backend} re-planned run must match the sequential reference"
+            "[{label}] {backend} must match the sequential reference"
         );
         assert_eq!(want_report.produced, report.produced, "[{label}] {backend}");
         let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
@@ -469,56 +467,33 @@ fn assert_pair_switch_agrees(label: &str, backends: &[(ExecutionBackend, usize)]
         assert_eq!(s.0.dropped, s.1.dropped, "[{label}] {backend}");
         assert_eq!(s.0.expired, s.1.expired, "[{label}] {backend}");
         assert_eq!(s.0.cross_results, s.1.cross_results, "[{label}] {backend}");
-        let transitions: Vec<_> = report
-            .plan_transitions
-            .iter()
-            .map(|t| (t.from, t.to))
-            .collect();
-        assert!(
-            !transitions.is_empty() && transitions.iter().all(|&t| t == (1, 2)),
-            "[{label}] {backend} must switch its pair from S2 to S3: {transitions:?}"
-        );
-        assert!(
-            pair_switch::migrated_tuples(&report) > 0,
-            "[{label}] {backend} must move state"
-        );
-        let revisions: u64 = report
-            .shard_stats
-            .iter()
-            .map(|s| s.runtime.plan_revisions)
-            .sum();
-        assert!(
-            revisions > 0,
-            "[{label}] {backend} revision counters must track transitions"
-        );
     }
 }
 
 #[test]
-fn replanned_workloads_match_the_static_reference() {
-    // Runtime re-planning at its built-in thresholds: the one revision the
-    // engine can take — re-selecting the star partition pair, with
-    // cross-shard state migration — must leave the result multiset, the
-    // per-probe trajectory and the adaptation sequence byte-identical to
-    // the single-shard sequential reference.
+fn star_flood_on_the_broadcast_path_agrees_across_backends() {
+    // The flooding satellite is declared second, so every shard stores and
+    // probes all of it; the result multiset, the per-probe trajectory and
+    // the adaptation sequence must still be byte-identical to the
+    // single-shard sequential reference.
     let backends = [
         (ExecutionBackend::Pool { workers: 4 }, 64),
         (ExecutionBackend::Pool { workers: 4 }, 1),
-        // Pair-switch migrations cross the wire codec.
+        // Broadcast tuples cross the wire codec to every shard server.
         (ExecutionBackend::remote_inproc(4), 64),
     ];
-    assert_pair_switch_agrees("replan switch", &backends, DEFAULT_CAPACITY);
+    assert_star_flood_agrees("star flood", &backends, DEFAULT_CAPACITY);
 }
 
 #[test]
-fn pair_switch_agrees_at_segment_boundaries() {
-    // A star pair switch exercises `retain_where` surgery (segment
-    // rebuilds) and `adopt` migration into tiny tails.
+fn star_flood_on_the_broadcast_path_agrees_at_segment_boundaries() {
+    // The broadcast flood seals a tail every four rows on every shard.
     let backends = [
         (ExecutionBackend::Pool { workers: 4 }, 64),
+        (ExecutionBackend::Pool { workers: 4 }, 1),
         (ExecutionBackend::remote_inproc(4), 64),
     ];
-    assert_pair_switch_agrees("seg switch", &backends, TINY_CAPACITY);
+    assert_star_flood_agrees("seg star flood", &backends, TINY_CAPACITY);
 }
 
 /// Live columnar segments summed over every shard of a common-key session
@@ -569,62 +544,6 @@ fn segment_capacity_reaches_every_shard() {
             "{backend}: {tiny} segments at capacity {TINY_CAPACITY}, \
              {default} at {DEFAULT_CAPACITY}"
         );
-    }
-}
-
-#[test]
-fn replanned_equal_rate_star_stays_inside_the_hysteresis_band() {
-    // The pair switch is always on.  With both satellites arriving at the
-    // same rate, their live cardinalities differ only by delay noise,
-    // which the 1.5× band absorbs: over dozens of barriers the blind pair
-    // (S1, S2) must stand, with no routing change and nothing migrated.
-    let mut rng = StdRng::seed_from_u64(0xE9A1_5A7E);
-    let mut events = Vec::new();
-    for round in 0..600u64 {
-        let arrival = (round + 1) * 10;
-        let (a1, a2) = ((round % 8) as i64, (round % 6) as i64);
-        let values = [
-            vec![Value::Int(a1), Value::Int(a2)],
-            vec![Value::Int(a1)],
-            vec![Value::Int(a2)],
-        ];
-        for (stream, values) in values.into_iter().enumerate() {
-            events.push(event(
-                stream,
-                round,
-                arrival,
-                rng.gen_range(0u64..40),
-                values,
-            ));
-        }
-    }
-    let events = ArrivalLog::from_events(events).events().to_vec();
-    for backend in [
-        ExecutionBackend::Pool { workers: 2 },
-        ExecutionBackend::remote_inproc(2),
-    ] {
-        let mut pipeline = Pipeline::builder()
-            .query(star_query(240))
-            .policy(pair_switch::policy())
-            .parallelism(backend.clone())
-            .build()
-            .unwrap();
-        for chunk in events.chunks(64) {
-            pipeline.push_batch_into(chunk.iter().cloned(), &mut CountingSink::default());
-        }
-        let engine = pipeline.engine();
-        assert_eq!(engine.routing_epoch(), 0, "{backend}");
-        assert_eq!(engine.star_partner(), Some(1), "{backend}");
-        let report = pipeline.finish();
-        assert!(report.checkpoints.len() > 20, "{backend}: too few barriers");
-        assert!(
-            report.plan_transitions.is_empty(),
-            "{backend}: {:?}",
-            report.plan_transitions
-        );
-        for (s, shard) in report.shard_stats.iter().enumerate() {
-            assert_eq!(shard.runtime.migrated_tuples, 0, "{backend} shard {s}");
-        }
     }
 }
 
@@ -709,7 +628,7 @@ fn zero_worker_backends_are_rejected_at_build() {
 fn remote_uds_backend_agrees_with_sequential() {
     // Real process separation: four connections to one `mswj-shardd`
     // daemon over a Unix-domain socket, each backing one shard.  A subset
-    // of the randomized common-key workloads (plus a pair switch below)
+    // of the randomized common-key workloads (plus a star run below)
     // keeps the socket suite fast while still covering checkpoints,
     // K-changes and out-of-order arrivals end to end.
     let daemon = Shardd::spawn("diff");
@@ -732,31 +651,28 @@ fn remote_uds_backend_agrees_with_sequential() {
 }
 
 #[test]
-fn remote_uds_backend_handles_pair_switch() {
-    // A star pair switch against real shard-server processes: window state
-    // migrates over the socket (fetch-window, adopt and retain frames at a
-    // barrier) and results stay byte-identical to the single-shard sequential
-    // reference.
-    let daemon = Shardd::spawn("switch");
+fn remote_uds_backend_broadcasts_star_satellites() {
+    // A star session against real shard-server processes, with the flood
+    // on the broadcast path: every flood tuple crosses the socket to every
+    // shard, and results stay byte-identical to the single-shard
+    // sequential reference.
+    let daemon = Shardd::spawn("star");
     let query = star_query(240);
-    let policy = pair_switch::policy();
-    let events = pair_switch::star_events(2);
+    let policy = star_flood::policy();
+    let events = star_flood::star_events(2);
     let (want, want_report) = run(&query, &policy, ExecutionBackend::Sequential, 1, &events);
     let (got, report) = run(&query, &policy, daemon.backend(4), 64, &events);
-    assert_eq!(want, got, "[uds switch] result multiset diverged");
-    assert_eq!(want_report.produced, report.produced, "[uds switch]");
+    assert!(!want.is_empty(), "[uds star] the scenario must join");
+    assert_eq!(want, got, "[uds star] result multiset diverged");
+    assert_eq!(want_report.produced, report.produced, "[uds star]");
     let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
-    assert_eq!(ks(&want_report), ks(&report), "[uds switch]");
+    assert_eq!(ks(&want_report), ks(&report), "[uds star]");
+    // Satellite 2 is broadcast: each shard receives every one of its
+    // tuples, so the shards' routed items sum to more than the inputs.
+    let routed: u64 = report.shard_stats.iter().map(|s| s.runtime.routed).sum();
     assert!(
-        report
-            .plan_transitions
-            .iter()
-            .any(|t| (t.from, t.to) == (1, 2)),
-        "the pair must switch over the socket backend: {:?}",
-        report.plan_transitions
-    );
-    assert!(
-        pair_switch::migrated_tuples(&report) > 0,
-        "window state must cross the socket"
+        routed > events.len() as u64,
+        "[uds star] {routed} routed items for {} events",
+        events.len()
     );
 }

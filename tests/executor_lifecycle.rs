@@ -377,12 +377,14 @@ fn sync_after_drop_boundary_is_idempotent() {
 
 #[test]
 fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
-    // A client that sends an out-of-range surgery frame gets an error
-    // frame and an orderly close — its connection thread returns instead
-    // of panicking — and the daemon's other connections, open or new,
-    // are unaffected.
+    // A client that sends a retired surgery frame — the type byte of the
+    // star pair switch's window fetch, gone since protocol version 7 —
+    // gets an error frame and an orderly close: its connection thread
+    // returns instead of panicking, and the daemon's other connections,
+    // open or new, are unaffected.
     use mswj::core::engine::transport::{connect, Connection, Endpoint};
-    use mswj_wire::{Frame, WireQuery, WireStream};
+    use mswj_wire::{read_frame, write_frame, Frame, WireQuery, WireStream};
+    use std::io::Write;
 
     let path = std::env::temp_dir().join(format!("mswj-{}-malformed.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -400,32 +402,40 @@ fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
 
     let mut bystander = connect(&endpoint).expect("the daemon accepts connections");
     hello(&mut bystander);
-    let mut offender = connect(&endpoint).unwrap();
+    let mut offender = std::os::unix::net::UnixStream::connect(&path).unwrap();
+    offender
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut scratch = Vec::new();
     let stream = |name: &str| WireStream {
         name: name.into(),
         fields: vec![("a1".into(), FieldType::Int)],
         window: 1_000,
     };
-    offender
-        .send(&Frame::Setup(WireQuery {
-            name: "malformed".into(),
-            streams: vec![stream("S1"), stream("S2")],
-            condition: mswj_join::ConditionDescriptor::CommonKey {
-                columns: vec![0, 0],
-            },
-            strategy: ProbeStrategy::Auto,
-            enumerate: false,
-            segment_capacity: 1_024,
-        }))
-        .unwrap();
-    assert!(matches!(offender.recv().unwrap(), Frame::SetupAck));
-    offender.send(&Frame::FetchWindow { stream: 9 }).unwrap();
-    match offender.recv().unwrap() {
-        Frame::Error { message } => assert!(message.contains("stream index 9"), "{message}"),
+    let setup = Frame::Setup(WireQuery {
+        name: "malformed".into(),
+        streams: vec![stream("S1"), stream("S2")],
+        condition: mswj_join::ConditionDescriptor::CommonKey {
+            columns: vec![0, 0],
+        },
+        strategy: ProbeStrategy::Auto,
+        enumerate: false,
+        segment_capacity: 1_024,
+    });
+    write_frame(&mut offender, &setup, &mut scratch).unwrap();
+    let (ack, _) = read_frame(&mut offender, &mut scratch).unwrap();
+    assert!(matches!(ack, Frame::SetupAck), "{ack:?}");
+    let mut retired = Vec::new();
+    Frame::Shutdown.encode(&mut retired);
+    retired[6] = 0x11;
+    offender.write_all(&retired).unwrap();
+    match read_frame(&mut offender, &mut scratch).unwrap() {
+        (Frame::Error { message }, _) => {
+            assert!(message.contains("unknown frame type 0x11"), "{message}")
+        }
         other => panic!("expected an error frame, got {other:?}"),
     }
-    let closed = offender
-        .recv()
+    let closed = read_frame(&mut offender, &mut scratch)
         .expect_err("the server closes after the error frame");
     assert!(closed.is_disconnect(), "orderly close, got {closed}");
 

@@ -1,7 +1,7 @@
 //! Property tests for the window hash index and the indexed probe path.
 //!
-//! * After **any** interleaving of in-order/out-of-order inserts,
-//!   expirations and surgery — including non-integer key values —
+//! * After **any** interleaving of in-order/out-of-order inserts and
+//!   expirations — including non-integer key values —
 //!   a window's hash index is exactly the index a from-scratch rebuild of
 //!   its live tuples would produce, and it always agrees with a plain scan.
 //!   Both index kinds, key counts and postings, are checked side by side.
@@ -67,13 +67,13 @@ proptest! {
     /// The incrementally maintained hash index exactly mirrors a
     /// from-scratch rebuild of the window's live tuples, whatever the
     /// interleaving of in-order and late inserts, expirations (whole-segment
-    /// drops included), surgery and non-integer key values — for
+    /// drops included) and non-integer key values — for
     /// both index kinds, fed side by side: a counts window (what an
     /// operator keeps where its plan only counts) and a postings window
     /// (where a probe walks buckets).  The two agree after every operation.
     #[test]
     fn window_index_mirrors_from_scratch_rebuild(
-        ops in proptest::collection::vec((0u64..2_000, 0i64..6, 0usize..14), 1..250),
+        ops in proptest::collection::vec((0u64..2_000, 0i64..6, 0usize..13), 1..250),
         capacity in 2usize..=16,
     ) {
         let mut counts = Window::with_key_counts(10_000, &[0], capacity);
@@ -89,15 +89,9 @@ proptest! {
                 8 => Some(Value::Float(key as f64)),
                 9 => Some(Value::Null),
                 10 => None, // tuple without the indexed column at all
-                11 | 12 => {
+                _ => {
                     let bound = Timestamp::from_millis(clock.saturating_sub(draw % 400));
                     prop_assert_eq!(counts.expire_before(bound), postings.expire_before(bound));
-                    continue;
-                }
-                _ => {
-                    let residue = key as u64 % 3 + 2;
-                    let removed = counts.retain_where(|t| t.seq % residue != 0);
-                    prop_assert_eq!(removed, postings.retain_where(|t| t.seq % residue != 0));
                     continue;
                 }
             };

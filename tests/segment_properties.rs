@@ -1,10 +1,11 @@
 //! Property tests for the segmented columnar window storage.
 //!
 //! The segment capacity (when a tail arena seals) is an access-path choice
-//! only: after **any** interleaving of in-order/out-of-order inserts,
-//! expirations and state surgery — over every value class — a window
-//! built with a tiny capacity holds exactly the content and index answers
-//! of a from-scratch rebuild into one effectively unsealed segment.  The index kind is an access-path choice
+//! only: after **any** interleaving of in-order/out-of-order inserts and
+//! expirations — over every value class — a window built with a tiny
+//! capacity holds exactly the content and index answers of a from-scratch
+//! rebuild into one effectively unsealed segment.  The index kind is an
+//! access-path choice
 //! too: a counts window and a postings window fed the same operations
 //! agree with each other and with their rebuilds.  This mirrors the index
 //! property of `tests/index_properties.rs` one structural level down: there
@@ -19,15 +20,13 @@ use std::sync::Arc;
 enum Op {
     Insert { ts: u64, value: Option<Value> },
     Expire { bound: u64 },
-    RetainMod { keep_residue: u64 },
 }
 
 /// Strategy producing a mixed-value operation stream: mostly integer-keyed
 /// inserts (many of them out of order), with floats, strings, booleans,
-/// nulls and missing columns mixed in, plus expirations and occasional
-/// surgical removals.
+/// nulls and missing columns mixed in, plus expirations.
 fn ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u64..2_000, 0i64..6, 0usize..16), 1..len).prop_map(|items| {
+    proptest::collection::vec((0u64..2_000, 0i64..6, 0usize..15), 1..len).prop_map(|items| {
         items
             .into_iter()
             .map(|(ts, key, kind)| match kind {
@@ -55,10 +54,7 @@ fn ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
                     ts,
                     value: Some(Value::Null),
                 },
-                14 => Op::Expire { bound: ts },
-                _ => Op::RetainMod {
-                    keep_residue: (key as u64) % 3 + 2,
-                },
+                _ => Op::Expire { bound: ts },
             })
             .collect()
     })
@@ -123,10 +119,6 @@ proptest! {
                     let bound = Timestamp::from_millis(bound);
                     prop_assert_eq!(counts.expire_before(bound), postings.expire_before(bound));
                 }
-                Op::RetainMod { keep_residue } => {
-                    let removed = counts.retain_where(|t| t.seq % keep_residue != 0);
-                    prop_assert_eq!(removed, postings.retain_where(|t| t.seq % keep_residue != 0));
-                }
             }
             prop_assert_eq!(counts.len(), postings.len());
             prop_assert_eq!(counts.stats(), postings.stats());
@@ -162,9 +154,6 @@ proptest! {
                 Op::Expire { bound } => {
                     w.expire_before(Timestamp::from_millis(bound));
                 }
-                Op::RetainMod { keep_residue } => {
-                    w.retain_where(|t| t.seq % keep_residue != 0);
-                }
             }
             let s = w.stats();
             prop_assert_eq!(s.sealed_segments, s.segments.saturating_sub(1));
@@ -184,13 +173,13 @@ proptest! {
     }
 
     /// Scan columns are an exact typed mirror of the live rows, in live
-    /// order: after any interleaving of in-order and late inserts, expiry
-    /// and surgery, every scan column has one entry per arena row and its
+    /// order: after any interleaving of in-order and late inserts and
+    /// expiry, every scan column has one entry per arena row and its
     /// suffix past the expired rows is, bit for bit, the NaN-sentinel image
     /// of the segment's live rows in timestamp order — whatever order they
     /// arrived in.  A band-join operator is the public way to get windows
-    /// with a scan column: `adopt` inserts, a probing push of the other
-    /// stream expires, `evict_where` is `retain_where`.
+    /// with a scan column: `insert_late` inserts without probing, a probing
+    /// push of the other stream expires.
     #[test]
     fn scan_columns_mirror_the_row_arena(
         ops in ops(250),
@@ -214,7 +203,7 @@ proptest! {
                     let lateness = if ts % 4 == 0 { ts % 150 } else { 0 };
                     let values = value.map(|v| vec![v]).unwrap_or_default();
                     let ts = Timestamp::from_millis(clock - lateness);
-                    op.adopt(Tuple::new(0.into(), seq, ts, values));
+                    op.insert_late(Tuple::new(0.into(), seq, ts, values));
                     seq += 1;
                 }
                 Op::Expire { bound } => {
@@ -223,9 +212,6 @@ proptest! {
                     let ts = Timestamp::from_millis(clock - bound % 50);
                     op.push(Tuple::new(1.into(), seq, ts, vec![Value::Float(0.0)]));
                     seq += 1;
-                }
-                Op::RetainMod { keep_residue } => {
-                    op.evict_where(StreamIndex(0), |t| t.seq % keep_residue != 0);
                 }
             }
             for i in 0..2 {

@@ -1,11 +1,12 @@
-//! The star pair-switch scenario shared by the differential suite
+//! The star flood scenario shared by the differential suite
 //! (`tests/differential_backends.rs`) and the per-shard work counts
 //! (`tests/shard_work.rs`).
 //!
-//! The star default partitions (S1, S2), but S3 floods while S2 trickles —
-//! broadcasting the flood replicates it to every shard, so the runtime
-//! re-planner (at its built-in thresholds) must move the pair to S3,
-//! re-keying the anchor and migrating all three windows between shards.
+//! A star plan key-routes its anchor with the lowest-numbered satellite
+//! for the whole session and broadcasts the other one.  One satellite
+//! floods while the other trickles: declared first, the flood is
+//! key-routed and stored once across the shards; declared second, it is
+//! broadcast and held whole on every shard.
 
 use mswj::prelude::*;
 use rand::rngs::StdRng;
@@ -13,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// The 3-way star S1(a1, a2) ⋈ S2(a1) ⋈ S3(a2) on the anchor S1; the
-/// planner's blind default key-routes the (S1, S2) pair.
+/// partitioner key-routes the (S1, S2) pair and broadcasts S3.
 pub fn star_query(window: u64) -> JoinQuery {
     let streams = StreamSet::new(vec![
         StreamSpec::new(
@@ -27,7 +28,7 @@ pub fn star_query(window: u64) -> JoinQuery {
     .unwrap();
     let cond =
         Arc::new(StarEquiJoin::new(&streams, 0, &[(1, "a1", "a1"), (2, "a2", "a2")]).unwrap());
-    JoinQuery::new("pair-switch-star", streams, cond).unwrap()
+    JoinQuery::new("star-flood", streams, cond).unwrap()
 }
 
 /// One arrival with a bounded random delay — the hand-rolled workloads
@@ -63,8 +64,8 @@ pub fn policy() -> BufferPolicy {
 
 /// The arrivals over [`star_query`], in arrival order: 120 rounds of one
 /// S1 tuple, a tuple of the other satellite every fourth round and four
-/// tuples of the `flood` satellite (1 or 2).  `star_events(2)` is the
-/// scenario that makes the pair switch.
+/// tuples of the `flood` satellite (1 or 2).  `star_events(2)` puts the
+/// flood on the broadcast path.
 pub fn star_events(flood: usize) -> Vec<ArrivalEvent> {
     let trickle = 3 - flood;
     // A satellite's key lives in the anchor column it joins: a1 on S2
@@ -108,14 +109,4 @@ pub fn star_events(flood: usize) -> Vec<ArrivalEvent> {
         }
     }
     ArrivalLog::from_events(events).events().to_vec()
-}
-
-/// Tuples adopted into shard windows by pair-switch migration, summed over
-/// the shards of a finished run.
-pub fn migrated_tuples(report: &RunReport) -> u64 {
-    report
-        .shard_stats
-        .iter()
-        .map(|s| s.runtime.migrated_tuples)
-        .sum()
 }
