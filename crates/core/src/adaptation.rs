@@ -33,12 +33,16 @@ pub struct AdaptationOutcome {
     pub(crate) elapsed_nanos: u64,
     /// The `MaxDH` bound used for the search (ms).
     pub max_delay: Duration,
-    /// Eq. 7's inputs, `N_prod(P−L)`, `N_true(P−L)` and `N_true(L)`, and
-    /// the selectivity ratio `sel(K)/sel` at `k*`: recorded on the
+    /// Eq. 7's inputs, `N_prod(P−L)`, `N_true(P−L)` and `N_true(L)`, the
+    /// two parts of `N_true(L)` that are not produced results (the counted
+    /// loss of kept late tuples, the max-priced estimate of dropped ones),
+    /// and the selectivity ratio `sel(K)/sel` at `k*`: recorded on the
     /// [`Checkpoint`](crate::Checkpoint).
     pub(crate) n_prod_history: u64,
     pub(crate) n_true_history: u64,
     pub(crate) n_true_next: u64,
+    pub(crate) n_lost_next: u64,
+    pub(crate) n_dropped_next: u64,
     pub(crate) selectivity_ratio: f64,
 }
 
@@ -154,6 +158,8 @@ impl BufferSizeManager {
             n_prod_history: n_prod_hist,
             n_true_history: n_true_hist,
             n_true_next,
+            n_lost_next: profiler.n_lost_estimate(),
+            n_dropped_next: profiler.n_dropped_estimate(),
             selectivity_ratio,
         }
     }

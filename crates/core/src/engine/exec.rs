@@ -38,13 +38,13 @@ fn finish_tuple(
         }
         stats.results += outcome.n_join;
         stats.cross_results += outcome.n_cross;
-        stats.expired += outcome.expired as u64;
     } else {
         stats.out_of_order += 1;
         if !outcome.inserted {
             stats.dropped += 1;
         }
     }
+    stats.expired += outcome.expired as u64;
     f(EngineEvent::Done(outcome));
 }
 
@@ -73,26 +73,28 @@ pub(super) fn run_local(
 /// Drains one shard's queue in order, collecting `(seq, …)`-tagged
 /// sub-outcomes and materialized results — the inner loop shared by the
 /// resident pool workers, the shard servers and the `Pool` inline path.
-/// It never touches the caller's sink; determinism is restored by
-/// [`merge_epoch`].
+/// Every item leaves one sub-outcome: a probing item's results, or a late
+/// item's counted loss in `n_join`.  It never touches the caller's sink;
+/// determinism is restored by [`merge_epoch`].
 pub(super) fn drain_queue(
     shard: &mut MswjOperator,
     items: &mut VecDeque<Item>,
     sub: &mut Vec<SubOutcome>,
     mat: &mut Vec<(u32, JoinResult)>,
 ) {
-    while let Some(item) = items.pop_front() {
-        if item.probe {
-            let seq = item.seq;
-            let o = shard.push_with(item.tuple, &mut |r| mat.push((seq, r)));
-            sub.push(SubOutcome {
-                seq,
-                n_join: o.n_join,
-                indexed: o.indexed,
-            });
-        } else {
-            shard.insert_late(item.tuple);
-        }
+    while let Some(Item { seq, tuple, late }) = items.pop_front() {
+        let (n_join, indexed) = match late {
+            None => {
+                let o = shard.push_with(tuple, &mut |r| mat.push((seq, r)));
+                (o.n_join, o.indexed)
+            }
+            Some(on_t) => (shard.insert_late(tuple, on_t), false),
+        };
+        sub.push(SubOutcome {
+            seq,
+            n_join,
+            indexed,
+        });
     }
 }
 
@@ -120,6 +122,7 @@ pub(super) fn merge_epoch(
             indexed: d.in_order,
             n_join: 0,
             n_cross: d.n_cross,
+            n_lost: 0,
             expired: d.expired,
         };
         for ((sub, mat), (sc, mc)) in sub.iter().zip(mat.iter()).zip(cursors.iter_mut()) {
@@ -129,8 +132,12 @@ pub(super) fn merge_epoch(
             }
             if let Some(o) = sub.get(*sc).filter(|o| o.seq == seq) {
                 *sc += 1;
-                outcome.n_join += o.n_join;
-                outcome.indexed &= o.indexed;
+                if d.in_order {
+                    outcome.n_join += o.n_join;
+                    outcome.indexed &= o.indexed;
+                } else {
+                    outcome.n_lost += o.n_join;
+                }
             }
         }
         finish_tuple(outcome, stats, f);

@@ -24,12 +24,15 @@
 //! global picture, exactly as the unsharded operator would: the in-order /
 //! out-of-order classification against the **global** high-water mark
 //! `onT` and the out-of-order scope check.  On a sharded set it also
-//! computes the per-probe expiry counts and cross-join sizes `n_x(e)` (via
-//! a global occupancy tracker, so adaptive policies see identical
-//! statistics on every backend).  Shards only maintain their windows and
-//! answer probes; a shard's own `onT` may lag the global one, which is why
-//! late tuples reach it through [`MswjOperator::insert_late`] instead of
-//! `push_with`.  The sequential shard is the unsharded operator: it sees
+//! computes the expiry counts of every kept tuple and the cross-join sizes
+//! `n_x(e)` of probing ones (via a global occupancy tracker, so adaptive
+//! policies see identical statistics on every backend).  Shards only
+//! maintain their windows, answer probes and count late tuples' losses,
+//! which the merge sums into `n_lost` as it sums `n_on`; a shard's own
+//! `onT` may lag the global one, which is why late tuples reach it, with
+//! the global `onT` they were staged against, through
+//! [`MswjOperator::insert_late`] instead of `push_with`.  The sequential
+//! shard is the unsharded operator: it sees
 //! every tuple, so its own outcome — expiry and `n_x(e)` included — is the
 //! global one, and the front neither tracks occupancy nor routes for it.
 //!
@@ -167,11 +170,10 @@ use mswj_join::{
 };
 use mswj_obs::{EventKind, ShardInstruments, Telemetry, TelemetryEvent};
 use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
-// One queued unit of shard work (`seq`: the staged tuple's position in its
-// batch; `probe`: in-order → `push_with`, globally late → `insert_late`) and
-// one shard's contribution to a probing tuple's outcome.  The wire
-// protocol's own types, so a remote epoch ships and returns them as they are.
-use mswj_wire::{WireItem as Item, WireSub as SubOutcome};
+// One shard's contribution to a tuple's outcome: a probing tuple's results,
+// or a late tuple's counted loss.  The wire protocol's own type, so a remote
+// epoch returns it as it is.
+use mswj_wire::WireSub as SubOutcome;
 use occupancy::Occupancy;
 use shards::ShardSet;
 use std::collections::VecDeque;
@@ -252,6 +254,20 @@ pub enum EngineEvent<'a> {
     /// A staged tuple finished processing: all of its results (if any) have
     /// been emitted, and this is its sequential-equivalent outcome.
     Done(ProbeOutcome),
+}
+
+/// One queued unit of shard work.  On the wire it travels as a
+/// `WireItem` (`probe` is `late.is_none()`), its `late` bound in the
+/// `LateBounds` frame ahead of the task.
+#[derive(Debug)]
+struct Item {
+    /// The staged tuple's position in its batch.
+    seq: u32,
+    tuple: Tuple,
+    /// `None`: globally in order, probed through `push_with`.  `Some(onT)`:
+    /// globally late but kept, absorbed through `insert_late` under the
+    /// global high-water mark `onT` it was staged against.
+    late: Option<Timestamp>,
 }
 
 /// The globally decided part of one staged tuple's outcome on a sharded
@@ -658,18 +674,22 @@ impl JoinEngine {
             }
             return;
         }
+        // An in-order tuple expires the other windows to its own timestamp
+        // and sizes its cross-join; a kept late one expires them to the
+        // global `onT` before its shards count its loss.
         let (mut expired, mut n_cross) = (0usize, 0u64);
-        if in_order {
-            n_cross = 1;
+        if inserted {
+            n_cross = u64::from(in_order);
             for j in (0..self.query.arity()).filter(|&j| j != i) {
-                let bound = ts.saturating_sub_duration(self.query.window(StreamIndex(j)));
+                let bound = self
+                    .on_t
+                    .saturating_sub_duration(self.query.window(StreamIndex(j)));
                 expired += self.occupancy.expire(j, bound);
                 n_cross = n_cross.saturating_mul(self.occupancy.len(j) as u64);
             }
-        }
-        if inserted {
             self.occupancy.insert(i, ts);
-            self.enqueue(self.decisions.len() as u32, in_order, tuple);
+            let late = (!in_order).then_some(self.on_t);
+            self.enqueue(self.decisions.len() as u32, late, tuple);
         }
         self.decisions.push(Decision {
             ts,
@@ -838,30 +858,30 @@ impl JoinEngine {
     /// the per-shard routing-volume and queue-depth counters: a key-routed
     /// tuple goes to its key class's home shard, a broadcast tuple to every
     /// shard.
-    fn enqueue(&mut self, seq: u32, probe: bool, tuple: Tuple) {
+    fn enqueue(&mut self, seq: u32, late: Option<Timestamp>, tuple: Tuple) {
         match self.partitioner.route(&tuple) {
             Route::One(s) => {
-                self.queues[s].push_back(Item { seq, probe, tuple });
+                self.queues[s].push_back(Item { seq, tuple, late });
                 self.note_routed(s, self.queues[s].len());
             }
-            Route::All => self.fan_out(seq, probe, tuple),
+            Route::All => self.fan_out(seq, late, tuple),
             Route::Split => unreachable!("a key class stays on its home shard"),
         }
     }
 
-    /// Pushes `tuple` to every shard queue, probing everywhere: the
-    /// broadcast case.
-    fn fan_out(&mut self, seq: u32, probe: bool, tuple: Tuple) {
+    /// Pushes `tuple` to every shard queue, probing (or counting a late
+    /// tuple's loss) everywhere: the broadcast case.
+    fn fan_out(&mut self, seq: u32, late: Option<Timestamp>, tuple: Tuple) {
         let last = self.queues.len() - 1;
         for s in 0..last {
             self.queues[s].push_back(Item {
                 seq,
-                probe,
                 tuple: tuple.clone(),
+                late,
             });
             self.note_routed(s, self.queues[s].len());
         }
-        self.queues[last].push_back(Item { seq, probe, tuple });
+        self.queues[last].push_back(Item { seq, tuple, late });
         self.note_routed(last, self.queues[last].len());
     }
 

@@ -40,7 +40,7 @@ pub(super) struct Task {
 /// One shard's answer for one epoch.
 pub(super) struct EpochOutput {
     /// The task, back with its items drained and `sub` / `mat` filled:
-    /// per-probing-tuple sub-outcomes and materialized results, both in
+    /// per-item sub-outcomes and materialized results, both in
     /// staging order and tagged with their staging sequence.
     pub(super) task: Task,
     /// Wall-clock nanoseconds the worker spent executing this epoch.

@@ -285,8 +285,8 @@ mod tests {
                 };
                 queues[home].push_back(Item {
                     seq: seq as u32,
-                    probe: true,
                     tuple: t.clone(),
+                    late: None,
                 });
                 decisions.push(Decision {
                     ts: t.ts,

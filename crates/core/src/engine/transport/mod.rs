@@ -369,7 +369,9 @@ mod tests {
     use super::*;
     use mswj_join::{ConditionDescriptor, ProbeStrategy};
     use mswj_types::{FieldType, Timestamp, Tuple, Value};
-    use mswj_wire::{WireItem, WireQuery, WireStream, WireTask, PROTOCOL_VERSION};
+    use mswj_wire::{
+        WireItem, WireLate, WireQuery, WireStream, WireSub, WireTask, PROTOCOL_VERSION,
+    };
 
     /// A socket pair with [`serve_stream`] on a thread behind one end.
     fn served_pair() -> (UnixStream, std::thread::JoinHandle<Result<(), WireError>>) {
@@ -536,6 +538,103 @@ mod tests {
         }
         let served = handle.join().expect("the connection thread panicked");
         assert!(served.is_ok(), "client errors close cleanly");
+    }
+
+    #[test]
+    fn server_counts_late_items_under_their_bounds_and_refuses_unpaired_ones() {
+        let tuple = |stream: usize, ts: u64| {
+            Tuple::new(
+                stream.into(),
+                0,
+                Timestamp::from_millis(ts),
+                vec![Value::Int(1)],
+            )
+        };
+        let item = |seq: u32, probe: bool, tuple: Tuple| WireItem { seq, probe, tuple };
+        let task = |epoch: u64, items: Vec<WireItem>| {
+            Frame::Task(WireTask {
+                epoch,
+                routing_epoch: 0,
+                items,
+            })
+        };
+        let bounds = |epoch: u64, seq: u32, on_t: u64| Frame::LateBounds {
+            epoch,
+            late: vec![WireLate {
+                seq,
+                on_t: Timestamp::from_millis(on_t),
+            }],
+        };
+        let setup = || {
+            let (client, handle) = served_pair();
+            let mut framed = Framed::new(client);
+            framed.send(&Frame::Setup(two_stream_query())).unwrap();
+            assert!(matches!(framed.recv().unwrap(), Frame::SetupAck));
+            (framed, handle)
+        };
+        let refused = |framed: &mut Framed<UnixStream>, want: &str| match framed.recv() {
+            Ok(Frame::Error { message }) => assert!(message.contains(want), "{message}"),
+            other => panic!("expected an error frame naming {want:?}, got {other:?}"),
+        };
+
+        // Two S1 rows at 100 and 200; an S2 row at 250, late under a global
+        // onT of 1 150, counts the one S1 row at or above 1 150 − 1 000.
+        let (mut framed, handle) = setup();
+        let rows = vec![item(0, true, tuple(0, 100)), item(1, true, tuple(0, 200))];
+        framed.send(&task(1, rows)).unwrap();
+        assert!(matches!(framed.recv().unwrap(), Frame::Output(_)));
+        framed.send(&bounds(2, 0, 1_150)).unwrap();
+        framed
+            .send(&task(2, vec![item(0, false, tuple(1, 250))]))
+            .unwrap();
+        match framed.recv().unwrap() {
+            Frame::Output(out) => assert_eq!(
+                out.sub,
+                [WireSub {
+                    seq: 0,
+                    n_join: 1,
+                    indexed: false
+                }]
+            ),
+            other => panic!("expected an output frame, got {other:?}"),
+        }
+        // A late item whose bound never came is refused.
+        framed
+            .send(&task(3, vec![item(4, false, tuple(1, 260))]))
+            .unwrap();
+        refused(
+            &mut framed,
+            "task item 0 (seq 4): a late item without its onT bound",
+        );
+        assert!(handle.join().expect("connection thread").is_ok());
+
+        // So are a bound naming no late item, bounds of another epoch, and
+        // a second set of bounds before the first one's task.
+        let cases: [(Vec<Frame>, &str); 3] = [
+            (
+                vec![bounds(1, 9, 500), task(1, vec![item(9, true, tuple(0, 5))])],
+                "a late bound for seq 9 names no late item",
+            ),
+            (
+                vec![
+                    bounds(2, 0, 500),
+                    task(1, vec![item(0, false, tuple(1, 5))]),
+                ],
+                "late bounds of epoch 2 ahead of a task of epoch 1",
+            ),
+            (
+                vec![bounds(1, 0, 500), bounds(1, 0, 500)],
+                "while an earlier set awaits its task",
+            ),
+        ];
+        for (frames, want) in cases {
+            let (mut framed, handle) = setup();
+            for frame in &frames {
+                framed.send(frame).unwrap();
+            }
+            refused(&mut framed, want);
+            assert!(handle.join().expect("connection thread").is_ok(), "{want}");
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@ use super::{Connection, Endpoint, EngineError, SHUTDOWN_TIMEOUT};
 use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
 use mswj_types::Error;
-use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireStream, WireTask};
+use mswj_wire::{
+    Frame, WireError, WireItem, WireLate, WireOutput, WireQuery, WireStream, WireTask,
+};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::panic_any;
@@ -160,7 +162,8 @@ impl RemoteShards {
         self.links.len()
     }
 
-    /// Ships a routed item queue to `shard` as one task frame, draining the
+    /// Ships a routed item queue to `shard` as one task frame, preceded by
+    /// a late-bounds frame when the queue holds late items, draining the
     /// queue (its capacity is preserved for recycling).  Routing never
     /// changes after construction, so the frame's routing epoch is 0.
     pub(in crate::engine) fn submit(
@@ -169,9 +172,28 @@ impl RemoteShards {
         epoch: u64,
         queue: &mut VecDeque<Item>,
     ) {
-        let items = queue.drain(..).collect();
+        let mut late = Vec::new();
+        let items = queue
+            .drain(..)
+            .map(|item| {
+                if let Some(on_t) = item.late {
+                    late.push(WireLate {
+                        seq: item.seq,
+                        on_t,
+                    });
+                }
+                WireItem {
+                    seq: item.seq,
+                    probe: item.late.is_none(),
+                    tuple: item.tuple,
+                }
+            })
+            .collect();
         let link = self.links[shard].get_mut();
         link.submitted_at = Some(Instant::now());
+        if !late.is_empty() {
+            link.send(shard, &Frame::LateBounds { epoch, late });
+        }
         link.send(
             shard,
             &Frame::Task(WireTask {

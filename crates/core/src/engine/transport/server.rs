@@ -1,21 +1,23 @@
 //! The shard-server side of the wire protocol: one shard operator per
 //! connection, driven entirely by frames.
 //!
-//! A connection's lifecycle is `Hello → Setup → (Task | Barrier)* →
-//! Shutdown`.  The server is passive — it never initiates — and
-//! every request gets exactly one reply, so the client can keep at most
+//! A connection's lifecycle is `Hello → Setup → (LateBounds? Task |
+//! Barrier)* → Shutdown`.  The server is passive — it never initiates —
+//! and every request gets exactly one reply (a task's late bounds are part
+//! of the task, answered by its output), so the client can keep at most
 //! one epoch in flight per connection and collect deterministically.  An
 //! operator panic while draining a task is caught and shipped back as an
 //! error frame (the connection then closes: after a panic the shard state
 //! is unreliable, exactly like a retired pool worker).
 //!
 //! A `Task` frame is **validated, then applied**: every item's stream
-//! index is checked against the operator built at `Setup` before the first
-//! item is drained.  A frame that fails validation — like a task before
-//! `Setup`, a frame only a server sends, or an undecodable frame (a retired
-//! type byte among them) — is answered with an error frame naming the
-//! offending field, followed by an orderly close; it never panics the
-//! connection thread.
+//! index is checked against the operator built at `Setup`, and every late
+//! item paired with its bound from the `LateBounds` frame ahead of it,
+//! before the first item is drained.  A frame that fails validation — like
+//! a task before `Setup`, a frame only a server sends, or an undecodable
+//! frame (a retired type byte among them) — is answered with an error frame
+//! naming the offending field, followed by an orderly close; it never
+//! panics the connection thread.
 //!
 //! [`serve_stream`] serves one connection over any byte stream — the
 //! in-process endpoint runs it over one end of a socket pair, the
@@ -27,7 +29,7 @@ use crate::engine::{exec, Item, ShardPublisher, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, MswjOperator};
 use mswj_obs::{ShardInstruments, Telemetry};
 use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec};
-use mswj_wire::{Frame, WireError, WireOutput, WireQuery, WireTask};
+use mswj_wire::{Frame, WireError, WireLate, WireOutput, WireQuery, WireTask};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::panic::AssertUnwindSafe;
@@ -98,6 +100,8 @@ pub fn serve_stream<S: Read + Write>(
     let mut framed = Framed::new(stream);
     let mut op: Option<MswjOperator> = None;
     let mut buffers = EpochBuffers::default();
+    // The late bounds received for the next task: `(epoch, bounds)`.
+    let mut late: Option<(u64, Vec<WireLate>)> = None;
     loop {
         let frame = match framed.recv() {
             Ok(frame) => frame,
@@ -156,14 +160,30 @@ pub fn serve_stream<S: Read + Write>(
                         "frame type {:#04x} before setup",
                         request.frame_type()
                     )),
-                    (Some(op), Frame::Task(task)) => run_task(op, task, &mut buffers, &mut runtime),
+                    (Some(_), Frame::LateBounds { epoch, .. }) if late.is_some() => Err(format!(
+                        "late bounds of epoch {epoch} while an earlier set awaits its task"
+                    )),
+                    (
+                        Some(_),
+                        Frame::LateBounds {
+                            epoch,
+                            late: bounds,
+                        },
+                    ) => {
+                        late = Some((epoch, bounds));
+                        Ok(None)
+                    }
+                    (Some(op), Frame::Task(task)) => {
+                        run_task(op, task, late.take(), &mut buffers, &mut runtime).map(Some)
+                    }
                     (Some(_), other) => Err(format!(
                         "unexpected frame type {:#04x} on the server side",
                         other.frame_type()
                     )),
                 };
                 match reply {
-                    Ok(reply) => framed.send(&reply)?,
+                    Ok(Some(reply)) => framed.send(&reply)?,
+                    Ok(None) => {}
                     Err(message) => return refuse(&mut framed, message),
                 }
             }
@@ -186,24 +206,52 @@ struct EpochBuffers {
     mat: Vec<(u32, JoinResult)>,
 }
 
-/// Validates every item of one task frame, then drains it against the
-/// operator and builds its output frame.  An item naming a stream the
-/// operator does not have comes back as the `Err` text with nothing
-/// applied; a caught operator panic comes back the same way, the shard
-/// state unreliable after it.  Either way the caller closes the connection.
+/// Validates every item of one task frame, pairing each late item with
+/// its bound from `late` (the task's `LateBounds`, if one came ahead of
+/// it), then drains it against the operator and builds its output frame.
+/// An item naming a stream the operator does not have, a late item without
+/// its bound, or a bound without its late item comes back as the `Err`
+/// text with nothing applied; a caught operator panic comes back the same
+/// way, the shard state unreliable after it.  Either way the caller closes
+/// the connection.
 fn run_task(
     op: &mut MswjOperator,
     task: WireTask,
+    late: Option<(u64, Vec<WireLate>)>,
     buffers: &mut EpochBuffers,
     runtime: &mut ShardRuntimeStats,
 ) -> Result<Frame, String> {
-    for (i, item) in task.items.iter().enumerate() {
-        stream_of(op, item.tuple.stream.as_usize() as u64)
-            .map_err(|why| format!("task item {i} (seq {}): {why}", item.seq))?;
+    let (bounds_epoch, bounds) = late.unwrap_or((task.epoch, Vec::new()));
+    if bounds_epoch != task.epoch {
+        return Err(format!(
+            "late bounds of epoch {bounds_epoch} ahead of a task of epoch {}",
+            task.epoch
+        ));
     }
     let EpochBuffers { items, sub, mat } = buffers;
     items.clear();
-    items.extend(task.items);
+    let mut bounds = bounds.into_iter().peekable();
+    for (i, item) in task.items.into_iter().enumerate() {
+        let seq = item.seq;
+        let invalid = |why: &str| format!("task item {i} (seq {seq}): {why}");
+        stream_of(op, item.tuple.stream.as_usize() as u64).map_err(|why| invalid(&why))?;
+        let late = match (item.probe, bounds.next_if(|b| !item.probe && b.seq == seq)) {
+            (true, _) => None,
+            (false, Some(bound)) => Some(bound.on_t),
+            (false, None) => return Err(invalid("a late item without its onT bound")),
+        };
+        items.push_back(Item {
+            seq,
+            tuple: item.tuple,
+            late,
+        });
+    }
+    if let Some(stray) = bounds.next() {
+        return Err(format!(
+            "a late bound for seq {} names no late item",
+            stray.seq
+        ));
+    }
     sub.clear();
     mat.clear();
     let queued = items.len();

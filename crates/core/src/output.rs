@@ -92,8 +92,15 @@ pub struct Checkpoint {
     /// baselines).
     pub n_true_history: u64,
     /// Estimated true results of the next interval, `N_true(L)` (0 for
-    /// baselines).
+    /// baselines): the results the last interval produced, plus
+    /// [`Self::n_lost_next`], plus [`Self::n_dropped_next`].
     pub n_true_next: u64,
+    /// The part of [`Self::n_true_next`] counted lost by the late tuples
+    /// the operator kept (0 for baselines).
+    pub n_lost_next: u64,
+    /// The part of [`Self::n_true_next`] that prices the dropped tuples at
+    /// the interval's maximum productivity (0 for baselines).
+    pub n_dropped_next: u64,
     /// `MaxDH`, the largest delay in the statistics, which bounds the K
     /// search (ms; 0 for baselines).
     pub max_delay: Duration,
@@ -124,6 +131,8 @@ impl Checkpoint {
             n_prod_history: 0,
             n_true_history: 0,
             n_true_next: 0,
+            n_lost_next: 0,
+            n_dropped_next: 0,
             max_delay: 0,
             selectivity_ratio: f64::NAN,
         };
@@ -138,6 +147,8 @@ impl Checkpoint {
             n_prod_history: o.n_prod_history,
             n_true_history: o.n_true_history,
             n_true_next: o.n_true_next,
+            n_lost_next: o.n_lost_next,
+            n_dropped_next: o.n_dropped_next,
             max_delay: o.max_delay,
             selectivity_ratio: o.selectivity_ratio,
             ..baseline

@@ -429,7 +429,11 @@ impl Pipeline {
                         sink.event(OutputEvent::Progress(ts));
                     }
                 } else {
-                    profiler.record_unprocessed(delay);
+                    if outcome.inserted {
+                        profiler.record_late(delay, outcome.n_lost);
+                    } else {
+                        profiler.record_unprocessed(delay);
+                    }
                     if let Some(s) = session {
                         s.tuples_dropped.inc();
                     }
@@ -873,6 +877,59 @@ mod tests {
             ),
             (0, 0, 0, 0, 0)
         );
+    }
+
+    #[test]
+    fn checkpoint_splits_n_true_next_into_produced_lost_and_dropped() {
+        // Every timestamp is unique: stream 0 on multiples of 20, stream 1
+        // ten past them, late stream-0 rows five past them.  So the results
+        // an interval produced are the produced series' entries above the
+        // previous checkpoint's `measure_ts`, up to its own.  One stream-0
+        // row in eight is 305 ms late (kept while K is below that), one in
+        // eight 905 ms (dropped: past the 500 ms window).
+        let mut events = Vec::new();
+        for i in 1..=3_000u64 {
+            let t = 1_000 + i * 20;
+            let late = match i % 8 {
+                0 => 305,
+                4 => 905,
+                _ => 0,
+            };
+            events.push(ev(0, i, t - late, t, (i % 3) as i64));
+            events.push(ev(1, i, t + 10, t + 10, (i % 3) as i64));
+        }
+        let mut p = Pipeline::builder()
+            .query(query(2, 500))
+            .policy(quality_driven(0.9))
+            .build()
+            .unwrap();
+        for e in events {
+            p.push(e);
+        }
+        let report = p.finish();
+        assert!(report.checkpoints.len() > 30);
+        let mut from = Timestamp::ZERO;
+        let (mut lost, mut dropped) = (0u64, 0u64);
+        for (n, c) in report.checkpoints.iter().enumerate() {
+            let produced: u64 = report
+                .produced
+                .iter()
+                .filter(|&&(ts, _)| (n == 0 || ts > from) && ts <= c.measure_ts)
+                .map(|&(_, k)| k)
+                .sum();
+            assert_eq!(
+                c.n_true_next,
+                produced + c.n_lost_next + c.n_dropped_next,
+                "checkpoint {n}: {c:?}"
+            );
+            from = c.measure_ts;
+            lost += c.n_lost_next;
+            dropped += c.n_dropped_next;
+        }
+        assert!(lost > 0 && dropped > 0, "{lost} / {dropped}");
+
+        let c = run_workload(BufferPolicy::FixedK(100), 300).checkpoints[0];
+        assert_eq!((c.n_lost_next, c.n_dropped_next), (0, 0), "a baseline");
     }
 
     #[test]

@@ -9,10 +9,21 @@
 //! For every in-order tuple `e` the join operator reports the actual number
 //! of results `n_on(e)` and the cross-join size `n_x(e)`; the profiler
 //! accumulates both per coarse-grained delay bucket in the maps `M_on` and
-//! `M_x`.  Out-of-order tuples are never probed, so their productivity is
-//! estimated conservatively as the maximum productivity observed within the
-//! last adaptation interval.  At the end of the interval the maps feed
-//! Eq. 6 (selectivity ratio) and the `N_true(L)` estimate of Eq. 7.
+//! `M_x`.  An out-of-order tuple produces nothing, so it enters the maps at
+//! the paper's conservative price: the maximum productivity observed within
+//! the last adaptation interval.  At the end of the interval the maps feed
+//! Eq. 6 (selectivity ratio).
+//!
+//! The `N_true(L)` estimate of Eq. 7 departs from the paper in one place.
+//! It is the sum of three parts: the in-order tuples' produced results, the
+//! *counted* loss `n_lost(e)` of every late tuple the operator kept (it
+//! still holds the windows that tuple would have probed, so it counts the
+//! results instead of guessing them), and the maximum-priced estimate of
+//! every dropped tuple — dropped tuples are never probed, so only their
+//! productivity is still estimated conservatively.  The maps keep the max
+//! price for every late tuple: counting there too let `sel(K)/sel` read
+//! high at small K, and measured worst periods fell below Γ (README, *Two
+//! departures from the paper*).
 
 use crate::statistics::delay_bucket;
 use mswj_types::Duration;
@@ -29,6 +40,12 @@ pub(crate) struct IntervalMaps {
     max_join: u64,
     /// Maximum `n_x(e)` observed for an in-order tuple.
     max_cross: u64,
+    /// The three parts of `N_true(L)`: results produced by in-order tuples,
+    /// results counted lost by kept late tuples, and the max-priced
+    /// estimate of dropped tuples.
+    produced: u64,
+    lost: u64,
+    dropped: u64,
 }
 
 impl IntervalMaps {
@@ -123,6 +140,7 @@ impl ProductivityProfiler {
     pub fn record_processed(&mut self, delay: Duration, n_cross: u64, n_join: u64) {
         let bucket = delay_bucket(delay, self.granularity);
         self.current.add(bucket, n_cross, n_join);
+        self.current.produced = self.current.produced.saturating_add(n_join);
         if n_join > self.current.max_join {
             self.current.max_join = n_join;
         }
@@ -131,10 +149,26 @@ impl ProductivityProfiler {
         }
     }
 
-    /// Records an out-of-order tuple (never probed): its productivity is
-    /// estimated as the maximum productivity seen for in-order tuples in the
-    /// last adaptation interval (falling back to the current one).
+    /// Records a dropped out-of-order tuple (never probed): its
+    /// productivity is estimated as the maximum productivity seen for
+    /// in-order tuples in the last adaptation interval (falling back to the
+    /// current one), in the maps and in `N_true(L)` alike.
     pub fn record_unprocessed(&mut self, delay: Duration) {
+        let est_join = self.record_max_priced(delay);
+        self.current.dropped = self.current.dropped.saturating_add(est_join);
+    }
+
+    /// Records a late tuple the operator kept, which counted `n_lost`
+    /// results lost: the maps price it at the maximum productivity, as
+    /// [`Self::record_unprocessed`] does, but `N_true(L)` takes the count.
+    pub fn record_late(&mut self, delay: Duration, n_lost: u64) {
+        self.record_max_priced(delay);
+        self.current.lost = self.current.lost.saturating_add(n_lost);
+    }
+
+    /// Adds an out-of-order tuple to the maps at the maximum productivity
+    /// and returns the `n_on` estimate it was priced at.
+    fn record_max_priced(&mut self, delay: Duration) -> u64 {
         let bucket = delay_bucket(delay, self.granularity);
         let est_join = self.last.max_join.max(self.current.max_join);
         let est_cross = self
@@ -143,6 +177,7 @@ impl ProductivityProfiler {
             .max(self.current.max_cross)
             .max(est_join);
         self.current.add(bucket, est_cross, est_join);
+        est_join
     }
 
     /// Closes the current adaptation interval: the accumulated maps become
@@ -189,10 +224,28 @@ impl ProductivityProfiler {
         );
     }
 
-    /// Estimate of the true result size of the last interval,
-    /// `N_true(L) ≈ Σ_d M_on[d]` (Sec. IV-C).
+    /// Estimate of the true result size of the last interval, `N_true(L)`
+    /// (Sec. IV-C): the results produced, plus the counted loss of kept
+    /// late tuples, plus the max-priced estimate of dropped ones — the two
+    /// parts a [`Checkpoint`](crate::Checkpoint) records as `n_lost_next`
+    /// and `n_dropped_next`.
     pub fn n_true_estimate(&self) -> u64 {
-        self.last.by_bucket.iter().map(|&(_, join)| join).sum()
+        let last = &self.last;
+        last.produced
+            .saturating_add(last.lost)
+            .saturating_add(last.dropped)
+    }
+
+    /// The part of the last interval's `N_true(L)` that kept late tuples
+    /// counted lost.
+    pub(crate) fn n_lost_estimate(&self) -> u64 {
+        self.last.lost
+    }
+
+    /// The part of the last interval's `N_true(L)` that prices its dropped
+    /// tuples at the maximum productivity.
+    pub(crate) fn n_dropped_estimate(&self) -> u64 {
+        self.last.dropped
     }
 }
 
@@ -247,6 +300,33 @@ mod tests {
         p.roll_interval();
         // N_true estimate includes the estimated productivity 7.
         assert_eq!(p.n_true_estimate(), 3 + 7 + 7);
+    }
+
+    #[test]
+    fn kept_late_tuples_count_in_n_true_and_max_price_in_the_maps() {
+        let mut p = ProductivityProfiler::new(10);
+        p.record_processed(0, 50, 3);
+        p.record_processed(0, 80, 7); // max join = 7, max cross = 80
+        p.record_late(30, 2); // kept, counted 2 lost
+        p.record_unprocessed(40); // dropped, priced at 7
+        p.roll_interval();
+        assert_eq!(p.n_lost_estimate(), 2);
+        assert_eq!(p.n_dropped_estimate(), 7);
+        assert_eq!(p.n_true_estimate(), 3 + 7 + 2 + 7);
+        // The maps price both late tuples at the maximum: a profiler fed
+        // two dropped tuples instead has the same ratio at every K.
+        let mut dropped = ProductivityProfiler::new(10);
+        dropped.record_processed(0, 50, 3);
+        dropped.record_processed(0, 80, 7);
+        dropped.record_unprocessed(30);
+        dropped.record_unprocessed(40);
+        dropped.roll_interval();
+        for k in [0, 10, 30, 40, 100] {
+            assert_eq!(
+                p.selectivity_ratio(k).to_bits(),
+                dropped.selectivity_ratio(k).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //!    expired tuples in the windows of every *other* stream, probe those
 //!    windows, emit the qualifying result tuples, and insert the tuple into
 //!    its own window.
-//! 2. If the tuple is **out of order**: skip invalidation and probing (its
-//!    results are lost), but still insert it into its own window if it is
-//!    within the window's current scope so that it can contribute to future
-//!    results.
+//! 2. If the tuple is **out of order**: its results are lost.  If it is
+//!    still within its window's current scope it is kept, so that it can
+//!    contribute to future results: the other windows are expired to the
+//!    bound `onT − W_j`, the results it would have derived are
+//!    *counted* (the probe walk in counting mode, reported as
+//!    [`ProbeOutcome::n_lost`]), and it is inserted.  Otherwise it is
+//!    dropped.
 //!
 //! The responsibilities are split across three submodules so that
 //! shard-local and global concerns stay visible in the module tree:
@@ -51,12 +54,15 @@
 //! each shard through [`MswjOperator::push_with`] (globally in-order
 //! tuples, which are in-order for the shard too) and
 //! [`MswjOperator::insert_late`] (globally late tuples the shard must
-//! absorb without probing).
+//! absorb without producing results, counting their loss against the
+//! global `onT` the engine hands it).
 //!
 //! For every processed tuple the operator reports the number of produced
 //! join results `n_on(e)` and the corresponding cross-join size `n_x(e)`;
 //! the Tuple-Productivity Profiler consumes these to learn the
-//! delay-productivity correlation (Sec. IV-B).
+//! delay-productivity correlation (Sec. IV-B).  For a kept late tuple it
+//! reports the counted loss `n_lost(e)` instead, which the profiler adds to
+//! its `N_true(L)` estimate.
 
 mod insert;
 mod probe;
@@ -235,10 +241,10 @@ impl MswjOperator {
             self.on_t = tuple.ts;
             self.started = true;
             // Step 1: invalidate expired tuples in windows of other streams.
-            outcome.expired = self.expire_others(i, &tuple);
+            outcome.expired = self.expire_others(i, tuple.ts);
             // Step 2: probe remaining tuples in all other windows.
             outcome.n_cross = self.cross_size(i);
-            (outcome.n_join, outcome.indexed) = self.probe(i, &tuple, emit);
+            (outcome.n_join, outcome.indexed) = self.probe(i, &tuple, self.enumerate, emit);
             // Step 3: insert into own window.
             self.windows[i].insert(tuple);
             outcome.inserted = true;
@@ -252,9 +258,9 @@ impl MswjOperator {
             self.stats.cross_results += outcome.n_cross;
             self.stats.expired += outcome.expired as u64;
         } else {
-            // Out-of-order tuple: no probing; insert only if still in scope
-            // (e.ts >= onT - W_i, Sec. III-A).
-            outcome.inserted = self.insert_out_of_order(tuple);
+            // Out-of-order tuple: no results; counted and inserted only if
+            // still in scope (e.ts >= onT - W_i, Sec. III-A).
+            (outcome.inserted, outcome.expired, outcome.n_lost) = self.insert_out_of_order(tuple);
         }
         outcome
     }
@@ -435,7 +441,8 @@ mod tests {
         let late = op.push(tup(1, 1, 200, 7));
         assert!(!late.in_order);
         assert_eq!(late.n_join, 0);
-        assert!(!late.indexed, "non-probing arrivals are not indexed probes");
+        assert_eq!(late.n_lost, 1, "it would have joined the S1 row at 100");
+        assert!(!late.indexed, "a late count is not an indexed probe");
         assert!(late.inserted);
         // A later S1 tuple joins both S2 tuples.
         let r = op.push(tup(0, 1, 600, 7));
@@ -458,6 +465,138 @@ mod tests {
     }
 
     #[test]
+    fn late_in_scope_tuple_counts_its_loss_against_the_expired_windows() {
+        use crate::condition::BandJoin;
+        let band = {
+            let streams =
+                StreamSet::homogeneous(3, Schema::new(vec![("v", FieldType::Float)]), 300).unwrap();
+            let cond = Arc::new(BandJoin::new(&streams, "v", 1.0).unwrap());
+            JoinQuery::new("band", streams, cond).unwrap()
+        };
+        // (query, lateness range, row of `stream` from a draw)
+        type RowOf = fn(usize, &mut dyn FnMut() -> u64) -> Vec<Value>;
+        let int_key: RowOf = |_, next| vec![Value::Int((next() % 3) as i64)];
+        let star_row: RowOf = |stream, next| {
+            let width = if stream == 0 { 3 } else { 1 };
+            (0..width)
+                .map(|_| Value::Int((next() % 3) as i64))
+                .collect()
+        };
+        let band_row: RowOf = |_, next| vec![Value::Float((next() % 6) as f64 * 0.5)];
+        let cases: [(&str, JoinQuery, u64, RowOf); 3] = [
+            ("common key m=3", equi_query(3, 200), 400, int_key),
+            ("star m=4", star_query(), 15_000, star_row),
+            ("band m=3", band, 600, band_row),
+        ];
+        for (name, query, max_lateness, row_of) in cases {
+            let m = query.arity();
+            let mut ops = [
+                MswjOperator::new(query.clone()),
+                MswjOperator::with_probe(query.clone(), ProbeStrategy::Auto, true),
+                MswjOperator::with_probe(query.clone(), ProbeStrategy::NestedLoop, true),
+            ];
+            // Every row kept so far, per stream, and the high-water mark.
+            let mut kept: Vec<Vec<Tuple>> = vec![Vec::new(); m];
+            let mut on_t: Option<Timestamp> = None;
+            let (mut late_kept, mut lost_total, mut dropped) = (0, 0, 0);
+            let mut next = xorshift(0x5DEE_CE66);
+            for s in 0..400u64 {
+                let stream = (next() % m as u64) as usize;
+                let lateness = if next().is_multiple_of(3) {
+                    next() % max_lateness
+                } else {
+                    0
+                };
+                let ts = Timestamp::from_millis((1_000 + s * 40).saturating_sub(lateness));
+                let t = Tuple::new(stream.into(), s, ts, row_of(stream, &mut next));
+                let late = on_t.is_some_and(|on| ts < on);
+                // The nested-loop oracle: every combination of kept rows at
+                // or above `onT − W_j`, one per other stream.
+                let expected = on_t.filter(|_| late).map(|on| {
+                    let live: Vec<Vec<&Tuple>> = (0..m)
+                        .map(|j| {
+                            let bound = on.saturating_sub_duration(query.window(StreamIndex(j)));
+                            kept[j].iter().filter(|r| r.ts >= bound).collect()
+                        })
+                        .collect();
+                    let mut slots = vec![&t; m];
+                    fn count<'a>(
+                        j: usize,
+                        i: usize,
+                        live: &[Vec<&'a Tuple>],
+                        slots: &mut Vec<&'a Tuple>,
+                        cond: &dyn JoinCondition,
+                    ) -> u64 {
+                        if j == live.len() {
+                            return u64::from(cond.matches(slots));
+                        }
+                        if j == i {
+                            return count(j + 1, i, live, slots, cond);
+                        }
+                        let mut n = 0;
+                        for &r in &live[j] {
+                            slots[j] = r;
+                            n += count(j + 1, i, live, slots, cond);
+                        }
+                        n
+                    }
+                    let n = count(0, stream, &live, &mut slots, query.condition().as_ref());
+                    (n, live.iter().map(Vec::len).collect::<Vec<_>>())
+                });
+                let outcomes: Vec<ProbeOutcome> = ops
+                    .iter_mut()
+                    .map(|op| {
+                        let mut emitted = 0u64;
+                        let o = op.push_with(t.clone(), &mut |_| emitted += 1);
+                        if late {
+                            assert_eq!(emitted, 0, "{name}: a late tuple emits nothing");
+                        }
+                        o
+                    })
+                    .collect();
+                let o = outcomes[0];
+                if let Some(on) = on_t.filter(|_| late) {
+                    let scope = on.saturating_sub_duration(query.window(t.stream));
+                    assert_eq!(o.inserted, ts >= scope, "{name}: scope of seq {s}");
+                }
+                for other in &outcomes[1..] {
+                    assert_eq!(other.n_lost, o.n_lost, "{name}: seq {s}");
+                    assert_eq!(other.expired, o.expired, "{name}: seq {s}");
+                }
+                match expected {
+                    Some((lost, live)) if o.inserted => {
+                        assert_eq!(o.n_lost, lost, "{name}: loss of seq {s}");
+                        assert_eq!((o.n_join, o.n_cross), (0, 0), "{name}: seq {s}");
+                        for op in &ops {
+                            for (j, &len) in live.iter().enumerate().filter(|&(j, _)| j != stream) {
+                                assert_eq!(op.window(StreamIndex(j)).len(), len, "{name}: {j}");
+                            }
+                        }
+                        late_kept += 1;
+                        lost_total += lost;
+                    }
+                    Some(_) => {
+                        assert_eq!((o.n_lost, o.expired), (0, 0), "{name}: dropped seq {s}");
+                        dropped += 1;
+                    }
+                    None => assert_eq!(o.n_lost, 0, "{name}: in-order seq {s}"),
+                }
+                if o.inserted {
+                    kept[stream].push(t);
+                }
+                if !late {
+                    on_t = Some(ts);
+                }
+            }
+            assert!(
+                late_kept > 20 && lost_total > 0,
+                "{name}: {late_kept} / {lost_total}"
+            );
+            assert!(dropped > 0, "{name}: the workload must drop tuples too");
+        }
+    }
+
+    #[test]
     fn insert_late_bypasses_probing_and_the_scope_check() {
         // The sharded engine decides ordering and scope globally; the shard
         // must absorb the tuple as-is — no probing even when the tuple looks
@@ -465,11 +604,13 @@ mod tests {
         let query = equi_query(2, 1_000);
         let mut op = MswjOperator::new(query);
         op.push(tup(0, 0, 100, 7));
-        // Locally in-order (ts 400 >= onT 100) but globally late: must not
-        // probe, must not advance onT, must still land in the window.
-        op.insert_late(tup(1, 0, 400, 7));
+        // Locally in-order (ts 400 >= onT 100) but globally late under a
+        // global onT of 600: must not produce, must not advance onT, must
+        // still land in the window — and counts the one result it lost.
+        let lost = op.insert_late(tup(1, 0, 400, 7), Timestamp::from_millis(600));
+        assert_eq!(lost, 1, "the S1 row at 100 is above 600 - 1000");
         assert_eq!(op.on_t(), Timestamp::from_millis(100));
-        assert_eq!(op.stats().results, 0, "a late insert never probes");
+        assert_eq!(op.stats().results, 0, "a late insert never produces");
         assert_eq!(op.stats().out_of_order, 1);
         assert_eq!(op.window(StreamIndex(1)).len(), 1);
         // The absorbed tuple contributes to future probes.

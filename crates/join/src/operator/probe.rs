@@ -2,9 +2,10 @@
 //! count or walk**.
 //!
 //! Alg. 2 has one "probe the other windows" step, and so does this module:
-//! `probe`, called once per in-order arrival.  Everything here is
-//! *read-only* over the windows (expiry and insertion live in
-//! [`insert`](super::insert)).
+//! `probe`, called once per in-order arrival — and once per late tuple
+//! still in scope, in counting mode, to count the results it lost.
+//! Everything here is *read-only* over the windows (expiry and insertion
+//! live in [`insert`](super::insert)).
 //!
 //! 1. **Gate.**  `resolve` matches plan × role of the probing stream once
 //!    and asks that shape's soundness gate (documented in
@@ -33,10 +34,11 @@
 //!
 //!    A root with nothing to fan out to is just a level (`m = 2`), so it
 //!    is counted, not walked.
-//! 3. **Count or walk.**  A counting operator multiplies the levels'
+//! 3. **Count or walk.**  A count multiplies the levels'
 //!    `Source::count`s (saturating, stopping at the first zero) — O(levels)
-//!    work, no allocation, no tuple touched.  An enumerating operator pins
-//!    each level's bucket to its per-segment postings once per binding row
+//!    work, no allocation, no tuple touched: every probe of a counting
+//!    operator, and every late tuple's loss.  An enumerating operator's
+//!    in-order probe pins each level's bucket to its per-segment postings once per binding row
 //!    and nests the walks into one combination buffer, in visiting order.
 //!
 //! Every probe binds the other streams in ascending order, behind its root
@@ -211,6 +213,7 @@ impl MswjOperator {
         }
     }
 
+    #[inline(always)] // like `resolve`, its one caller
     fn star_satellite_gate(
         &self,
         i: usize,
@@ -245,13 +248,21 @@ impl MswjOperator {
     // ------------------------------------------------------------------
 
     /// Derives the join results of a probing tuple of stream `i`: their
-    /// number, and whether the probe avoided scanning a window.  An
-    /// enumerating operator also hands every combination to `emit` as an
-    /// owned [`JoinResult`]; a counting one never calls it.
+    /// number, and whether the probe avoided scanning a window.  With
+    /// `enumerate` (an enumerating operator's in-order probe) every
+    /// combination also goes to `emit` as an owned [`JoinResult`]; without
+    /// it — a counting operator, or any operator counting a late tuple's
+    /// loss — `emit` is never called and nothing is allocated.
+    // Inlined into both callers, with `resolve`, `walk`, `product` and the
+    // satellite gate: once the late count became a second caller, the
+    // compiler left all of them out of line (`nm -S` on a release binary),
+    // and every in-order push paid the calls.
+    #[inline(always)]
     pub(super) fn probe(
         &self,
         i: usize,
         tuple: &Tuple,
+        enumerate: bool,
         emit: &mut dyn FnMut(JoinResult),
     ) -> (u64, bool) {
         let mut out =
@@ -262,7 +273,7 @@ impl MswjOperator {
         let (gate, rooted) = self.resolve(i, tuple, levels);
         match gate {
             Gate::Engage => {
-                let n = self.walk(i, tuple, levels, rooted, &mut out);
+                let n = self.walk(i, tuple, levels, rooted, enumerate, &mut out);
                 (n, self.plan.is_indexed())
             }
             Gate::Barren => (0, true),
@@ -270,7 +281,7 @@ impl MswjOperator {
                 let mut n = 0u64;
                 self.for_each_combination(i, tuple, &mut |combo| {
                     n += 1;
-                    if self.enumerate {
+                    if enumerate {
                         out(combo);
                     }
                 });
@@ -283,17 +294,19 @@ impl MswjOperator {
     /// of `levels` bound to the probe itself, or — `rooted` — the first
     /// level bound to the probe and walked, each of its rows binding the
     /// fan of the rest.
+    #[inline(always)] // with `resolve`, into each inlined copy of `probe`
     fn walk<'a>(
         &'a self,
         i: usize,
         tuple: &'a Tuple,
         levels: &[(usize, Level<'_>)],
         rooted: bool,
+        enumerate: bool,
         out: &mut dyn FnMut(&[&'a Tuple]),
     ) -> u64 {
-        // One fan: a counting operator multiplies, an enumerating one nests.
+        // One fan: a count multiplies, an enumeration nests.
         let mut fan = |by, row: &'a Tuple, levels: &[(usize, Level<'_>)]| {
-            if self.enumerate {
+            if enumerate {
                 self.nested(tuple, by, row, levels, out)
             } else {
                 self.product(by, row, levels)
@@ -316,6 +329,7 @@ impl MswjOperator {
     /// bound to the probe and walked, each of its rows binding the rest.
     /// A root with nothing to fan out to is just a level, so it is counted
     /// rather than walked.
+    #[inline(always)]
     fn resolve<'p>(
         &'p self,
         i: usize,
@@ -416,7 +430,7 @@ impl MswjOperator {
     /// How many combinations `row` (of stream `by`) completes across
     /// `levels`, whose sources are mutually independent: the product of
     /// their counts.
-    #[inline] // into the root loop of `walk`, once per root row
+    #[inline(always)] // into the root loop of `walk`, once per root row
     fn product(&self, by: usize, row: &Tuple, levels: &[(usize, Level<'_>)]) -> u64 {
         let mut product = 1u64;
         for &(j, level) in levels {

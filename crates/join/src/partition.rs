@@ -142,12 +142,6 @@ impl Partitioner {
         self.columns.is_some() && self.shards > 1
     }
 
-    /// The routing column of stream `i`, if that stream is key-routed
-    /// (`None` for broadcast streams and unpartitionable plans).
-    pub fn column(&self, i: usize) -> Option<usize> {
-        self.columns.as_ref().and_then(|cols| cols[i])
-    }
-
     /// Routes one tuple: key-routed tuples to their key class's home
     /// shard, broadcast streams everywhere.
     pub fn route(&self, tuple: &Tuple) -> Route {
@@ -318,7 +312,11 @@ mod tests {
         let p = Partitioner::new(&plan, 4);
         assert_eq!(p.shard_count(), 4);
         assert!(p.is_partitioned());
-        assert_eq!(p.column(0), Some(0));
+        assert_eq!(
+            p.key_hash(&tup(0, Value::Int(5))),
+            Some(join_key_hash(Some(&Value::Int(5)))),
+            "stream 0 is key-routed by its column 0"
+        );
         let mut seen = [false; 4];
         for key in 0..64i64 {
             match p.route(&tup(0, Value::Int(key))) {
@@ -353,16 +351,26 @@ mod tests {
         };
         let p = Partitioner::new(&plan, 4);
         assert_eq!(p.shard_count(), 4);
-        assert_eq!(p.column(0), Some(0), "anchor routes by the pair-0 column");
-        assert_eq!(p.column(1), Some(0), "satellite 1 routes by its column");
-        assert_eq!(p.column(2), None, "satellite 2 broadcasts");
-        // The anchor and its partition partner agree on equal keys.
+        // The anchor routes by the pair-0 column (its column 0, not the
+        // column 1 it pairs with satellite 2), satellite 1 by its column.
         let anchor = Tuple::new(
             StreamIndex(0),
             0,
             Timestamp::ZERO,
             vec![Value::Int(9), Value::Int(1)],
         );
+        let nine = Some(join_key_hash(Some(&Value::Int(9))));
+        assert_eq!(
+            p.key_hash(&anchor),
+            nine,
+            "anchor routes by the pair-0 column"
+        );
+        assert_eq!(
+            p.key_hash(&tup(1, Value::Int(9))),
+            nine,
+            "satellite 1 routes by its column"
+        );
+        // The anchor and its partition partner agree on equal keys.
         assert_eq!(p.route(&anchor), p.route(&tup(1, Value::Int(9))));
         assert_eq!(p.route(&tup(2, Value::Int(9))), Route::All);
         assert_eq!(
@@ -377,7 +385,11 @@ mod tests {
         let p = Partitioner::new(&ProbePlan::NestedLoop, 8);
         assert_eq!(p.shard_count(), 1);
         assert!(!p.is_partitioned());
-        assert_eq!(p.column(0), None);
+        assert_eq!(
+            p.key_hash(&tup(0, Value::Int(5))),
+            None,
+            "no stream is key-routed"
+        );
         assert_eq!(p.route(&tup(0, Value::Int(5))), Route::One(0));
     }
 

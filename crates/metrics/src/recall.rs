@@ -148,6 +148,8 @@ mod tests {
             n_prod_history: 0,
             n_true_history: 0,
             n_true_next: 0,
+            n_lost_next: 0,
+            n_dropped_next: 0,
             max_delay: 0,
             selectivity_ratio: f64::NAN,
         }

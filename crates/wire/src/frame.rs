@@ -52,7 +52,13 @@ use std::io::{Read, Write};
 /// retain) left the protocol, and `BarrierAck` stats lost the
 /// `adopted`/`evicted` migration counters; a star plan's routing is fixed
 /// when the engine is built.
-pub const PROTOCOL_VERSION: u16 = 7;
+///
+/// v8: a shard counts the results each late item lost, against its windows
+/// expired to the global `onT` the item was staged under: that bound
+/// travels in the new `LateBounds` frame (type `0x14`) ahead of the task,
+/// and the output carries one `WireSub` per late item too, its count in
+/// `n_join`.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -74,15 +80,17 @@ const FT_BARRIER_ACK: u8 = 0x08;
 const FT_ERROR: u8 = 0x0E;
 const FT_SHUTDOWN: u8 = 0x0F;
 const FT_SHUTDOWN_ACK: u8 = 0x10;
+const FT_LATE_BOUNDS: u8 = 0x14;
 
 /// One routed tuple inside a [`WireTask`]: the front-end's staging sequence
-/// number, whether this shard should probe (vs. silently index), and the
-/// tuple itself.
+/// number, whether this shard should probe (vs. count the late tuple's loss
+/// and insert it), and the tuple itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireItem {
     /// Position in the epoch's staging order (drives deterministic merge).
     pub seq: u32,
-    /// `true` → probe and produce results; `false` → index-only insert.
+    /// `true` → probe and produce results; `false` → a late item: count
+    /// what it lost under its [`WireLate`] bound, then insert it.
     pub probe: bool,
     /// The routed tuple.
     pub tuple: Tuple,
@@ -101,14 +109,28 @@ pub struct WireTask {
     pub items: Vec<WireItem>,
 }
 
-/// Per-item probe outcome inside a [`WireOutput`].
+/// The global high-water mark a late item of a [`WireTask`] was staged
+/// under: the shard expires its other windows to `on_t − W_j` and counts
+/// the results the item lost against what is left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireLate {
+    /// Staging sequence number of the late item (`probe == false`).
+    pub seq: u32,
+    /// The engine's global `onT` when the item was staged.
+    pub on_t: Timestamp,
+}
+
+/// Per-item outcome inside a [`WireOutput`]: one for every item of the
+/// task, probing or late.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireSub {
     /// Staging sequence number this outcome belongs to.
     pub seq: u32,
-    /// Join results produced by this shard for that item.
+    /// For a probing item, the join results this shard produced for it;
+    /// for a late item, the results this shard counted it lost.
     pub n_join: u64,
-    /// Whether the probe was answered through the hash-index path.
+    /// Whether the probe was answered through the hash-index path (`false`
+    /// for a late item).
     pub indexed: bool,
 }
 
@@ -163,7 +185,8 @@ pub struct WireQuery {
 ///
 /// `Hello`/`HelloAck` open a connection (the header's version field does
 /// the compatibility check), `Setup`/`SetupAck` instantiate the remote
-/// operator, `Task`/`Output` carry the epoch pipeline, `Barrier`/
+/// operator, `Task`/`Output` carry the epoch pipeline (a task with late
+/// items is preceded by its `LateBounds`), `Barrier`/
 /// `BarrierAck` fence it and return operator statistics, and `Error`
 /// carries remote panics and protocol complaints.  `Shutdown`/`ShutdownAck`
 /// are the clean close handshake.
@@ -179,6 +202,15 @@ pub enum Frame {
     SetupAck,
     /// One epoch of routed work.
     Task(WireTask),
+    /// The global `onT` of every late item of the next [`Frame::Task`],
+    /// which must carry the same epoch: one entry per late item, in item
+    /// order.  Sent only ahead of a task that has late items.
+    LateBounds {
+        /// The epoch of the task these bounds belong to.
+        epoch: u64,
+        /// One bound per late item, in item order.
+        late: Vec<WireLate>,
+    },
     /// The shard's reply to a [`Frame::Task`].
     Output(WireOutput),
     /// Pipeline fence; `token` is echoed in the ack.
@@ -430,6 +462,7 @@ impl Frame {
             Frame::Setup(_) => FT_SETUP,
             Frame::SetupAck => FT_SETUP_ACK,
             Frame::Task(_) => FT_TASK,
+            Frame::LateBounds { .. } => FT_LATE_BOUNDS,
             Frame::Output(_) => FT_OUTPUT,
             Frame::Barrier { .. } => FT_BARRIER,
             Frame::BarrierAck { .. } => FT_BARRIER_ACK,
@@ -471,6 +504,14 @@ impl Frame {
                     put_u32(buf, item.seq);
                     put_bool(buf, item.probe);
                     put_tuple(buf, &item.tuple);
+                }
+            }
+            Frame::LateBounds { epoch, late } => {
+                put_u64(buf, *epoch);
+                put_len(buf, late.len());
+                for l in late {
+                    put_u32(buf, l.seq);
+                    put_u64(buf, l.on_t.as_millis());
                 }
             }
             Frame::Output(o) => {
@@ -563,6 +604,17 @@ impl Frame {
                     routing_epoch,
                     items,
                 })
+            }
+            FT_LATE_BOUNDS => {
+                let epoch = c.u64()?;
+                let n = c.len(12)?;
+                let mut late = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let seq = c.u32()?;
+                    let on_t = Timestamp::from_millis(c.u64()?);
+                    late.push(WireLate { seq, on_t });
+                }
+                Frame::LateBounds { epoch, late }
             }
             FT_OUTPUT => {
                 let epoch = c.u64()?;

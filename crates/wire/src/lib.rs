@@ -2,7 +2,8 @@
 //!
 //! A hand-rolled, versioned, length-prefixed binary codec for everything
 //! that crosses a shard boundary in the partitioned join engine: routed
-//! task batches ([`WireTask`]), epoch results and statistics
+//! task batches ([`WireTask`], with the late items' bounds in
+//! [`WireLate`]), epoch results and statistics
 //! ([`WireOutput`]), and the control plane — setup, barriers, error/panic
 //! propagation and the shutdown handshake ([`Frame`]).
 //!
@@ -34,6 +35,6 @@ mod frame;
 
 pub use error::WireError;
 pub use frame::{
-    read_frame, write_frame, Frame, WireItem, WireOutput, WireQuery, WireStream, WireSub, WireTask,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION,
+    read_frame, write_frame, Frame, WireItem, WireLate, WireOutput, WireQuery, WireStream, WireSub,
+    WireTask, HEADER_LEN, MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION,
 };

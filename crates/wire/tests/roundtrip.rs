@@ -6,8 +6,8 @@
 use mswj_join::{ConditionDescriptor, JoinResult, OperatorStats, ProbeStrategy};
 use mswj_types::{FieldType, StreamIndex, Timestamp, Tuple, Value};
 use mswj_wire::{
-    read_frame, write_frame, Frame, WireError, WireItem, WireOutput, WireQuery, WireStream,
-    WireSub, WireTask, HEADER_LEN, PROTOCOL_VERSION,
+    read_frame, write_frame, Frame, WireError, WireItem, WireLate, WireOutput, WireQuery,
+    WireStream, WireSub, WireTask, HEADER_LEN, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -166,8 +166,21 @@ fn arb_output(rng: &mut StdRng) -> WireOutput {
     }
 }
 
+fn arb_late(rng: &mut StdRng) -> Frame {
+    Frame::LateBounds {
+        epoch: rng.gen(),
+        late: (0..rng.gen_range(0usize..6))
+            .map(|_| WireLate {
+                seq: rng.gen_range(0u64..1 << 32) as u32,
+                on_t: Timestamp::from_millis(rng.gen()),
+            })
+            .collect(),
+    }
+}
+
 fn arb_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0usize..11) {
+    match rng.gen_range(0usize..12) {
+        11 => arb_late(rng),
         0 => Frame::Hello,
         1 => Frame::HelloAck,
         2 => Frame::Setup(arb_query(rng)),
@@ -296,9 +309,9 @@ fn retired_frames_are_rejected_cleanly() {
             }
             other => panic!("expected Corrupt for {retired:#04x}, got {other:?}"),
         }
-        // A version-4 or version-6 peer is told which versions disagree,
+        // A version-4, -6 or -7 peer is told which versions disagree,
         // whatever it sends.
-        for old in [4u16, 6] {
+        for old in [4u16, 6, 7] {
             buf[4..6].copy_from_slice(&old.to_le_bytes());
             match Frame::decode(&buf) {
                 Err(WireError::VersionMismatch { ours, theirs }) => {
@@ -307,6 +320,38 @@ fn retired_frames_are_rejected_cleanly() {
                 other => panic!("expected VersionMismatch, got {other:?}"),
             }
         }
+    }
+}
+
+#[test]
+fn late_bounds_round_trip_to_the_last_bit() {
+    // The late-bound carrier: empty, and with bounds at the extremes of
+    // both fields, each frame decodes to itself and consumes exactly its
+    // bytes, which are the header, the epoch, the count and 12 bytes a
+    // bound.
+    let bound = |seq: u32, ms: u64| WireLate {
+        seq,
+        on_t: Timestamp::from_millis(ms),
+    };
+    for late in [
+        vec![],
+        vec![bound(0, 0)],
+        vec![bound(7, 1_700_000_000_123), bound(u32::MAX, u64::MAX)],
+    ] {
+        let n = late.len();
+        let frame = Frame::LateBounds {
+            epoch: u64::MAX - 1,
+            late,
+        };
+        let mut buf = Vec::new();
+        frame.encode(&mut buf);
+        assert_eq!(buf.len(), HEADER_LEN + 8 + 8 + 12 * n);
+        assert_eq!(buf[6], 0x14, "the late-bounds frame type");
+        assert_eq!(Frame::decode(&buf).unwrap(), (frame, buf.len()));
+        // A count that promises more bounds than the payload holds is
+        // corrupt before anything is allocated for them.
+        buf[HEADER_LEN + 8..HEADER_LEN + 16].copy_from_slice(&(n as u64 + 1).to_le_bytes());
+        assert!(matches!(Frame::decode(&buf), Err(WireError::Corrupt(_))));
     }
 }
 

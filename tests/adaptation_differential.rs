@@ -9,7 +9,8 @@
 //!     the oracle) and Alg. 3 picks the same `(k, steps)`.
 //! (c) *one map ≡ two maps*: the single-map productivity profiler returns
 //!     bit-identical `selectivity_ratio(k)` and `n_true_estimate` to a
-//!     two-map reference kept in this file.
+//!     two-map reference kept in this file, over in-order, kept-late and
+//!     dropped tuples.
 //! (d) *4-B samples ≡ 24-B samples*: the Statistics Manager's narrowed
 //!     history (two `u16` lanes with an exact escape for wider values)
 //!     reports what a history of full `(delay, k_sync)` pairs reports, for
@@ -383,13 +384,16 @@ fn integer_evaluator_agrees_with_float_oracle() {
 // (c) single-map profiler ≡ two-map reference, and the full `adapt` walk
 // ---------------------------------------------------------------------------
 
-/// The profiler this PR replaced: separate `M_x` / `M_on` maps and a table
-/// built from the sorted union of their keys.
+/// The profiler the single-map one replaced: separate `M_x` / `M_on` maps
+/// and a table built from the sorted union of their keys.  `N_true(L)` is
+/// kept apart from the maps: a kept late tuple adds the loss it counted, a
+/// dropped one the maximum `n_on`, an in-order one what it produced.
 #[derive(Default)]
 struct TwoMapProfiler {
     g: u64,
     current: (BTreeMap<usize, u64>, BTreeMap<usize, u64>, u64, u64), // cross, join, max_join, max_cross
     last: (BTreeMap<usize, u64>, BTreeMap<usize, u64>, u64, u64),
+    n_true: (u64, u64), // current, last
 }
 
 impl TwoMapProfiler {
@@ -411,21 +415,35 @@ impl TwoMapProfiler {
         self.add(bucket, n_cross, n_join);
         self.current.2 = self.current.2.max(n_join);
         self.current.3 = self.current.3.max(n_cross);
+        self.n_true.0 += n_join;
     }
 
-    fn record_unprocessed(&mut self, delay: u64) {
+    /// Adds an out-of-order tuple to the maps at the maximum productivity;
+    /// returns that `n_on`.
+    fn add_max_priced(&mut self, delay: u64) -> u64 {
         let bucket = self.bucket(delay);
         let est_join = self.last.2.max(self.current.2);
         let est_cross = self.last.3.max(self.current.3).max(est_join);
         self.add(bucket, est_cross, est_join);
+        est_join
+    }
+
+    fn record_unprocessed(&mut self, delay: u64) {
+        self.n_true.0 += self.add_max_priced(delay);
+    }
+
+    fn record_late(&mut self, delay: u64, n_lost: u64) {
+        self.add_max_priced(delay);
+        self.n_true.0 += n_lost;
     }
 
     fn roll_interval(&mut self) {
         self.last = std::mem::take(&mut self.current);
+        self.n_true = (0, self.n_true.0);
     }
 
     fn n_true_estimate(&self) -> u64 {
-        self.last.1.values().sum()
+        self.n_true.1
     }
 
     fn ratio(&self, k: u64) -> f64 {
@@ -480,9 +498,13 @@ fn feed_interval(
         } else {
             0
         };
-        if rng.gen_bool(0.15) {
+        if rng.gen_bool(0.1) {
             profiler.record_unprocessed(delay);
             reference.record_unprocessed(delay);
+        } else if rng.gen_bool(0.1) {
+            let n_lost = rng.gen_range(0u64..200);
+            profiler.record_late(delay, n_lost);
+            reference.record_late(delay, n_lost);
         } else {
             let n_cross = rng.gen_range(0u64..5_000);
             // Delay-correlated productivity, so the ratio is not flat.

@@ -37,6 +37,8 @@
 
 mod star_flood;
 
+use mswj::core::EngineEvent;
+use mswj::join::ProbeOutcome;
 use mswj::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,12 +137,42 @@ fn run(
     (canon(&sink.results), report)
 }
 
+/// Every `Done` outcome of `events`' tuples pushed straight into a
+/// counting or `enumerate`-ing engine in arrival order (no K-slack, so a
+/// good share arrive late), `batch` at a time, then synced.  `indexed` is
+/// masked: an unindexable value only poisons the shard it lives in.
+fn engine_outcomes(
+    query: &JoinQuery,
+    backend: ExecutionBackend,
+    enumerate: bool,
+    batch: usize,
+    events: &[ArrivalEvent],
+) -> Vec<ProbeOutcome> {
+    let mut engine = JoinEngine::new(query.clone(), ProbeStrategy::Auto, enumerate, backend);
+    let mut outcomes = Vec::new();
+    let mut handler = |ev: EngineEvent<'_>| {
+        if let EngineEvent::Done(o) = ev {
+            outcomes.push(ProbeOutcome {
+                indexed: false,
+                ..o
+            });
+        }
+    };
+    for chunk in events.chunks(batch) {
+        engine.push_batch(chunk.iter().map(|e| e.tuple.clone()), &mut handler);
+    }
+    engine.sync(&mut handler);
+    outcomes
+}
+
 /// Asserts that every backend, its windows at segment `capacity`, agrees
 /// with the `Sequential` reference at the default capacity on results,
 /// per-probe trajectory, ordering statistics and the adaptation
 /// (checkpoint-K) sequence — batched (where `Pool` epochs defer across
 /// flush boundaries) as well as single-event (where the sub-threshold
-/// inline fallback runs); returns the sequential report.
+/// inline fallback runs) — and, driven through a bare engine, on every
+/// tuple's outcome: the counted loss `n_lost` of each kept late tuple, the
+/// expiry it caused, and everything else; returns the sequential report.
 fn assert_backends_agree(
     query: &JoinQuery,
     policy: &BufferPolicy,
@@ -149,6 +181,11 @@ fn assert_backends_agree(
     capacity: usize,
 ) -> RunReport {
     let (seq_results, seq_report) = run(query, policy, ExecutionBackend::Sequential, 1, events);
+    let seq_outcomes = engine_outcomes(query, ExecutionBackend::Sequential, false, 1, events);
+    assert!(
+        seq_outcomes.iter().any(|o| o.n_lost > 0),
+        "[{label}] the workload must count late losses"
+    );
     let layout = query.clone().with_segment_capacity(capacity);
     for (backend, batch) in [
         (ExecutionBackend::Pool { workers: 1 }, 1),
@@ -169,12 +206,27 @@ fn assert_backends_agree(
             seq_report.produced, report.produced,
             "[{label}] {backend} per-probe result trajectory diverged"
         );
-        let ks = |r: &RunReport| r.checkpoints.iter().map(|c| c.k).collect::<Vec<_>>();
+        let ks = |r: &RunReport| {
+            let k = |c: &Checkpoint| (c.k, c.n_true_next, c.n_lost_next, c.n_dropped_next);
+            r.checkpoints.iter().map(k).collect::<Vec<_>>()
+        };
         assert_eq!(
             ks(&seq_report),
             ks(&report),
             "[{label}] {backend} adaptation trajectory diverged"
         );
+        // Counting and enumerating shards alike: an enumerating operator
+        // counts a late tuple's loss through its postings windows.
+        for enumerate in [false, true] {
+            let outcomes = engine_outcomes(&layout, backend.clone(), enumerate, batch, events);
+            assert_eq!(seq_outcomes.len(), outcomes.len(), "[{label}] {backend}");
+            for (n, (want, got)) in seq_outcomes.iter().zip(&outcomes).enumerate() {
+                assert_eq!(
+                    want, got,
+                    "[{label}] {backend}, enumerate {enumerate}: #{n}"
+                );
+            }
+        }
         let s = (seq_report.operator_stats, report.operator_stats);
         assert_eq!(s.0.in_order, s.1.in_order, "[{label}] {backend}");
         assert_eq!(s.0.out_of_order, s.1.out_of_order, "[{label}] {backend}");

@@ -12,9 +12,12 @@
 //! shard-side operator — on `Remote`, rebuilt from the wire
 //! `ConditionDescriptor` — must plan the same scan columns.  Each kernel
 //! session must reproduce the oracle's results *in emission order*, its
-//! report and its `OperatorStats` exactly, counting and materialising.
+//! report and its `OperatorStats` exactly, counting and materialising —
+//! and, pushed into a bare engine in arrival order, every tuple's outcome,
+//! the loss each kept late tuple counted (`n_lost`) included.
 
-use mswj::join::OperatorStats;
+use mswj::core::EngineEvent;
+use mswj::join::{OperatorStats, ProbeOutcome};
 use mswj::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,6 +33,9 @@ struct Outcome {
     /// Every deterministic field of the run report.
     report: String,
     stats: OperatorStats,
+    /// Every tuple's outcome in a bare engine fed in arrival order (so
+    /// many arrive late), `indexed` masked.
+    outcomes: Vec<ProbeOutcome>,
 }
 
 /// Result of one session: the comparable outcome, plus the figures the
@@ -54,6 +60,7 @@ fn report_fingerprint(r: &RunReport) -> String {
                 c.gamma_prime,
                 c.estimated_recall,
                 c.steps,
+                (c.n_true_next, c.n_lost_next, c.n_dropped_next),
             )
         })
         .collect();
@@ -109,11 +116,26 @@ fn run(
     }
     let shard_results: u64 = report.shard_stats.iter().map(|s| s.operator.results).sum();
     assert_eq!(shard_results, report.total_produced);
+    let mut engine = JoinEngine::new(query.clone(), strategy, materialize, backend);
+    let mut outcomes = Vec::new();
+    let mut handler = |ev: EngineEvent<'_>| {
+        if let EngineEvent::Done(o) = ev {
+            outcomes.push(ProbeOutcome {
+                indexed: false,
+                ..o
+            });
+        }
+    };
+    for chunk in events.chunks(64) {
+        engine.push_batch(chunk.iter().map(|e| e.tuple.clone()), &mut handler);
+    }
+    engine.sync(&mut handler);
     Session {
         outcome: Outcome {
             results: sink.results.iter().map(|r| r.to_string()).collect(),
             report: report_fingerprint(&report),
             stats: report.operator_stats,
+            outcomes,
         },
         window_bytes: report
             .shard_stats
@@ -134,9 +156,9 @@ fn assert_kernel_equals_oracle(
     events: &[ArrivalEvent],
     label: &str,
     capacity: usize,
-) -> (u64, Vec<Checkpoint>) {
+) -> (u64, u64, Vec<Checkpoint>) {
     let layout = query.clone().with_segment_capacity(capacity);
-    let mut produced = 0;
+    let (mut produced, mut lost) = (0, 0);
     let mut checkpoints = Vec::new();
     for materialize in [false, true] {
         let oracle = run(
@@ -180,9 +202,10 @@ fn assert_kernel_equals_oracle(
             );
         }
         produced = oracle.outcome.stats.results;
+        lost = oracle.outcome.outcomes.iter().map(|o| o.n_lost).sum();
         checkpoints = oracle.checkpoints;
     }
-    (produced, checkpoints)
+    (produced, lost, checkpoints)
 }
 
 /// Rotates through every buffer-size policy, biased towards quality-driven
@@ -302,7 +325,7 @@ fn assert_k_churn(all: &[Vec<Checkpoint>]) {
 
 /// 24 two-way distance workloads, the kernel at segment `capacity`.
 pub fn distance_workloads(capacity: usize) {
-    let mut produced = 0u64;
+    let (mut produced, mut lost) = (0u64, 0u64);
     let mut at_threshold = 0usize;
     let mut checkpoints = Vec::new();
     for case in 0..24usize {
@@ -336,11 +359,13 @@ pub fn distance_workloads(capacity: usize) {
             }
         }
         let label = format!("distance #{case}");
-        let (n, cps) = assert_kernel_equals_oracle(&query, &policy, &events, &label, capacity);
+        let (n, l, cps) = assert_kernel_equals_oracle(&query, &policy, &events, &label, capacity);
         produced += n;
+        lost += l;
         checkpoints.push(cps);
     }
     assert!(produced > 0, "distance workloads must derive results");
+    assert!(lost > 0, "distance workloads must count late losses");
     assert!(
         at_threshold > 0,
         "the generator must place pairs exactly at the threshold"
@@ -351,7 +376,7 @@ pub fn distance_workloads(capacity: usize) {
 /// 20 two-way and 20 three-way band workloads, the kernel at segment
 /// `capacity`.
 pub fn band_workloads(capacity: usize) {
-    let mut produced = [0u64; 2];
+    let (mut produced, mut lost) = ([0u64; 2], [0u64; 2]);
     let mut at_band = 0usize;
     let mut checkpoints = Vec::new();
     for case in 0..40usize {
@@ -375,12 +400,17 @@ pub fn band_workloads(capacity: usize) {
             }
         }
         let label = format!("band{m} #{case}");
-        let (n, cps) = assert_kernel_equals_oracle(&query, &policy, &events, &label, capacity);
+        let (n, l, cps) = assert_kernel_equals_oracle(&query, &policy, &events, &label, capacity);
         produced[m - 2] += n;
+        lost[m - 2] += l;
         checkpoints.push(cps);
     }
     assert!(produced[0] > 0, "2-way band workloads must derive results");
     assert!(produced[1] > 0, "3-way band workloads must derive results");
+    assert!(
+        lost.iter().all(|&l| l > 0),
+        "band workloads must count late losses: {lost:?}"
+    );
     assert!(
         at_band > 0,
         "the generator must place pairs exactly at the band"

@@ -178,8 +178,8 @@ proptest! {
     /// suffix past the expired rows is, bit for bit, the NaN-sentinel image
     /// of the segment's live rows in timestamp order — whatever order they
     /// arrived in.  A band-join operator is the public way to get windows
-    /// with a scan column: `insert_late` inserts without probing, a probing
-    /// push of the other stream expires.
+    /// with a scan column: `insert_late` inserts without producing, a
+    /// probing push of the other stream expires.
     #[test]
     fn scan_columns_mirror_the_row_arena(
         ops in ops(250),
@@ -203,7 +203,8 @@ proptest! {
                     let lateness = if ts % 4 == 0 { ts % 150 } else { 0 };
                     let values = value.map(|v| vec![v]).unwrap_or_default();
                     let ts = Timestamp::from_millis(clock - lateness);
-                    op.insert_late(Tuple::new(0.into(), seq, ts, values));
+                    let on_t = op.on_t();
+                    op.insert_late(Tuple::new(0.into(), seq, ts, values), on_t);
                     seq += 1;
                 }
                 Op::Expire { bound } => {

@@ -282,6 +282,82 @@ fn parallel_backends_small_batch_fallback_stays_allocation_free() {
 }
 
 #[test]
+fn late_loss_count_allocates_nothing_on_counting_sessions() {
+    // Counting engines fed in arrival order, one arrival in four 15 ms late
+    // (inside the 60 ms windows): each such tuple expires the other windows
+    // to onT − W and counts the results it lost before it is inserted — an
+    // index lookup per level on the common key, a walk of the anchor's
+    // bucket on the 3-way star — on the sequential shard and on Pool{2}'s
+    // caller-thread inline path alike.
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let schema = || Schema::new(vec![("a1", FieldType::Int), ("a2", FieldType::Int)]);
+    let common = {
+        let streams = StreamSet::homogeneous(3, schema(), 60).unwrap();
+        let cond = std::sync::Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
+        JoinQuery::new("late-common", streams, cond).unwrap()
+    };
+    let star = {
+        let streams = StreamSet::homogeneous(3, schema(), 60).unwrap();
+        let pairs = [(1, "a1", "a1"), (2, "a2", "a2")];
+        let cond = std::sync::Arc::new(StarEquiJoin::new(&streams, 0, &pairs).unwrap());
+        JoinQuery::new("late-star", streams, cond).unwrap()
+    };
+    let tuple = |t: u64| {
+        let ts = Timestamp::from_millis(t - if t.is_multiple_of(4) { 15 } else { 0 });
+        let keys = vec![
+            Value::Int((t / 3 % 2) as i64),
+            Value::Int((t / 3 % 3) as i64),
+        ];
+        Tuple::new(((t % 3) as usize).into(), t, ts, keys)
+    };
+    for query in [common, star] {
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Pool { workers: 2 },
+        ] {
+            let mut engine = JoinEngine::new(query.clone(), ProbeStrategy::Auto, false, backend);
+            // (late tuples kept, losses counted) so far.
+            let counts = std::cell::Cell::new((0u64, 0u64));
+            let mut handler = |ev: mswj::core::EngineEvent<'_>| {
+                if let mswj::core::EngineEvent::Done(o) = ev {
+                    let (late, lost) = counts.get();
+                    let kept = u64::from(!o.in_order && o.inserted);
+                    counts.set((late + kept, lost + o.n_lost));
+                }
+            };
+            let warmup: Vec<Tuple> = (20..1_400).map(tuple).collect();
+            let measured: Vec<Tuple> = (1_400..2_200).map(tuple).collect();
+            let n = measured.len() as u64;
+            for t in warmup {
+                engine.stage(t);
+                engine.flush(&mut handler);
+            }
+            let (late_before, lost_before) = counts.get();
+            let before = thread_allocations();
+            for t in measured {
+                engine.stage(t);
+                engine.flush(&mut handler);
+            }
+            let during = thread_allocations() - before;
+            let label = format!("{} on {} shard(s)", query.name(), engine.shard_count());
+            assert!(
+                during <= n / 8,
+                "{label}: the late count allocated {during} times for {n} events"
+            );
+            let (late, lost) = counts.get();
+            assert!(
+                late - late_before >= n / 8,
+                "{label}: {late} late tuples kept"
+            );
+            assert!(
+                lost > lost_before,
+                "{label}: the late tuples must count losses"
+            );
+        }
+    }
+}
+
+#[test]
 fn pipelined_pool_epochs_allocate_nothing_on_the_caller_thread() {
     // 64-event batches stage 64 tuples each — above the inline threshold —
     // so every flush collects the previous epoch from the resident workers,
