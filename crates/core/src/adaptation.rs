@@ -35,7 +35,7 @@ pub struct AdaptationOutcome {
     pub max_delay: Duration,
     /// Eq. 7's inputs, `N_prod(P−L)`, `N_true(P−L)` and `N_true(L)`, the
     /// two parts of `N_true(L)` that are not produced results (the counted
-    /// loss of kept late tuples, the max-priced estimate of dropped ones),
+    /// loss of kept late tuples and that of dropped ones),
     /// and the selectivity ratio `sel(K)/sel` at `k*`: recorded on the
     /// [`Checkpoint`](crate::Checkpoint).
     pub(crate) n_prod_history: u64,

@@ -24,15 +24,16 @@
 //! global picture, exactly as the unsharded operator would: the in-order /
 //! out-of-order classification against the **global** high-water mark
 //! `onT` and the out-of-order scope check.  On a sharded set it also
-//! computes the expiry counts of every kept tuple and the cross-join sizes
+//! computes the expiry counts of every tuple and the cross-join sizes
 //! `n_x(e)` of probing ones (via a global occupancy tracker, so adaptive
 //! policies see identical statistics on every backend).  Shards only
-//! maintain their windows, answer probes and count late tuples' losses,
-//! which the merge sums into `n_lost` as it sums `n_on`; a shard's own
-//! `onT` may lag the global one, which is why late tuples reach it, with
-//! the global `onT` they were staged against, through
-//! [`MswjOperator::insert_late`] instead of `push_with`.  The sequential
-//! shard is the unsharded operator: it sees
+//! maintain their windows, answer probes and count out-of-order tuples'
+//! losses, which the merge sums into `n_lost` as it sums `n_on`; a shard's
+//! own `onT` may lag the global one, which is why late tuples reach it,
+//! with the global `onT` they were staged against, through
+//! [`MswjOperator::insert_late`] — or, if the front dropped them, as
+//! count-only items through [`MswjOperator::count_dropped`] — instead of
+//! `push_with`.  The sequential shard is the unsharded operator: it sees
 //! every tuple, so its own outcome — expiry and `n_x(e)` included — is the
 //! global one, and the front neither tracks occupancy nor routes for it.
 //!
@@ -156,6 +157,7 @@
 //!
 //! [`MswjOperator`]: mswj_join::MswjOperator
 //! [`MswjOperator::insert_late`]: mswj_join::MswjOperator::insert_late
+//! [`MswjOperator::count_dropped`]: mswj_join::MswjOperator::count_dropped
 
 mod exec;
 mod occupancy;
@@ -257,21 +259,33 @@ pub enum EngineEvent<'a> {
 }
 
 /// One queued unit of shard work.  On the wire it travels as a
-/// `WireItem` (`probe` is `late.is_none()`), its `late` bound in the
-/// `LateBounds` frame ahead of the task.
+/// `WireItem` (`probe` is `work == Work::Probe`), the `onT` bound of a late
+/// or dropped item in the `LateBounds` frame ahead of the task.
 #[derive(Debug)]
 struct Item {
     /// The staged tuple's position in its batch.
     seq: u32,
     tuple: Tuple,
-    /// `None`: globally in order, probed through `push_with`.  `Some(onT)`:
-    /// globally late but kept, absorbed through `insert_late` under the
-    /// global high-water mark `onT` it was staged against.
-    late: Option<Timestamp>,
+    work: Work,
+}
+
+/// What a shard does with one item, as the front decided it against the
+/// global high-water mark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Work {
+    /// Globally in order: probed through `push_with`.
+    Probe,
+    /// Globally late but kept: absorbed through `insert_late` under the
+    /// global `onT` it was staged against, its loss counted.
+    Late(Timestamp),
+    /// Globally late and out of scope: counted through `count_dropped`
+    /// under the global `onT` it was staged against, never inserted.
+    Drop(Timestamp),
 }
 
 /// The globally decided part of one staged tuple's outcome on a sharded
-/// set.  A shard holds an item for the tuple exactly when it is `inserted`.
+/// set.  Every staged tuple has an item on the shards it routes to; only an
+/// `inserted` one lands in a window.
 #[derive(Debug, Clone, Copy)]
 struct Decision {
     ts: Timestamp,
@@ -675,22 +689,25 @@ impl JoinEngine {
             return;
         }
         // An in-order tuple expires the other windows to its own timestamp
-        // and sizes its cross-join; a kept late one expires them to the
-        // global `onT` before its shards count its loss.
-        let (mut expired, mut n_cross) = (0usize, 0u64);
-        if inserted {
-            n_cross = u64::from(in_order);
-            for j in (0..self.query.arity()).filter(|&j| j != i) {
-                let bound = self
-                    .on_t
-                    .saturating_sub_duration(self.query.window(StreamIndex(j)));
-                expired += self.occupancy.expire(j, bound);
-                n_cross = n_cross.saturating_mul(self.occupancy.len(j) as u64);
-            }
-            self.occupancy.insert(i, ts);
-            let late = (!in_order).then_some(self.on_t);
-            self.enqueue(self.decisions.len() as u32, late, tuple);
+        // and sizes its cross-join; an out-of-order one, kept or dropped,
+        // expires them to the global `onT` before its shards count its loss.
+        let (mut expired, mut n_cross) = (0usize, u64::from(in_order));
+        for j in (0..self.query.arity()).filter(|&j| j != i) {
+            let bound = self
+                .on_t
+                .saturating_sub_duration(self.query.window(StreamIndex(j)));
+            expired += self.occupancy.expire(j, bound);
+            n_cross = n_cross.saturating_mul(self.occupancy.len(j) as u64);
         }
+        if inserted {
+            self.occupancy.insert(i, ts);
+        }
+        let work = match (in_order, inserted) {
+            (true, _) => Work::Probe,
+            (false, true) => Work::Late(self.on_t),
+            (false, false) => Work::Drop(self.on_t),
+        };
+        self.enqueue(self.decisions.len() as u32, work, tuple);
         self.decisions.push(Decision {
             ts,
             delay,
@@ -858,30 +875,30 @@ impl JoinEngine {
     /// the per-shard routing-volume and queue-depth counters: a key-routed
     /// tuple goes to its key class's home shard, a broadcast tuple to every
     /// shard.
-    fn enqueue(&mut self, seq: u32, late: Option<Timestamp>, tuple: Tuple) {
+    fn enqueue(&mut self, seq: u32, work: Work, tuple: Tuple) {
         match self.partitioner.route(&tuple) {
             Route::One(s) => {
-                self.queues[s].push_back(Item { seq, tuple, late });
+                self.queues[s].push_back(Item { seq, tuple, work });
                 self.note_routed(s, self.queues[s].len());
             }
-            Route::All => self.fan_out(seq, late, tuple),
+            Route::All => self.fan_out(seq, work, tuple),
             Route::Split => unreachable!("a key class stays on its home shard"),
         }
     }
 
-    /// Pushes `tuple` to every shard queue, probing (or counting a late
-    /// tuple's loss) everywhere: the broadcast case.
-    fn fan_out(&mut self, seq: u32, late: Option<Timestamp>, tuple: Tuple) {
+    /// Pushes `tuple` to every shard queue, probing (or counting an
+    /// out-of-order tuple's loss) everywhere: the broadcast case.
+    fn fan_out(&mut self, seq: u32, work: Work, tuple: Tuple) {
         let last = self.queues.len() - 1;
         for s in 0..last {
             self.queues[s].push_back(Item {
                 seq,
                 tuple: tuple.clone(),
-                late,
+                work,
             });
             self.note_routed(s, self.queues[s].len());
         }
-        self.queues[last].push_back(Item { seq, tuple, late });
+        self.queues[last].push_back(Item { seq, tuple, work });
         self.note_routed(last, self.queues[last].len());
     }
 
@@ -1076,6 +1093,66 @@ mod tests {
                     JoinEngine::new(unequal_query(), ProbeStrategy::Auto, false, backend.clone());
                 let got = outcomes(&mut engine, &tuples, chunk);
                 assert_eq!(got, want, "[{backend} chunk {chunk}]");
+            }
+        }
+    }
+
+    #[test]
+    fn dropped_tuples_expire_and_count_alike_on_every_backend() {
+        // Uneven steps, so a dropped tuple's expiry to onT − W_j often
+        // reaches rows the last in-order probe left behind: the drop itself
+        // reports them expired, and counts its loss against what is left.
+        // Every seventh tuple is 400–3 000 ms late.
+        let mut ts = 0u64;
+        let tuples: Vec<Tuple> = (0..900u64)
+            .map(|s| {
+                ts += 1 + s * 13 % 17;
+                let lateness = if s % 7 == 6 { 400 + s * 53 % 2_600 } else { 0 };
+                tup(
+                    (s % 3) as usize,
+                    s,
+                    ts.saturating_sub(lateness),
+                    (s % 5) as i64,
+                )
+            })
+            .collect();
+        let mut op = MswjOperator::new(unequal_query());
+        let want: Vec<ProbeOutcome> = tuples.iter().map(|t| op.push(t.clone())).collect();
+        let drops = want.iter().filter(|o| !o.inserted);
+        assert!(drops.clone().filter(|o| o.expired > 0).count() > 10);
+        assert!(drops.filter(|o| o.n_lost > 0).count() > 10);
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Pool { workers: 1 },
+            ExecutionBackend::Pool { workers: 3 },
+            ExecutionBackend::remote_inproc(2),
+        ] {
+            for chunk in [48usize, 7] {
+                let mut engine =
+                    JoinEngine::new(unequal_query(), ProbeStrategy::Auto, false, backend.clone());
+                let got = outcomes(&mut engine, &tuples, chunk);
+                assert_eq!(got, want, "[{backend} chunk {chunk}]");
+                let stats = engine.stats();
+                assert_eq!(stats, op.stats(), "[{backend} chunk {chunk}]");
+                // Every tuple is key-routed to one shard, so the shards'
+                // own counters add up to the unsharded operator's: a shard
+                // that inserted a dropped tuple (as if kept) would count it
+                // out of order but not dropped.  The insert itself changes
+                // no result — every later probe expires the row first.
+                let shards = engine.shard_stats();
+                let sum = |f: fn(&OperatorStats) -> u64| {
+                    shards.iter().map(|s| f(&s.operator)).sum::<u64>()
+                };
+                assert_eq!(
+                    sum(|o| o.dropped),
+                    stats.dropped,
+                    "[{backend} chunk {chunk}]"
+                );
+                assert_eq!(
+                    sum(|o| o.out_of_order),
+                    stats.out_of_order,
+                    "[{backend} chunk {chunk}]"
+                );
             }
         }
     }

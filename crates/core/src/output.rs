@@ -98,8 +98,8 @@ pub struct Checkpoint {
     /// The part of [`Self::n_true_next`] counted lost by the late tuples
     /// the operator kept (0 for baselines).
     pub n_lost_next: u64,
-    /// The part of [`Self::n_true_next`] that prices the dropped tuples at
-    /// the interval's maximum productivity (0 for baselines).
+    /// The part of [`Self::n_true_next`] counted lost by the out-of-order
+    /// tuples the operator dropped (0 for baselines).
     pub n_dropped_next: u64,
     /// `MaxDH`, the largest delay in the statistics, which bounds the K
     /// search (ms; 0 for baselines).

@@ -432,7 +432,7 @@ impl Pipeline {
                     if outcome.inserted {
                         profiler.record_late(delay, outcome.n_lost);
                     } else {
-                        profiler.record_unprocessed(delay);
+                        profiler.record_dropped(delay, outcome.n_lost);
                     }
                     if let Some(s) = session {
                         s.tuples_dropped.inc();
@@ -886,27 +886,35 @@ mod tests {
         // an interval produced are the produced series' entries above the
         // previous checkpoint's `measure_ts`, up to its own.  One stream-0
         // row in eight is 305 ms late (kept while K is below that), one in
-        // eight 905 ms (dropped: past the 500 ms window).
-        let mut events = Vec::new();
-        for i in 1..=3_000u64 {
-            let t = 1_000 + i * 20;
-            let late = match i % 8 {
-                0 => 305,
-                4 => 905,
-                _ => 0,
-            };
-            events.push(ev(0, i, t - late, t, (i % 3) as i64));
-            events.push(ev(1, i, t + 10, t + 10, (i % 3) as i64));
-        }
-        let mut p = Pipeline::builder()
-            .query(query(2, 500))
-            .policy(quality_driven(0.9))
-            .build()
-            .unwrap();
-        for e in events {
-            p.push(e);
-        }
-        let report = p.finish();
+        // eight 905 ms (dropped: past the 500 ms window) and carries
+        // `dropped_key`.
+        let run = |dropped_key: Option<i64>| {
+            let mut p = Pipeline::builder()
+                .query(query(2, 500))
+                .policy(quality_driven(0.9))
+                .build()
+                .unwrap();
+            for i in 1..=3_000u64 {
+                let t = 1_000 + i * 20;
+                let (late, key) = match i % 8 {
+                    0 => (305, (i % 3) as i64),
+                    4 => (905, dropped_key.unwrap_or((i % 3) as i64)),
+                    _ => (0, (i % 3) as i64),
+                };
+                p.push(ev(0, i, t - late, t, key));
+                p.push(ev(1, i, t + 10, t + 10, (i % 3) as i64));
+            }
+            p.finish()
+        };
+        // A dropped row whose key no stream-1 row carries counts no loss,
+        // however productive the interval's in-order tuples were: the
+        // dropped part is a count, not the paper's maximum price.
+        let barren = run(Some(99));
+        assert!(barren.operator_stats.dropped > 20);
+        assert!(barren.checkpoints.iter().all(|c| c.n_dropped_next == 0));
+        assert!(barren.total_produced > 0, "the maximum price would be > 0");
+
+        let report = run(None);
         assert!(report.checkpoints.len() > 30);
         let mut from = Timestamp::ZERO;
         let (mut lost, mut dropped) = (0u64, 0u64);

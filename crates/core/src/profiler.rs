@@ -16,14 +16,14 @@
 //!
 //! The `N_true(L)` estimate of Eq. 7 departs from the paper in one place.
 //! It is the sum of three parts: the in-order tuples' produced results, the
-//! *counted* loss `n_lost(e)` of every late tuple the operator kept (it
-//! still holds the windows that tuple would have probed, so it counts the
-//! results instead of guessing them), and the maximum-priced estimate of
-//! every dropped tuple — dropped tuples are never probed, so only their
-//! productivity is still estimated conservatively.  The maps keep the max
-//! price for every late tuple: counting there too let `sel(K)/sel` read
-//! high at small K, and measured worst periods fell below Γ (README, *Two
-//! departures from the paper*).
+//! *counted* loss `n_lost(e)` of every late tuple the operator kept, and
+//! the counted loss of every tuple it dropped.  The operator still holds
+//! the windows an out-of-order tuple would have probed — expired to
+//! `onT − W_j` — so it counts the results instead of guessing them, kept
+//! or dropped alike.  The maps keep the max price for every out-of-order
+//! tuple: counting there too let `sel(K)/sel` read high at small K, and
+//! measured worst periods fell below Γ (README, *Two departures from the
+//! paper*).
 
 use crate::statistics::delay_bucket;
 use mswj_types::Duration;
@@ -41,8 +41,8 @@ pub(crate) struct IntervalMaps {
     /// Maximum `n_x(e)` observed for an in-order tuple.
     max_cross: u64,
     /// The three parts of `N_true(L)`: results produced by in-order tuples,
-    /// results counted lost by kept late tuples, and the max-priced
-    /// estimate of dropped tuples.
+    /// results counted lost by kept late tuples, and results counted lost
+    /// by dropped tuples.
     produced: u64,
     lost: u64,
     dropped: u64,
@@ -149,10 +149,13 @@ impl ProductivityProfiler {
         }
     }
 
-    /// Records a dropped out-of-order tuple (never probed): its
+    /// Records a dropped out-of-order tuple at the paper's price: its
     /// productivity is estimated as the maximum productivity seen for
     /// in-order tuples in the last adaptation interval (falling back to the
-    /// current one), in the maps and in `N_true(L)` alike.
+    /// current one), in the maps and in `N_true(L)` alike.  The pipeline no
+    /// longer calls it — the operator counts a dropped tuple's loss, and
+    /// `N_true(L)` takes that count — but it stays the paper's rule for a
+    /// caller that has no count.
     pub fn record_unprocessed(&mut self, delay: Duration) {
         let est_join = self.record_max_priced(delay);
         self.current.dropped = self.current.dropped.saturating_add(est_join);
@@ -164,6 +167,15 @@ impl ProductivityProfiler {
     pub fn record_late(&mut self, delay: Duration, n_lost: u64) {
         self.record_max_priced(delay);
         self.current.lost = self.current.lost.saturating_add(n_lost);
+    }
+
+    /// Records a tuple the operator dropped, which counted `n_lost` results
+    /// lost: priced like [`Self::record_late`] — the maximum productivity
+    /// in the maps, the count in `N_true(L)` — but kept apart as the
+    /// dropped part.
+    pub(crate) fn record_dropped(&mut self, delay: Duration, n_lost: u64) {
+        self.record_max_priced(delay);
+        self.current.dropped = self.current.dropped.saturating_add(n_lost);
     }
 
     /// Adds an out-of-order tuple to the maps at the maximum productivity
@@ -226,9 +238,9 @@ impl ProductivityProfiler {
 
     /// Estimate of the true result size of the last interval, `N_true(L)`
     /// (Sec. IV-C): the results produced, plus the counted loss of kept
-    /// late tuples, plus the max-priced estimate of dropped ones — the two
-    /// parts a [`Checkpoint`](crate::Checkpoint) records as `n_lost_next`
-    /// and `n_dropped_next`.
+    /// late tuples, plus that of dropped ones — the two parts a
+    /// [`Checkpoint`](crate::Checkpoint) records as `n_lost_next` and
+    /// `n_dropped_next`.
     pub fn n_true_estimate(&self) -> u64 {
         let last = &self.last;
         last.produced
@@ -242,8 +254,8 @@ impl ProductivityProfiler {
         self.last.lost
     }
 
-    /// The part of the last interval's `N_true(L)` that prices its dropped
-    /// tuples at the maximum productivity.
+    /// The part of the last interval's `N_true(L)` that its dropped tuples
+    /// counted lost.
     pub(crate) fn n_dropped_estimate(&self) -> u64 {
         self.last.dropped
     }
@@ -325,6 +337,34 @@ mod tests {
             assert_eq!(
                 p.selectivity_ratio(k).to_bits(),
                 dropped.selectivity_ratio(k).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn dropped_tuples_count_in_n_true_apart_and_max_price_in_the_maps() {
+        let mut p = ProductivityProfiler::new(10);
+        p.record_processed(0, 50, 3);
+        p.record_processed(0, 80, 7); // max join = 7, max cross = 80
+        p.record_late(30, 2); // kept, counted 2 lost
+        p.record_dropped(40, 5); // dropped, counted 5 lost
+        p.roll_interval();
+        assert_eq!(p.n_lost_estimate(), 2);
+        assert_eq!(p.n_dropped_estimate(), 5, "the count, not the max price 7");
+        assert_eq!(p.n_true_estimate(), 3 + 7 + 2 + 5);
+        // The maps price the dropped tuple at the maximum, as the paper's
+        // rule does: the same ratio at every K as a max-priced drop.
+        let mut priced = ProductivityProfiler::new(10);
+        priced.record_processed(0, 50, 3);
+        priced.record_processed(0, 80, 7);
+        priced.record_late(30, 2);
+        priced.record_unprocessed(40);
+        priced.roll_interval();
+        assert_eq!(priced.n_dropped_estimate(), 7);
+        for k in [0, 10, 30, 40, 100] {
+            assert_eq!(
+                p.selectivity_ratio(k).to_bits(),
+                priced.selectivity_ratio(k).to_bits()
             );
         }
     }

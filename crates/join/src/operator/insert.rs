@@ -1,10 +1,11 @@
 //! Window maintenance: expiry driven by probing arrivals, insertion of
-//! in-order tuples, and the two out-of-order paths — the operator's own
-//! scope check (Alg. 2 / Sec. III-A) and the externally decided
-//! [`MswjOperator::insert_late`] used by the sharded engine, whose
-//! front-end performs the ordering and scope decisions against the *global*
-//! high-water mark before any tuple reaches a shard.  Both paths absorb a
-//! kept late tuple the same way: expire, count its loss, insert.
+//! in-order tuples, and the out-of-order paths — the operator's own scope
+//! check (Alg. 2 / Sec. III-A) and the externally decided
+//! [`MswjOperator::insert_late`] and [`MswjOperator::count_dropped`] used by
+//! the sharded engine, whose front-end performs the ordering and scope
+//! decisions against the *global* high-water mark before any tuple reaches
+//! a shard.  Every out-of-order tuple is counted the same way — expire,
+//! count its loss — and a kept one is then inserted.
 
 use super::MswjOperator;
 use mswj_types::{StreamIndex, Timestamp, Tuple};
@@ -26,19 +27,21 @@ impl MswjOperator {
     }
 
     /// Handles an out-of-order tuple under the operator's *own* high-water
-    /// mark: no results; absorbed (see [`Self::absorb_late`]) only if still
-    /// within the window scope (`e.ts >= onT - W_i`, Sec. III-A), dropped
-    /// otherwise.  Returns `(inserted, expired, lost)`.
+    /// mark: no results; its loss is counted (see [`Self::count_loss`]),
+    /// then it is inserted if still within the window scope
+    /// (`e.ts >= onT - W_i`, Sec. III-A) and dropped otherwise.  Returns
+    /// `(inserted, expired, lost)`.
     pub(super) fn insert_out_of_order(&mut self, tuple: Tuple) -> (bool, usize, u64) {
         self.stats.out_of_order += 1;
+        let (expired, lost) = self.count_loss(&tuple, self.on_t);
         let w_i = self.query.window(tuple.stream);
-        if tuple.ts >= self.on_t.saturating_sub_duration(w_i) {
-            let (expired, lost) = self.absorb_late(tuple, self.on_t);
-            (true, expired, lost)
+        let kept = tuple.ts >= self.on_t.saturating_sub_duration(w_i);
+        if kept {
+            self.windows[tuple.stream.as_usize()].insert(tuple);
         } else {
             self.stats.dropped += 1;
-            (false, 0, 0)
         }
+        (kept, expired, lost)
     }
 
     /// Inserts an out-of-order tuple without the local scope check — the
@@ -60,24 +63,37 @@ impl MswjOperator {
     /// Counted under [`OperatorStats::out_of_order`](super::OperatorStats).
     pub fn insert_late(&mut self, tuple: Tuple, on_t: Timestamp) -> u64 {
         self.stats.out_of_order += 1;
-        debug_assert!(
-            tuple.stream.as_usize() < self.windows.len(),
-            "tuple references unknown stream"
-        );
-        self.absorb_late(tuple, on_t).1
+        let (_, lost) = self.count_loss(&tuple, on_t);
+        self.windows[tuple.stream.as_usize()].insert(tuple);
+        lost
     }
 
-    /// Absorbs a late tuple that is kept under the high-water mark `on_t`:
-    /// expires every other window to `on_t − W_j` — safe, since every later
-    /// probe carries a timestamp of at least `on_t` — then counts, with the
-    /// in-order probe walk in counting mode, the results the tuple would
-    /// have derived against what is left, and only then inserts it.
-    /// Returns `(expired, lost)`.
-    fn absorb_late(&mut self, tuple: Tuple, on_t: Timestamp) -> (usize, u64) {
+    /// Counts the loss of an out-of-order tuple the sharded engine's
+    /// front-end dropped under the global high-water mark `on_t` — the
+    /// count-only twin of [`Self::insert_late`]: the other windows are
+    /// expired to `on_t − W_j` and the probe walk counts against what is
+    /// left, but the tuple lands in no window and the shard's `onT` is left
+    /// untouched.  Returns the number of results this shard counts it lost.
+    ///
+    /// Counted under [`OperatorStats::out_of_order`](super::OperatorStats)
+    /// and [`OperatorStats::dropped`](super::OperatorStats).
+    pub fn count_dropped(&mut self, tuple: &Tuple, on_t: Timestamp) -> u64 {
+        self.stats.out_of_order += 1;
+        self.stats.dropped += 1;
+        self.count_loss(tuple, on_t).1
+    }
+
+    /// Counts the loss of an out-of-order tuple under the high-water mark
+    /// `on_t`: expires every other window to `on_t − W_j` — safe, since
+    /// every later probe carries a timestamp of at least `on_t` — then
+    /// counts, with the in-order probe walk in counting mode (no emit, no
+    /// allocation), the results the tuple would have derived against what
+    /// is left.  Returns `(expired, lost)`.
+    fn count_loss(&mut self, tuple: &Tuple, on_t: Timestamp) -> (usize, u64) {
         let i = tuple.stream.as_usize();
+        debug_assert!(i < self.windows.len(), "tuple references unknown stream");
         let expired = self.expire_others(i, on_t);
-        let (lost, _) = self.probe(i, &tuple, false, &mut |_| {});
-        self.windows[i].insert(tuple);
+        let (lost, _) = self.probe(i, tuple, false, &mut |_| {});
         self.stats.expired += expired as u64;
         (expired, lost)
     }

@@ -9,18 +9,18 @@
 //!    expired tuples in the windows of every *other* stream, probe those
 //!    windows, emit the qualifying result tuples, and insert the tuple into
 //!    its own window.
-//! 2. If the tuple is **out of order**: its results are lost.  If it is
-//!    still within its window's current scope it is kept, so that it can
-//!    contribute to future results: the other windows are expired to the
-//!    bound `onT − W_j`, the results it would have derived are
-//!    *counted* (the probe walk in counting mode, reported as
-//!    [`ProbeOutcome::n_lost`]), and it is inserted.  Otherwise it is
-//!    dropped.
+//! 2. If the tuple is **out of order**: its results are lost.  The other
+//!    windows are expired to the bound `onT − W_j` and the results it would
+//!    have derived are *counted* (the probe walk in counting mode, reported
+//!    as [`ProbeOutcome::n_lost`]).  If it is still within its window's
+//!    current scope it is then kept, so that it can contribute to future
+//!    results; otherwise it is dropped.
 //!
 //! The responsibilities are split across three submodules so that
 //! shard-local and global concerns stay visible in the module tree:
 //! [`insert`] owns window maintenance (expiry, in-order and out-of-order
-//! insertion, including the engine-driven [`MswjOperator::insert_late`]),
+//! insertion, including the engine-driven [`MswjOperator::insert_late`] and
+//! [`MswjOperator::count_dropped`]),
 //! [`probe`] owns the one read-only probe walk, and [`stats`] owns the
 //! [`ProbeOutcome`]/[`OperatorStats`] records.
 //!
@@ -55,14 +55,15 @@
 //! tuples, which are in-order for the shard too) and
 //! [`MswjOperator::insert_late`] (globally late tuples the shard must
 //! absorb without producing results, counting their loss against the
-//! global `onT` the engine hands it).
+//! global `onT` the engine hands it) and [`MswjOperator::count_dropped`]
+//! (globally dropped tuples, counted the same way and never inserted).
 //!
 //! For every processed tuple the operator reports the number of produced
 //! join results `n_on(e)` and the corresponding cross-join size `n_x(e)`;
 //! the Tuple-Productivity Profiler consumes these to learn the
-//! delay-productivity correlation (Sec. IV-B).  For a kept late tuple it
-//! reports the counted loss `n_lost(e)` instead, which the profiler adds to
-//! its `N_true(L)` estimate.
+//! delay-productivity correlation (Sec. IV-B).  For an out-of-order tuple,
+//! kept or dropped, it reports the counted loss `n_lost(e)` instead, which
+//! the profiler adds to its `N_true(L)` estimate.
 
 mod insert;
 mod probe;
@@ -258,8 +259,9 @@ impl MswjOperator {
             self.stats.cross_results += outcome.n_cross;
             self.stats.expired += outcome.expired as u64;
         } else {
-            // Out-of-order tuple: no results; counted and inserted only if
-            // still in scope (e.ts >= onT - W_i, Sec. III-A).
+            // Out-of-order tuple: no results; its loss is counted, and it
+            // is inserted only if still in scope (e.ts >= onT - W_i,
+            // Sec. III-A).
             (outcome.inserted, outcome.expired, outcome.n_lost) = self.insert_out_of_order(tuple);
         }
         outcome
@@ -498,7 +500,7 @@ mod tests {
             // Every row kept so far, per stream, and the high-water mark.
             let mut kept: Vec<Vec<Tuple>> = vec![Vec::new(); m];
             let mut on_t: Option<Timestamp> = None;
-            let (mut late_kept, mut lost_total, mut dropped) = (0, 0, 0);
+            let (mut late_kept, mut lost_total, mut dropped, mut dropped_lost) = (0, 0, 0, 0);
             let mut next = xorshift(0x5DEE_CE66);
             for s in 0..400u64 {
                 let stream = (next() % m as u64) as usize;
@@ -543,6 +545,8 @@ mod tests {
                     let n = count(0, stream, &live, &mut slots, query.condition().as_ref());
                     (n, live.iter().map(Vec::len).collect::<Vec<_>>())
                 });
+                let own_before: Vec<usize> =
+                    ops.iter().map(|op| op.window(t.stream).len()).collect();
                 let outcomes: Vec<ProbeOutcome> = ops
                     .iter_mut()
                     .map(|op| {
@@ -564,20 +568,26 @@ mod tests {
                     assert_eq!(other.expired, o.expired, "{name}: seq {s}");
                 }
                 match expected {
-                    Some((lost, live)) if o.inserted => {
+                    // Kept or dropped, a late tuple counts its loss against
+                    // the windows expired to `onT − W_j`; only a kept one
+                    // lands in its own window.
+                    Some((lost, live)) => {
                         assert_eq!(o.n_lost, lost, "{name}: loss of seq {s}");
                         assert_eq!((o.n_join, o.n_cross), (0, 0), "{name}: seq {s}");
-                        for op in &ops {
+                        for (op, &before) in ops.iter().zip(&own_before) {
                             for (j, &len) in live.iter().enumerate().filter(|&(j, _)| j != stream) {
                                 assert_eq!(op.window(StreamIndex(j)).len(), len, "{name}: {j}");
                             }
+                            let own = op.window(t.stream).len();
+                            assert_eq!(own, before + usize::from(o.inserted), "{name}: seq {s}");
                         }
-                        late_kept += 1;
-                        lost_total += lost;
-                    }
-                    Some(_) => {
-                        assert_eq!((o.n_lost, o.expired), (0, 0), "{name}: dropped seq {s}");
-                        dropped += 1;
+                        if o.inserted {
+                            late_kept += 1;
+                            lost_total += lost;
+                        } else {
+                            dropped += 1;
+                            dropped_lost += lost;
+                        }
                     }
                     None => assert_eq!(o.n_lost, 0, "{name}: in-order seq {s}"),
                 }
@@ -592,8 +602,62 @@ mod tests {
                 late_kept > 20 && lost_total > 0,
                 "{name}: {late_kept} / {lost_total}"
             );
-            assert!(dropped > 0, "{name}: the workload must drop tuples too");
+            assert!(
+                dropped > 0 && dropped_lost > 0,
+                "{name}: the workload must drop tuples that lost results too: \
+                 {dropped} / {dropped_lost}"
+            );
         }
+    }
+
+    #[test]
+    fn dropped_tuple_counts_its_loss_and_lands_in_no_window() {
+        // W = 1 000.  Four S1 rows end at onT = 5 000; S1 arrivals expire
+        // only the S2 window, so all four are still held.  An S2 row at
+        // 3 800 is out of scope (3 800 < 5 000 − 1 000) and dropped — after
+        // the S1 window is expired to 4 000 (the row at 3 500 goes) and its
+        // loss counted against what is left: the two key-7 rows at 4 500
+        // and 5 000.
+        let query = equi_query(2, 1_000);
+        let rows = [(3_500, 7), (4_500, 7), (4_600, 8), (5_000, 7)];
+        let late = tup(1, 9, 3_800, 7);
+        for strategy in [ProbeStrategy::Auto, ProbeStrategy::NestedLoop] {
+            for enumerate in [false, true] {
+                let mut op = MswjOperator::with_probe(query.clone(), strategy, enumerate);
+                for (seq, &(ts, key)) in rows.iter().enumerate() {
+                    op.push(tup(0, seq as u64, ts, key));
+                }
+                let mut emitted = 0;
+                let o = op.push_with(late.clone(), &mut |_| emitted += 1);
+                let want = ProbeOutcome {
+                    ts: late.ts,
+                    n_lost: 2,
+                    expired: 1,
+                    ..ProbeOutcome::default()
+                };
+                assert_eq!(o, want, "{strategy:?} enumerate {enumerate}");
+                assert_eq!(emitted, 0, "a dropped tuple emits nothing");
+                assert_eq!(op.window(StreamIndex(0)).len(), 3);
+                assert_eq!(op.window(StreamIndex(1)).len(), 0, "dropped, not inserted");
+                let s = op.stats();
+                assert_eq!((s.out_of_order, s.dropped, s.expired), (1, 1, 1));
+            }
+        }
+        // A shard whose own onT lags the global one counts under the
+        // global onT it is handed and leaves its own alone: it holds the
+        // rows at 3 500 and 4 500, expires the first, counts the second.
+        let mut shard = MswjOperator::new(query);
+        shard.push(tup(0, 0, 3_500, 7));
+        shard.push(tup(0, 1, 4_500, 7));
+        assert_eq!(shard.count_dropped(&late, Timestamp::from_millis(5_000)), 1);
+        assert_eq!(shard.on_t(), Timestamp::from_millis(4_500));
+        assert_eq!(shard.window(StreamIndex(0)).len(), 1);
+        assert_eq!(shard.window(StreamIndex(1)).len(), 0, "count-only");
+        let s = shard.stats();
+        assert_eq!(
+            (s.out_of_order, s.dropped, s.expired, s.results),
+            (1, 1, 1, 0)
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! count or walk**.
 //!
 //! Alg. 2 has one "probe the other windows" step, and so does this module:
-//! `probe`, called once per in-order arrival — and once per late tuple
-//! still in scope, in counting mode, to count the results it lost.
+//! `probe`, called once per in-order arrival — and once per out-of-order
+//! tuple, kept or dropped, in counting mode, to count the results it lost.
 //! Everything here is *read-only* over the windows (expiry and insertion
 //! live in [`insert`](super::insert)).
 //!
@@ -37,7 +37,7 @@
 //! 3. **Count or walk.**  A count multiplies the levels'
 //!    `Source::count`s (saturating, stopping at the first zero) — O(levels)
 //!    work, no allocation, no tuple touched: every probe of a counting
-//!    operator, and every late tuple's loss.  An enumerating operator's
+//!    operator, and every out-of-order tuple's loss.  An enumerating operator's
 //!    in-order probe pins each level's bucket to its per-segment postings once per binding row
 //!    and nests the walks into one combination buffer, in visiting order.
 //!
@@ -251,8 +251,8 @@ impl MswjOperator {
     /// number, and whether the probe avoided scanning a window.  With
     /// `enumerate` (an enumerating operator's in-order probe) every
     /// combination also goes to `emit` as an owned [`JoinResult`]; without
-    /// it — a counting operator, or any operator counting a late tuple's
-    /// loss — `emit` is never called and nothing is allocated.
+    /// it — a counting operator, or any operator counting an out-of-order
+    /// tuple's loss — `emit` is never called and nothing is allocated.
     // Inlined into both callers, with `resolve`, `walk`, `product` and the
     // satellite gate: once the late count became a second caller, the
     // compiler left all of them out of line (`nm -S` on a release binary),

@@ -27,14 +27,14 @@ pub struct ProbeOutcome {
     /// Whether the tuple arrived in timestamp order w.r.t. `onT`.
     pub in_order: bool,
     /// Whether the tuple was inserted into its window (out-of-order tuples
-    /// that already fell out of the window scope are dropped, never probed:
-    /// their productivity is estimated conservatively by the profiler).
+    /// that already fell out of the window scope are dropped, after their
+    /// loss is counted in [`Self::n_lost`]).
     pub inserted: bool,
     /// Whether the probe was answered without scanning the other windows:
     /// through hash-index bucket lookups, or short-circuited because the
     /// probing key can never join (`Null`/missing).  `false` for
-    /// nested-loop scans and for out-of-order arrivals (a kept one's
-    /// counting walk is not a probe).
+    /// nested-loop scans and for out-of-order arrivals (their counting
+    /// walk is not a probe).
     pub indexed: bool,
     /// Number of join results derived at this arrival (`n_on(e)`); zero for
     /// out-of-order tuples.
@@ -43,14 +43,14 @@ pub struct ProbeOutcome {
     /// the other windows' cardinalities at probe time; zero for out-of-order
     /// tuples.
     pub n_cross: u64,
-    /// Number of join results a kept out-of-order tuple would have derived
-    /// and lost: counted, not emitted, against the other windows expired to
-    /// `onT − W_j` just before it was inserted.  Zero for in-order tuples
-    /// and for dropped ones, which are never probed.
+    /// Number of join results an out-of-order tuple would have derived and
+    /// lost: counted, not emitted, against the other windows expired to
+    /// `onT − W_j` — just before it was inserted if it was kept, and the
+    /// same way if it was dropped.  Zero for in-order tuples.
     pub n_lost: u64,
     /// Number of tuples expired from other windows by this arrival: to
-    /// `e.ts − W_j` for an in-order tuple, to `onT − W_j` for a kept late
-    /// one.
+    /// `e.ts − W_j` for an in-order tuple, to `onT − W_j` for an
+    /// out-of-order one, kept or dropped.
     pub expired: usize,
 }
 
@@ -60,7 +60,7 @@ pub struct OperatorStats {
     /// Tuples processed in timestamp order (probing arrivals).
     pub in_order: u64,
     /// Tuples processed out of timestamp order (arrivals that produce no
-    /// results; a kept one only counts what it lost).
+    /// results, only count what they lost).
     pub out_of_order: u64,
     /// Out-of-order tuples that were too old to be inserted into their
     /// window and were dropped entirely.

@@ -58,7 +58,11 @@ use std::io::{Read, Write};
 /// travels in the new `LateBounds` frame (type `0x14`) ahead of the task,
 /// and the output carries one `WireSub` per late item too, its count in
 /// `n_join`.
-pub const PROTOCOL_VERSION: u16 = 8;
+///
+/// v9: a dropped tuple is routed too, as a count-only item: `WireLate`
+/// grew `kept`, which tells a kept late item (count, then insert) from a
+/// count-only one (count, never insert).
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -83,14 +87,15 @@ const FT_SHUTDOWN_ACK: u8 = 0x10;
 const FT_LATE_BOUNDS: u8 = 0x14;
 
 /// One routed tuple inside a [`WireTask`]: the front-end's staging sequence
-/// number, whether this shard should probe (vs. count the late tuple's loss
-/// and insert it), and the tuple itself.
+/// number, whether this shard should probe (vs. count the out-of-order
+/// tuple's loss), and the tuple itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireItem {
     /// Position in the epoch's staging order (drives deterministic merge).
     pub seq: u32,
     /// `true` → probe and produce results; `false` → a late item: count
-    /// what it lost under its [`WireLate`] bound, then insert it.
+    /// what it lost under its [`WireLate`] bound, then insert it if the
+    /// bound says it is kept.
     pub probe: bool,
     /// The routed tuple.
     pub tuple: Tuple,
@@ -118,6 +123,10 @@ pub struct WireLate {
     pub seq: u32,
     /// The engine's global `onT` when the item was staged.
     pub on_t: Timestamp,
+    /// `true`: the item is kept, inserted after its count.  `false`: a
+    /// count-only item — the front-end dropped the tuple, so the shard
+    /// counts its loss and never inserts it.
+    pub kept: bool,
 }
 
 /// Per-item outcome inside a [`WireOutput`]: one for every item of the
@@ -202,9 +211,10 @@ pub enum Frame {
     SetupAck,
     /// One epoch of routed work.
     Task(WireTask),
-    /// The global `onT` of every late item of the next [`Frame::Task`],
-    /// which must carry the same epoch: one entry per late item, in item
-    /// order.  Sent only ahead of a task that has late items.
+    /// The global `onT` of every late item — kept or count-only — of the
+    /// next [`Frame::Task`], which must carry the same epoch: one entry per
+    /// late item, in item order.  Sent only ahead of a task that has late
+    /// items.
     LateBounds {
         /// The epoch of the task these bounds belong to.
         epoch: u64,
@@ -512,6 +522,7 @@ impl Frame {
                 for l in late {
                     put_u32(buf, l.seq);
                     put_u64(buf, l.on_t.as_millis());
+                    put_bool(buf, l.kept);
                 }
             }
             Frame::Output(o) => {
@@ -607,12 +618,13 @@ impl Frame {
             }
             FT_LATE_BOUNDS => {
                 let epoch = c.u64()?;
-                let n = c.len(12)?;
+                let n = c.len(13)?;
                 let mut late = Vec::with_capacity(n);
                 for _ in 0..n {
                     let seq = c.u32()?;
                     let on_t = Timestamp::from_millis(c.u64()?);
-                    late.push(WireLate { seq, on_t });
+                    let kept = c.bool()?;
+                    late.push(WireLate { seq, on_t, kept });
                 }
                 Frame::LateBounds { epoch, late }
             }

@@ -7,17 +7,27 @@
 //! against the ground truth with `mswj-metrics` — the first period
 //! excluded, as the paper and the benchmark do.  The D×4 star session runs
 //! sharded on `Pool { workers: 2 }`, as `d4_qd_shard2_inline` does, and its
-//! checkpoint trajectory must equal a `Sequential` run's.
+//! checkpoint trajectory must equal a `Sequential` run's.  A Zipf session
+//! shaped like `zipf_mat_seq` — 100 ms windows, delays up to ten of them —
+//! drops more tuples than it keeps late, so it is the one where the dropped
+//! tuples' counted loss moves K; it runs on `Sequential`, `Pool { workers:
+//! 2 }` and two in-process shard servers, with one trajectory across all
+//! three.
 //!
 //! The contract holds because the instant requirement `Γ'` is clamped into
 //! `[Γ, 1]` (`BufferSizeManager::instant_requirement`).  Under Eq. 7's own
 //! `[0, 1]`, a surplus in the history lets the next interval aim below Γ,
 //! and three of the D×3 and D×2 sessions (D×3 at both seeds, D×2 at seed 7)
 //! read a worst period of 0.939–0.950.  It still holds with `N_true(L)`
-//! taking each kept late tuple's counted loss; counting it in the
-//! selectivity maps too fails D×2 and D×4 at seed 7 (0.934 and 0.948).
+//! taking each out-of-order tuple's counted loss, kept or dropped; counting
+//! the kept ones' loss in the selectivity maps too fails D×2 and D×4 at
+//! seed 7 (0.934 and 0.948), and the dropped ones' took `zipf_mat_seq`'s
+//! worst period at seed 7 to 0.917.
 
+use mswj::datasets::Zipf;
 use mswj::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const GAMMA: f64 = 0.95;
 
@@ -119,6 +129,75 @@ fn d4(seed: u64) {
     );
 }
 
+/// A two-stream equi-join shaped like `zipf_mat_seq` (two tuples per ms per
+/// stream, Zipf(1.0) keys over a million values, 100 ms windows, Zipf(2.0)
+/// delays up to 1 s, P = 5 s, L = 500 ms) for 60 s, its delays drawn over
+/// `{0, 100, …, 1 000}` ms instead of the benchmark's 10 ms steps: a
+/// straggler ranks a whole window from the next, so it is more often out
+/// of scope than in, and the session drops more tuples than it keeps late
+/// (the benchmark's steps keep more than they drop).  It runs on
+/// `Sequential`, `Pool { workers: 2 }` and `remote_inproc(2)`, and the
+/// checkpoints `(at, measure_ts, k)` of all three must be equal.
+fn zipf(seed: u64) {
+    let streams = StreamSet::homogeneous(2, Schema::new(vec![("k", FieldType::Int)]), 100).unwrap();
+    let cond = std::sync::Arc::new(CommonKeyEquiJoin::new(&streams, "k").unwrap());
+    let query = JoinQuery::new("zipf2", streams, cond).unwrap();
+    let (keys, delays) = (Zipf::new(1_000_000, 1.0), Zipf::new(11, 2.0));
+    let mut interleaver = Interleaver::new();
+    for stream in 0..2usize {
+        let mut rng = StdRng::seed_from_u64(seed ^ (stream as u64 + 1) << 32);
+        let events = (0..120_000u64)
+            .map(|seq| {
+                let clock = seq / 2 + 1;
+                let delay = (delays.sample(&mut rng) as u64 - 1) * 100;
+                let key = Value::Int(keys.sample(&mut rng) as i64);
+                let ts = Timestamp::from_millis(clock.saturating_sub(delay));
+                let tuple = Tuple::new(stream.into(), seq, ts, vec![key]);
+                ArrivalEvent::new(Timestamp::from_millis(clock), tuple)
+            })
+            .collect();
+        interleaver.add_stream(events);
+    }
+    let dataset = Dataset {
+        name: "zipf".into(),
+        query,
+        log: interleaver.merge(),
+    };
+    let config = DisorderConfig::with_gamma(GAMMA)
+        .period(5_000)
+        .interval(500);
+    let trajectory = |r: &RunReport| {
+        let point = |c: &Checkpoint| (c.at, c.measure_ts, c.k);
+        r.checkpoints.iter().map(point).collect::<Vec<_>>()
+    };
+    let (recalls, sequential) = period_recalls(&dataset, config, ExecutionBackend::Sequential);
+    let name = format!("zipf seed {seed}");
+    check(&name, &recalls);
+    let stats = sequential.operator_stats;
+    let kept_late = stats.out_of_order - stats.dropped;
+    assert!(
+        stats.dropped > kept_late,
+        "{name}: {} dropped, {kept_late} kept late",
+        stats.dropped
+    );
+    assert!(
+        sequential.checkpoints.iter().any(|c| c.n_dropped_next > 0),
+        "{name}: dropped tuples must count losses"
+    );
+    for backend in [
+        ExecutionBackend::Pool { workers: 2 },
+        ExecutionBackend::remote_inproc(2),
+    ] {
+        let (recalls, report) = period_recalls(&dataset, config, backend.clone());
+        check(&format!("{name} on {backend}"), &recalls);
+        assert_eq!(
+            trajectory(&report),
+            trajectory(&sequential),
+            "{name} on {backend}"
+        );
+    }
+}
+
 #[test]
 fn d3_meets_gamma_in_every_period_seed_42() {
     d3(42);
@@ -147,4 +226,14 @@ fn d4_star_on_pool_meets_gamma_in_every_period_seed_42() {
 #[test]
 fn d4_star_on_pool_meets_gamma_in_every_period_seed_7() {
     d4(7);
+}
+
+#[test]
+fn zipf_drops_more_than_it_keeps_and_meets_gamma_on_every_backend_seed_42() {
+    zipf(42);
+}
+
+#[test]
+fn zipf_drops_more_than_it_keeps_and_meets_gamma_on_every_backend_seed_7() {
+    zipf(7);
 }

@@ -358,6 +358,98 @@ fn late_loss_count_allocates_nothing_on_counting_sessions() {
 }
 
 #[test]
+fn dropped_loss_count_allocates_nothing_on_counting_sessions() {
+    // The late test's queries and arrivals, but one arrival in four 90 ms
+    // late: out of the 60 ms windows' scope, so dropped — after the other
+    // windows are expired to onT − W and the results it lost are counted.
+    // The sequential shard's operator counts it itself; on Pool{2} the
+    // front routes it as a count-only item that the caller thread drains
+    // inline.  A dropped tuple inserts nothing, so its stage and flush
+    // allocate nothing — not even a segment seal — and the whole stream
+    // allocates no more than its in-order tuples alone do.
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let schema = || Schema::new(vec![("a1", FieldType::Int), ("a2", FieldType::Int)]);
+    let common = {
+        let streams = StreamSet::homogeneous(3, schema(), 60).unwrap();
+        let cond = std::sync::Arc::new(CommonKeyEquiJoin::new(&streams, "a1").unwrap());
+        JoinQuery::new("drop-common", streams, cond).unwrap()
+    };
+    let star = {
+        let streams = StreamSet::homogeneous(3, schema(), 60).unwrap();
+        let pairs = [(1, "a1", "a1"), (2, "a2", "a2")];
+        let cond = std::sync::Arc::new(StarEquiJoin::new(&streams, 0, &pairs).unwrap());
+        JoinQuery::new("drop-star", streams, cond).unwrap()
+    };
+    let dropped = |t: u64| t.is_multiple_of(4);
+    let tuple = |t: u64| {
+        let ts = Timestamp::from_millis(t - if dropped(t) { 90 } else { 0 });
+        let keys = vec![
+            Value::Int((t / 3 % 2) as i64),
+            Value::Int((t / 3 % 3) as i64),
+        ];
+        Tuple::new(((t % 3) as usize).into(), t, ts, keys)
+    };
+    for query in [common, star] {
+        for backend in [
+            ExecutionBackend::Sequential,
+            ExecutionBackend::Pool { workers: 2 },
+        ] {
+            // Allocations of the measured stream's dropped tuples and of
+            // the whole measured stream, with and without the drops.
+            let mut totals = [0u64; 2];
+            let mut on_drops = 0u64;
+            for (run, with_drops) in [true, false].into_iter().enumerate() {
+                let mut engine =
+                    JoinEngine::new(query.clone(), ProbeStrategy::Auto, false, backend.clone());
+                // (tuples dropped, losses they counted) so far.
+                let counts = std::cell::Cell::new((0u64, 0u64));
+                let mut handler = |ev: mswj::core::EngineEvent<'_>| {
+                    if let mswj::core::EngineEvent::Done(o) = ev {
+                        let (drops, lost) = counts.get();
+                        let drop = u64::from(!o.inserted);
+                        counts.set((drops + drop, lost + drop * o.n_lost));
+                    }
+                };
+                let keep = |&t: &u64| with_drops || !dropped(t);
+                for t in (100..1_400).filter(keep) {
+                    engine.stage(tuple(t));
+                    engine.flush(&mut handler);
+                }
+                let (drops_before, lost_before) = counts.get();
+                let measured: Vec<(u64, Tuple)> =
+                    (1_400..2_200).filter(keep).map(|t| (t, tuple(t))).collect();
+                for (t, tuple) in measured {
+                    let before = thread_allocations();
+                    engine.stage(tuple);
+                    engine.flush(&mut handler);
+                    let spent = thread_allocations() - before;
+                    totals[run] += spent;
+                    if dropped(t) {
+                        on_drops += spent;
+                    }
+                }
+                let (drops, lost) = counts.get();
+                let label = format!("{} on {} shard(s)", query.name(), engine.shard_count());
+                if with_drops {
+                    assert_eq!(drops - drops_before, 200, "{label}");
+                    assert!(lost > lost_before, "{label}: drops must count losses");
+                } else {
+                    assert_eq!(drops, 0, "{label}");
+                }
+            }
+            let label = format!("{} on {backend}", query.name());
+            assert_eq!(on_drops, 0, "{label}: counting 200 drops allocated");
+            assert!(
+                totals[0] <= totals[1],
+                "{label}: {} allocations with the drops, {} without",
+                totals[0],
+                totals[1]
+            );
+        }
+    }
+}
+
+#[test]
 fn pipelined_pool_epochs_allocate_nothing_on_the_caller_thread() {
     // 64-event batches stage 64 tuples each — above the inline threshold —
     // so every flush collects the previous epoch from the resident workers,
