@@ -15,7 +15,7 @@
 //!   **in staging order, shard order within a tuple**, so the emitted event
 //!   stream is deterministic regardless of thread scheduling.
 
-use super::{Decision, EngineEvent, Item, SubOutcome, Work};
+use super::{Decision, EngineEvent, Item, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator, OperatorStats, ProbeOutcome};
 use mswj_types::Tuple;
 use std::collections::VecDeque;
@@ -74,22 +74,21 @@ pub(super) fn run_local(
 /// sub-outcomes and materialized results — the inner loop shared by the
 /// resident pool workers, the shard servers and the `Pool` inline path.
 /// Every item leaves one sub-outcome: a probing item's results, or a late
-/// or dropped item's counted loss in `n_join`.  It never touches the
-/// caller's sink; determinism is restored by [`merge_epoch`].
+/// item's counted loss in `n_join`.  It never touches the caller's sink;
+/// determinism is restored by [`merge_epoch`].
 pub(super) fn drain_queue(
     shard: &mut MswjOperator,
     items: &mut VecDeque<Item>,
     sub: &mut Vec<SubOutcome>,
     mat: &mut Vec<(u32, JoinResult)>,
 ) {
-    while let Some(Item { seq, tuple, work }) = items.pop_front() {
-        let (n_join, indexed) = match work {
-            Work::Probe => {
+    while let Some(Item { seq, tuple, late }) = items.pop_front() {
+        let (n_join, indexed) = match late {
+            None => {
                 let o = shard.push_with(tuple, &mut |r| mat.push((seq, r)));
                 (o.n_join, o.indexed)
             }
-            Work::Late(on_t) => (shard.insert_late(tuple, on_t), false),
-            Work::Drop(on_t) => (shard.count_dropped(&tuple, on_t), false),
+            Some(on_t) => (shard.insert_late(tuple, on_t), false),
         };
         sub.push(SubOutcome {
             seq,

@@ -29,11 +29,11 @@
 //! policies see identical statistics on every backend).  Shards only
 //! maintain their windows, answer probes and count out-of-order tuples'
 //! losses, which the merge sums into `n_lost` as it sums `n_on`; a shard's
-//! own `onT` may lag the global one, which is why late tuples reach it,
-//! with the global `onT` they were staged against, through
-//! [`MswjOperator::insert_late`] — or, if the front dropped them, as
-//! count-only items through [`MswjOperator::count_dropped`] — instead of
-//! `push_with`.  The sequential shard is the unsharded operator: it sees
+//! own `onT` may lag the global one, which is why every out-of-order tuple
+//! reaches it, with the global `onT` it was staged against, through
+//! [`MswjOperator::insert_late`] instead of `push_with`: the shard counts
+//! its loss, then keeps or drops it under that `onT`'s scope, exactly as
+//! the front decided.  The sequential shard is the unsharded operator: it sees
 //! every tuple, so its own outcome — expiry and `n_x(e)` included — is the
 //! global one, and the front neither tracks occupancy nor routes for it.
 //!
@@ -157,7 +157,6 @@
 //!
 //! [`MswjOperator`]: mswj_join::MswjOperator
 //! [`MswjOperator::insert_late`]: mswj_join::MswjOperator::insert_late
-//! [`MswjOperator::count_dropped`]: mswj_join::MswjOperator::count_dropped
 
 mod exec;
 mod occupancy;
@@ -259,33 +258,24 @@ pub enum EngineEvent<'a> {
 }
 
 /// One queued unit of shard work.  On the wire it travels as a
-/// `WireItem` (`probe` is `work == Work::Probe`), the `onT` bound of a late
-/// or dropped item in the `LateBounds` frame ahead of the task.
+/// `WireItem` (`probe` is `late.is_none()`), its `late` bound in the
+/// `LateBounds` frame ahead of the task.
 #[derive(Debug)]
 struct Item {
     /// The staged tuple's position in its batch.
     seq: u32,
     tuple: Tuple,
-    work: Work,
-}
-
-/// What a shard does with one item, as the front decided it against the
-/// global high-water mark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Work {
-    /// Globally in order: probed through `push_with`.
-    Probe,
-    /// Globally late but kept: absorbed through `insert_late` under the
-    /// global `onT` it was staged against, its loss counted.
-    Late(Timestamp),
-    /// Globally late and out of scope: counted through `count_dropped`
-    /// under the global `onT` it was staged against, never inserted.
-    Drop(Timestamp),
+    /// `None`: globally in order, probed through `push_with`.  `Some(onT)`:
+    /// globally late, absorbed through `insert_late` under the global
+    /// high-water mark `onT` it was staged against — its loss counted,
+    /// then kept or dropped under that `onT`'s scope.
+    late: Option<Timestamp>,
 }
 
 /// The globally decided part of one staged tuple's outcome on a sharded
 /// set.  Every staged tuple has an item on the shards it routes to; only an
-/// `inserted` one lands in a window.
+/// `inserted` one lands in a window (each shard makes the same scope check
+/// under the same `onT`).
 #[derive(Debug, Clone, Copy)]
 struct Decision {
     ts: Timestamp,
@@ -301,11 +291,13 @@ struct Decision {
 /// pressure.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRuntimeStats {
-    /// Work items routed to this shard over the engine's lifetime
-    /// (broadcast tuples count once per shard).
+    /// Work items routed to this shard over the engine's lifetime: every
+    /// staged tuple routed here, a dropped one included (the shard counts
+    /// its loss), and a broadcast tuple once per shard.
     pub routed: u64,
     /// High-water mark of the shard's work queue: the most items ever
-    /// staged for this shard before an executor drained them.
+    /// staged for this shard before an executor drained them, dropped
+    /// tuples included.
     pub max_queue_depth: usize,
     /// Epochs (routed batches) handed to this shard's worker — resident
     /// pool tasks or remote task frames.  Inline execution (the
@@ -682,10 +674,8 @@ impl JoinEngine {
         }
         if matches!(self.shards, ShardSet::Local(_)) {
             self.staged.push(tuple);
-            if inserted {
-                self.staged_inserted += 1;
-                self.note_routed(0, self.staged_inserted);
-            }
+            self.staged_inserted += usize::from(inserted);
+            self.note_routed(0, self.staged.len());
             return;
         }
         // An in-order tuple expires the other windows to its own timestamp
@@ -702,12 +692,8 @@ impl JoinEngine {
         if inserted {
             self.occupancy.insert(i, ts);
         }
-        let work = match (in_order, inserted) {
-            (true, _) => Work::Probe,
-            (false, true) => Work::Late(self.on_t),
-            (false, false) => Work::Drop(self.on_t),
-        };
-        self.enqueue(self.decisions.len() as u32, work, tuple);
+        let late = (!in_order).then_some(self.on_t);
+        self.enqueue(self.decisions.len() as u32, late, tuple);
         self.decisions.push(Decision {
             ts,
             delay,
@@ -875,30 +861,30 @@ impl JoinEngine {
     /// the per-shard routing-volume and queue-depth counters: a key-routed
     /// tuple goes to its key class's home shard, a broadcast tuple to every
     /// shard.
-    fn enqueue(&mut self, seq: u32, work: Work, tuple: Tuple) {
+    fn enqueue(&mut self, seq: u32, late: Option<Timestamp>, tuple: Tuple) {
         match self.partitioner.route(&tuple) {
             Route::One(s) => {
-                self.queues[s].push_back(Item { seq, tuple, work });
+                self.queues[s].push_back(Item { seq, tuple, late });
                 self.note_routed(s, self.queues[s].len());
             }
-            Route::All => self.fan_out(seq, work, tuple),
+            Route::All => self.fan_out(seq, late, tuple),
             Route::Split => unreachable!("a key class stays on its home shard"),
         }
     }
 
     /// Pushes `tuple` to every shard queue, probing (or counting an
     /// out-of-order tuple's loss) everywhere: the broadcast case.
-    fn fan_out(&mut self, seq: u32, work: Work, tuple: Tuple) {
+    fn fan_out(&mut self, seq: u32, late: Option<Timestamp>, tuple: Tuple) {
         let last = self.queues.len() - 1;
         for s in 0..last {
             self.queues[s].push_back(Item {
                 seq,
                 tuple: tuple.clone(),
-                work,
+                late,
             });
             self.note_routed(s, self.queues[s].len());
         }
-        self.queues[last].push_back(Item { seq, tuple, work });
+        self.queues[last].push_back(Item { seq, tuple, late });
         self.note_routed(last, self.queues[last].len());
     }
 
@@ -1038,13 +1024,11 @@ mod tests {
                 engine.occupancy.is_unallocated(),
                 "the sequential shard tracks no occupancy"
             );
-            // The runtime counters count inserted tuples: all of them, and
-            // the most staged between two flushes.
-            let inserted = |os: &[ProbeOutcome]| os.iter().filter(|o| o.inserted).count();
+            // The runtime counters count staged tuples, dropped ones too:
+            // all of them, and the most staged between two flushes.
             let rt = engine.runtime_stats(0);
-            assert_eq!(rt.routed, inserted(&want) as u64, "chunk {chunk}");
-            let depth = want.chunks(chunk).map(inserted).max().unwrap();
-            assert_eq!(rt.max_queue_depth, depth, "chunk {chunk}");
+            assert_eq!(rt.routed, tuples.len() as u64, "chunk {chunk}");
+            assert_eq!(rt.max_queue_depth, chunk.min(tuples.len()), "chunk {chunk}");
         }
         // Enumerating: the event stream is `push_with`'s, event for event.
         let log = |events: &mut Vec<String>, ev: EngineEvent<'_>| match ev {
@@ -1136,8 +1120,8 @@ mod tests {
                 assert_eq!(stats, op.stats(), "[{backend} chunk {chunk}]");
                 // Every tuple is key-routed to one shard, so the shards'
                 // own counters add up to the unsharded operator's: a shard
-                // that inserted a dropped tuple (as if kept) would count it
-                // out of order but not dropped.  The insert itself changes
+                // that skipped the scope check and inserted a dropped tuple
+                // would count it out of order but not dropped.  The insert itself changes
                 // no result — every later probe expires the row first.
                 let shards = engine.shard_stats();
                 let sum = |f: fn(&OperatorStats) -> u64| {
@@ -1153,6 +1137,12 @@ mod tests {
                     stats.out_of_order,
                     "[{backend} chunk {chunk}]"
                 );
+                // A dropped tuple is a routed item like any other, on every
+                // backend: each tuple counts once.
+                let routed: u64 = (0..engine.shard_count())
+                    .map(|s| engine.runtime_stats(s).routed)
+                    .sum();
+                assert_eq!(routed, tuples.len() as u64, "[{backend} chunk {chunk}]");
             }
         }
     }

@@ -232,7 +232,7 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{exec, Decision, EngineEvent, Work};
+    use crate::engine::{exec, Decision, EngineEvent};
     use mswj_join::{CommonKeyEquiJoin, Partitioner, ProbePlan, Route};
     use mswj_types::{FieldType, Schema, StreamSet, Timestamp, Tuple, Value};
     use std::sync::Arc;
@@ -286,7 +286,7 @@ mod tests {
                 queues[home].push_back(Item {
                     seq: seq as u32,
                     tuple: t.clone(),
-                    work: Work::Probe,
+                    late: None,
                 });
                 decisions.push(Decision {
                     ts: t.ts,

@@ -558,15 +558,13 @@ mod tests {
                 items,
             })
         };
-        let bound = |epoch: u64, seq: u32, on_t: u64, kept: bool| Frame::LateBounds {
+        let bounds = |epoch: u64, seq: u32, on_t: u64| Frame::LateBounds {
             epoch,
             late: vec![WireLate {
                 seq,
                 on_t: Timestamp::from_millis(on_t),
-                kept,
             }],
         };
-        let bounds = |epoch: u64, seq: u32, on_t: u64| bound(epoch, seq, on_t, true);
         let setup = || {
             let (client, handle) = served_pair();
             let mut framed = Framed::new(client);
@@ -600,24 +598,25 @@ mod tests {
             ),
             other => panic!("expected an output frame, got {other:?}"),
         }
-        // A count-only S2 row at 260 under the same onT counts the same S1
-        // row and lands in no window: an S1 probe at 1 200 then joins the
-        // kept S2 row at 250 alone.
-        framed.send(&bound(3, 0, 1_150, false)).unwrap();
-        let items = vec![
-            item(0, false, tuple(1, 260)),
-            item(1, true, tuple(0, 1_200)),
-        ];
-        framed.send(&task(3, items)).unwrap();
+        // An S2 row at 130 is out of scope under the same onT
+        // (130 < 1 150 − 1 000): the shard makes the scope check itself,
+        // counts the same S1 row, and drops the tuple.
+        framed.send(&bounds(3, 0, 1_150)).unwrap();
+        framed
+            .send(&task(3, vec![item(0, false, tuple(1, 130))]))
+            .unwrap();
         match framed.recv().unwrap() {
-            Frame::Output(out) => assert_eq!(
-                out.sub
-                    .iter()
-                    .map(|s| (s.seq, s.n_join))
-                    .collect::<Vec<_>>(),
-                [(0, 1), (1, 1)]
-            ),
+            Frame::Output(out) => {
+                assert_eq!(out.sub.iter().map(|s| s.n_join).collect::<Vec<_>>(), [1])
+            }
             other => panic!("expected an output frame, got {other:?}"),
+        }
+        framed.send(&Frame::Barrier { token: 3 }).unwrap();
+        match framed.recv().unwrap() {
+            Frame::BarrierAck { stats, .. } => {
+                assert_eq!((stats.out_of_order, stats.dropped), (2, 1));
+            }
+            other => panic!("expected a barrier ack, got {other:?}"),
         }
         // A late item whose bound never came is refused.
         framed
@@ -629,20 +628,12 @@ mod tests {
         );
         assert!(handle.join().expect("connection thread").is_ok());
 
-        // So are a bound naming no late item — kept or count-only, it may
-        // not name a probing item — bounds of another epoch, and a second
-        // set of bounds before the first one's task.
-        let cases: [(Vec<Frame>, &str); 4] = [
+        // So are a bound naming no late item, bounds of another epoch, and
+        // a second set of bounds before the first one's task.
+        let cases: [(Vec<Frame>, &str); 3] = [
             (
                 vec![bounds(1, 9, 500), task(1, vec![item(9, true, tuple(0, 5))])],
                 "a late bound for seq 9 names no late item",
-            ),
-            (
-                vec![
-                    bound(1, 9, 500, false),
-                    task(1, vec![item(9, true, tuple(0, 5))]),
-                ],
-                "a count-only bound for seq 9 names no late item",
             ),
             (
                 vec![

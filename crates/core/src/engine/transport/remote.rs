@@ -14,7 +14,7 @@
 //! `resume_unwind` surface.
 
 use super::{Connection, Endpoint, EngineError, SHUTDOWN_TIMEOUT};
-use crate::engine::{Item, ShardRuntimeStats, SubOutcome, Work};
+use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
 use mswj_types::Error;
 use mswj_wire::{
@@ -163,11 +163,9 @@ impl RemoteShards {
     }
 
     /// Ships a routed item queue to `shard` as one task frame, preceded by
-    /// a late-bounds frame when the queue holds late or dropped items (a
-    /// kept bound for a late one, a count-only bound for a dropped one),
-    /// draining the queue (its capacity is preserved for recycling).
-    /// Routing never changes after construction, so the frame's routing
-    /// epoch is 0.
+    /// a late-bounds frame when the queue holds late items, draining the
+    /// queue (its capacity is preserved for recycling).  Routing never
+    /// changes after construction, so the frame's routing epoch is 0.
     pub(in crate::engine) fn submit(
         &mut self,
         shard: usize,
@@ -177,15 +175,17 @@ impl RemoteShards {
         let mut late = Vec::new();
         let items = queue
             .drain(..)
-            .map(|Item { seq, tuple, work }| {
-                if let Work::Late(on_t) | Work::Drop(on_t) = work {
-                    let kept = matches!(work, Work::Late(_));
-                    late.push(WireLate { seq, on_t, kept });
+            .map(|item| {
+                if let Some(on_t) = item.late {
+                    late.push(WireLate {
+                        seq: item.seq,
+                        on_t,
+                    });
                 }
                 WireItem {
-                    seq,
-                    probe: work == Work::Probe,
-                    tuple,
+                    seq: item.seq,
+                    probe: item.late.is_none(),
+                    tuple: item.tuple,
                 }
             })
             .collect();

@@ -25,7 +25,7 @@
 //! [`serve_tcp`] accept, one thread per connection.
 
 use super::Framed;
-use crate::engine::{exec, Item, ShardPublisher, ShardRuntimeStats, SubOutcome, Work};
+use crate::engine::{exec, Item, ShardPublisher, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, MswjOperator};
 use mswj_obs::{ShardInstruments, Telemetry};
 use mswj_types::{Schema, StreamIndex, StreamSet, StreamSpec};
@@ -235,22 +235,20 @@ fn run_task(
         let seq = item.seq;
         let invalid = |why: &str| format!("task item {i} (seq {seq}): {why}");
         stream_of(op, item.tuple.stream.as_usize() as u64).map_err(|why| invalid(&why))?;
-        let work = match (item.probe, bounds.next_if(|b| !item.probe && b.seq == seq)) {
-            (true, _) => Work::Probe,
-            (false, Some(bound)) if bound.kept => Work::Late(bound.on_t),
-            (false, Some(bound)) => Work::Drop(bound.on_t),
+        let late = match (item.probe, bounds.next_if(|b| !item.probe && b.seq == seq)) {
+            (true, _) => None,
+            (false, Some(bound)) => Some(bound.on_t),
             (false, None) => return Err(invalid("a late item without its onT bound")),
         };
         items.push_back(Item {
             seq,
             tuple: item.tuple,
-            work,
+            late,
         });
     }
     if let Some(stray) = bounds.next() {
-        let kind = if stray.kept { "late" } else { "count-only" };
         return Err(format!(
-            "a {kind} bound for seq {} names no late item",
+            "a late bound for seq {} names no late item",
             stray.seq
         ));
     }

@@ -1,11 +1,11 @@
 //! Window maintenance: expiry driven by probing arrivals, insertion of
-//! in-order tuples, and the out-of-order paths — the operator's own scope
-//! check (Alg. 2 / Sec. III-A) and the externally decided
-//! [`MswjOperator::insert_late`] and [`MswjOperator::count_dropped`] used by
-//! the sharded engine, whose front-end performs the ordering and scope
-//! decisions against the *global* high-water mark before any tuple reaches
-//! a shard.  Every out-of-order tuple is counted the same way — expire,
-//! count its loss — and a kept one is then inserted.
+//! in-order tuples, and the one out-of-order path,
+//! [`MswjOperator::insert_late`] — taken under the operator's own
+//! high-water mark by `push_with` (Alg. 2 / Sec. III-A), and under the
+//! *global* one by the sharded engine, whose front-end classifies every
+//! tuple against it before any tuple reaches a shard.  Every out-of-order
+//! tuple is handled the same way: expire, count its loss, then insert it if
+//! still in scope.
 
 use super::MswjOperator;
 use mswj_types::{StreamIndex, Timestamp, Tuple};
@@ -26,75 +26,48 @@ impl MswjOperator {
         expired
     }
 
-    /// Handles an out-of-order tuple under the operator's *own* high-water
-    /// mark: no results; its loss is counted (see [`Self::count_loss`]),
-    /// then it is inserted if still within the window scope
-    /// (`e.ts >= onT - W_i`, Sec. III-A) and dropped otherwise.  Returns
-    /// `(inserted, expired, lost)`.
-    pub(super) fn insert_out_of_order(&mut self, tuple: Tuple) -> (bool, usize, u64) {
+    /// Handles a tuple that is out of order under the high-water mark
+    /// `on_t` without probing it, and returns the number of results this
+    /// operator counts it lost — the entry point for a sharded engine whose
+    /// front-end classified the tuple against the global high-water mark.
+    ///
+    /// The other windows are expired to `on_t − W_j` — safe, since every
+    /// later probe carries a timestamp of at least `on_t` — then the probe
+    /// walk counts, in counting mode (no emit, no allocation), the results
+    /// the tuple would have derived against what is left.  The tuple is
+    /// then inserted if still within the window scope under `on_t`
+    /// (`e.ts >= onT − W_i`, Sec. III-A) and dropped otherwise.
+    ///
+    /// The distinction from [`MswjOperator::push_with`] matters because a
+    /// shard only sees the subsequence of tuples routed to it: a globally
+    /// late tuple can look in-order to the shard (whose own `onT` lags the
+    /// global one), and `push_with` would then wrongly probe it, or keep a
+    /// tuple the global scope drops.  This method imposes the global view:
+    /// a kept tuple lands in its window so it can contribute to *future*
+    /// results, its own results stay lost (counted, never emitted), and the
+    /// shard's `onT` is left untouched.
+    ///
+    /// Counted under [`OperatorStats::out_of_order`](super::OperatorStats),
+    /// and a dropped tuple under
+    /// [`OperatorStats::dropped`](super::OperatorStats) too.
+    pub fn insert_late(&mut self, tuple: Tuple, on_t: Timestamp) -> u64 {
+        self.absorb_late(tuple, on_t).2
+    }
+
+    /// [`Self::insert_late`], returning `(inserted, expired, lost)`.
+    pub(super) fn absorb_late(&mut self, tuple: Tuple, on_t: Timestamp) -> (bool, usize, u64) {
+        let i = tuple.stream.as_usize();
+        debug_assert!(i < self.windows.len(), "tuple references unknown stream");
         self.stats.out_of_order += 1;
-        let (expired, lost) = self.count_loss(&tuple, self.on_t);
-        let w_i = self.query.window(tuple.stream);
-        let kept = tuple.ts >= self.on_t.saturating_sub_duration(w_i);
+        let expired = self.expire_others(i, on_t);
+        self.stats.expired += expired as u64;
+        let (lost, _) = self.probe(i, &tuple, false, &mut |_| {});
+        let kept = tuple.ts >= on_t.saturating_sub_duration(self.query.window(tuple.stream));
         if kept {
-            self.windows[tuple.stream.as_usize()].insert(tuple);
+            self.windows[i].insert(tuple);
         } else {
             self.stats.dropped += 1;
         }
         (kept, expired, lost)
-    }
-
-    /// Inserts an out-of-order tuple without the local scope check — the
-    /// entry point for a sharded engine whose front-end already classified
-    /// the tuple against the global high-water mark `on_t` and decided it
-    /// must be kept — and returns the number of results this shard counts
-    /// it lost: first the other windows are expired to `on_t − W_j`, then
-    /// the probe walk counts against what is left, then the tuple is
-    /// inserted.
-    ///
-    /// The distinction matters because a shard only sees the subsequence of
-    /// tuples routed to it: a globally late tuple can look in-order to the
-    /// shard (whose own `onT` lags the global one), and
-    /// [`MswjOperator::push_with`] would then wrongly probe it.  This
-    /// method imposes the global decision: the tuple lands in its window so
-    /// it can contribute to *future* results, its own results stay lost
-    /// (counted, never emitted), and the shard's `onT` is left untouched.
-    ///
-    /// Counted under [`OperatorStats::out_of_order`](super::OperatorStats).
-    pub fn insert_late(&mut self, tuple: Tuple, on_t: Timestamp) -> u64 {
-        self.stats.out_of_order += 1;
-        let (_, lost) = self.count_loss(&tuple, on_t);
-        self.windows[tuple.stream.as_usize()].insert(tuple);
-        lost
-    }
-
-    /// Counts the loss of an out-of-order tuple the sharded engine's
-    /// front-end dropped under the global high-water mark `on_t` — the
-    /// count-only twin of [`Self::insert_late`]: the other windows are
-    /// expired to `on_t − W_j` and the probe walk counts against what is
-    /// left, but the tuple lands in no window and the shard's `onT` is left
-    /// untouched.  Returns the number of results this shard counts it lost.
-    ///
-    /// Counted under [`OperatorStats::out_of_order`](super::OperatorStats)
-    /// and [`OperatorStats::dropped`](super::OperatorStats).
-    pub fn count_dropped(&mut self, tuple: &Tuple, on_t: Timestamp) -> u64 {
-        self.stats.out_of_order += 1;
-        self.stats.dropped += 1;
-        self.count_loss(tuple, on_t).1
-    }
-
-    /// Counts the loss of an out-of-order tuple under the high-water mark
-    /// `on_t`: expires every other window to `on_t − W_j` — safe, since
-    /// every later probe carries a timestamp of at least `on_t` — then
-    /// counts, with the in-order probe walk in counting mode (no emit, no
-    /// allocation), the results the tuple would have derived against what
-    /// is left.  Returns `(expired, lost)`.
-    fn count_loss(&mut self, tuple: &Tuple, on_t: Timestamp) -> (usize, u64) {
-        let i = tuple.stream.as_usize();
-        debug_assert!(i < self.windows.len(), "tuple references unknown stream");
-        let expired = self.expire_others(i, on_t);
-        let (lost, _) = self.probe(i, tuple, false, &mut |_| {});
-        self.stats.expired += expired as u64;
-        (expired, lost)
     }
 }

@@ -19,8 +19,8 @@
 //! The responsibilities are split across three submodules so that
 //! shard-local and global concerns stay visible in the module tree:
 //! [`insert`] owns window maintenance (expiry, in-order and out-of-order
-//! insertion, including the engine-driven [`MswjOperator::insert_late`] and
-//! [`MswjOperator::count_dropped`]),
+//! insertion, including the out-of-order path
+//! [`MswjOperator::insert_late`] the sharded engine drives),
 //! [`probe`] owns the one read-only probe walk, and [`stats`] owns the
 //! [`ProbeOutcome`]/[`OperatorStats`] records.
 //!
@@ -54,9 +54,9 @@
 //! each shard through [`MswjOperator::push_with`] (globally in-order
 //! tuples, which are in-order for the shard too) and
 //! [`MswjOperator::insert_late`] (globally late tuples the shard must
-//! absorb without producing results, counting their loss against the
-//! global `onT` the engine hands it) and [`MswjOperator::count_dropped`]
-//! (globally dropped tuples, counted the same way and never inserted).
+//! absorb without producing results: it counts their loss against the
+//! global `onT` the engine hands it, and keeps or drops them under that
+//! `onT`'s scope).
 //!
 //! For every processed tuple the operator reports the number of produced
 //! join results `n_on(e)` and the corresponding cross-join size `n_x(e)`;
@@ -262,7 +262,8 @@ impl MswjOperator {
             // Out-of-order tuple: no results; its loss is counted, and it
             // is inserted only if still in scope (e.ts >= onT - W_i,
             // Sec. III-A).
-            (outcome.inserted, outcome.expired, outcome.n_lost) = self.insert_out_of_order(tuple);
+            (outcome.inserted, outcome.expired, outcome.n_lost) =
+                self.absorb_late(tuple, self.on_t);
         }
         outcome
     }
@@ -643,16 +644,21 @@ mod tests {
                 assert_eq!((s.out_of_order, s.dropped, s.expired), (1, 1, 1));
             }
         }
-        // A shard whose own onT lags the global one counts under the
-        // global onT it is handed and leaves its own alone: it holds the
-        // rows at 3 500 and 4 500, expires the first, counts the second.
+        // A shard whose own onT lags the global one counts and scope-checks
+        // under the global onT it is handed and leaves its own alone: it
+        // holds the rows at 3 500 and 4 500, expires the first, counts the
+        // second, and drops the tuple its own onT would keep.
         let mut shard = MswjOperator::new(query);
         shard.push(tup(0, 0, 3_500, 7));
         shard.push(tup(0, 1, 4_500, 7));
-        assert_eq!(shard.count_dropped(&late, Timestamp::from_millis(5_000)), 1);
+        assert_eq!(shard.insert_late(late, Timestamp::from_millis(5_000)), 1);
         assert_eq!(shard.on_t(), Timestamp::from_millis(4_500));
         assert_eq!(shard.window(StreamIndex(0)).len(), 1);
-        assert_eq!(shard.window(StreamIndex(1)).len(), 0, "count-only");
+        assert_eq!(
+            shard.window(StreamIndex(1)).len(),
+            0,
+            "dropped, not inserted"
+        );
         let s = shard.stats();
         assert_eq!(
             (s.out_of_order, s.dropped, s.expired, s.results),
@@ -662,9 +668,10 @@ mod tests {
 
     #[test]
     fn insert_late_bypasses_probing_and_the_scope_check() {
-        // The sharded engine decides ordering and scope globally; the shard
-        // must absorb the tuple as-is — no probing even when the tuple looks
-        // in-order to this (lagging) shard, no local scope veto.
+        // The sharded engine decides ordering globally and hands the shard
+        // the global onT; the shard must absorb the tuple under it — no
+        // probing even when the tuple looks in-order to this (lagging)
+        // shard, and the scope is the global onT's, not the shard's own.
         let query = equi_query(2, 1_000);
         let mut op = MswjOperator::new(query);
         op.push(tup(0, 0, 100, 7));

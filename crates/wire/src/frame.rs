@@ -59,9 +59,10 @@ use std::io::{Read, Write};
 /// and the output carries one `WireSub` per late item too, its count in
 /// `n_join`.
 ///
-/// v9: a dropped tuple is routed too, as a count-only item: `WireLate`
-/// grew `kept`, which tells a kept late item (count, then insert) from a
-/// count-only one (count, never insert).
+/// v9: every out-of-order tuple is a late item, a dropped one included:
+/// the shard counts its loss, then makes the scope check itself under the
+/// item's bound (`e.ts >= onT − W_i`) and inserts it only if still in
+/// scope.  A v8 shard would insert every late item.
 pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
@@ -87,15 +88,15 @@ const FT_SHUTDOWN_ACK: u8 = 0x10;
 const FT_LATE_BOUNDS: u8 = 0x14;
 
 /// One routed tuple inside a [`WireTask`]: the front-end's staging sequence
-/// number, whether this shard should probe (vs. count the out-of-order
-/// tuple's loss), and the tuple itself.
+/// number, whether this shard should probe (vs. count the late tuple's loss
+/// and insert it if in scope), and the tuple itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireItem {
     /// Position in the epoch's staging order (drives deterministic merge).
     pub seq: u32,
     /// `true` → probe and produce results; `false` → a late item: count
-    /// what it lost under its [`WireLate`] bound, then insert it if the
-    /// bound says it is kept.
+    /// what it lost under its [`WireLate`] bound, then insert it if it is
+    /// still in scope under that bound (drop it otherwise).
     pub probe: bool,
     /// The routed tuple.
     pub tuple: Tuple,
@@ -123,10 +124,6 @@ pub struct WireLate {
     pub seq: u32,
     /// The engine's global `onT` when the item was staged.
     pub on_t: Timestamp,
-    /// `true`: the item is kept, inserted after its count.  `false`: a
-    /// count-only item — the front-end dropped the tuple, so the shard
-    /// counts its loss and never inserts it.
-    pub kept: bool,
 }
 
 /// Per-item outcome inside a [`WireOutput`]: one for every item of the
@@ -211,10 +208,9 @@ pub enum Frame {
     SetupAck,
     /// One epoch of routed work.
     Task(WireTask),
-    /// The global `onT` of every late item — kept or count-only — of the
-    /// next [`Frame::Task`], which must carry the same epoch: one entry per
-    /// late item, in item order.  Sent only ahead of a task that has late
-    /// items.
+    /// The global `onT` of every late item of the next [`Frame::Task`],
+    /// which must carry the same epoch: one entry per late item, in item
+    /// order.  Sent only ahead of a task that has late items.
     LateBounds {
         /// The epoch of the task these bounds belong to.
         epoch: u64,
@@ -522,7 +518,6 @@ impl Frame {
                 for l in late {
                     put_u32(buf, l.seq);
                     put_u64(buf, l.on_t.as_millis());
-                    put_bool(buf, l.kept);
                 }
             }
             Frame::Output(o) => {
@@ -618,13 +613,12 @@ impl Frame {
             }
             FT_LATE_BOUNDS => {
                 let epoch = c.u64()?;
-                let n = c.len(13)?;
+                let n = c.len(12)?;
                 let mut late = Vec::with_capacity(n);
                 for _ in 0..n {
                     let seq = c.u32()?;
                     let on_t = Timestamp::from_millis(c.u64()?);
-                    let kept = c.bool()?;
-                    late.push(WireLate { seq, on_t, kept });
+                    late.push(WireLate { seq, on_t });
                 }
                 Frame::LateBounds { epoch, late }
             }

@@ -173,7 +173,6 @@ fn arb_late(rng: &mut StdRng) -> Frame {
             .map(|_| WireLate {
                 seq: rng.gen_range(0u64..1 << 32) as u32,
                 on_t: Timestamp::from_millis(rng.gen()),
-                kept: rng.gen(),
             })
             .collect(),
     }
@@ -327,21 +326,17 @@ fn retired_frames_are_rejected_cleanly() {
 #[test]
 fn late_bounds_round_trip_to_the_last_bit() {
     // The late-bound carrier: empty, and with bounds at the extremes of
-    // both fields, kept and count-only, each frame decodes to itself and
-    // consumes exactly its bytes, which are the header, the epoch, the
-    // count and 13 bytes a bound.
-    let bound = |seq: u32, ms: u64, kept: bool| WireLate {
+    // both fields, each frame decodes to itself and consumes exactly its
+    // bytes, which are the header, the epoch, the count and 12 bytes a
+    // bound.
+    let bound = |seq: u32, ms: u64| WireLate {
         seq,
         on_t: Timestamp::from_millis(ms),
-        kept,
     };
     for late in [
         vec![],
-        vec![bound(0, 0, true)],
-        vec![
-            bound(7, 1_700_000_000_123, false),
-            bound(u32::MAX, u64::MAX, true),
-        ],
+        vec![bound(0, 0)],
+        vec![bound(7, 1_700_000_000_123), bound(u32::MAX, u64::MAX)],
     ] {
         let n = late.len();
         let frame = Frame::LateBounds {
@@ -350,7 +345,7 @@ fn late_bounds_round_trip_to_the_last_bit() {
         };
         let mut buf = Vec::new();
         frame.encode(&mut buf);
-        assert_eq!(buf.len(), HEADER_LEN + 8 + 8 + 13 * n);
+        assert_eq!(buf.len(), HEADER_LEN + 8 + 8 + 12 * n);
         assert_eq!(buf[6], 0x14, "the late-bounds frame type");
         assert_eq!(Frame::decode(&buf).unwrap(), (frame, buf.len()));
         // A count that promises more bounds than the payload holds is
@@ -358,37 +353,6 @@ fn late_bounds_round_trip_to_the_last_bit() {
         buf[HEADER_LEN + 8..HEADER_LEN + 16].copy_from_slice(&(n as u64 + 1).to_le_bytes());
         assert!(matches!(Frame::decode(&buf), Err(WireError::Corrupt(_))));
     }
-}
-
-#[test]
-fn a_count_only_bound_round_trips_apart_from_a_kept_one() {
-    // A dropped tuple's bound differs from a kept one's in its last byte
-    // only: both round-trip, and the flag survives the trip — a shard that
-    // read it as kept would insert a tuple the front dropped.
-    let frame = |kept: bool| Frame::LateBounds {
-        epoch: 3,
-        late: vec![WireLate {
-            seq: 41,
-            on_t: Timestamp::from_millis(1_234),
-            kept,
-        }],
-    };
-    let (mut count_only, mut kept) = (Vec::new(), Vec::new());
-    frame(false).encode(&mut count_only);
-    frame(true).encode(&mut kept);
-    assert_eq!(
-        Frame::decode(&count_only).unwrap(),
-        (frame(false), count_only.len())
-    );
-    let last = count_only.len() - 1;
-    assert_eq!(count_only[..last], kept[..last]);
-    assert_eq!((count_only[last], kept[last]), (0, 1));
-    // A flag byte other than 0 or 1 is corrupt.
-    count_only[last] = 2;
-    assert!(matches!(
-        Frame::decode(&count_only),
-        Err(WireError::Corrupt(_))
-    ));
 }
 
 #[test]

@@ -363,8 +363,9 @@ fn dropped_loss_count_allocates_nothing_on_counting_sessions() {
     // late: out of the 60 ms windows' scope, so dropped — after the other
     // windows are expired to onT − W and the results it lost are counted.
     // The sequential shard's operator counts it itself; on Pool{2} the
-    // front routes it as a count-only item that the caller thread drains
-    // inline.  A dropped tuple inserts nothing, so its stage and flush
+    // front routes it as a late item that the caller thread drains inline,
+    // where the shard's own scope check drops it.  A dropped tuple inserts
+    // nothing, so its stage and flush
     // allocate nothing — not even a segment seal — and the whole stream
     // allocates no more than its in-order tuples alone do.
     let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
