@@ -52,18 +52,22 @@ impl JoinQuery {
         })
     }
 
-    /// Sets how many rows each window segment absorbs before it seals
+    /// Sets the most rows a window segment absorbs before it seals
     /// (default 1 024; values below 2 are clamped to 2, values above
-    /// 2³¹ to 2³¹).  Every operator built from this query, on every shard
-    /// of every backend, stores its windows at this capacity.  It changes
-    /// the storage layout only, never a result: tests set a tiny capacity
-    /// so that ordinary workloads cross segment boundaries.
+    /// 2³¹ to 2³¹).  It is an upper bound: a sliding window seals its tail
+    /// earlier, once the tail has expired a row and holds as many rows as
+    /// the window holds live (64 at the least), so that expired rows pin
+    /// about one window's worth of memory.  Every operator built from this
+    /// query, on every shard of every backend, stores its windows under
+    /// this bound.  It changes the storage layout only, never a result:
+    /// tests set a tiny capacity so that ordinary workloads cross segment
+    /// boundaries.
     pub fn with_segment_capacity(mut self, capacity: usize) -> Self {
         self.segment_capacity = capacity.clamp(2, MAX_SEGMENT_ROWS);
         self
     }
 
-    /// Rows a window segment absorbs before it seals (see
+    /// The most rows a window segment absorbs before it seals (see
     /// [`JoinQuery::with_segment_capacity`]).
     pub fn segment_capacity(&self) -> usize {
         self.segment_capacity

@@ -1,10 +1,12 @@
 //! Property tests for the segmented columnar window storage.
 //!
-//! The segment capacity (when a tail arena seals) is an access-path choice
-//! only: after **any** interleaving of in-order/out-of-order inserts and
-//! expirations — over every value class — a window built with a tiny
-//! capacity holds exactly the content and index answers of a from-scratch
-//! rebuild into one effectively unsealed segment.  The index kind is an
+//! When a tail arena seals — at the segment capacity, or earlier at the
+//! window's live size once the tail has expired a row — is an access-path
+//! choice only: after **any** interleaving of in-order/out-of-order
+//! inserts and expirations — over every value class — a window built with
+//! a tiny capacity, or with the default one on a sliding stream, holds
+//! exactly the content and index answers of a from-scratch rebuild into
+//! one effectively unsealed segment.  The index kind is an
 //! access-path choice
 //! too: a counts window and a postings window fed the same operations
 //! agree with each other and with their rebuilds.  This mirrors the index
@@ -60,6 +62,76 @@ fn ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
+/// `JoinQuery::with_segment_capacity`'s default.
+const DEFAULT_CAPACITY: usize = 1_024;
+
+/// [`ops`] read as a sliding stream: one operation a millisecond on an
+/// advancing clock, every fourth insert up to 150 ms late and every
+/// expiry 150–300 ms behind the clock.  Some 110–300 rows stay live, so
+/// the default capacity's tail seals at the live size, not at the
+/// capacity.
+fn sliding_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
+    ops(len).prop_map(|ops| {
+        let clock = |i: usize| 1_000 + i as u64;
+        ops.into_iter()
+            .enumerate()
+            .map(|(i, op)| match op {
+                Op::Insert { ts, value } => Op::Insert {
+                    ts: clock(i) - if ts % 4 == 0 { ts % 150 } else { 0 },
+                    value,
+                },
+                Op::Expire { bound } => Op::Expire {
+                    bound: clock(i) - 150 - bound % 150,
+                },
+            })
+            .collect()
+    })
+}
+
+/// Feeds `ops` to a counts and a postings window sealing by `capacity`,
+/// which must agree throughout and, at the end, mirror their rebuilds;
+/// returns how many tail segments a window opened.
+fn mirror_rebuild_after(ops: Vec<Op>, capacity: usize) -> usize {
+    let mut windows = [
+        Window::with_key_counts(10_000, &[0], capacity),
+        Window::with_segment_capacity(10_000, &[0], capacity),
+    ];
+    let mut seq = 0u64;
+    let mut opened = 0;
+    for op in ops {
+        let segments = windows[1].stats().segments;
+        let [counts, postings] = &mut windows;
+        match op {
+            Op::Insert { ts, value } => {
+                let values = value.map(|v| vec![v]).unwrap_or_default();
+                let tuple = Tuple::new(0.into(), seq, Timestamp::from_millis(ts), values);
+                counts.insert(tuple.clone());
+                postings.insert(tuple);
+                seq += 1;
+            }
+            Op::Expire { bound } => {
+                let bound = Timestamp::from_millis(bound);
+                prop_assert_eq!(counts.expire_before(bound), postings.expire_before(bound));
+            }
+        }
+        prop_assert_eq!(counts.len(), postings.len());
+        prop_assert_eq!(counts.stats(), postings.stats());
+        opened += postings.stats().segments.saturating_sub(segments);
+    }
+
+    let [counts, postings] = &windows;
+    // Rebuild the live content into one effectively unsealed segment
+    // of the same index kind.
+    assert_mirrors_rebuild(
+        counts,
+        Window::with_key_counts(10_000, &[0], 1 << 20),
+        postings,
+    );
+    let rebuilt = Window::with_segment_capacity(10_000, &[0], 1 << 20);
+    assert_mirrors_rebuild(postings, rebuilt, postings);
+    opened
+}
+
 /// Asserts that `w` is indistinguishable from `rebuilt` (an empty window of
 /// the same index kind) filled with `w`'s live tuples, and that its index
 /// answers are those of `postings`.
@@ -91,45 +163,23 @@ fn assert_mirrors_rebuild(w: &Window, mut rebuilt: Window, postings: &Window) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A window sealed every `capacity` rows is indistinguishable — content,
-    /// counts, buckets, scans, bounds — from a from-scratch
+    /// A window sealed every `capacity` rows, or at its live size on a
+    /// sliding stream at the default capacity, is indistinguishable —
+    /// content, counts, buckets, scans, bounds — from a from-scratch
     /// rebuild of its live tuples into a window that never seals, whichever
     /// index kind it keeps.
     #[test]
     fn segmented_storage_mirrors_from_scratch_rebuild(
         ops in ops(250),
         capacity in 2usize..=16,
+        sliding in sliding_ops(1_500),
     ) {
-        let mut windows = [
-            Window::with_key_counts(10_000, &[0], capacity),
-            Window::with_segment_capacity(10_000, &[0], capacity),
-        ];
-        let mut seq = 0u64;
-        for op in ops {
-            let [counts, postings] = &mut windows;
-            match op {
-                Op::Insert { ts, value } => {
-                    let values = value.map(|v| vec![v]).unwrap_or_default();
-                    let tuple = Tuple::new(0.into(), seq, Timestamp::from_millis(ts), values);
-                    counts.insert(tuple.clone());
-                    postings.insert(tuple);
-                    seq += 1;
-                }
-                Op::Expire { bound } => {
-                    let bound = Timestamp::from_millis(bound);
-                    prop_assert_eq!(counts.expire_before(bound), postings.expire_before(bound));
-                }
-            }
-            prop_assert_eq!(counts.len(), postings.len());
-            prop_assert_eq!(counts.stats(), postings.stats());
-        }
-
-        let [counts, postings] = &windows;
-        // Rebuild the live content into one effectively unsealed segment
-        // of the same index kind.
-        assert_mirrors_rebuild(counts, Window::with_key_counts(10_000, &[0], 1 << 20), postings);
-        let rebuilt = Window::with_segment_capacity(10_000, &[0], 1 << 20);
-        assert_mirrors_rebuild(postings, rebuilt, postings);
+        mirror_rebuild_after(ops, capacity);
+        // Over at most ~1 400 inserts the 1 024-row capacity alone opens
+        // at most two tails; every further one is a live-size seal.
+        let len = sliding.len();
+        let opened = mirror_rebuild_after(sliding, DEFAULT_CAPACITY);
+        prop_assert!(len < 1_200 || opened > 2, "{} tails over {} ops", opened, len);
     }
 
     /// Storage-shape invariants hold under arbitrary operation streams: the
