@@ -10,41 +10,12 @@
 
 use crate::config::{DisorderConfig, SelectivityStrategy};
 use crate::model::RecallModel;
+use crate::output::Checkpoint;
 use crate::profiler::{ProductivityProfiler, SelectivityTable};
 use crate::result_monitor::ResultSizeMonitor;
 use crate::statistics::StatisticsManager;
 use mswj_types::{Duration, Timestamp};
 use std::time::Instant;
-
-/// The decision produced by one adaptation step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptationOutcome {
-    /// Buffer size `k*` to apply to every K-slack component for the next
-    /// adaptation interval (ms).
-    pub k: Duration,
-    /// The instant recall requirement `Γ'` used in the search.
-    pub gamma_prime: f64,
-    /// The model-estimated recall at the chosen `k*`.
-    pub estimated_recall: f64,
-    /// Number of candidate K values examined by Alg. 3.
-    pub steps: u32,
-    /// Wall-clock time the adaptation step took (Fig. 11's metric), in
-    /// nanoseconds.
-    pub(crate) elapsed_nanos: u64,
-    /// The `MaxDH` bound used for the search (ms).
-    pub max_delay: Duration,
-    /// Eq. 7's inputs, `N_prod(P−L)`, `N_true(P−L)` and `N_true(L)`, the
-    /// two parts of `N_true(L)` that are not produced results (the counted
-    /// loss of kept late tuples and that of dropped ones),
-    /// and the selectivity ratio `sel(K)/sel` at `k*`: recorded on the
-    /// [`Checkpoint`](crate::Checkpoint).
-    pub(crate) n_prod_history: u64,
-    pub(crate) n_true_history: u64,
-    pub(crate) n_true_next: u64,
-    pub(crate) n_lost_next: u64,
-    pub(crate) n_dropped_next: u64,
-    pub(crate) selectivity_ratio: f64,
-}
 
 /// Model-based Buffer-Size Manager.
 ///
@@ -105,22 +76,25 @@ impl BufferSizeManager {
         (needed / n_true_next as f64).max(gamma).min(1.0)
     }
 
-    /// Runs one model-based adaptation step (Alg. 3).
+    /// Runs one model-based adaptation step (Alg. 3) at the join operator's
+    /// `onT` `measure_ts` and returns the [`Checkpoint`] it decided: K, Γ′
+    /// with Eq. 7's inputs, and the walk.  Its `at` is `measure_ts`; the
+    /// caller, which knows the arrival-axis instant, supplies the real one.
     pub fn adapt(
         &mut self,
         stats: &StatisticsManager,
         profiler: &ProductivityProfiler,
         monitor: &mut ResultSizeMonitor,
-        now: Timestamp,
-    ) -> AdaptationOutcome {
+        measure_ts: Timestamp,
+    ) -> Checkpoint {
         let start = Instant::now();
         let g = self.config.granularity_g.max(1);
         let max_delay = stats.max_delay();
 
         // Instant recall requirement Γ' (Eq. 7).
         let n_true_next = profiler.n_true_estimate();
-        let n_prod_hist = monitor.produced_within(now);
-        let n_true_hist = monitor.true_within(now);
+        let n_prod_hist = monitor.produced_within(measure_ts);
+        let n_true_hist = monitor.true_within(measure_ts);
         let gamma_prime = self.instant_requirement(n_prod_hist, n_true_hist, n_true_next);
 
         // Reload the recall model from the maintained statistics: O(Σ_j B_j).
@@ -148,12 +122,14 @@ impl BufferSizeManager {
             k += g;
         }
 
-        AdaptationOutcome {
+        Checkpoint {
+            at: measure_ts,
+            measure_ts,
             k,
             gamma_prime,
             estimated_recall: estimated,
+            adaptation_nanos: start.elapsed().as_nanos() as u64,
             steps,
-            elapsed_nanos: start.elapsed().as_nanos() as u64,
             max_delay,
             n_prod_history: n_prod_hist,
             n_true_history: n_true_hist,
@@ -289,6 +265,6 @@ mod tests {
         let mut monitor = ResultSizeMonitor::new(59_000);
         let out = manager(0.95).adapt(&stats, &profiler, &mut monitor, ts(20_000));
         // Some nonzero amount of work was measured (nanosecond clock).
-        assert!(out.elapsed_nanos > 0);
+        assert!(out.adaptation_nanos > 0);
     }
 }

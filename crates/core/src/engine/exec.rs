@@ -8,43 +8,28 @@
 //!   expiry and `n_x(e)` included — becomes each tuple's `Done`, streamed
 //!   after its results with no intermediate buffering.
 //! * [`drain_queue`] serves every sharded batch, whose tuples the front
-//!   routed into per-shard queues next to one `Decision` each: a resident
+//!   routed into per-shard queues next to one partly filled
+//!   [`ProbeOutcome`] each — what the front decided globally: a resident
 //!   [`pool`](super::pool) worker, a shard server, or — for `Pool` batches
 //!   below the inline threshold — the calling thread drains one shard's
 //!   queue into `(seq, …)`-tagged buffers, and [`merge_epoch`] replays those
 //!   **in staging order, shard order within a tuple**, so the emitted event
 //!   stream is deterministic regardless of thread scheduling.
 
-use super::{Decision, EngineEvent, Item, SubOutcome};
+use super::{EngineEvent, Item, SubOutcome};
 use mswj_join::{JoinResult, MswjOperator, OperatorStats, ProbeOutcome};
 use mswj_types::Tuple;
 use std::collections::VecDeque;
 
-/// Folds one finished tuple into the aggregate stats and emits its
-/// [`EngineEvent::Done`].  This is the
-/// single place where the engine's sequential-equivalent accounting
-/// happens, shared by both executors.
+/// Folds one finished tuple into the aggregate stats by
+/// [`OperatorStats::record`], the rule every operator counts by, and emits
+/// its [`EngineEvent::Done`] — shared by both executors.
 fn finish_tuple(
     outcome: ProbeOutcome,
     stats: &mut OperatorStats,
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
-    if outcome.in_order {
-        stats.in_order += 1;
-        if outcome.indexed {
-            stats.indexed_probes += 1;
-        } else {
-            stats.fallback_probes += 1;
-        }
-        stats.results += outcome.n_join;
-        stats.cross_results += outcome.n_cross;
-    } else {
-        stats.out_of_order += 1;
-        if !outcome.inserted {
-            stats.dropped += 1;
-        }
-    }
-    stats.expired += outcome.expired as u64;
+    stats.record(&outcome);
     f(EngineEvent::Done(outcome));
 }
 
@@ -100,11 +85,12 @@ pub(super) fn drain_queue(
 
 /// Replays the per-shard buffers filled by [`drain_queue`] in staging order
 /// (shard order within each tuple), emitting the same event stream
-/// [`run_local`] would have produced on one shard.  `cursors` holds one
-/// `(sub, mat)` read position per shard; it is engine-owned, so a merge
-/// allocates nothing.
+/// [`run_local`] would have produced on one shard: each staged outcome in
+/// `decisions` gets its shards' counts added, then is finished.  `cursors`
+/// holds one `(sub, mat)` read position per shard; it is engine-owned, so a
+/// merge allocates nothing.
 pub(super) fn merge_epoch(
-    decisions: &[Decision],
+    decisions: &[ProbeOutcome],
     sub: &mut [Vec<SubOutcome>],
     mat: &mut [Vec<(u32, JoinResult)>],
     cursors: &mut [(usize, usize)],
@@ -112,19 +98,8 @@ pub(super) fn merge_epoch(
     f: &mut dyn FnMut(EngineEvent<'_>),
 ) {
     cursors.fill((0, 0));
-    for (seq, d) in decisions.iter().enumerate() {
+    for (seq, mut outcome) in decisions.iter().copied().enumerate() {
         let seq = seq as u32;
-        let mut outcome = ProbeOutcome {
-            ts: d.ts,
-            delay: d.delay,
-            in_order: d.in_order,
-            inserted: d.inserted,
-            indexed: d.in_order,
-            n_join: 0,
-            n_cross: d.n_cross,
-            n_lost: 0,
-            expired: d.expired,
-        };
         for ((sub, mat), (sc, mc)) in sub.iter().zip(mat.iter()).zip(cursors.iter_mut()) {
             while let Some((_, r)) = mat.get(*mc).filter(|(s, _)| *s == seq) {
                 f(EngineEvent::Result(r));
@@ -132,7 +107,7 @@ pub(super) fn merge_epoch(
             }
             if let Some(o) = sub.get(*sc).filter(|o| o.seq == seq) {
                 *sc += 1;
-                if d.in_order {
+                if outcome.in_order {
                     outcome.n_join += o.n_join;
                     outcome.indexed &= o.indexed;
                 } else {

@@ -170,7 +170,7 @@ use mswj_join::{
     Route,
 };
 use mswj_obs::{EventKind, ShardInstruments, Telemetry, TelemetryEvent};
-use mswj_types::{Duration, Error, StreamIndex, Timestamp, Tuple};
+use mswj_types::{Error, StreamIndex, Timestamp, Tuple};
 // One shard's contribution to a tuple's outcome: a probing tuple's results,
 // or a late tuple's counted loss.  The wire protocol's own type, so a remote
 // epoch returns it as it is.
@@ -270,20 +270,6 @@ struct Item {
     /// high-water mark `onT` it was staged against — its loss counted,
     /// then kept or dropped under that `onT`'s scope.
     late: Option<Timestamp>,
-}
-
-/// The globally decided part of one staged tuple's outcome on a sharded
-/// set.  Every staged tuple has an item on the shards it routes to; only an
-/// `inserted` one lands in a window (each shard makes the same scope check
-/// under the same `onT`).
-#[derive(Debug, Clone, Copy)]
-struct Decision {
-    ts: Timestamp,
-    delay: Duration,
-    in_order: bool,
-    inserted: bool,
-    n_cross: u64,
-    expired: usize,
 }
 
 /// Executor runtime counters for one shard, beyond the shard operator's own
@@ -419,12 +405,12 @@ pub struct JoinEngine {
     /// batches, so a steady-state flush allocates nothing on any executor
     /// path).  The sequential shard's tuples awaiting the next
     /// [`JoinEngine::flush`] and how many of them its scope check admitted;
-    /// on a sharded set, one decision per staged tuple, the per-shard
-    /// queues of routed items, the drained shards' sub-outcomes and
-    /// materialized results, and the merge's `(sub, mat)` read cursors.
+    /// on a sharded set, one partly filled outcome per staged tuple, the
+    /// per-shard queues of routed items, the drained shards' sub-outcomes
+    /// and materialized results, and the merge's `(sub, mat)` read cursors.
     staged: Vec<Tuple>,
     staged_inserted: usize,
-    decisions: Vec<Decision>,
+    decisions: Vec<ProbeOutcome>,
     queues: Vec<VecDeque<Item>>,
     sub: Vec<Vec<SubOutcome>>,
     mat: Vec<Vec<(u32, JoinResult)>>,
@@ -432,10 +418,10 @@ pub struct JoinEngine {
     /// The id of the deferred epoch of the depth-1 pipeline, if any.
     outstanding: Option<u64>,
     next_epoch: u64,
-    /// The deferred epoch's routing decisions, in staging order (consumed
-    /// by the deterministic merge at collection; swapped with `decisions`
-    /// at submission, so both keep their capacity).
-    deferred: Vec<Decision>,
+    /// The deferred epoch's partly filled outcomes, in staging order
+    /// (completed by the deterministic merge at collection; swapped with
+    /// `decisions` at submission, so both keep their capacity).
+    deferred: Vec<ProbeOutcome>,
     /// Which shards hold a task of the deferred epoch.
     in_flight: Vec<bool>,
     /// The attached telemetry registry, if any.  Strictly observe-only:
@@ -694,12 +680,18 @@ impl JoinEngine {
         }
         let late = (!in_order).then_some(self.on_t);
         self.enqueue(self.decisions.len() as u32, late, tuple);
-        self.decisions.push(Decision {
+        // The globally decided part of the tuple's outcome; the merge adds
+        // what its shards count (`n_join`, `n_lost`, and `indexed` stays
+        // set only if every shard it probed answered through an index).
+        self.decisions.push(ProbeOutcome {
             ts,
             delay,
             in_order,
             inserted,
+            indexed: in_order,
+            n_join: 0,
             n_cross,
+            n_lost: 0,
             expired,
         });
     }

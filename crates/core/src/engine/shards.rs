@@ -232,8 +232,8 @@ impl ShardSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{exec, Decision, EngineEvent};
-    use mswj_join::{CommonKeyEquiJoin, Partitioner, ProbePlan, Route};
+    use crate::engine::{exec, EngineEvent};
+    use mswj_join::{CommonKeyEquiJoin, Partitioner, ProbeOutcome, ProbePlan, Route};
     use mswj_types::{FieldType, Schema, StreamSet, Timestamp, Tuple, Value};
     use std::sync::Arc;
 
@@ -288,13 +288,12 @@ mod tests {
                     tuple: t.clone(),
                     late: None,
                 });
-                decisions.push(Decision {
+                decisions.push(ProbeOutcome {
                     ts: t.ts,
-                    delay: 0,
                     in_order: true,
                     inserted: true,
-                    n_cross: 0,
-                    expired: 0,
+                    indexed: true,
+                    ..ProbeOutcome::default()
                 });
             }
             let mut sub: Vec<Vec<SubOutcome>> = (0..n).map(|_| Vec::new()).collect();

@@ -270,7 +270,6 @@ fn run_task(
     }
     Ok(Frame::Output(WireOutput {
         epoch: task.epoch,
-        routing_epoch: task.routing_epoch,
         busy_nanos,
         sub: sub.clone(),
         mat: std::mem::take(mat),

@@ -77,7 +77,7 @@ mod sink;
 mod statistics;
 mod synchronizer;
 
-pub use adaptation::{AdaptationOutcome, BufferSizeManager};
+pub use adaptation::BufferSizeManager;
 pub use builder::SessionBuilder;
 pub use config::{DisorderConfig, ProbePlan, ProbeStrategy, SelectivityStrategy};
 pub use engine::{

@@ -27,7 +27,6 @@
 //! assert_eq!(advanced_to, Some(Timestamp::from_millis(1_500)));
 //! ```
 
-use crate::adaptation::AdaptationOutcome;
 use crate::engine::ShardStats;
 use mswj_join::{JoinResult, OperatorStats};
 use mswj_types::{Duration, StreamIndex, Timestamp};
@@ -112,15 +111,11 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// The record of a checkpoint whose policy decided `k`, with the
-    /// adaptation step's inputs and outcome when there was one.
-    pub(crate) fn new(
-        at: Timestamp,
-        measure_ts: Timestamp,
-        k: Duration,
-        outcome: Option<&AdaptationOutcome>,
-    ) -> Checkpoint {
-        let baseline = Checkpoint {
+    /// The record of a checkpoint whose non-adaptive policy set `k`; an
+    /// adaptive one's comes from
+    /// [`BufferSizeManager::adapt`](crate::BufferSizeManager::adapt).
+    pub(crate) fn baseline(at: Timestamp, measure_ts: Timestamp, k: Duration) -> Checkpoint {
+        Checkpoint {
             at,
             measure_ts,
             k,
@@ -135,23 +130,6 @@ impl Checkpoint {
             n_dropped_next: 0,
             max_delay: 0,
             selectivity_ratio: f64::NAN,
-        };
-        let Some(o) = outcome else {
-            return baseline;
-        };
-        Checkpoint {
-            gamma_prime: o.gamma_prime,
-            estimated_recall: o.estimated_recall,
-            adaptation_nanos: o.elapsed_nanos,
-            steps: o.steps,
-            n_prod_history: o.n_prod_history,
-            n_true_history: o.n_true_history,
-            n_true_next: o.n_true_next,
-            n_lost_next: o.n_lost_next,
-            n_dropped_next: o.n_dropped_next,
-            max_delay: o.max_delay,
-            selectivity_ratio: o.selectivity_ratio,
-            ..baseline
         }
     }
 }
@@ -210,7 +188,11 @@ impl RunReport {
     }
 }
 
-/// Bytes per [`ProducedLog`] chunk.
+/// Bytes of a [`ProducedLog`]'s first chunk; each next chunk doubles, up
+/// to [`LOG_CHUNK`].
+const FIRST_LOG_CHUNK: usize = 256;
+
+/// Bytes of a full-grown [`ProducedLog`] chunk.
 const LOG_CHUNK: usize = 64 * 1024;
 
 /// Most bytes one [`ProducedLog`] entry takes: two 10-byte varints.
@@ -219,11 +201,12 @@ const MAX_ENTRY: usize = 20;
 /// The session's result series while it runs: one entry per
 /// result-producing tuple, `(ts, count)`, kept as two LEB128 varints — the
 /// timestamp's delta from the previous entry (`wrapping_sub`, so any order
-/// and any `u64` round-trip) and the count — in fixed-size byte chunks that
-/// an entry never straddles.  In-order outcomes arrive in non-decreasing
-/// `ts`, so an entry is a few bytes where a `(Timestamp, u64)` is 16;
-/// [`ProducedLog::into_vec`] materialises [`RunReport::produced`] once, at
-/// exactly its length.
+/// and any `u64` round-trip) and the count — in byte chunks that an entry
+/// never straddles, the first [`FIRST_LOG_CHUNK`] bytes and each next one
+/// twice the last, up to [`LOG_CHUNK`], so a short series holds little.
+/// In-order outcomes arrive in non-decreasing `ts`, so an entry is a few
+/// bytes where a `(Timestamp, u64)` is 16; [`ProducedLog::into_vec`]
+/// materialises [`RunReport::produced`] once, at exactly its length.
 #[derive(Debug, Default)]
 pub(crate) struct ProducedLog {
     chunks: Vec<Vec<u8>>,
@@ -234,12 +217,13 @@ pub(crate) struct ProducedLog {
 impl ProducedLog {
     /// Appends one entry.
     pub(crate) fn push(&mut self, ts: Timestamp, count: u64) {
-        if self
+        let (capacity, len) = self
             .chunks
             .last()
-            .is_none_or(|chunk| LOG_CHUNK - chunk.len() < MAX_ENTRY)
-        {
-            self.chunks.push(Vec::with_capacity(LOG_CHUNK));
+            .map_or((0, 0), |chunk| (chunk.capacity(), chunk.len()));
+        if capacity - len < MAX_ENTRY {
+            let size = (2 * capacity).clamp(FIRST_LOG_CHUNK, LOG_CHUNK);
+            self.chunks.push(Vec::with_capacity(size));
         }
         let chunk = self.chunks.last_mut().expect("pushed just above");
         let ts = ts.as_millis();
@@ -295,11 +279,10 @@ mod tests {
 
     #[test]
     fn output_event_is_copy_and_matchable() {
-        let cp = Checkpoint::new(
+        let cp = Checkpoint::baseline(
             Timestamp::from_millis(500),
             Timestamp::from_millis(480),
             100,
-            None,
         );
         let ev = OutputEvent::Checkpoint(&cp);
         let copy = ev; // Copy: both remain usable.
@@ -318,8 +301,8 @@ mod tests {
     }
 
     /// Pushes `entries` through a log, checks they decode unchanged and
-    /// returns how many chunks the log used.
-    fn round_trip(entries: &[(u64, u64)]) -> usize {
+    /// returns the capacities of the chunks the log used.
+    fn round_trip(entries: &[(u64, u64)]) -> Vec<usize> {
         let mut log = ProducedLog::default();
         for &(ts, count) in entries {
             log.push(Timestamp::from_millis(ts), count);
@@ -328,14 +311,17 @@ mod tests {
             .iter()
             .map(|&(ts, count)| (Timestamp::from_millis(ts), count))
             .collect();
-        let chunks = log.chunks.len();
+        let chunks = log.chunks.iter().map(Vec::capacity).collect();
         assert_eq!(log.into_vec(), want);
         chunks
     }
 
     #[test]
     fn produced_log_round_trips_extreme_and_unordered_entries() {
-        assert_eq!(round_trip(&[]), 0, "an empty log allocates no chunk");
+        assert!(
+            round_trip(&[]).is_empty(),
+            "an empty log allocates no chunk"
+        );
         round_trip(&[
             (0, 1),
             (u64::MAX, u64::MAX),
@@ -351,11 +337,18 @@ mod tests {
     #[test]
     fn produced_log_round_trips_across_chunks() {
         // Three bytes an entry (a two-byte delta, a one-byte count): once
-        // fewer than `MAX_ENTRY` bytes are left in the first chunk, the
-        // next entry opens the second.
-        let entries: Vec<(u64, u64)> = (1..=(LOG_CHUNK / 3 + 10) as u64)
+        // fewer than `MAX_ENTRY` bytes are left in a chunk, the next entry
+        // opens one twice its size, and a full-grown chunk opens another of
+        // the same size.
+        assert_eq!(round_trip(&[(200, 1)]), [FIRST_LOG_CHUNK]);
+        let entries: Vec<(u64, u64)> = (1..=(2 * LOG_CHUNK / 3 + 10) as u64)
             .map(|i| (i * 200, i % 100 + 1))
             .collect();
-        assert_eq!(round_trip(&entries), 2);
+        let mut want = vec![FIRST_LOG_CHUNK];
+        while *want.last().unwrap() < LOG_CHUNK {
+            want.push(2 * want.last().unwrap());
+        }
+        want.push(LOG_CHUNK);
+        assert_eq!(round_trip(&entries), want);
     }
 }

@@ -429,11 +429,7 @@ impl Pipeline {
                         sink.event(OutputEvent::Progress(ts));
                     }
                 } else {
-                    if outcome.inserted {
-                        profiler.record_late(delay, outcome.n_lost);
-                    } else {
-                        profiler.record_dropped(delay, outcome.n_lost);
-                    }
+                    profiler.record_out_of_order(delay, outcome.n_lost, outcome.inserted);
                     if let Some(s) = session {
                         s.tuples_dropped.inc();
                     }
@@ -474,7 +470,6 @@ impl Pipeline {
     /// staged so far.
     fn take_checkpoint<S: Sink>(&mut self, at: Timestamp, sink: &mut S) {
         let measure_ts = self.engine.on_t();
-        let mut outcome = None;
 
         // The just-finished interval becomes the profiler's "last interval".
         self.profiler.roll_interval();
@@ -485,31 +480,30 @@ impl Pipeline {
         // cutoff is theirs, and pruning before `apply_k` keeps the results
         // a shrink releases (ts > `measure_ts`) in the count they read.
         self.monitor.produced_within(measure_ts);
-        let new_k = match &self.policy {
+        let checkpoint = match &self.policy {
             BufferPolicy::QualityDriven(_) => {
                 self.monitor.record_true_estimate(measure_ts, n_true_last);
                 let manager = self.manager.as_mut().expect("manager exists for QD policy");
-                let o = manager.adapt(&self.stats, &self.profiler, &mut self.monitor, measure_ts);
-                outcome = Some(o);
-                o.k
+                let decided =
+                    manager.adapt(&self.stats, &self.profiler, &mut self.monitor, measure_ts);
+                Checkpoint { at, ..decided }
             }
-            BufferPolicy::NoKSlack => 0,
-            BufferPolicy::MaxKSlack => self.lifetime_max_delay,
-            BufferPolicy::FixedK(k) => *k,
+            BufferPolicy::NoKSlack => Checkpoint::baseline(at, measure_ts, 0),
+            BufferPolicy::MaxKSlack => {
+                Checkpoint::baseline(at, measure_ts, self.lifetime_max_delay)
+            }
+            BufferPolicy::FixedK(k) => Checkpoint::baseline(at, measure_ts, *k),
         };
-        self.apply_k(new_k, at, sink);
+        self.apply_k(checkpoint.k, at, sink);
         // Results released by a shrink are delivered before the checkpoint
         // event, exactly as when pushing event by event.
         self.sync_engine(sink);
 
-        self.checkpoints
-            .push(Checkpoint::new(at, measure_ts, new_k, outcome.as_ref()));
-        let latest = self.checkpoints.last().expect("pushed just above");
-        sink.event(OutputEvent::Checkpoint(latest));
+        self.checkpoints.push(checkpoint);
+        sink.event(OutputEvent::Checkpoint(&checkpoint));
 
         if self.telemetry.is_some() {
-            let (gamma_prime, estimated) = (latest.gamma_prime, latest.estimated_recall);
-            self.publish_checkpoint_telemetry(at, measure_ts, new_k, gamma_prime, estimated);
+            self.publish_checkpoint_telemetry(&checkpoint);
         }
     }
 
@@ -517,14 +511,15 @@ impl Pipeline {
     /// runtime gauges after a checkpoint.  Runs only when telemetry is
     /// attached; strictly observe-only (reads statistics the checkpoint
     /// already computed, plus the barrier-time shard counters).
-    fn publish_checkpoint_telemetry(
-        &mut self,
-        at: Timestamp,
-        measure_ts: Timestamp,
-        k: Duration,
-        gamma_prime: f64,
-        estimated: f64,
-    ) {
+    fn publish_checkpoint_telemetry(&mut self, checkpoint: &Checkpoint) {
+        let Checkpoint {
+            at,
+            measure_ts,
+            k,
+            gamma_prime,
+            estimated_recall: estimated,
+            ..
+        } = *checkpoint;
         let produced = self.monitor.produced_within(measure_ts);
         let truth = self.monitor.true_within(measure_ts);
         let observed = if truth == 0 {

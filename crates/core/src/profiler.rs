@@ -161,21 +161,19 @@ impl ProductivityProfiler {
         self.current.dropped = self.current.dropped.saturating_add(est_join);
     }
 
-    /// Records a late tuple the operator kept, which counted `n_lost`
-    /// results lost: the maps price it at the maximum productivity, as
-    /// [`Self::record_unprocessed`] does, but `N_true(L)` takes the count.
-    pub fn record_late(&mut self, delay: Duration, n_lost: u64) {
+    /// Records an out-of-order tuple that counted `n_lost` results lost:
+    /// the maps price it at the maximum productivity, as
+    /// [`Self::record_unprocessed`] does, but `N_true(L)` takes the count —
+    /// as the part lost by late tuples the operator `kept`, or by those it
+    /// dropped.
+    pub fn record_out_of_order(&mut self, delay: Duration, n_lost: u64, kept: bool) {
         self.record_max_priced(delay);
-        self.current.lost = self.current.lost.saturating_add(n_lost);
-    }
-
-    /// Records a tuple the operator dropped, which counted `n_lost` results
-    /// lost: priced like [`Self::record_late`] — the maximum productivity
-    /// in the maps, the count in `N_true(L)` — but kept apart as the
-    /// dropped part.
-    pub(crate) fn record_dropped(&mut self, delay: Duration, n_lost: u64) {
-        self.record_max_priced(delay);
-        self.current.dropped = self.current.dropped.saturating_add(n_lost);
+        let part = if kept {
+            &mut self.current.lost
+        } else {
+            &mut self.current.dropped
+        };
+        *part = part.saturating_add(n_lost);
     }
 
     /// Adds an out-of-order tuple to the maps at the maximum productivity
@@ -319,7 +317,7 @@ mod tests {
         let mut p = ProductivityProfiler::new(10);
         p.record_processed(0, 50, 3);
         p.record_processed(0, 80, 7); // max join = 7, max cross = 80
-        p.record_late(30, 2); // kept, counted 2 lost
+        p.record_out_of_order(30, 2, true); // kept, counted 2 lost
         p.record_unprocessed(40); // dropped, priced at 7
         p.roll_interval();
         assert_eq!(p.n_lost_estimate(), 2);
@@ -346,8 +344,8 @@ mod tests {
         let mut p = ProductivityProfiler::new(10);
         p.record_processed(0, 50, 3);
         p.record_processed(0, 80, 7); // max join = 7, max cross = 80
-        p.record_late(30, 2); // kept, counted 2 lost
-        p.record_dropped(40, 5); // dropped, counted 5 lost
+        p.record_out_of_order(30, 2, true); // kept, counted 2 lost
+        p.record_out_of_order(40, 5, false); // dropped, counted 5 lost
         p.roll_interval();
         assert_eq!(p.n_lost_estimate(), 2);
         assert_eq!(p.n_dropped_estimate(), 5, "the count, not the max price 7");
@@ -357,7 +355,7 @@ mod tests {
         let mut priced = ProductivityProfiler::new(10);
         priced.record_processed(0, 50, 3);
         priced.record_processed(0, 80, 7);
-        priced.record_late(30, 2);
+        priced.record_out_of_order(30, 2, true);
         priced.record_unprocessed(40);
         priced.roll_interval();
         assert_eq!(priced.n_dropped_estimate(), 7);

@@ -129,11 +129,10 @@ mod tests {
     use mswj_types::{StreamIndex, Timestamp, Tuple};
 
     fn checkpoint(k: u64) -> Checkpoint {
-        Checkpoint::new(
+        Checkpoint::baseline(
             Timestamp::from_millis(1_000),
             Timestamp::from_millis(990),
             k,
-            None,
         )
     }
 

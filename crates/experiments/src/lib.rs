@@ -18,9 +18,10 @@
 //! `mswj-experiments [FIGURE...]` accepts `--duration-secs N`, `--seed N`,
 //! `--quick` and the session flags `--backend`, `--probe` and
 //! `--metrics-out` (and rejects anything else with the usage text and exit
-//! status 2), parsed once by [`Context::from_args`]; without a figure name
-//! it runs all seven in the order above.  The defaults run a scaled-down
-//! but shape-preserving version of the paper's 23–30-minute workloads.
+//! status 2), parsed once by [`Context::from_args`], which also exits 1 on
+//! a backend it cannot set up; without a figure name it runs all seven in
+//! the order above.  The defaults run a scaled-down but shape-preserving
+//! version of the paper's 23–30-minute workloads.
 //!
 //! A cell whose quantity no measured period backs — Φ and the average and
 //! minimum γ(P) of a run shorter than its first period `P`, and Φ of the
@@ -33,7 +34,9 @@ use mswj_core::{
     BufferPolicy, DisorderConfig, Endpoint, ExecutionBackend, ProbeStrategy, RunReport,
     SelectivityStrategy, Telemetry,
 };
-use mswj_datasets::{Dataset, SoccerConfig, SoccerDataset, SyntheticConfig, SyntheticDataset};
+use mswj_datasets::{
+    q3_query, Dataset, SoccerConfig, SoccerDataset, SyntheticConfig, SyntheticDataset,
+};
 use mswj_metrics::{
     evaluate_recall, format_table, ground_truth_counts, CountSeries, RecallEvaluation, TableRow,
 };
@@ -153,6 +156,19 @@ pub struct Session {
 }
 
 impl Session {
+    /// Builds one pipeline under this session's backend and probe and drops
+    /// it, so a backend that cannot be set up — an unreachable shard server
+    /// — is named before any dataset is generated.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        mswj_core::Pipeline::builder()
+            .query(q3_query(1_000))
+            .parallelism(self.backend.clone())
+            .probe(self.probe)
+            .build()
+            .map(drop)
+            .map_err(|e| format!("--backend {}: {e}", self.backend))
+    }
+
     /// Runs `policy` over `dataset`, measuring `γ(P)` with period
     /// `period_p` against a pre-computed ground truth.
     pub fn run(
@@ -272,8 +288,10 @@ impl Context {
     /// Parses the process arguments into a context and the figures to run.
     /// Any unknown argument, and a flag with a missing or malformed value,
     /// prints the error plus usage and exits 2 — never a silent run at the
-    /// defaults.  `--help`/`-h` prints the usage text and exits before any
-    /// workload is generated.
+    /// defaults.  A backend that cannot be set up (an unreachable shard
+    /// server) prints the `--backend` error and exits 1 before any dataset
+    /// is generated.  `--help`/`-h` prints the usage text and exits before
+    /// any workload is generated.
     pub fn from_args() -> (Self, Vec<Figure>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -284,6 +302,10 @@ impl Context {
             eprintln!("{e}\n\n{}", Scale::usage());
             std::process::exit(2);
         });
+        if let Err(e) = session.check() {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
         (Context::new(scale, session), figures)
     }
 
@@ -335,7 +357,7 @@ impl PolicyEval {
         self.report.avg_k_secs()
     }
 
-    /// `value`, or NaN (printed `-` by [`table`]) when the run measured no
+    /// `value`, or NaN (printed `-` by [`format_table`]) when the run measured no
     /// period and `value` is an empty sample set's default.
     fn measured(&self, value: f64) -> f64 {
         if self.recall.samples.is_empty() {
@@ -357,10 +379,9 @@ impl PolicyEval {
     }
 }
 
-/// A table as a figure prints it: [`format_table`] plus a blank line, with
-/// every NaN cell (an unmeasured quantity) printed `-` like a missing one.
+/// A table as a figure prints it: [`format_table`] plus a blank line.
 fn table(title: &str, rows: &[TableRow]) -> String {
-    format_table(title, rows).replace("NaN", "  -") + "\n"
+    format_table(title, rows) + "\n"
 }
 
 /// `"<dataset> / <query>"`, the label of a dataset's section or row.

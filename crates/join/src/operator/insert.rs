@@ -7,7 +7,7 @@
 //! tuple is handled the same way: expire, count its loss, then insert it if
 //! still in scope.
 
-use super::MswjOperator;
+use super::{MswjOperator, ProbeOutcome};
 use mswj_types::{StreamIndex, Timestamp, Tuple};
 
 impl MswjOperator {
@@ -51,23 +51,26 @@ impl MswjOperator {
     /// and a dropped tuple under
     /// [`OperatorStats::dropped`](super::OperatorStats) too.
     pub fn insert_late(&mut self, tuple: Tuple, on_t: Timestamp) -> u64 {
-        self.absorb_late(tuple, on_t).2
+        self.absorb_late(tuple, on_t).n_lost
     }
 
-    /// [`Self::insert_late`], returning `(inserted, expired, lost)`.
-    pub(super) fn absorb_late(&mut self, tuple: Tuple, on_t: Timestamp) -> (bool, usize, u64) {
+    /// [`Self::insert_late`], returning the tuple's whole outcome.
+    pub(super) fn absorb_late(&mut self, tuple: Tuple, on_t: Timestamp) -> ProbeOutcome {
         let i = tuple.stream.as_usize();
         debug_assert!(i < self.windows.len(), "tuple references unknown stream");
-        self.stats.out_of_order += 1;
-        let expired = self.expire_others(i, on_t);
-        self.stats.expired += expired as u64;
-        let (lost, _) = self.probe(i, &tuple, false, &mut |_| {});
-        let kept = tuple.ts >= on_t.saturating_sub_duration(self.query.window(tuple.stream));
-        if kept {
+        let mut outcome = ProbeOutcome {
+            ts: tuple.ts,
+            delay: tuple.delay_or_zero(),
+            expired: self.expire_others(i, on_t),
+            ..ProbeOutcome::default()
+        };
+        (outcome.n_lost, _) = self.probe(i, &tuple, false, &mut |_| {});
+        outcome.inserted =
+            tuple.ts >= on_t.saturating_sub_duration(self.query.window(tuple.stream));
+        if outcome.inserted {
             self.windows[i].insert(tuple);
-        } else {
-            self.stats.dropped += 1;
         }
-        (kept, expired, lost)
+        self.stats.record(&outcome);
+        outcome
     }
 }

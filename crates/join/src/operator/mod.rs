@@ -231,40 +231,29 @@ impl MswjOperator {
     pub fn push_with(&mut self, tuple: Tuple, emit: &mut dyn FnMut(JoinResult)) -> ProbeOutcome {
         let i = tuple.stream.as_usize();
         debug_assert!(i < self.windows.len(), "tuple references unknown stream");
-        let in_order = !self.started || tuple.ts >= self.on_t;
-        let mut outcome = ProbeOutcome {
-            ts: tuple.ts,
-            delay: tuple.delay_or_zero(),
-            in_order,
-            ..ProbeOutcome::default()
-        };
-        if in_order {
-            self.on_t = tuple.ts;
-            self.started = true;
-            // Step 1: invalidate expired tuples in windows of other streams.
-            outcome.expired = self.expire_others(i, tuple.ts);
-            // Step 2: probe remaining tuples in all other windows.
-            outcome.n_cross = self.cross_size(i);
-            (outcome.n_join, outcome.indexed) = self.probe(i, &tuple, self.enumerate, emit);
-            // Step 3: insert into own window.
-            self.windows[i].insert(tuple);
-            outcome.inserted = true;
-            self.stats.in_order += 1;
-            if outcome.indexed {
-                self.stats.indexed_probes += 1;
-            } else {
-                self.stats.fallback_probes += 1;
-            }
-            self.stats.results += outcome.n_join;
-            self.stats.cross_results += outcome.n_cross;
-            self.stats.expired += outcome.expired as u64;
-        } else {
+        if self.started && tuple.ts < self.on_t {
             // Out-of-order tuple: no results; its loss is counted, and it
             // is inserted only if still in scope (e.ts >= onT - W_i,
             // Sec. III-A).
-            (outcome.inserted, outcome.expired, outcome.n_lost) =
-                self.absorb_late(tuple, self.on_t);
+            return self.absorb_late(tuple, self.on_t);
         }
+        self.on_t = tuple.ts;
+        self.started = true;
+        let mut outcome = ProbeOutcome {
+            ts: tuple.ts,
+            delay: tuple.delay_or_zero(),
+            in_order: true,
+            inserted: true,
+            ..ProbeOutcome::default()
+        };
+        // Step 1: invalidate expired tuples in windows of other streams.
+        outcome.expired = self.expire_others(i, tuple.ts);
+        // Step 2: probe remaining tuples in all other windows.
+        outcome.n_cross = self.cross_size(i);
+        (outcome.n_join, outcome.indexed) = self.probe(i, &tuple, self.enumerate, emit);
+        // Step 3: insert into own window.
+        self.windows[i].insert(tuple);
+        self.stats.record(&outcome);
         outcome
     }
 }

@@ -5,7 +5,8 @@
 //! quantities over an operator's lifetime.  In a sharded engine every shard
 //! owns an operator and hence its own `OperatorStats`; the engine's
 //! aggregate view is a separate `OperatorStats` that it folds from every
-//! tuple's merged [`ProbeOutcome`].
+//! tuple's merged [`ProbeOutcome`].  Both fold by the one rule,
+//! [`OperatorStats::record`].
 
 use mswj_types::{Duration, Timestamp};
 
@@ -79,4 +80,28 @@ pub struct OperatorStats {
     pub cross_results: u64,
     /// Total expired tuples across all windows.
     pub expired: u64,
+}
+
+impl OperatorStats {
+    /// Counts one tuple's outcome: an in-order tuple as a probe, indexed or
+    /// not, an out-of-order one as dropped unless it was inserted; its
+    /// results, cross-join size and expirations either way (an out-of-order
+    /// outcome carries no results and no cross-join).
+    #[inline] // once per tuple in the engine's executors, across the crate boundary
+    pub fn record(&mut self, outcome: &ProbeOutcome) {
+        if outcome.in_order {
+            self.in_order += 1;
+            if outcome.indexed {
+                self.indexed_probes += 1;
+            } else {
+                self.fallback_probes += 1;
+            }
+        } else {
+            self.out_of_order += 1;
+            self.dropped += u64::from(!outcome.inserted);
+        }
+        self.results += outcome.n_join;
+        self.cross_results += outcome.n_cross;
+        self.expired += outcome.expired as u64;
+    }
 }

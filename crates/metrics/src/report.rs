@@ -33,8 +33,9 @@ impl TableRow {
 
 /// Formats rows as an aligned plain-text table with a title line.
 ///
-/// All rows should carry the same columns (the header is taken from the
-/// first row); missing cells are rendered as `-`.
+/// The columns are every row's, in the order they first appear; a missing
+/// cell, and a non-finite one (a quantity nothing measured), is rendered
+/// as `-`.
 pub fn format_table(title: &str, rows: &[TableRow]) -> String {
     let mut out = String::new();
     out.push_str(title);
@@ -43,7 +44,12 @@ pub fn format_table(title: &str, rows: &[TableRow]) -> String {
         out.push_str("(no rows)\n");
         return out;
     }
-    let columns: Vec<String> = rows[0].cells.iter().map(|(n, _)| n.clone()).collect();
+    let mut columns: Vec<&str> = Vec::new();
+    for (name, _) in rows.iter().flat_map(|r| &r.cells) {
+        if !columns.contains(&name.as_str()) {
+            columns.push(name);
+        }
+    }
     let label_width = rows
         .iter()
         .map(|r| r.label.len())
@@ -79,7 +85,7 @@ pub fn format_table(title: &str, rows: &[TableRow]) -> String {
 /// keep four significant decimals.
 fn format_number(v: f64) -> String {
     if !v.is_finite() {
-        return "NaN".to_owned();
+        return "-".to_owned();
     }
     if (v.fract()).abs() < 1e-9 && v.abs() < 1e12 {
         format!("{}", v as i64)
@@ -142,10 +148,27 @@ mod tests {
     }
 
     #[test]
+    fn columns_come_from_every_row_in_first_seen_order() {
+        let rows = vec![
+            TableRow::new("a").cell("x", 1.0).cell("y", f64::NAN),
+            TableRow::new("b").cell("y", 2.0).cell("z", 3.0),
+        ];
+        let text = format_table("t", &rows);
+        let lines: Vec<&str> = text.lines().collect();
+        let cells =
+            |line: &str| -> Vec<String> { line.split('|').map(|c| c.trim().to_owned()).collect() };
+        assert_eq!(cells(lines[1]), ["", "x", "y", "z"]);
+        assert_eq!(cells(lines[3]), ["a", "1", "-", "-"]);
+        assert_eq!(cells(lines[4]), ["b", "-", "2", "3"]);
+        assert!(!text.contains("NaN"), "{text}");
+    }
+
+    #[test]
     fn number_formatting() {
         assert_eq!(format_number(5.0), "5");
         assert_eq!(format_number(0.12345), "0.1235"); // rounded to 4 decimals
         assert_eq!(format_number(123.456), "123.5");
-        assert_eq!(format_number(f64::NAN), "NaN");
+        assert_eq!(format_number(f64::NAN), "-");
+        assert_eq!(format_number(f64::INFINITY), "-");
     }
 }

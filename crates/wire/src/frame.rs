@@ -63,7 +63,11 @@ use std::io::{Read, Write};
 /// the shard counts its loss, then makes the scope check itself under the
 /// item's bound (`e.ts >= onT − W_i`) and inserts it only if still in
 /// scope.  A v8 shard would insert every late item.
-pub const PROTOCOL_VERSION: u16 = 9;
+///
+/// v10: `Output` lost its echo of the task's routing epoch, which was
+/// always 0; an output is the epoch, the busy time, the sub-outcomes and
+/// the materialized results.
+pub const PROTOCOL_VERSION: u16 = 10;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -108,8 +112,8 @@ pub struct WireTask {
     /// Monotonic epoch number assigned by the front-end.
     pub epoch: u64,
     /// Routing version the batch was routed under.  Routing is fixed
-    /// when the engine is built, so the engine always sends 0; the field
-    /// stays for layout compatibility with existing encoders.
+    /// when the engine is built, so the engine always sends 0 and a shard
+    /// ignores it; since v10 no output echoes it.
     pub routing_epoch: u64,
     /// Routed items in staging order.
     pub items: Vec<WireItem>,
@@ -145,9 +149,6 @@ pub struct WireSub {
 pub struct WireOutput {
     /// Echo of the task's epoch.
     pub epoch: u64,
-    /// Echo of the task's routing epoch (always 0 from the engine; see
-    /// [`WireTask::routing_epoch`]).
-    pub routing_epoch: u64,
     /// Wall-clock nanoseconds the shard spent draining the epoch.
     pub busy_nanos: u64,
     /// Per-item outcomes in staging order.
@@ -522,7 +523,6 @@ impl Frame {
             }
             Frame::Output(o) => {
                 put_u64(buf, o.epoch);
-                put_u64(buf, o.routing_epoch);
                 put_u64(buf, o.busy_nanos);
                 put_len(buf, o.sub.len());
                 for s in &o.sub {
@@ -624,7 +624,6 @@ impl Frame {
             }
             FT_OUTPUT => {
                 let epoch = c.u64()?;
-                let routing_epoch = c.u64()?;
                 let busy_nanos = c.u64()?;
                 let n = c.len(13)?;
                 let mut sub = Vec::with_capacity(n);
@@ -647,7 +646,6 @@ impl Frame {
                 }
                 Frame::Output(WireOutput {
                     epoch,
-                    routing_epoch,
                     busy_nanos,
                     sub,
                     mat,

@@ -151,7 +151,6 @@ fn arb_task(rng: &mut StdRng) -> WireTask {
 fn arb_output(rng: &mut StdRng) -> WireOutput {
     WireOutput {
         epoch: rng.gen(),
-        routing_epoch: rng.gen(),
         busy_nanos: rng.gen(),
         sub: (0..rng.gen_range(0usize..6))
             .map(|_| WireSub {
@@ -309,9 +308,9 @@ fn retired_frames_are_rejected_cleanly() {
             }
             other => panic!("expected Corrupt for {retired:#04x}, got {other:?}"),
         }
-        // A version-4, -6, -7 or -8 peer is told which versions disagree,
-        // whatever it sends.
-        for old in [4u16, 6, 7, 8] {
+        // A version-4, -6, -7, -8 or -9 peer is told which versions
+        // disagree, whatever it sends.
+        for old in [4u16, 6, 7, 8, 9] {
             buf[4..6].copy_from_slice(&old.to_le_bytes());
             match Frame::decode(&buf) {
                 Err(WireError::VersionMismatch { ours, theirs }) => {

@@ -503,7 +503,7 @@ fn feed_interval(
             reference.record_unprocessed(delay);
         } else if rng.gen_bool(0.1) {
             let n_lost = rng.gen_range(0u64..200);
-            profiler.record_late(delay, n_lost);
+            profiler.record_out_of_order(delay, n_lost, true);
             reference.record_late(delay, n_lost);
         } else {
             let n_cross = rng.gen_range(0u64..5_000);

@@ -160,13 +160,14 @@ fn saturated_statistics_history_holds_four_bytes_a_sample() {
 }
 
 /// What `finish_into` may add to the peak beyond the one `staged` batch,
-/// however many tuples were buffered.  86 632 B measured at N = 8 192: the
-/// result series' first 64 KiB chunk (no tuple produced a result before
-/// the flush), two 64-row segment arenas of 56-B slots per stream (14 KiB:
-/// a tail seals at the window's live size, 64 rows at the least), the
-/// result-size monitor's first 4 KiB and ~2 KiB of small buffers.  A tail
-/// sealing only at 1 024 rows held 347 KB here.
-const END_OF_STREAM_SLACK_BYTES: i64 = 96 * 1024;
+/// however many tuples were buffered.  21 864 B measured at N = 8 192: two
+/// 64-row segment arenas of 56-B slots per stream (14 KiB: a tail seals at
+/// the window's live size, 64 rows at the least), the result-size
+/// monitor's first 4 KiB, the result series' first two chunks (256 B and
+/// 512 B: no tuple produced a result before the flush) and ~2 KiB of small
+/// buffers.  A series opening with a 64 KiB chunk read 86 632 B here (then
+/// budget 96 KiB), and a tail sealing only at 1 024 rows 347 KB.
+const END_OF_STREAM_SLACK_BYTES: i64 = 32 * 1024;
 
 #[test]
 fn end_of_stream_stages_each_buffered_tuple_once() {
