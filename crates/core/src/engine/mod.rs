@@ -128,7 +128,7 @@
 //! byte-identical to the pre-engine pipeline; `Pool { workers: n }` and
 //! `Remote` produce the same result multiset
 //! (and, because `n_x(e)` is computed globally, the same adaptation
-//! trajectory) for any `n` — pinned by `tests/differential_backends.rs`.
+//! trajectory) for any `n` — pinned by `tests/differential.rs`.
 //!
 //! ## Skew: detection only
 //!

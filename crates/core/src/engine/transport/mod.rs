@@ -330,7 +330,12 @@ pub fn connect(endpoint: &Endpoint) -> Result<Connection, WireError> {
                 spawn_in_process().map(|(s, server)| (Stream::Uds(s), Some(server)))
             }
             Endpoint::Uds(path) => UnixStream::connect(path).map(|s| (Stream::Uds(s), None)),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(|s| (Stream::Tcp(s), None)),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(|s| {
+                // See `serve_tcp`: without it every frame waits out a
+                // delayed ACK; a failure costs latency, not correctness.
+                let _ = s.set_nodelay(true);
+                (Stream::Tcp(s), None)
+            }),
         };
         match opened {
             Ok(opened) => break opened,

@@ -320,5 +320,12 @@ pub fn serve_tcp(addr: &str, telemetry: Option<Telemetry>) -> Result<(), WireErr
         "mswj-shardd: listening on tcp {}",
         listener.local_addr().map_err(WireError::Io)?
     );
-    serve_each(listener.incoming(), telemetry)
+    // Frames are request/response: Nagle's algorithm would hold each short
+    // frame for the peer's delayed ACK.  A failure costs latency only.
+    let incoming = listener.incoming().inspect(|conn| {
+        if let Ok(s) = conn {
+            let _ = s.set_nodelay(true);
+        }
+    });
+    serve_each(incoming, telemetry)
 }

@@ -357,25 +357,12 @@ impl PolicyEval {
         self.report.avg_k_secs()
     }
 
-    /// `value`, or NaN (printed `-` by [`format_table`]) when the run measured no
-    /// period and `value` is an empty sample set's default.
-    fn measured(&self, value: f64) -> f64 {
-        if self.recall.samples.is_empty() {
-            f64::NAN
-        } else {
-            value
-        }
-    }
-
     /// A sweep row: `avg K (s)`, `Φ(Γ) %` and `Φ(.99Γ) %`.
     fn phi_row(&self, label: String, gamma: f64) -> TableRow {
         TableRow::new(label)
             .cell("avg K (s)", self.avg_k_secs())
-            .cell("Φ(Γ) %", self.measured(self.recall.fulfilment_pct(gamma)))
-            .cell(
-                "Φ(.99Γ) %",
-                self.measured(self.recall.fulfilment_pct_relaxed(gamma)),
-            )
+            .cell("Φ(Γ) %", self.recall.fulfilment_pct(gamma))
+            .cell("Φ(.99Γ) %", self.recall.fulfilment_pct_relaxed(gamma))
     }
 }
 
@@ -443,8 +430,8 @@ fn fig6(ctx: &Context) -> String {
         out.push('\n');
         summary.push(
             TableRow::new(label(dataset))
-                .cell("avg recall", eval.measured(eval.recall.avg_recall))
-                .cell("min recall", eval.measured(eval.recall.min_recall()))
+                .cell("avg recall", eval.recall.avg_recall)
+                .cell("min recall", eval.recall.min_recall())
                 .cell("overall recall", eval.recall.overall_recall),
         );
     }
@@ -462,7 +449,7 @@ fn table2(ctx: &Context) -> String {
             let eval = ctx.run(data, BufferPolicy::MaxKSlack);
             TableRow::new(label(&data.0))
                 .cell("avg K (s)", eval.avg_k_secs())
-                .cell("avg recall", eval.measured(eval.recall.avg_recall))
+                .cell("avg recall", eval.recall.avg_recall)
                 .cell("overall recall", eval.recall.overall_recall)
         })
         .collect();
@@ -481,17 +468,16 @@ fn fig7(ctx: &Context) -> String {
             for strategy in [SelectivityStrategy::EqSel, SelectivityStrategy::NonEqSel] {
                 let config = DisorderConfig::with_gamma(gamma).selectivity_strategy(strategy);
                 let eval = ctx.run(data, BufferPolicy::QualityDriven(config));
-                let avg_recall = eval.measured(eval.recall.avg_recall);
                 rows.push(
                     eval.phi_row(format!("Γ={gamma} {strategy}"), gamma)
-                        .cell("avg recall", avg_recall),
+                        .cell("avg recall", eval.recall.avg_recall),
                 );
             }
         }
         rows.push(
             TableRow::new("Max-K-slack (reference)")
                 .cell("avg K (s)", max_k.avg_k_secs())
-                .cell("avg recall", max_k.measured(max_k.recall.avg_recall)),
+                .cell("avg recall", max_k.recall.avg_recall),
         );
         out += &table(&format!("Fig. 7 — {}", label(dataset)), &rows);
     }

@@ -32,7 +32,7 @@
 //! bucket of tuples that can still satisfy the join — while generic
 //! conditions (and any probe whose index soundness cannot be guaranteed)
 //! use the exhaustive nested-loop scan.  Both paths are proven equivalent
-//! by the differential harness in `tests/differential_probe.rs`.  Every
+//! by the differential harness in `tests/differential.rs`.  Every
 //! shape is the same walk — a per-probe gate, an optional root, and a fan
 //! of per-stream sources whose sizes multiply — written once for counting
 //! and enumerating operators (see [`probe`]).
@@ -44,7 +44,7 @@
 //! touching a tuple it does not emit.  The tuple-at-a-time scan stays as
 //! the path of conditions without a structure and of
 //! [`ProbeStrategy::NestedLoop`], which makes it the differential oracle
-//! (`tests/differential_scan.rs`).
+//! (`tests/differential.rs`).
 //!
 //! ## Sharded execution
 //!

@@ -30,11 +30,9 @@
 //! every live candidate — only the per-candidate cost changes.
 //!
 //! The strategy knob exists so that the equivalence can be *tested*: the
-//! differential harnesses (`tests/differential_probe.rs`,
-//! `tests/differential_scan.rs`) run every workload through an
-//! [`Auto`](ProbeStrategy::Auto) session and a
-//! [`NestedLoop`](ProbeStrategy::NestedLoop) session and assert identical
-//! results.
+//! differential harness (`tests/differential.rs`) runs every workload
+//! through a [`NestedLoop`](ProbeStrategy::NestedLoop) oracle and
+//! [`Auto`](ProbeStrategy::Auto) sessions and asserts identical results.
 
 use crate::condition::{EquiStructure, ScanStructure};
 

@@ -144,7 +144,7 @@
 //! The `ScanStructure` exactness contract is what makes all of this an
 //! access-path choice: the structure must describe `matches` exactly (see
 //! [`JoinCondition::scan_structure`](crate::JoinCondition::scan_structure)),
-//! and `tests/differential_scan.rs` holds the kernel to the tuple-at-a-time
+//! and `tests/differential.rs` holds the kernel to the tuple-at-a-time
 //! scan byte for byte.
 
 use mswj_types::{Duration, Timestamp, Tuple, Value};

@@ -5,7 +5,9 @@
 //! checkpoint we compare the number of produced results whose timestamps lie
 //! within the last `P` time units against the corresponding ground-truth
 //! count.  Measurements obtained during the first quality measurement period
-//! are excluded, as in the paper.
+//! are excluded, as in the paper.  A run that takes no measurement — one
+//! shorter than `P` — is unmeasured, not perfect: its average and minimum
+//! `γ(P)` and its `Φ(Γ)` are NaN.
 
 use crate::ground_truth::CountSeries;
 use mswj_core::{Checkpoint, RunReport};
@@ -30,7 +32,7 @@ pub struct RecallSample {
 pub struct RecallEvaluation {
     /// Individual `γ(P)` measurements (first period excluded).
     pub samples: Vec<RecallSample>,
-    /// Average `γ(P)` over all measurements.
+    /// Average `γ(P)` over all measurements; NaN without one.
     pub avg_recall: f64,
     /// Overall recall (total produced / total true over the whole run).
     pub overall_recall: f64,
@@ -40,10 +42,11 @@ pub struct RecallEvaluation {
 
 impl RecallEvaluation {
     /// The requirement fulfilment percentage `Φ(Γ)`: the share of `γ(P)`
-    /// measurements that are not lower than `gamma`, in percent.
+    /// measurements that are not lower than `gamma`, in percent; NaN
+    /// without a measurement.
     pub fn fulfilment_pct(&self, gamma: f64) -> f64 {
         if self.samples.is_empty() {
-            return 100.0;
+            return f64::NAN;
         }
         let ok = self
             .samples
@@ -58,13 +61,10 @@ impl RecallEvaluation {
         self.fulfilment_pct(gamma * 0.99)
     }
 
-    /// Minimum observed `γ(P)` (1.0 for an empty sample set).
+    /// Minimum observed `γ(P)`; NaN without a measurement.
     pub fn min_recall(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.recall)
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0)
+        let recalls = self.samples.iter().map(|s| s.recall);
+        recalls.reduce(f64::min).unwrap_or(f64::NAN)
     }
 }
 
@@ -85,11 +85,8 @@ pub fn evaluate_recall(
         .filter(|c| c.measure_ts > warmup_end)
         .map(|c| sample_at(c, &produced, truth, period_p))
         .collect();
-    let avg_recall = if samples.is_empty() {
-        1.0
-    } else {
-        samples.iter().map(|s| s.recall).sum::<f64>() / samples.len() as f64
-    };
+    // 0 / 0 without a measurement: NaN.
+    let avg_recall = samples.iter().map(|s| s.recall).sum::<f64>() / samples.len() as f64;
     let overall_recall = if truth.total() == 0 {
         1.0
     } else {
@@ -237,9 +234,26 @@ mod tests {
         let rep = report(vec![], vec![]);
         let eval = evaluate_recall(&rep, &truth, 1_000);
         assert!(eval.samples.is_empty());
-        assert_eq!(eval.avg_recall, 1.0);
+        assert!(eval.avg_recall.is_nan());
         assert_eq!(eval.overall_recall, 1.0);
-        assert_eq!(eval.fulfilment_pct(0.9), 100.0);
-        assert_eq!(eval.min_recall(), 1.0);
+        assert!(eval.fulfilment_pct(0.9).is_nan());
+        assert!(eval.min_recall().is_nan());
+    }
+
+    #[test]
+    fn a_run_shorter_than_p_is_unmeasured() {
+        // Checkpoints every second of a 10 s run that misses half its
+        // results, measured over P = 60 s: every checkpoint lies in the
+        // first period, so none is a measurement.
+        let truth = CountSeries::new(vec![(ts(5_000), 10)]);
+        let checkpoints = (1..=10).map(|s| checkpoint(s * 1_000)).collect();
+        let rep = report(vec![(ts(5_000), 5)], checkpoints);
+        let eval = evaluate_recall(&rep, &truth, 60_000);
+        assert!(eval.samples.is_empty());
+        assert!(eval.avg_recall.is_nan());
+        assert!(eval.min_recall().is_nan());
+        assert!(eval.fulfilment_pct(0.9).is_nan());
+        assert!(eval.fulfilment_pct_relaxed(0.9).is_nan());
+        assert!((eval.overall_recall - 0.5).abs() < 1e-12);
     }
 }

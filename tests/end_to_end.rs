@@ -71,6 +71,7 @@ fn quality_driven_meets_requirement_with_smaller_buffers_than_max_k() {
     // The shape result of the paper: the quality-driven buffers are no larger
     // than Max-K-slack's, and the recall requirement is (almost always) met.
     assert!(qd.avg_k_ms <= maxk.avg_k_ms + 1.0);
+    assert!(!qd_eval.samples.is_empty(), "the run must measure periods");
     assert!(
         qd_eval.fulfilment_pct_relaxed(gamma) >= 90.0,
         "Φ(.99Γ) = {:.1}%",

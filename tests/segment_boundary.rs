@@ -7,7 +7,7 @@
 //! default capacity runs beside it in the same process, and that every
 //! shard reports its live window bytes at that capacity when events are
 //! pushed one at a time.  The differential cases at capacity 4 live in
-//! `differential_backends.rs` (`*_at_segment_boundaries`).
+//! `differential.rs` (`*_at_capacity_4`).
 
 use mswj::prelude::*;
 use rand::rngs::StdRng;

@@ -1,5 +1,5 @@
-//! The star flood scenario shared by the differential suite
-//! (`tests/differential_backends.rs`) and the per-shard work counts
+//! The star flood scenario shared by the differential harness
+//! (`tests/differential.rs`) and the per-shard work counts
 //! (`tests/shard_work.rs`).
 //!
 //! A star plan key-routes its anchor with the lowest-numbered satellite
