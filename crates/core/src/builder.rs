@@ -202,7 +202,7 @@ impl SessionBuilder {
     /// `Endpoint::InProc`, or an `mswj-shardd` process reached over a
     /// Unix-domain/TCP socket, all speaking the versioned `mswj-wire`
     /// protocol.  It requires a declarative join condition (closure
-    /// predicates have no wire form) and reports connection or handshake
+    /// predicates have no wire form) and reports connection or `Setup`
     /// failures as [`Error::InvalidConfig`] from `build()`.
     pub fn parallelism(mut self, backend: ExecutionBackend) -> Self {
         self.backend = backend;
@@ -212,11 +212,9 @@ impl SessionBuilder {
     /// Attaches a live [`Telemetry`] handle to the session.
     ///
     /// The handle is shared: the pipeline front-end records quality gauges
-    /// and latency histograms into it, the join stage publishes per-shard
-    /// runtime gauges at its idle barriers, and operational notices
-    /// (checkpoints, heavy-hitter warnings)
-    /// land in its bounded event ring instead of on stderr (and reach the
-    /// callback set by [`Telemetry::set_event_callback`]).  Hand a clone
+    /// and latency histograms into it, publishes the per-shard runtime
+    /// gauges at every checkpoint, and checkpoint notices land in its
+    /// bounded event ring (and reach the callback set by [`Telemetry::set_event_callback`]).  Hand a clone
     /// of the same handle to a
     /// [`MetricsExporter`](mswj_obs::MetricsExporter) to scrape it over
     /// HTTP.  Telemetry is strictly observe-only — results are

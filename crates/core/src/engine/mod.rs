@@ -111,14 +111,13 @@
 //! engine.sync(&mut count);
 //! assert!(matches > 0);
 //!
-//! // ShardRuntimeStats: routing volume and queue pressure per shard — the
-//! // raw signal behind heavy-hitter detection.
-//! for s in 0..engine.shard_count() {
-//!     let rt = engine.runtime_stats(s);
+//! // ShardRuntimeStats: routing volume and queue pressure per shard — a
+//! // hot key shows as one shard's `routed` share.
+//! for stats in engine.shard_stats() {
+//!     let rt = stats.runtime;
 //!     assert!(rt.routed > 0, "8 keys spread over 4 shards");
 //!     assert!(rt.max_queue_depth as u64 <= rt.routed);
 //! }
-//! assert_eq!(engine.heavy_hitter(), None, "this workload is balanced");
 //! ```
 //!
 //! ## Determinism
@@ -130,14 +129,12 @@
 //! (and, because `n_x(e)` is computed globally, the same adaptation
 //! trajectory) for any `n` — pinned by `tests/differential.rs`.
 //!
-//! ## Skew: detection only
+//! ## Skew
 //!
 //! Hash routing pins each key class to its home shard for the whole
 //! session, so a hot key concentrates the work of "n shards" on one.  The
-//! engine reports it and moves nothing: when one shard takes the majority
-//! of a detection window's routed items, a warning is logged (re-armed
-//! once the imbalance clears, so late-emerging hot keys are reported too);
-//! see [`JoinEngine::heavy_hitter`].
+//! engine moves nothing and raises no alarm: per-shard load is the
+//! `routed` counter of [`JoinEngine::shard_stats`].
 //!
 //! See `docs/ARCHITECTURE.md` for the full contract.
 //!
@@ -162,14 +159,13 @@ mod exec;
 mod occupancy;
 mod pool;
 mod shards;
-mod skew;
 pub mod transport;
 
 use mswj_join::{
     JoinQuery, JoinResult, OperatorStats, Partitioner, ProbeOutcome, ProbePlan, ProbeStrategy,
     Route,
 };
-use mswj_obs::{EventKind, ShardInstruments, Telemetry, TelemetryEvent};
+use mswj_obs::ShardInstruments;
 use mswj_types::{Error, StreamIndex, Timestamp, Tuple};
 // One shard's contribution to a tuple's outcome: a probing tuple's results,
 // or a late tuple's counted loss.  The wire protocol's own type, so a remote
@@ -308,9 +304,6 @@ pub struct ShardRuntimeStats {
     /// Cumulative submit→collect wall time across this shard's epochs
     /// (`Remote` backend): transport round-trip plus remote execution.
     pub epoch_rtt_nanos: u64,
-    /// Connection attempts beyond the first while establishing the link
-    /// (`Remote` backend).
-    pub(crate) reconnects: u64,
     /// Estimated live heap bytes of this shard's window state (segment
     /// arenas, payload vectors and string bytes), sampled when the stats
     /// were taken.  On the `Remote` backend the figure is reported by the
@@ -324,11 +317,12 @@ pub struct ShardRuntimeStats {
 }
 
 /// Publishes one shard's [`ShardRuntimeStats`] into its telemetry scope —
-/// the one place shard gauges are set, for the engine's shards and for a
-/// shard server's connections alike.  Strictly observe-only.
+/// the one place shard gauges are set, for a session's shards (by the
+/// pipeline, at checkpoints) and for a shard server's connections alike.
+/// Strictly observe-only.
 pub(crate) struct ShardPublisher {
     scope: Arc<ShardInstruments>,
-    /// The previous publication (or attach/connect) and the shard's
+    /// The previous publication (or session build/connect) and the shard's
     /// `busy_nanos` then: the busy-share baseline.
     since: Instant,
     busy_nanos: u64,
@@ -395,12 +389,6 @@ pub struct JoinEngine {
     occupancy: Occupancy,
     stats: OperatorStats,
     runtime: Vec<ShardRuntimeStats>,
-    /// Per-shard `routed` snapshot at the last heavy-hitter detection
-    /// window reset: `routed - hh_base` is the windowed routing volume.
-    hh_base: Vec<u64>,
-    /// The shard last warned about as a heavy hitter; cleared (re-armed)
-    /// when an evaluation window comes back balanced.
-    hh_warned: Option<usize>,
     /// Reusable staging / execution buffers (capacity persists across
     /// batches, so a steady-state flush allocates nothing on any executor
     /// path).  The sequential shard's tuples awaiting the next
@@ -424,15 +412,6 @@ pub struct JoinEngine {
     deferred: Vec<ProbeOutcome>,
     /// Which shards hold a task of the deferred epoch.
     in_flight: Vec<bool>,
-    /// The attached telemetry registry, if any.  Strictly observe-only:
-    /// nothing the engine reads from it feeds back into routing or
-    /// merging, so an attached handle cannot change a produced
-    /// byte.  Instruments are only touched at idle barriers (events,
-    /// gauge publication) — never inside the per-tuple execution path.
-    telemetry: Option<Telemetry>,
-    /// One gauge publisher per shard, resolved at attach time so
-    /// publication does no registry locking; empty without telemetry.
-    publishers: Vec<ShardPublisher>,
 }
 
 impl std::fmt::Debug for JoinEngine {
@@ -482,8 +461,8 @@ impl JoinEngine {
 
     /// The fallible form of [`JoinEngine::new`], with the same parameters.
     /// The `Remote` backend validates its endpoint list, requires a
-    /// wire-expressible join condition, and connects + handshakes with
-    /// every shard server here — each failure comes back as
+    /// wire-expressible join condition, and connects to and sends `Setup`
+    /// to every shard server here — each failure comes back as
     /// [`Error::InvalidConfig`], as does a zero-worker
     /// [`ExecutionBackend::Pool`].  The local backends fail on nothing else.
     pub(crate) fn try_new(
@@ -515,8 +494,6 @@ impl JoinEngine {
             occupancy: Occupancy::new(if local { 0 } else { m }),
             stats: OperatorStats::default(),
             runtime: vec![ShardRuntimeStats::default(); n],
-            hh_base: vec![0; n],
-            hh_warned: None,
             staged: Vec::new(),
             staged_inserted: 0,
             decisions: Vec::new(),
@@ -528,50 +505,8 @@ impl JoinEngine {
             next_epoch: 1,
             deferred: Vec::new(),
             in_flight: vec![false; n],
-            telemetry: None,
-            publishers: Vec::new(),
             query,
         })
-    }
-
-    /// Attaches a telemetry registry, pre-registering one instrument scope
-    /// per shard.  Observe-only: the engine publishes runtime gauges into
-    /// it at barriers and routes structured events (heavy-hitter warnings)
-    /// through its bounded ring instead of stderr.  Attaching telemetry
-    /// never changes a produced byte.
-    pub(crate) fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.publishers = (0..self.shard_count())
-            .map(|s| ShardPublisher::new(telemetry.shard(s)))
-            .collect();
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Emits a structured event into the attached telemetry ring (no-op
-    /// without one).  Runs at barriers only — it may lock and allocate.
-    fn telemetry_event(&self, kind: EventKind, message: String) {
-        if let Some(t) = &self.telemetry {
-            t.emit(TelemetryEvent {
-                at_ms: self.on_t.as_millis(),
-                kind,
-                message,
-            });
-        }
-    }
-
-    /// Publishes the per-shard runtime gauges (queue depth, busy share,
-    /// window bytes/segments, transport counters) into the attached
-    /// telemetry registry; a no-op without one.  Must be called with the
-    /// engine idle (the pipeline does so right after its checkpoint
-    /// barrier); on the `Remote` backend this runs one extra barrier
-    /// round-trip per shard to sample the server-side window footprint.
-    pub(crate) fn publish_telemetry(&mut self) {
-        if self.publishers.is_empty() {
-            return;
-        }
-        let stats = self.shard_stats();
-        for (publisher, stat) in self.publishers.iter_mut().zip(&stats) {
-            publisher.publish(&stat.runtime);
-        }
     }
 
     /// The backend this engine executes with.
@@ -609,14 +544,6 @@ impl JoinEngine {
     /// counters (`epochs_executed`, `busy_nanos`) count it from then on.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards.stats(&self.runtime)
-    }
-
-    /// The executor runtime counters of shard `s`, including the transport
-    /// counters on the `Remote` backend.
-    pub fn runtime_stats(&self, s: usize) -> ShardRuntimeStats {
-        let mut rt = self.runtime[s];
-        self.shards.fold_runtime(s, &mut rt);
-        rt
     }
 
     /// Aggregate counters, kept **sequential-equivalent**: ordering, drop
@@ -734,36 +661,14 @@ impl JoinEngine {
     /// Other backends (and sub-threshold batches) deliver everything before
     /// returning.
     pub fn flush(&mut self, f: &mut dyn FnMut(EngineEvent<'_>)) {
-        self.flush_impl(f, false);
+        self.execute_pending(f, false);
     }
 
     /// The barrier flavour of [`JoinEngine::flush`]: additionally collects
     /// any deferred epoch, so every staged tuple's events have been
     /// delivered — and every shard is idle — when this returns.
     pub fn sync(&mut self, f: &mut dyn FnMut(EngineEvent<'_>)) {
-        self.flush_impl(f, true);
-    }
-
-    fn flush_impl(&mut self, f: &mut dyn FnMut(EngineEvent<'_>), barrier: bool) {
-        self.execute_pending(f, barrier);
-        if barrier {
-            self.at_idle_barrier();
-        }
-    }
-
-    /// Every shard is idle after a barrier flush — every queue drained, no
-    /// epoch outstanding: the only point where a heavy-hitter detection
-    /// window closes.  Barriers sit at workload-determined points
-    /// (checkpoints, buffer-size changes, end of stream), which makes the
-    /// detection backend-invariant.
-    fn at_idle_barrier(&mut self) {
-        debug_assert!(
-            self.outstanding.is_none()
-                && !self.has_pending()
-                && self.queues.iter().all(VecDeque::is_empty),
-            "heavy-hitter detection requires an idle engine"
-        );
-        self.note_heavy_hitter();
+        self.execute_pending(f, true);
     }
 
     fn execute_pending(&mut self, f: &mut dyn FnMut(EngineEvent<'_>), barrier: bool) {
@@ -1018,7 +923,7 @@ mod tests {
             );
             // The runtime counters count staged tuples, dropped ones too:
             // all of them, and the most staged between two flushes.
-            let rt = engine.runtime_stats(0);
+            let rt = engine.shard_stats()[0].runtime;
             assert_eq!(rt.routed, tuples.len() as u64, "chunk {chunk}");
             assert_eq!(rt.max_queue_depth, chunk.min(tuples.len()), "chunk {chunk}");
         }
@@ -1131,9 +1036,7 @@ mod tests {
                 );
                 // A dropped tuple is a routed item like any other, on every
                 // backend: each tuple counts once.
-                let routed: u64 = (0..engine.shard_count())
-                    .map(|s| engine.runtime_stats(s).routed)
-                    .sum();
+                let routed: u64 = shards.iter().map(|s| s.runtime.routed).sum();
                 assert_eq!(routed, tuples.len() as u64, "[{backend} chunk {chunk}]");
             }
         }
@@ -1277,25 +1180,6 @@ mod tests {
     }
 
     #[test]
-    fn heavy_hitter_detection_fires_on_skew() {
-        let mut engine = JoinEngine::new(
-            equi_query(2, 10_000),
-            ProbeStrategy::Auto,
-            false,
-            ExecutionBackend::Pool { workers: 4 },
-        );
-        // Every tuple carries the same key: one shard takes 100% of the
-        // routed events.
-        let tuples: Vec<Tuple> = (0..1_200u64)
-            .map(|s| tup((s % 2) as usize, s, s * 2, 7))
-            .collect();
-        assert_eq!(engine.heavy_hitter(), None, "too little evidence yet");
-        engine.push_batch(tuples, &mut |_| {});
-        let hot = engine.heavy_hitter().expect("constant key must trip");
-        assert_eq!(engine.runtime_stats(hot).routed, 1_200);
-    }
-
-    #[test]
     fn unpartitionable_plans_collapse_to_one_shard() {
         for backend in [
             ExecutionBackend::Pool { workers: 8 },
@@ -1380,9 +1264,9 @@ mod tests {
             }
         });
         assert_eq!(done, 100);
-        for s in 0..engine.shard_count() {
-            let rt = engine.runtime_stats(s);
-            assert!(rt.frames_sent >= 3, "hello + setup + tasks: {rt:?}");
+        for stats in engine.shard_stats() {
+            let rt = stats.runtime;
+            assert!(rt.frames_sent >= 2, "setup + tasks: {rt:?}");
             assert_eq!(
                 rt.frames_sent, rt.frames_received,
                 "strict request/reply protocol: {rt:?}"
@@ -1399,14 +1283,13 @@ mod tests {
 
     #[test]
     fn published_rtt_is_the_per_epoch_mean() {
-        let telemetry = Telemetry::new();
+        let telemetry = mswj_obs::Telemetry::new();
         let mut engine = JoinEngine::new(
             equi_query(2, 1_000),
             ProbeStrategy::Auto,
             false,
             ExecutionBackend::remote_inproc(2),
         );
-        engine.attach_telemetry(telemetry.clone());
         for batch in 0..2u64 {
             let tuples: Vec<Tuple> = (0..100u64)
                 .map(|i| {
@@ -1417,9 +1300,9 @@ mod tests {
             engine.push_batch(tuples, &mut |_| {});
         }
         engine.sync(&mut |_| {});
-        engine.publish_telemetry();
-        for s in 0..engine.shard_count() {
-            let rt = engine.runtime_stats(s);
+        for (s, stats) in engine.shard_stats().iter().enumerate() {
+            let rt = stats.runtime;
+            ShardPublisher::new(telemetry.shard(s)).publish(&rt);
             assert!(rt.epochs_executed >= 2, "{rt:?}");
             let mean = rt.epoch_rtt_nanos / rt.epochs_executed;
             assert!(mean < rt.epoch_rtt_nanos, "{rt:?}");
@@ -1443,34 +1326,5 @@ mod tests {
         assert!(!engine.has_outstanding());
         assert_eq!(engine.backend(), &ExecutionBackend::Sequential);
         assert_eq!(engine.on_t(), Timestamp::ZERO);
-    }
-
-    #[test]
-    fn late_emerging_hot_key_still_trips_detection() {
-        // Regression: the detector judges *windows*, not lifetime counters.
-        // A long balanced phase must not dilute a later hot key below the
-        // majority threshold (1_200 hot of 5_296 total is only ~23%
-        // lifetime), and the warning must re-arm after a balanced window.
-        let mut engine = JoinEngine::new(
-            equi_query(2, 100_000),
-            ProbeStrategy::Auto,
-            false,
-            ExecutionBackend::Pool { workers: 4 },
-        );
-        let balanced: Vec<Tuple> = (0..4_096u64)
-            .map(|s| tup((s % 2) as usize, s, s * 2, (s % 64) as i64))
-            .collect();
-        engine.push_batch(balanced, &mut |_| {});
-        engine.sync(&mut |_| {});
-        assert_eq!(engine.heavy_hitter(), None, "balanced window");
-        let hot: Vec<Tuple> = (4_096..5_296u64)
-            .map(|s| tup((s % 2) as usize, s, s * 2, 7))
-            .collect();
-        engine.push_batch(hot, &mut |_| {});
-        let s = engine
-            .heavy_hitter()
-            .expect("a late hot key must trip windowed detection");
-        let windowed = engine.runtime_stats(s).routed;
-        assert!(windowed >= 1_200, "the hot window counts from its own base");
     }
 }

@@ -203,16 +203,9 @@ impl ShardSet {
         }
     }
 
-    /// Folds what only the placement knows — the transport counters of a
-    /// remote link — into shard `s`'s runtime stats.
-    pub(super) fn fold_runtime(&self, s: usize, rt: &mut ShardRuntimeStats) {
-        if let ShardSet::Remote(remote) = self {
-            remote.fold_runtime(s, rt);
-        }
-    }
-
     /// Every shard's complete statistics: [`ShardSet::barrier_stats`] over
-    /// the engine-side `runtime` counters.
+    /// the engine-side `runtime` counters, plus a remote link's transport
+    /// counters.
     pub(super) fn stats(&self, runtime: &[ShardRuntimeStats]) -> Vec<ShardStats> {
         runtime
             .iter()
@@ -220,7 +213,9 @@ impl ShardSet {
             .map(|(s, rt)| {
                 let (operator, window_bytes, window_segments) = self.barrier_stats(s);
                 let mut runtime = *rt;
-                self.fold_runtime(s, &mut runtime);
+                if let ShardSet::Remote(remote) = self {
+                    remote.fold_runtime(s, &mut runtime);
+                }
                 runtime.window_bytes = window_bytes;
                 runtime.window_segments = window_segments;
                 ShardStats { operator, runtime }

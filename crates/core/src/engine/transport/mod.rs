@@ -7,9 +7,9 @@
 //! `mswj-wire` crate.  Three layers:
 //!
 //! * [`Connection`] — a blocking, bidirectional frame channel to one shard
-//!   server, with transport counters (frames/bytes both ways, reconnect
-//!   count).  Every [`Endpoint`] is a socket: [`Endpoint::InProc`] is one
-//!   end of a `UnixStream::pair()` whose other end a local
+//!   server, with transport counters (frames and bytes both ways).
+//!   Every [`Endpoint`] is a socket: [`Endpoint::InProc`] is one end of
+//!   a `UnixStream::pair()` whose other end a local
 //!   `mswj-inproc-shard` thread serves, the others a Unix-domain or TCP
 //!   socket to an `mswj-shardd` process, dialled with retry (bounded by
 //!   a connect timeout).  Reads carry a [`DEFAULT_READ_TIMEOUT`], so a
@@ -30,8 +30,9 @@
 //! caller thread as [`EngineError::RemotePanic`] — the same surface the
 //! pool gives via `resume_unwind`.  A dead or silent peer becomes
 //! [`EngineError::ShardLost`] within the read timeout, on every endpoint
-//! alike: EOF, `EPIPE` or a timed-out read.  A peer speaking a different
-//! protocol revision is rejected on its first frame with
+//! alike: EOF, `EPIPE` or a timed-out read.  Every frame header carries
+//! the protocol version, so a peer speaking a different revision is
+//! rejected on its first frame (`Setup`) with
 //! [`EngineError::VersionMismatch`].  See `docs/ARCHITECTURE.md` for the
 //! full contract.
 //!
@@ -59,10 +60,6 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// Deadline for establishing a socket connection, including retries —
 /// generous enough to cover a shard server that is still binding.
 pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Read timeout applied to the best-effort shutdown handshake; a peer that
-/// never acks is abandoned rather than waited on.
-pub(in crate::engine) const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Where a remote shard lives.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -164,8 +161,6 @@ pub(crate) struct TransportCounters {
     pub(crate) bytes_sent: u64,
     /// Encoded bytes read, headers included.
     pub(crate) bytes_received: u64,
-    /// Connection attempts beyond the first while establishing the link.
-    pub(crate) reconnects: u64,
 }
 
 /// Frame-layer adapter over any blocking byte stream: encodes into (and
@@ -269,8 +264,6 @@ pub struct Connection {
     /// The `mswj-inproc-shard` thread serving the other end of an
     /// [`Endpoint::InProc`] socket pair; shut down and joined on drop.
     server: Option<JoinHandle<()>>,
-    /// Connection attempts beyond the first.
-    reconnects: u64,
 }
 
 impl Connection {
@@ -291,10 +284,7 @@ impl Connection {
 
     /// Snapshot of the frame/byte counters.
     pub(crate) fn counters(&self) -> TransportCounters {
-        TransportCounters {
-            reconnects: self.reconnects,
-            ..self.framed.counters()
-        }
+        self.framed.counters()
     }
 
     /// The endpoint this connection reaches, for diagnostics.
@@ -319,11 +309,10 @@ impl Drop for Connection {
 /// Opens a connection to `endpoint` — spawning the in-process server for
 /// [`Endpoint::InProc`], dialling otherwise — retrying until the connect
 /// timeout and starting with the [`DEFAULT_READ_TIMEOUT`].
-/// Every failure, a failed server spawn included, is an `Err`.  The
-/// protocol handshake (hello + setup) is the caller's job.
+/// Every failure, a failed server spawn included, is an `Err`.  Sending
+/// `Setup` is the caller's job.
 pub fn connect(endpoint: &Endpoint) -> Result<Connection, WireError> {
     let deadline = Instant::now() + CONNECT_TIMEOUT;
-    let mut reconnects = 0;
     let (stream, server) = loop {
         let opened = match endpoint {
             Endpoint::InProc => {
@@ -339,10 +328,7 @@ pub fn connect(endpoint: &Endpoint) -> Result<Connection, WireError> {
         };
         match opened {
             Ok(opened) => break opened,
-            Err(_) if Instant::now() < deadline => {
-                reconnects += 1;
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
             Err(e) => return Err(WireError::Io(e)),
         }
     };
@@ -350,7 +336,6 @@ pub fn connect(endpoint: &Endpoint) -> Result<Connection, WireError> {
         framed: Framed::new(stream),
         endpoint: endpoint.clone(),
         server,
-        reconnects,
     };
     connection.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
     Ok(connection)
@@ -388,47 +373,82 @@ mod tests {
     }
 
     #[test]
-    fn inproc_transport_answers_hello_and_counts_traffic() {
+    fn inproc_transport_answers_setup_and_counts_traffic() {
         let mut t = connect(&Endpoint::InProc).unwrap();
-        t.send(&Frame::Hello).unwrap();
-        assert!(matches!(t.recv().unwrap(), Frame::HelloAck));
+        t.send(&Frame::Setup(two_stream_query())).unwrap();
+        assert!(matches!(t.recv().unwrap(), Frame::SetupAck));
         let c = t.counters();
         assert_eq!((c.frames_sent, c.frames_received), (1, 1));
-        assert!(c.bytes_sent >= 12 && c.bytes_received >= 12, "{c:?}");
-        assert_eq!(c.reconnects, 0);
+        assert!(c.bytes_sent > 12 && c.bytes_received >= 12, "{c:?}");
         assert_eq!(t.endpoint().to_string(), "inproc");
     }
 
     #[test]
     fn server_rejects_a_foreign_protocol_version() {
-        let (mut client, handle) = served_pair();
-        // A hand-built hello header claiming a protocol version one past ours.
-        let foreign = PROTOCOL_VERSION + 1;
-        let mut raw = Vec::new();
-        raw.extend_from_slice(b"MSWJ");
-        raw.extend_from_slice(&foreign.to_le_bytes());
-        raw.push(0x01); // hello
-        raw.push(0);
-        raw.extend_from_slice(&0u32.to_le_bytes());
-        client.write_all(&raw).unwrap();
+        // A `Setup` frame whose header claims another protocol version —
+        // one past ours, or the version before the greeting left (10) —
+        // gets the version-mismatch error frame, and nothing is built.
+        for foreign in [PROTOCOL_VERSION + 1, 10] {
+            let (mut client, handle) = served_pair();
+            let mut raw = Vec::new();
+            Frame::Setup(two_stream_query()).encode(&mut raw);
+            raw[4..6].copy_from_slice(&foreign.to_le_bytes());
+            client.write_all(&raw).unwrap();
+            let mut framed = Framed::new(client);
+            match framed.recv().unwrap() {
+                Frame::Error { message } => {
+                    assert!(message.contains("version mismatch"), "{message}");
+                    assert!(
+                        message.contains(&format!("client sent {foreign}")),
+                        "{message}"
+                    );
+                }
+                other => panic!("[{foreign}] expected an error frame, got {other:?}"),
+            }
+            match handle.join().unwrap() {
+                Err(WireError::VersionMismatch { ours, theirs }) => {
+                    assert_eq!(ours, PROTOCOL_VERSION);
+                    assert_eq!(theirs, foreign);
+                }
+                other => panic!("[{foreign}] expected a version mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_client_gone_before_its_output_is_an_orderly_close() {
+        // A client dropped mid-epoch: it sends `Setup` and a task whose
+        // `Output` (13 bytes an item) outgrows the socket buffer, then
+        // closes without reading it.  The server's write fails on the
+        // disconnect, and that is the end of the session, not a failure.
+        let (client, handle) = served_pair();
         let mut framed = Framed::new(client);
-        match framed.recv().unwrap() {
-            Frame::Error { message } => {
-                assert!(message.contains("version mismatch"), "{message}");
-                assert!(
-                    message.contains(&format!("client sent {foreign}")),
-                    "{message}"
-                );
-            }
-            other => panic!("expected an error frame, got {other:?}"),
-        }
-        match handle.join().unwrap() {
-            Err(WireError::VersionMismatch { ours, theirs }) => {
-                assert_eq!(ours, PROTOCOL_VERSION);
-                assert_eq!(theirs, foreign);
-            }
-            other => panic!("expected a version mismatch, got {other:?}"),
-        }
+        framed.send(&Frame::Setup(two_stream_query())).unwrap();
+        assert!(matches!(framed.recv().unwrap(), Frame::SetupAck));
+        let items = (0..50_000u32)
+            .map(|seq| WireItem {
+                seq,
+                probe: true,
+                tuple: Tuple::new(
+                    (seq as usize % 2).into(),
+                    u64::from(seq),
+                    Timestamp::from_millis(u64::from(seq / 2)),
+                    vec![Value::Int(i64::from(seq % 64))],
+                ),
+            })
+            .collect();
+        framed
+            .send(&Frame::Task(WireTask {
+                epoch: 1,
+                routing_epoch: 0,
+                items,
+            }))
+            .unwrap();
+        drop(framed);
+        assert!(
+            matches!(handle.join().expect("connection thread"), Ok(())),
+            "a disconnect mid-reply closes cleanly"
+        );
     }
 
     #[test]
@@ -477,14 +497,16 @@ mod tests {
         // current-version header carrying one, sent to a live server, is
         // undecodable: the server names the type byte in an error frame and
         // returns from the connection instead of panicking.
-        for retired in [0x0Au8, 0x0B, 0x0D, 0x11, 0x12] {
+        // So are the greeting and the close handshake (hello, hello-ack,
+        // shutdown, shutdown-ack), gone since version 11.
+        for retired in [0x0Au8, 0x0B, 0x0D, 0x11, 0x12, 0x01, 0x02, 0x0F, 0x10] {
             let (mut client, handle) = served_pair();
             let mut scratch = Vec::new();
             write_frame(&mut client, &Frame::Setup(two_stream_query()), &mut scratch).unwrap();
             let (ack, _) = read_frame(&mut client, &mut scratch).unwrap();
             assert!(matches!(ack, Frame::SetupAck), "{retired:#04x}: {ack:?}");
             let mut raw = Vec::new();
-            Frame::Shutdown.encode(&mut raw);
+            Frame::SetupAck.encode(&mut raw);
             raw[6] = retired;
             client.write_all(&raw).unwrap();
             match read_frame(&mut client, &mut scratch) {
@@ -679,10 +701,7 @@ mod tests {
             };
             framed.send(&Frame::Setup(setup)).unwrap();
             match framed.recv() {
-                Ok(Frame::SetupAck) if accepted => {
-                    framed.send(&Frame::Shutdown).unwrap();
-                    assert!(matches!(framed.recv().unwrap(), Frame::ShutdownAck));
-                }
+                Ok(Frame::SetupAck) if accepted => drop(framed),
                 Ok(Frame::Error { message }) if !accepted => assert!(
                     message.contains(&format!("segment capacity {capacity} out of range")),
                     "[{capacity}] {message}"
@@ -739,19 +758,23 @@ mod tests {
         assert_eq!(shard.routed.get(), 43.0);
         assert_eq!(shard.epochs_executed.get(), 2.0);
         assert!(shard.window_bytes.get() > 0.0);
-        framed.send(&Frame::Shutdown).unwrap();
-        assert!(matches!(framed.recv().unwrap(), Frame::ShutdownAck));
-        assert!(handle.join().unwrap().is_ok());
+        drop(framed);
+        assert!(handle.join().unwrap().is_ok(), "EOF ends the session");
     }
 
     #[test]
-    fn shutdown_handshake_ends_the_session() {
+    fn a_refused_request_ends_the_session() {
         let mut t = connect(&Endpoint::InProc).unwrap();
-        t.send(&Frame::Shutdown).unwrap();
-        assert!(matches!(t.recv().unwrap(), Frame::ShutdownAck));
+        t.send(&Frame::Barrier { token: 1 }).unwrap();
+        assert!(matches!(t.recv().unwrap(), Frame::BarrierAck { .. }));
+        t.send(&Frame::SetupAck).unwrap();
+        assert!(matches!(t.recv().unwrap(), Frame::Error { .. }));
         // The server has hung up: EOF on a read, `EPIPE` on a write.
         assert!(t.recv().unwrap_err().is_disconnect());
-        assert!(t.send(&Frame::Hello).unwrap_err().is_disconnect());
+        assert!(t
+            .send(&Frame::Barrier { token: 2 })
+            .unwrap_err()
+            .is_disconnect());
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! reply is its own.
 //! Mid-stream failures are raised as panics carrying
 //! [`EngineError`](super::EngineError), mirroring the pool's
-//! `resume_unwind` surface.
+//! `resume_unwind` surface.  A connection ends with EOF: dropping the
+//! links closes their sockets, and a server returns on the disconnect.
 
-use super::{Connection, Endpoint, EngineError, SHUTDOWN_TIMEOUT};
+use super::{Connection, Endpoint, EngineError};
 use crate::engine::{Item, ShardRuntimeStats, SubOutcome};
 use mswj_join::{JoinQuery, JoinResult, OperatorStats, ProbeStrategy};
 use mswj_types::Error;
@@ -117,8 +118,8 @@ pub(in crate::engine) struct RemoteShards {
 }
 
 impl RemoteShards {
-    /// Connects to every endpoint and runs the hello/setup handshake,
-    /// leaving each peer with an instantiated shard operator.
+    /// Connects to every endpoint and sends it `Setup`, leaving each peer
+    /// with an instantiated shard operator.
     pub(in crate::engine) fn connect(
         endpoints: &[Endpoint],
         query: &JoinQuery,
@@ -261,33 +262,29 @@ impl RemoteShards {
         rt.frames_received = c.frames_received;
         rt.bytes_sent = c.bytes_sent;
         rt.bytes_received = c.bytes_received;
-        rt.reconnects = c.reconnects;
         rt.epoch_rtt_nanos = link.rtt_nanos;
     }
 }
 
-/// Connects one endpoint and runs hello + setup, mapping every failure to
+/// Connects one endpoint and sends it `Setup`, mapping every failure to
 /// a human-readable message (connection time is the one phase where remote
-/// failures are `Result`s, not panics).
+/// failures are `Result`s, not panics).  A peer of another protocol
+/// version answers the `Setup` header with an error frame.
 fn handshake(endpoint: &Endpoint, query: &WireQuery) -> Result<Link, String> {
     let mut connection = super::connect(endpoint).map_err(|e| e.to_string())?;
-    let mut exchange = |send: Frame, want: &str, want_type: u8| -> Result<(), String> {
-        connection.send(&send).map_err(|e| e.to_string())?;
-        match connection.recv().map_err(|e| e.to_string())? {
-            Frame::Error { message } => Err(message),
-            frame if frame.frame_type() == want_type => Ok(()),
-            other => Err(format!(
-                "expected {want}, got frame type {:#04x}",
+    connection
+        .send(&Frame::Setup(query.clone()))
+        .map_err(|e| e.to_string())?;
+    match connection.recv().map_err(|e| e.to_string())? {
+        Frame::SetupAck => {}
+        Frame::Error { message } => return Err(message),
+        other => {
+            return Err(format!(
+                "expected setup-ack, got frame type {:#04x}",
                 other.frame_type()
-            )),
+            ))
         }
-    };
-    exchange(Frame::Hello, "hello-ack", Frame::HelloAck.frame_type())?;
-    exchange(
-        Frame::Setup(query.clone()),
-        "setup-ack",
-        Frame::SetupAck.frame_type(),
-    )?;
+    }
     Ok(Link {
         connection,
         rtt_nanos: 0,
@@ -295,24 +292,4 @@ fn handshake(endpoint: &Endpoint, query: &WireQuery) -> Result<Link, String> {
         parked: None,
         barrier_token: 0,
     })
-}
-
-impl Drop for RemoteShards {
-    fn drop(&mut self) {
-        // Best-effort shutdown handshake; every failure is swallowed — the
-        // peer may already be gone, and panicking in drop would abort.
-        for cell in &mut self.links {
-            let link = cell.get_mut();
-            let _ = link.connection.set_read_timeout(Some(SHUTDOWN_TIMEOUT));
-            if link.connection.send(&Frame::Shutdown).is_err() {
-                continue;
-            }
-            for _ in 0..4 {
-                match link.connection.recv() {
-                    Ok(Frame::ShutdownAck) | Err(_) => break,
-                    Ok(_) => continue,
-                }
-            }
-        }
-    }
 }

@@ -1,11 +1,14 @@
 //! The shard-server side of the wire protocol: one shard operator per
 //! connection, driven entirely by frames.
 //!
-//! A connection's lifecycle is `Hello → Setup → (LateBounds? Task |
-//! Barrier)* → Shutdown`.  The server is passive — it never initiates —
-//! and every request gets exactly one reply (a task's late bounds are part
-//! of the task, answered by its output), so the client can keep at most
-//! one epoch in flight per connection and collect deterministically.  An
+//! A connection's lifecycle is `Setup → (LateBounds? Task | Barrier)* →
+//! EOF`.  Every frame header carries the protocol version, so a foreign
+//! peer is answered with an error frame at its `Setup`; the client ends
+//! the connection by closing it.  The server is passive — it never
+//! initiates — and every request gets exactly one reply (a task's late
+//! bounds are part of the task, answered by its output), so the client can
+//! keep at most one epoch in flight per connection and collect
+//! deterministically.  An
 //! operator panic while draining a task is caught and shipped back as an
 //! error frame (the connection then closes: after a panic the shard state
 //! is unreliable, exactly like a retired pool worker).
@@ -81,10 +84,12 @@ fn stream_of(op: &MswjOperator, stream: u64) -> Result<StreamIndex, String> {
     }
 }
 
-/// Serves one client connection until a shutdown handshake, EOF, or a
-/// terminal protocol error.  Returns `Ok(())` on every orderly close
-/// (including after reporting a client error or an operator panic as an
-/// error frame); `Err` only for transport-level failures mid-reply.
+/// Serves one client connection until EOF or a terminal protocol error.
+/// Returns `Ok(())` on every orderly close: a client that disconnects,
+/// whether between requests or before reading a reply, and a client error
+/// or an operator panic reported as an error frame.  `Err` only for a
+/// foreign protocol version, an undecodable frame, or another transport
+/// failure.
 ///
 /// The connection keeps its own [`ShardRuntimeStats`] (epochs, routed
 /// items, lifetime queue high-water, busy time, window footprint); with a
@@ -92,6 +97,17 @@ fn stream_of(op: &MswjOperator, stream: u64) -> Result<StreamIndex, String> {
 /// barrier frame, the way the engine publishes its shards.  Pure
 /// observation — the framing and replies are identical without it.
 pub fn serve_stream<S: Read + Write>(
+    stream: S,
+    scope: Option<Arc<ShardInstruments>>,
+) -> Result<(), WireError> {
+    match serve(stream, scope) {
+        Err(e) if e.is_disconnect() => Ok(()),
+        served => served,
+    }
+}
+
+/// The body of [`serve_stream`], failing on a disconnect too.
+fn serve<S: Read + Write>(
     stream: S,
     scope: Option<Arc<ShardInstruments>>,
 ) -> Result<(), WireError> {
@@ -126,7 +142,6 @@ pub fn serve_stream<S: Read + Write>(
             }
         };
         match frame {
-            Frame::Hello => framed.send(&Frame::HelloAck)?,
             Frame::Setup(q) => match build_operator(&q) {
                 Ok(built) => {
                     op = Some(built);
@@ -147,10 +162,6 @@ pub fn serve_stream<S: Read + Write>(
                     window_bytes: runtime.window_bytes,
                     window_segments: runtime.window_segments,
                 })?;
-            }
-            Frame::Shutdown => {
-                framed.send(&Frame::ShutdownAck)?;
-                return Ok(());
             }
             // Everything else must be a task against the operator: one
             // decode → validate → apply → reply path, one way to fail.

@@ -61,8 +61,7 @@
 use crate::adaptation::BufferSizeManager;
 use crate::builder::SessionBuilder;
 use crate::config::DisorderConfig;
-use crate::engine::ShardStats;
-use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine};
+use crate::engine::{EngineEvent, ExecutionBackend, JoinEngine, ShardPublisher, ShardStats};
 use crate::kslack::KSlack;
 use crate::output::{Checkpoint, OutputEvent, ProducedLog, RunReport};
 use crate::policy::BufferPolicy;
@@ -104,6 +103,9 @@ pub struct Pipeline {
     /// never an allocation); attached via
     /// [`SessionBuilder::telemetry`](crate::SessionBuilder::telemetry).
     telemetry: Option<Telemetry>,
+    /// One gauge publisher per shard, resolved at build so publication
+    /// does no registry locking; empty without telemetry.
+    publishers: Vec<ShardPublisher>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -145,10 +147,13 @@ impl Pipeline {
             BufferPolicy::QualityDriven(c) => Some(BufferSizeManager::new(*c, query.windows())),
             _ => None,
         };
-        let mut engine = JoinEngine::try_new(query.clone(), probe, materialize, backend)?;
-        if let Some(t) = &telemetry {
-            engine.attach_telemetry(t.clone());
-        }
+        let engine = JoinEngine::try_new(query.clone(), probe, materialize, backend)?;
+        let publishers = match &telemetry {
+            Some(t) => (0..engine.shard_count())
+                .map(|s| ShardPublisher::new(t.shard(s)))
+                .collect(),
+            None => Vec::new(),
+        };
         Ok(Pipeline {
             kslacks: (0..m).map(|_| KSlack::new(initial_k)).collect(),
             synchronizer: Synchronizer::new(m),
@@ -171,6 +176,7 @@ impl Pipeline {
             checkpoints: Vec::new(),
             last_progress: None,
             telemetry,
+            publishers,
             query,
             policy,
         })
@@ -390,12 +396,7 @@ impl Pipeline {
     /// backend this may *defer* the batch (events arrive at the next flush
     /// boundary); `barrier` forces every deferred epoch to complete first.
     fn drive_engine<S: Sink>(&mut self, sink: &mut S, barrier: bool) {
-        // A barrier always reaches the engine, even when nothing is staged
-        // or outstanding: barriers are where the engine closes its
-        // heavy-hitter detection window, and those evaluation points must depend
-        // only on the workload (checkpoints, K changes, end of stream) —
-        // never on whether a backend happens to have an epoch in flight.
-        if !barrier && !self.engine.has_pending() && !self.engine.has_outstanding() {
+        if !self.engine.has_pending() && !self.engine.has_outstanding() {
             return;
         }
         let Pipeline {
@@ -430,7 +431,7 @@ impl Pipeline {
                     }
                 } else {
                     profiler.record_out_of_order(delay, outcome.n_lost, outcome.inserted);
-                    if let Some(s) = session {
+                    if let Some(s) = session.filter(|_| !outcome.inserted) {
                         s.tuples_dropped.inc();
                     }
                 }
@@ -510,7 +511,9 @@ impl Pipeline {
     /// Publishes the quality gauges, the checkpoint event and the per-shard
     /// runtime gauges after a checkpoint.  Runs only when telemetry is
     /// attached; strictly observe-only (reads statistics the checkpoint
-    /// already computed, plus the barrier-time shard counters).
+    /// already computed, plus the barrier-time shard counters — on the
+    /// `Remote` backend one barrier round-trip per shard, which samples the
+    /// server-side window footprint).
     fn publish_checkpoint_telemetry(&mut self, checkpoint: &Checkpoint) {
         let Checkpoint {
             at,
@@ -532,7 +535,7 @@ impl Pipeline {
         let drop_rate = if arrived == 0 {
             0.0
         } else {
-            stats.out_of_order as f64 / arrived as f64
+            stats.dropped as f64 / arrived as f64
         };
         let t = self.telemetry.as_ref().expect("checked by caller");
         let s = t.session();
@@ -550,7 +553,10 @@ impl Pipeline {
                 at.as_millis()
             ),
         });
-        self.engine.publish_telemetry();
+        let shards = self.engine.shard_stats();
+        for (publisher, shard) in self.publishers.iter_mut().zip(&shards) {
+            publisher.publish(&shard.runtime);
+        }
     }
 
     /// Applies a new buffer size to every K-slack component (Same-K policy),

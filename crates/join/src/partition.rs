@@ -34,8 +34,8 @@
 //!
 //! A key class lives on its home shard ([`Partitioner::home_shard`]) for
 //! the whole session: build state and probe work alike.  Under key skew
-//! the hot class's home shard carries its whole share; the engine warns
-//! about that (its heavy-hitter check) but never moves a class.  Nothing
+//! the hot class's home shard carries its whole share, which its `routed`
+//! counter shows; the engine never moves a class.  Nothing
 //! changes routing after construction — a star plan's partition pair
 //! included.
 //!

@@ -1,8 +1,7 @@
 //! Bounded ring of recent structured runtime events.
 //!
-//! Checkpoints and heavy-hitter warnings are *rare* (they only happen at
-//! adaptation checkpoints and idle barriers), so the ring may lock a mutex and
-//! allocate its message strings — none of that touches the per-event
+//! Checkpoints are *rare* (one per adaptation interval), so the ring may
+//! lock a mutex and allocate its message strings — none of that touches the per-event
 //! ingestion hot path.  The ring keeps the most recent
 //! [`EVENT_RING_CAPACITY`] events; older ones fall off the front.
 
@@ -17,10 +16,6 @@ pub const EVENT_RING_CAPACITY: usize = 128;
 pub enum EventKind {
     /// A periodic adaptation checkpoint was taken.
     Checkpoint,
-    /// The heavy-hitter warning: a single shard took > 50% of a detection
-    /// window's routed volume (re-armed once a window comes back
-    /// balanced).  Observability only — key classes never move.
-    HeavyHitter,
 }
 
 impl EventKind {
@@ -28,7 +23,6 @@ impl EventKind {
     pub(crate) fn as_str(&self) -> &'static str {
         match self {
             EventKind::Checkpoint => "checkpoint",
-            EventKind::HeavyHitter => "heavy_hitter",
         }
     }
 }
@@ -95,7 +89,6 @@ mod tests {
 
     #[test]
     fn kinds_have_stable_identifiers() {
-        assert_eq!(EventKind::HeavyHitter.as_str(), "heavy_hitter");
         assert_eq!(EventKind::Checkpoint.as_str(), "checkpoint");
     }
 }

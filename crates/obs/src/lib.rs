@@ -12,7 +12,7 @@
 //!   [`Histogram`]s.  Hot-path recording is a few relaxed atomics: no
 //!   locks, no allocation, no map lookups.
 //! * A bounded ring of recent structured [`TelemetryEvent`]s
-//!   (checkpoints, plan transitions, heavy-hitter warnings) with
+//!   (checkpoints) with
 //!   an optional synchronous callback — the replacement for ad-hoc
 //!   `eprintln!` diagnostics.
 //! * Renderers for the Prometheus text exposition format and JSON, and a

@@ -421,13 +421,13 @@ mod tests {
         let seen = Arc::new(AtomicUsize::new(0));
         let seen2 = Arc::clone(&seen);
         t.set_event_callback(Arc::new(move |ev| {
-            assert_eq!(ev.kind, EventKind::HeavyHitter);
+            assert_eq!(ev.kind, EventKind::Checkpoint);
             seen2.fetch_add(1, Ordering::SeqCst);
         }));
         t.emit(TelemetryEvent {
             at_ms: 42,
-            kind: EventKind::HeavyHitter,
-            message: "shard 1 holds 80% of routed volume".into(),
+            kind: EventKind::Checkpoint,
+            message: "checkpoint at 42 ms: K = 250 ms".into(),
         });
         assert_eq!(seen.load(Ordering::SeqCst), 1);
         assert_eq!(t.recent_events().len(), 1);

@@ -51,7 +51,7 @@ fn populated() -> Telemetry {
     });
     t.emit(TelemetryEvent {
         at_ms: 1_500,
-        kind: EventKind::HeavyHitter,
+        kind: EventKind::Checkpoint,
         message: "tab\there, quote \" and newline\nthen \u{1} and \\ done".into(),
     });
     t

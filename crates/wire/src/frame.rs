@@ -67,7 +67,13 @@ use std::io::{Read, Write};
 /// v10: `Output` lost its echo of the task's routing epoch, which was
 /// always 0; an output is the epoch, the busy time, the sub-outcomes and
 /// the materialized results.
-pub const PROTOCOL_VERSION: u16 = 10;
+///
+/// v11: the `Hello`/`HelloAck` greeting (types `0x01`, `0x02`) and the
+/// `Shutdown`/`ShutdownAck` close (types `0x0F`, `0x10`) left the
+/// protocol.  A connection is `Setup`, then work, then EOF: every header's
+/// version check rejects a foreign peer at its `Setup`, and closing the
+/// socket ends the session.
+pub const PROTOCOL_VERSION: u16 = 11;
 
 /// Frame magic: the ASCII bytes `MSWJ`, read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"MSWJ");
@@ -78,8 +84,6 @@ pub const HEADER_LEN: usize = 12;
 /// Hard cap on a single frame payload; decoding refuses anything larger.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
-const FT_HELLO: u8 = 0x01;
-const FT_HELLO_ACK: u8 = 0x02;
 const FT_SETUP: u8 = 0x03;
 const FT_SETUP_ACK: u8 = 0x04;
 const FT_TASK: u8 = 0x05;
@@ -87,8 +91,6 @@ const FT_OUTPUT: u8 = 0x06;
 const FT_BARRIER: u8 = 0x07;
 const FT_BARRIER_ACK: u8 = 0x08;
 const FT_ERROR: u8 = 0x0E;
-const FT_SHUTDOWN: u8 = 0x0F;
-const FT_SHUTDOWN_ACK: u8 = 0x10;
 const FT_LATE_BOUNDS: u8 = 0x14;
 
 /// One routed tuple inside a [`WireTask`]: the front-end's staging sequence
@@ -190,20 +192,15 @@ pub struct WireQuery {
 
 /// Every message that crosses a shard boundary.
 ///
-/// `Hello`/`HelloAck` open a connection (the header's version field does
-/// the compatibility check), `Setup`/`SetupAck` instantiate the remote
-/// operator, `Task`/`Output` carry the epoch pipeline (a task with late
-/// items is preceded by its `LateBounds`), `Barrier`/
-/// `BarrierAck` fence it and return operator statistics, and `Error`
-/// carries remote panics and protocol complaints.  `Shutdown`/`ShutdownAck`
-/// are the clean close handshake.
+/// `Setup`/`SetupAck` open a connection and instantiate the remote
+/// operator (every header's version field does the compatibility check),
+/// `Task`/`Output` carry the epoch pipeline (a task with late items is
+/// preceded by its `LateBounds`), `Barrier`/`BarrierAck` fence it and
+/// return operator statistics, and `Error` carries remote panics and
+/// protocol complaints.  The client ends a connection by closing it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Client greeting; the header carries the protocol version.
-    Hello,
-    /// Server acceptance of a [`Frame::Hello`].
-    HelloAck,
-    /// Operator instantiation request.
+    /// Operator instantiation request, the first frame of a connection.
     Setup(WireQuery),
     /// Acknowledges a successful [`Frame::Setup`].
     SetupAck,
@@ -242,10 +239,6 @@ pub enum Frame {
         /// Human-readable failure description (panic payload text).
         message: String,
     },
-    /// Clean-close request.
-    Shutdown,
-    /// Acknowledges [`Frame::Shutdown`]; the connection closes after it.
-    ShutdownAck,
 }
 
 fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
@@ -464,8 +457,6 @@ impl Frame {
     /// The one-byte frame type written into the header.
     pub fn frame_type(&self) -> u8 {
         match self {
-            Frame::Hello => FT_HELLO,
-            Frame::HelloAck => FT_HELLO_ACK,
             Frame::Setup(_) => FT_SETUP,
             Frame::SetupAck => FT_SETUP_ACK,
             Frame::Task(_) => FT_TASK,
@@ -474,18 +465,12 @@ impl Frame {
             Frame::Barrier { .. } => FT_BARRIER,
             Frame::BarrierAck { .. } => FT_BARRIER_ACK,
             Frame::Error { .. } => FT_ERROR,
-            Frame::Shutdown => FT_SHUTDOWN,
-            Frame::ShutdownAck => FT_SHUTDOWN_ACK,
         }
     }
 
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         match self {
-            Frame::Hello
-            | Frame::HelloAck
-            | Frame::SetupAck
-            | Frame::Shutdown
-            | Frame::ShutdownAck => {}
+            Frame::SetupAck => {}
             Frame::Setup(q) => {
                 put_str(buf, &q.name);
                 put_len(buf, q.streams.len());
@@ -555,11 +540,7 @@ impl Frame {
     fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
         let mut c = Cursor::new(payload);
         let frame = match frame_type {
-            FT_HELLO => Frame::Hello,
-            FT_HELLO_ACK => Frame::HelloAck,
             FT_SETUP_ACK => Frame::SetupAck,
-            FT_SHUTDOWN => Frame::Shutdown,
-            FT_SHUTDOWN_ACK => Frame::ShutdownAck,
             FT_SETUP => {
                 let name = c.str()?;
                 let n = c.len(1)?;

@@ -4,13 +4,14 @@
 //! that crosses a shard boundary in the partitioned join engine: routed
 //! task batches ([`WireTask`], with the late items' bounds in
 //! [`WireLate`]), epoch results and statistics
-//! ([`WireOutput`]), and the control plane — setup, barriers, error/panic
-//! propagation and the shutdown handshake ([`Frame`]).
+//! ([`WireOutput`]), and the control plane — setup, barriers and
+//! error/panic propagation ([`Frame`]); a connection ends with EOF.
 //!
 //! Design constraints (see `docs/ARCHITECTURE.md` for the full contract):
 //!
 //! * **Versioned.** Every frame header carries [`PROTOCOL_VERSION`]; a
-//!   peer speaking another revision is rejected on its first frame with
+//!   peer speaking another revision is rejected on its first frame
+//!   (`Setup`) with
 //!   [`WireError::VersionMismatch`] — never interpreted.
 //! * **Bounded.** Payload lengths are capped at [`MAX_PAYLOAD`] and every
 //!   collection length is validated against the bytes actually present

@@ -178,26 +178,22 @@ fn arb_late(rng: &mut StdRng) -> Frame {
 }
 
 fn arb_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0usize..12) {
-        11 => arb_late(rng),
-        0 => Frame::Hello,
-        1 => Frame::HelloAck,
-        2 => Frame::Setup(arb_query(rng)),
-        3 => Frame::SetupAck,
-        4 => Frame::Task(arb_task(rng)),
-        5 => Frame::Output(arb_output(rng)),
-        6 => Frame::Barrier { token: rng.gen() },
-        7 => Frame::BarrierAck {
+    match rng.gen_range(0usize..8) {
+        0 => arb_late(rng),
+        1 => Frame::Setup(arb_query(rng)),
+        2 => Frame::SetupAck,
+        3 => Frame::Task(arb_task(rng)),
+        4 => Frame::Output(arb_output(rng)),
+        5 => Frame::Barrier { token: rng.gen() },
+        6 => Frame::BarrierAck {
             token: rng.gen(),
             stats: arb_stats(rng),
             window_bytes: rng.gen(),
             window_segments: rng.gen(),
         },
-        8 => Frame::Error {
+        _ => Frame::Error {
             message: format!("panic #{}", rng.gen_range(0u64..1000)),
         },
-        9 => Frame::Shutdown,
-        _ => Frame::ShutdownAck,
     }
 }
 
@@ -277,7 +273,7 @@ proptest! {
 #[test]
 fn foreign_version_is_rejected_cleanly() {
     let mut buf = Vec::new();
-    Frame::Hello.encode(&mut buf);
+    Frame::SetupAck.encode(&mut buf);
     // Patch the version field (bytes 4..6) to a future revision.
     let future = (PROTOCOL_VERSION + 1).to_le_bytes();
     buf[4..6].copy_from_slice(&future);
@@ -296,11 +292,14 @@ fn retired_frames_are_rejected_cleanly() {
     // up to protocol version 4; 0x13 was `Revise` (probe reorder / index
     // demotion) up to version 3; 0x0A, 0x0B, 0x0D, 0x11 and 0x12 were the
     // star pair switch's class data, adopt, ack, window fetch and retain
-    // frames up to version 6.  A current-version header carrying any of
-    // them is corrupt.
-    for retired in [0x09u8, 0x0A, 0x0B, 0x0C, 0x0D, 0x11, 0x12, 0x13] {
+    // frames up to version 6; 0x01, 0x02, 0x0F and 0x10 were the hello,
+    // hello-ack, shutdown and shutdown-ack frames up to version 10.  A
+    // current-version header carrying any of them is corrupt.
+    for retired in [
+        0x01u8, 0x02, 0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x0F, 0x10, 0x11, 0x12, 0x13,
+    ] {
         let mut buf = Vec::new();
-        Frame::Shutdown.encode(&mut buf);
+        Frame::SetupAck.encode(&mut buf);
         buf[6] = retired;
         match Frame::decode(&buf) {
             Err(WireError::Corrupt(why)) => {
@@ -308,9 +307,9 @@ fn retired_frames_are_rejected_cleanly() {
             }
             other => panic!("expected Corrupt for {retired:#04x}, got {other:?}"),
         }
-        // A version-4, -6, -7, -8 or -9 peer is told which versions
+        // A version-4, -6, -7, -8, -9 or -10 peer is told which versions
         // disagree, whatever it sends.
-        for old in [4u16, 6, 7, 8, 9] {
+        for old in [4u16, 6, 7, 8, 9, 10] {
             buf[4..6].copy_from_slice(&old.to_le_bytes());
             match Frame::decode(&buf) {
                 Err(WireError::VersionMismatch { ours, theirs }) => {
@@ -357,7 +356,7 @@ fn late_bounds_round_trip_to_the_last_bit() {
 #[test]
 fn oversized_payload_declaration_is_rejected_before_allocation() {
     let mut buf = Vec::new();
-    Frame::Shutdown.encode(&mut buf);
+    Frame::SetupAck.encode(&mut buf);
     buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         Frame::decode(&buf),
@@ -368,7 +367,7 @@ fn oversized_payload_declaration_is_rejected_before_allocation() {
 #[test]
 fn bad_magic_is_corrupt() {
     let mut buf = Vec::new();
-    Frame::Shutdown.encode(&mut buf);
+    Frame::SetupAck.encode(&mut buf);
     buf[0] ^= 0xFF;
     assert!(matches!(Frame::decode(&buf), Err(WireError::Corrupt(_))));
 }
@@ -376,8 +375,8 @@ fn bad_magic_is_corrupt() {
 #[test]
 fn trailing_payload_bytes_are_corrupt() {
     let mut buf = Vec::new();
-    Frame::Shutdown.encode(&mut buf);
-    // Declare one payload byte and append it: Shutdown has an empty payload, so
+    Frame::SetupAck.encode(&mut buf);
+    // Declare one payload byte and append it: SetupAck has an empty payload, so
     // the decoder must flag the excess instead of ignoring it.
     buf[8..12].copy_from_slice(&1u32.to_le_bytes());
     buf.push(0xAA);

@@ -395,13 +395,13 @@ fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
         .spawn()
         .expect("spawning mswj-shardd");
     let endpoint = Endpoint::Uds(path.clone());
-    let hello = |t: &mut Connection| {
-        t.send(&Frame::Hello).unwrap();
-        assert!(matches!(t.recv().unwrap(), Frame::HelloAck));
+    let barrier = |t: &mut Connection| {
+        t.send(&Frame::Barrier { token: 1 }).unwrap();
+        assert!(matches!(t.recv().unwrap(), Frame::BarrierAck { .. }));
     };
 
     let mut bystander = connect(&endpoint).expect("the daemon accepts connections");
-    hello(&mut bystander);
+    barrier(&mut bystander);
     let mut offender = std::os::unix::net::UnixStream::connect(&path).unwrap();
     offender
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
@@ -426,7 +426,7 @@ fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
     let (ack, _) = read_frame(&mut offender, &mut scratch).unwrap();
     assert!(matches!(ack, Frame::SetupAck), "{ack:?}");
     let mut retired = Vec::new();
-    Frame::Shutdown.encode(&mut retired);
+    Frame::SetupAck.encode(&mut retired);
     retired[6] = 0x11;
     offender.write_all(&retired).unwrap();
     match read_frame(&mut offender, &mut scratch).unwrap() {
@@ -439,8 +439,8 @@ fn shardd_answers_a_malformed_surgery_frame_and_keeps_serving() {
         .expect_err("the server closes after the error frame");
     assert!(closed.is_disconnect(), "orderly close, got {closed}");
 
-    hello(&mut bystander);
-    hello(&mut connect(&endpoint).expect("the daemon still accepts connections"));
+    barrier(&mut bystander);
+    barrier(&mut connect(&endpoint).expect("the daemon still accepts connections"));
 
     let _ = daemon.kill();
     let _ = daemon.wait();

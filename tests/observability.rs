@@ -14,8 +14,7 @@ fn schema() -> Schema {
 
 /// A disordered 2-stream workload: tuples every 10 ms on both streams over
 /// a small shared key domain, with every 4th tuple of stream 0 arriving
-/// 180 ms late — enough disorder for checkpoints to move K and for the
-/// drop-rate gauge to see out-of-order tuples.
+/// 180 ms late — enough disorder for checkpoints to move K.
 fn workload(n: u64) -> Vec<ArrivalEvent> {
     let mut events = Vec::new();
     for i in 1..=n {
@@ -109,18 +108,46 @@ fn telemetry_is_observe_only_on_every_backend() {
 
 #[test]
 fn quality_gauges_and_event_ring_populate_after_checkpoints() {
+    // Every 100th arrival also brings a stream-0 tuple 900 ms late, past
+    // the 500 ms window, so the join drops it; the 180 ms late tuples of
+    // `workload` stay in scope and are inserted.
+    let mut events = workload(600);
+    for i in (1..=6u64).rev().map(|k| k * 100) {
+        let late = Tuple::new(
+            StreamIndex(0),
+            10_000 + i,
+            Timestamp::from_millis(i * 10 - 900),
+            vec![Value::Int(1)],
+        );
+        let at = 2 * i as usize;
+        events.insert(at, ArrivalEvent::new(Timestamp::from_millis(i * 10), late));
+    }
     let telemetry = Telemetry::new();
     let mut pipeline = session(ExecutionBackend::Sequential, Some(telemetry.clone()));
-    for e in workload(600) {
-        pipeline.push(e);
-    }
-
     let s = telemetry.session();
+    // The drop-rate gauge is set at a checkpoint.  Where a push takes one
+    // and leaves the join's counters as they were, they are the ones the
+    // gauge read.
+    let mut exact = 0;
+    for e in events {
+        let (before, checkpoints) = (pipeline.engine().stats(), s.checkpoints.get());
+        pipeline.push(e);
+        if s.checkpoints.get() > checkpoints && pipeline.engine().stats() == before {
+            let arrived = before.in_order + before.out_of_order;
+            let rate = before.dropped as f64 / arrived as f64;
+            assert_eq!(s.drop_rate.get(), rate, "{before:?}");
+            exact += 1;
+        }
+    }
+    assert!(
+        exact > 0,
+        "no checkpoint left the join's counters unchanged"
+    );
     assert!(s.checkpoints.get() > 0);
     assert!(s.k_ms.get() >= 0.0, "K gauge must be set");
     assert!(
         s.drop_rate.get() > 0.0,
-        "180 ms delays against a small K must register dropped tuples"
+        "tuples past the window are dropped"
     );
     assert!(
         s.recall_observed.get() > 0.0,
@@ -137,6 +164,13 @@ fn quality_gauges_and_event_ring_populate_after_checkpoints() {
     );
     let report = pipeline.finish();
     assert!(report.total_produced > 0);
+    // The dropped counter counts dropped tuples, not every late one.
+    let stats = report.operator_stats;
+    assert!(
+        stats.dropped > 0 && stats.dropped < stats.out_of_order,
+        "{stats:?}"
+    );
+    assert_eq!(s.tuples_dropped.get(), stats.dropped);
 }
 
 #[test]
